@@ -27,10 +27,11 @@
 // timeline events (outages, rollouts) on the event queue; -backend, when
 // also set, overrides just the preset.
 //
-// -serialize-workers spreads binary/binary-flate block encoding over a
-// worker pool (0 = GOMAXPROCS). Serialization parallelism never changes
-// the output: the stream is byte-identical for every worker count, so
-// the manifest stream hash is stable across -serialize-workers settings.
+// -serialize-workers sizes binary/binary-flate block encoding: 0 means
+// GOMAXPROCS workers, 1 encodes on the exporting goroutine with no worker
+// goroutines at all, more spreads blocks over an ordered pool. The stream
+// is byte-identical for every worker count, so the manifest stream hash
+// is stable across -serialize-workers settings.
 //
 // -manifest writes a run manifest (the schema-versioned JSON of
 // insidedropbox.RunManifest) with the FNV-1a hash of the serialized
@@ -75,7 +76,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -86,6 +86,7 @@ import (
 	"insidedropbox/internal/backend"
 	"insidedropbox/internal/cli"
 	"insidedropbox/internal/telemetry"
+	"insidedropbox/internal/traces"
 )
 
 func main() {
@@ -104,7 +105,7 @@ func main() {
 	profile := flag.String("profile", "", "capability profile overriding the VP's client version: "+
 		strings.Join(insidedropbox.CapabilityNames(), "|"))
 	format := flag.String("format", "csv", "trace format: csv (public-release compatible), binary (columnar, ~3.5x smaller), or binary-flate (compressed archival with seek index)")
-	serWorkers := flag.Int("serialize-workers", 0, "block-encoding workers for binary formats (0 = GOMAXPROCS; never changes output bytes)")
+	serWorkers := flag.Int("serialize-workers", 0, "block-encoding workers for binary formats (0 = GOMAXPROCS, 1 = encode on the caller with no goroutines; never changes output bytes)")
 	backendPreset := flag.String("backend", "", "after the export, replay the stream against the server "+
 		"capacity model under this preset: "+strings.Join(insidedropbox.BackendPresets(), "|"))
 	scenarioPath := flag.String("scenario", "", "declarative scenario spec file; its base section overrides -vp/-scale/-seed/-shards/-devices-scale/-profile")
@@ -138,8 +139,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *format != "csv" && *format != "binary" && *format != "binary-flate" {
-		fmt.Fprintf(os.Stderr, "unknown format %q (valid: csv, binary, binary-flate)\n", *format)
+	traceFormat, err := traces.LookupFormat(*format)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *backendPreset != "" {
@@ -266,7 +268,7 @@ func main() {
 		tee = col.Consume
 	}
 
-	stats, volume, err := streamTraces(ctx, cfg, runSeed, fc, w, *format, *serWorkers, tee)
+	stats, volume, err := streamTraces(ctx, cfg, runSeed, fc, w, traceFormat, *serWorkers, tee)
 	if err != nil {
 		cli.Exit(ctx, "writing traces", err)
 	}
@@ -349,32 +351,15 @@ func printSummary(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
 }
 
 // streamTraces pipes records from the generator shards straight into the
-// chosen trace writer through a WriterSink, without materializing the
-// dataset. The sink latches the first write error and stops the stream; a
-// cancelled context stops it at shard granularity.
+// format's anonymizing trace writer through a WriterSink, without
+// materializing the dataset. The sink latches the first write error and
+// stops the stream; a cancelled context stops it at shard granularity.
 func streamTraces(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
-	fc insidedropbox.FleetConfig, w io.Writer, format string, serWorkers int,
+	fc insidedropbox.FleetConfig, w io.Writer, format traces.Format, serWorkers int,
 	tee func(*insidedropbox.FlowRecord)) (insidedropbox.FleetStats, float64, error) {
 
-	if serWorkers < 1 {
-		serWorkers = runtime.GOMAXPROCS(0)
-	}
-	var bw *bufio.Writer
-	sink := &insidedropbox.WriterSink{}
-	switch format {
-	case "binary":
-		bw = bufio.NewWriterSize(w, 1<<16)
-		if serWorkers > 1 {
-			sink.W = insidedropbox.NewParallelBinaryTraceWriter(bw, serWorkers)
-		} else {
-			sink.W = insidedropbox.NewBinaryTraceWriter(bw)
-		}
-	case "binary-flate":
-		bw = bufio.NewWriterSize(w, 1<<16)
-		sink.W = insidedropbox.NewFlateTraceWriter(bw, serWorkers)
-	default:
-		sink.W = insidedropbox.NewTraceWriter(w)
-	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	sink := &insidedropbox.WriterSink{W: format.New(bw, true, serWorkers)}
 	var volume float64
 	stats, err := insidedropbox.StreamRecords(ctx, cfg, seed, fc, func(r *insidedropbox.FlowRecord) bool {
 		volume += float64(r.BytesUp + r.BytesDown)
@@ -390,7 +375,7 @@ func streamTraces(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
 	if err == nil {
 		err = sink.W.Flush()
 	}
-	if bw != nil && err == nil {
+	if err == nil {
 		err = bw.Flush()
 	}
 	return stats, volume, err

@@ -113,10 +113,10 @@ type BinaryTraceWriter = traces.BinaryWriter
 // BinaryTraceReader parses binary trace streams back into records.
 type BinaryTraceReader = traces.BinaryReader
 
-// ParallelBinaryTraceWriter is the binary trace writer with block
-// encoding spread over a bounded worker pool — byte-identical output to
-// BinaryTraceWriter for every worker count, for exports where
-// serialization rather than generation is the bottleneck.
+// ParallelBinaryTraceWriter is BinaryTraceWriter: one writer, whose
+// worker count (NewParallelBinaryTraceWriter) decides whether blocks are
+// encoded on the caller or on a bounded worker pool, with byte-identical
+// output either way. The name remains for existing callers.
 type ParallelBinaryTraceWriter = traces.ParallelBinaryWriter
 
 // FlateTraceWriter streams flow records as the compressed archival
@@ -162,9 +162,9 @@ func NewBinaryTraceReader(r io.Reader) *BinaryTraceReader {
 	return traces.NewBinaryReader(r)
 }
 
-// NewParallelBinaryTraceWriter returns an anonymizing parallel binary
-// trace writer encoding blocks on workers goroutines (workers < 1 means
-// 1; output is byte-identical to NewBinaryTraceWriter for every count).
+// NewParallelBinaryTraceWriter returns an anonymizing binary trace writer
+// encoding blocks on workers goroutines (workers <= 1 encodes on the
+// caller; output is byte-identical to NewBinaryTraceWriter either way).
 func NewParallelBinaryTraceWriter(w io.Writer, workers int) *ParallelBinaryTraceWriter {
 	tw := traces.NewParallelBinaryWriter(w, workers)
 	tw.Anonymize = true

@@ -126,12 +126,12 @@ func catalogue() []scenario {
 		{name: "generate/home1-1shard", run: runGenerate},
 		{name: "fleet/home1-8shard", run: runFleet8},
 		{name: "whatif/campus1-2profiles", run: runWhatIf},
-		{name: "serialize/csv", setup: warmSerializeDataset, run: runSerializeCSV},
-		{name: "serialize/binary", setup: warmSerializeDataset, run: runSerializeBinary},
-		{name: "serialize/binary-parallel", setup: warmSerializeDataset, run: runSerializeBinaryParallel},
-		{name: "serialize/flate", setup: warmSerializeDataset, run: runSerializeFlate},
-		{name: "export/home1-8shard-binary", run: runExportBinary},
-		{name: "export/home1-8shard-binary-parallel", run: runExportBinaryParallel},
+		{name: "serialize/csv", setup: warmSerializeDataset, run: runSerialize(mustFormat("csv"), inlineEncode)},
+		{name: "serialize/binary", setup: warmSerializeDataset, run: runSerialize(mustFormat("binary"), inlineEncode)},
+		{name: "serialize/binary-parallel", setup: warmSerializeDataset, run: runSerialize(mustFormat("binary"), pooledEncode)},
+		{name: "serialize/flate", setup: warmSerializeDataset, run: runSerialize(mustFormat("binary-flate"), pooledEncode)},
+		{name: "export/home1-8shard-binary", run: runExport(mustFormat("binary"), inlineEncode)},
+		{name: "export/home1-8shard-binary-parallel", run: runExport(mustFormat("binary"), pooledEncode)},
 		{name: "backend/saturation", setup: warmBackendArrivals, run: runBackendSaturation},
 		{name: "scenario/cohort-mix", setup: warmScenarioCompiled, run: runScenarioCohortMix},
 		{name: "campaign/home1-8shard-1core", procs: 1, run: runCampaign1Core},
@@ -345,173 +345,84 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// runSerializeCSV measures the anonymized CSV writer against a
-// pre-generated in-memory dataset.
-func runSerializeCSV(ctx context.Context, quick bool) (int64, int64) {
-	ds, reps := serializeDataset(quick)
-	var cw countWriter
-	var n int64
-	for i := 0; i < reps; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		w := traces.NewWriter(&cw)
-		w.Anonymize = true
-		for _, r := range ds.Records {
-			if err := w.Write(r); err != nil {
-				panic(err)
-			}
-			n++
-		}
-		if err := w.Flush(); err != nil {
-			panic(err)
-		}
+// The worker counts the serialization scenarios hand the trace-format
+// table: inlineEncode pins the zero-goroutine path, pooledEncode asks for
+// the table's default (GOMAXPROCS workers — at GOMAXPROCS=1 the inline
+// path again).
+const inlineEncode, pooledEncode = 1, 0
+
+// mustFormat resolves a scenario's format as the catalogue is built.
+func mustFormat(name string) traces.Format {
+	f, err := traces.LookupFormat(name)
+	if err != nil {
+		panic(err)
 	}
-	return n, cw.n
+	return f
 }
 
-// runSerializeBinary measures the binary columnar writer on the same
-// dataset as runSerializeCSV.
-func runSerializeBinary(ctx context.Context, quick bool) (int64, int64) {
-	ds, reps := serializeDataset(quick)
-	var cw countWriter
-	var n int64
-	for i := 0; i < reps; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		w := traces.NewBinaryWriter(&cw)
-		w.Anonymize = true
-		for _, r := range ds.Records {
-			if err := w.Write(r); err != nil {
+// runSerialize measures one format's writer against a pre-generated
+// in-memory dataset, the same one for every format. serialize/binary and
+// serialize/binary-parallel emit identical bytes, so the rec/s delta
+// between them is pure encoding parallelism; serialize/flate bytes are
+// post-compression, so its MB/s is not comparable to the others — rec/s
+// is the cross-format axis.
+func runSerialize(f traces.Format, workers int) func(context.Context, bool) (int64, int64) {
+	return func(ctx context.Context, quick bool) (int64, int64) {
+		ds, reps := serializeDataset(quick)
+		var cw countWriter
+		var n int64
+		for i := 0; i < reps; i++ {
+			if ctx.Err() != nil {
+				break
+			}
+			w := f.New(&cw, true, workers) // anonymizing, as dropsim exports
+			for _, r := range ds.Records {
+				if err := w.Write(r); err != nil {
+					panic(err)
+				}
+				n++
+			}
+			if err := w.Flush(); err != nil {
 				panic(err)
 			}
-			n++
 		}
-		if err := w.Flush(); err != nil {
-			panic(err)
-		}
+		return n, cw.n
 	}
-	return n, cw.n
 }
 
-// runSerializeBinaryParallel measures the parallel binary writer at
-// GOMAXPROCS workers on the same dataset — byte-identical output to
-// serialize/binary, so the rec/s delta between the two is pure encoding
-// parallelism (zero at GOMAXPROCS=1, where the pool is overhead).
-func runSerializeBinaryParallel(ctx context.Context, quick bool) (int64, int64) {
-	ds, reps := serializeDataset(quick)
-	var cw countWriter
-	var n int64
-	for i := 0; i < reps; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		w := traces.NewParallelBinaryWriter(&cw, runtime.GOMAXPROCS(0))
-		w.Anonymize = true
-		for _, r := range ds.Records {
-			if err := w.Write(r); err != nil {
+// runExport measures the flagship end-to-end path: 8-shard ordered
+// streaming through the Records iterator straight into the format's
+// writer, nothing materialized. With pooledEncode it is the configuration
+// dropsim -format=binary uses by default — the scenario that shows
+// serialization keeping up with generation on multi-core machines (the
+// bytes are identical either way by the determinism contract).
+func runExport(f traces.Format, workers int) func(context.Context, bool) (int64, int64) {
+	return func(ctx context.Context, quick bool) (int64, int64) {
+		scale, reps := scalesFor(quick)
+		reps = (reps + 1) / 2
+		cfg := workload.Home1(scale)
+		var cw countWriter
+		var n int64
+		for i := 0; i < reps; i++ {
+			if ctx.Err() != nil {
+				break
+			}
+			w := f.New(&cw, true, workers) // anonymizing, as dropsim exports
+			for r, err := range fleet.Records(ctx, cfg, benchSeed, fleet.Config{Shards: 8}) {
+				if err != nil {
+					return n, cw.n
+				}
+				if err := w.Write(r); err != nil {
+					panic(err)
+				}
+				n++
+			}
+			if err := w.Flush(); err != nil {
 				panic(err)
 			}
-			n++
 		}
-		if err := w.Flush(); err != nil {
-			panic(err)
-		}
+		return n, cw.n
 	}
-	return n, cw.n
-}
-
-// runSerializeFlate measures the compressed archival tier (flate frames
-// plus seek index) at GOMAXPROCS workers on the same dataset. Bytes are
-// post-compression, so MB/s here is not comparable to serialize/binary —
-// rec/s is the cross-format axis.
-func runSerializeFlate(ctx context.Context, quick bool) (int64, int64) {
-	ds, reps := serializeDataset(quick)
-	var cw countWriter
-	var n int64
-	for i := 0; i < reps; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		w := traces.NewFlateWriter(&cw, runtime.GOMAXPROCS(0))
-		w.Anonymize = true
-		for _, r := range ds.Records {
-			if err := w.Write(r); err != nil {
-				panic(err)
-			}
-			n++
-		}
-		if err := w.Flush(); err != nil {
-			panic(err)
-		}
-	}
-	return n, cw.n
-}
-
-// runExportBinary measures the flagship end-to-end path: 8-shard ordered
-// streaming through the Records iterator straight into the binary writer,
-// nothing materialized.
-func runExportBinary(ctx context.Context, quick bool) (int64, int64) {
-	scale, reps := scalesFor(quick)
-	reps = (reps + 1) / 2
-	cfg := workload.Home1(scale)
-	var cw countWriter
-	var n int64
-	for i := 0; i < reps; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		w := traces.NewBinaryWriter(&cw)
-		w.Anonymize = true
-		for r, err := range fleet.Records(ctx, cfg, benchSeed, fleet.Config{Shards: 8}) {
-			if err != nil {
-				return n, cw.n
-			}
-			if err := w.Write(r); err != nil {
-				panic(err)
-			}
-			n++
-		}
-		if err := w.Flush(); err != nil {
-			panic(err)
-		}
-	}
-	return n, cw.n
-}
-
-// runExportBinaryParallel is runExportBinary with block encoding spread
-// over GOMAXPROCS workers — the configuration dropsim -format=binary
-// -serialize-workers uses, and the scenario that shows serialization
-// keeping up with generation on multi-core machines (the output bytes
-// are identical to export/home1-8shard-binary by the determinism
-// contract).
-func runExportBinaryParallel(ctx context.Context, quick bool) (int64, int64) {
-	scale, reps := scalesFor(quick)
-	reps = (reps + 1) / 2
-	cfg := workload.Home1(scale)
-	var cw countWriter
-	var n int64
-	for i := 0; i < reps; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		w := traces.NewParallelBinaryWriter(&cw, runtime.GOMAXPROCS(0))
-		w.Anonymize = true
-		for r, err := range fleet.Records(ctx, cfg, benchSeed, fleet.Config{Shards: 8}) {
-			if err != nil {
-				return n, cw.n
-			}
-			if err := w.Write(r); err != nil {
-				panic(err)
-			}
-			n++
-		}
-		if err := w.Flush(); err != nil {
-			panic(err)
-		}
-	}
-	return n, cw.n
 }
 
 // arrivalsCache memoizes the backend arrival set per scale, so the fleet

@@ -82,8 +82,9 @@ type Spec struct {
 	DevicesScale float64 `json:"devices_scale,omitempty"`
 	// Profile optionally swaps in a capability profile by name.
 	Profile string `json:"profile,omitempty"`
-	// Format is the final export encoding: csv (default), binary, or
-	// binary-flate. Parts are always stored binary regardless.
+	// Format is the final export encoding, a name from the traces format
+	// table: csv (default), binary, or binary-flate. Parts are always
+	// stored binary regardless.
 	Format string `json:"format,omitempty"`
 	// Anonymize replaces client addresses with stable opaque tokens in
 	// the final export (parts always keep full fidelity).
@@ -115,10 +116,8 @@ func (s Spec) validate() error {
 	if s.Shards > workload.MaxShards {
 		return fmt.Errorf("campaign: spec shards %d exceeds the maximum %d", s.Shards, workload.MaxShards)
 	}
-	switch s.Format {
-	case "csv", "binary", "binary-flate":
-	default:
-		return fmt.Errorf("campaign: unknown export format %q (csv, binary, binary-flate)", s.Format)
+	if _, err := traces.LookupFormat(s.Format); err != nil {
+		return fmt.Errorf("campaign: spec export format: %w", err)
 	}
 	return nil
 }
@@ -614,14 +613,13 @@ func jobCheckpointName(job int) string {
 	return fmt.Sprintf("checkpoint-job-%03d.ckpt", job)
 }
 
-// ExportExt maps a spec format to the conventional export extension.
+// ExportExt maps a spec format to the conventional export extension
+// (.csv for anything the format table does not know, as before it
+// existed; such a spec never passes validate).
 func ExportExt(format string) string {
-	switch format {
-	case "binary":
-		return ".idb"
-	case "binary-flate":
-		return ".idbf"
-	default:
+	f, err := traces.LookupFormat(format)
+	if err != nil {
 		return ".csv"
 	}
+	return f.Ext
 }

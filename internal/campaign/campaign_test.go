@@ -179,7 +179,7 @@ func TestCampaignSpecValidation(t *testing.T) {
 	}{
 		{"unknown vp", func(s *Spec) { s.VP = "mars1" }, "unknown vantage point"},
 		{"zero scale", func(s *Spec) { s.Scale = 0 }, "scale must be > 0"},
-		{"bad format", func(s *Spec) { s.Format = "xml" }, "unknown export format"},
+		{"bad format", func(s *Spec) { s.Format = "xml" }, "unknown format"},
 		{"bad profile", func(s *Spec) { s.Profile = "quantum" }, "unknown capability profile"},
 		{"too many shards", func(s *Spec) { s.Shards = workload.MaxShards + 1 }, "exceeds the maximum"},
 	}

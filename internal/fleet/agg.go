@@ -39,18 +39,7 @@ func Aggregate(ctx context.Context, vp workload.VPConfig, seed int64, fc Config,
 		aggs[i] = newAgg(i)
 	}
 	stats, err := runShards(ctx, fc, vp.Name, func(sh int) workload.ShardStats {
-		agg := aggs[sh]
-		pool := new(RecordPool)
-		st := workload.GenerateShardSink(vp, seed, sh, fc.Shards, workload.ShardSink{
-			Emit: func(r *traces.FlowRecord) {
-				agg.Consume(r)
-				pool.Put(r)
-			},
-			Alloc: pool.Get,
-			Free:  pool.Put,
-		})
-		pool.flushTelemetry()
-		return st
+		return generatePooled(vp, seed, sh, fc.Shards, aggs[sh])
 	})
 	root := aggs[0]
 	for _, a := range aggs[1:] {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,14 +37,14 @@ func TestAggregateCancelMidCampaign(t *testing.T) {
 
 	cfg := workload.Home1(0.03)
 	fc := Config{Shards: 8, Workers: 2}
-	var seen int
+	var seen atomic.Int64 // shared by every shard's aggregator, two workers at a time
 	_, _, err := Aggregate(ctx, cfg, 1, fc, func(int) Aggregator {
 		return &cancelingAgg{after: 100, cancel: cancel, seen: &seen}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Aggregate after mid-run cancel: err = %v, want context.Canceled", err)
 	}
-	if seen == 0 {
+	if seen.Load() == 0 {
 		t.Fatal("cancel fired before any record was consumed")
 	}
 	waitGoroutines(t, base)
@@ -52,13 +53,13 @@ func TestAggregateCancelMidCampaign(t *testing.T) {
 type cancelingAgg struct {
 	after  int
 	cancel context.CancelFunc
-	seen   *int
+	seen   *atomic.Int64
 	n      int
 }
 
 func (a *cancelingAgg) Consume(*traces.FlowRecord) {
 	a.n++
-	*a.seen++
+	a.seen.Add(1)
 	if a.n == a.after {
 		a.cancel()
 	}
@@ -142,13 +143,19 @@ func TestStreamRecordsEarlyStop(t *testing.T) {
 }
 
 // TestRecordsIteratorMatchesStreamOrdered pins the iterator against the
-// legacy callback path: same records, same canonical order, nil errors.
+// ordered callback stream (StreamRecords): same records, same canonical
+// order, nil errors.
 func TestRecordsIteratorMatchesStreamOrdered(t *testing.T) {
 	cfg := workload.Campus2(0.04)
 	fc := Config{Shards: 4, Workers: 2}
 
 	var legacy []*traces.FlowRecord
-	StreamOrdered(cfg, 3, fc, func(r *traces.FlowRecord) { legacy = append(legacy, r) })
+	if _, err := StreamRecords(context.Background(), cfg, 3, fc, func(r *traces.FlowRecord) bool {
+		legacy = append(legacy, r)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	var got []*traces.FlowRecord
 	for r, err := range Records(context.Background(), cfg, 3, fc) {

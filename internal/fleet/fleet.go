@@ -18,7 +18,7 @@
 //   - a 1-shard run reproduces the legacy sequential workload.Generate
 //     output exactly.
 //
-// On the streaming path (Aggregate, StreamOrdered) memory stays bounded
+// On the streaming path (Aggregate, StreamRecords) memory stays bounded
 // regardless of population size: records are consumed as they are
 // generated and never accumulated.
 //
@@ -67,16 +67,6 @@ type Config struct {
 	// and should return quickly. Observation only — installing an
 	// observer never changes any generated output.
 	Observer func(ShardEvent)
-
-	// AfterShard, when non-nil, runs after each shard finishes generating
-	// and after the Observer — the checkpoint hook campaign runners use to
-	// persist per-shard progress. Like Observer it runs on the worker
-	// goroutines and must be safe for concurrent use. Unlike Observer it
-	// can fail: a non-nil error aborts the run at shard granularity
-	// (in-flight shards finish, nothing new starts) and is returned from
-	// the engine entry point. The hook must never change generated output
-	// — only whether the run continues.
-	AfterShard func(ShardEvent) error
 }
 
 func (c Config) normalized() Config {
@@ -219,10 +209,10 @@ func RunVP(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, new
 
 // runShards executes runShard for every shard index on a pool of
 // fc.Workers goroutines (fc must already be normalized) and returns the
-// per-shard stats in shard order. When ctx is cancelled or an AfterShard
-// hook fails, not-yet-started shards are skipped (their stats stay zero)
-// and the triggering error is returned; in-flight shards always run to
-// completion so sinks never observe a truncated shard stream.
+// per-shard stats in shard order. When ctx is cancelled, not-yet-started
+// shards are skipped (their stats stay zero) and ctx.Err() is returned;
+// in-flight shards always run to completion so sinks never observe a
+// truncated shard stream.
 func runShards(ctx context.Context, fc Config, vpName string, runShard func(sh int) workload.ShardStats) ([]workload.ShardStats, error) {
 	stats := make([]workload.ShardStats, fc.Shards)
 	tracker := &shardTracker{fc: fc, vp: vpName}
@@ -233,14 +223,10 @@ func runShards(ctx context.Context, fc Config, vpName string, runShard func(sh i
 		go func() {
 			defer wg.Done()
 			for sh := range jobs {
-				if ctx.Err() != nil || tracker.aborted() {
+				if ctx.Err() != nil {
 					continue // drain the queue without generating
 				}
-				var err error
-				stats[sh], err = tracker.run(sh, func() workload.ShardStats { return runShard(sh) })
-				if err != nil {
-					tracker.abort(err)
-				}
+				stats[sh] = tracker.run(sh, func() workload.ShardStats { return runShard(sh) })
 			}
 		}()
 	}
@@ -249,9 +235,6 @@ func runShards(ctx context.Context, fc Config, vpName string, runShard func(sh i
 	}
 	close(jobs)
 	wg.Wait()
-	if err := tracker.abortErr(); err != nil {
-		return stats, err
-	}
 	return stats, ctx.Err()
 }
 

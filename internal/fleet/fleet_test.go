@@ -103,9 +103,13 @@ func TestStreamOrderedMatchesDataset(t *testing.T) {
 	fc := Config{Shards: 5, Workers: 3}
 
 	var streamed []*traces.FlowRecord
-	stats := StreamOrdered(cfg, 3, fc, func(r *traces.FlowRecord) {
+	stats, err := StreamRecords(context.Background(), cfg, 3, fc, func(r *traces.FlowRecord) bool {
 		streamed = append(streamed, r)
+		return true
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if stats.Records != len(streamed) {
 		t.Fatalf("stats records %d != streamed %d", stats.Records, len(streamed))
 	}

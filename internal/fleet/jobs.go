@@ -39,14 +39,12 @@ func SplitJobs(shards, jobs int) []ShardJob {
 	return out
 }
 
-// RunShard generates exactly one shard of a sharded campaign into sink on
-// the calling goroutine, drawing records from a private RecordPool — the
-// single-shard primitive checkpointing runners build on. vp must already
-// carry any population scaling (see Config.ScaledVP); (seed, shard,
-// nshards) fully determine the emitted stream, exactly as on the
-// Aggregate path. The pooled ownership rules apply: sink must not retain
-// a record (or its NotifyNamespaces slice) past Consume.
-func RunShard(vp workload.VPConfig, seed int64, shard, nshards int, sink Sink) workload.ShardStats {
+// generatePooled is the one pooled generate-consume-recycle loop behind
+// Aggregate and RunShard: one shard into sink on the calling goroutine,
+// records drawn from a private RecordPool and recycled the moment Consume
+// returns. Counting the shard (fleet.records, fleet.shards_done) is the
+// caller's — the engine's tracker for Aggregate, RunShard for itself.
+func generatePooled(vp workload.VPConfig, seed int64, shard, nshards int, sink Sink) workload.ShardStats {
 	pool := new(RecordPool)
 	st := workload.GenerateShardSink(vp, seed, shard, nshards, workload.ShardSink{
 		Emit: func(r *traces.FlowRecord) {
@@ -57,6 +55,18 @@ func RunShard(vp workload.VPConfig, seed int64, shard, nshards int, sink Sink) w
 		Free:  pool.Put,
 	})
 	pool.flushTelemetry()
+	return st
+}
+
+// RunShard generates exactly one shard of a sharded campaign into sink on
+// the calling goroutine — the single-shard primitive checkpointing
+// runners build on. vp must already carry any population scaling (see
+// Config.ScaledVP); (seed, shard, nshards) fully determine the emitted
+// stream, exactly as on the Aggregate path. The pooled ownership rules
+// apply: sink must not retain a record (or its NotifyNamespaces slice)
+// past Consume.
+func RunShard(vp workload.VPConfig, seed int64, shard, nshards int, sink Sink) workload.ShardStats {
+	st := generatePooled(vp, seed, shard, nshards, sink)
 	mRecords.Add(uint64(st.Records))
 	mShardsDone.Inc()
 	return st

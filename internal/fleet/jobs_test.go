@@ -1,14 +1,10 @@
 package fleet
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"insidedropbox/internal/traces"
@@ -109,55 +105,6 @@ func TestRunShardMatchesGenerateShard(t *testing.T) {
 			t.Fatalf("shard %d: stats differ: pooled %+v (%d recs) vs %+v (%d recs)", shard, st, sink.n, legacy, n)
 		}
 	}
-}
-
-// TestAfterShardHookAbort: an AfterShard error aborts the run at shard
-// granularity and surfaces wrapped; a nil-returning hook is invisible to
-// the output contract.
-func TestAfterShardHookAbort(t *testing.T) {
-	vp := workload.Home1(0.02)
-	boom := errors.New("checkpoint disk full")
-
-	t.Run("aggregate", func(t *testing.T) {
-		var fired atomic.Int32
-		fc := Config{Shards: 4, Workers: 2, AfterShard: func(ev ShardEvent) error {
-			if fired.Add(1) == 1 {
-				return boom
-			}
-			return nil
-		}}
-		_, _, err := Summarize(context.Background(), vp, 7, fc)
-		if err == nil || !errors.Is(err, boom) || !strings.Contains(err.Error(), "completion hook") {
-			t.Fatalf("err = %v, want wrapped %v", err, boom)
-		}
-	})
-
-	t.Run("stream", func(t *testing.T) {
-		fc := Config{Shards: 4, Workers: 2, AfterShard: func(ev ShardEvent) error {
-			if ev.Shard == 1 {
-				return boom
-			}
-			return nil
-		}}
-		_, err := StreamRecords(context.Background(), vp, 7, fc, func(r *traces.FlowRecord) bool { return true })
-		if err == nil || !errors.Is(err, boom) {
-			t.Fatalf("stream err = %v, want wrapped %v", err, boom)
-		}
-	})
-
-	t.Run("nil-error hook is invisible", func(t *testing.T) {
-		fc := Config{Shards: 4, Workers: 2}
-		base, _ := mustSummarize(t, vp, 7, fc)
-		var seen atomic.Int32
-		fc.AfterShard = func(ShardEvent) error { seen.Add(1); return nil }
-		hooked, _ := mustSummarize(t, vp, 7, fc)
-		if seen.Load() != 4 {
-			t.Fatalf("hook fired %d times, want 4", seen.Load())
-		}
-		if !reflect.DeepEqual(base.Metrics(), hooked.Metrics()) {
-			t.Fatal("a nil-returning AfterShard hook changed the aggregate")
-		}
-	})
 }
 
 // TestSummaryStateRoundTrip: Summary → State → JSON → Summary reproduces

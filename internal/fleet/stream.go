@@ -91,8 +91,7 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 				ch := chans[sh]
 				dropping := false
 				stalls := 0
-				var hookErr error
-				stats[sh], hookErr = tracker.run(sh, func() workload.ShardStats {
+				stats[sh] = tracker.run(sh, func() workload.ShardStats {
 					return workload.GenerateShard(vp, seed, sh, fc.Shards, func(r *traces.FlowRecord) {
 						if dropping {
 							return
@@ -118,27 +117,16 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 				if stalls > 0 {
 					mStreamStalls.Add(uint64(stalls))
 				}
-				if hookErr != nil {
-					// Latch only — teardown stays consumer-driven (the
-					// consumer notices the abort at its next check and
-					// calls halt), so the dispatcher/window protocol keeps
-					// its invariant that every awaited channel gets closed.
-					tracker.abort(hookErr)
-				}
 				close(ch)
 			}
 		}()
 	}
 	// finish tears the pipeline down (halt is a no-op on the natural-
 	// completion path) and waits for every worker to exit before stats
-	// are merged — workers write stats[sh] until then. A latched
-	// AfterShard hook error takes precedence over the caller's reason.
+	// are merged — workers write stats[sh] until then.
 	finish := func(err error) (VPStats, error) {
 		halt()
 		wg.Wait()
-		if hookErr := tracker.abortErr(); hookErr != nil {
-			err = hookErr
-		}
 		return mergeStats(vp, fc, stats), err
 	}
 
@@ -147,9 +135,6 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 		if ctx.Err() != nil {
 			return finish(ctx.Err())
 		}
-		if tracker.aborted() {
-			return finish(nil) // finish surfaces the latched hook error
-		}
 		for r := range chans[sh] {
 			if n&ctxCheckMask == 0 {
 				// Sampled at the ctx-poll cadence so the depth gauge
@@ -157,9 +142,6 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 				mStreamDepth.Set(int64(len(chans[sh])))
 				if ctx.Err() != nil {
 					return finish(ctx.Err())
-				}
-				if tracker.aborted() {
-					return finish(nil)
 				}
 			}
 			n++
@@ -191,17 +173,4 @@ func Records(ctx context.Context, vp workload.VPConfig, seed int64, fc Config) i
 			yield(nil, err)
 		}
 	}
-}
-
-// StreamOrdered delivers every record to emit in canonical shard order.
-//
-// Deprecated: StreamOrdered is the pre-context callback shape, kept for
-// bit-identical compatibility. Use StreamRecords (cancellable, stoppable)
-// or the Records iterator.
-func StreamOrdered(vp workload.VPConfig, seed int64, fc Config, emit func(*traces.FlowRecord)) VPStats {
-	stats, _ := StreamRecords(context.Background(), vp, seed, fc, func(r *traces.FlowRecord) bool {
-		emit(r)
-		return true
-	})
-	return stats
 }

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,36 +44,15 @@ type ShardEvent struct {
 
 // shardTracker wraps shard execution with the engine's telemetry: wall
 // time, record counts, worker occupancy, and the per-run completion count
-// Observer events carry. It also latches the first AfterShard hook error
-// so a failed checkpoint aborts the run at shard granularity. One tracker
-// serves one run; run is called from the worker goroutines.
+// Observer events carry. One tracker serves one run; run is called from
+// the worker goroutines.
 type shardTracker struct {
 	fc   Config
 	vp   string
 	done atomic.Int64
-
-	mu  sync.Mutex
-	err error
 }
 
-// abort latches the first hook error; later errors are dropped.
-func (t *shardTracker) abort(err error) {
-	t.mu.Lock()
-	if t.err == nil {
-		t.err = err
-	}
-	t.mu.Unlock()
-}
-
-func (t *shardTracker) aborted() bool { return t.abortErr() != nil }
-
-func (t *shardTracker) abortErr() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
-func (t *shardTracker) run(sh int, gen func() workload.ShardStats) (workload.ShardStats, error) {
+func (t *shardTracker) run(sh int, gen func() workload.ShardStats) workload.ShardStats {
 	mWorkersBusy.Add(1)
 	start := time.Now()
 	stats := gen()
@@ -84,21 +61,16 @@ func (t *shardTracker) run(sh int, gen func() workload.ShardStats) (workload.Sha
 	mShardSeconds.Observe(elapsed)
 	mRecords.Add(uint64(stats.Records))
 	mShardsDone.Inc()
-	ev := ShardEvent{
-		VP:      t.vp,
-		Shard:   sh,
-		Shards:  t.fc.Shards,
-		Records: stats.Records,
-		Elapsed: elapsed,
-		Done:    int(t.done.Add(1)),
-	}
+	done := int(t.done.Add(1))
 	if t.fc.Observer != nil {
-		t.fc.Observer(ev)
+		t.fc.Observer(ShardEvent{
+			VP:      t.vp,
+			Shard:   sh,
+			Shards:  t.fc.Shards,
+			Records: stats.Records,
+			Elapsed: elapsed,
+			Done:    done,
+		})
 	}
-	if t.fc.AfterShard != nil {
-		if err := t.fc.AfterShard(ev); err != nil {
-			return stats, fmt.Errorf("fleet: shard %d completion hook: %w", sh, err)
-		}
-	}
-	return stats, nil
+	return stats
 }

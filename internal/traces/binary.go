@@ -51,9 +51,12 @@ package traces
 // Client == 0, matching the CSV reader's behaviour on anonymized rows.
 //
 // The block encoder and decoder themselves live in block.go (blockAccum /
-// decodeBlockBody) and are shared verbatim with the parallel writer
-// (parallel.go) and the flate archival framing (flate.go) — the framings
-// differ, the block bytes never do.
+// decodeBlockBody), and the stream mechanics — header, accumulation, block
+// cutting, ordered delivery, Flush, the reader's hand-out loop — in the
+// shared core (codec.go). This file holds only what is specific to the
+// raw binary framing: the magic, the length-prefixed frame, and reading
+// one back. The flate archival tier (flate.go) frames the same block
+// bodies differently — the framings differ, the block bytes never do.
 //
 // # Ownership
 //
@@ -66,7 +69,6 @@ package traces
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -74,124 +76,61 @@ import (
 // binaryMagic opens every binary trace stream.
 var binaryMagic = [6]byte{'I', 'D', 'B', 'T', '1', '\n'}
 
-// DefaultBlockRecords is the records-per-block target of the binary
-// writer: large enough to amortize dictionaries and length prefixes,
-// small enough that readers never hold more than a few MB per block.
-const DefaultBlockRecords = 4096
-
-const anonFlag = 1 << 0
-
 // BinaryWriter streams flow records in the binary columnar format.
 // Methods must not be called concurrently. Records are buffered into
 // blocks of BlockRecords and hit the underlying writer on block
-// boundaries and Flush.
-type BinaryWriter struct {
-	w io.Writer
-	// Anonymize replaces client addresses with the stable 48-bit tokens of
-	// the CSV format. It must be set before the first Write.
-	Anonymize bool
-	// BlockRecords overrides the records-per-block target (0 means
-	// DefaultBlockRecords). It must be set before the first Write.
-	BlockRecords int
+// boundaries and Flush; the stream stays appendable after a Flush. The
+// settable Anonymize and BlockRecords fields, Write and Flush come from
+// the shared core.
+type BinaryWriter struct{ blockWriter }
 
-	wroteHeader bool
-	err         error
+// ParallelBinaryWriter is BinaryWriter: the worker count given to
+// NewParallelBinaryWriter decides where blocks are encoded, not the type.
+type ParallelBinaryWriter = BinaryWriter
 
-	acc blockAccum // block under construction; storage reused
-	buf []byte     // block encode scratch
+// NewBinaryWriter wraps w with a writer that encodes every block on the
+// caller's goroutine — no goroutines, and allocation-free once its block
+// scratch is warm (TestBinaryWriteAllocationFree pins it).
+func NewBinaryWriter(w io.Writer) *BinaryWriter { return NewParallelBinaryWriter(w, 1) }
+
+// NewParallelBinaryWriter wraps w with a writer that encodes blocks on a
+// pool of workers goroutines while preserving the exact output bytes of
+// NewBinaryWriter; workers <= 1 is NewBinaryWriter. Use it where
+// serialization, not generation, is the bottleneck (the export scenarios
+// in PERFORMANCE.md).
+func NewParallelBinaryWriter(w io.Writer, workers int) *BinaryWriter {
+	onFrame := countBinaryFrame
+	if workers > 1 {
+		onFrame = func(acc *blockAccum, frame []byte) {
+			countBinaryFrame(acc, frame)
+			mParBlocks.Inc()
+		}
+	}
+	return &BinaryWriter{newBlockWriter(w, binaryMagic, workers, finishBinaryFrame, onFrame)}
 }
 
-// NewBinaryWriter wraps w.
-func NewBinaryWriter(w io.Writer) *BinaryWriter { return &BinaryWriter{w: w} }
-
-func (w *BinaryWriter) blockTarget() int {
-	if w.BlockRecords > 0 {
-		return w.BlockRecords
-	}
-	return DefaultBlockRecords
-}
-
-// writeBinaryHeader emits the 7-byte stream header.
-func writeBinaryHeader(w io.Writer, anonymize bool) error {
-	var hdr [7]byte
-	copy(hdr[:], binaryMagic[:])
-	if anonymize {
-		hdr[6] |= anonFlag
-	}
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-// writeHeader emits the stream header once.
-func (w *BinaryWriter) writeHeader() error {
-	if w.wroteHeader || w.err != nil {
-		return w.err
-	}
-	if err := writeBinaryHeader(w.w, w.Anonymize); err != nil {
-		w.err = err
-		return err
-	}
-	w.wroteHeader = true
-	return nil
-}
-
-// Write buffers one record; nothing in r is retained after return.
-func (w *BinaryWriter) Write(r *FlowRecord) error {
-	if err := w.writeHeader(); err != nil {
-		return err
-	}
-	w.acc.add(r, w.Anonymize)
-	if w.acc.n >= w.blockTarget() {
-		return w.flushBlock()
-	}
-	return nil
-}
-
-// flushBlock encodes the buffered records as one block and writes it.
-func (w *BinaryWriter) flushBlock() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.acc.n == 0 {
-		return nil
-	}
+// finishBinaryFrame encodes one accum as a length-prefixed binary block.
+func finishBinaryFrame(_ *encScratch, acc *blockAccum) []byte {
 	// Reserve prefix room up front, encode the body after it, then write
-	// the length just before the body start — one Write per block, so an
-	// unbuffered underlying writer sees one syscall per block.
+	// the length just before the body start, so the frame is one slice.
 	const pfxReserve = binary.MaxVarintLen64
-	if cap(w.buf) < pfxReserve {
-		w.buf = make([]byte, pfxReserve)
+	if cap(acc.buf) < pfxReserve {
+		acc.buf = make([]byte, pfxReserve)
 	}
-	body := w.acc.encodeBody(w.buf[:pfxReserve])
-	w.buf = body // keep the grown scratch
-
+	body := acc.encodeBody(acc.buf[:pfxReserve])
+	acc.buf = body // keep the grown scratch with the accum
 	var pfx [binary.MaxVarintLen64]byte
 	np := binary.PutUvarint(pfx[:], uint64(len(body)-pfxReserve))
 	start := pfxReserve - np
 	copy(body[start:], pfx[:np])
-	if _, err := w.w.Write(body[start:]); err != nil {
-		w.err = err
-		return err
-	}
-	mBinBlocks.Inc()
-	mBinRecords.Add(uint64(w.acc.n))
-	mBinBytes.Add(uint64(len(body) - start))
-	w.acc.reset()
-	return nil
+	return body[start:]
 }
 
-// Flush writes any partially filled block — and the stream header, so a
-// zero-record export is a valid (empty) stream, not an empty file. The
-// stream remains appendable: a flushed partial block is simply a smaller
-// block.
-func (w *BinaryWriter) Flush() error {
-	if err := w.writeHeader(); err != nil {
-		return err
-	}
-	if err := w.flushBlock(); err != nil {
-		return err
-	}
-	return w.err
+// countBinaryFrame publishes one written block's telemetry.
+func countBinaryFrame(acc *blockAccum, frame []byte) {
+	mBinBlocks.Inc()
+	mBinRecords.Add(uint64(acc.n))
+	mBinBytes.Add(uint64(len(frame)))
 }
 
 // readExact reads exactly n bytes from r, reusing scratch when it is
@@ -218,94 +157,37 @@ func readExact(r io.Reader, scratch []byte, n int) ([]byte, error) {
 	return b, nil
 }
 
-// BinaryReader parses a binary columnar trace stream back into records.
+// BinaryReader parses a binary columnar trace stream back into records;
+// Read and Anonymized come from the shared core.
 type BinaryReader struct {
-	r      *bufio.Reader
-	header bool
-	anon   bool
-	err    error
-
-	recs []*FlowRecord // decoded records of the current block
-	next int
-
-	body []byte          // block read scratch
-	sc   blockDecScratch // dictionary decode scratch
+	blockReader
+	body []byte // block read scratch
 }
 
 // NewBinaryReader wraps r.
 func NewBinaryReader(r io.Reader) *BinaryReader {
-	return &BinaryReader{r: bufio.NewReader(r)}
+	br := &BinaryReader{blockReader: blockReader{br: bufio.NewReader(r), magic: binaryMagic}}
+	br.nextBody = br.readBlock
+	return br
 }
 
-// Anonymized reports whether the stream's client column is anonymized
-// (meaningful after the first Read).
-func (r *BinaryReader) Anonymized() bool { return r.anon }
-
-// readBinaryHeader consumes and validates the 7-byte stream header,
-// returning the anonymize flag.
-func readBinaryHeader(br *bufio.Reader) (anon bool, err error) {
-	var hdr [7]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return false, fmt.Errorf("traces: reading binary header: %w", err)
-	}
-	if [6]byte(hdr[:6]) != binaryMagic {
-		return false, errors.New("traces: not a binary trace stream (bad magic)")
-	}
-	return hdr[6]&anonFlag != 0, nil
-}
-
-// Read returns the next record, or io.EOF at end of stream. Returned
-// records are freshly allocated and do not alias reader state.
-func (r *BinaryReader) Read() (*FlowRecord, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	if !r.header {
-		anon, err := readBinaryHeader(r.r)
-		if err != nil {
-			r.err = err
-			return nil, r.err
-		}
-		r.anon = anon
-		r.header = true
-	}
-	for r.next >= len(r.recs) {
-		if err := r.readBlock(); err != nil {
-			r.err = err
-			return nil, err
-		}
-	}
-	rec := r.recs[r.next]
-	r.recs[r.next] = nil
-	r.next++
-	return rec, nil
-}
-
-// readBlock decodes the next block into r.recs.
-func (r *BinaryReader) readBlock() error {
-	bodyLen, err := binary.ReadUvarint(r.r)
+// readBlock reads the next length-prefixed block body; the stream ends at
+// EOF on a block boundary.
+func (r *BinaryReader) readBlock() ([]byte, error) {
+	bodyLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		if err == io.EOF {
-			return io.EOF
+			return nil, io.EOF
 		}
-		return fmt.Errorf("traces: reading block length: %w", err)
+		return nil, fmt.Errorf("traces: reading block length: %w", err)
 	}
 	if bodyLen == 0 || bodyLen > 1<<31 {
-		return fmt.Errorf("traces: implausible block length %d", bodyLen)
+		return nil, fmt.Errorf("traces: implausible block length %d", bodyLen)
 	}
-	body, err := readExact(r.r, r.body, int(bodyLen))
+	body, err := readExact(r.br, r.body, int(bodyLen))
 	r.body = body[:0]
 	if err != nil {
-		return fmt.Errorf("traces: reading block body: %w", err)
+		return nil, fmt.Errorf("traces: reading block body: %w", err)
 	}
-	recs, err := decodeBlockBody(body, r.anon, &r.sc)
-	if err != nil {
-		return err
-	}
-	r.recs = recs
-	r.next = 0
-	return nil
+	return body, nil
 }

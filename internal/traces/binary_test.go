@@ -74,35 +74,10 @@ func normalize(r *FlowRecord) *FlowRecord {
 }
 
 func TestBinaryRoundTripRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var recs []*FlowRecord
-	for i := 0; i < 10_000; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	var buf bytes.Buffer
-	bw := NewBinaryWriter(&buf)
-	bw.BlockRecords = 257 // force many blocks, including a partial tail
-	for _, r := range recs {
-		if err := bw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br := NewBinaryReader(&buf)
-	for i, want := range recs {
-		got, err := br.Read()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(normalize(got), normalize(want)) {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-	if _, err := br.Read(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
+	recs := randRecords(11, 10_000)
+	// 257 forces many blocks, including a partial tail.
+	stream := encodeStream(t, binaryFraming, recs, 257, 0, false)
+	expectRecords(t, NewBinaryReader(bytes.NewReader(stream)), recs)
 }
 
 func TestBinaryCSVEquivalence(t *testing.T) {
@@ -193,53 +168,43 @@ func TestAnonTokenMatchesFNVReference(t *testing.T) {
 	}
 }
 
-func TestBinaryEmptyStream(t *testing.T) {
-	// A zero-record export is a valid stream: Flush writes the header, and
-	// a reader gets clean io.EOF (matching an empty CSV export).
-	var buf bytes.Buffer
-	bw := NewBinaryWriter(&buf)
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 7 {
-		t.Fatalf("empty flush wrote %d bytes, want the 7-byte header", buf.Len())
-	}
-	br := NewBinaryReader(bytes.NewReader(buf.Bytes()))
-	if _, err := br.Read(); err != io.EOF {
-		t.Fatalf("empty stream: want io.EOF, got %v", err)
-	}
-	// The stream stays appendable after an empty flush.
-	if err := bw.Write(sampleRecord()); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br = NewBinaryReader(&buf)
-	if _, err := br.Read(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := br.Read(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-}
+func TestBinaryEmptyStream(t *testing.T) { testEmptyStream(t, binaryFraming) }
 
+// TestBinaryWriteAllocationFree pins the steady-state allocation budget
+// of the writer core: once the block scratch is warm, Write allocates
+// nothing per record inline, and only the per-block job hand-off when
+// pooled.
 func TestBinaryWriteAllocationFree(t *testing.T) {
 	rec := sampleRecord()
-	bw := NewBinaryWriter(io.Discard)
-	// Warm the scratch buffers across a full block cycle.
-	for i := 0; i < 2*DefaultBlockRecords; i++ {
-		if err := bw.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(2*DefaultBlockRecords, func() {
-		if err := bw.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0.01 {
-		t.Fatalf("steady-state binary Write allocates %.3f objects/record, want 0", allocs)
+	for _, c := range []struct {
+		name    string
+		framing codecFraming
+		workers int
+	}{
+		{"inline binary", binaryFraming, 0},
+		{"inline flate", flateFraming, 0},
+		{"pooled binary", binaryFraming, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := c.framing.newWriter(io.Discard, c.workers, 0, false)
+			// Warm every accumulator's scratch across full block cycles.
+			for i := 0; i < 8*DefaultBlockRecords; i++ {
+				if err := w.Write(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(2*DefaultBlockRecords, func() {
+				if err := w.Write(rec); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs > 0.01 {
+				t.Fatalf("steady-state Write allocates %.3f objects/record, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -281,44 +246,8 @@ func TestBinaryRejectsHugeDictLength(t *testing.T) {
 	}
 }
 
-// TestBinaryBadMagic pins the header validation error.
-func TestBinaryBadMagic(t *testing.T) {
-	br := NewBinaryReader(bytes.NewReader([]byte("IDBX9\n\x00rest")))
-	if _, err := br.Read(); err == nil || err == io.EOF {
-		t.Fatalf("bad magic should fail, got %v", err)
-	}
-}
-
-// TestBinaryTruncated cuts a valid stream at every interesting boundary:
-// inside the header, inside a block length, and inside a block body. A
-// truncated stream must end in an error, never clean EOF or a panic.
-func TestBinaryTruncated(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	var buf bytes.Buffer
-	bw := NewBinaryWriter(&buf)
-	bw.BlockRecords = 100
-	for i := 0; i < 500; i++ {
-		if err := bw.Write(randRecord(rng, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	stream := buf.Bytes()
-	for _, cut := range []int{0, 1, 6, 8, 9, 40, len(stream) / 2, len(stream) - 1} {
-		br := NewBinaryReader(bytes.NewReader(stream[:cut]))
-		var err error
-		for {
-			if _, err = br.Read(); err != nil {
-				break
-			}
-		}
-		if err == io.EOF {
-			t.Fatalf("cut=%d: truncated stream read to clean EOF", cut)
-		}
-	}
-}
+func TestBinaryBadMagic(t *testing.T)  { testBadMagic(t, binaryFraming) }
+func TestBinaryTruncated(t *testing.T) { testTruncated(t, binaryFraming, 61) }
 
 // TestBinaryDictIndexOutOfRange rewrites a block so a record references a
 // dictionary entry past the dictionary's end; the decoder must reject it.
@@ -337,9 +266,7 @@ func TestBinaryDictIndexOutOfRange(t *testing.T) {
 	body = append(body, 1, 2, 'v', 'p') // VP dict: 1 entry "vp"
 	body = append(body, 5)              // VP index[0] = 5 — out of range
 	var stream bytes.Buffer
-	if err := writeBinaryHeader(&stream, false); err != nil {
-		t.Fatal(err)
-	}
+	stream.Write(append(binaryMagic[:], 0))
 	var pfx [10]byte
 	stream.Write(pfx[:binary.PutUvarint(pfx[:], uint64(len(body)))])
 	stream.Write(body)

@@ -3,9 +3,9 @@ package traces
 // The block codec shared by every binary-framed serialization: a
 // blockAccum accumulates records column-wise and encodes one block body
 // (the `body` production of the wire format documented in binary.go);
-// decodeBlockBody reverses it. The sequential BinaryWriter, the
-// ParallelBinaryWriter worker pool and the flate archival tier all build
-// their frames from exactly these two functions, which is what makes the
+// decodeBlockBody reverses it. Both framings of the writer and reader
+// core (codec.go), inline or on the worker pool, build and parse their
+// frames with exactly these two functions, which is what makes the
 // "worker count and framing never change the decoded records" contract
 // checkable block by block.
 

@@ -36,9 +36,12 @@ package traces
 //
 // Writing is terminal: Flush writes the sentinel, index and footer, and
 // the stream cannot be appended to afterwards (unlike the raw binary
-// format). Compression runs on the same ordered worker pool as the
-// parallel binary writer, so the output bytes are identical for every
-// worker count.
+// format). Everything up to that trailer is the shared writer core
+// (codec.go) with a compressing frame finisher, so frames are compressed
+// inline or on the ordered worker pool exactly as binary blocks are
+// encoded, and the output bytes are identical for every worker count.
+// The reader likewise adds only frame decompression, trailer validation
+// and the index-driven seek to the shared reader core.
 
 import (
 	"bufio"
@@ -58,9 +61,6 @@ var flateFooterMagic = [8]byte{'I', 'D', 'B', 'F', 'I', 'D', 'X', '1'}
 
 // flateFooterLen is the fixed footer size: uint64 index length + magic.
 const flateFooterLen = 16
-
-// flateHeaderLen is the fixed header size: 6-byte magic + flags byte.
-const flateHeaderLen = 7
 
 // maxFrameRaw caps a frame's decompressed size — a format limit, not a
 // tunable. Default blocks decompress to ~1MB; 16MB leaves an order of
@@ -89,60 +89,46 @@ type flateFrame struct {
 }
 
 // FlateWriter streams flow records as the compressed archival format.
-// Methods must not be called concurrently — the Workers parallelism is
-// internal, and byte-identical output is guaranteed for every worker
-// count. Flush is terminal: it writes the seek index and footer.
+// Methods must not be called concurrently — any parallelism is internal,
+// and byte-identical output is guaranteed for every worker count. Flush
+// is terminal: it writes the seek index and footer. The settable
+// Anonymize and BlockRecords fields come from the shared core.
 type FlateWriter struct {
-	// Anonymize replaces client addresses with the stable 48-bit tokens
-	// of the CSV format. It must be set before the first Write.
-	Anonymize bool
-	// BlockRecords overrides the records-per-frame target (0 means
-	// DefaultBlockRecords). It must be set before the first Write.
-	BlockRecords int
-	// Level is the flate compression level (flate.BestSpeed ..
+	blockWriter
+	// Level is the flate compression level (flate.HuffmanOnly ..
 	// flate.BestCompression; 0 means flate.DefaultCompression). It must
-	// be set before the first Write.
+	// be set before the first Write; out of range, Write and Flush fail
+	// before anything is written.
 	Level int
 
-	w           io.Writer
-	pool        *blockPool
-	cur         *blockAccum
-	index       []flateFrame
-	wroteHeader bool
-	finished    bool
-	err         error
+	index    []flateFrame
+	finished bool
 }
 
-// NewFlateWriter wraps w with a pool of workers frame compressors
-// (workers < 1 means 1).
+// NewFlateWriter wraps w; workers > 1 compresses frames on a pool of that
+// many goroutines, anything less on the caller's.
 func NewFlateWriter(w io.Writer, workers int) *FlateWriter {
-	fw := &FlateWriter{w: w}
-	fw.pool = newBlockPool(w, workers,
-		func(st *encScratch, acc *blockAccum) []byte { return fw.finishFrame(st, acc) },
-		func(acc *blockAccum, frame []byte) {
-			// Merger goroutine; Flush reads index only after drain, so the
-			// appends are ordered-before every read.
-			fw.index = append(fw.index, flateFrame{records: uint64(acc.n), frameLen: uint64(len(frame))})
-			rawLen, _ := binary.Uvarint(frame)
-			mFlateFrames.Inc()
-			mFlateRecords.Add(uint64(acc.n))
-			mFlateRawBytes.Add(rawLen)
-			mFlateBytes.Add(uint64(len(frame)))
-		})
+	fw := &FlateWriter{}
+	fw.blockWriter = newBlockWriter(w, flateMagic, workers, fw.finishFrame, fw.noteFrame)
 	return fw
 }
 
-// level resolves the configured compression level.
-func (w *FlateWriter) level() int {
-	if w.Level == 0 {
-		return flate.DefaultCompression
+// ready gates Write and Flush on what only this framing can get wrong: a
+// finalized stream, and a Level compress/flate would reject (where the
+// finisher could only panic, possibly on a pool goroutine).
+func (w *FlateWriter) ready() error {
+	if w.finished {
+		return errFlateFinalized
 	}
-	return w.Level
+	if w.Level < flate.HuffmanOnly || w.Level > flate.BestCompression {
+		return fmt.Errorf("traces: invalid flate level %d (valid: %d..%d)", w.Level, flate.HuffmanOnly, flate.BestCompression)
+	}
+	return nil
 }
 
 // finishFrame encodes one accum's block body and compresses it into a
-// framed payload. Runs on a worker goroutine; all scratch is owned by the
-// accum (frame bytes) or the worker (the flate compressor).
+// framed payload. With a pool it runs on a worker goroutine; all scratch
+// is owned by the accum (frame bytes) or st (the flate compressor).
 func (w *FlateWriter) finishFrame(st *encScratch, acc *blockAccum) []byte {
 	raw := acc.encodeBody(acc.buf[:0])
 	acc.buf = raw
@@ -154,13 +140,11 @@ func (w *FlateWriter) finishFrame(st *encScratch, acc *blockAccum) []byte {
 	acc.out = acc.out[:reserve]
 	sink := (*appendSlice)(&acc.out)
 	if st.fw == nil {
-		// The level is validated here, once per worker: flate.NewWriter
-		// only errors on an out-of-range level.
-		fw, err := flate.NewWriter(sink, w.level())
-		if err != nil {
-			panic(fmt.Sprintf("traces: invalid flate level %d: %v", w.level(), err))
+		level := w.Level
+		if level == 0 {
+			level = flate.DefaultCompression
 		}
-		st.fw = fw
+		st.fw, _ = flate.NewWriter(sink, level) // errs only on a level ready rejects
 	} else {
 		st.fw.Reset(sink)
 	}
@@ -178,79 +162,41 @@ func (w *FlateWriter) finishFrame(st *encScratch, acc *blockAccum) []byte {
 	return frame[start:]
 }
 
-func (w *FlateWriter) blockTarget() int {
-	if w.BlockRecords > 0 {
-		return w.BlockRecords
-	}
-	return DefaultBlockRecords
+// noteFrame records one written frame's index entry and telemetry. With a
+// pool it runs on the merger goroutine; Flush reads the index only after
+// the drain, so the appends are ordered before every read.
+func (w *FlateWriter) noteFrame(acc *blockAccum, frame []byte) {
+	w.index = append(w.index, flateFrame{records: uint64(acc.n), frameLen: uint64(len(frame))})
+	rawLen, _ := binary.Uvarint(frame)
+	mFlateFrames.Inc()
+	mFlateRecords.Add(uint64(acc.n))
+	mFlateRawBytes.Add(rawLen)
+	mFlateBytes.Add(uint64(len(frame)))
 }
 
-// ensureStarted writes the stream header once and (re)starts the pool.
-func (w *FlateWriter) ensureStarted() error {
-	if w.err != nil {
-		return w.err
-	}
-	if !w.wroteHeader {
-		var hdr [flateHeaderLen]byte
-		copy(hdr[:], flateMagic[:])
-		if w.Anonymize {
-			hdr[6] |= anonFlag
-		}
-		if _, err := w.w.Write(hdr[:]); err != nil {
-			w.err = err
-			return err
-		}
-		w.wroteHeader = true
-	}
-	w.pool.start()
-	return nil
-}
-
-// Write buffers one record; nothing in r is retained after return.
+// Write buffers one record; nothing in r is retained after return. After
+// the terminal Flush it fails with an error.
 func (w *FlateWriter) Write(r *FlowRecord) error {
-	if w.finished {
-		return errFlateFinalized
-	}
-	if err := w.ensureStarted(); err != nil {
+	if err := w.ready(); err != nil {
 		return err
 	}
-	if err := w.pool.loadErr(); err != nil {
-		return err
-	}
-	if w.cur == nil {
-		w.cur = w.pool.getAccum()
-	}
-	w.cur.add(r, w.Anonymize)
-	if w.cur.n >= w.blockTarget() {
-		w.pool.submit(w.cur)
-		w.cur = nil
-	}
-	return nil
+	return w.blockWriter.Write(r)
 }
 
-// Flush finalizes the stream: any partial frame is compressed and
-// written, the worker pool drains and stops, and the sentinel, index and
-// footer land after the last frame. A zero-record Flush writes a valid
-// empty stream (header, sentinel, empty index, footer). Further Writes
-// fail with an error; Flush itself is idempotent.
+// Flush finalizes the stream: the core writes any partial frame and
+// drains the pool, then the sentinel, index and footer land after the
+// last frame. A zero-record Flush writes a valid empty stream (header,
+// sentinel, empty index, footer). Further Writes fail with an error;
+// Flush itself is idempotent.
 func (w *FlateWriter) Flush() error {
 	if w.finished {
 		return w.err
 	}
-	if err := w.ensureStarted(); err != nil {
+	if err := w.ready(); err != nil {
 		return err
 	}
-	if w.cur != nil {
-		if w.cur.n > 0 {
-			w.pool.submit(w.cur)
-		} else {
-			w.pool.free <- w.cur
-		}
-		w.cur = nil
-	}
-	if err := w.pool.drain(); err != nil {
-		w.err = err
-		w.finished = true
+	w.finished = true
+	if err := w.blockWriter.Flush(); err != nil {
 		return err
 	}
 	trailer := []byte{0} // frame sentinel
@@ -264,34 +210,23 @@ func (w *FlateWriter) Flush() error {
 	binary.LittleEndian.PutUint64(footer[:8], uint64(len(idx)))
 	copy(footer[8:], flateFooterMagic[:])
 	trailer = append(trailer, footer[:]...)
-	w.finished = true
-	if _, err := w.w.Write(trailer); err != nil {
-		w.err = err
-	}
+	_, w.err = w.w.Write(trailer)
 	return w.err
 }
 
 // FlateReader parses a compressed archival trace stream back into
-// records. Wrapping an io.ReadSeeker additionally enables SeekToRecord:
-// the reader loads the trailing index and repositions onto the frame
-// containing any record ordinal, so a partial range costs only its own
-// frames' decompression.
+// records; Read and Anonymized come from the shared core. Wrapping an
+// io.ReadSeeker additionally enables SeekToRecord: the reader loads the
+// trailing index and repositions onto the frame containing any record
+// ordinal, so a partial range costs only its own frames' decompression.
 type FlateReader struct {
-	rs     io.ReadSeeker // non-nil when the source supports seeking
-	br     *bufio.Reader
-	header bool
-	anon   bool
-	err    error
-
-	recs []*FlowRecord // decoded records of the current frame
-	next int
-	skip int // records to discard after a seek landed mid-frame
+	blockReader
+	rs io.ReadSeeker // non-nil when the source supports seeking
 
 	comp    []byte // compressed frame scratch
 	raw     []byte // decompressed body scratch
 	compRdr bytes.Reader
 	fr      io.ReadCloser // flate decompressor, reused via flate.Resetter
-	sc      blockDecScratch
 
 	// Seek index, loaded lazily by the first SeekToRecord/NumRecords.
 	index      []flateFrame
@@ -303,118 +238,62 @@ type FlateReader struct {
 // NewFlateReader wraps r. If r is an io.ReadSeeker the reader supports
 // SeekToRecord; otherwise it streams sequentially.
 func NewFlateReader(r io.Reader) *FlateReader {
-	fr := &FlateReader{br: bufio.NewReader(r)}
+	fr := &FlateReader{blockReader: blockReader{br: bufio.NewReader(r), magic: flateMagic}}
+	fr.nextBody = fr.readFrame
 	if rs, ok := r.(io.ReadSeeker); ok {
 		fr.rs = rs
 	}
 	return fr
 }
 
-// Anonymized reports whether the stream's client column is anonymized
-// (meaningful after the first Read or SeekToRecord).
-func (r *FlateReader) Anonymized() bool { return r.anon }
-
-// ensureHeader consumes and validates the stream header once.
-func (r *FlateReader) ensureHeader() error {
-	if r.header {
-		return nil
-	}
-	var hdr [flateHeaderLen]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("traces: reading flate header: %w", err)
-	}
-	if [6]byte(hdr[:6]) != flateMagic {
-		return errors.New("traces: not a compressed trace stream (bad magic)")
-	}
-	r.anon = hdr[6]&anonFlag != 0
-	r.header = true
-	return nil
-}
-
-// Read returns the next record, or io.EOF at end of stream. Returned
-// records are freshly allocated and do not alias reader state.
-func (r *FlateReader) Read() (*FlowRecord, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	if err := r.ensureHeader(); err != nil {
-		r.err = err
-		return nil, err
-	}
-	for r.next >= len(r.recs) {
-		if err := r.readFrame(); err != nil {
-			r.err = err
-			return nil, err
-		}
-		if r.skip > 0 {
-			n := min(r.skip, len(r.recs))
-			r.next += n
-			r.skip -= n
-		}
-	}
-	rec := r.recs[r.next]
-	r.recs[r.next] = nil
-	r.next++
-	return rec, nil
-}
-
-// readFrame decompresses and decodes the next frame into r.recs, or
-// returns io.EOF after validating the trailer when the sentinel is hit.
-func (r *FlateReader) readFrame() error {
+// readFrame decompresses the next frame's block body, or returns io.EOF
+// after validating the trailer when the sentinel is hit.
+func (r *FlateReader) readFrame() ([]byte, error) {
 	rawLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		if err == io.EOF {
-			return fmt.Errorf("traces: flate stream truncated (missing trailer): %w", io.ErrUnexpectedEOF)
+			return nil, fmt.Errorf("traces: flate stream truncated (missing trailer): %w", io.ErrUnexpectedEOF)
 		}
-		return fmt.Errorf("traces: reading frame length: %w", err)
+		return nil, fmt.Errorf("traces: reading frame length: %w", err)
 	}
 	if rawLen == 0 {
 		// Frame sentinel: index and footer follow, then EOF.
-		return r.validateTrailer()
+		return nil, r.validateTrailer()
 	}
 	if rawLen > maxFrameRaw {
-		return fmt.Errorf("traces: implausible frame raw length %d", rawLen)
+		return nil, fmt.Errorf("traces: implausible frame raw length %d", rawLen)
 	}
 	compLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return fmt.Errorf("traces: reading frame compressed length: %w", err)
+		return nil, fmt.Errorf("traces: reading frame compressed length: %w", err)
 	}
 	if compLen == 0 || compLen > 1<<31 {
-		return fmt.Errorf("traces: implausible frame compressed length %d", compLen)
+		return nil, fmt.Errorf("traces: implausible frame compressed length %d", compLen)
 	}
 	comp, err := readExact(r.br, r.comp, int(compLen))
 	r.comp = comp[:0]
 	if err != nil {
-		return fmt.Errorf("traces: reading frame payload: %w", err)
+		return nil, fmt.Errorf("traces: reading frame payload: %w", err)
 	}
 	r.compRdr.Reset(comp)
 	if r.fr == nil {
 		r.fr = flate.NewReader(&r.compRdr)
 	} else if err := r.fr.(flate.Resetter).Reset(&r.compRdr, nil); err != nil {
-		return fmt.Errorf("traces: resetting flate decompressor: %w", err)
+		return nil, fmt.Errorf("traces: resetting flate decompressor: %w", err)
 	}
 	// The raw buffer grows only as the decompressor actually produces
 	// bytes, so a corrupt rawLen cannot force a huge allocation either.
 	raw, err := readExact(r.fr, r.raw, int(rawLen))
 	r.raw = raw[:0]
 	if err != nil {
-		return fmt.Errorf("traces: decompressing frame: %w", err)
+		return nil, fmt.Errorf("traces: decompressing frame: %w", err)
 	}
 	// The payload must decompress to exactly rawLen bytes.
 	var one [1]byte
 	if n, err := r.fr.Read(one[:]); n != 0 || (err != nil && err != io.EOF) {
-		return errors.New("traces: frame decompresses past its declared raw length")
+		return nil, errors.New("traces: frame decompresses past its declared raw length")
 	}
-	recs, err := decodeBlockBody(raw, r.anon, &r.sc)
-	if err != nil {
-		return err
-	}
-	r.recs = recs
-	r.next = 0
-	return nil
+	return raw, nil
 }
 
 // validateTrailer reads the index and footer after the sentinel and
@@ -478,7 +357,7 @@ func (r *FlateReader) readIndex() error {
 	if err != nil {
 		return err
 	}
-	if size < flateHeaderLen+1+flateFooterLen {
+	if size < streamHeaderLen+1+flateFooterLen {
 		return errors.New("traces: flate stream too short to carry an index")
 	}
 	if _, err := r.rs.Seek(size-flateFooterLen, io.SeekStart); err != nil {
@@ -492,7 +371,7 @@ func (r *FlateReader) readIndex() error {
 		return errors.New("traces: corrupt flate stream (bad footer magic)")
 	}
 	idxLen := int64(binary.LittleEndian.Uint64(footer[:8]))
-	if idxLen < 1 || idxLen > size-flateFooterLen-flateHeaderLen-1 {
+	if idxLen < 1 || idxLen > size-flateFooterLen-streamHeaderLen-1 {
 		return fmt.Errorf("traces: corrupt flate index (length %d of %d-byte stream)", idxLen, size)
 	}
 	if _, err := r.rs.Seek(size-flateFooterLen-idxLen, io.SeekStart); err != nil {
@@ -510,7 +389,7 @@ func (r *FlateReader) readIndex() error {
 	index := make([]flateFrame, 0, count)
 	frameOff := make([]int64, 0, count)
 	cumRecords := make([]int64, 0, count)
-	off, records := int64(flateHeaderLen), int64(0)
+	off, records := int64(streamHeaderLen), int64(0)
 	framesEnd := size - flateFooterLen - idxLen - 1 // sentinel byte precedes the index
 	for i := uint64(0); i < count; i++ {
 		f := flateFrame{records: d.uvarint(), frameLen: d.uvarint()}
@@ -580,7 +459,7 @@ func (r *FlateReader) SeekToRecord(n int64) error {
 			hi = mid - 1
 		}
 	}
-	target, skip := int64(flateHeaderLen), int64(0)
+	target, skip := int64(streamHeaderLen), int64(0)
 	if len(r.index) > 0 && n < r.total {
 		target, skip = r.frameOff[lo], n-r.cumRecords[lo]
 	} else {

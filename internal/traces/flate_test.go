@@ -9,57 +9,20 @@ import (
 	"testing"
 )
 
-// encodeFlate serializes recs with a FlateWriter and returns the stream.
-func encodeFlate(t *testing.T, recs []*FlowRecord, blockRecords, workers int, anon bool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewFlateWriter(&buf, workers)
-	w.BlockRecords = blockRecords
-	w.Anonymize = anon
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestFlateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	var recs []*FlowRecord
-	for i := 0; i < 5_000; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	stream := encodeFlate(t, recs, 257, 1, false)
-	fr := NewFlateReader(bytes.NewReader(stream))
-	for i, want := range recs {
-		got, err := fr.Read()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(normalize(got), normalize(want)) {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-	if _, err := fr.Read(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
+	recs := randRecords(31, 5_000)
+	stream := encodeStream(t, flateFraming, recs, 257, 1, false)
+	expectRecords(t, NewFlateReader(bytes.NewReader(stream)), recs)
 }
 
-// TestFlateDeterministicAcrossWorkers pins the determinism contract for
-// the archival tier: worker count never changes the output bytes.
+// TestFlateDeterministicAcrossWorkers pins determinism contract point 13
+// for the archival tier, trailer included: worker count never changes the
+// output bytes. TestCodecMatrix covers the full grid.
 func TestFlateDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	var recs []*FlowRecord
-	for i := 0; i < 6_000; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	want := encodeFlate(t, recs, 300, 1, true)
+	recs := randRecords(32, 6_000)
+	want := encodeStream(t, flateFraming, recs, 300, 1, true)
 	for _, workers := range []int{2, 8} {
-		got := encodeFlate(t, recs, 300, workers, true)
+		got := encodeStream(t, flateFraming, recs, 300, workers, true)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: output differs from workers=1 (%d vs %d bytes)", workers, len(got), len(want))
 		}
@@ -70,12 +33,8 @@ func TestFlateDeterministicAcrossWorkers(t *testing.T) {
 // index lookups (NumRecords) must not disturb a sequential read,
 // whether they happen before the first Read or in the middle of one.
 func TestFlateNumRecordsPreservesPosition(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	var recs []*FlowRecord
-	for i := 0; i < 700; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	stream := encodeFlate(t, recs, 128, 2, false)
+	recs := randRecords(35, 700)
+	stream := encodeStream(t, flateFraming, recs, 128, 2, false)
 	fr := NewFlateReader(bytes.NewReader(stream))
 	if n, err := fr.NumRecords(); err != nil || n != int64(len(recs)) {
 		t.Fatalf("NumRecords before reading = %d, %v; want %d", n, err, len(recs))
@@ -103,12 +62,8 @@ func TestFlateNumRecordsPreservesPosition(t *testing.T) {
 // read returns exactly the records of the requested range, bit-exact
 // against the full sequential decode.
 func TestFlateSeekToRecord(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	var recs []*FlowRecord
-	for i := 0; i < 4_000; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	stream := encodeFlate(t, recs, 256, 4, false)
+	recs := randRecords(33, 4_000)
+	stream := encodeStream(t, flateFraming, recs, 256, 4, false)
 	fr := NewFlateReader(bytes.NewReader(stream))
 
 	total, err := fr.NumRecords()
@@ -175,7 +130,7 @@ func TestFlateSeekToRecord(t *testing.T) {
 func TestFlateSeekRequiresSeeker(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	recs := []*FlowRecord{randRecord(rng, 0)}
-	stream := encodeFlate(t, recs, 16, 1, false)
+	stream := encodeStream(t, flateFraming, recs, 16, 1, false)
 	// io.MultiReader hides the Seeker.
 	fr := NewFlateReader(io.MultiReader(bytes.NewReader(stream)))
 	if err := fr.SeekToRecord(0); err == nil {
@@ -191,26 +146,21 @@ func TestFlateSeekRequiresSeeker(t *testing.T) {
 }
 
 func TestFlateEmptyStream(t *testing.T) {
-	stream := encodeFlate(t, nil, 0, 2, true)
+	testEmptyStream(t, flateFraming)
+	// The empty index still answers the seek API.
+	stream := encodeStream(t, flateFraming, nil, 0, 2, true)
 	fr := NewFlateReader(bytes.NewReader(stream))
-	if _, err := fr.Read(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-	if !fr.Anonymized() {
-		t.Fatal("anonymize flag lost")
-	}
-	fr2 := NewFlateReader(bytes.NewReader(stream))
-	n, err := fr2.NumRecords()
+	n, err := fr.NumRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
 		t.Fatalf("NumRecords = %d, want 0", n)
 	}
-	if err := fr2.SeekToRecord(0); err != nil {
+	if err := fr.SeekToRecord(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fr2.Read(); err != io.EOF {
+	if _, err := fr.Read(); err != io.EOF {
 		t.Fatalf("expected EOF after seek, got %v", err)
 	}
 }
@@ -224,69 +174,61 @@ func TestFlateWriteAfterFlushFails(t *testing.T) {
 	if err := w.Flush(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(35))
-	if err := w.Write(randRecord(rng, 0)); err == nil {
+	if err := w.Write(sampleRecord()); err == nil {
 		t.Fatal("Write after terminal Flush should fail")
 	}
 }
 
-func TestFlateCompresses(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	var recs []*FlowRecord
-	for i := 0; i < 4_096; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	var raw bytes.Buffer
-	bw := NewBinaryWriter(&raw)
-	for _, r := range recs {
-		if err := bw.Write(r); err != nil {
-			t.Fatal(err)
+// TestFlateInvalidLevel: an out-of-range Level is an error from the first
+// Write or Flush — inline and pooled alike, never a panic on a worker
+// goroutine — and nothing is written past the header; every level
+// compress/flate accepts still works.
+func TestFlateInvalidLevel(t *testing.T) {
+	recs := randRecords(40, 300)
+	for _, workers := range []int{0, 2} {
+		for _, level := range []int{10, -3} {
+			var buf bytes.Buffer
+			w := NewFlateWriter(&buf, workers)
+			w.Level, w.BlockRecords = level, 100
+			if err := w.Write(recs[0]); err == nil {
+				t.Fatalf("workers=%d level %d: Write succeeded", workers, level)
+			}
+			if err := w.Flush(); err == nil {
+				t.Fatalf("workers=%d level %d: Flush succeeded", workers, level)
+			}
+			if buf.Len() > streamHeaderLen {
+				t.Fatalf("workers=%d level %d: %d bytes written past the header", workers, level, buf.Len()-streamHeaderLen)
+			}
+		}
+		for level := -2; level <= 9; level++ {
+			var buf bytes.Buffer
+			w := NewFlateWriter(&buf, workers)
+			w.Level, w.BlockRecords = level, 100
+			writeRecords(t, w, recs)
+			if err := w.Flush(); err != nil {
+				t.Fatalf("workers=%d level %d: %v", workers, level, err)
+			}
+			expectRecords(t, NewFlateReader(&buf), recs)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	comp := encodeFlate(t, recs, 0, 1, false)
-	if len(comp) >= raw.Len() {
-		t.Fatalf("flate stream (%d bytes) not smaller than raw binary (%d bytes)", len(comp), raw.Len())
+}
+
+func TestFlateCompresses(t *testing.T) {
+	recs := randRecords(36, 4_096)
+	raw := encodeStream(t, binaryFraming, recs, 0, 1, false)
+	comp := encodeStream(t, flateFraming, recs, 0, 1, false)
+	if len(comp) >= len(raw) {
+		t.Fatalf("flate stream (%d bytes) not smaller than raw binary (%d bytes)", len(comp), len(raw))
 	}
 }
 
 // --- reader error paths ---
 
-func TestFlateBadMagic(t *testing.T) {
-	fr := NewFlateReader(bytes.NewReader([]byte("NOTFLT\x00rest")))
-	if _, err := fr.Read(); err == nil || err == io.EOF {
-		t.Fatalf("bad magic should fail, got %v", err)
-	}
-}
-
-func TestFlateTruncated(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	var recs []*FlowRecord
-	for i := 0; i < 1_000; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	stream := encodeFlate(t, recs, 128, 1, false)
-	// Every truncation point must yield a clean error (or valid records
-	// followed by one), never a panic and never silent success.
-	for _, cut := range []int{0, 3, flateHeaderLen, flateHeaderLen + 1, flateHeaderLen + 10, len(stream) / 2, len(stream) - 1} {
-		fr := NewFlateReader(bytes.NewReader(stream[:cut]))
-		var err error
-		for {
-			_, err = fr.Read()
-			if err != nil {
-				break
-			}
-		}
-		if err == io.EOF {
-			t.Fatalf("cut=%d: truncated stream read to clean EOF", cut)
-		}
-	}
-}
+func TestFlateBadMagic(t *testing.T)  { testBadMagic(t, flateFraming) }
+func TestFlateTruncated(t *testing.T) { testTruncated(t, flateFraming, 37) }
 
 func TestFlateBadFooterMagic(t *testing.T) {
-	stream := encodeFlate(t, nil, 0, 1, false)
+	stream := encodeStream(t, flateFraming, nil, 0, 1, false)
 	bad := bytes.Clone(stream)
 	bad[len(bad)-1] ^= 0xff
 	fr := NewFlateReader(bytes.NewReader(bad))
@@ -302,12 +244,8 @@ func TestFlateBadFooterMagic(t *testing.T) {
 // TestFlateIndexOffsetPastEOF corrupts the index so the cumulative frame
 // offsets run past the frame section; the seek path must reject it.
 func TestFlateIndexOffsetPastEOF(t *testing.T) {
-	rng := rand.New(rand.NewSource(38))
-	var recs []*FlowRecord
-	for i := 0; i < 300; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	stream := encodeFlate(t, recs, 100, 1, false)
+	recs := randRecords(38, 300)
+	stream := encodeStream(t, flateFraming, recs, 100, 1, false)
 
 	// Rebuild the trailer with an inflated frameLen in the first entry.
 	idxLen := int(binary.LittleEndian.Uint64(stream[len(stream)-flateFooterLen:]))
@@ -343,13 +281,9 @@ func TestFlateIndexOffsetPastEOF(t *testing.T) {
 // the block decoder's bounds checks are the backstop — any outcome but a
 // panic or silent wrong-length success passes).
 func TestFlateFrameCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	var recs []*FlowRecord
-	for i := 0; i < 500; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	stream := encodeFlate(t, recs, 500, 1, false)
-	for off := flateHeaderLen; off < len(stream); off += 7 {
+	recs := randRecords(39, 500)
+	stream := encodeStream(t, flateFraming, recs, 500, 1, false)
+	for off := streamHeaderLen; off < len(stream); off += 7 {
 		bad := bytes.Clone(stream)
 		bad[off] ^= 0x55
 		fr := NewFlateReader(bytes.NewReader(bad))

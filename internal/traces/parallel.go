@@ -1,32 +1,26 @@
 package traces
 
-// Parallel block serialization.
+// The ordered block pool: the writer core's workers > 1 path.
 //
-// The binary codec spends almost all of its CPU inside encodeBody —
-// varint packing and dictionary lookups over a block of records — and
-// blocks are independent of each other by construction. blockPool
-// exploits that: filled block accumulators are handed to a bounded
-// worker pool for encoding while a single merger goroutine writes the
-// encoded frames back in strict submission order. It is the fleet
-// engine's ordered-streaming pattern (internal/fleet/stream.go) applied
-// to serialization: workers race, the output stream does not.
+// A block codec spends almost all of its CPU in the frame finisher —
+// varint packing and dictionary lookups over a block of records, plus
+// DEFLATE for the archival framing — and blocks are independent of each
+// other by construction. blockPool exploits that: filled block
+// accumulators are handed to a bounded worker pool for finishing while a
+// single merger goroutine writes the frames back in strict submission
+// order. It is the fleet engine's ordered-streaming pattern
+// (internal/fleet/stream.go) applied to serialization: workers race, the
+// output stream does not, so the bytes equal the inline path's for every
+// worker count.
 //
-// The determinism contract holds by construction: block boundaries
-// depend only on the record sequence (every BlockRecords records), each
-// frame's bytes depend only on its block's records, and the merger
-// enforces submission order — so the output stream is byte-identical to
-// the sequential writer's for every worker count
-// (TestParallelBinaryMatchesSequential pins it).
-//
-// Lifecycle: the pool's goroutines start lazily on the first Write and
-// stop on every Flush, after draining — a flushed writer owns no
-// goroutines, so RecordWriter consumers that only ever call
-// Write/.../Flush never leak. The stream stays appendable: the next
-// Write simply restarts the pool.
+// Lifecycle: the writer core (codec.go) starts the pool's goroutines
+// lazily, when it opens the first block, and drains them on every Flush —
+// a flushed writer owns no goroutines, so RecordWriter consumers that
+// only ever call Write/.../Flush never leak. The next block simply
+// restarts the pool.
 
 import (
 	"compress/flate"
-	"encoding/binary"
 	"io"
 	"sync"
 )
@@ -47,9 +41,9 @@ type encScratch struct {
 // blockPool encodes blocks on a bounded worker pool and writes the
 // resulting frames to w in strict submission order. finish runs on a
 // worker goroutine and must return frame bytes owned by the job's accum
-// (valid until the accum is recycled); onFrame, when non-nil, runs on
-// the merger goroutine after each successful frame write, before the
-// accum is reset — index builders and telemetry hang off it.
+// (valid until the accum is recycled); onFrame runs on the merger
+// goroutine after each successful frame write, before the accum is
+// reset — the same pair the writer core calls inline.
 type blockPool struct {
 	w       io.Writer
 	workers int
@@ -76,9 +70,6 @@ func newBlockPool(w io.Writer, workers int,
 	finish func(*encScratch, *blockAccum) []byte,
 	onFrame func(*blockAccum, []byte)) *blockPool {
 
-	if workers < 1 {
-		workers = 1
-	}
 	return &blockPool{
 		w: w, workers: workers, finish: finish, onFrame: onFrame,
 		free: make(chan *blockAccum, workers+2),
@@ -136,7 +127,7 @@ func (p *blockPool) merge() {
 		if p.loadErr() == nil {
 			if _, err := p.w.Write(j.frame); err != nil {
 				p.setErr(err)
-			} else if p.onFrame != nil {
+			} else {
 				p.onFrame(j.acc, j.frame)
 			}
 		}
@@ -182,123 +173,4 @@ func (p *blockPool) drain() error {
 	p.mwg.Wait()
 	p.running = false
 	return p.loadErr()
-}
-
-// finishBinaryFrame encodes one accum as a length-prefixed binary block —
-// the exact frame BinaryWriter.flushBlock writes.
-func finishBinaryFrame(_ *encScratch, acc *blockAccum) []byte {
-	const pfxReserve = binary.MaxVarintLen64
-	if cap(acc.buf) < pfxReserve {
-		acc.buf = make([]byte, pfxReserve)
-	}
-	body := acc.encodeBody(acc.buf[:pfxReserve])
-	acc.buf = body // keep the grown scratch with the accum
-	var pfx [binary.MaxVarintLen64]byte
-	np := binary.PutUvarint(pfx[:], uint64(len(body)-pfxReserve))
-	start := pfxReserve - np
-	copy(body[start:], pfx[:np])
-	return body[start:]
-}
-
-// ParallelBinaryWriter streams flow records in the binary columnar
-// format, encoding blocks on Workers goroutines while preserving the
-// sequential writer's exact output bytes. Methods must not be called
-// concurrently — parallelism is internal. Use it where serialization,
-// not generation, is the bottleneck (the export scenarios in
-// PERFORMANCE.md); NewBinaryWriter remains the zero-goroutine path.
-type ParallelBinaryWriter struct {
-	// Anonymize replaces client addresses with the stable 48-bit tokens
-	// of the CSV format. It must be set before the first Write.
-	Anonymize bool
-	// BlockRecords overrides the records-per-block target (0 means
-	// DefaultBlockRecords). It must be set before the first Write.
-	BlockRecords int
-
-	w           io.Writer
-	pool        *blockPool
-	cur         *blockAccum
-	wroteHeader bool
-	err         error
-}
-
-// NewParallelBinaryWriter wraps w with a pool of workers block encoders
-// (workers < 1 means 1). The output stream is byte-identical to
-// NewBinaryWriter's for every worker count.
-func NewParallelBinaryWriter(w io.Writer, workers int) *ParallelBinaryWriter {
-	pw := &ParallelBinaryWriter{w: w}
-	pw.pool = newBlockPool(w, workers, finishBinaryFrame, func(acc *blockAccum, frame []byte) {
-		mBinBlocks.Inc()
-		mBinRecords.Add(uint64(acc.n))
-		mBinBytes.Add(uint64(len(frame)))
-		mParBlocks.Inc()
-	})
-	return pw
-}
-
-func (w *ParallelBinaryWriter) blockTarget() int {
-	if w.BlockRecords > 0 {
-		return w.BlockRecords
-	}
-	return DefaultBlockRecords
-}
-
-// ensureStarted writes the stream header once and (re)starts the pool.
-func (w *ParallelBinaryWriter) ensureStarted() error {
-	if w.err != nil {
-		return w.err
-	}
-	if !w.wroteHeader {
-		if err := writeBinaryHeader(w.w, w.Anonymize); err != nil {
-			w.err = err
-			return err
-		}
-		w.wroteHeader = true
-	}
-	w.pool.start()
-	return nil
-}
-
-// Write buffers one record; nothing in r is retained after return. A
-// full block is handed to the worker pool, blocking only when every
-// in-flight block is still being encoded (backpressure).
-func (w *ParallelBinaryWriter) Write(r *FlowRecord) error {
-	if err := w.ensureStarted(); err != nil {
-		return err
-	}
-	if err := w.pool.loadErr(); err != nil {
-		return err
-	}
-	if w.cur == nil {
-		w.cur = w.pool.getAccum()
-	}
-	w.cur.add(r, w.Anonymize)
-	if w.cur.n >= w.blockTarget() {
-		w.pool.submit(w.cur)
-		w.cur = nil
-	}
-	return nil
-}
-
-// Flush submits any partial block, waits until every submitted block has
-// been encoded and written, and stops the pool goroutines — after Flush
-// the writer owns no goroutines. The stream stays appendable: the next
-// Write restarts the pool. A zero-record Flush still writes the header,
-// so an empty export is a valid (empty) stream.
-func (w *ParallelBinaryWriter) Flush() error {
-	if err := w.ensureStarted(); err != nil {
-		return err
-	}
-	if w.cur != nil {
-		if w.cur.n > 0 {
-			w.pool.submit(w.cur)
-		} else {
-			w.pool.free <- w.cur
-		}
-		w.cur = nil
-	}
-	if err := w.pool.drain(); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
 }

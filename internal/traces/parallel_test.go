@@ -3,142 +3,53 @@ package traces
 import (
 	"bytes"
 	"errors"
-	"io"
-	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
-	"time"
 )
 
-// encodeSequential serializes recs with the sequential BinaryWriter —
-// the byte-identity reference for the parallel writer.
-func encodeSequential(t *testing.T, recs []*FlowRecord, blockRecords int, anon bool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	w.BlockRecords = blockRecords
-	w.Anonymize = anon
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+// TestParallelBinaryMatchesSequential pins determinism contract point 13
+// at the constructor level: NewBinaryWriter (what campaign part files
+// use) and NewParallelBinaryWriter at any worker count write the same
+// bytes. TestCodecMatrix covers the full framing x block-size grid.
+func TestParallelBinaryMatchesSequential(t *testing.T) {
+	recs := randRecords(21, 10_000)
+	var seq bytes.Buffer
+	sw := NewBinaryWriter(&seq)
+	sw.BlockRecords = 257
+	writeRecords(t, sw, recs)
+	if err := sw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// TestParallelBinaryMatchesSequential pins the determinism contract: the
-// parallel writer's output is byte-identical to the sequential writer's
-// for every worker count, including partial tail blocks and anonymized
-// streams.
-func TestParallelBinaryMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	var recs []*FlowRecord
-	for i := 0; i < 10_000; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	for _, anon := range []bool{false, true} {
-		for _, blockRecords := range []int{257, 1024} {
-			want := encodeSequential(t, recs, blockRecords, anon)
-			for _, workers := range []int{1, 2, 8} {
-				var buf bytes.Buffer
-				pw := NewParallelBinaryWriter(&buf, workers)
-				pw.BlockRecords = blockRecords
-				pw.Anonymize = anon
-				for _, r := range recs {
-					if err := pw.Write(r); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := pw.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Fatalf("anon=%v block=%d workers=%d: output differs from sequential writer (%d vs %d bytes)",
-						anon, blockRecords, workers, buf.Len(), len(want))
-				}
-			}
+	for _, workers := range []int{1, 2, 8} {
+		if got := encodeStream(t, binaryFraming, recs, 257, workers, false); !bytes.Equal(got, seq.Bytes()) {
+			t.Fatalf("workers=%d: output differs from NewBinaryWriter (%d vs %d bytes)", workers, len(got), seq.Len())
 		}
 	}
 }
 
-// TestParallelBinaryRoundTrip decodes a parallel-written stream with the
+// TestParallelBinaryRoundTrip decodes a pool-written stream with the
 // ordinary reader.
 func TestParallelBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	var recs []*FlowRecord
-	for i := 0; i < 3_000; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
-	var buf bytes.Buffer
-	pw := NewParallelBinaryWriter(&buf, 4)
-	pw.BlockRecords = 256
-	for _, r := range recs {
-		if err := pw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br := NewBinaryReader(&buf)
-	for i, want := range recs {
-		got, err := br.Read()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(normalize(got), normalize(want)) {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-	if _, err := br.Read(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
+	recs := randRecords(22, 3_000)
+	stream := encodeStream(t, binaryFraming, recs, 256, 4, false)
+	expectRecords(t, NewBinaryReader(bytes.NewReader(stream)), recs)
 }
 
-// TestParallelBinaryAppendAfterFlush exercises the restart path: Flush
-// stops the pool, a later Write restarts it, and the stream stays valid.
+// TestParallelBinaryAppendAfterFlush exercises the restart path over
+// several cycles: every Flush stops the pool, the next Write restarts it,
+// and the stream stays valid.
 func TestParallelBinaryAppendAfterFlush(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var recs []*FlowRecord
-	for i := 0; i < 700; i++ {
-		recs = append(recs, randRecord(rng, i))
-	}
+	recs := randRecords(23, 700)
 	var buf bytes.Buffer
 	pw := NewParallelBinaryWriter(&buf, 3)
 	pw.BlockRecords = 128
-	for _, r := range recs[:300] {
-		if err := pw.Write(r); err != nil {
+	for _, part := range [][]*FlowRecord{recs[:300], recs[300:301], recs[301:]} {
+		writeRecords(t, pw, part)
+		if err := pw.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs[300:] {
-		if err := pw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br := NewBinaryReader(&buf)
-	for i := range recs {
-		got, err := br.Read()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(normalize(got), normalize(recs[i])) {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-	if _, err := br.Read(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
+	expectRecords(t, NewBinaryReader(&buf), recs)
 }
 
 // failAfterWriter errors every write after the first n.
@@ -157,73 +68,47 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestParallelBinaryWriteError checks that an underlying write error is
-// latched and surfaced, and that Flush still drains cleanly (no leaked
-// goroutines, no deadlock).
+// TestParallelBinaryWriteError checks, for every framing inline and
+// pooled, that an underlying write error is latched and surfaced by Write
+// or Flush, that later Writes keep failing, and that Flush still drains
+// cleanly (no leaked goroutines, no deadlock).
 func TestParallelBinaryWriteError(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	pw := NewParallelBinaryWriter(&failAfterWriter{n: 2}, 4) // header + 1 block succeed
-	pw.BlockRecords = 64
-	var failed bool
-	for i := 0; i < 10_000; i++ {
-		if err := pw.Write(randRecord(rng, i)); err != nil {
-			if !errors.Is(err, errWriterBroke) {
-				t.Fatalf("unexpected error: %v", err)
+	recs := randRecords(24, 10_000)
+	for _, f := range codecFramings {
+		for _, workers := range []int{0, 4} {
+			base := runtime.NumGoroutine()
+			w := f.newWriter(&failAfterWriter{n: 2}, workers, 64, false) // header + 1 frame succeed
+			var err error
+			for _, r := range recs {
+				if err = w.Write(r); err != nil {
+					break
+				}
 			}
-			failed = true
-			break
+			if ferr := w.Flush(); err == nil {
+				err = ferr
+			}
+			if !errors.Is(err, errWriterBroke) {
+				t.Fatalf("%s workers=%d: write error surfaced as %v", f.name, workers, err)
+			}
+			if err := w.Write(recs[0]); err == nil {
+				t.Fatalf("%s workers=%d: Write after a latched error succeeded", f.name, workers)
+			}
+			waitForGoroutines(t, base)
 		}
-	}
-	err := pw.Flush()
-	if !failed && err == nil {
-		t.Fatal("write error never surfaced")
-	}
-	if err != nil && !errors.Is(err, errWriterBroke) {
-		t.Fatalf("Flush: unexpected error: %v", err)
 	}
 }
 
-// waitForGoroutines polls until the goroutine count drops back to base
-// (the runtime needs a beat to unwind exiting goroutines).
-func waitForGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.Gosched()
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d running, want <= %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestParallelBinaryNoGoroutineLeak pins the lifecycle contract: after
-// Flush the writer owns no goroutines, even when the stream is abandoned
-// early (a partial block was buffered but the consumer stops writing).
+// TestParallelBinaryNoGoroutineLeak pins the lifecycle contract where the
+// matrix does not reach: after Flush the writer owns no goroutines even
+// when the stream is abandoned early (a partial block was buffered but
+// the consumer stops writing) or never written to at all.
 func TestParallelBinaryNoGoroutineLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	rng := rand.New(rand.NewSource(25))
-	var buf bytes.Buffer
-	pw := NewParallelBinaryWriter(&buf, 8)
-	pw.BlockRecords = 64
-	// Abandon mid-block: 100 records leaves a partial accumulator.
-	for i := 0; i < 100; i++ {
-		if err := pw.Write(randRecord(rng, i)); err != nil {
-			t.Fatal(err)
+	recs := randRecords(25, 100) // mid-block: 100 records leave a partial accumulator
+	for _, f := range codecFramings {
+		for _, n := range []int{len(recs), 0} {
+			base := runtime.NumGoroutine()
+			encodeStream(t, f, recs[:n], 64, 8, false)
+			waitForGoroutines(t, base)
 		}
 	}
-	if err := pw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitForGoroutines(t, base)
-
-	// And again with an empty Flush (no records at all).
-	pw2 := NewParallelBinaryWriter(&buf, 8)
-	if err := pw2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitForGoroutines(t, base)
 }

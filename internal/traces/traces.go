@@ -1,15 +1,17 @@
 // Package traces defines the flow-record schema the probe exports and its
-// two serializations: the anonymized CSV format mirroring the public
-// release of the paper's measurements (traces.simpleweb.org/dropbox) — one
-// row per TCP flow with byte/packet/PSH counters, RTT estimates and DPI
-// labels, and client addresses anonymized — and a block-columnar binary
-// format (BinaryWriter/BinaryReader, see binary.go for the wire format)
-// that is ~3.5x smaller and allocation-free on the write side, for
-// population-scale trace exports.
+// serializations: the anonymized CSV format mirroring the public release
+// of the paper's measurements (traces.simpleweb.org/dropbox) — one row per
+// TCP flow with byte/packet/PSH counters, RTT estimates and DPI labels,
+// and client addresses anonymized — and a block-columnar binary format
+// (see binary.go for the wire format) that is ~3.5x smaller and
+// allocation-free on the write side, for population-scale trace exports,
+// raw or under the seekable flate archival framing (flate.go). Both block
+// framings run on one writer and one reader core (codec.go), and
+// LookupFormat is the one table of formats exporters choose from.
 //
-// Writers never retain the records passed to Write: both formats copy what
-// they need before returning, so callers may recycle records (the fleet
-// engine's pooled generation path depends on this).
+// Writers never retain the records passed to Write: every format copies
+// what it needs before returning, so callers may recycle records (the
+// fleet engine's pooled generation path depends on this).
 package traces
 
 import (
@@ -82,7 +84,7 @@ var csvHeader = []string{
 	"syn", "fin", "rst", "server_closed",
 }
 
-// RecordWriter is the streaming sink both trace serializations implement;
+// RecordWriter is the streaming sink every trace serialization implements;
 // format-agnostic exporters (cmd/dropsim) write through it.
 type RecordWriter interface {
 	Write(*FlowRecord) error
