@@ -51,7 +51,7 @@ func GenerateFleetSummary(cfg VPConfig, seed int64, fc FleetConfig) (*FleetSumma
 
 // StreamDataset generates one vantage point through the sharded engine and
 // delivers every record to emit in canonical shard order with bounded
-// buffering.
+// buffering. A record is valid until emit returns; copy to keep.
 //
 // Deprecated: use the Records iterator, or StreamRecords when the
 // FleetStats are needed.

@@ -46,6 +46,9 @@
 //
 //	for r, err := range insidedropbox.Records(ctx, cfg, seed, fc) { ... }
 //
+// Record storage is pooled, so r is valid until the loop advances; copy
+// to keep.
+//
 // See cmd/experiments for the batch driver and EXPERIMENTS.md for the
 // experiment catalogue and the fleet engine's sharding and determinism
 // contract. The pre-context entry points (RunCampaign, AllExperiments,

@@ -22,10 +22,7 @@
 // (TestStreamGoldenWithBackend).
 package backend
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // EventKind labels what an event does when it fires.
 type EventKind uint8
@@ -63,8 +60,16 @@ type Event struct {
 // deterministic, and is pinned by the property tests and
 // FuzzEventQueueOrdering.
 type EventQueue struct {
-	h   eventHeap
+	h   []Event
 	seq uint64
+}
+
+// before is the queue order: earlier At first, push order among equals.
+func (e *Event) before(o *Event) bool {
+	if e.At != o.At {
+		return e.At < o.At
+	}
+	return e.seq < o.seq
 }
 
 // Push schedules one event. The event's seq field is overwritten with the
@@ -72,16 +77,54 @@ type EventQueue struct {
 func (q *EventQueue) Push(e Event) {
 	e.seq = q.seq
 	q.seq++
-	heap.Push(&q.h, e)
+	// Sift up: move parents down until e's slot is found.
+	h := append(q.h, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	q.h = h
 }
 
 // Pop removes and returns the earliest event. ok is false on an empty
 // queue.
 func (q *EventQueue) Pop() (e Event, ok bool) {
-	if len(q.h) == 0 {
+	n := len(q.h) - 1
+	if n < 0 {
 		return Event{}, false
 	}
-	return heap.Pop(&q.h).(Event), true
+	h := q.h
+	e = h[0]
+	// Sift the last event down from the root: move the smaller child up
+	// until last's slot is found.
+	last := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	q.h = h
+	return e, true
 }
 
 // Len returns the number of pending events.
@@ -94,23 +137,4 @@ func (q *EventQueue) NextAt() (at time.Duration, ok bool) {
 		return 0, false
 	}
 	return q.h[0].At, true
-}
-
-type eventHeap []Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }

@@ -39,7 +39,7 @@ func Aggregate(ctx context.Context, vp workload.VPConfig, seed int64, fc Config,
 		aggs[i] = newAgg(i)
 	}
 	stats, err := runShards(ctx, fc, vp.Name, func(sh int) workload.ShardStats {
-		return generatePooled(vp, seed, sh, fc.Shards, aggs[sh])
+		return generateInto(vp, seed, sh, fc.Shards, aggs[sh])
 	})
 	root := aggs[0]
 	for _, a := range aggs[1:] {

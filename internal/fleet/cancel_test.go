@@ -151,7 +151,7 @@ func TestRecordsIteratorMatchesStreamOrdered(t *testing.T) {
 
 	var legacy []*traces.FlowRecord
 	if _, err := StreamRecords(context.Background(), cfg, 3, fc, func(r *traces.FlowRecord) bool {
-		legacy = append(legacy, r)
+		legacy = append(legacy, keep(r))
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestRecordsIteratorMatchesStreamOrdered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, r)
+		got = append(got, keep(r))
 	}
 	if len(got) != len(legacy) {
 		t.Fatalf("iterator yielded %d records, callback path %d", len(got), len(legacy))

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"insidedropbox/internal/traces"
@@ -32,6 +33,14 @@ func mustSummarize(tb testing.TB, cfg workload.VPConfig, seed int64, fc Config) 
 		tb.Fatal(err)
 	}
 	return sum, stats
+}
+
+// keep copies a record off a pooled stream, as any consumer that retains
+// one must: the struct by value, NotifyNamespaces cloned.
+func keep(r *traces.FlowRecord) *traces.FlowRecord {
+	c := *r
+	c.NotifyNamespaces = slices.Clone(r.NotifyNamespaces)
+	return &c
 }
 
 // TestOneShardMatchesLegacyGenerate pins the regression contract: a 1-shard
@@ -104,7 +113,7 @@ func TestStreamOrderedMatchesDataset(t *testing.T) {
 
 	var streamed []*traces.FlowRecord
 	stats, err := StreamRecords(context.Background(), cfg, 3, fc, func(r *traces.FlowRecord) bool {
-		streamed = append(streamed, r)
+		streamed = append(streamed, keep(r))
 		return true
 	})
 	if err != nil {

@@ -39,23 +39,33 @@ func SplitJobs(shards, jobs int) []ShardJob {
 	return out
 }
 
-// generatePooled is the one pooled generate-consume-recycle loop behind
-// Aggregate and RunShard: one shard into sink on the calling goroutine,
-// records drawn from a private RecordPool and recycled the moment Consume
-// returns. Counting the shard (fleet.records, fleet.shards_done) is the
-// caller's — the engine's tracker for Aggregate, RunShard for itself.
-func generatePooled(vp workload.VPConfig, seed int64, shard, nshards int, sink Sink) workload.ShardStats {
-	pool := new(RecordPool)
+// generatePooled is the one pooled generate loop behind Aggregate, RunShard
+// and StreamRecords: one shard on the calling goroutine, every record drawn
+// from pool. A record consume did not keep is recycled the moment consume
+// returns; a kept one is the caller's to Put back later, on this same
+// goroutine (the slabs of StreamRecords). Counting the shard (fleet.records,
+// fleet.shards_done) is the caller's — the engine's tracker, or RunShard.
+func generatePooled(vp workload.VPConfig, seed int64, shard, nshards int, pool *RecordPool, consume func(*traces.FlowRecord) (kept bool)) workload.ShardStats {
 	st := workload.GenerateShardSink(vp, seed, shard, nshards, workload.ShardSink{
 		Emit: func(r *traces.FlowRecord) {
-			sink.Consume(r)
-			pool.Put(r)
+			if !consume(r) {
+				pool.Put(r)
+			}
 		},
 		Alloc: pool.Get,
 		Free:  pool.Put,
 	})
 	pool.flushTelemetry()
 	return st
+}
+
+// generateInto is generatePooled for a Sink, which by the pooled ownership
+// rule never keeps a record past Consume.
+func generateInto(vp workload.VPConfig, seed int64, shard, nshards int, sink Sink) workload.ShardStats {
+	return generatePooled(vp, seed, shard, nshards, new(RecordPool), func(r *traces.FlowRecord) bool {
+		sink.Consume(r)
+		return false
+	})
 }
 
 // RunShard generates exactly one shard of a sharded campaign into sink on
@@ -66,7 +76,7 @@ func generatePooled(vp workload.VPConfig, seed int64, shard, nshards int, sink S
 // apply: sink must not retain a record (or its NotifyNamespaces slice)
 // past Consume.
 func RunShard(vp workload.VPConfig, seed int64, shard, nshards int, sink Sink) workload.ShardStats {
-	st := generatePooled(vp, seed, shard, nshards, sink)
+	st := generateInto(vp, seed, shard, nshards, sink)
 	mRecords.Add(uint64(st.Records))
 	mShardsDone.Inc()
 	return st

@@ -9,16 +9,25 @@ import (
 	"insidedropbox/internal/workload"
 )
 
-// streamBuf is the per-shard channel capacity on the ordered streaming
-// path: a producing worker runs at most this many records ahead of the
-// consumer before blocking.
-const streamBuf = 1024
+// Hand-off on the ordered streaming path is by slab: a producing worker
+// passes slabRecords pooled records to the consumer with one channel
+// operation, and runs at most streamBuf records (slabDepth full slabs)
+// ahead of it before blocking.
+const (
+	slabRecords = 256
+	streamBuf   = 1024
+	slabDepth   = streamBuf / slabRecords
+)
 
-// ctxCheckMask amortizes ctx.Err() polling on the consumer loop: the
-// context is checked once every ctxCheckMask+1 records (plus once per
-// drained shard), keeping cancellation latency far below a shard while
-// staying off the per-record hot path.
-const ctxCheckMask = 0xff
+// shardStream is one shard's hand-off: full slabs go to the consumer on
+// full, drained ones come back on back for the producer — the one goroutine
+// that touches the shard's RecordPool — to recycle and refill. A shard has
+// at most slabDepth+2 slabs (one filling, slabDepth queued, one draining),
+// which is back's capacity: returning a slab never blocks, even after the
+// producer has exited.
+type shardStream struct {
+	full, back chan []*traces.FlowRecord
+}
 
 // StreamRecords runs a sharded generation and delivers every record to
 // emit in canonical order — shard 0's records first (in generation order),
@@ -26,17 +35,22 @@ const ctxCheckMask = 0xff
 // worker pool. emit runs on the calling goroutine; returning false stops
 // the stream early (no error: a consumer break is a normal outcome).
 //
+// Record storage is pooled per shard, as on the Aggregate path: a record
+// passed to emit is valid until emit returns, then recycled. Copy to keep —
+// the struct by value, NotifyNamespaces with slices.Clone (see RecordPool).
+//
 // Memory stays bounded regardless of population size: shards are admitted
 // in index order through a window of Workers+1 tokens, so at most
 // Workers+1 shards are generating or parked ahead of the consumer, each
-// buffering at most streamBuf records before its producer blocks. No shard
+// holding at most slabDepth+2 slabs before its producer blocks. No shard
 // output is ever fully materialized.
 //
 // Cancelling ctx (or stopping via emit) halts promptly, bounded by one
 // shard per worker: in-flight shards finish generating with their output
 // discarded, queued shards never start, and every goroutine exits before
-// StreamRecords returns. On cancellation the partial stats are returned
-// with ctx.Err().
+// StreamRecords returns. ctx is polled once per slab, so emit may see the
+// rest of the current slab after a cancel. On cancellation the partial
+// stats are returned with ctx.Err().
 //
 // The returned stats describe generation, not delivery: after an early
 // stop they include the shards that finished generating with discarded
@@ -47,9 +61,12 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 	fc = fc.normalized()
 	vp = fc.apply(vp)
 
-	chans := make([]chan *traces.FlowRecord, fc.Shards)
-	for i := range chans {
-		chans[i] = make(chan *traces.FlowRecord, streamBuf)
+	streams := make([]shardStream, fc.Shards)
+	for i := range streams {
+		streams[i] = shardStream{
+			full: make(chan []*traces.FlowRecord, slabDepth),
+			back: make(chan []*traces.FlowRecord, slabDepth+2),
+		}
 	}
 	stats := make([]workload.ShardStats, fc.Shards)
 
@@ -88,36 +105,10 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 		go func() {
 			defer wg.Done()
 			for sh := range jobs {
-				ch := chans[sh]
-				dropping := false
-				stalls := 0
 				stats[sh] = tracker.run(sh, func() workload.ShardStats {
-					return workload.GenerateShard(vp, seed, sh, fc.Shards, func(r *traces.FlowRecord) {
-						if dropping {
-							return
-						}
-						// Fast path: buffer space available. The
-						// blocking select below is reached only when the
-						// producer would actually stall on the consumer
-						// (or the stream is being torn down) — that's the
-						// backpressure signal the stall counter tracks.
-						select {
-						case ch <- r:
-							return
-						default:
-						}
-						stalls++
-						select {
-						case ch <- r:
-						case <-stop:
-							dropping = true
-						}
-					})
+					return produceShard(vp, seed, sh, fc.Shards, streams[sh], stop)
 				})
-				if stalls > 0 {
-					mStreamStalls.Add(uint64(stalls))
-				}
-				close(ch)
+				close(streams[sh].full)
 			}
 		}()
 	}
@@ -130,28 +121,81 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 		return mergeStats(vp, fc, stats), err
 	}
 
-	var n uint
 	for sh := 0; sh < fc.Shards; sh++ {
-		if ctx.Err() != nil {
+		s := streams[sh]
+		if ctx.Err() != nil { // once per shard: an empty shard sends no slab
 			return finish(ctx.Err())
 		}
-		for r := range chans[sh] {
-			if n&ctxCheckMask == 0 {
-				// Sampled at the ctx-poll cadence so the depth gauge
-				// stays off the per-record path.
-				mStreamDepth.Set(int64(len(chans[sh])))
-				if ctx.Err() != nil {
-					return finish(ctx.Err())
+		for slab := range s.full {
+			mStreamDepth.Set(int64(len(s.full)))
+			if ctx.Err() != nil {
+				return finish(ctx.Err())
+			}
+			for _, r := range slab {
+				if !emit(r) {
+					return finish(nil)
 				}
 			}
-			n++
-			if !emit(r) {
-				return finish(nil)
-			}
+			s.back <- slab
 		}
 		<-window // shard fully drained: admit the next one
 	}
 	return finish(nil)
+}
+
+// produceShard generates one shard into s, slab by slab, on the calling
+// worker goroutine. Once stop closes it generates on with the output
+// discarded, so the shard's stats stay whole.
+func produceShard(vp workload.VPConfig, seed int64, shard, nshards int, s shardStream, stop <-chan struct{}) workload.ShardStats {
+	pool := new(RecordPool)
+	var slab []*traces.FlowRecord
+	dropping, stalls := false, 0
+	// send hands the slab over. The blocking select is reached only when
+	// the producer would stall on the consumer (or the stream is being torn
+	// down): the backpressure signal the stall counter tracks.
+	send := func() {
+		select {
+		case s.full <- slab:
+		default:
+			stalls++
+			select {
+			case s.full <- slab:
+			case <-stop:
+				dropping = true
+			}
+		}
+		slab = nil
+	}
+	st := generatePooled(vp, seed, shard, nshards, pool, func(r *traces.FlowRecord) bool {
+		if dropping {
+			return false
+		}
+		if slab == nil {
+			// Refill a drained slab once its records are back in the
+			// pool; allocate only while the first few are in flight.
+			select {
+			case slab = <-s.back:
+				for _, old := range slab {
+					pool.Put(old)
+				}
+				slab = slab[:0]
+			default:
+				slab = make([]*traces.FlowRecord, 0, slabRecords)
+			}
+		}
+		slab = append(slab, r)
+		if len(slab) == slabRecords {
+			send()
+		}
+		return true
+	})
+	if len(slab) > 0 {
+		send()
+	}
+	if stalls > 0 {
+		mStreamStalls.Add(uint64(stalls))
+	}
+	return st
 }
 
 // Records returns the record stream of one vantage point as a Go 1.23+
@@ -162,8 +206,8 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 // ctx.Err() if the context was cancelled mid-stream; otherwise err is
 // always nil.
 //
-// Records yielded by the iterator remain valid after the loop advances
-// (this path does not pool record storage).
+// A yielded record is valid until the loop advances; copy to keep (the
+// ownership rule on StreamRecords).
 func Records(ctx context.Context, vp workload.VPConfig, seed int64, fc Config) iter.Seq2[*traces.FlowRecord, error] {
 	return func(yield func(*traces.FlowRecord, error) bool) {
 		_, err := StreamRecords(ctx, vp, seed, fc, func(r *traces.FlowRecord) bool {

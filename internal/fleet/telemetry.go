@@ -12,7 +12,11 @@ import (
 // — one histogram observation and a handful of atomic adds per completed
 // shard — so the per-record hot path carries no instrumentation beyond
 // the plain-int counters that already ride inside RecordPool and the
-// streaming producers.
+// streaming producers. The stream metrics count slabs, the ordered path's
+// unit of hand-off: fleet.stream_depth is the slabs in flight, queued
+// behind the one the consumer just took, fleet.stream_stalls the slab sends
+// that found the queue full and waited. fleet.pool_hits/misses cover every
+// pooled path (Aggregate, RunShard, StreamRecords), once per shard.
 var (
 	mShardSeconds = telemetry.NewHist("fleet.shard_seconds")
 	mRecords      = telemetry.NewCounter("fleet.records")

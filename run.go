@@ -638,6 +638,9 @@ func Summarize(ctx context.Context, cfg VPConfig, seed int64, fc FleetConfig) (*
 //		if err != nil { return err }
 //		// consume r
 //	}
+//
+// Record storage is pooled: r is valid until the loop advances. Copy to
+// keep — the struct by value, NotifyNamespaces with slices.Clone.
 func Records(ctx context.Context, cfg VPConfig, seed int64, fc FleetConfig) iter.Seq2[*FlowRecord, error] {
 	return fleet.Records(ctx, cfg, seed, fc)
 }
@@ -647,7 +650,8 @@ func Records(ctx context.Context, cfg VPConfig, seed int64, fc FleetConfig) iter
 // shard order until it returns false (a clean stop) or ctx is cancelled
 // (surfaced as ctx.Err()). The stats describe generation: after an early
 // stop they include in-flight shards whose output was discarded, so
-// count deliveries in emit when the distinction matters.
+// count deliveries in emit when the distinction matters. As with Records,
+// a record is valid until emit returns; copy to keep.
 func StreamRecords(ctx context.Context, cfg VPConfig, seed int64, fc FleetConfig, emit func(*FlowRecord) bool) (FleetStats, error) {
 	return fleet.StreamRecords(ctx, cfg, seed, fc, emit)
 }
