@@ -51,23 +51,30 @@ func crashAfterShard() func(shard int) {
 }
 
 // runCheckpointed is the -checkpoint path of the main dropsim command: a
-// single-process campaign run with per-shard checkpoint/resume, fanned
-// out over -jobs shard-range jobs.
-func runCheckpointed(ctx context.Context, spec campaign.Spec, dir, out string, jobs int, resume bool, manifest string) {
+// single-process campaign run with per-shard checkpoint/resume, workers
+// shards at a time on the fleet engine's pool.
+func runCheckpointed(ctx context.Context, spec campaign.Spec, dir, out string, workers int, resume bool, manifest string) {
+	rec := newCampaignRecorder(spec, dir)
 	res, err := campaign.Run(ctx, campaign.Config{
 		Spec:       spec,
 		Dir:        dir,
 		Out:        out,
-		Jobs:       jobs,
+		Jobs:       workers,
 		Resume:     resume,
 		AfterShard: crashAfterShard(),
-		Observer:   campaignProgress(),
+		Observer: func(ev campaign.Event) {
+			campaignProgress(ev)
+			if ev.Stage == "shard" {
+				rec.observe(insidedropbox.ShardEvent{VP: spec.VP, Shard: ev.Shard, Shards: ev.Total,
+					Records: ev.Records, Elapsed: ev.Elapsed})
+			}
+		},
 	})
 	if err != nil {
 		cli.Exit(ctx, "campaign", err)
 	}
 	if manifest != "" {
-		if err := saveCampaignManifest(manifest, spec, dir, res); err != nil {
+		if err := rec.saveCampaign(manifest, res); err != nil {
 			cli.Exit(ctx, "writing manifest", err)
 		}
 	}
@@ -76,40 +83,34 @@ func runCheckpointed(ctx context.Context, spec campaign.Spec, dir, out string, j
 }
 
 // campaignProgress prints one stderr line per completed shard or merge.
-func campaignProgress() func(campaign.Event) {
-	return func(ev campaign.Event) {
-		switch ev.Stage {
-		case "resume":
-			fmt.Fprintf(os.Stderr, "  shard %d/%d resumed from checkpoint\n", ev.Done, ev.Total)
-		case "shard":
-			fmt.Fprintf(os.Stderr, "  shard %d done (%d/%d, %s records)\n",
-				ev.Shard, ev.Done, ev.Total, cli.Count(int64(ev.Records)))
-		case "merge":
-			fmt.Fprintf(os.Stderr, "  merged %d shards\n", ev.Total)
-		}
+func campaignProgress(ev campaign.Event) {
+	switch ev.Stage {
+	case "resume":
+		fmt.Fprintf(os.Stderr, "  shard %d/%d resumed from checkpoint\n", ev.Done, ev.Total)
+	case "shard":
+		fmt.Fprintf(os.Stderr, "  shard %d done (%d/%d, %s records)\n",
+			ev.Shard, ev.Done, ev.Total, cli.Count(int64(ev.Records)))
+	case "merge":
+		fmt.Fprintf(os.Stderr, "  merged %d shards\n", ev.Total)
 	}
 }
 
-// saveCampaignManifest writes the run manifest for a checkpointed
-// campaign: spec provenance, the export stream hash, and — on resumed
-// runs — the checkpoint resume record.
-func saveCampaignManifest(path string, spec campaign.Spec, dir string, res *campaign.Result) error {
-	m := telemetry.NewManifest(spec.Seed)
-	m.Spec = map[string]string{
-		"vp":            spec.VP,
-		"scale":         strconv.FormatFloat(spec.Scale, 'g', -1, 64),
-		"shards":        strconv.Itoa(spec.Shards),
-		"devices_scale": strconv.FormatFloat(spec.DevicesScale, 'g', -1, 64),
-		"format":        spec.Format,
-		"profile":       spec.Profile,
-		"campaign_dir":  dir,
-	}
-	m.StreamHash = res.StreamHash
-	telemetry.SetInfo("stream_hash", res.StreamHash)
+// newCampaignRecorder starts the run manifest of a checkpointed campaign:
+// the same recorder, spec rendering and per-shard timings as the straight
+// export's, plus the campaign directory.
+func newCampaignRecorder(spec campaign.Spec, dir string) *manifestRecorder {
+	m := manifestSpec(spec.VP, spec.Scale, spec.Shards, spec.DevicesScale, spec.Format, spec.Profile)
+	m["campaign_dir"] = dir
+	return newManifestRecorder(spec.Seed, m)
+}
+
+// saveCampaign writes the manifest with the export's stream hash and — on
+// resumed runs — the checkpoint resume record.
+func (r *manifestRecorder) saveCampaign(path string, res *campaign.Result) error {
 	if res.ResumedShards > 0 {
-		m.Resume = &telemetry.ResumeInfo{Checkpoint: dir, ResumedShards: res.ResumedShards}
+		r.m.Resume = &telemetry.ResumeInfo{Checkpoint: r.m.Spec["campaign_dir"], ResumedShards: res.ResumedShards}
 	}
-	return m.Save(path)
+	return r.save(path, res.StreamHash)
 }
 
 // campaignMain dispatches the `dropsim campaign plan|run|merge`
@@ -187,7 +188,7 @@ func campaignRun(ctx context.Context, args []string) {
 	}
 	res, err := campaign.RunJob(ctx, *dir, *job, campaign.JobOptions{
 		Resume:     *resume,
-		Observer:   campaignProgress(),
+		Observer:   campaignProgress,
 		AfterShard: crashAfterShard(),
 	})
 	if err != nil {
@@ -217,7 +218,7 @@ func campaignMerge(ctx context.Context, args []string) {
 		cli.Exit(ctx, "campaign merge", err)
 	}
 	if *manifest != "" {
-		if err := saveCampaignManifest(*manifest, plan.Spec, *dir, res); err != nil {
+		if err := newCampaignRecorder(plan.Spec, *dir).saveCampaign(*manifest, res); err != nil {
 			cli.Exit(ctx, "writing manifest", err)
 		}
 	}

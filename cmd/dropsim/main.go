@@ -11,12 +11,17 @@
 // Usage:
 //
 //	dropsim [-vp campus1|campus2|home1|home2] [-scale F] [-seed N]
-//	        [-shards N] [-workers N] [-devices-scale F]
+//	        [-shards N] [-workers N | -jobs N] [-devices-scale F]
 //	        [-profile NAME] [-format csv|binary|binary-flate]
 //	        [-serialize-workers N] [-summary] [-o FILE]
+//	        [-checkpoint DIR [-resume]]
 //	        [-backend infinite|provisioned|scarce] [-scenario FILE]
 //	        [-manifest FILE] [-pprof ADDR] [-cpuprofile FILE]
 //	        [-memprofile FILE] [-telemetry-interval DUR]
+//
+// -workers bounds how many shards generate at once on the fleet engine's
+// worker pool, for the straight export and the -checkpoint campaign alike;
+// -jobs is its alias (as in cmd/experiments), read when -workers is unset.
 //
 // -scenario compiles a declarative scenario spec (see scenarios/) and
 // takes its population from there: the spec's base section overrides
@@ -72,7 +77,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"io"
 	"os"
@@ -114,9 +118,12 @@ func main() {
 	manifest := flag.String("manifest", "", "write a run manifest (stream hash, shard timings, telemetry snapshot) to this file")
 	checkpoint := flag.String("checkpoint", "", "campaign directory for per-shard checkpoint/resume (enables the multi-core campaign runner)")
 	resume := flag.Bool("resume", false, "continue a checkpointed campaign from where it stopped (requires -checkpoint)")
-	jobs := flag.Int("jobs", 0, "concurrent shard-range jobs for -checkpoint runs (0 = GOMAXPROCS; never changes output bytes)")
+	jobs := flag.Int("jobs", 0, "alias for -workers: concurrent shard workers (0 = GOMAXPROCS; never changes results)")
 	prof := cli.BindProfile(flag.CommandLine)
 	flag.Parse()
+	if *workers == 0 {
+		*workers = *jobs
+	}
 
 	// The checkpointed campaign path owns serialization (parts + merge),
 	// so the stream-tee features cannot combine with it.
@@ -211,7 +218,7 @@ func main() {
 		ctx, stop := cli.SignalContext()
 		defer stop()
 		spec := campaignSpec(*vp, *scale, *seed, *shards, *devScale, *profile, *format)
-		runCheckpointed(ctx, spec, *checkpoint, *out, *jobs, *resume, *manifest)
+		runCheckpointed(ctx, spec, *checkpoint, *out, *workers, *resume, *manifest)
 		return
 	}
 
@@ -226,27 +233,21 @@ func main() {
 		w = f
 	}
 
-	// The manifest recorder hashes the exact serialized bytes (tee'd off
-	// the output stream) and logs per-shard timings via the fleet
-	// observer — both observation-only, so -manifest never changes the
-	// exported stream.
+	// The manifest records the hash of the exact serialized bytes (tee'd
+	// off the output stream) and per-shard timings via the fleet observer
+	// — both observation-only, so -manifest never changes the exported
+	// stream.
 	var rec *manifestRecorder
+	streamHash := fnv.New64a()
 	if *manifest != "" {
-		spec := map[string]string{
-			"vp":            cfg.Name,
-			"scale":         strconv.FormatFloat(*scale, 'g', -1, 64),
-			"shards":        strconv.Itoa(fc.Shards),
-			"workers":       strconv.Itoa(*workers),
-			"devices_scale": strconv.FormatFloat(fc.DevicesScale, 'g', -1, 64),
-			"format":        *format,
-			"profile":       *profile,
-			"backend":       *backendPreset,
-		}
+		spec := manifestSpec(cfg.Name, *scale, fc.Shards, fc.DevicesScale, *format, *profile)
+		spec["workers"] = strconv.Itoa(*workers)
+		spec["backend"] = *backendPreset
 		if comp != nil {
 			spec["scenario"] = comp.Spec.Name
 		}
 		rec = newManifestRecorder(runSeed, spec)
-		w = io.MultiWriter(w, rec.hash)
+		w = io.MultiWriter(w, streamHash)
 		fc.Observer = rec.observe
 	}
 
@@ -280,7 +281,7 @@ func main() {
 	if rec != nil {
 		// Saved after the backend replay, so the telemetry snapshot in the
 		// manifest carries the backend.* counters and gauges.
-		if err := rec.save(*manifest); err != nil {
+		if err := rec.save(*manifest, fmt.Sprintf("%016x", streamHash.Sum64())); err != nil {
 			cli.Exit(ctx, "writing manifest", err)
 		}
 	}
@@ -291,20 +292,32 @@ func main() {
 		stats.Cfg.Name, stats.Records, stats.Devices, volume/1e9)
 }
 
-// manifestRecorder accumulates the -manifest inputs: the FNV-1a hash of
-// the serialized stream and the per-shard generation timings (fleet
-// workers call observe concurrently).
-type manifestRecorder struct {
-	hash hash.Hash64
-	m    *insidedropbox.RunManifest
+// manifestSpec renders the population flags every dropsim manifest
+// records, whichever path ran; callers add what only they know.
+func manifestSpec(vp string, scale float64, shards int, devScale float64, format, profile string) map[string]string {
+	return map[string]string{
+		"vp":            vp,
+		"scale":         strconv.FormatFloat(scale, 'g', -1, 64),
+		"shards":        strconv.Itoa(shards),
+		"devices_scale": strconv.FormatFloat(devScale, 'g', -1, 64),
+		"format":        format,
+		"profile":       profile,
+	}
+}
 
+// manifestRecorder accumulates the run manifest: the spec, and the
+// per-shard timings the engine's workers report through observe,
+// concurrently. The stream hash arrives at save — the straight export tees
+// its bytes into one, a campaign reports its own.
+type manifestRecorder struct {
+	m  *insidedropbox.RunManifest
 	mu sync.Mutex
 }
 
 func newManifestRecorder(seed int64, spec map[string]string) *manifestRecorder {
 	m := telemetry.NewManifest(seed)
 	m.Spec = spec
-	return &manifestRecorder{hash: fnv.New64a(), m: m}
+	return &manifestRecorder{m: m}
 }
 
 func (r *manifestRecorder) observe(ev insidedropbox.ShardEvent) {
@@ -319,11 +332,11 @@ func (r *manifestRecorder) observe(ev insidedropbox.ShardEvent) {
 	})
 }
 
-func (r *manifestRecorder) save(path string) error {
+func (r *manifestRecorder) save(path, streamHash string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.m.StreamHash = fmt.Sprintf("%016x", r.hash.Sum64())
-	telemetry.SetInfo("stream_hash", r.m.StreamHash)
+	r.m.StreamHash = streamHash
+	telemetry.SetInfo("stream_hash", streamHash)
 	return r.m.Save(path)
 }
 

@@ -1,8 +1,10 @@
 // Package campaign is the process-level runner for continental-scale
-// trace campaigns: it splits one vantage-point campaign into independent
-// shard-range jobs, executes them across all cores (or across separate
-// processes via the plan/run/merge flow), and checkpoints per-shard
-// progress so an interrupted run resumes exactly where it stopped.
+// trace campaigns: the durable tier over the fleet engine. Scheduling,
+// cancellation and shard telemetry are the engine's (fleet.ForEachShard on
+// its one worker pool, or separate processes via the plan/run/merge flow);
+// this package adds what durability costs — a part file, an aggregator
+// state and a checkpoint entry per shard, so an interrupted run resumes
+// exactly where it stopped.
 //
 // The layout on disk is one campaign directory holding:
 //
@@ -24,13 +26,13 @@
 //
 // Determinism contract (EXPERIMENTS.md point 16): each shard's stream is
 // a pure function of (seed, shard, nshards) and parts are concatenated
-// in canonical shard order at merge time, so the job count, the process
-// count, GOMAXPROCS, and any kill/resume history never change a byte of
-// the final export — only wall-clock time. Summary aggregators are
-// restored per shard and folded left in shard-index order, matching
-// fleet.Aggregate exactly, so even floating-point aggregates are
-// bit-identical. The crash-injection suite pins all of this against the
-// legacy golden stream hashes.
+// in canonical shard order at merge time, so the job count, the order the
+// pool ran the shards in, the process count, GOMAXPROCS, and any
+// kill/resume history never change a byte of the final export — only
+// wall-clock time. Summary aggregators are restored per shard and folded
+// left in shard-index order, matching fleet.Aggregate exactly, so even
+// floating-point aggregates are bit-identical. The crash-injection suite
+// pins all of this against the legacy golden stream hashes.
 package campaign
 
 import (
@@ -174,9 +176,10 @@ func Fingerprint(canonical string) string {
 
 // Event reports campaign progress to a Config.Observer. Stages: "resume"
 // (a shard skipped because the checkpoint already records it), "shard"
-// (a shard generated and checkpointed), "retry" (a failed attempt about
-// to be retried, with Err and Attempt set), "merge" (the final export
-// committed). Events fire concurrently from job goroutines; observers
+// (a shard generated and checkpointed, with Elapsed its wall time on the
+// worker, retries included), "retry" (a failed attempt about to be
+// retried, with Err and Attempt set), "merge" (the final export
+// committed). Events fire concurrently from the pool's workers; observers
 // must be safe for concurrent use. Observation only — an observer never
 // changes campaign output.
 type Event struct {
@@ -184,6 +187,7 @@ type Event struct {
 	Shard       int
 	Attempt     int
 	Records     int
+	Elapsed     time.Duration
 	Done, Total int
 	Err         error
 }
@@ -195,8 +199,9 @@ type Config struct {
 	Dir string
 	// Out is the final export path; empty means Dir/export.<ext>.
 	Out string
-	// Jobs bounds how many shard-range jobs generate concurrently in
-	// this process; 0 means GOMAXPROCS. Jobs never changes results.
+	// Jobs bounds how many shards generate concurrently in this process
+	// (the fleet pool's Workers); 0 means GOMAXPROCS. Jobs never changes
+	// results.
 	Jobs int
 	// Resume permits continuing from existing checkpoints. Without it,
 	// a directory that already holds checkpointed progress is an error —
@@ -212,7 +217,7 @@ type Config struct {
 	Observer func(Event)
 	// AfterShard, when non-nil, runs after a shard's checkpoint entry is
 	// durably committed — the hook process-kill harnesses attach to. It
-	// runs on job goroutines; observation only.
+	// runs on the pool's workers; observation only.
 	AfterShard func(shard int)
 
 	// crashAt injects a hard stop at a named stage for the
@@ -262,7 +267,7 @@ type Result struct {
 }
 
 // Run executes a campaign start to finish in this process: generate (or
-// resume) every shard across Jobs concurrent shard-range jobs, then merge
+// resume) every shard, Jobs at a time, then merge
 // the parts in canonical shard order into the final export. Cancelling
 // ctx stops at shard granularity with all completed progress checkpointed
 // — rerunning with Resume picks up exactly where it stopped, and the
@@ -374,8 +379,11 @@ func (r *runner) crash(stage string, shard int) {
 	}
 }
 
-// generate runs every not-yet-done shard in [lo, hi) across jobs
-// concurrent shard-range workers.
+// generate runs every not-yet-done shard in [lo, hi) on the fleet
+// engine's worker pool, jobs shards at a time: the pool schedules, cancels
+// and reports (shard timings, worker occupancy, the "shard" Event) exactly
+// as for the engine's own paths; what a shard's task does — generate,
+// write, fsync, checkpoint, retry — is the runner's.
 func (r *runner) generate(ctx context.Context, lo, hi, jobs int) error {
 	var pending []int
 	for sh := lo; sh < hi; sh++ {
@@ -392,48 +400,12 @@ func (r *runner) generate(ctx context.Context, lo, hi, jobs int) error {
 	if len(pending) == 0 {
 		return ctx.Err()
 	}
-
-	var (
-		failMu  sync.Mutex
-		failErr error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-		}
-		failMu.Unlock()
-	}
-	failed := func() bool {
-		failMu.Lock()
-		defer failMu.Unlock()
-		return failErr != nil
-	}
-
-	var wg sync.WaitGroup
-	for _, jb := range fleet.SplitJobs(len(pending), jobs) {
-		wg.Add(1)
-		go func(jb fleet.ShardJob) {
-			defer wg.Done()
-			for i := jb.Lo; i < jb.Hi; i++ {
-				if ctx.Err() != nil || failed() {
-					return
-				}
-				if err := r.runShardWithRetry(ctx, pending[i]); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(jb)
-	}
-	wg.Wait()
-	failMu.Lock()
-	err := failErr
-	failMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
+	fc := fleet.Config{Shards: r.spec.Shards, Workers: jobs, Observer: func(ev fleet.ShardEvent) {
+		r.observe(Event{Stage: "shard", Shard: ev.Shard, Records: ev.Records, Elapsed: ev.Elapsed, Done: r.doneCount()})
+	}}
+	return fleet.ForEachShard(ctx, fc, r.vp.Name, pending, func(sh int) (workload.ShardStats, error) {
+		return r.runShardWithRetry(ctx, sh)
+	})
 }
 
 func (r *runner) doneEntry(sh int) (ShardDone, bool) {
@@ -452,25 +424,25 @@ func (r *runner) doneCount() int {
 // runShardWithRetry is the bounded-retry wrapper around one shard's
 // generation: transient failures (sink IO, injected faults) back off and
 // retry up to Config.Retries times; a cancelled ctx never retries.
-func (r *runner) runShardWithRetry(ctx context.Context, sh int) error {
+func (r *runner) runShardWithRetry(ctx context.Context, sh int) (workload.ShardStats, error) {
 	retries := r.cfg.retries()
 	for attempt := 0; ; attempt++ {
-		err := r.runShardOnce(sh, attempt)
+		st, err := r.runShardOnce(sh, attempt)
 		if err == nil {
-			return nil
+			return st, nil
 		}
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return st, ctx.Err()
 		}
 		if attempt >= retries {
-			return fmt.Errorf("campaign: shard %d failed after %d attempts: %w", sh, attempt+1, err)
+			return st, fmt.Errorf("campaign: shard %d failed after %d attempts: %w", sh, attempt+1, err)
 		}
 		mShardRetries.Inc()
 		r.observe(Event{Stage: "retry", Shard: sh, Attempt: attempt + 1, Err: err})
 		select {
 		case <-time.After(r.cfg.backoff() << attempt):
 		case <-ctx.Done():
-			return ctx.Err()
+			return st, ctx.Err()
 		}
 	}
 }
@@ -479,17 +451,16 @@ func (r *runner) runShardWithRetry(ctx context.Context, sh int) error {
 // commits a checkpoint entry. Every artifact lands atomically (tmp +
 // fsync + rename), so a crash at any point leaves either the previous
 // state or the complete new one — never a torn file.
-func (r *runner) runShardOnce(sh, attempt int) (err error) {
+func (r *runner) runShardOnce(sh, attempt int) (st workload.ShardStats, err error) {
 	if r.cfg.failShard != nil {
 		if ferr := r.cfg.failShard(sh, attempt); ferr != nil {
-			return ferr
+			return st, ferr
 		}
 	}
 
 	part := partPath(r.dir, sh)
 	partHash := fnv.New64a()
 	var partBytes int64
-	var st workload.ShardStats
 	sum := fleet.NewSummary(r.vp.Days)
 	err = writeFileAtomicFunc(part, func(f *os.File) error {
 		cw := &countWriter{w: io.MultiWriter(f, partHash), n: &partBytes}
@@ -502,13 +473,13 @@ func (r *runner) runShardOnce(sh, attempt int) (err error) {
 		return bw.Flush()
 	})
 	if err != nil {
-		return fmt.Errorf("campaign: shard %d part: %w", sh, err)
+		return st, fmt.Errorf("campaign: shard %d part: %w", sh, err)
 	}
 	r.crash("part", sh)
 
 	stateBytes, stateHash, err := writeShardState(statePath(r.dir, sh), st, sum)
 	if err != nil {
-		return fmt.Errorf("campaign: shard %d state: %w", sh, err)
+		return st, fmt.Errorf("campaign: shard %d state: %w", sh, err)
 	}
 	r.crash("state", sh)
 
@@ -521,14 +492,13 @@ func (r *runner) runShardOnce(sh, attempt int) (err error) {
 		StateHash:  stateHash,
 	}
 	if err := r.commit(sh, entry); err != nil {
-		return err
+		return st, err
 	}
 	r.crash("checkpoint", sh)
 	if r.cfg.AfterShard != nil {
 		r.cfg.AfterShard(sh)
 	}
-	r.observe(Event{Stage: "shard", Shard: sh, Records: st.Records, Done: r.doneCount()})
-	return nil
+	return st, nil
 }
 
 // commit records a completed shard in the runner's checkpoint file.

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/telemetry"
 	"insidedropbox/internal/workload"
 )
 
@@ -225,5 +227,67 @@ func TestFingerprintSensitivity(t *testing.T) {
 	norm.Format = "csv"
 	if norm.Fingerprint() != fp {
 		t.Fatal("normalization-equivalent specs must share a fingerprint")
+	}
+}
+
+// TestCampaignRunsUnderFleetTelemetry: campaign shards run on the fleet
+// engine's pool, so each reports one timed "shard" Event and moves the
+// engine's counters by exactly one shard's worth — the durable tier of
+// fleet's executor contract test.
+func TestCampaignRunsUnderFleetTelemetry(t *testing.T) {
+	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}
+	var mu sync.Mutex
+	shardEvents := map[int]Event{}
+	before := telemetry.Snapshot()
+	res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 2, Observer: func(ev Event) {
+		if ev.Stage == "shard" {
+			mu.Lock()
+			shardEvents[ev.Shard] = ev
+			mu.Unlock()
+		}
+	}})
+	after := telemetry.Snapshot()
+
+	records := 0
+	for sh := 0; sh < spec.Shards; sh++ {
+		ev, ok := shardEvents[sh]
+		if !ok || ev.Elapsed <= 0 || ev.Total != spec.Shards || ev.Done < 1 || ev.Done > spec.Shards {
+			t.Fatalf("shard %d: event %+v (reported: %v)", sh, ev, ok)
+		}
+		records += ev.Records
+	}
+	if records != res.Records {
+		t.Fatalf("shard events carry %d records, export %d", records, res.Records)
+	}
+	if got := after.Counters["fleet.records"] - before.Counters["fleet.records"]; got != uint64(res.Records) {
+		t.Fatalf("fleet.records rose by %d over a campaign of %d records", got, res.Records)
+	}
+	if got := after.Counters["fleet.shards_done"] - before.Counters["fleet.shards_done"]; got != uint64(spec.Shards) {
+		t.Fatalf("fleet.shards_done rose by %d over %d shards", got, spec.Shards)
+	}
+	if got := after.Timings["fleet.shard_seconds"].Count - before.Timings["fleet.shard_seconds"].Count; got != uint64(spec.Shards) {
+		t.Fatalf("fleet.shard_seconds took %d observations over %d shards", got, spec.Shards)
+	}
+}
+
+// TestJobRunnerKeepsConfig: a planned job started without Resume next to a
+// sibling's checkpoints reloads in resume mode, and that reload must carry
+// the whole Config over, not a hand-picked subset of its fields.
+func TestJobRunnerKeepsConfig(t *testing.T) {
+	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}
+	dir := t.TempDir()
+	plan, err := WritePlan(dir, spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunJob(context.Background(), dir, 1, JobOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := newJobRunner(Config{Spec: plan.Spec, Dir: dir, Out: "elsewhere.csv", Jobs: 3}, 0, plan.Jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.cfg.Out != "elsewhere.csv" || r.cfg.Jobs != 3 {
+		t.Fatalf("job runner config lost fields on the resume-mode reload: %+v", r.cfg)
 	}
 }

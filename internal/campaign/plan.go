@@ -159,12 +159,8 @@ func newJobRunner(cfg Config, job int, jb fleet.ShardJob) (*runner, error) {
 	// directory. For a planned job that gate is too wide: sibling jobs
 	// legitimately checkpoint into the same directory. Retry the load in
 	// resume mode and apply the gate to this job's own range only.
-	r, err2 := newRunner(Config{
-		Spec: cfg.Spec, Dir: cfg.Dir, Resume: true,
-		Retries: cfg.Retries, RetryBackoff: cfg.RetryBackoff,
-		Observer: cfg.Observer, AfterShard: cfg.AfterShard,
-		crashAt: cfg.crashAt, failShard: cfg.failShard,
-	}, jobCheckpointName(job))
+	cfg.Resume = true
+	r, err2 := newRunner(cfg, jobCheckpointName(job))
 	if err2 != nil {
 		return nil, err2
 	}

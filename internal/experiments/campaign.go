@@ -116,6 +116,27 @@ func vpConfigs(sc ScaleConfig) []workload.VPConfig {
 	}
 }
 
+// concurrently runs fn(0) … fn(n-1) on n goroutines, waits for all of them,
+// and returns the error of the lowest index that failed.
+func concurrently(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // NewCampaign materializes a campaign through the fleet engine: each
 // vantage point's population is split into fc.Shards deterministic shards
 // generated on fc.Workers workers, and the four vantage points run
@@ -128,20 +149,12 @@ func vpConfigs(sc ScaleConfig) []workload.VPConfig {
 func NewCampaign(ctx context.Context, seed int64, sc ScaleConfig, fc fleet.Config) (*Campaign, error) {
 	cfgs := vpConfigs(sc)
 	datasets := make([]*workload.Dataset, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
-		wg.Add(1)
-		go func(i int, cfg workload.VPConfig) {
-			defer wg.Done()
-			datasets[i], errs[i] = fleet.Dataset(ctx, cfg, seed+int64(i)+1, fc)
-		}(i, cfg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := concurrently(len(cfgs), func(i int) (err error) {
+		datasets[i], err = fleet.Dataset(ctx, cfgs[i], seed+int64(i)+1, fc)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Campaign{Seed: seed, Datasets: datasets}, nil
 }

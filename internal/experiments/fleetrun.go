@@ -3,11 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/fleet"
-	"insidedropbox/internal/workload"
 )
 
 // FleetVP is one vantage point's streaming outcome: merged aggregates plus
@@ -48,23 +46,13 @@ func (r *FleetReport) ByName(name string) *FleetVP {
 func RunFleet(ctx context.Context, seed int64, sc ScaleConfig, fc fleet.Config) (*FleetReport, error) {
 	cfgs := vpConfigs(sc)
 	report := &FleetReport{Seed: seed, Config: fc, VPs: make([]*FleetVP, len(cfgs))}
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
-		wg.Add(1)
-		go func(i int, cfg workload.VPConfig) {
-			defer wg.Done()
-			var sum *fleet.Summary
-			var stats fleet.VPStats
-			sum, stats, errs[i] = fleet.Summarize(ctx, cfg, seed+int64(i)+1, fc)
-			report.VPs[i] = &FleetVP{Stats: stats, Summary: sum}
-		}(i, cfg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := concurrently(len(cfgs), func(i int) error {
+		sum, stats, err := fleet.Summarize(ctx, cfgs[i], seed+int64(i)+1, fc)
+		report.VPs[i] = &FleetVP{Stats: stats, Summary: sum}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return report, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"insidedropbox/internal/analysis"
@@ -102,25 +101,16 @@ func Table4Context(ctx context.Context, seed int64, scale float64) (*Result, err
 	// Both campaigns route through the fleet engine with one shard, so the
 	// records match the historical sequential generator while the two
 	// populations generate concurrently.
-	var before, after *workload.Dataset
-	var errB, errA error
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		before, errB = fleet.Dataset(ctx, workload.Campus1(scale), seed+10, fleet.Config{Shards: 1})
-	}()
-	go func() {
-		defer wg.Done()
-		after, errA = fleet.Dataset(ctx, workload.Campus1JunJul(scale), seed+11, fleet.Config{Shards: 1})
-	}()
-	wg.Wait()
-	if errB != nil {
-		return nil, errB
+	cfgs := []workload.VPConfig{workload.Campus1(scale), workload.Campus1JunJul(scale)}
+	datasets := make([]*workload.Dataset, len(cfgs))
+	err := concurrently(len(cfgs), func(i int) (err error) {
+		datasets[i], err = fleet.Dataset(ctx, cfgs[i], seed+10+int64(i), fleet.Config{Shards: 1})
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if errA != nil {
-		return nil, errA
-	}
+	before, after := datasets[0], datasets[1]
 
 	type stats struct {
 		medSize, avgSize, medTp, avgTp map[classify.Direction]float64

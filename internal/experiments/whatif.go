@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/capability"
@@ -128,28 +127,18 @@ func (cfg WhatIfConfig) Run(ctx context.Context) (*WhatIfReport, error) {
 		fc.Workers = max(1, runtime.GOMAXPROCS(0)/len(cfg.Profiles))
 	}
 	report := &WhatIfReport{Config: cfg, Runs: make([]*WhatIfRun, len(cfg.Profiles))}
-	errs := make([]error, len(cfg.Profiles))
-	var wg sync.WaitGroup
-	for i := range cfg.Profiles {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			prof := cfg.Profiles[i]
-			vp := cfg.VP
-			vp.Caps = &prof
-			days := vp.Days
-			var agg fleet.Aggregator
-			var stats fleet.VPStats
-			agg, stats, errs[i] = fleet.Aggregate(ctx, vp, cfg.Seed, fc,
-				func(int) fleet.Aggregator { return NewWhatIfAgg(days) })
-			report.Runs[i] = &WhatIfRun{Profile: prof, Stats: stats, Agg: agg.(*WhatIfAgg)}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := concurrently(len(cfg.Profiles), func(i int) error {
+		prof := cfg.Profiles[i]
+		vp := cfg.VP
+		vp.Caps = &prof
+		days := vp.Days
+		agg, stats, err := fleet.Aggregate(ctx, vp, cfg.Seed, fc,
+			func(int) fleet.Aggregator { return NewWhatIfAgg(days) })
+		report.Runs[i] = &WhatIfRun{Profile: prof, Stats: stats, Agg: agg.(*WhatIfAgg)}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return report, nil
 }

@@ -22,14 +22,15 @@ type Aggregator interface {
 
 // Aggregate runs a fleet generation feeding one aggregator per shard and
 // returns the shard-ordered merge. This is the bounded-memory,
-// allocation-free path: each shard draws its records from a per-shard
-// RecordPool and recycles them the moment Consume returns, so aggregators
-// MUST NOT retain a record (or its NotifyNamespaces slice) past Consume —
-// copy what you keep. Record contents and aggregates are bit-identical to
-// the unpooled path (pinned by TestPooledShardMatchesUnpooled).
+// allocation-free path: a record is recycled the moment Consume returns, so
+// aggregators MUST NOT retain one (or its NotifyNamespaces slice) — copy
+// what you keep. Record contents and aggregates are bit-identical to the
+// unpooled generator (pinned by TestPooledShardMatchesUnpooled).
 //
-// Cancelling ctx stops the run at shard granularity (in-flight shards
-// finish, nothing new starts) and returns the partial merge with ctx.Err().
+// newAgg is called once per shard, in shard order, from the calling
+// goroutine before anything runs. Cancelling ctx stops the run at shard
+// granularity (in-flight shards finish, nothing new starts) and returns the
+// partial merge with ctx.Err().
 func Aggregate(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, newAgg func(shard int) Aggregator) (Aggregator, VPStats, error) {
 	fc = fc.normalized()
 	vp = fc.apply(vp)
@@ -38,8 +39,8 @@ func Aggregate(ctx context.Context, vp workload.VPConfig, seed int64, fc Config,
 	for i := range aggs {
 		aggs[i] = newAgg(i)
 	}
-	stats, err := runShards(ctx, fc, vp.Name, func(sh int) workload.ShardStats {
-		return generateInto(vp, seed, sh, fc.Shards, aggs[sh])
+	stats, err := runShards(ctx, fc, vp.Name, fc.allShards(), nil, func(sh int) (workload.ShardStats, error) {
+		return RunShard(vp, seed, sh, fc.Shards, aggs[sh]), nil
 	})
 	root := aggs[0]
 	for _, a := range aggs[1:] {

@@ -67,27 +67,6 @@ func (a *cancelingAgg) Consume(*traces.FlowRecord) {
 
 func (a *cancelingAgg) Merge(Aggregator) {}
 
-// TestRunVPCancelBeforeStart: a context cancelled before the run starts
-// must stop the pool before any shard generates.
-func TestRunVPCancelBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	stats, sinks, err := RunVP(ctx, workload.Home1(0.02), 3, Config{Shards: 4}, func(int) Sink {
-		return &countingSink{}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if stats.Records != 0 {
-		t.Fatalf("pre-cancelled run still generated %d records", stats.Records)
-	}
-	for _, s := range sinks {
-		if s.(*countingSink).n != 0 {
-			t.Fatal("pre-cancelled run streamed records to a sink")
-		}
-	}
-}
-
 // TestDatasetCancel pins the materializing path's error contract.
 func TestDatasetCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

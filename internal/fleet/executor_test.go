@@ -1,0 +1,339 @@
+package fleet
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"insidedropbox/internal/traces"
+	"insidedropbox/internal/workload"
+)
+
+// hashAgg is a per-shard sink that hashes every field of every record it
+// is handed, retaining nothing (so it is safe on every pooled path).
+type hashAgg struct {
+	h hash.Hash64
+	n int
+}
+
+func newHashAgg() *hashAgg { return &hashAgg{h: fnv.New64a()} }
+
+func (a *hashAgg) Consume(r *traces.FlowRecord) {
+	fmt.Fprintf(a.h, "%+v\n", *r)
+	a.n++
+}
+
+func (a *hashAgg) Merge(Aggregator) {}
+
+// delivery is one policy of the executor reduced to a common shape: run
+// (vp, seed, fc) and report what each shard's records hashed to, plus the
+// merged stats. sizes carries the reference per-shard record counts, which
+// the ordered stream needs to find its shard boundaries. The materialising
+// policy sorts across shards, so it reports one hash, of the sorted set.
+type delivery struct {
+	name   string
+	sorted bool
+	run    func(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, sizes []int) ([]uint64, VPStats, error)
+}
+
+var deliveries = []delivery{
+	{name: "fold", run: func(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, _ []int) ([]uint64, VPStats, error) {
+		aggs := make([]*hashAgg, fc.Shards)
+		_, stats, err := Aggregate(ctx, vp, seed, fc, func(sh int) Aggregator {
+			aggs[sh] = newHashAgg()
+			return aggs[sh]
+		})
+		hashes := make([]uint64, len(aggs))
+		for i, a := range aggs {
+			hashes[i] = a.h.Sum64()
+		}
+		return hashes, stats, err
+	}},
+	{name: "materialise", sorted: true, run: func(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, _ []int) ([]uint64, VPStats, error) {
+		ds, err := Dataset(ctx, vp, seed, fc)
+		if err != nil {
+			return nil, VPStats{}, err
+		}
+		a := newHashAgg()
+		for _, r := range ds.Records {
+			a.Consume(r)
+		}
+		return []uint64{a.h.Sum64()}, VPStats{
+			Cfg: ds.Cfg, Shards: fc.Shards, Records: len(ds.Records),
+			Households: ds.DropboxHouseholds, Devices: ds.DropboxDevices,
+			BackgroundByDay: ds.BackgroundByDay, YouTubeByDay: ds.YouTubeByDay,
+		}, nil
+	}},
+	{name: "ordered stream", run: func(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, sizes []int) ([]uint64, VPStats, error) {
+		aggs := make([]*hashAgg, fc.Shards)
+		for i := range aggs {
+			aggs[i] = newHashAgg()
+		}
+		sh := 0
+		stats, err := StreamRecords(ctx, vp, seed, fc, func(r *traces.FlowRecord) bool {
+			for sh < len(sizes)-1 && aggs[sh].n == sizes[sh] {
+				sh++
+			}
+			aggs[sh].Consume(r)
+			return true
+		})
+		hashes := make([]uint64, len(aggs))
+		for i, a := range aggs {
+			hashes[i] = a.h.Sum64()
+		}
+		return hashes, stats, err
+	}},
+	{name: "durable part", run: func(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, _ []int) ([]uint64, VPStats, error) {
+		fc = fc.normalized()
+		hashes := make([]uint64, fc.Shards)
+		shardStats := make([]workload.ShardStats, fc.Shards)
+		err := ForEachShard(ctx, fc, vp.Name, fc.allShards(), func(sh int) (workload.ShardStats, error) {
+			a := newHashAgg()
+			shardStats[sh] = RunShard(vp, seed, sh, fc.Shards, a)
+			hashes[sh] = a.h.Sum64()
+			return shardStats[sh], nil
+		})
+		return hashes, mergeStats(vp, fc, shardStats), err
+	}},
+}
+
+// TestExecutorContract runs one (vp, seed, 6 shards) population through
+// every delivery policy at several worker counts and requires what the
+// determinism contract's points 2 and 16 promise of the one executor under
+// them: the same per-shard record streams and stats whatever the policy or
+// the worker count, one ShardEvent per shard with Done reaching the shard
+// count, and every shard counted exactly once by the engine's telemetry.
+func TestExecutorContract(t *testing.T) {
+	const seed, shards = 7, 6
+	vp := workload.Home1(0.02)
+
+	// The reference: each shard alone through the unpooled generator.
+	var (
+		wantHashes []uint64
+		wantStats  []workload.ShardStats
+		sizes      []int
+		all        []*traces.FlowRecord
+	)
+	for sh := 0; sh < shards; sh++ {
+		a := newHashAgg()
+		st := workload.GenerateShard(vp, seed, sh, shards, func(r *traces.FlowRecord) {
+			a.Consume(r)
+			all = append(all, r)
+		})
+		wantHashes = append(wantHashes, a.h.Sum64())
+		wantStats = append(wantStats, st)
+		sizes = append(sizes, a.n)
+	}
+	want := mergeStats(vp, Config{Shards: shards}, wantStats)
+	workload.SortRecords(all)
+	sortedAgg := newHashAgg()
+	for _, r := range all {
+		sortedAgg.Consume(r)
+	}
+	if want.Records == 0 || len(sizes) != shards {
+		t.Fatalf("reference population is empty: %+v", want)
+	}
+
+	for _, d := range deliveries {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", d.name, workers), func(t *testing.T) {
+				var mu sync.Mutex
+				var events []ShardEvent
+				fc := Config{Shards: shards, Workers: workers, Observer: func(ev ShardEvent) {
+					mu.Lock()
+					events = append(events, ev)
+					mu.Unlock()
+				}}
+				records, done, timed := mRecords.Load(), mShardsDone.Load(), mShardSeconds.Count()
+				hashes, stats, err := d.run(context.Background(), vp, seed, fc, sizes)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				if d.sorted {
+					if len(hashes) != 1 || hashes[0] != sortedAgg.h.Sum64() {
+						t.Fatalf("sorted dataset hash %x, want %x", hashes, sortedAgg.h.Sum64())
+					}
+					// The dataset carries no cohort ground truth.
+					stats.CohortDevices, stats.CohortRecords = want.CohortDevices, want.CohortRecords
+				} else if !reflect.DeepEqual(hashes, wantHashes) {
+					t.Fatalf("per-shard record hashes %x, want %x", hashes, wantHashes)
+				}
+				if !reflect.DeepEqual(stats, want) {
+					t.Fatalf("merged stats\n got %+v\nwant %+v", stats, want)
+				}
+
+				if len(events) != shards {
+					t.Fatalf("%d shard events, want %d", len(events), shards)
+				}
+				seen, maxDone := map[int]bool{}, 0
+				for _, ev := range events {
+					if seen[ev.Shard] || ev.Shards != shards || ev.VP != vp.Name || ev.Records != sizes[ev.Shard] {
+						t.Fatalf("bad or repeated event %+v (shard sizes %v)", ev, sizes)
+					}
+					seen[ev.Shard] = true
+					maxDone = max(maxDone, ev.Done)
+				}
+				if maxDone != shards {
+					t.Fatalf("Done reached %d, want %d", maxDone, shards)
+				}
+
+				if got := mRecords.Load() - records; got != uint64(want.Records) {
+					t.Fatalf("fleet.records rose by %d over a run of %d records", got, want.Records)
+				}
+				if got := mShardsDone.Load() - done; got != shards {
+					t.Fatalf("fleet.shards_done rose by %d over %d shards", got, shards)
+				}
+				if got := mShardSeconds.Count() - timed; got != shards {
+					t.Fatalf("fleet.shard_seconds took %d observations over %d shards", got, shards)
+				}
+				if busy := mWorkersBusy.Load(); busy != 0 {
+					t.Fatalf("fleet.workers_busy = %d after the run", busy)
+				}
+			})
+		}
+	}
+
+	// A bare RunShard call, outside any pool, counts its shard too.
+	records, done := mRecords.Load(), mShardsDone.Load()
+	st := RunShard(vp, seed, 0, shards, newHashAgg())
+	if mRecords.Load()-records != uint64(st.Records) || mShardsDone.Load()-done != 1 {
+		t.Fatalf("bare RunShard of %d records moved fleet.records by %d and fleet.shards_done by %d",
+			st.Records, mRecords.Load()-records, mShardsDone.Load()-done)
+	}
+}
+
+// TestExecutorCancelBeforeStart: under a context cancelled before the run,
+// no delivery policy generates a record, reports a shard or counts one.
+func TestExecutorCancelBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	vp := workload.Home1(0.02)
+	for _, d := range deliveries {
+		t.Run(d.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			var events atomic.Int64
+			fc := Config{Shards: 4, Observer: func(ShardEvent) { events.Add(1) }}
+			records, done := mRecords.Load(), mShardsDone.Load()
+			_, stats, err := d.run(ctx, vp, 3, fc, make([]int, 4))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if stats.Records != 0 || events.Load() != 0 || mRecords.Load() != records || mShardsDone.Load() != done {
+				t.Fatalf("pre-cancelled run still ran: %d records in stats, %d events, counters moved by %d records / %d shards",
+					stats.Records, events.Load(), mRecords.Load()-records, mShardsDone.Load()-done)
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// TestAggregateSinkPerShard: Aggregate builds its sinks up front, in shard
+// order, on the calling goroutine, and each receives its shard's records.
+func TestAggregateSinkPerShard(t *testing.T) {
+	var made []int
+	var sinks []*hashAgg
+	_, stats, err := Aggregate(context.Background(), workload.Campus1(0.1), 1, Config{Shards: 6, Workers: 2}, func(sh int) Aggregator {
+		made = append(made, sh)
+		sinks = append(sinks, newHashAgg())
+		return sinks[sh]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(made, want) {
+		t.Fatalf("sinks built as %v, want %v", made, want)
+	}
+	total := 0
+	for _, s := range sinks {
+		total += s.n
+	}
+	if total == 0 || total != stats.Records {
+		t.Fatalf("sinks saw %d records, stats say %d", total, stats.Records)
+	}
+}
+
+// TestForEachShardTaskError pins the executor's error rule: the first task
+// error stops admission, shards already running finish, that error is what
+// the caller gets, and no worker outlives the call.
+func TestForEachShardTaskError(t *testing.T) {
+	boom := errors.New("shard 3 failed")
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+
+	// One worker: shards run in list order, so nothing after the failing
+	// shard may start, and the failed shard reports no event.
+	t.Run("stops admission", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		var started, events []int
+		fc := Config{Shards: 8, Workers: 1, Observer: func(ev ShardEvent) { events = append(events, ev.Shard) }}
+		err := ForEachShard(context.Background(), fc, "vp", all, func(sh int) (workload.ShardStats, error) {
+			started = append(started, sh)
+			if sh == 3 {
+				return workload.ShardStats{}, boom
+			}
+			return workload.ShardStats{Records: 1}, nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want the task's error", err)
+		}
+		if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(started, want) {
+			t.Fatalf("shards started: %v, want %v", started, want)
+		}
+		if want := []int{0, 1, 2}; !reflect.DeepEqual(events, want) {
+			t.Fatalf("shards reported: %v, want %v", events, want)
+		}
+		waitGoroutines(t, base)
+	})
+
+	// Two workers: shard 0 is still running when shard 1 fails, and must
+	// run to completion before ForEachShard returns.
+	t.Run("in-flight shards finish", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		failed := make(chan struct{})
+		var started, finished atomic.Int64
+		var zeroDone atomic.Bool
+		fc := Config{Shards: 8, Workers: 2}
+		err := ForEachShard(context.Background(), fc, "vp", all, func(sh int) (workload.ShardStats, error) {
+			started.Add(1)
+			defer finished.Add(1)
+			switch sh {
+			case 0:
+				<-failed
+				runtime.Gosched()
+				zeroDone.Store(true)
+			case 1:
+				defer close(failed)
+				return workload.ShardStats{}, boom
+			}
+			return workload.ShardStats{}, nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want the task's error", err)
+		}
+		if !zeroDone.Load() || started.Load() != finished.Load() {
+			t.Fatalf("returned with shard 0 done=%v, %d tasks started and %d finished",
+				zeroDone.Load(), started.Load(), finished.Load())
+		}
+		waitGoroutines(t, base)
+	})
+
+	// A task error outranks a cancel that arrives while shards are running.
+	t.Run("error with cancel", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		err := ForEachShard(ctx, Config{Shards: 8, Workers: 1}, "vp", all, func(sh int) (workload.ShardStats, error) {
+			cancel()
+			return workload.ShardStats{}, boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want the task's error", err)
+		}
+	})
+}

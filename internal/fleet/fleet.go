@@ -5,9 +5,14 @@
 // population and materializes every flow record in a single slice, which
 // caps campaigns at what fits in memory on one core. Fleet instead
 // partitions a population deterministically into shards (workload.ShardRange)
-// with per-shard seeds (workload.ShardSeed), runs the shards concurrently on
-// a bounded worker pool, and streams the generated records into per-shard
-// sinks that are merged in shard-index order once all workers finish.
+// with per-shard seeds (workload.ShardSeed) and walks them with one
+// executor — one bounded worker pool (runShards), one pooled generate loop
+// (generatePooled) — under four delivery policies: unordered fold
+// (Aggregate, Summarize: a sink per shard, merged in shard-index order),
+// materialise (Dataset: every shard keeps its records), ordered stream
+// (StreamRecords, Records: one consumer, shard order, bounded window) and
+// durable part (ForEachShard with RunShard in the caller's per-shard task,
+// which is how internal/campaign writes and checkpoints part files).
 //
 // The determinism contract:
 //
@@ -18,27 +23,20 @@
 //   - a 1-shard run reproduces the legacy sequential workload.Generate
 //     output exactly.
 //
-// On the streaming path (Aggregate, StreamRecords) memory stays bounded
-// regardless of population size: records are consumed as they are
-// generated and never accumulated.
-//
-// Both streaming paths are pooled: each shard draws its FlowRecords from a
-// per-shard RecordPool. Aggregate and RunShard recycle a record the moment
-// the sink's Consume returns; StreamRecords (and the Records iterator, and
-// through them every export) hands records to the consumer in slabs of 256
-// and recycles a slab's records once the consumer has drained it. Pooling
-// is invisible in the results — pooled and unpooled generation emit
-// bit-identical records — but it imposes one ownership rule on every
-// consumer: a record (and its NotifyNamespaces slice) is valid until
-// Consume or emit returns, or the range loop advances; copy what you keep.
-// The rules are spelled out on RecordPool, and PERFORMANCE.md tracks what
-// this buys (2.2x records/sec and 12.5x fewer allocs/record on the 8-shard
-// aggregation scenario, 1.6x and 3.5x fewer on the two-core binary export).
+// Every path draws its FlowRecords from a per-shard RecordPool, which
+// imposes one ownership rule on every consumer: a record (and its
+// NotifyNamespaces slice) is valid until Consume or emit returns, or the
+// range loop advances; copy what you keep (see RecordPool). Only Dataset,
+// which keeps every record, recycles none; everywhere else memory stays
+// bounded regardless of population size. PERFORMANCE.md tracks what
+// pooling buys (2.2x records/sec and 12.5x fewer allocs/record on the
+// 8-shard aggregation scenario, 1.6x and 3.5x fewer on the two-core export).
 package fleet
 
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 
 	"insidedropbox/internal/traces"
@@ -104,33 +102,21 @@ func (c Config) apply(vp workload.VPConfig) workload.VPConfig {
 
 // Sink consumes one shard's record stream. The engine builds one sink per
 // shard and never shares one across goroutines, so implementations need no
-// locking.
-//
-// Ownership: on the RunVP path records belong to the sink once Consume is
-// called (RecordBuffer keeps them). On the pooled Aggregate path records
-// are recycled the moment Consume returns — see RecordPool for the rules.
+// locking. A record is recycled the moment Consume returns — see RecordPool.
 type Sink interface {
 	Consume(*traces.FlowRecord)
 }
 
 // RecordPool recycles FlowRecord storage within one generating shard. It
 // is not safe for concurrent use: the engine gives each shard its own
-// pool, and the generator's Alloc/Free calls, the sink's Consume and the
-// recycling of slabs StreamRecords' consumer has drained all run on that
-// shard's worker goroutine.
+// pool, and every Get and Put runs on that shard's worker goroutine.
 //
-// Ownership rules for pooled streams:
-//
-//   - a record obtained from Get is zero-valued and owned by the caller
-//     until Put;
-//   - Put zeroes the record, so the next Get needs no reset — and any
-//     pointer kept past Put observes the record's next life. Consumers
-//     on a pooled path must copy whatever they keep (scalar fields are
-//     copies already; NotifyNamespaces must be copied element-wise, and
-//     string fields are immutable so retaining them is safe);
-//   - the record's NotifyNamespaces backing array is never owned by the
-//     pool: generators point it at device-owned namespace lists, and
-//     zeroing only drops the reference.
+// The one ownership rule: a record handed to a consumer is valid until
+// Consume or emit returns (or the range loop advances), then Put zeroes it
+// for the next Get — any pointer kept past that observes the record's next
+// life. Copy what you keep: the struct by value, NotifyNamespaces element-
+// wise (its backing array belongs to the generating device, never to the
+// pool); string fields are immutable, so retaining them is safe.
 type RecordPool struct {
 	free []*traces.FlowRecord
 	// hits/misses count Get outcomes as plain ints (the pool is
@@ -188,58 +174,80 @@ type VPStats struct {
 	CohortDevices, CohortRecords map[string]int
 }
 
-// RunVP executes one vantage point across fc.Shards shards on a bounded
-// worker pool. newSink is called once per shard, up front, from the calling
-// goroutine; each sink then receives exactly its shard's records, from a
-// single worker goroutine. Sinks are returned in shard order so callers can
-// merge deterministically. RunVP itself blocks until every shard finished.
-//
-// Cancelling ctx stops the run at shard granularity: shards already
-// generating finish (at most one per worker), no further shards start, and
-// RunVP returns ctx.Err() with partial stats and partially-filled sinks.
-func RunVP(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, newSink func(shard int) Sink) (VPStats, []Sink, error) {
-	fc = fc.normalized()
-	vp = fc.apply(vp)
-
-	sinks := make([]Sink, fc.Shards)
-	for i := range sinks {
-		sinks[i] = newSink(i)
+// allShards lists every shard index of a normalized config, in order.
+func (c Config) allShards() []int {
+	all := make([]int, c.Shards)
+	for i := range all {
+		all[i] = i
 	}
-	stats, err := runShards(ctx, fc, vp.Name, func(sh int) workload.ShardStats {
-		return workload.GenerateShard(vp, seed, sh, fc.Shards, sinks[sh].Consume)
-	})
-	return mergeStats(vp, fc, stats), sinks, err
+	return all
 }
 
-// runShards executes runShard for every shard index on a pool of
-// fc.Workers goroutines (fc must already be normalized) and returns the
-// per-shard stats in shard order. When ctx is cancelled, not-yet-started
-// shards are skipped (their stats stay zero) and ctx.Err() is returned;
-// in-flight shards always run to completion so sinks never observe a
-// truncated shard stream.
-func runShards(ctx context.Context, fc Config, vpName string, runShard func(sh int) workload.ShardStats) ([]workload.ShardStats, error) {
+// runShards is the engine's one shard executor: it runs task for each
+// listed shard on a pool of fc.Workers goroutines (fc must already be
+// normalized) and returns the per-shard stats indexed by shard. Shards are
+// admitted in list order from the calling goroutine; admit, when non-nil,
+// is called before each one and may block to bound how far admission runs
+// ahead, or return false to end it.
+//
+// The first task error, or a cancelled ctx, stops admission: shards not
+// yet started are skipped (their stats stay zero), in-flight shards always
+// run to completion so no consumer observes a truncated shard, and that
+// first error (or ctx.Err()) is returned once every worker has exited.
+func runShards(ctx context.Context, fc Config, vpName string, shards []int, admit func() bool,
+	task func(sh int) (workload.ShardStats, error)) ([]workload.ShardStats, error) {
+
+	// run is the caller's ctx, cancelled early by the first task error.
+	run, stop := context.WithCancel(ctx)
+	defer stop()
+	var (
+		failOnce sync.Once
+		failErr  error
+	)
 	stats := make([]workload.ShardStats, fc.Shards)
 	tracker := &shardTracker{fc: fc, vp: vpName}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < fc.Workers; w++ {
+	for w := min(fc.Workers, len(shards)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for sh := range jobs {
-				if ctx.Err() != nil {
-					continue // drain the queue without generating
+				if run.Err() != nil {
+					continue // drain the queue without running
 				}
-				stats[sh] = tracker.run(sh, func() workload.ShardStats { return runShard(sh) })
+				var err error
+				if stats[sh], err = tracker.run(sh, task); err != nil {
+					failOnce.Do(func() { failErr = err })
+					stop()
+				}
 			}
 		}()
 	}
-	for sh := 0; sh < fc.Shards; sh++ {
+	for _, sh := range shards {
+		if run.Err() != nil || (admit != nil && !admit()) {
+			break
+		}
 		jobs <- sh
 	}
 	close(jobs)
 	wg.Wait()
+	if failErr != nil {
+		return stats, failErr
+	}
 	return stats, ctx.Err()
+}
+
+// ForEachShard runs task once for each listed shard index on the engine's
+// worker pool, for runners that bring their own per-shard work (usually
+// around RunShard). fc.Workers bounds the concurrency; fc.Observer, shard
+// timings and worker occupancy report as on the engine's own paths; a task
+// error or a cancelled ctx ends the run as runShards describes.
+func ForEachShard(ctx context.Context, fc Config, vpName string, shards []int,
+	task func(shard int) (workload.ShardStats, error)) error {
+
+	_, err := runShards(ctx, fc.normalized(), vpName, shards, nil, task)
+	return err
 }
 
 // mergeStats folds per-shard stats in shard-index order.
@@ -261,32 +269,28 @@ func mergeStats(vp workload.VPConfig, fc Config, stats []workload.ShardStats) VP
 	}
 }
 
-// RecordBuffer is a Sink that materializes its shard's records — the
-// compatibility path for consumers that need a full workload.Dataset.
-type RecordBuffer struct {
-	Records []*traces.FlowRecord
-}
-
-// Consume appends one record.
-func (b *RecordBuffer) Consume(r *traces.FlowRecord) { b.Records = append(b.Records, r) }
-
-// Dataset materializes a sharded run as a legacy workload.Dataset: shard
-// buffers are concatenated in shard order and sorted by first-packet time.
-// With fc.Shards == 1 the result is bit-identical to workload.Generate
-// (the regression test pins this). A cancelled ctx aborts at shard
-// granularity and returns a nil dataset with ctx.Err().
+// Dataset materializes a sharded run as a legacy workload.Dataset: every
+// shard keeps the records it generates, and the shard buffers are
+// concatenated in shard order and sorted by first-packet time. With
+// fc.Shards == 1 the result is bit-identical to workload.Generate (the
+// regression test pins this). A cancelled ctx aborts at shard granularity
+// and returns a nil dataset with ctx.Err().
 func Dataset(ctx context.Context, vp workload.VPConfig, seed int64, fc Config) (*workload.Dataset, error) {
-	stats, sinks, err := RunVP(ctx, vp, seed, fc, func(int) Sink { return &RecordBuffer{} })
+	fc = fc.normalized()
+	vp = fc.apply(vp)
+
+	bufs := make([][]*traces.FlowRecord, fc.Shards)
+	shardStats, err := runShards(ctx, fc, vp.Name, fc.allShards(), nil, func(sh int) (workload.ShardStats, error) {
+		return generatePooled(vp, seed, sh, fc.Shards, new(RecordPool), func(r *traces.FlowRecord) bool {
+			bufs[sh] = append(bufs[sh], r)
+			return true // kept for good: the dataset owns it
+		}), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	var recs []*traces.FlowRecord
-	if stats.Records > 0 {
-		recs = make([]*traces.FlowRecord, 0, stats.Records)
-	}
-	for _, s := range sinks {
-		recs = append(recs, s.(*RecordBuffer).Records...)
-	}
+	stats := mergeStats(vp, fc, shardStats)
+	recs := slices.Concat(bufs...)
 	workload.SortRecords(recs)
 	return &workload.Dataset{
 		Cfg:               stats.Cfg,

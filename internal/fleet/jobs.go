@@ -39,12 +39,12 @@ func SplitJobs(shards, jobs int) []ShardJob {
 	return out
 }
 
-// generatePooled is the one pooled generate loop behind Aggregate, RunShard
-// and StreamRecords: one shard on the calling goroutine, every record drawn
-// from pool. A record consume did not keep is recycled the moment consume
-// returns; a kept one is the caller's to Put back later, on this same
-// goroutine (the slabs of StreamRecords). Counting the shard (fleet.records,
-// fleet.shards_done) is the caller's — the engine's tracker, or RunShard.
+// generatePooled is the engine's one generate loop: one shard on the
+// calling goroutine, every record drawn from pool, the shard counted once
+// (fleet.records, fleet.shards_done, pool hits and misses) when it ends. A
+// record consume did not keep is recycled the moment consume returns; a
+// kept one is the caller's — to Put back later on this same goroutine (the
+// slabs of StreamRecords) or to own for good (Dataset).
 func generatePooled(vp workload.VPConfig, seed int64, shard, nshards int, pool *RecordPool, consume func(*traces.FlowRecord) (kept bool)) workload.ShardStats {
 	st := workload.GenerateShardSink(vp, seed, shard, nshards, workload.ShardSink{
 		Emit: func(r *traces.FlowRecord) {
@@ -56,30 +56,22 @@ func generatePooled(vp workload.VPConfig, seed int64, shard, nshards int, pool *
 		Free:  pool.Put,
 	})
 	pool.flushTelemetry()
+	mRecords.Add(uint64(st.Records))
+	mShardsDone.Inc()
 	return st
-}
-
-// generateInto is generatePooled for a Sink, which by the pooled ownership
-// rule never keeps a record past Consume.
-func generateInto(vp workload.VPConfig, seed int64, shard, nshards int, sink Sink) workload.ShardStats {
-	return generatePooled(vp, seed, shard, nshards, new(RecordPool), func(r *traces.FlowRecord) bool {
-		sink.Consume(r)
-		return false
-	})
 }
 
 // RunShard generates exactly one shard of a sharded campaign into sink on
 // the calling goroutine — the single-shard primitive checkpointing
-// runners build on. vp must already carry any population scaling (see
-// Config.ScaledVP); (seed, shard, nshards) fully determine the emitted
-// stream, exactly as on the Aggregate path. The pooled ownership rules
-// apply: sink must not retain a record (or its NotifyNamespaces slice)
-// past Consume.
+// runners build on, usually as the body of a ForEachShard task. vp must
+// already carry any population scaling (see Config.ScaledVP); (seed,
+// shard, nshards) fully determine the emitted stream, exactly as on the
+// Aggregate path, and sink must not retain a record past Consume.
 func RunShard(vp workload.VPConfig, seed int64, shard, nshards int, sink Sink) workload.ShardStats {
-	st := generateInto(vp, seed, shard, nshards, sink)
-	mRecords.Add(uint64(st.Records))
-	mShardsDone.Inc()
-	return st
+	return generatePooled(vp, seed, shard, nshards, new(RecordPool), func(r *traces.FlowRecord) bool {
+		sink.Consume(r)
+		return false
+	})
 }
 
 // ScaledVP applies the config's DevicesScale to a vantage point — the

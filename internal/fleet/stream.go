@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"iter"
-	"sync"
 
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
@@ -68,69 +67,59 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 			back: make(chan []*traces.FlowRecord, slabDepth+2),
 		}
 	}
-	stats := make([]workload.ShardStats, fc.Shards)
 
-	// stop tears the pipeline down: the dispatcher quits admitting shards,
-	// and producers blocked on a full channel drop the rest of their
-	// shard's records instead of waiting for a consumer that left.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
+	// Cancelling run — the caller's ctx, or halt below — tears the pipeline
+	// down: the executor quits admitting shards, and producers blocked on
+	// a full channel drop the rest of their shard's records instead of
+	// waiting for a consumer that left.
+	run, halt := context.WithCancel(ctx)
+	defer halt()
 
-	// Admission happens in shard order on the dispatcher, so the shard the
-	// consumer is waiting on always holds a token and is running: the
-	// window bounds buffering without ever deadlocking.
+	// Admission happens in shard order on the executor's dispatcher, so the
+	// shard the consumer is waiting on always holds a token and is running:
+	// the window bounds buffering without ever deadlocking.
 	window := make(chan struct{}, fc.Workers+1)
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for sh := 0; sh < fc.Shards; sh++ {
-			select {
-			case window <- struct{}{}:
-			case <-stop:
-				return
-			}
-			select {
-			case jobs <- sh:
-			case <-stop:
-				return
-			}
+	admit := func() bool {
+		select {
+		case window <- struct{}{}:
+			return true
+		case <-run.Done():
+			return false
 		}
-	}()
-
-	tracker := &shardTracker{fc: fc, vp: vp.Name}
-	var wg sync.WaitGroup
-	for w := 0; w < fc.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sh := range jobs {
-				stats[sh] = tracker.run(sh, func() workload.ShardStats {
-					return produceShard(vp, seed, sh, fc.Shards, streams[sh], stop)
-				})
-				close(streams[sh].full)
-			}
-		}()
 	}
-	// finish tears the pipeline down (halt is a no-op on the natural-
-	// completion path) and waits for every worker to exit before stats
-	// are merged — workers write stats[sh] until then.
+	var stats []workload.ShardStats
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		stats, _ = runShards(run, fc, vp.Name, fc.allShards(), admit, func(sh int) (workload.ShardStats, error) {
+			defer close(streams[sh].full)
+			return produceShard(vp, seed, sh, fc.Shards, streams[sh], run.Done()), nil
+		})
+	}()
+	// finish halts the pipeline (a no-op once every shard is drained) and
+	// waits for the executor, and so every worker, to exit before the
+	// stats are merged.
 	finish := func(err error) (VPStats, error) {
 		halt()
-		wg.Wait()
+		<-done
 		return mergeStats(vp, fc, stats), err
 	}
 
-	for sh := 0; sh < fc.Shards; sh++ {
-		s := streams[sh]
-		if ctx.Err() != nil { // once per shard: an empty shard sends no slab
-			return finish(ctx.Err())
-		}
-		for slab := range s.full {
-			mStreamDepth.Set(int64(len(s.full)))
+	for _, s := range streams {
+		for {
+			var slab []*traces.FlowRecord
+			var open bool
+			select {
+			case slab, open = <-s.full:
+			case <-ctx.Done(): // a shard never admitted closes no channel
+			}
 			if ctx.Err() != nil {
 				return finish(ctx.Err())
 			}
+			if !open {
+				break
+			}
+			mStreamDepth.Set(int64(len(s.full)))
 			for _, r := range slab {
 				if !emit(r) {
 					return finish(nil)

@@ -15,8 +15,9 @@ import (
 // streaming producers. The stream metrics count slabs, the ordered path's
 // unit of hand-off: fleet.stream_depth is the slabs in flight, queued
 // behind the one the consumer just took, fleet.stream_stalls the slab sends
-// that found the queue full and waited. fleet.pool_hits/misses cover every
-// pooled path (Aggregate, RunShard, StreamRecords), once per shard.
+// that found the queue full and waited. fleet.records, fleet.shards_done and
+// fleet.pool_hits/misses are flushed by generatePooled, the one generate
+// loop, so every path — and a bare RunShard call — counts a shard once.
 var (
 	mShardSeconds = telemetry.NewHist("fleet.shard_seconds")
 	mRecords      = telemetry.NewCounter("fleet.records")
@@ -28,7 +29,7 @@ var (
 	mPoolMisses   = telemetry.NewCounter("fleet.pool_misses")
 )
 
-// ShardEvent reports one completed generation shard to a Config.Observer.
+// ShardEvent reports one completed shard to a Config.Observer.
 // Events are observation-only: the engine's output is byte-identical with
 // or without an observer installed.
 type ShardEvent struct {
@@ -46,25 +47,28 @@ type ShardEvent struct {
 	Done int
 }
 
-// shardTracker wraps shard execution with the engine's telemetry: wall
-// time, record counts, worker occupancy, and the per-run completion count
-// Observer events carry. One tracker serves one run; run is called from
-// the worker goroutines.
+// shardTracker wraps shard execution with the executor's telemetry: wall
+// time, worker occupancy, and the per-run completion count Observer events
+// carry. Records and shards are counted where they are generated, in
+// generatePooled. One tracker serves one run; run is called from the worker
+// goroutines. A shard whose task fails did not complete: it is neither
+// timed nor reported.
 type shardTracker struct {
 	fc   Config
 	vp   string
 	done atomic.Int64
 }
 
-func (t *shardTracker) run(sh int, gen func() workload.ShardStats) workload.ShardStats {
+func (t *shardTracker) run(sh int, task func(sh int) (workload.ShardStats, error)) (workload.ShardStats, error) {
 	mWorkersBusy.Add(1)
 	start := time.Now()
-	stats := gen()
+	stats, err := task(sh)
 	elapsed := time.Since(start)
 	mWorkersBusy.Add(-1)
+	if err != nil {
+		return stats, err
+	}
 	mShardSeconds.Observe(elapsed)
-	mRecords.Add(uint64(stats.Records))
-	mShardsDone.Inc()
 	done := int(t.done.Add(1))
 	if t.fc.Observer != nil {
 		t.fc.Observer(ShardEvent{
@@ -76,5 +80,5 @@ func (t *shardTracker) run(sh int, gen func() workload.ShardStats) workload.Shar
 			Done:    done,
 		})
 	}
-	return stats
+	return stats, nil
 }
