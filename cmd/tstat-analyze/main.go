@@ -1,7 +1,10 @@
 // Command tstat-analyze reads a flow-record CSV (as produced by dropsim or
 // SaveTraces) and prints the paper's core characterizations: service
 // breakdown, store/retrieve tagging, flow-size and RTT distributions, and
-// user groups — the offline analysis pass of the study.
+// user groups — the offline analysis pass of the study. The reader is
+// strict: a malformed row ends the run with its row and column on stderr
+// and exit status 1. On an anonymized export (dropsim's default) every
+// client address is hidden, so the two per-address tables are skipped.
 //
 // Usage:
 //
@@ -40,7 +43,7 @@ func main() {
 			break
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "parse:", err)
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		recs = append(recs, rec)
@@ -100,6 +103,11 @@ func main() {
 	fmt.Println(analysis.QuantileSummary("retrieve flow bytes", retrSizes))
 	fmt.Println(analysis.QuantileSummary("storage min RTT (ms)", rtts))
 	fmt.Println()
+
+	if r.Anonymized() {
+		fmt.Println("client addresses are anonymized: per-household tables (user groups, devices per household) skipped")
+		return
+	}
 
 	// User groups (Table 5 heuristics).
 	groups := map[string]int{}

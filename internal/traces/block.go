@@ -304,67 +304,53 @@ func (d *bdec) bytes(n int) []byte {
 	return b
 }
 
-// dictU64Vals decodes a numeric dictionary column into one value per
-// record, using (and returning) the caller's entry scratch.
-func (d *bdec) dictU64Vals(n int, scratch []uint64) (vals, entries []uint64) {
-	dl := int(d.uvarint())
-	if d.err != nil || dl > len(d.b) {
-		if d.err == nil {
-			d.err = errors.New("traces: corrupt binary block (u64 dict)")
-		}
-		return nil, scratch
+// dictLen decodes the entry count that opens a dictionary column. Every
+// entry costs at least one body byte, which bounds a hostile count.
+func (d *bdec) dictLen() int {
+	dl := d.uvarint()
+	if d.err == nil && dl > uint64(len(d.b)-d.off) {
+		d.err = errors.New("traces: corrupt binary block (dict length)")
 	}
-	entries = scratch[:0]
-	for i := 0; i < dl; i++ {
+	if d.err != nil {
+		return 0
+	}
+	return int(dl)
+}
+
+// u64Entries decodes the entry table of a numeric dictionary column into
+// the caller's scratch; the column's per-record references follow it.
+func (d *bdec) u64Entries(scratch []uint64) []uint64 {
+	entries := scratch[:0]
+	for dl := d.dictLen(); dl > 0; dl-- {
 		entries = append(entries, d.uvarint())
 	}
-	vals = make([]uint64, n)
-	for i := range vals {
-		ref := d.uvarint()
-		if d.err != nil {
-			return nil, entries
-		}
-		if ref >= uint64(len(entries)) {
-			d.err = errors.New("traces: corrupt binary block (u64 dict ref)")
-			return nil, entries
-		}
-		vals[i] = entries[ref]
-	}
-	return vals, entries
+	return entries
 }
 
-func (d *bdec) dict(n int, scratch []string) ([]string, []string) {
-	dl := int(d.uvarint())
-	if d.err != nil || dl > len(d.b) {
-		if d.err == nil {
-			d.err = errors.New("traces: corrupt binary block (dict)")
-		}
-		return nil, scratch
-	}
+// strEntries is u64Entries for a string dictionary column.
+func (d *bdec) strEntries(scratch []string) []string {
 	entries := scratch[:0]
-	for i := 0; i < dl; i++ {
+	for dl := d.dictLen(); dl > 0; dl-- {
 		entries = append(entries, string(d.bytes(int(d.uvarint()))))
 	}
-	vals := make([]string, n)
-	for i := range vals {
-		ref := d.uvarint()
-		if d.err != nil {
-			return nil, entries
-		}
-		if ref >= uint64(len(entries)) {
-			d.err = errors.New("traces: corrupt binary block (dict ref)")
-			return nil, entries
-		}
-		vals[i] = entries[ref]
-	}
-	return vals, entries
+	return entries
 }
 
-// blockDecScratch holds the dictionary decode scratch a block decoder
-// reuses across blocks.
+// ref decodes one reference into a dictionary of n entries.
+func (d *bdec) ref(n int) (int, bool) {
+	ref := d.uvarint()
+	if d.err == nil && ref >= uint64(n) {
+		d.err = errors.New("traces: corrupt binary block (dict ref)")
+	}
+	return int(ref), d.err == nil
+}
+
+// blockDecScratch holds the decode scratch a block decoder reuses across
+// blocks: dictionary entry tables and the namespace counts.
 type blockDecScratch struct {
-	strs []string
-	u64s []uint64
+	strs   []string
+	u64s   []uint64
+	counts []int
 }
 
 // decodeBlockBody parses one block body into freshly allocated records
@@ -388,17 +374,16 @@ func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord
 	for i := range recs {
 		recs[i] = &backing[i]
 	}
-	var clients, servers []uint64
-	clients, sc.u64s = d.dictU64Vals(n, sc.u64s)
-	if !anon && clients != nil {
-		for i := range recs {
-			recs[i].Client = wire.IP(uint32(clients[i]))
+	sc.u64s = d.u64Entries(sc.u64s)
+	for i := range recs {
+		if k, ok := d.ref(len(sc.u64s)); ok && !anon {
+			recs[i].Client = wire.IP(uint32(sc.u64s[k]))
 		}
 	}
-	servers, sc.u64s = d.dictU64Vals(n, sc.u64s)
+	sc.u64s = d.u64Entries(sc.u64s)
 	for i := range recs {
-		if servers != nil {
-			recs[i].Server = wire.IP(uint32(servers[i]))
+		if k, ok := d.ref(len(sc.u64s)); ok {
+			recs[i].Server = wire.IP(uint32(sc.u64s[k]))
 		}
 	}
 	for i := range recs {
@@ -451,44 +436,59 @@ func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord
 	for i := range recs {
 		recs[i].RTTSamples = int(d.varint())
 	}
-	var vals []string
-	vals, sc.strs = d.dict(n, sc.strs)
+	sc.strs = d.strEntries(sc.strs)
 	for i := range recs {
-		if vals != nil {
-			recs[i].VP = vals[i]
+		if k, ok := d.ref(len(sc.strs)); ok {
+			recs[i].VP = sc.strs[k]
 		}
 	}
-	vals, sc.strs = d.dict(n, sc.strs)
+	sc.strs = d.strEntries(sc.strs)
 	for i := range recs {
-		if vals != nil {
-			recs[i].SNI = vals[i]
+		if k, ok := d.ref(len(sc.strs)); ok {
+			recs[i].SNI = sc.strs[k]
 		}
 	}
-	vals, sc.strs = d.dict(n, sc.strs)
+	sc.strs = d.strEntries(sc.strs)
 	for i := range recs {
-		if vals != nil {
-			recs[i].CertName = vals[i]
+		if k, ok := d.ref(len(sc.strs)); ok {
+			recs[i].CertName = sc.strs[k]
 		}
 	}
-	vals, sc.strs = d.dict(n, sc.strs)
+	sc.strs = d.strEntries(sc.strs)
 	for i := range recs {
-		if vals != nil {
-			recs[i].FQDN = vals[i]
+		if k, ok := d.ref(len(sc.strs)); ok {
+			recs[i].FQDN = sc.strs[k]
 		}
 	}
 	for i := range recs {
 		recs[i].NotifyHost = d.uvarint()
 	}
-	counts := make([]int, n)
-	for i := range counts {
-		counts[i] = int(d.uvarint())
-		if d.err == nil && counts[i] > len(body) {
+	// Every namespace costs at least one body byte, so the bytes left
+	// bound the total: one slab holds every record's list, and a hostile
+	// count still cannot out-allocate the input that carried it.
+	counts, total := sc.counts[:0], 0
+	for range recs {
+		c := d.uvarint()
+		if left := len(body) - d.off - total; d.err == nil && (left < 0 || c > uint64(left)) {
 			d.err = errors.New("traces: corrupt binary block (ns count)")
 		}
+		if d.err != nil {
+			break
+		}
+		counts = append(counts, int(c))
+		total += int(c)
 	}
-	for i := range recs {
-		if c := counts[i]; c > 0 && d.err == nil {
-			ns := make([]uint32, c)
+	sc.counts = counts
+	if d.err == nil && total > 0 {
+		slab := make([]uint32, total)
+		for i, c := range counts {
+			if c == 0 {
+				continue
+			}
+			// Capacity-capped, so appending to one record's list cannot
+			// write into its neighbour's.
+			ns := slab[:c:c]
+			slab = slab[c:]
 			for j := range ns {
 				ns[j] = uint32(d.uvarint())
 			}

@@ -3,6 +3,7 @@ package traces
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"io"
 	"math/rand"
 	"strconv"
@@ -18,7 +19,7 @@ func referenceCSV(t *testing.T, recs []*FlowRecord, anonymize bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	cw := csv.NewWriter(&buf)
-	if err := cw.Write(csvHeader); err != nil {
+	if err := cw.Write(csvHeader[:]); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
@@ -150,5 +151,66 @@ func TestCSVWriteAllocations(t *testing.T) {
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// endless yields one byte pattern forever: input for the row cap.
+type endless string
+
+func (e endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = e[i%len(e)]
+	}
+	return len(p), nil
+}
+
+// TestCSVReaderCaps: hostile input cannot make the reader hold more than
+// its caps — a row that never ends is refused at 16 MiB whether it is one
+// line or one quoted field over many, and the intern table stops growing.
+func TestCSVReaderCaps(t *testing.T) {
+	header := strings.Join(csvHeader[:], ",") + "\n"
+	for name, tail := range map[string]endless{"one line": "x", "open quote": "xxxxxxx\n"} {
+		r := NewReader(io.MultiReader(strings.NewReader(header+`"`), tail))
+		_, err := r.Read()
+		var ce *CSVError
+		if !errors.As(err, &ce) || ce.Row != 2 || !strings.Contains(ce.Reason, "longer than") {
+			t.Fatalf("%s: endless row: %v", name, err)
+		}
+		if held := cap(r.long) + cap(r.unq); held > 2*maxCSVRow+2*csvWindow {
+			t.Fatalf("%s: reader holds %d scratch bytes", name, held)
+		}
+	}
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	rec := sampleRecord()
+	const rows = internEntries + 500
+	for i := 0; i < rows; i++ {
+		rec.SNI = "host" + strconv.Itoa(i) + ".example"
+		rec.FQDN = strings.Repeat("x", internLen+1+i%7)
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&buf)
+	for i := 0; i < rows; i++ {
+		got, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "host" + strconv.Itoa(i) + ".example"; got.SNI != want || len(got.FQDN) != internLen+1+i%7 {
+			t.Fatalf("row %d: sni %q, fqdn of %d bytes", i, got.SNI, len(got.FQDN))
+		}
+	}
+	if len(r.strs) > internEntries {
+		t.Fatalf("intern table holds %d entries, cap %d", len(r.strs), internEntries)
+	}
+	for s := range r.strs {
+		if len(s) > internLen {
+			t.Fatalf("intern table holds a %d-byte string, cap %d", len(s), internLen)
+		}
 	}
 }

@@ -11,16 +11,16 @@
 //
 // Writers never retain the records passed to Write: every format copies
 // what it needs before returning, so callers may recycle records (the
-// fleet engine's pooled generation path depends on this).
+// fleet engine's pooled generation path depends on this). Readers return
+// the exact records that were written or an error: the block readers
+// reject a damaged frame, and the CSV reader (csvreader.go) a row the CSV
+// writer could not have produced, naming its row and column.
 package traces
 
 import (
 	"bufio"
-	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -72,8 +72,11 @@ type FlowRecord struct {
 // Duration returns the flow duration from first packet to last packet.
 func (r *FlowRecord) Duration() time.Duration { return r.LastPacket - r.FirstPacket }
 
+// csvColumns is the width of every row of the CSV format.
+const csvColumns = 28
+
 // csvHeader lists the exported columns, in order.
-var csvHeader = []string{
+var csvHeader = [csvColumns]string{
 	"vp", "client", "server", "cport", "sport",
 	"first", "last", "last_payload_up", "last_payload_down",
 	"bytes_up", "bytes_down", "pkts_up", "pkts_down",
@@ -323,81 +326,4 @@ func (w *Writer) Flush() error {
 		w.nbytes = 0
 	}
 	return w.err
-}
-
-// Reader parses flow-record CSV back into records. Anonymized client
-// columns parse to 0.0.0.0 with the token preserved in ClientToken.
-type Reader struct {
-	cr     *csv.Reader
-	header bool
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
-	cr := csv.NewReader(bufio.NewReader(r))
-	cr.FieldsPerRecord = len(csvHeader)
-	return &Reader{cr: cr}
-}
-
-// Read returns the next record, or io.EOF.
-func (r *Reader) Read() (*FlowRecord, error) {
-	if !r.header {
-		if _, err := r.cr.Read(); err != nil {
-			return nil, err
-		}
-		r.header = true
-	}
-	row, err := r.cr.Read()
-	if err != nil {
-		return nil, err
-	}
-	rec := &FlowRecord{VP: row[0]}
-	rec.Client = parseIP(row[1])
-	rec.Server = parseIP(row[2])
-	rec.ClientPort = uint16(atoi(row[3]))
-	rec.ServerPort = uint16(atoi(row[4]))
-	rec.FirstPacket = time.Duration(atoi64(row[5]))
-	rec.LastPacket = time.Duration(atoi64(row[6]))
-	rec.LastPayloadUp = time.Duration(atoi64(row[7]))
-	rec.LastPayloadDown = time.Duration(atoi64(row[8]))
-	rec.BytesUp = atoi64(row[9])
-	rec.BytesDown = atoi64(row[10])
-	rec.PktsUp = atoi(row[11])
-	rec.PktsDown = atoi(row[12])
-	rec.PSHUp = atoi(row[13])
-	rec.PSHDown = atoi(row[14])
-	rec.RetransUp = atoi(row[15])
-	rec.RetransDown = atoi(row[16])
-	rec.MinRTT = time.Duration(atoi64(row[17])) * time.Microsecond
-	rec.RTTSamples = atoi(row[18])
-	rec.SNI, rec.CertName, rec.FQDN = row[19], row[20], row[21]
-	rec.NotifyHost = uint64(atoi64(row[22]))
-	if row[23] != "" {
-		for _, part := range strings.Split(row[23], ";") {
-			rec.NotifyNamespaces = append(rec.NotifyNamespaces, uint32(atoi64(part)))
-		}
-	}
-	rec.SawSYN = row[24] == "1"
-	rec.SawFIN = row[25] == "1"
-	rec.SawRST = row[26] == "1"
-	rec.ServerClosed = row[27] == "1"
-	return rec, nil
-}
-
-func parseIP(s string) wire.IP {
-	var a, b, c, d byte
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0 // anonymized token
-	}
-	return wire.MakeIP(a, b, c, d)
-}
-
-func atoi(s string) int {
-	v, _ := strconv.Atoi(s)
-	return v
-}
-
-func atoi64(s string) int64 {
-	v, _ := strconv.ParseInt(s, 10, 64)
-	return v
 }
