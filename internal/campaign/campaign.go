@@ -6,6 +6,16 @@
 // state and a checkpoint entry per shard, so an interrupted run resumes
 // exactly where it stopped.
 //
+// The export is written by one ordered merger (merge.go), a consumer of
+// committed shards rather than a second phase: it walks the shards in
+// canonical order, waits until shard k has its checkpoint entry, streams
+// that part through the export writer a reused block at a time and folds
+// its state, while the pool is still generating shards k+1 onwards. Run
+// starts it beside generate; Merge, for planned jobs, runs the same loop
+// over a directory where every shard is already committed. When
+// generation fails or is cancelled the merger stops with it and takes its
+// half-written export along.
+//
 // The layout on disk is one campaign directory holding:
 //
 //   - parts/shard-NNNN.part — the shard's record stream in the binary
@@ -26,13 +36,14 @@
 //
 // Determinism contract (EXPERIMENTS.md point 16): each shard's stream is
 // a pure function of (seed, shard, nshards) and parts are concatenated
-// in canonical shard order at merge time, so the job count, the order the
-// pool ran the shards in, the process count, GOMAXPROCS, and any
-// kill/resume history never change a byte of the final export — only
-// wall-clock time. Summary aggregators are restored per shard and folded
-// left in shard-index order, matching fleet.Aggregate exactly, so even
-// floating-point aggregates are bit-identical. The crash-injection suite
-// pins all of this against the legacy golden stream hashes.
+// in canonical shard order by the merger, so the job count, the order the
+// pool ran the shards in, whether the merger ran beside generation or
+// after it, the process count, GOMAXPROCS, and any kill/resume history
+// never change a byte of the final export — only wall-clock time. Summary
+// aggregators are restored per shard and folded left in shard-index
+// order, matching fleet.Aggregate exactly, so even floating-point
+// aggregates are bit-identical. The crash-injection suite pins all of
+// this against the legacy golden stream hashes.
 package campaign
 
 import (
@@ -58,12 +69,20 @@ import (
 
 // Campaign telemetry: checkpoint events and resume provenance feed the
 // same counter registry every other subsystem reports through, so run
-// manifests pick them up without campaign-specific plumbing.
+// manifests pick them up without campaign-specific plumbing. The last two
+// say which side a run waited on: merge_wait_ns is the time the merger
+// spent blocked on a shard not yet committed (near the run's wall time
+// when generation is the bottleneck, near zero when the merge is), and
+// merge_backlog the most committed-but-unmerged shards it ever had
+// waiting (a high-water mark: the instantaneous value is zero at the end
+// of every run).
 var (
 	mCheckpoints   = telemetry.NewCounter("campaign.checkpoints_written")
 	mShardsResumed = telemetry.NewCounter("campaign.shards_resumed")
 	mShardRetries  = telemetry.NewCounter("campaign.shard_retries")
 	mMerges        = telemetry.NewCounter("campaign.merges")
+	mMergeWait     = telemetry.NewCounter("campaign.merge_wait_ns")
+	mMergeBacklog  = telemetry.NewGauge("campaign.merge_backlog")
 )
 
 // Spec defines a campaign. It is the identity the checkpoint fingerprint
@@ -179,9 +198,9 @@ func Fingerprint(canonical string) string {
 // (a shard generated and checkpointed, with Elapsed its wall time on the
 // worker, retries included), "retry" (a failed attempt about to be
 // retried, with Err and Attempt set), "merge" (the final export
-// committed). Events fire concurrently from the pool's workers; observers
-// must be safe for concurrent use. Observation only — an observer never
-// changes campaign output.
+// committed). Events fire concurrently from the pool's workers, the
+// merger and Run's caller; observers must be safe for concurrent use.
+// Observation only — an observer never changes campaign output.
 type Event struct {
 	Stage       string
 	Shard       int
@@ -267,20 +286,45 @@ type Result struct {
 }
 
 // Run executes a campaign start to finish in this process: generate (or
-// resume) every shard, Jobs at a time, then merge
-// the parts in canonical shard order into the final export. Cancelling
-// ctx stops at shard granularity with all completed progress checkpointed
-// — rerunning with Resume picks up exactly where it stopped, and the
-// resumed export is byte-identical to an uninterrupted run.
+// resume) every shard, Jobs at a time, while the merger streams each
+// committed part, in canonical shard order, into the final export — so
+// only the parts behind the slowest shard are left to merge once the last
+// one commits. Cancelling ctx stops at shard granularity with all
+// completed progress checkpointed and no export, finished or partial,
+// left behind — rerunning with Resume picks up exactly where it stopped,
+// and the resumed export is byte-identical to an uninterrupted run.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	r, err := newRunner(cfg, checkpointName)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.generate(ctx, 0, r.spec.Shards, cfg.Jobs); err != nil {
-		return nil, err
+	mctx, stopMerge := context.WithCancel(ctx)
+	defer stopMerge()
+	var (
+		res      *Result
+		mergeErr error
+		merged   = make(chan struct{})
+	)
+	go func() {
+		defer close(merged)
+		res, mergeErr = r.merge(mctx)
+	}()
+	// A shard that failed for good will never commit: the merger must not
+	// wait for it. A failed merge leaves generation running — every shard
+	// it checkpoints is one a resumed run only has to merge.
+	genErr := r.generate(ctx, 0, r.spec.Shards, cfg.Jobs)
+	if genErr != nil {
+		stopMerge()
 	}
-	return r.merge(ctx)
+	<-merged
+	if genErr != nil {
+		return nil, genErr
+	}
+	if mergeErr != nil {
+		return nil, mergeErr
+	}
+	res.ResumedShards, res.GeneratedShards = r.resumed, r.genned
+	return res, nil
 }
 
 // runner holds one campaign process's state.
@@ -298,6 +342,10 @@ type runner struct {
 	own     []ShardDone       // entries owned by ckPath, sorted by shard
 	resumed int
 	genned  int
+
+	// wake tells the merger that done grew. One slot: a pending signal
+	// already makes it look again.
+	wake chan struct{}
 }
 
 // newRunner validates the spec, prepares the campaign directory, and
@@ -325,6 +373,7 @@ func newRunner(cfg Config, ckFile string) (*runner, error) {
 		dir:    cfg.Dir,
 		ckPath: filepath.Join(cfg.Dir, ckFile),
 		done:   make(map[int]ShardDone),
+		wake:   make(chan struct{}, 1),
 	}
 	own, all, err := loadCheckpoints(cfg.Dir, ckFile, r.fp)
 	if err != nil {
@@ -501,20 +550,19 @@ func (r *runner) runShardOnce(sh, attempt int) (st workload.ShardStats, err erro
 	return st, nil
 }
 
-// commit records a completed shard in the runner's checkpoint file.
+// commit records a completed shard in the runner's checkpoint file, and
+// only once that file is durable in done, where the merger picks it up.
 func (r *runner) commit(sh int, e ShardDone) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.done[sh] = e
-	r.genned++
-	r.own = append(r.own, e)
-	sort.Slice(r.own, func(i, j int) bool { return r.own[i].Shard < r.own[j].Shard })
+	own := append(r.own[:len(r.own):len(r.own)], e)
+	sort.Slice(own, func(i, j int) bool { return own[i].Shard < own[j].Shard })
 	body := checkpointBody{
 		Schema:      CheckpointSchema,
 		Kind:        kindShards,
 		Fingerprint: r.fp,
 		Spec:        &r.spec,
-		Shards:      r.own,
+		Shards:      own,
 	}
 	if err := saveCheckpoint(r.ckPath, body, func(f *os.File) {
 		r.crash("checkpoint-mid-write", sh)
@@ -523,6 +571,13 @@ func (r *runner) commit(sh int, e ShardDone) error {
 		return fmt.Errorf("campaign: shard %d checkpoint: %w", sh, err)
 	}
 	mCheckpoints.Inc()
+	r.own = own
+	r.done[sh] = e
+	r.genned++
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
 	return nil
 }
 

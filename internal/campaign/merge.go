@@ -8,40 +8,30 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 
 	"insidedropbox/internal/traces"
 )
 
-// merge streams every part in canonical shard order (shard 0 first, each
-// in generation order — exactly fleet.StreamRecords' delivery order)
-// through the spec's export writer into the final artifact, verifying
-// each part's bytes against its checkpointed hash on the way, and folds
-// the per-shard summaries left in shard-index order (matching
-// fleet.Aggregate) so even floating-point aggregates are bit-identical
-// to a single-process run. The export itself lands atomically.
+// merge is the campaign's one merge loop. It walks the shards in
+// canonical order (shard 0 first, each in generation order — exactly
+// fleet.StreamRecords' delivery order), waits for each to be committed —
+// no wait at all for a resumed shard, or for any shard under Merge —
+// streams its part through the spec's export writer into the final
+// artifact, verifying the part's bytes against its checkpointed hash on
+// the way, and folds the per-shard summaries left in shard-index order
+// (matching fleet.Aggregate) so even floating-point aggregates are
+// bit-identical to a single-process run. Beside generate it overlaps
+// everything but the parts behind the slowest shard. The export lands
+// atomically, over whatever export or .tmp a killed run left; a failed or
+// cancelled merge leaves neither.
 func (r *runner) merge(ctx context.Context) (*Result, error) {
-	var missing []int
-	for sh := 0; sh < r.spec.Shards; sh++ {
-		if _, ok := r.done[sh]; !ok {
-			missing = append(missing, sh)
-		}
-	}
-	if len(missing) > 0 {
-		return nil, fmt.Errorf("campaign: cannot merge: %d of %d shards incomplete (first missing: %d) — run the remaining jobs first",
-			len(missing), r.spec.Shards, missing[0])
-	}
-
 	out := r.cfg.Out
 	if out == "" {
 		out = filepath.Join(r.dir, "export"+ExportExt(r.spec.Format))
 	}
 
-	res := &Result{
-		Spec:            r.spec,
-		ExportPath:      out,
-		ResumedShards:   r.resumed,
-		GeneratedShards: r.genned,
-	}
+	res := &Result{Spec: r.spec, ExportPath: out}
 	streamHash := fnv.New64a()
 	err := writeFileAtomicFunc(out, func(f *os.File) error {
 		cw := &countWriter{w: io.MultiWriter(f, streamHash), n: &res.ExportBytes}
@@ -56,11 +46,12 @@ func (r *runner) merge(ctx context.Context) (*Result, error) {
 		}
 		w := format.New(bw, r.spec.Anonymize, 1)
 		for sh := 0; sh < r.spec.Shards; sh++ {
-			if err := ctx.Err(); err != nil {
+			e, err := r.await(ctx, sh)
+			if err != nil {
 				return err
 			}
-			e := r.done[sh]
-			n, err := r.streamPart(e, w)
+			mMergeBacklog.SetMax(int64(r.doneCount() - sh))
+			n, err := r.streamPart(ctx, e, w)
 			if err != nil {
 				return err
 			}
@@ -98,10 +89,31 @@ func (r *runner) merge(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// streamPart decodes one shard's part file, re-serializing every record
-// through the export writer, and verifies the part's byte count and
+// await returns shard sh's checkpoint entry, blocking until a worker has
+// committed it or ctx ends.
+func (r *runner) await(ctx context.Context, sh int) (ShardDone, error) {
+	e, ok := r.doneEntry(sh)
+	if ok {
+		return e, ctx.Err()
+	}
+	start := time.Now()
+	defer func() { mMergeWait.Add(uint64(time.Since(start))) }()
+	for !ok {
+		select {
+		case <-r.wake:
+		case <-ctx.Done():
+			return e, ctx.Err()
+		}
+		e, ok = r.doneEntry(sh)
+	}
+	return e, nil
+}
+
+// streamPart decodes one shard's part file a block at a time into the
+// reader's own records — the export writer copies what it keeps — and
+// re-serializes them through w, verifying the part's byte count and
 // FNV-1a hash against the checkpoint entry as a side effect of the read.
-func (r *runner) streamPart(e ShardDone, w traces.RecordWriter) (int, error) {
+func (r *runner) streamPart(ctx context.Context, e ShardDone, w traces.RecordWriter) (int, error) {
 	pf, err := os.Open(partPath(r.dir, e.Shard))
 	if err != nil {
 		return 0, fmt.Errorf("campaign: shard %d part: %w", e.Shard, err)
@@ -111,17 +123,22 @@ func (r *runner) streamPart(e ShardDone, w traces.RecordWriter) (int, error) {
 	br := traces.NewBinaryReader(hr)
 	n := 0
 	for {
-		rec, err := br.Read()
+		recs, err := br.ReadBlock()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return n, fmt.Errorf("campaign: shard %d part: %w", e.Shard, err)
 		}
-		if err := w.Write(rec); err != nil {
+		if err := ctx.Err(); err != nil {
 			return n, err
 		}
-		n++
+		for _, rec := range recs {
+			if err := w.Write(rec); err != nil {
+				return n, err
+			}
+		}
+		n += len(recs)
 	}
 	if got := fmt.Sprintf("%016x", hr.h.Sum64()); hr.n != e.PartBytes || got != e.PartHash {
 		return n, fmt.Errorf("campaign: shard %d part file does not match its checkpoint entry (%d bytes hash %s, recorded %d bytes hash %s) — regenerate the shard",
@@ -140,6 +157,17 @@ func Merge(ctx context.Context, spec Spec, dir, out string) (*Result, error) {
 	r, err := newRunner(Config{Spec: spec, Dir: dir, Out: out, Resume: true}, checkpointName)
 	if err != nil {
 		return nil, err
+	}
+	// Nothing generates here: a shard not committed by now never will be.
+	var missing []int
+	for sh := 0; sh < r.spec.Shards; sh++ {
+		if _, ok := r.doneEntry(sh); !ok {
+			missing = append(missing, sh)
+		}
+	}
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("campaign: cannot merge: %d of %d shards incomplete (first missing: %d) — run the remaining jobs first",
+			len(missing), r.spec.Shards, missing[0])
 	}
 	return r.merge(ctx)
 }

@@ -158,7 +158,7 @@ func readExact(r io.Reader, scratch []byte, n int) ([]byte, error) {
 }
 
 // BinaryReader parses a binary columnar trace stream back into records;
-// Read and Anonymized come from the shared core.
+// Read, ReadBlock and Anonymized come from the shared core.
 type BinaryReader struct {
 	blockReader
 	body []byte // block read scratch

@@ -327,11 +327,12 @@ func (d *bdec) u64Entries(scratch []uint64) []uint64 {
 	return entries
 }
 
-// strEntries is u64Entries for a string dictionary column.
-func (d *bdec) strEntries(scratch []string) []string {
+// strEntries is u64Entries for a string dictionary column; names interns
+// the entries, so a name costs one allocation per stream, not per block.
+func (d *bdec) strEntries(scratch []string, names *internTable) []string {
 	entries := scratch[:0]
 	for dl := d.dictLen(); dl > 0; dl-- {
-		entries = append(entries, string(d.bytes(int(d.uvarint()))))
+		entries = append(entries, names.get(d.bytes(int(d.uvarint()))))
 	}
 	return entries
 }
@@ -345,17 +346,59 @@ func (d *bdec) ref(n int) (int, bool) {
 	return int(ref), d.err == nil
 }
 
-// blockDecScratch holds the decode scratch a block decoder reuses across
-// blocks: dictionary entry tables and the namespace counts.
+// blockDecScratch holds what a block decoder keeps across blocks:
+// dictionary entry tables, the namespace counts, the string intern table
+// and, for a reader handing out whole blocks, the records themselves.
 type blockDecScratch struct {
 	strs   []string
 	u64s   []uint64
 	counts []int
+	names  internTable
+
+	// reuse makes decodeBlockBody decode into recs, backing and ns, over
+	// the records of the block decoded before, instead of fresh storage.
+	reuse   bool
+	recs    []*FlowRecord
+	backing []FlowRecord
+	ns      []uint32
 }
 
-// decodeBlockBody parses one block body into freshly allocated records
-// that do not alias body or the scratch. anon streams decode with
-// Client == 0, matching the CSV reader's behaviour on anonymized rows.
+// records returns the n zeroed records a block decodes into.
+func (sc *blockDecScratch) records(n int) []*FlowRecord {
+	var recs []*FlowRecord
+	var backing []FlowRecord
+	switch {
+	case !sc.reuse:
+		recs, backing = make([]*FlowRecord, n), make([]FlowRecord, n)
+	case cap(sc.backing) < n:
+		sc.recs, sc.backing = make([]*FlowRecord, n), make([]FlowRecord, n)
+		recs, backing = sc.recs, sc.backing
+	default:
+		recs, backing = sc.recs[:n], sc.backing[:n]
+		clear(backing)
+	}
+	for i := range recs {
+		recs[i] = &backing[i]
+	}
+	return recs
+}
+
+// nsSlab returns the slab holding every namespace list of a block.
+func (sc *blockDecScratch) nsSlab(total int) []uint32 {
+	if !sc.reuse {
+		return make([]uint32, total)
+	}
+	if cap(sc.ns) < total {
+		sc.ns = make([]uint32, total)
+	}
+	return sc.ns[:total]
+}
+
+// decodeBlockBody parses one block body into records that do not alias
+// body: freshly allocated ones, or with sc.reuse the scratch's own, valid
+// until the next call. String fields are interned in the scratch and
+// shared between records either way. anon streams decode with Client ==
+// 0, matching the CSV reader's behaviour on anonymized rows.
 func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord, error) {
 	d := &bdec{b: body}
 	n := int(d.uvarint())
@@ -369,11 +412,7 @@ func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord
 	if n <= 0 || n > len(body)/24+1 {
 		return nil, fmt.Errorf("traces: implausible block record count %d", n)
 	}
-	recs := make([]*FlowRecord, n)
-	backing := make([]FlowRecord, n)
-	for i := range recs {
-		recs[i] = &backing[i]
-	}
+	recs := sc.records(n)
 	sc.u64s = d.u64Entries(sc.u64s)
 	for i := range recs {
 		if k, ok := d.ref(len(sc.u64s)); ok && !anon {
@@ -436,25 +475,25 @@ func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord
 	for i := range recs {
 		recs[i].RTTSamples = int(d.varint())
 	}
-	sc.strs = d.strEntries(sc.strs)
+	sc.strs = d.strEntries(sc.strs, &sc.names)
 	for i := range recs {
 		if k, ok := d.ref(len(sc.strs)); ok {
 			recs[i].VP = sc.strs[k]
 		}
 	}
-	sc.strs = d.strEntries(sc.strs)
+	sc.strs = d.strEntries(sc.strs, &sc.names)
 	for i := range recs {
 		if k, ok := d.ref(len(sc.strs)); ok {
 			recs[i].SNI = sc.strs[k]
 		}
 	}
-	sc.strs = d.strEntries(sc.strs)
+	sc.strs = d.strEntries(sc.strs, &sc.names)
 	for i := range recs {
 		if k, ok := d.ref(len(sc.strs)); ok {
 			recs[i].CertName = sc.strs[k]
 		}
 	}
-	sc.strs = d.strEntries(sc.strs)
+	sc.strs = d.strEntries(sc.strs, &sc.names)
 	for i := range recs {
 		if k, ok := d.ref(len(sc.strs)); ok {
 			recs[i].FQDN = sc.strs[k]
@@ -480,7 +519,7 @@ func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord
 	}
 	sc.counts = counts
 	if d.err == nil && total > 0 {
-		slab := make([]uint32, total)
+		slab := sc.nsSlab(total)
 		for i, c := range counts {
 			if c == 0 {
 				continue

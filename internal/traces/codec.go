@@ -178,7 +178,8 @@ func (w *blockWriter) Flush() error {
 
 // blockReader is the reader core the framings embed: it validates the
 // stream header, then hands out the records of one decoded block at a
-// time, asking the framing for the next block body when they run out.
+// time — singly (Read) or all that are left (ReadBlock) — asking the
+// framing for the next block body when they run out.
 type blockReader struct {
 	br    *bufio.Reader
 	magic [6]byte
@@ -195,7 +196,7 @@ type blockReader struct {
 	next int
 	skip int // records to discard after a seek landed mid-block
 
-	sc blockDecScratch // dictionary decode scratch
+	sc blockDecScratch // decode scratch; ReadBlock's records live here
 }
 
 // Anonymized reports whether the stream's client column is anonymized
@@ -222,32 +223,59 @@ func (r *blockReader) ensureHeader() error {
 	return nil
 }
 
-// Read returns the next record, or io.EOF at end of stream. Returned
-// records are freshly allocated and do not alias reader state.
-func (r *blockReader) Read() (*FlowRecord, error) {
+// fill makes sure the current block has a record left to hand out,
+// decoding the next block (and the ones a pending seek skips whole) when
+// it has none: into fresh records, or with reuse into the scratch's own.
+func (r *blockReader) fill(reuse bool) error {
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if err := r.ensureHeader(); err != nil {
 		r.err = err
-		return nil, err
+		return err
 	}
 	for r.next >= len(r.recs) {
 		body, err := r.nextBody()
 		var recs []*FlowRecord
 		if err == nil {
+			r.sc.reuse = reuse
 			recs, err = decodeBlockBody(body, r.anon, &r.sc)
 		}
 		if err != nil {
 			r.err = err
-			return nil, err
+			return err
 		}
 		n := min(r.skip, len(recs))
 		r.recs, r.next = recs, n
 		r.skip -= n
 	}
+	return nil
+}
+
+// Read returns the next record, or io.EOF at end of stream. Returned
+// records are freshly allocated and do not alias reader state.
+func (r *blockReader) Read() (*FlowRecord, error) {
+	if err := r.fill(false); err != nil {
+		return nil, err
+	}
 	rec := r.recs[r.next]
 	r.recs[r.next] = nil
 	r.next++
 	return rec, nil
+}
+
+// ReadBlock returns every record left in the current block — at least
+// one; all of the next block when Read has not started it; from the
+// target on after a SeekToRecord — or io.EOF at end of stream. The slice
+// and its records are the reader's: they are valid, and must not be
+// written to, until the next Read, ReadBlock or SeekToRecord, and a
+// stream read this way costs no allocation per record. Read and ReadBlock
+// interleave freely; what Read returns stays freshly allocated.
+func (r *blockReader) ReadBlock() ([]*FlowRecord, error) {
+	if err := r.fill(true); err != nil {
+		return nil, err
+	}
+	recs := r.recs[r.next:]
+	r.recs, r.next = nil, 0
+	return recs, nil
 }

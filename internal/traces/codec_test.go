@@ -3,10 +3,12 @@ package traces
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -14,6 +16,7 @@ import (
 // recordReader is what both block readers offer the shared tests.
 type recordReader interface {
 	Read() (*FlowRecord, error)
+	ReadBlock() ([]*FlowRecord, error)
 	Anonymized() bool
 }
 
@@ -107,13 +110,42 @@ func expectRecords(t *testing.T, rd recordReader, want []*FlowRecord) {
 	}
 }
 
-// readToError drains rd and returns the error that ended the stream.
-func readToError(rd recordReader) error {
-	for {
-		if _, err := rd.Read(); err != nil {
-			return err
-		}
+// cloneRecord copies r out of a reader-owned block.
+func cloneRecord(r *FlowRecord) *FlowRecord {
+	c := *r
+	c.NotifyNamespaces = slices.Clone(r.NotifyNamespaces)
+	return &c
+}
+
+// checkHandOuts reads one stream twice, a record at a time and a block at
+// a time: ReadBlock must hand out exactly the records Read does, never an
+// empty block, and end on the same error. It returns that error.
+func checkHandOuts(t testing.TB, newReader func() recordReader) error {
+	t.Helper()
+	var one []*FlowRecord
+	rd := newReader()
+	rec, errRead := rd.Read()
+	for ; errRead == nil; rec, errRead = rd.Read() {
+		one = append(one, rec)
 	}
+	n := 0
+	rd = newReader()
+	blk, errBlock := rd.ReadBlock()
+	for ; errBlock == nil; blk, errBlock = rd.ReadBlock() {
+		if len(blk) == 0 || n+len(blk) > len(one) {
+			t.Fatalf("ReadBlock handed out %d records after %d, Read %d in all", len(blk), n, len(one))
+		}
+		for i, r := range blk {
+			if !reflect.DeepEqual(r, one[n+i]) {
+				t.Fatalf("record %d: ReadBlock handed out %+v, Read %+v", n+i, r, one[n+i])
+			}
+		}
+		n += len(blk)
+	}
+	if n != len(one) || fmt.Sprint(errBlock) != fmt.Sprint(errRead) {
+		t.Fatalf("ReadBlock ended after %d records on %v, Read after %d on %v", n, errBlock, len(one), errRead)
+	}
+	return errRead
 }
 
 // waitForGoroutines polls until the goroutine count drops back to base
@@ -136,9 +168,9 @@ func waitForGoroutines(t *testing.T, base int) {
 // TestCodecMatrix pins the writer core's contract over every framing,
 // worker count, block size and anonymize setting: (i) the bytes equal the
 // inline (workers = 0) output — determinism contract point 13; (ii) the
-// stream round-trips through the matching reader; (iii) after a Flush the
-// binary stream takes more records and the flate stream refuses them;
-// (iv) a flushed writer owns no goroutines.
+// stream round-trips through the matching reader, a record or a block at
+// a time; (iii) after a Flush the binary stream takes more records and
+// the flate stream refuses them; (iv) a flushed writer owns no goroutines.
 func TestCodecMatrix(t *testing.T) {
 	recs := randRecords(21, 10_000)
 	more := recs[:300]
@@ -164,6 +196,7 @@ func TestCodecMatrix(t *testing.T) {
 						fail("output differs from the inline writer (%d vs %d bytes)", buf.Len(), len(want))
 					}
 					expectRecords(t, f.newReader(bytes.NewReader(buf.Bytes())), recs)
+					checkHandOuts(t, func() recordReader { return f.newReader(bytes.NewReader(buf.Bytes())) })
 
 					err := w.Write(more[0])
 					if !f.appendable {
@@ -232,7 +265,7 @@ func testBadMagic(t *testing.T, f codecFraming) {
 
 // testTruncated cuts a valid stream inside the header, inside a frame
 // header, inside a frame body and one byte short: a truncated stream must
-// end in an error, never clean EOF or a panic.
+// end in an error, never clean EOF or a panic, whichever way it is read.
 func testTruncated(t *testing.T, f codecFraming, seed int64) {
 	t.Helper()
 	stream := encodeStream(t, f, randRecords(seed, 1_000), 128, 0, false)
@@ -244,8 +277,85 @@ func testTruncated(t *testing.T, f codecFraming, seed int64) {
 		cuts = append(cuts, h)
 	}
 	for _, cut := range cuts {
-		if err := readToError(f.newReader(bytes.NewReader(stream[:cut]))); err == io.EOF {
+		err := checkHandOuts(t, func() recordReader { return f.newReader(bytes.NewReader(stream[:cut])) })
+		if err == io.EOF {
 			t.Fatalf("cut=%d: truncated stream read to clean EOF", cut)
+		}
+	}
+}
+
+// TestReadBlockOwnership pins who owns what: a block's records are the
+// reader's and are overwritten by the next ReadBlock, while a record Read
+// returned stays the caller's whatever is called afterwards.
+func TestReadBlockOwnership(t *testing.T) {
+	recs := randRecords(77, 1_000)
+	for _, f := range codecFramings {
+		rd := f.newReader(bytes.NewReader(encodeStream(t, f, recs, 100, 0, false)))
+		mine, err := rd.Read() // record 0, out of a block Read decoded
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rd.ReadBlock(); err != nil { // the rest of that block
+			t.Fatal(err)
+		}
+		first, err := rd.ReadBlock() // records 100..199, the reader's own
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, was := first[0], cloneRecord(first[0])
+		if !reflect.DeepEqual(normalize(was), normalize(recs[100])) {
+			t.Fatalf("%s: second block starts with %+v, want record 100", f.name, was)
+		}
+		second, err := rd.ReadBlock() // records 200..299, over the first
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept != second[0] || reflect.DeepEqual(kept, was) || !reflect.DeepEqual(normalize(kept), normalize(recs[200])) {
+			t.Fatalf("%s: a record kept past the next ReadBlock reads %+v, want the reused storage holding record 200", f.name, kept)
+		}
+		if !reflect.DeepEqual(normalize(mine), normalize(recs[0])) {
+			t.Fatalf("%s: a record Read returned changed under later ReadBlocks: %+v", f.name, mine)
+		}
+	}
+}
+
+// TestReadBlockInterleaved mixes the two hand-outs at random, Read
+// stopping mid-block more often than not: together they deliver every
+// record once and in order, and no Read result aliases a block.
+func TestReadBlockInterleaved(t *testing.T) {
+	recs := randRecords(78, 3_000)
+	rng := rand.New(rand.NewSource(78))
+	for _, f := range codecFramings {
+		rd := f.newReader(bytes.NewReader(encodeStream(t, f, recs, 128, 0, false)))
+		var got []*FlowRecord
+		var err error
+		for err == nil {
+			for k := rng.Intn(5); k > 0 && err == nil; k-- {
+				var rec *FlowRecord
+				if rec, err = rd.Read(); err == nil {
+					got = append(got, rec)
+				}
+			}
+			if err != nil {
+				break
+			}
+			var blk []*FlowRecord
+			if blk, err = rd.ReadBlock(); err == nil {
+				if len(blk) != 128-len(got)%128 && len(got)+len(blk) != len(recs) {
+					t.Fatalf("%s: ReadBlock after %d records handed out %d, want the rest of a 128-record block", f.name, len(got), len(blk))
+				}
+				for _, r := range blk {
+					got = append(got, cloneRecord(r))
+				}
+			}
+		}
+		if err != io.EOF || len(got) != len(recs) {
+			t.Fatalf("%s: interleaved read ended after %d of %d records on %v", f.name, len(got), len(recs), err)
+		}
+		for i := range recs {
+			if !reflect.DeepEqual(normalize(got[i]), normalize(recs[i])) {
+				t.Fatalf("%s: record %d mismatch:\n got %+v\nwant %+v", f.name, i, got[i], recs[i])
+			}
 		}
 	}
 }

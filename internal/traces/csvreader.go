@@ -26,10 +26,6 @@ const (
 	// several), and with it every scratch buffer and namespace list the
 	// reader sizes from its input.
 	maxCSVRow = 16 << 20
-	// The intern table holds at most internEntries strings of at most
-	// internLen bytes; anything past either cap is allocated per row.
-	internEntries = 4096
-	internLen     = 256
 )
 
 // CSVError reports the first row a Reader could not accept.
@@ -69,12 +65,12 @@ type Reader struct {
 	long []byte // a line longer than the bufio window
 	unq  []byte // the decoded fields of a row that has quoted ones
 
-	strs map[string]string // intern table of the four string columns
+	strs internTable // the four string columns
 }
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, csvWindow), strs: make(map[string]string)}
+	return &Reader{br: bufio.NewReaderSize(r, csvWindow)}
 }
 
 // Anonymized reports whether any row read so far carried an anonymization
@@ -113,7 +109,7 @@ func (r *Reader) read() (*FlowRecord, error) {
 	}
 	c := rowCursor{line: r.line, ends: &r.ends, bad: -1}
 	rec := &FlowRecord{}
-	rec.VP = r.intern(c.field())
+	rec.VP = r.strs.get(c.field())
 	var tok bool
 	rec.Client, tok = c.client()
 	rec.Server = c.server()
@@ -134,9 +130,9 @@ func (r *Reader) read() (*FlowRecord, error) {
 	const maxUs = math.MaxInt64 / int64(time.Microsecond)
 	rec.MinRTT = time.Duration(c.intIn(-maxUs, maxUs, "a microsecond count a Duration can hold")) * time.Microsecond
 	rec.RTTSamples = c.int()
-	rec.SNI = r.intern(c.field())
-	rec.CertName = r.intern(c.field())
-	rec.FQDN = r.intern(c.field())
+	rec.SNI = r.strs.get(c.field())
+	rec.CertName = r.strs.get(c.field())
+	rec.FQDN = r.strs.get(c.field())
 	rec.NotifyHost = c.uint(math.MaxUint64, "an unsigned 64-bit decimal integer")
 	rec.NotifyNamespaces = c.namespaces()
 	rec.SawSYN = c.flag()
@@ -158,23 +154,6 @@ func quoteField(b []byte) string {
 		return fmt.Sprintf("%q...", b[:40])
 	}
 	return fmt.Sprintf("%q", b)
-}
-
-// intern returns b as a string, allocating only the first time a value is
-// seen: the four string columns of an export draw from a few hundred
-// distinct names, and a map lookup keyed by string(b) does not allocate.
-func (r *Reader) intern(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := r.strs[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(r.strs) < internEntries && len(s) <= internLen {
-		r.strs[s] = s
-	}
-	return s
 }
 
 // ---------- rows ----------

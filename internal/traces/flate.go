@@ -215,10 +215,11 @@ func (w *FlateWriter) Flush() error {
 }
 
 // FlateReader parses a compressed archival trace stream back into
-// records; Read and Anonymized come from the shared core. Wrapping an
-// io.ReadSeeker additionally enables SeekToRecord: the reader loads the
-// trailing index and repositions onto the frame containing any record
-// ordinal, so a partial range costs only its own frames' decompression.
+// records; Read, ReadBlock and Anonymized come from the shared core.
+// Wrapping an io.ReadSeeker additionally enables SeekToRecord: the reader
+// loads the trailing index and repositions onto the frame containing any
+// record ordinal, so a partial range costs only its own frames'
+// decompression.
 type FlateReader struct {
 	blockReader
 	rs io.ReadSeeker // non-nil when the source supports seeking
@@ -427,10 +428,10 @@ func (r *FlateReader) NumRecords() (int64, error) {
 }
 
 // SeekToRecord repositions the reader so the next Read returns record
-// ordinal n (0-based, in stream order). Only the frame containing n and
-// later frames are ever decompressed. Requires an io.ReadSeeker source.
-// Seeking to the total record count positions at EOF; past it is an
-// error.
+// ordinal n (0-based, in stream order) and the next ReadBlock starts
+// there. Only the frame containing n and later frames are ever
+// decompressed. Requires an io.ReadSeeker source. Seeking to the total
+// record count positions at EOF; past it is an error.
 func (r *FlateReader) SeekToRecord(n int64) error {
 	if err := r.loadIndex(); err != nil {
 		return err

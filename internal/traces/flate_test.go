@@ -97,6 +97,25 @@ func TestFlateSeekToRecord(t *testing.T) {
 				t.Fatalf("seek to EOF position: expected EOF, got %v", err)
 			}
 		}
+		// A block hand-out starts at the target too, and ends with its block.
+		if err := fr.SeekToRecord(start); err != nil {
+			t.Fatalf("SeekToRecord(%d): %v", start, err)
+		}
+		blk, err := fr.ReadBlock()
+		if start == total {
+			if err != io.EOF {
+				t.Fatalf("seek to EOF position: ReadBlock = %v, want EOF", err)
+			}
+			continue
+		}
+		if want := min(256-start%256, total-start); err != nil || int64(len(blk)) != want {
+			t.Fatalf("seek %d: ReadBlock handed out %d records (%v), want %d", start, len(blk), err, want)
+		}
+		for i, got := range blk {
+			if !reflect.DeepEqual(normalize(got), normalize(recs[start+int64(i)])) {
+				t.Fatalf("seek %d, block record %d mismatch", start, i)
+			}
+		}
 	}
 
 	// Out-of-range seeks fail cleanly.
@@ -279,7 +298,8 @@ func TestFlateIndexOffsetPastEOF(t *testing.T) {
 // TestFlateFrameCorruption flips bytes inside the first frame; decoding
 // must fail cleanly (flate checksum-less streams can decode garbage, so
 // the block decoder's bounds checks are the backstop — any outcome but a
-// panic or silent wrong-length success passes).
+// panic, a silent wrong-length success or Read and ReadBlock disagreeing
+// passes).
 func TestFlateFrameCorruption(t *testing.T) {
 	recs := randRecords(39, 500)
 	stream := encodeStream(t, flateFraming, recs, 500, 1, false)
@@ -295,6 +315,11 @@ func TestFlateFrameCorruption(t *testing.T) {
 			if n++; n > len(recs) {
 				t.Fatalf("offset %d: corrupted stream yielded more records than written", off)
 			}
+		}
+		// Decompression is most of this test's time: compare the two
+		// hand-outs on every fifth corruption only.
+		if off%5 == 0 {
+			checkHandOuts(t, func() recordReader { return NewFlateReader(bytes.NewReader(bad)) })
 		}
 	}
 }

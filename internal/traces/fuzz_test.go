@@ -102,6 +102,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if _, err := br.Read(); err != io.EOF {
 			t.Fatalf("expected EOF, got %v", err)
 		}
+		checkHandOuts(t, func() recordReader { return NewBinaryReader(bytes.NewReader(seq.Bytes())) })
 
 		var comp bytes.Buffer
 		fw := NewFlateWriter(&comp, 2)
@@ -126,6 +127,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if _, err := fr.Read(); err != io.EOF {
 			t.Fatalf("flate: expected EOF, got %v", err)
 		}
+		checkHandOuts(t, func() recordReader { return NewFlateReader(bytes.NewReader(comp.Bytes())) })
 	})
 }
 
@@ -144,7 +146,8 @@ func checkFuzzRecord(t *testing.T, i int, got, want *FlowRecord, anon bool) {
 
 // FuzzFlateFrameReader feeds arbitrary bytes to both readers: any input —
 // corrupted, truncated, or valid — must produce records or a clean error,
-// never a panic, hang, or unbounded allocation.
+// never a panic, hang, or unbounded allocation, and the same records and
+// error from Read as from ReadBlock.
 func FuzzFlateFrameReader(f *testing.F) {
 	// Valid streams (so mutations explore near-valid space), plus raw junk.
 	rng := rand.New(rand.NewSource(51))
@@ -212,5 +215,8 @@ func FuzzFlateFrameReader(f *testing.F) {
 				t.Fatal("binary reader yielded implausibly many records")
 			}
 		}
+		// Whatever the bytes are, the two hand-outs agree on them.
+		checkHandOuts(t, func() recordReader { return NewFlateReader(bytes.NewReader(data)) })
+		checkHandOuts(t, func() recordReader { return NewBinaryReader(bytes.NewReader(data)) })
 	})
 }

@@ -72,6 +72,38 @@ type FlowRecord struct {
 // Duration returns the flow duration from first packet to last packet.
 func (r *FlowRecord) Duration() time.Duration { return r.LastPacket - r.FirstPacket }
 
+// The intern table holds at most internEntries strings of at most
+// internLen bytes; anything past either cap is allocated per use.
+const (
+	internEntries = 4096
+	internLen     = 256
+)
+
+// internTable is the bounded string intern table of the readers: the four
+// string columns of an export draw from a few hundred distinct names, so
+// a reader allocates each one once per stream, not once per CSV row or
+// per block dictionary. The zero value is ready to use.
+type internTable map[string]string
+
+// get returns b as a string, allocating only the first time a value is
+// seen: a map lookup keyed by string(b) does not allocate.
+func (t *internTable) get(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := (*t)[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(*t) < internEntries && len(s) <= internLen {
+		if *t == nil {
+			*t = make(internTable)
+		}
+		(*t)[s] = s
+	}
+	return s
+}
+
 // csvColumns is the width of every row of the CSV format.
 const csvColumns = 28
 
