@@ -51,9 +51,7 @@
 //
 // See cmd/experiments for the batch driver and EXPERIMENTS.md for the
 // experiment catalogue and the fleet engine's sharding and determinism
-// contract. The pre-context entry points (RunCampaign, AllExperiments,
-// Table4, PerformanceLab, Testbed, ...) remain available, bit-identical,
-// in deprecated.go.
+// contract.
 package insidedropbox
 
 import (

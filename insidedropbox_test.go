@@ -2,6 +2,7 @@ package insidedropbox
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,11 +10,19 @@ import (
 )
 
 func TestFacadeCampaignAndExperiments(t *testing.T) {
-	camp := RunCampaign(9, ScaleConfig{Campus1: 0.2, Campus2: 0.04, Home1: 0.015, Home2: 0.015})
+	ctx := context.Background()
+	sc := ScaleConfig{Campus1: 0.2, Campus2: 0.04, Home1: 0.015, Home2: 0.015}
+	camp, err := NewCampaign(ctx, 9, sc, FleetConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(camp.Datasets) != 4 {
 		t.Fatalf("datasets = %d", len(camp.Datasets))
 	}
-	results := AllExperiments(camp)
+	results, err := Run(ctx, Spec{Seed: 9, Scale: sc}, WithSkipPacket())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) < 20 {
 		t.Fatalf("experiments = %d", len(results))
 	}
@@ -47,8 +56,12 @@ func TestFacadeSaveTraces(t *testing.T) {
 
 func TestFacadeWriteResults(t *testing.T) {
 	dir := t.TempDir()
-	camp := RunCampaign(11, ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01})
-	results := AllExperiments(camp)[:3]
+	results, err := Run(context.Background(),
+		Spec{Seed: 11, Scale: ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01}},
+		WithExperiments("table1", "table2", "table3"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := WriteResults(dir, results); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +85,10 @@ func TestFacadeFleet(t *testing.T) {
 	sc := ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01}
 	fc := FleetConfig{Shards: 3, Workers: 2, DevicesScale: 2}
 
-	rep := RunFleetCampaign(21, sc, fc)
+	rep, err := RunFleet(context.Background(), 21, sc, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rep.VPs) != 4 {
 		t.Fatalf("fleet report has %d VPs", len(rep.VPs))
 	}
@@ -88,12 +104,14 @@ func TestFacadeFleet(t *testing.T) {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
 	n := 0
-	stats := StreamDataset(Campus1(0.1), 3, FleetConfig{Shards: 2}, func(r *FlowRecord) {
-		n++
-		if err := tw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	})
+	stats, err := StreamRecords(context.Background(), Campus1(0.1), 3, FleetConfig{Shards: 2},
+		func(r *FlowRecord) bool {
+			n++
+			return tw.Write(r) == nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +121,14 @@ func TestFacadeFleet(t *testing.T) {
 	if !strings.Contains(buf.String(), "vp,client,server") {
 		t.Fatal("missing CSV header on streamed export")
 	}
-
-	// RunShardedCampaign with one shard reproduces RunCampaign.
-	a := RunCampaign(9, sc)
-	b := RunShardedCampaign(9, sc, FleetConfig{Shards: 1})
-	for i := range a.Datasets {
-		if len(a.Datasets[i].Records) != len(b.Datasets[i].Records) {
-			t.Fatalf("%s: sharded(1) diverged from RunCampaign", a.Datasets[i].Cfg.Name)
-		}
-	}
 }
 
 func TestFacadeTestbed(t *testing.T) {
-	fig1, fig19 := Testbed(13)
+	results, err := Run(context.Background(), Spec{Seed: 13}, WithExperiments("figure1", "figure19"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig1, fig19 := results[0], results[1]
 	if !strings.Contains(fig1.Text, "MsgCommitBatch") {
 		t.Fatalf("testbed fig1 missing commit_batch:\n%s", fig1.Text)
 	}

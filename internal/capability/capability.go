@@ -15,9 +15,9 @@
 //
 // Two presets — DropboxV1252 and DropboxV140 — reproduce the historical
 // Version-based behaviour bit for bit (pinned by regression tests); the
-// remaining presets are the hypothetical laboratory. experiments.RunWhatIf
-// runs the same fleet population under several profiles and tabulates the
-// deltas versus a baseline.
+// remaining presets are the hypothetical laboratory.
+// experiments.WhatIfConfig.Run runs the same fleet population under several
+// profiles and tabulates the deltas versus a baseline.
 //
 // Determinism contract extension: the profile is part of the
 // reproducibility key. (seed, population config, shard count, profile)

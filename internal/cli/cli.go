@@ -1,8 +1,8 @@
 // Package cli is the shared command-line surface of the repo's binaries:
 // one flag vocabulary bound to the facade's Spec, one vantage-point
 // resolver, one progress printer and one signal-aware context, so
-// cmd/experiments, cmd/dropsim and cmd/bench parse and behave alike
-// instead of growing private flag dialects.
+// cmd/experiments and cmd/dropsim parse and behave alike instead of
+// growing private flag dialects.
 package cli
 
 import (
@@ -13,7 +13,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path"
 	"strings"
 	"syscall"
 	"time"
@@ -165,28 +164,6 @@ func SplitPatterns(list string) []string {
 		}
 	}
 	return out
-}
-
-// Matcher compiles a comma-separated list of glob patterns into a
-// predicate. Patterns without glob metacharacters match as substrings
-// (the historical -scenarios contract); an empty list matches everything.
-func Matcher(list string) func(string) bool {
-	patterns := SplitPatterns(list)
-	if len(patterns) == 0 {
-		return func(string) bool { return true }
-	}
-	return func(name string) bool {
-		for _, p := range patterns {
-			if strings.ContainsAny(p, "*?[") {
-				if ok, err := path.Match(p, name); err == nil && ok {
-					return true
-				}
-			} else if strings.Contains(name, p) {
-				return true
-			}
-		}
-		return false
-	}
 }
 
 // VantageNames lists the resolvable vantage point names.

@@ -128,24 +128,6 @@ func TestVantagePoint(t *testing.T) {
 	}
 }
 
-func TestMatcher(t *testing.T) {
-	m := Matcher("serialize/*,fleet")
-	for name, want := range map[string]bool{
-		"serialize/csv":      true,
-		"serialize/binary":   true,
-		"fleet/home1-8shard": true,
-		"generate/home1":     false,
-	} {
-		if m(name) != want {
-			t.Errorf("Matcher(%q) = %v, want %v", name, m(name), want)
-		}
-	}
-	all := Matcher("")
-	if !all("anything") {
-		t.Error("empty matcher must match everything")
-	}
-}
-
 func TestSplitPatterns(t *testing.T) {
 	got := SplitPatterns(" a, ,b ,")
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {

@@ -16,9 +16,9 @@ import (
 )
 
 // ProfileFlags binds the opt-in observability flag vocabulary shared by
-// cmd/experiments, cmd/dropsim and cmd/bench: pprof serving, CPU/heap
-// profiles, and periodic telemetry snapshot lines. All default to off —
-// the binaries pay nothing unless asked.
+// cmd/experiments and cmd/dropsim: pprof serving, CPU/heap profiles, and
+// periodic telemetry snapshot lines. All default to off — the binaries
+// pay nothing unless asked.
 type ProfileFlags struct {
 	pprofAddr  *string
 	cpuProfile *string

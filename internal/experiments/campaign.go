@@ -7,15 +7,15 @@
 //
 // Three campaign engines coexist:
 //
-//   - RunCampaign / RunShardedCampaign materialize the four vantage-point
-//     datasets (through the sharded fleet engine; 1 shard per VP
-//     reproduces the historical sequential generator bit for bit);
-//   - RunFleetCampaign streams populations too large to materialize into
+//   - NewCampaign materializes the four vantage-point datasets (through
+//     the sharded fleet engine; 1 shard per VP reproduces the historical
+//     sequential generator bit for bit);
+//   - RunFleet streams populations too large to materialize into
 //     bounded-memory fleet.Summary aggregates;
-//   - RunWhatIf replays one population under several client capability
-//     profiles (internal/capability) and tabulates storage volume, flow,
-//     operation and sync-latency deltas against a baseline profile — the
-//     generalization of the paper's Sec. 6 bundling analysis.
+//   - WhatIfConfig.Run replays one population under several client
+//     capability profiles (internal/capability) and tabulates storage
+//     volume, flow, operation and sync-latency deltas against a baseline
+//     profile — the generalization of the paper's Sec. 6 bundling analysis.
 //
 // See EXPERIMENTS.md at the repository root for the full catalogue, the
 // determinism contract, and how each driver maps to the paper.
@@ -157,22 +157,6 @@ func NewCampaign(ctx context.Context, seed int64, sc ScaleConfig, fc fleet.Confi
 		return nil, err
 	}
 	return &Campaign{Seed: seed, Datasets: datasets}, nil
-}
-
-// RunCampaign generates all four vantage points.
-//
-// Deprecated: RunCampaign is the pre-context entry point, kept bit-
-// identical. Use NewCampaign (cancellable, error-returning).
-func RunCampaign(seed int64, sc ScaleConfig) *Campaign {
-	return RunShardedCampaign(seed, sc, fleet.Config{Shards: 1})
-}
-
-// RunShardedCampaign materializes a campaign through the fleet engine.
-//
-// Deprecated: use NewCampaign.
-func RunShardedCampaign(seed int64, sc ScaleConfig, fc fleet.Config) *Campaign {
-	c, _ := NewCampaign(context.Background(), seed, sc, fc)
-	return c
 }
 
 // ---------- shared helpers ----------

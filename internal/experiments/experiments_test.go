@@ -14,14 +14,40 @@ import (
 var (
 	campOnce sync.Once
 	camp     *Campaign
+	campErr  error
 )
 
 func testCampaign(t *testing.T) *Campaign {
 	t.Helper()
 	campOnce.Do(func() {
-		camp = RunCampaign(2012, SmallScale())
+		camp, campErr = NewCampaign(context.Background(), 2012, SmallScale(), fleet.Config{Shards: 1})
 	})
+	if campErr != nil {
+		t.Fatal(campErr)
+	}
 	return camp
+}
+
+// newCampaign materializes a campaign under a background context and fails
+// the test on error.
+func newCampaign(t *testing.T, seed int64, sc ScaleConfig, fc fleet.Config) *Campaign {
+	t.Helper()
+	c, err := NewCampaign(context.Background(), seed, sc, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// runFleet streams a fleet campaign under a background context and fails
+// the test on error.
+func runFleet(t *testing.T, seed int64, sc ScaleConfig, fc fleet.Config) *FleetReport {
+	t.Helper()
+	rep, err := RunFleet(context.Background(), seed, sc, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func metricIn(t *testing.T, r *Result, key string, lo, hi float64) {
@@ -276,7 +302,10 @@ func TestFigure21Proportions(t *testing.T) {
 }
 
 func TestTable4Bundling(t *testing.T) {
-	r := Table4(77, 0.4)
+	r, err := Table4Context(context.Background(), 77, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Bundling raises throughput (the paper: +65% retrieve average) and
 	// median flow sizes grow.
 	if r.Metrics["after_avg_tp_store"] <= r.Metrics["before_avg_tp_store"] {
@@ -348,8 +377,8 @@ func TestFleetCampaignStreaming(t *testing.T) {
 
 	// The streaming report with one shard must describe exactly the
 	// datasets the materializing path builds.
-	rep := RunFleetCampaign(5, sc, fleet.Config{Shards: 1})
-	camp := RunCampaign(5, sc)
+	rep := runFleet(t, 5, sc, fleet.Config{Shards: 1})
+	camp := newCampaign(t, 5, sc, fleet.Config{Shards: 1})
 	if len(rep.VPs) != len(camp.Datasets) {
 		t.Fatalf("fleet report has %d VPs, campaign %d", len(rep.VPs), len(camp.Datasets))
 	}
@@ -372,7 +401,7 @@ func TestFleetCampaignStreaming(t *testing.T) {
 	}
 
 	// Sharded streaming renders a complete result.
-	res := RunFleetCampaign(5, sc, fleet.Config{Shards: 6}).Result()
+	res := runFleet(t, 5, sc, fleet.Config{Shards: 6}).Result()
 	if res.ID != "fleet" || res.Text == "" {
 		t.Fatalf("incomplete fleet result: %+v", res.ID)
 	}
@@ -386,10 +415,12 @@ func TestFleetCampaignStreaming(t *testing.T) {
 	}
 }
 
+// TestShardedCampaignMatchesRunCampaign: one shard per vantage point is the
+// same campaign whatever the worker count.
 func TestShardedCampaignMatchesRunCampaign(t *testing.T) {
 	sc := ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01}
-	a := RunCampaign(7, sc)
-	b := RunShardedCampaign(7, sc, fleet.Config{Shards: 1, Workers: 2})
+	a := newCampaign(t, 7, sc, fleet.Config{Shards: 1})
+	b := newCampaign(t, 7, sc, fleet.Config{Shards: 1, Workers: 2})
 	for i := range a.Datasets {
 		if len(a.Datasets[i].Records) != len(b.Datasets[i].Records) {
 			t.Fatalf("%s: %d vs %d records", a.Datasets[i].Cfg.Name,
@@ -399,8 +430,9 @@ func TestShardedCampaignMatchesRunCampaign(t *testing.T) {
 }
 
 func TestDeterministicCampaign(t *testing.T) {
-	a := RunCampaign(5, ScaleConfig{Campus1: 0.2, Campus2: 0.04, Home1: 0.01, Home2: 0.01})
-	b := RunCampaign(5, ScaleConfig{Campus1: 0.2, Campus2: 0.04, Home1: 0.01, Home2: 0.01})
+	sc := ScaleConfig{Campus1: 0.2, Campus2: 0.04, Home1: 0.01, Home2: 0.01}
+	a := newCampaign(t, 5, sc, fleet.Config{Shards: 1})
+	b := newCampaign(t, 5, sc, fleet.Config{Shards: 1})
 	for i := range a.Datasets {
 		if len(a.Datasets[i].Records) != len(b.Datasets[i].Records) {
 			t.Fatalf("campaign not deterministic for %s", a.Datasets[i].Cfg.Name)

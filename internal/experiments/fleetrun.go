@@ -57,14 +57,6 @@ func RunFleet(ctx context.Context, seed int64, sc ScaleConfig, fc fleet.Config) 
 	return report, nil
 }
 
-// RunFleetCampaign streams all four vantage points with bounded memory.
-//
-// Deprecated: use RunFleet (cancellable, error-returning).
-func RunFleetCampaign(seed int64, sc ScaleConfig, fc fleet.Config) *FleetReport {
-	report, _ := RunFleet(context.Background(), seed, sc, fc)
-	return report
-}
-
 // Result renders the report as a standard experiment result ("fleet"),
 // one row per vantage point, with the streaming aggregates as metrics.
 func (r *FleetReport) Result() *Result {

@@ -160,14 +160,6 @@ func Table4Context(ctx context.Context, seed int64, scale float64) (*Result, err
 	return res, nil
 }
 
-// Table4 regenerates the bundling before/after comparison.
-//
-// Deprecated: use Table4Context (cancellable, error-returning).
-func Table4(seed int64, scale float64) *Result {
-	res, _ := Table4Context(context.Background(), seed, scale)
-	return res
-}
-
 // Table5 reproduces the user-group characterization of the home networks.
 func Table5(c *Campaign) *Result {
 	res := newResult("table5", "Table 5: User groups in Home 1 and Home 2")

@@ -143,14 +143,6 @@ func (cfg WhatIfConfig) Run(ctx context.Context) (*WhatIfReport, error) {
 	return report, nil
 }
 
-// RunWhatIf executes a what-if campaign.
-//
-// Deprecated: use WhatIfConfig.Run (cancellable, error-returning).
-func RunWhatIf(cfg WhatIfConfig) *WhatIfReport {
-	report, _ := cfg.Run(context.Background())
-	return report
-}
-
 // pctDelta renders a percentage change versus a baseline value.
 func pctDelta(v, base float64) string {
 	if base == 0 {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,6 +19,17 @@ func whatIfVP(scale float64) workload.VPConfig {
 	return cfg
 }
 
+// runWhatIf executes cfg under a background context and fails the test on
+// error.
+func runWhatIf(t *testing.T, cfg WhatIfConfig) *WhatIfReport {
+	t.Helper()
+	rep, err := cfg.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestWhatIfPresetMatchesLegacyFleetRun pins the acceptance criterion: a
 // what-if run under the dropbox-1.2.52 preset is bit-identical to the
 // legacy Version-based fleet campaign of the same population — same flows,
@@ -31,7 +43,7 @@ func TestWhatIfPresetMatchesLegacyFleetRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := RunWhatIf(WhatIfConfig{
+	rep := runWhatIf(t, WhatIfConfig{
 		Seed: 2012, VP: vp, Fleet: fc,
 		Profiles: []capability.Profile{capability.DropboxV1252()},
 	})
@@ -55,7 +67,7 @@ func TestWhatIfWorkerInvariance(t *testing.T) {
 	vp := whatIfVP(0.15)
 	profiles := []capability.Profile{capability.DropboxV140(), capability.NoDedup()}
 	run := func(workers int) *Result {
-		return RunWhatIf(WhatIfConfig{
+		return runWhatIf(t, WhatIfConfig{
 			Seed: 5, VP: vp,
 			Fleet:    fleet.Config{Shards: 4, Workers: workers},
 			Profiles: profiles,
@@ -84,8 +96,8 @@ func TestWhatIfTableGolden(t *testing.T) {
 			capability.FullPipeline(),
 		},
 	}
-	res := RunWhatIf(cfg).Result()
-	again := RunWhatIf(cfg).Result()
+	res := runWhatIf(t, cfg).Result()
+	again := runWhatIf(t, cfg).Result()
 	if res.Text != again.Text {
 		t.Fatal("what-if table not reproducible across runs")
 	}
@@ -122,4 +134,33 @@ func TestWhatIfTableGolden(t *testing.T) {
 		t.Fatalf("no-dedup store volume %v not above 1.4.0 %v",
 			res.Metrics["store_gb_no-dedup"], res.Metrics["store_gb_dropbox-1.4.0"])
 	}
+}
+
+// TestWhatIfAllocationBudget pins the what-if engine's allocation profile:
+// Campus 1 at a tenth of its population, four shards, replayed under both
+// historical Dropbox profiles, stays under 0.8 allocations per generated
+// record (0.57 at this scale and 0.53 at scale 0.5 in the pr14 column of
+// PERFORMANCE.md's archived table; 4.9 before records were pooled). It is
+// the one scenario of the retired scenario-catalogue gate that no benchmark
+// workload covers.
+func TestWhatIfAllocationBudget(t *testing.T) {
+	cfg := WhatIfConfig{
+		Seed:     2012,
+		VP:       workload.Campus1(0.1),
+		Fleet:    fleet.Config{Shards: 4},
+		Profiles: []capability.Profile{capability.DropboxV1252(), capability.DropboxV140()},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := runWhatIf(t, cfg)
+	runtime.ReadMemStats(&after)
+	records := 0
+	for _, run := range rep.Runs {
+		records += run.Stats.Records
+	}
+	perRec := float64(after.Mallocs-before.Mallocs) / float64(records)
+	if perRec > 0.8 {
+		t.Fatalf("what-if allocates %.2f objects/record over %d records, want <= 0.8", perRec, records)
+	}
+	t.Logf("%.3f allocs/record over %d records", perRec, records)
 }

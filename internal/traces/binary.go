@@ -4,10 +4,10 @@ package traces
 //
 // The CSV format mirrors the paper's public release and stays the
 // compatibility path; this file adds the performance path: a block-columnar
-// binary encoding that is ~3.5x smaller on the wire (measured by the
-// serialize scenarios in PERFORMANCE.md) and allocation-free on the write
-// side once its per-block scratch buffers are warm (the property
-// BenchmarkTraceWriteBinary pins).
+// binary encoding that is ~3.5x smaller on the wire (out_bytes_per_unit of
+// the export-binary workload against read-csv's, see PERFORMANCE.md) and
+// allocation-free on the write side once its per-block scratch buffers are
+// warm (the property TestBinaryWriteAllocationFree pins).
 //
 // # Wire format
 //

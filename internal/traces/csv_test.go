@@ -121,7 +121,8 @@ func TestCSVMatchesEncodingCSV(t *testing.T) {
 
 // TestCSVWriteAllocations pins the hot-path allocation budget the
 // append-based encoder bought (was 13.4 allocs/rec via encoding/csv +
-// strconv.Format, BENCH_pr3; ISSUE 7 targets <= 2).
+// strconv.Format, the pr3 column of PERFORMANCE.md's archived table;
+// ISSUE 7 targets <= 2).
 func TestCSVWriteAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	recs := make([]*FlowRecord, 64)

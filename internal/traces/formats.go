@@ -8,8 +8,8 @@ import (
 
 // Format is one row of the trace-format table, the single place that
 // decides which serializations exist, what their files are called and how
-// their writers are built: exporters (cmd/dropsim, internal/campaign,
-// internal/bench) take a format name as data and look it up here.
+// their writers are built: exporters (cmd/dropsim, internal/campaign) take
+// a format name as data and look it up here.
 type Format struct {
 	Name string // the value of a -format flag or a campaign spec's format
 	Ext  string // conventional file extension, dot included

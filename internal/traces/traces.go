@@ -130,8 +130,9 @@ type RecordWriter interface {
 // field encoding into a reused buffer — byte-identical to encoding/csv
 // output (quoting rules included) but allocation-free per record once the
 // scratch is warm, where the encoding/csv + strconv.Format path cost
-// 13.4 allocs/rec (BENCH_pr3). TestCSVMatchesEncodingCSV pins the byte
-// identity, TestCSVWriteAllocations pins the allocation budget.
+// 13.4 allocs/rec (the pr3 column of PERFORMANCE.md's archived table).
+// TestCSVMatchesEncodingCSV pins the byte identity, TestCSVWriteAllocations
+// pins the allocation budget.
 type Writer struct {
 	bw *bufio.Writer
 	// Anonymize replaces client addresses with stable opaque tokens, as the

@@ -9,53 +9,69 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"insidedropbox/internal/experiments"
 )
 
 // goldenScale is the small population used by the equivalence tests.
 var goldenScale = ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01}
 
-// TestRunMatchesLegacyFacade is the redesign's golden acceptance test:
-// Run with a full-catalogue selection must reproduce the exact bytes of
-// the deprecated entry points — AllExperiments + Table4 + PerformanceLab
-// + Testbed — result for result.
-func TestRunMatchesLegacyFacade(t *testing.T) {
+// TestRunMatchesDirectCalls is the golden acceptance test of Run's
+// registry and session wiring: Run with a full-catalogue selection must
+// reproduce the exact bytes of the per-experiment drivers called directly
+// — experiments.All over one campaign, Table4Context, RunPacketLabs with
+// the quick configs, RunTestbed — result for result.
+func TestRunMatchesDirectCalls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the packet labs")
 	}
 	const seed = 9
+	ctx := context.Background()
 	spec := Spec{Seed: seed, Scale: goldenScale, Quick: true}
-	results, err := Run(context.Background(), spec)
+	results, err := Run(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	legacy := map[string]*Result{}
-	for _, r := range AllExperiments(RunCampaign(seed, goldenScale)) {
-		legacy[r.ID] = r
+	camp, err := NewCampaign(ctx, seed, goldenScale, FleetConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacy["table4"] = Table4(seed, goldenScale.Campus1)
-	fig9, fig10 := PerformanceLab(true)
-	legacy["figure9"], legacy["figure10"] = fig9, fig10
-	fig1, fig19 := Testbed(seed)
-	legacy["figure1"], legacy["figure19"] = fig1, fig19
+	direct := map[string]*Result{}
+	for _, r := range experiments.All(camp) {
+		direct[r.ID] = r
+	}
+	if direct["table4"], err = experiments.Table4Context(ctx, seed, goldenScale.Campus1); err != nil {
+		t.Fatal(err)
+	}
+	direct["figure9"], direct["figure10"], err = experiments.RunPacketLabs(ctx,
+		experiments.QuickPacketLab(false), experiments.QuickPacketLab(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := experiments.RunTestbed(ctx, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct["figure1"], direct["figure19"] = tb.Figure1, tb.Figure19
 
-	if len(results) != len(legacy) {
-		t.Fatalf("Run produced %d results, legacy surface %d", len(results), len(legacy))
+	if len(results) != len(direct) {
+		t.Fatalf("Run produced %d results, the direct calls %d", len(results), len(direct))
 	}
 	for _, got := range results {
-		want := legacy[got.ID]
+		want := direct[got.ID]
 		if want == nil {
-			t.Errorf("%s: not produced by the legacy surface", got.ID)
+			t.Errorf("%s: not produced by the direct calls", got.ID)
 			continue
 		}
 		if got.Text != want.Text {
-			t.Errorf("%s: rendered text diverged from the legacy entry point", got.ID)
+			t.Errorf("%s: rendered text diverged from the direct call", got.ID)
 		}
 		if got.Title != want.Title {
-			t.Errorf("%s: title %q != legacy %q", got.ID, got.Title, want.Title)
+			t.Errorf("%s: title %q != direct %q", got.ID, got.Title, want.Title)
 		}
 		if !reflect.DeepEqual(got.Metrics, want.Metrics) {
-			t.Errorf("%s: metrics diverged from the legacy entry point", got.ID)
+			t.Errorf("%s: metrics diverged from the direct call", got.ID)
 		}
 		// The registry's catalogue label must not drift from the title the
 		// driver renders (they are maintained in two places).
@@ -226,21 +242,27 @@ func TestRunCancelMidRun(t *testing.T) {
 }
 
 // TestRecordsIteratorMatchesStreamDataset pins the facade iterator
-// against the deprecated callback export: same records, same order, and a
-// clean round trip through WriteRecordStream.
+// against the callback export, StreamRecords: same records, same order,
+// and a clean round trip through WriteRecordStream.
 func TestRecordsIteratorMatchesStreamDataset(t *testing.T) {
 	cfg := Campus1(0.1)
 	fc := FleetConfig{Shards: 2}
 
-	var legacyBuf bytes.Buffer
-	tw := NewTraceWriter(&legacyBuf)
-	legacyStats := StreamDataset(cfg, 3, fc, func(r *FlowRecord) {
-		if err := tw.Write(r); err != nil {
-			t.Fatal(err)
-		}
+	var callbackBuf bytes.Buffer
+	tw := NewTraceWriter(&callbackBuf)
+	n := 0
+	stats, err := StreamRecords(context.Background(), cfg, 3, fc, func(r *FlowRecord) bool {
+		n++
+		return tw.Write(r) == nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if n == 0 || n != stats.Records {
+		t.Fatalf("StreamRecords delivered %d records, stats say %d", n, stats.Records)
 	}
 
 	var iterBuf bytes.Buffer
@@ -248,20 +270,8 @@ func TestRecordsIteratorMatchesStreamDataset(t *testing.T) {
 		Records(context.Background(), cfg, 3, fc)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(legacyBuf.Bytes(), iterBuf.Bytes()) {
-		t.Fatal("iterator export diverged from the deprecated StreamDataset export")
-	}
-
-	n := 0
-	stats, err := StreamRecords(context.Background(), cfg, 3, fc, func(*FlowRecord) bool {
-		n++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != legacyStats.Records || stats.Records != legacyStats.Records {
-		t.Fatalf("StreamRecords delivered %d records, legacy %d", n, legacyStats.Records)
+	if !bytes.Equal(callbackBuf.Bytes(), iterBuf.Bytes()) {
+		t.Fatal("iterator export diverged from the StreamRecords export")
 	}
 }
 
