@@ -1,8 +1,9 @@
 package backend
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"insidedropbox/internal/classify"
@@ -104,32 +105,113 @@ func RequestOf(r *traces.FlowRecord) (Request, bool) {
 	return rq, true
 }
 
-// SortRequests puts requests into the canonical arrival order: by arrival
-// time, then content key, then class and work. The order is total for any
-// realistic request set, so simulating a sorted slice is deterministic no
-// matter how the slice was assembled (shard concatenation order, worker
+// compareRequests is the canonical arrival order: by arrival time, then
+// content key, then class, work and region. Requests it calls equal are
+// identical values, so a sorted slice is a function of the request
+// multiset alone.
+func compareRequests(a, b Request) int {
+	if c := cmp.Compare(a.Arrive, b.Arrive); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Class, b.Class); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Work, b.Work); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Region, b.Region)
+}
+
+// SortRequests puts requests into the canonical arrival order
+// (compareRequests). The order is total, so simulating a sorted slice is
+// deterministic no matter how the slice was assembled (shard order, worker
 // count, a re-run).
 func SortRequests(reqs []Request) {
-	sort.Slice(reqs, func(i, j int) bool {
-		a, b := reqs[i], reqs[j]
-		if a.Arrive != b.Arrive {
-			return a.Arrive < b.Arrive
+	slices.SortFunc(reqs, compareRequests)
+}
+
+// runHead is one sorted run's unmerged rest in mergeRuns' heap; idx is
+// the run's position, the tie-break between equal heads.
+type runHead struct {
+	rest []Request
+	idx  int
+}
+
+func (a *runHead) before(b *runHead) bool {
+	if c := compareRequests(a.rest[0], b.rest[0]); c != 0 {
+		return c < 0
+	}
+	return a.idx < b.idx
+}
+
+// siftDown restores the min-heap order below h[i].
+func siftDown(h []runHead, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		if a.Key != b.Key {
-			return a.Key < b.Key
+		if c+1 < len(h) && h[c+1].before(&h[c]) {
+			c++
 		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
+		if !h[c].before(&h[i]) {
+			return
 		}
-		return a.Work < b.Work
-	})
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// mergeRuns k-way merges canonically sorted runs into one exactly sized
+// slice: a min-heap of run heads, O(n log k), equal requests in run order.
+// A lone non-empty run is returned as it is.
+func mergeRuns(runs [][]Request) []Request {
+	h := make([]runHead, 0, len(runs))
+	n := 0
+	for i, r := range runs {
+		if len(r) > 0 {
+			h = append(h, runHead{rest: r, idx: i})
+			n += len(r)
+		}
+	}
+	switch len(h) {
+	case 0:
+		return nil
+	case 1:
+		return h[0].rest
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	out := make([]Request, 0, n)
+	for len(h) > 1 {
+		top := &h[0]
+		out = append(out, top.rest[0])
+		if top.rest = top.rest[1:]; len(top.rest) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	return append(out, h[0].rest...)
 }
 
 // Collector is the fleet.Aggregator that turns a campaign's record stream
 // into backend arrivals. It retains only Request values (never the pooled
 // records), so it is safe on the allocation-free Aggregate path.
+//
+// On Aggregate each shard's collector sorts its own requests on its worker
+// (FinishShard); Merge only gathers those sorted runs, and Arrivals
+// combines them in one k-way merge. A plain tee (Consume only) keeps its
+// requests unsorted in Requests.
 type Collector struct {
+	// Requests are the requests this collector consumed itself.
 	Requests []Request
+	// runs are the sorted runs Merge gathered, in shard order.
+	runs [][]Request
 }
 
 // Consume implements fleet.Sink.
@@ -139,15 +221,26 @@ func (c *Collector) Consume(r *traces.FlowRecord) {
 	}
 }
 
-// Merge implements fleet.Aggregator (shard-order concatenation; the
-// canonical sort happens once at collection end).
+// FinishShard implements fleet.ShardFinisher: the shard's run is sorted on
+// the worker that generated it.
+func (c *Collector) FinishShard() { SortRequests(c.Requests) }
+
+// Merge implements fleet.Aggregator: other's sorted runs join the
+// receiver's, in shard order.
 func (c *Collector) Merge(other fleet.Aggregator) {
-	c.Requests = append(c.Requests, other.(*Collector).Requests...)
+	o := other.(*Collector)
+	c.runs = append(append(c.runs, o.Requests), o.runs...)
+}
+
+// Arrivals returns every request of the merged collectors in canonical
+// order: the k-way merge of their finished runs.
+func (c *Collector) Arrivals() []Request {
+	return mergeRuns(append([][]Request{c.Requests}, c.runs...))
 }
 
 // CollectArrivals streams one vantage point through the sharded fleet
 // engine and returns its backend arrivals in canonical order. Worker count
-// never changes the result (the fleet contract plus the canonical sort);
+// never changes the result (the fleet contract plus the canonical order);
 // shard count is part of the experiment definition, exactly as for every
 // other aggregate. Cancelling ctx aborts at fleet-shard granularity.
 func CollectArrivals(ctx context.Context, vp workload.VPConfig, seed int64, fc fleet.Config) ([]Request, fleet.VPStats, error) {
@@ -155,9 +248,7 @@ func CollectArrivals(ctx context.Context, vp workload.VPConfig, seed int64, fc f
 	if err != nil {
 		return nil, stats, err
 	}
-	reqs := agg.(*Collector).Requests
-	SortRequests(reqs)
-	return reqs, stats, nil
+	return agg.(*Collector).Arrivals(), stats, nil
 }
 
 // ScaleLoad returns a copy of reqs with arrival times compressed by

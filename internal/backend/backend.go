@@ -1,8 +1,10 @@
 package backend
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"insidedropbox/internal/fleet"
@@ -151,11 +153,15 @@ func (n *nodeState) dequeue() queued {
 const cancelCheckMask = 0x3f
 
 // Simulate replays an arrival set against a backend configuration and
-// returns the observed load response. The simulation is one global
-// timestamp-ordered event queue (EventQueue: heap with FIFO tie-breaking);
-// arrivals fire in slice order at equal timestamps, so feed it canonically
-// sorted requests (CollectArrivals and ScaleLoad return them sorted) for
-// run-to-run and worker-count determinism.
+// returns the observed load response. Arrivals are read from reqs in order
+// through a cursor; the EventQueue (heap with FIFO tie-breaking) holds only
+// timeline events and in-flight departures, so it stays as small as the
+// work in service. At one instant arrivals fire first (in slice order),
+// then timeline events (in Config order), then departures (in the order
+// they were scheduled). Feed it canonically sorted requests
+// (CollectArrivals and ScaleLoad return them sorted) for run-to-run and
+// worker-count determinism; input not sorted by Arrive is replayed from a
+// stable-by-Arrive copy.
 //
 // Cancelling ctx stops the event loop at event granularity: the partial
 // report up to the last processed event is returned with ctx.Err().
@@ -182,15 +188,20 @@ func Simulate(ctx context.Context, cfg Config, reqs []Request) (*Report, error) 
 		return nodes[i].load()
 	}
 
-	var q EventQueue
-	for i, r := range reqs {
-		q.Push(Event{At: r.Arrive, Kind: EvArrival, Req: int32(i)})
+	if !arrivalOrdered(reqs) {
+		// The replay order of unsorted input is stable-by-Arrive: slice
+		// order among equal timestamps, as when arrivals were queue events.
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, func(a, b Request) int { return cmp.Compare(a.Arrive, b.Arrive) })
 	}
-	// Timeline events are pushed after the arrivals, so at equal
-	// timestamps the arrival fires first — a fixed, documented order.
+	// The queue holds timeline events and departures only; next is the
+	// arrival cursor into reqs. Timeline events are pushed before any
+	// departure, so at equal timestamps they fire first.
+	var q EventQueue
 	for i, te := range cfg.Timeline {
 		q.Push(Event{At: te.At, Kind: EvTimeline, Req: int32(i)})
 	}
+	next := 0
 
 	rep := &Report{
 		Admission: cfg.Admission,
@@ -243,8 +254,11 @@ func Simulate(ctx context.Context, cfg Config, reqs []Request) (*Report, error) 
 	}
 
 	for {
-		ev, ok := q.Pop()
-		if !ok {
+		// The next arrival fires unless a queued event is strictly earlier,
+		// so at one instant arrivals go first.
+		at, pending := q.NextAt()
+		arrival := next < len(reqs) && (!pending || reqs[next].Arrive <= at)
+		if !arrival && !pending {
 			break
 		}
 		if rep.Events&cancelCheckMask == 0 && ctx.Err() != nil {
@@ -252,12 +266,13 @@ func Simulate(ctx context.Context, cfg Config, reqs []Request) (*Report, error) 
 			return rep, ctx.Err()
 		}
 		rep.Events++
-		now = ev.At
 
-		switch ev.Kind {
-		case EvArrival:
-			rq := reqs[ev.Req]
-			ni, routed := rt.route(rq, load)
+		if arrival {
+			ri := int32(next)
+			next++
+			rq := &reqs[ri]
+			now = rq.Arrive
+			ni, routed := rt.route(*rq, load)
 			if !routed {
 				rep.Unroutable++
 				rep.Dropped++
@@ -266,7 +281,7 @@ func Simulate(ctx context.Context, cfg Config, reqs []Request) (*Report, error) 
 			}
 			n := &nodes[ni]
 			if n.canStart() && n.qlen() == 0 {
-				start(n, ni, ev.Req, now)
+				start(n, ni, ri, now)
 				continue
 			}
 			switch cfg.Admission {
@@ -281,7 +296,7 @@ func Simulate(ctx context.Context, cfg Config, reqs []Request) (*Report, error) 
 					winDrop(rq.Arrive)
 					continue
 				}
-				n.enqueue(queued{req: ev.Req, at: now})
+				n.enqueue(queued{req: ri, at: now})
 			case AdmitShed:
 				if n.cfg.QueueDepth > 0 && n.qlen() >= n.cfg.QueueDepth {
 					w := n.dequeue() // oldest waiter is shed for the newcomer
@@ -289,8 +304,14 @@ func Simulate(ctx context.Context, cfg Config, reqs []Request) (*Report, error) 
 					rep.Shed++
 					winDrop(reqs[w.req].Arrive)
 				}
-				n.enqueue(queued{req: ev.Req, at: now})
+				n.enqueue(queued{req: ri, at: now})
 			}
+			continue
+		}
+
+		ev, _ := q.Pop()
+		now = ev.At
+		switch ev.Kind {
 		case EvDeparture:
 			n := &nodes[ev.Node]
 			n.tick(now)
@@ -308,6 +329,16 @@ func Simulate(ctx context.Context, cfg Config, reqs []Request) (*Report, error) 
 	finalize(rep, nodes, now)
 	publish(rep)
 	return rep, nil
+}
+
+// arrivalOrdered reports whether reqs is nondecreasing in Arrive.
+func arrivalOrdered(reqs []Request) bool {
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].Arrive < reqs[i-1].Arrive {
+			return false
+		}
+	}
+	return true
 }
 
 // finalize closes the busy-time integrals at the last event time and

@@ -7,13 +7,18 @@
 // behind pluggable admission (queue / reject / shed) and routing
 // (round-robin / least-loaded / region-affine) policies.
 //
-// The simulation is a single global timestamp-ordered event queue with
-// deterministic tie-breaking: events at equal timestamps dequeue in push
-// order (a monotone sequence number breaks ties), so the same arrival set
-// and configuration replay the exact same event interleaving on every run,
-// on every host. Arrivals are canonically sorted before simulation, so the
-// backend's metrics depend only on the generated request multiset — never
-// on fleet worker count (determinism-contract point 14 in EXPERIMENTS.md).
+// The simulation clock has two sources: a cursor over the canonically
+// sorted arrival slice, and a timestamp-ordered event queue that holds only
+// timeline events and in-flight departures (so it stays as small as the
+// work in service, not the arrival set). Ties are deterministic: at one
+// instant arrivals fire first in slice order, then timeline events, then
+// departures in push order (a monotone sequence number breaks queue ties),
+// so the same arrival set and configuration replay the exact same event
+// interleaving on every run, on every host. The collectors build the
+// canonical order per shard and merge the sorted runs, so the backend's
+// metrics depend only on the generated request multiset — never on fleet
+// worker count (determinism-contract point 14 in EXPERIMENTS.md, pinned
+// byte for byte by TestSimulateMetricsGolden).
 //
 // The backend observes, it never participates: client record generation is
 // finished before the first server event fires, and an infinite-capacity
@@ -27,19 +32,19 @@ import "time"
 // EventKind labels what an event does when it fires.
 type EventKind uint8
 
+// Arrivals have no kind: Simulate reads them through its cursor over the
+// sorted request slice, and they never enter the queue.
 const (
-	// EvArrival is a request reaching the front door of the backend.
-	EvArrival EventKind = iota
 	// EvDeparture is a server finishing one request's service.
-	EvDeparture
+	EvDeparture EventKind = iota
 	// EvTimeline is a scheduled deployment change firing (Config.Timeline:
 	// region outages, capacity rollouts). Req indexes the timeline slice.
 	EvTimeline
 )
 
-// Event is one entry of the global simulation clock: something happens at
-// At. Req indexes the simulation's request slice; Node is the serving node
-// for departures (unused for arrivals, which are routed when they fire).
+// Event is one queued entry of the simulation clock: something happens at
+// At. Req indexes the simulation's request slice (departures) or the
+// timeline (timeline events); Node is the serving node of a departure.
 type Event struct {
 	At   time.Duration
 	Kind EventKind

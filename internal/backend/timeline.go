@@ -38,9 +38,10 @@ func (a TimelineAction) String() string {
 	}
 }
 
-// TimelineEvent is one scheduled deployment change. Events ride the same
-// global event queue as arrivals and departures, so a timeline's effect on
-// the simulation is exactly as deterministic as the arrival replay itself.
+// TimelineEvent is one scheduled deployment change. Events ride the
+// simulation's event queue beside departures and fire after the arrivals
+// of their instant, so a timeline's effect on the simulation is exactly as
+// deterministic as the arrival replay itself.
 type TimelineEvent struct {
 	At     time.Duration
 	Action TimelineAction

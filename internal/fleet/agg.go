@@ -20,6 +20,17 @@ type Aggregator interface {
 	Merge(other Aggregator)
 }
 
+// ShardFinisher is an optional Aggregator extension for per-shard work
+// that belongs off the merge's critical path. Aggregate calls FinishShard
+// on the worker goroutine, right after the shard's last Consume, so it runs
+// in parallel with other shards still generating (the backend collectors
+// sort their shard's arrivals there, so the merge only has sorted runs to
+// combine). A shard that never ran (a cancelled Aggregate) is never
+// finished.
+type ShardFinisher interface {
+	FinishShard()
+}
+
 // Aggregate runs a fleet generation feeding one aggregator per shard and
 // returns the shard-ordered merge. This is the bounded-memory,
 // allocation-free path: a record is recycled the moment Consume returns, so
@@ -28,9 +39,10 @@ type Aggregator interface {
 // unpooled generator (pinned by TestPooledShardMatchesUnpooled).
 //
 // newAgg is called once per shard, in shard order, from the calling
-// goroutine before anything runs. Cancelling ctx stops the run at shard
-// granularity (in-flight shards finish, nothing new starts) and returns the
-// partial merge with ctx.Err().
+// goroutine before anything runs; aggregators implementing ShardFinisher
+// are finished on the worker that ran their shard. Cancelling ctx stops
+// the run at shard granularity (in-flight shards finish, nothing new
+// starts) and returns the partial merge with ctx.Err().
 func Aggregate(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, newAgg func(shard int) Aggregator) (Aggregator, VPStats, error) {
 	fc = fc.normalized()
 	vp = fc.apply(vp)
@@ -40,7 +52,11 @@ func Aggregate(ctx context.Context, vp workload.VPConfig, seed int64, fc Config,
 		aggs[i] = newAgg(i)
 	}
 	stats, err := runShards(ctx, fc, vp.Name, fc.allShards(), nil, func(sh int) (workload.ShardStats, error) {
-		return RunShard(vp, seed, sh, fc.Shards, aggs[sh]), nil
+		st := RunShard(vp, seed, sh, fc.Shards, aggs[sh])
+		if f, ok := aggs[sh].(ShardFinisher); ok {
+			f.FinishShard()
+		}
+		return st, nil
 	})
 	root := aggs[0]
 	for _, a := range aggs[1:] {

@@ -260,6 +260,44 @@ func TestAggregateSinkPerShard(t *testing.T) {
 	}
 }
 
+// finishAgg is a hashAgg that records its ShardFinisher calls: how many,
+// and how many records it had consumed at the last one.
+type finishAgg struct {
+	hashAgg
+	finishes, seenAtFinish int
+}
+
+func (a *finishAgg) FinishShard() {
+	a.finishes++
+	a.seenAtFinish = a.n
+}
+
+// TestAggregateFinishShard: Aggregate finishes every ShardFinisher exactly
+// once, after its shard's last record, before it returns. The call runs on
+// the worker goroutines, so go test -race checks it against the merge.
+func TestAggregateFinishShard(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var aggs []*finishAgg
+		_, stats, err := Aggregate(context.Background(), workload.Campus1(0.1), 1, Config{Shards: 6, Workers: workers}, func(int) Aggregator {
+			aggs = append(aggs, &finishAgg{hashAgg: hashAgg{h: fnv.New64a()}})
+			return aggs[len(aggs)-1]
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for sh, a := range aggs {
+			if a.finishes != 1 || a.seenAtFinish != a.n {
+				t.Fatalf("workers=%d shard %d: finished %d times, at %d of %d records", workers, sh, a.finishes, a.seenAtFinish, a.n)
+			}
+			total += a.n
+		}
+		if total == 0 || total != stats.Records {
+			t.Fatalf("workers=%d: shards saw %d records, stats say %d", workers, total, stats.Records)
+		}
+	}
+}
+
 // TestForEachShardTaskError pins the executor's error rule: the first task
 // error stops admission, shards already running finish, that error is what
 // the caller gets, and no worker outlives the call.

@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"insidedropbox/internal/backend"
+	"insidedropbox/internal/fleet"
 )
 
 // mixSpec is a small cohort-mix spec used by the invariance tests: three
@@ -54,6 +56,43 @@ func TestCollectStreamWorkerInvariance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one.Requests, eight.Requests) {
 		t.Fatalf("backend request sets differ between worker counts (%d vs %d requests)", len(one.Requests), len(eight.Requests))
+	}
+}
+
+// TestCollectStreamEqualsConcatSort pins CollectStream's per-shard sorted
+// runs against concatenate-then-sort: at every shard and worker count the
+// arrival set is exactly the shards' requests sorted once.
+func TestCollectStreamEqualsConcatSort(t *testing.T) {
+	sp, err := Parse([]byte(mixSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4, 16} {
+		cs := *c
+		cs.Fleet.Shards = shards
+		vp := cs.Fleet.ScaledVP(cs.VP)
+		var want []backend.Request
+		for sh := 0; sh < shards; sh++ {
+			var col backend.Collector
+			fleet.RunShard(vp, cs.Seed, sh, shards, &col)
+			want = append(want, col.Requests...)
+		}
+		backend.SortRequests(want)
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				res, err := CollectStream(context.Background(), &cs, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) == 0 || !reflect.DeepEqual(res.Requests, want) {
+					t.Fatalf("collected %d arrivals, not the %d of concatenate-then-sort", len(res.Requests), len(want))
+				}
+			})
+		}
 	}
 }
 

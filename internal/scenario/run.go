@@ -48,11 +48,11 @@ type streamAgg struct {
 	h    hash.Hash64
 	w    *traces.Writer
 
-	// combined is the shard-order fold of shard hashes, built up on the
-	// root aggregator as Merge is called; folded marks the root's own
-	// shard hash as already folded in.
-	combined uint64
-	folded   bool
+	// shardHash is this shard's own stream hash, closed by FinishShard.
+	// combined is the shard-order fold of shard hashes: the shard's own
+	// from FinishShard, then on the root each later shard's as Merge is
+	// called.
+	shardHash, combined uint64
 }
 
 func newStreamAgg() *streamAgg {
@@ -66,34 +66,23 @@ func (s *streamAgg) Consume(r *traces.FlowRecord) {
 	s.reqs.Consume(r)
 }
 
-// shardSum finalizes and returns this shard's own stream hash.
-func (s *streamAgg) shardSum() uint64 {
+// FinishShard implements fleet.ShardFinisher: on the shard's worker, the
+// stream hash is closed and the requests sorted into one run.
+func (s *streamAgg) FinishShard() {
 	s.w.Flush()
-	return s.h.Sum64()
+	s.shardHash = s.h.Sum64()
+	s.combined = hashFold(hashFoldOffset, s.shardHash)
+	s.reqs.FinishShard()
 }
 
 // Merge implements fleet.Aggregator. The engine merges in shard-index
-// order onto the shard-0 root, so folding the root's own hash first (on
-// the first Merge) and each incoming shard's after keeps the combined
-// fingerprint a pure function of the shard streams.
+// order onto the shard-0 root, so folding each incoming shard's hash after
+// the root's own keeps the combined fingerprint a pure function of the
+// shard streams.
 func (s *streamAgg) Merge(other fleet.Aggregator) {
 	o := other.(*streamAgg)
-	if !s.folded {
-		s.combined = hashFold(hashFoldOffset, s.shardSum())
-		s.folded = true
-	}
-	s.combined = hashFold(s.combined, o.shardSum())
-	s.reqs.Requests = append(s.reqs.Requests, o.reqs.Requests...)
-}
-
-// sum returns the final combined fingerprint (single-shard runs never saw
-// a Merge).
-func (s *streamAgg) sum() uint64 {
-	if !s.folded {
-		s.combined = hashFold(hashFoldOffset, s.shardSum())
-		s.folded = true
-	}
-	return s.combined
+	s.combined = hashFold(s.combined, o.shardHash)
+	s.reqs.Merge(&o.reqs)
 }
 
 // CollectStream runs a compiled scenario's population through the sharded
@@ -111,7 +100,5 @@ func CollectStream(ctx context.Context, c *Compiled, workers int) (*StreamResult
 		return nil, err
 	}
 	root := agg.(*streamAgg)
-	reqs := root.reqs.Requests
-	backend.SortRequests(reqs)
-	return &StreamResult{Stats: stats, Requests: reqs, StreamHash: root.sum()}, nil
+	return &StreamResult{Stats: stats, Requests: root.reqs.Arrivals(), StreamHash: root.combined}, nil
 }
