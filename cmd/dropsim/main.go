@@ -13,7 +13,7 @@
 //	dropsim [-vp campus1|campus2|home1|home2] [-scale F] [-seed N]
 //	        [-shards N] [-workers N | -jobs N] [-devices-scale F]
 //	        [-profile NAME] [-format csv|binary|binary-flate]
-//	        [-serialize-workers N] [-summary] [-o FILE]
+//	        [-summary] [-o FILE]
 //	        [-checkpoint DIR [-resume]]
 //	        [-backend infinite|provisioned|scarce] [-scenario FILE]
 //	        [-manifest FILE] [-pprof ADDR] [-cpuprofile FILE]
@@ -32,11 +32,10 @@
 // timeline events (outages, rollouts) on the event queue; -backend, when
 // also set, overrides just the preset.
 //
-// -serialize-workers sizes binary/binary-flate block encoding: 0 means
-// GOMAXPROCS workers, 1 encodes on the exporting goroutine with no worker
-// goroutines at all, more spreads blocks over an ordered pool. The stream
-// is byte-identical for every worker count, so the manifest stream hash
-// is stable across -serialize-workers settings.
+// binary/binary-flate block encoding runs on GOMAXPROCS workers (inline,
+// with no worker goroutines, when GOMAXPROCS is 1). The stream is
+// byte-identical for every worker count, so the manifest stream hash is
+// stable across GOMAXPROCS settings.
 //
 // -manifest writes a run manifest (the schema-versioned JSON of
 // insidedropbox.RunManifest) with the FNV-1a hash of the serialized
@@ -109,7 +108,6 @@ func main() {
 	profile := flag.String("profile", "", "capability profile overriding the VP's client version: "+
 		strings.Join(insidedropbox.CapabilityNames(), "|"))
 	format := flag.String("format", "csv", "trace format: csv (public-release compatible), binary (columnar, ~3.5x smaller), or binary-flate (compressed archival with seek index)")
-	serWorkers := flag.Int("serialize-workers", 0, "block-encoding workers for binary formats (0 = GOMAXPROCS, 1 = encode on the caller with no goroutines; never changes output bytes)")
 	backendPreset := flag.String("backend", "", "after the export, replay the stream against the server "+
 		"capacity model under this preset: "+strings.Join(insidedropbox.BackendPresets(), "|"))
 	scenarioPath := flag.String("scenario", "", "declarative scenario spec file; its base section overrides -vp/-scale/-seed/-shards/-devices-scale/-profile")
@@ -269,7 +267,7 @@ func main() {
 		tee = col.Consume
 	}
 
-	stats, volume, err := streamTraces(ctx, cfg, runSeed, fc, w, traceFormat, *serWorkers, tee)
+	stats, volume, err := streamTraces(ctx, cfg, runSeed, fc, w, traceFormat, tee)
 	if err != nil {
 		cli.Exit(ctx, "writing traces", err)
 	}
@@ -368,11 +366,11 @@ func printSummary(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
 // materializing the dataset. The sink latches the first write error and
 // stops the stream; a cancelled context stops it at shard granularity.
 func streamTraces(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
-	fc insidedropbox.FleetConfig, w io.Writer, format traces.Format, serWorkers int,
+	fc insidedropbox.FleetConfig, w io.Writer, format traces.Format,
 	tee func(*insidedropbox.FlowRecord)) (insidedropbox.FleetStats, float64, error) {
 
 	bw := bufio.NewWriterSize(w, 1<<16)
-	sink := &insidedropbox.WriterSink{W: format.New(bw, true, serWorkers)}
+	sink := &insidedropbox.WriterSink{W: format.New(bw, true, 0)}
 	var volume float64
 	stats, err := insidedropbox.StreamRecords(ctx, cfg, seed, fc, func(r *insidedropbox.FlowRecord) bool {
 		volume += float64(r.BytesUp + r.BytesDown)

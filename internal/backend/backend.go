@@ -7,7 +7,7 @@ import (
 	"slices"
 	"time"
 
-	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/telemetry"
 )
 
 // NodeConfig describes one simulated server instance.
@@ -109,7 +109,7 @@ type nodeState struct {
 
 	served, dropped, shed int64
 	queueMax              int
-	delay                 fleet.LogHist // queueing delay, ns, served requests
+	delay                 telemetry.LogHist // queueing delay, ns, served requests
 }
 
 func (n *nodeState) qlen() int { return len(n.queue) - n.qhead }
@@ -245,7 +245,6 @@ func Simulate(ctx context.Context, cfg Config, reqs []Request) (*Report, error) 
 		rep.Delay.Observe(float64(d))
 		rep.DelayByClass[reqs[req].Class].Observe(float64(d))
 		winServe(reqs[req].Arrive, d)
-		mQueueDelay.Observe(d)
 		var svc time.Duration
 		if n.cfg.ServiceRate > 0 {
 			svc = time.Duration(reqs[req].Work / n.cfg.ServiceRate * float64(time.Second))
@@ -384,7 +383,7 @@ type NodeReport struct {
 	// QueueMax is the deepest the node's wait queue ever got.
 	QueueMax int
 	// Delay is the node's queueing-delay histogram (ns, served requests).
-	Delay fleet.LogHist
+	Delay telemetry.LogHist
 }
 
 // Report is the outcome of one backend simulation.
@@ -406,8 +405,8 @@ type Report struct {
 
 	// Delay is the queueing-delay distribution in nanoseconds over all
 	// served requests; DelayByClass splits it by service.
-	Delay        fleet.LogHist
-	DelayByClass [numClasses]fleet.LogHist
+	Delay        telemetry.LogHist
+	DelayByClass [numClasses]telemetry.LogHist
 
 	Nodes []NodeReport
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/golden"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
 )
@@ -14,31 +15,22 @@ import (
 // TestStreamGoldenWithBackend is determinism-contract point 14: attaching
 // a backend simulation to a record stream never changes the stream, and an
 // infinite-capacity backend is invisible — zero queueing delay, zero
-// drops, every request served. The golden hashes are the exact values
-// TestRecordStreamGolden (internal/workload) has pinned since the seed:
+// drops, every request served. The golden hashes (internal/golden) are
+// the values TestRecordStreamGolden (internal/workload) has pinned since
+// the seed:
 // the records are serialized to CSV and hashed WHILE being teed into the
 // backend collector, so any backend-induced perturbation of the stream
 // (there is no mechanism for one — the collector copies what it keeps)
 // would show up as a hash mismatch at either shard count.
 func TestStreamGoldenWithBackend(t *testing.T) {
-	cases := []struct {
-		name    string
-		cfg     workload.VPConfig
-		seed    int64
-		nshards int
-		want    uint64
-	}{
-		{"home1-1shard", workload.Home1(0.02), 7, 1, 0xd01117eb3a234b9d},
-		{"home1-4shard", workload.Home1(0.02), 7, 4, 0x1887b88d5f86bad5},
-		{"home2-abnormal-1shard", workload.Home2(0.02), 9, 1, 0xa59024c1345e9efb},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, g := range []golden.Stream{golden.Home1OneShard, golden.Home1FourShard, golden.Home2Abnormal} {
+		t.Run(g.Name, func(t *testing.T) {
+			vp, _ := workload.ByName(g.VP, g.Scale)
 			h := fnv.New64a()
 			w := traces.NewWriter(h)
 			col := &Collector{}
-			for sh := 0; sh < tc.nshards; sh++ {
-				workload.GenerateShard(tc.cfg, tc.seed, sh, tc.nshards, func(r *traces.FlowRecord) {
+			for sh := 0; sh < g.Shards; sh++ {
+				workload.GenerateShard(vp, g.Seed, sh, g.Shards, func(r *traces.FlowRecord) {
 					if err := w.Write(r); err != nil {
 						t.Fatal(err)
 					}
@@ -48,8 +40,8 @@ func TestStreamGoldenWithBackend(t *testing.T) {
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if got := h.Sum64(); got != tc.want {
-				t.Fatalf("record stream hash with backend tee = %#x, want %#x", got, tc.want)
+			if got := h.Sum64(); got != g.Hash {
+				t.Fatalf("record stream hash with backend tee = %#x, want %#x", got, g.Hash)
 			}
 
 			reqs := col.Requests

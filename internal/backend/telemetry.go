@@ -24,7 +24,9 @@ var (
 
 // publish pushes one completed simulation's tallies into the process
 // registry, where manifests pick them up as part of the counter snapshot.
-// Per-node metrics register lazily by node name.
+// The queueing-delay histogram is merged once per run, so a cancelled run
+// adds to neither backend.served nor backend.queue_delay. Per-node
+// metrics register lazily by node name.
 func publish(rep *Report) {
 	mSims.Inc()
 	mEvents.Add(uint64(rep.Events))
@@ -32,6 +34,7 @@ func publish(rep *Report) {
 	mServed.Add(uint64(rep.Served))
 	mDropped.Add(uint64(rep.Dropped))
 	mShed.Add(uint64(rep.Shed))
+	mQueueDelay.Merge(&rep.Delay)
 	for _, n := range rep.Nodes {
 		prefix := "backend.node." + n.Name
 		telemetry.NewCounter(prefix + ".served").Add(uint64(n.Served))

@@ -5,7 +5,7 @@ import (
 	"math"
 	"time"
 
-	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/telemetry"
 )
 
 // TimelineAction is what a scheduled deployment change does when it fires.
@@ -100,7 +100,7 @@ type WindowReport struct {
 	Served, Dropped int64
 	// Delay is the queueing-delay histogram (ns) of served requests that
 	// arrived inside the window.
-	Delay fleet.LogHist
+	Delay telemetry.LogHist
 }
 
 // applyTimeline fires one timeline event against the node fleet. start is

@@ -146,20 +146,9 @@ func (s Spec) validate() error {
 // vpConfig resolves the spec's vantage point and capability profile into
 // the scaled generation config.
 func (s Spec) vpConfig() (workload.VPConfig, error) {
-	var cfg workload.VPConfig
-	switch s.VP {
-	case "campus1":
-		cfg = workload.Campus1(s.Scale)
-	case "campus1-junjul":
-		cfg = workload.Campus1JunJul(s.Scale)
-	case "campus2":
-		cfg = workload.Campus2(s.Scale)
-	case "home1":
-		cfg = workload.Home1(s.Scale)
-	case "home2":
-		cfg = workload.Home2(s.Scale)
-	default:
-		return cfg, fmt.Errorf("campaign: unknown vantage point %q (campus1, campus1-junjul, campus2, home1, home2)", s.VP)
+	cfg, ok := workload.ByName(s.VP, s.Scale)
+	if !ok {
+		return cfg, fmt.Errorf("campaign: unknown vantage point %q (%s)", s.VP, strings.Join(workload.VantagePoints(), ", "))
 	}
 	if s.Profile != "" {
 		p, ok := capability.ByName(s.Profile)

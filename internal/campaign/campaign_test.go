@@ -10,25 +10,17 @@ import (
 	"testing"
 
 	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/golden"
 	"insidedropbox/internal/telemetry"
 	"insidedropbox/internal/workload"
 )
 
-// goldenCampaigns mirrors the five legacy golden stream hashes pinned in
-// internal/workload's TestRecordStreamGolden: a campaign's merged CSV
-// export (non-anonymized) must reproduce them bit for bit on every path
-// — fresh, resumed, multi-job, multi-process. The hashes are the FNV-1a
-// of the serialized stream, formatted as manifests format them.
-var goldenCampaigns = []struct {
-	name string
-	spec Spec
-	want string
-}{
-	{"home1-1shard", Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 1}, "d01117eb3a234b9d"},
-	{"home1-4shard", Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}, "1887b88d5f86bad5"},
-	{"home2-abnormal-1shard", Spec{VP: "home2", Scale: 0.02, Seed: 9, Shards: 1}, "a59024c1345e9efb"},
-	{"campus1-1shard", Spec{VP: "campus1", Scale: 0.1, Seed: 7, Shards: 1}, "6e788bc7931c6666"},
-	{"campus1-bigchunks-1shard", Spec{VP: "campus1", Scale: 0.1, Seed: 7, Shards: 1, Profile: "big-chunks-16mb"}, "5ffb4eb3ba85ad2b"},
+// goldenSpec is the campaign spec of one legacy golden stream
+// (internal/golden): a campaign's merged CSV export (non-anonymized) must
+// reproduce its hash bit for bit on every path — fresh, resumed,
+// multi-job, multi-process.
+func goldenSpec(g golden.Stream) Spec {
+	return Spec{VP: g.VP, Scale: g.Scale, Seed: g.Seed, Shards: g.Shards, Profile: g.Profile}
 }
 
 func mustRun(t *testing.T, cfg Config) *Result {
@@ -53,15 +45,16 @@ func readExport(t *testing.T, res *Result) []byte {
 // stream hashes: generating through per-shard part files and merging in
 // canonical order must be byte-equivalent to the direct generation path.
 func TestCampaignGolden(t *testing.T) {
-	for _, tc := range goldenCampaigns {
-		t.Run(tc.name, func(t *testing.T) {
-			res := mustRun(t, Config{Spec: tc.spec, Dir: t.TempDir(), Jobs: 2})
-			if res.StreamHash != tc.want {
-				t.Fatalf("campaign export hash = %s, want %s", res.StreamHash, tc.want)
+	for _, g := range golden.Streams {
+		t.Run(g.Name, func(t *testing.T) {
+			spec := goldenSpec(g)
+			res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 2})
+			if res.StreamHash != g.Hex() {
+				t.Fatalf("campaign export hash = %s, want %s", res.StreamHash, g.Hex())
 			}
-			if res.GeneratedShards != tc.spec.normalized().Shards || res.ResumedShards != 0 {
+			if res.GeneratedShards != spec.normalized().Shards || res.ResumedShards != 0 {
 				t.Fatalf("fresh run generated %d / resumed %d shards, want %d / 0",
-					res.GeneratedShards, res.ResumedShards, tc.spec.normalized().Shards)
+					res.GeneratedShards, res.ResumedShards, spec.normalized().Shards)
 			}
 			if res.Records != res.Stats.Records {
 				t.Fatalf("export carries %d records, generation stats say %d", res.Records, res.Stats.Records)
@@ -115,7 +108,7 @@ func TestCampaignRetryConvergence(t *testing.T) {
 			return nil
 		},
 	})
-	if want := "1887b88d5f86bad5"; res.StreamHash != want {
+	if want := golden.Home1FourShard.Hex(); res.StreamHash != want {
 		t.Fatalf("export hash after retries = %s, want %s", res.StreamHash, want)
 	}
 	if attempts[2] != 3 {
@@ -161,7 +154,7 @@ func TestCampaignResumeAfterCancel(t *testing.T) {
 	}
 
 	res := mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 2, Resume: true})
-	if want := "1887b88d5f86bad5"; res.StreamHash != want {
+	if want := golden.Home1FourShard.Hex(); res.StreamHash != want {
 		t.Fatalf("resumed export hash = %s, want %s", res.StreamHash, want)
 	}
 	if res.ResumedShards == 0 || res.ResumedShards+res.GeneratedShards != 4 {

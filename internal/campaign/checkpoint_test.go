@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/telemetry"
 )
 
 // quickSpec is the cheapest campaign the robustness tests can corrupt.
@@ -300,11 +301,16 @@ func TestSummaryStateValidation(t *testing.T) {
 	if _, err := st.Summary(); err == nil || !strings.Contains(err.Error(), "day vectors") {
 		t.Fatalf("err = %v, want day-vector error", err)
 	}
-	var h fleet.LogHist
+	var h telemetry.LogHist
 	h.Observe(1024)
 	hs := h.State()
 	hs.Buckets[0][0] = 9999
 	if err := h.Restore(hs); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want bucket-range error", err)
+	}
+	hs = h.State()
+	hs.Count++
+	if err := h.Restore(hs); err == nil || !strings.Contains(err.Error(), "inconsistent") {
+		t.Fatalf("err = %v, want bucket-count consistency error", err)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"insidedropbox/internal/golden"
 )
 
 // crashExit is the status the crash helper dies with — distinct from
@@ -87,9 +89,9 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash matrix is not -short")
 	}
-	for _, tc := range goldenCampaigns {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := tc.spec.normalized()
+	for _, g := range golden.Streams {
+		t.Run(g.Name, func(t *testing.T) {
+			spec := goldenSpec(g).normalized()
 			lastShard := spec.Shards - 1
 			stages := []struct {
 				stage string
@@ -113,8 +115,8 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 					dir := t.TempDir()
 					crashRun(t, dir, spec, st.stage, st.shard, 2, false)
 					res := mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 2, Resume: true})
-					if res.StreamHash != tc.want {
-						t.Fatalf("resume after %s kill: export hash = %s, want golden %s", st.stage, res.StreamHash, tc.want)
+					if res.StreamHash != g.Hex() {
+						t.Fatalf("resume after %s kill: export hash = %s, want golden %s", st.stage, res.StreamHash, g.Hex())
 					}
 					// Byte-compare against the straight-through run too
 					// (the hash pins it; this catches hash-path bugs).
@@ -151,7 +153,7 @@ func TestRepeatedKillsConverge(t *testing.T) {
 		crashRun(t, dir, spec, st.stage, st.shard, 1, i > 0)
 	}
 	res := mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 2, Resume: true})
-	if want := "1887b88d5f86bad5"; res.StreamHash != want {
+	if want := golden.Home1FourShard.Hex(); res.StreamHash != want {
 		t.Fatalf("after %d kills, resumed export hash = %s, want %s", len(chain), res.StreamHash, want)
 	}
 }
@@ -180,7 +182,7 @@ func TestCrashLeavesLoadableState(t *testing.T) {
 	}
 
 	res := mustRun(t, Config{Spec: spec, Dir: dir, Resume: true})
-	if want := "1887b88d5f86bad5"; res.StreamHash != want {
+	if want := golden.Home1FourShard.Hex(); res.StreamHash != want {
 		t.Fatalf("post-crash resume hash = %s, want %s", res.StreamHash, want)
 	}
 	if res.ResumedShards != len(all) {
@@ -215,7 +217,7 @@ func TestPlannedJobCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "1887b88d5f86bad5"; res.StreamHash != want {
+	if want := golden.Home1FourShard.Hex(); res.StreamHash != want {
 		t.Fatalf("planned crash-resume merge hash = %s, want %s", res.StreamHash, want)
 	}
 	if got := len(plan.Jobs); got != 2 {

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"insidedropbox/internal/golden"
 	"insidedropbox/internal/traces"
 )
 
@@ -49,7 +50,7 @@ func TestCampaignGOMAXPROCSInvariance(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write(single)
-	if got, want := fmt.Sprintf("%016x", h.Sum64()), "1887b88d5f86bad5"; got != want {
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), golden.Home1FourShard.Hex(); got != want {
 		t.Fatalf("export hash = %s, want the home1-4shard golden %s", got, want)
 	}
 }
@@ -136,7 +137,7 @@ func TestCampaignExportFormats(t *testing.T) {
 			if err := cw.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := fmt.Sprintf("%016x", h.Sum64()), "1887b88d5f86bad5"; got != want {
+			if got, want := fmt.Sprintf("%016x", h.Sum64()), golden.Home1FourShard.Hex(); got != want {
 				t.Fatalf("%s round-trip CSV hash = %s, want golden %s", format, got, want)
 			}
 		})

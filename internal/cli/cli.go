@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"insidedropbox"
+	"insidedropbox/internal/workload"
 )
 
 // SignalContext returns a context cancelled by SIGINT/SIGTERM, so a ^C
@@ -167,24 +168,13 @@ func SplitPatterns(list string) []string {
 }
 
 // VantageNames lists the resolvable vantage point names.
-func VantageNames() []string {
-	return []string{"campus1", "campus1-junjul", "campus2", "home1", "home2"}
-}
+func VantageNames() []string { return workload.VantagePoints() }
 
 // VantagePoint resolves a vantage point name and population scale into
 // its calibrated config.
 func VantagePoint(name string, scale float64) (insidedropbox.VPConfig, error) {
-	switch name {
-	case "campus1":
-		return insidedropbox.Campus1(scale), nil
-	case "campus1-junjul":
-		return insidedropbox.Campus1JunJul(scale), nil
-	case "campus2":
-		return insidedropbox.Campus2(scale), nil
-	case "home1":
-		return insidedropbox.Home1(scale), nil
-	case "home2":
-		return insidedropbox.Home2(scale), nil
+	if cfg, ok := workload.ByName(name, scale); ok {
+		return cfg, nil
 	}
 	return insidedropbox.VPConfig{}, fmt.Errorf("unknown vantage point %q (valid: %s)",
 		name, strings.Join(VantageNames(), ", "))

@@ -9,6 +9,7 @@ import (
 	"insidedropbox/internal/capability"
 	"insidedropbox/internal/classify"
 	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/telemetry"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
 )
@@ -48,7 +49,7 @@ type WhatIfAgg struct {
 
 	// StoreLatency / RetrieveLatency hold per-flow transfer durations in
 	// milliseconds — the client-visible sync latency of each flow.
-	StoreLatency, RetrieveLatency fleet.LogHist
+	StoreLatency, RetrieveLatency telemetry.LogHist
 }
 
 // NewWhatIfAgg builds the aggregator for a campaign of the given length.

@@ -4,54 +4,13 @@ import (
 	"fmt"
 	"sort"
 
+	"insidedropbox/internal/telemetry"
 	"insidedropbox/internal/wire"
 )
 
 // SummaryStateSchema versions the serialized Summary form. Bump it when
 // the layout changes incompatibly; loaders reject mismatched versions.
 const SummaryStateSchema = 1
-
-// HistState is the serializable form of a LogHist. Buckets holds only the
-// occupied buckets as (index, count) pairs in ascending index order, so
-// the JSON stays small regardless of histBuckets. Count/Sum/Min/Max are
-// carried verbatim — JSON float round-trips are exact (shortest-form
-// encoding), so a restored histogram merges bit-identically.
-type HistState struct {
-	Count   uint64      `json:"count"`
-	Sum     float64     `json:"sum"`
-	Min     float64     `json:"min"`
-	Max     float64     `json:"max"`
-	Buckets [][2]uint64 `json:"buckets,omitempty"`
-}
-
-// State captures the histogram for serialization.
-func (h *LogHist) State() HistState {
-	st := HistState{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	for i, n := range h.buckets {
-		if n > 0 {
-			st.Buckets = append(st.Buckets, [2]uint64{uint64(i), n})
-		}
-	}
-	return st
-}
-
-// Restore overwrites the histogram from a serialized state, validating
-// bucket indices so corrupted state fails loudly instead of panicking.
-func (h *LogHist) Restore(st HistState) error {
-	*h = LogHist{count: st.Count, sum: st.Sum, min: st.Min, max: st.Max}
-	var total uint64
-	for _, b := range st.Buckets {
-		if b[0] > histBuckets {
-			return fmt.Errorf("fleet: histogram state bucket index %d out of range (max %d)", b[0], histBuckets)
-		}
-		h.buckets[b[0]] += b[1]
-		total += b[1]
-	}
-	if total != st.Count {
-		return fmt.Errorf("fleet: histogram state inconsistent: buckets sum to %d, count says %d", total, st.Count)
-	}
-	return nil
-}
 
 // SummaryState is the serializable form of a Summary — the mergeable
 // aggregator state campaign jobs persist so a separate process can fold
@@ -71,15 +30,15 @@ type SummaryState struct {
 	DayVolume        []float64 `json:"day_volume"`
 	DropboxDayVolume []float64 `json:"dropbox_day_volume"`
 
-	DropboxFlows  int64     `json:"dropbox_flows"`
-	StoreBytes    int64     `json:"store_bytes"`
-	RetrieveBytes int64     `json:"retrieve_bytes"`
-	StoreFlows    int64     `json:"store_flows"`
-	RetrieveFlows int64     `json:"retrieve_flows"`
-	StoreSizes    HistState `json:"store_sizes"`
-	RetrieveSizes HistState `json:"retrieve_sizes"`
-	ControlFlows  int64     `json:"control_flows"`
-	NotifyFlows   int64     `json:"notify_flows"`
+	DropboxFlows  int64               `json:"dropbox_flows"`
+	StoreBytes    int64               `json:"store_bytes"`
+	RetrieveBytes int64               `json:"retrieve_bytes"`
+	StoreFlows    int64               `json:"store_flows"`
+	RetrieveFlows int64               `json:"retrieve_flows"`
+	StoreSizes    telemetry.HistState `json:"store_sizes"`
+	RetrieveSizes telemetry.HistState `json:"retrieve_sizes"`
+	ControlFlows  int64               `json:"control_flows"`
+	NotifyFlows   int64               `json:"notify_flows"`
 
 	StorageServers []uint32 `json:"storage_servers,omitempty"`
 	Devices        []uint64 `json:"devices,omitempty"`

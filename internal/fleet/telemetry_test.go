@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"insidedropbox/internal/golden"
 	"insidedropbox/internal/telemetry"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
@@ -65,7 +66,7 @@ func TestObserverShardEvents(t *testing.T) {
 // stream workload.TestRecordStreamGolden records for the sequential
 // path with telemetry unread. A single diverging byte fails the hash.
 func TestStreamGoldenWithTelemetry(t *testing.T) {
-	const want = 0x1887b88d5f86bad5 // home1-4shard golden (workload/golden_test.go)
+	g := golden.Home1FourShard
 
 	stop := make(chan struct{})
 	var poller sync.WaitGroup
@@ -84,8 +85,8 @@ func TestStreamGoldenWithTelemetry(t *testing.T) {
 
 	h := fnv.New64a()
 	w := traces.NewWriter(h)
-	fc := Config{Shards: 4, Workers: 4, Observer: func(ShardEvent) {}}
-	stats, err := StreamRecords(context.Background(), workload.Home1(0.02), 7, fc,
+	fc := Config{Shards: g.Shards, Workers: 4, Observer: func(ShardEvent) {}}
+	stats, err := StreamRecords(context.Background(), workload.Home1(g.Scale), g.Seed, fc,
 		func(r *traces.FlowRecord) bool {
 			if err := w.Write(r); err != nil {
 				t.Error(err)
@@ -101,8 +102,8 @@ func TestStreamGoldenWithTelemetry(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Sum64(); got != want {
-		t.Fatalf("streamed hash = %#x, want %#x (telemetry changed the record stream)", got, want)
+	if got := h.Sum64(); got != g.Hash {
+		t.Fatalf("streamed hash = %#x, want %#x (telemetry changed the record stream)", got, g.Hash)
 	}
 
 	// The instrumentation did fire: the fleet counters must have seen

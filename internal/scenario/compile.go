@@ -87,7 +87,7 @@ func Compile(sp *Spec, seed int64) (*Compiled, error) {
 	if scale == 0 {
 		scale = defaultScale
 	}
-	vp, ok := vantageConfig(vpName, scale)
+	vp, ok := workload.ByName(vpName, scale)
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown vantage point %q", vpName)
 	}

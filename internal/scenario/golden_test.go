@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"fmt"
 	"hash/fnv"
 	"path/filepath"
 	"testing"
 
+	"insidedropbox/internal/golden"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
 )
@@ -35,34 +37,19 @@ func legacyStreamHash(t *testing.T, cfg workload.VPConfig, seed int64, nshards i
 // TestEmptySpecMatchesLegacyGolden pins the compiler's backward
 // compatibility: a spec with no cohorts and no backend section compiles to
 // the same record stream the legacy flag path generates, byte for byte.
-// The expected hashes are the untouched goldens from
-// internal/workload/golden_test.go — if this test fails while that one
-// passes, the scenario compiler drifted from the flag path.
+// The expected hashes are the legacy goldens (internal/golden) that
+// internal/workload's TestRecordStreamGolden pins — if this test fails
+// while that one passes, the scenario compiler drifted from the flag path.
 func TestEmptySpecMatchesLegacyGolden(t *testing.T) {
-	cases := []struct {
-		name string
-		doc  string
-		want uint64
-	}{
-		{"home1-1shard",
-			`{"schema":1,"name":"t","base":{"vp":"home1","scale":0.02,"seed":7,"shards":1}}`,
-			0xd01117eb3a234b9d},
-		{"home1-4shard",
-			`{"schema":1,"name":"t","base":{"vp":"home1","scale":0.02,"seed":7,"shards":4}}`,
-			0x1887b88d5f86bad5},
-		{"home2-abnormal-1shard",
-			`{"schema":1,"name":"t","base":{"vp":"home2","scale":0.02,"seed":9,"shards":1}}`,
-			0xa59024c1345e9efb},
-		{"campus1-1shard",
-			`{"schema":1,"name":"t","base":{"vp":"campus1","scale":0.1,"seed":7,"shards":1}}`,
-			0x6e788bc7931c6666},
-		{"campus1-bigchunks-1shard",
-			`{"schema":1,"name":"t","base":{"vp":"campus1","scale":0.1,"seed":7,"shards":1,"profile":"big-chunks-16mb"}}`,
-			0x5ffb4eb3ba85ad2b},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sp, err := Parse([]byte(tc.doc))
+	for _, g := range golden.Streams {
+		t.Run(g.Name, func(t *testing.T) {
+			profile := ""
+			if g.Profile != "" {
+				profile = fmt.Sprintf(`,"profile":%q`, g.Profile)
+			}
+			doc := fmt.Sprintf(`{"schema":1,"name":"t","base":{"vp":%q,"scale":%v,"seed":%d,"shards":%d%s}}`,
+				g.VP, g.Scale, g.Seed, g.Shards, profile)
+			sp, err := Parse([]byte(doc))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,8 +61,8 @@ func TestEmptySpecMatchesLegacyGolden(t *testing.T) {
 				t.Fatal("empty spec grew a cohort plan")
 			}
 			got := legacyStreamHash(t, c.VP, c.Seed, c.Fleet.Shards)
-			if got != tc.want {
-				t.Fatalf("compiled stream hash = %#x, want legacy golden %#x (scenario compiler no longer reproduces the flag path)", got, tc.want)
+			if got != g.Hash {
+				t.Fatalf("compiled stream hash = %#x, want legacy golden %#x (scenario compiler no longer reproduces the flag path)", got, g.Hash)
 			}
 		})
 	}
@@ -107,8 +94,7 @@ func TestCommittedCatalogue(t *testing.T) {
 				t.Fatalf("catalogue spec does not compile: %v", err)
 			}
 			if sp.Name == "paper-baseline" {
-				const want = 0x1887b88d5f86bad5 // home1-4shard legacy golden
-				if got := legacyStreamHash(t, c.VP, c.Seed, c.Fleet.Shards); got != want {
+				if got, want := legacyStreamHash(t, c.VP, c.Seed, c.Fleet.Shards), golden.Home1FourShard.Hash; got != want {
 					t.Fatalf("paper-baseline stream hash = %#x, want %#x (the spec's description documents this golden)", got, want)
 				}
 			}

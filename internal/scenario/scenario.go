@@ -143,28 +143,6 @@ const (
 // capture days); timeline and flash windows must fit inside it.
 const vpDays = 42
 
-// VantagePoints lists the vantage point names a spec may select.
-func VantagePoints() []string {
-	return []string{"home1", "home2", "campus1", "campus1-junjul", "campus2"}
-}
-
-// vantageConfig resolves a vantage point name (already validated).
-func vantageConfig(name string, scale float64) (workload.VPConfig, bool) {
-	switch name {
-	case "home1":
-		return workload.Home1(scale), true
-	case "home2":
-		return workload.Home2(scale), true
-	case "campus1":
-		return workload.Campus1(scale), true
-	case "campus1-junjul":
-		return workload.Campus1JunJul(scale), true
-	case "campus2":
-		return workload.Campus2(scale), true
-	}
-	return workload.VPConfig{}, false
-}
-
 // Load reads and validates a spec file.
 func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
@@ -246,9 +224,9 @@ func (s *Spec) Validate() error {
 
 func (b BaseSpec) validate() error {
 	if b.VP != "" {
-		if _, ok := vantageConfig(b.VP, 0.05); !ok {
+		if _, ok := workload.ByName(b.VP, 0.05); !ok {
 			return fmt.Errorf("scenario: unknown vantage point %q (want one of %s)",
-				b.VP, strings.Join(VantagePoints(), ", "))
+				b.VP, strings.Join(workload.VantagePoints(), ", "))
 		}
 	}
 	if b.Scale < 0 || b.Scale > 10 {

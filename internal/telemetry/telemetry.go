@@ -1,5 +1,5 @@
 // Package telemetry is the repo's zero-dependency instrumentation layer:
-// named atomic counters, gauges and timing histograms that the hot
+// named atomic counters and gauges, and locked timing histograms, that the hot
 // subsystems (fleet, workload, traces, the experiment runner) update and
 // that sinks — the periodic stderr logger, the RunManifest written next to
 // results, and tests — read as consistent snapshots.
@@ -12,8 +12,14 @@
 // strict: hot paths either update metrics at shard/flush granularity or
 // pay a single uncontended atomic add — no allocation, no locking, no
 // formatting — so enabled-but-unread telemetry stays inside the
-// fleet/home1-8shard allocs-per-record CI gate (PERFORMANCE.md budgets
-// the overhead).
+// allocation ceilings of CI's bench-smoke job (PERFORMANCE.md budgets
+// the overhead). Histograms take a mutex, so they are only observed once
+// per shard, experiment or simulation.
+//
+// The package also owns the repository's one histogram implementation,
+// LogHist: 1/16-decade buckets with exact merging and a serialisable
+// state, used by the fleet summary, the backend reports and the what-if
+// aggregates as well as by the registered Hist.
 //
 // Metrics are process-global and monotonic for the process lifetime:
 // NewCounter et al. register by name once and return the same metric on
@@ -24,7 +30,6 @@
 package telemetry
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,85 +77,34 @@ func (g *Gauge) SetMax(v int64) {
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// histBuckets is one bucket per power-of-two nanosecond: bucket i counts
-// observations with bits.Len64(ns) == i, so the histogram spans 1 ns to
-// ~292 years at O(1) memory and lock-free merging of concurrent Observe
-// calls.
-const histBuckets = 64
-
-// Hist is a concurrent log2-spaced duration histogram: per-shard wall
-// times, per-experiment durations. All methods are safe for concurrent
-// use; Observe is a few atomic adds.
+// Hist is a registered duration histogram: a LogHist over nanoseconds
+// behind a mutex. Every caller observes once per shard, once per
+// experiment or once per simulation (Merge), so the lock is never on a
+// per-record path.
 type Hist struct {
-	count   atomic.Uint64
-	sumNS   atomic.Int64
-	maxNS   atomic.Int64
-	buckets [histBuckets]atomic.Uint64
+	mu sync.Mutex
+	h  LogHist
 }
 
-// Observe records one duration (negative durations count as zero).
+// Observe records one duration.
 func (h *Hist) Observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	h.count.Add(1)
-	h.sumNS.Add(ns)
-	for {
-		cur := h.maxNS.Load()
-		if ns <= cur || h.maxNS.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-	h.buckets[bits.Len64(uint64(ns))%histBuckets].Add(1)
+	h.mu.Lock()
+	h.h.Observe(float64(d))
+	h.mu.Unlock()
+}
+
+// Merge folds a nanosecond LogHist in, as one exact bucket-wise sum.
+func (h *Hist) Merge(o *LogHist) {
+	h.mu.Lock()
+	h.h.MergeHist(o)
+	h.mu.Unlock()
 }
 
 // Count returns the number of observations.
-func (h *Hist) Count() uint64 { return h.count.Load() }
-
-// Sum returns the total observed duration.
-func (h *Hist) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
-
-// Max returns the largest observation.
-func (h *Hist) Max() time.Duration { return time.Duration(h.maxNS.Load()) }
-
-// Mean returns the average observation (0 when empty).
-func (h *Hist) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(uint64(h.sumNS.Load()) / n)
-}
-
-// Quantile returns the approximate q-quantile (q in [0,1]): the geometric
-// midpoint of the bucket holding the q-th observation. Relative error is
-// bounded by the power-of-two bucket width (~41%), which is plenty for
-// "are shards balanced" questions; exact timings belong in the manifest's
-// per-shard records.
-func (h *Hist) Quantile(q float64) time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(n-1))
-	var seen uint64
-	for b := range h.buckets {
-		c := h.buckets[b].Load()
-		seen += c
-		if c > 0 && seen > rank {
-			if b == 0 {
-				return 0
-			}
-			lo := int64(1) << (b - 1)
-			mid := lo + lo/2 // midpoint of [2^(b-1), 2^b)
-			if m := h.maxNS.Load(); mid > m {
-				mid = m
-			}
-			return time.Duration(mid)
-		}
-	}
-	return h.Max()
+func (h *Hist) Count() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.Count()
 }
 
 // ---------- the registry ----------
@@ -247,14 +201,17 @@ func Snapshot() Snap {
 	}
 	if len(hists) > 0 {
 		s.Timings = make(map[string]TimingStats, len(hists))
-		for name, h := range hists {
+		for name, hist := range hists {
+			hist.mu.Lock()
+			h := hist.h
+			hist.mu.Unlock()
 			s.Timings[name] = TimingStats{
 				Count:        h.Count(),
-				TotalSeconds: h.Sum().Seconds(),
-				MeanMs:       float64(h.Mean()) / 1e6,
-				P50Ms:        float64(h.Quantile(0.5)) / 1e6,
-				P95Ms:        float64(h.Quantile(0.95)) / 1e6,
-				MaxMs:        float64(h.Max()) / 1e6,
+				TotalSeconds: h.Sum() / 1e9,
+				MeanMs:       h.Mean() / 1e6,
+				P50Ms:        h.Quantile(0.5) / 1e6,
+				P95Ms:        h.Quantile(0.95) / 1e6,
+				MaxMs:        h.Max() / 1e6,
 			}
 		}
 	}
@@ -292,12 +249,9 @@ func Reset() {
 		g.v.Store(0)
 	}
 	for _, h := range hists {
-		h.count.Store(0)
-		h.sumNS.Store(0)
-		h.maxNS.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
+		h.mu.Lock()
+		h.h = LogHist{}
+		h.mu.Unlock()
 	}
 	clear(infos)
 }

@@ -24,7 +24,7 @@ func TestRegistryIdempotent(t *testing.T) {
 // TestConcurrentUpdates hammers one counter, gauge and histogram from
 // many goroutines while snapshots are taken concurrently — the shape of
 // live fleet workers racing the periodic logger. Run under -race this
-// pins the lock-free update paths.
+// pins the atomic counter and gauge paths and the histogram lock.
 func TestConcurrentUpdates(t *testing.T) {
 	Reset() // metrics are process-global; -count=2 must start from zero
 	c := NewCounter("test.conc.counter")
@@ -80,42 +80,60 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 }
 
-// TestHistStats pins the histogram summary math on a known distribution.
+// TestHistStats pins the histogram summary math on a known distribution,
+// read the way every consumer reads it: through a snapshot.
 func TestHistStats(t *testing.T) {
 	Reset()
 	h := NewHist("test.hist.stats")
+	if ts := Snapshot().Timings["test.hist.stats"]; ts != (TimingStats{}) {
+		t.Fatalf("empty hist timing = %+v, want all zero", ts)
+	}
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d, want 100", h.Count())
+	ts := Snapshot().Timings["test.hist.stats"]
+	if ts.Count != 100 {
+		t.Fatalf("count = %d, want 100", ts.Count)
 	}
-	if want := 5050 * time.Millisecond; h.Sum() != want {
-		t.Fatalf("sum = %v, want %v", h.Sum(), want)
+	if ts.TotalSeconds != 5.05 {
+		t.Fatalf("total = %vs, want 5.05s", ts.TotalSeconds)
 	}
-	if h.Max() != 100*time.Millisecond {
-		t.Fatalf("max = %v, want 100ms", h.Max())
+	if ts.MaxMs != 100 {
+		t.Fatalf("max = %vms, want 100ms", ts.MaxMs)
 	}
-	if want := 50500 * time.Microsecond; h.Mean() != want {
-		t.Fatalf("mean = %v, want %v", h.Mean(), want)
+	if ts.MeanMs != 50.5 {
+		t.Fatalf("mean = %vms, want 50.5ms", ts.MeanMs)
 	}
-	// Quantiles are bucket midpoints: assert they are ordered and inside
-	// the log2 error bound (factor of two around the exact value).
-	p50, p95 := h.Quantile(0.5), h.Quantile(0.95)
-	if p50 > p95 {
-		t.Fatalf("p50 %v > p95 %v", p50, p95)
+	// Quantiles are 1/16-decade bucket midpoints: the geometric midpoint
+	// is within 10^(1/32) ≈ 7.5% of every value in its bucket.
+	const bound = 1.08
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{{"p50", ts.P50Ms, 50}, {"p95", ts.P95Ms, 95}} {
+		if c.got < c.want/bound || c.got > c.want*bound {
+			t.Fatalf("%s = %vms, outside the 1/16-decade bound of %vms", c.name, c.got, c.want)
+		}
 	}
-	if p50 < 25*time.Millisecond || p50 > 100*time.Millisecond {
-		t.Fatalf("p50 = %v, outside the 2x bucket bound of 50ms", p50)
+	if ts.P50Ms > ts.P95Ms || ts.P95Ms > ts.MaxMs {
+		t.Fatalf("quantiles out of order: p50 %v, p95 %v, max %v", ts.P50Ms, ts.P95Ms, ts.MaxMs)
 	}
-	if p95 < 48*time.Millisecond || p95 > 100*time.Millisecond {
-		t.Fatalf("p95 = %v, outside the 2x bucket bound of 95ms", p95)
+}
+
+// TestHistMerge pins Merge against Observe: folding a nanosecond LogHist
+// in gives the same snapshot as observing its values one by one.
+func TestHistMerge(t *testing.T) {
+	Reset()
+	var lh LogHist
+	for i := 1; i <= 500; i++ {
+		d := time.Duration(i*i) * time.Microsecond
+		lh.Observe(float64(d))
+		NewHist("test.hist.observed").Observe(d)
 	}
-	if h.Quantile(1) > h.Max() {
-		t.Fatalf("q(1) = %v beyond max %v", h.Quantile(1), h.Max())
-	}
-	if got := (&Hist{}).Quantile(0.5); got != 0 {
-		t.Fatalf("empty hist quantile = %v, want 0", got)
+	NewHist("test.hist.merged").Merge(&lh)
+	s := Snapshot()
+	if got, want := s.Timings["test.hist.merged"], s.Timings["test.hist.observed"]; got != want {
+		t.Fatalf("merged timing %+v, observed %+v", got, want)
 	}
 }
 

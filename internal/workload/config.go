@@ -183,6 +183,29 @@ func Campus1(scalePct float64) VPConfig {
 	}
 }
 
+// VantagePoints lists the names ByName resolves.
+func VantagePoints() []string {
+	return []string{"campus1", "campus1-junjul", "campus2", "home1", "home2"}
+}
+
+// ByName resolves a vantage point name and population scale into its
+// calibrated config; ok is false for a name VantagePoints does not list.
+func ByName(name string, scalePct float64) (cfg VPConfig, ok bool) {
+	switch name {
+	case "campus1":
+		return Campus1(scalePct), true
+	case "campus1-junjul":
+		return Campus1JunJul(scalePct), true
+	case "campus2":
+		return Campus2(scalePct), true
+	case "home1":
+		return Home1(scalePct), true
+	case "home2":
+		return Home2(scalePct), true
+	}
+	return VPConfig{}, false
+}
+
 // Campus1JunJul is the second Campus 1 dataset (Table 4): same population,
 // Dropbox 1.4.0 deployed and server initial window raised.
 func Campus1JunJul(scalePct float64) VPConfig {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"insidedropbox/internal/capability"
+	"insidedropbox/internal/golden"
 	"insidedropbox/internal/traces"
 )
 
@@ -32,39 +33,29 @@ func streamHash(t *testing.T, cfg VPConfig, seed int64, nshards int) uint64 {
 }
 
 // TestRecordStreamGolden pins the generated record streams bit for bit.
-// These hashes were recorded before the hot-path optimization pass
+// The hashes (internal/golden) were recorded before the hot-path optimization pass
 // (string interning, record pooling, event-slice rewrite, chunk-size
 // iteration): any optimization that changes a single byte of any record
 // stream fails here. Update a hash only for a deliberate,
 // documented model change — never for a performance change
 // (PERFORMANCE.md: optimizations must not change golden outputs).
 func TestRecordStreamGolden(t *testing.T) {
-	bigChunks, ok := capability.ByName("big-chunks-16mb")
-	if !ok {
-		t.Fatal("big-chunks-16mb preset missing")
-	}
-	withCaps := func(cfg VPConfig, p capability.Profile) VPConfig {
-		cfg.Caps = &p
-		return cfg
-	}
-	cases := []struct {
-		name    string
-		cfg     VPConfig
-		seed    int64
-		nshards int
-		want    uint64
-	}{
-		{"home1-1shard", Home1(0.02), 7, 1, 0xd01117eb3a234b9d},
-		{"home1-4shard", Home1(0.02), 7, 4, 0x1887b88d5f86bad5},
-		{"home2-abnormal-1shard", Home2(0.02), 9, 1, 0xa59024c1345e9efb},
-		{"campus1-1shard", Campus1(0.1), 7, 1, 0x6e788bc7931c6666},
-		{"campus1-bigchunks-1shard", withCaps(Campus1(0.1), bigChunks), 7, 1, 0x5ffb4eb3ba85ad2b},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := streamHash(t, tc.cfg, tc.seed, tc.nshards)
-			if got != tc.want {
-				t.Fatalf("record stream hash = %#x, want %#x (a hot-path change altered generated records)", got, tc.want)
+	for _, g := range golden.Streams {
+		t.Run(g.Name, func(t *testing.T) {
+			cfg, ok := ByName(g.VP, g.Scale)
+			if !ok {
+				t.Fatalf("unknown vantage point %q", g.VP)
+			}
+			if g.Profile != "" {
+				p, ok := capability.ByName(g.Profile)
+				if !ok {
+					t.Fatalf("%s preset missing", g.Profile)
+				}
+				cfg.Caps = &p
+			}
+			got := streamHash(t, cfg, g.Seed, g.Shards)
+			if got != g.Hash {
+				t.Fatalf("record stream hash = %#x, want %#x (a hot-path change altered generated records)", got, g.Hash)
 			}
 		})
 	}
@@ -95,7 +86,8 @@ func binaryStreamBytes(t *testing.T, cfg VPConfig, seed int64, nshards int, w tr
 // CSV golden hashes above transitively pin record content; these pin the
 // binary/archival framing on real generated streams.
 func TestRecordStreamGoldenCodecs(t *testing.T) {
-	cfg, seed, nshards := Home1(0.02), int64(7), 4
+	g := golden.Home1FourShard
+	cfg, seed, nshards := Home1(g.Scale), g.Seed, g.Shards
 
 	var seq bytes.Buffer
 	sw := traces.NewBinaryWriter(&seq)
@@ -140,8 +132,7 @@ func TestRecordStreamGoldenCodecs(t *testing.T) {
 	if err := cw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	const want = 0x1887b88d5f86bad5 // home1-4shard golden hash above
-	if got := h.Sum64(); got != want {
+	if got, want := h.Sum64(), g.Hash; got != want {
 		t.Fatalf("flate round-trip CSV hash = %#x, want %#x", got, want)
 	}
 }
