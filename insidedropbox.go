@@ -329,7 +329,8 @@ type CompiledScenario = scenario.Compiled
 
 // ScenarioStream is one compiled scenario's campaign output: merged
 // ground truth (per-cohort counts included), the backend arrival set in
-// canonical order, and the worker-invariant stream fingerprint.
+// canonical order, and the worker-invariant stream fingerprint — a hash
+// over record fields, not comparable with the FNV-1a hash of an export.
 type ScenarioStream = scenario.StreamResult
 
 // LoadScenario reads and strictly validates a scenario spec file
@@ -347,7 +348,8 @@ func CompileScenario(sp *ScenarioSpec, seed int64) (*CompiledScenario, error) {
 
 // CollectScenarioStream runs a compiled scenario's population through the
 // fleet engine once, producing stats, arrivals and the stream fingerprint
-// in one pass. workers > 0 overrides the worker count (never results).
+// in one pass; nothing is serialized. workers > 0 overrides the worker
+// count (never results).
 func CollectScenarioStream(ctx context.Context, c *CompiledScenario, workers int) (*ScenarioStream, error) {
 	return scenario.CollectStream(ctx, c, workers)
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"insidedropbox/internal/backend"
 	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/telemetry"
 )
 
 // mixSpec is a small cohort-mix spec used by the invariance tests: three
@@ -25,7 +27,12 @@ const mixSpec = `{
 
 func collectMix(t *testing.T, workers int) *StreamResult {
 	t.Helper()
-	sp, err := Parse([]byte(mixSpec))
+	return collectDoc(t, mixSpec, workers)
+}
+
+func collectDoc(t *testing.T, doc string, workers int) *StreamResult {
+	t.Helper()
+	sp, err := Parse([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +63,34 @@ func TestCollectStreamWorkerInvariance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one.Requests, eight.Requests) {
 		t.Fatalf("backend request sets differ between worker counts (%d vs %d requests)", len(one.Requests), len(eight.Requests))
+	}
+}
+
+// TestCollectStreamHashSensitivity: the stream hash tells runs apart. A
+// different seed, or one cohort weight moved on mixSpec, changes it, so
+// the worker-invariance checks could not pass on a constant.
+func TestCollectStreamHashSensitivity(t *testing.T) {
+	base := collectMix(t, 0).StreamHash
+	for name, doc := range map[string]string{
+		"seed":    strings.Replace(mixSpec, `"seed": 7`, `"seed": 8`, 1),
+		"weights": strings.NewReplacer(`"office-worker", "weight": 0.5`, `"office-worker", "weight": 0.4`, `"mobile-intermittent", "weight": 0.3`, `"mobile-intermittent", "weight": 0.4`).Replace(mixSpec),
+	} {
+		if doc == mixSpec {
+			t.Fatalf("%s variant did not edit mixSpec", name)
+		}
+		if got := collectDoc(t, doc, 0).StreamHash; got == base {
+			t.Errorf("a different %s leaves the stream hash at %#016x", name, got)
+		}
+	}
+}
+
+// TestCollectStreamWritesNoCSV: fingerprinting the stream serializes
+// nothing, so a scenario run's manifest counts no CSV records.
+func TestCollectStreamWritesNoCSV(t *testing.T) {
+	before := telemetry.Snapshot().Counters["traces.csv_records"]
+	collectMix(t, 0)
+	if d := telemetry.Snapshot().Counters["traces.csv_records"] - before; d != 0 {
+		t.Fatalf("CollectStream published %d traces.csv_records", d)
 	}
 }
 

@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"context"
-	"hash"
-	"hash/fnv"
 
 	"insidedropbox/internal/backend"
 	"insidedropbox/internal/fleet"
@@ -18,70 +16,50 @@ type StreamResult struct {
 	// Requests are the Dropbox-bound arrivals in canonical order (base
 	// load — surges are applied at simulation time, see ApplySurges).
 	Requests []backend.Request
-	// StreamHash fingerprints the full record stream: per-shard FNV-1a
-	// over the CSV serialization, folded across shards in shard-index
-	// order. It is a function of (spec, seed, shards) alone — worker
-	// count never changes it (determinism-contract point 15).
+	// StreamHash fingerprints the full record stream: one
+	// traces.Fingerprint per shard over the record fields, the shard sums
+	// folded in shard-index order through the same word mixer. It is a
+	// function of (spec, seed, shards) alone — worker count never changes
+	// it (determinism-contract point 15). It is not comparable with the
+	// FNV-1a hashes over a CSV or binary export.
 	StreamHash uint64
 }
 
-// hashFold mixes one shard's stream hash into the combined fingerprint
-// (FNV-1a step over the 8 hash bytes).
-func hashFold(acc, shardHash uint64) uint64 {
-	const prime = 0x100000001b3
-	for i := 0; i < 8; i++ {
-		acc ^= (shardHash >> (8 * i)) & 0xff
-		acc *= prime
-	}
-	return acc
-}
-
-// hashFoldOffset seeds the fold (the standard FNV-1a offset basis).
-const hashFoldOffset = 0xcbf29ce484222325
-
-// streamAgg is the per-shard aggregator of CollectStream: it feeds every
-// record through the CSV serializer into a running FNV-1a hash and keeps
-// the backend requests (plain values — safe on the pooled path; the CSV
-// writer consumes the record before Consume returns).
+// streamAgg is the per-shard aggregator of CollectStream: it fingerprints
+// every record's fields and keeps the backend requests (plain values —
+// safe on the pooled path; neither retains the record).
 type streamAgg struct {
 	reqs backend.Collector
-	h    hash.Hash64
-	w    *traces.Writer
+	fp   traces.Fingerprint
 
-	// shardHash is this shard's own stream hash, closed by FinishShard.
-	// combined is the shard-order fold of shard hashes: the shard's own
-	// from FinishShard, then on the root each later shard's as Merge is
-	// called.
-	shardHash, combined uint64
-}
-
-func newStreamAgg() *streamAgg {
-	h := fnv.New64a()
-	return &streamAgg{h: h, w: traces.NewWriter(h)}
+	// shardSum is this shard's fingerprint, closed by FinishShard. fold
+	// is the shard-order fold of shard sums: the shard's own from
+	// FinishShard, then on the root each later shard's as Merge is called.
+	shardSum uint64
+	fold     traces.Fingerprint
 }
 
 // Consume implements fleet.Sink.
 func (s *streamAgg) Consume(r *traces.FlowRecord) {
-	s.w.Write(r) // hashing never fails; Flush would surface any error
+	s.fp.Add(r)
 	s.reqs.Consume(r)
 }
 
 // FinishShard implements fleet.ShardFinisher: on the shard's worker, the
-// stream hash is closed and the requests sorted into one run.
+// shard's fingerprint is closed and the requests sorted into one run.
 func (s *streamAgg) FinishShard() {
-	s.w.Flush()
-	s.shardHash = s.h.Sum64()
-	s.combined = hashFold(hashFoldOffset, s.shardHash)
+	s.shardSum = s.fp.Sum64()
+	s.fold.AddUint64(s.shardSum)
 	s.reqs.FinishShard()
 }
 
 // Merge implements fleet.Aggregator. The engine merges in shard-index
-// order onto the shard-0 root, so folding each incoming shard's hash after
+// order onto the shard-0 root, so folding each incoming shard's sum after
 // the root's own keeps the combined fingerprint a pure function of the
 // shard streams.
 func (s *streamAgg) Merge(other fleet.Aggregator) {
 	o := other.(*streamAgg)
-	s.combined = hashFold(s.combined, o.shardHash)
+	s.fold.AddUint64(o.shardSum)
 	s.reqs.Merge(&o.reqs)
 }
 
@@ -95,10 +73,10 @@ func CollectStream(ctx context.Context, c *Compiled, workers int) (*StreamResult
 	if workers > 0 {
 		fc.Workers = workers
 	}
-	agg, stats, err := fleet.Aggregate(ctx, c.VP, c.Seed, fc, func(int) fleet.Aggregator { return newStreamAgg() })
+	agg, stats, err := fleet.Aggregate(ctx, c.VP, c.Seed, fc, func(int) fleet.Aggregator { return new(streamAgg) })
 	if err != nil {
 		return nil, err
 	}
 	root := agg.(*streamAgg)
-	return &StreamResult{Stats: stats, Requests: root.reqs.Arrivals(), StreamHash: root.combined}, nil
+	return &StreamResult{Stats: stats, Requests: root.reqs.Arrivals(), StreamHash: root.fold.Sum64()}, nil
 }
