@@ -16,8 +16,10 @@ import (
 )
 
 // CheckpointSchema versions the checkpoint payload. Loaders reject any
-// other version — a stale checkpoint never resumes silently.
-const CheckpointSchema = 1
+// other version — a stale checkpoint never resumes silently. Schema 2
+// records part checksums as CRC-32C; schema 1 recorded FNV-1a, so its
+// directories are refused here rather than blamed on their parts.
+const CheckpointSchema = 2
 
 // envelopeMagic opens every checkpoint file. The header line is
 //
@@ -36,8 +38,9 @@ const (
 )
 
 // ShardDone is one completed shard's checkpoint entry: what was
-// generated and the exact size and FNV-1a hash of each on-disk artifact,
-// so resume and merge verify the bytes they reuse.
+// generated and the exact size and checksum of each on-disk artifact
+// (CRC-32C of the part, FNV-1a of the state), so resume and merge verify
+// the bytes they reuse.
 type ShardDone struct {
 	Shard      int    `json:"shard"`
 	Records    int    `json:"records"`

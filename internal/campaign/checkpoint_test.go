@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -15,12 +16,26 @@ import (
 // quickSpec is the cheapest campaign the robustness tests can corrupt.
 var quickSpec = Spec{VP: "home1", Scale: 0.01, Seed: 7, Shards: 2}
 
-// seedCampaign runs a quick campaign and returns its directory and the
-// raw checkpoint bytes.
-func seedCampaign(t *testing.T) (string, []byte) {
+// exportSpecs is quickSpec under every export format: the merge copies
+// columns for the block formats and records for CSV, and a damaged part
+// must be refused whichever way it is read. dropsim anonymizes every
+// export, so the block formats do here.
+func exportSpecs() []Spec {
+	var specs []Spec
+	for _, format := range []string{"csv", "binary", "binary-flate"} {
+		s := quickSpec
+		s.Format, s.Anonymize = format, format != "csv"
+		specs = append(specs, s)
+	}
+	return specs
+}
+
+// seedCampaign runs a quick campaign of spec and returns its directory and
+// the raw checkpoint bytes.
+func seedCampaign(t *testing.T, spec Spec) (string, []byte) {
 	t.Helper()
 	dir := t.TempDir()
-	mustRun(t, Config{Spec: quickSpec, Dir: dir, Jobs: 1})
+	mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 1})
 	data, err := os.ReadFile(filepath.Join(dir, checkpointName))
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +61,7 @@ func TestCheckpointRobustness(t *testing.T) {
 	}
 
 	t.Run("truncated file", func(t *testing.T) {
-		dir, data := seedCampaign(t)
+		dir, data := seedCampaign(t, quickSpec)
 		rewrite(t, dir, data[:len(data)-7])
 		if err := resumeErr(t, dir, quickSpec); err == nil || !strings.Contains(err.Error(), "truncated") {
 			t.Fatalf("err = %v, want truncation error", err)
@@ -54,7 +69,7 @@ func TestCheckpointRobustness(t *testing.T) {
 	})
 
 	t.Run("truncated header", func(t *testing.T) {
-		dir, data := seedCampaign(t)
+		dir, data := seedCampaign(t, quickSpec)
 		rewrite(t, dir, data[:3])
 		if err := resumeErr(t, dir, quickSpec); err == nil || !strings.Contains(err.Error(), "truncated") {
 			t.Fatalf("err = %v, want truncation error", err)
@@ -62,7 +77,7 @@ func TestCheckpointRobustness(t *testing.T) {
 	})
 
 	t.Run("corrupted payload", func(t *testing.T) {
-		dir, data := seedCampaign(t)
+		dir, data := seedCampaign(t, quickSpec)
 		data[len(data)-5] ^= 0x40
 		rewrite(t, dir, data)
 		if err := resumeErr(t, dir, quickSpec); err == nil || !strings.Contains(err.Error(), "CRC") {
@@ -71,7 +86,7 @@ func TestCheckpointRobustness(t *testing.T) {
 	})
 
 	t.Run("not a checkpoint", func(t *testing.T) {
-		dir, _ := seedCampaign(t)
+		dir, _ := seedCampaign(t, quickSpec)
 		rewrite(t, dir, []byte("GIF89a such image\nvery bytes"))
 		if err := resumeErr(t, dir, quickSpec); err == nil || !strings.Contains(err.Error(), "not a campaign checkpoint") {
 			t.Fatalf("err = %v, want magic error", err)
@@ -79,7 +94,7 @@ func TestCheckpointRobustness(t *testing.T) {
 	})
 
 	t.Run("stale schema", func(t *testing.T) {
-		dir, data := seedCampaign(t)
+		dir, data := seedCampaign(t, quickSpec)
 		payload, err := decodeEnvelope(data)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +115,7 @@ func TestCheckpointRobustness(t *testing.T) {
 	})
 
 	t.Run("different spec", func(t *testing.T) {
-		dir, _ := seedCampaign(t)
+		dir, _ := seedCampaign(t, quickSpec)
 		other := quickSpec
 		other.Seed = 99
 		if err := resumeErr(t, dir, other); err == nil || !strings.Contains(err.Error(), "different campaign spec") {
@@ -109,7 +124,7 @@ func TestCheckpointRobustness(t *testing.T) {
 	})
 
 	t.Run("resume without flag", func(t *testing.T) {
-		dir, _ := seedCampaign(t)
+		dir, _ := seedCampaign(t, quickSpec)
 		_, err := Run(context.Background(), Config{Spec: quickSpec, Dir: dir})
 		if err == nil || !strings.Contains(err.Error(), "already holds checkpointed progress") {
 			t.Fatalf("err = %v, want resume-gate error", err)
@@ -117,7 +132,7 @@ func TestCheckpointRobustness(t *testing.T) {
 	})
 
 	t.Run("stray tmp ignored", func(t *testing.T) {
-		dir, _ := seedCampaign(t)
+		dir, _ := seedCampaign(t, quickSpec)
 		if err := os.WriteFile(filepath.Join(dir, checkpointName+".tmp"), []byte("torn half-write garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +142,7 @@ func TestCheckpointRobustness(t *testing.T) {
 	})
 
 	t.Run("missing part artifact", func(t *testing.T) {
-		dir, _ := seedCampaign(t)
+		dir, _ := seedCampaign(t, quickSpec)
 		if err := os.Remove(partPath(dir, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -137,32 +152,59 @@ func TestCheckpointRobustness(t *testing.T) {
 	})
 
 	t.Run("part size drift", func(t *testing.T) {
-		dir, _ := seedCampaign(t)
-		f, err := os.OpenFile(partPath(dir, 0), os.O_APPEND|os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.WriteString("extra")
-		f.Close()
-		if err := resumeErr(t, dir, quickSpec); err == nil || !strings.Contains(err.Error(), "disagree") {
-			t.Fatalf("err = %v, want size-mismatch error", err)
+		for _, spec := range exportSpecs() {
+			t.Run(spec.Format, func(t *testing.T) {
+				dir, _ := seedCampaign(t, spec)
+				f, err := os.OpenFile(partPath(dir, 0), os.O_APPEND|os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.WriteString("extra")
+				f.Close()
+				if err := resumeErr(t, dir, spec); err == nil || !strings.Contains(err.Error(), "disagree") {
+					t.Fatalf("err = %v, want size-mismatch error", err)
+				}
+			})
 		}
 	})
 
 	t.Run("part content corruption", func(t *testing.T) {
-		dir, _ := seedCampaign(t)
-		p := partPath(dir, 0)
-		data, err := os.ReadFile(p)
+		for _, spec := range exportSpecs() {
+			t.Run(spec.Format, func(t *testing.T) {
+				dir, _ := seedCampaign(t, spec)
+				p := partPath(dir, 0)
+				data, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)/2] ^= 0x01 // same size, different bytes
+				if err := os.WriteFile(p, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				err = resumeErr(t, dir, spec)
+				if err == nil || !strings.Contains(err.Error(), "does not match its checkpoint entry") {
+					t.Fatalf("err = %v, want checksum-mismatch error", err)
+				}
+			})
+		}
+	})
+
+	// A directory from the build that recorded part checksums as FNV-1a
+	// is refused by its schema, not blamed on parts that are intact.
+	t.Run("schema 1 checkpoint", func(t *testing.T) {
+		dir, data := seedCampaign(t, quickSpec)
+		payload, err := decodeEnvelope(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(data)/2] ^= 0x01 // same size, different bytes
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
+		old := bytes.Replace(payload, []byte(`"schema":2,`), []byte(`"schema":1,`), 1)
+		if bytes.Equal(old, payload) {
+			t.Fatalf("checkpoint payload does not open with schema 2: %s", payload)
 		}
+		rewrite(t, dir, encodeEnvelope(old))
 		err = resumeErr(t, dir, quickSpec)
-		if err == nil || !strings.Contains(err.Error(), "does not match its checkpoint entry") {
-			t.Fatalf("err = %v, want hash-mismatch error", err)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint schema 1 is not supported by this build (wants 2)") {
+			t.Fatalf("err = %v, want schema error", err)
 		}
 	})
 }

@@ -22,7 +22,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}
 	seed(checkpointBody{
 		Schema: CheckpointSchema, Kind: kindShards, Fingerprint: spec.Fingerprint(), Spec: &spec,
-		Shards: []ShardDone{{Shard: 0, Records: 123, PartBytes: 4567, PartHash: "00c0ffee00c0ffee", StateBytes: 89, StateHash: "00deadbeef000000"}},
+		Shards: []ShardDone{{Shard: 0, Records: 123, PartBytes: 4567, PartHash: "00c0ffee", StateBytes: 89, StateHash: "00deadbeef000000"}},
 	})
 	seed(checkpointBody{
 		Schema: CheckpointSchema, Kind: kindPlan, Fingerprint: spec.Fingerprint(), Spec: &spec,

@@ -18,8 +18,8 @@ import (
 // fleet.StreamRecords' delivery order), waits for each to be committed —
 // no wait at all for a resumed shard, or for any shard under Merge —
 // streams its part through the spec's export writer into the final
-// artifact, verifying the part's bytes against its checkpointed hash on
-// the way, and folds the per-shard summaries left in shard-index order
+// artifact, verifying the part's bytes against its checkpointed checksum
+// on the way, and folds the per-shard summaries left in shard-index order
 // (matching fleet.Aggregate) so even floating-point aggregates are
 // bit-identical to a single-process run. Beside generate it overlaps
 // everything but the parts behind the slowest shard. The export lands
@@ -38,8 +38,9 @@ func (r *runner) merge(ctx context.Context) (*Result, error) {
 		bw := bufio.NewWriterSize(cw, 1<<16)
 		// The table row cmd/dropsim builds a straight-through export from,
 		// so the merged bytes are identical. One worker (inline): on the
-		// benchmark's binary merge the pool bought no throughput for 4 %
-		// more allocated bytes per record.
+		// benchmark's binary merge a two-worker pool read +5 % throughput,
+		// inside the inline runs' inter-quartile band (ahead in 4 of 6
+		// pairs), for 8 % more allocated bytes per record.
 		format, err := traces.LookupFormat(r.spec.Format)
 		if err != nil {
 			return err
@@ -51,7 +52,7 @@ func (r *runner) merge(ctx context.Context) (*Result, error) {
 				return err
 			}
 			mMergeBacklog.SetMax(int64(r.doneCount() - sh))
-			n, err := r.streamPart(ctx, e, w)
+			n, err := r.streamPart(e, w)
 			if err != nil {
 				return err
 			}
@@ -109,38 +110,36 @@ func (r *runner) await(ctx context.Context, sh int) (ShardDone, error) {
 	return e, nil
 }
 
-// streamPart decodes one shard's part file a block at a time into the
-// reader's own records — the export writer copies what it keeps — and
-// re-serializes them through w, verifying the part's byte count and
-// FNV-1a hash against the checkpoint entry as a side effect of the read.
-func (r *runner) streamPart(ctx context.Context, e ShardDone, w traces.RecordWriter) (int, error) {
+// columnWriter is what the block export formats add to RecordWriter: a
+// binary stream copied block to block, columns re-blocked onto the
+// export's grid without building a record (traces' WriteFrom).
+type columnWriter interface {
+	WriteFrom(*traces.BinaryReader) (int, error)
+}
+
+// streamPart streams one shard's part file into w, verifying the part's
+// byte count and CRC-32C against the checkpoint entry as a side effect of
+// the read. A block export takes the part's columns through WriteFrom; CSV,
+// which has no columns, gets the part's records a reused block at a time,
+// copying what it keeps.
+func (r *runner) streamPart(e ShardDone, w traces.RecordWriter) (int, error) {
 	pf, err := os.Open(partPath(r.dir, e.Shard))
 	if err != nil {
 		return 0, fmt.Errorf("campaign: shard %d part: %w", e.Shard, err)
 	}
 	defer pf.Close()
-	hr := &hashReader{r: pf, h: fnv.New64a()}
+	hr := &hashReader{r: pf, h: newPartHash()}
 	br := traces.NewBinaryReader(hr)
-	n := 0
-	for {
-		recs, err := br.ReadBlock()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return n, fmt.Errorf("campaign: shard %d part: %w", e.Shard, err)
-		}
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		for _, rec := range recs {
-			if err := w.Write(rec); err != nil {
-				return n, err
-			}
-		}
-		n += len(recs)
+	var n int
+	if cw, ok := w.(columnWriter); ok {
+		n, err = cw.WriteFrom(br)
+	} else {
+		n, err = writeRecords(br, w)
 	}
-	if got := fmt.Sprintf("%016x", hr.h.Sum64()); hr.n != e.PartBytes || got != e.PartHash {
+	if err != nil {
+		return n, fmt.Errorf("campaign: shard %d part: %w", e.Shard, err)
+	}
+	if got := partHashHex(hr.h); hr.n != e.PartBytes || got != e.PartHash {
 		return n, fmt.Errorf("campaign: shard %d part file does not match its checkpoint entry (%d bytes hash %s, recorded %d bytes hash %s) — regenerate the shard",
 			e.Shard, hr.n, got, e.PartBytes, e.PartHash)
 	}
@@ -148,6 +147,26 @@ func (r *runner) streamPart(ctx context.Context, e ShardDone, w traces.RecordWri
 		return n, fmt.Errorf("campaign: shard %d part holds %d records, checkpoint recorded %d", e.Shard, n, e.Records)
 	}
 	return n, nil
+}
+
+// writeRecords writes every record of br through w, a block at a time.
+func writeRecords(br *traces.BinaryReader, w traces.RecordWriter) (int, error) {
+	n := 0
+	for {
+		recs, err := br.ReadBlock()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		for _, rec := range recs {
+			if err := w.Write(rec); err != nil {
+				return n, err
+			}
+			n++
+		}
+	}
 }
 
 // Merge finalizes a campaign directory whose shards were generated by

@@ -233,9 +233,25 @@ func TestRunFailureLeavesNoExport(t *testing.T) {
 	}
 }
 
-// TestMergeAllocationBudget: re-serializing a part costs no allocation
-// per record — what is left is per part (the file, its reader and that
-// reader's first block) and per distinct name.
+// TestBlockExportsCopyColumns: streamPart takes a part through WriteFrom
+// exactly when the export writer is a block format's, so wrapping those
+// writers would silently send the merge back to decoding records.
+func TestBlockExportsCopyColumns(t *testing.T) {
+	for name, want := range map[string]bool{"binary": true, "binary-flate": true, "csv": false} {
+		format, err := traces.LookupFormat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := format.New(io.Discard, true, 1).(columnWriter); ok != want {
+			t.Errorf("%s export writer implements WriteFrom: %v, want %v", name, ok, want)
+		}
+	}
+}
+
+// TestMergeAllocationBudget: copying a part into the export costs no
+// allocation per record — what is left is per part (the file, its reader
+// and that reader's body scratch) and per distinct name. The record path
+// (ReadBlock, then Write) read 0.044 here; the column path reads ≈0.001.
 func TestMergeAllocationBudget(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.05, Seed: 7, Shards: 2, Format: "binary", Anonymize: true}
 	dir := t.TempDir()
@@ -252,13 +268,13 @@ func TestMergeAllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		for sh := 0; sh < spec.Shards; sh++ {
 			e, _ := r.doneEntry(sh)
-			if n, err := r.streamPart(context.Background(), e, w); err != nil || n != e.Records {
+			if n, err := r.streamPart(e, w); err != nil || n != e.Records {
 				t.Fatalf("shard %d: streamed %d of %d records: %v", sh, n, e.Records, err)
 			}
 		}
 	})
-	if perRecord := allocs / float64(res.Records); perRecord > 0.05 {
-		t.Fatalf("streamPart allocates %.4f objects per record (%.0f over %d records), budget 0.05", perRecord, allocs, res.Records)
+	if perRecord := allocs / float64(res.Records); perRecord > 0.005 {
+		t.Fatalf("streamPart allocates %.4f objects per record (%.0f over %d records), budget 0.005", perRecord, allocs, res.Records)
 	} else {
 		t.Logf("streamPart: %.4f allocations per record (%.0f over %d records)", perRecord, allocs, res.Records)
 	}

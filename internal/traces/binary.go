@@ -80,8 +80,8 @@ var binaryMagic = [6]byte{'I', 'D', 'B', 'T', '1', '\n'}
 // Methods must not be called concurrently. Records are buffered into
 // blocks of BlockRecords and hit the underlying writer on block
 // boundaries and Flush; the stream stays appendable after a Flush. The
-// settable Anonymize and BlockRecords fields, Write and Flush come from
-// the shared core.
+// settable Anonymize and BlockRecords fields, Write, WriteFrom and Flush
+// come from the shared core.
 type BinaryWriter struct{ blockWriter }
 
 // ParallelBinaryWriter is BinaryWriter: the worker count given to

@@ -8,11 +8,17 @@ package traces
 // frames with exactly these two functions, which is what makes the
 // "worker count and framing never change the decoded records" contract
 // checkable block by block.
+//
+// A second decode direction serves block-to-block copies (the writer
+// core's WriteFrom): blockAccum.decodeBody parses a body back into
+// columns, and appendRange appends a range of those columns to another
+// accumulator with the bytes add would have produced record by record.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"insidedropbox/internal/wire"
@@ -24,9 +30,13 @@ type dictCol struct {
 	idx     map[string]uint32
 	entries []string
 	refs    []uint32
+	remap   []uint32 // appendRange scratch when this column is the source
 }
 
-func (d *dictCol) add(s string) {
+func (d *dictCol) add(s string) { d.refs = append(d.refs, d.index(s)) }
+
+// index returns s's dictionary entry, appending it on first sight.
+func (d *dictCol) index(s string) uint32 {
 	if d.idx == nil {
 		d.idx = make(map[string]uint32)
 	}
@@ -36,7 +46,33 @@ func (d *dictCol) add(s string) {
 		d.idx[s] = i
 		d.entries = append(d.entries, s)
 	}
-	d.refs = append(d.refs, i)
+	return i
+}
+
+// appendRange appends src's references lo..hi-1, remapped into d. A source
+// entry is looked up in d once, when the first reference in the range
+// meets it, so d's entries come out in the order add would have met them.
+func (d *dictCol) appendRange(src *dictCol, lo, hi int) {
+	remap := remapTable(&src.remap, len(src.entries))
+	for _, r := range src.refs[lo:hi] {
+		m := remap[r]
+		if m == 0 {
+			m = d.index(src.entries[r]) + 1
+			remap[r] = m
+		}
+		d.refs = append(d.refs, m-1)
+	}
+}
+
+// remapTable returns a zeroed table of n entries over *scratch: entry i
+// holds a source entry's destination index plus one, zero while unmapped.
+func remapTable(scratch *[]uint32, n int) []uint32 {
+	if cap(*scratch) < n {
+		*scratch = make([]uint32, n)
+	}
+	t := (*scratch)[:n]
+	clear(t)
+	return t
 }
 
 func (d *dictCol) reset() {
@@ -62,9 +98,13 @@ type dictU64 struct {
 	idx     map[uint64]uint32
 	entries []uint64
 	refs    []uint32
+	remap   []uint32 // appendRange scratch when this column is the source
 }
 
-func (d *dictU64) add(v uint64) {
+func (d *dictU64) add(v uint64) { d.refs = append(d.refs, d.index(v)) }
+
+// index returns v's dictionary entry, appending it on first sight.
+func (d *dictU64) index(v uint64) uint32 {
 	if d.idx == nil {
 		d.idx = make(map[uint64]uint32)
 	}
@@ -74,7 +114,25 @@ func (d *dictU64) add(v uint64) {
 		d.idx[v] = i
 		d.entries = append(d.entries, v)
 	}
-	d.refs = append(d.refs, i)
+	return i
+}
+
+// appendRange is dictCol.appendRange over addresses; anonymize turns each
+// source address into its token once per remapped entry, not per record.
+func (d *dictU64) appendRange(src *dictU64, lo, hi int, anonymize bool) {
+	remap := remapTable(&src.remap, len(src.entries))
+	for _, r := range src.refs[lo:hi] {
+		m := remap[r]
+		if m == 0 {
+			v := src.entries[r]
+			if anonymize {
+				v = anonToken(wire.IP(v))
+			}
+			m = d.index(v) + 1
+			remap[r] = m
+		}
+		d.refs = append(d.refs, m-1)
+	}
 }
 
 func (d *dictU64) reset() {
@@ -168,6 +226,48 @@ func (a *blockAccum) add(r *FlowRecord, anonymize bool) {
 	a.cert.add(r.CertName)
 	a.fqdn.add(r.FQDN)
 	a.n++
+}
+
+// appendRange appends records lo..hi-1 of src, a block decodeBody filled
+// from a full-fidelity stream, with exactly the columns add would have
+// built from the records themselves: numeric, flag and namespace columns
+// are copied, and the dictionary columns remapped entry by entry.
+func (a *blockAccum) appendRange(src *blockAccum, lo, hi int, anonymize bool) {
+	a.client.appendRange(&src.client, lo, hi, anonymize)
+	a.server.appendRange(&src.server, lo, hi, false)
+	a.cport = append(a.cport, src.cport[lo:hi]...)
+	a.sport = append(a.sport, src.sport[lo:hi]...)
+	a.first = append(a.first, src.first[lo:hi]...)
+	a.last = append(a.last, src.last[lo:hi]...)
+	a.lpUp = append(a.lpUp, src.lpUp[lo:hi]...)
+	a.lpDown = append(a.lpDown, src.lpDown[lo:hi]...)
+	a.bytesUp = append(a.bytesUp, src.bytesUp[lo:hi]...)
+	a.bytesDown = append(a.bytesDown, src.bytesDown[lo:hi]...)
+	a.pktsUp = append(a.pktsUp, src.pktsUp[lo:hi]...)
+	a.pktsDown = append(a.pktsDown, src.pktsDown[lo:hi]...)
+	a.pshUp = append(a.pshUp, src.pshUp[lo:hi]...)
+	a.pshDown = append(a.pshDown, src.pshDown[lo:hi]...)
+	a.retrUp = append(a.retrUp, src.retrUp[lo:hi]...)
+	a.retrDown = append(a.retrDown, src.retrDown[lo:hi]...)
+	a.minRTT = append(a.minRTT, src.minRTT[lo:hi]...)
+	a.rttSamples = append(a.rttSamples, src.rttSamples[lo:hi]...)
+	a.notifyHost = append(a.notifyHost, src.notifyHost[lo:hi]...)
+	nsLo := 0
+	for _, c := range src.nsCount[:lo] {
+		nsLo += int(c)
+	}
+	nsHi := nsLo
+	for _, c := range src.nsCount[lo:hi] {
+		nsHi += int(c)
+	}
+	a.nsCount = append(a.nsCount, src.nsCount[lo:hi]...)
+	a.nsVals = append(a.nsVals, src.nsVals[nsLo:nsHi]...)
+	a.flags = append(a.flags, src.flags[lo:hi]...)
+	a.vp.appendRange(&src.vp, lo, hi)
+	a.sni.appendRange(&src.sni, lo, hi)
+	a.cert.appendRange(&src.cert, lo, hi)
+	a.fqdn.appendRange(&src.fqdn, lo, hi)
+	a.n += hi - lo
 }
 
 // encodeBody appends the block body (uvarint record count, then every
@@ -344,6 +444,95 @@ func (d *bdec) ref(n int) (int, bool) {
 		d.err = errors.New("traces: corrupt binary block (dict ref)")
 	}
 	return int(ref), d.err == nil
+}
+
+// The column readers below decode a whole column per call, for
+// decodeBody: the values and the first error of n calls to uvarint,
+// varint or ref, with the cursor held in a local and a one-byte value
+// read without a call.
+
+// uvarints appends n uvarints to dst, each masked to the width of the
+// field it fills.
+func (d *bdec) uvarints(dst []uint64, n int, mask uint64) []uint64 {
+	if d.err != nil {
+		return dst
+	}
+	b, off := d.b, d.off
+	for range n {
+		v, k := uint64(0), 1
+		if off < len(b) && b[off] < 0x80 {
+			v = uint64(b[off])
+		} else if v, k = binary.Uvarint(b[off:]); k <= 0 {
+			d.off, d.err = off, errors.New("traces: corrupt binary block (uvarint)")
+			return dst
+		}
+		off += k
+		dst = append(dst, v&mask)
+	}
+	d.off = off
+	return dst
+}
+
+// varints appends n zigzag varints to dst.
+func (d *bdec) varints(dst []int64, n int) []int64 {
+	if d.err != nil {
+		return dst
+	}
+	b, off := d.b, d.off
+	for range n {
+		u, k := uint64(0), 1
+		if off < len(b) && b[off] < 0x80 {
+			u = uint64(b[off])
+		} else if u, k = binary.Uvarint(b[off:]); k <= 0 {
+			d.off, d.err = off, errors.New("traces: corrupt binary block (varint)")
+			return dst
+		}
+		off += k
+		dst = append(dst, int64(u>>1)^-int64(u&1))
+	}
+	d.off = off
+	return dst
+}
+
+// refs appends n references into a dictionary of entries entries to dst.
+func (d *bdec) refs(dst []uint32, n, entries int) []uint32 {
+	if d.err != nil {
+		return dst
+	}
+	b, off := d.b, d.off
+	for range n {
+		v, k := uint64(0), 1
+		if off < len(b) && b[off] < 0x80 {
+			v = uint64(b[off])
+		} else if v, k = binary.Uvarint(b[off:]); k <= 0 {
+			d.off, d.err = off, errors.New("traces: corrupt binary block (uvarint)")
+			return dst
+		}
+		off += k
+		if v >= uint64(entries) {
+			d.off, d.err = off, errors.New("traces: corrupt binary block (dict ref)")
+			return dst
+		}
+		dst = append(dst, uint32(v))
+	}
+	d.off = off
+	return dst
+}
+
+// decode reads one address column of n records: its entries, narrowed to
+// the 32 bits a record's address holds, then its references.
+func (c *dictU64) decode(d *bdec, n int) {
+	c.entries = d.u64Entries(c.entries)
+	for i, v := range c.entries {
+		c.entries[i] = uint64(uint32(v))
+	}
+	c.refs = d.refs(c.refs, n, len(c.entries))
+}
+
+// decode reads one string column of n records, entries interned in names.
+func (c *dictCol) decode(d *bdec, n int, names *internTable) {
+	c.entries = d.strEntries(c.entries, names)
+	c.refs = d.refs(c.refs, n, len(c.entries))
 }
 
 // blockDecScratch holds what a block decoder keeps across blocks:
@@ -548,4 +737,71 @@ func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord
 		return nil, fmt.Errorf("traces: %d trailing bytes in block", len(body)-d.off)
 	}
 	return recs, nil
+}
+
+// decodeBody is encodeBody's inverse: it refills a with the columns of one
+// block body — dictionary columns as entries and references, names
+// interned, FirstPacket absolute again. It enforces every bound
+// decodeBlockBody does, in the same order, so the two accept the same
+// bodies with the same errors; and it narrows each value the way decoding
+// into a FlowRecord does (ports to 16 bits, addresses and namespaces to 32,
+// flags to their four bits), so appendRange re-encodes the bytes Write
+// gives the records decodeBlockBody returns.
+func (a *blockAccum) decodeBody(body []byte, names *internTable) error {
+	a.reset()
+	d := &bdec{b: body}
+	n := int(d.uvarint())
+	if d.err != nil {
+		return d.err
+	}
+	if n <= 0 || n > len(body)/24+1 {
+		return fmt.Errorf("traces: implausible block record count %d", n)
+	}
+	a.client.decode(d, n)
+	a.server.decode(d, n)
+	a.cport = d.uvarints(a.cport, n, math.MaxUint16)
+	a.sport = d.uvarints(a.sport, n, math.MaxUint16)
+	a.first = d.varints(a.first, n)
+	for i := 1; i < len(a.first); i++ {
+		a.first[i] += a.first[i-1]
+	}
+	for _, col := range [...]*[]int64{
+		&a.last, &a.lpUp, &a.lpDown,
+		&a.bytesUp, &a.bytesDown, &a.pktsUp, &a.pktsDown,
+		&a.pshUp, &a.pshDown, &a.retrUp, &a.retrDown,
+		&a.minRTT, &a.rttSamples,
+	} {
+		*col = d.varints(*col, n)
+	}
+	a.vp.decode(d, n, names)
+	a.sni.decode(d, n, names)
+	a.cert.decode(d, n, names)
+	a.fqdn.decode(d, n, names)
+	a.notifyHost = d.uvarints(a.notifyHost, n, math.MaxUint64)
+	counts, total := a.nsCount, 0
+	for range n {
+		c := d.uvarint()
+		if left := len(body) - d.off - total; d.err == nil && (left < 0 || c > uint64(left)) {
+			d.err = errors.New("traces: corrupt binary block (ns count)")
+		}
+		if d.err != nil {
+			break
+		}
+		counts = append(counts, c)
+		total += int(c)
+	}
+	a.nsCount = counts
+	a.nsVals = d.uvarints(a.nsVals, total, math.MaxUint32)
+	flags := d.bytes(n)
+	if d.err != nil {
+		return d.err
+	}
+	for _, fl := range flags {
+		a.flags = append(a.flags, fl&0x0f)
+	}
+	if d.off != len(body) {
+		return fmt.Errorf("traces: %d trailing bytes in block", len(body)-d.off)
+	}
+	a.n = n
+	return nil
 }

@@ -7,7 +7,8 @@ package traces
 // function producing the next block body. The stream header, record
 // accumulation, cutting blocks at BlockRecords, in-order frame delivery,
 // the partial block on Flush and the hand-out loop of Read exist once,
-// here.
+// here — as does WriteFrom, the block-to-block copy out of a binary
+// stream that re-blocks columns instead of records.
 //
 // The writer encodes where its worker count says: at workers <= 1 every
 // frame is finished and written on the caller's goroutine and the writer
@@ -18,6 +19,7 @@ package traces
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -57,7 +59,16 @@ type blockWriter struct {
 	cur     *blockAccum // block under construction; nil between blocks
 	acc     blockAccum  // the inline path's only accumulator
 	st      encScratch  // the inline path's finisher scratch
+
+	// WriteFrom's source block, with the dictionary remap tables, and the
+	// names its dictionaries are interned in: one allocation per name per
+	// writer, not per source stream.
+	src   blockAccum
+	names internTable
 }
+
+// errAnonymizedSource reports a WriteFrom whose source cannot be copied.
+var errAnonymizedSource = errors.New("traces: WriteFrom needs a full-fidelity source: an anonymized stream's client tokens cannot be turned back into addresses")
 
 // newBlockWriter builds the core for one framing. workers <= 1 encodes
 // inline on the caller's goroutine.
@@ -130,6 +141,65 @@ func (w *blockWriter) Write(r *FlowRecord) error {
 		return w.cut()
 	}
 	return nil
+}
+
+// WriteFrom writes every record left in r, an un-anonymized binary stream,
+// and returns how many it wrote. The bytes are those of Writing each
+// record r would decode, blocks cut where Write cuts them, but no record
+// is built: each source block is decoded column-wise into the writer's
+// scratch and appended in ranges onto the block grid, every dictionary
+// entry remapped (and anonymized) once per range rather than per record.
+// Records a Read already decoded go through Write. r's end of stream, or
+// its read error, stays latched in r as after a Read.
+func (w *blockWriter) WriteFrom(r *BinaryReader) (int, error) {
+	if r.err == nil {
+		r.err = r.ensureHeader()
+	}
+	if r.err == io.EOF {
+		return 0, nil
+	}
+	if r.err != nil {
+		return 0, r.err
+	}
+	if r.anon {
+		return 0, errAnonymizedSource
+	}
+	n := 0
+	for ; r.next < len(r.recs); r.next++ {
+		if err := w.Write(r.recs[r.next]); err != nil {
+			return n, err
+		}
+		n++
+	}
+	for {
+		body, err := r.nextBody()
+		if err == nil {
+			err = w.src.decodeBody(body, &w.names)
+		}
+		if err != nil {
+			r.err = err
+			if err == io.EOF {
+				return n, nil
+			}
+			return n, err
+		}
+		for lo := 0; lo < w.src.n; {
+			if w.cur == nil {
+				if err := w.begin(); err != nil {
+					return n, err
+				}
+			}
+			hi := min(w.src.n, lo+w.blockTarget()-w.cur.n)
+			w.cur.appendRange(&w.src, lo, hi, w.Anonymize)
+			n += hi - lo
+			lo = hi
+			if w.cur.n >= w.blockTarget() {
+				if err := w.cut(); err != nil {
+					return n, err
+				}
+			}
+		}
+	}
 }
 
 // cut turns the block under construction into a frame: submitted to the

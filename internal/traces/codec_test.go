@@ -65,7 +65,7 @@ func randRecords(seed int64, n int) []*FlowRecord {
 }
 
 // writeRecords writes recs through w, failing the test on any error.
-func writeRecords(t *testing.T, w RecordWriter, recs []*FlowRecord) {
+func writeRecords(t testing.TB, w RecordWriter, recs []*FlowRecord) {
 	t.Helper()
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
@@ -77,7 +77,7 @@ func writeRecords(t *testing.T, w RecordWriter, recs []*FlowRecord) {
 // encodeStream serializes recs with one framing and returns the flushed
 // stream. workers = 0 is the inline reference every other count must
 // reproduce byte for byte.
-func encodeStream(t *testing.T, f codecFraming, recs []*FlowRecord, blockRecords, workers int, anon bool) []byte {
+func encodeStream(t testing.TB, f codecFraming, recs []*FlowRecord, blockRecords, workers int, anon bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := f.newWriter(&buf, workers, blockRecords, anon)

@@ -183,6 +183,14 @@ func (w *FlateWriter) Write(r *FlowRecord) error {
 	return w.blockWriter.Write(r)
 }
 
+// WriteFrom is the core's WriteFrom behind the same gate as Write.
+func (w *FlateWriter) WriteFrom(r *BinaryReader) (int, error) {
+	if err := w.ready(); err != nil {
+		return 0, err
+	}
+	return w.blockWriter.WriteFrom(r)
+}
+
 // Flush finalizes the stream: the core writes any partial frame and
 // drains the pool, then the sentinel, index and footer land after the
 // last frame. A zero-record Flush writes a valid empty stream (header,

@@ -2,6 +2,7 @@ package traces
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -142,6 +143,69 @@ func checkFuzzRecord(t *testing.T, i int, got, want *FlowRecord, anon bool) {
 	if !reflect.DeepEqual(normalize(got), &w) {
 		t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got, &w)
 	}
+}
+
+// FuzzWriteFrom feeds arbitrary bytes to WriteFrom as a part (contract
+// point 17 for the column path): it returns an error — the one ReadBlock
+// returns, unless the source is anonymized, which it refuses — or writes
+// exactly the bytes of Writing the records ReadBlock decodes; never a
+// panic. knobs picks the export's anonymization and block size.
+func FuzzWriteFrom(f *testing.F) {
+	recs := randRecords(52, 150)
+	for _, c := range []struct {
+		blockRecords int
+		anon         bool
+		knobs        uint8
+	}{{1, false, 0}, {7, false, 13}, {64, false, 255}, {64, true, 1}} {
+		f.Add(encodeStream(f, binaryFraming, recs, c.blockRecords, 0, c.anon), c.knobs)
+	}
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte("IDBT1\n\x00"), uint8(3))
+	f.Add([]byte("IDBF1\n\x00\x00"), uint8(3))
+
+	f.Fuzz(func(t *testing.T, data []byte, knobs uint8) {
+		anon, blockRecords := knobs&1 != 0, 1+int(knobs>>1)
+		var want bytes.Buffer
+		ref := NewBinaryWriter(&want)
+		ref.Anonymize, ref.BlockRecords = anon, blockRecords
+		rd := NewBinaryReader(bytes.NewReader(data))
+		var refErr error
+		for refErr == nil {
+			var blk []*FlowRecord
+			if blk, refErr = rd.ReadBlock(); refErr == nil {
+				writeRecords(t, ref, blk)
+			}
+		}
+		if refErr == io.EOF {
+			refErr = nil
+		}
+
+		var got bytes.Buffer
+		w := NewBinaryWriter(&got)
+		w.Anonymize, w.BlockRecords = anon, blockRecords
+		_, err := w.WriteFrom(NewBinaryReader(bytes.NewReader(data)))
+		if rd.Anonymized() {
+			if err == nil {
+				t.Fatal("WriteFrom accepted an anonymized source")
+			}
+			return
+		}
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("WriteFrom ended on %v, ReadBlock on %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if err := ref.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteFrom wrote %d bytes, Writing ReadBlock's records %d", got.Len(), want.Len())
+		}
+	})
 }
 
 // FuzzFlateFrameReader feeds arbitrary bytes to both readers: any input —
