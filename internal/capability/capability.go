@@ -19,8 +19,8 @@
 // experiments.WhatIfConfig.Run runs the same fleet population under several
 // profiles and tabulates the deltas versus a baseline.
 //
-// Determinism contract extension: the profile is part of the
-// reproducibility key. (seed, population config, shard count, profile)
+// Determinism contract (EXPERIMENTS.md points 6–8): the profile is part of
+// the reproducibility key. (seed, population config, shard count, profile)
 // fully determines every generated record; profiles that alter operation
 // structure (bundling, dedup duplicates) consume the generator's random
 // stream differently and therefore draw a different — equally calibrated —

@@ -50,10 +50,11 @@ package traces
 // the CSV format prints as "h%012x". Readers of anonymized streams return
 // Client == 0, matching the CSV reader's behaviour on anonymized rows.
 //
-// The block encoder and decoder themselves live in block.go (blockAccum /
-// decodeBlockBody), and the stream mechanics — header, accumulation, block
-// cutting, ordered delivery, Flush, the reader's hand-out loop — in the
-// shared core (codec.go). This file holds only what is specific to the
+// The block encoder and decoder themselves live in block.go (encodeBody /
+// decodeBody, the one body parser that the readers and WriteFrom share),
+// and the stream mechanics — header, accumulation, block cutting, ordered
+// delivery, Flush, the reader's hand-out loop — in the shared core
+// (codec.go). This file holds only what is specific to the
 // raw binary framing: the magic, the length-prefixed frame, and reading
 // one back. The flate archival tier (flate.go) frames the same block
 // bodies differently — the framings differ, the block bytes never do.

@@ -3,15 +3,15 @@ package traces
 // The block codec shared by every binary-framed serialization: a
 // blockAccum accumulates records column-wise and encodes one block body
 // (the `body` production of the wire format documented in binary.go);
-// decodeBlockBody reverses it. Both framings of the writer and reader
-// core (codec.go), inline or on the worker pool, build and parse their
-// frames with exactly these two functions, which is what makes the
-// "worker count and framing never change the decoded records" contract
-// checkable block by block.
+// blockAccum.decodeBody parses a body back into columns. Both framings of
+// the writer and reader core (codec.go), inline or on the worker pool,
+// build and parse their frames with exactly these two functions, which is
+// what makes the "worker count and framing never change the decoded
+// records" contract checkable block by block.
 //
-// A second decode direction serves block-to-block copies (the writer
-// core's WriteFrom): blockAccum.decodeBody parses a body back into
-// columns, and appendRange appends a range of those columns to another
+// The parsed columns serve two consumers: decodeBlockBody fills the
+// readers' records from them, and the writer core's WriteFrom copies
+// them block to block, appendRange appending a range of them to another
 // accumulator with the bytes add would have produced record by record.
 
 import (
@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"insidedropbox/internal/wire"
@@ -375,19 +376,6 @@ func (d *bdec) uvarint() uint64 {
 	return v
 }
 
-func (d *bdec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.err = errors.New("traces: corrupt binary block (varint)")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
 func (d *bdec) bytes(n int) []byte {
 	if d.err != nil {
 		return nil
@@ -417,39 +405,10 @@ func (d *bdec) dictLen() int {
 	return int(dl)
 }
 
-// u64Entries decodes the entry table of a numeric dictionary column into
-// the caller's scratch; the column's per-record references follow it.
-func (d *bdec) u64Entries(scratch []uint64) []uint64 {
-	entries := scratch[:0]
-	for dl := d.dictLen(); dl > 0; dl-- {
-		entries = append(entries, d.uvarint())
-	}
-	return entries
-}
-
-// strEntries is u64Entries for a string dictionary column; names interns
-// the entries, so a name costs one allocation per stream, not per block.
-func (d *bdec) strEntries(scratch []string, names *internTable) []string {
-	entries := scratch[:0]
-	for dl := d.dictLen(); dl > 0; dl-- {
-		entries = append(entries, names.get(d.bytes(int(d.uvarint()))))
-	}
-	return entries
-}
-
-// ref decodes one reference into a dictionary of n entries.
-func (d *bdec) ref(n int) (int, bool) {
-	ref := d.uvarint()
-	if d.err == nil && ref >= uint64(n) {
-		d.err = errors.New("traces: corrupt binary block (dict ref)")
-	}
-	return int(ref), d.err == nil
-}
-
-// The column readers below decode a whole column per call, for
-// decodeBody: the values and the first error of n calls to uvarint,
-// varint or ref, with the cursor held in a local and a one-byte value
-// read without a call.
+// The column readers below decode a whole column per call: n values, or
+// the first error among them, with the cursor held in a local and a
+// one-byte value read without a call. Each grows dst to n up front, so a
+// fresh column is sized once rather than by doubling.
 
 // uvarints appends n uvarints to dst, each masked to the width of the
 // field it fills.
@@ -457,6 +416,7 @@ func (d *bdec) uvarints(dst []uint64, n int, mask uint64) []uint64 {
 	if d.err != nil {
 		return dst
 	}
+	dst = slices.Grow(dst, n)
 	b, off := d.b, d.off
 	for range n {
 		v, k := uint64(0), 1
@@ -478,6 +438,7 @@ func (d *bdec) varints(dst []int64, n int) []int64 {
 	if d.err != nil {
 		return dst
 	}
+	dst = slices.Grow(dst, n)
 	b, off := d.b, d.off
 	for range n {
 		u, k := uint64(0), 1
@@ -499,6 +460,7 @@ func (d *bdec) refs(dst []uint32, n, entries int) []uint32 {
 	if d.err != nil {
 		return dst
 	}
+	dst = slices.Grow(dst, n)
 	b, off := d.b, d.off
 	for range n {
 		v, k := uint64(0), 1
@@ -519,30 +481,32 @@ func (d *bdec) refs(dst []uint32, n, entries int) []uint32 {
 	return dst
 }
 
-// decode reads one address column of n records: its entries, narrowed to
-// the 32 bits a record's address holds, then its references.
+// decode reads one address column of n records into the reset column: its
+// entries, narrowed to the 32 bits a record's address holds, then its
+// references.
 func (c *dictU64) decode(d *bdec, n int) {
-	c.entries = d.u64Entries(c.entries)
-	for i, v := range c.entries {
-		c.entries[i] = uint64(uint32(v))
+	for dl := d.dictLen(); dl > 0; dl-- {
+		c.entries = append(c.entries, uint64(uint32(d.uvarint())))
 	}
 	c.refs = d.refs(c.refs, n, len(c.entries))
 }
 
-// decode reads one string column of n records, entries interned in names.
+// decode reads one string column of n records into the reset column;
+// names interns the entries, so a name costs one allocation per stream,
+// not per block.
 func (c *dictCol) decode(d *bdec, n int, names *internTable) {
-	c.entries = d.strEntries(c.entries, names)
+	for dl := d.dictLen(); dl > 0; dl-- {
+		c.entries = append(c.entries, names.get(d.bytes(int(d.uvarint()))))
+	}
 	c.refs = d.refs(c.refs, n, len(c.entries))
 }
 
-// blockDecScratch holds what a block decoder keeps across blocks:
-// dictionary entry tables, the namespace counts, the string intern table
-// and, for a reader handing out whole blocks, the records themselves.
+// blockDecScratch holds what a block decoder keeps across blocks: the
+// columns of the block last decoded, the string intern table and, for a
+// reader handing out whole blocks, the records themselves.
 type blockDecScratch struct {
-	strs   []string
-	u64s   []uint64
-	counts []int
-	names  internTable
+	cols  blockAccum
+	names internTable
 
 	// reuse makes decodeBlockBody decode into recs, backing and ns, over
 	// the records of the block decoded before, instead of fresh storage.
@@ -585,168 +549,62 @@ func (sc *blockDecScratch) nsSlab(total int) []uint32 {
 
 // decodeBlockBody parses one block body into records that do not alias
 // body: freshly allocated ones, or with sc.reuse the scratch's own, valid
-// until the next call. String fields are interned in the scratch and
-// shared between records either way. anon streams decode with Client ==
-// 0, matching the CSV reader's behaviour on anonymized rows.
+// until the next call. The body is parsed once, by decodeBody into the
+// scratch's columns, and the records are filled from those. String fields
+// are interned in the scratch and shared between records either way. anon
+// streams decode with Client == 0, matching the CSV reader's behaviour on
+// anonymized rows.
 func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord, error) {
-	d := &bdec{b: body}
-	n := int(d.uvarint())
-	if d.err != nil {
-		return nil, d.err
+	c := &sc.cols
+	if err := c.decodeBody(body, &sc.names); err != nil {
+		return nil, err
 	}
-	// Every record costs at least 24 body bytes (25 columns write one
-	// varint or flag byte each, minus generous slack), so a count claiming
-	// less is corrupt — and the bound keeps a hostile count from forcing
-	// a record allocation far larger than the input that carried it.
-	if n <= 0 || n > len(body)/24+1 {
-		return nil, fmt.Errorf("traces: implausible block record count %d", n)
+	recs := sc.records(c.n)
+	ns := sc.nsSlab(len(c.nsVals))
+	for i, v := range c.nsVals {
+		ns[i] = uint32(v)
 	}
-	recs := sc.records(n)
-	sc.u64s = d.u64Entries(sc.u64s)
-	for i := range recs {
-		if k, ok := d.ref(len(sc.u64s)); ok && !anon {
-			recs[i].Client = wire.IP(uint32(sc.u64s[k]))
+	for i, r := range recs {
+		if !anon {
+			r.Client = wire.IP(c.client.entries[c.client.refs[i]])
 		}
-	}
-	sc.u64s = d.u64Entries(sc.u64s)
-	for i := range recs {
-		if k, ok := d.ref(len(sc.u64s)); ok {
-			recs[i].Server = wire.IP(uint32(sc.u64s[k]))
-		}
-	}
-	for i := range recs {
-		recs[i].ClientPort = uint16(d.uvarint())
-	}
-	for i := range recs {
-		recs[i].ServerPort = uint16(d.uvarint())
-	}
-	prev := int64(0)
-	for i := range recs {
-		prev += d.varint()
-		recs[i].FirstPacket = time.Duration(prev)
-	}
-	for i := range recs {
-		recs[i].LastPacket = recs[i].FirstPacket + time.Duration(d.varint())
-	}
-	for i := range recs {
-		recs[i].LastPayloadUp = recs[i].LastPacket + time.Duration(d.varint())
-	}
-	for i := range recs {
-		recs[i].LastPayloadDown = recs[i].LastPacket + time.Duration(d.varint())
-	}
-	for i := range recs {
-		recs[i].BytesUp = d.varint()
-	}
-	for i := range recs {
-		recs[i].BytesDown = d.varint()
-	}
-	for i := range recs {
-		recs[i].PktsUp = int(d.varint())
-	}
-	for i := range recs {
-		recs[i].PktsDown = int(d.varint())
-	}
-	for i := range recs {
-		recs[i].PSHUp = int(d.varint())
-	}
-	for i := range recs {
-		recs[i].PSHDown = int(d.varint())
-	}
-	for i := range recs {
-		recs[i].RetransUp = int(d.varint())
-	}
-	for i := range recs {
-		recs[i].RetransDown = int(d.varint())
-	}
-	for i := range recs {
-		recs[i].MinRTT = time.Duration(d.varint())
-	}
-	for i := range recs {
-		recs[i].RTTSamples = int(d.varint())
-	}
-	sc.strs = d.strEntries(sc.strs, &sc.names)
-	for i := range recs {
-		if k, ok := d.ref(len(sc.strs)); ok {
-			recs[i].VP = sc.strs[k]
-		}
-	}
-	sc.strs = d.strEntries(sc.strs, &sc.names)
-	for i := range recs {
-		if k, ok := d.ref(len(sc.strs)); ok {
-			recs[i].SNI = sc.strs[k]
-		}
-	}
-	sc.strs = d.strEntries(sc.strs, &sc.names)
-	for i := range recs {
-		if k, ok := d.ref(len(sc.strs)); ok {
-			recs[i].CertName = sc.strs[k]
-		}
-	}
-	sc.strs = d.strEntries(sc.strs, &sc.names)
-	for i := range recs {
-		if k, ok := d.ref(len(sc.strs)); ok {
-			recs[i].FQDN = sc.strs[k]
-		}
-	}
-	for i := range recs {
-		recs[i].NotifyHost = d.uvarint()
-	}
-	// Every namespace costs at least one body byte, so the bytes left
-	// bound the total: one slab holds every record's list, and a hostile
-	// count still cannot out-allocate the input that carried it.
-	counts, total := sc.counts[:0], 0
-	for range recs {
-		c := d.uvarint()
-		if left := len(body) - d.off - total; d.err == nil && (left < 0 || c > uint64(left)) {
-			d.err = errors.New("traces: corrupt binary block (ns count)")
-		}
-		if d.err != nil {
-			break
-		}
-		counts = append(counts, int(c))
-		total += int(c)
-	}
-	sc.counts = counts
-	if d.err == nil && total > 0 {
-		slab := sc.nsSlab(total)
-		for i, c := range counts {
-			if c == 0 {
-				continue
-			}
+		r.Server = wire.IP(c.server.entries[c.server.refs[i]])
+		r.ClientPort, r.ServerPort = uint16(c.cport[i]), uint16(c.sport[i])
+		r.FirstPacket = time.Duration(c.first[i])
+		r.LastPacket = r.FirstPacket + time.Duration(c.last[i])
+		r.LastPayloadUp = r.LastPacket + time.Duration(c.lpUp[i])
+		r.LastPayloadDown = r.LastPacket + time.Duration(c.lpDown[i])
+		r.BytesUp, r.BytesDown = c.bytesUp[i], c.bytesDown[i]
+		r.PktsUp, r.PktsDown = int(c.pktsUp[i]), int(c.pktsDown[i])
+		r.PSHUp, r.PSHDown = int(c.pshUp[i]), int(c.pshDown[i])
+		r.RetransUp, r.RetransDown = int(c.retrUp[i]), int(c.retrDown[i])
+		r.MinRTT, r.RTTSamples = time.Duration(c.minRTT[i]), int(c.rttSamples[i])
+		r.VP = c.vp.entries[c.vp.refs[i]]
+		r.SNI = c.sni.entries[c.sni.refs[i]]
+		r.CertName = c.cert.entries[c.cert.refs[i]]
+		r.FQDN = c.fqdn.entries[c.fqdn.refs[i]]
+		r.NotifyHost = c.notifyHost[i]
+		if k := int(c.nsCount[i]); k > 0 {
 			// Capacity-capped, so appending to one record's list cannot
 			// write into its neighbour's.
-			ns := slab[:c:c]
-			slab = slab[c:]
-			for j := range ns {
-				ns[j] = uint32(d.uvarint())
-			}
-			recs[i].NotifyNamespaces = ns
+			r.NotifyNamespaces, ns = ns[:k:k], ns[k:]
 		}
-	}
-	flags := d.bytes(n)
-	if d.err != nil {
-		return nil, d.err
-	}
-	for i, fl := range flags {
-		recs[i].SawSYN = fl&(1<<0) != 0
-		recs[i].SawFIN = fl&(1<<1) != 0
-		recs[i].SawRST = fl&(1<<2) != 0
-		recs[i].ServerClosed = fl&(1<<3) != 0
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("traces: %d trailing bytes in block", len(body)-d.off)
+		fl := c.flags[i]
+		r.SawSYN = fl&(1<<0) != 0
+		r.SawFIN = fl&(1<<1) != 0
+		r.SawRST = fl&(1<<2) != 0
+		r.ServerClosed = fl&(1<<3) != 0
 	}
 	return recs, nil
 }
 
-// decodeBody is encodeBody's inverse: it refills a with the columns of one
-// block body — dictionary columns as entries and references, names
-// interned, FirstPacket absolute again. It enforces every bound
-// decodeBlockBody does, in the same order, so the two accept the same
-// bodies with the same errors; and it narrows each value the way decoding
-// into a FlowRecord does (ports to 16 bits, addresses and namespaces to 32,
-// flags to their four bits), so appendRange re-encodes the bytes Write
-// gives the records decodeBlockBody returns.
+// decodeBody is encodeBody's inverse, and the one parser of a block body:
+// it refills a with the columns of one body — dictionary columns as
+// entries and references, names interned, FirstPacket absolute again —
+// or returns the first bound the body breaks. It narrows each value the
+// way a FlowRecord holds it (ports to 16 bits, addresses and namespaces
+// to 32, flags to their four bits), so appendRange re-encodes the bytes
+// Write gives the records decodeBlockBody fills from the same columns.
 func (a *blockAccum) decodeBody(body []byte, names *internTable) error {
 	a.reset()
 	d := &bdec{b: body}
@@ -754,6 +612,10 @@ func (a *blockAccum) decodeBody(body []byte, names *internTable) error {
 	if d.err != nil {
 		return d.err
 	}
+	// Every record costs at least 24 body bytes (25 columns write one
+	// varint or flag byte each, minus generous slack), so a count claiming
+	// less is corrupt — and the bound keeps a hostile count from forcing
+	// an allocation far larger than the input that carried it.
 	if n <= 0 || n > len(body)/24+1 {
 		return fmt.Errorf("traces: implausible block record count %d", n)
 	}
@@ -778,6 +640,9 @@ func (a *blockAccum) decodeBody(body []byte, names *internTable) error {
 	a.cert.decode(d, n, names)
 	a.fqdn.decode(d, n, names)
 	a.notifyHost = d.uvarints(a.notifyHost, n, math.MaxUint64)
+	// Every namespace costs at least one body byte, so the bytes left
+	// bound the total, and a hostile count still cannot out-allocate the
+	// input that carried it.
 	counts, total := a.nsCount, 0
 	for range n {
 		c := d.uvarint()

@@ -146,10 +146,12 @@ func checkFuzzRecord(t *testing.T, i int, got, want *FlowRecord, anon bool) {
 }
 
 // FuzzWriteFrom feeds arbitrary bytes to WriteFrom as a part (contract
-// point 17 for the column path): it returns an error — the one ReadBlock
-// returns, unless the source is anonymized, which it refuses — or writes
-// exactly the bytes of Writing the records ReadBlock decodes; never a
-// panic. knobs picks the export's anonymization and block size.
+// point 17 for the column path). WriteFrom and the readers parse bodies
+// with the same decodeBody, so what this pins is that appendRange's bytes
+// equal add's: WriteFrom returns an error — the one ReadBlock returns,
+// unless the source is anonymized, which it refuses — or writes exactly
+// the bytes of Writing the records ReadBlock decodes; never a panic. knobs
+// picks the export's anonymization and block size.
 func FuzzWriteFrom(f *testing.F) {
 	recs := randRecords(52, 150)
 	for _, c := range []struct {
