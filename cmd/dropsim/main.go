@@ -88,6 +88,7 @@ import (
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/backend"
 	"insidedropbox/internal/cli"
+	"insidedropbox/internal/scenario"
 	"insidedropbox/internal/telemetry"
 	"insidedropbox/internal/traces"
 )
@@ -399,32 +400,26 @@ func streamTraces(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
 // -backend preset overriding just the sizing.
 func simulateBackend(ctx context.Context, preset string, comp *insidedropbox.CompiledScenario, reqs []backend.Request) error {
 	backend.SortRequests(reqs)
-	load := reqs
-	var timeline []backend.TimelineEvent
-	var windows []backend.Window
+	var be scenario.CompiledBackend
 	if comp != nil && comp.Backend != nil {
-		if preset == "" {
-			preset = comp.Backend.Preset
-		}
-		timeline = comp.Backend.Timeline
-		windows = comp.Backend.Windows
-		// Capacity is provisioned against the base load below; surges
-		// amplify what the deployment actually faces.
-		load = comp.Backend.ApplySurges(reqs)
+		be = *comp.Backend
 	}
-	cfg, err := backend.PresetConfig(preset, reqs)
+	if preset != "" {
+		be.Preset = preset
+	}
+	// Capacity is provisioned against the base load; surges amplify what
+	// the deployment actually faces.
+	cfg, err := be.Config(reqs)
 	if err != nil {
 		return err
 	}
-	cfg.Timeline = timeline
-	cfg.Windows = windows
-	rep, err := backend.Simulate(ctx, cfg, load)
+	rep, err := backend.Simulate(ctx, cfg, be.ApplySurges(reqs))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "backend %q: %d served / %d dropped / %d shed of %d requests; "+
 		"queueing delay mean %v p95 %v p99 %v\n",
-		preset, rep.Served, rep.Dropped, rep.Shed, rep.Requests,
+		be.Preset, rep.Served, rep.Dropped, rep.Shed, rep.Requests,
 		rep.MeanDelay(), rep.DelayQuantile(0.95), rep.DelayQuantile(0.99))
 	for _, wr := range rep.Windows {
 		fmt.Fprintf(os.Stderr, "  window %-12s served %-8d dropped %-6d p95 delay %v\n",

@@ -1,14 +1,17 @@
-// Command tstat-analyze reads a flow-record CSV (as produced by dropsim or
-// SaveTraces) and prints the paper's core characterizations: service
+// Command tstat-analyze reads a flow-record trace (as produced by dropsim
+// or SaveTraces) and prints the paper's core characterizations: service
 // breakdown, store/retrieve tagging, flow-size and RTT distributions, and
-// user groups — the offline analysis pass of the study. The reader is
-// strict: a malformed row ends the run with its row and column on stderr
-// and exit status 1. On an anonymized export (dropsim's default) every
-// client address is hidden, so the two per-address tables are skipped.
+// user groups — the offline analysis pass of the study. Any export format
+// (csv, binary, binary-flate) is read, picked by its first bytes, with the
+// same output for the same records. The readers are strict: a malformed
+// row or frame ends the run with the reader's error (a CSV one names row
+// and column) on stderr and exit status 1. On an anonymized export
+// (dropsim's default) every client address is hidden, so the two
+// per-address tables are skipped.
 //
 // Usage:
 //
-//	tstat-analyze FILE.csv
+//	tstat-analyze FILE
 package main
 
 import (
@@ -25,7 +28,7 @@ import (
 
 func main() {
 	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: tstat-analyze FILE.csv")
+		fmt.Fprintln(os.Stderr, "usage: tstat-analyze FILE (csv, binary or binary-flate)")
 		os.Exit(2)
 	}
 	f, err := os.Open(os.Args[1])
@@ -35,7 +38,11 @@ func main() {
 	}
 	defer f.Close()
 
-	r := traces.NewReader(f)
+	r, err := traces.Open(f)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	var recs []*traces.FlowRecord
 	for {
 		rec, err := r.Read()

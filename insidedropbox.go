@@ -103,35 +103,7 @@ type Dataset = workload.Dataset
 // FlowRecord is one monitored TCP flow as exported by the probe.
 type FlowRecord = traces.FlowRecord
 
-// TraceWriter streams flow records as CSV.
-type TraceWriter = traces.Writer
-
-// BinaryTraceWriter streams flow records in the block-columnar binary
-// format: ~3.5x smaller than CSV and allocation-free on the write side (the
-// wire format is documented in internal/traces/binary.go).
-type BinaryTraceWriter = traces.BinaryWriter
-
-// BinaryTraceReader parses binary trace streams back into records.
-type BinaryTraceReader = traces.BinaryReader
-
-// ParallelBinaryTraceWriter is BinaryTraceWriter: one writer, whose
-// worker count (NewParallelBinaryTraceWriter) decides whether blocks are
-// encoded on the caller or on a bounded worker pool, with byte-identical
-// output either way. The name remains for existing callers.
-type ParallelBinaryTraceWriter = traces.ParallelBinaryWriter
-
-// FlateTraceWriter streams flow records as the compressed archival
-// format: flate-compressed binary blocks with a trailing seek index
-// (internal/traces/flate.go documents the wire format). Flush finalizes
-// the stream.
-type FlateTraceWriter = traces.FlateWriter
-
-// FlateTraceReader reads the compressed archival format; over an
-// io.ReadSeeker it can seek straight to a record ordinal through the
-// trailing index (SeekToRecord) and re-stream from there.
-type FlateTraceReader = traces.FlateReader
-
-// RecordWriter is the sink interface both trace serializations implement;
+// RecordWriter is the sink interface every trace serialization implements;
 // format-agnostic exporters write through it.
 type RecordWriter = traces.RecordWriter
 
@@ -140,52 +112,29 @@ type RecordWriter = traces.RecordWriter
 // latches into Err and suppresses further writes.
 type WriterSink = fleet.WriterSink
 
-// NewTraceWriter returns an anonymizing CSV trace writer (the format of
-// the paper's public release), for streaming exports that never hold a
-// full dataset.
-func NewTraceWriter(w io.Writer) *TraceWriter {
-	tw := traces.NewWriter(w)
-	tw.Anonymize = true
-	return tw
+// CreateTrace returns an anonymizing writer of a dropsim -format name:
+// "csv" (the format of the paper's public release), "binary" or
+// "binary-flate" (wire formats in internal/traces), encoding blocks on
+// GOMAXPROCS workers. Flush ends the stream.
+func CreateTrace(w io.Writer, format string) (RecordWriter, error) {
+	f, err := traces.LookupFormat(format)
+	if err != nil {
+		return nil, err
+	}
+	return f.New(w, true, 0), nil
 }
 
-// NewBinaryTraceWriter returns an anonymizing binary trace writer — the
-// performance path for population-scale exports (cmd/dropsim
-// -format=binary).
-func NewBinaryTraceWriter(w io.Writer) *BinaryTraceWriter {
-	tw := traces.NewBinaryWriter(w)
-	tw.Anonymize = true
-	return tw
-}
+// OpenTrace returns a reader for a trace stream in any of CreateTrace's
+// formats, picked from the stream's first bytes (see traces.Open). Over a
+// seekable binary-flate source the reader is also a TraceSeeker.
+func OpenTrace(r io.Reader) (RecordReader, error) { return traces.Open(r) }
 
-// NewBinaryTraceReader wraps a binary trace stream for reading.
-func NewBinaryTraceReader(r io.Reader) *BinaryTraceReader {
-	return traces.NewBinaryReader(r)
-}
-
-// NewParallelBinaryTraceWriter returns an anonymizing binary trace writer
-// encoding blocks on workers goroutines (workers <= 1 encodes on the
-// caller; output is byte-identical to NewBinaryTraceWriter either way).
-func NewParallelBinaryTraceWriter(w io.Writer, workers int) *ParallelBinaryTraceWriter {
-	tw := traces.NewParallelBinaryWriter(w, workers)
-	tw.Anonymize = true
-	return tw
-}
-
-// NewFlateTraceWriter returns an anonymizing archival trace writer:
-// flate-compressed binary blocks plus a trailing seek index (cmd/dropsim
-// -format=binary-flate). Flush finalizes the stream — archival exports
-// are written once, not appended.
-func NewFlateTraceWriter(w io.Writer, workers int) *FlateTraceWriter {
-	tw := traces.NewFlateWriter(w, workers)
-	tw.Anonymize = true
-	return tw
-}
-
-// NewFlateTraceReader wraps an archival trace stream for reading;
-// pass an io.ReadSeeker (e.g. *os.File) to enable SeekToRecord.
-func NewFlateTraceReader(r io.Reader) *FlateTraceReader {
-	return traces.NewFlateReader(r)
+// TraceSeeker is the random access a binary-flate reader over an
+// io.ReadSeeker (e.g. *os.File) adds, through the stream's trailing index:
+// assert it on OpenTrace's reader to re-stream from any record ordinal.
+type TraceSeeker interface {
+	NumRecords() (int64, error)
+	SeekToRecord(n int64) error
 }
 
 // VPConfig parameterizes a vantage point population.
@@ -363,7 +312,10 @@ func ScenarioCohortPresets() []string { return scenario.Presets() }
 // SaveTraces writes a dataset's flow records as anonymized CSV, the format
 // of the paper's public release.
 func SaveTraces(ds *Dataset, w io.Writer) error {
-	tw := NewTraceWriter(w)
+	tw, err := CreateTrace(w, "csv")
+	if err != nil {
+		return err
+	}
 	for _, r := range ds.Records {
 		if err := tw.Write(r); err != nil {
 			return err

@@ -102,7 +102,7 @@ func TestFacadeFleet(t *testing.T) {
 
 	// Streaming export matches the streamed stats and produces valid CSV.
 	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
+	tw := mustCreateTrace(t, &buf, "csv")
 	n := 0
 	stats, err := StreamRecords(context.Background(), Campus1(0.1), 3, FleetConfig{Shards: 2},
 		func(r *FlowRecord) bool {

@@ -10,7 +10,6 @@ import (
 	"insidedropbox/internal/simtime"
 	"insidedropbox/internal/tcpsim"
 	"insidedropbox/internal/tlssim"
-	"insidedropbox/internal/wire"
 )
 
 // ClientConfig wires a Device into the simulation.
@@ -819,18 +818,4 @@ func (rc *rpcConn) shutdown() {
 	}
 	rc.closed = true
 	rc.sess.Abort()
-}
-
-// DialStorageRaw exposes a raw storage dial for experiments that drive
-// flows directly (Fig. 9 stratified sampling).
-func (d *Device) DialStorageRaw() (*tlssim.Session, wire.IP, string) {
-	name := d.nextStorageName()
-	ip, ok := d.Cfg.Resolver.Resolve(d.Cfg.Sched.Now(), d.Cfg.Stack.Host.IP, name)
-	if !ok {
-		return nil, 0, ""
-	}
-	conn := d.Cfg.Stack.Dial(ip, 443)
-	sess := tlssim.NewClient(conn, name, d.Cfg.Handshake)
-	d.Cfg.Service.RegisterPending(conn.LocalEndpoint(), sess)
-	return sess, ip, name
 }

@@ -24,12 +24,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/classify"
 	"insidedropbox/internal/dnssim"
 	"insidedropbox/internal/fleet"
@@ -229,16 +227,6 @@ func (c *Campaign) perVP(fn func(ds *workload.Dataset)) {
 // fmtGB renders bytes as gigabytes with two decimals.
 func fmtGB(v float64) string { return fmt.Sprintf("%.2f", v/1e9) }
 
-// sortedIPs returns map keys in stable order.
-func sortedIPs[V any](m map[wire.IP]V) []wire.IP {
-	keys := make([]wire.IP, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // All runs every campaign-level experiment (packet-level labs excluded;
 // see RunPacketLabs) and returns results in paper order.
 func All(c *Campaign) []*Result {
@@ -266,6 +254,3 @@ func All(c *Campaign) []*Result {
 		Figure21(c),
 	}
 }
-
-// suppress unused warnings for helpers exercised across files.
-var _ = analysis.Mean

@@ -113,15 +113,6 @@ func (s *Source) Exponential(mean float64) float64 {
 	return s.rng.ExpFloat64() * mean
 }
 
-// Pareto returns a Pareto(xm, alpha) value: heavy-tailed with minimum xm.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := s.rng.Float64()
-	for u == 0 {
-		u = s.rng.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // BoundedPareto returns a Pareto(xm, alpha) value truncated to [xm, cap] by
 // resampling via inverse transform on the truncated CDF.
 func (s *Source) BoundedPareto(xm, alpha, cap float64) float64 {

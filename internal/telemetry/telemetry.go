@@ -30,7 +30,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,18 +221,6 @@ func Snapshot() Snap {
 		}
 	}
 	return s
-}
-
-// CounterNames returns the registered counter names, sorted.
-func CounterNames() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(counters))
-	for name := range counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Reset zeroes every registered metric and clears info annotations, but

@@ -85,10 +85,6 @@ var binaryMagic = [6]byte{'I', 'D', 'B', 'T', '1', '\n'}
 // come from the shared core.
 type BinaryWriter struct{ blockWriter }
 
-// ParallelBinaryWriter is BinaryWriter: the worker count given to
-// NewParallelBinaryWriter decides where blocks are encoded, not the type.
-type ParallelBinaryWriter = BinaryWriter
-
 // NewBinaryWriter wraps w with a writer that encodes every block on the
 // caller's goroutine — no goroutines, and allocation-free once its block
 // scratch is warm (TestBinaryWriteAllocationFree pins it).

@@ -41,7 +41,7 @@ func fingerprint(recs ...*traces.FlowRecord) uint64 {
 // the packing or the mixer moves this value, and with it every scenario
 // stream hash.
 func TestFingerprintPinned(t *testing.T) {
-	const want = 0x573d8c90dc99dbbf
+	const want uint64 = 0x573d8c90dc99dbbf
 	if got := fingerprint(fpRecord()); got != want {
 		t.Fatalf("Fingerprint(fpRecord) = %#016x, want %#016x", got, want)
 	}

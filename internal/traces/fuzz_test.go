@@ -210,10 +210,13 @@ func FuzzWriteFrom(f *testing.F) {
 	})
 }
 
-// FuzzFlateFrameReader feeds arbitrary bytes to both readers: any input —
-// corrupted, truncated, or valid — must produce records or a clean error,
-// never a panic, hang, or unbounded allocation, and the same records and
-// error from Read as from ReadBlock.
+// FuzzFlateFrameReader feeds arbitrary bytes to both block readers: any
+// input — corrupted, truncated, or valid — must produce records or a clean
+// error, never a panic, hang, or unbounded allocation, and the same records
+// and error from Read as from ReadBlock. The same bytes through Open must
+// read exactly as through the one reader their first bytes select (the
+// CSV reader for anything without a block magic): the same records and
+// the same first error, so Open hands a stream on and parses nothing.
 func FuzzFlateFrameReader(f *testing.F) {
 	// Valid streams (so mutations explore near-valid space), plus raw junk.
 	rng := rand.New(rand.NewSource(51))
@@ -249,6 +252,13 @@ func FuzzFlateFrameReader(f *testing.F) {
 	f.Add([]byte("IDBF1\n\x00"))
 	f.Add([]byte("IDBT1\n\x00"))
 	f.Add([]byte("IDBF1\n\x00\x05\x03abc\x00"))
+	var csv bytes.Buffer
+	cw := NewWriter(&csv)
+	writeRecords(f, cw, recs[:3])
+	if err := cw.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(csv.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxRecords = 1 << 20 // backstop against decode loops
@@ -284,5 +294,25 @@ func FuzzFlateFrameReader(f *testing.F) {
 		// Whatever the bytes are, the two hand-outs agree on them.
 		checkHandOuts(t, func() recordReader { return NewFlateReader(bytes.NewReader(data)) })
 		checkHandOuts(t, func() recordReader { return NewBinaryReader(bytes.NewReader(data)) })
+
+		var direct RecordReader
+		switch {
+		case bytes.HasPrefix(data, flateMagic[:]):
+			direct = NewFlateReader(bytes.NewReader(data))
+		case bytes.HasPrefix(data, binaryMagic[:]):
+			direct = NewBinaryReader(bytes.NewReader(data))
+		default:
+			direct = NewReader(bytes.NewReader(data))
+		}
+		opened, err := Open(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		want, wantErr := readAll(t, direct, maxRecords)
+		got, gotErr := readAll(t, opened, maxRecords)
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("through Open: %d records ending on %v; %T directly: %d ending on %v",
+				len(got), gotErr, direct, len(want), wantErr)
+		}
 	})
 }

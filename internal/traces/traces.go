@@ -126,6 +126,14 @@ type RecordWriter interface {
 	Flush() error
 }
 
+// RecordReader is the streaming source every trace deserialization
+// implements, and what Open returns: Read hands out records until io.EOF;
+// Anonymized reports whether the client column read so far was.
+type RecordReader interface {
+	Read() (*FlowRecord, error)
+	Anonymized() bool
+}
+
 // Writer streams flow records as CSV. Rows are built with append-based
 // field encoding into a reused buffer — byte-identical to encoding/csv
 // output (quoting rules included) but allocation-free per record once the

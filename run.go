@@ -18,6 +18,7 @@ import (
 	"insidedropbox/internal/experiments"
 	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/telemetry"
+	"insidedropbox/internal/traces"
 )
 
 // Spec is the one description of an experiment run: seed, population
@@ -671,11 +672,9 @@ func WriteRecordStream(w RecordWriter, seq iter.Seq2[*FlowRecord, error]) error 
 }
 
 // RecordReader is the streaming source every trace deserialization
-// implements (BinaryTraceReader, FlateTraceReader): Read returns records
-// until io.EOF. The inverse of RecordWriter.
-type RecordReader interface {
-	Read() (*FlowRecord, error)
-}
+// implements, and what OpenTrace returns: Read returns records until
+// io.EOF. The inverse of RecordWriter.
+type RecordReader = traces.RecordReader
 
 // ReadRecords adapts a RecordReader into the same iterator shape Records
 // produces, so an archived trace file re-streams through exactly the
@@ -684,11 +683,12 @@ type RecordReader interface {
 // surfaces as the final (nil, err) pair:
 //
 //	f, _ := os.Open("campaign.idbf")
-//	seq := insidedropbox.ReadRecords(insidedropbox.NewFlateTraceReader(f))
-//	for r, err := range seq { ... }
+//	rd, err := insidedropbox.OpenTrace(f) // csv, binary or binary-flate
+//	for r, err := range insidedropbox.ReadRecords(rd) { ... }
 //
-// Seek the reader first (FlateTraceReader.SeekToRecord) to re-stream
-// just a shard or record range of an archival file.
+// Seek the reader first (rd.(insidedropbox.TraceSeeker).SeekToRecord, on
+// a binary-flate file) to re-stream just a shard or record range of an
+// archival file.
 func ReadRecords(r RecordReader) iter.Seq2[*FlowRecord, error] {
 	return func(yield func(*FlowRecord, error) bool) {
 		for {

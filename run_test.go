@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"insidedropbox/internal/experiments"
 )
@@ -249,7 +252,7 @@ func TestRecordsIteratorMatchesStreamDataset(t *testing.T) {
 	fc := FleetConfig{Shards: 2}
 
 	var callbackBuf bytes.Buffer
-	tw := NewTraceWriter(&callbackBuf)
+	tw := mustCreateTrace(t, &callbackBuf, "csv")
 	n := 0
 	stats, err := StreamRecords(context.Background(), cfg, 3, fc, func(r *FlowRecord) bool {
 		n++
@@ -266,13 +269,86 @@ func TestRecordsIteratorMatchesStreamDataset(t *testing.T) {
 	}
 
 	var iterBuf bytes.Buffer
-	if err := WriteRecordStream(NewTraceWriter(&iterBuf),
+	if err := WriteRecordStream(mustCreateTrace(t, &iterBuf, "csv"),
 		Records(context.Background(), cfg, 3, fc)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(callbackBuf.Bytes(), iterBuf.Bytes()) {
 		t.Fatal("iterator export diverged from the StreamRecords export")
 	}
+}
+
+// mustCreateTrace is CreateTrace for a format name the test knows exists.
+func mustCreateTrace(t *testing.T, w io.Writer, format string) RecordWriter {
+	t.Helper()
+	tw, err := CreateTrace(w, format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tw
+}
+
+// TestTraceRoundTripEveryFormat: a stream written by CreateTrace in any
+// format reads back through OpenTrace and ReadRecords as the records
+// written, anonymized (client 0) and at the CSV columns' microsecond RTT
+// resolution; OpenTrace needs no format name.
+func TestTraceRoundTripEveryFormat(t *testing.T) {
+	cfg, fc := Campus1(0.05), FleetConfig{Shards: 2}
+	var want []FlowRecord
+	for r, err := range Records(context.Background(), cfg, 5, fc) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, asRead(r))
+	}
+	if len(want) == 0 {
+		t.Fatal("no records generated")
+	}
+	for _, format := range []string{"csv", "binary", "binary-flate"} {
+		t.Run(format, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteRecordStream(mustCreateTrace(t, &buf, format),
+				Records(context.Background(), cfg, 5, fc)); err != nil {
+				t.Fatal(err)
+			}
+			rd, err := OpenTrace(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			for r, err := range ReadRecords(rd) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i >= len(want) {
+					t.Fatalf("read more than the %d records written", len(want))
+				}
+				if got := asRead(r); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("record %d:\n got %+v\nwant %+v", i, got, want[i])
+				}
+				i++
+			}
+			if i != len(want) || !rd.Anonymized() {
+				t.Fatalf("read %d of %d records, anonymized %v", i, len(want), rd.Anonymized())
+			}
+		})
+	}
+	if _, err := CreateTrace(io.Discard, "parquet"); err == nil {
+		t.Fatal("CreateTrace accepted an unknown format")
+	}
+}
+
+// asRead copies a record as every export format reads it back:
+// client anonymized away, MinRTT at microseconds, no empty namespace list.
+func asRead(r *FlowRecord) FlowRecord {
+	c := *r
+	c.Client = 0
+	c.MinRTT = c.MinRTT.Truncate(time.Microsecond)
+	c.NotifyNamespaces = slices.Clone(r.NotifyNamespaces)
+	if len(c.NotifyNamespaces) == 0 {
+		c.NotifyNamespaces = nil
+	}
+	return c
 }
 
 // TestExperimentCatalogueFacade: the facade re-exports resolve the same
