@@ -1,13 +1,15 @@
 // Command tstat-analyze reads a flow-record trace (as produced by dropsim
 // or SaveTraces) and prints the paper's core characterizations: service
 // breakdown, store/retrieve tagging, flow-size and RTT distributions, and
-// user groups — the offline analysis pass of the study. Any export format
-// (csv, binary, binary-flate) is read, picked by its first bytes, with the
-// same output for the same records. The readers are strict: a malformed
-// row or frame ends the run with the reader's error (a CSV one names row
-// and column) on stderr and exit status 1. On an anonymized export
-// (dropsim's default) every client address is hidden, so the two
-// per-address tables are skipped.
+// user groups — the offline analysis pass of the study. It folds the
+// records into the experiments.Tally the paper's tables render from,
+// keeping only the samples its quantiles need. Any export format (csv,
+// binary, binary-flate) is read, picked by its first bytes, with the same
+// output for the same records. The readers are strict: a malformed row or
+// frame ends the run with the reader's error (a CSV one names row and
+// column) on stderr and exit status 1. On an anonymized export (dropsim's
+// default) every client address is hidden, so the two per-address tables
+// are skipped.
 //
 // Usage:
 //
@@ -18,12 +20,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/classify"
+	"insidedropbox/internal/dnssim"
+	"insidedropbox/internal/experiments"
 	"insidedropbox/internal/traces"
-	"insidedropbox/internal/wire"
 )
 
 func main() {
@@ -43,7 +45,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var recs []*traces.FlowRecord
+	// The fold the paper's tables read, over the file's records; no per-day
+	// series, since a trace file does not say how long its capture ran.
+	t := experiments.NewTally(0)
 	for {
 		rec, err := r.Read()
 		if err == io.EOF {
@@ -53,62 +57,33 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		recs = append(recs, rec)
+		t.Consume(rec)
 	}
-	fmt.Printf("%d flow records\n\n", len(recs))
+	t.FinishShard()
+	fmt.Printf("%d flow records\n\n", t.Flows())
 
-	// Provider breakdown.
-	provBytes := map[string]float64{}
-	provFlows := map[string]int{}
-	for _, rec := range recs {
-		p := classify.ProviderOf(rec).String()
-		provBytes[p] += float64(rec.BytesUp + rec.BytesDown)
-		provFlows[p]++
-	}
 	tb := analysis.NewTable("Traffic by provider", "provider", "flows", "volume")
-	for _, k := range analysis.SortedKeys(provBytes) {
-		tb.AddRow(k, provFlows[k], analysis.HumanBytes(provBytes[k]))
+	for p, v := range t.Providers {
+		if v.Flows > 0 {
+			tb.AddRow(classify.Provider(p).String(), v.Flows, analysis.HumanBytes(float64(v.Bytes)))
+		}
 	}
+	tb.SortRows()
 	fmt.Println(tb.String())
 
-	// Dropbox service breakdown + storage analysis.
-	var storeSizes, retrSizes, rtts []float64
-	svcFlows := map[string]int{}
-	store := map[wire.IP]int64{}
-	retr := map[wire.IP]int64{}
-	clients := map[wire.IP]bool{}
-	for _, rec := range recs {
-		if classify.ProviderOf(rec) != classify.ProvDropbox {
-			continue
-		}
-		svc := classify.DropboxService(rec)
-		svcFlows[svc.String()]++
-		if rec.NotifyHost != 0 {
-			clients[rec.Client] = true
-		}
-		if svc.String() == "Client (storage)" {
-			switch classify.TagStorage(rec) {
-			case classify.DirStore:
-				storeSizes = append(storeSizes, float64(rec.BytesUp))
-				store[rec.Client] += classify.Payload(rec, classify.DirStore)
-			case classify.DirRetrieve:
-				retrSizes = append(retrSizes, float64(rec.BytesDown))
-				retr[rec.Client] += classify.Payload(rec, classify.DirRetrieve)
-			}
-			if rec.RTTSamples >= 10 && rec.MinRTT > 0 {
-				rtts = append(rtts, float64(rec.MinRTT)/float64(time.Millisecond))
-			}
-		}
-	}
 	tb2 := analysis.NewTable("Dropbox flows by service", "service", "flows")
-	for _, k := range analysis.SortedKeys(svcFlows) {
-		tb2.AddRow(k, svcFlows[k])
+	for svc, v := range t.Services {
+		if v.Flows > 0 {
+			tb2.AddRow(dnssim.Service(svc).String(), v.Flows)
+		}
 	}
+	tb2.SortRows()
 	fmt.Println(tb2.String())
 
+	storeSizes, retrSizes := t.StorageSizes()
 	fmt.Println(analysis.QuantileSummary("store flow bytes", storeSizes))
 	fmt.Println(analysis.QuantileSummary("retrieve flow bytes", retrSizes))
-	fmt.Println(analysis.QuantileSummary("storage min RTT (ms)", rtts))
+	fmt.Println(analysis.QuantileSummary("storage min RTT (ms)", t.StorageRTT()))
 	fmt.Println()
 
 	if r.Anonymized() {
@@ -116,23 +91,20 @@ func main() {
 		return
 	}
 
-	// User groups (Table 5 heuristics).
-	groups := map[string]int{}
-	for ip := range clients {
-		groups[classify.GroupOf(store[ip], retr[ip]).String()]++
-	}
-	tb3 := analysis.NewTable("Households by user group", "group", "count")
-	for _, k := range analysis.SortedKeys(groups) {
-		tb3.AddRow(k, groups[k])
-	}
-	fmt.Println(tb3.String())
-
-	// Devices per household.
-	devs := classify.DevicesPerIP(recs)
+	// User groups (Table 5 heuristics) and devices per household (Fig. 12).
+	store, retr := t.HouseholdVolumes()
+	groups := map[classify.UserGroup]int{}
 	cnt := analysis.NewCounter()
-	for _, n := range devs {
+	for ip, n := range t.DevicesPerHousehold() {
+		groups[classify.GroupOf(store[ip], retr[ip])]++
 		cnt.Add(n)
 	}
+	tb3 := analysis.NewTable("Households by user group", "group", "count")
+	for g, n := range groups {
+		tb3.AddRow(g.String(), n)
+	}
+	tb3.SortRows()
+	fmt.Println(tb3.String())
 	if cnt.Total() > 0 {
 		fmt.Printf("households with 1 device: %.0f%%; with >1: %.0f%%\n",
 			100*cnt.Fraction(1), 100*cnt.FractionAtLeast(2))

@@ -73,8 +73,13 @@ import (
 	"insidedropbox/internal/workload"
 )
 
-// Campaign is a generated four-vantage-point dataset collection.
-type Campaign = experiments.Campaign
+// Tally is one vantage point folded for the paper's tables and figures:
+// exact counts and volumes plus the samples the order statistics need.
+type Tally = experiments.Tally
+
+// Tallies are the four vantage points' tallies in campus1, campus2, home1,
+// home2 order: what every population table and figure renders from.
+type Tallies = experiments.Tallies
 
 // Result is one regenerated table or figure: rendered text, named metrics
 // and (on registry runs) ordered provenance metadata.

@@ -12,12 +12,12 @@ import (
 func TestFacadeCampaignAndExperiments(t *testing.T) {
 	ctx := context.Background()
 	sc := ScaleConfig{Campus1: 0.2, Campus2: 0.04, Home1: 0.015, Home2: 0.015}
-	camp, err := NewCampaign(ctx, 9, sc, FleetConfig{Shards: 1})
+	ts, err := Fold(ctx, 9, sc, FleetConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(camp.Datasets) != 4 {
-		t.Fatalf("datasets = %d", len(camp.Datasets))
+	if len(ts) != 4 || ts.ByName("home1").Flows() == 0 {
+		t.Fatalf("tallies = %d", len(ts))
 	}
 	results, err := Run(ctx, Spec{Seed: 9, Scale: sc}, WithSkipPacket())
 	if err != nil {

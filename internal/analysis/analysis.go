@@ -7,6 +7,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -263,6 +264,11 @@ func (t *Table) AddRow(cells ...any) {
 		}
 	}
 	t.rows = append(t.rows, row)
+}
+
+// SortRows orders the rows by their first cell.
+func (t *Table) SortRows() {
+	slices.SortFunc(t.rows, func(a, b []string) int { return strings.Compare(a[0], b[0]) })
 }
 
 func formatFloat(v float64) string {

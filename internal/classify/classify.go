@@ -8,7 +8,8 @@
 package classify
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"time"
 
@@ -222,85 +223,28 @@ type Session struct {
 	Host       uint64
 	Client     wire.IP
 	Start, End time.Duration
-	Namespaces int // last observed namespace count
 }
 
 // Duration returns the session length.
 func (s Session) Duration() time.Duration { return s.End - s.Start }
 
-// Sessions reconstructs device sessions from notification flows: flows of
-// the same host_int chained with gaps below maxGap merge into one session
-// (notification connections are immediately re-established after network
-// equipment kills them, Sec. 5.5).
-func Sessions(records []*traces.FlowRecord, maxGap time.Duration) []Session {
-	byHost := make(map[uint64][]*traces.FlowRecord)
-	for _, r := range records {
-		if r.NotifyHost != 0 {
-			byHost[r.NotifyHost] = append(byHost[r.NotifyHost], r)
-		}
-	}
+// Sessions reconstructs device sessions from notification flows, each
+// given as a one-flow Session: flows of the same host_int chained with
+// gaps below maxGap merge into one session (notification connections are
+// immediately re-established after network equipment kills them, Sec.
+// 5.5). It sorts flows by host and start in place and returns the
+// sessions in that order.
+func Sessions(flows []Session, maxGap time.Duration) []Session {
+	slices.SortFunc(flows, func(a, b Session) int {
+		return cmp.Or(cmp.Compare(a.Host, b.Host), cmp.Compare(a.Start, b.Start))
+	})
 	var out []Session
-	for host, flows := range byHost {
-		sort.Slice(flows, func(i, j int) bool { return flows[i].FirstPacket < flows[j].FirstPacket })
-		cur := Session{Host: host, Client: flows[0].Client,
-			Start: flows[0].FirstPacket, End: flows[0].LastPacket,
-			Namespaces: len(flows[0].NotifyNamespaces)}
-		for _, f := range flows[1:] {
-			if f.FirstPacket-cur.End <= maxGap {
-				if f.LastPacket > cur.End {
-					cur.End = f.LastPacket
-				}
-				if n := len(f.NotifyNamespaces); n > 0 {
-					cur.Namespaces = n
-				}
-			} else {
-				out = append(out, cur)
-				cur = Session{Host: host, Client: f.Client,
-					Start: f.FirstPacket, End: f.LastPacket,
-					Namespaces: len(f.NotifyNamespaces)}
-			}
-		}
-		out = append(out, cur)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// DevicesPerIP counts distinct host_ints seen behind each client address
-// (Fig. 12: devices per household).
-func DevicesPerIP(records []*traces.FlowRecord) map[wire.IP]int {
-	seen := make(map[wire.IP]map[uint64]struct{})
-	for _, r := range records {
-		if r.NotifyHost == 0 {
+	for i, f := range flows {
+		if last := len(out) - 1; i > 0 && flows[i-1].Host == f.Host && f.Start-out[last].End <= maxGap {
+			out[last].End = max(out[last].End, f.End)
 			continue
 		}
-		set := seen[r.Client]
-		if set == nil {
-			set = make(map[uint64]struct{})
-			seen[r.Client] = set
-		}
-		set[r.NotifyHost] = struct{}{}
-	}
-	out := make(map[wire.IP]int, len(seen))
-	for ip, set := range seen {
-		out[ip] = len(set)
-	}
-	return out
-}
-
-// NamespacesPerDevice returns the last observed namespace count per device
-// (Fig. 13 uses the final observation since counts trend upward).
-func NamespacesPerDevice(records []*traces.FlowRecord) map[uint64]int {
-	last := make(map[uint64]time.Duration)
-	out := make(map[uint64]int)
-	for _, r := range records {
-		if r.NotifyHost == 0 || len(r.NotifyNamespaces) == 0 {
-			continue
-		}
-		if r.LastPacket >= last[r.NotifyHost] {
-			last[r.NotifyHost] = r.LastPacket
-			out[r.NotifyHost] = len(r.NotifyNamespaces)
-		}
+		out = append(out, f)
 	}
 	return out
 }

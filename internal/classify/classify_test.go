@@ -145,55 +145,21 @@ func TestThroughput(t *testing.T) {
 
 func TestSessionsMergeChainedFlows(t *testing.T) {
 	ip := wire.MakeIP(10, 0, 0, 1)
-	recs := []*traces.FlowRecord{
-		{NotifyHost: 1, Client: ip, FirstPacket: 0, LastPacket: 10 * time.Minute,
-			NotifyNamespaces: []uint32{1}},
-		// NAT killed the connection; re-established 30s later.
-		{NotifyHost: 1, Client: ip, FirstPacket: 10*time.Minute + 30*time.Second,
-			LastPacket: 30 * time.Minute, NotifyNamespaces: []uint32{1, 2}},
+	flows := []Session{
 		// A separate session hours later.
-		{NotifyHost: 1, Client: ip, FirstPacket: 5 * time.Hour, LastPacket: 6 * time.Hour,
-			NotifyNamespaces: []uint32{1, 2}},
+		{Host: 1, Client: ip, Start: 5 * time.Hour, End: 6 * time.Hour},
+		{Host: 1, Client: ip, Start: 0, End: 10 * time.Minute},
+		// NAT killed the connection; re-established 30s later.
+		{Host: 1, Client: ip, Start: 10*time.Minute + 30*time.Second, End: 30 * time.Minute},
 		// Another device.
-		{NotifyHost: 2, Client: ip, FirstPacket: time.Hour, LastPacket: 2 * time.Hour,
-			NotifyNamespaces: []uint32{7}},
+		{Host: 2, Client: ip, Start: time.Hour, End: 2 * time.Hour},
 	}
-	sessions := Sessions(recs, 5*time.Minute)
+	sessions := Sessions(flows, 5*time.Minute)
 	if len(sessions) != 3 {
 		t.Fatalf("sessions = %d, want 3", len(sessions))
 	}
 	if sessions[0].Duration() != 30*time.Minute {
 		t.Fatalf("merged session duration = %v", sessions[0].Duration())
-	}
-	if sessions[0].Namespaces != 2 {
-		t.Fatalf("merged session namespaces = %d", sessions[0].Namespaces)
-	}
-}
-
-func TestDevicesPerIP(t *testing.T) {
-	ip1 := wire.MakeIP(10, 0, 0, 1)
-	ip2 := wire.MakeIP(10, 0, 0, 2)
-	recs := []*traces.FlowRecord{
-		{NotifyHost: 1, Client: ip1},
-		{NotifyHost: 1, Client: ip1},
-		{NotifyHost: 2, Client: ip1},
-		{NotifyHost: 3, Client: ip2},
-		{NotifyHost: 0, Client: ip2}, // not a notify flow
-	}
-	got := DevicesPerIP(recs)
-	if got[ip1] != 2 || got[ip2] != 1 {
-		t.Fatalf("devices = %v", got)
-	}
-}
-
-func TestNamespacesPerDeviceUsesLast(t *testing.T) {
-	recs := []*traces.FlowRecord{
-		{NotifyHost: 1, LastPacket: time.Hour, NotifyNamespaces: []uint32{1}},
-		{NotifyHost: 1, LastPacket: 2 * time.Hour, NotifyNamespaces: []uint32{1, 2, 3}},
-	}
-	got := NamespacesPerDevice(recs)
-	if got[1] != 3 {
-		t.Fatalf("namespaces = %d, want last observation 3", got[1])
 	}
 }
 

@@ -2,41 +2,41 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"insidedropbox/internal/fleet"
 )
 
-// sharedCampaign builds one small campaign for all tests in this package.
+// One small set of tallies serves every renderer test in this package.
 var (
-	campOnce sync.Once
-	camp     *Campaign
-	campErr  error
+	talliesOnce sync.Once
+	tallies     Tallies
+	talliesErr  error
 )
 
-func testCampaign(t *testing.T) *Campaign {
+func testTallies(t *testing.T) Tallies {
 	t.Helper()
-	campOnce.Do(func() {
-		camp, campErr = NewCampaign(context.Background(), 2012, SmallScale(), fleet.Config{Shards: 1})
+	talliesOnce.Do(func() {
+		tallies, talliesErr = Fold(context.Background(), 2012, SmallScale(), fleet.Config{Shards: 1})
 	})
-	if campErr != nil {
-		t.Fatal(campErr)
+	if talliesErr != nil {
+		t.Fatal(talliesErr)
 	}
-	return camp
+	return tallies
 }
 
-// newCampaign materializes a campaign under a background context and fails
-// the test on error.
-func newCampaign(t *testing.T, seed int64, sc ScaleConfig, fc fleet.Config) *Campaign {
+// mustFold folds the four vantage points under a background context and
+// fails the test on error.
+func mustFold(t *testing.T, seed int64, sc ScaleConfig, fc fleet.Config) Tallies {
 	t.Helper()
-	c, err := NewCampaign(context.Background(), seed, sc, fc)
+	ts, err := Fold(context.Background(), seed, sc, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return ts
 }
 
 // runFleet streams a fleet campaign under a background context and fails
@@ -70,7 +70,7 @@ func keys(m map[string]float64) []string {
 }
 
 func TestAllResultsRender(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	results := All(c)
 	if len(results) < 20 {
 		t.Fatalf("only %d experiments", len(results))
@@ -96,7 +96,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2Volumes(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Table2(c)
 	// Every vantage point must carry volume; home nets more than campus1.
 	for _, vp := range []string{"campus1", "campus2", "home1", "home2"} {
@@ -109,7 +109,7 @@ func TestTable2Volumes(t *testing.T) {
 }
 
 func TestTable3DropboxTraffic(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Table3(c)
 	metricIn(t, r, "devices_total", 50, 1e7)
 	metricIn(t, r, "flows_total", 1000, 1e9)
@@ -122,7 +122,7 @@ func TestTable3DropboxTraffic(t *testing.T) {
 }
 
 func TestTable5Groups(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Table5(c)
 	metricIn(t, r, "home1_Occasional_addr", 0.12, 0.50)
 	metricIn(t, r, "home1_Heavy_addr", 0.20, 0.60)
@@ -138,7 +138,7 @@ func TestTable5Groups(t *testing.T) {
 }
 
 func TestFigure2Popularity(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure2(c)
 	if r.Metrics["vol_Dropbox"] <= r.Metrics["vol_iCloud"] {
 		t.Errorf("Dropbox volume (%.2g) must dominate iCloud (%.2g)",
@@ -151,14 +151,14 @@ func TestFigure2Popularity(t *testing.T) {
 }
 
 func TestFigure3Share(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure3(c)
 	metricIn(t, r, "dropbox_share", 0.01, 0.12)
 	metricIn(t, r, "ratio", 0.1, 0.8) // Dropbox ≈ 1/3 of YouTube
 }
 
 func TestFigure4Breakdown(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure4(c)
 	for _, vp := range []string{"campus1", "campus2", "home1", "home2"} {
 		metricIn(t, r, "bytes_"+vp+"_Client (storage)", 0.5, 1.0)
@@ -171,7 +171,7 @@ func TestFigure4Breakdown(t *testing.T) {
 }
 
 func TestFigure5Servers(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure5(c)
 	for _, vp := range []string{"campus1", "campus2", "home1", "home2"} {
 		metricIn(t, r, "avg_servers_"+vp, 1, 640)
@@ -179,7 +179,7 @@ func TestFigure5Servers(t *testing.T) {
 }
 
 func TestFigure6RTT(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure6(c)
 	for _, vp := range []string{"campus1", "campus2", "home1", "home2"} {
 		metricIn(t, r, "storage_median_"+vp, 80, 125)
@@ -192,7 +192,7 @@ func TestFigure6RTT(t *testing.T) {
 }
 
 func TestFigure7FlowSizes(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure7(c)
 	metricIn(t, r, "store_le100k_home1", 0.35, 0.9)
 	metricIn(t, r, "store_max_home1", 1e6, 4.5e8)
@@ -208,14 +208,14 @@ func TestFigure7FlowSizes(t *testing.T) {
 }
 
 func TestFigure8Chunks(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure8(c)
 	metricIn(t, r, "store_le10_home1", 0.6, 1.0)
 	metricIn(t, r, "store_le10_campus1", 0.6, 1.0)
 }
 
 func TestFigure11Ratios(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure11(c)
 	metricIn(t, r, "dl_ul_ratio_home1", 0.9, 3.0)
 	// Home 2's massive uploaders push its ratio below home 1's.
@@ -226,14 +226,14 @@ func TestFigure11Ratios(t *testing.T) {
 }
 
 func TestFigure12Devices(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure12(c)
 	metricIn(t, r, "frac1_home1", 0.40, 0.78)
 	metricIn(t, r, "frac_ge2_home1", 0.2, 0.6)
 }
 
 func TestFigure13Namespaces(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure13(c)
 	metricIn(t, r, "frac1_home1", 0.15, 0.45)
 	metricIn(t, r, "frac1_campus1", 0.04, 0.30)
@@ -243,13 +243,13 @@ func TestFigure13Namespaces(t *testing.T) {
 }
 
 func TestFigure14DailyStartups(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure14(c)
 	metricIn(t, r, "avg_frac_home1", 0.1, 0.7)
 }
 
 func TestFigure15Diurnal(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure15(c)
 	// Campus 1 start-ups peak during office hours; homes in the evening.
 	metricIn(t, r, "startup_peak_hour_campus1", 8, 18)
@@ -257,7 +257,7 @@ func TestFigure15Diurnal(t *testing.T) {
 }
 
 func TestFigure16Sessions(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure16(c)
 	// Homes show the sub-minute NAT mass; campus1 much less.
 	if r.Metrics["sub_minute_home1"] <= r.Metrics["sub_minute_campus1"] {
@@ -271,14 +271,14 @@ func TestFigure16Sessions(t *testing.T) {
 }
 
 func TestFigure17Web(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure17(c)
 	metricIn(t, r, "up_le10k_home1", 0.8, 1.0)
 	metricIn(t, r, "down_le10M_home1", 0.9, 1.0)
 }
 
 func TestFigure18DirectLinks(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure18(c)
 	metricIn(t, r, "gt10M_home1", 0.0, 0.15)
 	if strings.Contains(r.Text, "campus2") {
@@ -287,7 +287,7 @@ func TestFigure18DirectLinks(t *testing.T) {
 }
 
 func TestFigure20Separation(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure20(c)
 	if r.Metrics["store_flows"] == 0 || r.Metrics["retrieve_flows"] == 0 {
 		t.Fatalf("both directions required: %+v", r.Metrics)
@@ -295,7 +295,7 @@ func TestFigure20Separation(t *testing.T) {
 }
 
 func TestFigure21Proportions(t *testing.T) {
-	c := testCampaign(t)
+	c := testTallies(t)
 	r := Figure21(c)
 	metricIn(t, r, "store_median_home1", 300, 330)
 	metricIn(t, r, "retr_median_home1", 350, 440)
@@ -375,27 +375,27 @@ func TestTestbedDissection(t *testing.T) {
 func TestFleetCampaignStreaming(t *testing.T) {
 	sc := ScaleConfig{Campus1: 0.2, Campus2: 0.04, Home1: 0.01, Home2: 0.01}
 
-	// The streaming report with one shard must describe exactly the
-	// datasets the materializing path builds.
+	// The summary report with one shard must describe exactly the
+	// populations the tallies fold.
 	rep := runFleet(t, 5, sc, fleet.Config{Shards: 1})
-	camp := newCampaign(t, 5, sc, fleet.Config{Shards: 1})
-	if len(rep.VPs) != len(camp.Datasets) {
-		t.Fatalf("fleet report has %d VPs, campaign %d", len(rep.VPs), len(camp.Datasets))
+	ts := mustFold(t, 5, sc, fleet.Config{Shards: 1})
+	if len(rep.VPs) != len(ts) {
+		t.Fatalf("fleet report has %d VPs, tallies %d", len(rep.VPs), len(ts))
 	}
 	for i, vp := range rep.VPs {
-		ds := camp.Datasets[i]
-		if vp.Stats.Cfg.Name != ds.Cfg.Name {
-			t.Fatalf("VP %d order mismatch: %s vs %s", i, vp.Stats.Cfg.Name, ds.Cfg.Name)
+		tl := ts[i]
+		if vp.Stats.Cfg.Name != tl.Cfg.Name {
+			t.Fatalf("VP %d order mismatch: %s vs %s", i, vp.Stats.Cfg.Name, tl.Cfg.Name)
 		}
-		if int(vp.Summary.Flows) != len(ds.Records) {
-			t.Errorf("%s: streamed %d flows, materialized %d", ds.Cfg.Name, vp.Summary.Flows, len(ds.Records))
+		if vp.Summary.Flows != tl.Flows() || len(vp.Summary.Devices) != len(tl.hosts) {
+			t.Errorf("%s: summary has %d flows and %d devices, tally %d and %d", tl.Cfg.Name,
+				vp.Summary.Flows, len(vp.Summary.Devices), tl.Flows(), len(tl.hosts))
 		}
-		if vp.Stats.Devices != ds.DropboxDevices || vp.Stats.Households != ds.DropboxHouseholds {
-			t.Errorf("%s: ground truth differs: %d/%d vs %d/%d", ds.Cfg.Name,
-				vp.Stats.Devices, vp.Stats.Households, ds.DropboxDevices, ds.DropboxHouseholds)
+		if !reflect.DeepEqual(vp.Stats, tl.VPStats) {
+			t.Errorf("%s: ground truth differs: %+v vs %+v", tl.Cfg.Name, vp.Stats, tl.VPStats)
 		}
 		if len(vp.Summary.Devices) > vp.Stats.Devices {
-			t.Errorf("%s: counted %d devices, ground truth %d", ds.Cfg.Name,
+			t.Errorf("%s: counted %d devices, ground truth %d", tl.Cfg.Name,
 				len(vp.Summary.Devices), vp.Stats.Devices)
 		}
 	}
@@ -415,29 +415,29 @@ func TestFleetCampaignStreaming(t *testing.T) {
 	}
 }
 
-// TestShardedCampaignMatchesRunCampaign: one shard per vantage point is the
-// same campaign whatever the worker count.
-func TestShardedCampaignMatchesRunCampaign(t *testing.T) {
-	sc := ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01}
-	a := newCampaign(t, 7, sc, fleet.Config{Shards: 1})
-	b := newCampaign(t, 7, sc, fleet.Config{Shards: 1, Workers: 2})
-	for i := range a.Datasets {
-		if len(a.Datasets[i].Records) != len(b.Datasets[i].Records) {
-			t.Fatalf("%s: %d vs %d records", a.Datasets[i].Cfg.Name,
-				len(a.Datasets[i].Records), len(b.Datasets[i].Records))
+// sameResults fails the test unless two result sets render the same text
+// and the same metrics, bit for bit.
+func sameResults(t *testing.T, a, b []*Result) {
+	t.Helper()
+	for i := range a {
+		if a[i].Text != b[i].Text || !reflect.DeepEqual(a[i].Metrics, b[i].Metrics) {
+			t.Fatalf("%s differs between the two folds", a[i].ID)
 		}
 	}
+}
+
+// TestShardedCampaignMatchesRunCampaign: the shard count fixed, the worker
+// count changes no rendered result.
+func TestShardedCampaignMatchesRunCampaign(t *testing.T) {
+	sc := ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01}
+	a := mustFold(t, 7, sc, fleet.Config{Shards: 4, Workers: 1})
+	b := mustFold(t, 7, sc, fleet.Config{Shards: 4, Workers: 3})
+	sameResults(t, All(a), All(b))
 }
 
 func TestDeterministicCampaign(t *testing.T) {
 	sc := ScaleConfig{Campus1: 0.2, Campus2: 0.04, Home1: 0.01, Home2: 0.01}
-	a := newCampaign(t, 5, sc, fleet.Config{Shards: 1})
-	b := newCampaign(t, 5, sc, fleet.Config{Shards: 1})
-	for i := range a.Datasets {
-		if len(a.Datasets[i].Records) != len(b.Datasets[i].Records) {
-			t.Fatalf("campaign not deterministic for %s", a.Datasets[i].Cfg.Name)
-		}
-	}
+	a := mustFold(t, 5, sc, fleet.Config{Shards: 1})
+	b := mustFold(t, 5, sc, fleet.Config{Shards: 1})
+	sameResults(t, All(a), All(b))
 }
-
-var _ = time.Second

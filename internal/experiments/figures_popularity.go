@@ -2,45 +2,34 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/classify"
 	"insidedropbox/internal/dnssim"
-	"insidedropbox/internal/traces"
 	"insidedropbox/internal/wire"
 	"insidedropbox/internal/workload"
 )
 
 // Figure2 reproduces the popularity comparison in Home 1: distinct client
 // addresses per day and data volume per day for each provider.
-func Figure2(c *Campaign) *Result {
+func Figure2(ts Tallies) *Result {
 	res := newResult("figure2", "Figure 2: Popularity of cloud storage in Home 1")
-	ds := c.ByName("home1")
-	days := ds.Cfg.Days
+	t := ts.ByName("home1")
+	days := t.Cfg.Days
 
 	providers := []classify.Provider{classify.ProvICloud, classify.ProvDropbox,
 		classify.ProvSkyDrive, classify.ProvGoogleDrive, classify.ProvOtherCloud}
-	ipsPerDay := make(map[classify.Provider][]map[wire.IP]bool)
+	ipsPerDay := make(map[classify.Provider][]int)
 	volPerDay := make(map[classify.Provider][]float64)
 	for _, p := range providers {
-		ipsPerDay[p] = make([]map[wire.IP]bool, days)
+		ipsPerDay[p] = make([]int, days)
 		volPerDay[p] = make([]float64, days)
-		for d := range ipsPerDay[p] {
-			ipsPerDay[p][d] = make(map[wire.IP]bool)
+		for d := range volPerDay[p] {
+			volPerDay[p][d] = float64(t.providerDays[d][p])
 		}
 	}
-	for _, r := range ds.Records {
-		p := classify.ProviderOf(r)
-		if _, ok := ipsPerDay[p]; !ok {
-			continue
-		}
-		d := workload.DayOfRecord(r)
-		if d < 0 || d >= days {
-			continue
-		}
-		ipsPerDay[p][d][r.Client] = true
-		volPerDay[p][d] += float64(r.BytesUp + r.BytesDown)
+	for k := range t.providerIPs {
+		ipsPerDay[k.p][k.day]++
 	}
 
 	// Panel (a): addresses per day.
@@ -50,7 +39,7 @@ func Figure2(c *Campaign) *Result {
 		ys := make([]float64, days)
 		for d := 0; d < days; d++ {
 			xs[d] = float64(d)
-			ys[d] = float64(len(ipsPerDay[p][d]))
+			ys[d] = float64(ipsPerDay[p][d])
 		}
 		plotA.AddSeries(p.String(), xs, ys)
 	}
@@ -77,8 +66,8 @@ func Figure2(c *Campaign) *Result {
 		sumIPs, sumVol := 0.0, 0.0
 		active := 0
 		for d := 0; d < days; d++ {
-			if len(ipsPerDay[p][d]) > 0 {
-				sumIPs += float64(len(ipsPerDay[p][d]))
+			if ipsPerDay[p][d] > 0 {
+				sumIPs += float64(ipsPerDay[p][d])
 				sumVol += volPerDay[p][d]
 				active++
 			}
@@ -106,23 +95,20 @@ func firstActiveDay(vols []float64) float64 {
 
 // Figure3 reproduces the Dropbox vs YouTube share of total traffic in
 // Campus 2.
-func Figure3(c *Campaign) *Result {
+func Figure3(ts Tallies) *Result {
 	res := newResult("figure3", "Figure 3: YouTube and Dropbox share in Campus 2")
-	ds := c.ByName("campus2")
-	days := ds.Cfg.Days
+	t := ts.ByName("campus2")
+	days := t.Cfg.Days
 	dbx := make([]float64, days)
-	var cloudOther = make([]float64, days)
-	for _, r := range ds.Records {
-		d := workload.DayOfRecord(r)
-		if d < 0 || d >= days {
-			continue
+	cloudOther := make([]float64, days)
+	for d, vols := range t.providerDays {
+		var other int64
+		for p, v := range vols {
+			if classify.Provider(p) != classify.ProvDropbox {
+				other += v
+			}
 		}
-		v := float64(r.BytesUp + r.BytesDown)
-		if classify.ProviderOf(r) == classify.ProvDropbox {
-			dbx[d] += v
-		} else {
-			cloudOther[d] += v
-		}
+		dbx[d], cloudOther[d] = float64(vols[classify.ProvDropbox]), float64(other)
 	}
 	plot := analysis.NewPlot(res.Title, "day", "share of total volume")
 	xs := make([]float64, days)
@@ -131,11 +117,11 @@ func Figure3(c *Campaign) *Result {
 	var dbxShareSum, ytShareSum float64
 	n := 0
 	for d := 0; d < days; d++ {
-		total := dbx[d] + cloudOther[d] + ds.BackgroundByDay[d] + ds.YouTubeByDay[d]
+		total := dbx[d] + cloudOther[d] + t.BackgroundByDay[d] + t.YouTubeByDay[d]
 		xs[d] = float64(d)
 		if total > 0 {
 			ySh[d] = dbx[d] / total
-			yYt[d] = ds.YouTubeByDay[d] / total
+			yYt[d] = t.YouTubeByDay[d] / total
 			dbxShareSum += ySh[d]
 			ytShareSum += yYt[d]
 			n++
@@ -154,41 +140,30 @@ func Figure3(c *Campaign) *Result {
 
 // Figure4 reproduces the traffic share per Dropbox server group, in bytes
 // and in flows, for every vantage point.
-func Figure4(c *Campaign) *Result {
+func Figure4(ts Tallies) *Result {
 	res := newResult("figure4", "Figure 4: Traffic share of Dropbox servers")
 	order := []dnssim.Service{dnssim.SvcClientStorage, dnssim.SvcWebStorage,
 		dnssim.SvcAPIStorage, dnssim.SvcClientControl, dnssim.SvcNotify,
 		dnssim.SvcWebControl, dnssim.SvcAPIControl, dnssim.SvcSystemLog, dnssim.SvcUnknown}
-	tbB := analysis.NewTable(res.Title+" — fraction of bytes", append([]string{"service"}, vpNames(c)...)...)
-	tbF := analysis.NewTable(res.Title+" — fraction of flows", append([]string{"service"}, vpNames(c)...)...)
-	byVP := map[string]map[dnssim.Service][2]float64{}
-	c.perVP(func(ds *workload.Dataset) {
-		agg := make(map[dnssim.Service][2]float64)
-		var totB, totF float64
-		for _, r := range dropboxRecords(ds) {
-			svc := classify.DropboxService(r)
-			v := agg[svc]
-			v[0] += float64(r.BytesUp + r.BytesDown)
-			v[1]++
-			agg[svc] = v
-			totB += float64(r.BytesUp + r.BytesDown)
-			totF++
-		}
-		norm := make(map[dnssim.Service][2]float64)
-		for svc, v := range agg {
-			norm[svc] = [2]float64{v[0] / totB, v[1] / totF}
-		}
-		byVP[ds.Cfg.Name] = norm
-	})
+	names := make([]string, len(ts))
+	for i, t := range ts {
+		names[i] = t.Cfg.Name
+	}
+	tbB := analysis.NewTable(res.Title+" — fraction of bytes", append([]string{"service"}, names...)...)
+	tbF := analysis.NewTable(res.Title+" — fraction of flows", append([]string{"service"}, names...)...)
 	for _, svc := range order {
 		rowB := []any{svc.String()}
 		rowF := []any{svc.String()}
-		for _, name := range vpNames(c) {
-			v := byVP[name][svc]
-			rowB = append(rowB, v[0])
-			rowF = append(rowF, v[1])
-			res.Metrics[fmt.Sprintf("bytes_%s_%s", name, svc.String())] = v[0]
-			res.Metrics[fmt.Sprintf("flows_%s_%s", name, svc.String())] = v[1]
+		for _, t := range ts {
+			var b, f float64
+			if v := t.Services[svc]; v.Flows > 0 {
+				dbx := t.Providers[classify.ProvDropbox]
+				b, f = float64(v.Bytes)/float64(dbx.Bytes), float64(v.Flows)/float64(dbx.Flows)
+			}
+			rowB = append(rowB, b)
+			rowF = append(rowF, f)
+			res.Metrics[fmt.Sprintf("bytes_%s_%s", t.Cfg.Name, svc.String())] = b
+			res.Metrics[fmt.Sprintf("flows_%s_%s", t.Cfg.Name, svc.String())] = f
 		}
 		tbB.AddRow(rowB...)
 		tbF.AddRow(rowF...)
@@ -199,26 +174,19 @@ func Figure4(c *Campaign) *Result {
 	return res
 }
 
-func vpNames(c *Campaign) []string {
-	out := make([]string, len(c.Datasets))
-	for i, ds := range c.Datasets {
-		out[i] = ds.Cfg.Name
-	}
-	return out
-}
-
 // Figure5 reproduces the number of distinct storage server addresses
 // contacted per day at each vantage point.
-func Figure5(c *Campaign) *Result {
+func Figure5(ts Tallies) *Result {
 	res := newResult("figure5", "Figure 5: Number of contacted storage servers")
 	plot := analysis.NewPlot(res.Title, "day", "server IP addrs")
-	c.perVP(func(ds *workload.Dataset) {
-		days := ds.Cfg.Days
+	for _, t := range ts {
+		days := t.Cfg.Days
 		perDay := make([]map[wire.IP]bool, days)
 		for i := range perDay {
 			perDay[i] = make(map[wire.IP]bool)
 		}
-		for _, r := range clientStorageRecords(ds) {
+		for i := range t.Storage {
+			r := &t.Storage[i]
 			d := workload.DayOfRecord(r)
 			if d >= 0 && d < days {
 				perDay[d][r.Server] = true
@@ -232,9 +200,9 @@ func Figure5(c *Campaign) *Result {
 			ys[d] = float64(len(perDay[d]))
 			sum += ys[d]
 		}
-		plot.AddSeries(ds.Cfg.Name, xs, ys)
-		res.Metrics["avg_servers_"+ds.Cfg.Name] = sum / float64(days)
-	})
+		plot.AddSeries(t.Cfg.Name, xs, ys)
+		res.Metrics["avg_servers_"+t.Cfg.Name] = sum / float64(days)
+	}
 	res.addText(plot.String())
 	res.addText("Busier vantage points contact more of the ~640-address pool daily\n" +
 		"(population scaling lowers absolute counts versus the paper).\n")
@@ -243,33 +211,20 @@ func Figure5(c *Campaign) *Result {
 
 // Figure6 reproduces the minimum-RTT CDFs toward storage and control
 // data-centers.
-func Figure6(c *Campaign) *Result {
+func Figure6(ts Tallies) *Result {
 	res := newResult("figure6", "Figure 6: Minimum RTT of storage and control flows")
 	storage := analysis.NewPlot(res.Title+" — storage", "ms", "CDF")
 	control := analysis.NewPlot(res.Title+" — control", "ms", "CDF")
-	c.perVP(func(ds *workload.Dataset) {
-		var st, ct []float64
-		for _, r := range dropboxRecords(ds) {
-			if r.RTTSamples < 10 || r.MinRTT <= 0 {
-				continue // the paper uses flows with >= 10 samples
-			}
-			ms := float64(r.MinRTT) / float64(time.Millisecond)
-			switch classify.DropboxService(r) {
-			case dnssim.SvcClientStorage:
-				st = append(st, ms)
-			case dnssim.SvcClientControl:
-				ct = append(ct, ms)
-			}
+	for _, t := range ts {
+		if st := t.StorageRTT(); len(st) > 0 {
+			storage.AddECDF(t.Cfg.Name, analysis.NewECDF(st))
+			res.Metrics["storage_median_"+t.Cfg.Name] = analysis.Median(st)
 		}
-		if len(st) > 0 {
-			storage.AddECDF(ds.Cfg.Name, analysis.NewECDF(st))
-			res.Metrics["storage_median_"+ds.Cfg.Name] = analysis.Median(st)
+		if ct := t.ControlRTT; len(ct) > 0 {
+			control.AddECDF(t.Cfg.Name, analysis.NewECDF(ct))
+			res.Metrics["control_median_"+t.Cfg.Name] = analysis.Median(ct)
 		}
-		if len(ct) > 0 {
-			control.AddECDF(ds.Cfg.Name, analysis.NewECDF(ct))
-			res.Metrics["control_median_"+ds.Cfg.Name] = analysis.Median(ct)
-		}
-	})
+	}
 	res.addText(storage.String())
 	res.addText("")
 	res.addText(control.String())
@@ -278,45 +233,29 @@ func Figure6(c *Campaign) *Result {
 	return res
 }
 
-// recordsForSizeCDF collects per-direction storage payload sizes.
-func sizesByDirection(ds *workload.Dataset) (store, retr []float64) {
-	for _, r := range clientStorageRecords(ds) {
-		d := classify.TagStorage(r)
-		// The paper plots TCP flow sizes including SSL overhead; we use
-		// raw flow bytes in the transfer direction.
-		var v float64
-		if d == classify.DirStore {
-			v = float64(r.BytesUp)
-			store = append(store, v)
-		} else {
-			v = float64(r.BytesDown)
-			retr = append(retr, v)
-		}
-	}
-	return store, retr
-}
-
 // Figure7 reproduces the storage flow-size CDFs.
-func Figure7(c *Campaign) *Result {
+// The paper plots TCP flow sizes including SSL overhead: raw flow bytes in
+// the transfer direction.
+func Figure7(ts Tallies) *Result {
 	res := newResult("figure7", "Figure 7: TCP flow sizes of file storage (Dropbox client)")
 	ps := analysis.NewPlot(res.Title+" — store", "flow size (bytes)", "CDF")
 	pr := analysis.NewPlot(res.Title+" — retrieve", "flow size (bytes)", "CDF")
 	ps.LogX, pr.LogX = true, true
-	c.perVP(func(ds *workload.Dataset) {
-		st, rt := sizesByDirection(ds)
+	for _, t := range ts {
+		st, rt := t.StorageSizes()
 		if len(st) > 0 {
-			ps.AddECDF(ds.Cfg.Name, analysis.NewECDF(st))
 			e := analysis.NewECDF(st)
-			res.Metrics["store_le10k_"+ds.Cfg.Name] = e.At(10e3)
-			res.Metrics["store_le100k_"+ds.Cfg.Name] = e.At(100e3)
-			res.Metrics["store_max_"+ds.Cfg.Name] = e.Max()
+			ps.AddECDF(t.Cfg.Name, e)
+			res.Metrics["store_le10k_"+t.Cfg.Name] = e.At(10e3)
+			res.Metrics["store_le100k_"+t.Cfg.Name] = e.At(100e3)
+			res.Metrics["store_max_"+t.Cfg.Name] = e.Max()
 		}
 		if len(rt) > 0 {
-			pr.AddECDF(ds.Cfg.Name, analysis.NewECDF(rt))
 			e := analysis.NewECDF(rt)
-			res.Metrics["retr_le100k_"+ds.Cfg.Name] = e.At(100e3)
+			pr.AddECDF(t.Cfg.Name, e)
+			res.Metrics["retr_le100k_"+t.Cfg.Name] = e.At(100e3)
 		}
-	})
+	}
 	res.addText(ps.String())
 	res.addText("")
 	res.addText(pr.String())
@@ -324,14 +263,15 @@ func Figure7(c *Campaign) *Result {
 }
 
 // Figure8 reproduces the estimated chunks-per-flow CDFs.
-func Figure8(c *Campaign) *Result {
+func Figure8(ts Tallies) *Result {
 	res := newResult("figure8", "Figure 8: Estimated number of chunks per storage flow")
 	ps := analysis.NewPlot(res.Title+" — store", "chunks", "CDF")
 	pr := analysis.NewPlot(res.Title+" — retrieve", "chunks", "CDF")
 	ps.LogX, pr.LogX = true, true
-	c.perVP(func(ds *workload.Dataset) {
+	for _, t := range ts {
 		var st, rt []float64
-		for _, r := range clientStorageRecords(ds) {
+		for i := range t.Storage {
+			r := &t.Storage[i]
 			d := classify.TagStorage(r)
 			chunks := float64(classify.EstimateChunks(r, d))
 			if d == classify.DirStore {
@@ -341,14 +281,16 @@ func Figure8(c *Campaign) *Result {
 			}
 		}
 		if len(st) > 0 {
-			ps.AddECDF(ds.Cfg.Name, analysis.NewECDF(st))
-			res.Metrics["store_le10_"+ds.Cfg.Name] = analysis.NewECDF(st).At(10)
+			e := analysis.NewECDF(st)
+			ps.AddECDF(t.Cfg.Name, e)
+			res.Metrics["store_le10_"+t.Cfg.Name] = e.At(10)
 		}
 		if len(rt) > 0 {
-			pr.AddECDF(ds.Cfg.Name, analysis.NewECDF(rt))
-			res.Metrics["retr_le10_"+ds.Cfg.Name] = analysis.NewECDF(rt).At(10)
+			e := analysis.NewECDF(rt)
+			pr.AddECDF(t.Cfg.Name, e)
+			res.Metrics["retr_le10_"+t.Cfg.Name] = e.At(10)
 		}
-	})
+	}
 	res.addText(ps.String())
 	res.addText("")
 	res.addText(pr.String())
@@ -356,5 +298,3 @@ func Figure8(c *Campaign) *Result {
 		"batch limit (Sec. 2.3.2).\n")
 	return res
 }
-
-var _ = traces.FlowRecord{}

@@ -6,24 +6,21 @@ import (
 
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/classify"
-	"insidedropbox/internal/dnssim"
-	"insidedropbox/internal/workload"
 )
 
 // Figure11 reproduces the per-household store/retrieve volume scatter for
 // the home networks, marked by device count.
-func Figure11(c *Campaign) *Result {
+func Figure11(ts Tallies) *Result {
 	res := newResult("figure11", "Figure 11: Data volume stored and retrieved per household")
 	for _, name := range []string{"home1", "home2"} {
-		ds := c.ByName(name)
-		store, retr := householdVolumes(ds)
-		devs := classify.DevicesPerIP(ds.Records)
+		t := ts.ByName(name)
+		store, retr := t.HouseholdVolumes()
 		plot := analysis.NewPlot(fmt.Sprintf("%s — %s", res.Title, name),
 			"retrieve (bytes)", "store (bytes)")
 		plot.LogX, plot.LogY = true, true
 		groups := map[string][2][]float64{}
 		var totalStore, totalRetr float64
-		for ip := range dropboxClients(ds) {
+		for ip, devices := range t.DevicesPerHousehold() {
 			s, r := float64(store[ip]), float64(retr[ip])
 			totalStore += s
 			totalRetr += r
@@ -35,10 +32,10 @@ func Figure11(c *Campaign) *Result {
 				r = 1e3
 			}
 			key := "1 dev"
-			switch d := devs[ip]; {
-			case d >= 4:
+			switch {
+			case devices >= 4:
 				key = ">3 dev"
-			case d >= 2:
+			case devices >= 2:
 				key = "2-3 dev"
 			}
 			g := groups[key]
@@ -61,14 +58,13 @@ func Figure11(c *Campaign) *Result {
 }
 
 // Figure12 reproduces the devices-per-household distribution.
-func Figure12(c *Campaign) *Result {
+func Figure12(ts Tallies) *Result {
 	res := newResult("figure12", "Figure 12: Devices per household (Dropbox client)")
 	tb := analysis.NewTable(res.Title, "devices", "home1", "home2")
 	counters := map[string]*analysis.Counter{}
 	for _, name := range []string{"home1", "home2"} {
-		ds := c.ByName(name)
 		cnt := analysis.NewCounter()
-		for _, n := range classify.DevicesPerIP(ds.Records) {
+		for _, n := range ts.ByName(name).DevicesPerHousehold() {
 			cnt.Add(n)
 		}
 		counters[name] = cnt
@@ -90,14 +86,15 @@ func Figure12(c *Campaign) *Result {
 
 // Figure13 reproduces the namespaces-per-device CDF for Campus 1 and
 // Home 1 (the vantage points exposing namespace lists).
-func Figure13(c *Campaign) *Result {
+func Figure13(ts Tallies) *Result {
 	res := newResult("figure13", "Figure 13: Number of namespaces per device")
 	plot := analysis.NewPlot(res.Title, "namespaces", "CDF")
 	for _, name := range []string{"campus1", "home1"} {
-		ds := c.ByName(name)
 		var xs []float64
-		for _, n := range classify.NamespacesPerDevice(ds.Records) {
-			xs = append(xs, float64(n))
+		for _, ns := range ts.ByName(name).hosts {
+			if ns.n > 0 {
+				xs = append(xs, float64(ns.n))
+			}
 		}
 		if len(xs) == 0 {
 			continue
@@ -116,17 +113,17 @@ func Figure13(c *Campaign) *Result {
 }
 
 // Figure14 reproduces the fraction of devices starting a session per day.
-func Figure14(c *Campaign) *Result {
+func Figure14(ts Tallies) *Result {
 	res := newResult("figure14", "Figure 14: Distinct device start-ups per day")
 	plot := analysis.NewPlot(res.Title, "day", "fraction of devices")
-	c.perVP(func(ds *workload.Dataset) {
-		sessions := sessionsOf(ds)
+	for _, t := range ts {
+		days := t.Cfg.Days
 		devices := make(map[uint64]bool)
-		perDay := make([]map[uint64]bool, ds.Cfg.Days)
+		perDay := make([]map[uint64]bool, days)
 		for i := range perDay {
 			perDay[i] = make(map[uint64]bool)
 		}
-		for _, s := range sessions {
+		for _, s := range t.sessions {
 			devices[s.Host] = true
 			d := int(s.Start / (24 * time.Hour))
 			if d >= 0 && d < len(perDay) {
@@ -134,19 +131,19 @@ func Figure14(c *Campaign) *Result {
 			}
 		}
 		if len(devices) == 0 {
-			return
+			continue
 		}
-		xs := make([]float64, ds.Cfg.Days)
-		ys := make([]float64, ds.Cfg.Days)
+		xs := make([]float64, days)
+		ys := make([]float64, days)
 		sum := 0.0
-		for d := 0; d < ds.Cfg.Days; d++ {
+		for d := 0; d < days; d++ {
 			xs[d] = float64(d)
 			ys[d] = float64(len(perDay[d])) / float64(len(devices))
 			sum += ys[d]
 		}
-		plot.AddSeries(ds.Cfg.Name, xs, ys)
-		res.Metrics["avg_frac_"+ds.Cfg.Name] = sum / float64(ds.Cfg.Days)
-	})
+		plot.AddSeries(t.Cfg.Name, xs, ys)
+		res.Metrics["avg_frac_"+t.Cfg.Name] = sum / float64(days)
+	}
 	res.addText(plot.String())
 	res.addText("Home networks hover near a constant fraction daily; campuses show\n" +
 		"strong weekly seasonality (Sec. 5.4).\n")
@@ -155,44 +152,41 @@ func Figure14(c *Campaign) *Result {
 
 // Figure15 reproduces the hourly usage profiles on weekdays: session
 // start-ups, active devices, retrieve and store volumes.
-func Figure15(c *Campaign) *Result {
+func Figure15(ts Tallies) *Result {
 	res := newResult("figure15", "Figure 15: Daily usage of Dropbox on weekdays")
+	storageBytes := func(dir classify.Direction) func(*Tally, *analysis.HourOfDayProfile) {
+		return func(t *Tally, prof *analysis.HourOfDayProfile) {
+			for i := range t.Storage {
+				if r := &t.Storage[i]; classify.TagStorage(r) == dir {
+					prof.Add(r.FirstPacket, float64(classify.Payload(r, dir)), true)
+				}
+			}
+		}
+	}
 	panels := []struct {
 		title string
-		fill  func(ds *workload.Dataset, prof *analysis.HourOfDayProfile)
+		fill  func(t *Tally, prof *analysis.HourOfDayProfile)
 	}{
-		{"(a) session start-ups", func(ds *workload.Dataset, prof *analysis.HourOfDayProfile) {
-			for _, s := range sessionsOf(ds) {
+		{"(a) session start-ups", func(t *Tally, prof *analysis.HourOfDayProfile) {
+			for _, s := range t.sessions {
 				prof.Add(s.Start, 1, true)
 			}
 		}},
-		{"(b) active devices", func(ds *workload.Dataset, prof *analysis.HourOfDayProfile) {
-			for _, s := range sessionsOf(ds) {
-				for t := s.Start; t < s.End; t += time.Hour {
-					prof.Add(t, 1, true)
+		{"(b) active devices", func(t *Tally, prof *analysis.HourOfDayProfile) {
+			for _, s := range t.sessions {
+				for at := s.Start; at < s.End; at += time.Hour {
+					prof.Add(at, 1, true)
 				}
 			}
 		}},
-		{"(c) retrieve bytes", func(ds *workload.Dataset, prof *analysis.HourOfDayProfile) {
-			for _, r := range clientStorageRecords(ds) {
-				if classify.TagStorage(r) == classify.DirRetrieve {
-					prof.Add(r.FirstPacket, float64(classify.Payload(r, classify.DirRetrieve)), true)
-				}
-			}
-		}},
-		{"(d) store bytes", func(ds *workload.Dataset, prof *analysis.HourOfDayProfile) {
-			for _, r := range clientStorageRecords(ds) {
-				if classify.TagStorage(r) == classify.DirStore {
-					prof.Add(r.FirstPacket, float64(classify.Payload(r, classify.DirStore)), true)
-				}
-			}
-		}},
+		{"(c) retrieve bytes", storageBytes(classify.DirRetrieve)},
+		{"(d) store bytes", storageBytes(classify.DirStore)},
 	}
 	for pi, panel := range panels {
 		plot := analysis.NewPlot(fmt.Sprintf("%s %s", res.Title, panel.title), "hour", "fraction")
-		c.perVP(func(ds *workload.Dataset) {
+		for _, t := range ts {
 			var prof analysis.HourOfDayProfile
-			panel.fill(ds, &prof)
+			panel.fill(t, &prof)
 			fr := prof.Fractions()
 			xs := make([]float64, 24)
 			ys := make([]float64, 24)
@@ -204,11 +198,11 @@ func Figure15(c *Campaign) *Result {
 					peak = h
 				}
 			}
-			plot.AddSeries(ds.Cfg.Name, xs, ys)
+			plot.AddSeries(t.Cfg.Name, xs, ys)
 			if pi == 0 {
-				res.Metrics["startup_peak_hour_"+ds.Cfg.Name] = float64(peak)
+				res.Metrics["startup_peak_hour_"+t.Cfg.Name] = float64(peak)
 			}
-		})
+		}
 		res.addText(plot.String())
 		res.addText("")
 	}
@@ -217,30 +211,20 @@ func Figure15(c *Campaign) *Result {
 
 // Figure16 reproduces the session-duration CDFs (durations of notification
 // flows, as the paper measures them).
-func Figure16(c *Campaign) *Result {
+func Figure16(ts Tallies) *Result {
 	res := newResult("figure16", "Figure 16: Distribution of session durations")
 	plot := analysis.NewPlot(res.Title, "seconds", "CDF")
 	plot.LogX = true
-	c.perVP(func(ds *workload.Dataset) {
-		var xs []float64
-		for _, r := range dropboxRecords(ds) {
-			if r.NotifyHost == 0 {
-				continue
-			}
-			sec := r.Duration().Seconds()
-			if sec > 0 {
-				xs = append(xs, sec)
-			}
+	for _, t := range ts {
+		if len(t.NotifySeconds) == 0 {
+			continue
 		}
-		if len(xs) == 0 {
-			return
-		}
-		e := analysis.NewECDF(xs)
-		plot.AddECDF(ds.Cfg.Name, e)
-		res.Metrics["sub_minute_"+ds.Cfg.Name] = e.At(60)
-		res.Metrics["le_4h_"+ds.Cfg.Name] = e.At(4 * 3600)
-		res.Metrics["median_s_"+ds.Cfg.Name] = e.Median()
-	})
+		e := analysis.NewECDF(t.NotifySeconds)
+		plot.AddECDF(t.Cfg.Name, e)
+		res.Metrics["sub_minute_"+t.Cfg.Name] = e.At(60)
+		res.Metrics["le_4h_"+t.Cfg.Name] = e.At(4 * 3600)
+		res.Metrics["median_s_"+t.Cfg.Name] = e.Median()
+	}
 	res.addText(plot.String())
 	res.addText("Home networks show a sub-minute mass (NAT/firewall-killed notification\n" +
 		"connections); Campus 1 skews long (8-hour workstations); tails reflect\n" +
@@ -249,32 +233,21 @@ func Figure16(c *Campaign) *Result {
 }
 
 // Figure17 reproduces the main Web interface storage flow sizes.
-func Figure17(c *Campaign) *Result {
+func Figure17(ts Tallies) *Result {
 	res := newResult("figure17", "Figure 17: Storage via the main Web interface")
 	up := analysis.NewPlot(res.Title+" — upload", "bytes", "CDF")
 	down := analysis.NewPlot(res.Title+" — download", "bytes", "CDF")
 	up.LogX, down.LogX = true, true
-	c.perVP(func(ds *workload.Dataset) {
-		var us, dl []float64
-		for _, r := range dropboxRecords(ds) {
-			if classify.DropboxService(r) != dnssim.SvcWebStorage || r.ServerPort != 443 {
-				continue
-			}
-			if r.SNI != "dl-web.dropbox.com" && r.FQDN != "dl-web.dropbox.com" {
-				continue
-			}
-			us = append(us, float64(r.BytesUp))
-			dl = append(dl, float64(r.BytesDown))
+	for _, t := range ts {
+		if len(t.WebUp) == 0 {
+			continue
 		}
-		if len(us) == 0 {
-			return
-		}
-		eu, ed := analysis.NewECDF(us), analysis.NewECDF(dl)
-		up.AddECDF(ds.Cfg.Name, eu)
-		down.AddECDF(ds.Cfg.Name, ed)
-		res.Metrics["up_le10k_"+ds.Cfg.Name] = eu.At(10e3)
-		res.Metrics["down_le10M_"+ds.Cfg.Name] = ed.At(10e6)
-	})
+		eu, ed := analysis.NewECDF(t.WebUp), analysis.NewECDF(t.WebDown)
+		up.AddECDF(t.Cfg.Name, eu)
+		down.AddECDF(t.Cfg.Name, ed)
+		res.Metrics["up_le10k_"+t.Cfg.Name] = eu.At(10e3)
+		res.Metrics["down_le10M_"+t.Cfg.Name] = ed.At(10e6)
+	}
 	res.addText(up.String())
 	res.addText("")
 	res.addText(down.String())
@@ -285,27 +258,19 @@ func Figure17(c *Campaign) *Result {
 
 // Figure18 reproduces direct-link download sizes (Campus 2 lacks FQDNs and
 // is omitted, as in the paper).
-func Figure18(c *Campaign) *Result {
+func Figure18(ts Tallies) *Result {
 	res := newResult("figure18", "Figure 18: Size of direct link downloads")
 	plot := analysis.NewPlot(res.Title, "bytes", "CDF")
 	plot.LogX = true
-	c.perVP(func(ds *workload.Dataset) {
-		if !ds.Cfg.HasDNS {
-			return // Campus 2 not depicted: no FQDN visibility
+	for _, t := range ts {
+		// Campus 2 is not depicted: no FQDN visibility.
+		if !t.Cfg.HasDNS || len(t.DirectLinks) == 0 {
+			continue
 		}
-		var xs []float64
-		for _, r := range ds.Records {
-			if r.FQDN == "dl.dropbox.com" {
-				xs = append(xs, float64(r.BytesDown))
-			}
-		}
-		if len(xs) == 0 {
-			return
-		}
-		e := analysis.NewECDF(xs)
-		plot.AddECDF(ds.Cfg.Name, e)
-		res.Metrics["gt10M_"+ds.Cfg.Name] = 1 - e.At(10e6)
-	})
+		e := analysis.NewECDF(t.DirectLinks)
+		plot.AddECDF(t.Cfg.Name, e)
+		res.Metrics["gt10M_"+t.Cfg.Name] = 1 - e.At(10e6)
+	}
 	res.addText(plot.String())
 	res.addText("Only a small share of direct-link downloads exceeds 10 MB — link\n" +
 		"sharing is not movie/archive distribution (Sec. 6).\n")
@@ -314,15 +279,16 @@ func Figure18(c *Campaign) *Result {
 
 // Figure20 reproduces the store/retrieve byte scatter with the f(u)
 // separation function (Campus 1, Appendix A.2).
-func Figure20(c *Campaign) *Result {
+func Figure20(ts Tallies) *Result {
 	res := newResult("figure20", "Figure 20: Bytes exchanged in storage flows (Campus 1) with f(u)")
-	ds := c.ByName("campus1")
+	storage := ts.ByName("campus1").Storage
 	plot := analysis.NewPlot(res.Title, "upload (bytes)", "download (bytes)")
 	plot.LogX, plot.LogY = true, true
 	var storeX, storeY, retrX, retrY []float64
 	misclass := 0
 	n := 0
-	for _, r := range clientStorageRecords(ds) {
+	for i := range storage {
+		r := &storage[i]
 		u := float64(r.BytesUp)
 		d := float64(r.BytesDown)
 		if u <= 0 || d <= 0 {
@@ -364,13 +330,14 @@ func Figure20(c *Campaign) *Result {
 
 // Figure21 reproduces the payload-per-chunk proportion CDFs that validate
 // the chunk estimator.
-func Figure21(c *Campaign) *Result {
+func Figure21(ts Tallies) *Result {
 	res := newResult("figure21", "Figure 21: Payload per estimated chunk (reverse direction)")
 	ps := analysis.NewPlot(res.Title+" — store", "bytes/chunk", "CDF")
 	pr := analysis.NewPlot(res.Title+" — retrieve", "bytes/chunk", "CDF")
-	c.perVP(func(ds *workload.Dataset) {
+	for _, t := range ts {
 		var st, rt []float64
-		for _, r := range clientStorageRecords(ds) {
+		for i := range t.Storage {
+			r := &t.Storage[i]
 			d := classify.TagStorage(r)
 			chunks := classify.EstimateChunks(r, d)
 			if chunks < 1 {
@@ -392,15 +359,15 @@ func Figure21(c *Campaign) *Result {
 		}
 		if len(st) > 0 {
 			e := analysis.NewECDF(st)
-			ps.AddECDF(ds.Cfg.Name, e)
-			res.Metrics["store_median_"+ds.Cfg.Name] = e.Median()
+			ps.AddECDF(t.Cfg.Name, e)
+			res.Metrics["store_median_"+t.Cfg.Name] = e.Median()
 		}
 		if len(rt) > 0 {
 			e := analysis.NewECDF(rt)
-			pr.AddECDF(ds.Cfg.Name, e)
-			res.Metrics["retr_median_"+ds.Cfg.Name] = e.Median()
+			pr.AddECDF(t.Cfg.Name, e)
+			res.Metrics["retr_median_"+t.Cfg.Name] = e.Median()
 		}
-	})
+	}
 	ps.SetBounds(0, 600, 0, 1)
 	pr.SetBounds(0, 600, 0, 1)
 	res.addText(ps.String())

@@ -19,9 +19,6 @@ import (
 // orchestration uses it to explain cost (packet labs run the full protocol
 // stack) and to decide which experiments belong in a default selection.
 type Needs struct {
-	// Campaign: the experiment consumes the materialized four-vantage-point
-	// campaign (built once per Session and shared).
-	Campaign bool
 	// Packet: the experiment drives the packet-level protocol stack (the
 	// performance labs and the testbed dissection) — the slow experiments
 	// a Spec can skip wholesale.
@@ -43,8 +40,9 @@ type Experiment struct {
 	// Needs declares the Session inputs the experiment consumes.
 	Needs Needs
 	// Run executes the experiment against a Session. Shared inputs (the
-	// campaign, the packet labs, the testbed) are built lazily on first
-	// use and memoized, so running "figure9,figure10" pays for one lab.
+	// vantage points' tallies, the packet labs, the testbed) are built
+	// lazily on first use and memoized, so running "figure9,figure10" pays
+	// for one lab.
 	Run func(ctx context.Context, s *Session) (*Result, error)
 }
 
@@ -121,7 +119,7 @@ func Select(patterns ...string) ([]Experiment, error) {
 }
 
 // Session carries one run's inputs and memoizes the expensive shared
-// artifacts — the materialized campaign, the packet-lab record sets and
+// artifacts — the vantage points' tallies, the packet-lab record sets and
 // the testbed dissection — so any selection of experiments pays for each
 // input once. Only successful builds memoize: a build aborted by a
 // cancelled context is retried on the next call, so a Session survives an
@@ -135,9 +133,8 @@ type Session struct {
 	// Table 4 before/after populations and the what-if population, exactly
 	// as the historical CLI did.
 	Scale ScaleConfig
-	// Fleet sizes the sharded engine for campaign generation and the
-	// opt-in labs (DevicesScale applies only to the fleet lab; see
-	// FleetScale).
+	// Fleet sizes the sharded engine for the tallies and the opt-in labs
+	// (DevicesScale applies only to the fleet lab; see FleetScale).
 	Fleet fleet.Config
 	// Quick selects the small packet-lab configurations.
 	Quick bool
@@ -157,7 +154,7 @@ type Session struct {
 	Scenario *scenario.Spec
 
 	mu        sync.Mutex
-	camp      *Campaign
+	tallies   Tallies
 	packStore []*traces.FlowRecord
 	packRetr  []*traces.FlowRecord
 	packCfg   PacketLabConfig
@@ -168,22 +165,22 @@ type Session struct {
 	scStream  *scenario.StreamResult
 }
 
-// Campaign returns the session's materialized four-vantage-point campaign,
-// generating it on first use. Failed builds are not memoized.
-func (s *Session) Campaign(ctx context.Context) (*Campaign, error) {
+// Tallies returns the session's four vantage-point tallies, folding them
+// on first use. Failed folds are not memoized.
+func (s *Session) Tallies(ctx context.Context) (Tallies, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.camp != nil {
+	if s.tallies != nil {
 		mCampaignHits.Inc()
-		return s.camp, nil
+		return s.tallies, nil
 	}
 	mCampaignBuilds.Inc()
-	camp, err := NewCampaign(ctx, s.Seed, s.Scale, s.Fleet)
+	ts, err := Fold(ctx, s.Seed, s.Scale, s.Fleet)
 	if err != nil {
 		return nil, err
 	}
-	s.camp = camp
-	return camp, nil
+	s.tallies = ts
+	return ts, nil
 }
 
 // PacketRecords returns the storage-flow records of both packet labs
@@ -242,16 +239,16 @@ func (s *Session) campus1Scale() float64 {
 	return 1.0
 }
 
-// regCampaign registers a driver that consumes the shared campaign.
-func regCampaign(id, title string, fn func(*Campaign) *Result) {
+// regTallies registers a driver that renders from the shared tallies.
+func regTallies(id, title string, fn func(Tallies) *Result) {
 	register(Experiment{
-		ID: id, Title: title, Needs: Needs{Campaign: true},
+		ID: id, Title: title,
 		Run: func(ctx context.Context, s *Session) (*Result, error) {
-			c, err := s.Campaign(ctx)
+			ts, err := s.Tallies(ctx)
 			if err != nil {
 				return nil, err
 			}
-			return fn(c), nil
+			return fn(ts), nil
 		},
 	})
 }
@@ -261,15 +258,15 @@ func init() {
 		ID: "table1", Title: "Table 1: Domain names used by different Dropbox services",
 		Run: func(ctx context.Context, s *Session) (*Result, error) { return Table1(), nil },
 	})
-	regCampaign("table2", "Table 2: Datasets overview", Table2)
-	regCampaign("table3", "Table 3: Total Dropbox traffic in the datasets", Table3)
+	regTallies("table2", "Table 2: Datasets overview", Table2)
+	regTallies("table3", "Table 3: Total Dropbox traffic in the datasets", Table3)
 	register(Experiment{
 		ID: "table4", Title: "Table 4: Campus 1 before and after the bundling deployment",
 		Run: func(ctx context.Context, s *Session) (*Result, error) {
 			return Table4Context(ctx, s.Seed, s.campus1Scale())
 		},
 	})
-	regCampaign("table5", "Table 5: User groups in Home 1 and Home 2", Table5)
+	regTallies("table5", "Table 5: User groups in Home 1 and Home 2", Table5)
 
 	register(Experiment{
 		ID: "figure1", Title: "Figure 1: The Dropbox protocol (testbed dissection)",
@@ -282,13 +279,13 @@ func init() {
 			return tb.Figure1, nil
 		},
 	})
-	regCampaign("figure2", "Figure 2: Popularity of cloud storage in Home 1", Figure2)
-	regCampaign("figure3", "Figure 3: YouTube and Dropbox share in Campus 2", Figure3)
-	regCampaign("figure4", "Figure 4: Traffic share of Dropbox servers", Figure4)
-	regCampaign("figure5", "Figure 5: Number of contacted storage servers", Figure5)
-	regCampaign("figure6", "Figure 6: Minimum RTT of storage and control flows", Figure6)
-	regCampaign("figure7", "Figure 7: TCP flow sizes of file storage (Dropbox client)", Figure7)
-	regCampaign("figure8", "Figure 8: Estimated number of chunks per storage flow", Figure8)
+	regTallies("figure2", "Figure 2: Popularity of cloud storage in Home 1", Figure2)
+	regTallies("figure3", "Figure 3: YouTube and Dropbox share in Campus 2", Figure3)
+	regTallies("figure4", "Figure 4: Traffic share of Dropbox servers", Figure4)
+	regTallies("figure5", "Figure 5: Number of contacted storage servers", Figure5)
+	regTallies("figure6", "Figure 6: Minimum RTT of storage and control flows", Figure6)
+	regTallies("figure7", "Figure 7: TCP flow sizes of file storage (Dropbox client)", Figure7)
+	regTallies("figure8", "Figure 8: Estimated number of chunks per storage flow", Figure8)
 	register(Experiment{
 		ID: "figure9", Title: "Figure 9: Throughput of storage flows (packet-level lab)",
 		Needs: Needs{Packet: true},
@@ -312,14 +309,14 @@ func init() {
 			return Figure10(store, retr), nil
 		},
 	})
-	regCampaign("figure11", "Figure 11: Data volume stored and retrieved per household", Figure11)
-	regCampaign("figure12", "Figure 12: Devices per household (Dropbox client)", Figure12)
-	regCampaign("figure13", "Figure 13: Number of namespaces per device", Figure13)
-	regCampaign("figure14", "Figure 14: Distinct device start-ups per day", Figure14)
-	regCampaign("figure15", "Figure 15: Daily usage of Dropbox on weekdays", Figure15)
-	regCampaign("figure16", "Figure 16: Distribution of session durations", Figure16)
-	regCampaign("figure17", "Figure 17: Storage via the main Web interface", Figure17)
-	regCampaign("figure18", "Figure 18: Size of direct link downloads", Figure18)
+	regTallies("figure11", "Figure 11: Data volume stored and retrieved per household", Figure11)
+	regTallies("figure12", "Figure 12: Devices per household (Dropbox client)", Figure12)
+	regTallies("figure13", "Figure 13: Number of namespaces per device", Figure13)
+	regTallies("figure14", "Figure 14: Distinct device start-ups per day", Figure14)
+	regTallies("figure15", "Figure 15: Daily usage of Dropbox on weekdays", Figure15)
+	regTallies("figure16", "Figure 16: Distribution of session durations", Figure16)
+	regTallies("figure17", "Figure 17: Storage via the main Web interface", Figure17)
+	regTallies("figure18", "Figure 18: Size of direct link downloads", Figure18)
 	register(Experiment{
 		ID: "figure19", Title: "Figure 19: Typical flows in storage operations (packet traces)",
 		Needs: Needs{Packet: true},
@@ -331,8 +328,8 @@ func init() {
 			return tb.Figure19, nil
 		},
 	})
-	regCampaign("figure20", "Figure 20: Bytes exchanged in storage flows (Campus 1) with f(u)", Figure20)
-	regCampaign("figure21", "Figure 21: Payload per estimated chunk (reverse direction)", Figure21)
+	regTallies("figure20", "Figure 20: Bytes exchanged in storage flows (Campus 1) with f(u)", Figure20)
+	regTallies("figure21", "Figure 21: Payload per estimated chunk (reverse direction)", Figure21)
 
 	register(Experiment{
 		ID: "fleet", Title: "Fleet campaign: streaming aggregates at device scale",

@@ -104,22 +104,21 @@ func TestSelectDefaultsAndGlobs(t *testing.T) {
 }
 
 // TestSessionSharesCampaign pins the memoization contract: every
-// campaign-consuming experiment in a session sees the same materialized
-// campaign.
+// experiment rendering from the tallies in a session sees the same ones.
 func TestSessionSharesCampaign(t *testing.T) {
 	s := &Session{Seed: 2012, Scale: ScaleConfig{Campus1: 0.1, Campus2: 0.02, Home1: 0.01, Home2: 0.01},
 		Fleet: fleet.Config{Shards: 1}}
 	ctx := context.Background()
-	c1, err := s.Campaign(ctx)
+	t1, err := s.Tallies(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := s.Campaign(ctx)
+	t2, err := s.Tallies(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 != c2 {
-		t.Fatal("session rebuilt the campaign")
+	if t1[0] != t2[0] {
+		t.Fatal("session folded the vantage points twice")
 	}
 
 	e, _ := ByID("table2")
@@ -139,23 +138,23 @@ func TestSessionRetriesAfterCancelledBuild(t *testing.T) {
 	s := &Session{Seed: 1, Scale: ScaleConfig{Campus1: 0.1, Campus2: 0.02, Home1: 0.01, Home2: 0.01}}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Campaign(cancelled); !errors.Is(err, context.Canceled) {
+	if _, err := s.Tallies(cancelled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build: err = %v", err)
 	}
-	c, err := s.Campaign(context.Background())
-	if err != nil || c == nil {
-		t.Fatalf("session latched the cancelled build: campaign=%v err=%v", c, err)
+	ts, err := s.Tallies(context.Background())
+	if err != nil || ts == nil {
+		t.Fatalf("session latched the cancelled build: tallies=%v err=%v", ts, err)
 	}
 }
 
-// TestCancelNewCampaign: a cancelled context aborts campaign
-// materialization with ctx.Err().
+// TestCancelNewCampaign: a cancelled context aborts the four vantage
+// points' fold with ctx.Err().
 func TestCancelNewCampaign(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c, err := NewCampaign(ctx, 1, SmallScale(), fleet.Config{Shards: 4})
-	if !errors.Is(err, context.Canceled) || c != nil {
-		t.Fatalf("NewCampaign under cancelled ctx: campaign=%v err=%v", c, err)
+	ts, err := Fold(ctx, 1, SmallScale(), fleet.Config{Shards: 4})
+	if !errors.Is(err, context.Canceled) || ts != nil {
+		t.Fatalf("Fold under cancelled ctx: tallies=%v err=%v", ts, err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"insidedropbox/internal/classify"
 	"insidedropbox/internal/dnssim"
 	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/wire"
 	"insidedropbox/internal/workload"
 )
 
@@ -41,49 +42,48 @@ func Table1() *Result {
 
 // Table2 reproduces the datasets overview: per vantage point, access type,
 // distinct client addresses and total volume.
-func Table2(c *Campaign) *Result {
+func Table2(ts Tallies) *Result {
 	res := newResult("table2", "Table 2: Datasets overview")
 	tb := analysis.NewTable(res.Title, "name", "type", "IP addrs", "vol (GB)", "scale")
 	types := map[string]string{
 		"campus1": "Wired", "campus2": "Wired/Wireless",
 		"home1": "FTTH/ADSL", "home2": "ADSL",
 	}
-	c.perVP(func(ds *workload.Dataset) {
-		vol := ds.TotalVolume()
-		tb.AddRow(ds.Cfg.Name, types[ds.Cfg.Name], ds.Cfg.TotalIPs, fmtGB(vol),
-			fmt.Sprintf("%.2f", ds.Cfg.Scale))
-		res.Metrics["ips_"+ds.Cfg.Name] = float64(ds.Cfg.TotalIPs)
-		res.Metrics["gb_"+ds.Cfg.Name] = vol / 1e9
-	})
+	for _, t := range ts {
+		var vol float64
+		for _, v := range t.Providers {
+			vol += float64(v.Bytes)
+		}
+		for _, v := range t.BackgroundByDay {
+			vol += v
+		}
+		tb.AddRow(t.Cfg.Name, types[t.Cfg.Name], t.Cfg.TotalIPs, fmtGB(vol),
+			fmt.Sprintf("%.2f", t.Cfg.Scale))
+		res.Metrics["ips_"+t.Cfg.Name] = float64(t.Cfg.TotalIPs)
+		res.Metrics["gb_"+t.Cfg.Name] = vol / 1e9
+	}
 	res.addText(tb.String())
 	return res
 }
 
 // Table3 reproduces total Dropbox traffic: flows, volume and devices per
 // vantage point.
-func Table3(c *Campaign) *Result {
+func Table3(ts Tallies) *Result {
 	res := newResult("table3", "Table 3: Total Dropbox traffic in the datasets")
 	tb := analysis.NewTable(res.Title, "name", "flows", "vol (GB)", "devices")
 	var totFlows, totDev int
 	var totVol float64
-	c.perVP(func(ds *workload.Dataset) {
-		recs := dropboxRecords(ds)
-		vol := 0.0
-		devices := make(map[uint64]bool)
-		for _, r := range recs {
-			vol += float64(r.BytesUp + r.BytesDown)
-			if r.NotifyHost != 0 {
-				devices[r.NotifyHost] = true
-			}
-		}
-		tb.AddRow(ds.Cfg.Name, len(recs), fmtGB(vol), len(devices))
-		res.Metrics["flows_"+ds.Cfg.Name] = float64(len(recs))
-		res.Metrics["gb_"+ds.Cfg.Name] = vol / 1e9
-		res.Metrics["devices_"+ds.Cfg.Name] = float64(len(devices))
-		totFlows += len(recs)
+	for _, t := range ts {
+		dbx := t.Providers[classify.ProvDropbox]
+		flows, vol, devices := int(dbx.Flows), float64(dbx.Bytes), len(t.hosts)
+		tb.AddRow(t.Cfg.Name, flows, fmtGB(vol), devices)
+		res.Metrics["flows_"+t.Cfg.Name] = float64(flows)
+		res.Metrics["gb_"+t.Cfg.Name] = vol / 1e9
+		res.Metrics["devices_"+t.Cfg.Name] = float64(devices)
+		totFlows += flows
 		totVol += vol
-		totDev += len(devices)
-	})
+		totDev += devices
+	}
 	tb.AddRow("total", totFlows, fmtGB(totVol), totDev)
 	res.Metrics["flows_total"] = float64(totFlows)
 	res.Metrics["gb_total"] = totVol / 1e9
@@ -95,30 +95,30 @@ func Table3(c *Campaign) *Result {
 // Table4Context compares Campus 1 before (Mar/Apr, client 1.2.52, server
 // IW 2) and after (Jun/Jul, client 1.4.0, bundling + tuned IW) — the
 // paper's quantification of the bundling deployment. Cancelling ctx aborts
-// both campaigns at fleet-shard granularity.
+// both folds at fleet-shard granularity.
 func Table4Context(ctx context.Context, seed int64, scale float64) (*Result, error) {
 	res := newResult("table4", "Table 4: Campus 1 before and after the bundling deployment")
-	// Both campaigns route through the fleet engine with one shard, so the
-	// records match the historical sequential generator while the two
-	// populations generate concurrently.
+	// Both populations fold with one shard, the historical sequential
+	// generator's, and concurrently.
 	cfgs := []workload.VPConfig{workload.Campus1(scale), workload.Campus1JunJul(scale)}
-	datasets := make([]*workload.Dataset, len(cfgs))
+	tallies := make([]*Tally, len(cfgs))
 	err := concurrently(len(cfgs), func(i int) (err error) {
-		datasets[i], err = fleet.Dataset(ctx, cfgs[i], seed+10+int64(i), fleet.Config{Shards: 1})
+		tallies[i], err = FoldVP(ctx, cfgs[i], seed+10+int64(i), fleet.Config{Shards: 1})
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	before, after := datasets[0], datasets[1]
+	before, after := tallies[0], tallies[1]
 
 	type stats struct {
 		medSize, avgSize, medTp, avgTp map[classify.Direction]float64
 	}
-	collect := func(ds *workload.Dataset) stats {
+	collect := func(t *Tally) stats {
 		sizes := map[classify.Direction][]float64{}
 		tps := map[classify.Direction][]float64{}
-		for _, r := range clientStorageRecords(ds) {
+		for i := range t.Storage {
+			r := &t.Storage[i]
 			d := classify.TagStorage(r)
 			p := classify.Payload(r, d)
 			if p <= 0 {
@@ -161,30 +161,27 @@ func Table4Context(ctx context.Context, seed int64, scale float64) (*Result, err
 }
 
 // Table5 reproduces the user-group characterization of the home networks.
-func Table5(c *Campaign) *Result {
+func Table5(ts Tallies) *Result {
 	res := newResult("table5", "Table 5: User groups in Home 1 and Home 2")
 	for _, name := range []string{"home1", "home2"} {
-		ds := c.ByName(name)
-		if ds == nil {
+		t := ts.ByName(name)
+		if t == nil {
 			continue
 		}
-		store, retr := householdVolumes(ds)
-		clients := dropboxClients(ds)
-		sessions := sessionsOf(ds)
+		store, retr := t.HouseholdVolumes()
+		devs := t.DevicesPerHousehold()
 
-		sessByIP := make(map[string]int)
-		daysByIP := make(map[string]map[int]bool)
-		for _, s := range sessions {
-			ip := s.Client.String()
-			sessByIP[ip]++
-			if daysByIP[ip] == nil {
-				daysByIP[ip] = make(map[int]bool)
+		sessByIP := make(map[wire.IP]int)
+		daysByIP := make(map[wire.IP]map[int]bool)
+		for _, s := range t.sessions {
+			sessByIP[s.Client]++
+			if daysByIP[s.Client] == nil {
+				daysByIP[s.Client] = make(map[int]bool)
 			}
 			for d := int(s.Start / (24 * time.Hour)); d <= int(s.End/(24*time.Hour)); d++ {
-				daysByIP[ip][d] = true
+				daysByIP[s.Client][d] = true
 			}
 		}
-		devs := classify.DevicesPerIP(ds.Records)
 
 		type agg struct {
 			addr, sess    int
@@ -196,17 +193,17 @@ func Table5(c *Campaign) *Result {
 			groups[g] = &agg{}
 		}
 		totalAddr, totalSess := 0, 0
-		for ip := range clients {
+		for ip, n := range devs {
 			g := classify.GroupOf(store[ip], retr[ip])
 			a := groups[g]
 			a.addr++
-			a.sess += sessByIP[ip.String()]
+			a.sess += sessByIP[ip]
 			a.retr += float64(retr[ip])
 			a.store += float64(store[ip])
-			a.days += float64(len(daysByIP[ip.String()]))
-			a.devices += float64(devs[ip])
+			a.days += float64(len(daysByIP[ip]))
+			a.devices += float64(n)
 			totalAddr++
-			totalSess += sessByIP[ip.String()]
+			totalSess += sessByIP[ip]
 		}
 		tb := analysis.NewTable(fmt.Sprintf("%s — %s", res.Title, name),
 			"group", "addr frac", "sess frac", "retr (GB)", "store (GB)", "avg days", "avg devices")

@@ -67,16 +67,6 @@ func (a *cancelingAgg) Consume(*traces.FlowRecord) {
 
 func (a *cancelingAgg) Merge(Aggregator) {}
 
-// TestDatasetCancel pins the materializing path's error contract.
-func TestDatasetCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ds, err := Dataset(ctx, workload.Home1(0.02), 3, Config{Shards: 2})
-	if !errors.Is(err, context.Canceled) || ds != nil {
-		t.Fatalf("Dataset under cancelled ctx: ds=%v err=%v", ds, err)
-	}
-}
-
 // TestStreamRecordsCancel cancels mid-stream and checks prompt teardown
 // with ctx.Err() surfaced.
 func TestStreamRecordsCancel(t *testing.T) {

@@ -35,8 +35,9 @@ func (a *hashAgg) Merge(Aggregator) {}
 // delivery is one policy of the executor reduced to a common shape: run
 // (vp, seed, fc) and report what each shard's records hashed to, plus the
 // merged stats. sizes carries the reference per-shard record counts, which
-// the ordered stream needs to find its shard boundaries. The materialising
-// policy sorts across shards, so it reports one hash, of the sorted set.
+// the ordered stream needs to find its shard boundaries. "materialise" is a
+// fold whose shards keep copies of their records, sorted across shards as
+// workload.Generate sorts them, so it reports one hash, of the sorted set.
 type delivery struct {
 	name   string
 	sorted bool
@@ -57,19 +58,12 @@ var deliveries = []delivery{
 		return hashes, stats, err
 	}},
 	{name: "materialise", sorted: true, run: func(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, _ []int) ([]uint64, VPStats, error) {
-		ds, err := Dataset(ctx, vp, seed, fc)
-		if err != nil {
-			return nil, VPStats{}, err
-		}
+		recs, stats, err := materialise(ctx, vp, seed, fc)
 		a := newHashAgg()
-		for _, r := range ds.Records {
+		for _, r := range recs {
 			a.Consume(r)
 		}
-		return []uint64{a.h.Sum64()}, VPStats{
-			Cfg: ds.Cfg, Shards: fc.Shards, Records: len(ds.Records),
-			Households: ds.DropboxHouseholds, Devices: ds.DropboxDevices,
-			BackgroundByDay: ds.BackgroundByDay, YouTubeByDay: ds.YouTubeByDay,
-		}, nil
+		return []uint64{a.h.Sum64()}, stats, err
 	}},
 	{name: "ordered stream", run: func(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, sizes []int) ([]uint64, VPStats, error) {
 		aggs := make([]*hashAgg, fc.Shards)
@@ -159,10 +153,8 @@ func TestExecutorContract(t *testing.T) {
 
 				if d.sorted {
 					if len(hashes) != 1 || hashes[0] != sortedAgg.h.Sum64() {
-						t.Fatalf("sorted dataset hash %x, want %x", hashes, sortedAgg.h.Sum64())
+						t.Fatalf("sorted record set hash %x, want %x", hashes, sortedAgg.h.Sum64())
 					}
-					// The dataset carries no cohort ground truth.
-					stats.CohortDevices, stats.CohortRecords = want.CohortDevices, want.CohortRecords
 				} else if !reflect.DeepEqual(hashes, wantHashes) {
 					t.Fatalf("per-shard record hashes %x, want %x", hashes, wantHashes)
 				}

@@ -7,12 +7,12 @@
 // partitions a population deterministically into shards (workload.ShardRange)
 // with per-shard seeds (workload.ShardSeed) and walks them with one
 // executor — one bounded worker pool (runShards), one pooled generate loop
-// (generatePooled) — under four delivery policies: unordered fold
+// (generatePooled) — under three delivery policies: unordered fold
 // (Aggregate, Summarize: a sink per shard, merged in shard-index order),
-// materialise (Dataset: every shard keeps its records), ordered stream
-// (StreamRecords, Records: one consumer, shard order, bounded window) and
-// durable part (ForEachShard with RunShard in the caller's per-shard task,
-// which is how internal/campaign writes and checkpoints part files).
+// ordered stream (StreamRecords, Records: one consumer, shard order,
+// bounded window) and durable part (ForEachShard with RunShard in the
+// caller's per-shard task, which is how internal/campaign writes and
+// checkpoints part files).
 //
 // The determinism contract:
 //
@@ -26,8 +26,7 @@
 // Every path draws its FlowRecords from a per-shard RecordPool, which
 // imposes one ownership rule on every consumer: a record (and its
 // NotifyNamespaces slice) is valid until Consume or emit returns, or the
-// range loop advances; copy what you keep (see RecordPool). Only Dataset,
-// which keeps every record, recycles none; everywhere else memory stays
+// range loop advances; copy what you keep (see RecordPool). Memory stays
 // bounded regardless of population size. PERFORMANCE.md tracks what
 // pooling buys (2.2x records/sec and 12.5x fewer allocs/record on the
 // 8-shard aggregation scenario, 1.6x and 3.5x fewer on the two-core export).
@@ -36,7 +35,6 @@ package fleet
 import (
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 
 	"insidedropbox/internal/traces"
@@ -267,39 +265,6 @@ func mergeStats(vp workload.VPConfig, fc Config, stats []workload.ShardStats) VP
 		CohortDevices:   merged.CohortDevices,
 		CohortRecords:   merged.CohortRecords,
 	}
-}
-
-// Dataset materializes a sharded run as a legacy workload.Dataset: every
-// shard keeps the records it generates, and the shard buffers are
-// concatenated in shard order and sorted by first-packet time. With
-// fc.Shards == 1 the result is bit-identical to workload.Generate (the
-// regression test pins this). A cancelled ctx aborts at shard granularity
-// and returns a nil dataset with ctx.Err().
-func Dataset(ctx context.Context, vp workload.VPConfig, seed int64, fc Config) (*workload.Dataset, error) {
-	fc = fc.normalized()
-	vp = fc.apply(vp)
-
-	bufs := make([][]*traces.FlowRecord, fc.Shards)
-	shardStats, err := runShards(ctx, fc, vp.Name, fc.allShards(), nil, func(sh int) (workload.ShardStats, error) {
-		return generatePooled(vp, seed, sh, fc.Shards, new(RecordPool), func(r *traces.FlowRecord) bool {
-			bufs[sh] = append(bufs[sh], r)
-			return true // kept for good: the dataset owns it
-		}), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	stats := mergeStats(vp, fc, shardStats)
-	recs := slices.Concat(bufs...)
-	workload.SortRecords(recs)
-	return &workload.Dataset{
-		Cfg:               stats.Cfg,
-		Records:           recs,
-		BackgroundByDay:   stats.BackgroundByDay,
-		YouTubeByDay:      stats.YouTubeByDay,
-		DropboxHouseholds: stats.Households,
-		DropboxDevices:    stats.Devices,
-	}, nil
 }
 
 // WriterSink adapts a traces.RecordWriter into a Sink: records stream

@@ -13,16 +13,36 @@ import (
 	"insidedropbox/internal/workload"
 )
 
-// mustDataset / mustSummarize run the ctx-aware engine entry points under
-// a background context, failing the test on the (impossible without
+// keepAgg is a fold whose shards keep a copy of every record, merged in
+// shard order: how a caller that wants a whole population builds it on
+// Aggregate.
+type keepAgg struct{ recs []*traces.FlowRecord }
+
+func (a *keepAgg) Consume(r *traces.FlowRecord) { a.recs = append(a.recs, keep(r)) }
+func (a *keepAgg) Merge(o Aggregator)           { a.recs = append(a.recs, o.(*keepAgg).recs...) }
+
+// materialise folds a population into copies of all its records, sorted by
+// first-packet time as workload.Generate sorts them.
+func materialise(ctx context.Context, cfg workload.VPConfig, seed int64, fc Config) ([]*traces.FlowRecord, VPStats, error) {
+	agg, stats, err := Aggregate(ctx, cfg, seed, fc, func(int) Aggregator { return new(keepAgg) })
+	if err != nil {
+		return nil, VPStats{}, err
+	}
+	recs := agg.(*keepAgg).recs
+	workload.SortRecords(recs)
+	return recs, stats, nil
+}
+
+// mustMaterialise / mustSummarize run the ctx-aware engine entry points
+// under a background context, failing the test on the (impossible without
 // cancellation) error path.
-func mustDataset(tb testing.TB, cfg workload.VPConfig, seed int64, fc Config) *workload.Dataset {
+func mustMaterialise(tb testing.TB, cfg workload.VPConfig, seed int64, fc Config) ([]*traces.FlowRecord, VPStats) {
 	tb.Helper()
-	ds, err := Dataset(context.Background(), cfg, seed, fc)
+	recs, stats, err := materialise(context.Background(), cfg, seed, fc)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ds
+	return recs, stats
 }
 
 func mustSummarize(tb testing.TB, cfg workload.VPConfig, seed int64, fc Config) (*Summary, VPStats) {
@@ -48,23 +68,23 @@ func keep(r *traces.FlowRecord) *traces.FlowRecord {
 func TestOneShardMatchesLegacyGenerate(t *testing.T) {
 	cfg := workload.Home1(0.03)
 	legacy := workload.Generate(cfg, 42)
-	fl := mustDataset(t, cfg, 42, Config{Shards: 1, Workers: 4})
+	recs, fl := mustMaterialise(t, cfg, 42, Config{Shards: 1, Workers: 4})
 
-	if len(fl.Records) != len(legacy.Records) {
-		t.Fatalf("record counts differ: fleet %d vs legacy %d", len(fl.Records), len(legacy.Records))
+	if len(recs) != len(legacy.Records) {
+		t.Fatalf("record counts differ: fleet %d vs legacy %d", len(recs), len(legacy.Records))
 	}
 	for i := range legacy.Records {
-		if !reflect.DeepEqual(*fl.Records[i], *legacy.Records[i]) {
-			t.Fatalf("record %d differs:\nfleet  %+v\nlegacy %+v", i, *fl.Records[i], *legacy.Records[i])
+		if !reflect.DeepEqual(*recs[i], *legacy.Records[i]) {
+			t.Fatalf("record %d differs:\nfleet  %+v\nlegacy %+v", i, *recs[i], *legacy.Records[i])
 		}
 	}
 	if !reflect.DeepEqual(fl.BackgroundByDay, legacy.BackgroundByDay) ||
 		!reflect.DeepEqual(fl.YouTubeByDay, legacy.YouTubeByDay) {
 		t.Fatal("background arrays differ")
 	}
-	if fl.DropboxHouseholds != legacy.DropboxHouseholds || fl.DropboxDevices != legacy.DropboxDevices {
+	if fl.Households != legacy.DropboxHouseholds || fl.Devices != legacy.DropboxDevices {
 		t.Fatalf("ground truth differs: %d/%d vs %d/%d",
-			fl.DropboxHouseholds, fl.DropboxDevices, legacy.DropboxHouseholds, legacy.DropboxDevices)
+			fl.Households, fl.Devices, legacy.DropboxHouseholds, legacy.DropboxDevices)
 	}
 }
 
@@ -76,25 +96,25 @@ func TestWorkerCountInvariance(t *testing.T) {
 	const shards = 7
 
 	workers := []int{1, 4, runtime.GOMAXPROCS(0)}
-	var baseDS *workload.Dataset
+	var baseRecs []*traces.FlowRecord
 	var baseMetrics map[string]float64
 	for _, w := range workers {
 		fc := Config{Shards: shards, Workers: w}
-		ds := mustDataset(t, cfg, 9, fc)
+		recs, _ := mustMaterialise(t, cfg, 9, fc)
 		sum, stats := mustSummarize(t, cfg, 9, fc)
-		if stats.Records != len(ds.Records) {
-			t.Fatalf("workers=%d: stats records %d != dataset %d", w, stats.Records, len(ds.Records))
+		if stats.Records != len(recs) {
+			t.Fatalf("workers=%d: stats records %d != materialised %d", w, stats.Records, len(recs))
 		}
 		m := sum.Metrics()
-		if baseDS == nil {
-			baseDS, baseMetrics = ds, m
+		if baseRecs == nil {
+			baseRecs, baseMetrics = recs, m
 			continue
 		}
-		if len(ds.Records) != len(baseDS.Records) {
-			t.Fatalf("workers=%d: %d records, want %d", w, len(ds.Records), len(baseDS.Records))
+		if len(recs) != len(baseRecs) {
+			t.Fatalf("workers=%d: %d records, want %d", w, len(recs), len(baseRecs))
 		}
-		for i := range ds.Records {
-			if !reflect.DeepEqual(*ds.Records[i], *baseDS.Records[i]) {
+		for i := range recs {
+			if !reflect.DeepEqual(*recs[i], *baseRecs[i]) {
 				t.Fatalf("workers=%d: record %d differs", w, i)
 			}
 		}
@@ -105,7 +125,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestStreamOrderedMatchesDataset checks the bounded-buffer streaming path
-// delivers exactly the Dataset record set, in canonical shard order.
+// delivers exactly the record set a fold keeps, in canonical shard order.
 func TestStreamOrderedMatchesDataset(t *testing.T) {
 	cfg := workload.Campus2(0.05)
 	fc := Config{Shards: 5, Workers: 3}
@@ -122,14 +142,14 @@ func TestStreamOrderedMatchesDataset(t *testing.T) {
 		t.Fatalf("stats records %d != streamed %d", stats.Records, len(streamed))
 	}
 
-	ds := mustDataset(t, cfg, 3, fc)
-	if len(ds.Records) != len(streamed) {
-		t.Fatalf("streamed %d records, dataset has %d", len(streamed), len(ds.Records))
+	recs, _ := mustMaterialise(t, cfg, 3, fc)
+	if len(recs) != len(streamed) {
+		t.Fatalf("streamed %d records, the fold kept %d", len(streamed), len(recs))
 	}
 	workload.SortRecords(streamed)
 	for i := range streamed {
-		if !reflect.DeepEqual(*streamed[i], *ds.Records[i]) {
-			t.Fatalf("record %d differs between streaming and dataset paths", i)
+		if !reflect.DeepEqual(*streamed[i], *recs[i]) {
+			t.Fatalf("record %d differs between the streaming and fold paths", i)
 		}
 	}
 }

@@ -43,8 +43,8 @@ func SplitJobs(shards, jobs int) []ShardJob {
 // calling goroutine, every record drawn from pool, the shard counted once
 // (fleet.records, fleet.shards_done, pool hits and misses) when it ends. A
 // record consume did not keep is recycled the moment consume returns; a
-// kept one is the caller's — to Put back later on this same goroutine (the
-// slabs of StreamRecords) or to own for good (Dataset).
+// kept one is the caller's to Put back later on this same goroutine (the
+// slabs of StreamRecords).
 func generatePooled(vp workload.VPConfig, seed int64, shard, nshards int, pool *RecordPool, consume func(*traces.FlowRecord) (kept bool)) workload.ShardStats {
 	st := workload.GenerateShardSink(vp, seed, shard, nshards, workload.ShardSink{
 		Emit: func(r *traces.FlowRecord) {

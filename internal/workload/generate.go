@@ -59,18 +59,6 @@ func (d *Dataset) Horizon() time.Duration {
 	return time.Duration(d.Cfg.Days) * 24 * time.Hour
 }
 
-// TotalVolume sums payload bytes over all records plus background.
-func (d *Dataset) TotalVolume() float64 {
-	total := 0.0
-	for _, r := range d.Records {
-		total += float64(r.BytesUp + r.BytesDown)
-	}
-	for _, v := range d.BackgroundByDay {
-		total += v
-	}
-	return total
-}
-
 // session is one device-online interval.
 type session struct {
 	start, end time.Duration

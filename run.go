@@ -596,18 +596,17 @@ func annotate(r *Result, spec Spec, elapsed time.Duration) {
 
 // ---------- ctx-aware campaign and lab entry points ----------
 
-// NewCampaign materializes the four vantage-point datasets through the
-// sharded fleet engine. fc.Shards == 1 reproduces the historical
-// sequential generator bit for bit; cancellation aborts at fleet-shard
-// granularity.
-func NewCampaign(ctx context.Context, seed int64, scale ScaleConfig, fc FleetConfig) (*Campaign, error) {
-	return experiments.NewCampaign(ctx, seed, scale, fc)
+// Fold folds the four vantage points' generated records into Tallies
+// through the sharded fleet engine, one pass per vantage point; no record
+// is kept past its fold. fc.Shards == 1 folds the historical sequential
+// generator's populations; cancellation aborts at fleet-shard granularity.
+func Fold(ctx context.Context, seed int64, scale ScaleConfig, fc FleetConfig) (Tallies, error) {
+	return experiments.Fold(ctx, seed, scale, fc)
 }
 
 // RunFleet streams all four vantage points through the sharded fleet
-// engine with bounded memory: records are aggregated as they are
-// generated and never accumulated, so FleetConfig.DevicesScale can grow
-// the population far past what NewCampaign could hold.
+// engine with bounded memory into fixed-size summaries, so
+// FleetConfig.DevicesScale can grow the population far past the paper's.
 func RunFleet(ctx context.Context, seed int64, scale ScaleConfig, fc FleetConfig) (*FleetReport, error) {
 	return experiments.RunFleet(ctx, seed, scale, fc)
 }

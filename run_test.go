@@ -36,7 +36,7 @@ func TestRunMatchesDirectCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	camp, err := NewCampaign(ctx, seed, goldenScale, FleetConfig{Shards: 1})
+	camp, err := Fold(ctx, seed, goldenScale, FleetConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
