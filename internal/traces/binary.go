@@ -50,14 +50,10 @@ package traces
 // the CSV format prints as "h%012x". Readers of anonymized streams return
 // Client == 0, matching the CSV reader's behaviour on anonymized rows.
 //
-// The block encoder and decoder themselves live in block.go (encodeBody /
-// decodeBody, the one body parser that the readers and WriteFrom share),
-// and the stream mechanics — header, accumulation, block cutting, ordered
-// delivery, Flush, the reader's hand-out loop — in the shared core
-// (codec.go). This file holds only what is specific to the
-// raw binary framing: the magic, the length-prefixed frame, and reading
-// one back. The flate archival tier (flate.go) frames the same block
-// bodies differently — the framings differ, the block bytes never do.
+// The block codec lives in block.go and the stream mechanics in the
+// shared core (codec.go); this file holds only the raw binary framing:
+// the magic, the length-prefixed frame, and slicing one back. The flate
+// tier (flate.go) frames the same block bodies differently.
 //
 // # Ownership
 //
@@ -68,7 +64,6 @@ package traces
 // allocated records that do not alias reader state.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -90,11 +85,9 @@ type BinaryWriter struct{ blockWriter }
 // scratch is warm (TestBinaryWriteAllocationFree pins it).
 func NewBinaryWriter(w io.Writer) *BinaryWriter { return NewParallelBinaryWriter(w, 1) }
 
-// NewParallelBinaryWriter wraps w with a writer that encodes blocks on a
-// pool of workers goroutines while preserving the exact output bytes of
-// NewBinaryWriter; workers <= 1 is NewBinaryWriter. Use it where
-// serialization, not generation, is the bottleneck (the export scenarios
-// in PERFORMANCE.md).
+// NewParallelBinaryWriter wraps w with a writer that encodes up to workers
+// blocks at once on goroutines of their own while preserving the exact
+// output bytes of NewBinaryWriter; workers <= 1 is NewBinaryWriter.
 func NewParallelBinaryWriter(w io.Writer, workers int) *BinaryWriter {
 	onFrame := countBinaryFrame
 	if workers > 1 {
@@ -103,7 +96,9 @@ func NewParallelBinaryWriter(w io.Writer, workers int) *BinaryWriter {
 			mParBlocks.Inc()
 		}
 	}
-	return &BinaryWriter{newBlockWriter(w, binaryMagic, workers, finishBinaryFrame, onFrame)}
+	bw := &BinaryWriter{}
+	bw.init(w, binaryMagic, workers, finishBinaryFrame, onFrame)
+	return bw
 }
 
 // finishBinaryFrame encodes one accum as a length-prefixed binary block.
@@ -158,33 +153,34 @@ func readExact(r io.Reader, scratch []byte, n int) ([]byte, error) {
 // Read, ReadBlock and Anonymized come from the shared core.
 type BinaryReader struct {
 	blockReader
-	body []byte // block read scratch
+	body []byte // the block scratch WriteFrom slices into
 }
 
-// NewBinaryReader wraps r.
+// NewBinaryReader wraps r. Blocks decode on up to GOMAXPROCS goroutines
+// once read-ahead starts; the records are those of a sequential read.
 func NewBinaryReader(r io.Reader) *BinaryReader {
-	br := &BinaryReader{blockReader: blockReader{br: bufio.NewReader(r), magic: binaryMagic}}
-	br.nextBody = br.readBlock
+	br := &BinaryReader{}
+	br.init(r, binaryMagic, br.sliceBlock, func(s *frameSlot) ([]byte, error) { return s.payload, nil })
 	return br
 }
 
-// readBlock reads the next length-prefixed block body; the stream ends at
-// EOF on a block boundary.
-func (r *BinaryReader) readBlock() ([]byte, error) {
+// sliceBlock reads the next length-prefixed block body into s; the stream
+// ends at EOF on a block boundary.
+func (r *BinaryReader) sliceBlock(s *frameSlot) error {
 	bodyLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return io.EOF
 		}
-		return nil, fmt.Errorf("traces: reading block length: %w", err)
+		return fmt.Errorf("traces: reading block length: %w", err)
 	}
 	if bodyLen == 0 || bodyLen > 1<<31 {
-		return nil, fmt.Errorf("traces: implausible block length %d", bodyLen)
+		return fmt.Errorf("traces: implausible block length %d", bodyLen)
 	}
-	body, err := readExact(r.br, r.body, int(bodyLen))
-	r.body = body[:0]
+	s.payload, err = readExact(r.br, s.payload, int(bodyLen))
 	if err != nil {
-		return nil, fmt.Errorf("traces: reading block body: %w", err)
+		return fmt.Errorf("traces: reading block body: %w", err)
 	}
-	return body, nil
+	s.rawLen = int(bodyLen)
+	return nil
 }

@@ -4,12 +4,12 @@ package traces
 // blockAccum accumulates records column-wise and encodes one block body
 // (the `body` production of the wire format documented in binary.go);
 // blockAccum.decodeBody parses a body back into columns. Both framings of
-// the writer and reader core (codec.go), inline or on the worker pool,
-// build and parse their frames with exactly these two functions, which is
-// what makes the "worker count and framing never change the decoded
-// records" contract checkable block by block.
+// the writer and reader core (codec.go), in every slot of the ring, build
+// and parse their frames with exactly these two functions, which is what
+// makes the "worker count and framing never change the decoded records"
+// contract checkable block by block.
 //
-// The parsed columns serve two consumers: decodeBlockBody fills the
+// The parsed columns serve two consumers: blockReader.build makes the
 // readers' records from them, and the writer core's WriteFrom copies
 // them block to block, appendRange appending a range of them to another
 // accumulator with the bytes add would have produced record by record.
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"insidedropbox/internal/wire"
@@ -494,78 +495,56 @@ func (c *dictU64) decode(d *bdec, n int) {
 // decode reads one string column of n records into the reset column;
 // names interns the entries, so a name costs one allocation per stream,
 // not per block.
-func (c *dictCol) decode(d *bdec, n int, names *internTable) {
+func (c *dictCol) decode(d *bdec, n int, names interface{ get([]byte) string }) {
 	for dl := d.dictLen(); dl > 0; dl-- {
 		c.entries = append(c.entries, names.get(d.bytes(int(d.uvarint()))))
 	}
 	c.refs = d.refs(c.refs, n, len(c.entries))
 }
 
-// blockDecScratch holds what a block decoder keeps across blocks: the
-// columns of the block last decoded, the string intern table and, for a
-// reader handing out whole blocks, the records themselves.
-type blockDecScratch struct {
-	cols  blockAccum
-	names internTable
-
-	// reuse makes decodeBlockBody decode into recs, backing and ns, over
-	// the records of the block decoded before, instead of fresh storage.
-	reuse   bool
-	recs    []*FlowRecord
-	backing []FlowRecord
-	ns      []uint32
+// sharedNames is the intern table of a block reader, whose frames decode
+// on goroutines of their own: a name costs one allocation per reader, not
+// one per ring slot.
+type sharedNames struct {
+	mu sync.Mutex
+	t  internTable
 }
 
-// records returns the n zeroed records a block decodes into.
-func (sc *blockDecScratch) records(n int) []*FlowRecord {
+func (s *sharedNames) get(b []byte) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.t.get(b)
+}
+
+// build makes the records of c's block from record from on: freshly
+// allocated ones, or with reuse the reader's own, valid until the next
+// call. Neither aliases c, whose strings are interned and shared. An
+// anonymized stream decodes with Client == 0, matching the CSV reader's
+// behaviour on anonymized rows.
+func (rd *blockReader) build(c *blockAccum, from int, reuse bool) []*FlowRecord {
+	n, nsFrom := c.n-from, 0
+	for _, k := range c.nsCount[:from] {
+		nsFrom += int(k)
+	}
+	nsN := len(c.nsVals) - nsFrom
 	var recs []*FlowRecord
 	var backing []FlowRecord
-	switch {
-	case !sc.reuse:
-		recs, backing = make([]*FlowRecord, n), make([]FlowRecord, n)
-	case cap(sc.backing) < n:
-		sc.recs, sc.backing = make([]*FlowRecord, n), make([]FlowRecord, n)
-		recs, backing = sc.recs, sc.backing
-	default:
-		recs, backing = sc.recs[:n], sc.backing[:n]
+	var ns []uint32
+	if reuse {
+		recs, backing, ns = rd.keep[:0], rd.backing[:0], rd.ns[:0]
+	}
+	recs, backing, ns = slices.Grow(recs, n)[:n], slices.Grow(backing, n)[:n], slices.Grow(ns, nsN)[:nsN]
+	if reuse {
+		rd.keep, rd.backing, rd.ns = recs, backing, ns
 		clear(backing)
 	}
-	for i := range recs {
-		recs[i] = &backing[i]
-	}
-	return recs
-}
-
-// nsSlab returns the slab holding every namespace list of a block.
-func (sc *blockDecScratch) nsSlab(total int) []uint32 {
-	if !sc.reuse {
-		return make([]uint32, total)
-	}
-	if cap(sc.ns) < total {
-		sc.ns = make([]uint32, total)
-	}
-	return sc.ns[:total]
-}
-
-// decodeBlockBody parses one block body into records that do not alias
-// body: freshly allocated ones, or with sc.reuse the scratch's own, valid
-// until the next call. The body is parsed once, by decodeBody into the
-// scratch's columns, and the records are filled from those. String fields
-// are interned in the scratch and shared between records either way. anon
-// streams decode with Client == 0, matching the CSV reader's behaviour on
-// anonymized rows.
-func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord, error) {
-	c := &sc.cols
-	if err := c.decodeBody(body, &sc.names); err != nil {
-		return nil, err
-	}
-	recs := sc.records(c.n)
-	ns := sc.nsSlab(len(c.nsVals))
-	for i, v := range c.nsVals {
+	for i, v := range c.nsVals[nsFrom:] {
 		ns[i] = uint32(v)
 	}
-	for i, r := range recs {
-		if !anon {
+	for k := range recs {
+		r, i := &backing[k], from+k
+		recs[k] = r
+		if !rd.anon {
 			r.Client = wire.IP(c.client.entries[c.client.refs[i]])
 		}
 		r.Server = wire.IP(c.server.entries[c.server.refs[i]])
@@ -584,10 +563,10 @@ func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord
 		r.CertName = c.cert.entries[c.cert.refs[i]]
 		r.FQDN = c.fqdn.entries[c.fqdn.refs[i]]
 		r.NotifyHost = c.notifyHost[i]
-		if k := int(c.nsCount[i]); k > 0 {
+		if m := int(c.nsCount[i]); m > 0 {
 			// Capacity-capped, so appending to one record's list cannot
 			// write into its neighbour's.
-			r.NotifyNamespaces, ns = ns[:k:k], ns[k:]
+			r.NotifyNamespaces, ns = ns[:m:m], ns[m:]
 		}
 		fl := c.flags[i]
 		r.SawSYN = fl&(1<<0) != 0
@@ -595,7 +574,7 @@ func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord
 		r.SawRST = fl&(1<<2) != 0
 		r.ServerClosed = fl&(1<<3) != 0
 	}
-	return recs, nil
+	return recs
 }
 
 // decodeBody is encodeBody's inverse, and the one parser of a block body:
@@ -604,8 +583,8 @@ func decodeBlockBody(body []byte, anon bool, sc *blockDecScratch) ([]*FlowRecord
 // or returns the first bound the body breaks. It narrows each value the
 // way a FlowRecord holds it (ports to 16 bits, addresses and namespaces
 // to 32, flags to their four bits), so appendRange re-encodes the bytes
-// Write gives the records decodeBlockBody fills from the same columns.
-func (a *blockAccum) decodeBody(body []byte, names *internTable) error {
+// Write gives the records fill builds from the same columns.
+func (a *blockAccum) decodeBody(body []byte, names interface{ get([]byte) string }) error {
 	a.reset()
 	d := &bdec{b: body}
 	n := int(d.uvarint())

@@ -4,24 +4,25 @@ package traces
 // block-framed serialization. A framing (binary.go, flate.go) supplies
 // only what genuinely differs — its 6-byte magic, a frame finisher that
 // turns a filled blockAccum into frame bytes, and on the read side a
-// function producing the next block body. The stream header, record
-// accumulation, cutting blocks at BlockRecords, in-order frame delivery,
-// the partial block on Flush and the hand-out loop of Read exist once,
-// here — as does WriteFrom, the block-to-block copy out of a binary
-// stream that re-blocks columns instead of records.
+// slice step that reads one frame's bytes off the stream and a body step
+// that yields its block body. The stream header, record accumulation,
+// cutting blocks at BlockRecords, in-order frame delivery, the partial
+// block on Flush and the hand-out loop of Read exist once, here — as does
+// WriteFrom, the block-to-block copy out of a binary stream that
+// re-blocks columns instead of records.
 //
-// The writer encodes where its worker count says: at workers <= 1 every
-// frame is finished and written on the caller's goroutine and the writer
-// owns no goroutines at all; above that, filled blocks go to the ordered
-// blockPool (parallel.go). Block boundaries depend only on the record
-// sequence and a frame's bytes only on its block, so the stream is
-// byte-identical for every worker count (TestCodecMatrix pins it).
+// Both directions run their frames through one ordered slot ring
+// (ring.go): the writer's has a slot per worker plus the caller's, the
+// reader's GOMAXPROCS+1. The stream's bytes, and a reader's records and
+// first error, are the same for every worker count (TestCodecMatrix,
+// TestReadErrorsInStreamOrder).
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 )
 
 // DefaultBlockRecords is the records-per-block target of the block
@@ -47,40 +48,36 @@ type blockWriter struct {
 	w     io.Writer
 	magic [6]byte
 	// finish encodes one filled accum as a frame; the bytes are owned by
-	// the accum and stay valid until it is reset. onFrame runs after each
-	// successful frame write, in stream order — telemetry and index
-	// builders hang off it. With a pool both run on its goroutines.
+	// the accum and stay valid until it is reset. It runs on the frame's
+	// goroutine. onFrame runs on the caller's after each successful frame
+	// write, in stream order — telemetry and index builders hang off it.
 	finish  func(*encScratch, *blockAccum) []byte
 	onFrame func(*blockAccum, []byte)
-	pool    *blockPool // nil: frames are finished and written inline
+	ring    ring // frames being finished, oldest first
 
 	started bool
 	err     error
-	cur     *blockAccum // block under construction; nil between blocks
-	acc     blockAccum  // the inline path's only accumulator
-	st      encScratch  // the inline path's finisher scratch
+	cur     *frameSlot // block under construction; nil between blocks
 
-	// WriteFrom's source block, with the dictionary remap tables, and the
+	// WriteFrom's source frame, with the dictionary remap tables, and the
 	// names its dictionaries are interned in: one allocation per name per
-	// writer, not per source stream.
-	src   blockAccum
+	// writer, not per source stream. Its bytes are sliced into the
+	// reader's body scratch.
+	src   frameSlot
 	names internTable
 }
 
 // errAnonymizedSource reports a WriteFrom whose source cannot be copied.
 var errAnonymizedSource = errors.New("traces: WriteFrom needs a full-fidelity source: an anonymized stream's client tokens cannot be turned back into addresses")
 
-// newBlockWriter builds the core for one framing. workers <= 1 encodes
-// inline on the caller's goroutine.
-func newBlockWriter(w io.Writer, magic [6]byte, workers int,
+// init readies the core of a framing's writer over w. workers <= 1
+// encodes inline on the caller's goroutine.
+func (w *blockWriter) init(dst io.Writer, magic [6]byte, workers int,
 	finish func(*encScratch, *blockAccum) []byte,
-	onFrame func(*blockAccum, []byte)) blockWriter {
+	onFrame func(*blockAccum, []byte)) {
 
-	bw := blockWriter{w: w, magic: magic, finish: finish, onFrame: onFrame}
-	if workers > 1 {
-		bw.pool = newBlockPool(w, workers, finish, onFrame)
-	}
-	return bw
+	w.w, w.magic, w.finish, w.onFrame = dst, magic, finish, onFrame
+	w.ring = ring{size: ringSize(workers), work: func(s *frameSlot) { s.frame = finish(&s.enc, &s.cols) }}
 }
 
 func (w *blockWriter) blockTarget() int {
@@ -108,25 +105,37 @@ func (w *blockWriter) start() error {
 	return nil
 }
 
-// begin opens the next block: the header on first use, then an
-// accumulator — the writer's own when encoding inline, otherwise one from
-// the pool (restarting it after a Flush), which blocks only when every
-// in-flight block is still being encoded. A write error on the pool's
-// merger surfaces here, at the next block boundary.
+// begin opens the next block: the header on first use, then a slot of
+// the ring — writing the oldest frame first when every slot is in flight,
+// which blocks (and counts the stall) only when that frame is still
+// being finished.
 func (w *blockWriter) begin() error {
 	if err := w.start(); err != nil {
 		return err
 	}
-	if w.pool == nil {
-		w.cur = &w.acc
-		return nil
+	if w.ring.n == w.ring.size && w.retire(true) != nil {
+		return w.err
 	}
-	if err := w.pool.loadErr(); err != nil {
-		return err // not latched: Flush must still reach the drain
-	}
-	w.pool.start()
-	w.cur = w.pool.getAccum()
+	w.cur = w.ring.claim()
 	return nil
+}
+
+// retire takes the oldest frame back from the ring and writes it — one
+// Write per frame, so an unbuffered underlying writer sees one syscall per
+// block. The first write error is latched: later Writes and Flushes
+// report it, and frames still in flight finish unwritten.
+func (w *blockWriter) retire(countStall bool) error {
+	s, stalled := w.ring.pop()
+	if stalled && countStall {
+		mParStalls.Inc()
+	}
+	if w.err == nil {
+		if _, w.err = w.w.Write(s.frame); w.err == nil {
+			w.onFrame(&s.cols, s.frame)
+		}
+	}
+	s.cols.reset()
+	return w.err
 }
 
 // Write buffers one record; nothing in r is retained after return.
@@ -136,8 +145,8 @@ func (w *blockWriter) Write(r *FlowRecord) error {
 			return err
 		}
 	}
-	w.cur.add(r, w.Anonymize)
-	if w.cur.n >= w.blockTarget() {
+	w.cur.cols.add(r, w.Anonymize)
+	if w.cur.cols.n >= w.blockTarget() {
 		return w.cut()
 	}
 	return nil
@@ -149,8 +158,9 @@ func (w *blockWriter) Write(r *FlowRecord) error {
 // is built: each source block is decoded column-wise into the writer's
 // scratch and appended in ranges onto the block grid, every dictionary
 // entry remapped (and anonymized) once per range rather than per record.
-// Records a Read already decoded go through Write. r's end of stream, or
-// its read error, stays latched in r as after a Read.
+// Records a Read already decoded go through Write, and frames r already
+// read ahead are taken from its ring. r's end of stream, or its read
+// error, stays latched in r as after a Read.
 func (w *blockWriter) WriteFrom(r *BinaryReader) (int, error) {
 	if r.err == nil {
 		r.err = r.ensureHeader()
@@ -171,29 +181,37 @@ func (w *blockWriter) WriteFrom(r *BinaryReader) (int, error) {
 		}
 		n++
 	}
+	r.ahead = false
 	for {
-		body, err := r.nextBody()
-		if err == nil {
-			err = w.src.decodeBody(body, &w.names)
+		s := &w.src
+		if r.ring.n > 0 {
+			s = r.take()
+		} else {
+			s.payload = r.body
+			if s.err = r.slice(s); s.err == nil {
+				s.err = s.cols.decodeBody(s.payload, &w.names)
+			}
+			r.body = s.payload
 		}
-		if err != nil {
-			r.err = err
-			if err == io.EOF {
+		if s.err != nil {
+			r.err = s.err
+			if s.err == io.EOF {
 				return n, nil
 			}
-			return n, err
+			return n, s.err
 		}
-		for lo := 0; lo < w.src.n; {
+		src := &s.cols
+		for lo := 0; lo < src.n; {
 			if w.cur == nil {
 				if err := w.begin(); err != nil {
 					return n, err
 				}
 			}
-			hi := min(w.src.n, lo+w.blockTarget()-w.cur.n)
-			w.cur.appendRange(&w.src, lo, hi, w.Anonymize)
+			hi := min(src.n, lo+w.blockTarget()-w.cur.cols.n)
+			w.cur.cols.appendRange(src, lo, hi, w.Anonymize)
 			n += hi - lo
 			lo = hi
-			if w.cur.n >= w.blockTarget() {
+			if w.cur.cols.n >= w.blockTarget() {
 				if err := w.cut(); err != nil {
 					return n, err
 				}
@@ -202,71 +220,85 @@ func (w *blockWriter) WriteFrom(r *BinaryReader) (int, error) {
 	}
 }
 
-// cut turns the block under construction into a frame: submitted to the
-// pool, or finished and written here — one Write per frame, so an
-// unbuffered underlying writer sees one syscall per block.
+// cut hands the block under construction to the ring: finished on a
+// goroutine of its own, or here and written at once with one slot.
 func (w *blockWriter) cut() error {
-	acc := w.cur
-	if w.pool != nil {
-		w.cur = nil
-		w.pool.submit(acc)
-		return nil
+	s := w.cur
+	w.cur = nil
+	w.ring.start(s, w.ring.size == 1)
+	if w.ring.size == 1 {
+		return w.retire(false) // a failed write latches, and the next Write reports it
 	}
-	frame := w.finish(&w.st, acc)
-	if _, err := w.w.Write(frame); err != nil {
-		w.err, w.cur = err, nil // the next Write reports it from begin
-		return err
-	}
-	w.onFrame(acc, frame)
-	acc.reset()
 	return nil
 }
 
 // Flush writes the partially filled block — and the stream header, so a
 // zero-record export is a valid (empty) stream, not an empty file — then
-// waits until every submitted block has been encoded and written and
-// stops the pool: a flushed writer owns no goroutines. A flushed partial
-// block is simply a smaller block, so the core stays appendable; framings
-// with a trailer make their own Flush terminal.
+// waits until every frame has been finished and written: a flushed writer
+// owns no goroutines. A flushed partial block is simply a smaller block,
+// so the core stays appendable; framings with a trailer make their own
+// Flush terminal.
 func (w *blockWriter) Flush() error {
-	if err := w.start(); err != nil {
-		return err
+	if w.start() == nil && w.cur != nil {
+		w.cut()
 	}
-	if w.cur != nil && w.cur.n > 0 {
-		if err := w.cut(); err != nil {
-			return err
-		}
+	for w.ring.n > 0 {
+		w.retire(false)
 	}
-	if w.pool != nil {
-		if err := w.pool.drain(); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	return nil
+	return w.err
 }
 
 // blockReader is the reader core the framings embed: it validates the
 // stream header, then hands out the records of one decoded block at a
-// time — singly (Read) or all that are left (ReadBlock) — asking the
-// framing for the next block body when they run out.
+// time — singly (Read) or all that are left (ReadBlock). The framing's
+// slice reads a frame's bytes on the caller's goroutine; its body step
+// and decodeBody turn them into columns in the frame's ring slot, on the
+// frame's own goroutine once read-ahead is on; the caller builds records
+// from the columns, and only from a seek target on.
 type blockReader struct {
 	br    *bufio.Reader
 	magic [6]byte
-	// nextBody returns the next block body (it may alias framing scratch:
-	// the core decodes it before asking again), or io.EOF at a clean end
-	// of stream.
-	nextBody func() ([]byte, error)
+	// slice reads the next frame's bytes into a slot, or returns io.EOF at
+	// a clean end of stream. check vets each frame taken back from the
+	// ring, in stream order, and returns the frame's error.
+	slice func(*frameSlot) error
+	check func(*frameSlot) error
 
 	header bool
 	anon   bool
 	err    error
 
-	recs []*FlowRecord // decoded records of the current block
+	ring     ring        // GOMAXPROCS+1 slots, or one worked inline
+	names    sharedNames // every slot's strings, interned once per reader
+	started  int         // claimed slots whose work has started, oldest first
+	inFlight int         // declared body bytes of the started slots
+	ended    bool        // a claimed slot holds the end of the stream or an error
+	ahead    bool        // read-ahead: a block was handed out whole since the last seek
+	whole    bool        // the current block is handed out from its first record
+
+	recs []*FlowRecord // records of the current block
 	next int
 	skip int // records to discard after a seek landed mid-block
 
-	sc blockDecScratch // decode scratch; ReadBlock's records live here
+	// ReadBlock's records, their backing and namespace slab, reused
+	keep    []*FlowRecord
+	backing []FlowRecord
+	ns      []uint32
+}
+
+// init readies the core of a framing's reader over src; body returns a
+// sliced frame's block body and runs with decodeBody on the frame's
+// goroutine.
+func (r *blockReader) init(src io.Reader, magic [6]byte, slice func(*frameSlot) error, body func(*frameSlot) ([]byte, error)) {
+	r.br, r.magic, r.slice = bufio.NewReader(src), magic, slice
+	r.check = func(s *frameSlot) error { return s.err }
+	r.ring = ring{size: ringSize(runtime.GOMAXPROCS(0)), work: func(s *frameSlot) {
+		b, err := body(s)
+		if err == nil {
+			err = s.cols.decodeBody(b, &r.names)
+		}
+		s.err = err
+	}}
 }
 
 // Anonymized reports whether the stream's client column is anonymized
@@ -294,8 +326,8 @@ func (r *blockReader) ensureHeader() error {
 }
 
 // fill makes sure the current block has a record left to hand out,
-// decoding the next block (and the ones a pending seek skips whole) when
-// it has none: into fresh records, or with reuse into the scratch's own.
+// taking the next frame (and the ones a pending seek skips whole) when it
+// has none: into fresh records, or with reuse into the reader's own.
 func (r *blockReader) fill(reuse bool) error {
 	if r.err != nil {
 		return r.err
@@ -305,21 +337,56 @@ func (r *blockReader) fill(reuse bool) error {
 		return err
 	}
 	for r.next >= len(r.recs) {
-		body, err := r.nextBody()
-		var recs []*FlowRecord
-		if err == nil {
-			r.sc.reuse = reuse
-			recs, err = decodeBlockBody(body, r.anon, &r.sc)
-		}
-		if err != nil {
+		r.ahead = r.ahead || r.whole && r.ring.size > 1
+		s := r.take()
+		if err := r.check(s); err != nil {
 			r.err = err
 			return err
 		}
-		n := min(r.skip, len(recs))
-		r.recs, r.next = recs, n
-		r.skip -= n
+		from := min(r.skip, s.cols.n)
+		r.skip -= from
+		r.whole = from == 0
+		r.recs, r.next = r.build(&s.cols, from, reuse), 0
 	}
 	return nil
+}
+
+// take returns the next frame in stream order once it is decoded. It
+// first slices frames into free slots and starts them: one frame without
+// read-ahead, up to the whole ring with it, and a frame beyond the first
+// only while the declared body bytes in flight stay within maxFrameRaw.
+// A slot's first frame is worked on the caller's goroutine, which sizes
+// the slot's scratch there.
+func (r *blockReader) take() *frameSlot {
+	q := &r.ring
+	for {
+		if r.started < q.n {
+			s := q.at(r.started)
+			if r.started > 0 && r.inFlight+s.rawLen > maxFrameRaw {
+				break
+			}
+			r.started++
+			r.inFlight += s.rawLen
+			if s.err == nil {
+				if r.ahead {
+					mReadAheadFrames.Inc()
+				}
+				q.start(s, !r.ahead || !s.warm)
+				s.warm = true
+			}
+			continue
+		}
+		if r.ended || q.n == q.size || q.n > 0 && !r.ahead {
+			break
+		}
+		s := q.claim()
+		s.err = r.slice(s)
+		r.ended = s.err != nil
+	}
+	s, _ := q.pop()
+	r.started--
+	r.inFlight -= s.rawLen
+	return s
 }
 
 // Read returns the next record, or io.EOF at end of stream. Returned

@@ -2,6 +2,7 @@ package traces
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -148,6 +149,22 @@ func checkHandOuts(t testing.TB, newReader func() recordReader) error {
 	return errRead
 }
 
+// readerWorkers are the worker counts the block-reader tests run at: the
+// inline ring of GOMAXPROCS=1 and a concurrent one.
+var readerWorkers = []int{1, 4}
+
+// core exposes the reader core under either framing's reader.
+func (r *blockReader) core() *blockReader { return r }
+
+// withWorkers sizes a block reader's ring as GOMAXPROCS = workers would,
+// before its first read; any other reader is returned as it is.
+func withWorkers[R any](rd R, workers int) R {
+	if b, ok := any(rd).(interface{ core() *blockReader }); ok {
+		b.core().ring.size = ringSize(workers)
+	}
+	return rd
+}
+
 // waitForGoroutines polls until the goroutine count drops back to base
 // (the runtime needs a beat to unwind exiting goroutines).
 func waitForGoroutines(t *testing.T, base int) {
@@ -286,35 +303,38 @@ func testTruncated(t *testing.T, f codecFraming, seed int64) {
 
 // TestReadBlockOwnership pins who owns what: a block's records are the
 // reader's and are overwritten by the next ReadBlock, while a record Read
-// returned stays the caller's whatever is called afterwards.
+// returned stays the caller's whatever is called afterwards — with the
+// ring inline and with frames decoded ahead.
 func TestReadBlockOwnership(t *testing.T) {
 	recs := randRecords(77, 1_000)
 	for _, f := range codecFramings {
-		rd := f.newReader(bytes.NewReader(encodeStream(t, f, recs, 100, 0, false)))
-		mine, err := rd.Read() // record 0, out of a block Read decoded
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rd.ReadBlock(); err != nil { // the rest of that block
-			t.Fatal(err)
-		}
-		first, err := rd.ReadBlock() // records 100..199, the reader's own
-		if err != nil {
-			t.Fatal(err)
-		}
-		kept, was := first[0], cloneRecord(first[0])
-		if !reflect.DeepEqual(normalize(was), normalize(recs[100])) {
-			t.Fatalf("%s: second block starts with %+v, want record 100", f.name, was)
-		}
-		second, err := rd.ReadBlock() // records 200..299, over the first
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kept != second[0] || reflect.DeepEqual(kept, was) || !reflect.DeepEqual(normalize(kept), normalize(recs[200])) {
-			t.Fatalf("%s: a record kept past the next ReadBlock reads %+v, want the reused storage holding record 200", f.name, kept)
-		}
-		if !reflect.DeepEqual(normalize(mine), normalize(recs[0])) {
-			t.Fatalf("%s: a record Read returned changed under later ReadBlocks: %+v", f.name, mine)
+		for _, workers := range readerWorkers {
+			rd := withWorkers(f.newReader(bytes.NewReader(encodeStream(t, f, recs, 100, 0, false))), workers)
+			mine, err := rd.Read() // record 0, out of a block Read decoded
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rd.ReadBlock(); err != nil { // the rest of that block
+				t.Fatal(err)
+			}
+			first, err := rd.ReadBlock() // records 100..199, the reader's own
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept, was := first[0], cloneRecord(first[0])
+			if !reflect.DeepEqual(normalize(was), normalize(recs[100])) {
+				t.Fatalf("%s workers=%d: second block starts with %+v, want record 100", f.name, workers, was)
+			}
+			second, err := rd.ReadBlock() // records 200..299, over the first
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kept != second[0] || reflect.DeepEqual(kept, was) || !reflect.DeepEqual(normalize(kept), normalize(recs[200])) {
+				t.Fatalf("%s workers=%d: a record kept past the next ReadBlock reads %+v, want the reused storage holding record 200", f.name, workers, kept)
+			}
+			if !reflect.DeepEqual(normalize(mine), normalize(recs[0])) {
+				t.Fatalf("%s workers=%d: a record Read returned changed under later ReadBlocks: %+v", f.name, workers, mine)
+			}
 		}
 	}
 }
@@ -326,35 +346,37 @@ func TestReadBlockInterleaved(t *testing.T) {
 	recs := randRecords(78, 3_000)
 	rng := rand.New(rand.NewSource(78))
 	for _, f := range codecFramings {
-		rd := f.newReader(bytes.NewReader(encodeStream(t, f, recs, 128, 0, false)))
-		var got []*FlowRecord
-		var err error
-		for err == nil {
-			for k := rng.Intn(5); k > 0 && err == nil; k-- {
-				var rec *FlowRecord
-				if rec, err = rd.Read(); err == nil {
-					got = append(got, rec)
+		for _, workers := range readerWorkers {
+			rd := withWorkers(f.newReader(bytes.NewReader(encodeStream(t, f, recs, 128, 0, false))), workers)
+			var got []*FlowRecord
+			var err error
+			for err == nil {
+				for k := rng.Intn(5); k > 0 && err == nil; k-- {
+					var rec *FlowRecord
+					if rec, err = rd.Read(); err == nil {
+						got = append(got, rec)
+					}
+				}
+				if err != nil {
+					break
+				}
+				var blk []*FlowRecord
+				if blk, err = rd.ReadBlock(); err == nil {
+					if len(blk) != 128-len(got)%128 && len(got)+len(blk) != len(recs) {
+						t.Fatalf("%s workers=%d: ReadBlock after %d records handed out %d, want the rest of a 128-record block", f.name, workers, len(got), len(blk))
+					}
+					for _, r := range blk {
+						got = append(got, cloneRecord(r))
+					}
 				}
 			}
-			if err != nil {
-				break
+			if err != io.EOF || len(got) != len(recs) {
+				t.Fatalf("%s workers=%d: interleaved read ended after %d of %d records on %v", f.name, workers, len(got), len(recs), err)
 			}
-			var blk []*FlowRecord
-			if blk, err = rd.ReadBlock(); err == nil {
-				if len(blk) != 128-len(got)%128 && len(got)+len(blk) != len(recs) {
-					t.Fatalf("%s: ReadBlock after %d records handed out %d, want the rest of a 128-record block", f.name, len(got), len(blk))
+			for i := range recs {
+				if !reflect.DeepEqual(normalize(got[i]), normalize(recs[i])) {
+					t.Fatalf("%s workers=%d: record %d mismatch:\n got %+v\nwant %+v", f.name, workers, i, got[i], recs[i])
 				}
-				for _, r := range blk {
-					got = append(got, cloneRecord(r))
-				}
-			}
-		}
-		if err != io.EOF || len(got) != len(recs) {
-			t.Fatalf("%s: interleaved read ended after %d of %d records on %v", f.name, len(got), len(recs), err)
-		}
-		for i := range recs {
-			if !reflect.DeepEqual(normalize(got[i]), normalize(recs[i])) {
-				t.Fatalf("%s: record %d mismatch:\n got %+v\nwant %+v", f.name, i, got[i], recs[i])
 			}
 		}
 	}
@@ -388,5 +410,137 @@ func TestReadBlockAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm ReadBlock allocates %.2f objects per %d-record block, want 0", allocs, blockRecords)
+	}
+}
+
+// framePayloads returns where each frame's payload lies in a stream of
+// either framing: the body of a binary block, the compressed bytes of a
+// flate frame.
+func framePayloads(f codecFraming, stream []byte) [][2]int {
+	var spans [][2]int
+	for off := streamHeaderLen; off < len(stream); {
+		n, k := binary.Uvarint(stream[off:])
+		if n == 0 {
+			break // the flate sentinel
+		}
+		off += k
+		if f.name == flateFraming.name {
+			n, k = binary.Uvarint(stream[off:])
+			off += k
+		}
+		spans = append(spans, [2]int{off, off + int(n)})
+		off += int(n)
+	}
+	return spans
+}
+
+// TestReadErrorsInStreamOrder pins contract point 17 under read-ahead:
+// with frames k and k+2 corrupt, every worker count reads exactly the
+// records before frame k and then frame k's error — the string the inline
+// ring reports — however far decoding ran past it.
+func TestReadErrorsInStreamOrder(t *testing.T) {
+	const blockRecords, k = 64, 5
+	recs := randRecords(80, 20*blockRecords)
+	for _, f := range codecFramings {
+		bad := encodeStream(t, f, recs, blockRecords, 0, false)
+		spans := framePayloads(f, bad)
+		clear(bad[spans[k][0]:spans[k][1]])
+		for i := spans[k+2][0]; i < spans[k+2][1]; i++ {
+			bad[i] = 0xff
+		}
+		var want string
+		for _, workers := range []int{1, 2, 4, 8} {
+			got, err := readAll(t, withWorkers(f.newReader(bytes.NewReader(bad)), workers), len(recs))
+			if err == nil || err == io.EOF || len(got) != k*blockRecords {
+				t.Fatalf("%s workers=%d: read %d records ending on %v, want the %d before frame %d and its error",
+					f.name, workers, len(got), err, k*blockRecords, k)
+			}
+			for i, r := range got {
+				if !reflect.DeepEqual(normalize(r), normalize(recs[i])) {
+					t.Fatalf("%s workers=%d: record %d mismatch", f.name, workers, i)
+				}
+			}
+			if workers == 1 {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Fatalf("%s workers=%d: error %q, the inline ring's is %q", f.name, workers, err, want)
+			}
+			checkHandOuts(t, func() recordReader { return withWorkers(f.newReader(bytes.NewReader(bad)), workers) })
+		}
+	}
+}
+
+// TestSeekLoopDecodesNothingAhead: read-ahead starts only once a block has
+// been handed out whole, so the archive's access pattern — seek, read
+// 1,000 records, seek again — decodes no frame it does not hand out, and
+// no seek discards one. A sequential read after a seek does start it, and
+// the next seek drains the ring.
+func TestSeekLoopDecodesNothingAhead(t *testing.T) {
+	recs := randRecords(81, 5*DefaultBlockRecords)
+	stream := encodeStream(t, flateFraming, recs, 0, 0, false)
+	fr := withWorkers(NewFlateReader(bytes.NewReader(stream)), 4)
+	ahead, discarded := mReadAheadFrames.Load(), mReadAheadDiscarded.Load()
+	rng := rand.New(rand.NewSource(81))
+	for range 12 {
+		at := rng.Intn(len(recs) - 1_000)
+		if err := fr.SeekToRecord(int64(at)); err != nil {
+			t.Fatal(err)
+		}
+		for i := range 1_000 {
+			if got, err := fr.Read(); err != nil || !reflect.DeepEqual(normalize(got), normalize(recs[at+i])) {
+				t.Fatalf("record %d after a seek to %d: %v", at+i, at, err)
+			}
+		}
+	}
+	if n, d := mReadAheadFrames.Load()-ahead, mReadAheadDiscarded.Load()-discarded; n != 0 || d != 0 {
+		t.Fatalf("the seek loop decoded %d frames ahead and discarded %d, want 0 and 0", n, d)
+	}
+	if err := fr.SeekToRecord(0); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := fr.ReadBlock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fr.SeekToRecord(0); err != nil {
+		t.Fatal(err)
+	}
+	if n, d := mReadAheadFrames.Load()-ahead, mReadAheadDiscarded.Load()-discarded; n == 0 || d == 0 {
+		t.Fatalf("two whole blocks then a seek decoded %d frames ahead and discarded %d, want both above 0", n, d)
+	}
+}
+
+// TestDroppedReaderOwnsNoGoroutines: a reader has no Close, so one dropped
+// mid-stream with frames decoding ahead, after a seek, or after an error
+// must own no goroutine once its in-flight frames finish.
+func TestDroppedReaderOwnsNoGoroutines(t *testing.T) {
+	recs := randRecords(82, 2_000)
+	readBlocks := func(rd recordReader, n int) {
+		t.Helper()
+		for range n {
+			if _, err := rd.ReadBlock(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, f := range codecFramings {
+		stream := encodeStream(t, f, recs, 64, 0, false)
+		base := runtime.NumGoroutine()
+		readBlocks(withWorkers(f.newReader(bytes.NewReader(stream)), 4), 3)
+		if f.name == flateFraming.name {
+			fr := withWorkers(NewFlateReader(bytes.NewReader(stream)), 4)
+			readBlocks(fr, 3)
+			if err := fr.SeekToRecord(100); err != nil {
+				t.Fatal(err)
+			}
+			readBlocks(fr, 3)
+		}
+		span := framePayloads(f, stream)[10]
+		clear(stream[span[0]:span[1]])
+		rd := withWorkers(f.newReader(bytes.NewReader(stream)), 4)
+		for err := error(nil); err == nil; _, err = rd.ReadBlock() {
+		}
+		waitForGoroutines(t, base)
 	}
 }

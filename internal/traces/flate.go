@@ -37,15 +37,16 @@ package traces
 // Writing is terminal: Flush writes the sentinel, index and footer, and
 // the stream cannot be appended to afterwards (unlike the raw binary
 // format). Everything up to that trailer is the shared writer core
-// (codec.go) with a compressing frame finisher, so frames are compressed
-// inline or on the ordered worker pool exactly as binary blocks are
-// encoded, and the output bytes are identical for every worker count.
-// The reader likewise adds only frame decompression, trailer validation
-// and the index-driven seek to the shared reader core.
+// (codec.go) with a compressing frame finisher, on the same slot ring as
+// binary blocks, so the bytes are identical for every worker count. The
+// reader adds to the shared core a slice step (the frame prefixes and
+// payload), an inflate step that runs beside decodeBody on the frame's
+// goroutine, the index-driven seek, and the check of every frame against
+// the index: a sequential read holds the trailer's entries to the frames
+// it read and wants EOF right after the footer, and a seek holds its
+// landing frame to its entry.
 
 import (
-	"bufio"
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
@@ -63,9 +64,10 @@ var flateFooterMagic = [8]byte{'I', 'D', 'B', 'F', 'I', 'D', 'X', '1'}
 const flateFooterLen = 16
 
 // maxFrameRaw caps a frame's decompressed size — a format limit, not a
-// tunable. Default blocks decompress to ~1MB; 16MB leaves an order of
-// magnitude of headroom while keeping a hostile frame (DEFLATE inflates
-// up to ~1000x) from turning a few KB of input into gigabytes of
+// tunable — and the declared body bytes a reader's read-ahead holds in
+// flight. Default blocks decompress to ≈233 KB (4,096 records of ≈57 B);
+// 16MB leaves ~70x headroom while keeping a hostile frame (DEFLATE
+// inflates up to ~1000x) from turning a few KB of input into gigabytes of
 // decompression work. Writers configured so extreme that a single block
 // body exceeds this produce streams the reader rejects.
 const maxFrameRaw = 1 << 24
@@ -105,17 +107,17 @@ type FlateWriter struct {
 	finished bool
 }
 
-// NewFlateWriter wraps w; workers > 1 compresses frames on a pool of that
-// many goroutines, anything less on the caller's.
+// NewFlateWriter wraps w; workers > 1 compresses up to that many frames at
+// once on goroutines of their own, anything less on the caller's.
 func NewFlateWriter(w io.Writer, workers int) *FlateWriter {
 	fw := &FlateWriter{}
-	fw.blockWriter = newBlockWriter(w, flateMagic, workers, fw.finishFrame, fw.noteFrame)
+	fw.init(w, flateMagic, workers, fw.finishFrame, fw.noteFrame)
 	return fw
 }
 
 // ready gates Write and Flush on what only this framing can get wrong: a
 // finalized stream, and a Level compress/flate would reject (where the
-// finisher could only panic, possibly on a pool goroutine).
+// finisher could only panic, possibly on a frame's goroutine).
 func (w *FlateWriter) ready() error {
 	if w.finished {
 		return errFlateFinalized
@@ -127,8 +129,9 @@ func (w *FlateWriter) ready() error {
 }
 
 // finishFrame encodes one accum's block body and compresses it into a
-// framed payload. With a pool it runs on a worker goroutine; all scratch
-// is owned by the accum (frame bytes) or st (the flate compressor).
+// framed payload, on the frame's goroutine when the ring has more than one
+// slot; all scratch is owned by the accum (frame bytes) or st (the flate
+// compressor).
 func (w *FlateWriter) finishFrame(st *encScratch, acc *blockAccum) []byte {
 	raw := acc.encodeBody(acc.buf[:0])
 	acc.buf = raw
@@ -162,9 +165,8 @@ func (w *FlateWriter) finishFrame(st *encScratch, acc *blockAccum) []byte {
 	return frame[start:]
 }
 
-// noteFrame records one written frame's index entry and telemetry. With a
-// pool it runs on the merger goroutine; Flush reads the index only after
-// the drain, so the appends are ordered before every read.
+// noteFrame records one written frame's index entry and telemetry, on the
+// caller's goroutine in stream order.
 func (w *FlateWriter) noteFrame(acc *blockAccum, frame []byte) {
 	w.index = append(w.index, flateFrame{records: uint64(acc.n), frameLen: uint64(len(frame))})
 	rawLen, _ := binary.Uvarint(frame)
@@ -192,7 +194,7 @@ func (w *FlateWriter) WriteFrom(r *BinaryReader) (int, error) {
 }
 
 // Flush finalizes the stream: the core writes any partial frame and
-// drains the pool, then the sentinel, index and footer land after the
+// every frame in flight, then the sentinel, index and footer land after the
 // last frame. A zero-record Flush writes a valid empty stream (header,
 // sentinel, empty index, footer). Further Writes fail with an error;
 // Flush itself is idempotent.
@@ -232,10 +234,9 @@ type FlateReader struct {
 	blockReader
 	rs io.ReadSeeker // non-nil when the source supports seeking
 
-	comp    []byte // compressed frame scratch
-	raw     []byte // decompressed body scratch
-	compRdr bytes.Reader
-	fr      io.ReadCloser // flate decompressor, reused via flate.Resetter
+	got     []flateFrame // frames taken since the start or the last seek, from frame base on
+	base    int
+	trailer []flateFrame // the index the stream ends with, which must list got exactly
 
 	// Seek index, loaded lazily by the first SeekToRecord/NumRecords.
 	index      []flateFrame
@@ -245,68 +246,101 @@ type FlateReader struct {
 }
 
 // NewFlateReader wraps r. If r is an io.ReadSeeker the reader supports
-// SeekToRecord; otherwise it streams sequentially.
+// SeekToRecord; otherwise it streams sequentially. Frames inflate and
+// decode on up to GOMAXPROCS goroutines once read-ahead starts; the
+// records are those of a sequential read.
 func NewFlateReader(r io.Reader) *FlateReader {
-	fr := &FlateReader{blockReader: blockReader{br: bufio.NewReader(r), magic: flateMagic}}
-	fr.nextBody = fr.readFrame
-	if rs, ok := r.(io.ReadSeeker); ok {
-		fr.rs = rs
-	}
+	fr := &FlateReader{}
+	fr.init(r, flateMagic, fr.sliceFrame, inflateFrame)
+	fr.check = fr.checkFrame
+	fr.rs, _ = r.(io.ReadSeeker)
 	return fr
 }
 
-// readFrame decompresses the next frame's block body, or returns io.EOF
-// after validating the trailer when the sentinel is hit.
-func (r *FlateReader) readFrame() ([]byte, error) {
+// sliceFrame reads the next frame's compressed payload into s, or returns
+// io.EOF after validating the trailer when the sentinel is hit.
+func (r *FlateReader) sliceFrame(s *frameSlot) error {
 	rawLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		if err == io.EOF {
-			return nil, fmt.Errorf("traces: flate stream truncated (missing trailer): %w", io.ErrUnexpectedEOF)
+			return fmt.Errorf("traces: flate stream truncated (missing trailer): %w", io.ErrUnexpectedEOF)
 		}
-		return nil, fmt.Errorf("traces: reading frame length: %w", err)
+		return fmt.Errorf("traces: reading frame length: %w", err)
 	}
 	if rawLen == 0 {
 		// Frame sentinel: index and footer follow, then EOF.
-		return nil, r.validateTrailer()
+		return r.validateTrailer()
 	}
 	if rawLen > maxFrameRaw {
-		return nil, fmt.Errorf("traces: implausible frame raw length %d", rawLen)
+		return fmt.Errorf("traces: implausible frame raw length %d", rawLen)
 	}
 	compLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return nil, fmt.Errorf("traces: reading frame compressed length: %w", err)
+		return fmt.Errorf("traces: reading frame compressed length: %w", err)
 	}
 	if compLen == 0 || compLen > 1<<31 {
-		return nil, fmt.Errorf("traces: implausible frame compressed length %d", compLen)
+		return fmt.Errorf("traces: implausible frame compressed length %d", compLen)
 	}
-	comp, err := readExact(r.br, r.comp, int(compLen))
-	r.comp = comp[:0]
+	s.payload, err = readExact(r.br, s.payload, int(compLen))
 	if err != nil {
-		return nil, fmt.Errorf("traces: reading frame payload: %w", err)
+		return fmt.Errorf("traces: reading frame payload: %w", err)
 	}
-	r.compRdr.Reset(comp)
-	if r.fr == nil {
-		r.fr = flate.NewReader(&r.compRdr)
-	} else if err := r.fr.(flate.Resetter).Reset(&r.compRdr, nil); err != nil {
+	var pfx [binary.MaxVarintLen64]byte
+	s.rawLen = int(rawLen)
+	s.frameLen = binary.PutUvarint(pfx[:], rawLen) + binary.PutUvarint(pfx[:], compLen) + int(compLen)
+	return nil
+}
+
+// inflateFrame decompresses a sliced frame into its block body.
+func inflateFrame(s *frameSlot) ([]byte, error) {
+	s.src.Reset(s.payload)
+	if s.fr == nil {
+		s.fr = flate.NewReader(&s.src)
+	} else if err := s.fr.(flate.Resetter).Reset(&s.src, nil); err != nil {
 		return nil, fmt.Errorf("traces: resetting flate decompressor: %w", err)
 	}
 	// The raw buffer grows only as the decompressor actually produces
 	// bytes, so a corrupt rawLen cannot force a huge allocation either.
-	raw, err := readExact(r.fr, r.raw, int(rawLen))
-	r.raw = raw[:0]
+	raw, err := readExact(s.fr, s.raw, s.rawLen)
+	s.raw = raw
 	if err != nil {
 		return nil, fmt.Errorf("traces: decompressing frame: %w", err)
 	}
 	// The payload must decompress to exactly rawLen bytes.
 	var one [1]byte
-	if n, err := r.fr.Read(one[:]); n != 0 || (err != nil && err != io.EOF) {
+	if n, err := s.fr.Read(one[:]); n != 0 || (err != nil && err != io.EOF) {
 		return nil, errors.New("traces: frame decompresses past its declared raw length")
 	}
 	return raw, nil
 }
 
-// validateTrailer reads the index and footer after the sentinel and
-// returns io.EOF if they are well formed.
+// checkFrame holds every frame taken to its index entry: at once when the
+// index is loaded (a seek's landing frame included), and all of them
+// against the trailer the stream ends with.
+func (r *FlateReader) checkFrame(s *frameSlot) error {
+	index, from := r.index, len(r.got)
+	switch {
+	case s.err == io.EOF:
+		index, from = r.trailer, 0
+		if len(index) != r.base+len(r.got) {
+			return fmt.Errorf("traces: corrupt flate index (%d frames listed, %d read)", len(index), r.base+len(r.got))
+		}
+	case s.err != nil:
+		return s.err
+	default:
+		r.got = append(r.got, flateFrame{records: uint64(s.cols.n), frameLen: uint64(s.frameLen)})
+	}
+	for i, f := range r.got[from:] {
+		if j := r.base + from + i; index != nil && (j >= len(index) || index[j] != f) {
+			return fmt.Errorf("traces: corrupt flate index (frame %d holds %d records in %d bytes, not what its entry lists)", j, f.records, f.frameLen)
+		}
+	}
+	return s.err
+}
+
+// validateTrailer reads the index and footer after the sentinel, keeping
+// the index for checkFrame, and returns io.EOF if they are well formed
+// and the stream ends with the footer.
 func (r *FlateReader) validateTrailer() error {
 	count, err := binary.ReadUvarint(r.br)
 	if err != nil {
@@ -315,13 +349,16 @@ func (r *FlateReader) validateTrailer() error {
 	if count > 1<<40 {
 		return fmt.Errorf("traces: implausible index frame count %d", count)
 	}
+	r.trailer = nil // the loaded index may be the last one read
 	for i := uint64(0); i < count; i++ {
-		if _, err := binary.ReadUvarint(r.br); err != nil {
+		var f flateFrame
+		if f.records, err = binary.ReadUvarint(r.br); err == nil {
+			f.frameLen, err = binary.ReadUvarint(r.br)
+		}
+		if err != nil {
 			return fmt.Errorf("traces: reading index entry %d: %w", i, err)
 		}
-		if _, err := binary.ReadUvarint(r.br); err != nil {
-			return fmt.Errorf("traces: reading index entry %d: %w", i, err)
-		}
+		r.trailer = append(r.trailer, f)
 	}
 	var footer [flateFooterLen]byte
 	if _, err := io.ReadFull(r.br, footer[:]); err != nil {
@@ -330,13 +367,19 @@ func (r *FlateReader) validateTrailer() error {
 	if [8]byte(footer[8:]) != flateFooterMagic {
 		return errors.New("traces: corrupt flate stream (bad footer magic)")
 	}
+	if _, err := r.br.ReadByte(); err == nil {
+		return errors.New("traces: corrupt flate stream (bytes after the footer)")
+	} else if err != io.EOF {
+		return fmt.Errorf("traces: reading past the footer: %w", err)
+	}
 	return io.EOF
 }
 
-// loadIndex reads the trailing index through the seeker, then restores
-// the logical read position, so index lookups never disturb a stream
-// mid-read.
-func (r *FlateReader) loadIndex() error {
+// loadIndex parses the footer and index from the end of the stream with
+// the sequential reader's trailer parse, and derives every frame's offset
+// and first record ordinal. It then restores the logical read position,
+// so index lookups never disturb a stream mid-read.
+func (r *FlateReader) loadIndex() (err error) {
 	if r.index != nil {
 		return nil
 	}
@@ -348,20 +391,12 @@ func (r *FlateReader) loadIndex() error {
 		return err
 	}
 	pos -= int64(r.br.Buffered())
-	idxErr := r.readIndex()
-	if _, err := r.rs.Seek(pos, io.SeekStart); err != nil {
-		if idxErr != nil {
-			return idxErr
+	defer func() {
+		if _, serr := r.rs.Seek(pos, io.SeekStart); err == nil {
+			err = serr
 		}
-		return err
-	}
-	r.br.Reset(r.rs)
-	return idxErr
-}
-
-// readIndex parses the footer and index from the end of the stream.
-// It leaves the seek position unspecified — loadIndex restores it.
-func (r *FlateReader) readIndex() error {
+		r.br.Reset(r.rs)
+	}()
 	size, err := r.rs.Seek(0, io.SeekEnd)
 	if err != nil {
 		return err
@@ -369,58 +404,42 @@ func (r *FlateReader) readIndex() error {
 	if size < streamHeaderLen+1+flateFooterLen {
 		return errors.New("traces: flate stream too short to carry an index")
 	}
+	var footer [flateFooterLen]byte
 	if _, err := r.rs.Seek(size-flateFooterLen, io.SeekStart); err != nil {
 		return err
 	}
-	var footer [flateFooterLen]byte
 	if _, err := io.ReadFull(r.rs, footer[:]); err != nil {
 		return fmt.Errorf("traces: reading footer: %w", err)
 	}
-	if [8]byte(footer[8:]) != flateFooterMagic {
-		return errors.New("traces: corrupt flate stream (bad footer magic)")
-	}
 	idxLen := int64(binary.LittleEndian.Uint64(footer[:8]))
-	if idxLen < 1 || idxLen > size-flateFooterLen-streamHeaderLen-1 {
+	framesEnd := size - flateFooterLen - idxLen - 1 // the sentinel precedes the index
+	if idxLen < 1 || idxLen > size || framesEnd < streamHeaderLen {
 		return fmt.Errorf("traces: corrupt flate index (length %d of %d-byte stream)", idxLen, size)
 	}
-	if _, err := r.rs.Seek(size-flateFooterLen-idxLen, io.SeekStart); err != nil {
+	if _, err := r.rs.Seek(framesEnd+1, io.SeekStart); err != nil {
 		return err
 	}
-	idx := make([]byte, idxLen)
-	if _, err := io.ReadFull(r.rs, idx); err != nil {
-		return fmt.Errorf("traces: reading index: %w", err)
+	r.br.Reset(r.rs)
+	if err := r.validateTrailer(); err != io.EOF {
+		return err
 	}
-	d := &bdec{b: idx}
-	count := d.uvarint()
-	if d.err != nil || count > uint64(idxLen) {
-		return errors.New("traces: corrupt flate index (count)")
-	}
-	index := make([]flateFrame, 0, count)
-	frameOff := make([]int64, 0, count)
-	cumRecords := make([]int64, 0, count)
+	var frameOff, cumRecords []int64
 	off, records := int64(streamHeaderLen), int64(0)
-	framesEnd := size - flateFooterLen - idxLen - 1 // sentinel byte precedes the index
-	for i := uint64(0); i < count; i++ {
-		f := flateFrame{records: d.uvarint(), frameLen: d.uvarint()}
-		if d.err != nil {
-			return errors.New("traces: corrupt flate index (entry)")
-		}
+	for i, f := range r.trailer {
 		if f.records == 0 || f.frameLen == 0 {
 			return errors.New("traces: corrupt flate index (empty frame)")
 		}
-		index = append(index, f)
-		frameOff = append(frameOff, off)
-		cumRecords = append(cumRecords, records)
+		frameOff, cumRecords = append(frameOff, off), append(cumRecords, records)
 		off += int64(f.frameLen)
 		records += int64(f.records)
 		if off > framesEnd {
 			return fmt.Errorf("traces: corrupt flate index (frame %d offset %d past frame section end %d)", i, off, framesEnd)
 		}
 	}
-	if d.off != len(idx) {
-		return errors.New("traces: corrupt flate index (trailing bytes)")
+	if off != framesEnd {
+		return fmt.Errorf("traces: corrupt flate index (frames end at %d, the frame section at %d)", off, framesEnd)
 	}
-	r.index, r.frameOff, r.cumRecords, r.total = index, frameOff, cumRecords, records
+	r.index, r.frameOff, r.cumRecords, r.total = r.trailer, frameOff, cumRecords, records
 	return nil
 }
 
@@ -473,16 +492,24 @@ func (r *FlateReader) SeekToRecord(n int64) error {
 		target, skip = r.frameOff[lo], n-r.cumRecords[lo]
 	} else {
 		// Empty stream or n == total: position on the sentinel.
-		if len(r.index) > 0 {
-			last := len(r.index) - 1
-			target = r.frameOff[last] + int64(r.index[last].frameLen)
+		lo = len(r.index)
+		if lo > 0 {
+			target = r.frameOff[lo-1] + int64(r.index[lo-1].frameLen)
 		}
 	}
+	// Drop the ring and read-ahead with it: what was decoded ahead is
+	// discarded, and the seek pass reads one frame at a time.
+	mReadAheadDiscarded.Add(uint64(r.started))
+	for r.ring.n > 0 {
+		r.ring.pop()
+	}
+	r.started, r.inFlight, r.ended, r.ahead, r.whole = 0, 0, false, false, false
 	if _, err := r.rs.Seek(target, io.SeekStart); err != nil {
 		return err
 	}
 	r.br.Reset(r.rs)
 	r.recs, r.next, r.skip = nil, 0, int(skip)
+	r.got, r.base = r.got[:0], lo
 	r.err = nil // a previous io.EOF is cleared by an explicit seek
 	return nil
 }

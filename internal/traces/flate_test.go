@@ -60,11 +60,18 @@ func TestFlateNumRecordsPreservesPosition(t *testing.T) {
 
 // TestFlateSeekToRecord pins the acceptance criterion: a seeked partial
 // read returns exactly the records of the requested range, bit-exact
-// against the full sequential decode.
+// against the full sequential decode, with the ring inline and with
+// frames decoded ahead (a 300-record read crosses whole 256-record
+// frames, so read-ahead is on when the next seek drains it).
 func TestFlateSeekToRecord(t *testing.T) {
 	recs := randRecords(33, 4_000)
 	stream := encodeStream(t, flateFraming, recs, 256, 4, false)
-	fr := NewFlateReader(bytes.NewReader(stream))
+	for _, workers := range readerWorkers {
+		testFlateSeekToRecord(t, withWorkers(NewFlateReader(bytes.NewReader(stream)), workers), recs)
+	}
+}
+
+func testFlateSeekToRecord(t *testing.T, fr *FlateReader, recs []*FlowRecord) {
 
 	total, err := fr.NumRecords()
 	if err != nil {
@@ -320,6 +327,89 @@ func TestFlateFrameCorruption(t *testing.T) {
 		// hand-outs on every fifth corruption only.
 		if off%5 == 0 {
 			checkHandOuts(t, func() recordReader { return NewFlateReader(bytes.NewReader(bad)) })
+		}
+	}
+}
+
+// withIndex rebuilds a flate stream's trailer with edit applied to every
+// index entry.
+func withIndex(stream []byte, edit func(i int, f *flateFrame)) []byte {
+	idxLen := int(binary.LittleEndian.Uint64(stream[len(stream)-flateFooterLen:]))
+	idxStart := len(stream) - flateFooterLen - idxLen
+	d := &bdec{b: stream[idxStart : idxStart+idxLen]}
+	count := d.uvarint()
+	idx := binary.AppendUvarint(nil, count)
+	for i := range int(count) {
+		f := flateFrame{records: d.uvarint(), frameLen: d.uvarint()}
+		edit(i, &f)
+		idx = binary.AppendUvarint(binary.AppendUvarint(idx, f.records), f.frameLen)
+	}
+	out := append(bytes.Clone(stream[:idxStart]), idx...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(idx)))
+	return append(out, flateFooterMagic[:]...)
+}
+
+// flateIndexProbe is a stream whose index lies about a frame it lists, or
+// whose footer is not its last byte.
+type flateIndexProbe struct {
+	name   string
+	stream []byte
+}
+
+// flateIndexProbes builds the probes over 300 records in three frames of
+// 100, returning the records too.
+func flateIndexProbes(t testing.TB) ([]*FlowRecord, []flateIndexProbe) {
+	recs := randRecords(42, 300)
+	stream := encodeStream(t, flateFraming, recs, 100, 0, false)
+	return recs, []flateIndexProbe{
+		{"entry 0 lists 99 records", withIndex(stream, func(i int, f *flateFrame) {
+			if i == 0 {
+				f.records = 99
+			}
+		})},
+		{"entry 1 lists 101 records", withIndex(stream, func(i int, f *flateFrame) {
+			if i == 1 {
+				f.records = 101
+			}
+		})},
+		{"entries 0 and 1 trade a byte of length", withIndex(stream, func(i int, f *flateFrame) {
+			switch i {
+			case 0:
+				f.frameLen++
+			case 1:
+				f.frameLen--
+			}
+		})},
+		{"8 bytes after the footer", append(bytes.Clone(stream), "trailing"...)},
+	}
+}
+
+// TestFlateIndexMustMatchFrames pins contract point 17 for the index: a
+// sequential read holds every entry to the frame it read (record count
+// and length) and requires the stream to end with the footer, so an index
+// that lies ends the read in an error, never a clean EOF; and a seek
+// holds its landing frame to its entry before handing out a record. A
+// seek trusts the counts of the frames before its landing frame, which it
+// does not read.
+func TestFlateIndexMustMatchFrames(t *testing.T) {
+	recs, probes := flateIndexProbes(t)
+	for _, workers := range readerWorkers {
+		for _, p := range probes {
+			got, err := readAll(t, withWorkers(NewFlateReader(bytes.NewReader(p.stream)), workers), len(recs))
+			if err == io.EOF || err == nil {
+				t.Fatalf("%s, workers=%d: read %d records to a clean end", p.name, workers, len(got))
+			}
+			checkHandOuts(t, func() recordReader { return withWorkers(NewFlateReader(bytes.NewReader(p.stream)), workers) })
+		}
+		fr := withWorkers(NewFlateReader(bytes.NewReader(probes[1].stream)), workers)
+		if err := fr.SeekToRecord(150); err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := fr.Read(); err == nil {
+			t.Fatalf("workers=%d: a seek into a frame its entry miscounts read %+v", workers, rec)
+		}
+		if err := NewFlateReader(bytes.NewReader(probes[3].stream)).SeekToRecord(150); err == nil {
+			t.Fatal("a seek accepted a stream with bytes after its footer")
 		}
 	}
 }

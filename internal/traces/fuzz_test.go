@@ -51,8 +51,8 @@ func fuzzRecords(data []byte) []*FlowRecord {
 
 // FuzzBinaryRoundTrip drives arbitrary record batches through the
 // sequential binary codec, the parallel writer, and the flate tier,
-// asserting lossless round-trips and the cross-writer byte-identity
-// contract.
+// asserting lossless round-trips, read at 1 and 4 workers, and the
+// cross-writer byte-identity contract.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1}, uint8(1))
@@ -92,18 +92,20 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			t.Fatal("parallel writer output differs from sequential writer")
 		}
 
-		br := NewBinaryReader(bytes.NewReader(seq.Bytes()))
-		for i, want := range recs {
-			got, err := br.Read()
-			if err != nil {
-				t.Fatalf("record %d: %v", i, err)
+		for _, workers := range readerWorkers {
+			br := withWorkers(NewBinaryReader(bytes.NewReader(seq.Bytes())), workers)
+			for i, want := range recs {
+				got, err := br.Read()
+				if err != nil {
+					t.Fatalf("workers=%d record %d: %v", workers, i, err)
+				}
+				checkFuzzRecord(t, i, got, want, anon)
 			}
-			checkFuzzRecord(t, i, got, want, anon)
+			if _, err := br.Read(); err != io.EOF {
+				t.Fatalf("workers=%d: expected EOF, got %v", workers, err)
+			}
+			checkHandOuts(t, func() recordReader { return withWorkers(NewBinaryReader(bytes.NewReader(seq.Bytes())), workers) })
 		}
-		if _, err := br.Read(); err != io.EOF {
-			t.Fatalf("expected EOF, got %v", err)
-		}
-		checkHandOuts(t, func() recordReader { return NewBinaryReader(bytes.NewReader(seq.Bytes())) })
 
 		var comp bytes.Buffer
 		fw := NewFlateWriter(&comp, 2)
@@ -117,18 +119,20 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if err := fw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		fr := NewFlateReader(bytes.NewReader(comp.Bytes()))
-		for i, want := range recs {
-			got, err := fr.Read()
-			if err != nil {
-				t.Fatalf("flate record %d: %v", i, err)
+		for _, workers := range readerWorkers {
+			fr := withWorkers(NewFlateReader(bytes.NewReader(comp.Bytes())), workers)
+			for i, want := range recs {
+				got, err := fr.Read()
+				if err != nil {
+					t.Fatalf("workers=%d flate record %d: %v", workers, i, err)
+				}
+				checkFuzzRecord(t, i, got, want, anon)
 			}
-			checkFuzzRecord(t, i, got, want, anon)
+			if _, err := fr.Read(); err != io.EOF {
+				t.Fatalf("workers=%d flate: expected EOF, got %v", workers, err)
+			}
+			checkHandOuts(t, func() recordReader { return withWorkers(NewFlateReader(bytes.NewReader(comp.Bytes())), workers) })
 		}
-		if _, err := fr.Read(); err != io.EOF {
-			t.Fatalf("flate: expected EOF, got %v", err)
-		}
-		checkHandOuts(t, func() recordReader { return NewFlateReader(bytes.NewReader(comp.Bytes())) })
 	})
 }
 
@@ -213,10 +217,11 @@ func FuzzWriteFrom(f *testing.F) {
 // FuzzFlateFrameReader feeds arbitrary bytes to both block readers: any
 // input — corrupted, truncated, or valid — must produce records or a clean
 // error, never a panic, hang, or unbounded allocation, and the same records
-// and error from Read as from ReadBlock. The same bytes through Open must
-// read exactly as through the one reader their first bytes select (the
-// CSV reader for anything without a block magic): the same records and
-// the same first error, so Open hands a stream on and parses nothing.
+// and error from Read as from ReadBlock and at 1 worker as at 4. The same
+// bytes through Open must read exactly as through the one reader their
+// first bytes select (the CSV reader for anything without a block magic):
+// the same records and the same first error, so Open hands a stream on
+// and parses nothing.
 func FuzzFlateFrameReader(f *testing.F) {
 	// Valid streams (so mutations explore near-valid space), plus raw junk.
 	rng := rand.New(rand.NewSource(51))
@@ -259,60 +264,78 @@ func FuzzFlateFrameReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(csv.Bytes())
+	_, probes := flateIndexProbes(f)
+	for _, p := range probes {
+		f.Add(p.stream)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxRecords = 1 << 20 // backstop against decode loops
-		fr := NewFlateReader(bytes.NewReader(data))
-		for n := 0; ; n++ {
-			if _, err := fr.Read(); err != nil {
-				break
-			}
-			if n > maxRecords {
-				t.Fatal("flate reader yielded implausibly many records")
-			}
-		}
-		if fr.rs != nil {
-			total, err := fr.NumRecords()
-			if err == nil && (total < 0 || total > maxRecords) {
-				t.Fatalf("implausible NumRecords %d", total)
-			}
-			if err == nil && total > 0 {
-				if err := fr.SeekToRecord(total / 2); err == nil {
-					fr.Read()
+		for _, workers := range readerWorkers {
+			fr := withWorkers(NewFlateReader(bytes.NewReader(data)), workers)
+			for n := 0; ; n++ {
+				if _, err := fr.Read(); err != nil {
+					break
+				}
+				if n > maxRecords {
+					t.Fatal("flate reader yielded implausibly many records")
 				}
 			}
-		}
-		br := NewBinaryReader(bytes.NewReader(data))
-		for n := 0; ; n++ {
-			if _, err := br.Read(); err != nil {
-				break
+			if fr.rs != nil {
+				total, err := fr.NumRecords()
+				if err == nil && (total < 0 || total > maxRecords) {
+					t.Fatalf("implausible NumRecords %d", total)
+				}
+				if err == nil && total > 0 {
+					if err := fr.SeekToRecord(total / 2); err == nil {
+						fr.Read()
+					}
+				}
 			}
-			if n > maxRecords {
-				t.Fatal("binary reader yielded implausibly many records")
+			br := withWorkers(NewBinaryReader(bytes.NewReader(data)), workers)
+			for n := 0; ; n++ {
+				if _, err := br.Read(); err != nil {
+					break
+				}
+				if n > maxRecords {
+					t.Fatal("binary reader yielded implausibly many records")
+				}
 			}
-		}
-		// Whatever the bytes are, the two hand-outs agree on them.
-		checkHandOuts(t, func() recordReader { return NewFlateReader(bytes.NewReader(data)) })
-		checkHandOuts(t, func() recordReader { return NewBinaryReader(bytes.NewReader(data)) })
+			// Whatever the bytes are, the two hand-outs agree on them.
+			checkHandOuts(t, func() recordReader { return withWorkers(NewFlateReader(bytes.NewReader(data)), workers) })
+			checkHandOuts(t, func() recordReader { return withWorkers(NewBinaryReader(bytes.NewReader(data)), workers) })
 
-		var direct RecordReader
-		switch {
-		case bytes.HasPrefix(data, flateMagic[:]):
-			direct = NewFlateReader(bytes.NewReader(data))
-		case bytes.HasPrefix(data, binaryMagic[:]):
-			direct = NewBinaryReader(bytes.NewReader(data))
-		default:
-			direct = NewReader(bytes.NewReader(data))
+			var direct RecordReader
+			switch {
+			case bytes.HasPrefix(data, flateMagic[:]):
+				direct = withWorkers(NewFlateReader(bytes.NewReader(data)), workers)
+			case bytes.HasPrefix(data, binaryMagic[:]):
+				direct = withWorkers(NewBinaryReader(bytes.NewReader(data)), workers)
+			default:
+				direct = NewReader(bytes.NewReader(data))
+			}
+			opened, err := Open(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			opened = withWorkers(opened, workers)
+			want, wantErr := readAll(t, direct, maxRecords)
+			got, gotErr := readAll(t, opened, maxRecords)
+			if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("through Open: %d records ending on %v; %T directly: %d ending on %v",
+					len(got), gotErr, direct, len(want), wantErr)
+			}
 		}
-		opened, err := Open(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		want, wantErr := readAll(t, direct, maxRecords)
-		got, gotErr := readAll(t, opened, maxRecords)
-		if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("through Open: %d records ending on %v; %T directly: %d ending on %v",
-				len(got), gotErr, direct, len(want), wantErr)
+		// Every worker count reads the same records and the same first error.
+		for _, newReader := range []func(io.Reader) RecordReader{
+			func(r io.Reader) RecordReader { return NewFlateReader(r) },
+			func(r io.Reader) RecordReader { return NewBinaryReader(r) },
+		} {
+			want, wantErr := readAll(t, withWorkers(newReader(bytes.NewReader(data)), 1), maxRecords)
+			got, gotErr := readAll(t, withWorkers(newReader(bytes.NewReader(data)), 4), maxRecords)
+			if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("4 workers: %d records ending on %v; 1 worker: %d ending on %v", len(got), gotErr, len(want), wantErr)
+			}
 		}
 	})
 }

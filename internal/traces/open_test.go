@@ -31,8 +31,9 @@ func readAll(t testing.TB, rd RecordReader, max int) ([]*FlowRecord, error) {
 
 // TestOpen pins the one reader entry point: Open hands every format, raw
 // or anonymized, to the reader that format's table row builds, which then
-// reads exactly what it reads directly; a seekable source keeps the flate
-// index; a pipe streams; and what is not a block stream is CSV's to judge.
+// reads exactly what it reads directly, whatever either one's worker
+// count; a seekable source keeps the flate index; a pipe streams; and what
+// is not a block stream is CSV's to judge.
 func TestOpen(t *testing.T) {
 	recs := randRecords(61, 1_000)
 	for _, f := range formats {
@@ -44,25 +45,28 @@ func TestOpen(t *testing.T) {
 				if err := w.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				direct := f.NewReader(bytes.NewReader(buf.Bytes()))
-				opened, err := Open(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if reflect.TypeOf(opened) != reflect.TypeOf(direct) {
-					t.Fatalf("Open chose %T, the table row builds %T", opened, direct)
-				}
-				want, wantErr := readAll(t, direct, len(recs))
-				got, gotErr := readAll(t, opened, len(recs))
-				if wantErr != io.EOF || gotErr != io.EOF || len(want) != len(recs) {
-					t.Fatalf("read %d records ending on %v directly, %d on %v through Open; wrote %d",
-						len(want), wantErr, len(got), gotErr, len(recs))
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatal("Open's reader read different records from the direct reader")
-				}
-				if opened.Anonymized() != anon {
-					t.Fatalf("Anonymized() = %v, want %v", opened.Anonymized(), anon)
+				for i, workers := range readerWorkers {
+					direct := withWorkers(f.NewReader(bytes.NewReader(buf.Bytes())), workers)
+					opened, err := Open(bytes.NewReader(buf.Bytes()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					opened = withWorkers(opened, readerWorkers[len(readerWorkers)-1-i]) // the other count
+					if reflect.TypeOf(opened) != reflect.TypeOf(direct) {
+						t.Fatalf("Open chose %T, the table row builds %T", opened, direct)
+					}
+					want, wantErr := readAll(t, direct, len(recs))
+					got, gotErr := readAll(t, opened, len(recs))
+					if wantErr != io.EOF || gotErr != io.EOF || len(want) != len(recs) {
+						t.Fatalf("workers=%d: read %d records ending on %v directly, %d on %v through Open; wrote %d",
+							workers, len(want), wantErr, len(got), gotErr, len(recs))
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("workers=%d: Open's reader read different records from the direct reader", workers)
+					}
+					if opened.Anonymized() != anon {
+						t.Fatalf("Anonymized() = %v, want %v", opened.Anonymized(), anon)
+					}
 				}
 			})
 		}
@@ -84,6 +88,7 @@ func TestOpen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rd = withWorkers(rd, 4)
 		sk, ok := rd.(interface {
 			NumRecords() (int64, error)
 			SeekToRecord(int64) error

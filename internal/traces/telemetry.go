@@ -12,11 +12,16 @@ var (
 	mBinBytes   = telemetry.NewCounter("traces.binary_bytes")
 	mBinBlocks  = telemetry.NewCounter("traces.binary_blocks")
 
-	// Parallel writer: blocks encoded through the worker pool, and the
-	// times a producer stalled waiting for a free block accumulator
+	// Parallel writer: binary blocks finished on the ring's goroutines,
+	// and the times a producer stalled waiting for a free ring slot
 	// (encoding falling behind generation — the backpressure signal).
 	mParBlocks = telemetry.NewCounter("traces.parallel_blocks")
 	mParStalls = telemetry.NewCounter("traces.parallel_block_waits")
+
+	// Block readers: frames decoded with read-ahead on, and those of them
+	// a seek dropped before they were handed out.
+	mReadAheadFrames    = telemetry.NewCounter("traces.read_ahead_frames")
+	mReadAheadDiscarded = telemetry.NewCounter("traces.read_ahead_discarded")
 
 	// Flate archival tier: compressed frames written, records inside
 	// them, pre- and post-compression byte counts (their ratio is the
