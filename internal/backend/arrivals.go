@@ -244,11 +244,11 @@ func (c *Collector) Arrivals() []Request {
 // shard count is part of the experiment definition, exactly as for every
 // other aggregate. Cancelling ctx aborts at fleet-shard granularity.
 func CollectArrivals(ctx context.Context, vp workload.VPConfig, seed int64, fc fleet.Config) ([]Request, fleet.VPStats, error) {
-	agg, stats, err := fleet.Aggregate(ctx, vp, seed, fc, func(int) fleet.Aggregator { return &Collector{} })
+	aggs, stats, err := fleet.Aggregate(ctx, []fleet.Population{{VP: vp, Seed: seed}}, fc, func(int, int) fleet.Aggregator { return &Collector{} })
 	if err != nil {
-		return nil, stats, err
+		return nil, stats[0], err
 	}
-	return agg.(*Collector).Arrivals(), stats, nil
+	return aggs[0].(*Collector).Arrivals(), stats[0], nil
 }
 
 // ScaleLoad returns a copy of reqs with arrival times compressed by

@@ -25,8 +25,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
+	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/workload"
 )
 
@@ -80,37 +80,16 @@ func SmallScale() ScaleConfig {
 	return ScaleConfig{Campus1: 0.4, Campus2: 0.08, Home1: 0.03, Home2: 0.03}
 }
 
-// vpConfigs returns the four vantage point configs in campaign order with
-// their per-VP seed offsets (stable since the first release, so campaign
-// results are reproducible across engine versions).
-func vpConfigs(sc ScaleConfig) []workload.VPConfig {
-	return []workload.VPConfig{
-		workload.Campus1(sc.Campus1),
-		workload.Campus2(sc.Campus2),
-		workload.Home1(sc.Home1),
-		workload.Home2(sc.Home2),
+// vantagePoints returns the four vantage points in campaign order with
+// their per-VP seeds seed+1 … seed+4 (stable since the first release, so
+// campaign results are reproducible across engine versions).
+func vantagePoints(seed int64, sc ScaleConfig) []fleet.Population {
+	return []fleet.Population{
+		{VP: workload.Campus1(sc.Campus1), Seed: seed + 1},
+		{VP: workload.Campus2(sc.Campus2), Seed: seed + 2},
+		{VP: workload.Home1(sc.Home1), Seed: seed + 3},
+		{VP: workload.Home2(sc.Home2), Seed: seed + 4},
 	}
-}
-
-// concurrently runs fn(0) … fn(n-1) on n goroutines, waits for all of them,
-// and returns the error of the lowest index that failed.
-func concurrently(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fmtGB renders bytes as gigabytes with two decimals.

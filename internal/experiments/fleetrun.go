@@ -15,9 +15,9 @@ type FleetVP struct {
 	Summary *fleet.Summary
 }
 
-// FleetReport is the streaming counterpart of a materialized Campaign: the
-// four vantage points reduced to bounded-memory aggregates. It is what a
-// campaign looks like at populations too large to hold as Records slices.
+// FleetReport is the four vantage points reduced to fixed-size
+// fleet.Summary aggregates: what a campaign looks like at populations
+// grown far past the paper's by DevicesScale.
 type FleetReport struct {
 	Seed   int64
 	Config fleet.Config
@@ -34,25 +34,23 @@ func (r *FleetReport) ByName(name string) *FleetVP {
 	return nil
 }
 
-// RunFleet streams all four vantage points through the sharded engine
-// with per-shard Summary aggregators. Unlike the materializing campaign
-// constructors, nothing is accumulated: memory stays bounded while
-// DevicesScale grows the population 10-1000x. Per-VP seeds match the
-// materializing path, so a FleetReport with fc.Shards == 1 describes
-// exactly the datasets NewCampaign would build.
+// RunFleet streams all four vantage points through one fleet pool with
+// per-shard Summary aggregators. No record is kept: memory stays bounded
+// while DevicesScale grows the population 10-1000x. Per-VP seeds are
+// Fold's, so a FleetReport describes the populations Fold folds with the
+// same fleet.Config.
 //
 // Cancelling ctx aborts every vantage point at fleet-shard granularity
 // and returns ctx.Err() with a nil report.
 func RunFleet(ctx context.Context, seed int64, sc ScaleConfig, fc fleet.Config) (*FleetReport, error) {
-	cfgs := vpConfigs(sc)
-	report := &FleetReport{Seed: seed, Config: fc, VPs: make([]*FleetVP, len(cfgs))}
-	err := concurrently(len(cfgs), func(i int) error {
-		sum, stats, err := fleet.Summarize(ctx, cfgs[i], seed+int64(i)+1, fc)
-		report.VPs[i] = &FleetVP{Stats: stats, Summary: sum}
-		return err
-	})
+	pops := vantagePoints(seed, sc)
+	aggs, stats, err := fleet.Aggregate(ctx, pops, fc, func(p, _ int) fleet.Aggregator { return fleet.NewSummary(pops[p].VP.Days) })
 	if err != nil {
 		return nil, err
+	}
+	report := &FleetReport{Seed: seed, Config: fc, VPs: make([]*FleetVP, len(pops))}
+	for p, agg := range aggs {
+		report.VPs[p] = &FleetVP{Stats: stats[p], Summary: agg.(*fleet.Summary)}
 	}
 	return report, nil
 }

@@ -99,13 +99,11 @@ func Table3(ts Tallies) *Result {
 func Table4Context(ctx context.Context, seed int64, scale float64) (*Result, error) {
 	res := newResult("table4", "Table 4: Campus 1 before and after the bundling deployment")
 	// Both populations fold with one shard, the historical sequential
-	// generator's, and concurrently.
-	cfgs := []workload.VPConfig{workload.Campus1(scale), workload.Campus1JunJul(scale)}
-	tallies := make([]*Tally, len(cfgs))
-	err := concurrently(len(cfgs), func(i int) (err error) {
-		tallies[i], err = FoldVP(ctx, cfgs[i], seed+10+int64(i), fleet.Config{Shards: 1})
-		return err
-	})
+	// generator's, on one pool.
+	tallies, err := fold(ctx, []fleet.Population{
+		{VP: workload.Campus1(scale), Seed: seed + 10},
+		{VP: workload.Campus1JunJul(scale), Seed: seed + 11},
+	}, fleet.Config{Shards: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ const webStorageHost = "dl-web.dropbox.com"
 // need are kept: a copy of each client-storage flow, and a few numbers per
 // control, notification, Web-storage and direct-link flow.
 type Tally struct {
-	// VPStats is the generation ground truth FoldVP attaches: the
+	// VPStats is the generation ground truth a fold attaches: the
 	// effective config and the background volumes. It is zero on a tally
 	// of a trace file.
 	fleet.VPStats
@@ -47,7 +47,7 @@ type Tally struct {
 	Services  [dnssim.SvcSystemLog + 1]Volume
 
 	// Storage holds a copy of every client-storage flow (dl-clientX).
-	// FoldVP leaves them in first-packet order, the probe's export order.
+	// A fold leaves them in first-packet order, the probe's export order.
 	Storage []traces.FlowRecord
 
 	// ControlRTT holds the minimum RTT in ms of client-control flows with
@@ -271,39 +271,33 @@ func (t *Tally) StorageRTT() []float64 {
 	return out
 }
 
-// FoldVP generates one vantage point through the fleet engine into a
-// Tally, one per shard merged in shard order. Cancelling ctx aborts at
-// shard granularity and returns ctx.Err() with a nil tally.
-func FoldVP(ctx context.Context, vp workload.VPConfig, seed int64, fc fleet.Config) (*Tally, error) {
-	agg, stats, err := fleet.Aggregate(ctx, vp, seed, fc, func(int) fleet.Aggregator { return NewTally(vp.Days) })
+// fold generates the populations on one fleet pool into one Tally each,
+// a tally per shard merged in shard order. Cancelling ctx aborts at shard
+// granularity and returns ctx.Err() with nil tallies.
+func fold(ctx context.Context, pops []fleet.Population, fc fleet.Config) (Tallies, error) {
+	aggs, stats, err := fleet.Aggregate(ctx, pops, fc, func(p, _ int) fleet.Aggregator { return NewTally(pops[p].VP.Days) })
 	if err != nil {
 		return nil, err
 	}
-	t := agg.(*Tally)
-	t.VPStats = stats
-	// The probe's export order, which Table 4's means sum in.
-	slices.SortStableFunc(t.Storage, func(a, b traces.FlowRecord) int { return cmp.Compare(a.FirstPacket, b.FirstPacket) })
-	return t, nil
+	ts := make(Tallies, len(aggs))
+	for p, agg := range aggs {
+		ts[p] = agg.(*Tally)
+		ts[p].VPStats = stats[p]
+		// The probe's export order, which Table 4's means sum in.
+		slices.SortStableFunc(ts[p].Storage, func(a, b traces.FlowRecord) int { return cmp.Compare(a.FirstPacket, b.FirstPacket) })
+	}
+	return ts, nil
 }
 
 // Tallies are the study's four vantage points, in campus1, campus2, home1,
 // home2 order.
 type Tallies []*Tally
 
-// Fold folds the four vantage points, each through FoldVP on its own
-// goroutine. Per-VP seeds are seed+1 … seed+4, stable since the first
-// release. fc.Shards == 1 folds the historical sequential populations.
+// Fold folds the four vantage points on one fleet pool of fc.Workers.
+// Per-VP seeds are seed+1 … seed+4, stable since the first release.
+// fc.Shards == 1 folds the historical sequential populations.
 func Fold(ctx context.Context, seed int64, sc ScaleConfig, fc fleet.Config) (Tallies, error) {
-	cfgs := vpConfigs(sc)
-	ts := make(Tallies, len(cfgs))
-	err := concurrently(len(cfgs), func(i int) (err error) {
-		ts[i], err = FoldVP(ctx, cfgs[i], seed+int64(i)+1, fc)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ts, nil
+	return fold(ctx, vantagePoints(seed, sc), fc)
 }
 
 // ByName returns a vantage point's tally (nil if absent).

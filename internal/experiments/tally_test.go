@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,15 +84,16 @@ func TestFoldedResultsGolden(t *testing.T) {
 }
 
 // TestTraceFoldMatchesGenerated: a population exported in any format and
-// read back through traces.Open folds to the tally FoldVP builds from the
-// generator, count for count and sample for sample. Minimum RTTs are
-// compared by count only: the export keeps them at microseconds.
+// read back through traces.Open folds to the tally the fleet fold builds
+// from the generator, count for count and sample for sample. Minimum RTTs
+// are compared by count only: the export keeps them at microseconds.
 func TestTraceFoldMatchesGenerated(t *testing.T) {
 	vp, fc := workload.Home1(0.02), fleet.Config{Shards: 3}
-	gen, err := FoldVP(context.Background(), vp, 5, fc)
+	ts, err := fold(context.Background(), []fleet.Population{{VP: vp, Seed: 5}}, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen := ts[0]
 	for _, name := range []string{"csv", "binary", "binary-flate"} {
 		t.Run(name, func(t *testing.T) {
 			f, err := traces.LookupFormat(name)
@@ -201,5 +203,35 @@ func TestTallyNamespacesUseLast(t *testing.T) {
 	}
 	if got := tl.hosts[1].n; got != 3 {
 		t.Fatalf("namespaces = %d, want last observation 3", got)
+	}
+}
+
+// TestFoldOnePool: the four vantage points' shards share one fleet pool, so
+// Fold at Workers 1 never has two shards generating at once. A ShardEvent
+// arrives as its shard ends, so its shard ran from the event's time minus
+// Elapsed; on a serial pool that start is never before the previous
+// event's time.
+func TestFoldOnePool(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		last   time.Time
+		events []string
+	)
+	fc := fleet.Config{Shards: 2, Workers: 1, Observer: func(ev fleet.ShardEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		now := time.Now()
+		if now.Add(-ev.Elapsed).Before(last) {
+			t.Errorf("%s shard %d generated beside the shard before it (events so far: %v)", ev.VP, ev.Shard, events)
+		}
+		last = now
+		events = append(events, fmt.Sprintf("%s/%d", ev.VP, ev.Shard))
+	}}
+	ts, err := Fold(context.Background(), 3, SmallScale(), fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ts) != 4 || len(events) != 4*fc.Shards {
+		t.Fatalf("%d tallies and %d shard events, want 4 and %d", len(ts), len(events), 4*fc.Shards)
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/capability"
@@ -111,35 +110,29 @@ func (r *WhatIfReport) ByProfile(name string) *WhatIfRun {
 }
 
 // Run executes the what-if campaign: every profile replays the same
-// vantage-point population through the sharded fleet engine concurrently,
-// aggregated with bounded memory. Determinism: each (seed, population,
-// shards, profile) run is bit-reproducible regardless of worker count or
-// how many profiles run alongside it, and the two Dropbox presets
-// reproduce the legacy Version-based campaign output exactly.
+// vantage-point population, all profiles' shards on one fleet pool of
+// cfg.Fleet.Workers, aggregated with bounded memory. Determinism: each
+// (seed, population, shards, profile) run is bit-reproducible regardless
+// of worker count or how many profiles run alongside it, and the two
+// Dropbox presets reproduce the legacy Version-based campaign output
+// exactly.
 //
 // Cancelling ctx aborts every profile run at fleet-shard granularity and
 // returns ctx.Err() with a nil report.
 func (cfg WhatIfConfig) Run(ctx context.Context) (*WhatIfReport, error) {
-	fc := cfg.Fleet
-	if fc.Workers == 0 && len(cfg.Profiles) > 1 {
-		// Profile runs are themselves parallel; divide the default worker
-		// budget across them instead of oversubscribing the CPU N-fold.
-		// Worker counts never change results, only wall-clock time.
-		fc.Workers = max(1, runtime.GOMAXPROCS(0)/len(cfg.Profiles))
+	pops := make([]fleet.Population, len(cfg.Profiles))
+	for i, prof := range cfg.Profiles {
+		pops[i] = fleet.Population{VP: cfg.VP, Seed: cfg.Seed}
+		pops[i].VP.Caps = &prof
 	}
-	report := &WhatIfReport{Config: cfg, Runs: make([]*WhatIfRun, len(cfg.Profiles))}
-	err := concurrently(len(cfg.Profiles), func(i int) error {
-		prof := cfg.Profiles[i]
-		vp := cfg.VP
-		vp.Caps = &prof
-		days := vp.Days
-		agg, stats, err := fleet.Aggregate(ctx, vp, cfg.Seed, fc,
-			func(int) fleet.Aggregator { return NewWhatIfAgg(days) })
-		report.Runs[i] = &WhatIfRun{Profile: prof, Stats: stats, Agg: agg.(*WhatIfAgg)}
-		return err
-	})
+	days := cfg.VP.Days
+	aggs, stats, err := fleet.Aggregate(ctx, pops, cfg.Fleet, func(int, int) fleet.Aggregator { return NewWhatIfAgg(days) })
 	if err != nil {
 		return nil, err
+	}
+	report := &WhatIfReport{Config: cfg, Runs: make([]*WhatIfRun, len(pops))}
+	for i, agg := range aggs {
+		report.Runs[i] = &WhatIfRun{Profile: cfg.Profiles[i], Stats: stats[i], Agg: agg.(*WhatIfAgg)}
 	}
 	return report, nil
 }

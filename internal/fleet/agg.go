@@ -31,38 +31,58 @@ type ShardFinisher interface {
 	FinishShard()
 }
 
-// Aggregate runs a fleet generation feeding one aggregator per shard and
-// returns the shard-ordered merge. This is the bounded-memory,
-// allocation-free path: a record is recycled the moment Consume returns, so
-// aggregators MUST NOT retain one (or its NotifyNamespaces slice) — copy
-// what you keep. Record contents and aggregates are bit-identical to the
-// unpooled generator (pinned by TestPooledShardMatchesUnpooled).
+// Aggregate generates every shard of every population on one pool of
+// fc.Workers goroutines, feeding one aggregator per shard, and returns each
+// population's shard-ordered merge and stats, in pops order. Shards are
+// admitted population by population, in shard order, and fc.Observer's
+// ShardEvents count each population's shards apart, so a population's
+// results are bit-identical to its own one-population run.
 //
-// newAgg is called once per shard, in shard order, from the calling
-// goroutine before anything runs; aggregators implementing ShardFinisher
-// are finished on the worker that ran their shard. Cancelling ctx stops
-// the run at shard granularity (in-flight shards finish, nothing new
-// starts) and returns the partial merge with ctx.Err().
-func Aggregate(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, newAgg func(shard int) Aggregator) (Aggregator, VPStats, error) {
+// This is the bounded-memory, allocation-free path: a record is recycled
+// the moment Consume returns, so aggregators MUST NOT retain one (or its
+// NotifyNamespaces slice) — copy what you keep. Record contents and
+// aggregates are bit-identical to the unpooled generator (pinned by
+// TestPooledShardMatchesUnpooled).
+//
+// newAgg is called once per shard, population by population in shard
+// order, from the calling goroutine before anything runs; aggregators
+// implementing ShardFinisher are finished on the worker that ran their
+// shard. Cancelling ctx stops the run at shard granularity (in-flight
+// shards finish, nothing new starts) and returns the partial merges with
+// ctx.Err().
+func Aggregate(ctx context.Context, pops []Population, fc Config, newAgg func(pop, shard int) Aggregator) ([]Aggregator, []VPStats, error) {
 	fc = fc.normalized()
-	vp = fc.apply(vp)
-
-	aggs := make([]Aggregator, fc.Shards)
-	for i := range aggs {
-		aggs[i] = newAgg(i)
-	}
-	stats, err := runShards(ctx, fc, vp.Name, fc.allShards(), nil, func(sh int) (workload.ShardStats, error) {
-		st := RunShard(vp, seed, sh, fc.Shards, aggs[sh])
-		if f, ok := aggs[sh].(ShardFinisher); ok {
-			f.FinishShard()
+	vps := make([]workload.VPConfig, len(pops))
+	trackers := make([]*shardTracker, len(pops))
+	aggs := make([][]Aggregator, len(pops))
+	for p, pop := range pops {
+		vps[p] = fc.apply(pop.VP)
+		trackers[p] = newShardTracker(fc, vps[p].Name)
+		aggs[p] = make([]Aggregator, fc.Shards)
+		for sh := range aggs[p] {
+			aggs[p][sh] = newAgg(p, sh)
 		}
-		return st, nil
-	})
-	root := aggs[0]
-	for _, a := range aggs[1:] {
-		root.Merge(a)
 	}
-	return root, mergeStats(vp, fc, stats), err
+	err := runShards(ctx, fc.Workers, len(pops)*fc.Shards, nil, func(i int) error {
+		p := i / fc.Shards
+		return trackers[p].run(i%fc.Shards, func(sh int) (workload.ShardStats, error) {
+			st := RunShard(vps[p], pops[p].Seed, sh, fc.Shards, aggs[p][sh])
+			if f, ok := aggs[p][sh].(ShardFinisher); ok {
+				f.FinishShard()
+			}
+			return st, nil
+		})
+	})
+	roots := make([]Aggregator, len(pops))
+	merged := make([]VPStats, len(pops))
+	for p := range pops {
+		roots[p] = aggs[p][0]
+		for _, a := range aggs[p][1:] {
+			roots[p].Merge(a)
+		}
+		merged[p] = mergeStats(vps[p], fc, trackers[p].stats)
+	}
+	return roots, merged, err
 }
 
 // ---------- campaign summary aggregator ----------
@@ -280,6 +300,6 @@ func (s *Summary) Metrics() map[string]float64 {
 // ever materializing the dataset.
 func Summarize(ctx context.Context, vp workload.VPConfig, seed int64, fc Config) (*Summary, VPStats, error) {
 	days := vp.Days
-	agg, stats, err := Aggregate(ctx, vp, seed, fc, func(int) Aggregator { return NewSummary(days) })
-	return agg.(*Summary), stats, err
+	aggs, stats, err := Aggregate(ctx, []Population{{vp, seed}}, fc, func(int, int) Aggregator { return NewSummary(days) })
+	return aggs[0].(*Summary), stats[0], err
 }

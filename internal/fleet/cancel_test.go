@@ -38,7 +38,7 @@ func TestAggregateCancelMidCampaign(t *testing.T) {
 	cfg := workload.Home1(0.03)
 	fc := Config{Shards: 8, Workers: 2}
 	var seen atomic.Int64 // shared by every shard's aggregator, two workers at a time
-	_, _, err := Aggregate(ctx, cfg, 1, fc, func(int) Aggregator {
+	_, _, err := Aggregate(ctx, []Population{{cfg, 1}}, fc, func(int, int) Aggregator {
 		return &cancelingAgg{after: 100, cancel: cancel, seen: &seen}
 	})
 	if !errors.Is(err, context.Canceled) {

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,7 +48,7 @@ type delivery struct {
 var deliveries = []delivery{
 	{name: "fold", run: func(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, _ []int) ([]uint64, VPStats, error) {
 		aggs := make([]*hashAgg, fc.Shards)
-		_, stats, err := Aggregate(ctx, vp, seed, fc, func(sh int) Aggregator {
+		_, stats, err := Aggregate(ctx, []Population{{vp, seed}}, fc, func(_, sh int) Aggregator {
 			aggs[sh] = newHashAgg()
 			return aggs[sh]
 		})
@@ -55,7 +56,7 @@ var deliveries = []delivery{
 		for i, a := range aggs {
 			hashes[i] = a.h.Sum64()
 		}
-		return hashes, stats, err
+		return hashes, stats[0], err
 	}},
 	{name: "materialise", sorted: true, run: func(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, _ []int) ([]uint64, VPStats, error) {
 		recs, stats, err := materialise(ctx, vp, seed, fc)
@@ -88,7 +89,11 @@ var deliveries = []delivery{
 		fc = fc.normalized()
 		hashes := make([]uint64, fc.Shards)
 		shardStats := make([]workload.ShardStats, fc.Shards)
-		err := ForEachShard(ctx, fc, vp.Name, fc.allShards(), func(sh int) (workload.ShardStats, error) {
+		all := make([]int, fc.Shards)
+		for i := range all {
+			all[i] = i
+		}
+		err := ForEachShard(ctx, fc, vp.Name, all, func(sh int) (workload.ShardStats, error) {
 			a := newHashAgg()
 			shardStats[sh] = RunShard(vp, seed, sh, fc.Shards, a)
 			hashes[sh] = a.h.Sum64()
@@ -232,7 +237,7 @@ func TestExecutorCancelBeforeStart(t *testing.T) {
 func TestAggregateSinkPerShard(t *testing.T) {
 	var made []int
 	var sinks []*hashAgg
-	_, stats, err := Aggregate(context.Background(), workload.Campus1(0.1), 1, Config{Shards: 6, Workers: 2}, func(sh int) Aggregator {
+	_, popStats, err := Aggregate(context.Background(), []Population{{workload.Campus1(0.1), 1}}, Config{Shards: 6, Workers: 2}, func(_, sh int) Aggregator {
 		made = append(made, sh)
 		sinks = append(sinks, newHashAgg())
 		return sinks[sh]
@@ -240,6 +245,7 @@ func TestAggregateSinkPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := popStats[0]
 	if want := []int{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(made, want) {
 		t.Fatalf("sinks built as %v, want %v", made, want)
 	}
@@ -270,13 +276,14 @@ func (a *finishAgg) FinishShard() {
 func TestAggregateFinishShard(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var aggs []*finishAgg
-		_, stats, err := Aggregate(context.Background(), workload.Campus1(0.1), 1, Config{Shards: 6, Workers: workers}, func(int) Aggregator {
+		_, popStats, err := Aggregate(context.Background(), []Population{{workload.Campus1(0.1), 1}}, Config{Shards: 6, Workers: workers}, func(int, int) Aggregator {
 			aggs = append(aggs, &finishAgg{hashAgg: hashAgg{h: fnv.New64a()}})
 			return aggs[len(aggs)-1]
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		stats := popStats[0]
 		total := 0
 		for sh, a := range aggs {
 			if a.finishes != 1 || a.seenAtFinish != a.n {
@@ -287,6 +294,101 @@ func TestAggregateFinishShard(t *testing.T) {
 		if total == 0 || total != stats.Records {
 			t.Fatalf("workers=%d: shards saw %d records, stats say %d", workers, total, stats.Records)
 		}
+	}
+}
+
+// busyAgg is a hashAgg that counts how many shards of one run are between
+// their first record and FinishShard at once, and the most it ever saw.
+type busyAgg struct {
+	hashAgg
+	started    bool
+	busy, peak *atomic.Int64
+}
+
+func (a *busyAgg) Consume(r *traces.FlowRecord) {
+	if !a.started {
+		a.started = true
+		n := a.busy.Add(1)
+		for p := a.peak.Load(); n > p && !a.peak.CompareAndSwap(p, n); p = a.peak.Load() {
+		}
+	}
+	a.hashAgg.Consume(r)
+}
+
+func (a *busyAgg) FinishShard() {
+	if a.started {
+		a.busy.Add(-1)
+	}
+}
+
+// TestAggregatePopulations: Aggregate over two populations gives each one
+// the per-shard record hashes, merged stats and ShardEvents of its own
+// one-population run, and one pool of fc.Workers bounds the shards of both:
+// at Workers 1 no two shards ever generate at once.
+func TestAggregatePopulations(t *testing.T) {
+	const shards = 4
+	pops := []Population{{workload.Home1(0.02), 7}, {workload.Campus1(0.1), 3}}
+	// run aggregates pops and reports, per population, its shard hashes,
+	// its stats and its ShardEvents in shard order (Done, which counts the
+	// population's own shards, checked and zeroed with Elapsed), plus the
+	// peak of concurrent shards.
+	run := func(t *testing.T, pops []Population, workers int) ([][]uint64, []VPStats, [][]ShardEvent, int64) {
+		var mu sync.Mutex
+		events := make([][]ShardEvent, len(pops))
+		fc := Config{Shards: shards, Workers: workers, Observer: func(ev ShardEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			for p := range pops {
+				if pops[p].VP.Name == ev.VP {
+					events[p] = append(events[p], ev)
+				}
+			}
+		}}
+		var busy, peak atomic.Int64
+		aggs := make([][]*busyAgg, len(pops))
+		_, stats, err := Aggregate(context.Background(), pops, fc, func(p, sh int) Aggregator {
+			aggs[p] = append(aggs[p], &busyAgg{hashAgg: *newHashAgg(), busy: &busy, peak: &peak})
+			return aggs[p][sh]
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes := make([][]uint64, len(pops))
+		for p := range aggs {
+			for _, a := range aggs[p] {
+				hashes[p] = append(hashes[p], a.h.Sum64())
+			}
+			slices.SortFunc(events[p], func(a, b ShardEvent) int { return a.Done - b.Done })
+			for i := range events[p] {
+				if events[p][i].Done != i+1 {
+					t.Fatalf("%s: Done values %+v, want 1..%d", pops[p].VP.Name, events[p], shards)
+				}
+				events[p][i].Elapsed, events[p][i].Done = 0, 0
+			}
+			slices.SortFunc(events[p], func(a, b ShardEvent) int { return a.Shard - b.Shard })
+		}
+		return hashes, stats, events, peak.Load()
+	}
+
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			hashes, stats, events, peak := run(t, pops, workers)
+			for p := range pops {
+				wantHashes, wantStats, wantEvents, _ := run(t, pops[p:p+1], workers)
+				if !reflect.DeepEqual(hashes[p], wantHashes[0]) {
+					t.Fatalf("%s: shard hashes %x, alone %x", pops[p].VP.Name, hashes[p], wantHashes[0])
+				}
+				if !reflect.DeepEqual(stats[p], wantStats[0]) {
+					t.Fatalf("%s: stats\n got %+v\nalone %+v", pops[p].VP.Name, stats[p], wantStats[0])
+				}
+				if len(events[p]) != shards || !reflect.DeepEqual(events[p], wantEvents[0]) {
+					t.Fatalf("%s: events %+v, alone %+v", pops[p].VP.Name, events[p], wantEvents[0])
+				}
+			}
+			if peak < 1 || peak > int64(workers) {
+				t.Fatalf("%d shards generated at once on a pool of %d workers", peak, workers)
+			}
+		})
 	}
 }
 

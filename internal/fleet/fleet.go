@@ -6,9 +6,10 @@
 // caps campaigns at what fits in memory on one core. Fleet instead
 // partitions a population deterministically into shards (workload.ShardRange)
 // with per-shard seeds (workload.ShardSeed) and walks them with one
-// executor — one bounded worker pool (runShards), one pooled generate loop
-// (generatePooled) — under three delivery policies: unordered fold
-// (Aggregate, Summarize: a sink per shard, merged in shard-index order),
+// executor — one bounded worker pool per call (runShards), one pooled
+// generate loop (generatePooled) — under three delivery policies: unordered
+// fold (Aggregate over one or more populations, Summarize: a sink per
+// shard, merged in shard-index order),
 // ordered stream (StreamRecords, Records: one consumer, shard order,
 // bounded window) and durable part (ForEachShard with RunShard in the
 // caller's per-shard task, which is how internal/campaign writes and
@@ -50,8 +51,9 @@ type Config struct {
 	// changing Workers never does.
 	Shards int
 
-	// Workers bounds how many shards generate concurrently. Zero means
-	// GOMAXPROCS. Workers only affects wall-clock time, never results.
+	// Workers bounds how many shards generate concurrently, across every
+	// population of one call. Zero means GOMAXPROCS. Workers only affects
+	// wall-clock time, never results.
 	Workers int
 
 	// DevicesScale multiplies the vantage point's subscriber population
@@ -77,9 +79,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Workers > c.Shards {
-		c.Workers = c.Shards
 	}
 	if c.DevicesScale <= 0 {
 		c.DevicesScale = 1
@@ -172,29 +171,23 @@ type VPStats struct {
 	CohortDevices, CohortRecords map[string]int
 }
 
-// allShards lists every shard index of a normalized config, in order.
-func (c Config) allShards() []int {
-	all := make([]int, c.Shards)
-	for i := range all {
-		all[i] = i
-	}
-	return all
+// Population is one vantage point and seed of an Aggregate call.
+type Population struct {
+	VP   workload.VPConfig
+	Seed int64
 }
 
-// runShards is the engine's one shard executor: it runs task for each
-// listed shard on a pool of fc.Workers goroutines (fc must already be
-// normalized) and returns the per-shard stats indexed by shard. Shards are
-// admitted in list order from the calling goroutine; admit, when non-nil,
-// is called before each one and may block to bound how far admission runs
-// ahead, or return false to end it.
+// runShards is the engine's one executor: it runs task(0) … task(n-1) on
+// a pool of up to workers goroutines. Tasks are admitted in index order
+// from the calling goroutine; admit, when non-nil, is called before each
+// one and may block to bound how far admission runs ahead, or return false
+// to end it.
 //
-// The first task error, or a cancelled ctx, stops admission: shards not
-// yet started are skipped (their stats stay zero), in-flight shards always
-// run to completion so no consumer observes a truncated shard, and that
-// first error (or ctx.Err()) is returned once every worker has exited.
-func runShards(ctx context.Context, fc Config, vpName string, shards []int, admit func() bool,
-	task func(sh int) (workload.ShardStats, error)) ([]workload.ShardStats, error) {
-
+// The first task error, or a cancelled ctx, stops admission: tasks not yet
+// started are skipped, in-flight tasks always run to completion so no
+// consumer observes a truncated shard, and that first error (or ctx.Err())
+// is returned once every worker has exited.
+func runShards(ctx context.Context, workers, n int, admit func() bool, task func(i int) error) error {
 	// run is the caller's ctx, cancelled early by the first task error.
 	run, stop := context.WithCancel(ctx)
 	defer stop()
@@ -202,38 +195,35 @@ func runShards(ctx context.Context, fc Config, vpName string, shards []int, admi
 		failOnce sync.Once
 		failErr  error
 	)
-	stats := make([]workload.ShardStats, fc.Shards)
-	tracker := &shardTracker{fc: fc, vp: vpName}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := min(fc.Workers, len(shards)); w > 0; w-- {
+	for w := min(workers, n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for sh := range jobs {
+			for i := range jobs {
 				if run.Err() != nil {
 					continue // drain the queue without running
 				}
-				var err error
-				if stats[sh], err = tracker.run(sh, task); err != nil {
+				if err := task(i); err != nil {
 					failOnce.Do(func() { failErr = err })
 					stop()
 				}
 			}
 		}()
 	}
-	for _, sh := range shards {
+	for i := range n {
 		if run.Err() != nil || (admit != nil && !admit()) {
 			break
 		}
-		jobs <- sh
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
 	if failErr != nil {
-		return stats, failErr
+		return failErr
 	}
-	return stats, ctx.Err()
+	return ctx.Err()
 }
 
 // ForEachShard runs task once for each listed shard index on the engine's
@@ -244,8 +234,11 @@ func runShards(ctx context.Context, fc Config, vpName string, shards []int, admi
 func ForEachShard(ctx context.Context, fc Config, vpName string, shards []int,
 	task func(shard int) (workload.ShardStats, error)) error {
 
-	_, err := runShards(ctx, fc.normalized(), vpName, shards, nil, task)
-	return err
+	fc = fc.normalized()
+	tracker := newShardTracker(fc, vpName)
+	return runShards(ctx, fc.Workers, len(shards), nil, func(i int) error {
+		return tracker.run(shards[i], task)
+	})
 }
 
 // mergeStats folds per-shard stats in shard-index order.

@@ -24,13 +24,13 @@ func (a *keepAgg) Merge(o Aggregator)           { a.recs = append(a.recs, o.(*ke
 // materialise folds a population into copies of all its records, sorted by
 // first-packet time as workload.Generate sorts them.
 func materialise(ctx context.Context, cfg workload.VPConfig, seed int64, fc Config) ([]*traces.FlowRecord, VPStats, error) {
-	agg, stats, err := Aggregate(ctx, cfg, seed, fc, func(int) Aggregator { return new(keepAgg) })
+	aggs, stats, err := Aggregate(ctx, []Population{{cfg, seed}}, fc, func(int, int) Aggregator { return new(keepAgg) })
 	if err != nil {
 		return nil, VPStats{}, err
 	}
-	recs := agg.(*keepAgg).recs
+	recs := aggs[0].(*keepAgg).recs
 	workload.SortRecords(recs)
-	return recs, stats, nil
+	return recs, stats[0], nil
 }
 
 // mustMaterialise / mustSummarize run the ctx-aware engine entry points

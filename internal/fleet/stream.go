@@ -87,13 +87,15 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 			return false
 		}
 	}
-	var stats []workload.ShardStats
+	tracker := newShardTracker(fc, vp.Name)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		stats, _ = runShards(run, fc, vp.Name, fc.allShards(), admit, func(sh int) (workload.ShardStats, error) {
-			defer close(streams[sh].full)
-			return produceShard(vp, seed, sh, fc.Shards, streams[sh], run.Done()), nil
+		runShards(run, fc.Workers, fc.Shards, admit, func(sh int) error {
+			return tracker.run(sh, func(sh int) (workload.ShardStats, error) {
+				defer close(streams[sh].full)
+				return produceShard(vp, seed, sh, fc.Shards, streams[sh], run.Done()), nil
+			})
 		})
 	}()
 	// finish halts the pipeline (a no-op once every shard is drained) and
@@ -102,7 +104,7 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 	finish := func(err error) (VPStats, error) {
 		halt()
 		<-done
-		return mergeStats(vp, fc, stats), err
+		return mergeStats(vp, fc, tracker.stats), err
 	}
 
 	for _, s := range streams {

@@ -49,25 +49,32 @@ type ShardEvent struct {
 
 // shardTracker wraps shard execution with the executor's telemetry: wall
 // time, worker occupancy, and the per-run completion count Observer events
-// carry. Records and shards are counted where they are generated, in
-// generatePooled. One tracker serves one run; run is called from the worker
-// goroutines. A shard whose task fails did not complete: it is neither
-// timed nor reported.
+// carry, and keeps each completed shard's stats. Records and shards are
+// counted where they are generated, in generatePooled. One tracker serves
+// one population of a run; run is called from the worker goroutines. A
+// shard whose task fails did not complete: it is neither timed nor
+// reported, and its stats stay zero.
 type shardTracker struct {
-	fc   Config
-	vp   string
-	done atomic.Int64
+	fc    Config
+	vp    string
+	done  atomic.Int64
+	stats []workload.ShardStats // indexed by shard
 }
 
-func (t *shardTracker) run(sh int, task func(sh int) (workload.ShardStats, error)) (workload.ShardStats, error) {
+func newShardTracker(fc Config, vp string) *shardTracker {
+	return &shardTracker{fc: fc, vp: vp, stats: make([]workload.ShardStats, fc.Shards)}
+}
+
+func (t *shardTracker) run(sh int, task func(sh int) (workload.ShardStats, error)) error {
 	mWorkersBusy.Add(1)
 	start := time.Now()
 	stats, err := task(sh)
 	elapsed := time.Since(start)
 	mWorkersBusy.Add(-1)
 	if err != nil {
-		return stats, err
+		return err
 	}
+	t.stats[sh] = stats
 	mShardSeconds.Observe(elapsed)
 	done := int(t.done.Add(1))
 	if t.fc.Observer != nil {
@@ -80,5 +87,5 @@ func (t *shardTracker) run(sh int, task func(sh int) (workload.ShardStats, error
 			Done:    done,
 		})
 	}
-	return stats, nil
+	return nil
 }

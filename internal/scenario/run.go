@@ -73,10 +73,10 @@ func CollectStream(ctx context.Context, c *Compiled, workers int) (*StreamResult
 	if workers > 0 {
 		fc.Workers = workers
 	}
-	agg, stats, err := fleet.Aggregate(ctx, c.VP, c.Seed, fc, func(int) fleet.Aggregator { return new(streamAgg) })
+	aggs, stats, err := fleet.Aggregate(ctx, []fleet.Population{{VP: c.VP, Seed: c.Seed}}, fc, func(int, int) fleet.Aggregator { return new(streamAgg) })
 	if err != nil {
 		return nil, err
 	}
-	root := agg.(*streamAgg)
-	return &StreamResult{Stats: stats, Requests: root.reqs.Arrivals(), StreamHash: root.fold.Sum64()}, nil
+	root := aggs[0].(*streamAgg)
+	return &StreamResult{Stats: stats[0], Requests: root.reqs.Arrivals(), StreamHash: root.fold.Sum64()}, nil
 }

@@ -448,9 +448,9 @@ func runFingerprint(spec Spec, sel []Experiment) string {
 
 // runObserver adapts fleet.ShardEvents into shard-granularity Progress
 // events and the manifest's per-shard timing records. Fleet workers call
-// observe concurrently (including from the four parallel vantage points of
-// the fleet lab); the mutex serializes both the Progress callbacks and the
-// timing log.
+// observe concurrently, with one call's populations (the four vantage
+// points, the what-if profiles) interleaved on one pool; the mutex
+// serializes both the Progress callbacks and the timing log.
 type runObserver struct {
 	mu       sync.Mutex
 	progress func(Progress)
