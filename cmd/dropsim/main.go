@@ -11,7 +11,7 @@
 // Usage:
 //
 //	dropsim [-vp campus1|campus2|home1|home2] [-scale F] [-seed N]
-//	        [-shards N] [-workers N | -jobs N] [-devices-scale F]
+//	        [-shards N] [-workers N] [-devices-scale F]
 //	        [-profile NAME] [-format csv|binary|binary-flate]
 //	        [-summary] [-o FILE]
 //	        [-checkpoint DIR [-resume]]
@@ -20,8 +20,7 @@
 //	        [-memprofile FILE] [-telemetry-interval DUR]
 //
 // -workers bounds how many shards generate at once on the fleet engine's
-// worker pool, for the straight export and the -checkpoint campaign alike;
-// -jobs is its alias (as in cmd/experiments), read when -workers is unset.
+// worker pool, for the straight export and the -checkpoint campaign alike.
 //
 // -scenario compiles a declarative scenario spec (see scenarios/) and
 // takes its population from there: the spec's base section overrides
@@ -117,12 +116,8 @@ func main() {
 	manifest := flag.String("manifest", "", "write a run manifest (stream hash, shard timings, telemetry snapshot) to this file")
 	checkpoint := flag.String("checkpoint", "", "campaign directory for per-shard checkpoint/resume (enables the multi-core campaign runner)")
 	resume := flag.Bool("resume", false, "continue a checkpointed campaign from where it stopped (requires -checkpoint)")
-	jobs := flag.Int("jobs", 0, "alias for -workers: concurrent shard workers (0 = GOMAXPROCS; never changes results)")
 	prof := cli.BindProfile(flag.CommandLine)
 	flag.Parse()
-	if *workers == 0 {
-		*workers = *jobs
-	}
 
 	// The checkpointed campaign path owns serialization (parts + merge),
 	// so the stream-tee features cannot combine with it.

@@ -2,19 +2,18 @@
 // trace campaigns: the durable tier over the fleet engine. Scheduling,
 // cancellation and shard telemetry are the engine's (fleet.ForEachShard on
 // its one worker pool, or separate processes via the plan/run/merge flow);
-// this package adds what durability costs — a part file, an aggregator
-// state and a checkpoint entry per shard, so an interrupted run resumes
-// exactly where it stopped.
+// this package adds what durability costs — a part file and a checkpoint
+// entry per shard, so an interrupted run resumes exactly where it stopped.
 //
 // The export is written by one ordered merger (merge.go), a consumer of
 // committed shards rather than a second phase: it walks the shards in
 // canonical order, waits until shard k has its checkpoint entry, streams
 // that part into the export writer — block to block, columns re-blocked
 // onto the export's grid, for the binary formats; a reused block of
-// records at a time for CSV — and folds its state, while the pool is still
-// generating shards k+1 onwards. Run
-// starts it beside generate; Merge, for planned jobs, runs the same loop
-// over a directory where every shard is already committed. When
+// records at a time for CSV — and folds its generation stats from the
+// checkpoint entry, while the pool is still generating shards k+1 onwards.
+// Run starts it beside generate; Merge, for planned jobs, runs the same
+// loop over a directory where every shard is already committed. When
 // generation fails or is cancelled the merger stops with it and takes its
 // half-written export along.
 //
@@ -22,12 +21,10 @@
 //
 //   - parts/shard-NNNN.part — the shard's record stream in the binary
 //     columnar codec (full fidelity, never anonymized);
-//   - parts/shard-NNNN.state — the shard's ShardStats plus mergeable
-//     fleet.Summary aggregator state as JSON;
 //   - checkpoint.ckpt (and checkpoint-job-NNN.ckpt per planned job) —
 //     schema-versioned, CRC-guarded progress records listing completed
-//     shards with the size and checksum of each artifact: CRC-32C of the
-//     part, checked as the merge reads it; FNV-1a of the state file;
+//     shards with the part's size and CRC-32C, checked as the merge reads
+//     it, and the shard's workload.ShardStats;
 //   - plan.ckpt — the shard-range job split for multi-process fan-out.
 //
 // Every checkpoint carries the campaign spec's fingerprint, so a
@@ -42,10 +39,9 @@
 // in canonical shard order by the merger, so the job count, the order the
 // pool ran the shards in, whether the merger ran beside generation or
 // after it, the process count, GOMAXPROCS, and any kill/resume history
-// never change a byte of the final export — only wall-clock time. Summary
-// aggregators are restored per shard and folded left in shard-index
-// order, matching fleet.Aggregate exactly, so even floating-point
-// aggregates are bit-identical. The crash-injection suite pins all of
+// never change a byte of the final export — only wall-clock time. The
+// per-shard generation stats are folded in shard-index order, as
+// fleet.StreamRecords folds them. The crash-injection suite pins all of
 // this against the legacy golden stream hashes.
 package campaign
 
@@ -109,10 +105,10 @@ type Spec struct {
 	Profile string `json:"profile,omitempty"`
 	// Format is the final export encoding, a name from the traces format
 	// table: csv (default), binary, or binary-flate. Parts are always
-	// stored binary regardless.
+	// stored binary; only the merge writes this format.
 	Format string `json:"format,omitempty"`
-	// Anonymize replaces client addresses with stable opaque tokens in
-	// the final export (parts always keep full fidelity).
+	// Anonymize replaces client addresses with stable opaque tokens as
+	// the merge writes the final export; parts keep full fidelity.
 	Anonymize bool `json:"anonymize,omitempty"`
 }
 
@@ -219,12 +215,6 @@ type Config struct {
 	// a directory that already holds checkpointed progress is an error —
 	// never a silent partial resume.
 	Resume bool
-	// Retries bounds per-shard retry attempts after a failure: 0 means
-	// the default (2 retries), negative disables retry entirely.
-	Retries int
-	// RetryBackoff is the first retry's delay, doubling per attempt;
-	// 0 means the default (100ms).
-	RetryBackoff time.Duration
 	// Observer, when non-nil, receives progress Events (see Event).
 	Observer func(Event)
 	// AfterShard, when non-nil, runs after a shard's checkpoint entry is
@@ -233,31 +223,21 @@ type Config struct {
 	AfterShard func(shard int)
 
 	// crashAt injects a hard stop at a named stage for the
-	// crash-equivalence tests ("part", "state", "checkpoint-mid-write",
+	// crash-equivalence tests ("part", "checkpoint-mid-write",
 	// "checkpoint", "merge-mid-write"). Test-only.
 	crashAt func(stage string, shard int)
 	// failShard injects a transient per-attempt failure for the retry
-	// tests. Test-only.
+	// tests, and delay, when set, replaces retryDelay there. Test-only.
 	failShard func(shard, attempt int) error
+	delay     time.Duration
 }
 
-func (c Config) retries() int {
-	switch {
-	case c.Retries < 0:
-		return 0
-	case c.Retries == 0:
-		return 2
-	default:
-		return c.Retries
-	}
-}
-
-func (c Config) backoff() time.Duration {
-	if c.RetryBackoff <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.RetryBackoff
-}
+// A failed shard is retried shardRetries times, the first retry after
+// retryDelay and each later one after twice the delay before it.
+const (
+	shardRetries = 2
+	retryDelay   = 100 * time.Millisecond
+)
 
 // Result describes a completed campaign.
 type Result struct {
@@ -268,10 +248,8 @@ type Result struct {
 	// StreamHash is the FNV-1a hash of the export bytes, formatted
 	// exactly like manifest stream hashes ("%016x").
 	StreamHash string
-	// Summary is the campaign's merged streaming aggregate, folded from
-	// per-shard states in canonical shard order.
-	Summary *fleet.Summary
-	// Stats is the merged generation ground truth.
+	// Stats is the merged generation ground truth, folded from the
+	// checkpoint entries in canonical shard order.
 	Stats workload.ShardStats
 	// ResumedShards counts shards satisfied from checkpoints;
 	// GeneratedShards counts shards generated by this run.
@@ -385,25 +363,18 @@ func newRunner(cfg Config, ckFile string) (*runner, error) {
 	return r, nil
 }
 
-// verifyArtifacts checks a checkpointed shard's part and state files are
-// present with the recorded sizes — a cheap loud-failure gate at load
-// time; content hashes are verified as the bytes stream through merge.
+// verifyArtifacts checks a checkpointed shard's part file is present
+// with the recorded size — a cheap loud-failure gate at load time; the
+// content hash is verified as the bytes stream through merge.
 func (r *runner) verifyArtifacts(e ShardDone) error {
-	for _, f := range []struct {
-		path string
-		want int64
-	}{
-		{partPath(r.dir, e.Shard), e.PartBytes},
-		{statePath(r.dir, e.Shard), e.StateBytes},
-	} {
-		fi, err := os.Stat(f.path)
-		if err != nil {
-			return fmt.Errorf("campaign: checkpoint records shard %d complete but its artifact is missing: %w", e.Shard, err)
-		}
-		if fi.Size() != f.want {
-			return fmt.Errorf("campaign: shard %d artifact %s is %d bytes, checkpoint recorded %d — artifacts and checkpoint disagree",
-				e.Shard, filepath.Base(f.path), fi.Size(), f.want)
-		}
+	path := partPath(r.dir, e.Shard)
+	fi, err := os.Stat(path)
+	if err != nil {
+		return fmt.Errorf("campaign: checkpoint records shard %d complete but its artifact is missing: %w", e.Shard, err)
+	}
+	if fi.Size() != e.PartBytes {
+		return fmt.Errorf("campaign: shard %d artifact %s is %d bytes, checkpoint recorded %d — artifacts and checkpoint disagree",
+			e.Shard, filepath.Base(path), fi.Size(), e.PartBytes)
 	}
 	return nil
 }
@@ -465,9 +436,12 @@ func (r *runner) doneCount() int {
 
 // runShardWithRetry is the bounded-retry wrapper around one shard's
 // generation: transient failures (sink IO, injected faults) back off and
-// retry up to Config.Retries times; a cancelled ctx never retries.
+// retry up to shardRetries times; a cancelled ctx never retries.
 func (r *runner) runShardWithRetry(ctx context.Context, sh int) (workload.ShardStats, error) {
-	retries := r.cfg.retries()
+	delay := retryDelay
+	if r.cfg.delay > 0 {
+		delay = r.cfg.delay
+	}
 	for attempt := 0; ; attempt++ {
 		st, err := r.runShardOnce(sh, attempt)
 		if err == nil {
@@ -476,22 +450,22 @@ func (r *runner) runShardWithRetry(ctx context.Context, sh int) (workload.ShardS
 		if ctx.Err() != nil {
 			return st, ctx.Err()
 		}
-		if attempt >= retries {
+		if attempt >= shardRetries {
 			return st, fmt.Errorf("campaign: shard %d failed after %d attempts: %w", sh, attempt+1, err)
 		}
 		mShardRetries.Inc()
 		r.observe(Event{Stage: "retry", Shard: sh, Attempt: attempt + 1, Err: err})
 		select {
-		case <-time.After(r.cfg.backoff() << attempt):
+		case <-time.After(delay << attempt):
 		case <-ctx.Done():
 			return st, ctx.Err()
 		}
 	}
 }
 
-// runShardOnce generates one shard into its part and state files and
-// commits a checkpoint entry. Every artifact lands atomically (tmp +
-// fsync + rename), so a crash at any point leaves either the previous
+// runShardOnce generates one shard into its part file and commits a
+// checkpoint entry carrying the shard's stats. Both land atomically (tmp
+// + fsync + rename), so a crash at any point leaves either the previous
 // state or the complete new one — never a torn file.
 func (r *runner) runShardOnce(sh, attempt int) (st workload.ShardStats, err error) {
 	if r.cfg.failShard != nil {
@@ -503,12 +477,11 @@ func (r *runner) runShardOnce(sh, attempt int) (st workload.ShardStats, err erro
 	part := partPath(r.dir, sh)
 	partHash := newPartHash()
 	var partBytes int64
-	sum := fleet.NewSummary(r.vp.Days)
 	err = writeFileAtomicFunc(part, func(f *os.File) error {
 		cw := &countWriter{w: io.MultiWriter(f, partHash), n: &partBytes}
 		bw := traces.NewBinaryWriter(cw)
 		ws := &fleet.WriterSink{W: bw}
-		st = fleet.RunShard(r.vp, r.spec.Seed, sh, r.spec.Shards, sinkPair{ws, sum})
+		st = fleet.RunShard(r.vp, r.spec.Seed, sh, r.spec.Shards, ws)
 		if ws.Err != nil {
 			return ws.Err
 		}
@@ -519,19 +492,12 @@ func (r *runner) runShardOnce(sh, attempt int) (st workload.ShardStats, err erro
 	}
 	r.crash("part", sh)
 
-	stateBytes, stateHash, err := writeShardState(statePath(r.dir, sh), st, sum)
-	if err != nil {
-		return st, fmt.Errorf("campaign: shard %d state: %w", sh, err)
-	}
-	r.crash("state", sh)
-
 	entry := ShardDone{
-		Shard:      sh,
-		Records:    st.Records,
-		PartBytes:  partBytes,
-		PartHash:   partHashHex(partHash),
-		StateBytes: stateBytes,
-		StateHash:  stateHash,
+		Shard:     sh,
+		Records:   st.Records,
+		PartBytes: partBytes,
+		PartHash:  partHashHex(partHash),
+		Stats:     st,
 	}
 	if err := r.commit(sh, entry); err != nil {
 		return st, err
@@ -572,19 +538,6 @@ func (r *runner) commit(sh int, e ShardDone) error {
 	default:
 	}
 	return nil
-}
-
-// sinkPair fans one shard's pooled record stream into the part writer
-// and the streaming summary. Both consumers copy what they keep, so the
-// pooled ownership rules hold.
-type sinkPair struct {
-	w   *fleet.WriterSink
-	sum *fleet.Summary
-}
-
-func (p sinkPair) Consume(rec *traces.FlowRecord) {
-	p.w.Consume(rec)
-	p.sum.Consume(rec)
 }
 
 // countWriter counts bytes written through it.
@@ -631,10 +584,6 @@ const checkpointName = "checkpoint.ckpt"
 
 func partPath(dir string, sh int) string {
 	return filepath.Join(dir, "parts", fmt.Sprintf("shard-%04d.part", sh))
-}
-
-func statePath(dir string, sh int) string {
-	return filepath.Join(dir, "parts", fmt.Sprintf("shard-%04d.state", sh))
 }
 
 func jobCheckpointName(job int) string {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/golden"
 	"insidedropbox/internal/telemetry"
+	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
 )
 
@@ -63,30 +66,85 @@ func TestCampaignGolden(t *testing.T) {
 	}
 }
 
-// TestCampaignSummaryMatchesSingleProcess pins the split-state aggregator
-// path: per-shard Summary states restored from disk and folded in shard
-// order must reproduce the single-process fleet.Summarize aggregate
-// exactly, floating point included.
-func TestCampaignSummaryMatchesSingleProcess(t *testing.T) {
-	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}
-	res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 4})
+// streamStats is the generation ground truth of spec's population as
+// fleet.StreamRecords merges it, with no parts and no checkpoints.
+func streamStats(t *testing.T, spec Spec) fleet.VPStats {
+	t.Helper()
+	spec = spec.normalized()
+	vp, err := spec.vpConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := fleet.StreamRecords(context.Background(), vp, spec.Seed, fleet.Config{Shards: spec.Shards},
+		func(*traces.FlowRecord) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
 
-	vp, err := spec.normalized().vpConfig()
+// checkStats fails unless a campaign's merged Stats carry what the
+// single-process stream merged: records, households, devices, both day
+// vectors and the cohort maps.
+func checkStats(t *testing.T, how string, got workload.ShardStats, stream fleet.VPStats) {
+	t.Helper()
+	want := workload.ShardStats{Records: stream.Records, Households: stream.Households, Devices: stream.Devices,
+		BackgroundByDay: stream.BackgroundByDay, YouTubeByDay: stream.YouTubeByDay,
+		CohortDevices: stream.CohortDevices, CohortRecords: stream.CohortRecords}
+	got.SyncEvents = 0 // fleet.VPStats does not carry it
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: campaign stats %+v, single-process stream %+v", how, got, want)
+	}
+}
+
+// TestCampaignStatsMatchSingleProcess: the generation stats folded from
+// the checkpoint entries in shard order equal the single-process stream's
+// merged stats — for a fresh run, for a run resumed after a kill, whose
+// killed shards' stats come back from the checkpoint, and for a
+// Merge-only pass that generates nothing.
+func TestCampaignStatsMatchSingleProcess(t *testing.T) {
+	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}
+	want := streamStats(t, spec)
+	if len(want.BackgroundByDay) == 0 || len(want.YouTubeByDay) == 0 {
+		t.Fatalf("single-process stream carries no day vectors: %+v", want)
+	}
+
+	dir := t.TempDir()
+	res := mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 4})
+	checkStats(t, "fresh run", res.Stats, want)
+
+	killed := t.TempDir()
+	crashRun(t, killed, spec, "checkpoint", 1, 1, false)
+	resumed := mustRun(t, Config{Spec: spec, Dir: killed, Jobs: 2, Resume: true})
+	if resumed.ResumedShards == 0 {
+		t.Fatal("the run after the kill resumed no shard")
+	}
+	checkStats(t, "resumed run", resumed.Stats, want)
+
+	merged, err := Merge(context.Background(), spec, dir, filepath.Join(t.TempDir(), "merged.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, stats, err := fleet.Summarize(context.Background(), vp, spec.Seed, fleet.Config{Shards: spec.Shards})
+	checkStats(t, "Merge-only pass", merged.Stats, want)
+}
+
+// TestCampaignPartsAreTheOnlyShardFiles: a shard costs one part file and a
+// checkpoint entry, so after a run parts/ holds one shard-NNNN.part per
+// shard and nothing else.
+func TestCampaignPartsAreTheOnlyShardFiles(t *testing.T) {
+	spec := Spec{VP: "home1", Scale: 0.01, Seed: 7, Shards: 3}
+	dir := t.TempDir()
+	mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 2})
+	entries, err := os.ReadDir(filepath.Join(dir, "parts"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Records != res.Records {
-		t.Fatalf("record counts diverge: campaign %d, direct %d", res.Records, stats.Records)
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
 	}
-	want, got := direct.Metrics(), res.Summary.Metrics()
-	for k, w := range want {
-		if g, ok := got[k]; !ok || g != w {
-			t.Fatalf("summary metric %q = %v, direct path computed %v", k, got[k], w)
-		}
+	if want := []string{"shard-0000.part", "shard-0001.part", "shard-0002.part"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("parts/ holds %v, want %v", got, want)
 	}
 }
 
@@ -98,8 +156,7 @@ func TestCampaignRetryConvergence(t *testing.T) {
 
 	attempts := make(map[int]int)
 	res := mustRun(t, Config{
-		Spec: spec, Dir: t.TempDir(), Jobs: 1,
-		Retries: 2, RetryBackoff: 1,
+		Spec: spec, Dir: t.TempDir(), Jobs: 1, delay: 1,
 		failShard: func(sh, attempt int) error {
 			attempts[sh]++
 			if sh == 2 && attempt < 2 {
@@ -116,8 +173,7 @@ func TestCampaignRetryConvergence(t *testing.T) {
 	}
 
 	_, err := Run(context.Background(), Config{
-		Spec: spec, Dir: t.TempDir(), Jobs: 1,
-		Retries: 1, RetryBackoff: 1,
+		Spec: spec, Dir: t.TempDir(), Jobs: 1, delay: 1,
 		failShard: func(sh, attempt int) error {
 			if sh == 1 {
 				return errors.New("injected permanent failure")
@@ -125,7 +181,7 @@ func TestCampaignRetryConvergence(t *testing.T) {
 			return nil
 		},
 	})
-	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
+	if err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
 		t.Fatalf("permanently failing shard: err = %v, want attempt-exhaustion error", err)
 	}
 }

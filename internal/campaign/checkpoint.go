@@ -5,21 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
-	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/workload"
 )
 
 // CheckpointSchema versions the checkpoint payload. Loaders reject any
-// other version — a stale checkpoint never resumes silently. Schema 2
-// records part checksums as CRC-32C; schema 1 recorded FNV-1a, so its
-// directories are refused here rather than blamed on their parts.
-const CheckpointSchema = 2
+// other version — a stale checkpoint never resumes silently. Schema 3
+// carries each shard's generation stats in its entry; schema 2 kept them
+// in a state file beside the part, and schema 1 recorded part checksums as
+// FNV-1a rather than CRC-32C, so both are refused here rather than blamed
+// on their parts.
+const CheckpointSchema = 3
 
 // envelopeMagic opens every checkpoint file. The header line is
 //
@@ -37,17 +37,15 @@ const (
 	kindResults = "results"
 )
 
-// ShardDone is one completed shard's checkpoint entry: what was
-// generated and the exact size and checksum of each on-disk artifact
-// (CRC-32C of the part, FNV-1a of the state), so resume and merge verify
-// the bytes they reuse.
+// ShardDone is one completed shard's checkpoint entry: its part's record
+// count, exact size and CRC-32C, so resume and merge verify the bytes
+// they reuse, and the shard's generation stats, which the merge folds.
 type ShardDone struct {
-	Shard      int    `json:"shard"`
-	Records    int    `json:"records"`
-	PartBytes  int64  `json:"part_bytes"`
-	PartHash   string `json:"part_hash"`
-	StateBytes int64  `json:"state_bytes"`
-	StateHash  string `json:"state_hash"`
+	Shard     int                 `json:"shard"`
+	Records   int                 `json:"records"`
+	PartBytes int64               `json:"part_bytes"`
+	PartHash  string              `json:"part_hash"`
+	Stats     workload.ShardStats `json:"stats"`
 }
 
 // checkpointBody is the JSON payload inside the envelope. One shape
@@ -211,8 +209,8 @@ func writeFileAtomicFunc(path string, fill func(*os.File) error) error {
 // loadCheckpoints reads every shard checkpoint in a campaign directory —
 // the runner's own file plus any per-job files from a multi-process plan
 // — validates each against the spec fingerprint, and unions the entries.
-// Conflicting duplicates (same shard, different artifact hashes) are an
-// error; identical duplicates collapse. Returns the entries owned by
+// Conflicting duplicates (same shard, different parts) are an error;
+// duplicates of one part collapse. Returns the entries owned by
 // ownFile (so the runner extends its own file without absorbing other
 // jobs' entries) and the full union sorted by shard.
 func loadCheckpoints(dir, ownFile, wantFP string) (own, all []ShardDone, err error) {
@@ -232,7 +230,7 @@ func loadCheckpoints(dir, ownFile, wantFP string) (own, all []ShardDone, err err
 		}
 		for _, e := range body.Shards {
 			if prev, ok := seen[e.Shard]; ok {
-				if prev != e {
+				if prev.Records != e.Records || prev.PartBytes != e.PartBytes || prev.PartHash != e.PartHash {
 					return nil, nil, fmt.Errorf("campaign: shard %d appears in multiple checkpoints with different artifacts (%s vs %s) — the campaign directory is inconsistent",
 						e.Shard, prev.PartHash, e.PartHash)
 				}
@@ -253,54 +251,3 @@ func loadCheckpoints(dir, ownFile, wantFP string) (own, all []ShardDone, err err
 }
 
 func e2slice(s []ShardDone) []ShardDone { return append([]ShardDone(nil), s...) }
-
-// shardState is the JSON stored beside each part: the shard's generation
-// ground truth plus its mergeable streaming aggregate, so a separate
-// process can fold summaries without touching record streams.
-type shardState struct {
-	Schema  int                 `json:"schema"`
-	Stats   workload.ShardStats `json:"stats"`
-	Summary *fleet.SummaryState `json:"summary"`
-}
-
-// writeShardState serializes one shard's generation stats plus mergeable
-// summary state, returning the written size and FNV-1a hash.
-func writeShardState(path string, st workload.ShardStats, sum *fleet.Summary) (int64, string, error) {
-	state := shardState{Schema: CheckpointSchema, Stats: st, Summary: sum.State()}
-	data, err := json.Marshal(state)
-	if err != nil {
-		return 0, "", err
-	}
-	if err := writeFileAtomicFunc(path, func(f *os.File) error {
-		_, err := f.Write(data)
-		return err
-	}); err != nil {
-		return 0, "", err
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	return int64(len(data)), fmt.Sprintf("%016x", h.Sum64()), nil
-}
-
-// readShardState loads and verifies one shard's state file against its
-// checkpoint entry.
-func readShardState(dir string, e ShardDone) (*shardState, error) {
-	data, err := os.ReadFile(statePath(dir, e.Shard))
-	if err != nil {
-		return nil, fmt.Errorf("campaign: shard %d state: %w", e.Shard, err)
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	if got := fmt.Sprintf("%016x", h.Sum64()); int64(len(data)) != e.StateBytes || got != e.StateHash {
-		return nil, fmt.Errorf("campaign: shard %d state file does not match its checkpoint entry (%d bytes hash %s, recorded %d bytes hash %s)",
-			e.Shard, len(data), got, e.StateBytes, e.StateHash)
-	}
-	var st shardState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("campaign: shard %d state: %w", e.Shard, err)
-	}
-	if st.Schema != CheckpointSchema {
-		return nil, fmt.Errorf("campaign: shard %d state schema %d, this build reads %d", e.Shard, st.Schema, CheckpointSchema)
-	}
-	return &st, nil
-}

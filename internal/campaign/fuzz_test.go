@@ -2,7 +2,13 @@ package campaign
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"insidedropbox/internal/workload"
 )
 
 // FuzzCheckpointDecode hammers the checkpoint loader with arbitrary
@@ -22,7 +28,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}
 	seed(checkpointBody{
 		Schema: CheckpointSchema, Kind: kindShards, Fingerprint: spec.Fingerprint(), Spec: &spec,
-		Shards: []ShardDone{{Shard: 0, Records: 123, PartBytes: 4567, PartHash: "00c0ffee", StateBytes: 89, StateHash: "00deadbeef000000"}},
+		Shards: []ShardDone{{Shard: 0, Records: 123, PartBytes: 4567, PartHash: "00c0ffee", Stats: workload.ShardStats{
+			Records: 123, Households: 4, Devices: 9, SyncEvents: 17,
+			BackgroundByDay: []float64{1.5, 2.25}, YouTubeByDay: []float64{0.125, 3},
+			CohortDevices: map[string]int{"base": 9}, CohortRecords: map[string]int{"base": 80},
+		}}},
 	})
 	seed(checkpointBody{
 		Schema: CheckpointSchema, Kind: kindPlan, Fingerprint: spec.Fingerprint(), Spec: &spec,
@@ -61,4 +71,29 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("decode/encode/decode is not the identity:\n%s\nvs\n%s", payload, p2)
 		}
 	})
+}
+
+// TestFuzzValidSeedsDecode: the committed valid-* corpus entries are
+// checkpoints of the current schema, so the fuzzer starts from frames the
+// loader accepts rather than ones a schema revision left stale.
+func TestFuzzValidSeedsDecode(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode", "valid-*"))
+	if err != nil || len(paths) != 3 {
+		t.Fatalf("valid corpus entries: %v (%v), want 3", paths, err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, line, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+		lit, ok := strings.CutPrefix(line, "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a []byte corpus entry: %v", p, err)
+		}
+		if _, err := decodeCheckpoint([]byte(data), "", ""); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
+	}
 }

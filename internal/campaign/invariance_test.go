@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -56,8 +57,8 @@ func TestCampaignGOMAXPROCSInvariance(t *testing.T) {
 }
 
 // TestSplitMergeMatchesSingleProcess: the multi-process plan/run/merge
-// flow must produce byte-identical output to an in-process run — the
-// mergeable-aggregator-state contract, end to end.
+// flow must produce byte-identical output and the same generation stats
+// as an in-process run, end to end.
 func TestSplitMergeMatchesSingleProcess(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 8}
 
@@ -86,11 +87,8 @@ func TestSplitMergeMatchesSingleProcess(t *testing.T) {
 	if !bytes.Equal(readExport(t, merged), readExport(t, single)) {
 		t.Fatal("split-merge export bytes differ from the single-process run")
 	}
-	wantM, gotM := single.Summary.Metrics(), merged.Summary.Metrics()
-	for k, w := range wantM {
-		if g := gotM[k]; g != w {
-			t.Fatalf("merged summary metric %q = %v, single-process %v", k, g, w)
-		}
+	if !reflect.DeepEqual(merged.Stats, single.Stats) {
+		t.Fatalf("split-merge stats %+v, single-process %+v", merged.Stats, single.Stats)
 	}
 }
 

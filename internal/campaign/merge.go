@@ -19,9 +19,8 @@ import (
 // no wait at all for a resumed shard, or for any shard under Merge —
 // streams its part through the spec's export writer into the final
 // artifact, verifying the part's bytes against its checkpointed checksum
-// on the way, and folds the per-shard summaries left in shard-index order
-// (matching fleet.Aggregate) so even floating-point aggregates are
-// bit-identical to a single-process run. Beside generate it overlaps
+// on the way, and folds each entry's generation stats in shard-index
+// order, as fleet.StreamRecords does. Beside generate it overlaps
 // everything but the parts behind the slowest shard. The export lands
 // atomically, over whatever export or .tmp a killed run left; a failed or
 // cancelled merge leaves neither.
@@ -57,21 +56,7 @@ func (r *runner) merge(ctx context.Context) (*Result, error) {
 				return err
 			}
 			res.Records += n
-
-			st, err := readShardState(r.dir, e)
-			if err != nil {
-				return err
-			}
-			sum, err := st.Summary.Summary()
-			if err != nil {
-				return fmt.Errorf("campaign: shard %d state: %w", sh, err)
-			}
-			if res.Summary == nil {
-				res.Summary = sum
-			} else {
-				res.Summary.Merge(sum)
-			}
-			res.Stats.Merge(st.Stats)
+			res.Stats.Merge(e.Stats)
 			if sh == 0 {
 				r.crash("merge-mid-write", sh)
 			}

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -74,7 +75,7 @@ func strays(t *testing.T, dir string) []string {
 // shard 0's commit until the merger has streamed that part, which a merge
 // that waited for generation would never do — and merging alongside is
 // one more invisible execution choice: the export equals the straight
-// export and a Merge()-only pass over the same directory, summary
+// export and a Merge()-only pass over the same directory, stats
 // included. A stale export temp left by a killed run is written over.
 func TestMergeOverlapsGeneration(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 8, Format: "binary", Anonymize: true}
@@ -151,14 +152,8 @@ func TestMergeOverlapsGeneration(t *testing.T) {
 	if merged.StreamHash != res.StreamHash || !bytes.Equal(readExport(t, merged), got) {
 		t.Fatal("export merged alongside generation differs from a Merge()-only pass over the same parts")
 	}
-	want, have := merged.Summary.Metrics(), res.Summary.Metrics()
-	if len(want) == 0 || len(want) != len(have) {
-		t.Fatalf("summaries carry %d and %d metrics", len(want), len(have))
-	}
-	for k, w := range want {
-		if have[k] != w {
-			t.Fatalf("summary metric %q = %v alongside generation, %v merged afterwards", k, have[k], w)
-		}
+	if res.Stats.Records != res.Records || !reflect.DeepEqual(merged.Stats, res.Stats) {
+		t.Fatalf("stats alongside generation %+v, merged afterwards %+v", res.Stats, merged.Stats)
 	}
 }
 
@@ -176,7 +171,7 @@ func TestRunFailureLeavesNoExport(t *testing.T) {
 		check func(error) bool
 	}{
 		{"shard fails past its retries", func(cfg *Config, _ context.CancelFunc) {
-			cfg.Retries, cfg.RetryBackoff = 1, 1
+			cfg.delay = 1
 			cfg.failShard = func(sh, _ int) error {
 				if sh == 5 {
 					return injected
@@ -184,7 +179,7 @@ func TestRunFailureLeavesNoExport(t *testing.T) {
 				return nil
 			}
 		}, func(err error) bool {
-			return errors.Is(err, injected) && strings.Contains(err.Error(), "shard 5 failed after 2 attempts")
+			return errors.Is(err, injected) && strings.Contains(err.Error(), "shard 5 failed after 3 attempts")
 		}},
 		{"cancelled mid-run", func(cfg *Config, cancel context.CancelFunc) {
 			var commits sync.Mutex

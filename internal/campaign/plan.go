@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"insidedropbox/internal/fleet"
 )
@@ -99,11 +98,9 @@ func LoadPlan(dir string) (*Plan, error) {
 type JobOptions struct {
 	// Resume permits continuing from the job's existing checkpoint.
 	Resume bool
-	// Retries / RetryBackoff / Observer / AfterShard as in Config.
-	Retries      int
-	RetryBackoff time.Duration
-	Observer     func(Event)
-	AfterShard   func(shard int)
+	// Observer / AfterShard as in Config.
+	Observer   func(Event)
+	AfterShard func(shard int)
 }
 
 // JobResult describes one completed planned job.
@@ -128,13 +125,11 @@ func RunJob(ctx context.Context, dir string, job int, opt JobOptions) (*JobResul
 		return nil, fmt.Errorf("campaign: job %d out of range: the plan has %d jobs", job, len(p.Jobs))
 	}
 	cfg := Config{
-		Spec:         p.Spec,
-		Dir:          dir,
-		Resume:       opt.Resume,
-		Retries:      opt.Retries,
-		RetryBackoff: opt.RetryBackoff,
-		Observer:     opt.Observer,
-		AfterShard:   opt.AfterShard,
+		Spec:       p.Spec,
+		Dir:        dir,
+		Resume:     opt.Resume,
+		Observer:   opt.Observer,
+		AfterShard: opt.AfterShard,
 	}
 	r, err := newJobRunner(cfg, job, p.Jobs[job])
 	if err != nil {

@@ -47,7 +47,6 @@ type SpecFlags struct {
 	out        *string
 	checkpoint *string
 	resume     *bool
-	jobs       *int
 }
 
 // BindSpec registers the shared campaign flags on fs.
@@ -70,22 +69,17 @@ func BindSpec(fs *flag.FlagSet) *SpecFlags {
 		out:        fs.String("out", "results", "output directory for rendered results"),
 		checkpoint: fs.String("checkpoint", "", "record each experiment's result to this file as it completes, enabling -resume"),
 		resume:     fs.Bool("resume", false, "load results already recorded in -checkpoint instead of recomputing them"),
-		jobs:       fs.Int("jobs", 0, "alias for -workers: concurrent shard workers (0 = GOMAXPROCS; never changes results)"),
 	}
 }
 
 // Spec resolves the parsed flags into a Spec (profile parsing errors
 // surface here, after flag.Parse).
 func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
-	workers := *f.workers
-	if workers == 0 {
-		workers = *f.jobs
-	}
 	spec := insidedropbox.Spec{
 		Seed:       *f.seed,
 		Quick:      *f.quick,
 		SkipPacket: *f.skipPacket,
-		Fleet:      insidedropbox.FleetConfig{Shards: *f.shards, Workers: workers},
+		Fleet:      insidedropbox.FleetConfig{Shards: *f.shards, Workers: *f.workers},
 		FleetScale: *f.fleetScale,
 		Backend:    *f.backend,
 		ResultsDir: *f.out,

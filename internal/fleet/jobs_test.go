@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -104,61 +103,5 @@ func TestRunShardMatchesGenerateShard(t *testing.T) {
 		if sink.n != n || !reflect.DeepEqual(st, legacy) {
 			t.Fatalf("shard %d: stats differ: pooled %+v (%d recs) vs %+v (%d recs)", shard, st, sink.n, legacy, n)
 		}
-	}
-}
-
-// TestSummaryStateRoundTrip: Summary → State → JSON → Summary reproduces
-// every metric exactly, and folding restored per-shard states in shard
-// order matches the direct aggregation — the contract the campaign merge
-// leans on for bit-identical floats.
-func TestSummaryStateRoundTrip(t *testing.T) {
-	vp := workload.Home1(0.02)
-	const shards = 4
-	direct, _ := mustSummarize(t, vp, 7, Config{Shards: shards, Workers: 2})
-
-	// Capture each shard's summary independently, as a campaign job would.
-	var states []*SummaryState
-	for shard := 0; shard < shards; shard++ {
-		sum := NewSummary(vp.Days)
-		RunShard(Config{}.ScaledVP(vp), 7, shard, shards, sum)
-		st := sum.State()
-		data, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back SummaryState
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		restored, err := back.Summary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sum.Metrics(), restored.Metrics()) {
-			t.Fatalf("shard %d: metrics changed across the JSON round-trip", shard)
-		}
-		states = append(states, &back)
-	}
-
-	// Left-fold in shard order, exactly like the campaign merge.
-	folded, err := states[0].Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range states[1:] {
-		s, err := st.Summary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		folded.Merge(s)
-	}
-	got, want := folded.Metrics(), direct.Metrics()
-	if !reflect.DeepEqual(got, want) {
-		for k, w := range want {
-			if g := got[k]; g != w {
-				t.Errorf("metric %q: folded %v, direct %v", k, g, w)
-			}
-		}
-		t.Fatal("folded per-shard states do not reproduce the direct aggregate")
 	}
 }

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // histDecades spans 1 to 1e13 (1 byte to 10 TB, 1 ns to ~2.8 hours);
 // histPerDecade sets resolution. Bucket width is a constant ratio, so
@@ -110,46 +107,4 @@ func (h *LogHist) MergeHist(o *LogHist) {
 	for i := range h.buckets {
 		h.buckets[i] += o.buckets[i]
 	}
-}
-
-// HistState is the serializable form of a LogHist. Buckets holds only the
-// occupied buckets as (index, count) pairs in ascending index order, so
-// the JSON stays small regardless of histBuckets. Count/Sum/Min/Max are
-// carried verbatim — JSON float round-trips are exact (shortest-form
-// encoding), so a restored histogram merges bit-identically.
-type HistState struct {
-	Count   uint64      `json:"count"`
-	Sum     float64     `json:"sum"`
-	Min     float64     `json:"min"`
-	Max     float64     `json:"max"`
-	Buckets [][2]uint64 `json:"buckets,omitempty"`
-}
-
-// State captures the histogram for serialization.
-func (h *LogHist) State() HistState {
-	st := HistState{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	for i, n := range h.buckets {
-		if n > 0 {
-			st.Buckets = append(st.Buckets, [2]uint64{uint64(i), n})
-		}
-	}
-	return st
-}
-
-// Restore overwrites the histogram from a serialized state, validating
-// bucket indices so corrupted state fails loudly instead of panicking.
-func (h *LogHist) Restore(st HistState) error {
-	*h = LogHist{count: st.Count, sum: st.Sum, min: st.Min, max: st.Max}
-	var total uint64
-	for _, b := range st.Buckets {
-		if b[0] > histBuckets {
-			return fmt.Errorf("telemetry: histogram state bucket index %d out of range (max %d)", b[0], histBuckets)
-		}
-		h.buckets[b[0]] += b[1]
-		total += b[1]
-	}
-	if total != st.Count {
-		return fmt.Errorf("telemetry: histogram state inconsistent: buckets sum to %d, count says %d", total, st.Count)
-	}
-	return nil
 }
