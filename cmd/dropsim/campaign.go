@@ -6,30 +6,12 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"insidedropbox"
 	"insidedropbox/internal/campaign"
 	"insidedropbox/internal/cli"
 	"insidedropbox/internal/telemetry"
 )
-
-// campaignSpec assembles the checkpointable campaign description from the
-// shared flag vocabulary. Anonymize matches dropsim's default export:
-// client addresses are replaced with stable opaque tokens, exactly as the
-// flag-driven streaming path does.
-func campaignSpec(vp string, scale float64, seed int64, shards int, devScale float64, profile, format string) campaign.Spec {
-	return campaign.Spec{
-		VP:           vp,
-		Scale:        scale,
-		Seed:         seed,
-		Shards:       shards,
-		DevicesScale: devScale,
-		Profile:      profile,
-		Format:       format,
-		Anonymize:    true,
-	}
-}
 
 // crashAfterShard reads the DROPSIM_CRASH_AFTER_SHARD kill-injection
 // hook: when set to N, the process hard-exits (status 137, no cleanup —
@@ -53,8 +35,8 @@ func crashAfterShard() func(shard int) {
 // runCheckpointed is the -checkpoint path of the main dropsim command: a
 // single-process campaign run with per-shard checkpoint/resume, workers
 // shards at a time on the fleet engine's pool.
-func runCheckpointed(ctx context.Context, spec campaign.Spec, dir, out string, workers int, resume bool, manifest string) {
-	rec := newCampaignRecorder(spec, dir)
+func runCheckpointed(ctx context.Context, spec campaign.Spec, mspec map[string]string, dir, out string, workers int, resume bool, manifest string) {
+	rec := newManifestRecorder(spec.Seed, mspec)
 	res, err := campaign.Run(ctx, campaign.Config{
 		Spec:       spec,
 		Dir:        dir,
@@ -93,15 +75,6 @@ func campaignProgress(ev campaign.Event) {
 	case "merge":
 		fmt.Fprintf(os.Stderr, "  merged %d shards\n", ev.Total)
 	}
-}
-
-// newCampaignRecorder starts the run manifest of a checkpointed campaign:
-// the same recorder, spec rendering and per-shard timings as the straight
-// export's, plus the campaign directory.
-func newCampaignRecorder(spec campaign.Spec, dir string) *manifestRecorder {
-	m := manifestSpec(spec.VP, spec.Scale, spec.Shards, spec.DevicesScale, spec.Format, spec.Profile)
-	m["campaign_dir"] = dir
-	return newManifestRecorder(spec.Seed, m)
 }
 
 // saveCampaign writes the manifest with the export's stream hash and — on
@@ -151,21 +124,19 @@ func campaignPlan(args []string) {
 	fs := flag.NewFlagSet("campaign plan", flag.ExitOnError)
 	dir := fs.String("dir", "", "campaign directory (required)")
 	jobs := fs.Int("jobs", 1, "number of shard-range jobs to split the campaign into")
-	vp := fs.String("vp", "home1", "vantage point: "+strings.Join(cli.VantageNames(), ", "))
-	scale := fs.Float64("scale", 0.05, "population scale versus the paper")
-	seed := fs.Int64("seed", 42, "random seed")
-	shards := fs.Int("shards", 1, "deterministic population shards (part of the result)")
-	devScale := fs.Float64("devices-scale", 1, "population multiplier on top of -scale")
-	profile := fs.String("profile", "", "capability profile overriding the VP's client version: "+
-		strings.Join(insidedropbox.CapabilityNames(), "|"))
+	popFlags := cli.BindPopulation(fs)
 	format := fs.String("format", "csv", "final export format: csv, binary, or binary-flate")
 	fs.Parse(args)
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "campaign plan: -dir is required")
 		os.Exit(2)
 	}
-	spec := campaignSpec(*vp, *scale, *seed, *shards, *devScale, *profile, *format)
-	plan, err := campaign.WritePlan(*dir, spec, *jobs)
+	pop, _, _, err := popFlags.Population()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	plan, err := campaign.WritePlan(*dir, campaign.NewSpec(pop, *format, true), *jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "campaign plan:", err)
 		os.Exit(1)
@@ -218,7 +189,13 @@ func campaignMerge(ctx context.Context, args []string) {
 		cli.Exit(ctx, "campaign merge", err)
 	}
 	if *manifest != "" {
-		if err := newCampaignRecorder(plan.Spec, *dir).saveCampaign(*manifest, res); err != nil {
+		pop, fc, err := plan.Spec.Population().Resolve()
+		if err == nil {
+			m := manifestSpec(pop, fc, plan.Spec.Format)
+			m["campaign_dir"] = *dir
+			err = newManifestRecorder(plan.Spec.Seed, m).saveCampaign(*manifest, res)
+		}
+		if err != nil {
 			cli.Exit(ctx, "writing manifest", err)
 		}
 	}

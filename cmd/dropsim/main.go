@@ -22,14 +22,20 @@
 // -workers bounds how many shards generate at once on the fleet engine's
 // worker pool, for the straight export and the -checkpoint campaign alike.
 //
+// -vp, -scale (a fraction of the paper's population, 1 being Table 2's),
+// -seed, -shards, -devices-scale and -profile name the population. They
+// follow the rules of a campaign spec and a scenario base
+// (fleet.PopulationSpec): an out-of-range value exits 2 on every path.
+//
 // -scenario compiles a declarative scenario spec (see scenarios/) and
-// takes its population from there: the spec's base section overrides
-// -vp, -scale, -shards, -devices-scale and -profile (a base.seed
-// overrides -seed), and its cohorts section splits the population into
-// behavioral cohorts. A spec backend section drives the post-export
-// replay — preset sizing from the base load, arrival surges, and
-// timeline events (outages, rollouts) on the event queue; -backend, when
-// also set, overrides just the preset.
+// takes its population from there: the spec's base section replaces -vp,
+// -scale, -shards and -profile, its defaults included (home1, 0.08, one
+// shard, the vantage point's own client); a non-zero base.seed or
+// base.devices_scale replaces -seed or -devices-scale. Its cohorts section
+// splits the population into behavioral cohorts. A spec backend section
+// drives the post-export replay — preset sizing from the base load,
+// arrival surges, and timeline events (outages, rollouts) on the event
+// queue; -backend, when also set, overrides just the preset.
 //
 // binary/binary-flate block encoding runs on GOMAXPROCS workers (inline,
 // with no worker goroutines, when GOMAXPROCS is 1). The stream is
@@ -37,9 +43,10 @@
 // stable across GOMAXPROCS settings.
 //
 // -manifest writes a run manifest (the schema-versioned JSON of
-// insidedropbox.RunManifest) with the FNV-1a hash of the serialized
-// stream, per-shard timings and a telemetry snapshot — the reproducibility
-// record the telemetry-on/off golden check in CI compares.
+// insidedropbox.RunManifest) with the population that ran — with
+// -scenario, the scenario's, not the flags' — the FNV-1a hash of the
+// serialized stream, per-shard timings and a telemetry snapshot: the
+// reproducibility record the telemetry-on/off golden check in CI compares.
 //
 // -backend tees the record stream into the server capacity model
 // (internal/backend) and, after the export, replays it against the named
@@ -86,7 +93,9 @@ import (
 	"insidedropbox"
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/backend"
+	"insidedropbox/internal/campaign"
 	"insidedropbox/internal/cli"
+	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/scenario"
 	"insidedropbox/internal/telemetry"
 	"insidedropbox/internal/traces"
@@ -99,14 +108,8 @@ func main() {
 		campaignMain(os.Args[2:])
 		return
 	}
-	vp := flag.String("vp", "home1", "vantage point: "+strings.Join(cli.VantageNames(), ", "))
-	scale := flag.Float64("scale", 0.05, "population scale versus the paper")
-	seed := flag.Int64("seed", 42, "random seed")
-	shards := flag.Int("shards", 1, "deterministic population shards (part of the result)")
+	popFlags := cli.BindPopulation(flag.CommandLine)
 	workers := flag.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS; never changes results)")
-	devScale := flag.Float64("devices-scale", 1, "population multiplier on top of -scale")
-	profile := flag.String("profile", "", "capability profile overriding the VP's client version: "+
-		strings.Join(insidedropbox.CapabilityNames(), "|"))
 	format := flag.String("format", "csv", "trace format: csv (public-release compatible), binary (columnar, ~3.5x smaller), or binary-flate (compressed archival with seek index)")
 	backendPreset := flag.String("backend", "", "after the export, replay the stream against the server "+
 		"capacity model under this preset: "+strings.Join(insidedropbox.BackendPresets(), "|"))
@@ -161,45 +164,22 @@ func main() {
 		}
 	}
 
-	cfg, err := cli.VantagePoint(*vp, *scale)
+	popSpec, pop, fc, err := popFlags.Population()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *profile != "" {
-		p, ok := insidedropbox.CapabilityByName(*profile)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown capability profile %q (valid: %s)\n",
-				*profile, strings.Join(insidedropbox.CapabilityNames(), ", "))
-			os.Exit(2)
-		}
-		cfg.Caps = &p
-	}
-	fc := insidedropbox.FleetConfig{Shards: *shards, Workers: *workers, DevicesScale: *devScale}
-	runSeed := *seed
-
-	// A scenario spec replaces the flag-assembled population wholesale:
-	// compilation is a pure function of (spec, seed), so the exported
-	// stream is reproducible from the committed file plus the seed alone.
+	fc.Workers = *workers
 	var comp *insidedropbox.CompiledScenario
 	if *scenarioPath != "" {
-		sp, err := insidedropbox.LoadScenario(*scenarioPath)
-		if err != nil {
+		if pop, fc, comp, err = scenarioPopulation(*scenarioPath, pop, fc); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
-		}
-		comp, err = insidedropbox.CompileScenario(sp, runSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg = comp.VP
-		runSeed = comp.Seed
-		fc.Shards = comp.Fleet.Shards
-		if comp.Fleet.DevicesScale > 0 {
-			fc.DevicesScale = comp.Fleet.DevicesScale
 		}
 	}
+	// The manifest records the population that runs: with -scenario, the
+	// scenario's.
+	mspec := manifestSpec(pop, fc, *format)
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -211,8 +191,8 @@ func main() {
 	if *checkpoint != "" {
 		ctx, stop := cli.SignalContext()
 		defer stop()
-		spec := campaignSpec(*vp, *scale, *seed, *shards, *devScale, *profile, *format)
-		runCheckpointed(ctx, spec, *checkpoint, *out, *workers, *resume, *manifest)
+		mspec["campaign_dir"] = *checkpoint
+		runCheckpointed(ctx, campaign.NewSpec(popSpec, *format, true), mspec, *checkpoint, *out, *workers, *resume, *manifest)
 		return
 	}
 
@@ -234,13 +214,12 @@ func main() {
 	var rec *manifestRecorder
 	streamHash := fnv.New64a()
 	if *manifest != "" {
-		spec := manifestSpec(cfg.Name, *scale, fc.Shards, fc.DevicesScale, *format, *profile)
-		spec["workers"] = strconv.Itoa(*workers)
-		spec["backend"] = *backendPreset
+		mspec["workers"] = strconv.Itoa(*workers)
+		mspec["backend"] = *backendPreset
 		if comp != nil {
-			spec["scenario"] = comp.Spec.Name
+			mspec["scenario"] = comp.Spec.Name
 		}
-		rec = newManifestRecorder(runSeed, spec)
+		rec = newManifestRecorder(pop.Seed, mspec)
 		w = io.MultiWriter(w, streamHash)
 		fc.Observer = rec.observe
 	}
@@ -249,7 +228,7 @@ func main() {
 	defer stop()
 
 	if *summary {
-		printSummary(ctx, cfg, runSeed, fc, w)
+		printSummary(ctx, pop, fc, w)
 		return
 	}
 
@@ -263,7 +242,7 @@ func main() {
 		tee = col.Consume
 	}
 
-	stats, volume, err := streamTraces(ctx, cfg, runSeed, fc, w, traceFormat, tee)
+	stats, volume, err := streamTraces(ctx, pop, fc, w, traceFormat, tee)
 	if err != nil {
 		cli.Exit(ctx, "writing traces", err)
 	}
@@ -286,14 +265,37 @@ func main() {
 		stats.Cfg.Name, stats.Records, stats.Devices, volume/1e9)
 }
 
-// manifestSpec renders the population flags every dropsim manifest
+// scenarioPopulation compiles the scenario file at path under the flag
+// seed and returns the population that replaces the flags' (see -scenario
+// above). Compilation is a pure function of (spec, seed).
+func scenarioPopulation(path string, pop fleet.Population, fc fleet.Config) (fleet.Population, fleet.Config, *insidedropbox.CompiledScenario, error) {
+	sp, err := insidedropbox.LoadScenario(path)
+	if err != nil {
+		return pop, fc, nil, err
+	}
+	comp, err := insidedropbox.CompileScenario(sp, pop.Seed)
+	if err != nil {
+		return pop, fc, nil, err
+	}
+	fc.Shards = comp.Fleet.Shards
+	if comp.Fleet.DevicesScale > 0 {
+		fc.DevicesScale = comp.Fleet.DevicesScale
+	}
+	return fleet.Population{VP: comp.VP, Seed: comp.Seed}, fc, comp, nil
+}
+
+// manifestSpec renders the resolved population every dropsim manifest
 // records, whichever path ran; callers add what only they know.
-func manifestSpec(vp string, scale float64, shards int, devScale float64, format, profile string) map[string]string {
+func manifestSpec(pop fleet.Population, fc fleet.Config, format string) map[string]string {
+	profile := ""
+	if pop.VP.Caps != nil {
+		profile = pop.VP.Caps.Name
+	}
 	return map[string]string{
-		"vp":            vp,
-		"scale":         strconv.FormatFloat(scale, 'g', -1, 64),
-		"shards":        strconv.Itoa(shards),
-		"devices_scale": strconv.FormatFloat(devScale, 'g', -1, 64),
+		"vp":            pop.VP.Name,
+		"scale":         strconv.FormatFloat(pop.VP.Scale, 'g', -1, 64),
+		"shards":        strconv.Itoa(fc.Shards),
+		"devices_scale": strconv.FormatFloat(fc.DevicesScale, 'g', -1, 64),
 		"format":        format,
 		"profile":       profile,
 	}
@@ -336,10 +338,8 @@ func (r *manifestRecorder) save(path, streamHash string) error {
 
 // printSummary runs the bounded-memory aggregation path and renders the
 // streaming metrics.
-func printSummary(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
-	fc insidedropbox.FleetConfig, w io.Writer) {
-
-	sum, stats, err := insidedropbox.Summarize(ctx, cfg, seed, fc)
+func printSummary(ctx context.Context, pop fleet.Population, fc fleet.Config, w io.Writer) {
+	sum, stats, err := insidedropbox.Summarize(ctx, pop.VP, pop.Seed, fc)
 	if err != nil {
 		cli.Exit(ctx, "summarizing", err)
 	}
@@ -361,14 +361,13 @@ func printSummary(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
 // format's anonymizing trace writer through a WriterSink, without
 // materializing the dataset. The sink latches the first write error and
 // stops the stream; a cancelled context stops it at shard granularity.
-func streamTraces(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
-	fc insidedropbox.FleetConfig, w io.Writer, format traces.Format,
-	tee func(*insidedropbox.FlowRecord)) (insidedropbox.FleetStats, float64, error) {
+func streamTraces(ctx context.Context, pop fleet.Population, fc fleet.Config, w io.Writer,
+	format traces.Format, tee func(*insidedropbox.FlowRecord)) (insidedropbox.FleetStats, float64, error) {
 
 	bw := bufio.NewWriterSize(w, 1<<16)
 	sink := &insidedropbox.WriterSink{W: format.New(bw, true, 0)}
 	var volume float64
-	stats, err := insidedropbox.StreamRecords(ctx, cfg, seed, fc, func(r *insidedropbox.FlowRecord) bool {
+	stats, err := insidedropbox.StreamRecords(ctx, pop.VP, pop.Seed, fc, func(r *insidedropbox.FlowRecord) bool {
 		volume += float64(r.BytesUp + r.BytesDown)
 		if tee != nil {
 			tee(r)

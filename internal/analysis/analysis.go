@@ -100,45 +100,6 @@ func Sum(samples []float64) float64 {
 	return s
 }
 
-// TimeBins accumulates values into fixed-width bins over a horizon,
-// e.g. bytes per day or session starts per hour.
-type TimeBins struct {
-	Width time.Duration
-	bins  []float64
-}
-
-// NewTimeBins covers [0, horizon) with bins of the given width.
-func NewTimeBins(horizon, width time.Duration) *TimeBins {
-	n := int((horizon + width - 1) / width)
-	if n < 1 {
-		n = 1
-	}
-	return &TimeBins{Width: width, bins: make([]float64, n)}
-}
-
-// Add accumulates v into the bin containing t (out-of-range is dropped).
-func (b *TimeBins) Add(t time.Duration, v float64) {
-	i := int(t / b.Width)
-	if i < 0 || i >= len(b.bins) {
-		return
-	}
-	b.bins[i] += v
-}
-
-// Values returns the bin totals.
-func (b *TimeBins) Values() []float64 { return b.bins }
-
-// Bin returns the total of bin i.
-func (b *TimeBins) Bin(i int) float64 {
-	if i < 0 || i >= len(b.bins) {
-		return 0
-	}
-	return b.bins[i]
-}
-
-// Len returns the number of bins.
-func (b *TimeBins) Len() int { return len(b.bins) }
-
 // HourOfDayProfile folds a series of timestamped values into 24 hourly
 // fractions (the shape of Fig. 15): weekdaysOnly drops Saturday/Sunday
 // (day 0 = Monday).

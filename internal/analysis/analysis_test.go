@@ -82,25 +82,6 @@ func TestMeanMedianSum(t *testing.T) {
 	}
 }
 
-func TestTimeBins(t *testing.T) {
-	b := NewTimeBins(24*time.Hour, time.Hour)
-	if b.Len() != 24 {
-		t.Fatalf("bins = %d", b.Len())
-	}
-	b.Add(30*time.Minute, 5)
-	b.Add(90*time.Minute, 7)
-	b.Add(25*time.Hour, 100) // out of range, dropped
-	if b.Bin(0) != 5 || b.Bin(1) != 7 {
-		t.Fatalf("bins = %v", b.Values()[:2])
-	}
-	if Sum(b.Values()) != 12 {
-		t.Fatalf("total = %f", Sum(b.Values()))
-	}
-	if b.Bin(-1) != 0 || b.Bin(99) != 0 {
-		t.Fatal("out-of-range Bin should be 0")
-	}
-}
-
 func TestHourOfDayProfile(t *testing.T) {
 	var h HourOfDayProfile
 	h.Add(10*time.Hour, 1, false)                // Monday 10:00

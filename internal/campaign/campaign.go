@@ -46,6 +46,7 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -56,11 +57,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"insidedropbox/internal/capability"
 	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/telemetry"
 	"insidedropbox/internal/traces"
@@ -87,19 +86,21 @@ var (
 
 // Spec defines a campaign. It is the identity the checkpoint fingerprint
 // derives from: two specs with equal fingerprints generate byte-identical
-// campaigns, so resuming under a changed spec is always an error.
+// campaigns, so resuming under a changed spec is always an error. Its
+// first six fields are a fleet.PopulationSpec, laid out flat.
 type Spec struct {
 	// VP names the vantage point (campus1, campus1-junjul, campus2,
 	// home1, home2).
 	VP string `json:"vp"`
-	// Scale is the population scale in percent of the paper's dataset.
+	// Scale is the fraction of the paper's population, in (0, 10]: 1.0
+	// is Table 2's address count.
 	Scale float64 `json:"scale"`
 	// Seed is the campaign's root random seed.
 	Seed int64 `json:"seed"`
 	// Shards partitions the population (part of the campaign identity,
-	// exactly as in fleet.Config).
+	// exactly as in fleet.Config); 0 means 1.
 	Shards int `json:"shards"`
-	// DevicesScale multiplies the subscriber population; <=0 means 1.
+	// DevicesScale multiplies the subscriber population; 0 means 1.
 	DevicesScale float64 `json:"devices_scale,omitempty"`
 	// Profile optionally swaps in a capability profile by name.
 	Profile string `json:"profile,omitempty"`
@@ -112,53 +113,37 @@ type Spec struct {
 	Anonymize bool `json:"anonymize,omitempty"`
 }
 
+// NewSpec is the campaign that exports pop in format.
+func NewSpec(pop fleet.PopulationSpec, format string, anonymize bool) Spec {
+	return Spec{VP: pop.VP, Scale: pop.Scale, Seed: pop.Seed, Shards: pop.Shards,
+		DevicesScale: pop.DevicesScale, Profile: pop.Profile, Format: format, Anonymize: anonymize}
+}
+
+// Population is the spec's population half.
+func (s Spec) Population() fleet.PopulationSpec {
+	return fleet.PopulationSpec{VP: s.VP, Scale: s.Scale, Seed: s.Seed, Shards: s.Shards,
+		DevicesScale: s.DevicesScale, Profile: s.Profile}
+}
+
 // normalized fills defaults without validating.
 func (s Spec) normalized() Spec {
-	if s.DevicesScale <= 0 {
-		s.DevicesScale = 1
-	}
-	if s.Format == "" {
-		s.Format = "csv"
-	}
-	if s.Shards < 1 {
-		s.Shards = 1
-	}
+	s.DevicesScale = cmp.Or(s.DevicesScale, 1)
+	s.Format = cmp.Or(s.Format, "csv")
+	s.Shards = cmp.Or(s.Shards, 1)
 	return s
 }
 
-// validate checks the normalized spec resolves to a runnable campaign.
-func (s Spec) validate() error {
-	if _, err := s.vpConfig(); err != nil {
-		return err
-	}
-	if s.Scale <= 0 {
-		return fmt.Errorf("campaign: spec scale must be > 0 (got %g)", s.Scale)
-	}
-	if s.Shards > workload.MaxShards {
-		return fmt.Errorf("campaign: spec shards %d exceeds the maximum %d", s.Shards, workload.MaxShards)
+// resolve checks the normalized spec and returns the generation config
+// its population names, devices scaling applied.
+func (s Spec) resolve() (workload.VPConfig, error) {
+	pop, fc, err := s.Population().Resolve()
+	if err != nil {
+		return pop.VP, fmt.Errorf("campaign: %w", err)
 	}
 	if _, err := traces.LookupFormat(s.Format); err != nil {
-		return fmt.Errorf("campaign: spec export format: %w", err)
+		return pop.VP, fmt.Errorf("campaign: spec export format: %w", err)
 	}
-	return nil
-}
-
-// vpConfig resolves the spec's vantage point and capability profile into
-// the scaled generation config.
-func (s Spec) vpConfig() (workload.VPConfig, error) {
-	cfg, ok := workload.ByName(s.VP, s.Scale)
-	if !ok {
-		return cfg, fmt.Errorf("campaign: unknown vantage point %q (%s)", s.VP, strings.Join(workload.VantagePoints(), ", "))
-	}
-	if s.Profile != "" {
-		p, ok := capability.ByName(s.Profile)
-		if !ok {
-			return cfg, fmt.Errorf("campaign: unknown capability profile %q (valid: %s)",
-				s.Profile, strings.Join(capability.Names(), ", "))
-		}
-		cfg.Caps = &p
-	}
-	return fleet.Config{DevicesScale: s.DevicesScale}.ScaledVP(cfg), nil
+	return fc.ScaledVP(pop.VP), nil
 }
 
 // Fingerprint is the campaign's identity hash: FNV-1a over the canonical
@@ -323,10 +308,7 @@ type runner struct {
 // loads any existing checkpoints (enforcing the Resume gate).
 func newRunner(cfg Config, ckFile string) (*runner, error) {
 	spec := cfg.Spec.normalized()
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	vp, err := spec.vpConfig()
+	vp, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +333,7 @@ func newRunner(cfg Config, ckFile string) (*runner, error) {
 		return nil, err
 	}
 	if len(all) > 0 && !cfg.Resume {
-		return nil, fmt.Errorf("campaign: %s already holds checkpointed progress (%d shards); pass Resume to continue or use a fresh directory", cfg.Dir, len(all))
+		return nil, fmt.Errorf("campaign: %s already holds checkpointed progress (%d shards); pass -resume to continue or use a fresh directory", cfg.Dir, len(all))
 	}
 	r.own = own
 	for _, e := range all {
@@ -592,7 +574,7 @@ func jobCheckpointName(job int) string {
 
 // ExportExt maps a spec format to the conventional export extension
 // (.csv for anything the format table does not know, as before it
-// existed; such a spec never passes validate).
+// existed; such a spec never resolves).
 func ExportExt(format string) string {
 	f, err := traces.LookupFormat(format)
 	if err != nil {

@@ -71,7 +71,7 @@ func TestCampaignGolden(t *testing.T) {
 func streamStats(t *testing.T, spec Spec) fleet.VPStats {
 	t.Helper()
 	spec = spec.normalized()
-	vp, err := spec.vpConfig()
+	vp, err := spec.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,7 +279,7 @@ func TestPlanRobustness(t *testing.T) {
 			t.Fatalf("sibling job must start despite job 0's checkpoints: %v", err)
 		}
 		// ...but rerunning job 0 itself needs the resume flag.
-		if _, err := RunJob(context.Background(), dir, 0, JobOptions{}); err == nil || !strings.Contains(err.Error(), "pass Resume") {
+		if _, err := RunJob(context.Background(), dir, 0, JobOptions{}); err == nil || !strings.Contains(err.Error(), "pass -resume") {
 			t.Fatalf("err = %v, want job resume-gate error", err)
 		}
 	})

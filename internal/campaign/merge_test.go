@@ -26,7 +26,7 @@ import (
 func straightExport(t *testing.T, spec Spec) []byte {
 	t.Helper()
 	spec = spec.normalized()
-	vp, err := spec.vpConfig()
+	vp, err := spec.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

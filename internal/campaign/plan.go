@@ -28,7 +28,7 @@ const planName = "plan.ckpt"
 // differently would orphan its checkpoints.
 func WritePlan(dir string, spec Spec, jobs int) (*Plan, error) {
 	spec = spec.normalized()
-	if err := spec.validate(); err != nil {
+	if _, err := spec.resolve(); err != nil {
 		return nil, err
 	}
 	if jobs < 1 {
@@ -75,7 +75,7 @@ func LoadPlan(dir string) (*Plan, error) {
 		return nil, fmt.Errorf("campaign: %s: plan carries no spec", filepath.Join(dir, planName))
 	}
 	spec := body.Spec.normalized()
-	if err := spec.validate(); err != nil {
+	if _, err := spec.resolve(); err != nil {
 		return nil, err
 	}
 	if got := spec.Fingerprint(); got != body.Fingerprint {
@@ -161,7 +161,7 @@ func newJobRunner(cfg Config, job int, jb fleet.ShardJob) (*runner, error) {
 	}
 	for sh := jb.Lo; sh < jb.Hi; sh++ {
 		if _, ok := r.done[sh]; ok {
-			return nil, fmt.Errorf("campaign: job %d already has checkpointed progress in %s (shard %d done); pass Resume to continue", job, cfg.Dir, sh)
+			return nil, fmt.Errorf("campaign: job %d already has checkpointed progress in %s (shard %d done); pass -resume to continue", job, cfg.Dir, sh)
 		}
 	}
 	return r, nil

@@ -13,8 +13,6 @@
 package chunker
 
 import (
-	"bytes"
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"io"
@@ -80,21 +78,6 @@ func Join(chunks []Chunk) []byte {
 		out = append(out, c.Data...)
 	}
 	return out
-}
-
-// FlateSize returns the DEFLATE-compressed size of data, the "compresses
-// chunks before submitting them" step for real content.
-func FlateSize(data []byte) int {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		panic(err) // only fires on an invalid level constant
-	}
-	if _, err := w.Write(data); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
-	w.Close()
-	return buf.Len()
 }
 
 // SyntheticFile stands for file content at population scale. Seed selects

@@ -124,17 +124,6 @@ func TestWireSize(t *testing.T) {
 	}
 }
 
-func TestFlateSizeCompresses(t *testing.T) {
-	zeros := make([]byte, 100000)
-	if got := FlateSize(zeros); got >= 1000 {
-		t.Fatalf("zeros compressed to %d", got)
-	}
-	random := SyntheticFile{Seed: 9, Size: 100000}.Generate()
-	if got := FlateSize(random); got < 90000 {
-		t.Fatalf("random data compressed to %d — too compressible", got)
-	}
-}
-
 func TestReaderMatchesGenerate(t *testing.T) {
 	f := SyntheticFile{Seed: 5, Size: 10000}
 	direct := f.Generate()

@@ -1,6 +1,6 @@
 // Package cli is the shared command-line surface of the repo's binaries:
-// one flag vocabulary bound to the facade's Spec, one vantage-point
-// resolver, one progress printer and one signal-aware context, so
+// one flag vocabulary bound to the facade's Spec, one bound to a
+// population, one progress printer and one signal-aware context, so
 // cmd/experiments and cmd/dropsim parse and behave alike instead of
 // growing private flag dialects.
 package cli
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"insidedropbox"
+	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/workload"
 )
 
@@ -139,14 +140,19 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 // interrupted context (so scripts can distinguish ^C from real failures),
 // 1 otherwise. Shared by every binary so they behave alike. Profile sinks
 // started via ProfileFlags.Start are stopped first, so an interrupted or
-// failed run still writes its profiles and final telemetry line.
+// failed run still writes its profiles and final telemetry line. The
+// message is prefixed with what, unless err already starts with it.
 func Exit(ctx context.Context, what string, err error) {
 	runStops()
 	if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "%s: interrupted: %v\n", what, err)
 		os.Exit(130)
 	}
-	fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, what+": ") {
+		msg = what + ": " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }
 
@@ -161,17 +167,29 @@ func SplitPatterns(list string) []string {
 	return out
 }
 
-// VantageNames lists the resolvable vantage point names.
-func VantageNames() []string { return workload.VantagePoints() }
+// PopulationFlags binds the population flag vocabulary of dropsim's export
+// and of `dropsim campaign plan`: -vp -scale -seed -shards -devices-scale
+// -profile, checked and resolved by fleet.PopulationSpec.
+type PopulationFlags struct{ spec fleet.PopulationSpec }
 
-// VantagePoint resolves a vantage point name and population scale into
-// its calibrated config.
-func VantagePoint(name string, scale float64) (insidedropbox.VPConfig, error) {
-	if cfg, ok := workload.ByName(name, scale); ok {
-		return cfg, nil
-	}
-	return insidedropbox.VPConfig{}, fmt.Errorf("unknown vantage point %q (valid: %s)",
-		name, strings.Join(VantageNames(), ", "))
+// BindPopulation registers the population flags on fs.
+func BindPopulation(fs *flag.FlagSet) *PopulationFlags {
+	f := new(PopulationFlags)
+	fs.StringVar(&f.spec.VP, "vp", "home1", "vantage point: "+strings.Join(workload.VantagePoints(), ", "))
+	fs.Float64Var(&f.spec.Scale, "scale", 0.05, "fraction of the paper's population, in (0, 10] (1 = Table 2)")
+	fs.Int64Var(&f.spec.Seed, "seed", 42, "random seed")
+	fs.IntVar(&f.spec.Shards, "shards", 1, "deterministic population shards (part of the result)")
+	fs.Float64Var(&f.spec.DevicesScale, "devices-scale", 1, "population multiplier on top of -scale")
+	fs.StringVar(&f.spec.Profile, "profile", "", "capability profile overriding the VP's client version: "+
+		strings.Join(insidedropbox.CapabilityNames(), "|"))
+	return f
+}
+
+// Population checks the parsed flags and returns them with the population
+// and fleet configuration they name.
+func (f *PopulationFlags) Population() (fleet.PopulationSpec, fleet.Population, fleet.Config, error) {
+	pop, fc, err := f.spec.Resolve()
+	return f.spec, pop, fc, err
 }
 
 // Progress returns a Spec progress observer that prints one line per

@@ -1,8 +1,17 @@
 package cli
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
+	"strconv"
+	"strings"
 	"testing"
+
+	"insidedropbox/internal/campaign"
+	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/scenario"
+	"insidedropbox/internal/workload"
 )
 
 func TestBindSpecDefaults(t *testing.T) {
@@ -113,18 +122,111 @@ func TestBindSpecBadProfiles(t *testing.T) {
 	}
 }
 
-func TestVantagePoint(t *testing.T) {
-	for _, name := range VantageNames() {
-		cfg, err := VantagePoint(name, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.TotalIPs == 0 {
-			t.Fatalf("%s: empty population", name)
-		}
+// TestPopulationRules: fleet.PopulationSpec is the one rule set of a
+// population. Each row is checked by Resolve, then fed through
+// campaign.Run, scenario.Parse and BindPopulation, which refuse it with
+// Resolve's text or accept it alike — except where a scenario base reads a
+// zero as its default (an empty vp is home1, a zero scale 0.08).
+func TestPopulationRules(t *testing.T) {
+	type row struct {
+		name string
+		mut  func(*fleet.PopulationSpec)
+		want string // a substring of Resolve's error; "" accepts the row
+		// scenarioDefault: a scenario base reads this zero as its default.
+		scenarioDefault bool
 	}
-	if _, err := VantagePoint("campus9", 1); err == nil {
-		t.Fatal("unknown vantage point accepted")
+	rows := []row{
+		{"unknown vp", func(s *fleet.PopulationSpec) { s.VP = "campus9" }, `unknown vantage point "campus9"`, false},
+		{"empty vp", func(s *fleet.PopulationSpec) { s.VP = "" }, `unknown vantage point ""`, true},
+		{"scale 0", func(s *fleet.PopulationSpec) { s.Scale = 0 }, "scale must be > 0 and at most 10 (got 0)", true},
+		{"scale -1", func(s *fleet.PopulationSpec) { s.Scale = -1 }, "scale must be > 0 and at most 10 (got -1)", false},
+		{"scale 11", func(s *fleet.PopulationSpec) { s.Scale = 11 }, "scale must be > 0 and at most 10 (got 11)", false},
+		{"shards 0", func(s *fleet.PopulationSpec) { s.Shards = 0 }, "", false},
+		{"shards -1", func(s *fleet.PopulationSpec) { s.Shards = -1 }, "shards must be in [1, 1024], 0 meaning 1 (got -1", false},
+		{"shards 1025", func(s *fleet.PopulationSpec) { s.Shards = 1025 }, "(got 1025: negative or exceeds the maximum)", false},
+		{"devices-scale 0", func(s *fleet.PopulationSpec) { s.DevicesScale = 0 }, "", false},
+		{"devices-scale -3", func(s *fleet.PopulationSpec) { s.DevicesScale = -3 }, "devices-scale must be >= 0, 0 meaning 1 (got -3)", false},
+		{"unknown profile", func(s *fleet.PopulationSpec) { s.Profile = "quantum" }, `unknown capability profile "quantum"`, false},
+		{"profile", func(s *fleet.PopulationSpec) { s.Profile = "dropbox-1.4.0" }, "", false},
+	}
+	for _, name := range workload.VantagePoints() {
+		rows = append(rows, row{"vp " + name, func(s *fleet.PopulationSpec) { s.VP = name }, "", false})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			spec := fleet.PopulationSpec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 1, DevicesScale: 1}
+			r.mut(&spec)
+			pop, fc, err := spec.Resolve()
+			switch {
+			case r.want == "" && err != nil:
+				t.Fatalf("Resolve refused the row: %v", err)
+			case r.want == "" && (pop.VP.TotalIPs == 0 || fc.Shards != 1 || fc.DevicesScale != 1):
+				t.Fatalf("Resolve: empty population or unnormalised config: %d IPs, %+v", pop.VP.TotalIPs, fc)
+			case r.want != "" && (err == nil || !strings.Contains(err.Error(), r.want)):
+				t.Fatalf("Resolve: err = %v, want %q", err, r.want)
+			}
+			same := func(front string, got error, accepted string) {
+				t.Helper()
+				if err != nil {
+					if got == nil || !strings.Contains(got.Error(), err.Error()) {
+						t.Errorf("%s: err = %v, want Resolve's %q", front, got, err)
+					}
+				} else if got != nil && (accepted == "" || !strings.Contains(got.Error(), accepted)) {
+					t.Errorf("%s refused a population Resolve accepts: %v", front, got)
+				}
+			}
+
+			// Without a Dir, a campaign that gets past its spec stops at
+			// the directory check.
+			_, got := campaign.Run(context.Background(), campaign.Config{Spec: campaign.NewSpec(spec, "", true)})
+			if got == nil {
+				t.Fatal("campaign.Run without a Dir succeeded")
+			}
+			same("campaign.Run", got, "campaign directory")
+
+			doc, jerr := json.Marshal(scenario.Spec{Schema: scenario.Schema, Name: "t", Base: spec})
+			if jerr != nil {
+				t.Fatal(jerr)
+			}
+			_, got = scenario.Parse(doc)
+			if r.scenarioDefault {
+				if got != nil {
+					t.Errorf("scenario.Parse refused a base that defaults: %v", got)
+				}
+			} else {
+				same("scenario.Parse", got, "")
+			}
+
+			fs := flag.NewFlagSet("x", flag.ContinueOnError)
+			flags := BindPopulation(fs)
+			if perr := fs.Parse([]string{"-vp=" + spec.VP,
+				"-scale=" + strconv.FormatFloat(spec.Scale, 'g', -1, 64),
+				"-seed=" + strconv.FormatInt(spec.Seed, 10),
+				"-shards=" + strconv.Itoa(spec.Shards),
+				"-devices-scale=" + strconv.FormatFloat(spec.DevicesScale, 'g', -1, 64),
+				"-profile=" + spec.Profile}); perr != nil {
+				t.Fatal(perr)
+			}
+			bound, _, _, got := flags.Population()
+			same("BindPopulation", got, "")
+			if bound != spec {
+				t.Errorf("BindPopulation bound %+v, want %+v", bound, spec)
+			}
+		})
+	}
+}
+
+// TestBindPopulationDefaults pins the population flags' defaults, which
+// dropsim's export and `dropsim campaign plan` share.
+func TestBindPopulationDefaults(t *testing.T) {
+	flags := BindPopulation(flag.NewFlagSet("x", flag.ContinueOnError))
+	spec, _, _, err := flags.Population()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fleet.PopulationSpec{VP: "home1", Scale: 0.05, Seed: 42, Shards: 1, DevicesScale: 1}
+	if spec != want {
+		t.Fatalf("defaults %+v, want %+v", spec, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -48,12 +49,6 @@ type Surge struct {
 	Mult       float64
 }
 
-// defaults when the spec's base section leaves fields zero.
-const (
-	defaultVP    = "home1"
-	defaultScale = 0.08 // the campaign driver's Home 1 population fraction
-)
-
 // cohortSalt derives the cohort-assignment salt. It depends on the seed
 // only — never on worker or shard count — so a device's cohort is a pure
 // function of (seed, device host ID): determinism-contract point 15.
@@ -66,38 +61,27 @@ func day(d float64) time.Duration {
 	return time.Duration(d * 24 * float64(time.Hour))
 }
 
+// population is the spec's base section with the scenario defaults filled
+// in for a caller's seed: the population Compile resolves.
+func (s *Spec) population(seed int64) BaseSpec {
+	p := s.Base
+	p.VP = cmp.Or(p.VP, "home1")
+	p.Scale = cmp.Or(p.Scale, 0.08) // experiments.DefaultScale's Home 1 fraction
+	p.Seed = cmp.Or(p.Seed, seed)
+	return p
+}
+
 // Compile lowers a spec onto the engine configuration. seed is the
 // caller's campaign seed; a non-zero base.seed in the spec overrides it.
 // The empty spec (no cohorts, no backend, zero base) compiles to exactly
 // the configuration the legacy flag path builds, bit for bit — pinned by
 // TestEmptySpecMatchesLegacyGolden.
 func Compile(sp *Spec, seed int64) (*Compiled, error) {
-	if err := sp.Validate(); err != nil {
+	pop, fc, err := sp.resolve(seed)
+	if err != nil {
 		return nil, err
 	}
-	if sp.Base.Seed != 0 {
-		seed = sp.Base.Seed
-	}
-
-	vpName := sp.Base.VP
-	if vpName == "" {
-		vpName = defaultVP
-	}
-	scale := sp.Base.Scale
-	if scale == 0 {
-		scale = defaultScale
-	}
-	vp, ok := workload.ByName(vpName, scale)
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown vantage point %q", vpName)
-	}
-	if sp.Base.Profile != "" {
-		p, ok := capability.ByName(sp.Base.Profile)
-		if !ok {
-			return nil, fmt.Errorf("scenario: unknown capability profile %q", sp.Base.Profile)
-		}
-		vp.Caps = &p
-	}
+	vp := pop.VP
 	if len(sp.Cohorts) > 0 {
 		cohorts := make([]workload.Cohort, len(sp.Cohorts))
 		for i, cs := range sp.Cohorts {
@@ -107,19 +91,12 @@ func Compile(sp *Spec, seed int64) (*Compiled, error) {
 			}
 			cohorts[i] = c
 		}
-		vp.Cohorts = workload.NewCohortPlan(cohortSalt(seed), cohorts)
+		vp.Cohorts = workload.NewCohortPlan(cohortSalt(pop.Seed), cohorts)
 	}
-
-	shards := sp.Base.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	c := &Compiled{
-		Spec:  sp,
-		VP:    vp,
-		Seed:  seed,
-		Fleet: fleet.Config{Shards: shards, DevicesScale: sp.Base.DevicesScale},
-	}
+	// A zero devices_scale stays zero, the caller's multiplier: dropsim
+	// keeps -devices-scale, and fleet.Config reads zero as 1.
+	fc.DevicesScale = sp.Base.DevicesScale
+	c := &Compiled{Spec: sp, VP: vp, Seed: pop.Seed, Fleet: fc}
 	if sp.Backend != nil {
 		be, err := compileBackend(sp.Backend)
 		if err != nil {

@@ -26,7 +26,7 @@ import (
 
 	"insidedropbox/internal/backend"
 	"insidedropbox/internal/capability"
-	"insidedropbox/internal/workload"
+	"insidedropbox/internal/fleet"
 )
 
 // Schema is the spec version this package reads and writes. Version gating
@@ -54,19 +54,13 @@ type Spec struct {
 	Backend *BackendSpec `json:"backend,omitempty"`
 }
 
-// BaseSpec pins the population parameters a CLI flag would otherwise set.
-// Zero values inherit the engine defaults (home1 at the campaign's 0.08
-// population fraction, 1 shard, caller-provided seed).
-type BaseSpec struct {
-	VP           string  `json:"vp,omitempty"`
-	Scale        float64 `json:"scale,omitempty"`
-	Seed         int64   `json:"seed,omitempty"`
-	Shards       int     `json:"shards,omitempty"`
-	DevicesScale float64 `json:"devices_scale,omitempty"`
-	// Profile swaps the whole population's capability profile (cohorts
-	// can override it per cohort).
-	Profile string `json:"profile,omitempty"`
-}
+// BaseSpec is the scenario's population: the type, JSON and rules of
+// dropsim's population flags and of a campaign spec (fleet.PopulationSpec).
+// Zero values inherit: an empty vp means home1, a zero scale
+// experiments.DefaultScale's 0.08 Home 1 fraction, zero shards 1, a zero
+// seed the caller's, and a zero devices_scale the caller's multiplier.
+// Cohorts can override Profile per cohort.
+type BaseSpec = fleet.PopulationSpec
 
 // CohortSpec is one behavioral cohort. Preset names a built-in behavior
 // bundle (see Presets); explicitly set fields overlay the preset's. All
@@ -199,52 +193,31 @@ func nameOK(s string) bool {
 // Validate checks the spec against the full contract; Parse and Load call
 // it, so a non-nil *Spec from either is always valid.
 func (s *Spec) Validate() error {
-	switch {
-	case s.Schema == 0:
-		return fmt.Errorf("scenario: missing schema version (want %d)", Schema)
-	case s.Schema != Schema:
-		return fmt.Errorf("scenario: schema %d not supported (this engine reads %d)", s.Schema, Schema)
-	}
-	if !nameOK(s.Name) {
-		return fmt.Errorf("scenario: name %q must be non-empty [a-z0-9-]", s.Name)
-	}
-	if err := s.Base.validate(); err != nil {
-		return err
-	}
-	if err := validateCohorts(s.Cohorts); err != nil {
-		return err
-	}
-	if s.Backend != nil {
-		if err := s.Backend.validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, _, err := s.resolve(0)
+	return err
 }
 
-func (b BaseSpec) validate() error {
-	if b.VP != "" {
-		if _, ok := workload.ByName(b.VP, 0.05); !ok {
-			return fmt.Errorf("scenario: unknown vantage point %q (want one of %s)",
-				b.VP, strings.Join(workload.VantagePoints(), ", "))
-		}
+// resolve checks the spec and resolves its base population for a caller's
+// seed: Validate and Compile in one pass.
+func (s *Spec) resolve(seed int64) (pop fleet.Population, fc fleet.Config, err error) {
+	switch {
+	case s.Schema == 0:
+		err = fmt.Errorf("scenario: missing schema version (want %d)", Schema)
+	case s.Schema != Schema:
+		err = fmt.Errorf("scenario: schema %d not supported (this engine reads %d)", s.Schema, Schema)
+	case !nameOK(s.Name):
+		err = fmt.Errorf("scenario: name %q must be non-empty [a-z0-9-]", s.Name)
 	}
-	if b.Scale < 0 || b.Scale > 10 {
-		return fmt.Errorf("scenario: base scale %v outside (0, 10]", b.Scale)
+	if err != nil {
+		return pop, fc, err
 	}
-	if b.Shards < 0 || b.Shards > workload.MaxShards {
-		return fmt.Errorf("scenario: base shards %d outside [1, %d]", b.Shards, workload.MaxShards)
+	if pop, fc, err = s.population(seed).Resolve(); err != nil {
+		return pop, fc, fmt.Errorf("scenario: base: %w", err)
 	}
-	if b.DevicesScale < 0 {
-		return fmt.Errorf("scenario: base devices_scale %v negative", b.DevicesScale)
+	if err = validateCohorts(s.Cohorts); err == nil && s.Backend != nil {
+		err = s.Backend.validate()
 	}
-	if b.Profile != "" {
-		if _, ok := capability.ByName(b.Profile); !ok {
-			return fmt.Errorf("scenario: unknown capability profile %q (want one of %s)",
-				b.Profile, strings.Join(capability.Names(), ", "))
-		}
-	}
-	return nil
+	return pop, fc, err
 }
 
 // weightTolerance bounds how far cohort weights may sum from 1.
@@ -399,11 +372,7 @@ func backendClass(name string) (backend.Class, bool) {
 func (s *Spec) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: schema %d", s.Name, s.Schema)
-	vp := s.Base.VP
-	if vp == "" {
-		vp = "home1"
-	}
-	fmt.Fprintf(&b, ", vp %s", vp)
+	fmt.Fprintf(&b, ", vp %s", s.population(0).VP)
 	if len(s.Cohorts) > 0 {
 		names := make([]string, len(s.Cohorts))
 		for i, c := range s.Cohorts {

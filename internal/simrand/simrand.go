@@ -113,35 +113,6 @@ func (s *Source) Exponential(mean float64) float64 {
 	return s.rng.ExpFloat64() * mean
 }
 
-// BoundedPareto returns a Pareto(xm, alpha) value truncated to [xm, cap] by
-// resampling via inverse transform on the truncated CDF.
-func (s *Source) BoundedPareto(xm, alpha, cap float64) float64 {
-	if cap <= xm {
-		return xm
-	}
-	u := s.rng.Float64()
-	la := math.Pow(xm, alpha)
-	ha := math.Pow(cap, alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-	return math.Min(math.Max(x, xm), cap)
-}
-
-// Geometric returns the number of failures before the first success for a
-// Bernoulli(p) process; mean (1-p)/p.
-func (s *Source) Geometric(p float64) int {
-	if p <= 0 {
-		panic("simrand: geometric p must be positive")
-	}
-	if p >= 1 {
-		return 0
-	}
-	u := s.rng.Float64()
-	for u == 0 {
-		u = s.rng.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
 // Poisson returns a Poisson-distributed count with the given mean, using
 // Knuth's method for small means and normal approximation for large ones.
 func (s *Source) Poisson(mean float64) int {
@@ -165,35 +136,6 @@ func (s *Source) Poisson(mean float64) int {
 		}
 		k++
 	}
-}
-
-// Zipf draws from a Zipf distribution over [0,n) with exponent alpha >= 1.
-type Zipf struct {
-	cdf []float64
-	src *Source
-}
-
-// NewZipf precomputes the CDF table for n ranks with the given exponent.
-func NewZipf(src *Source, n int, alpha float64) *Zipf {
-	if n <= 0 {
-		panic("simrand: zipf n must be positive")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), alpha)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, src: src}
-}
-
-// Draw returns a rank in [0,n), rank 0 being the most popular.
-func (z *Zipf) Draw() int {
-	u := z.src.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
 }
 
 // WeightedChoice selects among options with the given weights.
@@ -228,21 +170,3 @@ func (w *WeightedChoice) Draw() int {
 	u := w.src.Float64()
 	return sort.SearchFloat64s(w.cum, u)
 }
-
-// Mixture draws from one of several samplers according to weights — the
-// generic tool for the multi-modal size distributions in the paper.
-type Mixture struct {
-	choice *WeightedChoice
-	parts  []func() float64
-}
-
-// NewMixture pairs weights with component samplers.
-func NewMixture(src *Source, weights []float64, parts ...func() float64) *Mixture {
-	if len(weights) != len(parts) {
-		panic("simrand: mixture weights/parts length mismatch")
-	}
-	return &Mixture{choice: NewWeightedChoice(src, weights), parts: parts}
-}
-
-// Draw samples a component then a value from it.
-func (m *Mixture) Draw() float64 { return m.parts[m.choice.Draw()]() }

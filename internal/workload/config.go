@@ -161,10 +161,12 @@ func holidays2012() *simrand.HolidayCalendar {
 }
 
 // Campus1 models the wired research/administrative department (400 IPs).
-func Campus1(scalePct float64) VPConfig {
+// scale is the fraction of it to simulate, as in every vantage point
+// constructor: 1.0 is Table 2's address count, 0.08 is 8 % (at least 8).
+func Campus1(scale float64) VPConfig {
 	return VPConfig{
 		Name: "campus1", Days: 42,
-		TotalIPs: scaled(400, scalePct), Scale: scalePct,
+		TotalIPs: scaled(400, scale), Scale: scale,
 		DropboxFrac: 0.45, ICloudFrac: 0.20, SkyDriveFrac: 0.02,
 		GDriveFrac: 0.02, OtherCloudFrac: 0.02,
 		Access:     []AccessKind{AccessWired},
@@ -188,28 +190,29 @@ func VantagePoints() []string {
 	return []string{"campus1", "campus1-junjul", "campus2", "home1", "home2"}
 }
 
-// ByName resolves a vantage point name and population scale into its
-// calibrated config; ok is false for a name VantagePoints does not list.
-func ByName(name string, scalePct float64) (cfg VPConfig, ok bool) {
+// ByName resolves a vantage point name and population scale (a fraction
+// of the paper's population, 1.0 being Table 2's) into its calibrated
+// config; ok is false for a name VantagePoints does not list.
+func ByName(name string, scale float64) (cfg VPConfig, ok bool) {
 	switch name {
 	case "campus1":
-		return Campus1(scalePct), true
+		return Campus1(scale), true
 	case "campus1-junjul":
-		return Campus1JunJul(scalePct), true
+		return Campus1JunJul(scale), true
 	case "campus2":
-		return Campus2(scalePct), true
+		return Campus2(scale), true
 	case "home1":
-		return Home1(scalePct), true
+		return Home1(scale), true
 	case "home2":
-		return Home2(scalePct), true
+		return Home2(scale), true
 	}
 	return VPConfig{}, false
 }
 
 // Campus1JunJul is the second Campus 1 dataset (Table 4): same population,
 // Dropbox 1.4.0 deployed and server initial window raised.
-func Campus1JunJul(scalePct float64) VPConfig {
-	cfg := Campus1(scalePct)
+func Campus1JunJul(scale float64) VPConfig {
+	cfg := Campus1(scale)
 	cfg.Name = "campus1-junjul"
 	cfg.Version = dropbox.V140
 	cfg.ServerIW = 3
@@ -218,10 +221,10 @@ func Campus1JunJul(scalePct float64) VPConfig {
 
 // Campus2 models the whole-campus border (wireless APs + student houses,
 // 2528 IPs), with no DNS visibility.
-func Campus2(scalePct float64) VPConfig {
+func Campus2(scale float64) VPConfig {
 	return VPConfig{
 		Name: "campus2", Days: 42,
-		TotalIPs: scaled(2528, scalePct), Scale: scalePct,
+		TotalIPs: scaled(2528, scale), Scale: scale,
 		DropboxFrac: 0.28, ICloudFrac: 0.18, SkyDriveFrac: 0.02,
 		GDriveFrac: 0.02, OtherCloudFrac: 0.02,
 		Access:     []AccessKind{AccessWireless, AccessWireless, AccessWired},
@@ -240,10 +243,10 @@ func Campus2(scalePct float64) VPConfig {
 }
 
 // Home1 models the FTTH/ADSL POP (18785 IPs) with static addressing.
-func Home1(scalePct float64) VPConfig {
+func Home1(scale float64) VPConfig {
 	return VPConfig{
 		Name: "home1", Days: 42,
-		TotalIPs: scaled(18785, scalePct), Scale: scalePct,
+		TotalIPs: scaled(18785, scale), Scale: scale,
 		DropboxFrac: 0.069, ICloudFrac: 0.111, SkyDriveFrac: 0.017,
 		GDriveFrac: 0.012, OtherCloudFrac: 0.01,
 		Access:     []AccessKind{AccessADSL, AccessADSL, AccessFTTH},
@@ -263,10 +266,10 @@ func Home1(scalePct float64) VPConfig {
 }
 
 // Home2 models the ADSL POP (13723 IPs), including the abnormal uploader.
-func Home2(scalePct float64) VPConfig {
+func Home2(scale float64) VPConfig {
 	return VPConfig{
 		Name: "home2", Days: 42,
-		TotalIPs: scaled(13723, scalePct), Scale: scalePct,
+		TotalIPs: scaled(13723, scale), Scale: scale,
 		DropboxFrac: 0.062, ICloudFrac: 0.10, SkyDriveFrac: 0.015,
 		GDriveFrac: 0.012, OtherCloudFrac: 0.01,
 		Access:     []AccessKind{AccessADSL},
@@ -286,8 +289,8 @@ func Home2(scalePct float64) VPConfig {
 	}
 }
 
-func scaled(n int, pct float64) int {
-	v := int(float64(n) * pct)
+func scaled(n int, frac float64) int {
+	v := int(float64(n) * frac)
 	if v < 8 {
 		v = 8
 	}
