@@ -189,9 +189,10 @@ func campaignMerge(ctx context.Context, args []string) {
 		cli.Exit(ctx, "campaign merge", err)
 	}
 	if *manifest != "" {
-		pop, fc, err := plan.Spec.Population().Resolve()
+		popSpec := plan.Spec.Population()
+		pop, fc, err := popSpec.Resolve()
 		if err == nil {
-			m := manifestSpec(pop, fc, plan.Spec.Format)
+			m := manifestSpec(popSpec, pop, fc, plan.Spec.Format)
 			m["campaign_dir"] = *dir
 			err = newManifestRecorder(plan.Spec.Seed, m).saveCampaign(*manifest, res)
 		}

@@ -71,10 +71,12 @@
 // bounded-memory stream cannot globally sort. Sort post-hoc when the probe
 // export order matters.
 //
-// -profile replaces the vantage point's calibrated client capabilities
-// (the Version the paper observed there) with a named capability profile —
-// the per-dataset entry point to the what-if engine. Omitting it keeps the
-// historical behaviour bit for bit.
+// -profile replaces the vantage point's calibrated client (the preset the
+// paper observed there: dropbox-1.2.52, or dropbox-1.4.0 for
+// campus1-junjul) with a named capability profile — the per-dataset entry
+// point to the what-if engine. Naming the vantage point's own preset
+// changes no byte; the manifest records the name -profile gave, "" without
+// it.
 package main
 
 import (
@@ -176,10 +178,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		popSpec = comp.Spec.Base
 	}
 	// The manifest records the population that runs: with -scenario, the
 	// scenario's.
-	mspec := manifestSpec(pop, fc, *format)
+	mspec := manifestSpec(popSpec, pop, fc, *format)
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -284,20 +287,18 @@ func scenarioPopulation(path string, pop fleet.Population, fc fleet.Config) (fle
 	return fleet.Population{VP: comp.VP, Seed: comp.Seed}, fc, comp, nil
 }
 
-// manifestSpec renders the resolved population every dropsim manifest
-// records, whichever path ran; callers add what only they know.
-func manifestSpec(pop fleet.Population, fc fleet.Config, format string) map[string]string {
-	profile := ""
-	if pop.VP.Caps != nil {
-		profile = pop.VP.Caps.Name
-	}
+// manifestSpec renders the population every dropsim manifest records,
+// whichever path ran: spec is what was asked for (its profile, "" for the
+// vantage point's own client), pop and fc what spec resolved to. Callers
+// add what only they know.
+func manifestSpec(spec fleet.PopulationSpec, pop fleet.Population, fc fleet.Config, format string) map[string]string {
 	return map[string]string{
 		"vp":            pop.VP.Name,
 		"scale":         strconv.FormatFloat(pop.VP.Scale, 'g', -1, 64),
 		"shards":        strconv.Itoa(fc.Shards),
 		"devices_scale": strconv.FormatFloat(fc.DevicesScale, 'g', -1, 64),
 		"format":        format,
-		"profile":       profile,
+		"profile":       spec.Profile,
 	}
 }
 

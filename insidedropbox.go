@@ -196,9 +196,10 @@ type FleetReport = experiments.FleetReport
 
 // CapabilityProfile is one client capability vector: chunk size limit,
 // bundling, deduplication, delta encoding, compression, commit pipelining
-// and the jointly-tuned server initial window. The two Dropbox presets
-// reproduce the historical Version-based clients bit for bit; the
-// remaining presets are hypothetical clients for counterfactual campaigns.
+// and the jointly-tuned server initial window. The two Dropbox presets are
+// the clients the paper observed, and the calibrated vantage points carry
+// them; the remaining presets are hypothetical clients for counterfactual
+// campaigns.
 type CapabilityProfile = capability.Profile
 
 // CapabilityPresets returns the shipped profile catalogue: the two

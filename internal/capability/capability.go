@@ -3,18 +3,17 @@
 // another (or from a hypothetical client that never shipped).
 //
 // The paper's Sec. 6 shows that a single capability change — the v1.4.0
-// chunk bundling — reshaped storage traffic fleet-wide. Historically this
-// repository modelled that as a binary dropbox.Version switch hardwired
-// into the client and flow-model data planes, which could only replay the
-// two clients the paper observed. A Profile generalizes the switch into an
-// explicit capability vector (chunk size limit, bundling batch size,
-// deduplication, delta encoding, compression, commit pipelining, server
-// initial window), so campaigns can ask counterfactual questions: what
-// would the probe have seen if Dropbox had shipped 16 MB chunks, or
-// disabled deduplication, or fully pipelined the storage protocol?
+// chunk bundling — reshaped storage traffic fleet-wide. A Profile is that
+// decision as an explicit capability vector (chunk size limit, bundling
+// batch size, deduplication, delta encoding, compression, commit
+// pipelining, server initial window). Every vantage point, packet-level
+// client and flow-model call carries exactly one, so campaigns can ask
+// counterfactual questions: what would the probe have seen if Dropbox had
+// shipped 16 MB chunks, or disabled deduplication, or fully pipelined the
+// storage protocol?
 //
-// Two presets — DropboxV1252 and DropboxV140 — reproduce the historical
-// Version-based behaviour bit for bit (pinned by regression tests); the
+// Two presets — DropboxV1252 and DropboxV140 — are the clients the paper
+// observed, and the calibrated vantage points are built from them; the
 // remaining presets are the hypothetical laboratory.
 // experiments.WhatIfConfig.Run runs the same fleet population under several
 // profiles and tabulates the deltas versus a baseline.
@@ -145,8 +144,8 @@ func (p Profile) Key() string {
 
 // DropboxV1252 is client 1.2.52 (the Mar/Apr datasets): one chunk per
 // sequentially-acknowledged storage operation, 4 MB chunks, dedup, delta
-// encoding and compression on, server IW 2. Reproduces the legacy
-// dropbox.V1252 data plane bit for bit.
+// encoding and compression on, server IW 2. The client of every Mar/Apr
+// vantage point.
 func DropboxV1252() Profile {
 	return Profile{
 		Name:           "dropbox-1.2.52",
@@ -159,8 +158,8 @@ func DropboxV1252() Profile {
 }
 
 // DropboxV140 is client 1.4.0 (the Jun/Jul datasets): DropboxV1252 plus
-// chunk bundling and the jointly-deployed server IW raise. Reproduces the
-// legacy dropbox.V140 data plane bit for bit.
+// chunk bundling and the jointly-deployed server IW raise. The client of
+// Campus 1's Jun/Jul dataset (Table 4).
 func DropboxV140() Profile {
 	p := DropboxV1252()
 	p.Name = "dropbox-1.4.0"

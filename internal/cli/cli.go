@@ -90,6 +90,9 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 	if *f.resume && *f.checkpoint == "" {
 		return spec, errors.New("-resume requires -checkpoint")
 	}
+	if err := fleet.CheckShards(*f.shards); err != nil {
+		return spec, err
+	}
 	if *f.scenario != "" {
 		sp, err := insidedropbox.LoadScenario(*f.scenario)
 		if err != nil {
@@ -180,7 +183,7 @@ func BindPopulation(fs *flag.FlagSet) *PopulationFlags {
 	fs.Int64Var(&f.spec.Seed, "seed", 42, "random seed")
 	fs.IntVar(&f.spec.Shards, "shards", 1, "deterministic population shards (part of the result)")
 	fs.Float64Var(&f.spec.DevicesScale, "devices-scale", 1, "population multiplier on top of -scale")
-	fs.StringVar(&f.spec.Profile, "profile", "", "capability profile overriding the VP's client version: "+
+	fs.StringVar(&f.spec.Profile, "profile", "", "capability profile replacing the VP's calibrated client: "+
 		strings.Join(insidedropbox.CapabilityNames(), "|"))
 	return f
 }

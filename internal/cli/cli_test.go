@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"insidedropbox"
 	"insidedropbox/internal/campaign"
 	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/scenario"
@@ -211,6 +214,48 @@ func TestPopulationRules(t *testing.T) {
 			same("BindPopulation", got, "")
 			if bound != spec {
 				t.Errorf("BindPopulation bound %+v, want %+v", bound, spec)
+			}
+		})
+	}
+}
+
+// TestRunRefusesOutOfRangeFleet: insidedropbox.Run takes the population
+// rule for shards and refuses a device multiplier, which would grow every
+// table unrecorded; both fail before anything is generated or written.
+// The shards rows fail alike from -shards, so cmd/experiments exits 2.
+func TestRunRefusesOutOfRangeFleet(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fleet insidedropbox.FleetConfig
+		want  string
+	}{
+		{"shards -1", insidedropbox.FleetConfig{Shards: -1}, "shards must be in [1, 1024], 0 meaning 1 (got -1"},
+		{"shards 1025", insidedropbox.FleetConfig{Shards: 1025}, "(got 1025: negative or exceeds the maximum)"},
+		{"shards 2000", insidedropbox.FleetConfig{Shards: 2000}, "(got 2000: negative or exceeds the maximum)"},
+		{"devices-scale 4", insidedropbox.FleetConfig{DevicesScale: 4}, "set FleetScale"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "out")
+			res, err := insidedropbox.Run(context.Background(), insidedropbox.Spec{
+				Seed: 2012, Quick: true, Fleet: tc.fleet, ResultsDir: out,
+			}, insidedropbox.WithExperiments("table2"))
+			if err == nil || !strings.Contains(err.Error(), tc.want) || len(res) != 0 {
+				t.Fatalf("Run = %d results, %v; want a refusal containing %q", len(res), err, tc.want)
+			}
+			if _, serr := os.Stat(out); !os.IsNotExist(serr) {
+				t.Fatalf("refused run left %s behind (%v)", out, serr)
+			}
+			if tc.fleet.Shards == 0 {
+				return
+			}
+			fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+			flags := BindSpec(fs)
+			if perr := fs.Parse([]string{"-quick", "-skip-packet", "-only", "table2",
+				"-shards", strconv.Itoa(tc.fleet.Shards)}); perr != nil {
+				t.Fatal(perr)
+			}
+			if _, err := flags.Spec(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("-shards %d: Spec() err = %v, want %q", tc.fleet.Shards, err, tc.want)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package dropbox
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,77 +9,26 @@ import (
 	"insidedropbox/internal/netem"
 	"insidedropbox/internal/simtime"
 	"insidedropbox/internal/tcpsim"
-	"insidedropbox/internal/tlssim"
 	"insidedropbox/internal/wire"
 )
 
-// deviceCaps mints a device with an explicit capability profile.
-func (w *tw) deviceCaps(t testing.TB, account AccountID, caps capability.Profile) *Device {
-	t.Helper()
-	w.nextIP++
-	ip := wire.MakeIP(10, 0, 0, w.nextIP)
-	host := w.net.AddHost(ip, "vp", netem.WiredWorkstation())
-	stack := tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultConfig())
-	dev, err := NewDevice(ClientConfig{
-		Sched: w.sched, Rng: w.rng, Service: w.svc, Resolver: w.resolver,
-		Stack: stack, Caps: &caps, Handshake: tlssim.DefaultHandshake(),
-	}, account)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dev
-}
-
-// TestVersionResolvesToPresetProfile pins the legacy bridge: a device built
-// from a Version carries the matching preset capability vector.
-func TestVersionResolvesToPresetProfile(t *testing.T) {
+// TestNewDeviceRefusesZeroProfile: a client is always built from a named
+// capability profile; the zero Profile (no dedup, no compression, no
+// name) is refused instead of silently running as a client that never
+// shipped.
+func TestNewDeviceRefusesZeroProfile(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
-	if got := w.device(t, acct.ID, V1252).Caps(); got != capability.DropboxV1252() {
-		t.Fatalf("V1252 resolved to %+v", got)
+	host := w.net.AddHost(wire.MakeIP(10, 0, 9, 1), "vp", netem.WiredWorkstation())
+	dev, err := NewDevice(ClientConfig{
+		Sched: w.sched, Rng: w.rng, Service: w.svc, Resolver: w.resolver,
+		Stack: tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultConfig()),
+	}, acct.ID)
+	if err == nil || dev != nil || !strings.Contains(err.Error(), "capability profile has no name") {
+		t.Fatalf("NewDevice with the zero profile = %v, %v; want a no-name error", dev, err)
 	}
-	if got := w.device(t, acct.ID, V140).Caps(); got != capability.DropboxV140() {
-		t.Fatalf("V140 resolved to %+v", got)
-	}
-}
-
-// TestCapsPresetDeviceMatchesVersionDevice replays the same upload in two
-// identically-seeded worlds — one device configured by Version, one by the
-// matching preset profile — and requires identical transfer statistics and
-// server counters: the profile data plane is the Version data plane.
-func TestCapsPresetDeviceMatchesVersionDevice(t *testing.T) {
-	type outcome struct {
-		stats    TransferStats
-		storeOps int
-		batchOps int
-	}
-	run := func(useCaps bool) outcome {
-		w := newTW(t, 3)
-		acct := w.svc.Meta.CreateAccount()
-		var dev *Device
-		if useCaps {
-			dev = w.deviceCaps(t, acct.ID, capability.DropboxV140())
-		} else {
-			dev = w.device(t, acct.ID, V140)
-		}
-		var st TransferStats
-		dev.OnTransferDone = func(s TransferStats) {
-			if s.Kind == TransferStore {
-				st = s
-			}
-		}
-		dev.Start()
-		refs := mkRefs(800, 25, 70_000)
-		w.sched.After(time.Second, func() { dev.Upload(acct.Root, refs, identityWire, nil) })
-		w.sched.RunUntil(simtime.Time(5 * time.Minute))
-		return outcome{stats: st, storeOps: w.svc.StoreOps, batchOps: w.svc.BatchOps}
-	}
-	legacy, caps := run(false), run(true)
-	if legacy != caps {
-		t.Fatalf("profile device diverged from version device:\nlegacy %+v\ncaps   %+v", legacy, caps)
-	}
-	if legacy.stats.Chunks != 25 {
-		t.Fatalf("upload incomplete: %+v", legacy.stats)
+	if got := w.device(t, acct.ID, capability.DropboxV140()).Caps(); got != capability.DropboxV140() {
+		t.Fatalf("device carries %+v, want the profile it was built with", got)
 	}
 }
 
@@ -89,8 +39,8 @@ func TestNoDedupUploadsDuplicateChunks(t *testing.T) {
 	w := newTW(t, 3)
 	a1 := w.svc.Meta.CreateAccount()
 	a2 := w.svc.Meta.CreateAccount()
-	d1 := w.device(t, a1.ID, V1252)
-	d2 := w.deviceCaps(t, a2.ID, func() capability.Profile {
+	d1 := w.device(t, a1.ID, capability.DropboxV1252())
+	d2 := w.device(t, a2.ID, func() capability.Profile {
 		p := capability.NoDedup()
 		p.Bundling = false // per-chunk ops make the op count assertable
 		return p
@@ -130,7 +80,7 @@ func TestPipelinedStoreRemovesAckFloor(t *testing.T) {
 	} {
 		w := newTW(t, 3)
 		acct := w.svc.Meta.CreateAccount()
-		dev := w.deviceCaps(t, acct.ID, caps)
+		dev := w.device(t, acct.ID, caps)
 		var st TransferStats
 		dev.OnTransferDone = func(s TransferStats) {
 			if s.Kind == TransferStore {
@@ -158,8 +108,8 @@ func TestPipelinedStoreRemovesAckFloor(t *testing.T) {
 func TestPipelinedRetrieveCompletes(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
-	d1 := w.device(t, acct.ID, V1252)
-	d2 := w.deviceCaps(t, acct.ID, func() capability.Profile {
+	d1 := w.device(t, acct.ID, capability.DropboxV1252())
+	d2 := w.device(t, acct.ID, func() capability.Profile {
 		p := capability.FullPipeline()
 		p.Bundling = false
 		return p

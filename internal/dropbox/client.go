@@ -1,6 +1,7 @@
 package dropbox
 
 import (
+	"errors"
 	"time"
 
 	"insidedropbox/internal/capability"
@@ -20,11 +21,10 @@ type ClientConfig struct {
 	Resolver *dnssim.Resolver
 	Stack    *tcpsim.Stack // shared by all devices behind one IP (NAT)
 
-	// Version selects one of the two historical clients. Caps, when set,
-	// overrides it with an arbitrary capability profile; the data plane
-	// consults only the resolved profile.
-	Version   Version
-	Caps      *capability.Profile
+	// Caps is the client's capability profile: a preset such as
+	// capability.DropboxV1252 or any variation of one. Required; NewDevice
+	// refuses a profile without a Name.
+	Caps      capability.Profile
 	Handshake tlssim.HandshakeConfig
 
 	// ReactionMedian is the median client processing time between storage
@@ -79,7 +79,6 @@ type Device struct {
 	OnTransferDone func(TransferStats)
 
 	online       bool
-	caps         capability.Profile
 	rng          *simrand.Source
 	storageNames []string
 	nameIdx      int
@@ -99,6 +98,9 @@ type Device struct {
 // NewDevice provisions a device for an existing account and registers it in
 // the metastore.
 func NewDevice(cfg ClientConfig, account AccountID) (*Device, error) {
+	if cfg.Caps.Name == "" {
+		return nil, errors.New("dropbox: client capability profile has no name (start from a capability preset)")
+	}
 	if cfg.ReactionMedian == 0 {
 		cfg.ReactionMedian = 70 * time.Millisecond
 	}
@@ -106,15 +108,10 @@ func NewDevice(cfg ClientConfig, account AccountID) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	caps := cfg.Version.Profile()
-	if cfg.Caps != nil {
-		caps = *cfg.Caps
-	}
 	d := &Device{
 		Cfg:        cfg,
 		Host:       host,
 		Account:    account,
-		caps:       caps,
 		namespaces: cfg.Service.Meta.NamespacesOf(account),
 		cursors:    make(map[NamespaceID]uint64),
 		have:       make(map[chunker.Hash]struct{}),
@@ -123,8 +120,8 @@ func NewDevice(cfg ClientConfig, account AccountID) (*Device, error) {
 	return d, nil
 }
 
-// Caps returns the device's resolved capability profile.
-func (d *Device) Caps() capability.Profile { return d.caps }
+// Caps returns the device's capability profile.
+func (d *Device) Caps() capability.Profile { return d.Cfg.Caps }
 
 // Namespaces returns the namespaces this device synchronizes.
 func (d *Device) Namespaces() []NamespaceID { return d.namespaces }
@@ -310,7 +307,7 @@ func (d *Device) uploadOneBatch(ns NamespaceID, batch []chunker.Ref, wireOf func
 		for _, r := range batch {
 			// Without dedup the need_blocks answer is ignored: every chunk
 			// crosses the wire even when the server already has it.
-			if !d.caps.Dedup || missing[r.Hash] {
+			if !d.Cfg.Caps.Dedup || missing[r.Hash] {
 				toSend = append(toSend, r)
 			} else {
 				skipped++
@@ -342,8 +339,8 @@ func (d *Device) uploadOneBatch(ns NamespaceID, batch []chunker.Ref, wireOf func
 // bundling, small chunks pack up to the bundle target and a large chunk
 // ends its bundle.
 func (d *Device) nextStoreOp(refs []chunker.Ref, wireOf func(chunker.Ref) int) (op any, opWire, consumed int) {
-	if d.caps.Bundling {
-		target := d.caps.BundleTarget()
+	if d.Cfg.Caps.Bundling {
+		target := d.Cfg.Caps.BundleTarget()
 		var bundle []chunker.Ref
 		total := 0
 		for _, r := range refs {
@@ -379,7 +376,7 @@ func (d *Device) storeChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int, s
 		next()
 		return
 	}
-	if d.caps.CommitPipelining {
+	if d.Cfg.Caps.CommitPipelining {
 		d.storeChunksPipelined(refs, wireOf, stats, next)
 		return
 	}
@@ -513,8 +510,8 @@ func (d *Device) lanFetch(h chunker.Hash) bool {
 // per the capability profile; reqExtra is the request-size growth of a
 // multi-hash batch request.
 func (d *Device) nextRetrieveOp(refs []chunker.Ref) (op any, reqExtra, consumed int) {
-	if d.caps.Bundling {
-		target := d.caps.BundleTarget()
+	if d.Cfg.Caps.Bundling {
+		target := d.Cfg.Caps.BundleTarget()
 		n := 0
 		total := 0
 		for _, r := range refs {
@@ -547,7 +544,7 @@ func (d *Device) retrieveChunks(refs []chunker.Ref, stats *TransferStats, next f
 		next()
 		return
 	}
-	if d.caps.CommitPipelining {
+	if d.Cfg.Caps.CommitPipelining {
 		d.retrieveChunksPipelined(refs, stats, next)
 		return
 	}
@@ -697,7 +694,7 @@ func (d *Device) dialRPC(kind string) *rpcConn {
 	sess := tlssim.NewClient(conn, name, d.Cfg.Handshake)
 	d.Cfg.Service.RegisterPending(conn.LocalEndpoint(), sess)
 	rc := &rpcConn{dev: d, sess: sess, kind: kind}
-	if kind != "control" && d.caps.CommitPipelining {
+	if kind != "control" && d.Cfg.Caps.CommitPipelining {
 		rc.maxInflight = pipelineDepth
 	}
 	sess.OnEstablished = func() {

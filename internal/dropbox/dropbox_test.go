@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"insidedropbox/internal/capability"
 	"insidedropbox/internal/chunker"
 	"insidedropbox/internal/dnssim"
 	"insidedropbox/internal/netem"
@@ -44,8 +45,9 @@ func newTW(t testing.TB, serverIW int) *tw {
 	return &tw{sched: sched, rng: rng, net: net, dir: dir, resolver: resolver, svc: svc}
 }
 
-// device mints a device on its own household IP.
-func (w *tw) device(t testing.TB, account AccountID, version Version) *Device {
+// device mints a device with the given capability profile on its own
+// household IP.
+func (w *tw) device(t testing.TB, account AccountID, caps capability.Profile) *Device {
 	t.Helper()
 	w.nextIP++
 	ip := wire.MakeIP(10, 0, 0, w.nextIP)
@@ -53,7 +55,7 @@ func (w *tw) device(t testing.TB, account AccountID, version Version) *Device {
 	stack := tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultConfig())
 	dev, err := NewDevice(ClientConfig{
 		Sched: w.sched, Rng: w.rng, Service: w.svc, Resolver: w.resolver,
-		Stack: stack, Version: version, Handshake: tlssim.DefaultHandshake(),
+		Stack: stack, Caps: caps, Handshake: tlssim.DefaultHandshake(),
 	}, account)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +176,7 @@ func TestMetastoreDedupAndJournal(t *testing.T) {
 func TestUploadStoresChunks(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, V1252)
+	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	var stats []TransferStats
 	dev.OnTransferDone = func(s TransferStats) { stats = append(stats, s) }
 	dev.Start()
@@ -210,8 +212,8 @@ func TestDedupSkipsUpload(t *testing.T) {
 	w := newTW(t, 3)
 	a1 := w.svc.Meta.CreateAccount()
 	a2 := w.svc.Meta.CreateAccount()
-	d1 := w.device(t, a1.ID, V1252)
-	d2 := w.device(t, a2.ID, V1252)
+	d1 := w.device(t, a1.ID, capability.DropboxV1252())
+	d2 := w.device(t, a2.ID, capability.DropboxV1252())
 	refs := mkRefs(200, 3, 100_000) // same content on both accounts
 	d1.Start()
 	d2.Start()
@@ -238,8 +240,8 @@ func TestDedupSkipsUpload(t *testing.T) {
 func TestNotificationTriggersDownload(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
-	d1 := w.device(t, acct.ID, V1252)
-	d2 := w.device(t, acct.ID, V1252)
+	d1 := w.device(t, acct.ID, capability.DropboxV1252())
+	d2 := w.device(t, acct.ID, capability.DropboxV1252())
 	d1.Start()
 	d2.Start()
 	refs := mkRefs(300, 2, 500_000)
@@ -272,7 +274,7 @@ func TestNotificationTriggersDownload(t *testing.T) {
 func TestBatchSplitOver100Chunks(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, V1252)
+	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	refs := mkRefs(400, 250, 2_000)
 	done := false
@@ -294,7 +296,7 @@ func TestBatchSplitOver100Chunks(t *testing.T) {
 func TestV140BundlesSmallChunks(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, V140)
+	dev := w.device(t, acct.ID, capability.DropboxV140())
 	dev.Start()
 	refs := mkRefs(500, 40, 50_000) // 2 MB of small chunks
 	w.sched.After(time.Second, func() { dev.Upload(acct.Root, refs, identityWire, nil) })
@@ -311,11 +313,11 @@ func TestV140BundlesSmallChunks(t *testing.T) {
 }
 
 func TestSequentialAcksSlowerThanBundling(t *testing.T) {
-	durations := map[Version]time.Duration{}
-	for _, v := range []Version{V1252, V140} {
+	durations := map[string]time.Duration{}
+	for _, caps := range []capability.Profile{capability.DropboxV1252(), capability.DropboxV140()} {
 		w := newTW(t, 3)
 		acct := w.svc.Meta.CreateAccount()
-		dev := w.device(t, acct.ID, v)
+		dev := w.device(t, acct.ID, caps)
 		dev.Start()
 		refs := mkRefs(600, 30, 60_000)
 		var st TransferStats
@@ -327,21 +329,21 @@ func TestSequentialAcksSlowerThanBundling(t *testing.T) {
 		w.sched.After(time.Second, func() { dev.Upload(acct.Root, refs, identityWire, nil) })
 		w.sched.RunUntil(simtime.Time(10 * time.Minute))
 		if st.Chunks != 30 {
-			t.Fatalf("%v: chunks = %d", v, st.Chunks)
+			t.Fatalf("%v: chunks = %d", caps, st.Chunks)
 		}
-		durations[v] = st.End.Sub(st.Start)
+		durations[caps.Name] = st.End.Sub(st.Start)
 	}
-	if durations[V140]*2 > durations[V1252] {
+	if durations["dropbox-1.4.0"]*2 > durations["dropbox-1.2.52"] {
 		t.Fatalf("bundling should at least halve duration: v1.2.52 %v vs v1.4.0 %v",
-			durations[V1252], durations[V140])
+			durations["dropbox-1.2.52"], durations["dropbox-1.4.0"])
 	}
 }
 
 func TestLANSyncAvoidsWAN(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
-	d1 := w.device(t, acct.ID, V1252)
-	d2 := w.device(t, acct.ID, V1252)
+	d1 := w.device(t, acct.ID, capability.DropboxV1252())
+	d2 := w.device(t, acct.ID, capability.DropboxV1252())
 	d1.LANPeers = []*Device{d2}
 	d2.LANPeers = []*Device{d1}
 	d1.Start()
@@ -362,8 +364,8 @@ func TestLANSyncAvoidsWAN(t *testing.T) {
 func TestOfflineDeviceSyncsOnStart(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
-	d1 := w.device(t, acct.ID, V1252)
-	d2 := w.device(t, acct.ID, V1252)
+	d1 := w.device(t, acct.ID, capability.DropboxV1252())
+	d2 := w.device(t, acct.ID, capability.DropboxV1252())
 	d1.Start()
 	refs := mkRefs(800, 3, 80_000)
 	w.sched.After(time.Second, func() { d1.Upload(acct.Root, refs, identityWire, nil) })
@@ -381,7 +383,7 @@ func TestOfflineDeviceSyncsOnStart(t *testing.T) {
 func TestStopTearsDownConnections(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, V1252)
+	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	w.sched.After(30*time.Second, func() {
 		dev.Upload(acct.Root, mkRefs(900, 10, 1_000_000), identityWire, nil)
@@ -407,8 +409,8 @@ func TestSharedFolderCrossAccount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := w.device(t, a1.ID, V1252)
-	d2 := w.device(t, a2.ID, V1252)
+	d1 := w.device(t, a1.ID, capability.DropboxV1252())
+	d2 := w.device(t, a2.ID, capability.DropboxV1252())
 	d1.Start()
 	d2.Start()
 	refs := mkRefs(1000, 2, 150_000)
@@ -424,7 +426,7 @@ func TestSharedFolderCrossAccount(t *testing.T) {
 func TestNotifyLongPollPunt(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, V1252)
+	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	// Run past two poll periods with no changes; the device must stay
 	// online with an armed long poll (requests re-issued after punts).
@@ -444,7 +446,7 @@ func BenchmarkUpload10Chunks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := newTW(b, 3)
 		acct := w.svc.Meta.CreateAccount()
-		dev := w.device(b, acct.ID, V1252)
+		dev := w.device(b, acct.ID, capability.DropboxV1252())
 		dev.Start()
 		refs := mkRefs(uint64(i)*17+1, 10, 100_000)
 		w.sched.After(time.Second, func() { dev.Upload(acct.Root, refs, identityWire, nil) })

@@ -10,11 +10,11 @@
 // tcpsim/tlssim so that every protocol byte appears on the simulated wire
 // with the sizes the paper measured (Appendix A).
 //
-// The client data plane is parameterized by a capability.Profile (bundling
-// and its batch target, deduplication, commit pipelining): the historical
-// Version constants resolve to the two Dropbox presets via
-// Version.Profile, and what-if experiments substitute arbitrary profiles
-// through ClientConfig.Caps without touching the protocol code.
+// The client data plane is parameterized by the capability.Profile every
+// ClientConfig carries (bundling and its batch target, deduplication,
+// commit pipelining): the two clients the paper observed are the
+// capability.DropboxV1252 and DropboxV140 presets, and what-if experiments
+// pass any other profile without touching the protocol code.
 package dropbox
 
 import (
@@ -23,39 +23,6 @@ import (
 	"insidedropbox/internal/capability"
 	"insidedropbox/internal/chunker"
 )
-
-// Version selects the client protocol generation the paper compares in
-// Table 4. It survives as the calibrated shorthand for the two clients the
-// paper observed; the data plane itself runs on capability.Profile, and
-// Version resolves to one of the two Dropbox presets via Profile.
-type Version int
-
-// Protocol versions under study.
-const (
-	// V1252 is client 1.2.52 (Mar/Apr dataset): one chunk per store or
-	// retrieve operation, sequentially acknowledged.
-	V1252 Version = iota
-	// V140 is client 1.4.0 (Jun/Jul dataset): store_batch/retrieve_batch
-	// bundle small chunks into single operations.
-	V140
-)
-
-func (v Version) String() string {
-	if v == V140 {
-		return "1.4.0"
-	}
-	return "1.2.52"
-}
-
-// Profile resolves the legacy version switch to its capability profile.
-// The presets reproduce the historical Version-based behaviour bit for bit
-// (pinned by regression tests in workload and flowmodel).
-func (v Version) Profile() capability.Profile {
-	if v == V140 {
-		return capability.DropboxV140()
-	}
-	return capability.DropboxV1252()
-}
 
 // Protocol size constants measured by the authors (Appendix A.2/A.3).
 const (

@@ -25,6 +25,8 @@ import (
 // PacketLabConfig drives the packet-level storage-performance experiment
 // behind Figs. 9 and 10: stratified flow sizes pushed through the real
 // protocol over the real simulated TCP path, measured by the real probe.
+// The lab clients send one MsgStore or MsgRetrieve per chunk themselves,
+// so the lab takes no client capability profile.
 type PacketLabConfig struct {
 	Seed int64
 	// FlowsPerSlot flows are generated in each logarithmic size slot.
@@ -35,8 +37,6 @@ type PacketLabConfig struct {
 	Slots int
 	// ServerIW is the storage servers' initial window (2 = pre-1.4.0).
 	ServerIW int
-	// Version selects per-chunk or bundled operations.
-	Version dropbox.Version
 	// Retrieve generates download flows instead of uploads.
 	Retrieve bool
 	// RTT is the one-way probe->storage core delay (default 45 ms,
@@ -51,7 +51,7 @@ func DefaultPacketLab(retrieve bool) PacketLabConfig {
 	return PacketLabConfig{
 		Seed: 99, FlowsPerSlot: 12, Slots: 16,
 		MinBytes: 1 << 10, MaxBytes: 64 << 20,
-		ServerIW: 2, Version: dropbox.V1252, Retrieve: retrieve,
+		ServerIW: 2, Retrieve: retrieve,
 		CoreDelay: 45 * time.Millisecond,
 		Access:    netem.CampusWireless(),
 	}

@@ -133,8 +133,9 @@ type Session struct {
 	// Table 4 before/after populations and the what-if population, exactly
 	// as the historical CLI did.
 	Scale ScaleConfig
-	// Fleet sizes the sharded engine for the tallies and the opt-in labs
-	// (DevicesScale applies only to the fleet lab; see FleetScale).
+	// Fleet sizes the sharded engine for the tallies and the opt-in labs.
+	// Run leaves its DevicesScale zero, so the tables run at Table 2's
+	// device counts; the fleet lab replaces it with FleetScale.
 	Fleet fleet.Config
 	// Quick selects the small packet-lab configurations.
 	Quick bool

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"insidedropbox/internal/capability"
 	"insidedropbox/internal/chunker"
 	"insidedropbox/internal/dnssim"
 	"insidedropbox/internal/dropbox"
@@ -89,7 +90,7 @@ func RunTestbed(ctx context.Context, seed int64) (*TestbedResult, error) {
 		stack := tcpsim.NewStack(host, sched, rng, tcpsim.DefaultConfig())
 		dev, err := dropbox.NewDevice(dropbox.ClientConfig{
 			Sched: sched, Rng: rng, Service: svc, Resolver: resolver,
-			Stack: stack, Version: dropbox.V1252, Handshake: tlssim.DefaultHandshake(),
+			Stack: stack, Caps: capability.DropboxV1252(), Handshake: tlssim.DefaultHandshake(),
 		}, acct)
 		if err != nil {
 			panic(err)

@@ -113,9 +113,8 @@ func (r *WhatIfReport) ByProfile(name string) *WhatIfRun {
 // vantage-point population, all profiles' shards on one fleet pool of
 // cfg.Fleet.Workers, aggregated with bounded memory. Determinism: each
 // (seed, population, shards, profile) run is bit-reproducible regardless
-// of worker count or how many profiles run alongside it, and the two
-// Dropbox presets reproduce the legacy Version-based campaign output
-// exactly.
+// of worker count or how many profiles run alongside it, and a vantage
+// point's own preset reproduces its campaign output exactly.
 //
 // Cancelling ctx aborts every profile run at fleet-shard granularity and
 // returns ctx.Err() with a nil report.
@@ -123,7 +122,7 @@ func (cfg WhatIfConfig) Run(ctx context.Context) (*WhatIfReport, error) {
 	pops := make([]fleet.Population, len(cfg.Profiles))
 	for i, prof := range cfg.Profiles {
 		pops[i] = fleet.Population{VP: cfg.VP, Seed: cfg.Seed}
-		pops[i].VP.Caps = &prof
+		pops[i].VP.Caps = prof
 	}
 	days := cfg.VP.Days
 	aggs, stats, err := fleet.Aggregate(ctx, pops, cfg.Fleet, func(int, int) fleet.Aggregator { return NewWhatIfAgg(days) })

@@ -31,9 +31,9 @@ func runWhatIf(t *testing.T, cfg WhatIfConfig) *WhatIfReport {
 }
 
 // TestWhatIfPresetMatchesLegacyFleetRun pins the acceptance criterion: a
-// what-if run under the dropbox-1.2.52 preset is bit-identical to the
-// legacy Version-based fleet campaign of the same population — same flows,
-// same bytes, same streaming aggregates.
+// what-if run under the dropbox-1.2.52 preset, the vantage point's own
+// client, is bit-identical to the plain fleet campaign of the same
+// population — same flows, same bytes, same streaming aggregates.
 func TestWhatIfPresetMatchesLegacyFleetRun(t *testing.T) {
 	vp := whatIfVP(0.2)
 	fc := fleet.Config{Shards: 2}

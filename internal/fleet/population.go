@@ -35,20 +35,20 @@ type PopulationSpec struct {
 // configuration (Shards and DevicesScale, zero read as 1) it names.
 func (s PopulationSpec) Resolve() (Population, Config, error) {
 	vp, ok := workload.ByName(s.VP, s.Scale)
+	shardsErr := CheckShards(s.Shards)
 	var err error
 	switch {
 	case !ok:
 		err = fmt.Errorf("unknown vantage point %q (valid: %s)", s.VP, strings.Join(workload.VantagePoints(), ", "))
 	case !(s.Scale > 0 && s.Scale <= 10):
 		err = fmt.Errorf("scale must be > 0 and at most 10 (got %g)", s.Scale)
-	case s.Shards < 0 || s.Shards > workload.MaxShards:
-		err = fmt.Errorf("shards must be in [1, %d], 0 meaning 1 (got %d: negative or exceeds the maximum)",
-			workload.MaxShards, s.Shards)
+	case shardsErr != nil:
+		err = shardsErr
 	case !(s.DevicesScale >= 0):
 		err = fmt.Errorf("devices-scale must be >= 0, 0 meaning 1 (got %g)", s.DevicesScale)
 	case s.Profile != "":
 		if p, ok := capability.ByName(s.Profile); ok {
-			vp.Caps = &p
+			vp.Caps = p
 		} else {
 			err = fmt.Errorf("unknown capability profile %q (valid: %s)", s.Profile, strings.Join(capability.Names(), ", "))
 		}
@@ -58,4 +58,15 @@ func (s PopulationSpec) Resolve() (Population, Config, error) {
 	}
 	fc := Config{Shards: max(s.Shards, 1), DevicesScale: cmp.Or(s.DevicesScale, 1)}
 	return Population{VP: vp, Seed: s.Seed}, fc, nil
+}
+
+// CheckShards is the one shard-count rule: a population, a campaign and
+// an experiment run all take shards in [1, workload.MaxShards], 0 meaning
+// 1.
+func CheckShards(n int) error {
+	if n < 0 || n > workload.MaxShards {
+		return fmt.Errorf("shards must be in [1, %d], 0 meaning 1 (got %d: negative or exceeds the maximum)",
+			workload.MaxShards, n)
+	}
+	return nil
 }

@@ -1,49 +1,13 @@
 package flowmodel
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
 	"insidedropbox/internal/capability"
 	"insidedropbox/internal/classify"
-	"insidedropbox/internal/dropbox"
 	"insidedropbox/internal/simrand"
 )
-
-// TestCapsPresetMatchesVersionSynthesis pins the flow-model side of the
-// capability contract: Params carrying the preset profile synthesize
-// byte-identical records to Params carrying the legacy Version switch.
-func TestCapsPresetMatchesVersionSynthesis(t *testing.T) {
-	chunks := []int{20_000, 20_000, 3_000_000, 500, 4 << 20, 80_000}
-	for _, tc := range []struct {
-		version dropbox.Version
-		preset  capability.Profile
-	}{
-		{dropbox.V1252, capability.DropboxV1252()},
-		{dropbox.V140, capability.DropboxV140()},
-	} {
-		for _, dir := range []classify.Direction{classify.DirStore, classify.DirRetrieve} {
-			spec := StorageFlowSpec{Dir: dir, ChunkWires: chunks, ServerClosesIdle: true}
-
-			rngA := simrand.New(11, "caps-eq")
-			pA := DefaultParams(95 * time.Millisecond)
-			pA.Version = tc.version
-			legacy := Synthesize(rngA, pA, spec)
-
-			rngB := simrand.New(11, "caps-eq")
-			pB := DefaultParams(95 * time.Millisecond)
-			prof := tc.preset
-			pB.Caps = &prof
-			got := Synthesize(rngB, pB, spec)
-
-			if !reflect.DeepEqual(legacy, got) {
-				t.Fatalf("%v/%v: caps synthesis diverged:\nlegacy %+v\ncaps   %+v",
-					tc.version, dir, legacy, got)
-			}
-		}
-	}
-}
 
 // TestPipelinedProfileRemovesAckFloor pins the pipelined timing model: the
 // same multi-operation flow completes much faster without per-operation
@@ -61,9 +25,7 @@ func TestPipelinedProfileRemovesAckFloor(t *testing.T) {
 
 	pipeRng := simrand.New(7, "pipe")
 	pPipe := DefaultParams(90 * time.Millisecond)
-	prof := capability.DropboxV1252() // per-chunk ops, so pipelining has work to do
-	prof.CommitPipelining = true
-	pPipe.Caps = &prof
+	pPipe.Caps.CommitPipelining = true // on DefaultParams' per-chunk 1.2.52 ops
 	pipe := Synthesize(pipeRng, pPipe, spec)
 
 	if pipe.BytesUp != seq.BytesUp || pipe.BytesDown != seq.BytesDown ||

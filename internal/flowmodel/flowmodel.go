@@ -39,21 +39,11 @@ type Params struct {
 	// times (Sec. 4.4.2 attributes much of long-flow duration to them).
 	ClientReaction time.Duration
 	ServerReaction time.Duration
-	// Version selects per-chunk (1.2.52) or bundled (1.4.0) operations.
-	// Caps, when set, overrides it with an arbitrary capability profile:
-	// operation grouping follows the profile's bundling knobs, and
+	// Caps is the client's capability profile: operation grouping follows
+	// its bundling knobs (per-chunk for 1.2.52, bundled for 1.4.0), and
 	// CommitPipelining switches the timing model from sequential
 	// per-operation acknowledgments to overlapped transfers.
-	Version dropbox.Version
-	Caps    *capability.Profile
-}
-
-// profile resolves the effective capability profile of the params.
-func (p Params) profile() capability.Profile {
-	if p.Caps != nil {
-		return *p.Caps
-	}
-	return p.Version.Profile()
+	Caps capability.Profile
 }
 
 // DefaultParams matches the packet-level defaults for a campus client.
@@ -64,7 +54,7 @@ func DefaultParams(rtt time.Duration) Params {
 		IW:             3,
 		ClientReaction: 70 * time.Millisecond,
 		ServerReaction: 45 * time.Millisecond,
-		Version:        dropbox.V1252,
+		Caps:           capability.DropboxV1252(),
 	}
 }
 
@@ -211,8 +201,7 @@ func Synthesize(rng *simrand.Source, p Params, spec StorageFlowSpec) *traces.Flo
 // must be zero-valued (freshly allocated or reset by a record pool) and is
 // returned filled. Nothing in rec is retained by the Synth.
 func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Params, spec StorageFlowSpec) *traces.FlowRecord {
-	prof := p.profile()
-	ops := groupOpsInto(s.ops[:0], prof, spec.ChunkWires)
+	ops := groupOpsInto(s.ops[:0], p.Caps, spec.ChunkWires)
 	s.ops = ops
 	hs := tlssim.DefaultHandshake()
 	rec.FirstPacket = spec.Start
@@ -258,7 +247,7 @@ func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Pa
 	var lastUp, lastDown time.Duration
 	lastUp = t - rtt/2 // client finish write
 	lastDown = t - rtt // server finish
-	if prof.CommitPipelining && len(ops) > 0 {
+	if p.Caps.CommitPipelining && len(ops) > 0 {
 		// Pipelined commits: every operation is issued without waiting for
 		// the previous acknowledgment, so per-operation round trips and
 		// server reactions overlap with data transfer (removing the

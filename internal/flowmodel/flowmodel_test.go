@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"insidedropbox/internal/capability"
 	"insidedropbox/internal/chunker"
 	"insidedropbox/internal/classify"
 	"insidedropbox/internal/dnssim"
@@ -63,7 +64,7 @@ func TestThetaShape(t *testing.T) {
 }
 
 func TestGroupOpsV1252OnePerChunk(t *testing.T) {
-	ops := groupOpsInto(nil, dropbox.V1252.Profile(), []int{100, 200, 300})
+	ops := groupOpsInto(nil, capability.DropboxV1252(), []int{100, 200, 300})
 	if len(ops) != 3 {
 		t.Fatalf("ops = %d", len(ops))
 	}
@@ -74,12 +75,12 @@ func TestGroupOpsV140Bundles(t *testing.T) {
 	for i := range chunks {
 		chunks[i] = 50_000
 	}
-	ops := groupOpsInto(nil, dropbox.V140.Profile(), chunks)
+	ops := groupOpsInto(nil, capability.DropboxV140(), chunks)
 	if len(ops) != 1 {
 		t.Fatalf("40 small chunks should bundle into 1 op, got %d", len(ops))
 	}
 	// Large chunks break bundles.
-	ops = groupOpsInto(nil, dropbox.V140.Profile(), []int{4 << 20, 4 << 20})
+	ops = groupOpsInto(nil, capability.DropboxV140(), []int{4 << 20, 4 << 20})
 	if len(ops) != 2 {
 		t.Fatalf("two 4MB chunks = %d ops", len(ops))
 	}
@@ -132,7 +133,7 @@ func TestSynthesizedRetrieveTagging(t *testing.T) {
 
 // packetTruth runs the same transfer through the full packet-level stack
 // and returns the probe's record.
-func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, version dropbox.Version) *traces.FlowRecord {
+func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps capability.Profile) *traces.FlowRecord {
 	t.Helper()
 	sched := simtime.NewScheduler()
 	rng := simrand.New(21, "calib")
@@ -156,7 +157,7 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, version
 		acct := svc.Meta.CreateAccount()
 		dev, err := dropbox.NewDevice(dropbox.ClientConfig{
 			Sched: sched, Rng: rng, Service: svc, Resolver: resolver,
-			Stack: stack, Version: version, Handshake: tlssim.DefaultHandshake(),
+			Stack: stack, Caps: caps, Handshake: tlssim.DefaultHandshake(),
 		}, acct.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +200,7 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, version
 
 func TestCalibrationStoreV1252(t *testing.T) {
 	chunks := []int{150_000, 150_000, 150_000, 150_000}
-	truth := packetTruth(t, classify.DirStore, chunks, dropbox.V1252)
+	truth := packetTruth(t, classify.DirStore, chunks, capability.DropboxV1252())
 
 	rng := simrand.New(22, "calib2")
 	p := DefaultParams(truth.MinRTT)
@@ -230,10 +231,10 @@ func TestCalibrationStoreV1252(t *testing.T) {
 
 func TestCalibrationStoreV140(t *testing.T) {
 	chunks := []int{80_000, 80_000, 80_000, 80_000, 80_000, 80_000}
-	truth := packetTruth(t, classify.DirStore, chunks, dropbox.V140)
+	truth := packetTruth(t, classify.DirStore, chunks, capability.DropboxV140())
 	rng := simrand.New(23, "calib3")
 	p := DefaultParams(truth.MinRTT)
-	p.Version = dropbox.V140
+	p.Caps = capability.DropboxV140()
 	model := Synthesize(rng, p, StorageFlowSpec{
 		Dir: classify.DirStore, ChunkWires: chunks,
 		Start: truth.FirstPacket, ServerClosesIdle: truth.ServerClosed,
@@ -264,7 +265,7 @@ func TestModelShowsSequentialAckPenalty(t *testing.T) {
 	}
 	// And v1.4.0 bundling removes most of it.
 	p140 := p
-	p140.Version = dropbox.V140
+	p140.Caps = capability.DropboxV140()
 	rec140 := Synthesize(rng, p140, StorageFlowSpec{Dir: classify.DirStore, ChunkWires: small})
 	bundled := classify.TransferDuration(rec140, classify.DirStore)
 	if bundled*2 > many {

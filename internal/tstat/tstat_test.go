@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"insidedropbox/internal/capability"
 	"insidedropbox/internal/chunker"
 	"insidedropbox/internal/dnssim"
 	"insidedropbox/internal/dropbox"
@@ -51,7 +52,7 @@ func newWorld(t testing.TB) *world {
 	return w
 }
 
-func (w *world) device(t testing.TB, acct dropbox.AccountID, v dropbox.Version) *dropbox.Device {
+func (w *world) device(t testing.TB, acct dropbox.AccountID, caps capability.Profile) *dropbox.Device {
 	t.Helper()
 	w.nextIP++
 	ip := wire.MakeIP(10, 0, 0, w.nextIP)
@@ -59,7 +60,7 @@ func (w *world) device(t testing.TB, acct dropbox.AccountID, v dropbox.Version) 
 	stack := tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultConfig())
 	dev, err := dropbox.NewDevice(dropbox.ClientConfig{
 		Sched: w.sched, Rng: w.rng, Service: w.svc, Resolver: w.resolver,
-		Stack: stack, Version: v, Handshake: tlssim.DefaultHandshake(),
+		Stack: stack, Caps: caps, Handshake: tlssim.DefaultHandshake(),
 	}, acct)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,7 @@ func isStorageFQDN(r *traces.FlowRecord) bool {
 func TestProbeSeesUploadFlow(t *testing.T) {
 	w := newWorld(t)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, dropbox.V1252)
+	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	const chunks = 5
 	const chunkSize = 200_000
@@ -146,7 +147,7 @@ func TestProbeSeesUploadFlow(t *testing.T) {
 func TestProbeRTTMeasurement(t *testing.T) {
 	w := newWorld(t)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, dropbox.V1252)
+	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	refs := refsOf(77, 20, 150_000)
 	w.sched.After(2*time.Second, func() { dev.Upload(acct.Root, refs, wireID, nil) })
@@ -181,7 +182,7 @@ func TestProbeRTTMeasurement(t *testing.T) {
 func TestProbeNotifyExtraction(t *testing.T) {
 	w := newWorld(t)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, dropbox.V1252)
+	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	w.sched.RunUntil(simtime.Time(3 * time.Minute))
 	dev.Stop()
@@ -208,7 +209,7 @@ func TestProbeRetransmissionCounting(t *testing.T) {
 	w := newWorld(t)
 	w.net.SetCoreLoss(0.01)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, dropbox.V1252)
+	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	refs := refsOf(99, 3, 2_000_000)
 	w.sched.After(2*time.Second, func() { dev.Upload(acct.Root, refs, wireID, nil) })
@@ -263,7 +264,7 @@ func TestProbeWithoutDNS(t *testing.T) {
 	acct := svc.Meta.CreateAccount()
 	dev, err := dropbox.NewDevice(dropbox.ClientConfig{
 		Sched: sched, Rng: rng, Service: svc, Resolver: resolver,
-		Stack: stack, Version: dropbox.V1252, Handshake: tlssim.DefaultHandshake(),
+		Stack: stack, Caps: capability.DropboxV1252(), Handshake: tlssim.DefaultHandshake(),
 	}, acct.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +309,7 @@ func TestParseNotifyDissector(t *testing.T) {
 func TestIdleSweepFinalizes(t *testing.T) {
 	w := newWorld(t)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, dropbox.V1252)
+	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	w.sched.After(2*time.Second, func() {
 		dev.Upload(acct.Root, refsOf(123, 1, 10_000), wireID, nil)
@@ -328,7 +329,7 @@ func TestIdleSweepFinalizes(t *testing.T) {
 func TestCapturedCounter(t *testing.T) {
 	w := newWorld(t)
 	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, dropbox.V1252)
+	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	w.sched.RunUntil(simtime.Time(30 * time.Second))
 	if w.probe.Captured() == 0 {

@@ -14,47 +14,31 @@ func shortCfg(cfg VPConfig) VPConfig {
 	return cfg
 }
 
-// TestPresetCapsMatchLegacyVersionPaths pins the capability refactor's core
-// contract: a Caps override set to the preset matching the vantage point's
-// Version produces a bit-identical record stream — the Version branches and
-// the profile branches are the same data plane.
-func TestPresetCapsMatchLegacyVersionPaths(t *testing.T) {
-	cases := []struct {
-		name   string
-		cfg    VPConfig
+// TestVantagePointsCarryTheirPreset: every vantage point is built with the
+// client the paper observed there, as a named preset — 1.2.52 with server
+// IW 2 for the Mar/Apr datasets, 1.4.0 with IW 3 for Campus 1's Jun/Jul
+// one (Table 4). The golden stream hashes pin what each generates.
+func TestVantagePointsCarryTheirPreset(t *testing.T) {
+	type client struct {
 		preset capability.Profile
-	}{
-		{"campus1-v1252", shortCfg(Campus1(0.1)), capability.DropboxV1252()},
-		{"campus1-junjul-v140", shortCfg(Campus1JunJul(0.1)), capability.DropboxV140()},
-		{"home2-v1252", shortCfg(Home2(0.004)), capability.DropboxV1252()},
+		iw     int
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy := Generate(tc.cfg, 42)
-
-			withCaps := tc.cfg
-			p := tc.preset
-			withCaps.Caps = &p
-			// The profile's IW must equal the calibrated ServerIW for the
-			// comparison to be meaningful (profiles override ServerIW).
-			if p.IW() != tc.cfg.ServerIW {
-				t.Fatalf("preset IW %d != calibrated ServerIW %d", p.IW(), tc.cfg.ServerIW)
+	want := map[string]client{
+		"campus1":        {capability.DropboxV1252(), 2},
+		"campus1-junjul": {capability.DropboxV140(), 3},
+		"campus2":        {capability.DropboxV1252(), 2},
+		"home1":          {capability.DropboxV1252(), 2},
+		"home2":          {capability.DropboxV1252(), 2},
+	}
+	for _, vp := range VantagePoints() {
+		t.Run(vp, func(t *testing.T) {
+			cfg, ok := ByName(vp, 0.1)
+			w, listed := want[vp]
+			if !ok || !listed {
+				t.Fatalf("ByName(%q) = %v, row listed %v", vp, ok, listed)
 			}
-			got := Generate(withCaps, 42)
-
-			if len(got.Records) != len(legacy.Records) {
-				t.Fatalf("record count: caps %d vs legacy %d", len(got.Records), len(legacy.Records))
-			}
-			for i := range legacy.Records {
-				if !reflect.DeepEqual(*got.Records[i], *legacy.Records[i]) {
-					t.Fatalf("record %d diverged:\ncaps   %+v\nlegacy %+v",
-						i, *got.Records[i], *legacy.Records[i])
-				}
-			}
-			if got.DropboxHouseholds != legacy.DropboxHouseholds || got.DropboxDevices != legacy.DropboxDevices {
-				t.Fatalf("ground truth diverged: %d/%d vs %d/%d",
-					got.DropboxHouseholds, got.DropboxDevices,
-					legacy.DropboxHouseholds, legacy.DropboxDevices)
+			if cfg.Caps != w.preset || cfg.Caps.IW() != w.iw {
+				t.Fatalf("%s carries %s, want %s", vp, cfg.Caps.Key(), w.preset.Key())
 			}
 		})
 	}
@@ -67,7 +51,7 @@ func TestHypotheticalProfilesChangeTraffic(t *testing.T) {
 	base := shortCfg(Campus1JunJul(0.25))
 	storeVolume := func(caps capability.Profile) float64 {
 		cfg := base
-		cfg.Caps = &caps
+		cfg.Caps = caps
 		var total float64
 		GenerateShard(cfg, 77, 0, 1, func(r *traces.FlowRecord) {
 			total += float64(r.BytesUp)
@@ -114,8 +98,7 @@ func TestShardsShareIPBase(t *testing.T) {
 // profiles whose extra branches draw from the random stream.
 func TestProfileDeterminism(t *testing.T) {
 	cfg := shortCfg(Campus1(0.1))
-	p := capability.NoDedup()
-	cfg.Caps = &p
+	cfg.Caps = capability.NoDedup()
 	a := Generate(cfg, 9)
 	b := Generate(cfg, 9)
 	if len(a.Records) != len(b.Records) {

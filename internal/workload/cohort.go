@@ -26,7 +26,8 @@ type Cohort struct {
 	Weight float64
 
 	// Caps, when set, swaps the client capability profile for the
-	// cohort's devices (the per-cohort what-if hook).
+	// cohort's devices (the per-cohort what-if hook); nil inherits the
+	// vantage point's VPConfig.Caps.
 	Caps *capability.Profile
 
 	// Behavioral multipliers over the VP baseline (0 inherits = 1).

@@ -8,18 +8,17 @@
 // Parameter values are calibrated against the paper's published numbers;
 // each field's comment cites the source.
 //
-// Client capabilities are pluggable: each vantage point carries the
-// Version the paper observed there, and VPConfig.Caps swaps in an
-// arbitrary capability.Profile for counterfactual campaigns. The Dropbox
-// presets regenerate the calibrated populations bit for bit (pinned by
-// TestPresetCapsMatchLegacyVersionPaths).
+// Client capabilities are pluggable: each vantage point carries, in
+// VPConfig.Caps, the capability.Profile of the client the paper observed
+// there (capability.DropboxV1252, or DropboxV140 for Campus 1's Jun/Jul
+// dataset), and a counterfactual campaign replaces it with any other
+// profile.
 package workload
 
 import (
 	"time"
 
 	"insidedropbox/internal/capability"
-	"insidedropbox/internal/dropbox"
 	"insidedropbox/internal/simrand"
 )
 
@@ -104,16 +103,12 @@ type VPConfig struct {
 	// machines (Campus 1): one device per IP, office-hour sessions.
 	WorkstationLike bool
 
-	// Version/IW of the observed client population and server tuning.
-	Version  dropbox.Version
-	ServerIW int
-
-	// Caps, when set, replaces the Version-derived client capabilities
-	// with an arbitrary profile — the what-if hook. The profile's server
-	// initial window then also overrides ServerIW (client releases and
-	// server tuning deployed jointly, Table 4). Nil reproduces the
-	// historical Version behaviour bit for bit.
-	Caps *capability.Profile
+	// Caps is the client capability profile of the population, together
+	// with the storage servers' initial window it was deployed with
+	// (client releases and server tuning deployed jointly, Table 4). The
+	// vantage point constructors set the client the paper observed; the
+	// what-if lab and -profile replace it.
+	Caps capability.Profile
 
 	// Cohorts, when set, splits the Dropbox population into weighted
 	// behavioral cohorts (see CohortPlan): each device is deterministically
@@ -133,16 +128,6 @@ type VPConfig struct {
 	// of it (Campus 2: Dropbox ≈ one third of YouTube, 4% of total).
 	DailyBackgroundGB float64
 	YouTubeShare      float64
-}
-
-// EffectiveCaps resolves a vantage point's client capability profile:
-// the explicit Caps override when set, else the profile of the calibrated
-// Version switch.
-func EffectiveCaps(cfg VPConfig) capability.Profile {
-	if cfg.Caps != nil {
-		return *cfg.Caps
-	}
-	return cfg.Version.Profile()
 }
 
 // campaignStart aligns day 0 with Saturday March 24, 2012 (the capture
@@ -174,13 +159,13 @@ func Campus1(scale float64) VPConfig {
 		ControlRTTSteps: true,
 		HasDNS:          true,
 		Diurnal:         simrand.OfficeHours(), Week: simrand.CampusWeek(),
-		Holidays:        holidays2012(),
-		Groups:          GroupMix{Occasional: 0.22, UploadOnly: 0.06, DownloadOnly: 0.27, Heavy: 0.45},
-		SessionsPerDay:  0.9,
-		P1Namespace:     0.13,
-		NamespaceLambda: 3.3,
-		WorkstationLike: true,
-		Version:         dropbox.V1252, ServerIW: 2,
+		Holidays:          holidays2012(),
+		Groups:            GroupMix{Occasional: 0.22, UploadOnly: 0.06, DownloadOnly: 0.27, Heavy: 0.45},
+		SessionsPerDay:    0.9,
+		P1Namespace:       0.13,
+		NamespaceLambda:   3.3,
+		WorkstationLike:   true,
+		Caps:              capability.DropboxV1252(),
 		DailyBackgroundGB: 65, YouTubeShare: 0.10,
 	}
 }
@@ -214,8 +199,7 @@ func ByName(name string, scale float64) (cfg VPConfig, ok bool) {
 func Campus1JunJul(scale float64) VPConfig {
 	cfg := Campus1(scale)
 	cfg.Name = "campus1-junjul"
-	cfg.Version = dropbox.V140
-	cfg.ServerIW = 3
+	cfg.Caps = capability.DropboxV140()
 	return cfg
 }
 
@@ -231,13 +215,13 @@ func Campus2(scale float64) VPConfig {
 		StorageRTT: 96 * time.Millisecond, ControlRTT: 168 * time.Millisecond,
 		HasDNS:  false,
 		Diurnal: simrand.CampusRoaming(), Week: simrand.CampusWeek(),
-		Holidays:        holidays2012(),
-		Groups:          GroupMix{Occasional: 0.26, UploadOnly: 0.06, DownloadOnly: 0.28, Heavy: 0.40},
-		SessionsPerDay:  1.3,
-		P1Namespace:     0.16,
-		NamespaceLambda: 3.0,
-		NATChoppedFrac:  0.002,
-		Version:         dropbox.V1252, ServerIW: 2,
+		Holidays:          holidays2012(),
+		Groups:            GroupMix{Occasional: 0.26, UploadOnly: 0.06, DownloadOnly: 0.28, Heavy: 0.40},
+		SessionsPerDay:    1.3,
+		P1Namespace:       0.16,
+		NamespaceLambda:   3.0,
+		NATChoppedFrac:    0.002,
+		Caps:              capability.DropboxV1252(),
 		DailyBackgroundGB: 440, YouTubeShare: 0.125,
 	}
 }
@@ -253,13 +237,13 @@ func Home1(scale float64) VPConfig {
 		StorageRTT: 100 * time.Millisecond, ControlRTT: 180 * time.Millisecond,
 		HasDNS:  true,
 		Diurnal: simrand.HomeEvenings(), Week: simrand.HomeWeek(),
-		Holidays:        holidays2012(),
-		Groups:          GroupMix{Occasional: 0.31, UploadOnly: 0.06, DownloadOnly: 0.26, Heavy: 0.37},
-		SessionsPerDay:  0.6,
-		P1Namespace:     0.28,
-		NamespaceLambda: 2.2,
-		NATChoppedFrac:  0.006,
-		Version:         dropbox.V1252, ServerIW: 2,
+		Holidays:          holidays2012(),
+		Groups:            GroupMix{Occasional: 0.31, UploadOnly: 0.06, DownloadOnly: 0.26, Heavy: 0.37},
+		SessionsPerDay:    0.6,
+		P1Namespace:       0.28,
+		NamespaceLambda:   2.2,
+		NATChoppedFrac:    0.006,
+		Caps:              capability.DropboxV1252(),
 		OutageDays:        []int{28}, // April 21 probe outage
 		DailyBackgroundGB: 3700, YouTubeShare: 0.11,
 	}
@@ -277,13 +261,13 @@ func Home2(scale float64) VPConfig {
 		ControlRTTSteps: true,
 		HasDNS:          true,
 		Diurnal:         simrand.HomeEvenings(), Week: simrand.HomeWeek(),
-		Holidays:        holidays2012(),
-		Groups:          GroupMix{Occasional: 0.32, UploadOnly: 0.07, DownloadOnly: 0.28, Heavy: 0.33},
-		SessionsPerDay:  0.6,
-		P1Namespace:     0.30,
-		NamespaceLambda: 2.0,
-		NATChoppedFrac:  0.007,
-		Version:         dropbox.V1252, ServerIW: 2,
+		Holidays:          holidays2012(),
+		Groups:            GroupMix{Occasional: 0.32, UploadOnly: 0.07, DownloadOnly: 0.28, Heavy: 0.33},
+		SessionsPerDay:    0.6,
+		P1Namespace:       0.30,
+		NamespaceLambda:   2.0,
+		NATChoppedFrac:    0.007,
+		Caps:              capability.DropboxV1252(),
 		AbnormalUploader:  true,
 		DailyBackgroundGB: 5800, YouTubeShare: 0.11,
 	}

@@ -99,15 +99,10 @@ type generator struct {
 	outage  []bool // per-day probe outage, nil when none configured
 	horizon time.Duration
 
-	// Cohort state: plan is cfg.Cohorts, cohort tracks the device being
-	// generated (nil between devices and on the legacy path), baseCaps is
-	// the VP-level profile restored when a cohort carries no override, and
-	// cohortCaps marks that caps came from a cohort (params() then honors
-	// the profile's server IW, as an explicit VP profile does).
-	plan       *CohortPlan
-	cohort     *Cohort
-	baseCaps   capability.Profile
-	cohortCaps bool
+	// Cohort state: plan is cfg.Cohorts, and cohort tracks the device
+	// being generated (nil between devices and on the legacy path).
+	plan   *CohortPlan
+	cohort *Cohort
 
 	nextHost uint64
 	nextNS   uint32
@@ -308,8 +303,7 @@ func GenerateShardSink(cfg VPConfig, seed int64, shard, nshards int, sink ShardS
 	label = strconv.AppendInt(label, int64(nshards), 10)
 	g := &generator{
 		cfg:         cfg,
-		caps:        EffectiveCaps(cfg),
-		baseCaps:    EffectiveCaps(cfg),
+		caps:        cfg.Caps,
 		plan:        cfg.Cohorts,
 		rng:         simrand.New(ShardSeed(seed, shard), string(label)),
 		emit:        sink.Emit,
@@ -506,10 +500,8 @@ func (g *generator) setCohort(c *Cohort) {
 	g.cohort = c
 	if c != nil && c.Caps != nil {
 		g.caps = *c.Caps
-		g.cohortCaps = true
 	} else {
-		g.caps = g.baseCaps
-		g.cohortCaps = false
+		g.caps = g.cfg.Caps
 	}
 }
 
@@ -1077,24 +1069,17 @@ func (g *generator) params(access AccessKind, dir classify.Direction) flowmodel.
 	if bw > 1.25e6 {
 		bw = 1.25e6 // per-server ceiling (Sec. 4.4)
 	}
-	iw := g.cfg.ServerIW
-	if g.cfg.Caps != nil || g.cohortCaps {
-		// Explicit profiles carry their own server tuning (client releases
-		// and IW raises deployed jointly, Table 4).
-		iw = g.caps.IW()
-	}
 	return flowmodel.Params{
 		RTT:       g.rng.Jitter(g.cfg.StorageRTT, 0.04),
 		Bandwidth: bw,
-		IW:        iw,
+		IW:        g.caps.IW(), // server tuning deploys with the client (Table 4)
 		// The 2012 Python client hashed/compressed slowly and loaded
 		// storage front-ends added server reaction time; Fig. 10
 		// attributes most long-flow duration to these (100-chunk flows
 		// always exceed 30 s).
 		ClientReaction: 160 * time.Millisecond,
 		ServerReaction: 90 * time.Millisecond,
-		Version:        g.cfg.Version,
-		Caps:           &g.caps,
+		Caps:           g.caps,
 	}
 }
 

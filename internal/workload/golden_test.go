@@ -51,7 +51,7 @@ func TestRecordStreamGolden(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s preset missing", g.Profile)
 				}
-				cfg.Caps = &p
+				cfg.Caps = p
 			}
 			got := streamHash(t, cfg, g.Seed, g.Shards)
 			if got != g.Hash {

@@ -36,8 +36,10 @@ type Spec struct {
 	Scale ScaleConfig
 
 	// Fleet sizes the sharded engine used for campaign generation:
-	// Shards changes the drawn population sample (part of the experiment
-	// definition), Workers only wall-clock time.
+	// Shards, in [1, 1024] with 0 meaning 1, changes the drawn
+	// population sample (part of the experiment definition), Workers only
+	// wall-clock time. DevicesScale must stay 0: the tables run Table 2's
+	// populations, and FleetScale sets the fleet lab's multiplier.
 	Fleet FleetConfig
 
 	// Experiments selects the catalogue subset to run, as glob-style
@@ -221,8 +223,16 @@ func SelectExperiments(patterns ...string) ([]Experiment, error) {
 	return experiments.Select(patterns...)
 }
 
-// resolve fills a Spec's defaulted fields and computes its selection.
+// resolve checks a Spec's fleet sizing, fills its defaulted fields and
+// computes its selection.
 func (s Spec) resolve() (Spec, []Experiment, error) {
+	if err := fleet.CheckShards(s.Fleet.Shards); err != nil {
+		return s, nil, err
+	}
+	if s.Fleet.DevicesScale != 0 {
+		return s, nil, fmt.Errorf("devices scale (Fleet.DevicesScale) must be 0 (got %g): the tables run Table 2's populations; "+
+			"set FleetScale for the fleet lab's device multiplier", s.Fleet.DevicesScale)
+	}
 	if s.Scale == (ScaleConfig{}) {
 		if s.Quick {
 			s.Scale = SmallScale()
@@ -612,9 +622,8 @@ func RunFleet(ctx context.Context, seed int64, scale ScaleConfig, fc FleetConfig
 }
 
 // WhatIf executes a capability what-if campaign. Every profile's run is
-// bit-reproducible from (seed, population, shards, profile), and the two
-// Dropbox presets reproduce the legacy Version-based campaign output
-// exactly.
+// bit-reproducible from (seed, population, shards, profile), and a
+// vantage point's own preset reproduces its campaign output exactly.
 func WhatIf(ctx context.Context, cfg WhatIfConfig) (*WhatIfReport, error) {
 	return cfg.Run(ctx)
 }
