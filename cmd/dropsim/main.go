@@ -81,6 +81,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -167,7 +168,7 @@ func main() {
 	}
 
 	popSpec, pop, fc, err := popFlags.Population()
-	if err != nil {
+	if err = cmp.Or(err, fleet.CheckWorkers(*workers)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

@@ -133,80 +133,14 @@ func SortRequests(reqs []Request) {
 	slices.SortFunc(reqs, compareRequests)
 }
 
-// runHead is one sorted run's unmerged rest in mergeRuns' heap; idx is
-// the run's position, the tie-break between equal heads.
-type runHead struct {
-	rest []Request
-	idx  int
-}
-
-func (a *runHead) before(b *runHead) bool {
-	if c := compareRequests(a.rest[0], b.rest[0]); c != 0 {
-		return c < 0
-	}
-	return a.idx < b.idx
-}
-
-// siftDown restores the min-heap order below h[i].
-func siftDown(h []runHead, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1].before(&h[c]) {
-			c++
-		}
-		if !h[c].before(&h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
-// mergeRuns k-way merges canonically sorted runs into one exactly sized
-// slice: a min-heap of run heads, O(n log k), equal requests in run order.
-// A lone non-empty run is returned as it is.
-func mergeRuns(runs [][]Request) []Request {
-	h := make([]runHead, 0, len(runs))
-	n := 0
-	for i, r := range runs {
-		if len(r) > 0 {
-			h = append(h, runHead{rest: r, idx: i})
-			n += len(r)
-		}
-	}
-	switch len(h) {
-	case 0:
-		return nil
-	case 1:
-		return h[0].rest
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	out := make([]Request, 0, n)
-	for len(h) > 1 {
-		top := &h[0]
-		out = append(out, top.rest[0])
-		if top.rest = top.rest[1:]; len(top.rest) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(h, 0)
-	}
-	return append(out, h[0].rest...)
-}
-
 // Collector is the fleet.Aggregator that turns a campaign's record stream
 // into backend arrivals. It retains only Request values (never the pooled
 // records), so it is safe on the allocation-free Aggregate path.
 //
 // On Aggregate each shard's collector sorts its own requests on its worker
 // (FinishShard); Merge only gathers those sorted runs, and Arrivals
-// combines them in one k-way merge. A plain tee (Consume only) keeps its
-// requests unsorted in Requests.
+// combines them in one k-way merge (fleet.MergeRuns). A plain tee
+// (Consume only) keeps its requests unsorted in Requests.
 type Collector struct {
 	// Requests are the requests this collector consumed itself.
 	Requests []Request
@@ -235,7 +169,7 @@ func (c *Collector) Merge(other fleet.Aggregator) {
 // Arrivals returns every request of the merged collectors in canonical
 // order: the k-way merge of their finished runs.
 func (c *Collector) Arrivals() []Request {
-	return mergeRuns(append([][]Request{c.Requests}, c.runs...))
+	return fleet.MergeRuns(append([][]Request{c.Requests}, c.runs...), compareRequests)
 }
 
 // CollectArrivals streams one vantage point through the sharded fleet

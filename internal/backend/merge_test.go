@@ -45,7 +45,7 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 				all = append(all, runs[i]...)
 			}
 			SortRequests(all)
-			if got := mergeRuns(runs); !slices.Equal(got, all) {
+			if got := fleet.MergeRuns(runs, compareRequests); !slices.Equal(got, all) {
 				t.Fatalf("k=%d trial %d: merge of %d requests differs from the sort", k, trial, len(all))
 			}
 		}

@@ -309,7 +309,7 @@ type runner struct {
 func newRunner(cfg Config, ckFile string) (*runner, error) {
 	spec := cfg.Spec.normalized()
 	vp, err := spec.resolve()
-	if err != nil {
+	if err = cmp.Or(err, fleet.CheckWorkers(cfg.Jobs)); err != nil {
 		return nil, err
 	}
 	if cfg.Dir == "" {

@@ -247,6 +247,15 @@ func TestCampaignSpecValidation(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Spec: base}); err == nil || !strings.Contains(err.Error(), "campaign directory") {
 		t.Fatalf("missing Dir: err = %v, want directory error", err)
 	}
+	// Jobs take the fleet pool's worker rule, checked before the
+	// directory is made.
+	dir := filepath.Join(t.TempDir(), "camp")
+	if _, err := Run(context.Background(), Config{Spec: base, Dir: dir, Jobs: -1}); err == nil || !strings.Contains(err.Error(), "workers must be >= 0") {
+		t.Fatalf("Jobs -1: err = %v, want the workers rule", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("refused campaign left %s behind (%v)", dir, err)
+	}
 }
 
 // TestFingerprintSensitivity: every byte-affecting spec field must move

@@ -6,6 +6,7 @@
 package cli
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -90,7 +91,7 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 	if *f.resume && *f.checkpoint == "" {
 		return spec, errors.New("-resume requires -checkpoint")
 	}
-	if err := fleet.CheckShards(*f.shards); err != nil {
+	if err := cmp.Or(fleet.CheckShards(*f.shards), fleet.CheckWorkers(*f.workers)); err != nil {
 		return spec, err
 	}
 	if *f.scenario != "" {

@@ -220,9 +220,10 @@ func TestPopulationRules(t *testing.T) {
 }
 
 // TestRunRefusesOutOfRangeFleet: insidedropbox.Run takes the population
-// rule for shards and refuses a device multiplier, which would grow every
-// table unrecorded; both fail before anything is generated or written.
-// The shards rows fail alike from -shards, so cmd/experiments exits 2.
+// rule for shards, the pool's rule for workers, and refuses a device
+// multiplier, which would grow every table unrecorded; all fail before
+// anything is generated or written. The shards and workers rows fail
+// alike from -shards and -workers, so cmd/experiments exits 2.
 func TestRunRefusesOutOfRangeFleet(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -233,6 +234,8 @@ func TestRunRefusesOutOfRangeFleet(t *testing.T) {
 		{"shards 1025", insidedropbox.FleetConfig{Shards: 1025}, "(got 1025: negative or exceeds the maximum)"},
 		{"shards 2000", insidedropbox.FleetConfig{Shards: 2000}, "(got 2000: negative or exceeds the maximum)"},
 		{"devices-scale 4", insidedropbox.FleetConfig{DevicesScale: 4}, "set FleetScale"},
+		{"workers -1", insidedropbox.FleetConfig{Workers: -1}, "workers must be >= 0, 0 meaning GOMAXPROCS (got -1)"},
+		{"workers -3", insidedropbox.FleetConfig{Workers: -3}, "workers must be >= 0, 0 meaning GOMAXPROCS (got -3)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "out")
@@ -245,17 +248,22 @@ func TestRunRefusesOutOfRangeFleet(t *testing.T) {
 			if _, serr := os.Stat(out); !os.IsNotExist(serr) {
 				t.Fatalf("refused run left %s behind (%v)", out, serr)
 			}
-			if tc.fleet.Shards == 0 {
+			args := []string{"-quick", "-skip-packet", "-only", "table2"}
+			switch {
+			case tc.fleet.Shards != 0:
+				args = append(args, "-shards", strconv.Itoa(tc.fleet.Shards))
+			case tc.fleet.Workers != 0:
+				args = append(args, "-workers", strconv.Itoa(tc.fleet.Workers))
+			default:
 				return
 			}
 			fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 			flags := BindSpec(fs)
-			if perr := fs.Parse([]string{"-quick", "-skip-packet", "-only", "table2",
-				"-shards", strconv.Itoa(tc.fleet.Shards)}); perr != nil {
+			if perr := fs.Parse(args); perr != nil {
 				t.Fatal(perr)
 			}
 			if _, err := flags.Spec(); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("-shards %d: Spec() err = %v, want %q", tc.fleet.Shards, err, tc.want)
+				t.Fatalf("%v: Spec() err = %v, want %q", args[4:], err, tc.want)
 			}
 		})
 	}

@@ -186,8 +186,8 @@ func Figure5(ts Tallies) *Result {
 			perDay[i] = make(map[wire.IP]bool)
 		}
 		for i := range t.Storage {
-			r := &t.Storage[i]
-			d := workload.DayOfRecord(r)
+			r := t.Storage[i].Record()
+			d := workload.DayOfRecord(&r)
 			if d >= 0 && d < days {
 				perDay[d][r.Server] = true
 			}
@@ -271,9 +271,9 @@ func Figure8(ts Tallies) *Result {
 	for _, t := range ts {
 		var st, rt []float64
 		for i := range t.Storage {
-			r := &t.Storage[i]
-			d := classify.TagStorage(r)
-			chunks := float64(classify.EstimateChunks(r, d))
+			r := t.Storage[i].Record()
+			d := classify.TagStorage(&r)
+			chunks := float64(classify.EstimateChunks(&r, d))
 			if d == classify.DirStore {
 				st = append(st, chunks)
 			} else {

@@ -157,8 +157,8 @@ func Figure15(ts Tallies) *Result {
 	storageBytes := func(dir classify.Direction) func(*Tally, *analysis.HourOfDayProfile) {
 		return func(t *Tally, prof *analysis.HourOfDayProfile) {
 			for i := range t.Storage {
-				if r := &t.Storage[i]; classify.TagStorage(r) == dir {
-					prof.Add(r.FirstPacket, float64(classify.Payload(r, dir)), true)
+				if r := t.Storage[i].Record(); classify.TagStorage(&r) == dir {
+					prof.Add(r.FirstPacket, float64(classify.Payload(&r, dir)), true)
 				}
 			}
 		}
@@ -288,14 +288,14 @@ func Figure20(ts Tallies) *Result {
 	misclass := 0
 	n := 0
 	for i := range storage {
-		r := &storage[i]
+		r := storage[i].Record()
 		u := float64(r.BytesUp)
 		d := float64(r.BytesDown)
 		if u <= 0 || d <= 0 {
 			continue
 		}
 		n++
-		dir := classify.TagStorage(r)
+		dir := classify.TagStorage(&r)
 		// Ground truth via PSH structure: retrieve flows carry paired PSH
 		// requests; compare against the byte-based tag.
 		truthRetr := r.PSHUp >= 2+2 && r.PSHUp%2 == 0 && d > u
@@ -337,9 +337,9 @@ func Figure21(ts Tallies) *Result {
 	for _, t := range ts {
 		var st, rt []float64
 		for i := range t.Storage {
-			r := &t.Storage[i]
-			d := classify.TagStorage(r)
-			chunks := classify.EstimateChunks(r, d)
+			r := t.Storage[i].Record()
+			d := classify.TagStorage(&r)
+			chunks := classify.EstimateChunks(&r, d)
 			if chunks < 1 {
 				continue
 			}

@@ -116,14 +116,14 @@ func Table4Context(ctx context.Context, seed int64, scale float64) (*Result, err
 		sizes := map[classify.Direction][]float64{}
 		tps := map[classify.Direction][]float64{}
 		for i := range t.Storage {
-			r := &t.Storage[i]
-			d := classify.TagStorage(r)
-			p := classify.Payload(r, d)
+			r := t.Storage[i].Record()
+			d := classify.TagStorage(&r)
+			p := classify.Payload(&r, d)
 			if p <= 0 {
 				continue
 			}
 			sizes[d] = append(sizes[d], float64(p))
-			tps[d] = append(tps[d], classify.Throughput(r, d))
+			tps[d] = append(tps[d], classify.Throughput(&r, d))
 		}
 		s := stats{
 			medSize: map[classify.Direction]float64{}, avgSize: map[classify.Direction]float64{},

@@ -33,8 +33,9 @@ const webStorageHost = "dl-web.dropbox.com"
 // Consume. Over a trace file it is a plain sink (cmd/tstat-analyze).
 //
 // Counts and volumes are exact integers. The samples the order statistics
-// need are kept: a copy of each client-storage flow, and a few numbers per
-// control, notification, Web-storage and direct-link flow.
+// need are kept: a compact sample of each client-storage flow, sorted per
+// shard and merged, and a few numbers per control, notification,
+// Web-storage and direct-link flow.
 type Tally struct {
 	// VPStats is the generation ground truth a fold attaches: the
 	// effective config and the background volumes. It is zero on a tally
@@ -46,9 +47,10 @@ type Tally struct {
 	Providers [classify.ProvYouTube + 1]Volume
 	Services  [dnssim.SvcSystemLog + 1]Volume
 
-	// Storage holds a copy of every client-storage flow (dl-clientX).
-	// A fold leaves them in first-packet order, the probe's export order.
-	Storage []traces.FlowRecord
+	// Storage holds a compact sample of every client-storage flow
+	// (dl-clientX), sorted per shard and merged: a fold or FinishShard
+	// leaves them in first-packet order, the probe's export order.
+	Storage []StorageFlow
 
 	// ControlRTT holds the minimum RTT in ms of client-control flows with
 	// enough RTT samples (Fig. 6). NotifySeconds holds the positive
@@ -75,7 +77,31 @@ type Tally struct {
 	// notify collects one shard's notification flows until FinishShard
 	// chains them into sessions (Figs. 14 and 15, Table 5).
 	notify, sessions []classify.Session
+
+	// runs are the sorted Storage runs Merge gathered, in shard order.
+	runs [][]StorageFlow
 }
+
+// StorageFlow is the sample a Tally keeps of a client-storage flow: the
+// fields of its record that the storage tables and figures and the
+// classify storage rules read, at their FlowRecord types.
+type StorageFlow struct {
+	Client, Server                                      wire.IP
+	FirstPacket, LastPayloadUp, LastPayloadDown, MinRTT time.Duration
+	BytesUp, BytesDown                                  int64
+	PSHUp, PSHDown, RTTSamples                          int
+	ServerClosed                                        bool
+}
+
+// Record returns the sample as a flow record, for the classify rules; the
+// fields a StorageFlow does not keep are zero.
+func (s *StorageFlow) Record() traces.FlowRecord {
+	return traces.FlowRecord{Client: s.Client, Server: s.Server, FirstPacket: s.FirstPacket,
+		LastPayloadUp: s.LastPayloadUp, LastPayloadDown: s.LastPayloadDown, BytesUp: s.BytesUp, BytesDown: s.BytesDown,
+		PSHUp: s.PSHUp, PSHDown: s.PSHDown, MinRTT: s.MinRTT, RTTSamples: s.RTTSamples, ServerClosed: s.ServerClosed}
+}
+
+func byFirstPacket(a, b StorageFlow) int { return cmp.Compare(a.FirstPacket, b.FirstPacket) }
 
 type providerDayIP struct {
 	ip  wire.IP
@@ -131,9 +157,9 @@ func (t *Tally) Consume(r *traces.FlowRecord) {
 	}
 	switch svc {
 	case dnssim.SvcClientStorage:
-		c := *r
-		c.NotifyNamespaces = slices.Clone(r.NotifyNamespaces)
-		t.Storage = append(t.Storage, c)
+		t.Storage = append(t.Storage, StorageFlow{Client: r.Client, Server: r.Server, FirstPacket: r.FirstPacket,
+			LastPayloadUp: r.LastPayloadUp, LastPayloadDown: r.LastPayloadDown, BytesUp: r.BytesUp, BytesDown: r.BytesDown,
+			PSHUp: r.PSHUp, PSHDown: r.PSHDown, MinRTT: r.MinRTT, RTTSamples: r.RTTSamples, ServerClosed: r.ServerClosed})
 	case dnssim.SvcClientControl:
 		if ms, ok := minRTTms(r); ok {
 			t.ControlRTT = append(t.ControlRTT, ms)
@@ -173,15 +199,48 @@ func minRTTms(r *traces.FlowRecord) (float64, bool) {
 }
 
 // FinishShard implements fleet.ShardFinisher: it chains the notification
-// flows consumed so far into device sessions. Households never span
-// shards, so neither do sessions. A trace-file tally calls it once, after
-// its last record.
+// flows consumed so far into device sessions, and stable-sorts the storage
+// samples by first packet on the worker that generated them. Households
+// never span shards, so neither do sessions. A trace-file tally calls it
+// once, after its last record.
 func (t *Tally) FinishShard() {
 	t.sessions = append(t.sessions, classify.Sessions(t.notify, sessionGap)...)
 	t.notify = nil
+	sortByFirstPacket(t.Storage)
 }
 
-// Merge implements fleet.Aggregator.
+// sortByFirstPacket stable-sorts samples by first packet. It sorts
+// (first packet, position) keys, which are unique, and then moves each
+// sample once along the cycles of the sorted permutation: a stable sort
+// of the 88-byte samples themselves moves each many times over.
+func sortByFirstPacket(s []StorageFlow) {
+	type key struct {
+		at time.Duration
+		i  int
+	}
+	keys := make([]key, len(s))
+	for i := range s {
+		keys[i] = key{s[i].FirstPacket, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.i, b.i)) })
+	// The sample at keys[j].i belongs at j; a placed sample's key is -1.
+	for j := range keys {
+		if keys[j].i < 0 {
+			continue
+		}
+		tmp, k := s[j], j
+		for keys[k].i != j {
+			src := keys[k].i
+			s[k] = s[src]
+			keys[k].i = -1
+			k = src
+		}
+		s[k], keys[k].i = tmp, -1
+	}
+}
+
+// Merge implements fleet.Aggregator. other's sorted Storage runs join the
+// receiver's, in shard order, for the fold to merge once.
 func (t *Tally) Merge(other fleet.Aggregator) {
 	o := other.(*Tally)
 	for p, v := range o.Providers {
@@ -197,7 +256,7 @@ func (t *Tally) Merge(other fleet.Aggregator) {
 			t.providerDays[d][p] += b
 		}
 	}
-	t.Storage = append(t.Storage, o.Storage...)
+	t.runs = append(append(t.runs, o.Storage), o.runs...)
 	t.ControlRTT = append(t.ControlRTT, o.ControlRTT...)
 	t.NotifySeconds = append(t.NotifySeconds, o.NotifySeconds...)
 	t.WebUp = append(t.WebUp, o.WebUp...)
@@ -224,12 +283,12 @@ func (t *Tally) HouseholdVolumes() (store, retr map[wire.IP]int64) {
 	store = make(map[wire.IP]int64)
 	retr = make(map[wire.IP]int64)
 	for i := range t.Storage {
-		r := &t.Storage[i]
-		switch d := classify.TagStorage(r); d {
+		r := t.Storage[i].Record()
+		switch d := classify.TagStorage(&r); d {
 		case classify.DirStore:
-			store[r.Client] += classify.Payload(r, d)
+			store[r.Client] += classify.Payload(&r, d)
 		case classify.DirRetrieve:
-			retr[r.Client] += classify.Payload(r, d)
+			retr[r.Client] += classify.Payload(&r, d)
 		}
 	}
 	return store, retr
@@ -249,8 +308,8 @@ func (t *Tally) DevicesPerHousehold() map[wire.IP]int {
 // direction: bytes up for stores, bytes down for retrieves (Fig. 7).
 func (t *Tally) StorageSizes() (store, retr []float64) {
 	for i := range t.Storage {
-		r := &t.Storage[i]
-		if classify.TagStorage(r) == classify.DirStore {
+		r := t.Storage[i].Record()
+		if classify.TagStorage(&r) == classify.DirStore {
 			store = append(store, float64(r.BytesUp))
 		} else {
 			retr = append(retr, float64(r.BytesDown))
@@ -264,7 +323,8 @@ func (t *Tally) StorageSizes() (store, retr []float64) {
 func (t *Tally) StorageRTT() []float64 {
 	var out []float64
 	for i := range t.Storage {
-		if ms, ok := minRTTms(&t.Storage[i]); ok {
+		r := t.Storage[i].Record()
+		if ms, ok := minRTTms(&r); ok {
 			out = append(out, ms)
 		}
 	}
@@ -283,10 +343,17 @@ func fold(ctx context.Context, pops []fleet.Population, fc fleet.Config) (Tallie
 	for p, agg := range aggs {
 		ts[p] = agg.(*Tally)
 		ts[p].VPStats = stats[p]
-		// The probe's export order, which Table 4's means sum in.
-		slices.SortStableFunc(ts[p].Storage, func(a, b traces.FlowRecord) int { return cmp.Compare(a.FirstPacket, b.FirstPacket) })
+		ts[p].mergeStorage()
 	}
 	return ts, nil
+}
+
+// mergeStorage merges the sorted Storage runs into the probe's export
+// order, which Table 4's means sum in: ties go to the lower shard, as in
+// a stable sort of the shards' samples by first packet.
+func (t *Tally) mergeStorage() {
+	t.Storage = fleet.MergeRuns(append([][]StorageFlow{t.Storage}, t.runs...), byFirstPacket)
+	t.runs = nil
 }
 
 // Tallies are the study's four vantage points, in campus1, campus2, home1,

@@ -24,9 +24,9 @@ type Aggregator interface {
 // that belongs off the merge's critical path. Aggregate calls FinishShard
 // on the worker goroutine, right after the shard's last Consume, so it runs
 // in parallel with other shards still generating (the backend collectors
-// sort their shard's arrivals there, so the merge only has sorted runs to
-// combine). A shard that never ran (a cancelled Aggregate) is never
-// finished.
+// and the experiments tallies sort their shard's samples there, so only
+// sorted runs are left to combine, with MergeRuns). A shard that never
+// ran (a cancelled Aggregate) is never finished.
 type ShardFinisher interface {
 	FinishShard()
 }

@@ -70,3 +70,12 @@ func CheckShards(n int) error {
 	}
 	return nil
 }
+
+// CheckWorkers is the one worker-count rule: a shard pool, a campaign's
+// Jobs and an experiment run all take workers >= 0, 0 meaning GOMAXPROCS.
+func CheckWorkers(n int) error {
+	if n < 0 {
+		return fmt.Errorf("workers must be >= 0, 0 meaning GOMAXPROCS (got %d)", n)
+	}
+	return nil
+}

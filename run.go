@@ -1,6 +1,7 @@
 package insidedropbox
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -226,7 +227,7 @@ func SelectExperiments(patterns ...string) ([]Experiment, error) {
 // resolve checks a Spec's fleet sizing, fills its defaulted fields and
 // computes its selection.
 func (s Spec) resolve() (Spec, []Experiment, error) {
-	if err := fleet.CheckShards(s.Fleet.Shards); err != nil {
+	if err := cmp.Or(fleet.CheckShards(s.Fleet.Shards), fleet.CheckWorkers(s.Fleet.Workers)); err != nil {
 		return s, nil, err
 	}
 	if s.Fleet.DevicesScale != 0 {
