@@ -115,7 +115,7 @@ func campaignMain(args []string) {
 func campaignUsage() {
 	fmt.Fprintln(os.Stderr, `usage:
   dropsim campaign plan  -dir DIR -jobs N [-vp VP] [-scale F] [-seed N] [-shards N]
-                         [-devices-scale F] [-profile NAME] [-format FMT]
+                         [-profile NAME] [-format FMT]
   dropsim campaign run   -dir DIR -job N [-resume]
   dropsim campaign merge -dir DIR [-o FILE] [-manifest FILE]`)
 }

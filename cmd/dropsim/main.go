@@ -11,8 +11,8 @@
 // Usage:
 //
 //	dropsim [-vp campus1|campus2|home1|home2] [-scale F] [-seed N]
-//	        [-shards N] [-workers N] [-devices-scale F]
-//	        [-profile NAME] [-format csv|binary|binary-flate]
+//	        [-shards N] [-workers N] [-profile NAME]
+//	        [-format csv|binary|binary-flate]
 //	        [-summary] [-o FILE]
 //	        [-checkpoint DIR [-resume]]
 //	        [-backend infinite|provisioned|scarce] [-scenario FILE]
@@ -23,19 +23,21 @@
 // worker pool, for the straight export and the -checkpoint campaign alike.
 //
 // -vp, -scale (a fraction of the paper's population, 1 being Table 2's),
-// -seed, -shards, -devices-scale and -profile name the population. They
-// follow the rules of a campaign spec and a scenario base
-// (fleet.PopulationSpec): an out-of-range value exits 2 on every path.
+// -seed, -shards and -profile name the population. -scale is the one
+// size knob: > 0, and at most the 16,000,000 subscribers the 10/8 address
+// plan holds (workload.CheckScale). The flags follow the rules of a
+// campaign spec and a scenario base (fleet.PopulationSpec): an
+// out-of-range value exits 2 on every path.
 //
 // -scenario compiles a declarative scenario spec (see scenarios/) and
 // takes its population from there: the spec's base section replaces -vp,
 // -scale, -shards and -profile, its defaults included (home1, 0.08, one
-// shard, the vantage point's own client); a non-zero base.seed or
-// base.devices_scale replaces -seed or -devices-scale. Its cohorts section
-// splits the population into behavioral cohorts. A spec backend section
-// drives the post-export replay — preset sizing from the base load,
-// arrival surges, and timeline events (outages, rollouts) on the event
-// queue; -backend, when also set, overrides just the preset.
+// shard, the vantage point's own client); a non-zero base.seed replaces
+// -seed. Its cohorts section splits the population into behavioral
+// cohorts. A spec backend section drives the post-export replay — preset
+// sizing from the base load, arrival surges, and timeline events
+// (outages, rollouts) on the event queue; -backend, when also set,
+// overrides just the preset.
 //
 // binary/binary-flate block encoding runs on GOMAXPROCS workers (inline,
 // with no worker goroutines, when GOMAXPROCS is 1). The stream is
@@ -59,7 +61,7 @@
 //
 // Records stream from the generator shards straight into the trace
 // writer over the facade's record iterator, so memory stays bounded
-// however large -scale and -devices-scale grow the population. -shards
+// however large -scale grows the population. -shards
 // changes the population sample (each shard draws an independent seeded
 // stream); -workers only changes wall-clock time. The serialization
 // format never changes the record stream itself — a binary export decodes
@@ -116,7 +118,7 @@ func main() {
 	format := flag.String("format", "csv", "trace format: csv (public-release compatible), binary (columnar, ~3.5x smaller), or binary-flate (compressed archival with seek index)")
 	backendPreset := flag.String("backend", "", "after the export, replay the stream against the server "+
 		"capacity model under this preset: "+strings.Join(insidedropbox.BackendPresets(), "|"))
-	scenarioPath := flag.String("scenario", "", "declarative scenario spec file; its base section overrides -vp/-scale/-seed/-shards/-devices-scale/-profile")
+	scenarioPath := flag.String("scenario", "", "declarative scenario spec file; its base section overrides -vp/-scale/-seed/-shards/-profile")
 	summary := flag.Bool("summary", false, "print streaming aggregates instead of trace records")
 	out := flag.String("o", "", "output file (default stdout)")
 	manifest := flag.String("manifest", "", "write a run manifest (stream hash, shard timings, telemetry snapshot) to this file")
@@ -282,9 +284,6 @@ func scenarioPopulation(path string, pop fleet.Population, fc fleet.Config) (fle
 		return pop, fc, nil, err
 	}
 	fc.Shards = comp.Fleet.Shards
-	if comp.Fleet.DevicesScale > 0 {
-		fc.DevicesScale = comp.Fleet.DevicesScale
-	}
 	return fleet.Population{VP: comp.VP, Seed: comp.Seed}, fc, comp, nil
 }
 
@@ -294,12 +293,11 @@ func scenarioPopulation(path string, pop fleet.Population, fc fleet.Config) (fle
 // add what only they know.
 func manifestSpec(spec fleet.PopulationSpec, pop fleet.Population, fc fleet.Config, format string) map[string]string {
 	return map[string]string{
-		"vp":            pop.VP.Name,
-		"scale":         strconv.FormatFloat(pop.VP.Scale, 'g', -1, 64),
-		"shards":        strconv.Itoa(fc.Shards),
-		"devices_scale": strconv.FormatFloat(fc.DevicesScale, 'g', -1, 64),
-		"format":        format,
-		"profile":       spec.Profile,
+		"vp":      pop.VP.Name,
+		"scale":   strconv.FormatFloat(pop.VP.Scale, 'g', -1, 64),
+		"shards":  strconv.Itoa(fc.Shards),
+		"format":  format,
+		"profile": spec.Profile,
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 // resolved population. Without -scenario that is the flags', and the
 // profile is the one -profile named ("" when the vantage point runs its
 // own client); with -scenario, the scenario's base section wins over a
-// conflicting -scale and -profile, and only its zero devices_scale leaves
-// -devices-scale in force.
+// conflicting -scale and -profile.
 func TestManifestSpecRecordsPopulationThatRan(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -23,15 +22,14 @@ func TestManifestSpecRecordsPopulationThatRan(t *testing.T) {
 		want     map[string]string
 	}{
 		{"no -profile", nil, "", map[string]string{"vp": "home1", "scale": "0.05", "shards": "1",
-			"devices_scale": "1", "format": "csv", "profile": ""}},
+			"format": "csv", "profile": ""}},
 		{"-profile dropbox-1.2.52", []string{"-profile", "dropbox-1.2.52"}, "", map[string]string{"vp": "home1",
-			"scale": "0.05", "shards": "1", "devices_scale": "1", "format": "csv", "profile": "dropbox-1.2.52"}},
-		{"flag population", []string{"-scale", "0.3", "-profile", "dropbox-1.4.0", "-devices-scale", "2"}, "",
-			map[string]string{"vp": "home1", "scale": "0.3", "shards": "1", "devices_scale": "2",
-				"format": "csv", "profile": "dropbox-1.4.0"}},
-		{"-scenario", []string{"-scale", "0.3", "-profile", "dropbox-1.4.0", "-devices-scale", "2"},
+			"scale": "0.05", "shards": "1", "format": "csv", "profile": "dropbox-1.2.52"}},
+		{"flag population", []string{"-scale", "0.3", "-profile", "dropbox-1.4.0"}, "",
+			map[string]string{"vp": "home1", "scale": "0.3", "shards": "1", "format": "csv", "profile": "dropbox-1.4.0"}},
+		{"-scenario", []string{"-scale", "0.3", "-profile", "dropbox-1.4.0"},
 			"../../scenarios/mobile-heavy.json", map[string]string{"vp": "home2", "scale": "0.05", "shards": "4",
-				"devices_scale": "2", "format": "csv", "profile": ""}},
+				"format": "csv", "profile": ""}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("dropsim", flag.ContinueOnError)

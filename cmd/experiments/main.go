@@ -21,7 +21,8 @@
 // "table4,figure9"); without it the full default catalogue runs. -shards
 // routes campaign generation through the sharded fleet engine (changing
 // the population sample but not its size); -fleet-scale > 0 adds the
-// streaming fleet lab at that population multiplier; -whatif adds the
+// streaming fleet lab with every vantage point's scale multiplied by it,
+// refused (exit 2) past the 10/8 address ceiling; -whatif adds the
 // capability what-if lab (Campus 1 under -profiles, compared against the
 // first profile); -scenario FILE adds the scenario/* experiments under a
 // declarative spec (cohort mixes, backend timelines — see scenarios/).

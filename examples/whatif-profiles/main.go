@@ -24,12 +24,13 @@ func main() {
 	profiles := insidedropbox.CapabilityPresets()
 
 	// A small Campus 1 fraction keeps the example fast (each of the six
-	// profiles replays the full 42-day population at this scale).
-	// WithShards(4) spreads each profile's replay across four
-	// deterministic population shards.
+	// profiles replays the full 42-day population at this scale); the
+	// other vantage points' fractions must be > 0 too, though the lab
+	// never generates them. WithShards(4) spreads each profile's replay
+	// across four deterministic population shards.
 	results, err := insidedropbox.Run(context.Background(),
 		insidedropbox.Spec{Seed: 2012},
-		insidedropbox.WithScale(insidedropbox.ScaleConfig{Campus1: 0.15}),
+		insidedropbox.WithScale(insidedropbox.ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01}),
 		insidedropbox.WithExperiments("whatif"),
 		insidedropbox.WithProfiles(profiles...),
 		insidedropbox.WithShards(4))
@@ -57,5 +58,5 @@ func main() {
 	fmt.Println("\nNote: profiles that change operation structure resample the heavy-tailed")
 	fmt.Println("file sizes (EXPERIMENTS.md, determinism contract point 8), so volume deltas")
 	fmt.Println("at this example's small scale carry sampling noise of a few tail files —")
-	fmt.Println("grow the population (scale, -devices-scale) to tighten them.")
+	fmt.Println("grow the population (its scale, the one size knob) to tighten them.")
 }

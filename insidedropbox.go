@@ -169,9 +169,9 @@ func GenerateDataset(cfg VPConfig, seed int64) *Dataset {
 
 // ---------- fleet engine (sharded, streaming campaigns) ----------
 
-// FleetConfig sizes the sharded fleet engine: the deterministic shard
-// count (part of the experiment definition), the worker pool (wall-clock
-// only, never results), and a population multiplier.
+// FleetConfig shards the fleet engine: the deterministic shard count
+// (part of the experiment definition), the worker pool (wall-clock only,
+// never results) and an observer. A population's size is its scale's.
 type FleetConfig = fleet.Config
 
 // FleetStats is the merged ground truth of one vantage point's fleet run.

@@ -4,6 +4,9 @@
 // its one worker pool, or separate processes via the plan/run/merge flow);
 // this package adds what durability costs — a part file and a checkpoint
 // entry per shard, so an interrupted run resumes exactly where it stopped.
+// A campaign's size is its spec's Scale alone, up to the
+// workload.MaxSubscribers distinct addresses of the 10/8 plan
+// (workload.CheckScale).
 //
 // The export is written by one ordered merger (merge.go), a consumer of
 // committed shards rather than a second phase: it walks the shards in
@@ -87,21 +90,19 @@ var (
 // Spec defines a campaign. It is the identity the checkpoint fingerprint
 // derives from: two specs with equal fingerprints generate byte-identical
 // campaigns, so resuming under a changed spec is always an error. Its
-// first six fields are a fleet.PopulationSpec, laid out flat.
+// first five fields are a fleet.PopulationSpec, laid out flat.
 type Spec struct {
 	// VP names the vantage point (campus1, campus1-junjul, campus2,
 	// home1, home2).
 	VP string `json:"vp"`
-	// Scale is the fraction of the paper's population, in (0, 10]: 1.0
-	// is Table 2's address count.
+	// Scale is the fraction of the paper's population, 1.0 being Table
+	// 2's address count (workload.CheckScale bounds it).
 	Scale float64 `json:"scale"`
 	// Seed is the campaign's root random seed.
 	Seed int64 `json:"seed"`
 	// Shards partitions the population (part of the campaign identity,
 	// exactly as in fleet.Config); 0 means 1.
 	Shards int `json:"shards"`
-	// DevicesScale multiplies the subscriber population; 0 means 1.
-	DevicesScale float64 `json:"devices_scale,omitempty"`
 	// Profile optionally swaps in a capability profile by name.
 	Profile string `json:"profile,omitempty"`
 	// Format is the final export encoding, a name from the traces format
@@ -116,44 +117,44 @@ type Spec struct {
 // NewSpec is the campaign that exports pop in format.
 func NewSpec(pop fleet.PopulationSpec, format string, anonymize bool) Spec {
 	return Spec{VP: pop.VP, Scale: pop.Scale, Seed: pop.Seed, Shards: pop.Shards,
-		DevicesScale: pop.DevicesScale, Profile: pop.Profile, Format: format, Anonymize: anonymize}
+		Profile: pop.Profile, Format: format, Anonymize: anonymize}
 }
 
 // Population is the spec's population half.
 func (s Spec) Population() fleet.PopulationSpec {
-	return fleet.PopulationSpec{VP: s.VP, Scale: s.Scale, Seed: s.Seed, Shards: s.Shards,
-		DevicesScale: s.DevicesScale, Profile: s.Profile}
+	return fleet.PopulationSpec{VP: s.VP, Scale: s.Scale, Seed: s.Seed, Shards: s.Shards, Profile: s.Profile}
 }
 
 // normalized fills defaults without validating.
 func (s Spec) normalized() Spec {
-	s.DevicesScale = cmp.Or(s.DevicesScale, 1)
 	s.Format = cmp.Or(s.Format, "csv")
 	s.Shards = cmp.Or(s.Shards, 1)
 	return s
 }
 
 // resolve checks the normalized spec and returns the generation config
-// its population names, devices scaling applied.
+// its population names.
 func (s Spec) resolve() (workload.VPConfig, error) {
-	pop, fc, err := s.Population().Resolve()
+	pop, _, err := s.Population().Resolve()
 	if err != nil {
 		return pop.VP, fmt.Errorf("campaign: %w", err)
 	}
 	if _, err := traces.LookupFormat(s.Format); err != nil {
 		return pop.VP, fmt.Errorf("campaign: spec export format: %w", err)
 	}
-	return fc.ScaledVP(pop.VP), nil
+	return pop.VP, nil
 }
 
 // Fingerprint is the campaign's identity hash: FNV-1a over the canonical
 // rendering of every spec field that affects generated bytes. Checkpoint
-// files embed it, and loaders reject any mismatch.
+// files embed it, and loaders reject any mismatch. The rendering keeps
+// the "devscale=1" of the retired device multiplier, so directories
+// written before its removal still resume.
 func (s Spec) Fingerprint() string {
 	s = s.normalized()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "campaign|v1|vp=%s|scale=%g|seed=%d|shards=%d|devscale=%g|profile=%s|format=%s|anon=%t",
-		s.VP, s.Scale, s.Seed, s.Shards, s.DevicesScale, s.Profile, s.Format, s.Anonymize)
+	fmt.Fprintf(h, "campaign|v1|vp=%s|scale=%g|seed=%d|shards=%d|devscale=1|profile=%s|format=%s|anon=%t",
+		s.VP, s.Scale, s.Seed, s.Shards, s.Profile, s.Format, s.Anonymize)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -230,6 +230,7 @@ func TestCampaignSpecValidation(t *testing.T) {
 	}{
 		{"unknown vp", func(s *Spec) { s.VP = "mars1" }, "unknown vantage point"},
 		{"zero scale", func(s *Spec) { s.Scale = 0 }, "scale must be > 0"},
+		{"scale past 10/8", func(s *Spec) { s.Scale = 900 }, "give home1 at most 16000000 subscribers, the distinct 10/8 addresses (got 900)"},
 		{"bad format", func(s *Spec) { s.Format = "xml" }, "unknown format"},
 		{"bad profile", func(s *Spec) { s.Profile = "quantum" }, "unknown capability profile"},
 		{"too many shards", func(s *Spec) { s.Shards = workload.MaxShards + 1 }, "exceeds the maximum"},
@@ -259,16 +260,24 @@ func TestCampaignSpecValidation(t *testing.T) {
 }
 
 // TestFingerprintSensitivity: every byte-affecting spec field must move
-// the fingerprint, and normalization-equivalent specs must share it.
+// the fingerprint, and normalization-equivalent specs must share it. The
+// literals were computed before the device multiplier was retired: its
+// directories must still resume.
 func TestFingerprintSensitivity(t *testing.T) {
 	base := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}
 	fp := base.Fingerprint()
+	if fp != "203bcc18e5da8dd8" {
+		t.Fatalf("fingerprint %s, want the pinned 203bcc18e5da8dd8", fp)
+	}
+	full := Spec{VP: "campus2", Scale: 0.3, Seed: 42, Shards: 8, Profile: "no-dedup", Format: "binary-flate", Anonymize: true}
+	if got := full.Fingerprint(); got != "eeccfe36adfc889c" {
+		t.Fatalf("fingerprint %s, want the pinned eeccfe36adfc889c", got)
+	}
 	muts := []func(*Spec){
 		func(s *Spec) { s.VP = "home2" },
 		func(s *Spec) { s.Scale = 0.03 },
 		func(s *Spec) { s.Seed = 8 },
 		func(s *Spec) { s.Shards = 8 },
-		func(s *Spec) { s.DevicesScale = 2 },
 		func(s *Spec) { s.Profile = "big-chunks-16mb" },
 		func(s *Spec) { s.Format = "binary" },
 		func(s *Spec) { s.Anonymize = true },
@@ -281,7 +290,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		}
 	}
 	norm := base
-	norm.DevicesScale = 1
 	norm.Format = "csv"
 	if norm.Fingerprint() != fp {
 		t.Fatal("normalization-equivalent specs must share a fingerprint")

@@ -6,7 +6,6 @@
 package cli
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -61,7 +60,7 @@ func BindSpec(fs *flag.FlagSet) *SpecFlags {
 		shards:     fs.Int("shards", 1, "population shards per vantage point (1 = historical datasets)"),
 		workers:    fs.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS; never changes results)"),
 		only:       fs.String("only", "", "comma-separated experiment IDs or globs (e.g. table3,figure*); empty = default catalogue"),
-		fleetScale: fs.Float64("fleet-scale", 0, "also run the streaming fleet lab at this device multiplier (0 = off)"),
+		fleetScale: fs.Float64("fleet-scale", 0, "also run the streaming fleet lab with every population scale multiplied by this (0 = off)"),
 		whatif:     fs.Bool("whatif", false, "run the capability what-if lab (Campus 1 under -profiles)"),
 		profiles: fs.String("profiles", strings.Join(insidedropbox.CapabilityNames(), ","),
 			"comma-separated capability profiles for the what-if lab (first = baseline; setting this opts the lab in)"),
@@ -74,8 +73,9 @@ func BindSpec(fs *flag.FlagSet) *SpecFlags {
 	}
 }
 
-// Spec resolves the parsed flags into a Spec (profile parsing errors
-// surface here, after flag.Parse).
+// Spec resolves the parsed flags into a Spec and checks it as Run would
+// (insidedropbox.Spec.Check): profile parsing errors and every refusal
+// Run makes surface here, after flag.Parse and before anything runs.
 func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 	spec := insidedropbox.Spec{
 		Seed:       *f.seed,
@@ -90,9 +90,6 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 	}
 	if *f.resume && *f.checkpoint == "" {
 		return spec, errors.New("-resume requires -checkpoint")
-	}
-	if err := cmp.Or(fleet.CheckShards(*f.shards), fleet.CheckWorkers(*f.workers)); err != nil {
-		return spec, err
 	}
 	if *f.scenario != "" {
 		sp, err := insidedropbox.LoadScenario(*f.scenario)
@@ -137,7 +134,7 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 		}
 		spec.Profiles = profiles
 	}
-	return spec, nil
+	return spec, spec.Check()
 }
 
 // Exit terminates the process after a run error: exit 130 for an
@@ -172,18 +169,18 @@ func SplitPatterns(list string) []string {
 }
 
 // PopulationFlags binds the population flag vocabulary of dropsim's export
-// and of `dropsim campaign plan`: -vp -scale -seed -shards -devices-scale
-// -profile, checked and resolved by fleet.PopulationSpec.
+// and of `dropsim campaign plan`: -vp -scale -seed -shards -profile,
+// checked and resolved by fleet.PopulationSpec. -scale is the one
+// population-size knob.
 type PopulationFlags struct{ spec fleet.PopulationSpec }
 
 // BindPopulation registers the population flags on fs.
 func BindPopulation(fs *flag.FlagSet) *PopulationFlags {
 	f := new(PopulationFlags)
 	fs.StringVar(&f.spec.VP, "vp", "home1", "vantage point: "+strings.Join(workload.VantagePoints(), ", "))
-	fs.Float64Var(&f.spec.Scale, "scale", 0.05, "fraction of the paper's population, in (0, 10] (1 = Table 2)")
+	fs.Float64Var(&f.spec.Scale, "scale", 0.05, "fraction of the paper's population (1 = Table 2), > 0 and at most 16M subscribers")
 	fs.Int64Var(&f.spec.Seed, "seed", 42, "random seed")
 	fs.IntVar(&f.spec.Shards, "shards", 1, "deterministic population shards (part of the result)")
-	fs.Float64Var(&f.spec.DevicesScale, "devices-scale", 1, "population multiplier on top of -scale")
 	fs.StringVar(&f.spec.Profile, "profile", "", "capability profile replacing the VP's calibrated client: "+
 		strings.Join(insidedropbox.CapabilityNames(), "|"))
 	return f

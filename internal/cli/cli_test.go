@@ -125,11 +125,17 @@ func TestBindSpecBadProfiles(t *testing.T) {
 	}
 }
 
+// scale900 is the one refusal text of a population too large for 10/8:
+// Home 1 at 900 would be 16,906,500 subscribers.
+const scale900 = "scale must be > 0 and give home1 at most 16000000 subscribers, the distinct 10/8 addresses (got 900)"
+
 // TestPopulationRules: fleet.PopulationSpec is the one rule set of a
 // population. Each row is checked by Resolve, then fed through
-// campaign.Run, scenario.Parse and BindPopulation, which refuse it with
-// Resolve's text or accept it alike — except where a scenario base reads a
-// zero as its default (an empty vp is home1, a zero scale 0.08).
+// campaign.Run (campaign.NewSpec), scenario.Parse and BindPopulation,
+// which refuse it with Resolve's text or accept it alike — except where a
+// scenario base reads a zero as its default (an empty vp is home1, a zero
+// scale 0.08). The scale rows bound the size by the address plan, not by
+// a fixed factor: Campus 1 at 900 fits, Home 1 at 900 does not.
 func TestPopulationRules(t *testing.T) {
 	type row struct {
 		name string
@@ -141,14 +147,14 @@ func TestPopulationRules(t *testing.T) {
 	rows := []row{
 		{"unknown vp", func(s *fleet.PopulationSpec) { s.VP = "campus9" }, `unknown vantage point "campus9"`, false},
 		{"empty vp", func(s *fleet.PopulationSpec) { s.VP = "" }, `unknown vantage point ""`, true},
-		{"scale 0", func(s *fleet.PopulationSpec) { s.Scale = 0 }, "scale must be > 0 and at most 10 (got 0)", true},
-		{"scale -1", func(s *fleet.PopulationSpec) { s.Scale = -1 }, "scale must be > 0 and at most 10 (got -1)", false},
-		{"scale 11", func(s *fleet.PopulationSpec) { s.Scale = 11 }, "scale must be > 0 and at most 10 (got 11)", false},
+		{"scale 0", func(s *fleet.PopulationSpec) { s.Scale = 0 }, "scale must be > 0 and give home1 at most 16000000 subscribers, the distinct 10/8 addresses (got 0)", true},
+		{"scale -1", func(s *fleet.PopulationSpec) { s.Scale = -1 }, "scale must be > 0 and give home1 at most 16000000 subscribers, the distinct 10/8 addresses (got -1)", false},
+		{"scale 11", func(s *fleet.PopulationSpec) { s.Scale = 11 }, "", false},
+		{"scale 900", func(s *fleet.PopulationSpec) { s.Scale = 900 }, scale900, false},
+		{"campus1 scale 900", func(s *fleet.PopulationSpec) { s.VP, s.Scale = "campus1", 900 }, "", false},
 		{"shards 0", func(s *fleet.PopulationSpec) { s.Shards = 0 }, "", false},
 		{"shards -1", func(s *fleet.PopulationSpec) { s.Shards = -1 }, "shards must be in [1, 1024], 0 meaning 1 (got -1", false},
 		{"shards 1025", func(s *fleet.PopulationSpec) { s.Shards = 1025 }, "(got 1025: negative or exceeds the maximum)", false},
-		{"devices-scale 0", func(s *fleet.PopulationSpec) { s.DevicesScale = 0 }, "", false},
-		{"devices-scale -3", func(s *fleet.PopulationSpec) { s.DevicesScale = -3 }, "devices-scale must be >= 0, 0 meaning 1 (got -3)", false},
 		{"unknown profile", func(s *fleet.PopulationSpec) { s.Profile = "quantum" }, `unknown capability profile "quantum"`, false},
 		{"profile", func(s *fleet.PopulationSpec) { s.Profile = "dropbox-1.4.0" }, "", false},
 	}
@@ -157,13 +163,13 @@ func TestPopulationRules(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			spec := fleet.PopulationSpec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 1, DevicesScale: 1}
+			spec := fleet.PopulationSpec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 1}
 			r.mut(&spec)
 			pop, fc, err := spec.Resolve()
 			switch {
 			case r.want == "" && err != nil:
 				t.Fatalf("Resolve refused the row: %v", err)
-			case r.want == "" && (pop.VP.TotalIPs == 0 || fc.Shards != 1 || fc.DevicesScale != 1):
+			case r.want == "" && (pop.VP.TotalIPs == 0 || fc.Shards != 1):
 				t.Fatalf("Resolve: empty population or unnormalised config: %d IPs, %+v", pop.VP.TotalIPs, fc)
 			case r.want != "" && (err == nil || !strings.Contains(err.Error(), r.want)):
 				t.Fatalf("Resolve: err = %v, want %q", err, r.want)
@@ -206,7 +212,6 @@ func TestPopulationRules(t *testing.T) {
 				"-scale=" + strconv.FormatFloat(spec.Scale, 'g', -1, 64),
 				"-seed=" + strconv.FormatInt(spec.Seed, 10),
 				"-shards=" + strconv.Itoa(spec.Shards),
-				"-devices-scale=" + strconv.FormatFloat(spec.DevicesScale, 'g', -1, 64),
 				"-profile=" + spec.Profile}); perr != nil {
 				t.Fatal(perr)
 			}
@@ -220,27 +225,30 @@ func TestPopulationRules(t *testing.T) {
 }
 
 // TestRunRefusesOutOfRangeFleet: insidedropbox.Run takes the population
-// rule for shards, the pool's rule for workers, and refuses a device
-// multiplier, which would grow every table unrecorded; all fail before
-// anything is generated or written. The shards and workers rows fail
-// alike from -shards and -workers, so cmd/experiments exits 2.
+// rule for shards, the pool's rule for workers, and the population-size
+// rule for the fleet lab's populations, which FleetScale multiplies
+// (SmallScale's Home 1 0.03 x 30000 is Home 1 at 900, refused with
+// Resolve's text); all fail before anything is generated or written, and
+// alike from -shards, -workers and -fleet-scale, so cmd/experiments exits
+// 2.
 func TestRunRefusesOutOfRangeFleet(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		fleet insidedropbox.FleetConfig
-		want  string
+		name       string
+		fleet      insidedropbox.FleetConfig
+		fleetScale float64
+		want       string
 	}{
-		{"shards -1", insidedropbox.FleetConfig{Shards: -1}, "shards must be in [1, 1024], 0 meaning 1 (got -1"},
-		{"shards 1025", insidedropbox.FleetConfig{Shards: 1025}, "(got 1025: negative or exceeds the maximum)"},
-		{"shards 2000", insidedropbox.FleetConfig{Shards: 2000}, "(got 2000: negative or exceeds the maximum)"},
-		{"devices-scale 4", insidedropbox.FleetConfig{DevicesScale: 4}, "set FleetScale"},
-		{"workers -1", insidedropbox.FleetConfig{Workers: -1}, "workers must be >= 0, 0 meaning GOMAXPROCS (got -1)"},
-		{"workers -3", insidedropbox.FleetConfig{Workers: -3}, "workers must be >= 0, 0 meaning GOMAXPROCS (got -3)"},
+		{"shards -1", insidedropbox.FleetConfig{Shards: -1}, 0, "shards must be in [1, 1024], 0 meaning 1 (got -1"},
+		{"shards 1025", insidedropbox.FleetConfig{Shards: 1025}, 0, "(got 1025: negative or exceeds the maximum)"},
+		{"shards 2000", insidedropbox.FleetConfig{Shards: 2000}, 0, "(got 2000: negative or exceeds the maximum)"},
+		{"fleet-scale 30000", insidedropbox.FleetConfig{}, 30000, scale900},
+		{"workers -1", insidedropbox.FleetConfig{Workers: -1}, 0, "workers must be >= 0, 0 meaning GOMAXPROCS (got -1)"},
+		{"workers -3", insidedropbox.FleetConfig{Workers: -3}, 0, "workers must be >= 0, 0 meaning GOMAXPROCS (got -3)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "out")
 			res, err := insidedropbox.Run(context.Background(), insidedropbox.Spec{
-				Seed: 2012, Quick: true, Fleet: tc.fleet, ResultsDir: out,
+				Seed: 2012, Quick: true, Fleet: tc.fleet, FleetScale: tc.fleetScale, ResultsDir: out,
 			}, insidedropbox.WithExperiments("table2"))
 			if err == nil || !strings.Contains(err.Error(), tc.want) || len(res) != 0 {
 				t.Fatalf("Run = %d results, %v; want a refusal containing %q", len(res), err, tc.want)
@@ -255,7 +263,7 @@ func TestRunRefusesOutOfRangeFleet(t *testing.T) {
 			case tc.fleet.Workers != 0:
 				args = append(args, "-workers", strconv.Itoa(tc.fleet.Workers))
 			default:
-				return
+				args = append(args, "-fleet-scale", strconv.FormatFloat(tc.fleetScale, 'g', -1, 64))
 			}
 			fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 			flags := BindSpec(fs)
@@ -277,7 +285,7 @@ func TestBindPopulationDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fleet.PopulationSpec{VP: "home1", Scale: 0.05, Seed: 42, Shards: 1, DevicesScale: 1}
+	want := fleet.PopulationSpec{VP: "home1", Scale: 0.05, Seed: 42, Shards: 1}
 	if spec != want {
 		t.Fatalf("defaults %+v, want %+v", spec, want)
 	}

@@ -80,6 +80,25 @@ func SmallScale() ScaleConfig {
 	return ScaleConfig{Campus1: 0.4, Campus2: 0.08, Home1: 0.03, Home2: 0.03}
 }
 
+// Times multiplies every vantage point's fraction by f, the fleet lab's
+// FleetScale; f <= 0 leaves sc as it is.
+func (sc ScaleConfig) Times(f float64) ScaleConfig {
+	if f <= 0 {
+		return sc
+	}
+	return ScaleConfig{Campus1: sc.Campus1 * f, Campus2: sc.Campus2 * f, Home1: sc.Home1 * f, Home2: sc.Home2 * f}
+}
+
+// Check applies workload.CheckScale to the four populations.
+func (sc ScaleConfig) Check() error {
+	for _, p := range vantagePoints(0, sc) {
+		if err := workload.CheckScale(p.VP); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // vantagePoints returns the four vantage points in campaign order with
 // their per-VP seeds seed+1 … seed+4 (stable since the first release, so
 // campaign results are reproducible across engine versions).

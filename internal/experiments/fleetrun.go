@@ -17,7 +17,7 @@ type FleetVP struct {
 
 // FleetReport is the four vantage points reduced to fixed-size
 // fleet.Summary aggregates: what a campaign looks like at populations
-// grown far past the paper's by DevicesScale.
+// scaled far past the paper's.
 type FleetReport struct {
 	Seed   int64
 	Config fleet.Config
@@ -36,7 +36,7 @@ func (r *FleetReport) ByName(name string) *FleetVP {
 
 // RunFleet streams all four vantage points through one fleet pool with
 // per-shard Summary aggregators. No record is kept: memory stays bounded
-// while DevicesScale grows the population 10-1000x. Per-VP seeds are
+// however large sc grows the populations. Per-VP seeds are
 // Fold's, so a FleetReport describes the populations Fold folds with the
 // same fleet.Config.
 //
@@ -56,22 +56,18 @@ func RunFleet(ctx context.Context, seed int64, sc ScaleConfig, fc fleet.Config) 
 }
 
 // Result renders the report as a standard experiment result ("fleet"),
-// one row per vantage point, with the streaming aggregates as metrics.
+// one row per vantage point with the scale it ran at, and the streaming
+// aggregates as metrics. Like every result it names no worker count, which
+// never changes it.
 func (r *FleetReport) Result() *Result {
-	workers := "auto"
-	if r.Config.Workers > 0 {
-		workers = fmt.Sprintf("%d", r.Config.Workers)
-	}
-	res := newResult("fleet", fmt.Sprintf(
-		"Fleet campaign: %d shards x %s workers, device scale %.4gx",
-		max(r.Config.Shards, 1), workers, effScale(r.Config.DevicesScale)))
+	res := newResult("fleet", fmt.Sprintf("Fleet campaign: %d shards", max(r.Config.Shards, 1)))
 	tb := analysis.NewTable(res.Title,
-		"VP", "IPs", "devices", "flows", "GB total", "GB store", "GB retr", "store med kB", "retr med kB")
+		"VP", "scale", "IPs", "devices", "flows", "GB total", "GB store", "GB retr", "store med kB", "retr med kB")
 	totalFlows, totalDevices := 0.0, 0.0
 	for _, vp := range r.VPs {
 		s, st := vp.Summary, vp.Stats
 		name := st.Cfg.Name
-		tb.AddRow(name,
+		tb.AddRow(name, st.Cfg.Scale,
 			float64(st.Cfg.TotalIPs), float64(len(s.Devices)), float64(s.Flows),
 			float64(s.BytesUp+s.BytesDown)/1e9,
 			float64(s.StoreBytes)/1e9, float64(s.RetrieveBytes)/1e9,
@@ -89,11 +85,4 @@ func (r *FleetReport) Result() *Result {
 	res.Metrics["devices_total"] = totalDevices
 	res.addText(tb.String())
 	return res
-}
-
-func effScale(v float64) float64 {
-	if v <= 0 {
-		return 1
-	}
-	return v
 }

@@ -133,14 +133,14 @@ type Session struct {
 	// Table 4 before/after populations and the what-if population, exactly
 	// as the historical CLI did.
 	Scale ScaleConfig
-	// Fleet sizes the sharded engine for the tallies and the opt-in labs.
-	// Run leaves its DevicesScale zero, so the tables run at Table 2's
-	// device counts; the fleet lab replaces it with FleetScale.
+	// Fleet shards and schedules the engine for the tallies and the
+	// labs; its Workers and Observer reach Table 4 and the scenario
+	// stream too.
 	Fleet fleet.Config
 	// Quick selects the small packet-lab configurations.
 	Quick bool
-	// FleetScale is the device multiplier of the opt-in "fleet" lab
-	// (<= 0 means 1x).
+	// FleetScale multiplies Scale for the opt-in "fleet" lab (<= 0 means
+	// 1x).
 	FleetScale float64
 	// Profiles are the capability profiles of the opt-in "whatif" lab
 	// (nil means the full preset catalogue).
@@ -230,16 +230,6 @@ func (s *Session) Testbed(ctx context.Context) (*TestbedResult, error) {
 	return tb, nil
 }
 
-// campus1Scale is the Campus 1 population fraction shared by the Table 4
-// and what-if experiments (the historical drivers sized both from the
-// campaign's Campus 1 scale).
-func (s *Session) campus1Scale() float64 {
-	if s.Scale.Campus1 > 0 {
-		return s.Scale.Campus1
-	}
-	return 1.0
-}
-
 // regTallies registers a driver that renders from the shared tallies.
 func regTallies(id, title string, fn func(Tallies) *Result) {
 	register(Experiment{
@@ -264,7 +254,7 @@ func init() {
 	register(Experiment{
 		ID: "table4", Title: "Table 4: Campus 1 before and after the bundling deployment",
 		Run: func(ctx context.Context, s *Session) (*Result, error) {
-			return Table4Context(ctx, s.Seed, s.campus1Scale())
+			return table4(ctx, s.Seed, s.Scale.Campus1, fleet.Config{Shards: 1, Workers: s.Fleet.Workers, Observer: s.Fleet.Observer})
 		},
 	})
 	regTallies("table5", "Table 5: User groups in Home 1 and Home 2", Table5)
@@ -333,12 +323,10 @@ func init() {
 	regTallies("figure21", "Figure 21: Payload per estimated chunk (reverse direction)", Figure21)
 
 	register(Experiment{
-		ID: "fleet", Title: "Fleet campaign: streaming aggregates at device scale",
+		ID: "fleet", Title: "Fleet campaign: streaming aggregates at a multiplied scale",
 		Needs: Needs{OptIn: true},
 		Run: func(ctx context.Context, s *Session) (*Result, error) {
-			fc := s.Fleet
-			fc.DevicesScale = s.FleetScale
-			rep, err := RunFleet(ctx, s.Seed, s.Scale, fc)
+			rep, err := RunFleet(ctx, s.Seed, s.Scale.Times(s.FleetScale), s.Fleet)
 			if err != nil {
 				return nil, err
 			}
@@ -355,7 +343,7 @@ func init() {
 			}
 			rep, err := WhatIfConfig{
 				Seed:     s.Seed,
-				VP:       workload.Campus1(s.campus1Scale()),
+				VP:       workload.Campus1(s.Scale.Campus1),
 				Fleet:    s.Fleet,
 				Profiles: profiles,
 			}.Run(ctx)

@@ -23,7 +23,8 @@ var (
 // ScenarioStream compiles the session's scenario spec and streams its
 // population once, memoizing the result for every scenario experiment in
 // the selection. The compiled seed honors the spec's base.seed override;
-// Fleet.Workers carries over from the session (it never changes results).
+// Fleet.Workers and Fleet.Observer carry over from the session (they never
+// change results).
 // Failed runs are not memoized.
 func (s *Session) ScenarioStream(ctx context.Context) (*scenario.Compiled, *scenario.StreamResult, error) {
 	if s.Scenario == nil {
@@ -40,6 +41,7 @@ func (s *Session) ScenarioStream(ctx context.Context) (*scenario.Compiled, *scen
 	if err != nil {
 		return nil, nil, err
 	}
+	comp.Fleet.Observer = s.Fleet.Observer
 	stream, err := scenario.CollectStream(ctx, comp, s.Fleet.Workers)
 	if err != nil {
 		return nil, nil, err

@@ -97,13 +97,17 @@ func Table3(ts Tallies) *Result {
 // paper's quantification of the bundling deployment. Cancelling ctx aborts
 // both folds at fleet-shard granularity.
 func Table4Context(ctx context.Context, seed int64, scale float64) (*Result, error) {
+	return table4(ctx, seed, scale, fleet.Config{Shards: 1})
+}
+
+// table4 is Table4Context on the caller's pool: both populations fold
+// with fc, whose Shards must be 1, the historical sequential generator's.
+func table4(ctx context.Context, seed int64, scale float64, fc fleet.Config) (*Result, error) {
 	res := newResult("table4", "Table 4: Campus 1 before and after the bundling deployment")
-	// Both populations fold with one shard, the historical sequential
-	// generator's, on one pool.
 	tallies, err := fold(ctx, []fleet.Population{
 		{VP: workload.Campus1(scale), Seed: seed + 10},
 		{VP: workload.Campus1JunJul(scale), Seed: seed + 11},
-	}, fleet.Config{Shards: 1})
+	}, fc)
 	if err != nil {
 		return nil, err
 	}

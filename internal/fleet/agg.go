@@ -52,12 +52,10 @@ type ShardFinisher interface {
 // ctx.Err().
 func Aggregate(ctx context.Context, pops []Population, fc Config, newAgg func(pop, shard int) Aggregator) ([]Aggregator, []VPStats, error) {
 	fc = fc.normalized()
-	vps := make([]workload.VPConfig, len(pops))
 	trackers := make([]*shardTracker, len(pops))
 	aggs := make([][]Aggregator, len(pops))
 	for p, pop := range pops {
-		vps[p] = fc.apply(pop.VP)
-		trackers[p] = newShardTracker(fc, vps[p].Name)
+		trackers[p] = newShardTracker(fc, pop.VP.Name)
 		aggs[p] = make([]Aggregator, fc.Shards)
 		for sh := range aggs[p] {
 			aggs[p][sh] = newAgg(p, sh)
@@ -66,7 +64,7 @@ func Aggregate(ctx context.Context, pops []Population, fc Config, newAgg func(po
 	err := runShards(ctx, fc.Workers, len(pops)*fc.Shards, nil, func(i int) error {
 		p := i / fc.Shards
 		return trackers[p].run(i%fc.Shards, func(sh int) (workload.ShardStats, error) {
-			st := RunShard(vps[p], pops[p].Seed, sh, fc.Shards, aggs[p][sh])
+			st := RunShard(pops[p].VP, pops[p].Seed, sh, fc.Shards, aggs[p][sh])
 			if f, ok := aggs[p][sh].(ShardFinisher); ok {
 				f.FinishShard()
 			}
@@ -80,7 +78,7 @@ func Aggregate(ctx context.Context, pops []Population, fc Config, newAgg func(po
 		for _, a := range aggs[p][1:] {
 			roots[p].Merge(a)
 		}
-		merged[p] = mergeStats(vps[p], fc, trackers[p].stats)
+		merged[p] = mergeStats(pops[p].VP, fc, trackers[p].stats)
 	}
 	return roots, merged, err
 }

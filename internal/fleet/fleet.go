@@ -15,6 +15,10 @@
 // caller's per-shard task, which is how internal/campaign writes and
 // checkpoints part files).
 //
+// A population's size is its VPConfig's alone, set by the vantage point's
+// Scale and bounded by workload.CheckScale; Config shards and schedules
+// the population but never resizes it.
+//
 // The determinism contract:
 //
 //   - (seed, shard, nshards) fully determines a shard's record stream —
@@ -56,12 +60,6 @@ type Config struct {
 	// wall-clock time, never results.
 	Workers int
 
-	// DevicesScale multiplies the vantage point's subscriber population
-	// (VPConfig.TotalIPs) before sharding; zero or negative means 1.0.
-	// This is how campaigns grow 10-1000x beyond the paper's populations
-	// without touching the calibrated per-VP configs.
-	DevicesScale float64
-
 	// Observer, when non-nil, receives one ShardEvent as each shard
 	// finishes generating. Shards complete concurrently, so Observer
 	// must be safe for concurrent use; it runs on the worker goroutines
@@ -80,21 +78,7 @@ func (c Config) normalized() Config {
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.DevicesScale <= 0 {
-		c.DevicesScale = 1
-	}
 	return c
-}
-
-// apply scales the vantage point population per DevicesScale.
-func (c Config) apply(vp workload.VPConfig) workload.VPConfig {
-	if c.DevicesScale != 1 {
-		vp.TotalIPs = int(float64(vp.TotalIPs) * c.DevicesScale)
-		if vp.TotalIPs < 1 {
-			vp.TotalIPs = 1
-		}
-	}
-	return vp
 }
 
 // Sink consumes one shard's record stream. The engine builds one sink per
@@ -154,7 +138,7 @@ func (p *RecordPool) Put(r *traces.FlowRecord) {
 
 // VPStats is the merged ground truth of one vantage point's fleet run.
 type VPStats struct {
-	// Cfg is the effective config after DevicesScale.
+	// Cfg is the vantage point config that ran, sized by its Scale.
 	Cfg    workload.VPConfig
 	Shards int
 

@@ -217,32 +217,60 @@ func TestShardSeedsDecorrelated(t *testing.T) {
 	}
 }
 
-func TestDevicesScale(t *testing.T) {
-	cfg := workload.Home1(0.02)
-	_, stats := mustSummarize(t, cfg, 5, Config{Shards: 4, DevicesScale: 3})
-	if want := cfg.TotalIPs * 3; stats.Cfg.TotalIPs != want {
-		t.Fatalf("DevicesScale=3: TotalIPs = %d, want %d", stats.Cfg.TotalIPs, want)
+// TestScaleSizesPopulation: a population's size is its vantage point's
+// Scale alone. The config that ran is the one passed in, whatever the
+// shard count, and tripling Scale triples the subscribers.
+func TestScaleSizesPopulation(t *testing.T) {
+	for _, scale := range []float64{0.02, 0.06} {
+		cfg := workload.Home1(scale)
+		_, stats := mustSummarize(t, cfg, 5, Config{Shards: 4})
+		if stats.Cfg.TotalIPs != cfg.TotalIPs || stats.Cfg.Scale != scale {
+			t.Fatalf("scale %g ran %d subscribers at scale %g, want %d", scale, stats.Cfg.TotalIPs, stats.Cfg.Scale, cfg.TotalIPs)
+		}
 	}
-	_, unscaled := mustSummarize(t, cfg, 5, Config{Shards: 4})
-	if unscaled.Cfg.TotalIPs != cfg.TotalIPs {
-		t.Fatalf("default scale changed population: %d vs %d", unscaled.Cfg.TotalIPs, cfg.TotalIPs)
+	if small, large := workload.Home1(0.02).TotalIPs, workload.Home1(0.06).TotalIPs; large < 3*small || large > 3*small+2 {
+		t.Fatalf("Home1(0.06) has %d subscribers, not three times Home1(0.02)'s %d", large, small)
 	}
 }
 
 // TestSubscriberIPsDistinctAtScale guards the large-population address
-// layout: the legacy formula wrapped at 64k subscribers, silently merging
-// households exactly where DevicesScale operates.
+// layout over the whole range workload.CheckScale admits: the legacy
+// formula wrapped at 64k subscribers, silently merging households. Every
+// index below MaxSubscribers decodes back from its address, so no two
+// share one; the first index past it is the one the ceiling refuses.
 func TestSubscriberIPsDistinctAtScale(t *testing.T) {
-	seen := make(map[wire.IP]int, 200_000)
-	for i := 0; i < 200_000; i++ {
-		ip := workload.SubscriberIP(57, i)
-		if prev, dup := seen[ip]; dup {
-			t.Fatalf("subscribers %d and %d share address %v", prev, i, ip)
+	const base = 57
+	index := func(ip wire.IP) int {
+		b := ip.Bytes()
+		return (int(b[1])-base+256)%256*62500 + int(b[2])*250 + int(b[3])
+	}
+	for i := 0; i < workload.MaxSubscribers; i++ {
+		if got := index(workload.SubscriberIP(base, i)); got != i {
+			t.Fatalf("subscriber %d's address %v decodes to %d", i, workload.SubscriberIP(base, i), got)
 		}
-		seen[ip] = i
+	}
+	// The 256 second-octet blocks: each edge is distinct from every other.
+	seen := make(map[wire.IP]int)
+	for block := 0; block < 256; block++ {
+		for _, i := range []int{block*62500 - 1, block * 62500, block*62500 + 62499} {
+			if i < 0 {
+				continue
+			}
+			ip := workload.SubscriberIP(base, i)
+			if prev, dup := seen[ip]; dup && prev != i {
+				t.Fatalf("subscribers %d and %d share address %v", prev, i, ip)
+			}
+			seen[ip] = i
+		}
+	}
+	if len(seen) != 2*256 {
+		t.Fatalf("%d distinct block-edge addresses, want 512", len(seen))
+	}
+	if workload.SubscriberIP(base, workload.MaxSubscribers) != workload.SubscriberIP(base, 0) {
+		t.Fatal("MaxSubscribers no longer marks where the 10/8 plan wraps")
 	}
 	// Legacy layout preserved below the first block boundary.
-	if workload.SubscriberIP(57, 12345) != wire.MakeIP(10, 57, 49, 95) {
+	if workload.SubscriberIP(base, 12345) != wire.MakeIP(10, 57, 49, 95) {
 		t.Fatal("small-index addresses diverged from the legacy layout")
 	}
 }
@@ -263,16 +291,16 @@ func TestShardCapEnforced(t *testing.T) {
 	workload.GenerateShard(workload.Campus1(0.05), 1, 0, workload.MaxShards+1, func(*traces.FlowRecord) {})
 }
 
-// TestAggregateScalesWithBoundedMemory runs a population roughly 10x the
-// dropsim default (-scale 0.05) through the streaming path. The path keeps
+// TestAggregateScalesWithBoundedMemory runs a population 10x the dropsim
+// default (-scale 0.5 against 0.05) through the streaming path. The path keeps
 // no records by construction; this test pins that it completes and that the
 // aggregates carry the expected population growth.
 func TestAggregateScalesWithBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large population")
 	}
-	cfg := workload.Home1(0.05)
-	fc := Config{Shards: 4 * runtime.GOMAXPROCS(0), DevicesScale: 10}
+	cfg := workload.Home1(0.5)
+	fc := Config{Shards: 4 * runtime.GOMAXPROCS(0)}
 	sum, stats := mustSummarize(t, cfg, 2012, fc)
 	if stats.Cfg.TotalIPs < 9000 {
 		t.Fatalf("population too small for a scale test: %d IPs", stats.Cfg.TotalIPs)

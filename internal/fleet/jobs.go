@@ -63,21 +63,12 @@ func generatePooled(vp workload.VPConfig, seed int64, shard, nshards int, pool *
 
 // RunShard generates exactly one shard of a sharded campaign into sink on
 // the calling goroutine — the single-shard primitive checkpointing
-// runners build on, usually as the body of a ForEachShard task. vp must
-// already carry any population scaling (see Config.ScaledVP); (seed,
-// shard, nshards) fully determine the emitted stream, exactly as on the
-// Aggregate path, and sink must not retain a record past Consume.
+// runners build on, usually as the body of a ForEachShard task. (vp,
+// seed, shard, nshards) fully determine the emitted stream, exactly as on
+// the Aggregate path, and sink must not retain a record past Consume.
 func RunShard(vp workload.VPConfig, seed int64, shard, nshards int, sink Sink) workload.ShardStats {
 	return generatePooled(vp, seed, shard, nshards, new(RecordPool), func(r *traces.FlowRecord) bool {
 		sink.Consume(r)
 		return false
 	})
-}
-
-// ScaledVP applies the config's DevicesScale to a vantage point — the
-// same population scaling every engine entry point performs internally,
-// exported so external runners that call RunShard directly resolve the
-// identical effective population.
-func (c Config) ScaledVP(vp workload.VPConfig) workload.VPConfig {
-	return c.normalized().apply(vp)
 }

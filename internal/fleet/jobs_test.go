@@ -74,7 +74,7 @@ func (s *csvHashSink) Consume(r *traces.FlowRecord) {
 // emits the same stream as the unpooled workload.GenerateShard, shard by
 // shard, with identical stats.
 func TestRunShardMatchesGenerateShard(t *testing.T) {
-	vp := Config{}.ScaledVP(workload.Home1(0.02))
+	vp := workload.Home1(0.02)
 	const shards = 4
 	for shard := 0; shard < shards; shard++ {
 		pooledHash := fnv.New64a()

@@ -11,53 +11,40 @@ import (
 
 // PopulationSpec names one run's population the way the paper names a
 // dataset (Table 2): a vantage point and a fraction of its population,
-// plus seed, shards, a device multiplier and an optional capability
-// profile. dropsim's population flags, campaign.Spec and a scenario's base
+// plus seed, shards and an optional capability profile. dropsim's population flags, campaign.Spec and a scenario's base
 // section are all checked and resolved by Resolve, under one rule set.
 type PopulationSpec struct {
 	// VP names the vantage point (workload.VantagePoints).
 	VP string `json:"vp,omitempty"`
-	// Scale is the fraction of the paper's population, in (0, 10]: 1.0
-	// is Table 2's address count.
+	// Scale is the fraction of the paper's population, 1.0 being Table
+	// 2's address count: > 0, and at most workload.MaxSubscribers
+	// subscribers (workload.CheckScale).
 	Scale float64 `json:"scale,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
 	// Shards is in [1, workload.MaxShards], 0 meaning 1.
 	Shards int `json:"shards,omitempty"`
-	// DevicesScale multiplies the population on top of Scale; >= 0, 0
-	// meaning 1.
-	DevicesScale float64 `json:"devices_scale,omitempty"`
 	// Profile, when set, names the capability preset that replaces the
 	// vantage point's calibrated client.
 	Profile string `json:"profile,omitempty"`
 }
 
 // Resolve checks the spec and returns the population and the fleet
-// configuration (Shards and DevicesScale, zero read as 1) it names.
+// configuration (Shards, zero read as 1) it names.
 func (s PopulationSpec) Resolve() (Population, Config, error) {
 	vp, ok := workload.ByName(s.VP, s.Scale)
-	shardsErr := CheckShards(s.Shards)
-	var err error
+	err := cmp.Or(workload.CheckScale(vp), CheckShards(s.Shards))
 	switch {
 	case !ok:
 		err = fmt.Errorf("unknown vantage point %q (valid: %s)", s.VP, strings.Join(workload.VantagePoints(), ", "))
-	case !(s.Scale > 0 && s.Scale <= 10):
-		err = fmt.Errorf("scale must be > 0 and at most 10 (got %g)", s.Scale)
-	case shardsErr != nil:
-		err = shardsErr
-	case !(s.DevicesScale >= 0):
-		err = fmt.Errorf("devices-scale must be >= 0, 0 meaning 1 (got %g)", s.DevicesScale)
-	case s.Profile != "":
-		if p, ok := capability.ByName(s.Profile); ok {
-			vp.Caps = p
-		} else {
+	case err == nil && s.Profile != "":
+		if vp.Caps, ok = capability.ByName(s.Profile); !ok {
 			err = fmt.Errorf("unknown capability profile %q (valid: %s)", s.Profile, strings.Join(capability.Names(), ", "))
 		}
 	}
 	if err != nil {
 		return Population{}, Config{}, err
 	}
-	fc := Config{Shards: max(s.Shards, 1), DevicesScale: cmp.Or(s.DevicesScale, 1)}
-	return Population{VP: vp, Seed: s.Seed}, fc, nil
+	return Population{VP: vp, Seed: s.Seed}, Config{Shards: max(s.Shards, 1)}, nil
 }
 
 // CheckShards is the one shard-count rule: a population, a campaign and

@@ -58,7 +58,6 @@ type shardStream struct {
 // matters; on a full run the two are equal.
 func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, emit func(*traces.FlowRecord) bool) (VPStats, error) {
 	fc = fc.normalized()
-	vp = fc.apply(vp)
 
 	streams := make([]shardStream, fc.Shards)
 	for i := range streams {

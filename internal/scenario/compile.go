@@ -25,7 +25,7 @@ type Compiled struct {
 	// Seed is the effective campaign seed (spec base.seed wins over the
 	// caller's).
 	Seed int64
-	// Fleet sizes the sharded run (spec base.shards / base.devices_scale).
+	// Fleet shards the run (spec base.shards).
 	Fleet fleet.Config
 	// Backend is nil unless the spec has a backend section.
 	Backend *CompiledBackend
@@ -93,9 +93,6 @@ func Compile(sp *Spec, seed int64) (*Compiled, error) {
 		}
 		vp.Cohorts = workload.NewCohortPlan(cohortSalt(pop.Seed), cohorts)
 	}
-	// A zero devices_scale stays zero, the caller's multiplier: dropsim
-	// keeps -devices-scale, and fleet.Config reads zero as 1.
-	fc.DevicesScale = sp.Base.DevicesScale
 	c := &Compiled{Spec: sp, VP: vp, Seed: pop.Seed, Fleet: fc}
 	if sp.Backend != nil {
 		be, err := compileBackend(sp.Backend)

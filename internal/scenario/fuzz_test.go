@@ -10,7 +10,8 @@ import "testing"
 // f.Add seeds below (one valid spec per section, plus known edge shapes).
 func FuzzScenarioSpec(f *testing.F) {
 	f.Add([]byte(`{"schema":1,"name":"t"}`))
-	f.Add([]byte(`{"schema":1,"name":"t","base":{"vp":"campus1","scale":0.1,"seed":7,"shards":4,"devices_scale":2,"profile":"no-dedup"}}`))
+	f.Add([]byte(`{"schema":1,"name":"t","base":{"vp":"campus1","scale":0.1,"seed":7,"shards":4,"profile":"no-dedup"}}`))
+	f.Add([]byte(`{"schema":1,"name":"t","base":{"vp":"home1","scale":1e300}}`))
 	f.Add([]byte(`{"schema":1,"name":"t","cohorts":[{"name":"a","preset":"office-worker","weight":0.5},{"name":"b","weight":0.5,"flash":[{"day":1,"until_day":2,"mult":3}]}]}`))
 	f.Add([]byte(`{"schema":1,"name":"t","backend":{"preset":"scarce","timeline":[{"action":"surge","day":20,"until_day":22,"mult":4},{"action":"region-outage","day":1,"until_day":2,"region":1},{"action":"capacity-scale","day":30,"mult":2,"class":"storage"}]}}`))
 	f.Add([]byte(`{"schema":9999999999,"name":"t"}`))

@@ -109,11 +109,10 @@ func TestCollectStreamEqualsConcatSort(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		cs := *c
 		cs.Fleet.Shards = shards
-		vp := cs.Fleet.ScaledVP(cs.VP)
 		var want []backend.Request
 		for sh := 0; sh < shards; sh++ {
 			var col backend.Collector
-			fleet.RunShard(vp, cs.Seed, sh, shards, &col)
+			fleet.RunShard(cs.VP, cs.Seed, sh, shards, &col)
 			want = append(want, col.Requests...)
 		}
 		backend.SortRequests(want)

@@ -57,9 +57,8 @@ type Spec struct {
 // BaseSpec is the scenario's population: the type, JSON and rules of
 // dropsim's population flags and of a campaign spec (fleet.PopulationSpec).
 // Zero values inherit: an empty vp means home1, a zero scale
-// experiments.DefaultScale's 0.08 Home 1 fraction, zero shards 1, a zero
-// seed the caller's, and a zero devices_scale the caller's multiplier.
-// Cohorts can override Profile per cohort.
+// experiments.DefaultScale's 0.08 Home 1 fraction, zero shards 1 and a
+// zero seed the caller's. Cohorts can override Profile per cohort.
 type BaseSpec = fleet.PopulationSpec
 
 // CohortSpec is one behavioral cohort. Preset names a built-in behavior

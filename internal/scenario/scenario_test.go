@@ -41,7 +41,7 @@ func TestParseStrictness(t *testing.T) {
 		{"empty name", `{"schema":1,"name":""}`, "name"},
 		{"uppercase name", `{"schema":1,"name":"Bad"}`, "name"},
 		{"unknown vp", `{"schema":1,"name":"t","base":{"vp":"office1"}}`, "vantage point"},
-		{"scale too large", `{"schema":1,"name":"t","base":{"scale":11}}`, "scale"},
+		{"scale too large", `{"schema":1,"name":"t","base":{"scale":900}}`, "at most 16000000 subscribers"},
 		{"negative shards", `{"schema":1,"name":"t","base":{"shards":-1}}`, "shards"},
 		{"unknown base profile", `{"schema":1,"name":"t","base":{"profile":"dropbox-9"}}`, "profile"},
 		{"weights sum low", `{"schema":1,"name":"t","cohorts":[{"name":"a","weight":0.5}]}`, "sum"},

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -91,6 +92,41 @@ func TestShardsShareIPBase(t *testing.T) {
 	if len(bases) != 1 {
 		t.Fatalf("shards drew %d distinct IP bases (%v), want 1 shared base", len(bases), bases)
 	}
+}
+
+// TestCheckScaleCeiling pins the population-size rule to the address
+// plan: every vantage point resolves at its largest admitted scale, one
+// subscriber more is refused, so are scales that are not > 0 or would
+// overflow int, and the generator panics past MaxSubscribers.
+func TestCheckScaleCeiling(t *testing.T) {
+	for _, name := range VantagePoints() {
+		unit, _ := ByName(name, 1)
+		top, _ := ByName(name, float64(MaxSubscribers)/float64(unit.TotalIPs))
+		if err := CheckScale(top); err != nil || top.TotalIPs > MaxSubscribers || top.TotalIPs < MaxSubscribers-1 {
+			t.Errorf("%s at its largest scale %g: %d subscribers, %v", name, top.Scale, top.TotalIPs, err)
+		}
+		over, _ := ByName(name, float64(MaxSubscribers+2)/float64(unit.TotalIPs))
+		if err := CheckScale(over); err == nil {
+			t.Errorf("%s at scale %g (%d subscribers) admitted", name, over.Scale, over.TotalIPs)
+		}
+	}
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), 1e300} {
+		if err := CheckScale(Home1(scale)); err == nil {
+			t.Errorf("scale %g admitted", scale)
+		}
+	}
+	want := "scale must be > 0 and give home1 at most 16000000 subscribers, the distinct 10/8 addresses (got 900)"
+	if err := CheckScale(Home1(900)); err == nil || err.Error() != want {
+		t.Errorf("Home1(900): %v, want %q", err, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("GenerateShard accepted a population past MaxSubscribers")
+		}
+	}()
+	cfg := Campus1(1)
+	cfg.TotalIPs = MaxSubscribers + 1
+	GenerateShard(cfg, 1, 0, 1, func(*traces.FlowRecord) {})
 }
 
 // TestProfileDeterminism pins the contract extension: the same (seed,

@@ -273,10 +273,13 @@ func Home2(scale float64) VPConfig {
 	}
 }
 
+// scaled is frac of n addresses, at least 8. A count past MaxSubscribers
+// saturates just above it, where CheckScale refuses it, instead of
+// overflowing int.
 func scaled(n int, frac float64) int {
-	v := int(float64(n) * frac)
-	if v < 8 {
-		v = 8
+	v := float64(n) * frac
+	if !(v >= 8) {
+		return 8
 	}
-	return v
+	return int(min(v, MaxSubscribers+1))
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"time"
@@ -294,6 +295,9 @@ func GenerateShardSink(cfg VPConfig, seed int64, shard, nshards int, sink ShardS
 	if shard < 0 || shard >= nshards {
 		panic("workload: shard " + strconv.Itoa(shard) + " out of range [0," + strconv.Itoa(nshards) + ")")
 	}
+	if cfg.TotalIPs > MaxSubscribers {
+		panic("workload: " + strconv.Itoa(cfg.TotalIPs) + " subscribers exceeds MaxSubscribers (" + strconv.Itoa(MaxSubscribers) + ")")
+	}
 	var label []byte
 	label = append(label, "workload/"...)
 	label = append(label, cfg.Name...)
@@ -359,11 +363,27 @@ func GenerateShardSink(cfg VPConfig, seed int64, shard, nshards int, sink ShardS
 // SubscriberIP maps a subscriber index to a stable 10/8 client address.
 // Indices below 62500 keep the legacy 10.base.i/250.i%250 layout; above
 // that, whole blocks roll into the second octet instead of silently
-// wrapping the third, so a vantage point can hold ~16M distinct addresses
-// — the regime DevicesScale targets — before 10/8 itself runs out.
+// wrapping the third, so a vantage point holds MaxSubscribers distinct
+// addresses before 10/8 itself runs out.
 func SubscriberIP(ipBase, i int) wire.IP {
 	block, rem := i/62500, i%62500
 	return wire.MakeIP(10, byte((ipBase+block)%256), byte(rem/250), byte(rem%250))
+}
+
+// MaxSubscribers is how many distinct addresses SubscriberIP hands out,
+// 256 second octets of 250 x 250: a larger population would give two
+// subscribers one address.
+const MaxSubscribers = 256 * 62500
+
+// CheckScale is the one population-size rule, derived from the address
+// plan: scale > 0 and at most MaxSubscribers subscribers. Every front end
+// refuses a population with its text; the generator panics past it.
+func CheckScale(cfg VPConfig) error {
+	if !(cfg.Scale > 0) || cfg.TotalIPs > MaxSubscribers {
+		return fmt.Errorf("scale must be > 0 and give %s at most %d subscribers, the distinct 10/8 addresses (got %g)",
+			cfg.Name, MaxSubscribers, cfg.Scale)
+	}
+	return nil
 }
 
 // isOutage reports whether a campaign day is a probe outage.

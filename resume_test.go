@@ -105,3 +105,42 @@ func TestRunCheckpointSpecMismatch(t *testing.T) {
 		t.Fatalf("resumed %d results, want 1", len(res))
 	}
 }
+
+// TestRunCheckpointRefusesChangedInputs: the results-checkpoint
+// fingerprint covers every population, the what-if profiles and the
+// scenario document, so a resume under any other one is refused instead
+// of replaying results the new spec would not produce.
+func TestRunCheckpointRefusesChangedInputs(t *testing.T) {
+	scen, err := LoadScenario("scenarios/mobile-heavy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := *scen
+	edited.Base.Scale *= 2
+	presets := CapabilityPresets()
+	base := Spec{Seed: 5, Scale: goldenScale, Profiles: presets[:2], Scenario: scen}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Spec)
+	}{
+		{"home1 scale", func(s *Spec) { s.Scale.Home1 = 0.03 }},
+		{"profiles", func(s *Spec) { s.Profiles = []CapabilityProfile{presets[0], presets[2]} }},
+		{"scenario document", func(s *Spec) { s.Scenario = &edited }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "experiments.ckpt")
+			if _, err := Run(context.Background(), base, WithExperiments("table1"), WithCheckpoint(ckpt)); err != nil {
+				t.Fatal(err)
+			}
+			changed := base
+			tc.mut(&changed)
+			if _, err := Run(context.Background(), changed, WithExperiments("table1"), WithCheckpoint(ckpt), WithResume()); err == nil ||
+				!strings.Contains(err.Error(), "different campaign spec") {
+				t.Fatalf("err = %v, want fingerprint mismatch", err)
+			}
+			if _, err := Run(context.Background(), base, WithExperiments("table1"), WithCheckpoint(ckpt), WithResume()); err != nil {
+				t.Fatalf("the unchanged spec must still resume: %v", err)
+			}
+		})
+	}
+}

@@ -3,13 +3,13 @@ package insidedropbox
 import (
 	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"iter"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,15 +32,15 @@ type Spec struct {
 	// Seed is the campaign seed every vantage point and lab derives from.
 	Seed int64
 
-	// Scale is the per-vantage-point population scaling. The zero value
+	// Scale is the per-vantage-point population scaling, the one
+	// population-size knob: each fraction is > 0 and sizes its vantage
+	// point within workload.MaxSubscribers subscribers. The zero value
 	// resolves to DefaultScale (SmallScale when Quick is set).
 	Scale ScaleConfig
 
-	// Fleet sizes the sharded engine used for campaign generation:
-	// Shards, in [1, 1024] with 0 meaning 1, changes the drawn
-	// population sample (part of the experiment definition), Workers only
-	// wall-clock time. DevicesScale must stay 0: the tables run Table 2's
-	// populations, and FleetScale sets the fleet lab's multiplier.
+	// Fleet shards the engine used for campaign generation: Shards, in
+	// [1, 1024] with 0 meaning 1, changes the drawn population sample
+	// (part of the experiment definition), Workers only wall-clock time.
 	Fleet FleetConfig
 
 	// Experiments selects the catalogue subset to run, as glob-style
@@ -62,8 +62,9 @@ type Spec struct {
 	// the full preset catalogue).
 	Profiles []CapabilityProfile
 
-	// FleetScale configures the "fleet" lab's device multiplier and opts
-	// it into the default selection when > 0.
+	// FleetScale multiplies every fraction of Scale for the "fleet" lab,
+	// under Scale's rule, and opts the lab into the default selection
+	// when > 0.
 	FleetScale float64
 
 	// Backend names the capacity preset of the "backend/*" server
@@ -177,7 +178,7 @@ func WithProfiles(profiles ...CapabilityProfile) Option {
 	return func(s *Spec) { s.Profiles = append(s.Profiles, profiles...) }
 }
 
-// WithFleetScale configures the streaming fleet lab's device multiplier
+// WithFleetScale configures the streaming fleet lab's scale multiplier
 // and opts it into the default selection.
 func WithFleetScale(scale float64) Option { return func(s *Spec) { s.FleetScale = scale } }
 
@@ -224,22 +225,19 @@ func SelectExperiments(patterns ...string) ([]Experiment, error) {
 	return experiments.Select(patterns...)
 }
 
-// resolve checks a Spec's fleet sizing, fills its defaulted fields and
-// computes its selection.
+// resolve checks a Spec's fleet sizing and populations, fills its
+// defaulted fields and computes its selection.
 func (s Spec) resolve() (Spec, []Experiment, error) {
-	if err := cmp.Or(fleet.CheckShards(s.Fleet.Shards), fleet.CheckWorkers(s.Fleet.Workers)); err != nil {
-		return s, nil, err
-	}
-	if s.Fleet.DevicesScale != 0 {
-		return s, nil, fmt.Errorf("devices scale (Fleet.DevicesScale) must be 0 (got %g): the tables run Table 2's populations; "+
-			"set FleetScale for the fleet lab's device multiplier", s.Fleet.DevicesScale)
-	}
 	if s.Scale == (ScaleConfig{}) {
 		if s.Quick {
 			s.Scale = SmallScale()
 		} else {
 			s.Scale = DefaultScale()
 		}
+	}
+	if err := cmp.Or(fleet.CheckShards(s.Fleet.Shards), fleet.CheckWorkers(s.Fleet.Workers),
+		s.Scale.Check(), s.Scale.Times(s.FleetScale).Check()); err != nil {
+		return s, nil, err
 	}
 	patterns := s.Experiments
 	if len(patterns) == 0 {
@@ -270,6 +268,14 @@ func (s Spec) resolve() (Spec, []Experiment, error) {
 	}
 	sel, err := experiments.Select(patterns...)
 	return s, sel, err
+}
+
+// Check reports the error Run would refuse the Spec with before running
+// anything: the shards and workers rules, the population-size rule for
+// every population it names (the fleet lab's included) and its selection.
+func (s Spec) Check() error {
+	_, _, err := s.resolve()
+	return err
 }
 
 // Run is the one entry point of the experiment API: it resolves the
@@ -439,22 +445,13 @@ var mExperimentsResumed = telemetry.NewCounter("run.experiments_resumed")
 
 // runFingerprint derives the results-checkpoint identity from the run's
 // flattened provenance, excluding keys that cannot change results
-// (workers only affects wall-clock time). Sorted key order keeps the
-// canonical string stable across Go map iteration.
+// (workers only affects wall-clock time). encoding/json writes map keys
+// sorted, so the canonical string is stable across map iteration.
 func runFingerprint(spec Spec, sel []Experiment) string {
 	prov := specProvenance(spec, sel)
 	delete(prov, "workers")
-	keys := make([]string, 0, len(prov))
-	for k := range prov {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys)+1)
-	parts = append(parts, "run|v1")
-	for _, k := range keys {
-		parts = append(parts, k+"="+prov[k])
-	}
-	return campaign.Fingerprint(strings.Join(parts, "|"))
+	doc, _ := json.Marshal(prov) // a string map always marshals
+	return campaign.Fingerprint("run|v2|" + string(doc))
 }
 
 // runObserver adapts fleet.ShardEvents into shard-granularity Progress
@@ -543,17 +540,23 @@ func (o *runObserver) observe(ev fleet.ShardEvent) {
 }
 
 // specProvenance flattens the run's effective configuration for the
-// manifest.
+// manifest: every input that can change a result, so the results
+// checkpoint keyed on it never resumes under another population, profile
+// or scenario.
 func specProvenance(spec Spec, sel []Experiment) map[string]string {
 	ids := make([]string, len(sel))
 	for i, e := range sel {
 		ids[i] = e.ID
 	}
+	scale := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 	m := map[string]string{
 		"seed":          strconv.FormatInt(spec.Seed, 10),
 		"shards":        strconv.Itoa(max(spec.Fleet.Shards, 1)),
 		"workers":       strconv.Itoa(spec.Fleet.Workers),
-		"scale_campus1": strconv.FormatFloat(spec.Scale.Campus1, 'g', -1, 64),
+		"scale_campus1": scale(spec.Scale.Campus1),
+		"scale_campus2": scale(spec.Scale.Campus2),
+		"scale_home1":   scale(spec.Scale.Home1),
+		"scale_home2":   scale(spec.Scale.Home2),
 		"experiments":   strings.Join(ids, ","),
 	}
 	if spec.Quick {
@@ -563,16 +566,22 @@ func specProvenance(spec Spec, sel []Experiment) map[string]string {
 		m["skip_packet"] = "true"
 	}
 	if spec.FleetScale > 0 {
-		m["fleet_scale"] = strconv.FormatFloat(spec.FleetScale, 'g', -1, 64)
+		m["fleet_scale"] = scale(spec.FleetScale)
 	}
 	if len(spec.Profiles) > 0 {
-		m["profiles"] = strconv.Itoa(len(spec.Profiles))
+		keys := make([]string, len(spec.Profiles))
+		for i, p := range spec.Profiles {
+			keys[i] = p.Key()
+		}
+		m["profiles"] = strings.Join(keys, ",")
 	}
 	if spec.Backend != "" {
 		m["backend"] = spec.Backend
 	}
 	if spec.Scenario != nil {
 		m["scenario"] = spec.Scenario.Name
+		doc, _ := json.Marshal(spec.Scenario) // a parsed document marshals back
+		m["scenario_doc"] = campaign.Fingerprint(string(doc))
 	}
 	return m
 }
@@ -616,8 +625,8 @@ func Fold(ctx context.Context, seed int64, scale ScaleConfig, fc FleetConfig) (T
 }
 
 // RunFleet streams all four vantage points through the sharded fleet
-// engine with bounded memory into fixed-size summaries, so
-// FleetConfig.DevicesScale can grow the population far past the paper's.
+// engine with bounded memory into fixed-size summaries, so scale can grow
+// the populations far past the paper's.
 func RunFleet(ctx context.Context, seed int64, scale ScaleConfig, fc FleetConfig) (*FleetReport, error) {
 	return experiments.RunFleet(ctx, seed, scale, fc)
 }

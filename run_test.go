@@ -111,6 +111,45 @@ func TestRunSelection(t *testing.T) {
 	}
 }
 
+// TestRunManifestTimesEveryFold: Table 4's pair and the scenario stream
+// run on the session's pool, so their shards reach Progress and the
+// manifest's shard timings like every tally fold's; Table 4 keeps its one
+// shard per population.
+func TestRunManifestTimesEveryFold(t *testing.T) {
+	scen, err := LoadScenario("scenarios/paper-baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	shardEvents := map[string]int{}
+	if _, err := Run(context.Background(), Spec{Seed: 3, Scale: goldenScale, Scenario: scen, Fleet: FleetConfig{Workers: 1}},
+		WithExperiments("table4", "scenario/cohorts"),
+		WithProgress(func(p Progress) {
+			if p.ShardEvent() {
+				shardEvents[p.ID+"/"+p.VP]++
+			}
+		}),
+		WithResultsDir(dir)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadRunManifest(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	timed := map[string]int{}
+	for _, sh := range m.Shards {
+		timed[sh.Experiment+"/"+sh.VP]++
+		if sh.Experiment == "table4" && sh.Shards != 1 {
+			t.Fatalf("table4 ran %d shards per population, want 1", sh.Shards)
+		}
+	}
+	for _, key := range []string{"table4/campus1", "table4/campus1-junjul", "scenario/cohorts/" + scen.Base.VP} {
+		if timed[key] == 0 || shardEvents[key] == 0 {
+			t.Fatalf("%s: %d shard timings, %d shard events; manifest has %+v", key, timed[key], shardEvents[key], m.Shards)
+		}
+	}
+}
+
 // TestRunProgressAndResultsDir checks the observer contract and the
 // rendered output directory, including the meta section ordering and the
 // run manifest.
