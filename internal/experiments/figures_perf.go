@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"insidedropbox/internal/analysis"
@@ -411,11 +413,7 @@ func Figure10(storeRecs, retrRecs []*traces.FlowRecord) *Result {
 
 // RunPacketLabs executes both labs and renders Figs. 9 and 10.
 func RunPacketLabs(ctx context.Context, store, retr PacketLabConfig) (fig9, fig10 *Result, err error) {
-	storeRecs, err := RunPacketLab(ctx, store)
-	if err != nil {
-		return nil, nil, err
-	}
-	retrRecs, err := RunPacketLab(ctx, retr)
+	storeRecs, retrRecs, err := runPacketLabs(ctx, store, retr, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -423,4 +421,40 @@ func RunPacketLabs(ctx context.Context, store, retr PacketLabConfig) (fig9, fig1
 	fig9 = Figure9(storeRecs, retrRecs, rtt, store.ServerIW)
 	fig10 = Figure10(storeRecs, retrRecs)
 	return fig9, fig10, nil
+}
+
+// runPacketLabs runs the store and the retrieve lab side by side when the
+// worker bound (0 meaning GOMAXPROCS) is at least 2, and one after the
+// other at 1. Each lab owns its scheduler, network and probe, so the
+// records do not depend on the bound. The first error cancels the
+// sibling lab; it returns once both have exited.
+func runPacketLabs(ctx context.Context, store, retr PacketLabConfig, workers int) (storeRecs, retrRecs []*traces.FlowRecord, err error) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers < 2 {
+		if storeRecs, err = RunPacketLab(ctx, store); err == nil {
+			retrRecs, err = RunPacketLab(ctx, retr)
+		}
+	} else {
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		var retrErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if retrRecs, retrErr = RunPacketLab(ctx, retr); retrErr != nil {
+				cancel()
+			}
+		}()
+		if storeRecs, err = RunPacketLab(ctx, store); err != nil {
+			cancel()
+		}
+		<-done
+		err = cmp.Or(err, retrErr)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return storeRecs, retrRecs, nil
 }

@@ -1,0 +1,107 @@
+package experiments
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/traces"
+)
+
+// recordsHash is FNV-1a over every field of every record, in order.
+func recordsHash(recs []*traces.FlowRecord) string {
+	h := fnv.New64a()
+	for _, r := range recs {
+		fmt.Fprintf(h, "%+v\n", *r)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestPacketLabGolden pins the packet path bit for bit: every record of
+// the quick store and retrieve labs, and the text and metrics of Figs. 1,
+// 9, 10 and 19, rendered through the registry from a quick session whose
+// testbed runs at seed 2012.
+func TestPacketLabGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("packet labs are slow")
+	}
+	want := map[string]string{
+		"store":    "f86bae9e6adf8617",
+		"retrieve": "a67015f6add8a0a9",
+		"figure1":  "424ef332ce30ba29",
+		"figure9":  "ebaffad68c2245c1",
+		"figure10": "31b48beeb35ff627",
+		"figure19": "ebb588493595337e",
+	}
+	ctx := context.Background()
+	s := &Session{Seed: 2012, Quick: true}
+	store, retr, _, err := s.PacketRecords(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{"store": recordsHash(store), "retrieve": recordsHash(retr)}
+	for _, id := range []string{"figure1", "figure9", "figure10", "figure19"} {
+		e, _ := ByID(id)
+		r, err := e.Run(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[id] = resultHash(r)
+	}
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("%s: hash %s, pinned %s", k, got[k], w)
+		}
+	}
+}
+
+// TestPacketRecordsCancelled: under a cancelled context the labs return
+// ctx.Err() at either worker bound, with no lab goroutine left running,
+// and the session retries on the next call instead of latching the error.
+func TestPacketRecordsCancelled(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := &Session{Seed: 1, Quick: true, Fleet: fleet.Config{Workers: workers}}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		before := runtime.NumGoroutine()
+		store, retr, _, err := s.PacketRecords(cancelled)
+		if !errors.Is(err, context.Canceled) || store != nil || retr != nil {
+			t.Fatalf("workers %d: cancelled labs: store=%d retr=%d err=%v", workers, len(store), len(retr), err)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("workers %d: %d goroutines before the labs, %d after", workers, before, after)
+		}
+		if testing.Short() {
+			continue
+		}
+		store, retr, _, err = s.PacketRecords(context.Background())
+		if err != nil || len(store) == 0 || len(retr) == 0 {
+			t.Fatalf("workers %d: session latched the cancelled labs: store=%d retr=%d err=%v", workers, len(store), len(retr), err)
+		}
+	}
+}
+
+// TestPacketRecordsWorkerInvariance: the labs run one after the other at
+// one worker and side by side at four, with identical records.
+func TestPacketRecordsWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("packet labs are slow")
+	}
+	var got [2][2][]*traces.FlowRecord
+	for i, workers := range []int{1, 4} {
+		s := &Session{Seed: 1, Quick: true, Fleet: fleet.Config{Workers: workers}}
+		store, retr, _, err := s.PacketRecords(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = [2][]*traces.FlowRecord{store, retr}
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatal("labs at workers 1 and 4 returned different records")
+	}
+}

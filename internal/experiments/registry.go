@@ -185,9 +185,10 @@ func (s *Session) Tallies(ctx context.Context) (Tallies, error) {
 }
 
 // PacketRecords returns the storage-flow records of both packet labs
-// (store and retrieve), running the labs on first use. The returned lab
-// config carries the path parameters (RTT, server IW) Figure 9 annotates.
-// Failed runs are not memoized.
+// (store and retrieve), running the labs on first use, side by side when
+// Fleet.Workers allows two. The returned lab config carries the path
+// parameters (RTT, server IW) Figure 9 annotates. Failed runs are not
+// memoized.
 func (s *Session) PacketRecords(ctx context.Context) (store, retr []*traces.FlowRecord, cfg PacketLabConfig, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -200,11 +201,7 @@ func (s *Session) PacketRecords(ctx context.Context) (store, retr []*traces.Flow
 	if s.Quick {
 		storeCfg, retrCfg = QuickPacketLab(false), QuickPacketLab(true)
 	}
-	storeRecs, err := RunPacketLab(ctx, storeCfg)
-	if err != nil {
-		return nil, nil, storeCfg, err
-	}
-	retrRecs, err := RunPacketLab(ctx, retrCfg)
+	storeRecs, retrRecs, err := runPacketLabs(ctx, storeCfg, retrCfg, s.Fleet.Workers)
 	if err != nil {
 		return nil, nil, storeCfg, err
 	}

@@ -8,7 +8,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -47,69 +46,50 @@ func (t Time) Duration() Duration { return Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback.
+// event is a scheduled callback. Events are recycled through the
+// scheduler's free list; gen counts releases, so an EventID taken before
+// a release never matches the event's next use.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: schedule order
-	fn   func()
-	dead bool
-	idx  int // heap index, -1 when popped
+	s   *Scheduler
+	at  Time
+	seq uint64 // tie-breaker: schedule order
+	fn  func()
+	gen uint64
+	idx int // heap index while queued
 }
 
 // EventID identifies a scheduled event so it can be cancelled.
-type EventID struct{ ev *event }
+type EventID struct {
+	ev  *event
+	gen uint64
+}
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. Returns true if the event was pending.
+// Cancel prevents the event from firing and removes it from the queue.
+// Cancelling an already-fired or already-cancelled event is a no-op.
+// Returns true if the event was pending.
 func (id EventID) Cancel() bool {
-	if id.ev == nil || id.ev.dead {
+	if !id.Pending() {
 		return false
 	}
-	id.ev.dead = true
+	s := id.ev.s
+	s.remove(id.ev.idx)
+	s.release(id.ev)
 	return true
 }
 
 // Pending reports whether the event is still scheduled to fire.
-func (id EventID) Pending() bool { return id.ev != nil && !id.ev.dead && id.ev.idx >= 0 }
+func (id EventID) Pending() bool { return id.ev != nil && id.ev.gen == id.gen }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// Scheduler owns the virtual clock and the pending-event queue. It is not
-// safe for concurrent use: simulations are single-goroutine by design so
-// results are deterministic.
+// Scheduler owns the virtual clock and the pending-event queue, a binary
+// heap ordered by (deadline, schedule order). It is not safe for
+// concurrent use: simulations are single-goroutine by design so results
+// are deterministic.
 type Scheduler struct {
-	now     Time
-	queue   eventHeap
-	seq     uint64
-	running bool
-	fired   uint64
+	now   Time
+	queue []*event
+	free  []*event
+	seq   uint64
+	fired uint64
 }
 
 // NewScheduler returns a scheduler with the clock at the epoch.
@@ -134,10 +114,18 @@ func (s *Scheduler) At(at Time, fn func()) EventID {
 	if fn == nil {
 		panic("simtime: nil event callback")
 	}
-	ev := &event{at: at, seq: s.seq, fn: fn}
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		ev = &event{s: s}
+	}
+	ev.at, ev.seq, ev.fn = at, s.seq, fn
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return EventID{ev}
+	s.queue = append(s.queue, ev)
+	s.sift(ev, len(s.queue)-1)
+	return EventID{ev, ev.gen}
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
@@ -151,23 +139,21 @@ func (s *Scheduler) After(d Duration, fn func()) EventID {
 // Step fires the next pending event, advancing the clock to its deadline.
 // It returns false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.dead {
-			continue
-		}
-		s.now = ev.at
-		s.fired++
-		ev.fn()
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	ev := s.queue[0]
+	s.remove(0)
+	fn := ev.fn
+	s.now = ev.at
+	s.release(ev)
+	s.fired++
+	fn()
+	return true
 }
 
 // Run fires events until the queue drains.
 func (s *Scheduler) Run() {
-	s.running = true
-	defer func() { s.running = false }()
 	for s.Step() {
 	}
 }
@@ -175,17 +161,7 @@ func (s *Scheduler) Run() {
 // RunUntil fires events with deadlines at or before limit, then advances the
 // clock to limit. Events scheduled beyond limit remain queued.
 func (s *Scheduler) RunUntil(limit Time) {
-	s.running = true
-	defer func() { s.running = false }()
-	for len(s.queue) > 0 {
-		// Peek without popping dead events permanently out of order.
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.at > limit {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= limit {
 		s.Step()
 	}
 	if s.now < limit {
@@ -196,25 +172,57 @@ func (s *Scheduler) RunUntil(limit Time) {
 // RunFor advances the simulation by d virtual time.
 func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
-func (s *Scheduler) peek() *event {
-	for len(s.queue) > 0 {
-		ev := s.queue[0]
-		if !ev.dead {
-			return ev
-		}
-		heap.Pop(&s.queue)
-	}
-	return nil
-}
-
-// NextDeadline returns the deadline of the next live event and true, or zero
-// time and false when the queue is empty.
+// NextDeadline returns the deadline of the next pending event and true,
+// or zero time and false when the queue is empty.
 func (s *Scheduler) NextDeadline() (Time, bool) {
-	ev := s.peek()
-	if ev == nil {
+	if len(s.queue) == 0 {
 		return 0, false
 	}
-	return ev.at, true
+	return s.queue[0].at, true
+}
+
+// release invalidates the event's IDs and returns it to the free list.
+func (s *Scheduler) release(ev *event) {
+	ev.fn = nil
+	ev.gen++
+	s.free = append(s.free, ev)
+}
+
+// before orders events by deadline, then by schedule order.
+func (a *event) before(b *event) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
+
+// remove takes the event at heap index i out of the queue.
+func (s *Scheduler) remove(i int) {
+	n := len(s.queue) - 1
+	last := s.queue[n]
+	s.queue[n] = nil
+	s.queue = s.queue[:n]
+	if i < n {
+		s.sift(last, i)
+	}
+}
+
+// sift stores ev at heap index i, moving it toward the root or the
+// leaves until the heap is ordered again.
+func (s *Scheduler) sift(ev *event, i int) {
+	q := s.queue
+	for i > 0 && ev.before(q[(i-1)/2]) {
+		q[i] = q[(i-1)/2]
+		q[i].idx = i
+		i = (i - 1) / 2
+	}
+	for c := 2*i + 1; c < len(q); c = 2*i + 1 {
+		if c+1 < len(q) && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].idx = i
+		i = c
+	}
+	q[i], ev.idx = ev, i
 }
 
 // Ticker repeatedly invokes fn every period until cancelled. The first tick
@@ -239,9 +247,6 @@ func (s *Scheduler) NewTicker(period Duration, fn func(Time)) *Ticker {
 
 func (t *Ticker) arm() {
 	t.id = t.s.After(t.period, func() {
-		if t.stop {
-			return
-		}
 		t.fn(t.s.Now())
 		if !t.stop {
 			t.arm()

@@ -17,7 +17,9 @@
 package tcpsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"insidedropbox/internal/netem"
@@ -227,8 +229,11 @@ type Conn struct {
 	rto          time.Duration
 	rtoID        simtime.EventID
 	rtoBackoff   int
-	// timing samples: relative seq of a timed segment -> send time.
-	timed map[uint32]simtime.Time
+	// timing samples, sorted by the relative seq that acknowledges them.
+	timed []rttSample
+
+	// Timer callbacks, bound once so arming a timer does not allocate.
+	onRTOFn, sendAckFn func()
 
 	// Metrics.
 	retransmits int
@@ -246,10 +251,9 @@ func (s *Stack) newConn(localPort uint16, remote wire.IP, remotePort uint16, ser
 		ssthresh: 1 << 30,
 		peerWnd:  64 * 1024,
 		oob:      make(map[uint32]*wire.Frame),
-		timed:    make(map[uint32]simtime.Time),
 		rto:      s.cfg.InitialRTO,
 	}
-	c.sndUna, c.sndNxt = 0, 0
+	c.onRTOFn, c.sendAckFn = c.onRTO, c.sendAck
 	return c
 }
 
@@ -364,7 +368,7 @@ func (c *Conn) newFrame(flags wire.TCPFlags, relSeq, relAck uint32, data []byte,
 
 func (c *Conn) sendSyn() {
 	f := c.newFrame(wire.FlagSYN, 0, 0, nil, 0)
-	c.timed[1] = c.stack.sched.Now() // acked by relative ACK 1
+	c.startRTT(1) // acked by relative ACK 1
 	c.stack.Host.Send(f)
 	c.sndNxt = 1
 	c.armRTO()
@@ -372,7 +376,7 @@ func (c *Conn) sendSyn() {
 
 func (c *Conn) sendSynAck() {
 	f := c.newFrame(wire.FlagSYN|wire.FlagACK, 0, 1, nil, 0)
-	c.timed[1] = c.stack.sched.Now()
+	c.startRTT(1)
 	c.stack.Host.Send(f)
 	c.sndNxt = 1
 	c.armRTO()
@@ -468,9 +472,9 @@ func (c *Conn) transmit(seg segment, retrans bool) {
 			c.sndNxt += uint32(seg.size)
 		}
 		// Karn: only time first transmissions.
-		c.timed[seg.relSeq+uint32(seg.size)] = c.stack.sched.Now()
+		c.startRTT(seg.relSeq + uint32(seg.size))
 	}
-	c.cancelDelAck() // data segments carry the ACK
+	c.delAckID.Cancel() // data segments carry the ACK
 	c.ackPend = 0
 	c.armRTO()
 }
@@ -490,22 +494,42 @@ func (c *Conn) maybeSendFin() {
 	f := c.newFrame(wire.FlagFIN|wire.FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
 	c.stack.Host.Send(f)
 	c.sndNxt++
-	c.timed[c.sndNxt] = c.stack.sched.Now()
+	c.startRTT(c.sndNxt)
 	c.armRTO()
 }
 
 // ---------- timers ----------
+
+// rttSample is a timed segment: the relative seq whose ACK completes the
+// sample and the segment's send time.
+type rttSample struct {
+	ack  uint32
+	sent simtime.Time
+}
+
+// sampleAt returns the index of the first sample at or above ack and
+// whether that sample is exactly ack.
+func (c *Conn) sampleAt(ack uint32) (int, bool) {
+	return slices.BinarySearchFunc(c.timed, ack, func(x rttSample, ack uint32) int { return cmp.Compare(x.ack, ack) })
+}
+
+// startRTT starts (or restarts) the RTT sample completed by relative ack.
+func (c *Conn) startRTT(ack uint32) {
+	now := c.stack.sched.Now()
+	if i, exact := c.sampleAt(ack); exact {
+		c.timed[i].sent = now
+	} else {
+		c.timed = slices.Insert(c.timed, i, rttSample{ack, now})
+	}
+}
 
 func (c *Conn) armRTO() {
 	c.rtoID.Cancel()
 	if c.sndUna == c.sndNxt {
 		return // nothing outstanding
 	}
-	rto := c.rto << uint(c.rtoBackoff)
-	if rto > 60*time.Second {
-		rto = 60 * time.Second
-	}
-	c.rtoID = c.stack.sched.After(rto, c.onRTO)
+	rto := min(c.rto<<uint(c.rtoBackoff), 60*time.Second)
+	c.rtoID = c.stack.sched.After(rto, c.onRTOFn)
 }
 
 func (c *Conn) onRTO() {
@@ -519,11 +543,11 @@ func (c *Conn) onRTO() {
 		return
 	}
 	inFlight := int(c.sndNxt - c.sndUna)
-	c.ssthresh = maxInt(inFlight/2, 2*wire.MSS)
+	c.ssthresh = max(inFlight/2, 2*wire.MSS)
 	c.cwnd = wire.MSS
 	c.dupAcks = 0
 	c.inRecovery = false
-	clear(c.timed) // Karn: discard samples across a timeout
+	c.timed = c.timed[:0] // Karn: discard samples across a timeout
 	c.retransmitFirst()
 }
 
@@ -552,19 +576,15 @@ func (c *Conn) retransmitFirst() {
 	}
 }
 
-func (c *Conn) cancelDelAck() { c.delAckID.Cancel() }
-
 func (c *Conn) scheduleDelAck() {
 	if c.delAckID.Pending() {
 		return
 	}
-	c.delAckID = c.stack.sched.After(c.stack.cfg.DelayedAckTimeout, func() {
-		c.sendAck()
-	})
+	c.delAckID = c.stack.sched.After(c.stack.cfg.DelayedAckTimeout, c.sendAckFn)
 }
 
 func (c *Conn) sendAck() {
-	c.cancelDelAck()
+	c.delAckID.Cancel()
 	c.ackPend = 0
 	f := c.newFrame(wire.FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
 	c.stack.Host.Send(f)
@@ -677,15 +697,13 @@ func (c *Conn) processAck(f *wire.Frame) {
 		c.dupAcks = 0
 		c.rtoBackoff = 0
 		c.dropAckedSpans()
-		// RTT sample.
-		if t0, ok := c.timed[relAck]; ok {
-			c.updateRTT(c.stack.sched.Now().Sub(t0))
+		// RTT sample, then drop every sample at or below relAck.
+		i, exact := c.sampleAt(relAck)
+		if exact {
+			c.updateRTT(c.stack.sched.Now().Sub(c.timed[i].sent))
+			i++
 		}
-		for seq := range c.timed {
-			if seq <= relAck {
-				delete(c.timed, seq)
-			}
-		}
+		c.timed = c.timed[:copy(c.timed, c.timed[i:])]
 		if c.inRecovery {
 			if relAck >= c.recoverTo {
 				// Full recovery: deflate to ssthresh (NewReno).
@@ -701,7 +719,7 @@ func (c *Conn) processAck(f *wire.Frame) {
 		} else if c.cwnd < c.ssthresh {
 			c.cwnd += acked // slow start (byte counting)
 		} else {
-			c.cwnd += maxInt(wire.MSS*wire.MSS/c.cwnd, 1)
+			c.cwnd += max(wire.MSS*wire.MSS/c.cwnd, 1)
 		}
 		c.armRTO()
 	} else if relAck == c.sndUna && c.sndNxt > c.sndUna && f.PayloadLen == 0 {
@@ -709,7 +727,7 @@ func (c *Conn) processAck(f *wire.Frame) {
 		if c.dupAcks == 3 && !c.inRecovery {
 			// Fast retransmit + NewReno recovery.
 			inFlight := int(c.sndNxt - c.sndUna)
-			c.ssthresh = maxInt(inFlight/2, 2*wire.MSS)
+			c.ssthresh = max(inFlight/2, 2*wire.MSS)
 			c.cwnd = c.ssthresh + 3*wire.MSS
 			c.recoverTo = c.sndNxt
 			c.inRecovery = true
@@ -851,11 +869,4 @@ func (c *Conn) checkCloseProgress(f *wire.Frame) {
 	if c.state == stateFinWait2 && c.peerFin {
 		c.teardownAfterAck()
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
