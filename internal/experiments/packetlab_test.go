@@ -60,6 +60,28 @@ func TestPacketLabGolden(t *testing.T) {
 	}
 }
 
+// TestDefaultPacketLabGolden pins every record of the default store and
+// retrieve labs (2 × 192 flows), the ones behind the full-scale Figs. 9
+// and 10. TestPacketLabGolden covers only the quick labs.
+func TestDefaultPacketLabGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("packet labs are slow")
+	}
+	store, retr, err := runPacketLabs(context.Background(), DefaultPacketLab(false), DefaultPacketLab(true), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		recs []*traces.FlowRecord
+		want string
+	}{{"store", store, "0d173c44ae0591ea"}, {"retrieve", retr, "dcb96875d33a6f66"}} {
+		if got := recordsHash(c.recs); got != c.want || len(c.recs) != 192 {
+			t.Errorf("%s: %d records, hash %s; pinned 192, %s", c.name, len(c.recs), got, c.want)
+		}
+	}
+}
+
 // TestPacketRecordsCancelled: under a cancelled context the labs return
 // ctx.Err() at either worker bound, with no lab goroutine left running,
 // and the session retries on the next call instead of latching the error.

@@ -41,7 +41,8 @@ func (d TapDir) String() string {
 }
 
 // Tap receives every frame crossing a monitored site border, with the
-// capture timestamp. Implementations must not retain the frame past the
+// capture timestamp. The frame belongs to the network and is reused once
+// its last event has fired: implementations must not retain it past the
 // call unless they copy it.
 type Tap interface {
 	Capture(now simtime.Time, f *wire.Frame, dir TapDir)
@@ -59,12 +60,18 @@ type AccessProfile struct {
 	QueueBytes int
 }
 
-// queueCap returns the effective drop-tail limit.
-func (a AccessProfile) queueCap() int {
-	if a.QueueBytes > 0 {
-		return a.QueueBytes
+// serialize queues size bytes on a link direction sending at rate, busy until
+// *busy; it returns when the last bit leaves, or false on a full queue.
+func (a AccessProfile) serialize(busy *simtime.Time, now simtime.Time, size int, rate float64) (simtime.Time, bool) {
+	limit, start := a.QueueBytes, max(now, *busy)
+	if limit <= 0 {
+		limit = 256 << 10
 	}
-	return 256 << 10
+	if rate > 0 && int(float64(start.Sub(now))/float64(time.Second)*rate) > limit {
+		return 0, false
+	}
+	*busy = start.Add(transmissionDelay(size, rate))
+	return *busy, true
 }
 
 // Access profiles matching the technologies of Table 2.
@@ -95,23 +102,42 @@ type Network struct {
 	coreLoss  float64
 	taps      map[SiteID][]Tap
 
-	// lastArrival preserves FIFO ordering per (src,dst) host pair even when
-	// per-packet jitter is applied.
-	lastArrival map[[2]wire.IP]simtime.Time
+	ver  uint64    // bumped when a core delay or tap changes
+	free []*packet // recycled packets
 
 	delivered uint64
 	dropped   uint64
 }
 
+// route is one (source, destination) host pair: the FIFO clamp against
+// jitter reordering, and its sites' delay and taps as of network version ver.
+type route struct {
+	dst              *Host
+	last             simtime.Time
+	ver              uint64
+	core             time.Duration
+	srcTaps, dstTaps []Tap
+}
+
+// packet is a frame in flight, owned by the network from Send until the
+// last event holding it has run. Its callbacks are bound once.
+type packet struct {
+	f                          wire.Frame
+	dst                        *Host
+	outTaps, inTaps            []Tap
+	lost                       bool // dropped on the destination access segment
+	refs                       int  // Send's hold plus the events still pending
+	outFn, arriveFn, deliverFn func()
+}
+
 // New creates an empty network on the scheduler.
 func New(sched *simtime.Scheduler, rng *simrand.Source) *Network {
 	return &Network{
-		Sched:       sched,
-		rng:         rng.Fork("netem"),
-		hosts:       make(map[wire.IP]*Host),
-		coreDelay:   make(map[[2]SiteID]time.Duration),
-		taps:        make(map[SiteID][]Tap),
-		lastArrival: make(map[[2]wire.IP]simtime.Time),
+		Sched:     sched,
+		rng:       rng.Fork("netem"),
+		hosts:     make(map[wire.IP]*Host),
+		coreDelay: make(map[[2]SiteID]time.Duration),
+		taps:      make(map[SiteID][]Tap),
 	}
 }
 
@@ -120,6 +146,7 @@ func New(sched *simtime.Scheduler, rng *simrand.Source) *Network {
 func (n *Network) SetCoreDelay(a, b SiteID, d time.Duration) {
 	n.coreDelay[[2]SiteID{a, b}] = d
 	n.coreDelay[[2]SiteID{b, a}] = d
+	n.ver++
 }
 
 // CoreDelay returns the configured one-way delay between sites, or a small
@@ -140,13 +167,15 @@ func (n *Network) SetCoreLoss(p float64) { n.coreLoss = p }
 // AttachTap registers a probe at a site's border.
 func (n *Network) AttachTap(site SiteID, t Tap) {
 	n.taps[site] = append(n.taps[site], t)
+	n.ver++
 }
 
 // Stats returns delivered and dropped packet counts.
 func (n *Network) Stats() (delivered, dropped uint64) { return n.delivered, n.dropped }
 
 // Host is an attached endpoint. Receive is invoked for every delivered
-// frame; the TCP layer installs it.
+// frame; the TCP layer installs it. As with a Tap, the frame is the
+// network's: Receive must not retain it past the call unless it copies it.
 type Host struct {
 	IP      wire.IP
 	Site    SiteID
@@ -155,6 +184,7 @@ type Host struct {
 
 	net              *Network
 	upBusy, downBusy simtime.Time
+	routes           map[wire.IP]*route // by destination
 
 	// pathOffset is a deterministic per-destination extra delay emulating
 	// route diversity between this host and individual remote servers
@@ -167,7 +197,7 @@ func (n *Network) AddHost(ip wire.IP, site SiteID, access AccessProfile) *Host {
 	if _, dup := n.hosts[ip]; dup {
 		panic(fmt.Sprintf("netem: duplicate host %s", ip))
 	}
-	h := &Host{IP: ip, Site: site, Access: access, net: n}
+	h := &Host{IP: ip, Site: site, Access: access, net: n, routes: make(map[wire.IP]*route)}
 	n.hosts[ip] = h
 	return h
 }
@@ -178,32 +208,43 @@ func (n *Network) Host(ip wire.IP) *Host { return n.hosts[ip] }
 // SetPathOffset installs a per-destination deterministic delay component.
 func (h *Host) SetPathOffset(fn func(dst wire.IP) time.Duration) { h.pathOffset = fn }
 
+// route returns the route toward dst, refreshed if a core delay or tap
+// changed since its last use, or nil when no such host exists.
+func (h *Host) route(dst wire.IP) *route {
+	n, r := h.net, h.routes[dst]
+	if r == nil || r.ver != n.ver {
+		d := n.hosts[dst]
+		if d == nil {
+			return nil
+		}
+		if r == nil {
+			r = &route{}
+			h.routes[dst] = r
+		}
+		r.dst, r.ver, r.core = d, n.ver, n.CoreDelay(h.Site, d.Site)
+		r.srcTaps, r.dstTaps = n.taps[h.Site], n.taps[d.Site]
+	}
+	return r
+}
+
 // Send injects a frame originating at this host. Delivery is scheduled
 // through uplink serialization, the core, the destination's downlink, and
-// any probe taps along the way. The frame must not be mutated afterwards.
+// any probe taps along the way. Send copies the frame: the caller may
+// reuse it as soon as Send returns.
 func (h *Host) Send(f *wire.Frame) {
 	n := h.net
-	dst := n.hosts[f.IP.Dst]
-	if dst == nil {
+	r := h.route(f.IP.Dst)
+	if r == nil {
 		n.dropped++
 		return
 	}
-	now := n.Sched.Now()
 
 	// Uplink serialization at the sender's access link, drop-tail bounded.
-	txStart := now
-	if h.upBusy > txStart {
-		if h.Access.UpRate > 0 {
-			backlog := float64(h.upBusy.Sub(now)) / float64(time.Second) * h.Access.UpRate
-			if int(backlog) > h.Access.queueCap() {
-				n.dropped++
-				return
-			}
-		}
-		txStart = h.upBusy
+	txDone, ok := h.Access.serialize(&h.upBusy, n.Sched.Now(), f.WireLen(), h.Access.UpRate)
+	if !ok {
+		n.dropped++
+		return
 	}
-	txDone := txStart.Add(transmissionDelay(f.WireLen(), h.Access.UpRate))
-	h.upBusy = txDone
 
 	// Loss on the sender's access segment happens before the probe sees the
 	// frame (an upload lost on campus WiFi never reaches the border).
@@ -212,79 +253,98 @@ func (h *Host) Send(f *wire.Frame) {
 		return
 	}
 
+	// A pooled packet copies the frame, held by Send until it returns.
+	var p *packet
+	if k := len(n.free); k > 0 {
+		p, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		p = &packet{}
+		p.outFn, p.arriveFn, p.deliverFn = p.outbound, p.arrive, p.deliver
+	}
+	p.f, p.dst, p.outTaps, p.inTaps, p.lost, p.refs = *f, r.dst, r.srcTaps, r.dstTaps, false, 1
+	defer p.release()
+
 	// Border of the source site: outbound tap.
 	srcBorder := txDone.Add(h.Access.Delay)
-	n.scheduleTaps(h.Site, srcBorder, f, TapOutbound)
+	if len(p.outTaps) > 0 {
+		p.hold(srcBorder, p.outFn)
+	}
 
 	// Core traversal.
 	if n.coreLoss > 0 && n.rng.Bool(n.coreLoss) {
 		n.dropped++
 		return
 	}
-	core := n.CoreDelay(h.Site, dst.Site)
+	core := r.core
 	if h.pathOffset != nil {
 		core += h.pathOffset(f.IP.Dst)
 	}
-	if dst.pathOffset != nil {
-		core += dst.pathOffset(f.IP.Src)
+	if r.dst.pathOffset != nil {
+		core += r.dst.pathOffset(f.IP.Src)
 	}
 	// Small queueing jitter, FIFO-clamped per host pair so TCP never sees
 	// spurious reordering from the emulator itself.
 	jitter := time.Duration(n.rng.Uniform(0, 0.002) * float64(core))
-	dstBorder := srcBorder.Add(core + jitter)
-	key := [2]wire.IP{f.IP.Src, f.IP.Dst}
-	if last := n.lastArrival[key]; dstBorder < last {
-		dstBorder = last
-	}
-	n.lastArrival[key] = dstBorder
-
-	// Border of the destination site: inbound tap.
-	n.scheduleTaps(dst.Site, dstBorder, f, TapInbound)
+	dstBorder := max(srcBorder.Add(core+jitter), r.last)
+	r.last = dstBorder
 
 	// Loss on the receiver's access segment happens after the probe: the
 	// probe counts the eventual retransmission as such.
-	if dst.Access.Loss > 0 && n.rng.Bool(dst.Access.Loss) {
+	if r.dst.Access.Loss > 0 && n.rng.Bool(r.dst.Access.Loss) {
 		n.dropped++
-		return
+		p.lost = true
 	}
-
-	// Downlink serialization, drop-tail bounded, then delivery.
-	n.Sched.At(dstBorder, func() {
-		rxStart := n.Sched.Now()
-		if dst.downBusy > rxStart {
-			if dst.Access.DownRate > 0 {
-				backlog := float64(dst.downBusy.Sub(rxStart)) / float64(time.Second) * dst.Access.DownRate
-				if int(backlog) > dst.Access.queueCap() {
-					n.dropped++
-					return
-				}
-			}
-			rxStart = dst.downBusy
-		}
-		rxDone := rxStart.Add(transmissionDelay(f.WireLen(), dst.Access.DownRate))
-		dst.downBusy = rxDone
-		deliver := rxDone.Add(dst.Access.Delay)
-		n.Sched.At(deliver, func() {
-			n.delivered++
-			if dst.Receive != nil {
-				dst.Receive(n.Sched.Now(), f)
-			}
-		})
-	})
+	// Border of the destination site: inbound taps, then the downlink.
+	if len(p.inTaps) > 0 || !p.lost {
+		p.hold(dstBorder, p.arriveFn)
+	}
 }
 
-// scheduleTaps delivers the frame to every tap of the site at the given
-// instant.
-func (n *Network) scheduleTaps(site SiteID, at simtime.Time, f *wire.Frame, dir TapDir) {
-	taps := n.taps[site]
-	if len(taps) == 0 {
+// hold schedules fn at the instant with the packet held for it.
+func (p *packet) hold(at simtime.Time, fn func()) {
+	p.refs++
+	p.dst.net.Sched.At(at, fn)
+}
+
+// release drops one hold and recycles the packet after the last.
+func (p *packet) release() {
+	if p.refs--; p.refs == 0 {
+		p.dst.net.free = append(p.dst.net.free, p)
+	}
+}
+
+func (p *packet) outbound() {
+	defer p.release()
+	for _, t := range p.outTaps {
+		t.Capture(p.dst.net.Sched.Now(), &p.f, TapOutbound)
+	}
+}
+
+// arrive runs at the destination border: inbound taps, then downlink
+// serialization, drop-tail bounded, then delivery.
+func (p *packet) arrive() {
+	defer p.release()
+	dst, now := p.dst, p.dst.net.Sched.Now()
+	for _, t := range p.inTaps {
+		t.Capture(now, &p.f, TapInbound)
+	}
+	if p.lost {
 		return
 	}
-	n.Sched.At(at, func() {
-		for _, t := range taps {
-			t.Capture(at, f, dir)
-		}
-	})
+	rxDone, ok := dst.Access.serialize(&dst.downBusy, now, p.f.WireLen(), dst.Access.DownRate)
+	if !ok {
+		dst.net.dropped++
+		return
+	}
+	p.hold(rxDone.Add(dst.Access.Delay), p.deliverFn)
+}
+
+func (p *packet) deliver() {
+	defer p.release()
+	p.dst.net.delivered++
+	if p.dst.Receive != nil {
+		p.dst.Receive(p.dst.net.Sched.Now(), &p.f)
+	}
 }
 
 // transmissionDelay returns size/rate, or zero for unlimited links.

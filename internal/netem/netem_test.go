@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -220,6 +221,75 @@ func TestAccessProfilesSane(t *testing.T) {
 	}
 }
 
+// countingTap counts captures without allocating.
+type countingTap struct{ n int }
+
+func (c *countingTap) Capture(simtime.Time, *wire.Frame, TapDir) { c.n++ }
+
+// TestNetworkSteadyStateAllocs: once the packet pool and the scheduler are
+// warm, forwarding a frame past a tap allocates nothing.
+func TestNetworkSteadyStateAllocs(t *testing.T) {
+	sched, n := newNet()
+	n.SetCoreDelay("campus", "dc", 45*time.Millisecond)
+	tap := &countingTap{}
+	n.AttachTap("campus", tap) // outbound captures
+	n.AttachTap("dc", tap)     // inbound captures
+	a := n.AddHost(wire.MakeIP(10, 0, 0, 1), "campus", AccessProfile{UpRate: 1e6, Delay: time.Millisecond})
+	b := n.AddHost(wire.MakeIP(184, 0, 0, 1), "dc", AccessProfile{DownRate: 1e6})
+	got := 0
+	b.Receive = func(simtime.Time, *wire.Frame) { got++ }
+	f := testFrame(a.IP, b.IP, wire.MSS)
+	send := func() {
+		for i := 0; i < 8; i++ {
+			f.TCP.Seq = uint32(i)
+			a.Send(f)
+		}
+		sched.Run()
+	}
+	send() // warm-up
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("%.1f allocations per 8 forwarded frames, want 0", allocs)
+	}
+	// AllocsPerRun calls send once more than it measures.
+	if got != 8*102 || tap.n != 2*8*102 {
+		t.Fatalf("delivered %d, tapped %d", got, tap.n)
+	}
+}
+
+// headerTap records the headers it captures.
+type headerTap struct{ seen []wire.TCPHeader }
+
+func (h *headerTap) Capture(_ simtime.Time, f *wire.Frame, _ TapDir) { h.seen = append(h.seen, f.TCP) }
+
+// TestCoreLossKeepsOutboundCapture: a frame lost in the core still reaches
+// the source site's tap, with its own header, although Send has returned,
+// the caller has rewritten its frame, and later sends reuse packets.
+func TestCoreLossKeepsOutboundCapture(t *testing.T) {
+	sched, n := newNet()
+	n.SetCoreLoss(1.0)
+	tap := &headerTap{}
+	n.AttachTap("campus", tap)
+	a := n.AddHost(wire.MakeIP(10, 0, 0, 1), "campus", AccessProfile{Delay: time.Millisecond})
+	b := n.AddHost(wire.MakeIP(184, 0, 0, 1), "dc", AccessProfile{})
+	b.Receive = func(simtime.Time, *wire.Frame) { t.Fatal("delivered with core loss 1.0") }
+	var want []wire.TCPHeader
+	f := testFrame(a.IP, b.IP, 10)
+	for burst := 0; burst < 3; burst++ {
+		for i := 0; i < 5; i++ {
+			f.TCP.Seq, f.TCP.Ack = uint32(100*burst+i), uint32(burst)
+			want = append(want, f.TCP)
+			a.Send(f)
+		}
+		sched.Run()
+		if len(n.free) != 5 {
+			t.Fatalf("burst %d: %d packets pooled, want the 5 the first burst allocated", burst, len(n.free))
+		}
+	}
+	if !slices.Equal(tap.seen, want) {
+		t.Fatalf("tap saw %v, want %v", tap.seen, want)
+	}
+}
+
 func BenchmarkSendDeliver(b *testing.B) {
 	sched, n := newNet()
 	n.SetCoreDelay("campus", "dc", 45*time.Millisecond)
@@ -227,6 +297,7 @@ func BenchmarkSendDeliver(b *testing.B) {
 	dst := n.AddHost(wire.MakeIP(184, 0, 0, 1), "dc", AccessProfile{})
 	dst.Receive = func(simtime.Time, *wire.Frame) {}
 	f := testFrame(a.IP, dst.IP, wire.MSS)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Send(f)

@@ -116,7 +116,7 @@ func (s *Stack) Dial(remote wire.IP, remotePort uint16) *Conn {
 	c := s.newConn(port, remote, remotePort, false)
 	s.conns[connKey{port, remote, remotePort}] = c
 	c.state = stateSynSent
-	c.sendSyn()
+	c.sendSyn(wire.FlagSYN, 0)
 	return c
 }
 
@@ -218,8 +218,8 @@ type Conn struct {
 	// Receive state.
 	irs        uint32
 	rcvNxt     uint32
-	oob        map[uint32]*wire.Frame // out-of-order segments by seq
-	ackPend    int                    // segments received since last ACK
+	oob        map[uint32]wire.Frame // out-of-order segments by seq
+	ackPend    int                   // segments received since last ACK
 	delAckID   simtime.EventID
 	peerFin    bool
 	peerFinSeq uint32
@@ -250,7 +250,7 @@ func (s *Stack) newConn(localPort uint16, remote wire.IP, remotePort uint16, ser
 		cwnd:     s.cfg.InitialWindow * wire.MSS,
 		ssthresh: 1 << 30,
 		peerWnd:  64 * 1024,
-		oob:      make(map[uint32]*wire.Frame),
+		oob:      make(map[uint32]wire.Frame),
 		rto:      s.cfg.InitialRTO,
 	}
 	c.onRTOFn, c.sendAckFn = c.onRTO, c.sendAck
@@ -318,8 +318,7 @@ func (c *Conn) Abort() {
 	if c.state == stateClosed {
 		return
 	}
-	f := c.newFrame(wire.FlagRST|wire.FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
-	c.stack.Host.Send(f)
+	c.send(wire.FlagRST|wire.FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
 	c.teardown(false)
 }
 
@@ -341,7 +340,9 @@ func (c *Conn) teardown(notifyReset bool) {
 
 // ---------- frame construction ----------
 
-func (c *Conn) newFrame(flags wire.TCPFlags, relSeq, relAck uint32, data []byte, size int) *wire.Frame {
+// send puts one segment on the wire. The frame lives on this stack frame:
+// netem's Send copies it.
+func (c *Conn) send(flags wire.TCPFlags, relSeq, relAck uint32, data []byte, size int) {
 	c.stack.ipID++
 	wnd := c.stack.cfg.RecvWindow / 8 // window-scale factor 8, as a 2012 stack
 	if wnd > 0xffff {
@@ -351,7 +352,7 @@ func (c *Conn) newFrame(flags wire.TCPFlags, relSeq, relAck uint32, data []byte,
 	if flags.Has(wire.FlagACK) {
 		ack = c.irs + relAck
 	}
-	return &wire.Frame{
+	f := wire.Frame{
 		IP: wire.IPv4Header{
 			ID: c.stack.ipID, TTL: 64, Protocol: wire.ProtocolTCP,
 			Src: c.local.Addr, Dst: c.remote.Addr,
@@ -364,20 +365,14 @@ func (c *Conn) newFrame(flags wire.TCPFlags, relSeq, relAck uint32, data []byte,
 		Payload:    data,
 		PayloadLen: size,
 	}
+	c.stack.Host.Send(&f)
 }
 
-func (c *Conn) sendSyn() {
-	f := c.newFrame(wire.FlagSYN, 0, 0, nil, 0)
+// sendSyn opens the handshake: a SYN (relAck 0) or, on the passive side,
+// a SYN-ACK (relAck 1).
+func (c *Conn) sendSyn(flags wire.TCPFlags, relAck uint32) {
 	c.startRTT(1) // acked by relative ACK 1
-	c.stack.Host.Send(f)
-	c.sndNxt = 1
-	c.armRTO()
-}
-
-func (c *Conn) sendSynAck() {
-	f := c.newFrame(wire.FlagSYN|wire.FlagACK, 0, 1, nil, 0)
-	c.startRTT(1)
-	c.stack.Host.Send(f)
+	c.send(flags, 0, relAck, nil, 0)
 	c.sndNxt = 1
 	c.armRTO()
 }
@@ -463,8 +458,7 @@ func (c *Conn) transmit(seg segment, retrans bool) {
 	if seg.push {
 		flags |= wire.FlagPSH
 	}
-	f := c.newFrame(flags, seg.relSeq, c.rcvNxt, seg.data, seg.size)
-	c.stack.Host.Send(f)
+	c.send(flags, seg.relSeq, c.rcvNxt, seg.data, seg.size)
 	if retrans {
 		c.retransmits++
 	} else {
@@ -491,8 +485,7 @@ func (c *Conn) maybeSendFin() {
 		return // FIN already sent
 	}
 	c.finSeq = c.sndNxt
-	f := c.newFrame(wire.FlagFIN|wire.FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
-	c.stack.Host.Send(f)
+	c.send(wire.FlagFIN|wire.FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
 	c.sndNxt++
 	c.startRTT(c.sndNxt)
 	c.armRTO()
@@ -554,26 +547,20 @@ func (c *Conn) onRTO() {
 func (c *Conn) retransmitFirst() {
 	switch {
 	case c.state == stateSynSent:
-		f := c.newFrame(wire.FlagSYN, 0, 0, nil, 0)
-		c.stack.Host.Send(f)
-		c.retransmits++
-		c.armRTO()
+		c.send(wire.FlagSYN, 0, 0, nil, 0)
 	case c.state == stateSynRcvd:
-		f := c.newFrame(wire.FlagSYN|wire.FlagACK, 0, 1, nil, 0)
-		c.stack.Host.Send(f)
-		c.retransmits++
-		c.armRTO()
+		c.send(wire.FlagSYN|wire.FlagACK, 0, 1, nil, 0)
 	case c.finSeq != 0 && c.sndUna == c.finSeq:
-		f := c.newFrame(wire.FlagFIN|wire.FlagACK, c.finSeq, c.rcvNxt, nil, 0)
-		c.stack.Host.Send(f)
-		c.retransmits++
-		c.armRTO()
+		c.send(wire.FlagFIN|wire.FlagACK, c.finSeq, c.rcvNxt, nil, 0)
 	default:
 		if seg, ok := c.nextSegment(c.sndUna, wire.MSS); ok {
 			c.transmit(seg, true)
 		}
 		c.armRTO()
+		return
 	}
+	c.retransmits++
+	c.armRTO()
 }
 
 func (c *Conn) scheduleDelAck() {
@@ -586,8 +573,7 @@ func (c *Conn) scheduleDelAck() {
 func (c *Conn) sendAck() {
 	c.delAckID.Cancel()
 	c.ackPend = 0
-	f := c.newFrame(wire.FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
-	c.stack.Host.Send(f)
+	c.send(wire.FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
 }
 
 // ---------- receiving ----------
@@ -606,7 +592,7 @@ func (s *Stack) receive(now simtime.Time, f *wire.Frame) {
 			c.rcvNxt = 1
 			c.state = stateSynRcvd
 			s.conns[key] = c
-			c.sendSynAck()
+			c.sendSyn(wire.FlagSYN|wire.FlagACK, 1)
 			return
 		}
 	}
@@ -618,7 +604,7 @@ func (s *Stack) receive(now simtime.Time, f *wire.Frame) {
 
 func (s *Stack) sendRawRST(in *wire.Frame) {
 	s.ipID++
-	out := &wire.Frame{
+	out := wire.Frame{
 		IP: wire.IPv4Header{ID: s.ipID, TTL: 64, Protocol: wire.ProtocolTCP,
 			Src: in.IP.Dst, Dst: in.IP.Src},
 		TCP: wire.TCPHeader{
@@ -627,7 +613,7 @@ func (s *Stack) sendRawRST(in *wire.Frame) {
 			Flags: wire.FlagRST | wire.FlagACK,
 		},
 	}
-	s.Host.Send(out)
+	s.Host.Send(&out)
 }
 
 func (c *Conn) handle(f *wire.Frame) {
@@ -734,8 +720,7 @@ func (c *Conn) processAck(f *wire.Frame) {
 			if seg, ok := c.nextSegment(c.sndUna, wire.MSS); ok {
 				c.transmit(seg, true)
 			} else if c.finSeq != 0 && c.sndUna == c.finSeq {
-				fr := c.newFrame(wire.FlagFIN|wire.FlagACK, c.finSeq, c.rcvNxt, nil, 0)
-				c.stack.Host.Send(fr)
+				c.send(wire.FlagFIN|wire.FlagACK, c.finSeq, c.rcvNxt, nil, 0)
 				c.retransmits++
 			}
 		}
@@ -789,7 +774,7 @@ func (c *Conn) processData(f *wire.Frame) {
 				break
 			}
 			delete(c.oob, c.rcvNxt)
-			c.acceptSegment(next)
+			c.acceptSegment(&next)
 		}
 		if c.state == stateClosed {
 			return // an application callback aborted the connection
@@ -803,7 +788,7 @@ func (c *Conn) processData(f *wire.Frame) {
 	} else if relSeq > c.rcvNxt {
 		// Out of order: buffer and duplicate-ACK.
 		if len(c.oob) < 4096 {
-			c.oob[relSeq] = f
+			c.oob[relSeq] = *f
 		}
 		c.sendAck()
 	} else {

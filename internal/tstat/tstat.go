@@ -11,6 +11,8 @@
 package tstat
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"insidedropbox/internal/dnssim"
@@ -68,7 +70,7 @@ func New(sched *simtime.Scheduler, cfg Config) *Probe {
 		fqdn:       make(map[wire.IP]string),
 		tombstones: make(map[wire.FlowKey]simtime.Time),
 	}
-	sched.NewTicker(cfg.SweepEvery, func(now simtime.Time) { p.sweep(now) })
+	sched.NewTicker(cfg.SweepEvery, func(now simtime.Time) { p.sweep(now, false) })
 	return p
 }
 
@@ -166,10 +168,6 @@ func (p *Probe) Capture(now simtime.Time, f *wire.Frame, dir netem.TapDir) {
 
 	if up {
 		p.accountUp(now, fs, f)
-		if ack := flags.Has(wire.FlagACK); ack {
-			// Client acks tell us nothing about the external path.
-			_ = ack
-		}
 	} else {
 		p.accountDown(now, fs, f)
 		if flags.Has(wire.FlagACK) {
@@ -287,19 +285,25 @@ func (p *Probe) sampleRTT(now simtime.Time, fs *flowState, ack uint32) {
 	fs.pending = kept
 }
 
-// sweep finalizes idle flows.
-func (p *Probe) sweep(now simtime.Time) {
+// FlushAll finalizes every tracked flow (campaign end).
+func (p *Probe) FlushAll() { p.sweep(0, true) }
+
+// sweep finalizes idle flows, or every flow when all is set, in
+// (FirstPacket, FlowKey) order so records never reach OnRecord in map order.
+func (p *Probe) sweep(now simtime.Time, all bool) {
+	var keys []wire.FlowKey
 	for key, fs := range p.flows {
-		if now.Sub(fs.lastActivity) >= p.cfg.IdleTimeout {
-			p.finalize(key, fs)
+		if all || now.Sub(fs.lastActivity) >= p.cfg.IdleTimeout {
+			keys = append(keys, key)
 		}
 	}
-}
-
-// FlushAll finalizes every tracked flow (campaign end).
-func (p *Probe) FlushAll() {
-	for key, fs := range p.flows {
-		p.finalize(key, fs)
+	slices.SortFunc(keys, func(a, b wire.FlowKey) int {
+		return cmp.Or(cmp.Compare(p.flows[a].rec.FirstPacket, p.flows[b].rec.FirstPacket),
+			cmp.Compare(a.A.Addr, b.A.Addr), cmp.Compare(a.A.Port, b.A.Port),
+			cmp.Compare(a.B.Addr, b.B.Addr), cmp.Compare(a.B.Port, b.B.Port))
+	})
+	for _, key := range keys {
+		p.finalize(key, p.flows[key])
 	}
 }
 

@@ -1,6 +1,7 @@
 package tstat
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -334,5 +335,52 @@ func TestCapturedCounter(t *testing.T) {
 	w.sched.RunUntil(simtime.Time(30 * time.Second))
 	if w.probe.Captured() == 0 {
 		t.Fatal("probe saw no packets")
+	}
+}
+
+// TestSweepOrderDeterministic: flows that idle out in the same sweep, or
+// are flushed together, reach OnRecord ordered by first packet and then
+// by flow key, never in map order.
+func TestSweepOrderDeterministic(t *testing.T) {
+	sched := simtime.NewScheduler()
+	p := New(sched, DefaultConfig("test-vp"))
+	var got []wire.Endpoint
+	p.OnRecord = func(r *traces.FlowRecord) {
+		got = append(got, wire.Endpoint{Addr: r.Client, Port: r.ClientPort})
+	}
+	// Eight flows over two instants; within each, clients are sent in
+	// descending key order so the sort, not arrival, decides.
+	var want []wire.Endpoint
+	syn := func(i int) {
+		client := wire.Endpoint{Addr: wire.MakeIP(10, 0, 0, byte(8-i%4)), Port: 40000}
+		want = append(want, client)
+		p.Capture(sched.Now(), &wire.Frame{
+			IP:  wire.IPv4Header{Src: client.Addr, Dst: wire.MakeIP(184, 0, 0, 1)},
+			TCP: wire.TCPHeader{SrcPort: client.Port, DstPort: uint16(443 + i/4), Flags: wire.FlagSYN},
+		}, netem.TapOutbound)
+	}
+	for i := 0; i < 4; i++ {
+		syn(i)
+	}
+	sched.RunUntil(simtime.Time(time.Second))
+	for i := 4; i < 8; i++ {
+		syn(i)
+	}
+	for i := 0; i < 8; i += 4 { // equal first packets: ascending client address
+		slices.Reverse(want[i : i+4])
+	}
+	sched.RunUntil(simtime.Time(6 * time.Minute)) // the 5:30 sweep takes all eight
+	if !slices.Equal(got, want) {
+		t.Fatalf("sweep order %v, want %v", got, want)
+	}
+
+	got, want = nil, nil
+	for i := 0; i < 4; i++ {
+		syn(i)
+	}
+	slices.Reverse(want)
+	p.FlushAll()
+	if !slices.Equal(got, want) {
+		t.Fatalf("flush order %v, want %v", got, want)
 	}
 }
