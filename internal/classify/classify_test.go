@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"insidedropbox/internal/dnssim"
+	"insidedropbox/internal/tlssim"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/wire"
 )
@@ -77,6 +78,15 @@ func TestPayloadSubtractsHandshake(t *testing.T) {
 	tiny := &traces.FlowRecord{BytesUp: 100, BytesDown: 100}
 	if Payload(tiny, DirStore) != 0 || Payload(tiny, DirRetrieve) != 0 {
 		t.Fatal("payload must floor at zero")
+	}
+}
+
+// The probe side subtracts the handshake the simulated TLS endpoints send:
+// the two packages must hold the same Appendix A.2 sizes.
+func TestHandshakeSizesMatchTLSSim(t *testing.T) {
+	if SSLClientHandshake != tlssim.ClientHandshakeBytes || SSLServerHandshake != tlssim.ServerHandshakeBytes {
+		t.Fatalf("classify subtracts %d/%d handshake bytes, tlssim sends %d/%d",
+			SSLClientHandshake, SSLServerHandshake, tlssim.ClientHandshakeBytes, tlssim.ServerHandshakeBytes)
 	}
 }
 

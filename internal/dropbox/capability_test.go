@@ -22,7 +22,7 @@ func TestNewDeviceRefusesZeroProfile(t *testing.T) {
 	host := w.net.AddHost(wire.MakeIP(10, 0, 9, 1), "vp", netem.WiredWorkstation())
 	dev, err := NewDevice(ClientConfig{
 		Sched: w.sched, Rng: w.rng, Service: w.svc, Resolver: w.resolver,
-		Stack: tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultConfig()),
+		Stack: tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultIW),
 	}, acct.ID)
 	if err == nil || dev != nil || !strings.Contains(err.Error(), "capability profile has no name") {
 		t.Fatalf("NewDevice with the zero profile = %v, %v; want a no-name error", dev, err)

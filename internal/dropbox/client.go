@@ -24,12 +24,7 @@ type ClientConfig struct {
 	// Caps is the client's capability profile: a preset such as
 	// capability.DropboxV1252 or any variation of one. Required; NewDevice
 	// refuses a profile without a Name.
-	Caps      capability.Profile
-	Handshake tlssim.HandshakeConfig
-
-	// ReactionMedian is the median client processing time between storage
-	// operations (hashing, compression, disk). Zero uses 70 ms.
-	ReactionMedian time.Duration
+	Caps capability.Profile
 }
 
 // TransferKind labels a completed synchronization direction.
@@ -101,9 +96,6 @@ func NewDevice(cfg ClientConfig, account AccountID) (*Device, error) {
 	if cfg.Caps.Name == "" {
 		return nil, errors.New("dropbox: client capability profile has no name (start from a capability preset)")
 	}
-	if cfg.ReactionMedian == 0 {
-		cfg.ReactionMedian = 70 * time.Millisecond
-	}
 	host, err := cfg.Service.Meta.LinkDevice(account)
 	if err != nil {
 		return nil, err
@@ -123,9 +115,6 @@ func NewDevice(cfg ClientConfig, account AccountID) (*Device, error) {
 // Caps returns the device's capability profile.
 func (d *Device) Caps() capability.Profile { return d.Cfg.Caps }
 
-// Namespaces returns the namespaces this device synchronizes.
-func (d *Device) Namespaces() []NamespaceID { return d.namespaces }
-
 // Online reports whether a session is active.
 func (d *Device) Online() bool { return d.online }
 
@@ -137,7 +126,7 @@ func (d *Device) Has(h chunker.Hash) bool {
 
 // reaction samples the client-side inter-operation processing delay.
 func (d *Device) reaction() time.Duration {
-	return time.Duration(d.rng.LogNormalMedian(float64(d.Cfg.ReactionMedian), 0.5))
+	return time.Duration(d.rng.LogNormalMedian(float64(ClientReactionMedian), 0.5))
 }
 
 // Start opens a session: register with the control plane, start the
@@ -691,7 +680,7 @@ func (d *Device) dialRPC(kind string) *rpcConn {
 		return nil
 	}
 	conn := d.Cfg.Stack.Dial(ip, 443)
-	sess := tlssim.NewClient(conn, name, d.Cfg.Handshake)
+	sess := tlssim.NewClient(conn, name)
 	d.Cfg.Service.RegisterPending(conn.LocalEndpoint(), sess)
 	rc := &rpcConn{dev: d, sess: sess, kind: kind}
 	if kind != "control" && d.Cfg.Caps.CommitPipelining {

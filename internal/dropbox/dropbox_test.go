@@ -11,7 +11,6 @@ import (
 	"insidedropbox/internal/simrand"
 	"insidedropbox/internal/simtime"
 	"insidedropbox/internal/tcpsim"
-	"insidedropbox/internal/tlssim"
 	"insidedropbox/internal/wire"
 )
 
@@ -35,11 +34,8 @@ func newTW(t testing.TB, serverIW int) *tw {
 	net.SetCoreDelay("vp", dnssim.AmazonDC, 45*time.Millisecond)
 	net.SetCoreDelay("vp", dnssim.DropboxDC, 85*time.Millisecond)
 	dir := dnssim.Build(dnssim.Layout{MetaIPs: 3, NotifyIPs: 4, StorageNames: 12, StorageIPs: 8})
-	cfg := tcpsim.DefaultConfig()
-	cfg.InitialWindow = serverIW
 	svc := NewService(ServiceConfig{
-		Sched: sched, Net: net, Rng: rng, Dir: dir,
-		ServerTCP: cfg, StorageNamesPerClient: 6,
+		Sched: sched, Net: net, Rng: rng, Dir: dir, ServerIW: serverIW,
 	})
 	resolver := dnssim.NewResolver(dir, rng)
 	return &tw{sched: sched, rng: rng, net: net, dir: dir, resolver: resolver, svc: svc}
@@ -52,10 +48,10 @@ func (w *tw) device(t testing.TB, account AccountID, caps capability.Profile) *D
 	w.nextIP++
 	ip := wire.MakeIP(10, 0, 0, w.nextIP)
 	host := w.net.AddHost(ip, "vp", netem.WiredWorkstation())
-	stack := tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultConfig())
+	stack := tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultIW)
 	dev, err := NewDevice(ClientConfig{
 		Sched: w.sched, Rng: w.rng, Service: w.svc, Resolver: w.resolver,
-		Stack: stack, Caps: caps, Handshake: tlssim.DefaultHandshake(),
+		Stack: stack, Caps: caps,
 	}, account)
 	if err != nil {
 		t.Fatal(err)

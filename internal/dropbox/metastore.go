@@ -99,9 +99,6 @@ func (m *Metastore) LinkDevice(account AccountID) (HostID, error) {
 	return h, nil
 }
 
-// Device returns the device record, or nil.
-func (m *Metastore) Device(h HostID) *DeviceInfo { return m.hosts[h] }
-
 // ShareFolder creates a shared namespace owned by the given accounts (or
 // adds members to grow an existing share).
 func (m *Metastore) ShareFolder(members ...AccountID) (NamespaceID, error) {

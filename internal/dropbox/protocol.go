@@ -20,7 +20,6 @@ package dropbox
 import (
 	"time"
 
-	"insidedropbox/internal/capability"
 	"insidedropbox/internal/chunker"
 )
 
@@ -39,16 +38,23 @@ const (
 	// MaxChunksPerBatch caps chunks per transaction; larger synchronizations
 	// split into several batches (Sec. 2.3.2).
 	MaxChunksPerBatch = 100
-	// MaxBatchBytes is the cap a batch can reach: 100 chunks of 4 MB.
-	MaxBatchBytes = MaxChunksPerBatch * chunker.MaxChunkSize
 	// StorageIdleTimeout closes an idle storage connection (Fig. 19).
 	StorageIdleTimeout = 60 * time.Second
+	// ControlIdleTimeout closes idle meta-data connections; the paper
+	// observed "aggressive TCP connection timeout handling" producing many
+	// short TLS connections.
+	ControlIdleTimeout = 15 * time.Second
+	// ServerReactionMedian is the median server processing time per
+	// storage operation ("server reaction time", Sec. 4.4.2).
+	ServerReactionMedian = 45 * time.Millisecond
+	// ClientReactionMedian is the median client processing time between
+	// storage operations (hashing, compression, disk).
+	ClientReactionMedian = 70 * time.Millisecond
+	// StorageNamesPerClient is how many dl-clientX aliases the control
+	// plane hands to each client in list responses.
+	StorageNamesPerClient = 40
 	// NotifyPollPeriod is the long-poll response delay with no changes.
 	NotifyPollPeriod = 60 * time.Second
-	// BundleTargetBytes is how much v1.4.0 packs into one store_batch —
-	// the capability layer's default bundle target, re-exported so the
-	// protocol constants read as one set.
-	BundleTargetBytes = capability.DefaultBundleTarget
 )
 
 // HostID is the device identifier (host_int) carried in notification

@@ -20,23 +20,9 @@ type ServiceConfig struct {
 	Rng   *simrand.Source
 	Dir   *dnssim.Directory
 
-	// ServerTCP configures the server stacks. The initial window is the
-	// knob the paper saw tuned with the 1.4.0 deployment (Appendix A.4).
-	ServerTCP tcpsim.Config
-
-	// ReactionMedian is the median server processing time per storage
-	// operation ("server reaction time", Sec. 4.4.2). Zero uses the
-	// default of 45 ms.
-	ReactionMedian time.Duration
-
-	// ControlIdleTimeout closes idle meta-data connections; the paper
-	// observed "aggressive TCP connection timeout handling" producing many
-	// short TLS connections. Zero uses 15 s.
-	ControlIdleTimeout time.Duration
-
-	// StorageNamesPerClient is how many dl-clientX aliases the control
-	// plane hands to each client in list responses.
-	StorageNamesPerClient int
+	// ServerIW is the server stacks' initial window in segments: the knob
+	// the paper saw tuned with the 1.4.0 deployment (Appendix A.4).
+	ServerIW int
 }
 
 // Service is the whole Dropbox-plus-Amazon backend: every server host from
@@ -72,15 +58,6 @@ type Service struct {
 
 // NewService builds all server hosts and listeners.
 func NewService(cfg ServiceConfig) *Service {
-	if cfg.ReactionMedian == 0 {
-		cfg.ReactionMedian = 45 * time.Millisecond
-	}
-	if cfg.ControlIdleTimeout == 0 {
-		cfg.ControlIdleTimeout = 15 * time.Second
-	}
-	if cfg.StorageNamesPerClient == 0 {
-		cfg.StorageNamesPerClient = 40
-	}
 	s := &Service{
 		cfg:      cfg,
 		Meta:     NewMetastore(),
@@ -124,7 +101,7 @@ func (s *Service) ensureHost(ip wire.IP, site string, accept func(*tcpsim.Conn),
 		return
 	}
 	h := s.cfg.Net.AddHost(ip, netem.SiteID(site), storageAccess())
-	st := tcpsim.NewStack(h, s.cfg.Sched, s.rng, s.cfg.ServerTCP)
+	st := tcpsim.NewStack(h, s.cfg.Sched, s.rng, s.cfg.ServerIW)
 	st.Listen(port, accept)
 }
 
@@ -133,7 +110,7 @@ func (s *Service) ensureNotifyHost(ip wire.IP) {
 		return
 	}
 	h := s.cfg.Net.AddHost(ip, netem.SiteID(dnssim.DropboxDC), netem.DataCenter())
-	st := tcpsim.NewStack(h, s.cfg.Sched, s.rng, s.cfg.ServerTCP)
+	st := tcpsim.NewStack(h, s.cfg.Sched, s.rng, s.cfg.ServerIW)
 	st.Listen(80, s.notify.accept)
 }
 
@@ -170,14 +147,13 @@ func (s *Service) pairServer(conn *tcpsim.Conn, server *tlssim.Session) bool {
 
 // reaction samples a server processing delay.
 func (s *Service) reaction() time.Duration {
-	med := float64(s.cfg.ReactionMedian)
-	return time.Duration(s.rng.LogNormalMedian(med, 0.5))
+	return time.Duration(s.rng.LogNormalMedian(float64(ServerReactionMedian), 0.5))
 }
 
 // ---------- control servers ----------
 
 func (s *Service) acceptControl(conn *tcpsim.Conn) {
-	sess := tlssim.NewServer(conn, "*.dropbox.com", tlssim.DefaultHandshake())
+	sess := tlssim.NewServer(conn, "*.dropbox.com")
 	if !s.pairServer(conn, sess) {
 		conn.Abort()
 		return
@@ -185,7 +161,7 @@ func (s *Service) acceptControl(conn *tcpsim.Conn) {
 	var idle simtime.EventID
 	resetIdle := func() {
 		idle.Cancel()
-		idle = s.cfg.Sched.After(s.cfg.ControlIdleTimeout, func() {
+		idle = s.cfg.Sched.After(ControlIdleTimeout, func() {
 			sess.CloseNotify()
 		})
 	}
@@ -259,10 +235,7 @@ func commitPath(h HostID) string {
 
 func (s *Service) storageNameSlice() []string {
 	names := s.cfg.Dir.StorageNames
-	k := s.cfg.StorageNamesPerClient
-	if k > len(names) {
-		k = len(names)
-	}
+	k := min(StorageNamesPerClient, len(names))
 	out := make([]string, 0, k)
 	for i := 0; i < k; i++ {
 		out = append(out, names[(s.nameCursor+i)%len(names)])
@@ -278,7 +251,7 @@ func reply(sess *tlssim.Session, m any) {
 // ---------- storage servers ----------
 
 func (s *Service) acceptStorage(conn *tcpsim.Conn) {
-	sess := tlssim.NewServer(conn, "*.dropbox.com", tlssim.DefaultHandshake())
+	sess := tlssim.NewServer(conn, "*.dropbox.com")
 	if !s.pairServer(conn, sess) {
 		conn.Abort()
 		return

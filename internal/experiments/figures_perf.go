@@ -41,7 +41,7 @@ type PacketLabConfig struct {
 	ServerIW int
 	// Retrieve generates download flows instead of uploads.
 	Retrieve bool
-	// RTT is the one-way probe->storage core delay (default 45 ms,
+	// CoreDelay is the one-way probe->storage core delay (default 45 ms,
 	// approximating Campus 2's ≈95 ms round trip).
 	CoreDelay time.Duration
 	// Access is the client access profile (default campus wireless).
@@ -58,6 +58,10 @@ func DefaultPacketLab(retrieve bool) PacketLabConfig {
 		Access:    netem.CampusWireless(),
 	}
 }
+
+// RTT is the lab's probe->storage round trip Fig. 9's θ bound uses: the
+// core both ways plus a millisecond for the server side of the path.
+func (c PacketLabConfig) RTT() time.Duration { return 2*c.CoreDelay + time.Millisecond }
 
 // QuickPacketLab is a small variant for tests and -short benchmarks.
 func QuickPacketLab(retrieve bool) PacketLabConfig {
@@ -79,13 +83,11 @@ func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecor
 	net.SetCoreDelay("lab", dnssim.AmazonDC, cfg.CoreDelay)
 	net.SetCoreDelay("lab", dnssim.DropboxDC, cfg.CoreDelay+40*time.Millisecond)
 	dir := dnssim.Build(dnssim.Layout{MetaIPs: 2, NotifyIPs: 2, StorageNames: 64, StorageIPs: 64})
-	scfg := tcpsim.DefaultConfig()
-	scfg.InitialWindow = cfg.ServerIW
 	svc := dropbox.NewService(dropbox.ServiceConfig{
-		Sched: sched, Net: net, Rng: rng, Dir: dir, ServerTCP: scfg,
+		Sched: sched, Net: net, Rng: rng, Dir: dir, ServerIW: cfg.ServerIW,
 	})
 	resolver := dnssim.NewResolver(dir, rng)
-	probe := tstat.New(sched, tstat.DefaultConfig("packetlab"))
+	probe := tstat.New(sched, "packetlab")
 	var recs []*traces.FlowRecord
 	probe.OnRecord = func(r *traces.FlowRecord) { recs = append(recs, r) }
 	resolver.Log = probe.ObserveDNS
@@ -102,7 +104,7 @@ func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecor
 		ip := wire.MakeIP(10, 10, 0, byte(i+1))
 		host := net.AddHost(ip, "lab", cfg.Access)
 		lcs = append(lcs, &labClient{
-			stack: tcpsim.NewStack(host, sched, rng, tcpsim.DefaultConfig()),
+			stack: tcpsim.NewStack(host, sched, rng, tcpsim.DefaultIW),
 			rng:   rng.Fork(fmt.Sprintf("lab%d", i)),
 		})
 	}
@@ -187,11 +189,11 @@ func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecor
 		name := dir.StorageNames[lc.rng.Intn(len(dir.StorageNames))]
 		ip, _ := resolver.Resolve(sched.Now(), lc.stack.Host.IP, name)
 		conn := lc.stack.Dial(ip, 443)
-		sess := tlssim.NewClient(conn, name, tlssim.DefaultHandshake())
+		sess := tlssim.NewClient(conn, name)
 		svc.RegisterPending(conn.LocalEndpoint(), sess)
 		idx := 0
 		reaction := func() time.Duration {
-			return time.Duration(lc.rng.LogNormalMedian(float64(70*time.Millisecond), 0.5))
+			return time.Duration(lc.rng.LogNormalMedian(float64(dropbox.ClientReactionMedian), 0.5))
 		}
 		issue := func() {
 			if cfg.Retrieve {
@@ -417,8 +419,7 @@ func RunPacketLabs(ctx context.Context, store, retr PacketLabConfig) (fig9, fig1
 	if err != nil {
 		return nil, nil, err
 	}
-	rtt := 2*store.CoreDelay + time.Millisecond
-	fig9 = Figure9(storeRecs, retrRecs, rtt, store.ServerIW)
+	fig9 = Figure9(storeRecs, retrRecs, store.RTT(), store.ServerIW)
 	fig10 = Figure10(storeRecs, retrRecs)
 	return fig9, fig10, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path"
 	"sync"
-	"time"
 
 	"insidedropbox/internal/backend"
 	"insidedropbox/internal/capability"
@@ -282,8 +281,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			rtt := 2*cfg.CoreDelay + time.Millisecond
-			return Figure9(store, retr, rtt, cfg.ServerIW), nil
+			return Figure9(store, retr, cfg.RTT(), cfg.ServerIW), nil
 		},
 	})
 	register(Experiment{

@@ -14,7 +14,6 @@ import (
 	"insidedropbox/internal/simrand"
 	"insidedropbox/internal/simtime"
 	"insidedropbox/internal/tcpsim"
-	"insidedropbox/internal/tlssim"
 	"insidedropbox/internal/wire"
 )
 
@@ -73,7 +72,7 @@ func RunTestbed(ctx context.Context, seed int64) (*TestbedResult, error) {
 	net.SetCoreDelay("lab", dnssim.DropboxDC, 85*time.Millisecond)
 	dir := dnssim.Build(dnssim.Layout{MetaIPs: 2, NotifyIPs: 2, StorageNames: 8, StorageIPs: 8})
 	svc := dropbox.NewService(dropbox.ServiceConfig{
-		Sched: sched, Net: net, Rng: rng, Dir: dir, ServerTCP: tcpsim.DefaultConfig(),
+		Sched: sched, Net: net, Rng: rng, Dir: dir, ServerIW: tcpsim.DefaultIW,
 	})
 	resolver := dnssim.NewResolver(dir, rng)
 	tap := &packetTap{}
@@ -87,10 +86,10 @@ func RunTestbed(ctx context.Context, seed int64) (*TestbedResult, error) {
 
 	mkDev := func(ip wire.IP, acct dropbox.AccountID) *dropbox.Device {
 		host := net.AddHost(ip, "lab", netem.WiredWorkstation())
-		stack := tcpsim.NewStack(host, sched, rng, tcpsim.DefaultConfig())
+		stack := tcpsim.NewStack(host, sched, rng, tcpsim.DefaultIW)
 		dev, err := dropbox.NewDevice(dropbox.ClientConfig{
 			Sched: sched, Rng: rng, Service: svc, Resolver: resolver,
-			Stack: stack, Caps: capability.DropboxV1252(), Handshake: tlssim.DefaultHandshake(),
+			Stack: stack, Caps: capability.DropboxV1252(),
 		}, acct)
 		if err != nil {
 			panic(err)

@@ -203,7 +203,6 @@ func Synthesize(rng *simrand.Source, p Params, spec StorageFlowSpec) *traces.Flo
 func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Params, spec StorageFlowSpec) *traces.FlowRecord {
 	ops := groupOpsInto(s.ops[:0], p.Caps, spec.ChunkWires)
 	s.ops = ops
-	hs := tlssim.DefaultHandshake()
 	rec.FirstPacket = spec.Start
 	rec.SawSYN = true
 	rec.SNI = "dl-client0.dropbox.com"
@@ -211,8 +210,8 @@ func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Pa
 	rec.ServerPort = 443
 
 	// --- byte accounting (exact) ---
-	up := int64(hs.ClientBytes())
-	down := int64(hs.ServerBytes())
+	up := int64(tlssim.ClientHandshakeBytes)
+	down := int64(tlssim.ServerHandshakeBytes)
 	pshUp, pshDown := 2, 2 // hello + finish in each direction
 	for _, o := range ops {
 		if spec.Dir == classify.DirStore {

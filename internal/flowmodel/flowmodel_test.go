@@ -142,10 +142,10 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps ca
 	net.SetCoreDelay("vp", dnssim.DropboxDC, 85*time.Millisecond)
 	dir2 := dnssim.Build(dnssim.Layout{MetaIPs: 2, NotifyIPs: 2, StorageNames: 4, StorageIPs: 4})
 	svc := dropbox.NewService(dropbox.ServiceConfig{
-		Sched: sched, Net: net, Rng: rng, Dir: dir2, ServerTCP: tcpsim.DefaultConfig(),
+		Sched: sched, Net: net, Rng: rng, Dir: dir2, ServerIW: tcpsim.DefaultIW,
 	})
 	resolver := dnssim.NewResolver(dir2, rng)
-	probe := tstat.New(sched, tstat.DefaultConfig("calib"))
+	probe := tstat.New(sched, "calib")
 	var recs []*traces.FlowRecord
 	probe.OnRecord = func(r *traces.FlowRecord) { recs = append(recs, r) }
 	resolver.Log = probe.ObserveDNS
@@ -153,11 +153,11 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps ca
 
 	mk := func(ip wire.IP) *dropbox.Device {
 		host := net.AddHost(ip, "vp", netem.WiredWorkstation())
-		stack := tcpsim.NewStack(host, sched, rng, tcpsim.DefaultConfig())
+		stack := tcpsim.NewStack(host, sched, rng, tcpsim.DefaultIW)
 		acct := svc.Meta.CreateAccount()
 		dev, err := dropbox.NewDevice(dropbox.ClientConfig{
 			Sched: sched, Rng: rng, Service: svc, Resolver: resolver,
-			Stack: stack, Caps: caps, Handshake: tlssim.DefaultHandshake(),
+			Stack: stack, Caps: caps,
 		}, acct.ID)
 		if err != nil {
 			t.Fatal(err)

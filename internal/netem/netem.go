@@ -185,11 +185,6 @@ type Host struct {
 	net              *Network
 	upBusy, downBusy simtime.Time
 	routes           map[wire.IP]*route // by destination
-
-	// pathOffset is a deterministic per-destination extra delay emulating
-	// route diversity between this host and individual remote servers
-	// (Sec. 4.2.2 observes small per-route RTT steps).
-	pathOffset func(dst wire.IP) time.Duration
 }
 
 // AddHost attaches a host. IPs must be unique.
@@ -204,9 +199,6 @@ func (n *Network) AddHost(ip wire.IP, site SiteID, access AccessProfile) *Host {
 
 // Host returns the host with the given address, or nil.
 func (n *Network) Host(ip wire.IP) *Host { return n.hosts[ip] }
-
-// SetPathOffset installs a per-destination deterministic delay component.
-func (h *Host) SetPathOffset(fn func(dst wire.IP) time.Duration) { h.pathOffset = fn }
 
 // route returns the route toward dst, refreshed if a core delay or tap
 // changed since its last use, or nil when no such host exists.
@@ -275,17 +267,10 @@ func (h *Host) Send(f *wire.Frame) {
 		n.dropped++
 		return
 	}
-	core := r.core
-	if h.pathOffset != nil {
-		core += h.pathOffset(f.IP.Dst)
-	}
-	if r.dst.pathOffset != nil {
-		core += r.dst.pathOffset(f.IP.Src)
-	}
 	// Small queueing jitter, FIFO-clamped per host pair so TCP never sees
 	// spurious reordering from the emulator itself.
-	jitter := time.Duration(n.rng.Uniform(0, 0.002) * float64(core))
-	dstBorder := max(srcBorder.Add(core+jitter), r.last)
+	jitter := time.Duration(n.rng.Uniform(0, 0.002) * float64(r.core))
+	dstBorder := max(srcBorder.Add(r.core+jitter), r.last)
 	r.last = dstBorder
 
 	// Loss on the receiver's access segment happens after the probe: the

@@ -182,23 +182,6 @@ func TestCoreLossStatistical(t *testing.T) {
 	}
 }
 
-func TestPathOffset(t *testing.T) {
-	sched, n := newNet()
-	n.SetCoreDelay("campus", "dc", 40*time.Millisecond)
-	a := n.AddHost(wire.MakeIP(10, 0, 0, 1), "campus", AccessProfile{})
-	a.SetPathOffset(func(dst wire.IP) time.Duration {
-		return 7 * time.Millisecond
-	})
-	b := n.AddHost(wire.MakeIP(184, 0, 0, 1), "dc", AccessProfile{})
-	var arrived simtime.Time
-	b.Receive = func(now simtime.Time, f *wire.Frame) { arrived = now }
-	a.Send(testFrame(a.IP, b.IP, 10))
-	sched.Run()
-	if d := arrived.Duration(); d < 47*time.Millisecond || d > 48*time.Millisecond {
-		t.Fatalf("arrival with offset = %v", d)
-	}
-}
-
 func TestDuplicateHostPanics(t *testing.T) {
 	_, n := newNet()
 	n.AddHost(wire.MakeIP(10, 0, 0, 1), "campus", AccessProfile{})

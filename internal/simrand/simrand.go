@@ -62,23 +62,14 @@ func fnv64(str string) uint64 {
 	return h
 }
 
-// Name returns the stream name.
-func (s *Source) Name() string { return s.name }
-
 // Float64 returns a uniform value in [0,1).
 func (s *Source) Float64() float64 { return s.rng.Float64() }
 
 // Intn returns a uniform int in [0,n). n must be positive.
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 
-// Int63n returns a uniform int64 in [0,n).
-func (s *Source) Int63n(n int64) int64 { return s.rng.Int63n(n) }
-
 // Uint64 returns a uniform 64-bit value.
 func (s *Source) Uint64() uint64 { return s.rng.Uint64() }
-
-// Perm returns a random permutation of [0,n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 
 // Shuffle randomizes the order of n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }

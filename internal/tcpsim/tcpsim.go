@@ -1,5 +1,5 @@
 // Package tcpsim implements the TCP endpoints that run over the netem
-// topology: three-way handshake, slow start with a configurable initial
+// topology: three-way handshake, slow start with a per-stack initial
 // window, congestion avoidance, fast retransmit, retransmission timeouts,
 // delayed acknowledgments, PSH semantics and FIN/RST teardown.
 //
@@ -28,39 +28,26 @@ import (
 	"insidedropbox/internal/wire"
 )
 
-// Config holds the tunables that differ between the Mar/Apr and Jun/Jul
-// datasets (the paper observed Dropbox raising the server initial window
-// when 1.4.0 was deployed).
-type Config struct {
-	// InitialWindow is the initial congestion window in segments (the paper
-	// computes θ with IW=3; pre-1.4.0 Dropbox servers paused during the SSL
-	// handshake because of a smaller IW).
-	InitialWindow int
-	// MinRTO floors the retransmission timeout (Linux-style 200 ms).
-	MinRTO time.Duration
-	// InitialRTO applies before any RTT sample (RFC 6298: 1 s).
-	InitialRTO time.Duration
-	// RecvWindow is the advertised receive window in bytes.
-	RecvWindow int
-	// DelayedAckTimeout flushes a pending ACK if no second segment arrives.
-	DelayedAckTimeout time.Duration
-}
+// DefaultIW is the initial congestion window, in segments, of a 2012-era
+// Linux stack. It is the one setting that differs between the Mar/Apr and
+// Jun/Jul datasets: the paper computes θ with IW=3, and pre-1.4.0 Dropbox
+// servers paused during the SSL handshake because of a smaller IW.
+const DefaultIW = 3
 
-// DefaultConfig matches a 2012-era Linux client talking to the simulated
-// service.
-func DefaultConfig() Config {
-	return Config{
-		InitialWindow: 3,
-		MinRTO:        200 * time.Millisecond,
-		InitialRTO:    time.Second,
-		// 320 kB: comfortably above the bandwidth-delay product of the
-		// paths under study (10 Mbit/s × 90 ms ≈ 112 kB) while keeping
-		// queue overshoot below typical drop-tail buffers, as 2012 Linux
-		// auto-tuning did.
-		RecvWindow:        320 << 10,
-		DelayedAckTimeout: 40 * time.Millisecond,
-	}
-}
+// The rest of a 2012-era Linux client talking to the simulated service.
+const (
+	// minRTO floors the retransmission timeout (Linux-style 200 ms).
+	minRTO = 200 * time.Millisecond
+	// initialRTO applies before any RTT sample (RFC 6298: 1 s).
+	initialRTO = time.Second
+	// recvWindow is the advertised receive window in bytes. 320 kB:
+	// comfortably above the bandwidth-delay product of the paths under
+	// study (10 Mbit/s × 90 ms ≈ 112 kB) while keeping queue overshoot
+	// below typical drop-tail buffers, as 2012 Linux auto-tuning did.
+	recvWindow = 320 << 10
+	// delayedAckTimeout flushes a pending ACK if no second segment arrives.
+	delayedAckTimeout = 40 * time.Millisecond
+)
 
 // Stack is the per-host TCP layer. It installs itself as the host's frame
 // receiver and demultiplexes to connections and listeners.
@@ -68,7 +55,7 @@ type Stack struct {
 	Host  *netem.Host
 	sched *simtime.Scheduler
 	rng   *simrand.Source
-	cfg   Config
+	iw    int // initial congestion window in segments
 
 	conns     map[connKey]*Conn
 	listeners map[uint16]func(*Conn)
@@ -82,13 +69,17 @@ type connKey struct {
 	remotePort uint16
 }
 
-// NewStack attaches a TCP layer to the host.
-func NewStack(host *netem.Host, sched *simtime.Scheduler, rng *simrand.Source, cfg Config) *Stack {
+// NewStack attaches a TCP layer to the host, whose connections open with
+// an initial congestion window of iw segments (DefaultIW for a client).
+func NewStack(host *netem.Host, sched *simtime.Scheduler, rng *simrand.Source, iw int) *Stack {
+	if iw < 1 {
+		panic(fmt.Sprintf("tcpsim: initial window %d on %s, want at least 1 segment", iw, host.IP))
+	}
 	s := &Stack{
 		Host:      host,
 		sched:     sched,
 		rng:       rng.Fork("tcp/" + host.IP.String()),
-		cfg:       cfg,
+		iw:        iw,
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]func(*Conn)),
 		nextPort:  32768,
@@ -96,9 +87,6 @@ func NewStack(host *netem.Host, sched *simtime.Scheduler, rng *simrand.Source, c
 	host.Receive = s.receive
 	return s
 }
-
-// Config returns the stack configuration.
-func (s *Stack) Config() Config { return s.cfg }
 
 // Listen registers an accept callback for a local port. The callback runs
 // when a connection reaches the established state.
@@ -247,11 +235,11 @@ func (s *Stack) newConn(localPort uint16, remote wire.IP, remotePort uint16, ser
 		remote:   wire.Endpoint{Addr: remote, Port: remotePort},
 		server:   server,
 		iss:      uint32(s.rng.Uint64()),
-		cwnd:     s.cfg.InitialWindow * wire.MSS,
+		cwnd:     s.iw * wire.MSS,
 		ssthresh: 1 << 30,
 		peerWnd:  64 * 1024,
 		oob:      make(map[uint32]wire.Frame),
-		rto:      s.cfg.InitialRTO,
+		rto:      initialRTO,
 	}
 	c.onRTOFn, c.sendAckFn = c.onRTO, c.sendAck
 	return c
@@ -344,10 +332,6 @@ func (c *Conn) teardown(notifyReset bool) {
 // netem's Send copies it.
 func (c *Conn) send(flags wire.TCPFlags, relSeq, relAck uint32, data []byte, size int) {
 	c.stack.ipID++
-	wnd := c.stack.cfg.RecvWindow / 8 // window-scale factor 8, as a 2012 stack
-	if wnd > 0xffff {
-		wnd = 0xffff
-	}
 	var ack uint32
 	if flags.Has(wire.FlagACK) {
 		ack = c.irs + relAck
@@ -360,7 +344,7 @@ func (c *Conn) send(flags wire.TCPFlags, relSeq, relAck uint32, data []byte, siz
 		TCP: wire.TCPHeader{
 			SrcPort: c.local.Port, DstPort: c.remote.Port,
 			Seq: c.iss + relSeq, Ack: ack,
-			Flags: flags, Window: uint16(wnd),
+			Flags: flags, Window: recvWindow / 8, // window-scale factor 8, as a 2012 stack
 		},
 		Payload:    data,
 		PayloadLen: size,
@@ -567,7 +551,7 @@ func (c *Conn) scheduleDelAck() {
 	if c.delAckID.Pending() {
 		return
 	}
-	c.delAckID = c.stack.sched.After(c.stack.cfg.DelayedAckTimeout, c.sendAckFn)
+	c.delAckID = c.stack.sched.After(delayedAckTimeout, c.sendAckFn)
 }
 
 func (c *Conn) sendAck() {
@@ -756,11 +740,7 @@ func (c *Conn) updateRTT(sample time.Duration) {
 		c.rttvar = (3*c.rttvar + diff) / 4
 		c.srtt = (7*c.srtt + sample) / 8
 	}
-	rto := c.srtt + 4*c.rttvar
-	if rto < c.stack.cfg.MinRTO {
-		rto = c.stack.cfg.MinRTO
-	}
-	c.rto = rto
+	c.rto = max(c.srtt+4*c.rttvar, minRTO)
 }
 
 func (c *Conn) processData(f *wire.Frame) {

@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,8 +31,8 @@ func newWorld(t testing.TB, clientAccess, serverAccess netem.AccessProfile, oneW
 	return &testWorld{
 		sched:  sched,
 		net:    n,
-		client: NewStack(ch, sched, rng, DefaultConfig()),
-		server: NewStack(sh, sched, rng, DefaultConfig()),
+		client: NewStack(ch, sched, rng, DefaultIW),
+		server: NewStack(sh, sched, rng, DefaultIW),
 	}
 }
 
@@ -389,8 +390,8 @@ func TestRetransmitTimeoutGivesUp(t *testing.T) {
 	n.SetCoreDelay("vp", "dc", 10*time.Millisecond)
 	ch := n.AddHost(wire.MakeIP(10, 0, 0, 1), "vp", netem.AccessProfile{})
 	sh := n.AddHost(wire.MakeIP(184, 72, 0, 1), "dc", netem.AccessProfile{})
-	client := NewStack(ch, sched, rng, DefaultConfig())
-	server := NewStack(sh, sched, rng, DefaultConfig())
+	client := NewStack(ch, sched, rng, DefaultIW)
+	server := NewStack(sh, sched, rng, DefaultIW)
 	server.Listen(443, func(c *Conn) {})
 	conn := client.Dial(sh.IP, 443)
 	gotReset := false
@@ -405,6 +406,24 @@ func TestRetransmitTimeoutGivesUp(t *testing.T) {
 	}
 	if conn.Retransmits() < 3 {
 		t.Fatalf("expected several retransmits, got %d", conn.Retransmits())
+	}
+}
+
+// A stack without an initial window would stall every connection until the
+// caller's time cap; it is refused when built, naming the host.
+func TestNewStackRefusesEmptyWindow(t *testing.T) {
+	sched := simtime.NewScheduler()
+	rng := simrand.New(1, "t")
+	h := netem.New(sched, rng).AddHost(wire.MakeIP(184, 72, 0, 1), "dc", netem.AccessProfile{})
+	for _, iw := range []int{0, -1} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "184.72.0.1") {
+					t.Fatalf("NewStack(iw=%d) panic = %q, want one naming the host", iw, msg)
+				}
+			}()
+			NewStack(h, sched, rng, iw)
+		}()
 	}
 }
 

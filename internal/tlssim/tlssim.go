@@ -23,26 +23,23 @@ import (
 	"insidedropbox/internal/wire"
 )
 
-// HandshakeConfig fixes the flight sizes (bytes on the wire, record framing
-// included) so both endpoints agree on the handshake layout.
-type HandshakeConfig struct {
-	ClientHello  int // flight 1, client -> server
-	ClientFinish int // flight 2 (key exchange + CCS + finished)
-	ServerFlight int // hello + certificate + hello-done
-	ServerFinish int // CCS + finished
-}
+// Handshake flight sizes: bytes on the wire, record framing included. Both
+// endpoints agree on this layout.
+const (
+	clientHello  = 139  // flight 1, client -> server
+	clientFinish = 155  // flight 2 (key exchange + CCS + finished)
+	serverFlight = 4031 // hello + certificate + hello-done
+	serverFinish = 72   // CCS + finished
+)
 
-// DefaultHandshake matches the paper's typical sizes: 294 bytes from
-// clients, 4103 from servers.
-func DefaultHandshake() HandshakeConfig {
-	return HandshakeConfig{ClientHello: 139, ClientFinish: 155, ServerFlight: 4031, ServerFinish: 72}
-}
-
-// ClientBytes returns the client's total handshake contribution.
-func (h HandshakeConfig) ClientBytes() int { return h.ClientHello + h.ClientFinish }
-
-// ServerBytes returns the server's total handshake contribution.
-func (h HandshakeConfig) ServerBytes() int { return h.ServerFlight + h.ServerFinish }
+// The paper's typical handshake sizes: 294 bytes from clients, 4103 from
+// servers.
+const (
+	// ClientHandshakeBytes is the client's total handshake contribution.
+	ClientHandshakeBytes = clientHello + clientFinish
+	// ServerHandshakeBytes is the server's total handshake contribution.
+	ServerHandshakeBytes = serverFlight + serverFinish
+)
 
 // maxRecordPayload is the application-data record payload limit.
 const maxRecordPayload = 16384
@@ -70,7 +67,6 @@ type sideMsg struct {
 // Session is one endpoint of a TLS connection.
 type Session struct {
 	Conn   *tcpsim.Conn
-	cfg    HandshakeConfig
 	client bool
 	name   string // SNI (client) or certificate CN (server)
 
@@ -103,8 +99,8 @@ type Session struct {
 
 // NewClient starts the client side of a session on an established-or-dialing
 // connection. sni is the requested server name.
-func NewClient(conn *tcpsim.Conn, sni string, cfg HandshakeConfig) *Session {
-	s := &Session{Conn: conn, cfg: cfg, client: true, name: sni}
+func NewClient(conn *tcpsim.Conn, sni string) *Session {
+	s := &Session{Conn: conn, client: true, name: sni}
 	s.install()
 	prev := conn.OnEstablished
 	conn.OnEstablished = func() {
@@ -118,8 +114,8 @@ func NewClient(conn *tcpsim.Conn, sni string, cfg HandshakeConfig) *Session {
 
 // NewServer starts the server side on an accepted connection. certName is
 // the certificate common name presented (e.g. "*.dropbox.com").
-func NewServer(conn *tcpsim.Conn, certName string, cfg HandshakeConfig) *Session {
-	s := &Session{Conn: conn, cfg: cfg, client: false, name: certName}
+func NewServer(conn *tcpsim.Conn, certName string) *Session {
+	s := &Session{Conn: conn, client: false, name: certName}
 	s.install()
 	return s
 }
@@ -157,15 +153,14 @@ func (s *Session) Established() bool { return s.established }
 // ---------- handshake ----------
 
 func (s *Session) sendClientHello() {
-	rec := wire.BuildHandshake(wire.HandshakeClientHello, s.name, s.cfg.ClientHello)
+	rec := wire.BuildHandshake(wire.HandshakeClientHello, s.name, clientHello)
 	s.Conn.Write(rec, len(rec), true)
 	s.hsStage = 1 // waiting for server flight
 }
 
 func (s *Session) sendClientFinish() {
-	n := s.cfg.ClientFinish
 	ccs := wire.ChangeCipherSpec()
-	fin := wire.BuildHandshake(wire.HandshakeFinished, "", n-len(ccs))
+	fin := wire.BuildHandshake(wire.HandshakeFinished, "", clientFinish-len(ccs))
 	buf := append(append([]byte(nil), ccs...), fin...)
 	s.Conn.Write(buf, len(buf), true)
 	s.hsStage = 2 // waiting for server finish
@@ -174,7 +169,7 @@ func (s *Session) sendClientFinish() {
 func (s *Session) sendServerFlight() {
 	hello := wire.BuildHandshake(wire.HandshakeServerHello, "", 87)
 	done := wire.BuildHandshake(wire.HandshakeServerHelloDone, "", 44)
-	certLen := s.cfg.ServerFlight - len(hello) - len(done)
+	certLen := serverFlight - len(hello) - len(done)
 	cert := wire.BuildHandshake(wire.HandshakeCertificate, s.name, certLen)
 	buf := append(append(append([]byte(nil), hello...), cert...), done...)
 	s.Conn.Write(buf, len(buf), true)
@@ -182,9 +177,8 @@ func (s *Session) sendServerFlight() {
 }
 
 func (s *Session) sendServerFinish() {
-	n := s.cfg.ServerFinish
 	ccs := wire.ChangeCipherSpec()
-	fin := wire.BuildHandshake(wire.HandshakeFinished, "", n-len(ccs))
+	fin := wire.BuildHandshake(wire.HandshakeFinished, "", serverFinish-len(ccs))
 	buf := append(append([]byte(nil), ccs...), fin...)
 	s.Conn.Write(buf, len(buf), true)
 	s.markEstablished()
@@ -209,13 +203,13 @@ func (s *Session) onRecv(data []byte, size int, push bool) {
 	if s.client {
 		switch s.hsStage {
 		case 1: // expecting server flight
-			if s.hsGot >= s.cfg.ServerFlight {
-				s.hsGot -= s.cfg.ServerFlight
+			if s.hsGot >= serverFlight {
+				s.hsGot -= serverFlight
 				s.sendClientFinish()
 			}
 		case 2: // expecting server finish
-			if s.hsGot >= s.cfg.ServerFinish {
-				extra := s.hsGot - s.cfg.ServerFinish
+			if s.hsGot >= serverFinish {
+				extra := s.hsGot - serverFinish
 				s.hsGot = 0
 				s.markEstablished()
 				if extra > 0 {
@@ -228,13 +222,13 @@ func (s *Session) onRecv(data []byte, size int, push bool) {
 	// Server side.
 	switch s.hsStage {
 	case 0: // expecting client hello
-		if s.hsGot >= s.cfg.ClientHello {
-			s.hsGot -= s.cfg.ClientHello
+		if s.hsGot >= clientHello {
+			s.hsGot -= clientHello
 			s.sendServerFlight()
 		}
 	case 1: // expecting client finish
-		if s.hsGot >= s.cfg.ClientFinish {
-			extra := s.hsGot - s.cfg.ClientFinish
+		if s.hsGot >= clientFinish {
+			extra := s.hsGot - clientFinish
 			s.hsGot = 0
 			s.sendServerFinish()
 			if extra > 0 {

@@ -58,13 +58,11 @@ func newWorld(t testing.TB, serverIW int) *world {
 	sh := n.AddHost(wire.MakeIP(184, 72, 0, 1), "dc", netem.AccessProfile{})
 	tap := &byteTap{}
 	n.AttachTap("vp", tap)
-	scfg := tcpsim.DefaultConfig()
-	scfg.InitialWindow = serverIW
 	return &world{
 		sched:  sched,
 		net:    n,
-		client: tcpsim.NewStack(ch, sched, rng, tcpsim.DefaultConfig()),
-		server: tcpsim.NewStack(sh, sched, rng, scfg),
+		client: tcpsim.NewStack(ch, sched, rng, tcpsim.DefaultIW),
+		server: tcpsim.NewStack(sh, sched, rng, serverIW),
 		tap:    tap,
 	}
 }
@@ -76,11 +74,11 @@ func dial(w *world) (cs *Session, ssp **Session) {
 	var ss *Session
 	ssp = &ss
 	w.server.Listen(443, func(c *tcpsim.Conn) {
-		ss = NewServer(c, "*.dropbox.com", DefaultHandshake())
+		ss = NewServer(c, "*.dropbox.com")
 		Pair(cs, ss)
 	})
 	conn := w.client.Dial(w.server.Host.IP, 443)
-	cs = NewClient(conn, "dl-client3.dropbox.com", DefaultHandshake())
+	cs = NewClient(conn, "dl-client3.dropbox.com")
 	return cs, ssp
 }
 
@@ -125,15 +123,14 @@ func TestHandshakeByteBudget(t *testing.T) {
 	if !done {
 		t.Fatal("no handshake")
 	}
-	hs := DefaultHandshake()
-	if w.tap.outBytes != hs.ClientBytes() {
-		t.Fatalf("client handshake bytes = %d, want %d", w.tap.outBytes, hs.ClientBytes())
+	if w.tap.outBytes != ClientHandshakeBytes {
+		t.Fatalf("client handshake bytes = %d, want %d", w.tap.outBytes, ClientHandshakeBytes)
 	}
-	if w.tap.inBytes != hs.ServerBytes() {
-		t.Fatalf("server handshake bytes = %d, want %d", w.tap.inBytes, hs.ServerBytes())
+	if w.tap.inBytes != ServerHandshakeBytes {
+		t.Fatalf("server handshake bytes = %d, want %d", w.tap.inBytes, ServerHandshakeBytes)
 	}
-	if hs.ClientBytes() != 294 || hs.ServerBytes() != 4103 {
-		t.Fatalf("defaults diverge from the paper: %d/%d", hs.ClientBytes(), hs.ServerBytes())
+	if ClientHandshakeBytes != 294 || ServerHandshakeBytes != 4103 {
+		t.Fatalf("sizes diverge from the paper: %d/%d", ClientHandshakeBytes, ServerHandshakeBytes)
 	}
 }
 

@@ -22,31 +22,22 @@ import (
 	"insidedropbox/internal/wire"
 )
 
-// Config tunes a probe.
-type Config struct {
-	// VP names the vantage point in exported records.
-	VP string
-	// HasDNS enables FQDN labeling. Campus 2's probe could not see DNS
-	// traffic (Sec. 3.2), which disables per-service FQDN breakdowns there.
-	HasDNS bool
-	// DPIBudget caps the payload bytes buffered per direction for DPI.
-	DPIBudget int
-	// IdleTimeout finalizes flows with no traffic for this long.
-	IdleTimeout time.Duration
-	// SweepEvery sets the idle-scan cadence.
-	SweepEvery time.Duration
-}
-
-// DefaultConfig returns the standard probe settings.
-func DefaultConfig(vp string) Config {
-	return Config{VP: vp, HasDNS: true, DPIBudget: 4096,
-		IdleTimeout: 5 * time.Minute, SweepEvery: 30 * time.Second}
-}
+// The standard probe settings.
+const (
+	// dpiBudget caps the payload bytes buffered per direction for DPI.
+	dpiBudget = 4096
+	// idleTimeout finalizes flows with no traffic for this long.
+	idleTimeout = 5 * time.Minute
+	// sweepEvery sets the idle-scan cadence.
+	sweepEvery = 30 * time.Second
+)
 
 // Probe is a passive flow monitor. Attach it to a netem site with
-// Network.AttachTap and feed DNS events via ObserveDNS.
+// Network.AttachTap and feed DNS events via ObserveDNS. A probe fed no DNS
+// events labels no FQDN, as Campus 2's could not see DNS traffic (Sec.
+// 3.2), which disables per-service FQDN breakdowns there.
 type Probe struct {
-	cfg   Config
+	vp    string // names the vantage point in exported records
 	sched *simtime.Scheduler
 
 	// OnRecord receives each finalized flow record.
@@ -62,15 +53,15 @@ type Probe struct {
 }
 
 // New builds a probe and starts its idle sweeper.
-func New(sched *simtime.Scheduler, cfg Config) *Probe {
+func New(sched *simtime.Scheduler, vp string) *Probe {
 	p := &Probe{
-		cfg:        cfg,
+		vp:         vp,
 		sched:      sched,
 		flows:      make(map[wire.FlowKey]*flowState),
 		fqdn:       make(map[wire.IP]string),
 		tombstones: make(map[wire.FlowKey]simtime.Time),
 	}
-	sched.NewTicker(cfg.SweepEvery, func(now simtime.Time) { p.sweep(now, false) })
+	sched.NewTicker(sweepEvery, func(now simtime.Time) { p.sweep(now, false) })
 	return p
 }
 
@@ -83,9 +74,7 @@ func (p *Probe) ActiveFlows() int { return len(p.flows) }
 // ObserveDNS records a resolution so later flows to the server IP can be
 // labeled with the requested FQDN. Plug into dnssim.Resolver.Log.
 func (p *Probe) ObserveDNS(e dnssim.Event) {
-	if p.cfg.HasDNS {
-		p.fqdn[e.Server] = e.FQDN
-	}
+	p.fqdn[e.Server] = e.FQDN
 }
 
 // pendingSample is an outbound segment awaiting its acknowledgment.
@@ -103,7 +92,6 @@ type flowState struct {
 	pending                []pendingSample // outbound segments awaiting acks
 	upDPI, downDPI         []byte
 	upDPIDone, downDPIDone bool
-	notifyDone             bool
 	finUp, finDown         bool
 	lastActivity           simtime.Time
 	minRTT                 time.Duration
@@ -128,7 +116,7 @@ func (p *Probe) Capture(now simtime.Time, f *wire.Frame, dir netem.TapDir) {
 	}
 	if fs == nil {
 		fs = &flowState{minRTT: -1}
-		fs.rec.VP = p.cfg.VP
+		fs.rec.VP = p.vp
 		fs.rec.FirstPacket = now.Duration()
 		// The client is the endpoint inside the monitored site.
 		if dir == netem.TapOutbound {
@@ -207,7 +195,7 @@ func (p *Probe) accountUp(now simtime.Time, fs *flowState, f *wire.Frame) {
 		if f.TCP.Flags.Has(wire.FlagPSH) {
 			fs.rec.PSHUp++
 		}
-		if !fs.upDPIDone && len(fs.upDPI) < p.cfg.DPIBudget {
+		if !fs.upDPIDone && len(fs.upDPI) < dpiBudget {
 			fs.upDPI = append(fs.upDPI, f.Payload...)
 		}
 	} else if f.TCP.Flags.Has(wire.FlagSYN) && !fs.upInit {
@@ -257,7 +245,7 @@ func (p *Probe) accountDown(now simtime.Time, fs *flowState, f *wire.Frame) {
 		if f.TCP.Flags.Has(wire.FlagPSH) {
 			fs.rec.PSHDown++
 		}
-		if !fs.downDPIDone && len(fs.downDPI) < p.cfg.DPIBudget {
+		if !fs.downDPIDone && len(fs.downDPI) < dpiBudget {
 			fs.downDPI = append(fs.downDPI, f.Payload...)
 		}
 	} else if f.TCP.Flags.Has(wire.FlagSYN) && !fs.downInit {
@@ -293,7 +281,7 @@ func (p *Probe) FlushAll() { p.sweep(0, true) }
 func (p *Probe) sweep(now simtime.Time, all bool) {
 	var keys []wire.FlowKey
 	for key, fs := range p.flows {
-		if all || now.Sub(fs.lastActivity) >= p.cfg.IdleTimeout {
+		if all || now.Sub(fs.lastActivity) >= idleTimeout {
 			keys = append(keys, key)
 		}
 	}
@@ -327,9 +315,7 @@ func (p *Probe) finalize(key wire.FlowKey, fs *flowState) {
 			rec.NotifyNamespaces = req.Namespaces
 		}
 	}
-	if p.cfg.HasDNS {
-		rec.FQDN = p.fqdn[rec.Server]
-	}
+	rec.FQDN = p.fqdn[rec.Server]
 	if p.OnRecord != nil {
 		p.OnRecord(rec)
 	}

@@ -14,7 +14,6 @@ import (
 	"insidedropbox/internal/simrand"
 	"insidedropbox/internal/simtime"
 	"insidedropbox/internal/tcpsim"
-	"insidedropbox/internal/tlssim"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/wire"
 )
@@ -42,11 +41,11 @@ func newWorld(t testing.TB) *world {
 	dir := dnssim.Build(dnssim.Layout{MetaIPs: 3, NotifyIPs: 4, StorageNames: 12, StorageIPs: 8})
 	svc := dropbox.NewService(dropbox.ServiceConfig{
 		Sched: sched, Net: net, Rng: rng, Dir: dir,
-		ServerTCP: tcpsim.DefaultConfig(), StorageNamesPerClient: 6,
+		ServerIW: tcpsim.DefaultIW,
 	})
 	resolver := dnssim.NewResolver(dir, rng)
 	w := &world{sched: sched, rng: rng, net: net, dir: dir, resolver: resolver, svc: svc}
-	w.probe = New(sched, DefaultConfig("test-vp"))
+	w.probe = New(sched, "test-vp")
 	w.probe.OnRecord = func(r *traces.FlowRecord) { w.records = append(w.records, r) }
 	resolver.Log = w.probe.ObserveDNS
 	net.AttachTap("vp", w.probe)
@@ -58,10 +57,10 @@ func (w *world) device(t testing.TB, acct dropbox.AccountID, caps capability.Pro
 	w.nextIP++
 	ip := wire.MakeIP(10, 0, 0, w.nextIP)
 	host := w.net.AddHost(ip, "vp", netem.WiredWorkstation())
-	stack := tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultConfig())
+	stack := tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultIW)
 	dev, err := dropbox.NewDevice(dropbox.ClientConfig{
 		Sched: w.sched, Rng: w.rng, Service: w.svc, Resolver: w.resolver,
-		Stack: stack, Caps: caps, Handshake: tlssim.DefaultHandshake(),
+		Stack: stack, Caps: caps,
 	}, acct)
 	if err != nil {
 		t.Fatal(err)
@@ -248,24 +247,21 @@ func TestProbeWithoutDNS(t *testing.T) {
 	net.SetCoreDelay("vp", dnssim.DropboxDC, 85*time.Millisecond)
 	dir := dnssim.Build(dnssim.Layout{MetaIPs: 3, NotifyIPs: 4, StorageNames: 12, StorageIPs: 8})
 	svc := dropbox.NewService(dropbox.ServiceConfig{
-		Sched: sched, Net: net, Rng: rng, Dir: dir, ServerTCP: tcpsim.DefaultConfig(),
+		Sched: sched, Net: net, Rng: rng, Dir: dir, ServerIW: tcpsim.DefaultIW,
 	})
 	resolver := dnssim.NewResolver(dir, rng)
-	cfg := DefaultConfig("campus2")
-	cfg.HasDNS = false
-	probe := New(sched, cfg)
+	probe := New(sched, "campus2") // resolver.Log is not wired: no DNS events
 	var recs []*traces.FlowRecord
 	probe.OnRecord = func(r *traces.FlowRecord) { recs = append(recs, r) }
-	resolver.Log = probe.ObserveDNS
 	net.AttachTap("vp", probe)
 
 	ip := wire.MakeIP(10, 0, 0, 1)
 	host := net.AddHost(ip, "vp", netem.CampusWireless())
-	stack := tcpsim.NewStack(host, sched, rng, tcpsim.DefaultConfig())
+	stack := tcpsim.NewStack(host, sched, rng, tcpsim.DefaultIW)
 	acct := svc.Meta.CreateAccount()
 	dev, err := dropbox.NewDevice(dropbox.ClientConfig{
 		Sched: sched, Rng: rng, Service: svc, Resolver: resolver,
-		Stack: stack, Caps: capability.DropboxV1252(), Handshake: tlssim.DefaultHandshake(),
+		Stack: stack, Caps: capability.DropboxV1252(),
 	}, acct.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +339,7 @@ func TestCapturedCounter(t *testing.T) {
 // by flow key, never in map order.
 func TestSweepOrderDeterministic(t *testing.T) {
 	sched := simtime.NewScheduler()
-	p := New(sched, DefaultConfig("test-vp"))
+	p := New(sched, "test-vp")
 	var got []wire.Endpoint
 	p.OnRecord = func(r *traces.FlowRecord) {
 		got = append(got, wire.Endpoint{Addr: r.Client, Port: r.ClientPort})

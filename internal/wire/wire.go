@@ -1,25 +1,16 @@
-// Package wire defines the packet formats that cross the simulated network
-// and a gopacket-flavored decoding API for consuming them.
+// Package wire defines the packets that cross the simulated network.
 //
-// Two representations exist, mirroring gopacket's two decoding paths:
-//
-//   - Frame is the in-memory fast path (compare DecodingLayerParser): the
-//     simulator and the passive probe exchange *Frame values directly with
-//     zero serialization cost.
-//   - Serialize/Decode convert frames to and from real header bytes
-//     (compare NewPacket). Captures honor a snap length: headers and the
-//     first payload bytes are materialized, the rest is accounted but not
-//     stored — exactly how production probes such as Tstat capture traffic.
-//
-// Only the payload prefix that deep packet inspection needs (TLS handshake
-// records, HTTP-ish command framing) is ever materialized; bulk data bytes
-// are represented by length only, keeping multi-gigabyte simulations cheap
-// while every byte remains accounted for in flow metrics.
+// A Frame is the in-memory form the simulator and the passive probe
+// exchange directly, with zero serialization cost. Only the payload prefix
+// that deep packet inspection needs (TLS handshake records, HTTP-ish command
+// framing) is ever materialized; bulk data bytes are represented by length
+// only, keeping multi-gigabyte simulations cheap while every byte remains
+// accounted for in flow metrics — the way a production probe such as Tstat
+// captures traffic under a snap length.
 package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -128,9 +119,6 @@ type Frame struct {
 // WireLen returns the total on-the-wire packet size in bytes.
 func (f *Frame) WireLen() int { return HeadersLen + f.PayloadLen }
 
-// Truncated reports how many payload bytes are not materialized.
-func (f *Frame) Truncated() int { return f.PayloadLen - len(f.Payload) }
-
 func (f *Frame) String() string {
 	return fmt.Sprintf("%s:%d > %s:%d [%s] seq=%d ack=%d len=%d",
 		f.IP.Src, f.TCP.SrcPort, f.IP.Dst, f.TCP.DstPort,
@@ -153,27 +141,6 @@ func (e Endpoint) Less(o Endpoint) bool {
 		return e.Addr < o.Addr
 	}
 	return e.Port < o.Port
-}
-
-// Flow is a unidirectional (src, dst) endpoint pair.
-type Flow struct {
-	Src, Dst Endpoint
-}
-
-// Endpoints returns the flow's endpoints in order.
-func (fl Flow) Endpoints() (src, dst Endpoint) { return fl.Src, fl.Dst }
-
-// Reverse returns the flow in the opposite direction.
-func (fl Flow) Reverse() Flow { return Flow{Src: fl.Dst, Dst: fl.Src} }
-
-func (fl Flow) String() string { return fl.Src.String() + "->" + fl.Dst.String() }
-
-// FlowOf extracts the unidirectional flow of a frame.
-func FlowOf(f *Frame) Flow {
-	return Flow{
-		Src: Endpoint{Addr: f.IP.Src, Port: f.TCP.SrcPort},
-		Dst: Endpoint{Addr: f.IP.Dst, Port: f.TCP.DstPort},
-	}
 }
 
 // FlowKey is the canonical bidirectional key: both directions of a
@@ -201,155 +168,4 @@ func Canonical(f *Frame) (FlowKey, Direction) {
 		return FlowKey{A: src, B: dst}, DirAToB
 	}
 	return FlowKey{A: dst, B: src}, DirBToA
-}
-
-// checksum computes the Internet checksum (RFC 1071) over data.
-func checksum(sum uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
-	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
-	}
-	return sum
-}
-
-func foldChecksum(sum uint32) uint16 {
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
-
-// Serialize encodes the frame into real bytes, materializing at most snaplen
-// bytes total (headers always included; use snaplen <= 0 for "headers
-// only"). The returned slice is freshly allocated. IP and TCP checksums are
-// computed over the materialized bytes.
-func (f *Frame) Serialize(snaplen int) []byte {
-	capPayload := len(f.Payload)
-	if snaplen > 0 {
-		avail := snaplen - HeadersLen
-		if avail < 0 {
-			avail = 0
-		}
-		if capPayload > avail {
-			capPayload = avail
-		}
-	} else if snaplen == 0 {
-		capPayload = 0
-	}
-	buf := make([]byte, HeadersLen+capPayload)
-
-	// IPv4 header. TotalLength carries the true on-the-wire size so that
-	// decoders recover PayloadLen even from truncated captures.
-	total := f.WireLen()
-	if total > 0xffff {
-		panic(fmt.Sprintf("wire: frame exceeds IPv4 total length: %d", total))
-	}
-	buf[0] = 0x45 // version 4, IHL 5
-	buf[1] = f.IP.TOS
-	binary.BigEndian.PutUint16(buf[2:4], uint16(total))
-	binary.BigEndian.PutUint16(buf[4:6], f.IP.ID)
-	buf[8] = f.IP.TTL
-	buf[9] = f.IP.Protocol
-	binary.BigEndian.PutUint32(buf[12:16], uint32(f.IP.Src))
-	binary.BigEndian.PutUint32(buf[16:20], uint32(f.IP.Dst))
-	ipSum := foldChecksum(checksum(0, buf[0:IPv4HeaderLen]))
-	binary.BigEndian.PutUint16(buf[10:12], ipSum)
-
-	// TCP header.
-	t := buf[IPv4HeaderLen:]
-	binary.BigEndian.PutUint16(t[0:2], f.TCP.SrcPort)
-	binary.BigEndian.PutUint16(t[2:4], f.TCP.DstPort)
-	binary.BigEndian.PutUint32(t[4:8], f.TCP.Seq)
-	binary.BigEndian.PutUint32(t[8:12], f.TCP.Ack)
-	t[12] = 5 << 4 // data offset 5 words
-	t[13] = byte(f.TCP.Flags)
-	binary.BigEndian.PutUint16(t[14:16], f.TCP.Window)
-	binary.BigEndian.PutUint16(t[18:20], f.TCP.Urgent)
-	copy(t[TCPHeaderLen:], f.Payload[:capPayload])
-
-	// TCP checksum over pseudo-header + header + materialized payload.
-	var pseudo [12]byte
-	binary.BigEndian.PutUint32(pseudo[0:4], uint32(f.IP.Src))
-	binary.BigEndian.PutUint32(pseudo[4:8], uint32(f.IP.Dst))
-	pseudo[9] = ProtocolTCP
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(TCPHeaderLen+capPayload))
-	sum := checksum(0, pseudo[:])
-	sum = checksum(sum, t[:TCPHeaderLen+capPayload])
-	binary.BigEndian.PutUint16(t[16:18], foldChecksum(sum))
-
-	return buf
-}
-
-// Decoding errors.
-var (
-	ErrTooShort    = errors.New("wire: packet too short")
-	ErrBadVersion  = errors.New("wire: not an IPv4 packet")
-	ErrBadChecksum = errors.New("wire: checksum mismatch")
-	ErrNotTCP      = errors.New("wire: not a TCP packet")
-)
-
-// Decode parses serialized bytes back into a Frame. It accepts truncated
-// (snap-length) captures: PayloadLen is recovered from the IP total length
-// while Payload holds whatever was captured. The IP header checksum is
-// verified; the TCP checksum is verified only for untruncated packets (a
-// truncated capture cannot contain a valid transport checksum).
-func Decode(data []byte) (*Frame, error) {
-	if len(data) < HeadersLen {
-		return nil, ErrTooShort
-	}
-	if data[0]>>4 != 4 {
-		return nil, ErrBadVersion
-	}
-	ihl := int(data[0]&0x0f) * 4
-	if ihl != IPv4HeaderLen {
-		return nil, fmt.Errorf("wire: unsupported IHL %d", ihl)
-	}
-	if foldChecksum(checksum(0, data[0:IPv4HeaderLen])) != 0 {
-		return nil, ErrBadChecksum
-	}
-	if data[9] != ProtocolTCP {
-		return nil, ErrNotTCP
-	}
-	f := &Frame{}
-	f.IP.TOS = data[1]
-	total := int(binary.BigEndian.Uint16(data[2:4]))
-	f.IP.ID = binary.BigEndian.Uint16(data[4:6])
-	f.IP.TTL = data[8]
-	f.IP.Protocol = data[9]
-	f.IP.Src = IP(binary.BigEndian.Uint32(data[12:16]))
-	f.IP.Dst = IP(binary.BigEndian.Uint32(data[16:20]))
-	if total < HeadersLen {
-		return nil, fmt.Errorf("wire: IP total length %d below header size", total)
-	}
-	f.PayloadLen = total - HeadersLen
-
-	t := data[IPv4HeaderLen:]
-	f.TCP.SrcPort = binary.BigEndian.Uint16(t[0:2])
-	f.TCP.DstPort = binary.BigEndian.Uint16(t[2:4])
-	f.TCP.Seq = binary.BigEndian.Uint32(t[4:8])
-	f.TCP.Ack = binary.BigEndian.Uint32(t[8:12])
-	f.TCP.Flags = TCPFlags(t[13])
-	f.TCP.Window = binary.BigEndian.Uint16(t[14:16])
-	f.TCP.Urgent = binary.BigEndian.Uint16(t[18:20])
-
-	captured := len(t) - TCPHeaderLen
-	if captured > f.PayloadLen {
-		captured = f.PayloadLen
-	}
-	if captured > 0 {
-		f.Payload = append([]byte(nil), t[TCPHeaderLen:TCPHeaderLen+captured]...)
-	}
-	return f, nil
-}
-
-// Clone returns a deep copy of the frame.
-func (f *Frame) Clone() *Frame {
-	c := *f
-	if f.Payload != nil {
-		c.Payload = append([]byte(nil), f.Payload...)
-	}
-	return &c
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"testing/quick"
 )
 
 func sampleFrame() *Frame {
@@ -47,88 +46,6 @@ func TestFlagsString(t *testing.T) {
 	}
 }
 
-func TestSerializeDecodeRoundTrip(t *testing.T) {
-	f := sampleFrame()
-	data := f.Serialize(1 << 16)
-	if len(data) != HeadersLen+len(f.Payload) {
-		t.Fatalf("serialized length = %d", len(data))
-	}
-	g, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.IP != f.IP || g.TCP != f.TCP {
-		t.Fatalf("headers differ:\n got %+v %+v\nwant %+v %+v", g.IP, g.TCP, f.IP, f.TCP)
-	}
-	if !bytes.Equal(g.Payload, f.Payload) || g.PayloadLen != f.PayloadLen {
-		t.Fatalf("payload differs: %q/%d", g.Payload, g.PayloadLen)
-	}
-}
-
-func TestSnapLengthCapture(t *testing.T) {
-	f := sampleFrame()
-	f.Payload = bytes.Repeat([]byte("x"), 500)
-	f.PayloadLen = 1460 // 960 bytes unmaterialized
-	data := f.Serialize(96)
-	if len(data) != 96 {
-		t.Fatalf("snaplen capture length = %d, want 96", len(data))
-	}
-	g, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.PayloadLen != 1460 {
-		t.Fatalf("true payload length lost: %d", g.PayloadLen)
-	}
-	if len(g.Payload) != 96-HeadersLen {
-		t.Fatalf("captured payload = %d bytes", len(g.Payload))
-	}
-	if g.Truncated() != 1460-(96-HeadersLen) {
-		t.Fatalf("Truncated() = %d", g.Truncated())
-	}
-}
-
-func TestSerializeHeadersOnly(t *testing.T) {
-	f := sampleFrame()
-	data := f.Serialize(0)
-	if len(data) != HeadersLen {
-		t.Fatalf("headers-only capture = %d bytes", len(data))
-	}
-	g, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.PayloadLen != f.PayloadLen || len(g.Payload) != 0 {
-		t.Fatalf("decode headers-only: len=%d captured=%d", g.PayloadLen, len(g.Payload))
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); !errors.Is(err, ErrTooShort) {
-		t.Fatalf("nil decode err = %v", err)
-	}
-	f := sampleFrame()
-	data := f.Serialize(1 << 16)
-	data[0] = 0x65 // IPv6-ish version
-	if _, err := Decode(data); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("bad version err = %v", err)
-	}
-	data = f.Serialize(1 << 16)
-	data[15]++ // corrupt src address
-	if _, err := Decode(data); !errors.Is(err, ErrBadChecksum) {
-		t.Fatalf("corrupt packet err = %v", err)
-	}
-	data = f.Serialize(1 << 16)
-	data[9] = 17 // UDP
-	// fix the checksum so only the protocol check fires
-	data[10], data[11] = 0, 0
-	sum := foldChecksum(checksum(0, data[0:IPv4HeaderLen]))
-	data[10], data[11] = byte(sum>>8), byte(sum)
-	if _, err := Decode(data); !errors.Is(err, ErrNotTCP) {
-		t.Fatalf("non-TCP err = %v", err)
-	}
-}
-
 func TestCanonicalFlowKey(t *testing.T) {
 	f := sampleFrame()
 	key1, dir1 := Canonical(f)
@@ -141,50 +58,6 @@ func TestCanonicalFlowKey(t *testing.T) {
 	}
 	if dir1 == dir2 {
 		t.Fatal("directions should differ for reversed frame")
-	}
-}
-
-func TestFlowReverse(t *testing.T) {
-	f := sampleFrame()
-	fl := FlowOf(f)
-	r := fl.Reverse()
-	if r.Src != fl.Dst || r.Dst != fl.Src {
-		t.Fatal("reverse broken")
-	}
-	src, dst := fl.Endpoints()
-	if src != fl.Src || dst != fl.Dst {
-		t.Fatal("endpoints broken")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	f := sampleFrame()
-	c := f.Clone()
-	c.Payload[0] = 'X'
-	if f.Payload[0] == 'X' {
-		t.Fatal("clone shares payload")
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200}
-	f := func(src, dst uint32, sp, dp uint16, seq, ack uint32, flags uint8, n uint16) bool {
-		payload := bytes.Repeat([]byte{0xab}, int(n%1400))
-		fr := &Frame{
-			IP:         IPv4Header{TTL: 64, Protocol: ProtocolTCP, Src: IP(src), Dst: IP(dst)},
-			TCP:        TCPHeader{SrcPort: sp, DstPort: dp, Seq: seq, Ack: ack, Flags: TCPFlags(flags & 0x3f), Window: 1000},
-			Payload:    payload,
-			PayloadLen: len(payload),
-		}
-		data := fr.Serialize(1 << 16)
-		g, err := Decode(data)
-		if err != nil {
-			return false
-		}
-		return g.IP == fr.IP && g.TCP == fr.TCP && g.PayloadLen == fr.PayloadLen
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -283,23 +156,5 @@ func TestAlertAndCCS(t *testing.T) {
 	rec, _, err = ParseRecord(ChangeCipherSpec())
 	if err != nil || rec.Type != RecordChangeCipherSpec {
 		t.Fatalf("ccs: %v %v", rec.Type, err)
-	}
-}
-
-func BenchmarkSerialize(b *testing.B) {
-	f := sampleFrame()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = f.Serialize(96)
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	data := sampleFrame().Serialize(96)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -118,9 +118,6 @@ func NewCohortPlan(salt uint64, cohorts []Cohort) *CohortPlan {
 	return p
 }
 
-// Cohorts returns the plan's cohort list (callers must not mutate it).
-func (p *CohortPlan) Cohorts() []Cohort { return p.cohorts }
-
 // cohortHashOffset/cohortHashPrime are FNV-1a constants; the assignment
 // hash must stay frozen — changing it reshuffles every cohort population.
 const (

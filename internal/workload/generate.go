@@ -973,9 +973,8 @@ func (g *generator) closeMerger(m *mergeState) {
 // foldFlow appends a follow-on batch (synthesized as its own flow) onto an
 // open connection's record, removing the duplicate TLS handshake.
 func foldFlow(dst, src *traces.FlowRecord) {
-	hs := tlssim.DefaultHandshake()
-	dst.BytesUp += src.BytesUp - int64(hs.ClientBytes())
-	dst.BytesDown += src.BytesDown - int64(hs.ServerBytes())
+	dst.BytesUp += src.BytesUp - tlssim.ClientHandshakeBytes
+	dst.BytesDown += src.BytesDown - tlssim.ServerHandshakeBytes
 	dst.PSHUp += src.PSHUp - 2
 	dst.PSHDown += src.PSHDown - 2
 	dst.PktsUp += src.PktsUp - 2
@@ -1164,9 +1163,8 @@ func (g *generator) controlFlow(hh *household, at time.Duration, reqs, extra int
 	if g.cfg.ControlRTTSteps {
 		rtt += time.Duration(g.rng.Intn(3)) * 3 * time.Millisecond
 	}
-	hs := tlssim.DefaultHandshake()
-	up := int64(hs.ClientBytes())
-	down := int64(hs.ServerBytes())
+	up := int64(tlssim.ClientHandshakeBytes)
+	down := int64(tlssim.ServerHandshakeBytes)
 	for i := 0; i < reqs; i++ {
 		up += int64(tlssim.MessageWireSize(200 + g.rng.Intn(1200)))
 		down += int64(tlssim.MessageWireSize(150 + g.rng.Intn(900)))
