@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"insidedropbox/internal/capability"
+	"insidedropbox/internal/dnssim"
 	"insidedropbox/internal/netem"
 	"insidedropbox/internal/simtime"
 	"insidedropbox/internal/tcpsim"
@@ -132,5 +133,44 @@ func TestPipelinedRetrieveCompletes(t *testing.T) {
 	}
 	if retr.Chunks != 5 || retr.Ops != 5 {
 		t.Fatalf("retrieve stats = %+v", retr)
+	}
+}
+
+// TestTransferAnsweredInsideSend: a storage call that cannot reach a
+// server is answered before storageCall returns. The transfer loop must
+// still send every operation once and finish the transaction exactly
+// once, sequential or pipelined.
+func TestTransferAnsweredInsideSend(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		w := newTW(t, 3)
+		// The device's resolver knows the control and notification names
+		// of the service's directory, but no storage name.
+		blind := dnssim.NewResolver(dnssim.Build(dnssim.Layout{MetaIPs: 3, NotifyIPs: 4}), w.rng)
+		caps := capability.DropboxV1252()
+		caps.Dedup = false
+		caps.CommitPipelining = pipelined
+		acct := w.svc.Meta.CreateAccount()
+		host := w.net.AddHost(wire.MakeIP(10, 0, 9, 1), "vp", netem.WiredWorkstation())
+		dev, err := NewDevice(ClientConfig{
+			Sched: w.sched, Rng: w.rng, Service: w.svc, Resolver: blind,
+			Stack: tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultIW), Caps: caps,
+		}, acct.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st TransferStats
+		dev.OnTransferDone = func(s TransferStats) { st = s }
+		dones := 0
+		dev.Start()
+		w.sched.After(time.Second, func() {
+			dev.Upload(acct.Root, mkRefs(903, 6, 50_000), identityWire, func() { dones++ })
+		})
+		w.sched.RunUntil(simtime.Time(2 * time.Minute))
+		if dones != 1 || st.Kind != TransferStore || st.Ops != 6 || st.Chunks != 6 {
+			t.Fatalf("pipelined %v: onDone ran %d times, stats %+v; want once, 6 ops", pipelined, dones, st)
+		}
+		if w.svc.StoreOps != 0 {
+			t.Fatalf("pipelined %v: %d store operations reached a server", pipelined, w.svc.StoreOps)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"insidedropbox/internal/simtime"
 	"insidedropbox/internal/tcpsim"
 	"insidedropbox/internal/tlssim"
+	"insidedropbox/internal/wire"
 )
 
 // ClientConfig wires a Device into the simulation.
@@ -124,11 +125,6 @@ func (d *Device) Has(h chunker.Hash) bool {
 	return ok
 }
 
-// reaction samples the client-side inter-operation processing delay.
-func (d *Device) reaction() time.Duration {
-	return time.Duration(d.rng.LogNormalMedian(float64(ClientReactionMedian), 0.5))
-}
-
 // Start opens a session: register with the control plane, start the
 // notification long-poll, and run the first synchronization (the paper
 // observes start-up retrieves dominating, Sec. 5.4).
@@ -137,7 +133,7 @@ func (d *Device) Start() {
 		return
 	}
 	d.online = true
-	d.controlCall(MsgRegisterHost{Host: d.Host, Namespaces: d.namespaces}, 1, func(any) {
+	d.controlCall(MsgRegisterHost{Host: d.Host, Namespaces: d.namespaces}, func(any) {
 		if !d.online {
 			return
 		}
@@ -221,7 +217,11 @@ func (d *Device) sendNotifyRequest() {
 	if d.notifyConn == nil {
 		return
 	}
-	req := EncodeNotifyRequest(NotifyRequest{Host: d.Host, Namespaces: d.namespaces})
+	ns := make([]uint32, len(d.namespaces))
+	for i, id := range d.namespaces {
+		ns[i] = uint32(id)
+	}
+	req := wire.EncodeNotifyRequest(wire.NotifyRequest{Host: uint64(d.Host), Namespaces: ns})
 	d.notifyConn.Write(req, len(req), true)
 }
 
@@ -285,7 +285,7 @@ func (d *Device) uploadBatches(ns NamespaceID, refs []chunker.Ref, wireOf func(c
 
 func (d *Device) uploadOneBatch(ns NamespaceID, batch []chunker.Ref, wireOf func(chunker.Ref) int, next func()) {
 	start := d.Cfg.Sched.Now()
-	d.controlCall(MsgCommitBatch{Host: d.Host, Namespace: ns, Refs: batch}, 1, func(resp any) {
+	d.controlCall(MsgCommitBatch{Host: d.Host, Namespace: ns, Refs: batch}, func(resp any) {
 		nb, _ := resp.(MsgNeedBlocks)
 		missing := make(map[chunker.Hash]bool, len(nb.Missing))
 		for _, h := range nb.Missing {
@@ -304,7 +304,7 @@ func (d *Device) uploadOneBatch(ns NamespaceID, batch []chunker.Ref, wireOf func
 		}
 		stats := TransferStats{Kind: TransferStore, Skipped: skipped, Start: start}
 		d.storeChunks(toSend, wireOf, &stats, func() {
-			d.controlCall(MsgCloseChangeset{Host: d.Host, Namespace: ns, Refs: batch}, 1, func(resp any) {
+			d.controlCall(MsgCloseChangeset{Host: d.Host, Namespace: ns, Refs: batch}, func(resp any) {
 				if done, ok := resp.(MsgCommitDone); ok {
 					if done.Seq > d.cursors[ns] {
 						d.cursors[ns] = done.Seq
@@ -356,73 +356,60 @@ func (d *Device) nextStoreOp(refs []chunker.Ref, wireOf func(chunker.Ref) int) (
 	return MsgStore{Ref: r, WireSize: w}, StoreClientOverhead + w, 1
 }
 
-// storeChunks issues store operations sequentially: one per chunk for
-// 1.2.52-style profiles, bundled when the profile enables it. Each
-// operation waits for the previous OK — the per-chunk acknowledgment
-// bottleneck of Sec. 4.4.2 — unless the profile pipelines commits.
-func (d *Device) storeChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int, stats *TransferStats, next func()) {
+// storeChunks sends refs as store operations: one per chunk for
+// 1.2.52-style profiles, bundled when the profile enables it.
+func (d *Device) storeChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int, stats *TransferStats, done func()) {
 	if len(refs) == 0 {
-		next()
+		done()
 		return
 	}
-	if d.Cfg.Caps.CommitPipelining {
-		d.storeChunksPipelined(refs, wireOf, stats, next)
-		return
-	}
-	op, opWire, consumed := d.nextStoreOp(refs, wireOf)
-	stats.Ops++
-	stats.Chunks += consumed
-	for _, r := range refs[:consumed] {
-		stats.WireBytes += wireOf(r)
-	}
-	d.storageCall(true, op, opWire, 1, func(any) {
-		rest := refs[consumed:]
-		if len(rest) == 0 {
-			next()
-			return
-		}
-		// Client reaction time between chunks.
-		d.Cfg.Sched.After(d.reaction(), func() {
-			d.storeChunks(rest, wireOf, stats, next)
-		})
-	})
-}
-
-// storeChunksPipelined issues every store operation without waiting for
-// acknowledgments: operations go out back to back (client reaction time
-// between issues, modelling hashing/compression), responses drain
-// asynchronously, and the transaction completes when the last OK arrives.
-func (d *Device) storeChunksPipelined(refs []chunker.Ref, wireOf func(chunker.Ref) int, stats *TransferStats, next func()) {
-	type pendOp struct {
-		op   any
-		wire int
-	}
-	var ops []pendOp
-	for len(refs) > 0 {
+	d.transfer(true, func() (any, int, bool) {
 		op, opWire, consumed := d.nextStoreOp(refs, wireOf)
 		stats.Ops++
 		stats.Chunks += consumed
 		for _, r := range refs[:consumed] {
 			stats.WireBytes += wireOf(r)
 		}
-		ops = append(ops, pendOp{op, opWire})
 		refs = refs[consumed:]
-	}
-	outstanding := len(ops)
-	onAck := func(any) {
-		outstanding--
-		if outstanding == 0 {
-			next()
+		return op, opWire, len(refs) > 0
+	}, nil, done)
+}
+
+// transfer runs the storage operations of one transaction. next builds
+// the next operation (its message and request size) and reports whether
+// more follow, before the operation is sent: a call that cannot reach its
+// server is answered at once. onResp, when set, credits each response.
+//
+// Under a sequential profile each operation waits for the previous
+// response plus a client reaction time: the per-chunk acknowledgment
+// bottleneck of Sec. 4.4.2. Under CommitPipelining operations go out one
+// reaction time apart (hashing, compression) and responses drain
+// asynchronously. done runs once every operation has its response, in
+// whatever order they arrive.
+func (d *Device) transfer(isStore bool, next func() (op any, size int, more bool), onResp func(any), done func()) {
+	pipelined := d.Cfg.Caps.CommitPipelining
+	outstanding, issuedAll := 0, false
+	var issue func()
+	issue = func() {
+		op, size, more := next()
+		outstanding++
+		issuedAll = !more
+		d.storageCall(isStore, op, size, func(resp any) {
+			if onResp != nil {
+				onResp(resp)
+			}
+			outstanding--
+			if issuedAll && outstanding == 0 {
+				done()
+			} else if more && !pipelined {
+				d.Cfg.Sched.After(Reaction(d.rng, ClientReactionMedian), issue)
+			}
+		})
+		if more && pipelined {
+			d.Cfg.Sched.After(Reaction(d.rng, ClientReactionMedian), issue)
 		}
 	}
-	var issue func(i int)
-	issue = func(i int) {
-		d.storageCall(true, ops[i].op, ops[i].wire, 1, onAck)
-		if i+1 < len(ops) {
-			d.Cfg.Sched.After(d.reaction(), func() { issue(i + 1) })
-		}
-	}
-	issue(0)
+	issue()
 }
 
 // ---------- download path ----------
@@ -437,7 +424,7 @@ func (d *Device) syncNow() {
 		for _, ns := range d.namespaces {
 			cursors[ns] = d.cursors[ns]
 		}
-		d.controlCall(MsgList{Host: d.Host, Cursors: cursors}, 1, func(resp any) {
+		d.controlCall(MsgList{Host: d.Host, Cursors: cursors}, func(resp any) {
 			lr, _ := resp.(MsgListResp)
 			if len(lr.StorageNames) > 0 {
 				d.storageNames = lr.StorageNames
@@ -525,77 +512,24 @@ func (d *Device) nextRetrieveOp(refs []chunker.Ref) (op any, reqExtra, consumed 
 	return MsgRetrieve{Hash: refs[0].Hash}, 0, 1
 }
 
-// retrieveChunks fetches chunks sequentially; 1.2.52-style profiles send
-// one retrieve per chunk as two PSH-marked writes (Fig. 19b), bundling
-// profiles batch, and pipelining profiles issue every request up front.
-func (d *Device) retrieveChunks(refs []chunker.Ref, stats *TransferStats, next func()) {
-	if len(refs) == 0 {
-		next()
-		return
-	}
-	if d.Cfg.Caps.CommitPipelining {
-		d.retrieveChunksPipelined(refs, stats, next)
-		return
-	}
-	reqSize := RetrieveClientOverheadMin + d.rng.Intn(RetrieveClientOverheadMax-RetrieveClientOverheadMin)
-	op, reqExtra, consumed := d.nextRetrieveOp(refs)
-	reqSize += reqExtra
-	stats.Ops++
-	d.storageCall(false, op, reqSize, 2, func(resp any) {
-		data, _ := resp.(MsgRetrieveData)
-		for _, r := range data.Refs {
-			d.have[r.Hash] = struct{}{}
-		}
-		stats.Chunks += len(data.Refs)
-		stats.WireBytes += data.WireSize
-		rest := refs[consumed:]
-		if len(rest) == 0 {
-			next()
-			return
-		}
-		d.Cfg.Sched.After(d.reaction(), func() {
-			d.retrieveChunks(rest, stats, next)
-		})
-	})
-}
-
-// retrieveChunksPipelined issues every retrieve request without waiting
-// for responses; chunk data is credited as each response arrives (response
-// payloads identify their chunks, so ordering does not matter).
-func (d *Device) retrieveChunksPipelined(refs []chunker.Ref, stats *TransferStats, next func()) {
-	type pendOp struct {
-		op  any
-		req int
-	}
-	var ops []pendOp
-	for len(refs) > 0 {
-		reqSize := RetrieveClientOverheadMin + d.rng.Intn(RetrieveClientOverheadMax-RetrieveClientOverheadMin)
+// retrieveChunks fetches refs as retrieve operations: one per chunk for
+// 1.2.52-style profiles, each request sent as two PSH-marked writes
+// (Fig. 19b), and batched when the profile bundles.
+func (d *Device) retrieveChunks(refs []chunker.Ref, stats *TransferStats, done func()) {
+	d.transfer(false, func() (any, int, bool) {
+		size := RetrieveRequestSize(d.rng)
 		op, reqExtra, consumed := d.nextRetrieveOp(refs)
 		stats.Ops++
-		ops = append(ops, pendOp{op, reqSize + reqExtra})
 		refs = refs[consumed:]
-	}
-	outstanding := len(ops)
-	onData := func(resp any) {
+		return op, size + reqExtra, len(refs) > 0
+	}, func(resp any) {
 		data, _ := resp.(MsgRetrieveData)
 		for _, r := range data.Refs {
 			d.have[r.Hash] = struct{}{}
 		}
 		stats.Chunks += len(data.Refs)
 		stats.WireBytes += data.WireSize
-		outstanding--
-		if outstanding == 0 {
-			next()
-		}
-	}
-	var issue func(i int)
-	issue = func(i int) {
-		d.storageCall(false, ops[i].op, ops[i].req, 2, onData)
-		if i+1 < len(ops) {
-			d.Cfg.Sched.After(d.reaction(), func() { issue(i + 1) })
-		}
-	}
-	issue(0)
+	}, done)
 }
 
 // ---------- RPC connections ----------
@@ -631,7 +565,7 @@ type rpcConn struct {
 
 // controlCall issues a meta-data request, transparently (re)opening the
 // control connection.
-func (d *Device) controlCall(meta any, parts int, done func(any)) {
+func (d *Device) controlCall(meta any, done func(any)) {
 	if d.control == nil || d.control.closed {
 		d.control = d.dialRPC("control")
 	}
@@ -641,17 +575,16 @@ func (d *Device) controlCall(meta any, parts int, done func(any)) {
 		}
 		return
 	}
-	d.control.issue(&rpcCall{meta: meta, size: ControlMsgSize(meta), parts: parts, done: done})
+	d.control.issue(&rpcCall{meta: meta, size: ControlMsgSize(meta), parts: 1, done: done})
 }
 
 // storageCall issues a storage operation on the store or retrieve
-// connection (kept separate so parallel directions use parallel flows).
-func (d *Device) storageCall(isStore bool, meta any, size, parts int, done func(any)) {
-	slot := &d.retrieve
-	kind := "retrieve"
+// connection (kept separate so parallel directions use parallel flows). A
+// store goes out as one write, a retrieve request as two (Fig. 19b).
+func (d *Device) storageCall(isStore bool, meta any, size int, done func(any)) {
+	slot, kind, parts := &d.retrieve, "retrieve", 2
 	if isStore {
-		slot = &d.store
-		kind = "store"
+		slot, kind, parts = &d.store, "store", 1
 	}
 	if *slot == nil || (*slot).closed {
 		*slot = d.dialRPC(kind)

@@ -77,11 +77,6 @@ func mkRefs(seed uint64, n, size int) []chunker.Ref {
 func identityWire(r chunker.Ref) int { return r.Size }
 
 func TestNotifyEncodingRoundTrip(t *testing.T) {
-	req := NotifyRequest{Host: 12345, Namespaces: []NamespaceID{1, 7, 42}}
-	got, ok := ParseNotifyRequest(EncodeNotifyRequest(req))
-	if !ok || got.Host != req.Host || len(got.Namespaces) != 3 || got.Namespaces[2] != 42 {
-		t.Fatalf("round trip = %+v %v", got, ok)
-	}
 	resp := NotifyResponse{Changed: []NamespaceID{9, 11}}
 	gotR, ok := ParseNotifyResponse(EncodeNotifyResponse(resp))
 	if !ok || len(gotR.Changed) != 2 || gotR.Changed[0] != 9 {
@@ -90,9 +85,6 @@ func TestNotifyEncodingRoundTrip(t *testing.T) {
 	empty, ok := ParseNotifyResponse(EncodeNotifyResponse(NotifyResponse{}))
 	if !ok || len(empty.Changed) != 0 {
 		t.Fatalf("empty resp = %+v %v", empty, ok)
-	}
-	if _, ok := ParseNotifyRequest([]byte("GET / HTTP/1.1\r\n\r\n")); ok {
-		t.Fatal("junk request parsed")
 	}
 }
 

@@ -8,68 +8,13 @@ import (
 
 	"insidedropbox/internal/simtime"
 	"insidedropbox/internal/tcpsim"
+	"insidedropbox/internal/wire"
 )
 
-// The notification protocol is the one Dropbox exchange that is NOT
-// TLS-encrypted (Sec. 2.3.1): clients long-poll notifyX.dropbox.com over
-// plain HTTP, carrying their host_int and namespace list in the clear. The
-// paper's probe extracts device identifiers and shared-folder counts from
-// exactly these bytes, so requests are fully materialized on the wire here.
-
-// EncodeNotifyRequest renders the cleartext long-poll request.
-func EncodeNotifyRequest(r NotifyRequest) []byte {
-	var b strings.Builder
-	b.WriteString("GET /subscribe?host_int=")
-	b.WriteString(strconv.FormatUint(uint64(r.Host), 10))
-	b.WriteString("&ns_map=")
-	for i, ns := range r.Namespaces {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatUint(uint64(ns), 10))
-		b.WriteString("_1")
-	}
-	b.WriteString(" HTTP/1.1\r\nHost: notify.dropbox.com\r\nConnection: keep-alive\r\n\r\n")
-	return []byte(b.String())
-}
-
-// ParseNotifyRequest recovers the request from captured bytes. The probe
-// uses the same parser as the server (classic DPI).
-func ParseNotifyRequest(data []byte) (NotifyRequest, bool) {
-	s := string(data)
-	const pfx = "GET /subscribe?host_int="
-	start := strings.Index(s, pfx)
-	if start < 0 {
-		return NotifyRequest{}, false
-	}
-	s = s[start+len(pfx):]
-	amp := strings.Index(s, "&ns_map=")
-	if amp < 0 {
-		return NotifyRequest{}, false
-	}
-	host, err := strconv.ParseUint(s[:amp], 10, 64)
-	if err != nil {
-		return NotifyRequest{}, false
-	}
-	rest := s[amp+len("&ns_map="):]
-	sp := strings.IndexByte(rest, ' ')
-	if sp < 0 {
-		return NotifyRequest{}, false
-	}
-	req := NotifyRequest{Host: HostID(host)}
-	for _, part := range strings.Split(rest[:sp], ",") {
-		if part == "" {
-			continue
-		}
-		idStr, _, _ := strings.Cut(part, "_")
-		id, err := strconv.ParseUint(idStr, 10, 32)
-		if err != nil {
-			return NotifyRequest{}, false
-		}
-		req.Namespaces = append(req.Namespaces, NamespaceID(id))
-	}
-	return req, true
-}
+// The server side of the cleartext notification long-poll (Sec. 2.3.1).
+// Requests use wire's codec, which the client and the probe share; the
+// response codec lives here because only the client and the server speak
+// it.
 
 // EncodeNotifyResponse renders the long-poll response.
 func EncodeNotifyResponse(r NotifyResponse) []byte {
@@ -122,7 +67,7 @@ type notifyState struct {
 
 type notifyWaiter struct {
 	conn  *tcpsim.Conn
-	req   NotifyRequest
+	req   wire.NotifyRequest
 	timer simtime.EventID
 	buf   []byte
 	armed bool   // request fully received, response pending
@@ -146,7 +91,7 @@ func (n *notifyState) accept(conn *tcpsim.Conn) {
 		if !strings.Contains(string(w.buf), "\r\n\r\n") {
 			return
 		}
-		req, ok := ParseNotifyRequest(w.buf)
+		req, ok := wire.ParseNotifyRequest(w.buf)
 		w.buf = nil
 		if !ok {
 			conn.Abort()
@@ -165,10 +110,11 @@ func (n *notifyState) accept(conn *tcpsim.Conn) {
 }
 
 // arm registers the waiter's subscriptions and schedules the 60 s punt.
-func (n *notifyState) arm(w *notifyWaiter, req NotifyRequest) {
+func (n *notifyState) arm(w *notifyWaiter, req wire.NotifyRequest) {
 	w.req = req
 	w.armed = true
-	for _, ns := range req.Namespaces {
+	for _, id := range req.Namespaces {
+		ns := NamespaceID(id)
 		set := n.byNS[ns]
 		if set == nil {
 			set = make(map[*tcpsim.Conn]struct{})
@@ -217,7 +163,8 @@ func (n *notifyState) respond(w *notifyWaiter, changed []NamespaceID) {
 }
 
 func (n *notifyState) unsubscribe(w *notifyWaiter) {
-	for _, ns := range w.req.Namespaces {
+	for _, id := range w.req.Namespaces {
+		ns := NamespaceID(id)
 		if set := n.byNS[ns]; set != nil {
 			delete(set, w.conn)
 			if len(set) == 0 {

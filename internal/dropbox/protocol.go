@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"insidedropbox/internal/chunker"
+	"insidedropbox/internal/simrand"
 )
 
 // Protocol size constants measured by the authors (Appendix A.2/A.3).
@@ -56,6 +57,18 @@ const (
 	// NotifyPollPeriod is the long-poll response delay with no changes.
 	NotifyPollPeriod = 60 * time.Second
 )
+
+// Reaction draws one client or server reaction time around its median
+// (ClientReactionMedian, ServerReactionMedian): log-normal with σ 0.5.
+func Reaction(rng *simrand.Source, median time.Duration) time.Duration {
+	return time.Duration(rng.LogNormalMedian(float64(median), 0.5))
+}
+
+// RetrieveRequestSize draws the size of one retrieve request, uniform in
+// [RetrieveClientOverheadMin, RetrieveClientOverheadMax).
+func RetrieveRequestSize(rng *simrand.Source) int {
+	return RetrieveClientOverheadMin + rng.Intn(RetrieveClientOverheadMax-RetrieveClientOverheadMin)
+}
 
 // HostID is the device identifier (host_int) carried in notification
 // requests.
@@ -147,13 +160,6 @@ type MsgRetrieveData struct {
 }
 
 // ---- notification messages (cleartext HTTP long-poll) ----
-
-// NotifyRequest is serialized in cleartext so the probe can read device and
-// namespace identifiers (Sec. 2.3.1). See EncodeNotifyRequest.
-type NotifyRequest struct {
-	Host       HostID
-	Namespaces []NamespaceID
-}
 
 // NotifyResponse ends a long poll; Changed lists namespaces with news.
 type NotifyResponse struct {

@@ -49,11 +49,10 @@ type Service struct {
 	StoreOps, RetrieveOps int
 	BatchOps              int
 
-	// Trace, when set, receives every protocol message the servers handle
-	// or send — the equivalent of the paper's decrypting-proxy testbed
-	// (Sec. 2.2). The first argument is "recv" or "send"; server names the
-	// subsystem ("control" or "storage").
-	Trace func(dir, server string, meta any)
+	// Trace, when set, receives every protocol message the servers
+	// receive — the equivalent of the paper's decrypting-proxy testbed
+	// (Sec. 2.2); server names the subsystem ("control" or "storage").
+	Trace func(server string, meta any)
 }
 
 // NewService builds all server hosts and listeners.
@@ -70,7 +69,7 @@ func NewService(cfg ServiceConfig) *Service {
 
 	for _, name := range cfg.Dir.MetaNames {
 		for _, ip := range cfg.Dir.Pool(name) {
-			s.ensureHost(ip, dnssim.DropboxDC, s.acceptControl, 443)
+			s.ensureHost(ip, dnssim.DropboxDC, s.acceptControl)
 		}
 	}
 	for _, name := range cfg.Dir.NotifyNames {
@@ -80,7 +79,7 @@ func NewService(cfg ServiceConfig) *Service {
 	}
 	for _, name := range cfg.Dir.StorageNames {
 		for _, ip := range cfg.Dir.Pool(name) {
-			s.ensureHost(ip, dnssim.AmazonDC, s.acceptStorage, 443)
+			s.ensureHost(ip, dnssim.AmazonDC, s.acceptStorage)
 		}
 	}
 	// Remaining Amazon/Dropbox names (web, api, logs) are served by simple
@@ -90,19 +89,19 @@ func NewService(cfg ServiceConfig) *Service {
 	for _, name := range []string{"www.dropbox.com", "api.dropbox.com", "d.dropbox.com",
 		"dl.dropbox.com", "dl-web.dropbox.com", "api-content.dropbox.com", "dl-debug1.dropbox.com"} {
 		for _, ip := range cfg.Dir.Pool(name) {
-			s.ensureHost(ip, cfg.Dir.DataCenter(ip), s.acceptStorage, 443)
+			s.ensureHost(ip, cfg.Dir.DataCenter(ip), s.acceptStorage)
 		}
 	}
 	return s
 }
 
-func (s *Service) ensureHost(ip wire.IP, site string, accept func(*tcpsim.Conn), port uint16) {
+func (s *Service) ensureHost(ip wire.IP, site string, accept func(*tcpsim.Conn)) {
 	if s.cfg.Net.Host(ip) != nil {
 		return
 	}
 	h := s.cfg.Net.AddHost(ip, netem.SiteID(site), storageAccess())
 	st := tcpsim.NewStack(h, s.cfg.Sched, s.rng, s.cfg.ServerIW)
-	st.Listen(port, accept)
+	st.Listen(443, accept)
 }
 
 func (s *Service) ensureNotifyHost(ip wire.IP) {
@@ -145,11 +144,6 @@ func (s *Service) pairServer(conn *tcpsim.Conn, server *tlssim.Session) bool {
 	return true
 }
 
-// reaction samples a server processing delay.
-func (s *Service) reaction() time.Duration {
-	return time.Duration(s.rng.LogNormalMedian(float64(ServerReactionMedian), 0.5))
-}
-
 // ---------- control servers ----------
 
 func (s *Service) acceptControl(conn *tcpsim.Conn) {
@@ -168,8 +162,7 @@ func (s *Service) acceptControl(conn *tcpsim.Conn) {
 	resetIdle()
 	sess.OnMessage = func(meta any, size int) {
 		resetIdle()
-		delay := s.reaction()
-		s.cfg.Sched.After(delay, func() {
+		s.cfg.Sched.After(Reaction(s.rng, ServerReactionMedian), func() {
 			s.handleControl(sess, meta)
 			resetIdle()
 		})
@@ -178,14 +171,14 @@ func (s *Service) acceptControl(conn *tcpsim.Conn) {
 	sess.OnReset = func() { idle.Cancel() }
 }
 
-func (s *Service) trace(dir, server string, meta any) {
+func (s *Service) trace(server string, meta any) {
 	if s.Trace != nil {
-		s.Trace(dir, server, meta)
+		s.Trace(server, meta)
 	}
 }
 
 func (s *Service) handleControl(sess *tlssim.Session, meta any) {
-	s.trace("recv", "control", meta)
+	s.trace("control", meta)
 	switch m := meta.(type) {
 	case MsgRegisterHost:
 		reply(sess, MsgRegisterOK{})
@@ -285,8 +278,7 @@ func (s *Service) acceptStorage(conn *tcpsim.Conn) {
 			return
 		}
 		idle.Cancel()
-		delay := s.reaction()
-		s.cfg.Sched.After(delay, func() {
+		s.cfg.Sched.After(Reaction(s.rng, ServerReactionMedian), func() {
 			if closed {
 				return
 			}
@@ -299,7 +291,7 @@ func (s *Service) acceptStorage(conn *tcpsim.Conn) {
 }
 
 func (s *Service) handleStorage(sess *tlssim.Session, meta any) {
-	s.trace("recv", "storage", meta)
+	s.trace("storage", meta)
 	switch m := meta.(type) {
 	case MsgStore:
 		s.StoreOps++

@@ -192,13 +192,9 @@ func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecor
 		sess := tlssim.NewClient(conn, name)
 		svc.RegisterPending(conn.LocalEndpoint(), sess)
 		idx := 0
-		reaction := func() time.Duration {
-			return time.Duration(lc.rng.LogNormalMedian(float64(dropbox.ClientReactionMedian), 0.5))
-		}
 		issue := func() {
 			if cfg.Retrieve {
-				req := dropbox.RetrieveClientOverheadMin + lc.rng.Intn(64)
-				sess.SendParts(dropbox.MsgRetrieve{Hash: sp.chunks[idx].Hash}, req, 2)
+				sess.SendParts(dropbox.MsgRetrieve{Hash: sp.chunks[idx].Hash}, dropbox.RetrieveRequestSize(lc.rng), 2)
 			} else {
 				w := sp.wires[idx]
 				sess.Send(dropbox.MsgStore{Ref: sp.chunks[idx], WireSize: w},
@@ -209,7 +205,7 @@ func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecor
 		sess.OnMessage = func(meta any, size int) {
 			idx++
 			if idx < len(sp.chunks) {
-				sched.After(reaction(), issue)
+				sched.After(dropbox.Reaction(lc.rng, dropbox.ClientReactionMedian), issue)
 				return
 			}
 			// Flow done: abort after a short linger (the probe sees the

@@ -36,7 +36,7 @@ func TestPacketLabGolden(t *testing.T) {
 		"figure1":  "424ef332ce30ba29",
 		"figure9":  "ebaffad68c2245c1",
 		"figure10": "31b48beeb35ff627",
-		"figure19": "ebb588493595337e",
+		"figure19": "d34f6bfa190c318e",
 	}
 	ctx := context.Background()
 	s := &Session{Seed: 2012, Quick: true}
@@ -57,6 +57,28 @@ func TestPacketLabGolden(t *testing.T) {
 		if got[k] != w {
 			t.Errorf("%s: hash %s, pinned %s", k, got[k], w)
 		}
+	}
+}
+
+// TestTestbedCaptureGolden pins the whole seed-2012 testbed capture bit
+// for bit: every frame's time, direction, flags, payload length, server
+// port and both addresses, and every message line of Fig. 1, where the
+// figures render only the first few of each.
+func TestTestbedCaptureGolden(t *testing.T) {
+	tb, err := RunTestbed(context.Background(), 2012)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, e := range tb.frames {
+		fmt.Fprintf(h, "%d %t %d %d %d %d %d\n", e.at, e.out, e.flags, e.size, e.port, e.srv, e.client)
+	}
+	for _, line := range tb.messages {
+		fmt.Fprintln(h, line)
+	}
+	const frames, messages, want = 2322, 14, "ed051b5d3919424d"
+	if got := fmt.Sprintf("%016x", h.Sum64()); len(tb.frames) != frames || len(tb.messages) != messages || got != want {
+		t.Errorf("%d frames, %d messages, hash %s; pinned %d, %d, %s", len(tb.frames), len(tb.messages), got, frames, messages, want)
 	}
 }
 

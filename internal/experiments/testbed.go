@@ -23,17 +23,23 @@ import (
 type TestbedResult struct {
 	Figure1  *Result
 	Figure19 *Result
+
+	// The whole capture the figures render from: every frame the tap saw
+	// and every message line of the servers' trace.
+	frames   []packetEvent
+	messages []string
 }
 
 // packetEvent is one captured frame with its annotation.
 type packetEvent struct {
-	at    simtime.Time
-	out   bool
-	flags wire.TCPFlags
-	size  int
-	note  string
-	port  uint16
-	srv   wire.IP
+	at     simtime.Time
+	out    bool
+	flags  wire.TCPFlags
+	size   int
+	note   string
+	port   uint16
+	srv    wire.IP
+	client wire.IP
 }
 
 // packetTap records frames for the Fig. 19 diagrams.
@@ -48,16 +54,13 @@ func (p *packetTap) Capture(now simtime.Time, f *wire.Frame, dir netem.TapDir) {
 			note = rec.Type.String()
 		}
 	}
-	var srv wire.IP
-	var port uint16
+	srv, client, port := f.IP.Src, f.IP.Dst, f.TCP.SrcPort
 	if dir == netem.TapOutbound {
-		srv, port = f.IP.Dst, f.TCP.DstPort
-	} else {
-		srv, port = f.IP.Src, f.TCP.SrcPort
+		srv, client, port = f.IP.Dst, f.IP.Src, f.TCP.DstPort
 	}
 	p.events = append(p.events, packetEvent{
 		at: now, out: dir == netem.TapOutbound, flags: f.TCP.Flags,
-		size: f.PayloadLen, note: note, port: port, srv: srv,
+		size: f.PayloadLen, note: note, port: port, srv: srv, client: client,
 	})
 }
 
@@ -79,7 +82,7 @@ func RunTestbed(ctx context.Context, seed int64) (*TestbedResult, error) {
 	net.AttachTap("lab", tap)
 
 	var msgLog []string
-	svc.Trace = func(d, server string, meta any) {
+	svc.Trace = func(server string, meta any) {
 		msgLog = append(msgLog, fmt.Sprintf("%-9s %-8s %-24s %T",
 			sched.Now(), server, msgName(meta), meta))
 	}
@@ -146,7 +149,7 @@ func RunTestbed(ctx context.Context, seed int64) (*TestbedResult, error) {
 	fig19.addText(renderFlowTrace("(a) store flow", tap.events, wire.MakeIP(10, 10, 0, 1)))
 	fig19.addText(renderFlowTrace("(b) retrieve flow", tap.events, wire.MakeIP(10, 10, 0, 2)))
 	fig19.Metrics["captured_packets"] = float64(len(tap.events))
-	return &TestbedResult{Figure1: fig1, Figure19: fig19}, nil
+	return &TestbedResult{Figure1: fig1, Figure19: fig19, frames: tap.events, messages: msgLog}, nil
 }
 
 func msgName(meta any) string {
@@ -157,20 +160,19 @@ func msgName(meta any) string {
 	return name
 }
 
-// renderFlowTrace prints the packet sequence of the client's storage flow.
+// renderFlowTrace prints the packet sequence of the client's first
+// storage flow: its frames to and from an Amazon storage address
+// (184.72/16, port 443), up to 90 s after the first one.
 func renderFlowTrace(title string, events []packetEvent, client wire.IP) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	b.WriteString("time        dir  flags        len   note\n")
 	b.WriteString(strings.Repeat("-", 60) + "\n")
-	// Pick the flow to an Amazon storage address (184.72/16, port 443)
-	// involving this client side: the tap records only server-side info,
-	// so match on the storage server address range and time-cluster.
 	count := 0
 	var first simtime.Time
 	seen := false
 	for _, e := range events {
-		if e.port != 443 || (uint32(e.srv)>>16) != (184<<8|72) {
+		if e.client != client || e.port != 443 || (uint32(e.srv)>>16) != (184<<8|72) {
 			continue
 		}
 		if !seen {

@@ -220,9 +220,7 @@ func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Pa
 			pshUp++   // data message
 			pshDown++ // OK
 		} else {
-			req := dropbox.RetrieveClientOverheadMin +
-				rng.Intn(dropbox.RetrieveClientOverheadMax-dropbox.RetrieveClientOverheadMin)
-			up += int64(tlssim.MessageWireSize(req))
+			up += int64(tlssim.MessageWireSize(dropbox.RetrieveRequestSize(rng)))
 			down += int64(tlssim.MessageWireSize(dropbox.ServerOpOverhead + o.wire))
 			pshUp += 2 // request sent as two PSH writes (Fig. 19b)
 			pshDown++
@@ -258,10 +256,10 @@ func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Pa
 		var issueSpan time.Duration
 		for i := range ops {
 			if i > 0 {
-				issueSpan += time.Duration(rng.LogNormalMedian(float64(p.ClientReaction), 0.5))
+				issueSpan += dropbox.Reaction(rng, p.ClientReaction)
 			}
 		}
-		srv := time.Duration(rng.LogNormalMedian(float64(p.ServerReaction), 0.5))
+		srv := dropbox.Reaction(rng, p.ServerReaction)
 		var payload int64
 		for _, o := range ops {
 			if spec.Dir == classify.DirStore {
@@ -292,9 +290,9 @@ func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Pa
 	} else {
 		for i, o := range ops {
 			if i > 0 {
-				t += time.Duration(rng.LogNormalMedian(float64(p.ClientReaction), 0.5))
+				t += dropbox.Reaction(rng, p.ClientReaction)
 			}
-			srv := time.Duration(rng.LogNormalMedian(float64(p.ServerReaction), 0.5))
+			srv := dropbox.Reaction(rng, p.ServerReaction)
 			if spec.Dir == classify.DirStore {
 				dataT := cw.transfer(int64(dropbox.StoreClientOverhead+o.wire), rtt, p.Bandwidth)
 				t += dataT

@@ -54,20 +54,18 @@ type AccessProfile struct {
 	DownRate float64       // bytes/second from the core; 0 = unlimited
 	Delay    time.Duration // one-way host <-> site border
 	Loss     float64       // per-packet loss probability on the access segment
-	// QueueBytes caps the drop-tail buffer ahead of each rate-limited
-	// direction; packets arriving with more than this backlog are dropped,
-	// bounding bufferbloat as a real access router does. Zero uses 256 kB.
-	QueueBytes int
 }
+
+// queueBytes caps the drop-tail buffer ahead of each rate-limited
+// direction; packets arriving with more than this backlog are dropped,
+// bounding bufferbloat as a real access router does.
+const queueBytes = 256 << 10
 
 // serialize queues size bytes on a link direction sending at rate, busy until
 // *busy; it returns when the last bit leaves, or false on a full queue.
-func (a AccessProfile) serialize(busy *simtime.Time, now simtime.Time, size int, rate float64) (simtime.Time, bool) {
-	limit, start := a.QueueBytes, max(now, *busy)
-	if limit <= 0 {
-		limit = 256 << 10
-	}
-	if rate > 0 && int(float64(start.Sub(now))/float64(time.Second)*rate) > limit {
+func serialize(busy *simtime.Time, now simtime.Time, size int, rate float64) (simtime.Time, bool) {
+	start := max(now, *busy)
+	if rate > 0 && int(float64(start.Sub(now))/float64(time.Second)*rate) > queueBytes {
 		return 0, false
 	}
 	*busy = start.Add(transmissionDelay(size, rate))
@@ -232,7 +230,7 @@ func (h *Host) Send(f *wire.Frame) {
 	}
 
 	// Uplink serialization at the sender's access link, drop-tail bounded.
-	txDone, ok := h.Access.serialize(&h.upBusy, n.Sched.Now(), f.WireLen(), h.Access.UpRate)
+	txDone, ok := serialize(&h.upBusy, n.Sched.Now(), f.WireLen(), h.Access.UpRate)
 	if !ok {
 		n.dropped++
 		return
@@ -316,7 +314,7 @@ func (p *packet) arrive() {
 	if p.lost {
 		return
 	}
-	rxDone, ok := dst.Access.serialize(&dst.downBusy, now, p.f.WireLen(), dst.Access.DownRate)
+	rxDone, ok := serialize(&dst.downBusy, now, p.f.WireLen(), dst.Access.DownRate)
 	if !ok {
 		dst.net.dropped++
 		return

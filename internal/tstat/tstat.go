@@ -310,7 +310,7 @@ func (p *Probe) finalize(key wire.FlowKey, fs *flowState) {
 		rec.CertName = cn
 	}
 	if rec.ServerPort == 80 {
-		if req, ok := ParseNotify(fs.upDPI); ok {
+		if req, ok := wire.ParseNotifyRequest(fs.upDPI); ok {
 			rec.NotifyHost = req.Host
 			rec.NotifyNamespaces = req.Namespaces
 		}

@@ -287,22 +287,6 @@ func TestProbeWithoutDNS(t *testing.T) {
 	}
 }
 
-func TestParseNotifyDissector(t *testing.T) {
-	req := dropbox.EncodeNotifyRequest(dropbox.NotifyRequest{
-		Host: 98765, Namespaces: []dropbox.NamespaceID{3, 14, 159},
-	})
-	info, ok := ParseNotify(req)
-	if !ok || info.Host != 98765 {
-		t.Fatalf("parse = %+v %v", info, ok)
-	}
-	if len(info.Namespaces) != 3 || info.Namespaces[2] != 159 {
-		t.Fatalf("namespaces = %v", info.Namespaces)
-	}
-	if _, ok := ParseNotify([]byte("garbage")); ok {
-		t.Fatal("garbage parsed")
-	}
-}
-
 func TestIdleSweepFinalizes(t *testing.T) {
 	w := newWorld(t)
 	acct := w.svc.Meta.CreateAccount()

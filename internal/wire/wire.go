@@ -2,11 +2,13 @@
 //
 // A Frame is the in-memory form the simulator and the passive probe
 // exchange directly, with zero serialization cost. Only the payload prefix
-// that deep packet inspection needs (TLS handshake records, HTTP-ish command
-// framing) is ever materialized; bulk data bytes are represented by length
-// only, keeping multi-gigabyte simulations cheap while every byte remains
-// accounted for in flow metrics — the way a production probe such as Tstat
-// captures traffic under a snap length.
+// that deep packet inspection needs is ever materialized: TLS handshake
+// records (tls.go) and the cleartext notification request (notify.go),
+// whose codecs live here so the endpoints and the probe share them. Bulk
+// data bytes are represented by length only, keeping multi-gigabyte
+// simulations cheap while every byte remains accounted for in flow
+// metrics — the way a production probe such as Tstat captures traffic
+// under a snap length.
 package wire
 
 import (

@@ -158,3 +158,19 @@ func TestAlertAndCCS(t *testing.T) {
 		t.Fatalf("ccs: %v %v", rec.Type, err)
 	}
 }
+
+// TestNotifyRequestRoundTrip: the one notification-request codec the
+// client, the server and the probe share recovers what it encoded and
+// refuses bytes that are not a long-poll request.
+func TestNotifyRequestRoundTrip(t *testing.T) {
+	req := NotifyRequest{Host: 98765, Namespaces: []uint32{3, 14, 159}}
+	got, ok := ParseNotifyRequest(EncodeNotifyRequest(req))
+	if !ok || got.Host != req.Host || len(got.Namespaces) != 3 || got.Namespaces[2] != 159 {
+		t.Fatalf("round trip = %+v %v", got, ok)
+	}
+	for _, junk := range []string{"garbage", "GET / HTTP/1.1\r\n\r\n"} {
+		if _, ok := ParseNotifyRequest([]byte(junk)); ok {
+			t.Fatalf("%q parsed", junk)
+		}
+	}
+}
