@@ -454,19 +454,45 @@ func (d *Device) syncNow() {
 					}
 				}
 			}
-			if len(want) == 0 {
-				d.taskDone()
-				return
-			}
-			stats := TransferStats{Kind: TransferRetrieve, Start: d.Cfg.Sched.Now()}
-			d.retrieveChunks(want, &stats, func() {
-				stats.End = d.Cfg.Sched.Now()
-				if d.OnTransferDone != nil {
-					d.OnTransferDone(stats)
-				}
-				d.taskDone()
-			})
+			d.download(want, nil)
 		})
+	})
+}
+
+// Download retrieves refs from storage as one transaction, queued behind
+// any transaction in progress, and runs onDone when it ends. Unlike a
+// sync it fetches every ref it is given: labs use it to measure retrieve
+// flows of chunks staged with Service.SeedChunk.
+func (d *Device) Download(refs []chunker.Ref, onDone func()) {
+	if !d.online {
+		if onDone != nil {
+			onDone()
+		}
+		return
+	}
+	d.enqueueTask(func() { d.download(refs, onDone) })
+}
+
+// download runs one retrieve transaction inside the device's task slot:
+// it fetches refs, reports the transfer, frees the slot and runs onDone.
+func (d *Device) download(refs []chunker.Ref, onDone func()) {
+	finish := func() {
+		d.taskDone()
+		if onDone != nil {
+			onDone()
+		}
+	}
+	if len(refs) == 0 {
+		finish()
+		return
+	}
+	stats := TransferStats{Kind: TransferRetrieve, Start: d.Cfg.Sched.Now()}
+	d.retrieveChunks(refs, &stats, func() {
+		stats.End = d.Cfg.Sched.Now()
+		if d.OnTransferDone != nil {
+			d.OnTransferDone(stats)
+		}
+		finish()
 	})
 }
 

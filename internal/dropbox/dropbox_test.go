@@ -430,6 +430,76 @@ func TestNotifyLongPollPunt(t *testing.T) {
 	}
 }
 
+// tapFunc adapts a function to netem.Tap.
+type tapFunc func(now simtime.Time, f *wire.Frame, dir netem.TapDir)
+
+func (fn tapFunc) Capture(now simtime.Time, f *wire.Frame, dir netem.TapDir) { fn(now, f, dir) }
+
+// TestStorageIdleClockWaitsForDrain: the storage server's idle clock starts
+// once its response is acknowledged, not when the response is queued. Two
+// 3 MB chunks drain over a lossy 100 kB/s downlink, well over a minute
+// each. The retrieve must finish on one storage connection, and the
+// server's alert must reach the probe StorageIdleTimeout after the
+// client's last data ACK left it, plus the core round trip.
+func TestStorageIdleClockWaitsForDrain(t *testing.T) {
+	w := newTW(t, 3)
+	storage := map[wire.IP]bool{}
+	for _, name := range w.dir.StorageNames {
+		for _, ip := range w.dir.Pool(name) {
+			storage[ip] = true
+		}
+	}
+	var syns int
+	var lastAck, alert simtime.Time
+	w.net.AttachTap("vp", tapFunc(func(now simtime.Time, f *wire.Frame, dir netem.TapDir) {
+		switch {
+		case dir == netem.TapOutbound && storage[f.IP.Dst]:
+			if f.TCP.Flags.Has(wire.FlagSYN) {
+				syns++
+			} else if alert == 0 && f.PayloadLen == 0 && f.TCP.Flags == wire.FlagACK {
+				lastAck = now
+			}
+		case alert == 0 && dir == netem.TapInbound && storage[f.IP.Src] && f.PayloadLen > 0:
+			if rec, _, err := wire.ParseRecord(f.Payload); err == nil && rec.Type == wire.RecordAlert {
+				alert = now
+			}
+		}
+	}))
+	slow := netem.AccessProfile{UpRate: 1e6, DownRate: 100e3, Delay: 5 * time.Millisecond, Loss: 0.01}
+	host := w.net.AddHost(wire.MakeIP(10, 0, 0, 99), "vp", slow)
+	acct := w.svc.Meta.CreateAccount()
+	dev, err := NewDevice(ClientConfig{
+		Sched: w.sched, Rng: w.rng, Service: w.svc, Resolver: w.resolver,
+		Stack: tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultIW), Caps: capability.DropboxV1252(),
+	}, acct.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := mkRefs(77, 2, 3_000_000)
+	for _, r := range refs {
+		w.svc.SeedChunk(r, r.Size)
+	}
+	dev.Start()
+	var done simtime.Time
+	w.sched.After(3*time.Second, func() { dev.Download(refs, func() { done = w.sched.Now() }) })
+	w.sched.RunUntil(simtime.Time(8 * time.Minute))
+
+	if done == 0 || !dev.Has(refs[0].Hash) || !dev.Has(refs[1].Hash) {
+		t.Fatalf("download did not finish: done at %v", done)
+	}
+	if done.Sub(simtime.Time(3*time.Second)) < 2*time.Minute {
+		t.Fatalf("download took %v; the test needs responses draining for over a minute each", done.Sub(simtime.Time(3*time.Second)))
+	}
+	if syns != 1 {
+		t.Errorf("retrieve opened %d storage connections, want 1", syns)
+	}
+	// The ACK reaches the server 45 ms after the probe, the alert the probe
+	// 45 ms after it leaves.
+	if gap := alert.Sub(lastAck); alert == 0 || gap < StorageIdleTimeout || gap > StorageIdleTimeout+time.Second {
+		t.Errorf("alert at %v, last data ACK at %v, transfer done at %v: gap %v, want StorageIdleTimeout plus the core round trip", alert, lastAck, done, gap)
+	}
+}
+
 func BenchmarkUpload10Chunks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := newTW(b, 3)

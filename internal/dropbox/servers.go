@@ -249,15 +249,16 @@ func (s *Service) acceptStorage(conn *tcpsim.Conn) {
 		conn.Abort()
 		return
 	}
+	// Fig. 19: the server closes a storage connection that stayed quiet for
+	// StorageIdleTimeout with an SSL alert followed by FIN. Quiet means no
+	// bytes arriving and none of the server's own awaiting their ACK, so
+	// the clock never runs while a request is processed or a response
+	// drains, however slow the client's link.
 	var idle simtime.EventID
 	closed := false
 	resetIdle := func() {
 		idle.Cancel()
-		idle = s.cfg.Sched.After(StorageIdleTimeout, func() {
-			// Fig. 19: the server closes an idle storage connection with an
-			// SSL alert followed by FIN.
-			sess.CloseNotify()
-		})
+		idle = s.cfg.Sched.After(StorageIdleTimeout, sess.CloseNotify)
 	}
 	resetIdle()
 	// Any inbound bytes count as activity: a 60 s timer must not sever a
@@ -273,6 +274,8 @@ func (s *Service) acceptStorage(conn *tcpsim.Conn) {
 			resetIdle()
 		}
 	}
+	// So does the ACK that leaves a response fully delivered.
+	conn.OnDrained = resetIdle
 	sess.OnMessage = func(meta any, size int) {
 		if closed {
 			return
@@ -283,7 +286,7 @@ func (s *Service) acceptStorage(conn *tcpsim.Conn) {
 				return
 			}
 			s.handleStorage(sess, meta)
-			resetIdle()
+			idle.Cancel() // until the response is acknowledged
 		})
 	}
 	sess.OnClosed = func() { closed = true; idle.Cancel() }

@@ -15,10 +15,7 @@ import (
 	"insidedropbox/internal/dropbox"
 	"insidedropbox/internal/flowmodel"
 	"insidedropbox/internal/netem"
-	"insidedropbox/internal/simrand"
 	"insidedropbox/internal/simtime"
-	"insidedropbox/internal/tcpsim"
-	"insidedropbox/internal/tlssim"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/tstat"
 	"insidedropbox/internal/wire"
@@ -27,101 +24,61 @@ import (
 // PacketLabConfig drives the packet-level storage-performance experiment
 // behind Figs. 9 and 10: stratified flow sizes pushed through the real
 // protocol over the real simulated TCP path, measured by the real probe.
-// The lab clients send one MsgStore or MsgRetrieve per chunk themselves,
-// so the lab takes no client capability profile.
 type PacketLabConfig struct {
-	Seed int64
 	// FlowsPerSlot flows are generated in each logarithmic size slot.
 	FlowsPerSlot int
-	// MinBytes/MaxBytes bound the stratified payload sizes.
-	MinBytes, MaxBytes int64
 	// Slots is the number of logarithmic size slots.
 	Slots int
-	// ServerIW is the storage servers' initial window (2 = pre-1.4.0).
-	ServerIW int
+	// MaxBytes bounds the stratified payload sizes from above; labMinBytes
+	// bounds them from below.
+	MaxBytes int64
 	// Retrieve generates download flows instead of uploads.
 	Retrieve bool
-	// CoreDelay is the one-way probe->storage core delay (default 45 ms,
-	// approximating Campus 2's ≈95 ms round trip).
-	CoreDelay time.Duration
-	// Access is the client access profile (default campus wireless).
-	Access netem.AccessProfile
 }
+
+// The lab's fixed settings: its rng seed and the smallest flow payload.
+const (
+	labSeed     = 99
+	labMinBytes = 1 << 10
+)
+
+// labRTT is the lab's probe->storage round trip Fig. 9's θ bound uses: the
+// core both ways plus a millisecond for the server side of the path.
+const labRTT = 2*labCoreDelay + time.Millisecond
 
 // DefaultPacketLab sizes the lab for the full Fig. 9 regeneration.
 func DefaultPacketLab(retrieve bool) PacketLabConfig {
-	return PacketLabConfig{
-		Seed: 99, FlowsPerSlot: 12, Slots: 16,
-		MinBytes: 1 << 10, MaxBytes: 64 << 20,
-		ServerIW: 2, Retrieve: retrieve,
-		CoreDelay: 45 * time.Millisecond,
-		Access:    netem.CampusWireless(),
-	}
+	return PacketLabConfig{FlowsPerSlot: 12, Slots: 16, MaxBytes: 64 << 20, Retrieve: retrieve}
 }
-
-// RTT is the lab's probe->storage round trip Fig. 9's θ bound uses: the
-// core both ways plus a millisecond for the server side of the path.
-func (c PacketLabConfig) RTT() time.Duration { return 2*c.CoreDelay + time.Millisecond }
 
 // QuickPacketLab is a small variant for tests and -short benchmarks.
 func QuickPacketLab(retrieve bool) PacketLabConfig {
-	cfg := DefaultPacketLab(retrieve)
-	cfg.FlowsPerSlot = 3
-	cfg.Slots = 8
-	cfg.MaxBytes = 4 << 20
-	return cfg
+	return PacketLabConfig{FlowsPerSlot: 3, Slots: 8, MaxBytes: 4 << 20, Retrieve: retrieve}
 }
 
 // RunPacketLab executes the lab and returns the probe's flow records for
-// storage flows, annotated with the lab's path RTT. Cancelling ctx stops
-// the simulation at its next bounded slice (a few minutes of virtual
-// time, milliseconds of wall clock) and returns ctx.Err().
+// storage flows. Six 1.2.52 devices, one account each, run the transfers
+// through Device.Upload or Device.Download. Cancelling ctx stops the
+// simulation at its next bounded slice (a few minutes of virtual time,
+// milliseconds of wall clock) and returns ctx.Err().
 func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecord, error) {
-	sched := simtime.NewScheduler()
-	rng := simrand.New(cfg.Seed, "packetlab")
-	net := netem.New(sched, rng)
-	net.SetCoreDelay("lab", dnssim.AmazonDC, cfg.CoreDelay)
-	net.SetCoreDelay("lab", dnssim.DropboxDC, cfg.CoreDelay+40*time.Millisecond)
-	dir := dnssim.Build(dnssim.Layout{MetaIPs: 2, NotifyIPs: 2, StorageNames: 64, StorageIPs: 64})
-	svc := dropbox.NewService(dropbox.ServiceConfig{
-		Sched: sched, Net: net, Rng: rng, Dir: dir, ServerIW: cfg.ServerIW,
-	})
-	resolver := dnssim.NewResolver(dir, rng)
+	w := newLabWorld(labSeed, "packetlab", 64, labCaps.IW())
+	sched, rng, svc := w.sched, w.rng, w.svc
 	probe := tstat.New(sched, "packetlab")
 	var recs []*traces.FlowRecord
 	probe.OnRecord = func(r *traces.FlowRecord) { recs = append(recs, r) }
-	resolver.Log = probe.ObserveDNS
-	net.AttachTap("lab", probe)
+	w.resolver.Log = probe.ObserveDNS
+	w.net.AttachTap(labSite, probe)
 
-	// A small pool of lab clients, each running its flows sequentially.
-	const clients = 6
-	type labClient struct {
-		stack *tcpsim.Stack
-		rng   *simrand.Source
-	}
-	var lcs []*labClient
-	for i := 0; i < clients; i++ {
-		ip := wire.MakeIP(10, 10, 0, byte(i+1))
-		host := net.AddHost(ip, "lab", cfg.Access)
-		lcs = append(lcs, &labClient{
-			stack: tcpsim.NewStack(host, sched, rng, tcpsim.DefaultIW),
-			rng:   rng.Fork(fmt.Sprintf("lab%d", i)),
-		})
-	}
-
-	// Stratified flow specs.
-	type spec struct {
-		chunks []chunker.Ref
-		wires  []int
-	}
-	var specs []spec
-	bins := analysis.LogBins{Lo: float64(cfg.MinBytes), Hi: float64(cfg.MaxBytes), N: cfg.Slots}
+	// Stratified transfers, each the chunk list of one storage flow.
+	var transfers [][]chunker.Ref
+	bins := analysis.LogBins{Lo: labMinBytes, Hi: float64(cfg.MaxBytes), N: cfg.Slots}
 	seedCtr := uint64(1)
 	for slot := 0; slot < cfg.Slots; slot++ {
 		for f := 0; f < cfg.FlowsPerSlot; f++ {
 			size := int64(bins.Center(slot) * rng.Uniform(0.7, 1.4))
-			if size < cfg.MinBytes {
-				size = cfg.MinBytes
+			if size < labMinBytes {
+				size = labMinBytes
 			}
 			// Chunk-count category as in Fig. 9's legend.
 			minChunks := int((size + chunker.MaxChunkSize - 1) / chunker.MaxChunkSize)
@@ -137,7 +94,6 @@ func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecor
 			}
 			per := size / int64(want)
 			var refs []chunker.Ref
-			var wires []int
 			for i := 0; i < want; i++ {
 				sz := per
 				if i == want-1 {
@@ -148,96 +104,56 @@ func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecor
 				}
 				sf := chunker.SyntheticFile{Seed: seedCtr, Size: sz}
 				seedCtr++
-				for _, r := range sf.Refs() {
-					refs = append(refs, r)
-					wires = append(wires, r.Size)
-				}
+				refs = append(refs, sf.Refs()...)
 			}
-			specs = append(specs, spec{chunks: refs, wires: wires})
+			transfers = append(transfers, refs)
 		}
 	}
-	rng.Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
+	rng.Shuffle(len(transfers), func(i, j int) { transfers[i], transfers[j] = transfers[j], transfers[i] })
 
 	// For retrieve labs, stage content server-side.
 	if cfg.Retrieve {
-		for _, sp := range specs {
-			for i, r := range sp.chunks {
-				svc.SeedChunk(r, sp.wires[i])
+		for _, refs := range transfers {
+			for _, r := range refs {
+				svc.SeedChunk(r, r.Size)
 			}
 		}
 	}
 
-	// Each lab client drains its share of specs sequentially over raw
-	// storage connections, mimicking the client's op sequence.
-	remaining := len(specs)
-	var runSpec func(lc *labClient, queue []spec)
-	runSpec = func(lc *labClient, queue []spec) {
+	// Each device runs its share of the transfers one after another. The
+	// next starts once the server has closed the previous flow for
+	// idleness, so every transfer is one storage flow, ended as in Fig. 19.
+	wireOf := func(r chunker.Ref) int { return r.Size }
+	remaining := len(transfers)
+	var run func(dev *dropbox.Device, queue [][]chunker.Ref)
+	run = func(dev *dropbox.Device, queue [][]chunker.Ref) {
 		if len(queue) == 0 {
 			return
 		}
-		sp := queue[0]
-		rest := queue[1:]
-		specDone := false
-		finish := func() {
-			if specDone {
-				return
-			}
-			specDone = true
-			remaining--
-			runSpec(lc, rest)
-		}
-		name := dir.StorageNames[lc.rng.Intn(len(dir.StorageNames))]
-		ip, _ := resolver.Resolve(sched.Now(), lc.stack.Host.IP, name)
-		conn := lc.stack.Dial(ip, 443)
-		sess := tlssim.NewClient(conn, name)
-		svc.RegisterPending(conn.LocalEndpoint(), sess)
-		idx := 0
-		issue := func() {
-			if cfg.Retrieve {
-				sess.SendParts(dropbox.MsgRetrieve{Hash: sp.chunks[idx].Hash}, dropbox.RetrieveRequestSize(lc.rng), 2)
-			} else {
-				w := sp.wires[idx]
-				sess.Send(dropbox.MsgStore{Ref: sp.chunks[idx], WireSize: w},
-					dropbox.StoreClientOverhead+w)
-			}
-		}
-		sess.OnEstablished = func() { issue() }
-		sess.OnMessage = func(meta any, size int) {
-			idx++
-			if idx < len(sp.chunks) {
-				sched.After(dropbox.Reaction(lc.rng, dropbox.ClientReactionMedian), issue)
-				return
-			}
-			// Flow done: abort after a short linger (the probe sees the
-			// RST; the 60 s server alert path is exercised elsewhere).
-			sched.After(time.Duration(lc.rng.Uniform(0.2, 2))*time.Second, func() {
-				sess.Abort()
-				sched.After(5*time.Second, finish)
+		next := func() {
+			sched.After(dropbox.StorageIdleTimeout+5*time.Second, func() {
+				remaining--
+				run(dev, queue[1:])
 			})
 		}
-		sess.OnReset = func() { finish() }
-		sess.OnPeerClose = func() {
-			sess.Abort()
-			finish()
+		if cfg.Retrieve {
+			dev.Download(queue[0], next)
+		} else {
+			dev.Upload(svc.Meta.Account(dev.Account).Root, queue[0], wireOf, next)
 		}
 	}
-	per := (len(specs) + clients - 1) / clients
-	for i, lc := range lcs {
-		lo := i * per
-		hi := lo + per
-		if lo >= len(specs) {
-			break
-		}
-		if hi > len(specs) {
-			hi = len(specs)
-		}
-		queue := specs[lo:hi]
-		lc := lc
-		sched.After(time.Duration(i)*200*time.Millisecond, func() { runSpec(lc, queue) })
+	const devices = 6
+	per := (len(transfers) + devices - 1) / devices
+	for i := range devices {
+		acct := svc.Meta.CreateAccount()
+		dev := w.device(wire.MakeIP(10, 10, 0, byte(i+1)), netem.CampusWireless(), acct.ID)
+		dev.Start()
+		queue := transfers[min(i*per, len(transfers)):min((i+1)*per, len(transfers))]
+		sched.After(3*time.Second+time.Duration(i)*200*time.Millisecond, func() { run(dev, queue) })
 	}
 	// The probe's sweep ticker keeps the scheduler populated forever, so
-	// drive the simulation in bounded slices until all specs complete; the
-	// slice boundaries double as the cancellation points.
+	// drive the simulation in bounded slices until all transfers complete;
+	// the slice boundaries double as the cancellation points.
 	const labCap = 24 * time.Hour
 	for remaining > 0 && sched.Now() < simtime.Time(labCap) {
 		if err := ctx.Err(); err != nil {
@@ -245,7 +161,6 @@ func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecor
 		}
 		sched.RunFor(5 * time.Minute)
 	}
-	sched.RunFor(2 * time.Minute) // let trailing teardowns settle
 	probe.FlushAll()
 
 	var storage []*traces.FlowRecord
@@ -272,7 +187,7 @@ func chunkGroup(chunks int) string {
 }
 
 // Figure9 reproduces the storage throughput scatter with the θ bound.
-func Figure9(storeRecs, retrRecs []*traces.FlowRecord, rtt time.Duration, iw int) *Result {
+func Figure9(storeRecs, retrRecs []*traces.FlowRecord) *Result {
 	res := newResult("figure9", "Figure 9: Throughput of storage flows (packet-level lab)")
 	panels := []struct {
 		name string
@@ -309,7 +224,7 @@ func Figure9(storeRecs, retrRecs []*traces.FlowRecord, rtt time.Duration, iw int
 			byGroup[g] = e
 			all = append(all, tp)
 			n++
-			if tp > flowmodel.Theta(payload, rtt, iw)*1.2 {
+			if tp > flowmodel.Theta(payload, labRTT, labCaps.IW())*1.2 {
 				aboveTheta++
 			}
 		}
@@ -323,7 +238,7 @@ func Figure9(storeRecs, retrRecs []*traces.FlowRecord, rtt time.Duration, iw int
 		var tx, ty []float64
 		for b := 256.0; b < 1e9; b *= 2 {
 			tx = append(tx, b)
-			ty = append(ty, flowmodel.Theta(int64(b), rtt, iw))
+			ty = append(ty, flowmodel.Theta(int64(b), labRTT, labCaps.IW()))
 		}
 		plot.AddSeries("theta", tx, ty)
 		res.addText(plot.String())
@@ -415,7 +330,7 @@ func RunPacketLabs(ctx context.Context, store, retr PacketLabConfig) (fig9, fig1
 	if err != nil {
 		return nil, nil, err
 	}
-	fig9 = Figure9(storeRecs, retrRecs, store.RTT(), store.ServerIW)
+	fig9 = Figure9(storeRecs, retrRecs)
 	fig10 = Figure10(storeRecs, retrRecs)
 	return fig9, fig10, nil
 }

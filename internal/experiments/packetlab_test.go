@@ -31,16 +31,16 @@ func TestPacketLabGolden(t *testing.T) {
 		t.Skip("packet labs are slow")
 	}
 	want := map[string]string{
-		"store":    "f86bae9e6adf8617",
-		"retrieve": "a67015f6add8a0a9",
+		"store":    "10e4aadcf64cf4c4",
+		"retrieve": "a17f2df2af879fc3",
 		"figure1":  "424ef332ce30ba29",
-		"figure9":  "ebaffad68c2245c1",
-		"figure10": "31b48beeb35ff627",
+		"figure9":  "40f464d4e7523c3d",
+		"figure10": "b8e741383e8e7ec4",
 		"figure19": "d34f6bfa190c318e",
 	}
 	ctx := context.Background()
 	s := &Session{Seed: 2012, Quick: true}
-	store, retr, _, err := s.PacketRecords(ctx)
+	store, retr, err := s.PacketRecords(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestTestbedCaptureGolden(t *testing.T) {
 	for _, line := range tb.messages {
 		fmt.Fprintln(h, line)
 	}
-	const frames, messages, want = 2322, 14, "ed051b5d3919424d"
+	const frames, messages, want = 2322, 14, "8ac7f9ca54e65ad4"
 	if got := fmt.Sprintf("%016x", h.Sum64()); len(tb.frames) != frames || len(tb.messages) != messages || got != want {
 		t.Errorf("%d frames, %d messages, hash %s; pinned %d, %d, %s", len(tb.frames), len(tb.messages), got, frames, messages, want)
 	}
@@ -97,9 +97,30 @@ func TestDefaultPacketLabGolden(t *testing.T) {
 		name string
 		recs []*traces.FlowRecord
 		want string
-	}{{"store", store, "0d173c44ae0591ea"}, {"retrieve", retr, "dcb96875d33a6f66"}} {
+	}{{"store", store, "79631c04bd5e5d1e"}, {"retrieve", retr, "8fa7a28f540e3d98"}} {
 		if got := recordsHash(c.recs); got != c.want || len(c.recs) != 192 {
 			t.Errorf("%s: %d records, hash %s; pinned 192, %s", c.name, len(c.recs), got, c.want)
+		}
+	}
+}
+
+// TestPacketLabFlowsServerClosed: every lab transfer is one storage flow
+// that the server's idle alert ends (Fig. 19), the flow the chunk
+// estimator and TransferDuration's 60 s compensation assume.
+func TestPacketLabFlowsServerClosed(t *testing.T) {
+	for _, cfg := range []PacketLabConfig{QuickPacketLab(false), QuickPacketLab(true)} {
+		recs, err := RunPacketLab(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := 0
+		for _, r := range recs {
+			if r.ServerClosed {
+				closed++
+			}
+		}
+		if want := cfg.Slots * cfg.FlowsPerSlot; len(recs) != want || closed != want {
+			t.Errorf("retrieve %t: %d storage records, %d server-closed; want %d of each", cfg.Retrieve, len(recs), closed, want)
 		}
 	}
 }
@@ -113,7 +134,7 @@ func TestPacketRecordsCancelled(t *testing.T) {
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
 		before := runtime.NumGoroutine()
-		store, retr, _, err := s.PacketRecords(cancelled)
+		store, retr, err := s.PacketRecords(cancelled)
 		if !errors.Is(err, context.Canceled) || store != nil || retr != nil {
 			t.Fatalf("workers %d: cancelled labs: store=%d retr=%d err=%v", workers, len(store), len(retr), err)
 		}
@@ -123,7 +144,7 @@ func TestPacketRecordsCancelled(t *testing.T) {
 		if testing.Short() {
 			continue
 		}
-		store, retr, _, err = s.PacketRecords(context.Background())
+		store, retr, err = s.PacketRecords(context.Background())
 		if err != nil || len(store) == 0 || len(retr) == 0 {
 			t.Fatalf("workers %d: session latched the cancelled labs: store=%d retr=%d err=%v", workers, len(store), len(retr), err)
 		}
@@ -139,7 +160,7 @@ func TestPacketRecordsWorkerInvariance(t *testing.T) {
 	var got [2][2][]*traces.FlowRecord
 	for i, workers := range []int{1, 4} {
 		s := &Session{Seed: 1, Quick: true, Fleet: fleet.Config{Workers: workers}}
-		store, retr, _, err := s.PacketRecords(context.Background())
+		store, retr, err := s.PacketRecords(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

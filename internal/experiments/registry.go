@@ -157,7 +157,6 @@ type Session struct {
 	tallies   Tallies
 	packStore []*traces.FlowRecord
 	packRetr  []*traces.FlowRecord
-	packCfg   PacketLabConfig
 	packDone  bool
 	tb        *TestbedResult
 	beReqs    []backend.Request
@@ -185,15 +184,13 @@ func (s *Session) Tallies(ctx context.Context) (Tallies, error) {
 
 // PacketRecords returns the storage-flow records of both packet labs
 // (store and retrieve), running the labs on first use, side by side when
-// Fleet.Workers allows two. The returned lab config carries the path
-// parameters (RTT, server IW) Figure 9 annotates. Failed runs are not
-// memoized.
-func (s *Session) PacketRecords(ctx context.Context) (store, retr []*traces.FlowRecord, cfg PacketLabConfig, err error) {
+// Fleet.Workers allows two. Failed runs are not memoized.
+func (s *Session) PacketRecords(ctx context.Context) (store, retr []*traces.FlowRecord, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.packDone {
 		mPacketHits.Inc()
-		return s.packStore, s.packRetr, s.packCfg, nil
+		return s.packStore, s.packRetr, nil
 	}
 	mPacketBuilds.Inc()
 	storeCfg, retrCfg := DefaultPacketLab(false), DefaultPacketLab(true)
@@ -202,10 +199,10 @@ func (s *Session) PacketRecords(ctx context.Context) (store, retr []*traces.Flow
 	}
 	storeRecs, retrRecs, err := runPacketLabs(ctx, storeCfg, retrCfg, s.Fleet.Workers)
 	if err != nil {
-		return nil, nil, storeCfg, err
+		return nil, nil, err
 	}
-	s.packStore, s.packRetr, s.packCfg, s.packDone = storeRecs, retrRecs, storeCfg, true
-	return storeRecs, retrRecs, storeCfg, nil
+	s.packStore, s.packRetr, s.packDone = storeRecs, retrRecs, true
+	return storeRecs, retrRecs, nil
 }
 
 // Testbed returns the protocol dissection (Figs. 1 and 19), running the
@@ -277,18 +274,18 @@ func init() {
 		ID: "figure9", Title: "Figure 9: Throughput of storage flows (packet-level lab)",
 		Needs: Needs{Packet: true},
 		Run: func(ctx context.Context, s *Session) (*Result, error) {
-			store, retr, cfg, err := s.PacketRecords(ctx)
+			store, retr, err := s.PacketRecords(ctx)
 			if err != nil {
 				return nil, err
 			}
-			return Figure9(store, retr, cfg.RTT(), cfg.ServerIW), nil
+			return Figure9(store, retr), nil
 		},
 	})
 	register(Experiment{
 		ID: "figure10", Title: "Figure 10: Minimum duration of flows by chunk group",
 		Needs: Needs{Packet: true},
 		Run: func(ctx context.Context, s *Session) (*Result, error) {
-			store, retr, _, err := s.PacketRecords(ctx)
+			store, retr, err := s.PacketRecords(ctx)
 			if err != nil {
 				return nil, err
 			}

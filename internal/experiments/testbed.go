@@ -64,22 +64,65 @@ func (p *packetTap) Capture(now simtime.Time, f *wire.Frame, dir netem.TapDir) {
 	})
 }
 
+// labSite is the one client site of both packet experiments.
+const labSite = "lab"
+
+// labCoreDelay is the one-way core delay from the lab to Amazon's storage
+// servers (approximating Campus 2's ≈95 ms round trip); Dropbox's control
+// and notification servers sit 40 ms further.
+const labCoreDelay = 45 * time.Millisecond
+
+// labCaps is the client of both packet experiments: 1.2.52, whose storage
+// servers open at IW 2.
+var labCaps = capability.DropboxV1252()
+
+// labWorld is the simulated world both packet experiments run in: the lab
+// site, the service's servers, the DNS directory and a resolver over it.
+type labWorld struct {
+	sched    *simtime.Scheduler
+	rng      *simrand.Source
+	net      *netem.Network
+	svc      *dropbox.Service
+	resolver *dnssim.Resolver
+}
+
+// newLabWorld builds the world from one rng stream; storageNames sizes the
+// storage alias pool, serverIW the servers' initial window.
+func newLabWorld(seed int64, stream string, storageNames, serverIW int) *labWorld {
+	sched := simtime.NewScheduler()
+	rng := simrand.New(seed, stream)
+	net := netem.New(sched, rng)
+	net.SetCoreDelay(labSite, dnssim.AmazonDC, labCoreDelay)
+	net.SetCoreDelay(labSite, dnssim.DropboxDC, labCoreDelay+40*time.Millisecond)
+	dir := dnssim.Build(dnssim.Layout{MetaIPs: 2, NotifyIPs: 2, StorageNames: storageNames, StorageIPs: storageNames})
+	svc := dropbox.NewService(dropbox.ServiceConfig{
+		Sched: sched, Net: net, Rng: rng, Dir: dir, ServerIW: serverIW,
+	})
+	return &labWorld{sched: sched, rng: rng, net: net, svc: svc, resolver: dnssim.NewResolver(dir, rng)}
+}
+
+// device links a 1.2.52 client on a new lab host to an account.
+func (w *labWorld) device(ip wire.IP, access netem.AccessProfile, acct dropbox.AccountID) *dropbox.Device {
+	host := w.net.AddHost(ip, labSite, access)
+	stack := tcpsim.NewStack(host, w.sched, w.rng, tcpsim.DefaultIW)
+	dev, err := dropbox.NewDevice(dropbox.ClientConfig{
+		Sched: w.sched, Rng: w.rng, Service: w.svc, Resolver: w.resolver,
+		Stack: stack, Caps: labCaps,
+	}, acct)
+	if err != nil {
+		panic(err)
+	}
+	return dev
+}
+
 // RunTestbed stands up the full service, runs one upload and one download
 // through real clients, and renders the protocol dissection. Cancelling
 // ctx stops the simulation at its next bounded slice and returns ctx.Err().
 func RunTestbed(ctx context.Context, seed int64) (*TestbedResult, error) {
-	sched := simtime.NewScheduler()
-	rng := simrand.New(seed, "testbed")
-	net := netem.New(sched, rng)
-	net.SetCoreDelay("lab", dnssim.AmazonDC, 45*time.Millisecond)
-	net.SetCoreDelay("lab", dnssim.DropboxDC, 85*time.Millisecond)
-	dir := dnssim.Build(dnssim.Layout{MetaIPs: 2, NotifyIPs: 2, StorageNames: 8, StorageIPs: 8})
-	svc := dropbox.NewService(dropbox.ServiceConfig{
-		Sched: sched, Net: net, Rng: rng, Dir: dir, ServerIW: tcpsim.DefaultIW,
-	})
-	resolver := dnssim.NewResolver(dir, rng)
+	w := newLabWorld(seed, "testbed", 8, tcpsim.DefaultIW)
+	sched, svc := w.sched, w.svc
 	tap := &packetTap{}
-	net.AttachTap("lab", tap)
+	w.net.AttachTap(labSite, tap)
 
 	var msgLog []string
 	svc.Trace = func(server string, meta any) {
@@ -87,21 +130,9 @@ func RunTestbed(ctx context.Context, seed int64) (*TestbedResult, error) {
 			sched.Now(), server, msgName(meta), meta))
 	}
 
-	mkDev := func(ip wire.IP, acct dropbox.AccountID) *dropbox.Device {
-		host := net.AddHost(ip, "lab", netem.WiredWorkstation())
-		stack := tcpsim.NewStack(host, sched, rng, tcpsim.DefaultIW)
-		dev, err := dropbox.NewDevice(dropbox.ClientConfig{
-			Sched: sched, Rng: rng, Service: svc, Resolver: resolver,
-			Stack: stack, Caps: capability.DropboxV1252(),
-		}, acct)
-		if err != nil {
-			panic(err)
-		}
-		return dev
-	}
 	acct := svc.Meta.CreateAccount()
-	up := mkDev(wire.MakeIP(10, 10, 0, 1), acct.ID)
-	down := mkDev(wire.MakeIP(10, 10, 0, 2), acct.ID)
+	up := w.device(wire.MakeIP(10, 10, 0, 1), netem.WiredWorkstation(), acct.ID)
+	down := w.device(wire.MakeIP(10, 10, 0, 2), netem.WiredWorkstation(), acct.ID)
 	up.Start()
 	down.Start()
 

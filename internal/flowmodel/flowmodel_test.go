@@ -131,8 +131,9 @@ func TestSynthesizedRetrieveTagging(t *testing.T) {
 	}
 }
 
-// packetTruth runs the same transfer through the full packet-level stack
-// and returns the probe's record.
+// packetTruth runs the same transfer through the full packet-level stack,
+// a store through Device.Upload or a retrieve of staged chunks through
+// Device.Download, and returns the probe's record.
 func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps capability.Profile) *traces.FlowRecord {
 	t.Helper()
 	sched := simtime.NewScheduler()
@@ -142,7 +143,7 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps ca
 	net.SetCoreDelay("vp", dnssim.DropboxDC, 85*time.Millisecond)
 	dir2 := dnssim.Build(dnssim.Layout{MetaIPs: 2, NotifyIPs: 2, StorageNames: 4, StorageIPs: 4})
 	svc := dropbox.NewService(dropbox.ServiceConfig{
-		Sched: sched, Net: net, Rng: rng, Dir: dir2, ServerIW: tcpsim.DefaultIW,
+		Sched: sched, Net: net, Rng: rng, Dir: dir2, ServerIW: caps.IW(),
 	})
 	resolver := dnssim.NewResolver(dir2, rng)
 	probe := tstat.New(sched, "calib")
@@ -151,18 +152,15 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps ca
 	resolver.Log = probe.ObserveDNS
 	net.AttachTap("vp", probe)
 
-	mk := func(ip wire.IP) *dropbox.Device {
-		host := net.AddHost(ip, "vp", netem.WiredWorkstation())
-		stack := tcpsim.NewStack(host, sched, rng, tcpsim.DefaultIW)
-		acct := svc.Meta.CreateAccount()
-		dev, err := dropbox.NewDevice(dropbox.ClientConfig{
-			Sched: sched, Rng: rng, Service: svc, Resolver: resolver,
-			Stack: stack, Caps: caps,
-		}, acct.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dev
+	host := net.AddHost(wire.MakeIP(10, 0, 0, 1), "vp", netem.WiredWorkstation())
+	stack := tcpsim.NewStack(host, sched, rng, tcpsim.DefaultIW)
+	acct := svc.Meta.CreateAccount()
+	dev, err := dropbox.NewDevice(dropbox.ClientConfig{
+		Sched: sched, Rng: rng, Service: svc, Resolver: resolver,
+		Stack: stack, Caps: caps,
+	}, acct.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var refs []chunker.Ref
 	for i, sz := range chunkSizes {
@@ -171,21 +169,14 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps ca
 	}
 	wireOf := func(r chunker.Ref) int { return r.Size }
 
-	uploader := mk(wire.MakeIP(10, 0, 0, 1))
-	uploader.Start()
-	ns := svc.Meta.Account(uploader.Account).Root
-	sched.After(2*time.Second, func() { uploader.Upload(ns, refs, wireOf, nil) })
+	dev.Start()
 	if dir == classify.DirRetrieve {
-		// A second account shares the folder and downloads.
-		dl := mk(wire.MakeIP(10, 0, 0, 2))
-		shared, err := svc.Meta.ShareFolder(uploader.Account, dl.Account)
-		if err != nil {
-			t.Fatal(err)
+		for _, r := range refs {
+			svc.SeedChunk(r, wireOf(r))
 		}
-		// Re-provision devices so they subscribe to the share: simpler to
-		// upload into the shared namespace directly.
-		_ = shared
-		t.Fatal("retrieve calibration uses downloadTruth helper instead")
+		sched.After(2*time.Second, func() { dev.Download(refs, nil) })
+	} else {
+		sched.After(2*time.Second, func() { dev.Upload(acct.Root, refs, wireOf, nil) })
 	}
 	sched.RunUntil(simtime.Time(20 * time.Minute))
 	probe.FlushAll()
@@ -224,6 +215,30 @@ func TestCalibrationStoreV1252(t *testing.T) {
 	// Durations agree within tolerance.
 	md := classify.TransferDuration(model, classify.DirStore).Seconds()
 	td := classify.TransferDuration(truth, classify.DirStore).Seconds()
+	if ratio := md / td; math.Abs(ratio-1) > 0.35 {
+		t.Errorf("duration: model %.2fs vs packet %.2fs (ratio %.2f)", md, td, ratio)
+	}
+}
+
+func TestCalibrationRetrieveV1252(t *testing.T) {
+	chunks := []int{150_000, 150_000, 150_000, 150_000}
+	truth := packetTruth(t, classify.DirRetrieve, chunks, capability.DropboxV1252())
+
+	rng := simrand.New(24, "calib4")
+	p := DefaultParams(truth.MinRTT)
+	model := Synthesize(rng, p, StorageFlowSpec{
+		Dir: classify.DirRetrieve, ChunkWires: chunks,
+		Start: truth.FirstPacket, ServerClosesIdle: truth.ServerClosed,
+	})
+	if model.BytesDown != truth.BytesDown {
+		t.Errorf("bytes down: model %d vs packet %d", model.BytesDown, truth.BytesDown)
+	}
+	if model.PSHUp != truth.PSHUp || model.PSHDown != truth.PSHDown {
+		t.Errorf("psh: model %d/%d vs packet %d/%d",
+			model.PSHUp, model.PSHDown, truth.PSHUp, truth.PSHDown)
+	}
+	md := classify.TransferDuration(model, classify.DirRetrieve).Seconds()
+	td := classify.TransferDuration(truth, classify.DirRetrieve).Seconds()
 	if ratio := md / td; math.Abs(ratio-1) > 0.35 {
 		t.Errorf("duration: model %.2fs vs packet %.2fs (ratio %.2f)", md, td, ratio)
 	}

@@ -188,6 +188,9 @@ type Conn struct {
 	OnPeerClose func() // FIN received (peer will send no more data)
 	OnReset     func() // RST received
 	OnClosed    func() // connection fully terminated
+	// OnDrained fires when an ACK leaves no written byte unacknowledged
+	// on a connection still open for writing: its send side went quiet.
+	OnDrained func()
 
 	// Send state (relative sequence space: 0 = ISN, data starts at 1).
 	iss        uint32
@@ -692,6 +695,9 @@ func (c *Conn) processAck(f *wire.Frame) {
 			c.cwnd += max(wire.MSS*wire.MSS/c.cwnd, 1)
 		}
 		c.armRTO()
+		if c.sndUna == c.sndNxt && len(c.spans) == 0 && !c.finQueued && c.OnDrained != nil {
+			c.OnDrained()
+		}
 	} else if relAck == c.sndUna && c.sndNxt > c.sndUna && f.PayloadLen == 0 {
 		c.dupAcks++
 		if c.dupAcks == 3 && !c.inRecovery {

@@ -302,6 +302,28 @@ func TestOrderlyClose(t *testing.T) {
 	}
 }
 
+// TestOnDrained: the callback fires once per write, when the ACK of its
+// last byte arrives, and not for the FIN of a close.
+func TestOnDrained(t *testing.T) {
+	w := defaultWorld(t)
+	w.server.Listen(443, func(c *Conn) {})
+	conn := w.client.Dial(w.server.Host.IP, 443)
+	var drained []simtime.Time
+	conn.OnEstablished = func() {
+		conn.OnDrained = func() { drained = append(drained, w.sched.Now()) }
+		conn.Write(nil, 50000, true)
+		w.sched.After(2*time.Second, func() { conn.Write(nil, 1000, true) })
+		w.sched.After(4*time.Second, conn.Close)
+	}
+	w.sched.Run()
+	if len(drained) != 2 {
+		t.Fatalf("drained at %v, want twice", drained)
+	}
+	if drained[0] > simtime.Time(2*time.Second) || drained[1] < simtime.Time(2*time.Second) || drained[1] > simtime.Time(4*time.Second) {
+		t.Fatalf("drained at %v, want once after each write", drained)
+	}
+}
+
 func TestAbortSendsRST(t *testing.T) {
 	w := defaultWorld(t)
 	reset := false
