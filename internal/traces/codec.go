@@ -53,7 +53,7 @@ type blockWriter struct {
 	// write, in stream order — telemetry and index builders hang off it.
 	finish  func(*encScratch, *blockAccum) []byte
 	onFrame func(*blockAccum, []byte)
-	ring    ring // frames being finished, oldest first
+	ring    ring[frameSlot] // frames being finished, oldest first
 
 	started bool
 	err     error
@@ -77,7 +77,7 @@ func (w *blockWriter) init(dst io.Writer, magic [6]byte, workers int,
 	onFrame func(*blockAccum, []byte)) {
 
 	w.w, w.magic, w.finish, w.onFrame = dst, magic, finish, onFrame
-	w.ring = ring{size: ringSize(workers), work: func(s *frameSlot) { s.frame = finish(&s.enc, &s.cols) }}
+	w.ring = ring[frameSlot]{size: ringSize(workers), work: func(s *frameSlot) { s.frame = finish(&s.enc, &s.cols) }}
 }
 
 func (w *blockWriter) blockTarget() int {
@@ -223,9 +223,8 @@ func (w *blockWriter) WriteFrom(r *BinaryReader) (int, error) {
 // cut hands the block under construction to the ring: finished on a
 // goroutine of its own, or here and written at once with one slot.
 func (w *blockWriter) cut() error {
-	s := w.cur
 	w.cur = nil
-	w.ring.start(s, w.ring.size == 1)
+	w.ring.start(w.ring.n-1, w.ring.size == 1)
 	if w.ring.size == 1 {
 		return w.retire(false) // a failed write latches, and the next Write reports it
 	}
@@ -268,13 +267,13 @@ type blockReader struct {
 	anon   bool
 	err    error
 
-	ring     ring        // GOMAXPROCS+1 slots, or one worked inline
-	names    sharedNames // every slot's strings, interned once per reader
-	started  int         // claimed slots whose work has started, oldest first
-	inFlight int         // declared body bytes of the started slots
-	ended    bool        // a claimed slot holds the end of the stream or an error
-	ahead    bool        // read-ahead: a block was handed out whole since the last seek
-	whole    bool        // the current block is handed out from its first record
+	ring     ring[frameSlot] // GOMAXPROCS+1 slots, or one worked inline
+	names    sharedNames     // every slot's strings, interned once per reader
+	started  int             // claimed slots whose work has started, oldest first
+	inFlight int             // declared body bytes of the started slots
+	ended    bool            // a claimed slot holds the end of the stream or an error
+	ahead    bool            // read-ahead: a block was handed out whole since the last seek
+	whole    bool            // the current block is handed out from its first record
 
 	recs []*FlowRecord // records of the current block
 	next int
@@ -292,7 +291,7 @@ type blockReader struct {
 func (r *blockReader) init(src io.Reader, magic [6]byte, slice func(*frameSlot) error, body func(*frameSlot) ([]byte, error)) {
 	r.br, r.magic, r.slice = bufio.NewReader(src), magic, slice
 	r.check = func(s *frameSlot) error { return s.err }
-	r.ring = ring{size: ringSize(runtime.GOMAXPROCS(0)), work: func(s *frameSlot) {
+	r.ring = ring[frameSlot]{size: ringSize(runtime.GOMAXPROCS(0)), work: func(s *frameSlot) {
 		b, err := body(s)
 		if err == nil {
 			err = s.cols.decodeBody(b, &r.names)
@@ -365,15 +364,15 @@ func (r *blockReader) take() *frameSlot {
 			if r.started > 0 && r.inFlight+s.rawLen > maxFrameRaw {
 				break
 			}
-			r.started++
-			r.inFlight += s.rawLen
 			if s.err == nil {
 				if r.ahead {
 					mReadAheadFrames.Inc()
 				}
-				q.start(s, !r.ahead || !s.warm)
+				q.start(r.started, !r.ahead || !s.warm)
 				s.warm = true
 			}
+			r.started++
+			r.inFlight += s.rawLen
 			continue
 		}
 		if r.ended || q.n == q.size || q.n > 0 && !r.ahead {

@@ -156,11 +156,14 @@ var readerWorkers = []int{1, 4}
 // core exposes the reader core under either framing's reader.
 func (r *blockReader) core() *blockReader { return r }
 
-// withWorkers sizes a block reader's ring as GOMAXPROCS = workers would,
-// before its first read; any other reader is returned as it is.
+// withWorkers sizes a block or CSV reader's ring as GOMAXPROCS = workers
+// would, before its first read; any other reader is returned as it is.
 func withWorkers[R any](rd R, workers int) R {
-	if b, ok := any(rd).(interface{ core() *blockReader }); ok {
-		b.core().ring.size = ringSize(workers)
+	switch r := any(rd).(type) {
+	case interface{ core() *blockReader }:
+		r.core().ring.size = ringSize(workers)
+	case *Reader:
+		r.ring.size = ringSize(workers)
 	}
 	return rd
 }

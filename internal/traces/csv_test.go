@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -167,7 +170,9 @@ func (e endless) Read(p []byte) (int, error) {
 
 // TestCSVReaderCaps: hostile input cannot make the reader hold more than
 // its caps — a row that never ends is refused at 16 MiB whether it is one
-// line or one quoted field over many, and the intern table stops growing.
+// line or one quoted field over many, every slot's buffer and decoded-row
+// scratch stay within a few times the row cap however long the input
+// runs, and the intern tables stop growing.
 func TestCSVReaderCaps(t *testing.T) {
 	header := strings.Join(csvHeader[:], ",") + "\n"
 	for name, tail := range map[string]endless{"one line": "x", "open quote": "xxxxxxx\n"} {
@@ -177,9 +182,26 @@ func TestCSVReaderCaps(t *testing.T) {
 		if !errors.As(err, &ce) || ce.Row != 2 || !strings.Contains(ce.Reason, "longer than") {
 			t.Fatalf("%s: endless row: %v", name, err)
 		}
-		if held := cap(r.long) + cap(r.unq); held > 2*maxCSVRow+2*csvWindow {
-			t.Fatalf("%s: reader holds %d scratch bytes", name, held)
+		waitForSlots(r)
+		for i, s := range r.ring.slots {
+			if cap(s.v.buf) > maxCSVChunk || cap(s.v.unq) > 2*maxCSVChunk {
+				t.Fatalf("%s: slot %d holds a %d-byte buffer and %d bytes of row scratch", name, i, cap(s.v.buf), cap(s.v.unq))
+			}
 		}
+	}
+
+	// Chunks of blank lines size their slabs by the bytes a row needs, not
+	// by their newlines: a few bytes allocated per byte read ahead.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewReader(io.MultiReader(strings.NewReader(header), endless("\n")))
+	if _, err := r.Read(); err == nil || !strings.Contains(err.Error(), "row 2: blank line") {
+		t.Fatalf("blank lines: %v", err)
+	}
+	waitForSlots(r)
+	runtime.ReadMemStats(&after)
+	if got, read := after.TotalAlloc-before.TotalAlloc, uint64(r.ring.size*csvChunkSize); got > 16*read {
+		t.Fatalf("blank lines: %d bytes allocated reading ahead %d", got, read)
 	}
 
 	var buf bytes.Buffer
@@ -196,7 +218,10 @@ func TestCSVReaderCaps(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf)
+	// A bad last row keeps the scratch in the reader, which hands it on at
+	// a clean end of input.
+	buf.WriteString("bad\n")
+	r = NewReader(&buf)
 	for i := 0; i < rows; i++ {
 		got, err := r.Read()
 		if err != nil {
@@ -206,12 +231,221 @@ func TestCSVReaderCaps(t *testing.T) {
 			t.Fatalf("row %d: sni %q, fqdn of %d bytes", i, got.SNI, len(got.FQDN))
 		}
 	}
-	if len(r.strs) > internEntries {
-		t.Fatalf("intern table holds %d entries, cap %d", len(r.strs), internEntries)
-	}
-	for s := range r.strs {
-		if len(s) > internLen {
-			t.Fatalf("intern table holds a %d-byte string, cap %d", len(s), internLen)
+	waitForSlots(r)
+	for _, slot := range r.ring.slots {
+		strs := slot.v.names
+		if len(strs) > internEntries {
+			t.Fatalf("intern table holds %d entries, cap %d", len(strs), internEntries)
+		}
+		for s := range strs {
+			if len(s) > internLen {
+				t.Fatalf("intern table holds a %d-byte string, cap %d", len(s), internLen)
+			}
 		}
 	}
+}
+
+// waitForSlots waits until no chunk of r is being parsed.
+func waitForSlots(r *Reader) {
+	for _, s := range r.ring.slots {
+		if s.busy {
+			<-s.done
+			s.busy = false
+		}
+	}
+}
+
+// csvRow is r as the Writer renders it, without the header.
+func csvRow(t testing.TB, r *FlowRecord) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.Write(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[len(csvHeaderLine()):]
+}
+
+func csvHeaderLine() string { return strings.Join(csvHeader[:], ",") + "\n" }
+
+// readCSVWorkers reads data to its end or first error with the ring
+// GOMAXPROCS = workers gives the reader.
+func readCSVWorkers(t testing.TB, data []byte, workers int) ([]*FlowRecord, error) {
+	t.Helper()
+	return readAll(t, withWorkers(NewReader(bytes.NewReader(data)), workers), 1<<22)
+}
+
+// sameAtEveryRing reads data with one slot and with a ring of five, and
+// fails unless both return the same records and the same error, down to
+// its row, column and reason. It returns what they read.
+func sameAtEveryRing(t testing.TB, what string, data []byte) ([]*FlowRecord, error) {
+	t.Helper()
+	want, wantErr := readCSVWorkers(t, data, 1)
+	got, gotErr := readCSVWorkers(t, data, 4)
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) {
+		t.Fatalf("%s: a ring of five read %d records ending on %v; one slot %d ending on %v",
+			what, len(got), gotErr, len(want), wantErr)
+	}
+	return want, wantErr
+}
+
+// TestCSVRowCap: a row of maxCSVRow bytes, its closing line end not
+// counted, is read, and one byte more is refused, whether the row is one
+// line or a quoted field over many.
+func TestCSVRowCap(t *testing.T) {
+	for _, shape := range []struct {
+		name, unit string // the long field is unit repeated
+		end        string // the row's line end
+	}{{"one line", "x", "\r\n"}, {"quoted over many lines", "y\n", "\n"}} {
+		rec := sampleRecord()
+		rec.FQDN = strings.Repeat(shape.unit, (maxCSVRow-1000)/len(shape.unit))
+		short := maxCSVRow - (len(csvRow(t, rec)) - 1)
+		for _, over := range []int{0, 1} {
+			rec.FQDN += strings.Repeat("z", short+over)
+			row := csvRow(t, rec)
+			rec.FQDN = rec.FQDN[:len(rec.FQDN)-short-over]
+			if len(row)-1 != maxCSVRow+over {
+				t.Fatalf("%s: built a row of %d bytes, want %d", shape.name, len(row)-1, maxCSVRow+over)
+			}
+			data := append([]byte(csvHeaderLine()), row[:len(row)-1]...)
+			data = append(data, shape.end...)
+			recs, err := readCSVWorkers(t, data, 4)
+			what := fmt.Sprintf("%s, maxCSVRow+%d bytes", shape.name, over)
+			if over == 0 {
+				if err != io.EOF || len(recs) != 1 || len(recs[0].FQDN) != len(rec.FQDN)+short {
+					t.Fatalf("%s: %d records, err %v; want the row", what, len(recs), err)
+				}
+				continue
+			}
+			var ce *CSVError
+			if !errors.As(err, &ce) || ce.Row != 2 || ce.Column != "" || ce.Reason != fmt.Sprintf("longer than %d bytes", maxCSVRow) {
+				t.Fatalf("%s: %d records, err %v; want row 2 refused for its length", what, len(recs), err)
+			}
+		}
+	}
+}
+
+// TestCSVChunkBoundaries slides a hostile row — a quoted comma, doubled
+// quotes, CR, LF and CRLF in its fields — across the reader's first chunk
+// cut, one byte at a time from before its start to past its end, with a
+// row whose quoted field is longer than a chunk after it; then it cuts the
+// input at every byte of that window. Every input reads the same with one
+// slot as with a ring of five, and the whole ones read back every record.
+func TestCSVChunkBoundaries(t *testing.T) {
+	fill := sampleRecord()
+	fill.SNI = strings.Repeat("s", 2000) // few rows to a chunk
+	hostile := sampleRecord()
+	hostile.VP, hostile.SNI = "a,b", `say "hi", ""twice""`
+	hostile.CertName, hostile.FQDN = "cr\rhere", "lf\nand crlf\r\nhere"
+	long := sampleRecord()
+	long.FQDN = strings.Repeat("x", csvChunkSize) + ",\"y\"\r\nz\n"
+	fillRow, hostileRow, longRow := csvRow(t, fill), csvRow(t, hostile), csvRow(t, long)
+
+	// Without padding the hostile row ends slack bytes before the cut; the
+	// window pads the first row by 0 .. len(hostileRow)+2*slack bytes, which
+	// moves the cut from there back to slack bytes before the row.
+	const slack = 2
+	bare := sampleRecord()
+	bare.SNI = ""
+	fills := (csvChunkSize - 4096) / len(fillRow)
+	padLen := csvChunkSize - len(hostileRow) - slack - len(csvHeaderLine()) - fills*len(fillRow) - len(csvRow(t, bare))
+	window := len(hostileRow) + 2*slack
+	input := func(k int) (data []byte, want []*FlowRecord, hostileAt int) {
+		pad := sampleRecord()
+		pad.SNI = strings.Repeat("p", padLen+k)
+		data = append([]byte(csvHeaderLine()), csvRow(t, pad)...)
+		want = []*FlowRecord{pad}
+		for range fills {
+			data = append(data, fillRow...)
+			want = append(want, fill)
+		}
+		hostileAt = len(data)
+		data = append(append(append(data, hostileRow...), longRow...), fillRow...)
+		return data, append(want, asRead(hostile), asRead(long), fill), hostileAt
+	}
+	for k := 0; k <= window; k++ {
+		data, want, at := input(k)
+		into := csvChunkSize - at
+		if into != len(hostileRow)+slack-k {
+			t.Fatalf("pad %d: the cut falls %d bytes into the hostile row, want %d", k, into, len(hostileRow)+slack-k)
+		}
+		got, err := sameAtEveryRing(t, fmt.Sprintf("the cut %d bytes into the hostile row", into), data)
+		if err != io.EOF || !reflect.DeepEqual(got, want) {
+			t.Fatalf("the cut %d bytes into the hostile row: %d records ending on %v, want the %d written", into, len(got), err, len(want))
+		}
+	}
+	data, _, at := input(window / 2)
+	for cut := at - slack; cut <= at+len(hostileRow)+slack; cut++ {
+		got, err := sameAtEveryRing(t, fmt.Sprintf("input cut %d bytes into the hostile row", cut-at), data[:cut])
+		// Only a cut at a line end, or one byte short of it, leaves whole rows.
+		end := at + len(hostileRow)
+		if whole := cut == at-1 || cut == at || cut == end-1 || cut == end; whole != (err == io.EOF) {
+			t.Fatalf("input cut %d bytes into the hostile row: %d records ending on %v", cut-at, len(got), err)
+		}
+	}
+}
+
+// asRead is r as the reader returns it: "\r\n" in a quoted field reads as
+// "\n", as in encoding/csv.
+func asRead(r *FlowRecord) *FlowRecord {
+	c := *r
+	c.FQDN = strings.ReplaceAll(c.FQDN, "\r\n", "\n")
+	return &c
+}
+
+// TestCSVAnonymizedOnHandOut: Anonymized turns true with the first token
+// row Read returns, not when the chunk holding it is parsed — whether that
+// row shares the first chunk with plain rows or lies chunks ahead, parsed
+// before the first record is handed out.
+func TestCSVAnonymizedOnHandOut(t *testing.T) {
+	recs := randRecords(71, 6_000)
+	for _, plain := range []int{10, 3_000} {
+		data := csvExportOf(t, recs[:plain], false)
+		data = append(data, csvExportOf(t, recs[plain:], true)[len(csvHeaderLine()):]...)
+		for _, workers := range readerWorkers {
+			r := withWorkers(NewReader(bytes.NewReader(data)), workers)
+			for i := range recs {
+				if _, err := r.Read(); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					waitForSlots(r) // every chunk read ahead is parsed
+				}
+				if r.Anonymized() != (i >= plain) {
+					t.Fatalf("%d plain rows, %d workers: Anonymized() = %v after %d records", plain, workers, r.Anonymized(), i+1)
+				}
+			}
+		}
+	}
+}
+
+// TestCSVReaderNoGoroutineLeak: a reader dropped with chunks in flight
+// owns no goroutine once they are parsed, as a block reader or writer.
+func TestCSVReaderNoGoroutineLeak(t *testing.T) {
+	data := csvExportOf(t, randRecords(72, 20_000), false)
+	base := runtime.NumGoroutine()
+	r := withWorkers(NewReader(bytes.NewReader(data)), 8)
+	if _, err := r.Read(); err != nil {
+		t.Fatal(err)
+	}
+	if r.ring.n == 0 {
+		t.Fatal("no chunk read ahead")
+	}
+	waitForGoroutines(t, base)
+}
+
+// csvExportOf writes recs as a CSV export.
+func csvExportOf(t testing.TB, recs []*FlowRecord, anonymize bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Anonymize = anonymize
+	writeRecords(t, w, recs)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

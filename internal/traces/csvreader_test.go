@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -107,6 +108,14 @@ func readCSV(data []byte) ([]*traces.FlowRecord, *traces.Reader, error) {
 		}
 		recs = append(recs, rec)
 	}
+}
+
+// readCSVProcs is readCSV with the reader made, and read, at GOMAXPROCS
+// procs: one slot worked inline at 1, a ring of procs+1 above.
+func readCSVProcs(data []byte, procs int) ([]*traces.FlowRecord, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	recs, _, err := readCSV(data)
+	return recs, err
 }
 
 // oracleRead is the reader this package had before the strict one:
@@ -430,12 +439,18 @@ func TestCSVFixedPoint(t *testing.T) {
 	}
 }
 
-// TestCSVReadAllocations pins the reader's budget — one FlowRecord per
-// row, one namespace list per notify row, strings interned — the
+// TestCSVReadAllocations pins the reader's budget — per chunk of about
+// 256 KiB one record slab and one namespace slab, strings interned — the
 // reader-side twin of TestCSVWriteAllocations (20.6 allocs/record through
-// encoding/csv + strconv + fmt.Sscanf before ISSUE 17).
+// encoding/csv + strconv + fmt.Sscanf; 1.21 with one record and one
+// namespace list per row). The sample, the Home 1 one four times over,
+// spans several chunks.
 func TestCSVReadAllocations(t *testing.T) {
-	sample := home1Sample(t)
+	one := home1Sample(t)
+	var sample []*traces.FlowRecord
+	for range 4 {
+		sample = append(sample, one...)
+	}
 	data := export(t, sample, true)
 	src := bytes.NewReader(data)
 	perFile := testing.AllocsPerRun(5, func() {
@@ -456,21 +471,27 @@ func TestCSVReadAllocations(t *testing.T) {
 			t.Fatalf("read %d of %d records", n, len(sample))
 		}
 	})
-	if per := perFile / float64(len(sample)); per > 2 {
-		t.Fatalf("CSV Read allocates %.2f/record, want <= 2", per)
+	if per := perFile / float64(len(sample)); per > 0.1 {
+		t.Fatalf("CSV Read allocates %.3f/record, want <= 0.1", per)
 	} else {
-		t.Logf("%.2f allocs/record over %d records", per, len(sample))
+		t.Logf("%.4f allocs/record over %d records", per, len(sample))
 	}
 }
 
-// FuzzCSVReader: arbitrary bytes never panic the reader; a rejection is a
-// sticky *CSVError with a row number; and whatever is accepted is what the
-// old reader made of the same bytes and survives the write/read/write
-// fixed point. The seeds are the committed corpus under testdata/fuzz: a
-// plain, an anonymized and a quoted export, and one input per class of
-// damage.
+// FuzzCSVReader: arbitrary bytes never panic the reader; a reader with
+// one slot and one with a ring of five return the same records and the
+// same error; a rejection is a sticky *CSVError with a row number; and
+// whatever is accepted is what the old reader made of the same bytes and
+// survives the write/read/write fixed point. The seeds are the committed
+// corpus under testdata/fuzz: a plain, an anonymized and a quoted export,
+// and one input per class of damage.
 func FuzzCSVReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		one, oneErr := readCSVProcs(data, 1)
+		five, fiveErr := readCSVProcs(data, 4)
+		if !reflect.DeepEqual(five, one) || !reflect.DeepEqual(fiveErr, oneErr) {
+			t.Fatalf("a ring of five read %d records ending on %v; one slot %d ending on %v", len(five), fiveErr, len(one), oneErr)
+		}
 		recs, r, err := readCSV(data)
 		if err != nil {
 			var ce *traces.CSVError
