@@ -249,9 +249,9 @@ func (d *Device) taskDone() {
 
 // ---------- upload path ----------
 
-// Upload synchronizes new local content: refs are the file's chunks, wire
-// maps a chunk size to its compressed transfer size. Batches of at most 100
-// chunks run sequentially (Sec. 2.3.2).
+// Upload synchronizes new local content: refs are the file's chunks, wireOf
+// maps a chunk to its compressed transfer size. The transfer plan's
+// batches (PlanTransfer) run sequentially, each its own transaction.
 func (d *Device) Upload(ns NamespaceID, refs []chunker.Ref, wireOf func(chunker.Ref) int, onDone func()) {
 	if !d.online || len(refs) == 0 {
 		if onDone != nil {
@@ -272,9 +272,12 @@ func (d *Device) uploadBatches(ns NamespaceID, refs []chunker.Ref, wireOf func(c
 		}
 		return
 	}
-	n := len(refs)
-	if n > MaxChunksPerBatch {
-		n = MaxChunksPerBatch
+	n := 0
+	for _, op := range PlanTransfer(nil, d.Cfg.Caps, wiresOf(refs, wireOf)) {
+		if op.EndsBatch {
+			n = op.First + op.Chunks
+			break
+		}
 	}
 	batch := refs[:n]
 	rest := refs[n:]
@@ -323,55 +326,37 @@ func (d *Device) uploadOneBatch(ns NamespaceID, batch []chunker.Ref, wireOf func
 	})
 }
 
-// nextStoreOp groups the head of refs into the next store operation per
-// the capability profile: one chunk per operation without bundling; with
-// bundling, small chunks pack up to the bundle target and a large chunk
-// ends its bundle.
-func (d *Device) nextStoreOp(refs []chunker.Ref, wireOf func(chunker.Ref) int) (op any, opWire, consumed int) {
-	if d.Cfg.Caps.Bundling {
-		target := d.Cfg.Caps.BundleTarget()
-		var bundle []chunker.Ref
-		total := 0
-		for _, r := range refs {
-			w := wireOf(r)
-			if len(bundle) > 0 && (total+w > target) {
-				break
-			}
-			bundle = append(bundle, r)
-			total += w
-			consumed++
-			if w >= target/4 {
-				break // big chunks end a bundle
-			}
-		}
-		if len(bundle) == 1 {
-			op = MsgStore{Ref: bundle[0], WireSize: total}
-		} else {
-			op = MsgStoreBatch{Refs: append([]chunker.Ref(nil), bundle...), WireSize: total}
-		}
-		return op, StoreClientOverhead + total, consumed
+// wiresOf lists the compressed transfer size of each ref.
+func wiresOf(refs []chunker.Ref, wireOf func(chunker.Ref) int) []int {
+	wires := make([]int, len(refs))
+	for i, r := range refs {
+		wires[i] = wireOf(r)
 	}
-	r := refs[0]
-	w := wireOf(r)
-	return MsgStore{Ref: r, WireSize: w}, StoreClientOverhead + w, 1
+	return wires
 }
 
-// storeChunks sends refs as store operations: one per chunk for
-// 1.2.52-style profiles, bundled when the profile enables it.
+// storeChunks sends refs as the store operations of their plan: one chunk
+// per store for 1.2.52-style profiles, a store_batch for each bundle of
+// several chunks when the profile bundles.
 func (d *Device) storeChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int, stats *TransferStats, done func()) {
 	if len(refs) == 0 {
 		done()
 		return
 	}
+	wires := wiresOf(refs, wireOf)
+	ops := PlanTransfer(nil, d.Cfg.Caps, wires)
 	d.transfer(true, func() (any, int, bool) {
-		op, opWire, consumed := d.nextStoreOp(refs, wireOf)
-		stats.Ops++
-		stats.Chunks += consumed
-		for _, r := range refs[:consumed] {
-			stats.WireBytes += wireOf(r)
+		op := ops[0]
+		ops = ops[1:]
+		end := op.First + op.Chunks
+		var msg any = MsgStore{Ref: refs[op.First], WireSize: op.Wire}
+		if op.Chunks > 1 {
+			msg = MsgStoreBatch{Refs: refs[op.First:end], Wires: wires[op.First:end]}
 		}
-		refs = refs[consumed:]
-		return op, opWire, len(refs) > 0
+		stats.Ops++
+		stats.Chunks += op.Chunks
+		stats.WireBytes += op.Wire
+		return msg, StoreClientOverhead + op.Wire, len(ops) > 0
 	}, nil, done)
 }
 
@@ -430,15 +415,10 @@ func (d *Device) syncNow() {
 				d.storageNames = lr.StorageNames
 			}
 			var want []chunker.Ref
-			wireHints := make(map[chunker.Hash]int)
 			for ns, entries := range lr.Updates {
 				for _, e := range entries {
 					if e.Seq > d.cursors[ns] {
 						d.cursors[ns] = e.Seq
-					}
-					totalSize := 0
-					for _, r := range e.Refs {
-						totalSize += r.Size
 					}
 					for _, r := range e.Refs {
 						if _, ok := d.have[r.Hash]; ok {
@@ -448,34 +428,32 @@ func (d *Device) syncNow() {
 							continue
 						}
 						want = append(want, r)
-						if totalSize > 0 && e.WireHint > 0 {
-							wireHints[r.Hash] = int(e.WireHint * float64(r.Size) / float64(totalSize))
-						}
 					}
 				}
 			}
-			d.download(want, nil)
+			d.download(want, func(r chunker.Ref) int { return lr.Wires[r.Hash] }, nil)
 		})
 	})
 }
 
 // Download retrieves refs from storage as one transaction, queued behind
-// any transaction in progress, and runs onDone when it ends. Unlike a
-// sync it fetches every ref it is given: labs use it to measure retrieve
-// flows of chunks staged with Service.SeedChunk.
-func (d *Device) Download(refs []chunker.Ref, onDone func()) {
+// any transaction in progress, and runs onDone when it ends. wireOf maps a
+// chunk to its compressed transfer size, which the retrieve plan groups
+// on. Unlike a sync it fetches every ref it is given: labs use it to
+// measure retrieve flows of chunks staged with Service.SeedChunk.
+func (d *Device) Download(refs []chunker.Ref, wireOf func(chunker.Ref) int, onDone func()) {
 	if !d.online {
 		if onDone != nil {
 			onDone()
 		}
 		return
 	}
-	d.enqueueTask(func() { d.download(refs, onDone) })
+	d.enqueueTask(func() { d.download(refs, wireOf, onDone) })
 }
 
 // download runs one retrieve transaction inside the device's task slot:
 // it fetches refs, reports the transfer, frees the slot and runs onDone.
-func (d *Device) download(refs []chunker.Ref, onDone func()) {
+func (d *Device) download(refs []chunker.Ref, wireOf func(chunker.Ref) int, onDone func()) {
 	finish := func() {
 		d.taskDone()
 		if onDone != nil {
@@ -487,7 +465,7 @@ func (d *Device) download(refs []chunker.Ref, onDone func()) {
 		return
 	}
 	stats := TransferStats{Kind: TransferRetrieve, Start: d.Cfg.Sched.Now()}
-	d.retrieveChunks(refs, &stats, func() {
+	d.retrieveChunks(refs, wireOf, &stats, func() {
 		stats.End = d.Cfg.Sched.Now()
 		if d.OnTransferDone != nil {
 			d.OnTransferDone(stats)
@@ -508,46 +486,26 @@ func (d *Device) lanFetch(h chunker.Hash) bool {
 	return false
 }
 
-// nextRetrieveOp groups the head of refs into the next retrieve operation
-// per the capability profile; reqExtra is the request-size growth of a
-// multi-hash batch request.
-func (d *Device) nextRetrieveOp(refs []chunker.Ref) (op any, reqExtra, consumed int) {
-	if d.Cfg.Caps.Bundling {
-		target := d.Cfg.Caps.BundleTarget()
-		n := 0
-		total := 0
-		for _, r := range refs {
-			if n > 0 && total+r.Size > target {
-				break
-			}
-			n++
-			total += r.Size
-			if r.Size >= target/4 {
-				break
-			}
-		}
-		if n == 1 {
-			return MsgRetrieve{Hash: refs[0].Hash}, 0, 1
-		}
-		hashes := make([]chunker.Hash, n)
-		for i := 0; i < n; i++ {
-			hashes[i] = refs[i].Hash
-		}
-		return MsgRetrieveBatch{Hashes: hashes}, 32 * (n - 1), n
-	}
-	return MsgRetrieve{Hash: refs[0].Hash}, 0, 1
-}
-
-// retrieveChunks fetches refs as retrieve operations: one per chunk for
-// 1.2.52-style profiles, each request sent as two PSH-marked writes
-// (Fig. 19b), and batched when the profile bundles.
-func (d *Device) retrieveChunks(refs []chunker.Ref, stats *TransferStats, done func()) {
+// retrieveChunks fetches refs as the retrieve operations of their plan:
+// one chunk per retrieve for 1.2.52-style profiles, a retrieve_batch for
+// each bundle of several chunks when the profile bundles. Every request
+// goes out as two PSH-marked writes (Fig. 19b).
+func (d *Device) retrieveChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int, stats *TransferStats, done func()) {
+	ops := PlanTransfer(nil, d.Cfg.Caps, wiresOf(refs, wireOf))
 	d.transfer(false, func() (any, int, bool) {
 		size := RetrieveRequestSize(d.rng)
-		op, reqExtra, consumed := d.nextRetrieveOp(refs)
+		op := ops[0]
+		ops = ops[1:]
+		var msg any = MsgRetrieve{Hash: refs[op.First].Hash}
+		if op.Chunks > 1 {
+			hashes := make([]chunker.Hash, op.Chunks)
+			for i := range hashes {
+				hashes[i] = refs[op.First+i].Hash
+			}
+			msg = MsgRetrieveBatch{Hashes: hashes}
+		}
 		stats.Ops++
-		refs = refs[consumed:]
-		return op, size + reqExtra, len(refs) > 0
+		return msg, size, len(ops) > 0
 	}, func(resp any) {
 		data, _ := resp.(MsgRetrieveData)
 		for _, r := range data.Refs {

@@ -11,6 +11,9 @@ import (
 	"insidedropbox/internal/simrand"
 	"insidedropbox/internal/simtime"
 	"insidedropbox/internal/tcpsim"
+	"insidedropbox/internal/tlssim"
+	"insidedropbox/internal/traces"
+	"insidedropbox/internal/tstat"
 	"insidedropbox/internal/wire"
 )
 
@@ -146,7 +149,7 @@ func TestMetastoreDedupAndJournal(t *testing.T) {
 	if m.DedupHits() != 3 {
 		t.Fatalf("dedup hits = %d", m.DedupHits())
 	}
-	seq, err := m.Commit(a.Root, "x", refs, 3000)
+	seq, err := m.Commit(a.Root, "x", refs)
 	if err != nil || seq != 1 {
 		t.Fatalf("commit = %d, %v", seq, err)
 	}
@@ -156,7 +159,7 @@ func TestMetastoreDedupAndJournal(t *testing.T) {
 	if got := m.UpdatesSince(a.Root, 1); len(got) != 0 {
 		t.Fatalf("cursor-past updates = %d", len(got))
 	}
-	if _, err := m.Commit(a.Root, "y", mkRefs(9, 1, 10), 10); err == nil {
+	if _, err := m.Commit(a.Root, "y", mkRefs(9, 1, 10)); err == nil {
 		t.Fatal("commit with unknown chunk should fail")
 	}
 }
@@ -298,6 +301,62 @@ func TestV140BundlesSmallChunks(t *testing.T) {
 	if w.svc.BatchOps == 0 {
 		t.Fatal("no store_batch issued")
 	}
+}
+
+// TestStoreBatchKeepsEachChunkWireSize bundles a 1 kB and a 400 kB chunk
+// into one store_batch, then has a device of a second account, whose
+// journal lists the small chunk alone (its upload was spared by dedup),
+// retrieve it. The storage server must answer with that chunk's own wire
+// size plus the 309-byte response framing, not the bundle's average.
+func TestStoreBatchKeepsEachChunkWireSize(t *testing.T) {
+	w := newTW(t, 3)
+	probe := tstat.New(w.sched, "vp")
+	var recs []*traces.FlowRecord
+	probe.OnRecord = func(r *traces.FlowRecord) { recs = append(recs, r) }
+	w.resolver.Log = probe.ObserveDNS
+	w.net.AttachTap("vp", probe)
+
+	small, big := mkRefs(700, 1, 1_000)[0], mkRefs(701, 1, 400_000)[0]
+	a := w.svc.Meta.CreateAccount()
+	up := w.device(t, a.ID, capability.DropboxV140())
+	up.Start()
+	w.sched.After(time.Second, func() {
+		up.Upload(a.Root, []chunker.Ref{small, big}, identityWire, nil)
+	})
+	b := w.svc.Meta.CreateAccount()
+	dup := w.device(t, b.ID, capability.DropboxV140())
+	dup.Start()
+	w.sched.After(time.Minute, func() {
+		dup.Upload(b.Root, []chunker.Ref{small}, identityWire, nil)
+	})
+	down := w.device(t, b.ID, capability.DropboxV140())
+	var got []TransferStats
+	down.OnTransferDone = func(s TransferStats) { got = append(got, s) }
+	w.sched.After(2*time.Minute, down.Start)
+	w.sched.RunUntil(simtime.Time(5 * time.Minute))
+	probe.FlushAll()
+
+	if w.svc.BatchOps != 1 {
+		t.Fatalf("batch ops = %d, want the one store_batch", w.svc.BatchOps)
+	}
+	if len(got) != 1 || got[0].Kind != TransferRetrieve || got[0].Chunks != 1 || got[0].WireBytes != small.Size {
+		t.Fatalf("downloader transfers = %+v, want one retrieve of the %d-byte chunk", got, small.Size)
+	}
+	downIP := down.Cfg.Stack.Host.IP
+	for _, r := range recs {
+		if r.Client != downIP || r.ServerPort != 443 || r.FQDN == "client-lb.dropbox.com" {
+			continue
+		}
+		want := int64(tlssim.ServerHandshakeBytes + tlssim.MessageWireSize(ServerOpOverhead+small.Size))
+		if r.ServerClosed {
+			want += wire.RecordHeaderLen + 2 // close-notify alert
+		}
+		if r.BytesDown != want {
+			t.Errorf("retrieve flow bytes down = %d, want %d", r.BytesDown, want)
+		}
+		return
+	}
+	t.Fatal("no retrieve flow captured for the downloader")
 }
 
 func TestSequentialAcksSlowerThanBundling(t *testing.T) {
@@ -481,7 +540,7 @@ func TestStorageIdleClockWaitsForDrain(t *testing.T) {
 	}
 	dev.Start()
 	var done simtime.Time
-	w.sched.After(3*time.Second, func() { dev.Download(refs, func() { done = w.sched.Now() }) })
+	w.sched.After(3*time.Second, func() { dev.Download(refs, identityWire, func() { done = w.sched.Now() }) })
 	w.sched.RunUntil(simtime.Time(8 * time.Minute))
 
 	if done == 0 || !dev.Has(refs[0].Hash) || !dev.Has(refs[1].Hash) {

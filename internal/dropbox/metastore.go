@@ -163,7 +163,7 @@ func (m *Metastore) ChunkSize(h chunker.Hash) int { return m.chunks[h] }
 
 // Commit appends a journal entry to a namespace and fans out the
 // notification. All chunks must be present in the index.
-func (m *Metastore) Commit(ns NamespaceID, path string, refs []chunker.Ref, wireHint float64) (uint64, error) {
+func (m *Metastore) Commit(ns NamespaceID, path string, refs []chunker.Ref) (uint64, error) {
 	n := m.namespaces[ns]
 	if n == nil {
 		return 0, fmt.Errorf("dropbox: no namespace %d", ns)
@@ -174,7 +174,7 @@ func (m *Metastore) Commit(ns NamespaceID, path string, refs []chunker.Ref, wire
 		}
 	}
 	seq := uint64(len(n.Journal)) + 1
-	n.Journal = append(n.Journal, JournalEntry{Seq: seq, Path: path, Refs: refs, WireHint: wireHint})
+	n.Journal = append(n.Journal, JournalEntry{Seq: seq, Path: path, Refs: refs})
 	if m.OnJournalAdvance != nil {
 		m.OnJournalAdvance(ns, seq)
 	}

@@ -20,6 +20,7 @@ package dropbox
 import (
 	"time"
 
+	"insidedropbox/internal/capability"
 	"insidedropbox/internal/chunker"
 	"insidedropbox/internal/simrand"
 )
@@ -70,6 +71,43 @@ func RetrieveRequestSize(rng *simrand.Source) int {
 	return RetrieveClientOverheadMin + rng.Intn(RetrieveClientOverheadMax-RetrieveClientOverheadMin)
 }
 
+// PlanOp is one storage operation of a transfer plan: Chunks consecutive
+// chunks of the transfer starting at index First, moving Wire payload
+// bytes. EndsBatch marks the last operation of a transaction.
+type PlanOp struct {
+	First, Chunks, Wire int
+	EndsBatch           bool
+}
+
+// PlanTransfer appends to dst the storage operations that move chunks of
+// the given wire (compressed) sizes under prof, and returns it. The chunks
+// split into transactions of at most MaxChunksPerBatch (Sec. 2.3.2). Inside
+// one, each chunk is its own operation unless the profile bundles: then
+// chunks pack into one store_batch/retrieve_batch until the next would
+// pass the bundle target, and a chunk of at least a quarter of the target
+// ends its bundle (Sec. 6). The generator, the flow model and the
+// packet-level client all plan through this function; with a reused dst it
+// allocates nothing.
+func PlanTransfer(dst []PlanOp, prof capability.Profile, wires []int) []PlanOp {
+	target := prof.BundleTarget()
+	cur := PlanOp{}
+	for i, w := range wires {
+		if cur.Chunks > 0 && cur.Wire+w > target {
+			dst = append(dst, cur)
+			cur = PlanOp{First: i}
+		}
+		cur.Chunks++
+		cur.Wire += w
+		end := i + 1
+		cur.EndsBatch = end%MaxChunksPerBatch == 0 || end == len(wires)
+		if cur.EndsBatch || !prof.Bundling || w >= target/4 {
+			dst = append(dst, cur)
+			cur = PlanOp{First: end}
+		}
+	}
+	return dst
+}
+
 // HostID is the device identifier (host_int) carried in notification
 // requests.
 type HostID uint64
@@ -97,10 +135,13 @@ type MsgList struct {
 }
 
 // MsgListResp returns per-namespace journal deltas plus the rotating list
-// of storage server names handed to clients (Sec. 2.4).
+// of storage server names handed to clients (Sec. 2.4). Wires gives the
+// wire size of every listed chunk, which the client's retrieve plan
+// groups on.
 type MsgListResp struct {
 	Updates      map[NamespaceID][]JournalEntry
 	StorageNames []string
+	Wires        map[chunker.Hash]int
 }
 
 // MsgCommitBatch submits meta-data for a batch of chunks about to be stored.
@@ -137,10 +178,11 @@ type MsgStore struct {
 // MsgStoreOK acknowledges one store operation.
 type MsgStoreOK struct{}
 
-// MsgStoreBatch uploads several chunks in one operation (v1.4.0).
+// MsgStoreBatch uploads several chunks in one operation (v1.4.0); Wires
+// holds each chunk's compressed size.
 type MsgStoreBatch struct {
-	Refs     []chunker.Ref
-	WireSize int
+	Refs  []chunker.Ref
+	Wires []int
 }
 
 // MsgRetrieve requests one chunk.
@@ -171,9 +213,6 @@ type JournalEntry struct {
 	Seq  uint64
 	Path string
 	Refs []chunker.Ref
-	// WireHint preserves the compressed transfer size for synthetic
-	// content so downloaders retrieve the same byte counts uploaders sent.
-	WireHint float64
 }
 
 // ControlMsgSize returns the on-the-wire plaintext size of a control

@@ -183,10 +183,15 @@ func (s *Service) handleControl(sess *tlssim.Session, meta any) {
 	case MsgRegisterHost:
 		reply(sess, MsgRegisterOK{})
 	case MsgList:
-		resp := MsgListResp{Updates: make(map[NamespaceID][]JournalEntry)}
+		resp := MsgListResp{Updates: make(map[NamespaceID][]JournalEntry), Wires: make(map[chunker.Hash]int)}
 		for ns, cursor := range m.Cursors {
 			if upd := s.Meta.UpdatesSince(ns, cursor); len(upd) > 0 {
 				resp.Updates[ns] = upd
+				for _, e := range upd {
+					for _, r := range e.Refs {
+						resp.Wires[r.Hash] = s.chunkWire(r.Hash)
+					}
+				}
 			}
 		}
 		resp.StorageNames = s.storageNameSlice()
@@ -195,17 +200,9 @@ func (s *Service) handleControl(sess *tlssim.Session, meta any) {
 		missing := s.Meta.NeedBlocks(m.Refs)
 		reply(sess, MsgNeedBlocks{Missing: missing})
 	case MsgCloseChangeset:
-		var wireTotal float64
-		for _, r := range m.Refs {
-			if w, ok := s.wireSize[r.Hash]; ok {
-				wireTotal += float64(w)
-			} else {
-				wireTotal += float64(r.Size)
-			}
-		}
 		// Committing with a path derived from the host keeps journal
 		// entries distinct without a full file-tree model.
-		seq, err := s.Meta.Commit(m.Namespace, commitPath(m.Host), m.Refs, wireTotal)
+		seq, err := s.Meta.Commit(m.Namespace, commitPath(m.Host), m.Refs)
 		if err != nil {
 			reply(sess, MsgOK{}) // commit of unknown namespace: tolerate
 			return
@@ -304,23 +301,15 @@ func (s *Service) handleStorage(sess *tlssim.Session, meta any) {
 	case MsgStoreBatch:
 		s.StoreOps++
 		s.BatchOps++
-		perChunk := 0
-		if len(m.Refs) > 0 {
-			perChunk = m.WireSize / len(m.Refs)
-		}
-		for _, r := range m.Refs {
+		for i, r := range m.Refs {
 			s.Meta.StoreChunk(r)
-			s.wireSize[r.Hash] = perChunk
+			s.wireSize[r.Hash] = m.Wires[i]
 		}
 		sess.Send(MsgStoreOK{}, ServerOpOverhead)
 	case MsgRetrieve:
 		s.RetrieveOps++
-		size := s.Meta.ChunkSize(m.Hash)
-		w, ok := s.wireSize[m.Hash]
-		if !ok {
-			w = size
-		}
-		ref := chunker.Ref{Hash: m.Hash, Size: size}
+		w := s.chunkWire(m.Hash)
+		ref := chunker.Ref{Hash: m.Hash, Size: s.Meta.ChunkSize(m.Hash)}
 		sess.Send(MsgRetrieveData{Refs: []chunker.Ref{ref}, WireSize: w},
 			ServerOpOverhead+w)
 	case MsgRetrieveBatch:
@@ -329,14 +318,18 @@ func (s *Service) handleStorage(sess *tlssim.Session, meta any) {
 		total := 0
 		refs := make([]chunker.Ref, 0, len(m.Hashes))
 		for _, h := range m.Hashes {
-			size := s.Meta.ChunkSize(h)
-			w, ok := s.wireSize[h]
-			if !ok {
-				w = size
-			}
-			total += w
-			refs = append(refs, chunker.Ref{Hash: h, Size: size})
+			total += s.chunkWire(h)
+			refs = append(refs, chunker.Ref{Hash: h, Size: s.Meta.ChunkSize(h)})
 		}
 		sess.Send(MsgRetrieveData{Refs: refs, WireSize: total}, ServerOpOverhead+total)
 	}
+}
+
+// chunkWire returns the compressed size a stored chunk moves on a
+// retrieve: what its upload (or SeedChunk) sent, else its raw size.
+func (s *Service) chunkWire(h chunker.Hash) int {
+	if w, ok := s.wireSize[h]; ok {
+		return w
+	}
+	return s.Meta.ChunkSize(h)
 }

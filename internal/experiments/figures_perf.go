@@ -137,7 +137,7 @@ func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecor
 			})
 		}
 		if cfg.Retrieve {
-			dev.Download(queue[0], next)
+			dev.Download(queue[0], wireOf, next)
 		} else {
 			dev.Upload(svc.Meta.Account(dev.Account).Root, queue[0], wireOf, next)
 		}

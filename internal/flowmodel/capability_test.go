@@ -6,6 +6,7 @@ import (
 
 	"insidedropbox/internal/capability"
 	"insidedropbox/internal/classify"
+	"insidedropbox/internal/dropbox"
 	"insidedropbox/internal/simrand"
 )
 
@@ -50,10 +51,10 @@ func TestPipelinedProfileRemovesAckFloor(t *testing.T) {
 // default 4 MB target makes each its own (3 MB exceeds 4 MB/4).
 func TestCustomBundleTargetGroupsOps(t *testing.T) {
 	chunks := []int{3 << 20, 3 << 20, 3 << 20, 3 << 20, 3 << 20}
-	if ops := groupOpsInto(nil, capability.BigChunks16MB(), chunks); len(ops) != 1 {
+	if ops := dropbox.PlanTransfer(nil, capability.BigChunks16MB(), chunks); len(ops) != 1 {
 		t.Fatalf("16MB target should bundle five 3MB chunks into 1 op, got %d", len(ops))
 	}
-	if ops := groupOpsInto(nil, capability.DropboxV140(), chunks); len(ops) != 5 {
+	if ops := dropbox.PlanTransfer(nil, capability.DropboxV140(), chunks); len(ops) != 5 {
 		t.Fatalf("4MB target should cut each 3MB chunk into its own op, got %d", len(ops))
 	}
 }

@@ -7,10 +7,18 @@
 // The paper's authors did the same in reverse: they measured per-operation
 // overheads in a testbed and built flow-level models to interpret passive
 // traces. Here the packet-level path (tcpsim + tlssim + tstat) is the
-// ground truth, and property tests in this package's test suite verify that
-// synthesized flows agree with packet-simulated ones on bytes exactly and
-// on durations within a tolerance. Population-scale campaigns (42 days,
-// thousands of households) then use this fast path.
+// ground truth. Four calibration cases in this package's tests run one
+// transfer through both engines and compare the records:
+//   - TestCalibrationStoreV1252: bytes both ways and PSH counts exactly,
+//     duration within 35 %;
+//   - TestCalibrationRetrieveV1252: bytes down and PSH counts exactly,
+//     duration within 35 %;
+//   - TestCalibrationStoreV140: bytes up and PSH down exactly;
+//   - TestCalibrationRetrieveV140: operation count, bytes down and PSH
+//     counts of a bundled retrieve of compressible chunks.
+//
+// Both engines group chunks through dropbox.PlanTransfer. Population-scale
+// campaigns (42 days, thousands of households) then use this fast path.
 package flowmodel
 
 import (
@@ -100,46 +108,11 @@ func Theta(payload int64, rtt time.Duration, iw int) float64 {
 // StorageFlowSpec describes one storage flow to synthesize.
 type StorageFlowSpec struct {
 	Dir        classify.Direction
-	ChunkWires []int // compressed per-chunk transfer sizes
+	ChunkWires []int // compressed per-chunk transfer sizes of one transaction
 	Start      time.Duration
 	// ServerClosesIdle marks the flow as ending via the server's 60 s
 	// idle close (alert + FIN answered by a client RST), the common case.
 	ServerClosesIdle bool
-}
-
-// op groups chunks into storage operations per the capability profile.
-type op struct {
-	wire int // payload bytes of the operation's data message (sum of chunks)
-}
-
-// groupOpsInto appends the operation grouping of chunks to dst (usually a
-// reused scratch slice) and returns it.
-func groupOpsInto(dst []op, prof capability.Profile, chunks []int) []op {
-	if !prof.Bundling {
-		for _, c := range chunks {
-			dst = append(dst, op{wire: c})
-		}
-		return dst
-	}
-	target := prof.BundleTarget()
-	cur := op{}
-	n := 0
-	for _, c := range chunks {
-		if n > 0 && cur.wire+c > target {
-			dst = append(dst, cur)
-			cur, n = op{}, 0
-		}
-		cur.wire += c
-		n++
-		if c >= target/4 {
-			dst = append(dst, cur)
-			cur, n = op{}, 0
-		}
-	}
-	if n > 0 {
-		dst = append(dst, cur)
-	}
-	return dst
 }
 
 // cwndModel tracks analytic slow-start growth across a flow.
@@ -179,13 +152,13 @@ func (c *cwndModel) transfer(n int64, rtt time.Duration, bw float64) time.Durati
 }
 
 // Synth carries the reusable scratch state of one synthesizing goroutine
-// (the operation-grouping buffer). The zero value is ready to use; a Synth
+// (the operation plan's buffer). The zero value is ready to use; a Synth
 // must not be shared across goroutines. Population-scale generators hold
 // one per shard so per-flow synthesis allocates nothing but the record —
 // and not even that when the caller supplies pooled records to
 // SynthesizeInto.
 type Synth struct {
-	ops []op
+	ops []dropbox.PlanOp
 }
 
 // Synthesize produces the flow record the probe would emit for the spec.
@@ -193,7 +166,7 @@ type Synth struct {
 // slow-start model plus per-operation reaction times and the sequential
 // acknowledgment round trips.
 func Synthesize(rng *simrand.Source, p Params, spec StorageFlowSpec) *traces.FlowRecord {
-	var s Synth
+	s := Synth{ops: make([]dropbox.PlanOp, 0, len(spec.ChunkWires))}
 	return s.SynthesizeInto(new(traces.FlowRecord), rng, p, spec)
 }
 
@@ -201,7 +174,7 @@ func Synthesize(rng *simrand.Source, p Params, spec StorageFlowSpec) *traces.Flo
 // must be zero-valued (freshly allocated or reset by a record pool) and is
 // returned filled. Nothing in rec is retained by the Synth.
 func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Params, spec StorageFlowSpec) *traces.FlowRecord {
-	ops := groupOpsInto(s.ops[:0], p.Caps, spec.ChunkWires)
+	ops := dropbox.PlanTransfer(s.ops[:0], p.Caps, spec.ChunkWires)
 	s.ops = ops
 	rec.FirstPacket = spec.Start
 	rec.SawSYN = true
@@ -215,13 +188,13 @@ func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Pa
 	pshUp, pshDown := 2, 2 // hello + finish in each direction
 	for _, o := range ops {
 		if spec.Dir == classify.DirStore {
-			up += int64(tlssim.MessageWireSize(dropbox.StoreClientOverhead + o.wire))
+			up += int64(tlssim.MessageWireSize(dropbox.StoreClientOverhead + o.Wire))
 			down += int64(tlssim.MessageWireSize(dropbox.ServerOpOverhead))
 			pshUp++   // data message
 			pshDown++ // OK
 		} else {
 			up += int64(tlssim.MessageWireSize(dropbox.RetrieveRequestSize(rng)))
-			down += int64(tlssim.MessageWireSize(dropbox.ServerOpOverhead + o.wire))
+			down += int64(tlssim.MessageWireSize(dropbox.ServerOpOverhead + o.Wire))
 			pshUp += 2 // request sent as two PSH writes (Fig. 19b)
 			pshDown++
 		}
@@ -263,9 +236,9 @@ func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Pa
 		var payload int64
 		for _, o := range ops {
 			if spec.Dir == classify.DirStore {
-				payload += int64(dropbox.StoreClientOverhead + o.wire)
+				payload += int64(dropbox.StoreClientOverhead + o.Wire)
 			} else {
-				payload += int64(dropbox.ServerOpOverhead + o.wire)
+				payload += int64(dropbox.ServerOpOverhead + o.Wire)
 			}
 		}
 		span := cw.transfer(payload, rtt, p.Bandwidth)
@@ -294,14 +267,14 @@ func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Pa
 			}
 			srv := dropbox.Reaction(rng, p.ServerReaction)
 			if spec.Dir == classify.DirStore {
-				dataT := cw.transfer(int64(dropbox.StoreClientOverhead+o.wire), rtt, p.Bandwidth)
+				dataT := cw.transfer(int64(dropbox.StoreClientOverhead+o.Wire), rtt, p.Bandwidth)
 				t += dataT
 				lastUp = t - rtt/2 // last data segment passes the probe
 				t += srv           // server processes, then the OK returns
 				lastDown = t
 			} else {
 				t += rtt/2 + srv // request reaches server, processing
-				dataT := cw.transfer(int64(dropbox.ServerOpOverhead+o.wire), rtt, p.Bandwidth)
+				dataT := cw.transfer(int64(dropbox.ServerOpOverhead+o.Wire), rtt, p.Bandwidth)
 				t += dataT
 				lastUp = t - dataT - srv // request segments
 				lastDown = t - rtt/2

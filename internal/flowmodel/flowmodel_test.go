@@ -64,7 +64,7 @@ func TestThetaShape(t *testing.T) {
 }
 
 func TestGroupOpsV1252OnePerChunk(t *testing.T) {
-	ops := groupOpsInto(nil, capability.DropboxV1252(), []int{100, 200, 300})
+	ops := dropbox.PlanTransfer(nil, capability.DropboxV1252(), []int{100, 200, 300})
 	if len(ops) != 3 {
 		t.Fatalf("ops = %d", len(ops))
 	}
@@ -75,12 +75,12 @@ func TestGroupOpsV140Bundles(t *testing.T) {
 	for i := range chunks {
 		chunks[i] = 50_000
 	}
-	ops := groupOpsInto(nil, capability.DropboxV140(), chunks)
+	ops := dropbox.PlanTransfer(nil, capability.DropboxV140(), chunks)
 	if len(ops) != 1 {
 		t.Fatalf("40 small chunks should bundle into 1 op, got %d", len(ops))
 	}
 	// Large chunks break bundles.
-	ops = groupOpsInto(nil, capability.DropboxV140(), []int{4 << 20, 4 << 20})
+	ops = dropbox.PlanTransfer(nil, capability.DropboxV140(), []int{4 << 20, 4 << 20})
 	if len(ops) != 2 {
 		t.Fatalf("two 4MB chunks = %d ops", len(ops))
 	}
@@ -133,8 +133,10 @@ func TestSynthesizedRetrieveTagging(t *testing.T) {
 
 // packetTruth runs the same transfer through the full packet-level stack,
 // a store through Device.Upload or a retrieve of staged chunks through
-// Device.Download, and returns the probe's record.
-func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps capability.Profile) *traces.FlowRecord {
+// Device.Download, with every chunk's wire size its raw size times ratio.
+// It returns the probe's record and the storage operations the service
+// answered.
+func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps capability.Profile, ratio float64) (*traces.FlowRecord, int) {
 	t.Helper()
 	sched := simtime.NewScheduler()
 	rng := simrand.New(21, "calib")
@@ -167,14 +169,14 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps ca
 		f := chunker.SyntheticFile{Seed: uint64(i)*31 + 5, Size: int64(sz)}
 		refs = append(refs, f.Refs()...)
 	}
-	wireOf := func(r chunker.Ref) int { return r.Size }
+	wireOf := func(r chunker.Ref) int { return max(1, int(float64(r.Size)*ratio)) }
 
 	dev.Start()
 	if dir == classify.DirRetrieve {
 		for _, r := range refs {
 			svc.SeedChunk(r, wireOf(r))
 		}
-		sched.After(2*time.Second, func() { dev.Download(refs, nil) })
+		sched.After(2*time.Second, func() { dev.Download(refs, wireOf, nil) })
 	} else {
 		sched.After(2*time.Second, func() { dev.Upload(acct.Root, refs, wireOf, nil) })
 	}
@@ -182,16 +184,16 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps ca
 	probe.FlushAll()
 	for _, r := range recs {
 		if strings.HasPrefix(r.FQDN, "dl-client") {
-			return r
+			return r, svc.StoreOps + svc.RetrieveOps
 		}
 	}
 	t.Fatal("no storage flow captured")
-	return nil
+	return nil, 0
 }
 
 func TestCalibrationStoreV1252(t *testing.T) {
 	chunks := []int{150_000, 150_000, 150_000, 150_000}
-	truth := packetTruth(t, classify.DirStore, chunks, capability.DropboxV1252())
+	truth, _ := packetTruth(t, classify.DirStore, chunks, capability.DropboxV1252(), 1)
 
 	rng := simrand.New(22, "calib2")
 	p := DefaultParams(truth.MinRTT)
@@ -222,7 +224,7 @@ func TestCalibrationStoreV1252(t *testing.T) {
 
 func TestCalibrationRetrieveV1252(t *testing.T) {
 	chunks := []int{150_000, 150_000, 150_000, 150_000}
-	truth := packetTruth(t, classify.DirRetrieve, chunks, capability.DropboxV1252())
+	truth, _ := packetTruth(t, classify.DirRetrieve, chunks, capability.DropboxV1252(), 1)
 
 	rng := simrand.New(24, "calib4")
 	p := DefaultParams(truth.MinRTT)
@@ -246,7 +248,7 @@ func TestCalibrationRetrieveV1252(t *testing.T) {
 
 func TestCalibrationStoreV140(t *testing.T) {
 	chunks := []int{80_000, 80_000, 80_000, 80_000, 80_000, 80_000}
-	truth := packetTruth(t, classify.DirStore, chunks, capability.DropboxV140())
+	truth, _ := packetTruth(t, classify.DirStore, chunks, capability.DropboxV140(), 1)
 	rng := simrand.New(23, "calib3")
 	p := DefaultParams(truth.MinRTT)
 	p.Caps = capability.DropboxV140()
@@ -259,6 +261,36 @@ func TestCalibrationStoreV140(t *testing.T) {
 	}
 	if model.PSHDown != truth.PSHDown {
 		t.Errorf("psh down: model %d vs packet %d", model.PSHDown, truth.PSHDown)
+	}
+}
+
+// TestCalibrationRetrieveV140 retrieves two compressible chunks as a 1.4.0
+// client. Each is 1.1 MB raw, past the 1 MB large-chunk cut of the 4 MB
+// bundle target, but moves 550 kB on the wire; both engines plan on wire
+// sizes, so the packet client must bundle them into the one operation the
+// model synthesizes.
+func TestCalibrationRetrieveV140(t *testing.T) {
+	const raw, ratio = 1_100_000, 0.5
+	caps := capability.DropboxV140()
+	truth, ops := packetTruth(t, classify.DirRetrieve, []int{raw, raw}, caps, ratio)
+
+	wires := []int{raw * ratio, raw * ratio}
+	if want := len(dropbox.PlanTransfer(nil, caps, wires)); ops != want || want != 1 {
+		t.Errorf("ops: packet %d vs plan %d, want 1", ops, want)
+	}
+	rng := simrand.New(25, "calib5")
+	p := DefaultParams(truth.MinRTT)
+	p.Caps = caps
+	model := Synthesize(rng, p, StorageFlowSpec{
+		Dir: classify.DirRetrieve, ChunkWires: wires,
+		Start: truth.FirstPacket, ServerClosesIdle: truth.ServerClosed,
+	})
+	if model.BytesDown != truth.BytesDown {
+		t.Errorf("bytes down: model %d vs packet %d", model.BytesDown, truth.BytesDown)
+	}
+	if model.PSHUp != truth.PSHUp || model.PSHDown != truth.PSHDown {
+		t.Errorf("psh: model %d/%d vs packet %d/%d",
+			model.PSHUp, model.PSHDown, truth.PSHUp, truth.PSHDown)
 	}
 }
 

@@ -113,6 +113,7 @@ type generator struct {
 	// Per-shard scratch reused across flows (never escapes a call).
 	synth flowmodel.Synth
 	wires []int
+	ops   []dropbox.PlanOp
 
 	// filesArena is a rolling slab backing the per-event changed-file
 	// lists: lists are carved off sequentially and the slab is replaced —
@@ -986,9 +987,10 @@ func foldFlow(dst, src *traces.FlowRecord) {
 }
 
 // storageFlows chunks a synchronization event per the capability profile
-// (chunk size limit, delta encoding, compression, dedup), splits into
-// <=100-chunk batches (Sec. 2.3.2 caps flows near 400 MB this way) and
-// emits flows, reusing open connections within the idle window.
+// (chunk size limit, delta encoding, compression, dedup), splits it into
+// the batches of its transfer plan (at most 100 chunks each: Sec. 2.3.2
+// caps flows near 400 MB this way) and emits flows, reusing open
+// connections within the idle window.
 func (g *generator) storageFlows(hh *household, dev *device, at time.Duration,
 	dir classify.Direction, files []int64, mergers *[2]*mergeState) {
 
@@ -1034,15 +1036,19 @@ func (g *generator) storageFlows(hh *household, dev *device, at time.Duration,
 	if dir == classify.DirRetrieve {
 		slot = 1
 	}
-	for len(wires) > 0 {
-		n := len(wires)
-		if n > dropbox.MaxChunksPerBatch {
-			n = dropbox.MaxChunksPerBatch
+	g.ops = dropbox.PlanTransfer(g.ops[:0], g.caps, wires)
+	first := 0
+	for _, op := range g.ops {
+		if !op.EndsBatch {
+			continue
 		}
+		end := op.First + op.Chunks
+		batch := wires[first:end]
+		first = end
 		m := (*mergers)[slot]
 		reuse := m != nil && m.rec != nil && at > m.end && at-m.end < 55*time.Second
 		if reuse {
-			src := g.synthStorage(dev, m.end+maxDur(at-m.end, time.Second), dir, wires[:n], false)
+			src := g.synthStorage(dev, m.end+maxDur(at-m.end, time.Second), dir, batch, false)
 			if src != nil {
 				foldFlow(m.rec, src)
 				m.end = src.FirstPacket + classify.TransferDuration(src, dir)
@@ -1050,7 +1056,7 @@ func (g *generator) storageFlows(hh *household, dev *device, at time.Duration,
 			}
 		} else {
 			g.closeMerger(m)
-			rec := g.synthStorage(dev, at, dir, wires[:n], false)
+			rec := g.synthStorage(dev, at, dir, batch, false)
 			if rec != nil {
 				// Stamp now, emit at close: the open connection keeps
 				// folding follow-on batches into this record.
@@ -1067,7 +1073,6 @@ func (g *generator) storageFlows(hh *household, dev *device, at time.Duration,
 		} else {
 			at += time.Duration(g.rng.Uniform(1, 5) * float64(time.Second))
 		}
-		wires = wires[n:]
 	}
 }
 
