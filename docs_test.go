@@ -16,14 +16,14 @@ import (
 var (
 	fenced    = regexp.MustCompile("(?s)```[^\n]*\n(.*?)```")
 	inline    = regexp.MustCompile("`([^`]+)`")
-	testName  = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
-	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	testName  = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z0-9_]\w*`)
+	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
 	command   = regexp.MustCompile(`^(?:\S*cmd/)?(dropsim|experiments)$`)
 	flagToken = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
 )
 
 // TestDocsNameLiveTestsAndFlags keeps the docs from rotting: every
-// backticked Test*, Fuzz* or Benchmark* name in EXPERIMENTS.md,
+// backticked Test*, Fuzz*, Benchmark* or Example* name in EXPERIMENTS.md,
 // PERFORMANCE.md and README.md is defined by some _test.go, and every flag
 // a backticked or fenced dropsim or experiments command line passes is one
 // the command or internal/cli registers. The one exception is the first
@@ -56,8 +56,8 @@ func TestDocsNameLiveTestsAndFlags(t *testing.T) {
 	}
 }
 
-// testFuncs returns the name of every Test, Fuzz and Benchmark function
-// the module's _test.go files define.
+// testFuncs returns the name of every Test, Fuzz, Benchmark and Example
+// function the module's _test.go files define.
 func testFuncs(t *testing.T) map[string]bool {
 	defined := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

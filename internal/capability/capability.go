@@ -54,10 +54,8 @@ const DedupHitFrac = 0.17
 // (Sec. 2.1), the client re-transfers the whole modified file. Only the
 // workload's edited-file draws inflate — new files and the archive tail
 // were never delta-encoded and are unaffected. The factor is an unsourced
-// calibration choice: neither the paper nor the repository measures it
-// (the delta-encoding example's 12 point edits of a 10 MiB file make a
-// 24,672-byte delta, 0.24 % of the file), and the calibrated populations
-// are pinned to it.
+// calibration choice: the paper does not measure it, and the calibrated
+// populations are pinned to it.
 const NoDeltaInflate = 4
 
 // Profile is one client capability vector. The zero value is not a valid

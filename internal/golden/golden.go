@@ -5,9 +5,17 @@
 // campaign path must reproduce these bit for bit; a test that pins a
 // stream reads its expected hash here, so a deliberate generator change
 // re-pins one table.
+//
+// The hashes hold on amd64. On a 386 build a few differ, and Match
+// excuses exactly those: the known 386 value in place of the pinned one,
+// on 386 alone, so any other divergence still fails.
 package golden
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"strconv"
+)
 
 // Stream is one pinned configuration and its hash.
 type Stream struct {
@@ -34,3 +42,29 @@ var (
 
 // Streams lists every golden stream.
 var Streams = []Stream{Home1OneShard, Home1FourShard, Home2Abnormal, Campus1, Campus1BigChunks}
+
+// on386 maps each pinned hash a GOARCH=386 build is known to miss to the
+// value it reads instead: the generator's home1-4shard stream, and four
+// rows of the backend's TestSimulateMetricsGolden. math.Exp and math.Log
+// are the likely cause (assembly on amd64, pure Go on 386).
+var on386 = map[uint64]uint64{
+	Home1FourShard.Hash: 0x942ebeada3045ab2,
+	0x73423dcab21087e8:  0x513c444d136ba392, // synth/scarce/2x/plain
+	0x53d244e35b1d5584:  0x7be8e77fd61ba21e, // synth/scarce/2x/timeline
+	0x78b0e1fa3045d842:  0xe3f7995a96751a26, // mix/scarce/0.5x/timeline
+	0xf5882d4a3b260781:  0x5233d3f880cdf3d4, // mix/scarce/2x/timeline
+}
+
+// Match reports whether got is the pinned hash want, or, on 386, the
+// value that build is recorded to read in its place.
+func Match(got, want uint64) bool {
+	alt, known := on386[want]
+	return got == want || known && runtime.GOARCH == "386" && got == alt
+}
+
+// MatchHex is Match for a hash rendered as Hex renders it, in that exact
+// form.
+func (s Stream) MatchHex(got string) bool {
+	h, err := strconv.ParseUint(got, 16, 64)
+	return err == nil && got == fmt.Sprintf("%016x", h) && Match(h, s.Hash)
+}
