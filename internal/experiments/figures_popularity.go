@@ -217,12 +217,14 @@ func Figure6(ts Tallies) *Result {
 	control := analysis.NewPlot(res.Title+" — control", "ms", "CDF")
 	for _, t := range ts {
 		if st := t.StorageRTT(); len(st) > 0 {
-			storage.AddECDF(t.Cfg.Name, analysis.NewECDF(st))
-			res.Metrics["storage_median_"+t.Cfg.Name] = analysis.Median(st)
+			e := analysis.NewECDF(st)
+			storage.AddECDF(t.Cfg.Name, e)
+			res.Metrics["storage_median_"+t.Cfg.Name] = e.Median()
 		}
 		if ct := t.ControlRTT; len(ct) > 0 {
-			control.AddECDF(t.Cfg.Name, analysis.NewECDF(ct))
-			res.Metrics["control_median_"+t.Cfg.Name] = analysis.Median(ct)
+			e := analysis.NewECDF(ct)
+			control.AddECDF(t.Cfg.Name, e)
+			res.Metrics["control_median_"+t.Cfg.Name] = e.Median()
 		}
 	}
 	res.addText(storage.String())

@@ -61,7 +61,7 @@ func Aggregate(ctx context.Context, pops []Population, fc Config, newAgg func(po
 			aggs[p][sh] = newAgg(p, sh)
 		}
 	}
-	err := runShards(ctx, fc.Workers, len(pops)*fc.Shards, nil, func(i int) error {
+	err := runShards(ctx, fc.Workers, len(pops)*fc.Shards, func(i int) error {
 		p := i / fc.Shards
 		return trackers[p].run(i%fc.Shards, func(sh int) (workload.ShardStats, error) {
 			st := RunShard(pops[p].VP, pops[p].Seed, sh, fc.Shards, aggs[p][sh])

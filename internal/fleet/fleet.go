@@ -11,7 +11,7 @@
 // fold (Aggregate over one or more populations, Summarize: a sink per
 // shard, merged in shard-index order),
 // ordered stream (StreamRecords, Records: one consumer, shard order,
-// bounded window) and durable part (ForEachShard with RunShard in the
+// bounded look-ahead) and durable part (ForEachShard with RunShard in the
 // caller's per-shard task, which is how internal/campaign writes and
 // checkpoints part files).
 //
@@ -163,15 +163,13 @@ type Population struct {
 
 // runShards is the engine's one executor: it runs task(0) … task(n-1) on
 // a pool of up to workers goroutines. Tasks are admitted in index order
-// from the calling goroutine; admit, when non-nil, is called before each
-// one and may block to bound how far admission runs ahead, or return false
-// to end it.
+// from the calling goroutine.
 //
 // The first task error, or a cancelled ctx, stops admission: tasks not yet
 // started are skipped, in-flight tasks always run to completion so no
 // consumer observes a truncated shard, and that first error (or ctx.Err())
 // is returned once every worker has exited.
-func runShards(ctx context.Context, workers, n int, admit func() bool, task func(i int) error) error {
+func runShards(ctx context.Context, workers, n int, task func(i int) error) error {
 	// run is the caller's ctx, cancelled early by the first task error.
 	run, stop := context.WithCancel(ctx)
 	defer stop()
@@ -197,7 +195,7 @@ func runShards(ctx context.Context, workers, n int, admit func() bool, task func
 		}()
 	}
 	for i := range n {
-		if run.Err() != nil || (admit != nil && !admit()) {
+		if run.Err() != nil {
 			break
 		}
 		jobs <- i
@@ -220,7 +218,7 @@ func ForEachShard(ctx context.Context, fc Config, vpName string, shards []int,
 
 	fc = fc.normalized()
 	tracker := newShardTracker(fc, vpName)
-	return runShards(ctx, fc.Workers, len(shards), nil, func(i int) error {
+	return runShards(ctx, fc.Workers, len(shards), func(i int) error {
 		return tracker.run(shards[i], task)
 	})
 }

@@ -3,29 +3,113 @@ package fleet
 import (
 	"context"
 	"iter"
+	"sync"
 
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
 )
 
 // Hand-off on the ordered streaming path is by slab: a producing worker
-// passes slabRecords pooled records to the consumer with one channel
-// operation, and runs at most streamBuf records (slabDepth full slabs)
-// ahead of it before blocking.
+// queues slabRecords pooled records for the consumer at a time. Shards
+// generate ahead of the consumer until the stream holds streamBudget
+// records, so the consumer usually finds the next shard generated.
 const (
-	slabRecords = 256
-	streamBuf   = 1024
-	slabDepth   = streamBuf / slabRecords
+	slabRecords  = 256
+	streamBudget = 1 << 16
 )
 
-// shardStream is one shard's hand-off: full slabs go to the consumer on
-// full, drained ones come back on back for the producer — the one goroutine
-// that touches the shard's RecordPool — to recycle and refill. A shard has
-// at most slabDepth+2 slabs (one filling, slabDepth queued, one draining),
-// which is back's capacity: returning a slab never blocks, even after the
-// producer has exited.
-type shardStream struct {
-	full, back chan []*traces.FlowRecord
+// A slab's records stay attached once it is drained: whichever producer
+// refills it recycles them.
+type slab []*traces.FlowRecord
+
+// spareSlabs carries one stream's drained slabs, as a *[]slab, to the
+// next, so a run of streams allocates its records about once. Being a
+// sync.Pool, it lets a collection or two drop them, so a process that has
+// stopped streaming does not keep some 16 MiB of records.
+var spareSlabs sync.Pool
+
+// queue is the hand-off of one stream: every shard's queued slabs, and
+// the budget that bounds them, under one lock.
+type queue struct {
+	mu     sync.Mutex
+	moved  sync.Cond // producers wait: the consumer drained a slab or moved on
+	ready  sync.Cond // the consumer waits: a slab or a shard's end arrived
+	shards []shardQueue
+	queued int    // records queued or being emitted, every shard together
+	head   int    // the shard the consumer drains
+	free   []slab // drained slabs, for any producer
+	stop   bool
+}
+
+type shardQueue struct {
+	slabs []slab
+	done  bool
+}
+
+// update changes q under its lock and wakes everyone waiting on it.
+func (q *queue) update(change func()) {
+	q.mu.Lock()
+	change()
+	q.mu.Unlock()
+	q.moved.Broadcast()
+	q.ready.Broadcast()
+}
+
+// put queues s as shard sh's next slab, first waiting while that would
+// take the stream past streamBudget records. The head shard waits only
+// while its own queue holds a slab, since the consumer waits on it alone:
+// the stream cannot deadlock, and never queues more than streamBudget
+// records plus a slab. put reports whether it waited, and false once the
+// stream has stopped.
+func (q *queue) put(sh int, s slab) (waited, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	own := &q.shards[sh]
+	for q.queued+len(s) > streamBudget && (sh != q.head || len(own.slabs) > 0) && !q.stop {
+		waited = true
+		q.moved.Wait()
+	}
+	if !q.stop {
+		q.queued += len(s)
+		own.slabs = append(own.slabs, s)
+		q.ready.Signal()
+	}
+	return waited, !q.stop
+}
+
+// spare returns a drained slab for a producer to refill, or else a new
+// slab of zeroed records, allocated together.
+func (q *queue) spare() slab {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if n := len(q.free); n > 0 {
+		s := q.free[n-1]
+		q.free = q.free[:n-1]
+		return s
+	}
+	s, backing := make(slab, slabRecords), make([]traces.FlowRecord, slabRecords)
+	for i := range s {
+		s[i] = &backing[i]
+	}
+	return s
+}
+
+// get returns shard sh's next slab: nil once the shard has ended or the
+// stream has stopped.
+func (q *queue) get(sh int) slab {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	own := &q.shards[sh]
+	for len(own.slabs) == 0 && !own.done && !q.stop {
+		q.ready.Wait()
+	}
+	if len(own.slabs) == 0 || q.stop {
+		return nil
+	}
+	s := own.slabs[0]
+	own.slabs = own.slabs[1:]
+	mStreamDepth.Set(int64(q.queued))
+	return s
 }
 
 // StreamRecords runs a sharded generation and delivers every record to
@@ -34,15 +118,18 @@ type shardStream struct {
 // worker pool. emit runs on the calling goroutine; returning false stops
 // the stream early (no error: a consumer break is a normal outcome).
 //
-// Record storage is pooled per shard, as on the Aggregate path: a record
-// passed to emit is valid until emit returns, then recycled. Copy to keep —
-// the struct by value, NotifyNamespaces with slices.Clone (see RecordPool).
+// Record storage is pooled, as on the Aggregate path: a record passed to
+// emit is valid until emit returns, then recycled. Copy to keep — the
+// struct by value, NotifyNamespaces with slices.Clone (see RecordPool).
 //
-// Memory stays bounded regardless of population size: shards are admitted
-// in index order through a window of Workers+1 tokens, so at most
-// Workers+1 shards are generating or parked ahead of the consumer, each
-// holding at most slabDepth+2 slabs before its producer blocks. No shard
-// output is ever fully materialized.
+// Memory stays bounded regardless of population size. Shards start in
+// index order and generate ahead of the consumer, each a whole shard if
+// the stream has room, until streamBudget (65,536) records are queued or
+// being emitted; only the shard the consumer drains may pass that, by one
+// slab of slabRecords, so the stream cannot deadlock. Beyond those, each
+// of the Workers generating shards holds the slab it is filling and the
+// records its generator has open. No shard output is ever fully
+// materialized.
 //
 // Cancelling ctx (or stopping via emit) halts promptly, bounded by one
 // shard per worker: in-flight shards finish generating with their output
@@ -58,128 +145,98 @@ type shardStream struct {
 // matters; on a full run the two are equal.
 func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Config, emit func(*traces.FlowRecord) bool) (VPStats, error) {
 	fc = fc.normalized()
-
-	streams := make([]shardStream, fc.Shards)
-	for i := range streams {
-		streams[i] = shardStream{
-			full: make(chan []*traces.FlowRecord, slabDepth),
-			back: make(chan []*traces.FlowRecord, slabDepth+2),
-		}
+	q := &queue{shards: make([]shardQueue, fc.Shards)}
+	q.moved.L, q.ready.L = &q.mu, &q.mu
+	if spare, ok := spareSlabs.Get().(*[]slab); ok {
+		q.free = *spare
 	}
 
 	// Cancelling run — the caller's ctx, or halt below — tears the pipeline
-	// down: the executor quits admitting shards, and producers blocked on
-	// a full channel drop the rest of their shard's records instead of
-	// waiting for a consumer that left.
+	// down: the executor quits starting shards, and producers waiting on
+	// the budget drop the rest of their shard's records instead of waiting
+	// for a consumer that left.
 	run, halt := context.WithCancel(ctx)
 	defer halt()
+	context.AfterFunc(run, func() { q.update(func() { q.stop = true }) })
 
-	// Admission happens in shard order on the executor's dispatcher, so the
-	// shard the consumer is waiting on always holds a token and is running:
-	// the window bounds buffering without ever deadlocking.
-	window := make(chan struct{}, fc.Workers+1)
-	admit := func() bool {
-		select {
-		case window <- struct{}{}:
-			return true
-		case <-run.Done():
-			return false
-		}
-	}
 	tracker := newShardTracker(fc, vp.Name)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		runShards(run, fc.Workers, fc.Shards, admit, func(sh int) error {
+		runShards(run, fc.Workers, fc.Shards, func(sh int) error {
 			return tracker.run(sh, func(sh int) (workload.ShardStats, error) {
-				defer close(streams[sh].full)
-				return produceShard(vp, seed, sh, fc.Shards, streams[sh], run.Done()), nil
+				defer q.update(func() { q.shards[sh].done = true })
+				return produceShard(vp, seed, sh, fc.Shards, q), nil
 			})
 		})
 	}()
-	// finish halts the pipeline (a no-op once every shard is drained) and
+	// finish halts the pipeline (a no-op once every shard is drained),
 	// waits for the executor, and so every worker, to exit before the
-	// stats are merged.
+	// stats are merged, and keeps the drained slabs for the next stream.
 	finish := func(err error) (VPStats, error) {
 		halt()
 		<-done
+		spare := q.free
+		spareSlabs.Put(&spare)
 		return mergeStats(vp, fc, tracker.stats), err
 	}
 
-	for _, s := range streams {
+	for sh := range q.shards {
 		for {
-			var slab []*traces.FlowRecord
-			var open bool
-			select {
-			case slab, open = <-s.full:
-			case <-ctx.Done(): // a shard never admitted closes no channel
-			}
+			s := q.get(sh)
 			if ctx.Err() != nil {
 				return finish(ctx.Err())
 			}
-			if !open {
+			if s == nil {
 				break
 			}
-			mStreamDepth.Set(int64(len(s.full)))
-			for _, r := range slab {
+			for _, r := range s {
 				if !emit(r) {
 					return finish(nil)
 				}
 			}
-			s.back <- slab
+			q.update(func() {
+				q.queued -= len(s)
+				q.free = append(q.free, s)
+			})
 		}
-		<-window // shard fully drained: admit the next one
+		q.update(func() { q.head = sh + 1 })
 	}
 	return finish(nil)
 }
 
-// produceShard generates one shard into s, slab by slab, on the calling
-// worker goroutine. Once stop closes it generates on with the output
+// produceShard generates one shard into q, slab by slab, on the calling
+// worker goroutine. Once the stream stops it generates on with the output
 // discarded, so the shard's stats stay whole.
-func produceShard(vp workload.VPConfig, seed int64, shard, nshards int, s shardStream, stop <-chan struct{}) workload.ShardStats {
+func produceShard(vp workload.VPConfig, seed int64, shard, nshards int, q *queue) workload.ShardStats {
 	pool := new(RecordPool)
-	var slab []*traces.FlowRecord
+	var cur slab
 	dropping, stalls := false, 0
-	// send hands the slab over. The blocking select is reached only when
-	// the producer would stall on the consumer (or the stream is being torn
-	// down): the backpressure signal the stall counter tracks.
 	send := func() {
-		select {
-		case s.full <- slab:
-		default:
+		waited, ok := q.put(shard, cur)
+		if waited {
 			stalls++
-			select {
-			case s.full <- slab:
-			case <-stop:
-				dropping = true
-			}
 		}
-		slab = nil
+		dropping, cur = !ok, nil
 	}
 	st := generatePooled(vp, seed, shard, nshards, pool, func(r *traces.FlowRecord) bool {
 		if dropping {
 			return false
 		}
-		if slab == nil {
-			// Refill a drained slab once its records are back in the
-			// pool; allocate only while the first few are in flight.
-			select {
-			case slab = <-s.back:
-				for _, old := range slab {
-					pool.Put(old)
-				}
-				slab = slab[:0]
-			default:
-				slab = make([]*traces.FlowRecord, 0, slabRecords)
+		if cur == nil {
+			cur = q.spare()
+			for _, old := range cur {
+				pool.Put(old)
 			}
+			cur = cur[:0]
 		}
-		slab = append(slab, r)
-		if len(slab) == slabRecords {
+		cur = append(cur, r)
+		if len(cur) == slabRecords {
 			send()
 		}
 		return true
 	})
-	if len(slab) > 0 {
+	if cur != nil {
 		send()
 	}
 	if stalls > 0 {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
@@ -21,7 +22,7 @@ func (s *keepSink) Consume(r *traces.FlowRecord) { s.recs = append(s.recs, keep(
 
 // TestStreamSlabBoundaries drives the slab hand-off across its edges:
 // shards that yield no record, one, one short of a slab, exactly a slab,
-// one over, and one over the whole look-ahead. Each case is a 24-subscriber
+// one over, and one over four slabs. Each case is a 24-subscriber
 // population whose 12 shards are known to include a shard of the wanted
 // size (the golden stream hashes pin the generator, so the sizes hold);
 // the delivered sequence must equal the concatenation of the RunShard
@@ -38,7 +39,7 @@ func TestStreamSlabBoundaries(t *testing.T) {
 		{workload.Campus1, 15, slabRecords - 1},
 		{workload.Campus1, 110, slabRecords},
 		{workload.Campus1, 172, slabRecords + 1},
-		{workload.Campus2, 70, streamBuf + 1},
+		{workload.Campus2, 70, 4*slabRecords + 1},
 	} {
 		cfg := tc.vp(0.02)
 		cfg.TotalIPs = 24
@@ -85,11 +86,12 @@ func TestStreamSlabBoundaries(t *testing.T) {
 // a record is valid until emit returns and is recycled after. The first
 // record's pointer, kept past emit, must not still hold that record once
 // the stream ends — a silent revert to one allocation per record would
-// leave it intact.
+// leave it intact. The one shard is several times the stream's budget
+// long, so its records must travel in far fewer structs than it has.
 func TestStreamRecordsRecycles(t *testing.T) {
 	var first, firstCopy *traces.FlowRecord
 	seen := map[*traces.FlowRecord]struct{}{}
-	stats, err := StreamRecords(context.Background(), workload.Home1(0.02), 7, Config{Shards: 1},
+	stats, err := StreamRecords(context.Background(), workload.Home1(0.5), 7, Config{Shards: 1},
 		func(r *traces.FlowRecord) bool {
 			if first == nil {
 				first, firstCopy = r, keep(r)
@@ -103,9 +105,11 @@ func TestStreamRecordsRecycles(t *testing.T) {
 	if reflect.DeepEqual(*first, *firstCopy) {
 		t.Fatal("a record kept past emit survived the stream unchanged: the export path is not recycling")
 	}
-	// The shard has at most slabDepth+2 slabs of records in flight, and the
-	// generator holds a few more open (two merging flows per device).
-	limit := (slabDepth+2)*slabRecords + 16
+	// At most streamBudget records plus a slab are queued, and one slab is
+	// filling. Recycled slabs feed the shard's pool, which can hold a few
+	// slabs' worth at once, and the generator holds a few records open
+	// (two merging flows per device).
+	limit := streamBudget + 8*slabRecords
 	if stats.Records < 4*limit {
 		t.Fatalf("shard of %d records is too small to show recycling", stats.Records)
 	}
@@ -122,7 +126,7 @@ func TestStreamRecordsRecycles(t *testing.T) {
 func TestStreamStopsMidSlab(t *testing.T) {
 	cfg := workload.Home1(0.03)
 	fc := Config{Shards: 6, Workers: 2}
-	for _, at := range []int{1, slabRecords - 1, slabRecords, slabRecords + 1, streamBuf + 300} {
+	for _, at := range []int{1, slabRecords - 1, slabRecords, slabRecords + 1, 4*slabRecords + 300} {
 		base := runtime.NumGoroutine()
 		n := 0
 		if _, err := StreamRecords(context.Background(), cfg, 5, fc, func(*traces.FlowRecord) bool {
@@ -171,4 +175,95 @@ func TestStreamAllocationBudget(t *testing.T) {
 		t.Fatalf("export allocates %.2f objects/record over %d records, want <= 0.5", perRec, stats.Records)
 	}
 	t.Logf("%.3f allocs/record over %d records", perRec, stats.Records)
+}
+
+// TestStreamGeneratesAhead pins the look-ahead: a shard behind the one the
+// consumer drains generates to its end while the consumer still holds the
+// stream's first record. emit waits on shard 1's completion before taking
+// anything else; a stream whose later shards stop after a few slabs until
+// the consumer reaches them never gets there.
+func TestStreamGeneratesAhead(t *testing.T) {
+	shard1 := make(chan int, 1)
+	fc := Config{Shards: 4, Workers: 2, Observer: func(ev ShardEvent) {
+		if ev.Shard == 1 {
+			shard1 <- ev.Records
+		}
+	}}
+	n, ahead := 0, -1
+	stats, err := StreamRecords(context.Background(), workload.Home1(0.02), 7, fc, func(*traces.FlowRecord) bool {
+		if n++; n == 1 {
+			select {
+			case ahead = <-shard1:
+			case <-time.After(10 * time.Second):
+				return false
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ahead < 0 {
+		t.Fatal("shard 1 did not finish generating while the consumer held shard 0's first record")
+	}
+	if ahead <= 4*slabRecords {
+		t.Fatalf("shard 1 has %d records, too few to show the look-ahead: pick a bigger population", ahead)
+	}
+	if n != stats.Records {
+		t.Fatalf("delivered %d records, generated %d", n, stats.Records)
+	}
+}
+
+// BenchmarkStreamRecords measures the ordered stream alone, into a
+// consumer that does nothing: Home 1 over 16 shards. Run it with -cpu 1,2
+// to see how generation scales behind the one consumer.
+func BenchmarkStreamRecords(b *testing.B) {
+	vp := workload.Home1(1)
+	records := 0
+	for b.Loop() {
+		stats, err := StreamRecords(context.Background(), vp, 7, Config{Shards: 16},
+			func(*traces.FlowRecord) bool { return true })
+		if err != nil {
+			b.Fatal(err)
+		}
+		records += stats.Records
+	}
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
+}
+
+// TestStreamHeadShardNeverWaits pins what keeps the look-ahead from
+// deadlocking: the consumer holds the first record while both shards,
+// each longer than the budget, generate until the budget is spent, and
+// then the stream must still run to its end. A head shard that waited on
+// the budget like the others could find its queue drained and the budget
+// held by the shard behind it, which the consumer cannot reach.
+func TestStreamHeadShardNeverWaits(t *testing.T) {
+	fc := Config{Shards: 2, Workers: 2}
+	var sizes [2]int
+	fc.Observer = func(ev ShardEvent) { sizes[ev.Shard] = ev.Records }
+	result := make(chan error, 1)
+	n := 0
+	go func() {
+		stats, err := StreamRecords(context.Background(), workload.Home1(0.5), 7, fc, func(*traces.FlowRecord) bool {
+			if n++; n == 1 {
+				time.Sleep(300 * time.Millisecond)
+			}
+			return true
+		})
+		if err == nil && n != stats.Records {
+			err = fmt.Errorf("delivered %d records, generated %d", n, stats.Records)
+		}
+		result <- err
+	}()
+	select {
+	case err := <-result:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("the stream stalled after its budget was spent")
+	}
+	if min(sizes[0], sizes[1]) <= streamBudget {
+		t.Fatalf("shard sizes %v: each must exceed the budget of %d", sizes, streamBudget)
+	}
 }

@@ -12,10 +12,11 @@ import (
 // — one histogram observation and a handful of atomic adds per completed
 // shard — so the per-record hot path carries no instrumentation beyond
 // the plain-int counters that already ride inside RecordPool and the
-// streaming producers. The stream metrics count slabs, the ordered path's
-// unit of hand-off: fleet.stream_depth is the slabs in flight, queued
-// behind the one the consumer just took, fleet.stream_stalls the slab sends
-// that found the queue full and waited. fleet.records, fleet.shards_done and
+// streaming producers. On the ordered path, whose unit of hand-off is a
+// slab of records: fleet.stream_depth is the records queued for the
+// consumer, every shard together, the slab it just took included (set once
+// per slab; at most streamBudget plus a slab), and fleet.stream_stalls the
+// slab sends that found the stream's budget spent and waited. fleet.records, fleet.shards_done and
 // fleet.pool_hits/misses are flushed by generatePooled, the one generate
 // loop, so every path — and a bare RunShard call — counts a shard once.
 var (

@@ -33,12 +33,20 @@ type dictCol struct {
 	entries []string
 	refs    []uint32
 	remap   []uint32 // appendRange scratch when this column is the source
+	// recent holds an entry per string length, checked before idx. A slot
+	// counts only when its entry equals the string looked up, so a stale
+	// or colliding slot costs the map lookup and nothing else.
+	recent [16]uint32
 }
 
 func (d *dictCol) add(s string) { d.refs = append(d.refs, d.index(s)) }
 
 // index returns s's dictionary entry, appending it on first sight.
 func (d *dictCol) index(s string) uint32 {
+	slot := &d.recent[len(s)%len(d.recent)]
+	if i := *slot; int(i) < len(d.entries) && d.entries[i] == s {
+		return i
+	}
 	if d.idx == nil {
 		d.idx = make(map[string]uint32)
 	}
@@ -48,6 +56,7 @@ func (d *dictCol) index(s string) uint32 {
 		d.idx[s] = i
 		d.entries = append(d.entries, s)
 	}
+	*slot = i
 	return i
 }
 
@@ -100,10 +109,26 @@ type dictU64 struct {
 	idx     map[uint64]uint32
 	entries []uint64
 	refs    []uint32
-	remap   []uint32 // appendRange scratch when this column is the source
+	remap   []uint32          // appendRange scratch when this column is the source
+	byAddr  map[uint32]uint32 // addAnon's entries, keyed by raw address
 }
 
 func (d *dictU64) add(v uint64) { d.refs = append(d.refs, d.index(v)) }
+
+// addAnon appends ip's anonymized token. Keyed by the raw address, the
+// token is computed once per address and block; idx, keyed by token,
+// still gives two addresses that share a token one entry.
+func (d *dictU64) addAnon(ip wire.IP) {
+	if d.byAddr == nil {
+		d.byAddr = make(map[uint32]uint32)
+	}
+	i, ok := d.byAddr[uint32(ip)]
+	if !ok {
+		i = d.index(anonToken(ip))
+		d.byAddr[uint32(ip)] = i
+	}
+	d.refs = append(d.refs, i)
+}
 
 // index returns v's dictionary entry, appending it on first sight.
 func (d *dictU64) index(v uint64) uint32 {
@@ -139,6 +164,7 @@ func (d *dictU64) appendRange(src *dictU64, lo, hi int, anonymize bool) {
 
 func (d *dictU64) reset() {
 	clear(d.idx)
+	clear(d.byAddr)
 	d.entries = d.entries[:0]
 	d.refs = d.refs[:0]
 }
@@ -183,7 +209,7 @@ type blockAccum struct {
 // retained.
 func (a *blockAccum) add(r *FlowRecord, anonymize bool) {
 	if anonymize {
-		a.client.add(anonToken(r.Client))
+		a.client.addAnon(r.Client)
 	} else {
 		a.client.add(uint64(uint32(r.Client)))
 	}
