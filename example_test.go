@@ -319,20 +319,20 @@ func ExampleWithProfiles() {
 	// What-if: campus1 under 6 capability profiles (baseline dropbox-1.2.52, 4 shards, seed 2012)
 	// profile          store GB  retr GB  flows  ops    store med ms  retr med ms
 	// ---------------  --------  -------  -----  -----  ------------  -----------
-	// dropbox-1.2.52   5.92      7.74     3332   11965  1433          1655
-	// dropbox-1.4.0    2.20      8.43     2433   5612   697.83        930.57
-	// no-dedup         4.06      6.64     2600   5806   697.83        930.57
-	// no-delta         6.12      9.70     3509   8015   930.57        1241
-	// big-chunks-16mb  4.98      10.71    3654   4689   697.83        930.57
-	// full-pipeline    5.67      8.84     3339   7650   697.83        930.57
+	// dropbox-1.2.52   5.92      7.74     3332   11965  1343          1712
+	// dropbox-1.4.0    2.20      8.43     2433   5612   681.80        890.77
+	// no-dedup         4.06      6.64     2600   5806   731.38        894.64
+	// no-delta         6.12      9.70     3509   8015   914.97        1201
+	// big-chunks-16mb  4.98      10.71    3654   4689   725.66        898.91
+	// full-pipeline    5.67      8.84     3339   7650   679.95        898.18
 	// Deltas versus baseline dropbox-1.2.52
-	// profile          Δ volume  Δ flows  Δ ops  Δ store lat  Δ retr lat
-	// ---------------  ---------  --------  ------  ------------  -----------
-	// dropbox-1.4.0    -22.3%     -27.0%    -53.1%  -51.3%        -43.8%
-	// no-dedup         -21.7%     -22.0%    -51.5%  -51.3%        -43.8%
-	// no-delta         +15.8%     +5.3%     -33.0%  -35.1%        -25.0%
-	// big-chunks-16mb  +14.8%     +9.7%     -60.8%  -51.3%        -43.8%
-	// full-pipeline    +6.2%      +0.2%     -36.1%  -51.3%        -43.8%
+	// profile          Δ volume  Δ flows  Δ ops   Δ store lat  Δ retr lat
+	// ---------------  --------  -------  ------  -----------  ----------
+	// dropbox-1.4.0    -22.3%    -27.0%   -53.1%  -49.2%       -48.0%
+	// no-dedup         -21.7%    -22.0%   -51.5%  -45.5%       -47.7%
+	// no-delta         +15.8%    +5.3%    -33.0%  -31.9%       -29.8%
+	// big-chunks-16mb  +14.8%    +9.7%    -60.8%  -46.0%       -47.5%
+	// full-pipeline    +6.2%     +0.2%    -36.1%  -49.4%       -47.5%
 	//
 	// Reproducibility keys:
 	//   dropbox-1.2.52{chunk=4194304 bundle=false/4194304 dedup=true delta=true compress=true pipeline=false iw=2}
@@ -343,9 +343,9 @@ func ExampleWithProfiles() {
 	//   full-pipeline{chunk=4194304 bundle=true/4194304 dedup=true delta=true compress=true pipeline=true iw=3}
 	// Reading the table:
 	//   baseline dropbox-1.2.52 moved 13.67 GB of storage traffic in 3332 flows
-	//   dropbox-1.4.0    volume  -22.3%  ops  -53.1%  store latency  -51.3%
-	//   no-dedup         volume  -21.7%  ops  -51.5%  store latency  -51.3%
-	//   no-delta         volume  +15.8%  ops  -33.0%  store latency  -35.1%
-	//   big-chunks-16mb  volume  +14.8%  ops  -60.8%  store latency  -51.3%
-	//   full-pipeline    volume   +6.2%  ops  -36.1%  store latency  -51.3%
+	//   dropbox-1.4.0    volume  -22.3%  ops  -53.1%  store latency  -49.2%
+	//   no-dedup         volume  -21.7%  ops  -51.5%  store latency  -45.5%
+	//   no-delta         volume  +15.8%  ops  -33.0%  store latency  -31.9%
+	//   big-chunks-16mb  volume  +14.8%  ops  -60.8%  store latency  -46.0%
+	//   full-pipeline    volume   +6.2%  ops  -36.1%  store latency  -49.4%
 }

@@ -223,9 +223,10 @@ func ParseProfiles(list string) ([]CapabilityProfile, error) { return capability
 // fleet engine, compared against the first profile.
 type WhatIfConfig = experiments.WhatIfConfig
 
-// WhatIfReport is the what-if outcome: per-profile streaming aggregates
-// (volumes, flow and operation counts, sync-latency distributions) plus
-// the baseline-relative comparison table via Result.
+// WhatIfReport is the what-if outcome: one folded Tally per profile
+// (the storage samples the volumes, flow and operation counts and exact
+// sync-latency quantiles come from) plus the baseline-relative comparison
+// table via Result.
 type WhatIfReport = experiments.WhatIfReport
 
 // ---------- backend capacity model ----------

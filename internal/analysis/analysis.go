@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // ECDF is an empirical cumulative distribution over float64 samples.
@@ -245,16 +246,17 @@ func formatFloat(v float64) string {
 	}
 }
 
-// String renders the table.
+// String renders the table. Columns are as wide as their widest cell in
+// runes, so a cell like "Δ ops" pads like any other.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
@@ -269,7 +271,7 @@ func (t *Table) String() string {
 				b.WriteString("  ")
 			}
 			b.WriteString(c)
-			for pad := len(c); pad < widths[i]; pad++ {
+			for pad := utf8.RuneCountInString(c); pad < widths[i]; pad++ {
 				b.WriteByte(' ')
 			}
 		}

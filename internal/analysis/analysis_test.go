@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode/utf8"
 )
 
 func TestECDFBasics(t *testing.T) {
@@ -148,6 +149,22 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 { // title, header, separator, 2 rows
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
+	}
+}
+
+// TestTableAlignsRunes pins padding by runes, not bytes: a "Δ" is two
+// bytes but one column, so every line of a table holding one must be as
+// wide as its separator.
+func TestTableAlignsRunes(t *testing.T) {
+	tb := NewTable("", "profile", "Δ ops", "Δ lat")
+	tb.AddRow("dropbox-1.4.0", "-53.1%", "n/a")
+	tb.AddRow("Δ", "+6.2%", "-49.4%")
+	lines := strings.Split(strings.TrimSuffix(tb.String(), "\n"), "\n")
+	want := utf8.RuneCountInString(lines[1])
+	for _, l := range lines {
+		if n := utf8.RuneCountInString(l); n != want {
+			t.Fatalf("line %q is %d runes wide, separator %d:\n%s", l, n, want, tb.String())
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"insidedropbox/internal/classify"
+	"insidedropbox/internal/dnssim"
 	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
@@ -76,8 +77,7 @@ func fnv64a(words ...uint64) uint64 {
 // flows reach the backend; ok is false for everything else (background
 // traffic, YouTube, other providers).
 func RequestOf(r *traces.FlowRecord) (Request, bool) {
-	c := fleet.ClassifyRecord(r)
-	if !c.Dropbox {
+	if classify.ProviderOf(r) != classify.ProvDropbox {
 		return Request{}, false
 	}
 	rq := Request{
@@ -90,13 +90,13 @@ func RequestOf(r *traces.FlowRecord) (Request, bool) {
 		Work: 1,
 	}
 	switch {
-	case c.Notify:
+	case r.NotifyHost != 0:
 		rq.Class = ClassNotify
-	case c.Storage():
+	case classify.DropboxService(r) == dnssim.SvcClientStorage:
 		rq.Class = ClassStorage
 		// Service demand of a storage node scales with the transferred
 		// payload in the tagged direction, floored at one unit.
-		if p := classify.Payload(r, c.Dir); p > 1 {
+		if p := classify.Payload(r, classify.TagStorage(r)); p > 1 {
 			rq.Work = float64(p)
 		}
 	default:

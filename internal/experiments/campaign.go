@@ -13,8 +13,8 @@
 //     population);
 //   - RunFleet streams populations far larger than the paper's into
 //     bounded-memory fleet.Summary aggregates;
-//   - WhatIfConfig.Run replays one population under several client
-//     capability profiles (internal/capability) and tabulates storage
+//   - WhatIfConfig.Run folds one population into a Tally per client
+//     capability profile (internal/capability) and tabulates storage
 //     volume, flow, operation and sync-latency deltas against a baseline
 //     profile — the generalization of the paper's Sec. 6 bundling analysis.
 //

@@ -28,9 +28,11 @@ const webStorageHost = "dl-web.dropbox.com"
 
 // Tally is one vantage point folded for the paper's tables and figures.
 // Every renderer reads a Tally instead of re-walking records, so one pass
-// per vantage point feeds all of them. It is a fleet.Aggregator: a
-// generated population folds shard by shard and no record outlives its
-// Consume. Over a trace file it is a plain sink (cmd/tstat-analyze).
+// per vantage point feeds all of them; the what-if lab folds one Tally per
+// capability profile and reads its rows off Storage. It is a
+// fleet.Aggregator: a generated population folds shard by shard and no
+// record outlives its Consume. Over a trace file it is a plain sink
+// (cmd/tstat-analyze).
 //
 // Counts and volumes are exact integers. The samples the order statistics
 // need are kept: a compact sample of each client-storage flow, sorted per

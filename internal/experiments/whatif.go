@@ -3,22 +3,21 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/capability"
 	"insidedropbox/internal/classify"
 	"insidedropbox/internal/fleet"
-	"insidedropbox/internal/telemetry"
-	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
 )
 
 // WhatIfConfig drives a capability what-if campaign: the same sharded
-// fleet population generated once per capability profile, each run reduced
-// to streaming aggregates and compared against the first profile (the
-// baseline). It generalizes the paper's Sec. 6 bundling analysis — which
-// compared exactly two client capabilities across two captures — to any
-// point in the capability space.
+// fleet population generated once per capability profile, each run folded
+// into a Tally and compared against the first profile (the baseline). It
+// generalizes the paper's Sec. 6 bundling analysis — which compared
+// exactly two client capabilities across two captures — to any point in
+// the capability space.
 type WhatIfConfig struct {
 	// Seed is the campaign seed, shared by every profile run so the
 	// populations draw from the same stream. Profiles that change
@@ -34,62 +33,12 @@ type WhatIfConfig struct {
 	Profiles []capability.Profile
 }
 
-// WhatIfAgg is the streaming aggregate of one profile run: the standard
-// fleet Summary plus the what-if comparison extras — storage operation
-// counts estimated from PSH flags with the paper's Appendix A.3 estimator
-// (classify.EstimateChunks, which counts one data message per operation
-// and clamps at the 100-per-batch protocol bound) and sync-latency
-// distributions (per-flow transfer durations in milliseconds).
-type WhatIfAgg struct {
-	Summary *fleet.Summary
-
-	// StoreOps / RetrieveOps estimate storage operations from PSH flags.
-	StoreOps, RetrieveOps int64
-
-	// StoreLatency / RetrieveLatency hold per-flow transfer durations in
-	// milliseconds — the client-visible sync latency of each flow.
-	StoreLatency, RetrieveLatency telemetry.LogHist
-}
-
-// NewWhatIfAgg builds the aggregator for a campaign of the given length.
-func NewWhatIfAgg(days int) *WhatIfAgg {
-	return &WhatIfAgg{Summary: fleet.NewSummary(days)}
-}
-
-// Consume implements fleet.Sink. Records are classified once and the
-// result shared with the embedded Summary; operations come from the
-// paper's own PSH-based estimator (Appendix A.3).
-func (a *WhatIfAgg) Consume(r *traces.FlowRecord) {
-	c := fleet.ClassifyRecord(r)
-	a.Summary.ConsumeClassified(r, c)
-	if !c.Storage() {
-		return
-	}
-	switch c.Dir {
-	case classify.DirStore:
-		a.StoreOps += int64(classify.EstimateChunks(r, c.Dir))
-		a.StoreLatency.Observe(classify.TransferDuration(r, c.Dir).Seconds() * 1e3)
-	case classify.DirRetrieve:
-		a.RetrieveOps += int64(classify.EstimateChunks(r, c.Dir))
-		a.RetrieveLatency.Observe(classify.TransferDuration(r, c.Dir).Seconds() * 1e3)
-	}
-}
-
-// Merge implements fleet.Aggregator.
-func (a *WhatIfAgg) Merge(other fleet.Aggregator) {
-	o := other.(*WhatIfAgg)
-	a.Summary.Merge(o.Summary)
-	a.StoreOps += o.StoreOps
-	a.RetrieveOps += o.RetrieveOps
-	a.StoreLatency.MergeHist(&o.StoreLatency)
-	a.RetrieveLatency.MergeHist(&o.RetrieveLatency)
-}
-
-// WhatIfRun is one profile's outcome.
+// WhatIfRun is one profile's outcome: its population folded into a Tally,
+// and that Tally's generation ground truth.
 type WhatIfRun struct {
 	Profile capability.Profile
 	Stats   fleet.VPStats
-	Agg     *WhatIfAgg
+	Tally   *Tally
 }
 
 // WhatIfReport is the full what-if campaign outcome: one run per profile,
@@ -110,10 +59,10 @@ func (r *WhatIfReport) ByProfile(name string) *WhatIfRun {
 }
 
 // Run executes the what-if campaign: every profile replays the same
-// vantage-point population, all profiles' shards on one fleet pool of
-// cfg.Fleet.Workers, aggregated with bounded memory. Determinism: each
-// (seed, population, shards, profile) run is bit-reproducible regardless
-// of worker count or how many profiles run alongside it, and a vantage
+// vantage-point population, all profiles' shards folded on one fleet pool
+// of cfg.Fleet.Workers, one Tally per profile. Determinism: each (seed,
+// population, shards, profile) run is bit-reproducible regardless of
+// worker count or how many profiles run alongside it, and a vantage
 // point's own preset reproduces its campaign output exactly.
 //
 // Cancelling ctx aborts every profile run at fleet-shard granularity and
@@ -124,21 +73,53 @@ func (cfg WhatIfConfig) Run(ctx context.Context) (*WhatIfReport, error) {
 		pops[i] = fleet.Population{VP: cfg.VP, Seed: cfg.Seed}
 		pops[i].VP.Caps = prof
 	}
-	days := cfg.VP.Days
-	aggs, stats, err := fleet.Aggregate(ctx, pops, cfg.Fleet, func(int, int) fleet.Aggregator { return NewWhatIfAgg(days) })
+	tallies, err := fold(ctx, pops, cfg.Fleet)
 	if err != nil {
 		return nil, err
 	}
 	report := &WhatIfReport{Config: cfg, Runs: make([]*WhatIfRun, len(pops))}
-	for i, agg := range aggs {
-		report.Runs[i] = &WhatIfRun{Profile: cfg.Profiles[i], Stats: stats[i], Agg: agg.(*WhatIfAgg)}
+	for i, t := range tallies {
+		report.Runs[i] = &WhatIfRun{Profile: cfg.Profiles[i], Stats: t.VPStats, Tally: t}
 	}
 	return report, nil
 }
 
-// pctDelta renders a percentage change versus a baseline value.
+// storageTraffic is one profile's client-storage flows, per direction
+// (indexed by classify.Direction): payload bytes, flows, storage
+// operations estimated from PSH flags with the paper's Appendix A.3
+// estimator (classify.EstimateChunks), and the ECDF of per-flow transfer
+// durations in ms, the client-visible sync latency (its median is NaN
+// without flows).
+type storageTraffic struct {
+	bytes, flows, ops [2]int64
+	latency           [2]*analysis.ECDF
+}
+
+// storageTrafficOf reads a Tally's storage samples in one walk.
+func storageTrafficOf(t *Tally) storageTraffic {
+	var st storageTraffic
+	var ms [2][]float64
+	for i := range t.Storage {
+		r := t.Storage[i].Record()
+		d := classify.TagStorage(&r)
+		st.bytes[d] += classify.Payload(&r, d)
+		st.flows[d]++
+		st.ops[d] += int64(classify.EstimateChunks(&r, d))
+		ms[d] = append(ms[d], classify.TransferDuration(&r, d).Seconds()*1e3)
+	}
+	for d := range ms {
+		st.latency[d] = analysis.NewECDF(ms[d])
+	}
+	return st
+}
+
+// both totals a per-direction pair.
+func both(v [2]int64) float64 { return float64(v[0] + v[1]) }
+
+// pctDelta renders a percentage change versus a baseline value; a missing
+// (NaN) or zero baseline has none.
 func pctDelta(v, base float64) string {
-	if base == 0 {
+	if base == 0 || math.IsNaN(base) || math.IsNaN(v) {
 		return "n/a"
 	}
 	return fmt.Sprintf("%+.1f%%", 100*(v/base-1))
@@ -146,50 +127,50 @@ func pctDelta(v, base float64) string {
 
 // Result renders the report as a standard experiment result ("whatif"):
 // one row per profile with absolute storage traffic aggregates, followed
-// by a delta table against the baseline profile. Metrics carry every
-// absolute value keyed by profile name, so golden tests and EXPERIMENTS.md
-// assertions can pin them.
+// by a delta table against the baseline profile. A direction without
+// flows prints "-" for its latency and "n/a" for its delta. Metrics carry
+// every absolute value keyed by profile name, so golden tests and
+// EXPERIMENTS.md assertions can pin them.
 func (r *WhatIfReport) Result() *Result {
 	res := newResult("whatif", fmt.Sprintf(
 		"What-if: %s under %d capability profiles (baseline %s, %d shards, seed %d)",
 		r.Config.VP.Name, len(r.Runs), r.baselineName(), max(r.Config.Fleet.Shards, 1), r.Config.Seed))
 
+	traffic := make([]storageTraffic, len(r.Runs))
 	abs := analysis.NewTable(res.Title,
 		"profile", "store GB", "retr GB", "flows", "ops", "store med ms", "retr med ms")
-	for _, run := range r.Runs {
-		a := run.Agg
-		abs.AddRow(run.Profile.Name,
-			float64(a.Summary.StoreBytes)/1e9, float64(a.Summary.RetrieveBytes)/1e9,
-			float64(a.Summary.StoreFlows+a.Summary.RetrieveFlows),
-			float64(a.StoreOps+a.RetrieveOps),
-			a.StoreLatency.Quantile(0.5), a.RetrieveLatency.Quantile(0.5))
+	for i, run := range r.Runs {
+		traffic[i] = storageTrafficOf(run.Tally)
+		st := &traffic[i]
+		storeGB := float64(st.bytes[classify.DirStore]) / 1e9
+		retrGB := float64(st.bytes[classify.DirRetrieve]) / 1e9
+		storeMed, retrMed := st.latency[classify.DirStore].Median(), st.latency[classify.DirRetrieve].Median()
+		abs.AddRow(run.Profile.Name, storeGB, retrGB, both(st.flows), both(st.ops), storeMed, retrMed)
 		name := run.Profile.Name
-		res.Metrics["store_gb_"+name] = float64(a.Summary.StoreBytes) / 1e9
-		res.Metrics["retrieve_gb_"+name] = float64(a.Summary.RetrieveBytes) / 1e9
-		res.Metrics["storage_flows_"+name] = float64(a.Summary.StoreFlows + a.Summary.RetrieveFlows)
-		res.Metrics["ops_"+name] = float64(a.StoreOps + a.RetrieveOps)
-		res.Metrics["store_med_ms_"+name] = a.StoreLatency.Quantile(0.5)
-		res.Metrics["retrieve_med_ms_"+name] = a.RetrieveLatency.Quantile(0.5)
-		res.Metrics["sync_p90_ms_"+name] = a.StoreLatency.Quantile(0.9)
+		res.Metrics["store_gb_"+name] = storeGB
+		res.Metrics["retrieve_gb_"+name] = retrGB
+		res.Metrics["storage_flows_"+name] = both(st.flows)
+		res.Metrics["ops_"+name] = both(st.ops)
+		res.Metrics["store_med_ms_"+name] = storeMed
+		res.Metrics["retrieve_med_ms_"+name] = retrMed
+		res.Metrics["sync_p90_ms_"+name] = st.latency[classify.DirStore].Quantile(0.9)
 		res.Metrics["devices_"+name] = float64(run.Stats.Devices)
 	}
 	res.addText(abs.String())
 
 	if len(r.Runs) > 1 {
-		base := r.Runs[0].Agg
-		baseVol := float64(base.Summary.StoreBytes + base.Summary.RetrieveBytes)
+		base := &traffic[0]
 		delta := analysis.NewTable(
 			fmt.Sprintf("Deltas versus baseline %s", r.baselineName()),
 			"profile", "Δ volume", "Δ flows", "Δ ops", "Δ store lat", "Δ retr lat")
-		for _, run := range r.Runs[1:] {
-			a := run.Agg
+		for i, run := range r.Runs[1:] {
+			st := &traffic[i+1]
 			delta.AddRow(run.Profile.Name,
-				pctDelta(float64(a.Summary.StoreBytes+a.Summary.RetrieveBytes), baseVol),
-				pctDelta(float64(a.Summary.StoreFlows+a.Summary.RetrieveFlows),
-					float64(base.Summary.StoreFlows+base.Summary.RetrieveFlows)),
-				pctDelta(float64(a.StoreOps+a.RetrieveOps), float64(base.StoreOps+base.RetrieveOps)),
-				pctDelta(a.StoreLatency.Quantile(0.5), base.StoreLatency.Quantile(0.5)),
-				pctDelta(a.RetrieveLatency.Quantile(0.5), base.RetrieveLatency.Quantile(0.5)))
+				pctDelta(both(st.bytes), both(base.bytes)),
+				pctDelta(both(st.flows), both(base.flows)),
+				pctDelta(both(st.ops), both(base.ops)),
+				pctDelta(st.latency[classify.DirStore].Median(), base.latency[classify.DirStore].Median()),
+				pctDelta(st.latency[classify.DirRetrieve].Median(), base.latency[classify.DirRetrieve].Median()))
 		}
 		res.addText("")
 		res.addText(delta.String())

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"insidedropbox/internal/capability"
 	"insidedropbox/internal/fleet"
@@ -32,13 +33,13 @@ func runWhatIf(t *testing.T, cfg WhatIfConfig) *WhatIfReport {
 
 // TestWhatIfPresetMatchesLegacyFleetRun pins the acceptance criterion: a
 // what-if run under the dropbox-1.2.52 preset, the vantage point's own
-// client, is bit-identical to the plain fleet campaign of the same
-// population — same flows, same bytes, same streaming aggregates.
+// client, is the plain fold of the same population — the same Tally,
+// every sample and the generation ground truth (VPStats) included.
 func TestWhatIfPresetMatchesLegacyFleetRun(t *testing.T) {
 	vp := whatIfVP(0.2)
 	fc := fleet.Config{Shards: 2}
 
-	legacySum, legacyStats, err := fleet.Summarize(context.Background(), vp, 2012, fc)
+	legacy, err := fold(context.Background(), []fleet.Population{{VP: vp, Seed: 2012}}, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +52,70 @@ func TestWhatIfPresetMatchesLegacyFleetRun(t *testing.T) {
 	if run == nil {
 		t.Fatal("baseline run missing from report")
 	}
-	if !reflect.DeepEqual(run.Agg.Summary, legacySum) {
-		t.Fatalf("preset summary diverged from legacy fleet summary:\npreset %+v\nlegacy %+v",
-			run.Agg.Summary.Metrics(), legacySum.Metrics())
+	if !reflect.DeepEqual(run.Tally, legacy[0]) {
+		t.Fatalf("preset tally diverged from the plain fold: %d vs %d storage samples, stats %+v vs %+v",
+			len(run.Tally.Storage), len(legacy[0].Storage), run.Tally.VPStats, legacy[0].VPStats)
 	}
-	if run.Stats.Records != legacyStats.Records || run.Stats.Devices != legacyStats.Devices {
-		t.Fatalf("ground truth diverged: %+v vs %+v", run.Stats, legacyStats)
+	if !reflect.DeepEqual(run.Stats, legacy[0].VPStats) {
+		t.Fatalf("ground truth diverged: %+v vs %+v", run.Stats, legacy[0].VPStats)
+	}
+}
+
+// TestWhatIfTotalsMatchSummary is the reference check that the what-if
+// rows, read off each profile's Tally, agree with the streaming
+// fleet.Summary of the same population under that profile: store and
+// retrieve volume and storage flow counts, for every preset.
+func TestWhatIfTotalsMatchSummary(t *testing.T) {
+	vp := whatIfVP(0.1)
+	fc := fleet.Config{Shards: 2}
+	profiles := capability.Presets()
+	res := runWhatIf(t, WhatIfConfig{Seed: 7, VP: vp, Fleet: fc, Profiles: profiles}).Result()
+	for _, p := range profiles {
+		pvp := vp
+		pvp.Caps = p
+		sum, _, err := fleet.Summarize(context.Background(), pvp, 7, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for metric, want := range map[string]float64{
+			"store_gb_":      float64(sum.StoreBytes) / 1e9,
+			"retrieve_gb_":   float64(sum.RetrieveBytes) / 1e9,
+			"storage_flows_": float64(sum.StoreFlows + sum.RetrieveFlows),
+		} {
+			if got := res.Metrics[metric+p.Name]; got != want {
+				t.Errorf("%s%s = %v, fleet.Summary says %v", metric, p.Name, got, want)
+			}
+		}
+		if sum.StoreFlows == 0 || sum.RetrieveFlows == 0 {
+			t.Errorf("%s: %d store and %d retrieve flows, want both directions", p.Name, sum.StoreFlows, sum.RetrieveFlows)
+		}
+	}
+}
+
+// TestWhatIfEmptyDirection pins how a profile without flows in one
+// direction renders: its latency prints "-" and its delta "n/a", never a
+// NaN.
+func TestWhatIfEmptyDirection(t *testing.T) {
+	store := StorageFlow{BytesUp: 1e6, BytesDown: 5000, LastPayloadUp: time.Second, PSHDown: 4}
+	retr := StorageFlow{BytesUp: 1000, BytesDown: 1e6, LastPayloadDown: 2 * time.Second, PSHUp: 4}
+	rep := &WhatIfReport{Runs: []*WhatIfRun{
+		{Profile: capability.DropboxV1252(), Tally: &Tally{Storage: []StorageFlow{store, retr}}},
+		{Profile: capability.DropboxV140(), Tally: &Tally{Storage: []StorageFlow{store}}},
+	}}
+	res := rep.Result()
+	if strings.Contains(res.Text, "NaN") {
+		t.Fatalf("NaN in the table:\n%s", res.Text)
+	}
+	// The profile's row in the absolute table, then in the delta table:
+	// the retrieve column is the last of each.
+	var last []string
+	for _, line := range strings.Split(res.Text, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "dropbox-1.4.0" {
+			last = append(last, f[len(f)-1])
+		}
+	}
+	if !reflect.DeepEqual(last, []string{"-", "n/a"}) {
+		t.Fatalf("retrieve latency cells %q, want [- n/a]:\n%s", last, res.Text)
 	}
 }
 

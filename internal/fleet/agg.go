@@ -135,63 +135,23 @@ func NewSummary(days int) *Summary {
 	}
 }
 
-// Classification is the per-record labeling aggregators key on. Wrappers
-// that stack extra aggregates on top of a Summary compute it once with
-// ClassifyRecord and feed every layer, instead of re-classifying the
-// record on each layer of the streaming hot path.
-type Classification struct {
-	Dropbox bool
-	Notify  bool
-	Service dnssim.Service
-	// Dir is the store/retrieve tag; meaningful only when Service is
-	// dnssim.SvcClientStorage on a non-notify Dropbox flow.
-	Dir classify.Direction
-}
-
-// Storage reports whether the record is a client-storage flow (the ones
-// with a store/retrieve direction).
-func (c Classification) Storage() bool {
-	return c.Dropbox && !c.Notify && c.Service == dnssim.SvcClientStorage
-}
-
-// ClassifyRecord labels one record for aggregation.
-func ClassifyRecord(r *traces.FlowRecord) Classification {
-	c := Classification{Dropbox: classify.ProviderOf(r) == classify.ProvDropbox}
-	if !c.Dropbox {
-		return c
-	}
-	if r.NotifyHost != 0 {
-		c.Notify = true
-		return c
-	}
-	c.Service = classify.DropboxService(r)
-	if c.Service == dnssim.SvcClientStorage {
-		c.Dir = classify.TagStorage(r)
-	}
-	return c
-}
-
 // Consume implements Sink.
 func (s *Summary) Consume(r *traces.FlowRecord) {
-	s.ConsumeClassified(r, ClassifyRecord(r))
-}
-
-// ConsumeClassified folds one record using a pre-computed classification.
-func (s *Summary) ConsumeClassified(r *traces.FlowRecord, c Classification) {
+	dropbox := classify.ProviderOf(r) == classify.ProvDropbox
 	s.Flows++
 	s.BytesUp += r.BytesUp
 	s.BytesDown += r.BytesDown
 	if d := int(r.FirstPacket / (24 * time.Hour)); d >= 0 && d < s.Days {
 		s.DayVolume[d] += float64(r.BytesUp + r.BytesDown)
-		if c.Dropbox {
+		if dropbox {
 			s.DropboxDayVolume[d] += float64(r.BytesUp + r.BytesDown)
 		}
 	}
-	if !c.Dropbox {
+	if !dropbox {
 		return
 	}
 	s.DropboxFlows++
-	if c.Notify {
+	if r.NotifyHost != 0 {
 		s.NotifyFlows++
 		if r.NotifyHost == s.lastNotifyHost && r.Client == s.lastNotifyClient {
 			return
@@ -204,19 +164,19 @@ func (s *Summary) ConsumeClassified(r *traces.FlowRecord, c Classification) {
 		}
 		return
 	}
-	if c.Service != dnssim.SvcClientStorage {
+	if classify.DropboxService(r) != dnssim.SvcClientStorage {
 		s.ControlFlows++
 		return
 	}
 	s.StorageServers[r.Server] = struct{}{}
-	switch c.Dir {
+	switch d := classify.TagStorage(r); d {
 	case classify.DirStore:
-		p := classify.Payload(r, classify.DirStore)
+		p := classify.Payload(r, d)
 		s.StoreFlows++
 		s.StoreBytes += p
 		s.StoreSizes.Observe(float64(p))
 	case classify.DirRetrieve:
-		p := classify.Payload(r, classify.DirRetrieve)
+		p := classify.Payload(r, d)
 		s.RetrieveFlows++
 		s.RetrieveBytes += p
 		s.RetrieveSizes.Observe(float64(p))

@@ -9,7 +9,9 @@
 // executor — one bounded worker pool per call (runShards), one pooled
 // generate loop (generatePooled) — under three delivery policies: unordered
 // fold (Aggregate over one or more populations, Summarize: a sink per
-// shard, merged in shard-index order),
+// shard, merged in shard-index order; the experiments package folds its
+// Tallies through Aggregate, while Summary is the fixed-size aggregate of
+// the fleet lab and dropsim -summary),
 // ordered stream (StreamRecords, Records: one consumer, shard order,
 // bounded look-ahead) and durable part (ForEachShard with RunShard in the
 // caller's per-shard task, which is how internal/campaign writes and
