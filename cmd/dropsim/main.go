@@ -49,6 +49,13 @@
 // -scenario, the scenario's, not the flags' — the FNV-1a hash of the
 // serialized stream, per-shard timings and a telemetry snapshot: the
 // reproducibility record the telemetry-on/off golden check in CI compares.
+// With -summary no record stream is serialized, so the manifest carries
+// no stream hash.
+//
+// -summary prints fleet.Summary's metrics (the streaming summary,
+// insidedropbox.Summarize) and, on stderr, the generation ground truth:
+// records, Dropbox devices and households. It takes no record stream, so
+// it refuses -backend and a scenario with a backend section (exit 2).
 //
 // -backend tees the record stream into the server capacity model
 // (internal/backend) and, after the export, replays it against the named
@@ -182,6 +189,10 @@ func main() {
 			os.Exit(2)
 		}
 		popSpec = comp.Spec.Base
+		if *summary && comp.Backend != nil {
+			fmt.Fprintf(os.Stderr, "scenario %q has a backend section, which needs the record stream; it cannot combine with -summary\n", comp.Spec.Name)
+			os.Exit(2)
+		}
 	}
 	// The manifest records the population that runs: with -scenario, the
 	// scenario's.
@@ -218,7 +229,6 @@ func main() {
 	// — both observation-only, so -manifest never changes the exported
 	// stream.
 	var rec *manifestRecorder
-	streamHash := fnv.New64a()
 	if *manifest != "" {
 		mspec["workers"] = strconv.Itoa(*workers)
 		mspec["backend"] = *backendPreset
@@ -226,7 +236,6 @@ func main() {
 			mspec["scenario"] = comp.Spec.Name
 		}
 		rec = newManifestRecorder(pop.Seed, mspec)
-		w = io.MultiWriter(w, streamHash)
 		fc.Observer = rec.observe
 	}
 
@@ -235,7 +244,18 @@ func main() {
 
 	if *summary {
 		printSummary(ctx, pop, fc, w)
+		// An analysis-only run serializes no record stream: the manifest
+		// carries the shard timings and no stream hash.
+		if rec != nil {
+			if err := rec.save(*manifest, ""); err != nil {
+				cli.Exit(ctx, "writing manifest", err)
+			}
+		}
 		return
+	}
+	streamHash := fnv.New64a()
+	if rec != nil {
+		w = io.MultiWriter(w, streamHash)
 	}
 
 	// The backend collector tees off the record stream before
@@ -332,7 +352,9 @@ func (r *manifestRecorder) save(path, streamHash string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.m.StreamHash = streamHash
-	telemetry.SetInfo("stream_hash", streamHash)
+	if streamHash != "" {
+		telemetry.SetInfo("stream_hash", streamHash)
+	}
 	return r.m.Save(path)
 }
 
@@ -353,8 +375,8 @@ func printSummary(ctx context.Context, pop fleet.Population, fc fleet.Config, w 
 		fmt.Fprintln(os.Stderr, "writing summary:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "%s: %d flow records aggregated, %d Dropbox devices (ground truth)\n",
-		stats.Cfg.Name, stats.Records, stats.Devices)
+	fmt.Fprintf(os.Stderr, "%s: %d flow records aggregated, %d Dropbox devices in %d households (ground truth)\n",
+		stats.Cfg.Name, stats.Records, stats.Devices, stats.Households)
 }
 
 // streamTraces pipes records from the generator shards straight into the

@@ -5,7 +5,7 @@
 //
 //	experiments [-seed N] [-out DIR] [-quick] [-skip-packet]
 //	            [-only IDS] [-shards N] [-workers N]
-//	            [-fleet-scale F] [-whatif] [-profiles LIST] [-list]
+//	            [-whatif] [-profiles LIST] [-list]
 //	            [-pprof ADDR] [-cpuprofile FILE] [-memprofile FILE]
 //	            [-telemetry-interval DUR]
 //	            [-validate-manifest FILE] [-print-stream-hash FILE]
@@ -20,15 +20,14 @@
 // -only selects a catalogue subset by ID or glob ("table3", "figure*",
 // "table4,figure9"); without it the full default catalogue runs. -shards
 // routes campaign generation through the sharded fleet engine (changing
-// the population sample but not its size); -fleet-scale > 0 adds the
-// streaming fleet lab with every vantage point's scale multiplied by it,
-// refused (exit 2) past the 10/8 address ceiling; -whatif adds the
-// capability what-if lab (Campus 1 under -profiles, compared against the
-// first profile); -scenario FILE adds the scenario/* experiments under a
-// declarative spec (cohort mixes, backend timelines — see scenarios/).
-// -validate-scenario strictly validates a spec file and exits, the CI
-// gate for the committed catalogue. ^C cancels cleanly at fleet-shard
-// granularity.
+// the population sample but not its size, which -quick alone picks; one
+// vantage point's streaming summary at any size is `dropsim -scale F
+// -summary`); -whatif adds the capability what-if lab (Campus 1 under
+// -profiles, compared against the first profile); -scenario FILE adds the
+// scenario/* experiments under a declarative spec (cohort mixes, backend
+// timelines — see scenarios/). -validate-scenario strictly validates a
+// spec file and exits, the CI gate for the committed catalogue. ^C
+// cancels cleanly at fleet-shard granularity.
 package main
 
 import (

@@ -57,10 +57,9 @@ func ExampleRun() {
 			vp, fig6.Metrics["storage_median_"+vp], fig6.Metrics["control_median_"+vp])
 	}
 	// Output:
-	// registered experiments: 33
+	// registered experiments: 32
 	//   table       5
 	//   figure     21
-	//   fleet       1
 	//   whatif      1
 	//   backend/*   3
 	//   scenario/*  2

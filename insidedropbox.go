@@ -17,9 +17,10 @@
 //     session reconstruction, user grouping);
 //   - calibrated workload generators standing in for the four European
 //     vantage points of the study; and
-//   - a sharded, streaming fleet engine (FleetConfig, RunFleet) that
-//     scales those populations from thousands to millions of devices
-//     across every core with bounded memory and bit-reproducible results.
+//   - a sharded, streaming fleet engine (FleetConfig, Summarize,
+//     StreamRecords) that scales those populations from thousands to
+//     millions of devices across every core with bounded memory and
+//     bit-reproducible results.
 //
 // # The experiment API
 //
@@ -187,10 +188,6 @@ type ShardEvent = fleet.ShardEvent
 // volume accumulators, online flow-size histograms and device/namespace
 // counters, at memory independent of the flow count.
 type FleetSummary = fleet.Summary
-
-// FleetReport is a campaign reduced to streaming aggregates — what a
-// campaign looks like at populations too large to materialize.
-type FleetReport = experiments.FleetReport
 
 // ---------- capability profiles (what-if campaigns) ----------
 

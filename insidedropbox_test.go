@@ -82,28 +82,6 @@ func TestFacadeWriteResults(t *testing.T) {
 }
 
 func TestFacadeFleet(t *testing.T) {
-	sc := ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01}
-	fc := FleetConfig{Shards: 3, Workers: 2}
-
-	// The fleet lab grows its populations through Scale alone.
-	rep, err := RunFleet(context.Background(), 21, sc.Times(2), fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.VPs) != 4 {
-		t.Fatalf("fleet report has %d VPs", len(rep.VPs))
-	}
-	home1 := rep.ByName("home1")
-	if home1 == nil || home1.Summary.Flows == 0 {
-		t.Fatal("fleet report missing home1 aggregates")
-	}
-	if got, want := home1.Stats.Cfg.TotalIPs, Home1(0.02).TotalIPs; got != want {
-		t.Fatalf("home1 at twice 0.01 ran %d subscribers, want Home1(0.02)'s %d", got, want)
-	}
-	if res := rep.Result(); res.Text == "" || res.Metrics["flows_total"] == 0 || !strings.Contains(res.Text, "0.02") {
-		t.Fatal("fleet result did not render, or without the scale it ran")
-	}
-
 	// Streaming export matches the streamed stats and produces valid CSV.
 	var buf bytes.Buffer
 	tw := mustCreateTrace(t, &buf, "csv")

@@ -40,7 +40,6 @@ type SpecFlags struct {
 	shards     *int
 	workers    *int
 	only       *string
-	fleetScale *float64
 	whatif     *bool
 	profiles   *string
 	backend    *string
@@ -60,7 +59,6 @@ func BindSpec(fs *flag.FlagSet) *SpecFlags {
 		shards:     fs.Int("shards", 1, "population shards per vantage point (1 = historical datasets)"),
 		workers:    fs.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS; never changes results)"),
 		only:       fs.String("only", "", "comma-separated experiment IDs or globs (e.g. table3,figure*); empty = default catalogue"),
-		fleetScale: fs.Float64("fleet-scale", 0, "also run the streaming fleet lab with every population scale multiplied by this (0 = off)"),
 		whatif:     fs.Bool("whatif", false, "run the capability what-if lab (Campus 1 under -profiles)"),
 		profiles: fs.String("profiles", strings.Join(insidedropbox.CapabilityNames(), ","),
 			"comma-separated capability profiles for the what-if lab (first = baseline; setting this opts the lab in)"),
@@ -82,7 +80,6 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 		Quick:      *f.quick,
 		SkipPacket: *f.skipPacket,
 		Fleet:      insidedropbox.FleetConfig{Shards: *f.shards, Workers: *f.workers},
-		FleetScale: *f.fleetScale,
 		Backend:    *f.backend,
 		ResultsDir: *f.out,
 		Checkpoint: *f.checkpoint,
@@ -105,9 +102,6 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 		// silently ignored.
 		if *f.whatif {
 			spec.Experiments = append(spec.Experiments, "whatif")
-		}
-		if *f.fleetScale > 0 {
-			spec.Experiments = append(spec.Experiments, "fleet")
 		}
 		if *f.backend != "" {
 			spec.Experiments = append(spec.Experiments, "backend/*")

@@ -43,7 +43,7 @@ func TestBindSpecFlags(t *testing.T) {
 	flags := BindSpec(fs)
 	err := fs.Parse([]string{
 		"-seed", "7", "-quick", "-shards", "8", "-workers", "2",
-		"-only", "table3, figure*", "-whatif", "-fleet-scale", "2.5",
+		"-only", "table3, figure*", "-whatif",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +55,9 @@ func TestBindSpecFlags(t *testing.T) {
 	if spec.Seed != 7 || !spec.Quick || spec.Fleet.Shards != 8 || spec.Fleet.Workers != 2 {
 		t.Fatalf("spec: %+v", spec)
 	}
-	// -whatif and -fleet-scale join the explicit selection (they would
-	// otherwise be silently ignored alongside -only).
-	want := []string{"table3", "figure*", "whatif", "fleet"}
+	// -whatif joins the explicit selection (it would otherwise be
+	// silently ignored alongside -only).
+	want := []string{"table3", "figure*", "whatif"}
 	if len(spec.Experiments) != len(want) {
 		t.Fatalf("patterns: %v, want %v", spec.Experiments, want)
 	}
@@ -69,15 +69,12 @@ func TestBindSpecFlags(t *testing.T) {
 	if len(spec.Profiles) == 0 {
 		t.Fatal("-whatif did not resolve the default profile catalogue")
 	}
-	if spec.FleetScale != 2.5 {
-		t.Fatalf("fleet scale: %g", spec.FleetScale)
-	}
 }
 
 func TestBindSpecOnlyComposesWithLabFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	flags := BindSpec(fs)
-	if err := fs.Parse([]string{"-only", "table3", "-whatif", "-fleet-scale", "10"}); err != nil {
+	if err := fs.Parse([]string{"-only", "table3", "-whatif", "-backend", "scarce"}); err != nil {
 		t.Fatal(err)
 	}
 	spec, err := flags.Spec()
@@ -86,7 +83,7 @@ func TestBindSpecOnlyComposesWithLabFlags(t *testing.T) {
 	}
 	// An explicit -only selection suppresses the Spec's opt-in defaulting,
 	// so the lab flags must have joined the patterns explicitly.
-	want := []string{"table3", "whatif", "fleet"}
+	want := []string{"table3", "whatif", "backend/*"}
 	if len(spec.Experiments) != len(want) {
 		t.Fatalf("patterns: %v, want %v", spec.Experiments, want)
 	}
@@ -226,29 +223,27 @@ func TestPopulationRules(t *testing.T) {
 
 // TestRunRefusesOutOfRangeFleet: insidedropbox.Run takes the population
 // rule for shards, the pool's rule for workers, and the population-size
-// rule for the fleet lab's populations, which FleetScale multiplies
-// (SmallScale's Home 1 0.03 x 30000 is Home 1 at 900, refused with
-// Resolve's text); all fail before anything is generated or written, and
-// alike from -shards, -workers and -fleet-scale, so cmd/experiments exits
-// 2.
+// rule for Scale (Home 1 at 900, refused with Resolve's text); all fail
+// before anything is generated or written, and -shards and -workers fail
+// alike in Spec(), so cmd/experiments exits 2.
 func TestRunRefusesOutOfRangeFleet(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		fleet      insidedropbox.FleetConfig
-		fleetScale float64
-		want       string
+		name  string
+		fleet insidedropbox.FleetConfig
+		scale insidedropbox.ScaleConfig
+		want  string
 	}{
-		{"shards -1", insidedropbox.FleetConfig{Shards: -1}, 0, "shards must be in [1, 1024], 0 meaning 1 (got -1"},
-		{"shards 1025", insidedropbox.FleetConfig{Shards: 1025}, 0, "(got 1025: negative or exceeds the maximum)"},
-		{"shards 2000", insidedropbox.FleetConfig{Shards: 2000}, 0, "(got 2000: negative or exceeds the maximum)"},
-		{"fleet-scale 30000", insidedropbox.FleetConfig{}, 30000, scale900},
-		{"workers -1", insidedropbox.FleetConfig{Workers: -1}, 0, "workers must be >= 0, 0 meaning GOMAXPROCS (got -1)"},
-		{"workers -3", insidedropbox.FleetConfig{Workers: -3}, 0, "workers must be >= 0, 0 meaning GOMAXPROCS (got -3)"},
+		{"shards -1", insidedropbox.FleetConfig{Shards: -1}, insidedropbox.ScaleConfig{}, "shards must be in [1, 1024], 0 meaning 1 (got -1"},
+		{"shards 1025", insidedropbox.FleetConfig{Shards: 1025}, insidedropbox.ScaleConfig{}, "(got 1025: negative or exceeds the maximum)"},
+		{"shards 2000", insidedropbox.FleetConfig{Shards: 2000}, insidedropbox.ScaleConfig{}, "(got 2000: negative or exceeds the maximum)"},
+		{"home1 scale 900", insidedropbox.FleetConfig{}, insidedropbox.ScaleConfig{Campus1: 0.4, Campus2: 0.08, Home1: 900, Home2: 0.03}, scale900},
+		{"workers -1", insidedropbox.FleetConfig{Workers: -1}, insidedropbox.ScaleConfig{}, "workers must be >= 0, 0 meaning GOMAXPROCS (got -1)"},
+		{"workers -3", insidedropbox.FleetConfig{Workers: -3}, insidedropbox.ScaleConfig{}, "workers must be >= 0, 0 meaning GOMAXPROCS (got -3)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "out")
 			res, err := insidedropbox.Run(context.Background(), insidedropbox.Spec{
-				Seed: 2012, Quick: true, Fleet: tc.fleet, FleetScale: tc.fleetScale, ResultsDir: out,
+				Seed: 2012, Quick: true, Scale: tc.scale, Fleet: tc.fleet, ResultsDir: out,
 			}, insidedropbox.WithExperiments("table2"))
 			if err == nil || !strings.Contains(err.Error(), tc.want) || len(res) != 0 {
 				t.Fatalf("Run = %d results, %v; want a refusal containing %q", len(res), err, tc.want)
@@ -256,6 +251,8 @@ func TestRunRefusesOutOfRangeFleet(t *testing.T) {
 			if _, serr := os.Stat(out); !os.IsNotExist(serr) {
 				t.Fatalf("refused run left %s behind (%v)", out, serr)
 			}
+			// cmd/experiments sizes populations by -quick alone: no flag
+			// reaches Scale.
 			args := []string{"-quick", "-skip-packet", "-only", "table2"}
 			switch {
 			case tc.fleet.Shards != 0:
@@ -263,7 +260,7 @@ func TestRunRefusesOutOfRangeFleet(t *testing.T) {
 			case tc.fleet.Workers != 0:
 				args = append(args, "-workers", strconv.Itoa(tc.fleet.Workers))
 			default:
-				args = append(args, "-fleet-scale", strconv.FormatFloat(tc.fleetScale, 'g', -1, 64))
+				return
 			}
 			fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 			flags := BindSpec(fs)

@@ -5,18 +5,15 @@
 // plus named metrics that the benchmark harness and EXPERIMENTS.md
 // assertions consume.
 //
-// Three engines coexist:
-//
-//   - Fold folds each vantage point's generated records into one Tally
-//     through the sharded fleet engine, which every table and figure reads
-//     (1 shard per VP folds the historical sequential generator's
-//     population);
-//   - RunFleet streams populations far larger than the paper's into
-//     bounded-memory fleet.Summary aggregates;
-//   - WhatIfConfig.Run folds one population into a Tally per client
-//     capability profile (internal/capability) and tabulates storage
-//     volume, flow, operation and sync-latency deltas against a baseline
-//     profile — the generalization of the paper's Sec. 6 bundling analysis.
+// One engine feeds them: the Tally fold. Fold folds each vantage point's
+// generated records into one Tally through the sharded fleet engine, which
+// every table and figure reads (1 shard per VP folds the historical
+// sequential generator's population). Table 4 folds its before/after
+// populations the same way, and WhatIfConfig.Run folds one population into
+// a Tally per client capability profile (internal/capability) and
+// tabulates storage volume, flow, operation and sync-latency deltas
+// against a baseline profile — the generalization of the paper's Sec. 6
+// bundling analysis.
 //
 // See EXPERIMENTS.md at the repository root for the full catalogue, the
 // determinism contract, and how each driver maps to the paper.
@@ -78,15 +75,6 @@ func DefaultScale() ScaleConfig {
 // SmallScale is used by unit tests and quick benchmarks.
 func SmallScale() ScaleConfig {
 	return ScaleConfig{Campus1: 0.4, Campus2: 0.08, Home1: 0.03, Home2: 0.03}
-}
-
-// Times multiplies every vantage point's fraction by f, the fleet lab's
-// FleetScale; f <= 0 leaves sc as it is.
-func (sc ScaleConfig) Times(f float64) ScaleConfig {
-	if f <= 0 {
-		return sc
-	}
-	return ScaleConfig{Campus1: sc.Campus1 * f, Campus2: sc.Campus2 * f, Home1: sc.Home1 * f, Home2: sc.Home2 * f}
 }
 
 // Check applies workload.CheckScale to the four populations.

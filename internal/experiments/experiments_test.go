@@ -39,17 +39,6 @@ func mustFold(t *testing.T, seed int64, sc ScaleConfig, fc fleet.Config) Tallies
 	return ts
 }
 
-// runFleet streams a fleet campaign under a background context and fails
-// the test on error.
-func runFleet(t *testing.T, seed int64, sc ScaleConfig, fc fleet.Config) *FleetReport {
-	t.Helper()
-	rep, err := RunFleet(context.Background(), seed, sc, fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
-
 func metricIn(t *testing.T, r *Result, key string, lo, hi float64) {
 	t.Helper()
 	v, ok := r.Metrics[key]
@@ -372,45 +361,35 @@ func TestTestbedDissection(t *testing.T) {
 	}
 }
 
+// TestFleetCampaignStreaming: fleet.Summarize, run per vantage point at
+// Fold's seeds (seed+1 … seed+4) with one shard, describes exactly the
+// populations the tallies fold — the two folds agree.
 func TestFleetCampaignStreaming(t *testing.T) {
 	sc := ScaleConfig{Campus1: 0.2, Campus2: 0.04, Home1: 0.01, Home2: 0.01}
-
-	// The summary report with one shard must describe exactly the
-	// populations the tallies fold.
-	rep := runFleet(t, 5, sc, fleet.Config{Shards: 1})
-	ts := mustFold(t, 5, sc, fleet.Config{Shards: 1})
-	if len(rep.VPs) != len(ts) {
-		t.Fatalf("fleet report has %d VPs, tallies %d", len(rep.VPs), len(ts))
+	fc := fleet.Config{Shards: 1}
+	ts := mustFold(t, 5, sc, fc)
+	pops := vantagePoints(5, sc)
+	if len(pops) != len(ts) {
+		t.Fatalf("%d vantage points, %d tallies", len(pops), len(ts))
 	}
-	for i, vp := range rep.VPs {
+	for i, p := range pops {
+		sum, stats, err := fleet.Summarize(context.Background(), p.VP, p.Seed, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tl := ts[i]
-		if vp.Stats.Cfg.Name != tl.Cfg.Name {
-			t.Fatalf("VP %d order mismatch: %s vs %s", i, vp.Stats.Cfg.Name, tl.Cfg.Name)
+		if stats.Cfg.Name != tl.Cfg.Name {
+			t.Fatalf("VP %d order mismatch: %s vs %s", i, stats.Cfg.Name, tl.Cfg.Name)
 		}
-		if vp.Summary.Flows != tl.Flows() || len(vp.Summary.Devices) != len(tl.hosts) {
+		if sum.Flows != tl.Flows() || len(sum.Devices) != len(tl.hosts) {
 			t.Errorf("%s: summary has %d flows and %d devices, tally %d and %d", tl.Cfg.Name,
-				vp.Summary.Flows, len(vp.Summary.Devices), tl.Flows(), len(tl.hosts))
+				sum.Flows, len(sum.Devices), tl.Flows(), len(tl.hosts))
 		}
-		if !reflect.DeepEqual(vp.Stats, tl.VPStats) {
-			t.Errorf("%s: ground truth differs: %+v vs %+v", tl.Cfg.Name, vp.Stats, tl.VPStats)
+		if !reflect.DeepEqual(stats, tl.VPStats) {
+			t.Errorf("%s: ground truth differs: %+v vs %+v", tl.Cfg.Name, stats, tl.VPStats)
 		}
-		if len(vp.Summary.Devices) > vp.Stats.Devices {
-			t.Errorf("%s: counted %d devices, ground truth %d", tl.Cfg.Name,
-				len(vp.Summary.Devices), vp.Stats.Devices)
-		}
-	}
-
-	// Sharded streaming renders a complete result.
-	res := runFleet(t, 5, sc, fleet.Config{Shards: 6}).Result()
-	if res.ID != "fleet" || res.Text == "" {
-		t.Fatalf("incomplete fleet result: %+v", res.ID)
-	}
-	if res.Metrics["flows_total"] < 1000 {
-		t.Errorf("fleet flows_total = %.0f", res.Metrics["flows_total"])
-	}
-	for _, vp := range []string{"campus1", "campus2", "home1", "home2"} {
-		if res.Metrics["devices_"+vp] <= 0 {
-			t.Errorf("no devices counted for %s", vp)
+		if len(sum.Devices) > stats.Devices {
+			t.Errorf("%s: counted %d devices, ground truth %d", tl.Cfg.Name, len(sum.Devices), stats.Devices)
 		}
 	}
 }

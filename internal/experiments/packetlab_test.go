@@ -128,6 +128,8 @@ func TestPacketLabFlowsServerClosed(t *testing.T) {
 // TestPacketRecordsCancelled: under a cancelled context the labs return
 // ctx.Err() at either worker bound, with no lab goroutine left running,
 // and the session retries on the next call instead of latching the error.
+// The goroutine count may only not grow: a goroutine of an earlier test
+// can exit during the call.
 func TestPacketRecordsCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		s := &Session{Seed: 1, Quick: true, Fleet: fleet.Config{Workers: workers}}
@@ -138,7 +140,7 @@ func TestPacketRecordsCancelled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || store != nil || retr != nil {
 			t.Fatalf("workers %d: cancelled labs: store=%d retr=%d err=%v", workers, len(store), len(retr), err)
 		}
-		if after := runtime.NumGoroutine(); after != before {
+		if after := runtime.NumGoroutine(); after > before {
 			t.Fatalf("workers %d: %d goroutines before the labs, %d after", workers, before, after)
 		}
 		if testing.Short() {

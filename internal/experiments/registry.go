@@ -23,8 +23,8 @@ type Needs struct {
 	// a Spec can skip wholesale.
 	Packet bool
 	// OptIn: the experiment needs configuration beyond the campaign (the
-	// fleet and what-if labs), so default selections exclude it unless the
-	// Spec opts in or a pattern names it explicitly.
+	// what-if, backend and scenario labs), so default selections exclude
+	// it unless the Spec opts in or a pattern names it explicitly.
 	OptIn bool
 }
 
@@ -138,9 +138,6 @@ type Session struct {
 	Fleet fleet.Config
 	// Quick selects the small packet-lab configurations.
 	Quick bool
-	// FleetScale multiplies Scale for the opt-in "fleet" lab (<= 0 means
-	// 1x).
-	FleetScale float64
 	// Profiles are the capability profiles of the opt-in "whatif" lab
 	// (nil means the full preset catalogue).
 	Profiles []capability.Profile
@@ -314,17 +311,6 @@ func init() {
 	regTallies("figure20", "Figure 20: Bytes exchanged in storage flows (Campus 1) with f(u)", Figure20)
 	regTallies("figure21", "Figure 21: Payload per estimated chunk (reverse direction)", Figure21)
 
-	register(Experiment{
-		ID: "fleet", Title: "Fleet campaign: streaming aggregates at a multiplied scale",
-		Needs: Needs{OptIn: true},
-		Run: func(ctx context.Context, s *Session) (*Result, error) {
-			rep, err := RunFleet(ctx, s.Seed, s.Scale.Times(s.FleetScale), s.Fleet)
-			if err != nil {
-				return nil, err
-			}
-			return rep.Result(), nil
-		},
-	})
 	register(Experiment{
 		ID: "whatif", Title: "What-if: one population under multiple capability profiles",
 		Needs: Needs{OptIn: true},

@@ -18,7 +18,7 @@ func TestRegistryCatalogueComplete(t *testing.T) {
 		"figure7", "figure8", "figure9", "figure10", "figure11", "figure12",
 		"figure13", "figure14", "figure15", "figure16", "figure17",
 		"figure18", "figure19", "figure20", "figure21",
-		"fleet", "whatif",
+		"whatif",
 		"backend/baseline", "backend/saturation", "backend/policies",
 		"scenario/cohorts", "scenario/flash-crowd",
 	}
@@ -64,9 +64,9 @@ func TestSelectDefaultsAndGlobs(t *testing.T) {
 			t.Errorf("default selection includes opt-in %q", e.ID)
 		}
 	}
-	if len(def) != len(Experiments())-7 {
-		t.Errorf("default selection has %d entries, want all but fleet+whatif+backend/*+scenario/* (%d)",
-			len(def), len(Experiments())-7)
+	if len(def) != len(Experiments())-6 {
+		t.Errorf("default selection has %d entries, want all but whatif+backend/*+scenario/* (%d)",
+			len(def), len(Experiments())-6)
 	}
 
 	// Globs match in catalogue order, opt-ins included when named.
@@ -189,16 +189,6 @@ func TestCancelWhatIf(t *testing.T) {
 	}.Run(ctx)
 	if !errors.Is(err, context.Canceled) || rep != nil {
 		t.Fatalf("what-if under cancelled ctx: rep=%v err=%v", rep, err)
-	}
-}
-
-// TestCancelRunFleet: the streaming campaign surfaces ctx.Err().
-func TestCancelRunFleet(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rep, err := RunFleet(ctx, 1, SmallScale(), fleet.Config{Shards: 2})
-	if !errors.Is(err, context.Canceled) || rep != nil {
-		t.Fatalf("RunFleet under cancelled ctx: rep=%v err=%v", rep, err)
 	}
 }
 

@@ -11,7 +11,7 @@
 // fold (Aggregate over one or more populations, Summarize: a sink per
 // shard, merged in shard-index order; the experiments package folds its
 // Tallies through Aggregate, while Summary is the fixed-size aggregate of
-// the fleet lab and dropsim -summary),
+// dropsim -summary and the facade's Summarize),
 // ordered stream (StreamRecords, Records: one consumer, shard order,
 // bounded look-ahead) and durable part (ForEachShard with RunShard in the
 // caller's per-shard task, which is how internal/campaign writes and

@@ -46,7 +46,7 @@ type Spec struct {
 	// Experiments selects the catalogue subset to run, as glob-style
 	// patterns over experiment IDs ("table4", "figure*", "figure1?").
 	// Empty means the default selection: every non-opt-in experiment,
-	// plus "whatif" when Profiles is set and "fleet" when FleetScale > 0.
+	// plus "whatif" when Profiles is set.
 	Experiments []string
 
 	// Quick shrinks the packet labs and is the cue to default Scale to
@@ -61,11 +61,6 @@ type Spec struct {
 	// selection. Nil leaves the lab opt-in (selected explicitly, it runs
 	// the full preset catalogue).
 	Profiles []CapabilityProfile
-
-	// FleetScale multiplies every fraction of Scale for the "fleet" lab,
-	// under Scale's rule, and opts the lab into the default selection
-	// when > 0.
-	FleetScale float64
 
 	// Backend names the capacity preset of the "backend/*" server
 	// simulation lab (see BackendPresets) and opts the lab into the
@@ -178,10 +173,6 @@ func WithProfiles(profiles ...CapabilityProfile) Option {
 	return func(s *Spec) { s.Profiles = append(s.Profiles, profiles...) }
 }
 
-// WithFleetScale configures the streaming fleet lab's scale multiplier
-// and opts it into the default selection.
-func WithFleetScale(scale float64) Option { return func(s *Spec) { s.FleetScale = scale } }
-
 // WithBackend configures the backend capacity lab's preset and opts the
 // backend/* experiments into the default selection.
 func WithBackend(preset string) Option { return func(s *Spec) { s.Backend = preset } }
@@ -236,7 +227,7 @@ func (s Spec) resolve() (Spec, []Experiment, error) {
 		}
 	}
 	if err := cmp.Or(fleet.CheckShards(s.Fleet.Shards), fleet.CheckWorkers(s.Fleet.Workers),
-		s.Scale.Check(), s.Scale.Times(s.FleetScale).Check()); err != nil {
+		s.Scale.Check()); err != nil {
 		return s, nil, err
 	}
 	patterns := s.Experiments
@@ -245,9 +236,6 @@ func (s Spec) resolve() (Spec, []Experiment, error) {
 		// Spec configures them — the historical CLI contract.
 		if len(s.Profiles) > 0 {
 			patterns = append(patterns, "whatif")
-		}
-		if s.FleetScale > 0 {
-			patterns = append(patterns, "fleet")
 		}
 		if s.Backend != "" {
 			patterns = append(patterns, "backend/*")
@@ -272,7 +260,7 @@ func (s Spec) resolve() (Spec, []Experiment, error) {
 
 // Check reports the error Run would refuse the Spec with before running
 // anything: the shards and workers rules, the population-size rule for
-// every population it names (the fleet lab's included) and its selection.
+// every population it names and its selection.
 func (s Spec) Check() error {
 	_, _, err := s.resolve()
 	return err
@@ -321,14 +309,13 @@ func Run(ctx context.Context, spec Spec, opts ...Option) ([]*Result, error) {
 	fc.Observer = obs.observe
 
 	session := &Session{
-		Seed:       spec.Seed,
-		Scale:      spec.Scale,
-		Fleet:      fc,
-		Quick:      spec.Quick,
-		FleetScale: spec.FleetScale,
-		Profiles:   spec.Profiles,
-		Backend:    spec.Backend,
-		Scenario:   spec.Scenario,
+		Seed:     spec.Seed,
+		Scale:    spec.Scale,
+		Fleet:    fc,
+		Quick:    spec.Quick,
+		Profiles: spec.Profiles,
+		Backend:  spec.Backend,
+		Scenario: spec.Scenario,
 	}
 	// The results checkpoint keys on the spec fingerprint (worker counts
 	// excluded — they never change results), so a resumed run can only
@@ -565,9 +552,6 @@ func specProvenance(spec Spec, sel []Experiment) map[string]string {
 	if spec.SkipPacket {
 		m["skip_packet"] = "true"
 	}
-	if spec.FleetScale > 0 {
-		m["fleet_scale"] = scale(spec.FleetScale)
-	}
 	if len(spec.Profiles) > 0 {
 		keys := make([]string, len(spec.Profiles))
 		for i, p := range spec.Profiles {
@@ -624,13 +608,6 @@ func Fold(ctx context.Context, seed int64, scale ScaleConfig, fc FleetConfig) (T
 	return experiments.Fold(ctx, seed, scale, fc)
 }
 
-// RunFleet streams all four vantage points through the sharded fleet
-// engine with bounded memory into fixed-size summaries, so scale can grow
-// the populations far past the paper's.
-func RunFleet(ctx context.Context, seed int64, scale ScaleConfig, fc FleetConfig) (*FleetReport, error) {
-	return experiments.RunFleet(ctx, seed, scale, fc)
-}
-
 // WhatIf executes a capability what-if campaign. Every profile's run is
 // bit-reproducible from (seed, population, shards, profile), and a
 // vantage point's own preset reproduces its campaign output exactly.
@@ -640,7 +617,9 @@ func WhatIf(ctx context.Context, cfg WhatIfConfig) (*WhatIfReport, error) {
 
 // Summarize streams one vantage point through the engine's bounded-memory
 // aggregation path, returning the streaming summary and generation ground
-// truth.
+// truth — what dropsim -summary prints. Called at seed+1 … seed+4 with
+// Campus1, Campus2, Home1 and Home2, it summarizes the populations Fold
+// folds at seed.
 func Summarize(ctx context.Context, cfg VPConfig, seed int64, fc FleetConfig) (*FleetSummary, FleetStats, error) {
 	return fleet.Summarize(ctx, cfg, seed, fc)
 }
