@@ -55,7 +55,8 @@
 // -summary prints fleet.Summary's metrics (the streaming summary,
 // insidedropbox.Summarize) and, on stderr, the generation ground truth:
 // records, Dropbox devices and households. It takes no record stream, so
-// it refuses -backend and a scenario with a backend section (exit 2).
+// it refuses -format, -backend and a scenario with a backend section
+// (exit 2), and its manifest spec records no format.
 //
 // -backend tees the record stream into the server capacity model
 // (internal/backend) and, after the export, replays it against the named
@@ -175,6 +176,15 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if *summary {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "format" {
+				fmt.Fprintln(os.Stderr, "-summary serializes no records; it cannot combine with -format")
+				os.Exit(2)
+			}
+		})
+		*format = "" // so the manifest records no format
+	}
 
 	popSpec, pop, fc, err := popFlags.Population()
 	if err = cmp.Or(err, fleet.CheckWorkers(*workers)); err != nil {
@@ -197,6 +207,7 @@ func main() {
 	// The manifest records the population that runs: with -scenario, the
 	// scenario's.
 	mspec := manifestSpec(popSpec, pop, fc, *format)
+	mspec["workers"] = strconv.Itoa(*workers)
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -230,7 +241,6 @@ func main() {
 	// stream.
 	var rec *manifestRecorder
 	if *manifest != "" {
-		mspec["workers"] = strconv.Itoa(*workers)
 		mspec["backend"] = *backendPreset
 		if comp != nil {
 			mspec["scenario"] = comp.Spec.Name
@@ -309,16 +319,20 @@ func scenarioPopulation(path string, pop fleet.Population, fc fleet.Config) (fle
 
 // manifestSpec renders the population every dropsim manifest records,
 // whichever path ran: spec is what was asked for (its profile, "" for the
-// vantage point's own client), pop and fc what spec resolved to. Callers
-// add what only they know.
+// vantage point's own client), pop and fc what spec resolved to, format
+// the trace format ("" for -summary, which serializes no records and
+// records no format). Callers add what only they know.
 func manifestSpec(spec fleet.PopulationSpec, pop fleet.Population, fc fleet.Config, format string) map[string]string {
-	return map[string]string{
+	m := map[string]string{
 		"vp":      pop.VP.Name,
 		"scale":   strconv.FormatFloat(pop.VP.Scale, 'g', -1, 64),
 		"shards":  strconv.Itoa(fc.Shards),
-		"format":  format,
 		"profile": spec.Profile,
 	}
+	if format != "" {
+		m["format"] = format
+	}
+	return m
 }
 
 // manifestRecorder accumulates the run manifest: the spec, and the

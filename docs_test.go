@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -26,15 +27,16 @@ var (
 // backticked Test*, Fuzz*, Benchmark* or Example* name in EXPERIMENTS.md,
 // PERFORMANCE.md and README.md is defined by some _test.go, and every flag
 // a backticked or fenced dropsim or experiments command line passes is one
-// the command or internal/cli registers. The one exception is the first
+// that command registers, itself or through the internal/cli Bind*
+// functions its sources call. The one exception is the first
 // column of PERFORMANCE.md's table of the retired harness's successors,
 // which names what is gone. benchmark/README.md is left out while it still
 // names the retired serialize-workers knob.
 func TestDocsNameLiveTestsAndFlags(t *testing.T) {
 	defined := testFuncs(t)
 	flags := map[string]map[string]bool{
-		"dropsim":     registeredFlags(t, "cmd/dropsim", "internal/cli"),
-		"experiments": registeredFlags(t, "cmd/experiments", "internal/cli"),
+		"dropsim":     registeredFlags(t, "cmd/dropsim"),
+		"experiments": registeredFlags(t, "cmd/experiments"),
 	}
 	for _, doc := range []string{"EXPERIMENTS.md", "PERFORMANCE.md", "README.md"} {
 		b, err := os.ReadFile(doc)
@@ -76,29 +78,52 @@ func testFuncs(t *testing.T) map[string]bool {
 	return defined
 }
 
-// registeredFlags returns the flag names the non-test Go files of dirs
-// register: the string-literal name of every flag.FlagSet method call
-// (String, Int, … at argument 0; StringVar, Var, … at argument 1), plus
-// the -h and -help every flag set answers.
-func registeredFlags(t *testing.T, dirs ...string) map[string]bool {
+// registeredFlags returns the flag names command dir registers: those its
+// non-test Go files register, those of each internal/cli function they
+// call (cli.BindSpec, cli.BindPopulation, …), and the -h and -help every
+// flag set answers.
+func registeredFlags(t *testing.T, dir string) map[string]bool {
+	own, calls := flagsByFunc(t, dir)
+	shared, _ := flagsByFunc(t, "internal/cli")
 	names := map[string]bool{"h": true, "help": true}
+	for _, flags := range own {
+		maps.Copy(names, flags)
+	}
+	for fn := range calls {
+		maps.Copy(names, shared[fn])
+	}
+	return names
+}
+
+// flagsByFunc scans the non-test Go files of dir. It returns, per
+// top-level function, the string-literal name of every flag.FlagSet method
+// call the function makes (String, Int, … at argument 0; StringVar, Var, …
+// at argument 1), and the names of the cli.X functions the files call.
+func flagsByFunc(t *testing.T, dir string) (map[string]map[string]bool, map[string]bool) {
 	byValue := map[string]bool{"Bool": true, "BoolFunc": true, "Duration": true, "Float64": true, "Func": true,
 		"Int": true, "Int64": true, "String": true, "Uint": true, "Uint64": true}
+	flags, calls := map[string]map[string]bool{}, map[string]bool{}
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no Go files in %s (%v)", dir, err)
+	}
 	fset := token.NewFileSet()
-	for _, dir := range dirs {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("no Go files in %s (%v)", dir, err)
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
 		}
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
 				continue
 			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
+			names := map[string]bool{}
+			flags[fn.Name.Name] = names
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -106,6 +131,9 @@ func registeredFlags(t *testing.T, dirs ...string) map[string]bool {
 				sel, ok := call.Fun.(*ast.SelectorExpr)
 				if !ok {
 					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "cli" {
+					calls[sel.Sel.Name] = true
 				}
 				arg := -1
 				switch {
@@ -124,7 +152,7 @@ func registeredFlags(t *testing.T, dirs ...string) map[string]bool {
 			})
 		}
 	}
-	return names
+	return flags, calls
 }
 
 // dropRetiredColumn blanks the first column of PERFORMANCE.md's table of

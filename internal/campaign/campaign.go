@@ -152,16 +152,13 @@ func (s Spec) resolve() (workload.VPConfig, error) {
 // written before its removal still resume.
 func (s Spec) Fingerprint() string {
 	s = s.normalized()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "campaign|v1|vp=%s|scale=%g|seed=%d|shards=%d|devscale=1|profile=%s|format=%s|anon=%t",
-		s.VP, s.Scale, s.Seed, s.Shards, s.Profile, s.Format, s.Anonymize)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return Fingerprint(fmt.Sprintf("campaign|v1|vp=%s|scale=%g|seed=%d|shards=%d|devscale=1|profile=%s|format=%s|anon=%t",
+		s.VP, s.Scale, s.Seed, s.Shards, s.Profile, s.Format, s.Anonymize))
 }
 
-// Fingerprint hashes an arbitrary canonical identity string into the
-// 16-hex-digit form checkpoints embed — shared with the facade's
-// experiment-level checkpoints so every resume path validates identity
-// the same way.
+// Fingerprint hashes a canonical identity string into the 16-hex-digit
+// FNV-1a form checkpoints embed; the facade's manifests use it for the
+// scenario document.
 func Fingerprint(canonical string) string {
 	h := fnv.New64a()
 	io.WriteString(h, canonical)

@@ -32,9 +32,8 @@ const envelopeMagic = "IDCP1"
 
 // Checkpoint payload kinds.
 const (
-	kindShards  = "shards"
-	kindPlan    = "plan"
-	kindResults = "results"
+	kindShards = "shards"
+	kindPlan   = "plan"
 )
 
 // ShardDone is one completed shard's checkpoint entry: its part's record
@@ -58,15 +57,6 @@ type checkpointBody struct {
 	Shards      []ShardDone `json:"shards,omitempty"`
 	// Jobs holds the planned shard ranges as [lo, hi) pairs (kind plan).
 	Jobs [][2]int `json:"jobs,omitempty"`
-	// Results holds serialized experiment results (kind results).
-	Results []ResultEntry `json:"results,omitempty"`
-}
-
-// ResultEntry stores one experiment's serialized result in a results
-// checkpoint.
-type ResultEntry struct {
-	ID     string          `json:"id"`
-	Result json.RawMessage `json:"result"`
 }
 
 // encodeEnvelope frames a payload with the guarded header.

@@ -284,51 +284,3 @@ func TestPlanRobustness(t *testing.T) {
 		}
 	})
 }
-
-// TestResultsCheckpointRobustness covers the experiment-results variant
-// of the guarded envelope.
-func TestResultsCheckpointRobustness(t *testing.T) {
-	type fake struct {
-		ID   string
-		N    int
-		Text string
-	}
-	path := filepath.Join(t.TempDir(), "experiments.ckpt")
-	fp := Fingerprint("run|seed=7|quick=true")
-
-	c, err := OpenResultsCheckpoint(path, fp, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Record("table3", fake{"table3", 42, "answer"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Record("figure7", fake{"figure7", 7, "plot"}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen with resume: both results round-trip.
-	c2, err := OpenResultsCheckpoint(path, fp, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != 2 {
-		t.Fatalf("reopened checkpoint holds %d results, want 2", c2.Len())
-	}
-	var got fake
-	if ok, err := c2.Lookup("table3", &got); err != nil || !ok || got.N != 42 {
-		t.Fatalf("lookup table3 = %+v ok=%v err=%v", got, ok, err)
-	}
-	if ok, _ := c2.Lookup("nope", &got); ok {
-		t.Fatal("lookup of an unknown id must report absent")
-	}
-
-	// Without resume, an existing file is an error.
-	if _, err := OpenResultsCheckpoint(path, fp, false); err == nil || !strings.Contains(err.Error(), "resume explicitly") {
-		t.Fatalf("err = %v, want results resume-gate error", err)
-	}
-	// A different run fingerprint is an error.
-	if _, err := OpenResultsCheckpoint(path, Fingerprint("run|seed=8"), true); err == nil || !strings.Contains(err.Error(), "different campaign spec") {
-		t.Fatalf("err = %v, want fingerprint error", err)
-	}
-}

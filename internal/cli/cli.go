@@ -45,8 +45,6 @@ type SpecFlags struct {
 	backend    *string
 	scenario   *string
 	out        *string
-	checkpoint *string
-	resume     *bool
 }
 
 // BindSpec registers the shared campaign flags on fs.
@@ -64,10 +62,8 @@ func BindSpec(fs *flag.FlagSet) *SpecFlags {
 			"comma-separated capability profiles for the what-if lab (first = baseline; setting this opts the lab in)"),
 		backend: fs.String("backend", "", "run the backend capacity lab under this preset ("+
 			strings.Join(insidedropbox.BackendPresets(), "|")+"; setting this opts the lab in)"),
-		scenario:   fs.String("scenario", "", "run the scenario/* experiments under this declarative spec file (setting this opts them in)"),
-		out:        fs.String("out", "results", "output directory for rendered results"),
-		checkpoint: fs.String("checkpoint", "", "record each experiment's result to this file as it completes, enabling -resume"),
-		resume:     fs.Bool("resume", false, "load results already recorded in -checkpoint instead of recomputing them"),
+		scenario: fs.String("scenario", "", "run the scenario/* experiments under this declarative spec file (setting this opts them in)"),
+		out:      fs.String("out", "results", "output directory for rendered results"),
 	}
 }
 
@@ -82,11 +78,6 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 		Fleet:      insidedropbox.FleetConfig{Shards: *f.shards, Workers: *f.workers},
 		Backend:    *f.backend,
 		ResultsDir: *f.out,
-		Checkpoint: *f.checkpoint,
-		Resume:     *f.resume,
-	}
-	if *f.resume && *f.checkpoint == "" {
-		return spec, errors.New("-resume requires -checkpoint")
 	}
 	if *f.scenario != "" {
 		sp, err := insidedropbox.LoadScenario(*f.scenario)

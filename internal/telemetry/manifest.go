@@ -41,19 +41,15 @@ type ShardTiming struct {
 	Seconds    float64 `json:"seconds"`
 }
 
-// ResumeInfo records what a resumed run reused from its checkpoint, so
-// the manifest answers "which parts of this output were regenerated?"
-// without consulting logs.
+// ResumeInfo records what a resumed trace campaign reused from its
+// campaign directory, so the manifest answers "which shards of this
+// export were regenerated?" without consulting logs.
 type ResumeInfo struct {
-	// Checkpoint is the path of the checkpoint file or directory the run
-	// resumed from.
+	// Checkpoint is the campaign directory the run resumed from.
 	Checkpoint string `json:"checkpoint"`
 	// ResumedShards counts generation shards reused from checkpointed
 	// parts rather than regenerated.
 	ResumedShards int `json:"resumed_shards,omitempty"`
-	// ResumedExperiments counts experiments whose results were loaded
-	// from a results checkpoint rather than recomputed.
-	ResumedExperiments int `json:"resumed_experiments,omitempty"`
 }
 
 // Manifest is the machine-readable provenance record of one run: the

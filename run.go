@@ -75,21 +75,6 @@ type Spec struct {
 	// wall-clock time. Nil leaves the experiments opt-in.
 	Scenario *ScenarioSpec
 
-	// Checkpoint, when non-empty, is a file that receives each
-	// experiment's serialized result the moment it completes, in a
-	// schema-versioned, CRC-guarded envelope keyed by the run's spec
-	// fingerprint. A later Run with the same spec, the same Checkpoint
-	// path and Resume set loads the recorded results instead of
-	// recomputing them — an interrupted campaign restarts at the first
-	// unfinished experiment. Running against an existing checkpoint
-	// without Resume is an error (never a silent partial resume).
-	Checkpoint string
-
-	// Resume allows Checkpoint to load previously recorded results. The
-	// checkpoint must belong to an identical spec (worker counts aside —
-	// they never change results); anything else fails loudly.
-	Resume bool
-
 	// ResultsDir, when non-empty, receives the rendered results via
 	// WriteResults after the run completes, plus a schema-versioned
 	// manifest.json (telemetry.Manifest): the run's provenance record —
@@ -192,15 +177,6 @@ func WithProgress(fn func(Progress)) Option { return func(s *Spec) { s.Progress 
 
 // WithResultsDir writes rendered results to dir after the run.
 func WithResultsDir(dir string) Option { return func(s *Spec) { s.ResultsDir = dir } }
-
-// WithCheckpoint records each experiment's result to path as it
-// completes, enabling WithResume to restart an interrupted run at the
-// first unfinished experiment.
-func WithCheckpoint(path string) Option { return func(s *Spec) { s.Checkpoint = path } }
-
-// WithResume lets the run load results already recorded in its
-// checkpoint instead of recomputing them.
-func WithResume() Option { return func(s *Spec) { s.Resume = true } }
 
 // Experiments returns the full experiment catalogue — every table, figure
 // and lab, each with a unique ID — in presentation order.
@@ -317,18 +293,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) ([]*Result, error) {
 		Backend:  spec.Backend,
 		Scenario: spec.Scenario,
 	}
-	// The results checkpoint keys on the spec fingerprint (worker counts
-	// excluded — they never change results), so a resumed run can only
-	// reuse results its own spec would have produced.
-	var ckpt *campaign.ResultsCheckpoint
-	var resumedExperiments int
-	if spec.Checkpoint != "" {
-		ckpt, err = campaign.OpenResultsCheckpoint(spec.Checkpoint, runFingerprint(spec, sel), spec.Resume)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	results := make([]*Result, 0, len(sel))
 	var expTimings []telemetry.ExperimentTiming
 	// flush persists whatever completed plus the run manifest; on a
@@ -349,12 +313,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) ([]*Result, error) {
 		m.Spec = specProvenance(spec, sel)
 		m.Experiments = expTimings
 		m.Shards = obs.shardTimings()
-		if spec.Resume && spec.Checkpoint != "" {
-			m.Resume = &telemetry.ResumeInfo{
-				Checkpoint:         spec.Checkpoint,
-				ResumedExperiments: resumedExperiments,
-			}
-		}
 		if err := writeManifest(spec.ResultsDir, m); err != nil && runErr == nil {
 			runErr = err
 		}
@@ -371,23 +329,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) ([]*Result, error) {
 		}
 		obs.setCurrent(e.ID, e.Title, i+1, len(sel))
 		emit(Progress{ID: e.ID, Title: e.Title, Index: i + 1, Total: len(sel)})
-		if ckpt != nil {
-			var r Result
-			ok, lerr := ckpt.Lookup(e.ID, &r)
-			if lerr != nil {
-				return results, flush(fmt.Errorf("experiment %s: loading checkpointed result: %w", e.ID, lerr))
-			}
-			if ok {
-				// The stored result carries the provenance meta it was
-				// annotated with when first computed; annotate skips it.
-				results = append(results, &r)
-				resumedExperiments++
-				mExperimentsResumed.Inc()
-				expTimings = append(expTimings, telemetry.ExperimentTiming{ID: e.ID, Title: e.Title})
-				emit(Progress{ID: e.ID, Title: e.Title, Index: i + 1, Total: len(sel), Done: true})
-				continue
-			}
-		}
 		start := time.Now()
 		r, err := e.Run(ctx, session)
 		elapsed := time.Since(start)
@@ -403,11 +344,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) ([]*Result, error) {
 		expTimings = append(expTimings, t)
 		annotate(r, spec, elapsed)
 		results = append(results, r)
-		if ckpt != nil && r != nil {
-			if err := ckpt.Record(e.ID, r); err != nil {
-				return results, flush(fmt.Errorf("experiment %s: recording checkpoint: %w", e.ID, err))
-			}
-		}
 		emit(Progress{ID: e.ID, Title: e.Title, Index: i + 1, Total: len(sel), Done: true, Elapsed: elapsed})
 	}
 	return results, flush(nil)
@@ -425,21 +361,6 @@ func LoadRunManifest(path string) (*RunManifest, error) { return telemetry.LoadM
 
 // mExperimentSeconds times each experiment's Run.
 var mExperimentSeconds = telemetry.NewHist("run.experiment_seconds")
-
-// mExperimentsResumed counts experiments loaded from a results checkpoint
-// instead of recomputed.
-var mExperimentsResumed = telemetry.NewCounter("run.experiments_resumed")
-
-// runFingerprint derives the results-checkpoint identity from the run's
-// flattened provenance, excluding keys that cannot change results
-// (workers only affects wall-clock time). encoding/json writes map keys
-// sorted, so the canonical string is stable across map iteration.
-func runFingerprint(spec Spec, sel []Experiment) string {
-	prov := specProvenance(spec, sel)
-	delete(prov, "workers")
-	doc, _ := json.Marshal(prov) // a string map always marshals
-	return campaign.Fingerprint("run|v2|" + string(doc))
-}
 
 // runObserver adapts fleet.ShardEvents into shard-granularity Progress
 // events and the manifest's per-shard timing records. Fleet workers call
@@ -527,9 +448,9 @@ func (o *runObserver) observe(ev fleet.ShardEvent) {
 }
 
 // specProvenance flattens the run's effective configuration for the
-// manifest: every input that can change a result, so the results
-// checkpoint keyed on it never resumes under another population, profile
-// or scenario.
+// manifest: every input that can change a result, plus the worker count,
+// so a manifest alone names the population, profiles and scenario that
+// produced its results.
 func specProvenance(spec Spec, sel []Experiment) map[string]string {
 	ids := make([]string, len(sel))
 	for i, e := range sel {
@@ -584,7 +505,7 @@ func writeManifest(dir string, m *telemetry.Manifest) error {
 // after the legacy ones, so consumers reading a meta prefix are
 // undisturbed.
 func annotate(r *Result, spec Spec, elapsed time.Duration) {
-	if r == nil || len(r.Meta) > 0 {
+	if r == nil {
 		return
 	}
 	r.AddMeta("seed", strconv.FormatInt(spec.Seed, 10))
