@@ -22,6 +22,16 @@
 // -workers bounds how many shards generate at once on the fleet engine's
 // worker pool, for the straight export and the -checkpoint campaign alike.
 //
+// -o names the export file. Without it the export goes to stdout, or, with
+// -checkpoint DIR, to DIR/export.csv, .idb or .idbf by -format.
+//
+// -checkpoint DIR makes the export a durable campaign (internal/campaign):
+// each shard lands in a part file under DIR with a checkpoint entry, and
+// one merger streams the committed parts, in shard order, into the export
+// while later shards generate. A run that is killed, fails or is cancelled
+// (^C) leaves no export; -resume continues it and writes the bytes an
+// uninterrupted run does. It takes no -summary, -backend or -scenario.
+//
 // -vp, -scale (a fraction of the paper's population, 1 being Table 2's),
 // -seed, -shards and -profile name the population. -scale is the one
 // size knob: > 0, and at most the 16,000,000 subscribers the 10/8 address
@@ -115,12 +125,6 @@ import (
 )
 
 func main() {
-	// `dropsim campaign plan|run|merge` is the multi-process campaign
-	// fan-out flow; everything else is the classic flag-driven export.
-	if len(os.Args) > 1 && os.Args[1] == "campaign" {
-		campaignMain(os.Args[2:])
-		return
-	}
 	popFlags := cli.BindPopulation(flag.CommandLine)
 	workers := flag.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS; never changes results)")
 	format := flag.String("format", "csv", "trace format: csv (public-release compatible), binary (columnar, ~3.5x smaller), or binary-flate (compressed archival with seek index)")
@@ -128,12 +132,18 @@ func main() {
 		"capacity model under this preset: "+strings.Join(insidedropbox.BackendPresets(), "|"))
 	scenarioPath := flag.String("scenario", "", "declarative scenario spec file; its base section overrides -vp/-scale/-seed/-shards/-profile")
 	summary := flag.Bool("summary", false, "print streaming aggregates instead of trace records")
-	out := flag.String("o", "", "output file (default stdout)")
+	out := flag.String("o", "", "output file (default stdout; with -checkpoint, DIR/export.<ext>)")
 	manifest := flag.String("manifest", "", "write a run manifest (stream hash, shard timings, telemetry snapshot) to this file")
 	checkpoint := flag.String("checkpoint", "", "campaign directory for per-shard checkpoint/resume (enables the multi-core campaign runner)")
 	resume := flag.Bool("resume", false, "continue a checkpointed campaign from where it stopped (requires -checkpoint)")
 	prof := cli.BindProfile(flag.CommandLine)
 	flag.Parse()
+	// Parsing stops at the first argument that is not a flag: refuse it,
+	// rather than run without the flags after it.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "unexpected argument %q: dropsim takes flags only\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	// The checkpointed campaign path owns serialization (parts + merge),
 	// so the stream-tee features cannot combine with it.

@@ -48,6 +48,12 @@ func main() {
 	printStreamHash := flag.String("print-stream-hash", "", "print the stream hash recorded in a manifest.json and exit")
 	validateScenario := flag.String("validate-scenario", "", "strictly validate a scenario spec file and exit")
 	flag.Parse()
+	// Parsing stops at the first argument that is not a flag: refuse it,
+	// rather than run without the flags after it.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "unexpected argument %q: experiments takes flags only\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *validateScenario != "" {
 		sp, err := insidedropbox.LoadScenario(*validateScenario)

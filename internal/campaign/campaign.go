@@ -1,9 +1,9 @@
 // Package campaign is the process-level runner for continental-scale
 // trace campaigns: the durable tier over the fleet engine. Scheduling,
 // cancellation and shard telemetry are the engine's (fleet.ForEachShard on
-// its one worker pool, or separate processes via the plan/run/merge flow);
-// this package adds what durability costs — a part file and a checkpoint
-// entry per shard, so an interrupted run resumes exactly where it stopped.
+// its one worker pool); this package adds what durability costs — a part
+// file and a checkpoint entry per shard, so an interrupted run resumes
+// exactly where it stopped.
 // A campaign's size is its spec's Scale alone, up to the
 // workload.MaxSubscribers distinct addresses of the 10/8 plan
 // (workload.CheckScale).
@@ -15,8 +15,8 @@
 // onto the export's grid, for the binary formats; a reused block of
 // records at a time for CSV — and folds its generation stats from the
 // checkpoint entry, while the pool is still generating shards k+1 onwards.
-// Run starts it beside generate; Merge, for planned jobs, runs the same
-// loop over a directory where every shard is already committed. When
+// Run starts it beside generate; resuming a directory where every shard is
+// already committed runs the same loop with nothing left to wait for. When
 // generation fails or is cancelled the merger stops with it and takes its
 // half-written export along.
 //
@@ -24,13 +24,13 @@
 //
 //   - parts/shard-NNNN.part — the shard's record stream in the binary
 //     columnar codec (full fidelity, never anonymized);
-//   - checkpoint.ckpt (and checkpoint-job-NNN.ckpt per planned job) —
-//     schema-versioned, CRC-guarded progress records listing completed
-//     shards with the part's size and CRC-32C, checked as the merge reads
-//     it, and the shard's workload.ShardStats;
-//   - plan.ckpt — the shard-range job split for multi-process fan-out.
+//   - checkpoint.ckpt — the schema-versioned, CRC-guarded progress record
+//     listing completed shards with the part's size and CRC-32C, checked
+//     as the merge reads it, and the shard's workload.ShardStats;
+//   - export.<ext> — the final export, unless Config.Out names another
+//     path.
 //
-// Every checkpoint carries the campaign spec's fingerprint, so a
+// The checkpoint carries the campaign spec's fingerprint, so a
 // checkpoint from a different spec, a truncated file, a corrupted
 // payload, or a stale schema all fail loudly — there is no silent
 // partial resume. Writes are atomic (tmp + fsync + rename): a crash mid
@@ -39,13 +39,13 @@
 //
 // Determinism contract (EXPERIMENTS.md point 16): each shard's stream is
 // a pure function of (seed, shard, nshards) and parts are concatenated
-// in canonical shard order by the merger, so the job count, the order the
-// pool ran the shards in, whether the merger ran beside generation or
-// after it, the process count, GOMAXPROCS, and any kill/resume history
-// never change a byte of the final export — only wall-clock time. The
-// per-shard generation stats are folded in shard-index order, as
-// fleet.StreamRecords folds them. The crash-injection suite pins all of
-// this against the legacy golden stream hashes.
+// in canonical shard order by the merger, so the worker count, the order
+// the pool ran the shards in, whether the merger ran beside generation or
+// after it, GOMAXPROCS, and any kill/resume history never change a byte
+// of the final export — only wall-clock time. The per-shard generation
+// stats are folded in shard-index order, as fleet.StreamRecords folds
+// them. The crash-injection suite pins all of this against the legacy
+// golden stream hashes.
 package campaign
 
 import (
@@ -59,7 +59,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -190,11 +190,10 @@ type Config struct {
 	Dir string
 	// Out is the final export path; empty means Dir/export.<ext>.
 	Out string
-	// Jobs bounds how many shards generate concurrently in this process
-	// (the fleet pool's Workers); 0 means GOMAXPROCS. Jobs never changes
-	// results.
-	Jobs int
-	// Resume permits continuing from existing checkpoints. Without it,
+	// Workers bounds how many shards generate at once, as in fleet.Config;
+	// 0 means GOMAXPROCS. Workers never changes results.
+	Workers int
+	// Resume permits continuing from an existing checkpoint. Without it,
 	// a directory that already holds checkpointed progress is an error —
 	// never a silent partial resume.
 	Resume bool
@@ -240,7 +239,7 @@ type Result struct {
 }
 
 // Run executes a campaign start to finish in this process: generate (or
-// resume) every shard, Jobs at a time, while the merger streams each
+// resume) every shard, Workers at a time, while the merger streams each
 // committed part, in canonical shard order, into the final export — so
 // only the parts behind the slowest shard are left to merge once the last
 // one commits. Cancelling ctx stops at shard granularity with all
@@ -248,7 +247,7 @@ type Result struct {
 // left behind — rerunning with Resume picks up exactly where it stopped,
 // and the resumed export is byte-identical to an uninterrupted run.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	r, err := newRunner(cfg, checkpointName)
+	r, err := newRunner(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +265,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// A shard that failed for good will never commit: the merger must not
 	// wait for it. A failed merge leaves generation running — every shard
 	// it checkpoints is one a resumed run only has to merge.
-	genErr := r.generate(ctx, 0, r.spec.Shards, cfg.Jobs)
+	genErr := r.generate(ctx)
 	if genErr != nil {
 		stopMerge()
 	}
@@ -292,8 +291,7 @@ type runner struct {
 	ckPath string
 
 	mu      sync.Mutex
-	done    map[int]ShardDone // every known completed shard (all checkpoint files)
-	own     []ShardDone       // entries owned by ckPath, sorted by shard
+	done    []ShardDone // every committed shard, sorted by shard: the checkpoint's entries
 	resumed int
 	genned  int
 
@@ -303,11 +301,11 @@ type runner struct {
 }
 
 // newRunner validates the spec, prepares the campaign directory, and
-// loads any existing checkpoints (enforcing the Resume gate).
-func newRunner(cfg Config, ckFile string) (*runner, error) {
+// loads any existing checkpoint (enforcing the Resume gate).
+func newRunner(cfg Config) (*runner, error) {
 	spec := cfg.Spec.normalized()
 	vp, err := spec.resolve()
-	if err = cmp.Or(err, fleet.CheckWorkers(cfg.Jobs)); err != nil {
+	if err = cmp.Or(err, fleet.CheckWorkers(cfg.Workers)); err != nil {
 		return nil, err
 	}
 	if cfg.Dir == "" {
@@ -322,23 +320,19 @@ func newRunner(cfg Config, ckFile string) (*runner, error) {
 		vp:     vp,
 		fp:     spec.Fingerprint(),
 		dir:    cfg.Dir,
-		ckPath: filepath.Join(cfg.Dir, ckFile),
-		done:   make(map[int]ShardDone),
+		ckPath: filepath.Join(cfg.Dir, checkpointName),
 		wake:   make(chan struct{}, 1),
 	}
-	own, all, err := loadCheckpoints(cfg.Dir, ckFile, r.fp)
-	if err != nil {
+	if r.done, err = loadCheckpoint(r.ckPath, r.fp, spec.Shards); err != nil {
 		return nil, err
 	}
-	if len(all) > 0 && !cfg.Resume {
-		return nil, fmt.Errorf("campaign: %s already holds checkpointed progress (%d shards); pass -resume to continue or use a fresh directory", cfg.Dir, len(all))
+	if len(r.done) > 0 && !cfg.Resume {
+		return nil, fmt.Errorf("campaign: %s already holds checkpointed progress (%d shards); pass -resume to continue or use a fresh directory", cfg.Dir, len(r.done))
 	}
-	r.own = own
-	for _, e := range all {
+	for _, e := range r.done {
 		if err := r.verifyArtifacts(e); err != nil {
 			return nil, err
 		}
-		r.done[e.Shard] = e
 	}
 	return r, nil
 }
@@ -372,17 +366,15 @@ func (r *runner) crash(stage string, shard int) {
 	}
 }
 
-// generate runs every not-yet-done shard in [lo, hi) on the fleet
-// engine's worker pool, jobs shards at a time: the pool schedules, cancels
-// and reports (shard timings, worker occupancy, the "shard" Event) exactly
-// as for the engine's own paths; what a shard's task does — generate,
-// write, fsync, checkpoint, retry — is the runner's.
-func (r *runner) generate(ctx context.Context, lo, hi, jobs int) error {
+// generate runs every not-yet-done shard on the fleet engine's worker
+// pool, Workers shards at a time: the pool schedules, cancels and reports
+// (shard timings, worker occupancy, the "shard" Event) exactly as for the
+// engine's own paths; what a shard's task does — generate, write, fsync,
+// checkpoint, retry — is the runner's.
+func (r *runner) generate(ctx context.Context) error {
 	var pending []int
-	for sh := lo; sh < hi; sh++ {
+	for sh := 0; sh < r.spec.Shards; sh++ {
 		if e, ok := r.doneEntry(sh); ok {
-			// Resumed means "this run's range, satisfied from checkpoint" —
-			// sibling jobs' progress elsewhere in the directory is not ours.
 			r.resumed++
 			mShardsResumed.Inc()
 			r.observe(Event{Stage: "resume", Shard: sh, Records: e.Records, Done: r.doneCount()})
@@ -393,7 +385,7 @@ func (r *runner) generate(ctx context.Context, lo, hi, jobs int) error {
 	if len(pending) == 0 {
 		return ctx.Err()
 	}
-	fc := fleet.Config{Shards: r.spec.Shards, Workers: jobs, Observer: func(ev fleet.ShardEvent) {
+	fc := fleet.Config{Shards: r.spec.Shards, Workers: r.cfg.Workers, Observer: func(ev fleet.ShardEvent) {
 		r.observe(Event{Stage: "shard", Shard: ev.Shard, Records: ev.Records, Elapsed: ev.Elapsed, Done: r.doneCount()})
 	}}
 	return fleet.ForEachShard(ctx, fc, r.vp.Name, pending, func(sh int) (workload.ShardStats, error) {
@@ -404,8 +396,15 @@ func (r *runner) generate(ctx context.Context, lo, hi, jobs int) error {
 func (r *runner) doneEntry(sh int) (ShardDone, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.done[sh]
-	return e, ok
+	if i, ok := r.doneIndex(sh); ok {
+		return r.done[i], true
+	}
+	return ShardDone{}, false
+}
+
+// doneIndex is where shard sh sits in done, or would be inserted.
+func (r *runner) doneIndex(sh int) (int, bool) {
+	return slices.BinarySearchFunc(r.done, sh, func(e ShardDone, sh int) int { return cmp.Compare(e.Shard, sh) })
 }
 
 func (r *runner) doneCount() int {
@@ -489,19 +488,19 @@ func (r *runner) runShardOnce(sh, attempt int) (st workload.ShardStats, err erro
 	return st, nil
 }
 
-// commit records a completed shard in the runner's checkpoint file, and
-// only once that file is durable in done, where the merger picks it up.
+// commit records a completed shard in the checkpoint, and only once that
+// file is durable in done, where the merger picks it up.
 func (r *runner) commit(sh int, e ShardDone) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	own := append(r.own[:len(r.own):len(r.own)], e)
-	sort.Slice(own, func(i, j int) bool { return own[i].Shard < own[j].Shard })
+	i, _ := r.doneIndex(sh)
+	done := slices.Insert(slices.Clip(r.done), i, e)
 	body := checkpointBody{
 		Schema:      CheckpointSchema,
 		Kind:        kindShards,
 		Fingerprint: r.fp,
 		Spec:        &r.spec,
-		Shards:      own,
+		Shards:      done,
 	}
 	if err := saveCheckpoint(r.ckPath, body, func(f *os.File) {
 		r.crash("checkpoint-mid-write", sh)
@@ -510,8 +509,7 @@ func (r *runner) commit(sh int, e ShardDone) error {
 		return fmt.Errorf("campaign: shard %d checkpoint: %w", sh, err)
 	}
 	mCheckpoints.Inc()
-	r.own = own
-	r.done[sh] = e
+	r.done = done
 	r.genned++
 	select {
 	case r.wake <- struct{}{}:
@@ -564,10 +562,6 @@ const checkpointName = "checkpoint.ckpt"
 
 func partPath(dir string, sh int) string {
 	return filepath.Join(dir, "parts", fmt.Sprintf("shard-%04d.part", sh))
-}
-
-func jobCheckpointName(job int) string {
-	return fmt.Sprintf("checkpoint-job-%03d.ckpt", job)
 }
 
 // ExportExt maps a spec format to the conventional export extension

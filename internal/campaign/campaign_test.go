@@ -20,8 +20,8 @@ import (
 
 // goldenSpec is the campaign spec of one legacy golden stream
 // (internal/golden): a campaign's merged CSV export (non-anonymized) must
-// reproduce its hash bit for bit on every path — fresh, resumed,
-// multi-job, multi-process.
+// reproduce its hash bit for bit on every path — fresh, resumed, at any
+// worker count.
 func goldenSpec(g golden.Stream) Spec {
 	return Spec{VP: g.VP, Scale: g.Scale, Seed: g.Seed, Shards: g.Shards, Profile: g.Profile}
 }
@@ -51,7 +51,7 @@ func TestCampaignGolden(t *testing.T) {
 	for _, g := range golden.Streams {
 		t.Run(g.Name, func(t *testing.T) {
 			spec := goldenSpec(g)
-			res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 2})
+			res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Workers: 2})
 			if !g.MatchHex(res.StreamHash) {
 				t.Fatalf("campaign export hash = %s, want %s", res.StreamHash, g.Hex())
 			}
@@ -100,8 +100,8 @@ func checkStats(t *testing.T, how string, got workload.ShardStats, stream fleet.
 // TestCampaignStatsMatchSingleProcess: the generation stats folded from
 // the checkpoint entries in shard order equal the single-process stream's
 // merged stats — for a fresh run, for a run resumed after a kill, whose
-// killed shards' stats come back from the checkpoint, and for a
-// Merge-only pass that generates nothing.
+// killed shards' stats come back from the checkpoint, and for a resume
+// of the finished directory, which generates nothing and only merges.
 func TestCampaignStatsMatchSingleProcess(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}
 	want := streamStats(t, spec)
@@ -110,22 +110,23 @@ func TestCampaignStatsMatchSingleProcess(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	res := mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 4})
+	res := mustRun(t, Config{Spec: spec, Dir: dir, Workers: 4})
 	checkStats(t, "fresh run", res.Stats, want)
 
 	killed := t.TempDir()
 	crashRun(t, killed, spec, "checkpoint", 1, 1, false)
-	resumed := mustRun(t, Config{Spec: spec, Dir: killed, Jobs: 2, Resume: true})
+	resumed := mustRun(t, Config{Spec: spec, Dir: killed, Workers: 2, Resume: true})
 	if resumed.ResumedShards == 0 {
 		t.Fatal("the run after the kill resumed no shard")
 	}
 	checkStats(t, "resumed run", resumed.Stats, want)
 
-	merged, err := Merge(context.Background(), spec, dir, filepath.Join(t.TempDir(), "merged.csv"))
-	if err != nil {
-		t.Fatal(err)
+	merged := mustRun(t, Config{Spec: spec, Dir: dir, Out: filepath.Join(t.TempDir(), "merged.csv"), Resume: true})
+	if merged.ResumedShards != spec.Shards || merged.GeneratedShards != 0 {
+		t.Fatalf("resuming a finished campaign resumed %d / generated %d shards, want %d / 0",
+			merged.ResumedShards, merged.GeneratedShards, spec.Shards)
 	}
-	checkStats(t, "Merge-only pass", merged.Stats, want)
+	checkStats(t, "merge-only resume", merged.Stats, want)
 }
 
 // TestCampaignPartsAreTheOnlyShardFiles: a shard costs one part file and a
@@ -134,7 +135,7 @@ func TestCampaignStatsMatchSingleProcess(t *testing.T) {
 func TestCampaignPartsAreTheOnlyShardFiles(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.01, Seed: 7, Shards: 3}
 	dir := t.TempDir()
-	mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 2})
+	mustRun(t, Config{Spec: spec, Dir: dir, Workers: 2})
 	entries, err := os.ReadDir(filepath.Join(dir, "parts"))
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +157,7 @@ func TestCampaignRetryConvergence(t *testing.T) {
 
 	attempts := make(map[int]int)
 	res := mustRun(t, Config{
-		Spec: spec, Dir: t.TempDir(), Jobs: 1, delay: 1,
+		Spec: spec, Dir: t.TempDir(), Workers: 1, delay: 1,
 		failShard: func(sh, attempt int) error {
 			attempts[sh]++
 			if sh == 2 && attempt < 2 {
@@ -173,7 +174,7 @@ func TestCampaignRetryConvergence(t *testing.T) {
 	}
 
 	_, err := Run(context.Background(), Config{
-		Spec: spec, Dir: t.TempDir(), Jobs: 1, delay: 1,
+		Spec: spec, Dir: t.TempDir(), Workers: 1, delay: 1,
 		failShard: func(sh, attempt int) error {
 			if sh == 1 {
 				return errors.New("injected permanent failure")
@@ -197,7 +198,7 @@ func TestCampaignResumeAfterCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := 0
 	_, err := Run(ctx, Config{
-		Spec: spec, Dir: dir, Jobs: 1,
+		Spec: spec, Dir: dir, Workers: 1,
 		AfterShard: func(int) {
 			done++
 			if done == 2 {
@@ -209,7 +210,7 @@ func TestCampaignResumeAfterCancel(t *testing.T) {
 		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 	}
 
-	res := mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 2, Resume: true})
+	res := mustRun(t, Config{Spec: spec, Dir: dir, Workers: 2, Resume: true})
 	if want := golden.Home1FourShard.Hex(); !golden.Home1FourShard.MatchHex(res.StreamHash) {
 		t.Fatalf("resumed export hash = %s, want %s", res.StreamHash, want)
 	}
@@ -248,11 +249,11 @@ func TestCampaignSpecValidation(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Spec: base}); err == nil || !strings.Contains(err.Error(), "campaign directory") {
 		t.Fatalf("missing Dir: err = %v, want directory error", err)
 	}
-	// Jobs take the fleet pool's worker rule, checked before the
+	// Workers take the fleet pool's worker rule, checked before the
 	// directory is made.
 	dir := filepath.Join(t.TempDir(), "camp")
-	if _, err := Run(context.Background(), Config{Spec: base, Dir: dir, Jobs: -1}); err == nil || !strings.Contains(err.Error(), "workers must be >= 0") {
-		t.Fatalf("Jobs -1: err = %v, want the workers rule", err)
+	if _, err := Run(context.Background(), Config{Spec: base, Dir: dir, Workers: -1}); err == nil || !strings.Contains(err.Error(), "workers must be >= 0") {
+		t.Fatalf("Workers -1: err = %v, want the workers rule", err)
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("refused campaign left %s behind (%v)", dir, err)
@@ -305,7 +306,7 @@ func TestCampaignRunsUnderFleetTelemetry(t *testing.T) {
 	var mu sync.Mutex
 	shardEvents := map[int]Event{}
 	before := telemetry.Snapshot()
-	res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 2, Observer: func(ev Event) {
+	res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Workers: 2, Observer: func(ev Event) {
 		if ev.Stage == "shard" {
 			mu.Lock()
 			shardEvents[ev.Shard] = ev
@@ -333,27 +334,5 @@ func TestCampaignRunsUnderFleetTelemetry(t *testing.T) {
 	}
 	if got := after.Timings["fleet.shard_seconds"].Count - before.Timings["fleet.shard_seconds"].Count; got != uint64(spec.Shards) {
 		t.Fatalf("fleet.shard_seconds took %d observations over %d shards", got, spec.Shards)
-	}
-}
-
-// TestJobRunnerKeepsConfig: a planned job started without Resume next to a
-// sibling's checkpoints reloads in resume mode, and that reload must carry
-// the whole Config over, not a hand-picked subset of its fields.
-func TestJobRunnerKeepsConfig(t *testing.T) {
-	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}
-	dir := t.TempDir()
-	plan, err := WritePlan(dir, spec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunJob(context.Background(), dir, 1, JobOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	r, err := newJobRunner(Config{Spec: plan.Spec, Dir: dir, Out: "elsewhere.csv", Jobs: 3}, 0, plan.Jobs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.cfg.Out != "elsewhere.csv" || r.cfg.Jobs != 3 {
-		t.Fatalf("job runner config lost fields on the resume-mode reload: %+v", r.cfg)
 	}
 }

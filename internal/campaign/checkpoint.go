@@ -2,12 +2,15 @@ package campaign
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"insidedropbox/internal/workload"
@@ -30,11 +33,8 @@ const CheckpointSchema = 3
 // that are not checkpoints at all — three distinct loud failures.
 const envelopeMagic = "IDCP1"
 
-// Checkpoint payload kinds.
-const (
-	kindShards = "shards"
-	kindPlan   = "plan"
-)
+// kindShards is the checkpoint payload's kind, the one a campaign writes.
+const kindShards = "shards"
 
 // ShardDone is one completed shard's checkpoint entry: its part's record
 // count, exact size and CRC-32C, so resume and merge verify the bytes
@@ -47,16 +47,13 @@ type ShardDone struct {
 	Stats     workload.ShardStats `json:"stats"`
 }
 
-// checkpointBody is the JSON payload inside the envelope. One shape
-// serves all kinds; unused sections stay empty.
+// checkpointBody is the JSON payload inside the envelope.
 type checkpointBody struct {
 	Schema      int         `json:"schema"`
 	Kind        string      `json:"kind"`
 	Fingerprint string      `json:"fingerprint"`
 	Spec        *Spec       `json:"spec,omitempty"`
 	Shards      []ShardDone `json:"shards,omitempty"`
-	// Jobs holds the planned shard ranges as [lo, hi) pairs (kind plan).
-	Jobs [][2]int `json:"jobs,omitempty"`
 }
 
 // encodeEnvelope frames a payload with the guarded header.
@@ -96,9 +93,8 @@ func decodeEnvelope(data []byte) ([]byte, error) {
 }
 
 // decodeCheckpoint decodes and validates a checkpoint file's bytes
-// against the expected kind and spec fingerprint. An empty wantFP skips
-// the fingerprint gate (used by plan loading, which recovers the spec
-// from the file itself).
+// against the expected kind and spec fingerprint; an empty wantKind or
+// wantFP skips that gate.
 func decodeCheckpoint(data []byte, wantKind, wantFP string) (*checkpointBody, error) {
 	payload, err := decodeEnvelope(data)
 	if err != nil {
@@ -118,19 +114,6 @@ func decodeCheckpoint(data []byte, wantKind, wantFP string) (*checkpointBody, er
 		return nil, fmt.Errorf("checkpoint belongs to a different campaign spec (fingerprint %s, this run is %s) — resuming under a changed spec is not allowed", body.Fingerprint, wantFP)
 	}
 	return &body, nil
-}
-
-// readCheckpointFile loads and validates one checkpoint file.
-func readCheckpointFile(path, wantKind, wantFP string) (*checkpointBody, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	body, err := decodeCheckpoint(data, wantKind, wantFP)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %s: %w", path, err)
-	}
-	return body, nil
 }
 
 // saveCheckpoint writes a checkpoint atomically: encode, write to a .tmp
@@ -196,48 +179,29 @@ func writeFileAtomicFunc(path string, fill func(*os.File) error) error {
 	return nil
 }
 
-// loadCheckpoints reads every shard checkpoint in a campaign directory —
-// the runner's own file plus any per-job files from a multi-process plan
-// — validates each against the spec fingerprint, and unions the entries.
-// Conflicting duplicates (same shard, different parts) are an error;
-// duplicates of one part collapse. Returns the entries owned by
-// ownFile (so the runner extends its own file without absorbing other
-// jobs' entries) and the full union sorted by shard.
-func loadCheckpoints(dir, ownFile, wantFP string) (own, all []ShardDone, err error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+// loadCheckpoint reads the checkpoint at path, validated against the
+// spec fingerprint, and returns its entries sorted by shard; no file means
+// no progress. An entry outside the spec's shards, or one listed twice,
+// makes the checkpoint inconsistent.
+func loadCheckpoint(path, wantFP string, shards int) ([]ShardDone, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sort.Strings(paths)
-	seen := make(map[int]ShardDone)
-	for _, p := range paths {
-		body, err := readCheckpointFile(p, "", wantFP)
-		if err != nil {
-			return nil, nil, err
-		}
-		if body.Kind != kindShards {
-			continue // plan files share the dir; fingerprint-checked above
-		}
-		for _, e := range body.Shards {
-			if prev, ok := seen[e.Shard]; ok {
-				if prev.Records != e.Records || prev.PartBytes != e.PartBytes || prev.PartHash != e.PartHash {
-					return nil, nil, fmt.Errorf("campaign: shard %d appears in multiple checkpoints with different artifacts (%s vs %s) — the campaign directory is inconsistent",
-						e.Shard, prev.PartHash, e.PartHash)
-				}
-				continue
-			}
-			seen[e.Shard] = e
-		}
-		if filepath.Base(p) == ownFile {
-			own = append(own, e2slice(body.Shards)...)
+	body, err := decodeCheckpoint(data, kindShards, wantFP)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %s: %w", path, err)
+	}
+	done := body.Shards
+	slices.SortFunc(done, func(a, b ShardDone) int { return cmp.Compare(a.Shard, b.Shard) })
+	for i, e := range done {
+		if e.Shard < 0 || e.Shard >= shards || i > 0 && done[i-1].Shard == e.Shard {
+			return nil, fmt.Errorf("campaign: %s: shard %d is listed twice or outside the campaign's %d shards — the checkpoint is inconsistent",
+				path, e.Shard, shards)
 		}
 	}
-	for _, e := range seen {
-		all = append(all, e)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Shard < all[j].Shard })
-	sort.Slice(own, func(i, j int) bool { return own[i].Shard < own[j].Shard })
-	return own, all, nil
+	return done, nil
 }
-
-func e2slice(s []ShardDone) []ShardDone { return append([]ShardDone(nil), s...) }

@@ -33,7 +33,7 @@ func exportSpecs() []Spec {
 func seedCampaign(t *testing.T, spec Spec) (string, []byte) {
 	t.Helper()
 	dir := t.TempDir()
-	mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 1})
+	mustRun(t, Config{Spec: spec, Dir: dir, Workers: 1})
 	data, err := os.ReadFile(filepath.Join(dir, checkpointName))
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +109,33 @@ func TestCheckpointRobustness(t *testing.T) {
 		rewrite(t, dir, encodeEnvelope(stale))
 		if err := resumeErr(t, dir, quickSpec); err == nil || !strings.Contains(err.Error(), "schema 999") {
 			t.Fatalf("err = %v, want schema error", err)
+		}
+	})
+
+	t.Run("inconsistent entries", func(t *testing.T) {
+		for name, mut := range map[string]func([]ShardDone) []ShardDone{
+			"shard listed twice":     func(s []ShardDone) []ShardDone { return append(s, s[0]) },
+			"shard outside the spec": func(s []ShardDone) []ShardDone { s[1].Shard = quickSpec.Shards; return s },
+			"negative shard":         func(s []ShardDone) []ShardDone { s[0].Shard = -1; return s },
+		} {
+			dir, data := seedCampaign(t, quickSpec)
+			payload, err := decodeEnvelope(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body checkpointBody
+			if err := json.Unmarshal(payload, &body); err != nil {
+				t.Fatal(err)
+			}
+			body.Shards = mut(body.Shards)
+			bad, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rewrite(t, dir, encodeEnvelope(bad))
+			if err := resumeErr(t, dir, quickSpec); err == nil || !strings.Contains(err.Error(), "the checkpoint is inconsistent") {
+				t.Fatalf("%s: err = %v, want inconsistency error", name, err)
+			}
 		}
 	})
 
@@ -210,77 +237,4 @@ func TestCheckpointRobustness(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestPlanRobustness: plan files live in the same guarded envelope.
-func TestPlanRobustness(t *testing.T) {
-	t.Run("replan different spec", func(t *testing.T) {
-		dir := t.TempDir()
-		if _, err := WritePlan(dir, quickSpec, 2); err != nil {
-			t.Fatal(err)
-		}
-		other := quickSpec
-		other.Seed = 99
-		if _, err := WritePlan(dir, other, 2); err == nil || !strings.Contains(err.Error(), "different plan") {
-			t.Fatalf("err = %v, want replan error", err)
-		}
-	})
-	t.Run("replan identical is idempotent", func(t *testing.T) {
-		dir := t.TempDir()
-		a, err := WritePlan(dir, quickSpec, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := WritePlan(dir, quickSpec, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Jobs) != len(b.Jobs) {
-			t.Fatalf("idempotent replan changed the split: %d vs %d jobs", len(a.Jobs), len(b.Jobs))
-		}
-	})
-	t.Run("job out of range", func(t *testing.T) {
-		dir := t.TempDir()
-		if _, err := WritePlan(dir, quickSpec, 2); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RunJob(context.Background(), dir, 7, JobOptions{}); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Fatalf("err = %v, want range error", err)
-		}
-	})
-	t.Run("no plan", func(t *testing.T) {
-		if _, err := RunJob(context.Background(), t.TempDir(), 0, JobOptions{}); err == nil {
-			t.Fatal("running a job without a plan must fail")
-		}
-	})
-	t.Run("merge incomplete", func(t *testing.T) {
-		dir := t.TempDir()
-		if _, err := WritePlan(dir, quickSpec, 2); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RunJob(context.Background(), dir, 0, JobOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Merge(context.Background(), quickSpec, dir, "")
-		if err == nil || !strings.Contains(err.Error(), "shards incomplete") {
-			t.Fatalf("err = %v, want incomplete-merge error", err)
-		}
-	})
-	t.Run("job rerun without resume", func(t *testing.T) {
-		dir := t.TempDir()
-		if _, err := WritePlan(dir, quickSpec, 2); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RunJob(context.Background(), dir, 0, JobOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		// Sibling jobs are unaffected by job 0's progress...
-		if _, err := RunJob(context.Background(), dir, 1, JobOptions{}); err != nil {
-			t.Fatalf("sibling job must start despite job 0's checkpoints: %v", err)
-		}
-		// ...but rerunning job 0 itself needs the resume flag.
-		if _, err := RunJob(context.Background(), dir, 0, JobOptions{}); err == nil || !strings.Contains(err.Error(), "pass -resume") {
-			t.Fatalf("err = %v, want job resume-gate error", err)
-		}
-	})
 }

@@ -2,12 +2,10 @@ package campaign
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -16,20 +14,20 @@ import (
 )
 
 // TestCampaignJobsInvariance extends the determinism contract (point 16):
-// the number of concurrent shard-range jobs never changes a byte of the
-// export.
+// the number of shards generating at once (Workers) never changes a byte
+// of the export.
 func TestCampaignJobsInvariance(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 8}
 	var ref []byte
-	for _, jobs := range []int{1, 2, 8} {
-		res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: jobs})
+	for _, workers := range []int{1, 2, 8} {
+		res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Workers: workers})
 		data := readExport(t, res)
 		if ref == nil {
 			ref = data
 			continue
 		}
 		if !bytes.Equal(ref, data) {
-			t.Fatalf("export bytes differ between -jobs 1 and -jobs %d", jobs)
+			t.Fatalf("export bytes differ between -workers 1 and -workers %d", workers)
 		}
 	}
 }
@@ -41,7 +39,7 @@ func TestCampaignGOMAXPROCSInvariance(t *testing.T) {
 	run := func(procs int) []byte {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 4})
+		res := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Workers: 4})
 		return readExport(t, res)
 	}
 	single := run(1)
@@ -56,53 +54,17 @@ func TestCampaignGOMAXPROCSInvariance(t *testing.T) {
 	}
 }
 
-// TestSplitMergeMatchesSingleProcess: the multi-process plan/run/merge
-// flow must produce byte-identical output and the same generation stats
-// as an in-process run, end to end.
-func TestSplitMergeMatchesSingleProcess(t *testing.T) {
-	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 8}
-
-	single := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 1})
-
-	dir := t.TempDir()
-	plan, err := WritePlan(dir, spec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Jobs) != 3 {
-		t.Fatalf("plan split into %d jobs, want 3", len(plan.Jobs))
-	}
-	for j := range plan.Jobs {
-		if _, err := RunJob(context.Background(), dir, j, JobOptions{}); err != nil {
-			t.Fatalf("job %d: %v", j, err)
-		}
-	}
-	merged, err := Merge(context.Background(), spec, dir, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.StreamHash != single.StreamHash {
-		t.Fatalf("split-merge hash %s != single-process hash %s", merged.StreamHash, single.StreamHash)
-	}
-	if !bytes.Equal(readExport(t, merged), readExport(t, single)) {
-		t.Fatal("split-merge export bytes differ from the single-process run")
-	}
-	if !reflect.DeepEqual(merged.Stats, single.Stats) {
-		t.Fatalf("split-merge stats %+v, single-process %+v", merged.Stats, single.Stats)
-	}
-}
-
 // TestCampaignExportFormats: the binary and archival exports are
-// job-count invariant too, and both decode back to the exact golden
+// worker-count invariant too, and both decode back to the exact golden
 // record stream (re-serialized as CSV, they reproduce the golden hash).
 func TestCampaignExportFormats(t *testing.T) {
 	for _, format := range []string{"binary", "binary-flate"} {
 		t.Run(format, func(t *testing.T) {
 			spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4, Format: format}
-			a := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 1})
-			b := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 4})
+			a := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Workers: 1})
+			b := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Workers: 4})
 			if !bytes.Equal(readExport(t, a), readExport(t, b)) {
-				t.Fatalf("%s export bytes differ between -jobs 1 and -jobs 4", format)
+				t.Fatalf("%s export bytes differ between -workers 1 and -workers 4", format)
 			}
 
 			f, err := os.Open(a.ExportPath)
@@ -143,13 +105,13 @@ func TestCampaignExportFormats(t *testing.T) {
 }
 
 // TestCampaignAnonymizedInvariance: the anonymized export (what
-// cmd/dropsim ships by default) is also jobs-invariant — the anonymizer
-// is a pure per-record function, so fan-out cannot perturb it.
+// cmd/dropsim ships by default) is also worker-count invariant — the
+// anonymizer is a pure per-record function, so the pool cannot perturb it.
 func TestCampaignAnonymizedInvariance(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4, Anonymize: true}
-	a := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 1})
-	b := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Jobs: 3})
+	a := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Workers: 1})
+	b := mustRun(t, Config{Spec: spec, Dir: t.TempDir(), Workers: 3})
 	if a.StreamHash != b.StreamHash || !bytes.Equal(readExport(t, a), readExport(t, b)) {
-		t.Fatal("anonymized export differs across job counts")
+		t.Fatal("anonymized export differs across worker counts")
 	}
 }

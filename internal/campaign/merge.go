@@ -16,8 +16,7 @@ import (
 // merge is the campaign's one merge loop. It walks the shards in
 // canonical order (shard 0 first, each in generation order — exactly
 // fleet.StreamRecords' delivery order), waits for each to be committed —
-// no wait at all for a resumed shard, or for any shard under Merge —
-// streams its part through the spec's export writer into the final
+// no wait at all for a resumed shard — streams its part through the spec's export writer into the final
 // artifact, verifying the part's bytes against its checkpointed checksum
 // on the way, and folds each entry's generation stats in shard-index
 // order, as fleet.StreamRecords does. Beside generate it overlaps
@@ -152,26 +151,4 @@ func writeRecords(br *traces.BinaryReader, w traces.RecordWriter) (int, error) {
 			n++
 		}
 	}
-}
-
-// Merge finalizes a campaign directory whose shards were generated by
-// planned jobs (or a mix of jobs and in-process runs): it unions every
-// checkpoint, requires full shard coverage, and writes the final export.
-func Merge(ctx context.Context, spec Spec, dir, out string) (*Result, error) {
-	r, err := newRunner(Config{Spec: spec, Dir: dir, Out: out, Resume: true}, checkpointName)
-	if err != nil {
-		return nil, err
-	}
-	// Nothing generates here: a shard not committed by now never will be.
-	var missing []int
-	for sh := 0; sh < r.spec.Shards; sh++ {
-		if _, ok := r.doneEntry(sh); !ok {
-			missing = append(missing, sh)
-		}
-	}
-	if len(missing) > 0 {
-		return nil, fmt.Errorf("campaign: cannot merge: %d of %d shards incomplete (first missing: %d) — run the remaining jobs first",
-			len(missing), r.spec.Shards, missing[0])
-	}
-	return r.merge(ctx)
 }

@@ -75,8 +75,9 @@ func strays(t *testing.T, dir string) []string {
 // shard 0's commit until the merger has streamed that part, which a merge
 // that waited for generation would never do — and merging alongside is
 // one more invisible execution choice: the export equals the straight
-// export and a Merge()-only pass over the same directory, stats
-// included. A stale export temp left by a killed run is written over.
+// export and that of a resume over the finished directory, where every
+// shard is resumed and the merge runs after generation, stats included.
+// A stale export temp left by a killed run is written over.
 func TestMergeOverlapsGeneration(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 8, Format: "binary", Anonymize: true}
 	dir, out := t.TempDir(), filepath.Join(t.TempDir(), "export.idb")
@@ -93,7 +94,7 @@ func TestMergeOverlapsGeneration(t *testing.T) {
 	)
 	before := telemetry.Snapshot()
 	res := mustRun(t, Config{
-		Spec: spec, Dir: dir, Out: out, Jobs: 1,
+		Spec: spec, Dir: dir, Out: out, Workers: 1,
 		Observer: func(ev Event) {
 			if ev.Stage == "shard" {
 				mu.Lock()
@@ -145,12 +146,13 @@ func TestMergeOverlapsGeneration(t *testing.T) {
 	if !bytes.Equal(got, straightExport(t, spec)) {
 		t.Fatal("export merged alongside generation differs from the straight export")
 	}
-	merged, err := Merge(context.Background(), spec, dir, filepath.Join(t.TempDir(), "merged.idb"))
-	if err != nil {
-		t.Fatal(err)
+	merged := mustRun(t, Config{Spec: spec, Dir: dir, Out: filepath.Join(t.TempDir(), "merged.idb"), Resume: true})
+	if merged.ResumedShards != spec.Shards || merged.GeneratedShards != 0 {
+		t.Fatalf("resuming the finished campaign resumed %d / generated %d shards, want %d / 0",
+			merged.ResumedShards, merged.GeneratedShards, spec.Shards)
 	}
 	if merged.StreamHash != res.StreamHash || !bytes.Equal(readExport(t, merged), got) {
-		t.Fatal("export merged alongside generation differs from a Merge()-only pass over the same parts")
+		t.Fatal("export merged alongside generation differs from one merged after it, over the same parts")
 	}
 	if res.Stats.Records != res.Records || !reflect.DeepEqual(merged.Stats, res.Stats) {
 		t.Fatalf("stats alongside generation %+v, merged afterwards %+v", res.Stats, merged.Stats)
@@ -198,7 +200,7 @@ func TestRunFailureLeavesNoExport(t *testing.T) {
 			dir := t.TempDir()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			cfg := Config{Spec: spec, Dir: dir, Jobs: 2}
+			cfg := Config{Spec: spec, Dir: dir, Workers: 2}
 			tc.arm(&cfg, cancel)
 
 			base := runtime.NumGoroutine()
@@ -214,12 +216,12 @@ func TestRunFailureLeavesNoExport(t *testing.T) {
 			if left := strays(t, dir); len(left) > 0 {
 				t.Fatalf("the failed run left %v", left)
 			}
-			_, all, err := loadCheckpoints(dir, checkpointName, spec.Fingerprint())
+			all, err := loadCheckpoint(filepath.Join(dir, checkpointName), spec.Fingerprint(), spec.Shards)
 			if err != nil || len(all) == 0 || len(all) >= spec.Shards {
 				t.Fatalf("checkpoint after the failed run: %d shards, %v; want some, not all, loadable", len(all), err)
 			}
 
-			resumed := mustRun(t, Config{Spec: spec, Dir: dir, Jobs: 2, Resume: true})
+			resumed := mustRun(t, Config{Spec: spec, Dir: dir, Workers: 2, Resume: true})
 			if resumed.ResumedShards != len(all) || !bytes.Equal(readExport(t, resumed), want) {
 				t.Fatalf("resumed run reused %d of %d checkpointed shards; export equals the straight one: %v",
 					resumed.ResumedShards, len(all), bytes.Equal(readExport(t, resumed), want))
@@ -251,7 +253,7 @@ func TestMergeAllocationBudget(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.05, Seed: 7, Shards: 2, Format: "binary", Anonymize: true}
 	dir := t.TempDir()
 	res := mustRun(t, Config{Spec: spec, Dir: dir})
-	r, err := newRunner(Config{Spec: spec, Dir: dir, Resume: true}, checkpointName)
+	r, err := newRunner(Config{Spec: spec, Dir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}

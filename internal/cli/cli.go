@@ -153,9 +153,9 @@ func SplitPatterns(list string) []string {
 	return out
 }
 
-// PopulationFlags binds the population flag vocabulary of dropsim's export
-// and of `dropsim campaign plan`: -vp -scale -seed -shards -profile,
-// checked and resolved by fleet.PopulationSpec. -scale is the one
+// PopulationFlags binds the population flag vocabulary of dropsim's export,
+// with or without -checkpoint: -vp -scale -seed -shards -profile, checked
+// and resolved by fleet.PopulationSpec. -scale is the one
 // population-size knob.
 type PopulationFlags struct{ spec fleet.PopulationSpec }
 

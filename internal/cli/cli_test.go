@@ -275,7 +275,7 @@ func TestRunRefusesOutOfRangeFleet(t *testing.T) {
 }
 
 // TestBindPopulationDefaults pins the population flags' defaults, which
-// dropsim's export and `dropsim campaign plan` share.
+// dropsim's straight export and its -checkpoint campaign share.
 func TestBindPopulationDefaults(t *testing.T) {
 	flags := BindPopulation(flag.NewFlagSet("x", flag.ContinueOnError))
 	spec, _, _, err := flags.Population()

@@ -59,7 +59,7 @@ func CheckShards(n int) error {
 }
 
 // CheckWorkers is the one worker-count rule: a shard pool, a campaign's
-// Jobs and an experiment run all take workers >= 0, 0 meaning GOMAXPROCS.
+// Workers and an experiment run all take workers >= 0, 0 meaning GOMAXPROCS.
 func CheckWorkers(n int) error {
 	if n < 0 {
 		return fmt.Errorf("workers must be >= 0, 0 meaning GOMAXPROCS (got %d)", n)

@@ -5,40 +5,6 @@ import (
 	"insidedropbox/internal/workload"
 )
 
-// ShardJob is a contiguous shard range assigned to one generation job —
-// the unit a process-level campaign runner fans out across cores or
-// processes. Lo is inclusive, Hi exclusive.
-type ShardJob struct {
-	Job    int
-	Lo, Hi int
-}
-
-// Shards returns the number of shards in the job's range.
-func (j ShardJob) Shards() int { return j.Hi - j.Lo }
-
-// SplitJobs partitions the shard index space [0, shards) into up to jobs
-// contiguous, balanced ranges using the same arithmetic as
-// workload.ShardRange, so every split is deterministic and covers each
-// shard exactly once. When jobs exceeds shards the extra jobs are simply
-// not created — every returned job owns at least one shard.
-func SplitJobs(shards, jobs int) []ShardJob {
-	if shards < 1 {
-		shards = 1
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > shards {
-		jobs = shards
-	}
-	out := make([]ShardJob, jobs)
-	for j := range out {
-		lo, hi := workload.ShardRange(shards, j, jobs)
-		out[j] = ShardJob{Job: j, Lo: lo, Hi: hi}
-	}
-	return out
-}
-
 // generatePooled is the engine's one generate loop: one shard on the
 // calling goroutine, every record drawn from pool, the shard counted once
 // (fleet.records, fleet.shards_done, pool hits and misses) when it ends. A

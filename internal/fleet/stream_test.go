@@ -83,27 +83,25 @@ func TestStreamSlabBoundaries(t *testing.T) {
 }
 
 // TestStreamRecordsRecycles pins the ownership rule of the ordered stream:
-// a record is valid until emit returns and is recycled after. The first
-// record's pointer, kept past emit, must not still hold that record once
-// the stream ends — a silent revert to one allocation per record would
-// leave it intact. The one shard is several times the stream's budget
-// long, so its records must travel in far fewer structs than it has.
+// a record is valid until emit returns and is recycled after, so the
+// stream hands the same struct out again — a silent revert to one
+// allocation per record would deliver every record in a struct of its
+// own. The one shard is several times the stream's budget long, so its
+// records must travel in far fewer structs than it has. Which struct comes
+// back first depends on scheduling and on the slabs earlier streams left
+// pooled, so the test counts structs and follows none.
 func TestStreamRecordsRecycles(t *testing.T) {
-	var first, firstCopy *traces.FlowRecord
 	seen := map[*traces.FlowRecord]struct{}{}
 	stats, err := StreamRecords(context.Background(), workload.Home1(0.5), 7, Config{Shards: 1},
 		func(r *traces.FlowRecord) bool {
-			if first == nil {
-				first, firstCopy = r, keep(r)
-			}
 			seen[r] = struct{}{}
 			return true
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(*first, *firstCopy) {
-		t.Fatal("a record kept past emit survived the stream unchanged: the export path is not recycling")
+	if len(seen) >= stats.Records {
+		t.Fatalf("%d records travelled in %d distinct structs: the stream is not recycling", stats.Records, len(seen))
 	}
 	// At most streamBudget records plus a slab are queued, and one slab is
 	// filling. Recycled slabs feed the shard's pool, which can hold a few
