@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -44,7 +45,7 @@ func runCheckpointed(ctx context.Context, spec campaign.Spec, mspec map[string]s
 		Resume:     resume,
 		AfterShard: crashAfterShard(),
 		Observer: func(ev campaign.Event) {
-			campaignProgress(ev)
+			campaignProgress(os.Stderr, ev)
 			if ev.Stage == "shard" {
 				rec.observe(insidedropbox.ShardEvent{VP: spec.VP, Shard: ev.Shard, Shards: ev.Total,
 					Records: ev.Records, Elapsed: ev.Elapsed})
@@ -63,16 +64,16 @@ func runCheckpointed(ctx context.Context, spec campaign.Spec, mspec map[string]s
 		spec.VP, res.Records, res.ExportPath, res.ExportBytes, res.StreamHash, res.ResumedShards, res.GeneratedShards)
 }
 
-// campaignProgress prints one stderr line per completed shard or merge.
-func campaignProgress(ev campaign.Event) {
+// campaignProgress prints one line to w per resumed, completed or merged shard.
+func campaignProgress(w io.Writer, ev campaign.Event) {
 	switch ev.Stage {
 	case "resume":
-		fmt.Fprintf(os.Stderr, "  shard %d/%d resumed from checkpoint\n", ev.Done, ev.Total)
+		fmt.Fprintf(w, "  shard %d/%d resumed from checkpoint\n", ev.Shard, ev.Total)
 	case "shard":
-		fmt.Fprintf(os.Stderr, "  shard %d done (%d/%d, %s records)\n",
+		fmt.Fprintf(w, "  shard %d done (%d/%d, %s records)\n",
 			ev.Shard, ev.Done, ev.Total, cli.Count(int64(ev.Records)))
 	case "merge":
-		fmt.Fprintf(os.Stderr, "  merged %d shards\n", ev.Total)
+		fmt.Fprintf(w, "  merged %d shards\n", ev.Total)
 	}
 }
 

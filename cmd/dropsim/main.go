@@ -15,7 +15,7 @@
 //	        [-format csv|binary|binary-flate]
 //	        [-summary] [-o FILE]
 //	        [-checkpoint DIR [-resume]]
-//	        [-backend infinite|provisioned|scarce] [-scenario FILE]
+//	        [-scenario FILE]
 //	        [-manifest FILE] [-pprof ADDR] [-cpuprofile FILE]
 //	        [-memprofile FILE] [-telemetry-interval DUR]
 //
@@ -30,7 +30,7 @@
 // one merger streams the committed parts, in shard order, into the export
 // while later shards generate. A run that is killed, fails or is cancelled
 // (^C) leaves no export; -resume continues it and writes the bytes an
-// uninterrupted run does. It takes no -summary, -backend or -scenario.
+// uninterrupted run does. It takes no -summary or -scenario.
 //
 // -vp, -scale (a fraction of the paper's population, 1 being Table 2's),
 // -seed, -shards and -profile name the population. -scale is the one
@@ -44,10 +44,8 @@
 // -scale, -shards and -profile, its defaults included (home1, 0.08, one
 // shard, the vantage point's own client); a non-zero base.seed replaces
 // -seed. Its cohorts section splits the population into behavioral
-// cohorts. A spec backend section drives the post-export replay — preset
-// sizing from the base load, arrival surges, and timeline events
-// (outages, rollouts) on the event queue; -backend, when also set,
-// overrides just the preset.
+// cohorts. dropsim only exports: a spec backend section is not replayed,
+// and one stderr line names `experiments -scenario FILE`, which runs it.
 //
 // binary/binary-flate block encoding runs on GOMAXPROCS workers (inline,
 // with no worker goroutines, when GOMAXPROCS is 1). The stream is
@@ -64,18 +62,8 @@
 //
 // -summary prints fleet.Summary's metrics (the streaming summary,
 // insidedropbox.Summarize) and, on stderr, the generation ground truth:
-// records, Dropbox devices and households. It takes no record stream, so
-// it refuses -format, -backend and a scenario with a backend section
-// (exit 2), and its manifest spec records no format.
-//
-// -backend tees the record stream into the server capacity model
-// (internal/backend) and, after the export, replays it against the named
-// preset, printing per-node utilization, drop counts and queueing-delay
-// quantiles to stderr. The tee is observation-only: the exported bytes and
-// the manifest stream hash are identical with and without -backend, and an
-// infinite preset reports zero delay and zero drops (the determinism
-// contract's point 14). With -manifest, the backend.* counters land in the
-// manifest's telemetry snapshot.
+// records, Dropbox devices and households. It serializes no records, so
+// it refuses -format (exit 2), and its manifest spec records no format.
 //
 // Records stream from the generator shards straight into the trace
 // writer over the facade's record iterator, so memory stays bounded
@@ -109,17 +97,13 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"insidedropbox"
 	"insidedropbox/internal/analysis"
-	"insidedropbox/internal/backend"
 	"insidedropbox/internal/campaign"
 	"insidedropbox/internal/cli"
 	"insidedropbox/internal/fleet"
-	"insidedropbox/internal/scenario"
 	"insidedropbox/internal/telemetry"
 	"insidedropbox/internal/traces"
 )
@@ -128,8 +112,6 @@ func main() {
 	popFlags := cli.BindPopulation(flag.CommandLine)
 	workers := flag.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS; never changes results)")
 	format := flag.String("format", "csv", "trace format: csv (public-release compatible), binary (columnar, ~3.5x smaller), or binary-flate (compressed archival with seek index)")
-	backendPreset := flag.String("backend", "", "after the export, replay the stream against the server "+
-		"capacity model under this preset: "+strings.Join(insidedropbox.BackendPresets(), "|"))
 	scenarioPath := flag.String("scenario", "", "declarative scenario spec file; its base section overrides -vp/-scale/-seed/-shards/-profile")
 	summary := flag.Bool("summary", false, "print streaming aggregates instead of trace records")
 	out := flag.String("o", "", "output file (default stdout; with -checkpoint, DIR/export.<ext>)")
@@ -146,14 +128,13 @@ func main() {
 	}
 
 	// The checkpointed campaign path owns serialization (parts + merge),
-	// so the stream-tee features cannot combine with it.
+	// so the live-stream features cannot combine with it.
 	if *checkpoint != "" {
 		for _, bad := range []struct {
 			set  bool
 			flag string
 		}{
 			{*summary, "-summary"},
-			{*backendPreset != "", "-backend"},
 			{*scenarioPath != "", "-scenario"},
 		} {
 			if bad.set {
@@ -170,21 +151,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *backendPreset != "" {
-		valid := false
-		for _, p := range insidedropbox.BackendPresets() {
-			valid = valid || p == *backendPreset
-		}
-		if !valid {
-			fmt.Fprintf(os.Stderr, "unknown backend preset %q (valid: %s)\n",
-				*backendPreset, strings.Join(insidedropbox.BackendPresets(), ", "))
-			os.Exit(2)
-		}
-		if *summary {
-			fmt.Fprintln(os.Stderr, "-backend needs the record stream; it cannot combine with -summary")
-			os.Exit(2)
-		}
 	}
 	if *summary {
 		flag.Visit(func(f *flag.Flag) {
@@ -209,9 +175,9 @@ func main() {
 			os.Exit(2)
 		}
 		popSpec = comp.Spec.Base
-		if *summary && comp.Backend != nil {
-			fmt.Fprintf(os.Stderr, "scenario %q has a backend section, which needs the record stream; it cannot combine with -summary\n", comp.Spec.Name)
-			os.Exit(2)
+		if comp.Backend != nil {
+			fmt.Fprintf(os.Stderr, "scenario %q: dropsim exports the population only; its backend section runs under experiments -scenario %s\n",
+				comp.Spec.Name, *scenarioPath)
 		}
 	}
 	// The manifest records the population that runs: with -scenario, the
@@ -251,7 +217,6 @@ func main() {
 	// stream.
 	var rec *manifestRecorder
 	if *manifest != "" {
-		mspec["backend"] = *backendPreset
 		if comp != nil {
 			mspec["scenario"] = comp.Spec.Name
 		}
@@ -278,28 +243,11 @@ func main() {
 		w = io.MultiWriter(w, streamHash)
 	}
 
-	// The backend collector tees off the record stream before
-	// serialization — observation only, so -backend never changes the
-	// exported bytes (the manifest stream hash stays preset-independent).
-	var col *backend.Collector
-	var tee func(*insidedropbox.FlowRecord)
-	if *backendPreset != "" || (comp != nil && comp.Backend != nil) {
-		col = &backend.Collector{}
-		tee = col.Consume
-	}
-
-	stats, volume, err := streamTraces(ctx, pop, fc, w, traceFormat, tee)
+	stats, volume, err := streamTraces(ctx, pop, fc, w, traceFormat)
 	if err != nil {
 		cli.Exit(ctx, "writing traces", err)
 	}
-	if col != nil {
-		if err := simulateBackend(ctx, *backendPreset, comp, col.Requests); err != nil {
-			cli.Exit(ctx, "backend simulation", err)
-		}
-	}
 	if rec != nil {
-		// Saved after the backend replay, so the telemetry snapshot in the
-		// manifest carries the backend.* counters and gauges.
 		if err := rec.save(*manifest, fmt.Sprintf("%016x", streamHash.Sum64())); err != nil {
 			cli.Exit(ctx, "writing manifest", err)
 		}
@@ -408,16 +356,12 @@ func printSummary(ctx context.Context, pop fleet.Population, fc fleet.Config, w 
 // materializing the dataset. The sink latches the first write error and
 // stops the stream; a cancelled context stops it at shard granularity.
 func streamTraces(ctx context.Context, pop fleet.Population, fc fleet.Config, w io.Writer,
-	format traces.Format, tee func(*insidedropbox.FlowRecord)) (insidedropbox.FleetStats, float64, error) {
-
+	format traces.Format) (insidedropbox.FleetStats, float64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	sink := &insidedropbox.WriterSink{W: format.New(bw, true, 0)}
 	var volume float64
 	stats, err := insidedropbox.StreamRecords(ctx, pop.VP, pop.Seed, fc, func(r *insidedropbox.FlowRecord) bool {
 		volume += float64(r.BytesUp + r.BytesDown)
-		if tee != nil {
-			tee(r)
-		}
 		sink.Consume(r)
 		return sink.Err == nil
 	})
@@ -431,47 +375,4 @@ func streamTraces(ctx context.Context, pop fleet.Population, fc fleet.Config, w 
 		err = bw.Flush()
 	}
 	return stats, volume, err
-}
-
-// simulateBackend replays the collected arrivals and prints the load
-// response to stderr: overall counts and delay quantiles, then per-node
-// utilization. A compiled scenario contributes its backend section —
-// preset, timeline events, surges and report windows — with an explicit
-// -backend preset overriding just the sizing.
-func simulateBackend(ctx context.Context, preset string, comp *insidedropbox.CompiledScenario, reqs []backend.Request) error {
-	backend.SortRequests(reqs)
-	var be scenario.CompiledBackend
-	if comp != nil && comp.Backend != nil {
-		be = *comp.Backend
-	}
-	if preset != "" {
-		be.Preset = preset
-	}
-	// Capacity is provisioned against the base load; surges amplify what
-	// the deployment actually faces.
-	cfg, err := be.Config(reqs)
-	if err != nil {
-		return err
-	}
-	rep, err := backend.Simulate(ctx, cfg, be.ApplySurges(reqs))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "backend %q: %d served / %d dropped / %d shed of %d requests; "+
-		"queueing delay mean %v p95 %v p99 %v\n",
-		be.Preset, rep.Served, rep.Dropped, rep.Shed, rep.Requests,
-		rep.MeanDelay(), rep.DelayQuantile(0.95), rep.DelayQuantile(0.99))
-	for _, wr := range rep.Windows {
-		fmt.Fprintf(os.Stderr, "  window %-12s served %-8d dropped %-6d p95 delay %v\n",
-			wr.Name, wr.Served, wr.Dropped, time.Duration(wr.Delay.Quantile(0.95)))
-	}
-	for _, n := range rep.Nodes {
-		util := "unbounded"
-		if n.Concurrency > 0 {
-			util = fmt.Sprintf("%.1f%% of %d slots", 100*n.Utilization, n.Concurrency)
-		}
-		fmt.Fprintf(os.Stderr, "  %-12s served %-8d dropped %-6d queue max %-6d util %s\n",
-			n.Name, n.Served, n.Dropped+n.Shed, n.QueueMax, util)
-	}
-	return nil
 }

@@ -3,9 +3,11 @@ package main
 import (
 	"flag"
 	"reflect"
+	"strings"
 	"testing"
 
 	"insidedropbox"
+	"insidedropbox/internal/campaign"
 	"insidedropbox/internal/cli"
 )
 
@@ -60,5 +62,19 @@ func TestManifestSpecRecordsPopulationThatRan(t *testing.T) {
 				t.Fatalf("manifest spec %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestCampaignProgressNamesResumedShards: a resumed shard's line names the
+// shard, not the count of committed shards, so resuming shards 0 and 1 of
+// 4 prints each of them once.
+func TestCampaignProgressNamesResumedShards(t *testing.T) {
+	var b strings.Builder
+	for sh := range 2 {
+		campaignProgress(&b, campaign.Event{Stage: "resume", Shard: sh, Done: 2, Total: 4})
+	}
+	want := "  shard 0/4 resumed from checkpoint\n  shard 1/4 resumed from checkpoint\n"
+	if b.String() != want {
+		t.Fatalf("progress:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

@@ -62,8 +62,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"context"
-
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/backend"
 	"insidedropbox/internal/capability"
@@ -228,45 +226,9 @@ type WhatIfReport = experiments.WhatIfReport
 
 // ---------- backend capacity model ----------
 
-// BackendRequest is one client flow reduced to server-side work: arrival
-// time, service class (control/storage/notify), demand and locality.
-type BackendRequest = backend.Request
-
-// BackendConfig is one simulated server deployment: the node fleet plus
-// its admission and routing policies.
-type BackendConfig = backend.Config
-
-// BackendReport is the observed load response of one backend simulation:
-// per-request queueing-delay distributions, per-node utilization, drop
-// and shed counts.
-type BackendReport = backend.Report
-
 // BackendPresets lists the backend capacity preset names in help order
 // (infinite, provisioned, scarce).
 func BackendPresets() []string { return backend.Presets() }
-
-// BackendPresetConfig builds a named capacity preset sized against an
-// arrival set (presets provision relative to the measured offered load,
-// so the same name stays meaningful at any population scale).
-func BackendPresetConfig(name string, reqs []BackendRequest) (BackendConfig, error) {
-	return backend.PresetConfig(name, reqs)
-}
-
-// CollectBackendArrivals streams one vantage point through the fleet
-// engine and returns its backend arrivals in canonical order — the input
-// SimulateBackend replays. Worker count never changes the result; shard
-// count is part of the experiment definition.
-func CollectBackendArrivals(ctx context.Context, cfg VPConfig, seed int64, fc FleetConfig) ([]BackendRequest, FleetStats, error) {
-	return backend.CollectArrivals(ctx, cfg, seed, fc)
-}
-
-// SimulateBackend replays an arrival set against a backend deployment and
-// returns the load response. An infinite-capacity config is invisible:
-// zero delay, zero drops, and the record streams that produced the
-// arrivals are untouched (determinism-contract point 14).
-func SimulateBackend(ctx context.Context, cfg BackendConfig, reqs []BackendRequest) (*BackendReport, error) {
-	return backend.Simulate(ctx, cfg, reqs)
-}
 
 // ---------- declarative scenarios ----------
 
@@ -280,36 +242,15 @@ type ScenarioSpec = scenario.Spec
 // the backend capacity model — a pure function of (spec, seed).
 type CompiledScenario = scenario.Compiled
 
-// ScenarioStream is one compiled scenario's campaign output: merged
-// ground truth (per-cohort counts included), the backend arrival set in
-// canonical order, and the worker-invariant stream fingerprint — a hash
-// over record fields, not comparable with the FNV-1a hash of an export.
-type ScenarioStream = scenario.StreamResult
-
 // LoadScenario reads and strictly validates a scenario spec file
 // (unknown fields, bad weights and foreign schema versions are errors).
 func LoadScenario(path string) (*ScenarioSpec, error) { return scenario.Load(path) }
-
-// ParseScenario decodes and validates one scenario spec document.
-func ParseScenario(data []byte) (*ScenarioSpec, error) { return scenario.Parse(data) }
 
 // CompileScenario lowers a spec onto the engine configuration; a non-zero
 // base.seed in the spec overrides seed.
 func CompileScenario(sp *ScenarioSpec, seed int64) (*CompiledScenario, error) {
 	return scenario.Compile(sp, seed)
 }
-
-// CollectScenarioStream runs a compiled scenario's population through the
-// fleet engine once, producing stats, arrivals and the stream fingerprint
-// in one pass; nothing is serialized. workers > 0 overrides the worker
-// count (never results).
-func CollectScenarioStream(ctx context.Context, c *CompiledScenario, workers int) (*ScenarioStream, error) {
-	return scenario.CollectStream(ctx, c, workers)
-}
-
-// ScenarioCohortPresets lists the built-in cohort preset names a spec's
-// cohorts may reference.
-func ScenarioCohortPresets() []string { return scenario.Presets() }
 
 // ---------- exports ----------
 

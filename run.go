@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -503,13 +504,20 @@ func writeManifest(dir string, m *telemetry.Manifest) error {
 // annotate attaches the run's provenance metadata to a result, in a fixed
 // key order WriteResults preserves. The environment and timing keys come
 // after the legacy ones, so consumers reading a meta prefix are
-// undisturbed.
+// undisturbed. An experiment that ran its own population (a scenario's
+// base) has recorded its seed and shards already; those stay, once.
 func annotate(r *Result, spec Spec, elapsed time.Duration) {
 	if r == nil {
 		return
 	}
-	r.AddMeta("seed", strconv.FormatInt(spec.Seed, 10))
-	r.AddMeta("shards", strconv.Itoa(max(spec.Fleet.Shards, 1)))
+	for _, m := range []ResultMeta{
+		{Key: "seed", Value: strconv.FormatInt(spec.Seed, 10)},
+		{Key: "shards", Value: strconv.Itoa(max(spec.Fleet.Shards, 1))},
+	} {
+		if !slices.ContainsFunc(r.Meta, func(e ResultMeta) bool { return e.Key == m.Key }) {
+			r.AddMeta(m.Key, m.Value)
+		}
+	}
 	r.AddMeta("scale_campus1", strconv.FormatFloat(spec.Scale.Campus1, 'g', -1, 64))
 	if spec.Quick {
 		r.AddMeta("quick", "true")

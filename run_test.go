@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"insidedropbox/internal/backend"
 	"insidedropbox/internal/experiments"
+	"insidedropbox/internal/scenario"
 )
 
 // goldenScale is the small population used by the equivalence tests.
@@ -147,6 +149,76 @@ func TestRunManifestTimesEveryFold(t *testing.T) {
 		if timed[key] == 0 || shardEvents[key] == 0 {
 			t.Fatalf("%s: %d shard timings, %d shard events; manifest has %+v", key, timed[key], shardEvents[key], m.Shards)
 		}
+	}
+}
+
+// TestScenarioResultRecordsItsOwnSeed: a scenario result runs the spec's
+// base population, so its meta carries the base's seed and shards, each
+// key once, whatever seed and shard count the Run was given.
+func TestScenarioResultRecordsItsOwnSeed(t *testing.T) {
+	scen, err := LoadScenario("scenarios/paper-baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := Run(context.Background(), Spec{Seed: 3, Scale: goldenScale, Scenario: scen,
+		Fleet: FleetConfig{Shards: 2, Workers: 1}}, WithExperiments("scenario/cohorts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]string{}
+	for _, m := range results[0].Meta {
+		got[m.Key] = append(got[m.Key], m.Value)
+	}
+	want := map[string][]string{"seed": {"7"}, "shards": {"4"}}
+	for k, v := range want {
+		if !slices.Equal(got[k], v) {
+			t.Errorf("meta %s = %q, want %q (the spec base's, once)", k, got[k], v)
+		}
+	}
+}
+
+// TestScenarioBackendIsPresetReplay: a spec holding only a base and a
+// backend preset makes scenario/flash-crowd the plain preset replay of the
+// base population's arrivals, backend.Simulate(backend.PresetConfig(P,
+// arrivals)), metric for metric.
+func TestScenarioBackendIsPresetReplay(t *testing.T) {
+	scen, err := scenario.Parse([]byte(`{"schema": 1, "name": "base-scarce",
+		"base": {"vp": "campus1", "scale": 0.05, "seed": 7, "shards": 2},
+		"backend": {"preset": "scarce"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	results, err := Run(ctx, Spec{Seed: 3, Scale: goldenScale, Scenario: scen},
+		WithExperiments("scenario/flash-crowd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pop, fc, err := scen.Base.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals, _, err := backend.CollectArrivals(ctx, pop.VP, pop.Seed, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := backend.PresetConfig("scarce", arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := backend.Simulate(ctx, cfg, arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rep.Metrics()
+	want["requests_base"] = float64(len(arrivals))
+	want["requests_load"] = float64(len(arrivals))
+	if rep.Served == 0 {
+		t.Fatal("the replay served nothing")
+	}
+	if got := results[0].Metrics; !reflect.DeepEqual(got, want) {
+		t.Fatalf("scenario/flash-crowd metrics\n%v\nwant the preset replay's\n%v", got, want)
 	}
 }
 
