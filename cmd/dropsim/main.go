@@ -324,9 +324,6 @@ func (r *manifestRecorder) save(path, streamHash string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.m.StreamHash = streamHash
-	if streamHash != "" {
-		telemetry.SetInfo("stream_hash", streamHash)
-	}
 	return r.m.Save(path)
 }
 

@@ -5,29 +5,32 @@
 //
 //	experiments [-seed N] [-out DIR] [-quick] [-skip-packet]
 //	            [-only IDS] [-shards N] [-workers N]
-//	            [-whatif] [-profiles LIST] [-list]
+//	            [-profiles LIST] [-scenario FILE] [-list]
 //	            [-pprof ADDR] [-cpuprofile FILE] [-memprofile FILE]
 //	            [-telemetry-interval DUR]
-//	            [-validate-manifest FILE] [-print-stream-hash FILE]
-//	            [-scenario FILE] [-validate-scenario FILE]
+//	            [-validate-manifest FILE] [-validate-scenario FILE]
 //
 // Every run with -out writes a machine-readable manifest.json next to
 // the rendered results (seed, spec, environment, per-experiment and
-// per-shard timings, telemetry snapshot). -validate-manifest and
-// -print-stream-hash are the CI consumers of that file: schema
-// validation and the telemetry-on/off golden comparison.
+// per-shard timings, telemetry snapshot). -validate-manifest checks such
+// a file, or a dropsim -manifest, against the schema; its stream_hash
+// field is plain JSON (jq -er .stream_hash FILE).
 //
 // -only selects a catalogue subset by ID or glob ("table3", "figure*",
 // "table4,figure9"); without it the full default catalogue runs. -shards
 // routes campaign generation through the sharded fleet engine (changing
 // the population sample but not its size, which -quick alone picks; one
 // vantage point's streaming summary at any size is `dropsim -scale F
-// -summary`); -whatif adds the capability what-if lab (Campus 1 under
-// -profiles, compared against the first profile); -scenario FILE adds the
+// -summary`). Each opt-in lab has one knob, which adds it to the default
+// selection and to -only: -profiles LIST the capability what-if lab
+// (Campus 1 under the profiles, compared against the first; `-only
+// whatif` alone runs the full preset catalogue), and -scenario FILE the
 // scenario/* experiments under a declarative spec (cohort mixes, backend
-// timelines — see scenarios/). -validate-scenario strictly validates a
-// spec file and exits, the CI gate for the committed catalogue. ^C
-// cancels cleanly at fleet-shard granularity.
+// timelines — see scenarios/). The backend/* lab, selected with -only,
+// replays that spec's population under its backend.preset, or without a
+// spec Home 1 under the provisioned preset. -validate-scenario strictly
+// validates a spec file and exits, the CI gate for the committed
+// catalogue. ^C cancels cleanly at fleet-shard granularity.
 package main
 
 import (
@@ -45,7 +48,6 @@ func main() {
 	prof := cli.BindProfile(flag.CommandLine)
 	list := flag.Bool("list", false, "print the experiment catalogue and exit")
 	validateManifest := flag.String("validate-manifest", "", "validate a manifest.json against the current schema and exit")
-	printStreamHash := flag.String("print-stream-hash", "", "print the stream hash recorded in a manifest.json and exit")
 	validateScenario := flag.String("validate-scenario", "", "strictly validate a scenario spec file and exit")
 	flag.Parse()
 	// Parsing stops at the first argument that is not a flag: refuse it,
@@ -75,20 +77,6 @@ func main() {
 			*validateManifest, m.Schema, m.Seed, len(m.Experiments), len(m.Shards), len(m.Telemetry.Counters))
 		return
 	}
-	if *printStreamHash != "" {
-		m, err := insidedropbox.LoadRunManifest(*printStreamHash)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if m.StreamHash == "" {
-			fmt.Fprintf(os.Stderr, "%s: no stream hash recorded\n", *printStreamHash)
-			os.Exit(1)
-		}
-		fmt.Println(m.StreamHash)
-		return
-	}
-
 	if *list {
 		for _, e := range insidedropbox.Experiments() {
 			kind := ""

@@ -63,7 +63,6 @@ import (
 	"strings"
 
 	"insidedropbox/internal/analysis"
-	"insidedropbox/internal/backend"
 	"insidedropbox/internal/capability"
 	"insidedropbox/internal/experiments"
 	"insidedropbox/internal/fleet"
@@ -212,23 +211,6 @@ func CapabilityByName(name string) (CapabilityProfile, bool) { return capability
 // ParseProfiles resolves a comma-separated preset list (the -profiles CLI
 // flag format), preserving order.
 func ParseProfiles(list string) ([]CapabilityProfile, error) { return capability.Parse(list) }
-
-// WhatIfConfig drives a capability what-if campaign: one vantage-point
-// population replayed under several capability profiles on the sharded
-// fleet engine, compared against the first profile.
-type WhatIfConfig = experiments.WhatIfConfig
-
-// WhatIfReport is the what-if outcome: one folded Tally per profile
-// (the storage samples the volumes, flow and operation counts and exact
-// sync-latency quantiles come from) plus the baseline-relative comparison
-// table via Result.
-type WhatIfReport = experiments.WhatIfReport
-
-// ---------- backend capacity model ----------
-
-// BackendPresets lists the backend capacity preset names in help order
-// (infinite, provisioned, scarce).
-func BackendPresets() []string { return backend.Presets() }
 
 // ---------- declarative scenarios ----------
 

@@ -33,16 +33,13 @@ func SignalContext() (context.Context, context.CancelFunc) {
 // SpecFlags binds the shared campaign flag vocabulary onto a FlagSet and
 // resolves it into a Spec. Commands bind it once, parse, then call Spec.
 type SpecFlags struct {
-	fs         *flag.FlagSet
 	seed       *int64
 	quick      *bool
 	skipPacket *bool
 	shards     *int
 	workers    *int
 	only       *string
-	whatif     *bool
 	profiles   *string
-	backend    *string
 	scenario   *string
 	out        *string
 }
@@ -50,19 +47,15 @@ type SpecFlags struct {
 // BindSpec registers the shared campaign flags on fs.
 func BindSpec(fs *flag.FlagSet) *SpecFlags {
 	return &SpecFlags{
-		fs:         fs,
 		seed:       fs.Int64("seed", 2012, "campaign random seed"),
 		quick:      fs.Bool("quick", false, "small populations and packet labs"),
 		skipPacket: fs.Bool("skip-packet", false, "skip the packet-level labs (Figs. 1, 9, 10, 19)"),
 		shards:     fs.Int("shards", 1, "population shards per vantage point (1 = historical datasets)"),
 		workers:    fs.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS; never changes results)"),
 		only:       fs.String("only", "", "comma-separated experiment IDs or globs (e.g. table3,figure*); empty = default catalogue"),
-		whatif:     fs.Bool("whatif", false, "run the capability what-if lab (Campus 1 under -profiles)"),
-		profiles: fs.String("profiles", strings.Join(insidedropbox.CapabilityNames(), ","),
-			"comma-separated capability profiles for the what-if lab (first = baseline; setting this opts the lab in)"),
-		backend: fs.String("backend", "", "run the backend capacity lab under this preset ("+
-			strings.Join(insidedropbox.BackendPresets(), "|")+"; setting this opts the lab in)"),
-		scenario: fs.String("scenario", "", "run the scenario/* experiments under this declarative spec file (setting this opts them in)"),
+		profiles: fs.String("profiles", "", "comma-separated capability profiles for the what-if lab, first = baseline ("+
+			strings.Join(insidedropbox.CapabilityNames(), ",")+"; setting this opts the lab in)"),
+		scenario: fs.String("scenario", "", "run the scenario/* experiments under this declarative spec file (setting this opts them in; backend/* replays its population)"),
 		out:      fs.String("out", "results", "output directory for rendered results"),
 	}
 }
@@ -76,8 +69,14 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 		Quick:      *f.quick,
 		SkipPacket: *f.skipPacket,
 		Fleet:      insidedropbox.FleetConfig{Shards: *f.shards, Workers: *f.workers},
-		Backend:    *f.backend,
 		ResultsDir: *f.out,
+	}
+	if *f.profiles != "" {
+		profiles, err := insidedropbox.ParseProfiles(*f.profiles)
+		if err != nil {
+			return spec, err
+		}
+		spec.Profiles = profiles
 	}
 	if *f.scenario != "" {
 		sp, err := insidedropbox.LoadScenario(*f.scenario)
@@ -89,35 +88,14 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 	if *f.only != "" {
 		spec.Experiments = SplitPatterns(*f.only)
 		// An explicit selection suppresses the Spec's opt-in defaulting,
-		// so flags that ask for a lab must join it here instead of being
+		// so flags that configure a lab must join it here instead of being
 		// silently ignored.
-		if *f.whatif {
+		if *f.profiles != "" {
 			spec.Experiments = append(spec.Experiments, "whatif")
-		}
-		if *f.backend != "" {
-			spec.Experiments = append(spec.Experiments, "backend/*")
 		}
 		if *f.scenario != "" {
 			spec.Experiments = append(spec.Experiments, "scenario/*")
 		}
-	}
-	// Profiles apply when the what-if lab was asked for (-whatif) or when
-	// the user explicitly passed -profiles — e.g. alongside `-only whatif`,
-	// where the flag would otherwise be silently ignored. (Setting
-	// Spec.Profiles also opts the lab into a default selection, so the
-	// default -profiles value must not apply unasked.)
-	profilesWanted := *f.whatif
-	f.fs.Visit(func(fl *flag.Flag) {
-		if fl.Name == "profiles" {
-			profilesWanted = true
-		}
-	})
-	if profilesWanted {
-		profiles, err := insidedropbox.ParseProfiles(*f.profiles)
-		if err != nil {
-			return spec, err
-		}
-		spec.Profiles = profiles
 	}
 	return spec, spec.Check()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -43,7 +44,7 @@ func TestBindSpecFlags(t *testing.T) {
 	flags := BindSpec(fs)
 	err := fs.Parse([]string{
 		"-seed", "7", "-quick", "-shards", "8", "-workers", "2",
-		"-only", "table3, figure*", "-whatif",
+		"-only", "table3, figure*", "-profiles", "dropbox-1.2.52,no-dedup",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +56,8 @@ func TestBindSpecFlags(t *testing.T) {
 	if spec.Seed != 7 || !spec.Quick || spec.Fleet.Shards != 8 || spec.Fleet.Workers != 2 {
 		t.Fatalf("spec: %+v", spec)
 	}
-	// -whatif joins the explicit selection (it would otherwise be
-	// silently ignored alongside -only).
+	// -profiles joins the what-if lab to the explicit selection (it would
+	// otherwise be silently ignored alongside -only).
 	want := []string{"table3", "figure*", "whatif"}
 	if len(spec.Experiments) != len(want) {
 		t.Fatalf("patterns: %v, want %v", spec.Experiments, want)
@@ -66,15 +67,16 @@ func TestBindSpecFlags(t *testing.T) {
 			t.Fatalf("patterns: %v, want %v", spec.Experiments, want)
 		}
 	}
-	if len(spec.Profiles) == 0 {
-		t.Fatal("-whatif did not resolve the default profile catalogue")
+	if len(spec.Profiles) != 2 {
+		t.Fatalf("-profiles resolved %d profiles, want 2", len(spec.Profiles))
 	}
 }
 
 func TestBindSpecOnlyComposesWithLabFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	flags := BindSpec(fs)
-	if err := fs.Parse([]string{"-only", "table3", "-whatif", "-backend", "scarce"}); err != nil {
+	if err := fs.Parse([]string{"-only", "table3", "-profiles", "no-dedup",
+		"-scenario", "../../scenarios/flash-crowd-scarce.json"}); err != nil {
 		t.Fatal(err)
 	}
 	spec, err := flags.Spec()
@@ -83,7 +85,7 @@ func TestBindSpecOnlyComposesWithLabFlags(t *testing.T) {
 	}
 	// An explicit -only selection suppresses the Spec's opt-in defaulting,
 	// so the lab flags must have joined the patterns explicitly.
-	want := []string{"table3", "whatif", "backend/*"}
+	want := []string{"table3", "whatif", "scenario/*"}
 	if len(spec.Experiments) != len(want) {
 		t.Fatalf("patterns: %v, want %v", spec.Experiments, want)
 	}
@@ -97,8 +99,8 @@ func TestBindSpecOnlyComposesWithLabFlags(t *testing.T) {
 func TestBindSpecExplicitProfilesWithoutWhatifFlag(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	flags := BindSpec(fs)
-	// -profiles alongside -only whatif must be honored even without the
-	// -whatif flag (historically it was silently ignored).
+	// -profiles is the what-if lab's one knob: alongside -only whatif it
+	// is honored, and no -whatif flag (nor -backend) exists beside it.
 	if err := fs.Parse([]string{"-only", "whatif", "-profiles", "dropbox-1.2.52,no-dedup"}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +111,20 @@ func TestBindSpecExplicitProfilesWithoutWhatifFlag(t *testing.T) {
 	if len(spec.Profiles) != 2 {
 		t.Fatalf("explicit -profiles ignored: %d profiles", len(spec.Profiles))
 	}
+	for _, gone := range []string{"-whatif", "-backend"} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		BindSpec(fs)
+		if err := fs.Parse([]string{gone, "scarce"}); err == nil {
+			t.Errorf("%s parsed; the flag is gone", gone)
+		}
+	}
 }
 
 func TestBindSpecBadProfiles(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	flags := BindSpec(fs)
-	if err := fs.Parse([]string{"-whatif", "-profiles", "no-such-profile"}); err != nil {
+	if err := fs.Parse([]string{"-profiles", "no-such-profile"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := flags.Spec(); err == nil {

@@ -7,59 +7,7 @@ import (
 
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/backend"
-	"insidedropbox/internal/telemetry"
-	"insidedropbox/internal/workload"
 )
-
-// Backend arrival-set memoization telemetry, mirroring the campaign and
-// packet-lab counters: builds=1 per Session however many backend
-// experiments run.
-var (
-	mArrivalHits   = telemetry.NewCounter("session.arrival_hits")
-	mArrivalBuilds = telemetry.NewCounter("session.arrival_builds")
-)
-
-// home1Scale is the Home 1 population fraction the backend lab feeds on
-// (the household vantage point carries the full service mix: storage,
-// control and notification traffic).
-func (s *Session) home1Scale() float64 {
-	if s.Scale.Home1 > 0 {
-		return s.Scale.Home1
-	}
-	return 1.0
-}
-
-// backendPreset resolves the Session's backend capacity preset (empty
-// means the healthy provisioned deployment).
-func (s *Session) backendPreset() string {
-	if s.Backend != "" {
-		return s.Backend
-	}
-	return backend.PresetProvisioned
-}
-
-// Arrivals returns the session's backend arrival set — the Home 1
-// population streamed through the sharded fleet engine and reduced to
-// server-side requests in canonical order — collecting it on first use so
-// any selection of backend experiments pays for one collection. The seed
-// derives as Seed+3, exactly the campaign's Home 1 offset, so the
-// arrivals correspond to the campaign dataset the other experiments see.
-// Failed collections are not memoized.
-func (s *Session) Arrivals(ctx context.Context) ([]backend.Request, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.beReqs != nil {
-		mArrivalHits.Inc()
-		return s.beReqs, nil
-	}
-	mArrivalBuilds.Inc()
-	reqs, _, err := backend.CollectArrivals(ctx, workload.Home1(s.home1Scale()), s.Seed+3, s.Fleet)
-	if err != nil {
-		return nil, err
-	}
-	s.beReqs = reqs
-	return reqs, nil
-}
 
 // registerBackend appends the opt-in backend capacity lab to the
 // catalogue; the registry init calls it last so the backend family lands
@@ -82,16 +30,21 @@ func registerBackend() {
 	})
 }
 
-// runBackendBaseline replays the session's arrival set against its
-// configured preset and reports the full load response: per-node
-// utilization and queue depths, drop counts and the queueing-delay
-// distribution.
+// runBackendBaseline replays the session population's arrival set
+// against its scenario's preset and reports the full load response:
+// per-node utilization and queue depths, drop counts and the
+// queueing-delay distribution.
 func runBackendBaseline(ctx context.Context, s *Session) (*Result, error) {
-	reqs, err := s.Arrivals(ctx)
+	comp, stream, err := s.ScenarioStream(ctx)
 	if err != nil {
 		return nil, err
 	}
-	preset := s.backendPreset()
+	// The spec's backend.preset, and the healthy provisioned deployment
+	// when the spec has no backend section.
+	reqs, preset := stream.Requests, backend.PresetProvisioned
+	if comp.Backend != nil {
+		preset = comp.Backend.Preset
+	}
 	cfg, err := backend.PresetConfig(preset, reqs)
 	if err != nil {
 		return nil, err
@@ -125,6 +78,7 @@ func runBackendBaseline(ctx context.Context, s *Session) (*Result, error) {
 	for k, v := range rep.Metrics() {
 		res.Metrics[k] = v
 	}
+	scenarioMeta(res, comp, stream)
 	return res, nil
 }
 
@@ -132,10 +86,11 @@ func runBackendBaseline(ctx context.Context, s *Session) (*Result, error) {
 // provisioned deployment held fixed while offered load ramps through its
 // knee, reporting the delay and drop response at each point.
 func runBackendSaturation(ctx context.Context, s *Session) (*Result, error) {
-	reqs, err := s.Arrivals(ctx)
+	comp, stream, err := s.ScenarioStream(ctx)
 	if err != nil {
 		return nil, err
 	}
+	reqs := stream.Requests
 	cfg, err := backend.PresetConfig(backend.PresetProvisioned, reqs)
 	if err != nil {
 		return nil, err
@@ -168,6 +123,7 @@ func runBackendSaturation(ctx context.Context, s *Session) (*Result, error) {
 	res.addText("\nload/capacity is the offered load relative to the deployment's aggregate\n" +
 		"service capacity: below 1x delays stay near zero, past it queues grow without\n" +
 		"bound and the bounded queues start dropping.\n")
+	scenarioMeta(res, comp, stream)
 	return res, nil
 }
 
@@ -175,10 +131,11 @@ func runBackendSaturation(ctx context.Context, s *Session) (*Result, error) {
 // same under-provisioned deployment at twice its knee — the regime where
 // overload policy actually matters.
 func runBackendPolicies(ctx context.Context, s *Session) (*Result, error) {
-	reqs, err := s.Arrivals(ctx)
+	comp, stream, err := s.ScenarioStream(ctx)
 	if err != nil {
 		return nil, err
 	}
+	reqs := stream.Requests
 	cfg, err := backend.PresetConfig(backend.PresetScarce, reqs)
 	if err != nil {
 		return nil, err
@@ -214,5 +171,6 @@ func runBackendPolicies(ctx context.Context, s *Session) (*Result, error) {
 	res.addText("\nqueue admission maximizes served requests at the cost of stale waiting;\n" +
 		"reject bounds delay by refusing on arrival; shed drops the oldest waiter\n" +
 		"for the newest — the freshness-first overload shape.\n")
+	scenarioMeta(res, comp, stream)
 	return res, nil
 }

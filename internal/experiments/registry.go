@@ -6,7 +6,6 @@ import (
 	"path"
 	"sync"
 
-	"insidedropbox/internal/backend"
 	"insidedropbox/internal/capability"
 	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/scenario"
@@ -141,13 +140,12 @@ type Session struct {
 	// Profiles are the capability profiles of the opt-in "whatif" lab
 	// (nil means the full preset catalogue).
 	Profiles []capability.Profile
-	// Backend is the capacity preset of the opt-in "backend/*" lab
-	// (empty means the provisioned deployment; see backend.Presets).
-	Backend string
 	// Scenario is the loaded declarative scenario of the opt-in
-	// "scenario/*" experiments (nil disables them). The spec's base
-	// section wins over Seed and Fleet.Shards for the scenario stream;
-	// Fleet.Workers still only affects wall-clock time.
+	// "scenario/*" experiments (nil disables them) and the population
+	// the opt-in "backend/*" lab replays (nil: Home 1, see
+	// ScenarioStream). The spec's base section wins over Seed and
+	// Fleet.Shards for the scenario stream; Fleet.Workers still only
+	// affects wall-clock time.
 	Scenario *scenario.Spec
 
 	mu        sync.Mutex
@@ -156,7 +154,6 @@ type Session struct {
 	packRetr  []*traces.FlowRecord
 	packDone  bool
 	tb        *TestbedResult
-	beReqs    []backend.Request
 	scComp    *scenario.Compiled
 	scStream  *scenario.StreamResult
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"insidedropbox/internal/analysis"
@@ -13,23 +14,24 @@ import (
 )
 
 // Scenario stream memoization telemetry, mirroring the campaign and
-// arrival counters: builds=1 per Session however many scenario
-// experiments run.
+// packet-lab counters: builds=1 per Session however many scenario and
+// backend experiments run.
 var (
 	mScenarioHits   = telemetry.NewCounter("session.scenario_hits")
 	mScenarioBuilds = telemetry.NewCounter("session.scenario_builds")
 )
 
 // ScenarioStream compiles the session's scenario spec and streams its
-// population once, memoizing the result for every scenario experiment in
-// the selection. The compiled seed honors the spec's base.seed override;
-// Fleet.Workers and Fleet.Observer carry over from the session (they never
-// change results).
-// Failed runs are not memoized.
+// population once, memoizing the result for every scenario and backend
+// experiment in the selection. The compiled seed honors the spec's
+// base.seed override; Fleet.Workers and Fleet.Observer carry over from
+// the session (they never change results). Without a spec it streams the
+// implied one: Home 1 at Scale.Home1 (a zero takes the scenario default)
+// and Fleet.Shards, seeded Seed+3 (the campaign's Home 1 offset, so the
+// backend lab replays the population the tables fold), with no cohorts
+// and no backend section — the legacy configuration, bit for bit. Failed
+// runs are not memoized.
 func (s *Session) ScenarioStream(ctx context.Context) (*scenario.Compiled, *scenario.StreamResult, error) {
-	if s.Scenario == nil {
-		return nil, nil, fmt.Errorf("experiments: scenario/* experiments need a scenario spec (-scenario)")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.scStream != nil {
@@ -37,7 +39,13 @@ func (s *Session) ScenarioStream(ctx context.Context) (*scenario.Compiled, *scen
 		return s.scComp, s.scStream, nil
 	}
 	mScenarioBuilds.Inc()
-	comp, err := scenario.Compile(s.Scenario, s.Seed)
+	sp, seed := s.Scenario, s.Seed
+	if sp == nil {
+		sp = &scenario.Spec{Schema: scenario.Schema, Name: "default",
+			Base: scenario.BaseSpec{VP: "home1", Scale: s.Scale.Home1, Shards: s.Fleet.Shards}}
+		seed += 3
+	}
+	comp, err := scenario.Compile(sp, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -48,6 +56,15 @@ func (s *Session) ScenarioStream(ctx context.Context) (*scenario.Compiled, *scen
 	}
 	s.scComp, s.scStream = comp, stream
 	return comp, stream, nil
+}
+
+// specStream is ScenarioStream for the scenario/* experiments, which
+// describe a spec and refuse to run without one.
+func (s *Session) specStream(ctx context.Context) (*scenario.Compiled, *scenario.StreamResult, error) {
+	if s.Scenario == nil {
+		return nil, nil, fmt.Errorf("experiments: scenario/* experiments need a scenario spec (-scenario)")
+	}
+	return s.ScenarioStream(ctx)
 }
 
 // registerScenario appends the opt-in scenario experiments; the registry
@@ -65,14 +82,17 @@ func registerScenario() {
 	})
 }
 
-// scenarioMeta attaches the reproducibility contract of a scenario result:
-// (spec, seed, shards) fully determine both the stream hash and every
-// simulated outcome, so two runs disagreeing on any of these metrics are
-// running different experiments.
+// scenarioMeta attaches the reproducibility contract of a result that ran
+// the session's scenario population: (spec, seed, shards) fully determine
+// both the stream hash and every simulated outcome, so two runs
+// disagreeing on any of these metrics are running different experiments.
+// The base's vantage point and scale name the population that ran.
 func scenarioMeta(res *Result, comp *scenario.Compiled, stream *scenario.StreamResult) {
 	res.AddMeta("scenario", comp.Spec.Name)
 	res.AddMeta("seed", fmt.Sprintf("%d", comp.Seed))
 	res.AddMeta("shards", fmt.Sprintf("%d", comp.Fleet.Shards))
+	res.AddMeta("vp", comp.VP.Name)
+	res.AddMeta("scale", strconv.FormatFloat(comp.VP.Scale, 'g', -1, 64))
 	res.AddMeta("stream_hash", fmt.Sprintf("%#016x", stream.StreamHash))
 }
 
@@ -80,7 +100,7 @@ func scenarioMeta(res *Result, comp *scenario.Compiled, stream *scenario.StreamR
 // cohort mix: devices and records per cohort against the spec weights,
 // plus the campaign stream fingerprint.
 func runScenarioCohorts(ctx context.Context, s *Session) (*Result, error) {
-	comp, stream, err := s.ScenarioStream(ctx)
+	comp, stream, err := s.specStream(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +156,7 @@ func runScenarioCohorts(ctx context.Context, s *Session) (*Result, error) {
 // against the run-wide baseline — the time-varying load response the
 // paper could only observe from outside.
 func runScenarioFlashCrowd(ctx context.Context, s *Session) (*Result, error) {
-	comp, stream, err := s.ScenarioStream(ctx)
+	comp, stream, err := s.specStream(ctx)
 	if err != nil {
 		return nil, err
 	}

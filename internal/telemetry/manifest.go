@@ -116,9 +116,6 @@ func (m *Manifest) Finalize() {
 	if m.Shards == nil {
 		m.Shards = []ShardTiming{}
 	}
-	if h, ok := m.Telemetry.Info["stream_hash"]; ok && m.StreamHash == "" {
-		m.StreamHash = h
-	}
 }
 
 // Validate checks the schema contract: version match and the fields every

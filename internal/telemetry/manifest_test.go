@@ -16,10 +16,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	Reset() // metrics are process-global; -count=2 must start from zero
 	c := NewCounter("test.manifest.counter")
 	c.Add(11)
-	SetInfo("stream_hash", "00000000deadbeef")
 
 	m := NewManifest(42)
 	m.Spec = map[string]string{"vp": "home1", "scale": "0.02"}
+	m.StreamHash = "00000000deadbeef"
 	m.Experiments = []ExperimentTiming{{ID: "table3", Title: "Flows", Seconds: 1.5}}
 	m.Shards = []ShardTiming{{Experiment: "table3", VP: "home1", Shard: 0, Shards: 4, Records: 1210, Seconds: 0.01}}
 
@@ -49,7 +49,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.Telemetry.Counters["test.manifest.counter"] != 11 {
 		t.Fatalf("counter snapshot lost: %v", got.Telemetry.Counters)
 	}
-	// Finalize picks the stream hash out of the info annotations.
 	if got.StreamHash != "00000000deadbeef" {
 		t.Fatalf("stream hash = %q, want 00000000deadbeef", got.StreamHash)
 	}

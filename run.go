@@ -47,7 +47,8 @@ type Spec struct {
 	// Experiments selects the catalogue subset to run, as glob-style
 	// patterns over experiment IDs ("table4", "figure*", "figure1?").
 	// Empty means the default selection: every non-opt-in experiment,
-	// plus "whatif" when Profiles is set.
+	// plus "whatif" when Profiles is set and "scenario/*" when Scenario
+	// is.
 	Experiments []string
 
 	// Quick shrinks the packet labs and is the cue to default Scale to
@@ -63,17 +64,14 @@ type Spec struct {
 	// the full preset catalogue).
 	Profiles []CapabilityProfile
 
-	// Backend names the capacity preset of the "backend/*" server
-	// simulation lab (see BackendPresets) and opts the lab into the
-	// default selection when set. Empty leaves the lab opt-in; selected
-	// explicitly, it runs under the provisioned preset.
-	Backend string
-
 	// Scenario is a loaded declarative scenario spec (LoadScenario); it
 	// configures the "scenario/*" experiments and opts them into the
-	// default selection. The spec's base section wins over Seed and
-	// Fleet.Shards for the scenario stream; Workers still only affects
-	// wall-clock time. Nil leaves the experiments opt-in.
+	// default selection. Its population is also the one the opt-in
+	// "backend/*" lab replays, under its backend.preset. The spec's base
+	// section wins over Seed and Fleet.Shards for that population;
+	// Workers still only affects wall-clock time. Nil leaves the
+	// scenario experiments opt-in, and the backend lab replays Home 1 at
+	// Scale.Home1 under the provisioned preset.
 	Scenario *ScenarioSpec
 
 	// ResultsDir, when non-empty, receives the rendered results via
@@ -159,10 +157,6 @@ func WithProfiles(profiles ...CapabilityProfile) Option {
 	return func(s *Spec) { s.Profiles = append(s.Profiles, profiles...) }
 }
 
-// WithBackend configures the backend capacity lab's preset and opts the
-// backend/* experiments into the default selection.
-func WithBackend(preset string) Option { return func(s *Spec) { s.Backend = preset } }
-
 // WithScenario attaches a loaded scenario spec and opts the scenario/*
 // experiments into the default selection.
 func WithScenario(sp *ScenarioSpec) Option { return func(s *Spec) { s.Scenario = sp } }
@@ -213,9 +207,6 @@ func (s Spec) resolve() (Spec, []Experiment, error) {
 		// Spec configures them — the historical CLI contract.
 		if len(s.Profiles) > 0 {
 			patterns = append(patterns, "whatif")
-		}
-		if s.Backend != "" {
-			patterns = append(patterns, "backend/*")
 		}
 		if s.Scenario != nil {
 			patterns = append(patterns, "scenario/*")
@@ -291,7 +282,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) ([]*Result, error) {
 		Fleet:    fc,
 		Quick:    spec.Quick,
 		Profiles: spec.Profiles,
-		Backend:  spec.Backend,
 		Scenario: spec.Scenario,
 	}
 	results := make([]*Result, 0, len(sel))
@@ -481,9 +471,6 @@ func specProvenance(spec Spec, sel []Experiment) map[string]string {
 		}
 		m["profiles"] = strings.Join(keys, ",")
 	}
-	if spec.Backend != "" {
-		m["backend"] = spec.Backend
-	}
 	if spec.Scenario != nil {
 		m["scenario"] = spec.Scenario.Name
 		doc, _ := json.Marshal(spec.Scenario) // a parsed document marshals back
@@ -504,21 +491,18 @@ func writeManifest(dir string, m *telemetry.Manifest) error {
 // annotate attaches the run's provenance metadata to a result, in a fixed
 // key order WriteResults preserves. The environment and timing keys come
 // after the legacy ones, so consumers reading a meta prefix are
-// undisturbed. An experiment that ran its own population (a scenario's
-// base) has recorded its seed and shards already; those stay, once.
+// undisturbed. An experiment that ran its own population (the session's
+// scenario stream) has recorded its seed, shards, vantage point and scale
+// already; the Run's population keys stay off it.
 func annotate(r *Result, spec Spec, elapsed time.Duration) {
 	if r == nil {
 		return
 	}
-	for _, m := range []ResultMeta{
-		{Key: "seed", Value: strconv.FormatInt(spec.Seed, 10)},
-		{Key: "shards", Value: strconv.Itoa(max(spec.Fleet.Shards, 1))},
-	} {
-		if !slices.ContainsFunc(r.Meta, func(e ResultMeta) bool { return e.Key == m.Key }) {
-			r.AddMeta(m.Key, m.Value)
-		}
+	if !slices.ContainsFunc(r.Meta, func(e ResultMeta) bool { return e.Key == "seed" }) {
+		r.AddMeta("seed", strconv.FormatInt(spec.Seed, 10))
+		r.AddMeta("shards", strconv.Itoa(max(spec.Fleet.Shards, 1)))
+		r.AddMeta("scale_campus1", strconv.FormatFloat(spec.Scale.Campus1, 'g', -1, 64))
 	}
-	r.AddMeta("scale_campus1", strconv.FormatFloat(spec.Scale.Campus1, 'g', -1, 64))
 	if spec.Quick {
 		r.AddMeta("quick", "true")
 	}
@@ -535,13 +519,6 @@ func annotate(r *Result, spec Spec, elapsed time.Duration) {
 // generator's populations; cancellation aborts at fleet-shard granularity.
 func Fold(ctx context.Context, seed int64, scale ScaleConfig, fc FleetConfig) (Tallies, error) {
 	return experiments.Fold(ctx, seed, scale, fc)
-}
-
-// WhatIf executes a capability what-if campaign. Every profile's run is
-// bit-reproducible from (seed, population, shards, profile), and a
-// vantage point's own preset reproduces its campaign output exactly.
-func WhatIf(ctx context.Context, cfg WhatIfConfig) (*WhatIfReport, error) {
-	return cfg.Run(ctx)
 }
 
 // Summarize streams one vantage point through the engine's bounded-memory

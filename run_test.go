@@ -153,8 +153,9 @@ func TestRunManifestTimesEveryFold(t *testing.T) {
 }
 
 // TestScenarioResultRecordsItsOwnSeed: a scenario result runs the spec's
-// base population, so its meta carries the base's seed and shards, each
-// key once, whatever seed and shard count the Run was given.
+// base population, so its meta carries the base's seed, shards, vantage
+// point and scale, each key once, and not the Run's Campus 1 scale,
+// whatever seed, shard count and scale the Run was given.
 func TestScenarioResultRecordsItsOwnSeed(t *testing.T) {
 	scen, err := LoadScenario("scenarios/paper-baseline.json")
 	if err != nil {
@@ -169,12 +170,87 @@ func TestScenarioResultRecordsItsOwnSeed(t *testing.T) {
 	for _, m := range results[0].Meta {
 		got[m.Key] = append(got[m.Key], m.Value)
 	}
-	want := map[string][]string{"seed": {"7"}, "shards": {"4"}}
+	want := map[string][]string{"seed": {"7"}, "shards": {"4"}, "vp": {"home1"}, "scale": {"0.02"}, "scale_campus1": nil}
 	for k, v := range want {
 		if !slices.Equal(got[k], v) {
 			t.Errorf("meta %s = %q, want %q (the spec base's, once)", k, got[k], v)
 		}
 	}
+}
+
+// TestBackendLabReplaysSessionPopulation: the backend/* lab replays the
+// session's one scenario population. Without a spec that is Home 1 at
+// Scale.Home1, seeded Seed+3, under the provisioned preset; with a spec it
+// is the base's arrivals under the spec's backend.preset.
+func TestBackendLabReplaysSessionPopulation(t *testing.T) {
+	ctx := context.Background()
+	replay := func(t *testing.T, preset string, arrivals []backend.Request) map[string]float64 {
+		t.Helper()
+		cfg, err := backend.PresetConfig(preset, arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := backend.Simulate(ctx, cfg, arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Served == 0 {
+			t.Fatal("the replay served nothing")
+		}
+		return rep.Metrics()
+	}
+
+	t.Run("implied", func(t *testing.T) {
+		fc := FleetConfig{Shards: 2}
+		results, err := Run(ctx, Spec{Seed: 3, Scale: goldenScale, Fleet: fc}, WithExperiments("backend/baseline"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals, _, err := backend.CollectArrivals(ctx, Home1(goldenScale.Home1), 3+3, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := results[0].Metrics, replay(t, "provisioned", arrivals); !reflect.DeepEqual(got, want) {
+			t.Fatalf("backend/baseline metrics\n%v\nwant the provisioned replay of Home 1's\n%v", got, want)
+		}
+	})
+
+	t.Run("spec", func(t *testing.T) {
+		scen, err := scenario.Parse([]byte(`{"schema": 1, "name": "base-scarce",
+			"base": {"vp": "campus1", "scale": 0.05, "seed": 7, "shards": 2},
+			"backend": {"preset": "scarce"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := Run(ctx, Spec{Seed: 3, Scale: goldenScale, Scenario: scen},
+			WithExperiments("backend/baseline", "backend/saturation"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pop, fc, err := scen.Base.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals, _, err := backend.CollectArrivals(ctx, pop.VP, pop.Seed, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, sat := results[0], results[1]
+		if !strings.Contains(base.Title, `"scarce" preset`) {
+			t.Errorf("backend/baseline title %q does not name the spec's preset", base.Title)
+		}
+		if got, want := base.Metrics, replay(t, "scarce", arrivals); !reflect.DeepEqual(got, want) {
+			t.Fatalf("backend/baseline metrics\n%v\nwant the scarce replay of the base's\n%v", got, want)
+		}
+		cfg, err := backend.PresetConfig("provisioned", arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		knee, ok := backend.SaturationPoint(cfg, arrivals)
+		if got := sat.Metrics["knee_multiplier"]; !ok || got != knee {
+			t.Fatalf("backend/saturation knee_multiplier = %v, want %v over the base's arrivals", got, knee)
+		}
+	})
 }
 
 // TestScenarioBackendIsPresetReplay: a spec holding only a base and a
