@@ -26,7 +26,8 @@
 // (Campus 1 under the profiles, compared against the first; `-only
 // whatif` alone runs the full preset catalogue), and -scenario FILE the
 // scenario/* experiments under a declarative spec (cohort mixes, backend
-// timelines — see scenarios/). The backend/* lab, selected with -only,
+// timelines — see scenarios/; scenario/flash-crowd only for a spec with a
+// backend section). The backend/* lab, selected with -only,
 // replays that spec's population under its backend.preset, or without a
 // spec Home 1 under the provisioned preset. -validate-scenario strictly
 // validates a spec file and exits, the CI gate for the committed

@@ -2,13 +2,18 @@ package insidedropbox
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -202,4 +207,232 @@ func commandFlags(span string) [][2]string {
 		}
 	}
 	return out
+}
+
+// testOnlyAllowed names the exported internal/ objects that no non-test
+// file uses and that stay anyway, each with its reason. It may only
+// shrink: TestNoTestOnlyExports fails on an entry that gained a caller or
+// no longer exists.
+var testOnlyAllowed = map[string]string{
+	"golden.Streams":            "the recorded streams, a fixture the golden tests of workload, scenario and campaign share",
+	"golden.Stream.Hex":         "renders a recorded hash as the campaign's golden tests read it from a manifest",
+	"golden.Stream.MatchHex":    "matches a manifest's hash against the recorded one in the campaign's golden tests",
+	"dropbox.Device.Stop":       "ends a device session: tstat's idle-sweep and notify tests need the teardown, from another package",
+	"netem.Network.SetCoreLoss": "injects core loss for the loss-recovery tests of netem, tcpsim and tstat",
+	"simtime.Scheduler.Run":     "drains the event queue in the packet-path tests of simtime, netem, tcpsim and tlssim",
+}
+
+// TestNoTestOnlyExports keeps internal/ exported only where called: every
+// exported object of an internal/ package (a package-level name, or a
+// method of a package-level type) is used by some non-test file of the
+// module, benchmark/ and the facade included, outside its own
+// declaration. A method whose name and signature match a method of an
+// interface is exempt, since it may be called through that interface: one
+// the module declares or names, or one that a package it imports declares
+// (io.Writer, fmt.Stringer, sort.Interface, …). The facade's own exports
+// are the public API and are not checked.
+func TestNoTestOnlyExports(t *testing.T) {
+	m := checkModule(t)
+	viaInterface := func(fn *types.Func) bool {
+		for _, iface := range m.ifaces {
+			for i := range iface.NumMethods() {
+				if im := iface.Method(i); im.Name() == fn.Name() && types.Identical(im.Type(), fn.Type()) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	found := map[string]bool{}
+	for _, pkg := range m.pkgs {
+		if !strings.HasPrefix(pkg.Path(), modulePath+"/internal/") {
+			continue
+		}
+		for _, obj := range exportedObjects(pkg) {
+			name, fn := pkg.Name()+"."+obj.Name(), (*types.Func)(nil)
+			if f, ok := obj.(*types.Func); ok && f.Signature().Recv() != nil {
+				name, fn = pkg.Name()+"."+recvTypeName(f)+"."+obj.Name(), f
+			}
+			_, allowed := testOnlyAllowed[name]
+			found[name] = true
+			switch {
+			case m.used[obj] && allowed:
+				t.Errorf("testOnlyAllowed names %s, which has a non-test caller now", name)
+			case m.used[obj] || allowed || fn != nil && viaInterface(fn):
+			default:
+				t.Errorf("%s: exported %s has no caller outside _test.go files", m.fset.Position(obj.Pos()), name)
+			}
+		}
+	}
+	for name := range testOnlyAllowed {
+		if !found[name] {
+			t.Errorf("testOnlyAllowed names %s, which no longer exists", name)
+		}
+	}
+}
+
+const modulePath = "insidedropbox"
+
+// typedModule is the module's non-test code, type-checked.
+type typedModule struct {
+	fset   *token.FileSet
+	pkgs   []*types.Package      // every package of the module, in path order
+	used   map[types.Object]bool // objects some non-test file uses outside their own declaration
+	ifaces []*types.Interface    // interfaces the module declares, names or imports
+	info   *types.Info
+	std    types.Importer
+	byPath map[string]*types.Package
+}
+
+// checkModule parses and type-checks every package of the module from its
+// non-test files, standard-library imports through go/importer.
+func checkModule(t *testing.T) *typedModule {
+	m := &typedModule{
+		fset:   token.NewFileSet(),
+		used:   map[types.Object]bool{},
+		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		byPath: map[string]*types.Package{},
+	}
+	// The source importer reads the standard library through
+	// build.Default. The module has no cgo, and a cgo pass fails where no C
+	// toolchain serves the target (GOARCH=386), so the check reads the
+	// pure-Go variants.
+	build.Default.CgoEnabled = false
+	m.std = importer.ForCompiler(m.fset, "source", nil)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if files, _ := filepath.Glob(filepath.Join(path, "*.go")); len(files) > 0 {
+			_, err = m.Import(filepath.ToSlash(filepath.Join(modulePath, path)))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range slices.Sorted(maps.Keys(m.byPath)) {
+		m.pkgs = append(m.pkgs, m.byPath[path])
+	}
+	seen := map[*types.Interface]bool{}
+	addIface := func(typ types.Type) {
+		if iface, ok := typ.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 && !seen[iface] {
+			seen[iface] = true
+			m.ifaces = append(m.ifaces, iface)
+		}
+	}
+	for _, tv := range m.info.Types {
+		addIface(tv.Type)
+	}
+	for _, obj := range m.info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok {
+			addIface(tn.Type())
+		}
+	}
+	for _, pkg := range m.pkgs {
+		for _, imp := range pkg.Imports() {
+			for _, name := range imp.Scope().Names() {
+				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+					addIface(tn.Type())
+				}
+			}
+		}
+	}
+	return m
+}
+
+// Import type-checks a module package from its non-test files, once, and
+// hands any other path to the standard-library importer.
+func (m *typedModule) Import(path string) (*types.Package, error) {
+	dir, ok := strings.CutPrefix(path+"/", modulePath+"/")
+	if !ok {
+		return m.std.Import(path)
+	}
+	if pkg := m.byPath[path]; pkg != nil {
+		return pkg, nil
+	}
+	names, err := filepath.Glob(filepath.Join(".", dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(m.fset, name, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: m, Sizes: types.SizesFor("gc", runtime.GOARCH)}
+	pkg, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.byPath[path] = pkg
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			var self types.Object
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				self = m.info.Defs[fd.Name]
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := origin(m.info.Uses[id]); obj != nil && obj != self {
+						m.used[obj] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return pkg, nil
+}
+
+// origin maps an instantiated generic function, method or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// exportedObjects returns pkg's exported package-level objects and the
+// exported methods of its package-level named types, interfaces aside.
+func exportedObjects(pkg *types.Package) []types.Object {
+	var objs []types.Object
+	for _, name := range pkg.Scope().Names() {
+		obj := pkg.Scope().Lookup(name)
+		if obj.Exported() {
+			objs = append(objs, obj)
+		}
+		named, ok := obj.Type().(*types.Named)
+		if _, isType := obj.(*types.TypeName); !isType || !ok || types.IsInterface(named) {
+			continue
+		}
+		for i := range named.NumMethods() {
+			if m := named.Method(i); m.Exported() {
+				objs = append(objs, m)
+			}
+		}
+	}
+	return objs
+}
+
+// recvTypeName is the name of the type a method is declared on.
+func recvTypeName(fn *types.Func) string {
+	typ := fn.Signature().Recv().Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	return typ.(*types.Named).Obj().Name()
 }

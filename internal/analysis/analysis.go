@@ -92,15 +92,6 @@ func Mean(samples []float64) float64 {
 // Median returns the middle sample.
 func Median(samples []float64) float64 { return NewECDF(samples).Median() }
 
-// Sum totals the samples.
-func Sum(samples []float64) float64 {
-	s := 0.0
-	for _, v := range samples {
-		s += v
-	}
-	return s
-}
-
 // HourOfDayProfile folds a series of timestamped values into 24 hourly
 // fractions (the shape of Fig. 15): weekdaysOnly drops Saturday/Sunday
 // (day 0 = Monday).

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"cmp"
-	"context"
 	"slices"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"insidedropbox/internal/dnssim"
 	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/traces"
-	"insidedropbox/internal/workload"
 )
 
 // Class is the backend service a request lands on, mirroring the paper's
@@ -170,19 +168,6 @@ func (c *Collector) Merge(other fleet.Aggregator) {
 // order: the k-way merge of their finished runs.
 func (c *Collector) Arrivals() []Request {
 	return fleet.MergeRuns(append([][]Request{c.Requests}, c.runs...), compareRequests)
-}
-
-// CollectArrivals streams one vantage point through the sharded fleet
-// engine and returns its backend arrivals in canonical order. Worker count
-// never changes the result (the fleet contract plus the canonical order);
-// shard count is part of the experiment definition, exactly as for every
-// other aggregate. Cancelling ctx aborts at fleet-shard granularity.
-func CollectArrivals(ctx context.Context, vp workload.VPConfig, seed int64, fc fleet.Config) ([]Request, fleet.VPStats, error) {
-	aggs, stats, err := fleet.Aggregate(ctx, []fleet.Population{{VP: vp, Seed: seed}}, fc, func(int, int) fleet.Aggregator { return &Collector{} })
-	if err != nil {
-		return nil, stats[0], err
-	}
-	return aggs[0].(*Collector).Arrivals(), stats[0], nil
 }
 
 // ScaleLoad returns a copy of reqs with arrival times compressed by

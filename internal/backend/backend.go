@@ -159,7 +159,7 @@ const cancelCheckMask = 0x3f
 // work in service. At one instant arrivals fire first (in slice order),
 // then timeline events (in Config order), then departures (in the order
 // they were scheduled). Feed it canonically sorted requests
-// (CollectArrivals and ScaleLoad return them sorted) for run-to-run and
+// (Collector.Arrivals and ScaleLoad return them sorted) for run-to-run and
 // worker-count determinism; input not sorted by Arrive is replayed from a
 // stable-by-Arrive copy.
 //

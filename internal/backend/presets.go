@@ -3,7 +3,6 @@ package backend
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Preset names, in help order. A preset provisions a deployment relative
@@ -153,16 +152,4 @@ func SaturationPoint(cfg Config, reqs []Request) (knee float64, ok bool) {
 		}
 	}
 	return knee, ok
-}
-
-// Horizon returns the arrival span of a request set (campaign start to
-// last arrival).
-func Horizon(reqs []Request) time.Duration {
-	var h time.Duration
-	for _, r := range reqs {
-		if r.Arrive > h {
-			h = r.Arrive
-		}
-	}
-	return h
 }

@@ -1,41 +1,15 @@
 package chunker
 
 import (
-	"bytes"
-	"io"
+	"crypto/sha256"
 	"testing"
 	"testing/quick"
 )
 
-func TestSplitJoinRoundTrip(t *testing.T) {
-	data := SyntheticFile{Seed: 7, Size: 3*MaxChunkSize + 12345}.Generate()
-	chunks := Split(data)
-	if len(chunks) != 4 {
-		t.Fatalf("chunks = %d, want 4", len(chunks))
-	}
-	for i, c := range chunks[:3] {
-		if c.Size != MaxChunkSize {
-			t.Fatalf("chunk %d size = %d", i, c.Size)
-		}
-	}
-	if chunks[3].Size != 12345 {
-		t.Fatalf("tail chunk = %d", chunks[3].Size)
-	}
-	if !bytes.Equal(Join(chunks), data) {
-		t.Fatal("join != original")
-	}
-}
-
-func TestSplitEmpty(t *testing.T) {
-	if Split(nil) != nil {
-		t.Fatal("empty split should be nil")
-	}
-}
-
 func TestHashStability(t *testing.T) {
-	a := HashBytes([]byte("hello"))
-	b := HashBytes([]byte("hello"))
-	c := HashBytes([]byte("hellp"))
+	a := Hash(sha256.Sum256([]byte("hello")))
+	b := Hash(sha256.Sum256([]byte("hello")))
+	c := Hash(sha256.Sum256([]byte("hellp")))
 	if a != b {
 		t.Fatal("same content, different hash")
 	}
@@ -48,12 +22,13 @@ func TestHashStability(t *testing.T) {
 }
 
 func TestDedupAcrossIdenticalContent(t *testing.T) {
-	d1 := SyntheticFile{Seed: 1, Size: MaxChunkSize * 2}.Generate()
-	d2 := SyntheticFile{Seed: 1, Size: MaxChunkSize * 2}.Generate()
-	c1, c2 := Split(d1), Split(d2)
-	for i := range c1 {
-		if c1[i].Hash != c2[i].Hash {
-			t.Fatal("identical files should share chunk hashes")
+	for _, limit := range []int{1 << 20, MaxChunkSize} {
+		c1 := SyntheticFile{Seed: 1, Size: MaxChunkSize * 2}.RefsLimit(limit)
+		c2 := SyntheticFile{Seed: 1, Size: MaxChunkSize * 2}.RefsLimit(limit)
+		for i := range c1 {
+			if c1[i].Hash != c2[i].Hash {
+				t.Fatal("identical files should share chunk hashes")
+			}
 		}
 	}
 }
@@ -109,33 +84,6 @@ func TestSyntheticRefsProperty(t *testing.T) {
 	}
 }
 
-func TestWireSize(t *testing.T) {
-	f := SyntheticFile{CompressRatio: 0.5}
-	if got := f.WireSize(1000); got != 500 {
-		t.Fatalf("wire size = %d", got)
-	}
-	f.CompressRatio = 0 // unset -> incompressible
-	if got := f.WireSize(1000); got != 1000 {
-		t.Fatalf("wire size = %d", got)
-	}
-	f.CompressRatio = 0.0001
-	if got := f.WireSize(10); got < 1 {
-		t.Fatalf("wire size must be positive, got %d", got)
-	}
-}
-
-func TestReaderMatchesGenerate(t *testing.T) {
-	f := SyntheticFile{Seed: 5, Size: 10000}
-	direct := f.Generate()
-	streamed, err := io.ReadAll(f.Reader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct, streamed) {
-		t.Fatal("reader and generate disagree")
-	}
-}
-
 func TestSyntheticRefsDistinctWithinFile(t *testing.T) {
 	// Regression: the old i<<20|size hash encoding overlapped the index
 	// with full-chunk sizes (4 MB sets bit 22), so chunks 0 and 4 of a
@@ -163,15 +111,6 @@ func TestRefsLimitCustomBoundary(t *testing.T) {
 	a, b := f.Refs(), f.RefsLimit(0)
 	if len(a) != 10 || len(b) != 10 || a[0].Hash != b[0].Hash {
 		t.Fatalf("default chunking mismatch: %d vs %d refs", len(a), len(b))
-	}
-}
-
-func BenchmarkSplit4MB(b *testing.B) {
-	data := SyntheticFile{Seed: 1, Size: MaxChunkSize}.Generate()
-	b.SetBytes(MaxChunkSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Split(data)
 	}
 }
 

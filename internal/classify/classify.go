@@ -225,9 +225,6 @@ type Session struct {
 	Start, End time.Duration
 }
 
-// Duration returns the session length.
-func (s Session) Duration() time.Duration { return s.End - s.Start }
-
 // Sessions reconstructs device sessions from notification flows, each
 // given as a one-flow Session: flows of the same host_int chained with
 // gaps below maxGap merge into one session (notification connections are

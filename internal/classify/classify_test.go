@@ -168,8 +168,8 @@ func TestSessionsMergeChainedFlows(t *testing.T) {
 	if len(sessions) != 3 {
 		t.Fatalf("sessions = %d, want 3", len(sessions))
 	}
-	if sessions[0].Duration() != 30*time.Minute {
-		t.Fatalf("merged session duration = %v", sessions[0].Duration())
+	if d := sessions[0].End - sessions[0].Start; d != 30*time.Minute {
+		t.Fatalf("merged session duration = %v", d)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"insidedropbox"
+	"insidedropbox/internal/experiments"
 	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/workload"
 )
@@ -93,8 +94,8 @@ func (f *SpecFlags) Spec() (insidedropbox.Spec, error) {
 		if *f.profiles != "" {
 			spec.Experiments = append(spec.Experiments, "whatif")
 		}
-		if *f.scenario != "" {
-			spec.Experiments = append(spec.Experiments, "scenario/*")
+		if spec.Scenario != nil {
+			spec.Experiments = append(spec.Experiments, experiments.ScenarioPatterns(spec.Scenario)...)
 		}
 	}
 	return spec, spec.Check()

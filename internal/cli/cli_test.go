@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -72,26 +73,34 @@ func TestBindSpecFlags(t *testing.T) {
 	}
 }
 
+// TestBindSpecOnlyComposesWithLabFlags: an explicit -only selection
+// suppresses the Spec's opt-in defaulting, so the lab flags must join the
+// patterns explicitly — scenario/flash-crowd only for a spec with a
+// backend section, so -only table1 runs on every committed spec, while
+// -only scenario/flash-crowd still names it.
 func TestBindSpecOnlyComposesWithLabFlags(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	flags := BindSpec(fs)
-	if err := fs.Parse([]string{"-only", "table3", "-profiles", "no-dedup",
-		"-scenario", "../../scenarios/flash-crowd-scarce.json"}); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := flags.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An explicit -only selection suppresses the Spec's opt-in defaulting,
-	// so the lab flags must have joined the patterns explicitly.
-	want := []string{"table3", "whatif", "scenario/*"}
-	if len(spec.Experiments) != len(want) {
-		t.Fatalf("patterns: %v, want %v", spec.Experiments, want)
-	}
-	for i := range want {
-		if spec.Experiments[i] != want[i] {
-			t.Fatalf("patterns: %v, want %v", spec.Experiments, want)
+	for _, c := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-only", "table3", "-profiles", "no-dedup", "-scenario", "../../scenarios/flash-crowd-scarce.json"},
+			[]string{"table3", "whatif", "scenario/*"}},
+		{[]string{"-only", "table1", "-scenario", "../../scenarios/paper-baseline.json"},
+			[]string{"table1", "scenario/cohorts"}},
+		{[]string{"-only", "scenario/flash-crowd", "-scenario", "../../scenarios/paper-baseline.json"},
+			[]string{"scenario/flash-crowd", "scenario/cohorts"}},
+	} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		flags := BindSpec(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := flags.Spec()
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if !slices.Equal(spec.Experiments, c.want) {
+			t.Errorf("%v: patterns %v, want %v", c.args, spec.Experiments, c.want)
 		}
 	}
 }

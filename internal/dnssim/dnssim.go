@@ -54,11 +54,6 @@ func (s Service) String() string {
 	}
 }
 
-// IsStorage reports whether the service moves file data.
-func (s Service) IsStorage() bool {
-	return s == SvcClientStorage || s == SvcWebStorage || s == SvcAPIStorage
-}
-
 // Classify maps a dropbox.com FQDN to its service group (Table 1).
 func Classify(fqdn string) Service {
 	name, ok := strings.CutSuffix(fqdn, ".dropbox.com")
@@ -220,21 +215,6 @@ func (d *Directory) Names() []string {
 
 // DataCenter reports which data-center site an address belongs to.
 func (d *Directory) DataCenter(ip wire.IP) string { return d.dcOf[ip] }
-
-// AllIPs returns every address in the directory, grouped by data-center.
-func (d *Directory) AllIPs() map[string][]wire.IP {
-	out := make(map[string][]wire.IP)
-	seen := make(map[wire.IP]bool)
-	for _, pool := range d.pools {
-		for _, ip := range pool {
-			if !seen[ip] {
-				seen[ip] = true
-				out[d.dcOf[ip]] = append(out[d.dcOf[ip]], ip)
-			}
-		}
-	}
-	return out
-}
 
 // Event is one DNS resolution visible to the probe.
 type Event struct {

@@ -37,9 +37,6 @@ func TestServiceStrings(t *testing.T) {
 			t.Fatalf("service %d has empty name", s)
 		}
 	}
-	if !SvcClientStorage.IsStorage() || SvcNotify.IsStorage() {
-		t.Fatal("IsStorage misclassifies")
-	}
 }
 
 func TestBuildDefaultLayout(t *testing.T) {
@@ -81,7 +78,7 @@ func TestStorageIPCoverage(t *testing.T) {
 
 func TestDataCenterSplit(t *testing.T) {
 	d := Build(DefaultLayout())
-	byDC := d.AllIPs()
+	byDC := allIPs(d)
 	if len(byDC[DropboxDC]) < 30 {
 		t.Fatalf("dropbox DC has %d IPs", len(byDC[DropboxDC]))
 	}
@@ -169,4 +166,19 @@ func BenchmarkResolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Resolve(0, client, "dl-client99.dropbox.com")
 	}
+}
+
+// allIPs returns every address in the directory, grouped by data-center.
+func allIPs(d *Directory) map[string][]wire.IP {
+	out := make(map[string][]wire.IP)
+	seen := make(map[wire.IP]bool)
+	for _, pool := range d.pools {
+		for _, ip := range pool {
+			if !seen[ip] {
+				seen[ip] = true
+				out[d.dcOf[ip]] = append(out[d.dcOf[ip]], ip)
+			}
+		}
+	}
+	return out
 }

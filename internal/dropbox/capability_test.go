@@ -28,7 +28,7 @@ func TestNewDeviceRefusesZeroProfile(t *testing.T) {
 	if err == nil || dev != nil || !strings.Contains(err.Error(), "capability profile has no name") {
 		t.Fatalf("NewDevice with the zero profile = %v, %v; want a no-name error", dev, err)
 	}
-	if got := w.device(t, acct.ID, capability.DropboxV140()).Caps(); got != capability.DropboxV140() {
+	if got := w.device(t, acct.ID, capability.DropboxV140()).Cfg.Caps; got != capability.DropboxV140() {
 		t.Fatalf("device carries %+v, want the profile it was built with", got)
 	}
 }

@@ -113,12 +113,6 @@ func NewDevice(cfg ClientConfig, account AccountID) (*Device, error) {
 	return d, nil
 }
 
-// Caps returns the device's capability profile.
-func (d *Device) Caps() capability.Profile { return d.Cfg.Caps }
-
-// Online reports whether a session is active.
-func (d *Device) Online() bool { return d.online }
-
 // Has reports whether the device holds a chunk locally.
 func (d *Device) Has(h chunker.Hash) bool {
 	_, ok := d.have[h]

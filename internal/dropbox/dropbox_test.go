@@ -1,6 +1,7 @@
 package dropbox
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -120,7 +121,7 @@ func TestMetastoreAccounts(t *testing.T) {
 		t.Fatal("linking to missing account should fail")
 	}
 	b := m.CreateAccount()
-	ns, err := m.ShareFolder(a.ID, b.ID)
+	ns, err := shareFolder(m, a.ID, b.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestMetastoreAccounts(t *testing.T) {
 	if len(nsA) != 2 || nsA[1] != ns {
 		t.Fatalf("account A namespaces = %v", nsA)
 	}
-	if got := m.Namespace(ns).Members; len(got) != 2 {
+	if got := m.namespaces[ns].Members; len(got) != 2 {
 		t.Fatalf("share members = %v", got)
 	}
 }
@@ -146,8 +147,8 @@ func TestMetastoreDedupAndJournal(t *testing.T) {
 	if missing := m.NeedBlocks(refs); len(missing) != 0 {
 		t.Fatalf("stored chunks still missing: %d", len(missing))
 	}
-	if m.DedupHits() != 3 {
-		t.Fatalf("dedup hits = %d", m.DedupHits())
+	if m.dedupHits != 3 {
+		t.Fatalf("dedup hits = %d", m.dedupHits)
 	}
 	seq, err := m.Commit(a.Root, "x", refs)
 	if err != nil || seq != 1 {
@@ -176,14 +177,14 @@ func TestUploadStoresChunks(t *testing.T) {
 		dev.Upload(acct.Root, refs, identityWire, nil)
 	})
 	w.sched.RunUntil(simtime.Time(90 * time.Second))
-	if w.svc.Meta.ChunkCount() != 4 {
-		t.Fatalf("stored chunks = %d, want 4", w.svc.Meta.ChunkCount())
+	if len(w.svc.Meta.chunks) != 4 {
+		t.Fatalf("stored chunks = %d, want 4", len(w.svc.Meta.chunks))
 	}
 	if w.svc.StoreOps != 4 {
 		t.Fatalf("store ops = %d, want 4 (one per chunk in v1.2.52)", w.svc.StoreOps)
 	}
-	if w.svc.Meta.JournalSeq(acct.Root) != 1 {
-		t.Fatalf("journal seq = %d", w.svc.Meta.JournalSeq(acct.Root))
+	if journalSeq(w.svc.Meta, acct.Root) != 1 {
+		t.Fatalf("journal seq = %d", journalSeq(w.svc.Meta, acct.Root))
 	}
 	var st *TransferStats
 	for i := range stats {
@@ -223,7 +224,7 @@ func TestDedupSkipsUpload(t *testing.T) {
 	if d2stats.Skipped != 3 || d2stats.Chunks != 0 {
 		t.Fatalf("second upload stats = %+v", d2stats)
 	}
-	if w.svc.Meta.JournalSeq(a2.Root) != 1 {
+	if journalSeq(w.svc.Meta, a2.Root) != 1 {
 		t.Fatal("dedup'd upload must still commit meta-data")
 	}
 }
@@ -276,11 +277,11 @@ func TestBatchSplitOver100Chunks(t *testing.T) {
 	if !done {
 		t.Fatal("upload did not complete")
 	}
-	if got := w.svc.Meta.JournalSeq(acct.Root); got != 3 {
+	if got := journalSeq(w.svc.Meta, acct.Root); got != 3 {
 		t.Fatalf("journal entries = %d, want 3 (250 chunks / 100 per batch)", got)
 	}
-	if w.svc.Meta.ChunkCount() != 250 {
-		t.Fatalf("chunks = %d", w.svc.Meta.ChunkCount())
+	if len(w.svc.Meta.chunks) != 250 {
+		t.Fatalf("chunks = %d", len(w.svc.Meta.chunks))
 	}
 }
 
@@ -292,8 +293,8 @@ func TestV140BundlesSmallChunks(t *testing.T) {
 	refs := mkRefs(500, 40, 50_000) // 2 MB of small chunks
 	w.sched.After(time.Second, func() { dev.Upload(acct.Root, refs, identityWire, nil) })
 	w.sched.RunUntil(simtime.Time(5 * time.Minute))
-	if w.svc.Meta.ChunkCount() != 40 {
-		t.Fatalf("chunks = %d", w.svc.Meta.ChunkCount())
+	if len(w.svc.Meta.chunks) != 40 {
+		t.Fatalf("chunks = %d", len(w.svc.Meta.chunks))
 	}
 	if w.svc.StoreOps > 3 {
 		t.Fatalf("store ops = %d: bundling should collapse 40 small chunks", w.svc.StoreOps)
@@ -437,13 +438,13 @@ func TestStopTearsDownConnections(t *testing.T) {
 	})
 	w.sched.After(32*time.Second, dev.Stop)
 	w.sched.RunUntil(simtime.Time(5 * time.Minute))
-	if dev.Online() {
+	if dev.online {
 		t.Fatal("device still online")
 	}
 	// Restart should work cleanly.
 	dev.Start()
 	w.sched.RunUntil(simtime.Time(8 * time.Minute))
-	if !dev.Online() {
+	if !dev.online {
 		t.Fatal("restart failed")
 	}
 }
@@ -452,7 +453,7 @@ func TestSharedFolderCrossAccount(t *testing.T) {
 	w := newTW(t, 3)
 	a1 := w.svc.Meta.CreateAccount()
 	a2 := w.svc.Meta.CreateAccount()
-	shared, err := w.svc.Meta.ShareFolder(a1.ID, a2.ID)
+	shared, err := shareFolder(w.svc.Meta, a1.ID, a2.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,8 +569,30 @@ func BenchmarkUpload10Chunks(b *testing.B) {
 		refs := mkRefs(uint64(i)*17+1, 10, 100_000)
 		w.sched.After(time.Second, func() { dev.Upload(acct.Root, refs, identityWire, nil) })
 		w.sched.RunUntil(simtime.Time(2 * time.Minute))
-		if w.svc.Meta.ChunkCount() != 10 {
-			b.Fatalf("chunks = %d", w.svc.Meta.ChunkCount())
+		if len(w.svc.Meta.chunks) != 10 {
+			b.Fatalf("chunks = %d", len(w.svc.Meta.chunks))
 		}
 	}
+}
+
+// shareFolder creates a shared namespace owned by the given accounts.
+func shareFolder(m *Metastore, members ...AccountID) (NamespaceID, error) {
+	if len(members) == 0 {
+		return 0, fmt.Errorf("dropbox: shared folder needs members")
+	}
+	ns := m.createNamespace()
+	for _, id := range members {
+		a := m.accounts[id]
+		if a == nil {
+			return 0, fmt.Errorf("dropbox: no account %d", id)
+		}
+		ns.Members = append(ns.Members, id)
+		a.Shared = append(a.Shared, ns.ID)
+	}
+	return ns.ID, nil
+}
+
+// journalSeq returns the latest sequence number of a namespace.
+func journalSeq(m *Metastore, ns NamespaceID) uint64 {
+	return uint64(len(m.namespaces[ns].Journal))
 }

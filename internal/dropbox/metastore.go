@@ -23,9 +23,8 @@ type Metastore struct {
 	// subsystem subscribes to push changes to online devices.
 	OnJournalAdvance func(ns NamespaceID, seq uint64)
 
-	// Stats.
-	dedupHits   int
-	chunksTotal int
+	// dedupHits counts the uploads deduplication avoided.
+	dedupHits int
 }
 
 // AccountID identifies a user account.
@@ -99,24 +98,6 @@ func (m *Metastore) LinkDevice(account AccountID) (HostID, error) {
 	return h, nil
 }
 
-// ShareFolder creates a shared namespace owned by the given accounts (or
-// adds members to grow an existing share).
-func (m *Metastore) ShareFolder(members ...AccountID) (NamespaceID, error) {
-	if len(members) == 0 {
-		return 0, fmt.Errorf("dropbox: shared folder needs members")
-	}
-	ns := m.createNamespace()
-	for _, id := range members {
-		a := m.accounts[id]
-		if a == nil {
-			return 0, fmt.Errorf("dropbox: no account %d", id)
-		}
-		ns.Members = append(ns.Members, id)
-		a.Shared = append(a.Shared, ns.ID)
-	}
-	return ns.ID, nil
-}
-
 // NamespacesOf lists every namespace an account can sync: root + shares.
 func (m *Metastore) NamespacesOf(account AccountID) []NamespaceID {
 	a := m.accounts[account]
@@ -126,9 +107,6 @@ func (m *Metastore) NamespacesOf(account AccountID) []NamespaceID {
 	out := append([]NamespaceID{a.Root}, a.Shared...)
 	return out
 }
-
-// Namespace returns a namespace by id, or nil.
-func (m *Metastore) Namespace(id NamespaceID) *Namespace { return m.namespaces[id] }
 
 // NeedBlocks filters refs down to the hashes missing from the chunk index —
 // the server side of deduplication.
@@ -148,7 +126,6 @@ func (m *Metastore) NeedBlocks(refs []chunker.Ref) []chunker.Hash {
 func (m *Metastore) StoreChunk(ref chunker.Ref) {
 	if _, ok := m.chunks[ref.Hash]; !ok {
 		m.chunks[ref.Hash] = ref.Size
-		m.chunksTotal++
 	}
 }
 
@@ -189,18 +166,3 @@ func (m *Metastore) UpdatesSince(ns NamespaceID, cursor uint64) []JournalEntry {
 	}
 	return n.Journal[cursor:]
 }
-
-// JournalSeq returns the latest sequence number of a namespace.
-func (m *Metastore) JournalSeq(ns NamespaceID) uint64 {
-	n := m.namespaces[ns]
-	if n == nil {
-		return 0
-	}
-	return uint64(len(n.Journal))
-}
-
-// DedupHits reports how many uploads were avoided by deduplication.
-func (m *Metastore) DedupHits() int { return m.dedupHits }
-
-// ChunkCount reports the number of distinct chunks stored.
-func (m *Metastore) ChunkCount() int { return m.chunksTotal }

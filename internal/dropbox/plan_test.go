@@ -102,3 +102,27 @@ func TestPlanTransferAllocatesNothing(t *testing.T) {
 		t.Fatalf("PlanTransfer into a reused slice: %v allocations per call", allocs)
 	}
 }
+
+// TestPlanTransferBundleFillsToExactTarget: a bundle closes when the next
+// chunk would pass the target, so small chunks whose wire sizes sum to
+// exactly BundleTarget() travel in one store_batch.
+func TestPlanTransferBundleFillsToExactTarget(t *testing.T) {
+	prof := capability.DropboxV140()
+	target := prof.BundleTarget()
+	var wires []int
+	for sum := 0; sum < target; {
+		w := min(target/5, target-sum)
+		wires = append(wires, w)
+		sum += w
+	}
+	for _, w := range wires {
+		if w >= target/4 {
+			t.Fatalf("chunk of %d bytes would end its bundle by size (target %d)", w, target)
+		}
+	}
+	ops := PlanTransfer(nil, prof, wires)
+	want := PlanOp{First: 0, Chunks: len(wires), Wire: target, EndsBatch: true}
+	if len(ops) != 1 || ops[0] != want {
+		t.Fatalf("chunks summing to the bundle target %d: plan %+v, want one bundle %+v", target, ops, want)
+	}
+}

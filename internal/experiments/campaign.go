@@ -101,31 +101,3 @@ func vantagePoints(seed int64, sc ScaleConfig) []fleet.Population {
 
 // fmtGB renders bytes as gigabytes with two decimals.
 func fmtGB(v float64) string { return fmt.Sprintf("%.2f", v/1e9) }
-
-// All renders every experiment of the four vantage points' tallies
-// (packet-level labs excluded; see RunPacketLabs) in paper order.
-func All(ts Tallies) []*Result {
-	return []*Result{
-		Table1(),
-		Table2(ts),
-		Table3(ts),
-		Table5(ts),
-		Figure2(ts),
-		Figure3(ts),
-		Figure4(ts),
-		Figure5(ts),
-		Figure6(ts),
-		Figure7(ts),
-		Figure8(ts),
-		Figure11(ts),
-		Figure12(ts),
-		Figure13(ts),
-		Figure14(ts),
-		Figure15(ts),
-		Figure16(ts),
-		Figure17(ts),
-		Figure18(ts),
-		Figure20(ts),
-		Figure21(ts),
-	}
-}

@@ -324,17 +324,6 @@ func Figure10(storeRecs, retrRecs []*traces.FlowRecord) *Result {
 	return res
 }
 
-// RunPacketLabs executes both labs and renders Figs. 9 and 10.
-func RunPacketLabs(ctx context.Context, store, retr PacketLabConfig) (fig9, fig10 *Result, err error) {
-	storeRecs, retrRecs, err := runPacketLabs(ctx, store, retr, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	fig9 = Figure9(storeRecs, retrRecs)
-	fig10 = Figure10(storeRecs, retrRecs)
-	return fig9, fig10, nil
-}
-
 // runPacketLabs runs the store and the retrieve lab side by side when the
 // worker bound (0 meaning GOMAXPROCS) is at least 2, and one after the
 // other at 1. Each lab owns its scheduler, network and probe, so the

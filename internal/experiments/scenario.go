@@ -67,6 +67,17 @@ func (s *Session) specStream(ctx context.Context) (*scenario.Compiled, *scenario
 	return s.ScenarioStream(ctx)
 }
 
+// ScenarioPatterns returns the scenario/* experiments a spec opts into:
+// scenario/cohorts always, and scenario/flash-crowd only when the spec has
+// a backend section for it to replay. An explicit selection of
+// scenario/flash-crowd still runs it, and fails on a spec without one.
+func ScenarioPatterns(sp *scenario.Spec) []string {
+	if sp.Backend == nil {
+		return []string{"scenario/cohorts"}
+	}
+	return []string{"scenario/*"}
+}
+
 // registerScenario appends the opt-in scenario experiments; the registry
 // init calls it last so they land after the backend family.
 func registerScenario() {

@@ -92,16 +92,11 @@ func Table3(ts Tallies) *Result {
 	return res
 }
 
-// Table4Context compares Campus 1 before (Mar/Apr, client 1.2.52, server
-// IW 2) and after (Jun/Jul, client 1.4.0, bundling + tuned IW) — the
-// paper's quantification of the bundling deployment. Cancelling ctx aborts
-// both folds at fleet-shard granularity.
-func Table4Context(ctx context.Context, seed int64, scale float64) (*Result, error) {
-	return table4(ctx, seed, scale, fleet.Config{Shards: 1})
-}
-
-// table4 is Table4Context on the caller's pool: both populations fold
-// with fc, whose Shards must be 1, the historical sequential generator's.
+// table4 compares Campus 1 before (Mar/Apr, client 1.2.52, server IW 2)
+// and after (Jun/Jul, client 1.4.0, bundling + tuned IW) — the paper's
+// quantification of the bundling deployment. Both populations fold on the
+// caller's pool with fc, whose Shards must be 1, the historical sequential
+// generator's. Cancelling ctx aborts both folds at fleet-shard granularity.
 func table4(ctx context.Context, seed int64, scale float64, fc fleet.Config) (*Result, error) {
 	res := newResult("table4", "Table 4: Campus 1 before and after the bundling deployment")
 	tallies, err := fold(ctx, []fleet.Population{

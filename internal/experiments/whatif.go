@@ -48,16 +48,6 @@ type WhatIfReport struct {
 	Runs   []*WhatIfRun
 }
 
-// ByProfile returns a profile's run by name (nil if absent).
-func (r *WhatIfReport) ByProfile(name string) *WhatIfRun {
-	for _, run := range r.Runs {
-		if run.Profile.Name == name {
-			return run
-		}
-	}
-	return nil
-}
-
 // Run executes the what-if campaign: every profile replays the same
 // vantage-point population, all profiles' shards folded on one fleet pool
 // of cfg.Fleet.Workers, one Tally per profile. Determinism: each (seed,

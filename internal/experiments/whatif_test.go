@@ -48,7 +48,12 @@ func TestWhatIfPresetMatchesLegacyFleetRun(t *testing.T) {
 		Seed: 2012, VP: vp, Fleet: fc,
 		Profiles: []capability.Profile{capability.DropboxV1252()},
 	})
-	run := rep.ByProfile("dropbox-1.2.52")
+	var run *WhatIfRun
+	for _, r := range rep.Runs {
+		if r.Profile.Name == "dropbox-1.2.52" {
+			run = r
+		}
+	}
 	if run == nil {
 		t.Fatal("baseline run missing from report")
 	}

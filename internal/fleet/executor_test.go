@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"insidedropbox/internal/telemetry"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
 )
@@ -150,7 +151,7 @@ func TestExecutorContract(t *testing.T) {
 					events = append(events, ev)
 					mu.Unlock()
 				}}
-				records, done, timed := mRecords.Load(), mShardsDone.Load(), mShardSeconds.Count()
+				records, done, timed := mRecords.Load(), mShardsDone.Load(), shardTimings()
 				hashes, stats, err := d.run(context.Background(), vp, seed, fc, sizes)
 				if err != nil {
 					t.Fatal(err)
@@ -188,7 +189,7 @@ func TestExecutorContract(t *testing.T) {
 				if got := mShardsDone.Load() - done; got != shards {
 					t.Fatalf("fleet.shards_done rose by %d over %d shards", got, shards)
 				}
-				if got := mShardSeconds.Count() - timed; got != shards {
+				if got := shardTimings() - timed; got != shards {
 					t.Fatalf("fleet.shard_seconds took %d observations over %d shards", got, shards)
 				}
 				if busy := mWorkersBusy.Load(); busy != 0 {
@@ -468,4 +469,9 @@ func TestForEachShardTaskError(t *testing.T) {
 			t.Fatalf("err = %v, want the task's error", err)
 		}
 	})
+}
+
+// shardTimings returns the observation count of fleet.shard_seconds.
+func shardTimings() uint64 {
+	return telemetry.Snapshot().Timings["fleet.shard_seconds"].Count
 }

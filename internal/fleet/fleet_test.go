@@ -241,7 +241,7 @@ func TestScaleSizesPopulation(t *testing.T) {
 func TestSubscriberIPsDistinctAtScale(t *testing.T) {
 	const base = 57
 	index := func(ip wire.IP) int {
-		b := ip.Bytes()
+		b := [4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}
 		return (int(b[1])-base+256)%256*62500 + int(b[2])*250 + int(b[3])
 	}
 	for i := 0; i < workload.MaxSubscribers; i++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"iter"
 	"sync"
+	"weak"
 
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
@@ -22,11 +23,41 @@ const (
 // refills it recycles them.
 type slab []*traces.FlowRecord
 
-// spareSlabs carries one stream's drained slabs, as a *[]slab, to the
-// next, so a run of streams allocates its records about once. Being a
-// sync.Pool, it lets a collection or two drop them, so a process that has
-// stopped streaming does not keep some 16 MiB of records.
-var spareSlabs sync.Pool
+// spare carries one stream's drained slabs to the next, so a run of
+// streams allocates its records about once. The pool alone keeps them
+// alive, so a collection or two drops them and a process that has stopped
+// streaming does not keep some 16 MiB of records. The next stream finds
+// them through the weak pointer: a pool's Get, after a collection, does
+// not reach an item another P put, so whether a stream reused the slabs
+// would hang on which P each goroutine ran on.
+var spare struct {
+	mu    sync.Mutex
+	slabs weak.Pointer[[]slab]
+	keep  sync.Pool
+}
+
+// takeSpare returns the slabs the last stream left, if they are still
+// alive, and leaves nothing for another stream to take.
+func takeSpare() []slab {
+	spare.mu.Lock()
+	defer spare.mu.Unlock()
+	p := spare.slabs.Value()
+	if p == nil {
+		return nil
+	}
+	s := *p
+	*p = nil
+	return s
+}
+
+// keepSpare hands a stream's drained slabs to the next one.
+func keepSpare(s []slab) {
+	p := &s
+	spare.mu.Lock()
+	spare.slabs = weak.Make(p)
+	spare.mu.Unlock()
+	spare.keep.Put(p)
+}
 
 // queue is the hand-off of one stream: every shard's queued slabs, and
 // the budget that bounds them, under one lock.
@@ -147,9 +178,7 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 	fc = fc.normalized()
 	q := &queue{shards: make([]shardQueue, fc.Shards)}
 	q.moved.L, q.ready.L = &q.mu, &q.mu
-	if spare, ok := spareSlabs.Get().(*[]slab); ok {
-		q.free = *spare
-	}
+	q.free = takeSpare()
 
 	// Cancelling run — the caller's ctx, or halt below — tears the pipeline
 	// down: the executor quits starting shards, and producers waiting on
@@ -176,8 +205,7 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 	finish := func(err error) (VPStats, error) {
 		halt()
 		<-done
-		spare := q.free
-		spareSlabs.Put(&spare)
+		keepSpare(q.free)
 		return mergeStats(vp, fc, tracker.stats), err
 	}
 

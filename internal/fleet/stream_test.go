@@ -117,6 +117,35 @@ func TestStreamRecordsRecycles(t *testing.T) {
 	t.Logf("%d records in %d structs", stats.Records, len(seen))
 }
 
+// TestSpareSlabsOutliveOneCollection pins the hand-over of drained slabs
+// between streams: whatever P the next stream starts on, the slabs are
+// still found after one collection (a repetition that collects before it
+// streams reuses them), and two collections with no stream drop them. A
+// pool under the race detector drops one Put in four at random, so the
+// first half asks for one hit in several tries.
+func TestSpareSlabsOutliveOneCollection(t *testing.T) {
+	hits := 0
+	for range 8 {
+		keepSpare(make([]slab, 3))
+		runtime.GC()
+		if len(takeSpare()) == 3 {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no stream's slabs survived one collection")
+	}
+	keepSpare(make([]slab, 3))
+	runtime.GC()
+	runtime.GC()
+	if s := takeSpare(); s != nil {
+		t.Fatalf("%d slabs survived two collections with no stream", len(s))
+	}
+	if s := takeSpare(); s != nil {
+		t.Fatal("the same slabs were handed out twice")
+	}
+}
+
 // TestStreamStopsMidSlab lands an early stop and a cancel on, just before
 // and just after a slab edge. A stop is exact; a cancel is seen at the next
 // slab, so fewer than slabRecords further records arrive. Neither leaks a

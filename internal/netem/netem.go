@@ -79,12 +79,6 @@ func WiredWorkstation() AccessProfile { // Campus 1: 100 Mb/s switched LAN
 func CampusWireless() AccessProfile { // Campus 2 APs: lossier, slower
 	return AccessProfile{UpRate: 2.5e6, DownRate: 2.5e6, Delay: 2 * time.Millisecond, Loss: 0.004}
 }
-func ADSL() AccessProfile { // Home: asymmetric, interleaving delay
-	return AccessProfile{UpRate: 128e3, DownRate: 1e6, Delay: 15 * time.Millisecond}
-}
-func FTTH() AccessProfile {
-	return AccessProfile{UpRate: 1.25e6, DownRate: 1.25e6, Delay: 2 * time.Millisecond}
-}
 func DataCenter() AccessProfile { // server farms: effectively unconstrained
 	return AccessProfile{UpRate: 0, DownRate: 0, Delay: 100 * time.Microsecond}
 }
@@ -103,8 +97,8 @@ type Network struct {
 	ver  uint64    // bumped when a core delay or tap changes
 	free []*packet // recycled packets
 
-	delivered uint64
-	dropped   uint64
+	delivered uint64 // packets handed to a destination host
+	dropped   uint64 // packets lost on the way
 }
 
 // route is one (source, destination) host pair: the FIFO clamp against
@@ -167,9 +161,6 @@ func (n *Network) AttachTap(site SiteID, t Tap) {
 	n.taps[site] = append(n.taps[site], t)
 	n.ver++
 }
-
-// Stats returns delivered and dropped packet counts.
-func (n *Network) Stats() (delivered, dropped uint64) { return n.delivered, n.dropped }
 
 // Host is an attached endpoint. Receive is invoked for every delivered
 // frame; the TCP layer installs it. As with a Tap, the frame is the

@@ -39,17 +39,6 @@ func (p DiurnalProfile) At(t time.Duration) float64 {
 	return p[h]
 }
 
-// Peak returns the index of the busiest hour.
-func (p DiurnalProfile) Peak() int {
-	best := 0
-	for i, v := range p {
-		if v > p[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // OfficeHours returns a profile concentrated in 8h-19h with a lunch dip,
 // modeling the wired-workstation population of Campus 1.
 func OfficeHours() DiurnalProfile {

@@ -120,11 +120,11 @@ func TestDiurnalNormalize(t *testing.T) {
 
 func TestDiurnalShapes(t *testing.T) {
 	office := OfficeHours()
-	if pk := office.Peak(); pk < 9 || pk > 17 {
+	if pk := peak(office); pk < 9 || pk > 17 {
 		t.Fatalf("office peak at hour %d", pk)
 	}
 	home := HomeEvenings()
-	if pk := home.Peak(); pk < 19 || pk > 23 {
+	if pk := peak(home); pk < 19 || pk > 23 {
 		t.Fatalf("home peak at hour %d", pk)
 	}
 	if office.At(3*time.Hour) > office.At(10*time.Hour) {
@@ -226,4 +226,15 @@ func BenchmarkThinnedPoisson(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = ThinnedPoissonProcess(src, 24*time.Hour, 50, prof, week, nil)
 	}
+}
+
+// peak returns the index of the busiest hour.
+func peak(p DiurnalProfile) int {
+	best := 0
+	for i, v := range p {
+		if v > p[best] {
+			best = i
+		}
+	}
+	return best
 }

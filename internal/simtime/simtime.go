@@ -21,25 +21,11 @@ type Time time.Duration
 // both packages.
 type Duration = time.Duration
 
-// Common durations re-exported for convenience.
-const (
-	Nanosecond  = time.Nanosecond
-	Microsecond = time.Microsecond
-	Millisecond = time.Millisecond
-	Second      = time.Second
-	Minute      = time.Minute
-	Hour        = time.Hour
-	Day         = 24 * time.Hour
-)
-
 // Add returns the instant d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
-
-// Seconds returns the instant as floating-point seconds since the epoch.
-func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 
 // Duration converts the instant to the duration since the epoch.
 func (t Time) Duration() Duration { return Duration(t) }
@@ -89,7 +75,7 @@ type Scheduler struct {
 	queue []*event
 	free  []*event
 	seq   uint64
-	fired uint64
+	fired uint64 // events executed so far
 }
 
 // NewScheduler returns a scheduler with the clock at the epoch.
@@ -97,13 +83,6 @@ func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
-
-// Fired returns the number of events executed so far (useful for
-// instrumentation and budget checks in tests).
-func (s *Scheduler) Fired() uint64 { return s.fired }
-
-// Len returns the number of pending events.
-func (s *Scheduler) Len() int { return len(s.queue) }
 
 // At schedules fn to run at the absolute instant at. Scheduling in the past
 // panics: it always indicates a logic error in a discrete-event simulation.
@@ -171,15 +150,6 @@ func (s *Scheduler) RunUntil(limit Time) {
 
 // RunFor advances the simulation by d virtual time.
 func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
-
-// NextDeadline returns the deadline of the next pending event and true,
-// or zero time and false when the queue is empty.
-func (s *Scheduler) NextDeadline() (Time, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].at, true
-}
 
 // release invalidates the event's IDs and returns it to the free list.
 func (s *Scheduler) release(ev *event) {
@@ -252,10 +222,4 @@ func (t *Ticker) arm() {
 			t.arm()
 		}
 	})
-}
-
-// Stop cancels the ticker. Safe to call multiple times.
-func (t *Ticker) Stop() {
-	t.stop = true
-	t.id.Cancel()
 }

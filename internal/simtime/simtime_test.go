@@ -12,9 +12,9 @@ import (
 func TestSchedulerOrdering(t *testing.T) {
 	s := NewScheduler()
 	var got []int
-	s.At(Time(30*Millisecond), func() { got = append(got, 3) })
-	s.At(Time(10*Millisecond), func() { got = append(got, 1) })
-	s.At(Time(20*Millisecond), func() { got = append(got, 2) })
+	s.At(Time(30*time.Millisecond), func() { got = append(got, 3) })
+	s.At(Time(10*time.Millisecond), func() { got = append(got, 1) })
+	s.At(Time(20*time.Millisecond), func() { got = append(got, 2) })
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -22,7 +22,7 @@ func TestSchedulerOrdering(t *testing.T) {
 			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
-	if s.Now() != Time(30*Millisecond) {
+	if s.Now() != Time(30*time.Millisecond) {
 		t.Fatalf("clock = %v, want 30ms", s.Now())
 	}
 }
@@ -32,7 +32,7 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(Time(Second), func() { got = append(got, i) })
+		s.At(Time(time.Second), func() { got = append(got, i) })
 	}
 	s.Run()
 	for i := range got {
@@ -45,35 +45,35 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 func TestSchedulerAfterAndNesting(t *testing.T) {
 	s := NewScheduler()
 	var at2 Time
-	s.After(Second, func() {
-		s.After(2*Second, func() { at2 = s.Now() })
+	s.After(time.Second, func() {
+		s.After(2*time.Second, func() { at2 = s.Now() })
 	})
 	s.Run()
-	if want := Time(3 * Second); at2 != want {
+	if want := Time(3 * time.Second); at2 != want {
 		t.Fatalf("nested event fired at %v, want %v", at2, want)
 	}
 }
 
 func TestSchedulerPastPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(Time(Second), func() {})
+	s.At(Time(time.Second), func() {})
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past should panic")
 		}
 	}()
-	s.At(Time(Millisecond), func() {})
+	s.At(Time(time.Millisecond), func() {})
 }
 
 func TestCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	id := s.After(Second, func() { fired = true })
+	id := s.After(time.Second, func() { fired = true })
 	if !id.Pending() {
 		t.Fatal("event should be pending")
 	}
-	s.After(2*Second, func() {})
+	s.After(2*time.Second, func() {})
 	if !id.Cancel() {
 		t.Fatal("first cancel should report true")
 	}
@@ -83,8 +83,8 @@ func TestCancel(t *testing.T) {
 	if id.Pending() {
 		t.Fatal("cancelled event still pending")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d after cancelling one of two events, want 1", s.Len())
+	if len(s.queue) != 1 {
+		t.Fatalf("queue length = %d after cancelling one of two events, want 1", len(s.queue))
 	}
 	s.Run()
 	if fired {
@@ -96,7 +96,7 @@ func TestCancel(t *testing.T) {
 // cancelling it reports false, also once its slot has been reused.
 func TestCancelAfterFire(t *testing.T) {
 	s := NewScheduler()
-	id := s.After(Second, func() {})
+	id := s.After(time.Second, func() {})
 	s.Run()
 	if id.Pending() {
 		t.Fatal("fired event still pending")
@@ -105,7 +105,7 @@ func TestCancelAfterFire(t *testing.T) {
 		t.Fatal("cancelling a fired event reported true")
 	}
 	fired := false
-	next := s.After(Second, func() { fired = true })
+	next := s.After(time.Second, func() { fired = true })
 	if id.Cancel() || !next.Pending() {
 		t.Fatal("a stale ID cancelled the event scheduled after it")
 	}
@@ -119,14 +119,14 @@ func TestRunUntil(t *testing.T) {
 	s := NewScheduler()
 	var fired []Time
 	for i := 1; i <= 5; i++ {
-		d := Duration(i) * Second
+		d := Duration(i) * time.Second
 		s.After(d, func() { fired = append(fired, s.Now()) })
 	}
-	s.RunUntil(Time(3 * Second))
+	s.RunUntil(Time(3 * time.Second))
 	if len(fired) != 3 {
 		t.Fatalf("fired %d events, want 3", len(fired))
 	}
-	if s.Now() != Time(3*Second) {
+	if s.Now() != Time(3*time.Second) {
 		t.Fatalf("clock = %v, want 3s", s.Now())
 	}
 	s.Run()
@@ -138,7 +138,7 @@ func TestRunUntil(t *testing.T) {
 func TestRunForAdvancesIdleClock(t *testing.T) {
 	s := NewScheduler()
 	s.RunFor(time.Minute)
-	if s.Now() != Time(Minute) {
+	if s.Now() != Time(time.Minute) {
 		t.Fatalf("clock = %v, want 1m", s.Now())
 	}
 }
@@ -146,19 +146,19 @@ func TestRunForAdvancesIdleClock(t *testing.T) {
 func TestTicker(t *testing.T) {
 	s := NewScheduler()
 	var ticks []Time
-	tk := s.NewTicker(10*Second, func(now Time) {
+	tk := s.NewTicker(10*time.Second, func(now Time) {
 		ticks = append(ticks, now)
 		if len(ticks) == 3 {
 			// Stop from inside the callback.
 		}
 	})
-	s.RunUntil(Time(35 * Second))
+	s.RunUntil(Time(35 * time.Second))
 	tk.Stop()
 	s.Run()
 	if len(ticks) != 3 {
 		t.Fatalf("got %d ticks, want 3 (at 10s,20s,30s): %v", len(ticks), ticks)
 	}
-	for i, want := range []Time{Time(10 * Second), Time(20 * Second), Time(30 * Second)} {
+	for i, want := range []Time{Time(10 * time.Second), Time(20 * time.Second), Time(30 * time.Second)} {
 		if ticks[i] != want {
 			t.Fatalf("tick %d at %v, want %v", i, ticks[i], want)
 		}
@@ -169,7 +169,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	s := NewScheduler()
 	n := 0
 	var tk *Ticker
-	tk = s.NewTicker(Second, func(Time) {
+	tk = s.NewTicker(time.Second, func(Time) {
 		n++
 		if n == 2 {
 			tk.Stop()
@@ -183,16 +183,16 @@ func TestTickerStopInsideCallback(t *testing.T) {
 
 func TestNextDeadline(t *testing.T) {
 	s := NewScheduler()
-	if _, ok := s.NextDeadline(); ok {
+	if _, ok := nextDeadline(s); ok {
 		t.Fatal("empty scheduler should have no deadline")
 	}
-	id := s.After(5*Second, func() {})
-	s.After(9*Second, func() {})
-	if d, ok := s.NextDeadline(); !ok || d != Time(5*Second) {
+	id := s.After(5*time.Second, func() {})
+	s.After(9*time.Second, func() {})
+	if d, ok := nextDeadline(s); !ok || d != Time(5*time.Second) {
 		t.Fatalf("deadline = %v,%v want 5s,true", d, ok)
 	}
 	id.Cancel()
-	if d, ok := s.NextDeadline(); !ok || d != Time(9*Second) {
+	if d, ok := nextDeadline(s); !ok || d != Time(9*time.Second) {
 		t.Fatalf("deadline after cancel = %v,%v want 9s,true", d, ok)
 	}
 }
@@ -200,11 +200,11 @@ func TestNextDeadline(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 7; i++ {
-		s.After(Duration(i)*Millisecond, func() {})
+		s.After(Duration(i)*time.Millisecond, func() {})
 	}
 	s.Run()
-	if s.Fired() != 7 {
-		t.Fatalf("fired = %d, want 7", s.Fired())
+	if s.fired != 7 {
+		t.Fatalf("fired = %d, want 7", s.fired)
 	}
 }
 
@@ -231,8 +231,8 @@ func (c *realClock) cancel(h int) bool          { return c.ids[h].Cancel() }
 func (c *realClock) pending(h int) bool         { return c.ids[h].Pending() }
 func (c *realClock) step() bool                 { return c.s.Step() }
 func (c *realClock) runUntil(t Time)            { c.s.RunUntil(t) }
-func (c *realClock) nextDeadline() (Time, bool) { return c.s.NextDeadline() }
-func (c *realClock) state() (Time, uint64, int) { return c.s.Now(), c.s.Fired(), c.s.Len() }
+func (c *realClock) nextDeadline() (Time, bool) { return nextDeadline(c.s) }
+func (c *realClock) state() (Time, uint64, int) { return c.s.Now(), c.s.fired, len(c.s.queue) }
 
 // refClock is the reference model: the pending events in a slice kept
 // sorted by (deadline, schedule order).
@@ -309,9 +309,9 @@ func (c *refClock) state() (Time, uint64, int) { return c.now, c.fired, len(c.qu
 
 // script drives c through a seeded random sequence of schedules, cancels
 // (of pending, fired and cancelled events alike), steps, RunUntil and
-// NextDeadline calls. Callbacks cancel and schedule too. It returns one
-// observation per operation: the result, the clock, Fired, Len and the
-// pending set.
+// next-deadline reads. Callbacks cancel and schedule too. It returns one
+// observation per operation: the result, the clock, the fired count, the
+// queue length and the pending set.
 func script(c clock, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []string
@@ -333,7 +333,7 @@ func script(c clock, seed int64) []string {
 		h := n
 		n++
 		// Few distinct delays, so deadlines tie often.
-		c.at(now.Add(Duration(rng.Intn(8))*Millisecond), func() {
+		c.at(now.Add(Duration(rng.Intn(8))*time.Millisecond), func() {
 			observe("fire", h)
 			if n > 0 && rng.Intn(3) == 0 {
 				k := rng.Intn(n)
@@ -357,7 +357,7 @@ func script(c clock, seed int64) []string {
 			observe("step", c.step())
 		case r < 9:
 			now, _, _ := c.state()
-			c.runUntil(now.Add(Duration(rng.Intn(10)) * Millisecond))
+			c.runUntil(now.Add(Duration(rng.Intn(10)) * time.Millisecond))
 			observe("run-until")
 		default:
 			at, ok := c.nextDeadline()
@@ -369,7 +369,8 @@ func script(c clock, seed int64) []string {
 
 // TestSchedulerMatchesReference runs seeded random operation sequences on
 // the Scheduler and on the sorted-slice reference model: fired order,
-// clock, Fired, Len and every ID's Pending must agree at every step.
+// clock, fired count, queue length and every ID's Pending must agree at
+// every step.
 func TestSchedulerMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		got := script(&realClock{s: NewScheduler()}, seed)
@@ -390,10 +391,10 @@ func TestSchedulerMatchesReference(t *testing.T) {
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
-	s.After(Second, fn)
+	s.After(time.Second, fn)
 	s.Run()
 	if n := testing.AllocsPerRun(100, func() {
-		s.After(Second, fn)
+		s.After(time.Second, fn)
 		s.Step()
 	}); n != 0 {
 		t.Fatalf("schedule and fire allocated %v times, want 0", n)
@@ -408,11 +409,11 @@ func BenchmarkSchedulerChain(b *testing.B) {
 	step = func() {
 		n++
 		if n < b.N {
-			s.After(Microsecond, step)
+			s.After(time.Microsecond, step)
 		}
 	}
 	b.ResetTimer()
-	s.After(Microsecond, step)
+	s.After(time.Microsecond, step)
 	s.Run()
 }
 
@@ -421,7 +422,22 @@ func BenchmarkSchedulerFanOut(b *testing.B) {
 	s := NewScheduler()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.After(Duration(i%1000)*Microsecond, func() {})
+		s.After(Duration(i%1000)*time.Microsecond, func() {})
 	}
 	s.Run()
+}
+
+// nextDeadline returns the deadline of the next pending event and true,
+// or zero time and false when the queue is empty.
+func nextDeadline(s *Scheduler) (Time, bool) {
+	if len(s.queue) == 0 {
+		return 0, false
+	}
+	return s.queue[0].at, true
+}
+
+// Stop cancels the ticker. Safe to call multiple times.
+func (t *Ticker) Stop() {
+	t.stop = true
+	t.id.Cancel()
 }

@@ -254,15 +254,6 @@ func (c *Conn) LocalEndpoint() wire.Endpoint { return c.local }
 // RemoteEndpoint returns the peer address/port.
 func (c *Conn) RemoteEndpoint() wire.Endpoint { return c.remote }
 
-// State returns the connection state name (diagnostics).
-func (c *Conn) State() string { return c.state.String() }
-
-// Established returns when the handshake completed (zero if it has not).
-func (c *Conn) Established() simtime.Time { return c.established }
-
-// Retransmits returns the count of retransmitted segments.
-func (c *Conn) Retransmits() int { return c.retransmits }
-
 // Write queues an application span: a materialized prefix (may be nil) plus
 // the true size in bytes. push marks the final segment of the span with PSH,
 // as a flushing application write does.

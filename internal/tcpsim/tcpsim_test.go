@@ -51,7 +51,7 @@ func TestHandshake(t *testing.T) {
 		t.Fatalf("handshake incomplete: client=%v server=%v", clientUp, serverUp)
 	}
 	// Client established exactly one RTT after SYN (90 ms + jitter).
-	est := conn.Established().Duration()
+	est := conn.established.Duration()
 	if est < 90*time.Millisecond || est > 95*time.Millisecond {
 		t.Fatalf("client established at %v, want ≈ 90 ms", est)
 	}
@@ -199,7 +199,7 @@ func TestLossRecovery(t *testing.T) {
 	if got != size {
 		t.Fatalf("received %d bytes with 2%% loss, want %d", got, size)
 	}
-	if conn.Retransmits() == 0 {
+	if conn.retransmits == 0 {
 		t.Fatal("expected retransmissions under loss")
 	}
 	if !closed {
@@ -234,8 +234,8 @@ func TestLossRecoveryMaterializedBytes(t *testing.T) {
 		conn.Close()
 	}
 	w.sched.Run()
-	if !buffered || conn.Retransmits() == 0 {
-		t.Fatalf("no out-of-order segment was buffered (%d retransmits)", conn.Retransmits())
+	if !buffered || conn.retransmits == 0 {
+		t.Fatalf("no out-of-order segment was buffered (%d retransmits)", conn.retransmits)
 	}
 	if !bytes.Equal(got, sent) {
 		t.Fatalf("received %d bytes that differ from the %d sent", len(got), len(sent))
@@ -297,8 +297,8 @@ func TestOrderlyClose(t *testing.T) {
 			t.Fatalf("missing event %q in %v", e, events)
 		}
 	}
-	if conn.State() != "Closed" {
-		t.Fatalf("client state = %s", conn.State())
+	if conn.state.String() != "Closed" {
+		t.Fatalf("client state = %s", conn.state.String())
 	}
 }
 
@@ -426,8 +426,8 @@ func TestRetransmitTimeoutGivesUp(t *testing.T) {
 	if !gotReset {
 		t.Fatal("connection should give up after repeated RTOs")
 	}
-	if conn.Retransmits() < 3 {
-		t.Fatalf("expected several retransmits, got %d", conn.Retransmits())
+	if conn.retransmits < 3 {
+		t.Fatalf("expected several retransmits, got %d", conn.retransmits)
 	}
 }
 

@@ -66,8 +66,7 @@ func (h *LogHist) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Min and Max return the observed extremes (0 when empty).
-func (h *LogHist) Min() float64 { return h.min }
+// Max returns the largest observation (0 when empty).
 func (h *LogHist) Max() float64 { return h.max }
 
 // Quantile returns the approximate q-quantile (q in [0,1]): the geometric

@@ -21,8 +21,8 @@ func TestLogHistQuantiles(t *testing.T) {
 	if h.Quantile(0) < 1 || h.Quantile(1) != 1000 {
 		t.Fatalf("extremes: q0=%g q1=%g", h.Quantile(0), h.Quantile(1))
 	}
-	if h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("min/max: %g/%g", h.Min(), h.Max())
+	if h.min != 1 || h.Max() != 1000 {
+		t.Fatalf("min/max: %g/%g", h.min, h.Max())
 	}
 	if math.Abs(h.Mean()-500.5) > 1e-9 {
 		t.Fatalf("mean = %g", h.Mean())

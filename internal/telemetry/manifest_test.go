@@ -13,7 +13,7 @@ import (
 // normalized), LoadManifest validates, and every recorded field
 // survives the trip.
 func TestManifestRoundTrip(t *testing.T) {
-	Reset() // metrics are process-global; -count=2 must start from zero
+	reset() // metrics are process-global; -count=2 must start from zero
 	c := NewCounter("test.manifest.counter")
 	c.Add(11)
 

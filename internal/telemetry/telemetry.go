@@ -25,8 +25,7 @@
 // NewCounter et al. register by name once and return the same metric on
 // every call, so package-level `var m = telemetry.NewCounter(...)`
 // declarations across packages share one registry. Snapshot returns a
-// point-in-time copy; Reset (tests only) zeroes values but keeps
-// registrations.
+// point-in-time copy.
 package telemetry
 
 import (
@@ -97,13 +96,6 @@ func (h *Hist) Merge(o *LogHist) {
 	h.mu.Lock()
 	h.h.MergeHist(o)
 	h.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Hist) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Count()
 }
 
 // ---------- the registry ----------
@@ -221,24 +213,4 @@ func Snapshot() Snap {
 		}
 	}
 	return s
-}
-
-// Reset zeroes every registered metric and clears info annotations, but
-// keeps registrations (package-level metric vars stay valid). Intended
-// for tests that assert absolute values.
-func Reset() {
-	regMu.Lock()
-	defer regMu.Unlock()
-	for _, c := range counters {
-		c.v.Store(0)
-	}
-	for _, g := range gauges {
-		g.v.Store(0)
-	}
-	for _, h := range hists {
-		h.mu.Lock()
-		h.h = LogHist{}
-		h.mu.Unlock()
-	}
-	clear(infos)
 }

@@ -26,7 +26,7 @@ func TestRegistryIdempotent(t *testing.T) {
 // live fleet workers racing the periodic logger. Run under -race this
 // pins the atomic counter and gauge paths and the histogram lock.
 func TestConcurrentUpdates(t *testing.T) {
-	Reset() // metrics are process-global; -count=2 must start from zero
+	reset() // metrics are process-global; -count=2 must start from zero
 	c := NewCounter("test.conc.counter")
 	g := NewGauge("test.conc.gauge")
 	gm := NewGauge("test.conc.max")
@@ -69,7 +69,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := c.Load(); got != workers*perWorker*2 {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker*2)
 	}
-	if got := h.Count(); got != workers*perWorker {
+	if got := h.h.Count(); got != workers*perWorker {
 		t.Fatalf("hist count = %d, want %d", got, workers*perWorker)
 	}
 	if got := g.Load(); got != 0 {
@@ -83,7 +83,7 @@ func TestConcurrentUpdates(t *testing.T) {
 // TestHistStats pins the histogram summary math on a known distribution,
 // read the way every consumer reads it: through a snapshot.
 func TestHistStats(t *testing.T) {
-	Reset()
+	reset()
 	h := NewHist("test.hist.stats")
 	if ts := Snapshot().Timings["test.hist.stats"]; ts != (TimingStats{}) {
 		t.Fatalf("empty hist timing = %+v, want all zero", ts)
@@ -123,7 +123,7 @@ func TestHistStats(t *testing.T) {
 // TestHistMerge pins Merge against Observe: folding a nanosecond LogHist
 // in gives the same snapshot as observing its values one by one.
 func TestHistMerge(t *testing.T) {
-	Reset()
+	reset()
 	var lh LogHist
 	for i := 1; i <= 500; i++ {
 		d := time.Duration(i*i) * time.Microsecond
@@ -137,10 +137,10 @@ func TestHistMerge(t *testing.T) {
 	}
 }
 
-// TestSnapshotAndReset pins the snapshot contents and the test-only Reset
+// TestSnapshotAndReset pins the snapshot contents and the test-only reset
 // contract: values zero, registrations survive.
 func TestSnapshotAndReset(t *testing.T) {
-	Reset()
+	reset()
 	c := NewCounter("test.snap.counter")
 	g := NewGauge("test.snap.gauge")
 	h := NewHist("test.snap.hist")
@@ -170,19 +170,39 @@ func TestSnapshotAndReset(t *testing.T) {
 		t.Fatal("snapshot mutated by a later counter update")
 	}
 
-	Reset()
-	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 {
-		t.Fatal("Reset left non-zero values")
+	reset()
+	if c.Load() != 0 || g.Load() != 0 || h.h.Count() != 0 {
+		t.Fatal("reset left non-zero values")
 	}
 	s2 := Snapshot()
 	if _, ok := s2.Counters["test.snap.counter"]; !ok {
-		t.Fatal("Reset dropped the counter registration")
+		t.Fatal("reset dropped the counter registration")
 	}
 	if _, ok := s2.Info["test.snap.info"]; ok {
-		t.Fatal("Reset kept an info annotation")
+		t.Fatal("reset kept an info annotation")
 	}
-	c.Add(1) // the package-level var stays usable after Reset
+	c.Add(1) // the package-level var stays usable after reset
 	if c.Load() != 1 {
-		t.Fatal("counter unusable after Reset")
+		t.Fatal("counter unusable after reset")
 	}
+}
+
+// reset zeroes every registered metric and clears info annotations, but
+// keeps registrations (package-level metric vars stay valid), for tests
+// that assert absolute values.
+func reset() {
+	regMu.Lock()
+	defer regMu.Unlock()
+	for _, c := range counters {
+		c.v.Store(0)
+	}
+	for _, g := range gauges {
+		g.v.Store(0)
+	}
+	for _, h := range hists {
+		h.mu.Lock()
+		h.h = LogHist{}
+		h.mu.Unlock()
+	}
+	clear(infos)
 }

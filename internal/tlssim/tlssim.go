@@ -147,9 +147,6 @@ func (s *Session) install() {
 	}
 }
 
-// Established reports whether the handshake completed.
-func (s *Session) Established() bool { return s.established }
-
 // ---------- handshake ----------
 
 func (s *Session) sendClientHello() {

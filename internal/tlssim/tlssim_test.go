@@ -89,7 +89,7 @@ func TestHandshakeCompletes(t *testing.T) {
 	cs.OnEstablished = func() { clientUp = w.sched.Now() }
 	w.sched.After(time.Millisecond, func() {}) // keep scheduler non-empty at t0
 	w.sched.Run()
-	if !cs.Established() || *ssp == nil || !(*ssp).Established() {
+	if !cs.established || *ssp == nil || !(*ssp).established {
 		t.Fatal("handshake incomplete")
 	}
 	serverUp = clientUp // client is last to establish
@@ -273,7 +273,7 @@ func BenchmarkHandshake(b *testing.B) {
 		cs, _ := dial(w)
 		cs.OnEstablished = func() {}
 		w.sched.Run()
-		if !cs.Established() {
+		if !cs.established {
 			b.Fatal("handshake failed")
 		}
 	}

@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"insidedropbox/internal/wire"
 )
 
 // referenceCSV renders records through encoding/csv with the exact field
@@ -448,4 +450,9 @@ func csvExportOf(t testing.TB, recs []*FlowRecord, anonymize bool) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// anonIP renders the anonymous token for an address.
+func anonIP(ip wire.IP) string {
+	return string(appendAnonIP(nil, ip))
 }

@@ -178,11 +178,6 @@ func anonToken(ip wire.IP) uint64 {
 	return h & 0xffffffffffff
 }
 
-// anonIP renders the anonymous token for an address.
-func anonIP(ip wire.IP) string {
-	return string(appendAnonIP(nil, ip))
-}
-
 // appendAnonIP appends the "h%012x" rendering of an address's token.
 func appendAnonIP(b []byte, ip wire.IP) []byte {
 	const hex = "0123456789abcdef"

@@ -65,12 +65,6 @@ func New(sched *simtime.Scheduler, vp string) *Probe {
 	return p
 }
 
-// Captured returns the number of frames the probe has seen.
-func (p *Probe) Captured() uint64 { return p.captured }
-
-// ActiveFlows returns the number of flows currently tracked.
-func (p *Probe) ActiveFlows() int { return len(p.flows) }
-
 // ObserveDNS records a resolution so later flows to the server IP can be
 // labeled with the requested FQDN. Plug into dnssim.Resolver.Log.
 func (p *Probe) ObserveDNS(e dnssim.Event) {

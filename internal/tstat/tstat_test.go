@@ -299,7 +299,7 @@ func TestIdleSweepFinalizes(t *testing.T) {
 	// Run far past the idle timeout: all flows must be finalized by the
 	// sweeper without FlushAll.
 	w.sched.RunUntil(simtime.Time(12 * time.Minute))
-	if n := w.probe.ActiveFlows(); n != 0 {
+	if n := len(w.probe.flows); n != 0 {
 		t.Fatalf("flows still tracked after idle sweep: %d", n)
 	}
 	if len(w.records) == 0 {
@@ -313,7 +313,7 @@ func TestCapturedCounter(t *testing.T) {
 	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	w.sched.RunUntil(simtime.Time(30 * time.Second))
-	if w.probe.Captured() == 0 {
+	if w.probe.captured == 0 {
 		t.Fatal("probe saw no packets")
 	}
 }

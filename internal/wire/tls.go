@@ -50,7 +50,6 @@ const (
 	HandshakeServerHello     HandshakeType = 2
 	HandshakeCertificate     HandshakeType = 11
 	HandshakeServerHelloDone HandshakeType = 14
-	HandshakeClientKeyEx     HandshakeType = 16
 	HandshakeFinished        HandshakeType = 20
 )
 

@@ -12,7 +12,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 )
 
@@ -26,13 +25,6 @@ func MakeIP(a, b, c, d byte) IP {
 
 func (ip IP) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
-}
-
-// Bytes returns the 4-byte big-endian encoding.
-func (ip IP) Bytes() [4]byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(ip))
-	return b
 }
 
 // TCPFlags is the TCP flag bitfield.

@@ -27,10 +27,6 @@ func TestIPString(t *testing.T) {
 	if got := ip.String(); got != "192.168.1.200" {
 		t.Fatalf("IP string = %q", got)
 	}
-	b := ip.Bytes()
-	if b != [4]byte{192, 168, 1, 200} {
-		t.Fatalf("IP bytes = %v", b)
-	}
 }
 
 func TestFlagsString(t *testing.T) {

@@ -55,11 +55,6 @@ type Dataset struct {
 	DropboxDevices    int
 }
 
-// Horizon returns the campaign length.
-func (d *Dataset) Horizon() time.Duration {
-	return time.Duration(d.Cfg.Days) * 24 * time.Hour
-}
-
 // session is one device-online interval.
 type session struct {
 	start, end time.Duration

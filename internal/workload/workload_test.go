@@ -6,6 +6,7 @@ import (
 
 	"insidedropbox/internal/analysis"
 	"insidedropbox/internal/classify"
+	"insidedropbox/internal/dnssim"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/wire"
 )
@@ -14,6 +15,11 @@ func home1Small(t *testing.T) *Dataset {
 	t.Helper()
 	cfg := Home1(0.08) // ~1500 IPs
 	return Generate(cfg, 42)
+}
+
+// isStorage reports whether a service moves file data.
+func isStorage(s dnssim.Service) bool {
+	return s == dnssim.SvcClientStorage || s == dnssim.SvcWebStorage || s == dnssim.SvcAPIStorage
 }
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -34,7 +40,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestRecordsWithinHorizonAndSorted(t *testing.T) {
 	ds := home1Small(t)
-	horizon := ds.Horizon()
+	horizon := time.Duration(ds.Cfg.Days) * 24 * time.Hour
 	prev := time.Duration(-1)
 	for _, r := range ds.Records {
 		if r.FirstPacket < prev {
@@ -86,7 +92,7 @@ func TestStorageFlowCap(t *testing.T) {
 		if classify.ProviderOf(r) != classify.ProvDropbox {
 			continue
 		}
-		if classify.DropboxService(r).IsStorage() && r.ServerPort == 443 {
+		if isStorage(classify.DropboxService(r)) && r.ServerPort == 443 {
 			if v := r.BytesUp + r.BytesDown; v > maxBytes {
 				maxBytes = v
 			}
@@ -267,7 +273,7 @@ func TestControlFlowsDominateFlowCount(t *testing.T) {
 		}
 		all++
 		svc := classify.DropboxService(r)
-		if svc.IsStorage() {
+		if isStorage(svc) {
 			storage++
 		} else {
 			control++

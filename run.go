@@ -66,7 +66,8 @@ type Spec struct {
 
 	// Scenario is a loaded declarative scenario spec (LoadScenario); it
 	// configures the "scenario/*" experiments and opts them into the
-	// default selection. Its population is also the one the opt-in
+	// default selection: "scenario/flash-crowd" only when the spec has a
+	// backend section. Its population is also the one the opt-in
 	// "backend/*" lab replays, under its backend.preset. The spec's base
 	// section wins over Seed and Fleet.Shards for that population;
 	// Workers still only affects wall-clock time. Nil leaves the
@@ -158,7 +159,8 @@ func WithProfiles(profiles ...CapabilityProfile) Option {
 }
 
 // WithScenario attaches a loaded scenario spec and opts the scenario/*
-// experiments into the default selection.
+// experiments into the default selection (scenario/flash-crowd only for a
+// spec with a backend section).
 func WithScenario(sp *ScenarioSpec) Option { return func(s *Spec) { s.Scenario = sp } }
 
 // WithQuick selects small populations and quick packet labs.
@@ -209,7 +211,7 @@ func (s Spec) resolve() (Spec, []Experiment, error) {
 			patterns = append(patterns, "whatif")
 		}
 		if s.Scenario != nil {
-			patterns = append(patterns, "scenario/*")
+			patterns = append(patterns, experiments.ScenarioPatterns(s.Scenario)...)
 		}
 		def, err := experiments.Select()
 		if err != nil {

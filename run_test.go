@@ -12,79 +12,10 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"insidedropbox/internal/backend"
-	"insidedropbox/internal/experiments"
-	"insidedropbox/internal/scenario"
 )
 
 // goldenScale is the small population used by the equivalence tests.
 var goldenScale = ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01}
-
-// TestRunMatchesDirectCalls is the golden acceptance test of Run's
-// registry and session wiring: Run with a full-catalogue selection must
-// reproduce the exact bytes of the per-experiment drivers called directly
-// — experiments.All over one campaign, Table4Context, RunPacketLabs with
-// the quick configs, RunTestbed — result for result.
-func TestRunMatchesDirectCalls(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the packet labs")
-	}
-	const seed = 9
-	ctx := context.Background()
-	spec := Spec{Seed: seed, Scale: goldenScale, Quick: true}
-	results, err := Run(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	camp, err := Fold(ctx, seed, goldenScale, FleetConfig{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := map[string]*Result{}
-	for _, r := range experiments.All(camp) {
-		direct[r.ID] = r
-	}
-	if direct["table4"], err = experiments.Table4Context(ctx, seed, goldenScale.Campus1); err != nil {
-		t.Fatal(err)
-	}
-	direct["figure9"], direct["figure10"], err = experiments.RunPacketLabs(ctx,
-		experiments.QuickPacketLab(false), experiments.QuickPacketLab(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := experiments.RunTestbed(ctx, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct["figure1"], direct["figure19"] = tb.Figure1, tb.Figure19
-
-	if len(results) != len(direct) {
-		t.Fatalf("Run produced %d results, the direct calls %d", len(results), len(direct))
-	}
-	for _, got := range results {
-		want := direct[got.ID]
-		if want == nil {
-			t.Errorf("%s: not produced by the direct calls", got.ID)
-			continue
-		}
-		if got.Text != want.Text {
-			t.Errorf("%s: rendered text diverged from the direct call", got.ID)
-		}
-		if got.Title != want.Title {
-			t.Errorf("%s: title %q != direct %q", got.ID, got.Title, want.Title)
-		}
-		if !reflect.DeepEqual(got.Metrics, want.Metrics) {
-			t.Errorf("%s: metrics diverged from the direct call", got.ID)
-		}
-		// The registry's catalogue label must not drift from the title the
-		// driver renders (they are maintained in two places).
-		if e, ok := ExperimentByID(got.ID); !ok || e.Title != got.Title {
-			t.Errorf("%s: registry title %q != rendered title %q", got.ID, e.Title, got.Title)
-		}
-	}
-}
 
 // TestRunSelection exercises glob selection, option layering and result
 // metadata.
@@ -152,6 +83,45 @@ func TestRunManifestTimesEveryFold(t *testing.T) {
 	}
 }
 
+// TestScenarioOptInNeedsBackendForFlashCrowd: a spec opts scenario/cohorts
+// into the default selection, and scenario/flash-crowd only when it has a
+// backend section to replay, so a spec without one runs the default
+// catalogue. Selected explicitly, scenario/flash-crowd still refuses it.
+func TestScenarioOptInNeedsBackendForFlashCrowd(t *testing.T) {
+	for file, flash := range map[string]bool{
+		"scenarios/paper-baseline.json":     false,
+		"scenarios/mobile-heavy.json":       false,
+		"scenarios/flash-crowd-scarce.json": true,
+		"scenarios/regional-outage.json":    true,
+	} {
+		scen, err := LoadScenario(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sel, err := Spec{Scenario: scen}.resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		ids := map[string]bool{}
+		for _, e := range sel {
+			ids[e.ID] = true
+		}
+		if !ids["scenario/cohorts"] || ids["scenario/flash-crowd"] != flash {
+			t.Errorf("%s: selection has scenario/cohorts %v and scenario/flash-crowd %v, want true and %v",
+				file, ids["scenario/cohorts"], ids["scenario/flash-crowd"], flash)
+		}
+	}
+
+	scen, err := LoadScenario("scenarios/paper-baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), Spec{Scenario: scen}, WithExperiments("scenario/flash-crowd"))
+	if err == nil || !strings.Contains(err.Error(), `spec "paper-baseline" has no backend section`) {
+		t.Fatalf("explicit scenario/flash-crowd on a spec without a backend section: err = %v", err)
+	}
+}
+
 // TestScenarioResultRecordsItsOwnSeed: a scenario result runs the spec's
 // base population, so its meta carries the base's seed, shards, vantage
 // point and scale, each key once, and not the Run's Campus 1 scale,
@@ -175,126 +145,6 @@ func TestScenarioResultRecordsItsOwnSeed(t *testing.T) {
 		if !slices.Equal(got[k], v) {
 			t.Errorf("meta %s = %q, want %q (the spec base's, once)", k, got[k], v)
 		}
-	}
-}
-
-// TestBackendLabReplaysSessionPopulation: the backend/* lab replays the
-// session's one scenario population. Without a spec that is Home 1 at
-// Scale.Home1, seeded Seed+3, under the provisioned preset; with a spec it
-// is the base's arrivals under the spec's backend.preset.
-func TestBackendLabReplaysSessionPopulation(t *testing.T) {
-	ctx := context.Background()
-	replay := func(t *testing.T, preset string, arrivals []backend.Request) map[string]float64 {
-		t.Helper()
-		cfg, err := backend.PresetConfig(preset, arrivals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := backend.Simulate(ctx, cfg, arrivals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Served == 0 {
-			t.Fatal("the replay served nothing")
-		}
-		return rep.Metrics()
-	}
-
-	t.Run("implied", func(t *testing.T) {
-		fc := FleetConfig{Shards: 2}
-		results, err := Run(ctx, Spec{Seed: 3, Scale: goldenScale, Fleet: fc}, WithExperiments("backend/baseline"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrivals, _, err := backend.CollectArrivals(ctx, Home1(goldenScale.Home1), 3+3, fc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := results[0].Metrics, replay(t, "provisioned", arrivals); !reflect.DeepEqual(got, want) {
-			t.Fatalf("backend/baseline metrics\n%v\nwant the provisioned replay of Home 1's\n%v", got, want)
-		}
-	})
-
-	t.Run("spec", func(t *testing.T) {
-		scen, err := scenario.Parse([]byte(`{"schema": 1, "name": "base-scarce",
-			"base": {"vp": "campus1", "scale": 0.05, "seed": 7, "shards": 2},
-			"backend": {"preset": "scarce"}}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := Run(ctx, Spec{Seed: 3, Scale: goldenScale, Scenario: scen},
-			WithExperiments("backend/baseline", "backend/saturation"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pop, fc, err := scen.Base.Resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrivals, _, err := backend.CollectArrivals(ctx, pop.VP, pop.Seed, fc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, sat := results[0], results[1]
-		if !strings.Contains(base.Title, `"scarce" preset`) {
-			t.Errorf("backend/baseline title %q does not name the spec's preset", base.Title)
-		}
-		if got, want := base.Metrics, replay(t, "scarce", arrivals); !reflect.DeepEqual(got, want) {
-			t.Fatalf("backend/baseline metrics\n%v\nwant the scarce replay of the base's\n%v", got, want)
-		}
-		cfg, err := backend.PresetConfig("provisioned", arrivals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		knee, ok := backend.SaturationPoint(cfg, arrivals)
-		if got := sat.Metrics["knee_multiplier"]; !ok || got != knee {
-			t.Fatalf("backend/saturation knee_multiplier = %v, want %v over the base's arrivals", got, knee)
-		}
-	})
-}
-
-// TestScenarioBackendIsPresetReplay: a spec holding only a base and a
-// backend preset makes scenario/flash-crowd the plain preset replay of the
-// base population's arrivals, backend.Simulate(backend.PresetConfig(P,
-// arrivals)), metric for metric.
-func TestScenarioBackendIsPresetReplay(t *testing.T) {
-	scen, err := scenario.Parse([]byte(`{"schema": 1, "name": "base-scarce",
-		"base": {"vp": "campus1", "scale": 0.05, "seed": 7, "shards": 2},
-		"backend": {"preset": "scarce"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	results, err := Run(ctx, Spec{Seed: 3, Scale: goldenScale, Scenario: scen},
-		WithExperiments("scenario/flash-crowd"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pop, fc, err := scen.Base.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals, _, err := backend.CollectArrivals(ctx, pop.VP, pop.Seed, fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := backend.PresetConfig("scarce", arrivals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := backend.Simulate(ctx, cfg, arrivals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rep.Metrics()
-	want["requests_base"] = float64(len(arrivals))
-	want["requests_load"] = float64(len(arrivals))
-	if rep.Served == 0 {
-		t.Fatal("the replay served nothing")
-	}
-	if got := results[0].Metrics; !reflect.DeepEqual(got, want) {
-		t.Fatalf("scenario/flash-crowd metrics\n%v\nwant the preset replay's\n%v", got, want)
 	}
 }
 
