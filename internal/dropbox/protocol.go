@@ -65,6 +65,12 @@ func Reaction(rng *simrand.Source, median time.Duration) time.Duration {
 	return time.Duration(rng.LogNormalMedian(float64(median), 0.5))
 }
 
+// ReactionLog is Reaction(rng, median) given math.Log(float64(median)), for
+// callers that draw many reactions around one median.
+func ReactionLog(rng *simrand.Source, logMedian float64) time.Duration {
+	return time.Duration(rng.LogNormal(logMedian, 0.5))
+}
+
 // RetrieveRequestSize draws the size of one retrieve request, uniform in
 // [RetrieveClientOverheadMin, RetrieveClientOverheadMax).
 func RetrieveRequestSize(rng *simrand.Source) int {

@@ -22,6 +22,7 @@
 package flowmodel
 
 import (
+	"math"
 	"time"
 
 	"insidedropbox/internal/capability"
@@ -159,6 +160,9 @@ func (c *cwndModel) transfer(n int64, rtt time.Duration, bw float64) time.Durati
 // SynthesizeInto.
 type Synth struct {
 	ops []dropbox.PlanOp
+	// The last Params' reaction medians and their logarithms.
+	client, server       time.Duration
+	logClient, logServer float64
 }
 
 // Synthesize produces the flow record the probe would emit for the spec.
@@ -176,6 +180,10 @@ func Synthesize(rng *simrand.Source, p Params, spec StorageFlowSpec) *traces.Flo
 func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Params, spec StorageFlowSpec) *traces.FlowRecord {
 	ops := dropbox.PlanTransfer(s.ops[:0], p.Caps, spec.ChunkWires)
 	s.ops = ops
+	if p.ClientReaction != s.client || p.ServerReaction != s.server || s.logClient == 0 {
+		s.client, s.server = p.ClientReaction, p.ServerReaction // the zero Synth too
+		s.logClient, s.logServer = math.Log(float64(s.client)), math.Log(float64(s.server))
+	}
 	rec.FirstPacket = spec.Start
 	rec.SawSYN = true
 	rec.SNI = "dl-client0.dropbox.com"
@@ -229,10 +237,10 @@ func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Pa
 		var issueSpan time.Duration
 		for i := range ops {
 			if i > 0 {
-				issueSpan += dropbox.Reaction(rng, p.ClientReaction)
+				issueSpan += dropbox.ReactionLog(rng, s.logClient)
 			}
 		}
-		srv := dropbox.Reaction(rng, p.ServerReaction)
+		srv := dropbox.ReactionLog(rng, s.logServer)
 		var payload int64
 		for _, o := range ops {
 			if spec.Dir == classify.DirStore {
@@ -263,9 +271,9 @@ func (s *Synth) SynthesizeInto(rec *traces.FlowRecord, rng *simrand.Source, p Pa
 	} else {
 		for i, o := range ops {
 			if i > 0 {
-				t += dropbox.Reaction(rng, p.ClientReaction)
+				t += dropbox.ReactionLog(rng, s.logClient)
 			}
-			srv := dropbox.Reaction(rng, p.ServerReaction)
+			srv := dropbox.ReactionLog(rng, s.logServer)
 			if spec.Dir == classify.DirStore {
 				dataT := cw.transfer(int64(dropbox.StoreClientOverhead+o.Wire), rtt, p.Bandwidth)
 				t += dataT

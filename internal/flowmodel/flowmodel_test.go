@@ -2,6 +2,7 @@ package flowmodel
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -83,6 +84,34 @@ func TestGroupOpsV140Bundles(t *testing.T) {
 	ops = dropbox.PlanTransfer(nil, capability.DropboxV140(), []int{4 << 20, 4 << 20})
 	if len(ops) != 2 {
 		t.Fatalf("two 4MB chunks = %d ops", len(ops))
+	}
+}
+
+// TestSynthReactionLogsFollowParams feeds one Synth flows whose Params
+// alternate between DefaultParams' reactions (70/45 ms) and the
+// generator's (160/90 ms), or change the server's alone, sequential and
+// pipelined: each record must equal a fresh Synthesize on an identically
+// seeded Source, so the Synth's cached logarithms follow every change.
+func TestSynthReactionLogsFollowParams(t *testing.T) {
+	campus := DefaultParams(30 * time.Millisecond)
+	gen, server := campus, campus
+	gen.ClientReaction, gen.ServerReaction = 160*time.Millisecond, 90*time.Millisecond
+	server.ServerReaction = 90 * time.Millisecond
+	params := []Params{campus, gen, campus, server}
+	var s Synth
+	cached, fresh := simrand.New(9, "synth"), simrand.New(9, "synth")
+	for i := 0; i < 24; i++ {
+		p := params[i%len(params)]
+		p.Caps.CommitPipelining = i/len(params)%2 == 1
+		spec := StorageFlowSpec{Dir: classify.DirStore, ChunkWires: []int{30_000, 5_000, 80_000}, Start: time.Duration(i) * time.Minute}
+		if i%3 == 0 {
+			spec.Dir = classify.DirRetrieve
+		}
+		got := s.SynthesizeInto(new(traces.FlowRecord), cached, p, spec)
+		if want := Synthesize(fresh, p, spec); !reflect.DeepEqual(got, want) {
+			t.Fatalf("flow %d (reactions %v/%v): Synth gave\n%+v\nfresh Synthesize\n%+v",
+				i, p.ClientReaction, p.ServerReaction, got, want)
+		}
 	}
 }
 

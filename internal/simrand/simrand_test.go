@@ -2,6 +2,8 @@ package simrand
 
 import (
 	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -13,6 +15,90 @@ func TestDeterminism(t *testing.T) {
 		if a.Float64() != b.Float64() {
 			t.Fatalf("same-seed streams diverged at draw %d", i)
 		}
+	}
+}
+
+// TestSourceMatchesMathRand drives a Source and rand.New(rand.NewSource)
+// with one script of every draw and requires the same value at each step:
+// the stream is math/rand's Go 1 stream bit for bit.
+func TestSourceMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 2012, math.MaxInt32, 1 << 40, math.MinInt64, math.MaxInt64}
+	// Intn's mask (1<<30 puts half the draws in the last block), its
+	// rejection (3<<29 rejects one draw in four) and, where int is 64-bit,
+	// its hand-off to rand.Rand.Intn.
+	intns := []int{1, 7, 1 << 20, 1 << 30, 3 << 29, math.MaxInt32}
+	if strconv.IntSize == 64 {
+		big := int64(1) << 40 // a variable, so that 32-bit builds compile
+		intns = append(intns, int(big))
+	}
+	refPoisson := func(r *rand.Rand, mean float64) int {
+		if mean > 60 {
+			v := mean + math.Sqrt(mean)*r.NormFloat64()
+			if v < 0 {
+				return 0
+			}
+			return int(v + 0.5)
+		}
+		k, p, l := 0, 1.0, math.Exp(-mean)
+		for {
+			if p *= r.Float64(); p <= l {
+				return k
+			}
+			k++
+		}
+	}
+	for _, seed := range seeds {
+		s, r := New(seed, "root"), rand.New(rand.NewSource(seed))
+		for step := 0; step < 10000; step++ {
+			var got, want any
+			switch step % 13 {
+			case 0:
+				got, want = s.Float64(), r.Float64()
+			case 1:
+				n := intns[step/13%len(intns)]
+				got, want = s.Intn(n), r.Intn(n)
+			case 2:
+				got, want = s.Uint64(), r.Uint64()
+			case 3:
+				got, want = s.Normal(0, 1), r.NormFloat64()
+			case 4:
+				got, want = s.Exponential(1), r.ExpFloat64()
+			case 5:
+				a, b := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+				s.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+				r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+				got, want = [9]int(a), [9]int(b)
+			case 6:
+				got, want = s.Poisson(3.5), refPoisson(r, 3.5)
+			case 7:
+				got, want = s.Poisson(80), refPoisson(r, 80)
+			case 8:
+				got, want = s.PoissonExp(math.Exp(-1.4)), refPoisson(r, 1.4)
+			case 9:
+				got, want = s.Bool(0.3), r.Float64() < 0.3
+			case 10:
+				got, want = s.Uniform(2, 20), 2+18*r.Float64()
+			case 11:
+				child := s.Fork("c")
+				ref := rand.New(rand.NewSource(int64(fnv64("root/c")) ^ r.Int63()))
+				got, want = [2]uint64{child.Uint64(), uint64(child.Intn(1000))}, [2]uint64{ref.Uint64(), uint64(ref.Intn(1000))}
+			case 12:
+				got, want = s.Intn(1000), r.Intn(1000)
+			}
+			if got != want {
+				t.Fatalf("seed %d, step %d (op %d): got %v, math/rand %v", seed, step, step%13, got, want)
+			}
+		}
+	}
+
+	// An Int63 near 2⁶³ rounds to 1 in Float64, which must draw again as
+	// rand.Rand.Float64 does. Steer the next output to 2⁶³−1.
+	s := New(2012, "root")
+	tap, feed := (s.gen.tap+genLen-1)%genLen, (s.gen.feed+genLen-1)%genLen
+	s.gen.vec[feed] = math.MaxInt64 - s.gen.vec[tap]
+	ref := s.gen
+	if got, want := s.Float64(), rand.New(&ref).Float64(); got != want || got >= 1 {
+		t.Fatalf("Float64 after an Int63 of 2⁶³−1: got %v, rand.Rand %v", got, want)
 	}
 }
 
@@ -217,6 +303,34 @@ func BenchmarkLogNormal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = src.LogNormalMedian(1000, 2)
 	}
+}
+
+var (
+	sinkFloat float64
+	sinkInt   int
+	sinkBool  bool
+)
+
+// BenchmarkSourceDraws times the draws the generator makes most often.
+func BenchmarkSourceDraws(b *testing.B) {
+	b.Run("Float64", func(b *testing.B) {
+		src := New(1, "b")
+		for i := 0; i < b.N; i++ {
+			sinkFloat = src.Float64()
+		}
+	})
+	b.Run("Intn1000", func(b *testing.B) {
+		src := New(1, "b")
+		for i := 0; i < b.N; i++ {
+			sinkInt = src.Intn(1000)
+		}
+	})
+	b.Run("Bool", func(b *testing.B) {
+		src := New(1, "b")
+		for i := 0; i < b.N; i++ {
+			sinkBool = src.Bool(0.3)
+		}
+	})
 }
 
 func BenchmarkThinnedPoisson(b *testing.B) {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -15,6 +16,17 @@ import (
 	"insidedropbox/internal/tlssim"
 	"insidedropbox/internal/traces"
 	"insidedropbox/internal/wire"
+)
+
+// Constant draw parameters' logarithms and exponentials, taken once: exactly,
+// LogNormal(math.Log(m), σ) is LogNormalMedian(m, σ), PoissonExp(math.Exp(-λ)) Poisson(λ).
+var (
+	ln15min, ln35min       = math.Log(float64(15 * time.Minute)), math.Log(float64(35 * time.Minute))
+	ln2h, ln6h, ln7h       = math.Log(float64(2 * time.Hour)), math.Log(float64(6 * time.Hour)), math.Log(float64(7 * time.Hour))
+	ln3kB, ln9kB, ln30kB   = math.Log(3e3), math.Log(9e3), math.Log(30e3)
+	ln120kB, ln250kB       = math.Log(120e3), math.Log(250e3)
+	ln400kB, ln2MB, ln40MB = math.Log(400e3), math.Log(2e6), math.Log(40e6)
+	expNeg1p4, expNeg1p6   = math.Exp(-1.4), math.Exp(-1.6)
 )
 
 // Interned hostname tables: the record hot path stamps one of ~520 storage
@@ -687,21 +699,21 @@ func (g *generator) sessionDuration() time.Duration {
 		u := g.rng.Float64()
 		switch {
 		case u < 0.55:
-			return time.Duration(g.rng.LogNormalMedian(float64(7*time.Hour), 0.35))
+			return time.Duration(g.rng.LogNormal(ln7h, 0.35))
 		case u < 0.80:
-			return time.Duration(g.rng.LogNormalMedian(float64(2*time.Hour), 0.8))
+			return time.Duration(g.rng.LogNormal(ln2h, 0.8))
 		default:
-			return time.Duration(g.rng.LogNormalMedian(float64(15*time.Minute), 1.0))
+			return time.Duration(g.rng.LogNormal(ln15min, 1.0))
 		}
 	}
 	u := g.rng.Float64()
 	switch {
 	case u < 0.45:
-		return time.Duration(g.rng.LogNormalMedian(float64(35*time.Minute), 1.1))
+		return time.Duration(g.rng.LogNormal(ln35min, 1.1))
 	case u < 0.85:
-		return time.Duration(g.rng.LogNormalMedian(float64(2*time.Hour), 0.9))
+		return time.Duration(g.rng.LogNormal(ln2h, 0.9))
 	default:
-		return time.Duration(g.rng.LogNormalMedian(float64(6*time.Hour), 0.7))
+		return time.Duration(g.rng.LogNormal(ln6h, 0.7))
 	}
 }
 
@@ -827,7 +839,7 @@ func (g *generator) allocFiles(n int) []int64 {
 // or a few files, mostly small deltas (the paper's median store flow is
 // ~16 kB and >40% of flows carry 2+ chunks).
 func (g *generator) eventFiles() []int64 {
-	n := 1 + g.rng.Poisson(1.4)
+	n := 1 + g.rng.PoissonExp(expNeg1p4)
 	out := g.allocFiles(n)
 	for i := range out {
 		out[i] = g.fileSize()
@@ -854,7 +866,7 @@ func (g *generator) sessionEvents(hh *household, dev *device, s session) {
 	if hh.group == classify.GroupHeavy || hh.group == classify.GroupDownloadOnly {
 		if g.rng.Bool(0.55) {
 			var files []int64
-			for i := 0; i < 1+g.rng.Poisson(1.6); i++ {
+			for i := 0; i < 1+g.rng.PoissonExp(expNeg1p6); i++ {
 				files = append(files, g.eventFiles()...)
 			}
 			dev.events = append(dev.events, syncEvent{s.start + g.startupDelay(), classify.DirRetrieve, files})
@@ -910,15 +922,15 @@ func (g *generator) fileSize() int64 {
 	editDelta := false
 	switch {
 	case u < 0.60:
-		v = g.rng.LogNormalMedian(9e3, 1.3) // deltas of constantly-edited files
+		v = g.rng.LogNormal(ln9kB, 1.3) // deltas of constantly-edited files
 		editDelta = true
 	case u < 0.85:
-		v = g.rng.LogNormalMedian(120e3, 1.1) // modified documents and media
+		v = g.rng.LogNormal(ln120kB, 1.1) // modified documents and media
 		editDelta = true
 	case u < 0.97:
-		v = g.rng.LogNormalMedian(2e6, 1.0)
+		v = g.rng.LogNormal(ln2MB, 1.0)
 	default:
-		v = g.rng.LogNormalMedian(40e6, 0.8)
+		v = g.rng.LogNormal(ln40MB, 0.8)
 	}
 	if editDelta && !g.caps.DeltaEncoding {
 		v *= capability.NoDeltaInflate
@@ -1263,13 +1275,13 @@ func (g *generator) webInterface(ip wire.IP, visits int) {
 		at := g.randomInstant()
 		conns := 2 + g.rng.Intn(6)
 		for c := 0; c < conns; c++ {
-			down := int64(4103 + int(g.rng.LogNormalMedian(3e3, 1.8)))
+			down := int64(4103 + int(g.rng.LogNormal(ln3kB, 1.8)))
 			if g.rng.Bool(0.05) { // occasional real file download <10MB
-				down = 4103 + int64(g.rng.LogNormalMedian(400e3, 1.4))
+				down = 4103 + int64(g.rng.LogNormal(ln400kB, 1.4))
 			}
 			up := int64(294 + 300 + g.rng.Intn(1500))
 			if g.rng.Bool(0.03) { // rare upload through the Web form
-				up += int64(g.rng.LogNormalMedian(30e3, 1.3))
+				up += int64(g.rng.LogNormal(ln30kB, 1.3))
 			}
 			rec := g.newRecord()
 			rec.FirstPacket, rec.LastPacket = at, at+4*time.Second
@@ -1292,7 +1304,7 @@ func (g *generator) webInterface(ip wire.IP, visits int) {
 func (g *generator) directLinkDownloads(ip wire.IP, n int) {
 	for i := 0; i < n; i++ {
 		at := g.randomInstant()
-		size := int64(g.rng.LogNormalMedian(120e3, 2.0))
+		size := int64(g.rng.LogNormal(ln120kB, 2.0))
 		if size > 200e6 {
 			size = 200e6
 		}
@@ -1327,7 +1339,7 @@ func (g *generator) directLinkDownloads(ip wire.IP, n int) {
 func (g *generator) apiFlows(ip wire.IP, n int) {
 	for i := 0; i < n; i++ {
 		at := g.randomInstant()
-		down := int64(4103 + int(g.rng.LogNormalMedian(250e3, 1.6)))
+		down := int64(4103 + int(g.rng.LogNormal(ln250kB, 1.6)))
 		up := int64(294 + 500 + g.rng.Intn(2000))
 		rec := g.newRecord()
 		rec.FirstPacket, rec.LastPacket = at, at+5*time.Second
