@@ -182,8 +182,10 @@ func TestStreamStopsMidSlab(t *testing.T) {
 
 // TestStreamAllocationBudget extends the writer's allocation pin
 // (traces.TestBinaryWriteAllocationFree) over the whole export path: Home 1
-// through StreamRecords into an inline BinaryWriter stays under half an
-// allocation per record. Unpooled hand-off costs more than one.
+// through StreamRecords into an inline BinaryWriter stays under a tenth of
+// an allocation per record (0.026 measured; 0.31 when the generator
+// allocated a merge state per storage connection and event buffers per
+// household). Unpooled hand-off costs more than one.
 func TestStreamAllocationBudget(t *testing.T) {
 	w := traces.NewBinaryWriter(io.Discard)
 	var before, after runtime.MemStats
@@ -198,8 +200,8 @@ func TestStreamAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	perRec := float64(after.Mallocs-before.Mallocs) / float64(stats.Records)
-	if perRec > 0.5 {
-		t.Fatalf("export allocates %.2f objects/record over %d records, want <= 0.5", perRec, stats.Records)
+	if perRec > 0.1 {
+		t.Fatalf("export allocates %.3f objects/record over %d records, want <= 0.1", perRec, stats.Records)
 	}
 	t.Logf("%.3f allocs/record over %d records", perRec, stats.Records)
 }

@@ -187,11 +187,11 @@ func (h *HolidayCalendar) At(t time.Duration) float64 {
 	return 1
 }
 
-// ThinnedPoissonProcess generates event times on [0, horizon) for a
+// ThinnedPoissonProcess appends to dst the event times on [0, horizon) of a
 // non-homogeneous Poisson process whose rate is baseRate/day modulated by the
 // diurnal profile, weekday factors and holiday calendar. It uses thinning
 // against the profile's peak intensity.
-func ThinnedPoissonProcess(src *Source, horizon time.Duration, perDay float64,
+func ThinnedPoissonProcess(dst []time.Duration, src *Source, horizon time.Duration, perDay float64,
 	prof DiurnalProfile, week WeekdayFactor, holidays *HolidayCalendar) []time.Duration {
 
 	peak := 0.0
@@ -201,11 +201,11 @@ func ThinnedPoissonProcess(src *Source, horizon time.Duration, perDay float64,
 		}
 	}
 	if peak <= 0 || perDay <= 0 {
-		return nil
+		return dst
 	}
 	// Hourly peak rate: events/day * peak share-per-hour.
 	peakPerHour := perDay * peak
-	var out []time.Duration
+	out := dst
 	t := time.Duration(0)
 	for t < horizon {
 		// Exponential gap at the peak rate.

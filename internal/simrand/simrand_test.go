@@ -257,7 +257,7 @@ func TestHolidayCalendar(t *testing.T) {
 func TestThinnedPoissonProcess(t *testing.T) {
 	src := New(11, "t")
 	horizon := 14 * 24 * time.Hour
-	events := ThinnedPoissonProcess(src, horizon, 24, CampusRoaming(), CampusWeek(), nil)
+	events := ThinnedPoissonProcess(nil, src, horizon, 24, CampusRoaming(), CampusWeek(), nil)
 	if len(events) == 0 {
 		t.Fatal("no events generated")
 	}
@@ -338,7 +338,7 @@ func BenchmarkThinnedPoisson(b *testing.B) {
 	prof := HomeEvenings()
 	week := HomeWeek()
 	for i := 0; i < b.N; i++ {
-		_ = ThinnedPoissonProcess(src, 24*time.Hour, 50, prof, week, nil)
+		_ = ThinnedPoissonProcess(nil, src, 24*time.Hour, 50, prof, week, nil)
 	}
 }
 

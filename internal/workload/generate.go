@@ -72,7 +72,11 @@ type session struct {
 	start, end time.Duration
 }
 
-// device is a generated Dropbox client installation.
+// device is a generated Dropbox client installation. Its sessions and
+// events are per-shard buffers lent for one household; namespaces is the
+// one slice allocated afresh per device, because emitted notify records
+// carry it as NotifyNamespaces and a stream consumer may read them long
+// after the household is done.
 type device struct {
 	host       uint64
 	namespaces []uint32
@@ -122,10 +126,22 @@ type generator struct {
 	wires []int
 	ops   []dropbox.PlanOp
 
-	// filesArena is a rolling slab backing the per-event changed-file
-	// lists: lists are carved off sequentially and the slab is replaced —
-	// never rewound — when full, so live lists are never reused and dead
-	// ones are reclaimed with their slab (see allocFiles).
+	// Per-shard scratch reused across households: slot k's event and
+	// session buffers are lent to a household's k-th device and handed
+	// back after its drain; starts, files and order hold one device's
+	// session starts, one start-up sync's list and one drain order.
+	events       [][]syncEvent
+	sessions     [][]session
+	starts       []time.Duration
+	files        []int64
+	order        drainOrder
+	deviceCounts [2]*simrand.WeightedChoice // Fig. 12 samplers, built once
+
+	// filesArena is a slab backing one household's changed-file lists:
+	// lists are carved off sequentially, the offset goes back to 0 when
+	// the next household starts (the last one's lists died with its
+	// drained events), and a full slab is replaced, never written over,
+	// so a live list is never reused (see allocFiles).
 	filesArena []int64
 	filesOff   int
 }
@@ -497,7 +513,10 @@ func (g *generator) makeDropboxHousehold(ip wire.IP, access AccessKind) *househo
 		pool[i] = g.allocNS()
 	}
 	for i := 0; i < n; i++ {
-		d := &device{host: g.nextHost, access: access}
+		if i == len(g.events) {
+			g.events, g.sessions = append(g.events, nil), append(g.sessions, nil)
+		}
+		d := &device{host: g.nextHost, access: access, events: g.events[i][:0]}
 		g.nextHost++
 		if g.plan != nil {
 			d.cohort = g.plan.Assign(d.host)
@@ -508,7 +527,7 @@ func (g *generator) makeDropboxHousehold(ip wire.IP, access AccessKind) *househo
 		// A few devices sit permanently behind connection-killing
 		// equipment; most chopping is decided per session.
 		d.natChopped = g.rng.Bool(g.chopFrac() / 4)
-		d.sessions = g.deviceSessions(hh.group)
+		d.sessions = g.deviceSessions(hh.group, g.sessions[i][:0])
 		hh.devices = append(hh.devices, d)
 	}
 	if g.plan != nil {
@@ -570,13 +589,16 @@ func (g *generator) deviceCount(group classify.UserGroup) int {
 		}
 		return 2
 	}
-	var weights []float64
-	if group == classify.GroupHeavy {
-		weights = []float64{0.32, 0.38, 0.17, 0.08, 0.05}
-	} else {
-		weights = []float64{0.72, 0.18, 0.06, 0.03, 0.01}
+	if g.deviceCounts[0] == nil { // NewWeightedChoice draws nothing
+		g.deviceCounts = [2]*simrand.WeightedChoice{
+			simrand.NewWeightedChoice(g.rng, []float64{0.72, 0.18, 0.06, 0.03, 0.01}),
+			simrand.NewWeightedChoice(g.rng, []float64{0.32, 0.38, 0.17, 0.08, 0.05}),
+		}
 	}
-	w := simrand.NewWeightedChoice(g.rng, weights)
+	w := g.deviceCounts[0]
+	if group == classify.GroupHeavy {
+		w = g.deviceCounts[1]
+	}
 	n := w.Draw() + 1
 	if n == 5 {
 		n += g.rng.Intn(4) // the >4 tail
@@ -612,11 +634,12 @@ func (g *generator) allocNS() uint32 {
 	return v
 }
 
-// deviceSessions draws the session process for one device over the horizon.
-func (g *generator) deviceSessions(group classify.UserGroup) []session {
+// deviceSessions appends to out the session process of one device over
+// the horizon.
+func (g *generator) deviceSessions(group classify.UserGroup, out []session) []session {
 	c := g.cohort
 	if c != nil && c.AlwaysOn {
-		return []session{{0, g.horizon}}
+		return append(out, session{0, g.horizon})
 	}
 	// A slice of devices never goes offline (the Fig. 16 tail).
 	alwaysOn := 0.08
@@ -627,7 +650,7 @@ func (g *generator) deviceSessions(group classify.UserGroup) []session {
 		alwaysOn /= 2
 	}
 	if g.rng.Bool(alwaysOn) {
-		return []session{{0, g.horizon}}
+		return append(out, session{0, g.horizon})
 	}
 	rate := g.cfg.SessionsPerDay
 	if group == classify.GroupOccasional {
@@ -643,12 +666,12 @@ func (g *generator) deviceSessions(group classify.UserGroup) []session {
 			week = weekShifted(*c.Week)
 		}
 	}
-	starts := simrand.ThinnedPoissonProcess(g.rng, g.horizon, rate,
+	starts := simrand.ThinnedPoissonProcess(g.starts[:0], g.rng, g.horizon, rate,
 		diurnal, week, g.cfg.Holidays)
 	if c != nil && len(c.Flash) > 0 {
 		starts = g.flashStarts(starts, c, rate)
 	}
-	var out []session
+	g.starts = starts
 	for _, s := range starts {
 		dur := g.sessionDuration()
 		if c != nil {
@@ -741,7 +764,7 @@ func (g *generator) dropboxTraffic(hh *household) {
 		dev := hh.devices[0]
 		start := 5 * 24 * time.Hour
 		end := 19 * 24 * time.Hour
-		dev.sessions = []session{{start, end}}
+		dev.sessions = append(dev.sessions[:0], session{start, end})
 		for at := start; at < end; at += time.Duration(g.rng.Uniform(500, 900) * float64(time.Second)) {
 			g.oneStorageFlow(hh, dev, at, classify.DirStore, []int{4 << 20})
 			g.controlFlow(hh, at, 2, 1) // each chunk is its own transaction
@@ -752,9 +775,10 @@ func (g *generator) dropboxTraffic(hh *household) {
 	// time order so consecutive batches can reuse storage connections
 	// within the 60 s idle window — the flow-inflating behaviour the paper
 	// observes in Sec. 4.4.2. Events accumulate on the devices themselves
-	// (sorted slices, not a per-household map): append order is identical
-	// to the former map-of-slices build, so the sorted drain order — and
-	// with it the record stream — is unchanged.
+	// (not a per-household map): append order is identical to the former
+	// map-of-slices build, and the drain walks them in the order of their
+	// sorted keys (drainOrder), so the record stream is unchanged.
+	g.filesOff = 0
 	for _, dev := range hh.devices {
 		if g.plan != nil {
 			g.setCohort(dev.cohort)
@@ -772,15 +796,21 @@ func (g *generator) dropboxTraffic(hh *household) {
 		}
 		evs := dev.events
 		g.stats.SyncEvents += len(evs)
-		// sort.Sort over the typed slice runs the same pdqsort as
-		// sort.Slice — identical permutation, no reflection-based swapper.
-		sort.Sort(eventsByTime(evs))
-		var mergers [2]*mergeState // store, retrieve
-		for _, ev := range evs {
+		g.order = g.order[:0]
+		for i, ev := range evs {
+			g.order = append(g.order, drainKey{ev.at, int32(i)})
+		}
+		sort.Sort(&g.order)
+		var mergers [2]mergeState // store, retrieve
+		for _, k := range g.order {
+			ev := &evs[k.i]
 			g.storageFlows(hh, dev, ev.at, ev.dir, ev.files, &mergers)
 		}
-		g.closeMerger(mergers[0])
-		g.closeMerger(mergers[1])
+		g.closeMerger(&mergers[0])
+		g.closeMerger(&mergers[1])
+	}
+	for i, dev := range hh.devices {
+		g.events[i], g.sessions[i] = dev.events, dev.sessions
 	}
 	// Web interface / direct-link / API usage rides on the household (no
 	// cohort attribution — it is account-level, not device-level).
@@ -808,12 +838,21 @@ type syncEvent struct {
 	files []int64
 }
 
-// eventsByTime orders sync events by instant.
-type eventsByTime []syncEvent
+// drainOrder orders a device's events by instant through pointer-free
+// keys. sort.Sort's pdqsort permutes by Len, Less and its own swaps alone,
+// so the keys come out as sorting the events would, ties included, while
+// a swap moves 16 bytes instead of a 40-byte event with its write barrier.
+// A stable sort would order ties differently and move the stream.
+type drainOrder []drainKey
 
-func (e eventsByTime) Len() int           { return len(e) }
-func (e eventsByTime) Less(i, j int) bool { return e[i].at < e[j].at }
-func (e eventsByTime) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }
+type drainKey struct {
+	at time.Duration
+	i  int32
+}
+
+func (o *drainOrder) Len() int           { return len(*o) }
+func (o *drainOrder) Less(i, j int) bool { return (*o)[i].at < (*o)[j].at }
+func (o *drainOrder) Swap(i, j int)      { (*o)[i], (*o)[j] = (*o)[j], (*o)[i] }
 
 // filesArenaSize sizes the changed-file slab: ~1700 average events per
 // slab allocation.
@@ -865,11 +904,14 @@ func (g *generator) sessionEvents(hh *household, dev *device, s session) {
 	// larger than individual store events (Fig. 7).
 	if hh.group == classify.GroupHeavy || hh.group == classify.GroupDownloadOnly {
 		if g.rng.Bool(0.55) {
-			var files []int64
+			files := g.files[:0]
 			for i := 0; i < 1+g.rng.PoissonExp(expNeg1p6); i++ {
 				files = append(files, g.eventFiles()...)
 			}
-			dev.events = append(dev.events, syncEvent{s.start + g.startupDelay(), classify.DirRetrieve, files})
+			g.files = files
+			list := g.allocFiles(len(files))
+			copy(list, files)
+			dev.events = append(dev.events, syncEvent{s.start + g.startupDelay(), classify.DirRetrieve, list})
 		}
 	}
 	nUp := g.rng.Poisson(upRate * hours)
@@ -951,17 +993,17 @@ func (g *generator) fileSize() int64 {
 // follow-on batches within the 60 s idle window reuse it, folding into the
 // same flow record. The record is emitted only when the connection closes,
 // so nothing downstream ever observes a flow that is still being folded —
-// the invariant the streaming engine depends on.
+// the invariant the streaming engine depends on. A nil rec means no
+// connection is open.
 type mergeState struct {
 	rec *traces.FlowRecord
-	dir classify.Direction
 	end time.Duration // end of the last data transfer
 }
 
 // closeMerger finalizes an open storage flow with the server's idle close
 // (alert + FIN answered by a client RST, Fig. 19) and emits it.
 func (g *generator) closeMerger(m *mergeState) {
-	if m == nil || m.rec == nil {
+	if m.rec == nil {
 		return
 	}
 	r := m.rec
@@ -999,7 +1041,7 @@ func foldFlow(dst, src *traces.FlowRecord) {
 // caps flows near 400 MB this way) and emits flows, reusing open
 // connections within the idle window.
 func (g *generator) storageFlows(hh *household, dev *device, at time.Duration,
-	dir classify.Direction, files []int64, mergers *[2]*mergeState) {
+	dir classify.Direction, files []int64, mergers *[2]mergeState) {
 
 	chunkLimit := g.caps.ChunkLimit()
 	// Server-side dedup (need_blocks) spares upload traffic only; the
@@ -1052,8 +1094,8 @@ func (g *generator) storageFlows(hh *household, dev *device, at time.Duration,
 		end := op.First + op.Chunks
 		batch := wires[first:end]
 		first = end
-		m := (*mergers)[slot]
-		reuse := m != nil && m.rec != nil && at > m.end && at-m.end < 55*time.Second
+		m := &mergers[slot]
+		reuse := m.rec != nil && at > m.end && at-m.end < 55*time.Second
 		if reuse {
 			src := g.synthStorage(dev, m.end+maxDur(at-m.end, time.Second), dir, batch, false)
 			if src != nil {
@@ -1068,14 +1110,11 @@ func (g *generator) storageFlows(hh *household, dev *device, at time.Duration,
 				// Stamp now, emit at close: the open connection keeps
 				// folding follow-on batches into this record.
 				g.stampStorage(hh, rec)
-				(*mergers)[slot] = &mergeState{
-					rec: rec, dir: dir,
-					end: rec.FirstPacket + classify.TransferDuration(rec, dir),
-				}
+				*m = mergeState{rec: rec, end: rec.FirstPacket + classify.TransferDuration(rec, dir)}
 			}
 		}
 		g.controlFlow(hh, at, 2, 1) // commit_batch/need_blocks + close
-		if m = (*mergers)[slot]; m != nil && m.rec != nil {
+		if m.rec != nil {
 			at = m.end + time.Duration(g.rng.Uniform(0.3, 2)*float64(time.Second))
 		} else {
 			at += time.Duration(g.rng.Uniform(1, 5) * float64(time.Second))
