@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"insidedropbox"
 	"insidedropbox/internal/campaign"
@@ -13,37 +12,17 @@ import (
 	"insidedropbox/internal/telemetry"
 )
 
-// crashAfterShard reads the DROPSIM_CRASH_AFTER_SHARD kill-injection
-// hook: when set to N, the process hard-exits (status 137, no cleanup —
-// the scripted stand-in for SIGKILL) after N shards have committed their
-// checkpoint entries. CI's campaign job uses it to prove a killed run
-// resumes to byte-identical output.
-func crashAfterShard() func(shard int) {
-	n, err := strconv.Atoi(os.Getenv("DROPSIM_CRASH_AFTER_SHARD"))
-	if err != nil || n < 1 {
-		return nil
-	}
-	done := 0
-	return func(shard int) {
-		if done++; done >= n {
-			fmt.Fprintf(os.Stderr, "crash injection: killing after %d shards\n", done)
-			os.Exit(137)
-		}
-	}
-}
-
 // runCheckpointed is the -checkpoint path of the main dropsim command: a
 // single-process campaign run with per-shard checkpoint/resume, workers
 // shards at a time on the fleet engine's pool.
 func runCheckpointed(ctx context.Context, spec campaign.Spec, mspec map[string]string, dir, out string, workers int, resume bool, manifest string) {
 	rec := newManifestRecorder(spec.Seed, mspec)
 	res, err := campaign.Run(ctx, campaign.Config{
-		Spec:       spec,
-		Dir:        dir,
-		Out:        out,
-		Workers:    workers,
-		Resume:     resume,
-		AfterShard: crashAfterShard(),
+		Spec:    spec,
+		Dir:     dir,
+		Out:     out,
+		Workers: workers,
+		Resume:  resume,
 		Observer: func(ev campaign.Event) {
 			campaignProgress(os.Stderr, ev)
 			if ev.Stage == "shard" {

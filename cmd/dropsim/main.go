@@ -28,9 +28,11 @@
 // -checkpoint DIR makes the export a durable campaign (internal/campaign):
 // each shard lands in a part file under DIR with a checkpoint entry, and
 // one merger streams the committed parts, in shard order, into the export
-// while later shards generate. A run that is killed, fails or is cancelled
-// (^C) leaves no export; -resume continues it and writes the bytes an
-// uninterrupted run does. It takes no -summary or -scenario.
+// while later shards generate. A shard that fails ends the run at its
+// first error, with no retry in the process. A run that is killed, fails
+// or is cancelled (^C) leaves its committed shards and no export; -resume
+// continues it and writes the bytes an uninterrupted run does. It takes
+// no -summary or -scenario.
 //
 // -vp, -scale (a fraction of the paper's population, 1 being Table 2's),
 // -seed, -shards and -profile name the population. -scale is the one

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -254,11 +255,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 				name, fn = pkg.Name()+"."+recvTypeName(f)+"."+obj.Name(), f
 			}
 			_, allowed := testOnlyAllowed[name]
+			used := m.reads[obj] || m.writes[obj]
 			found[name] = true
 			switch {
-			case m.used[obj] && allowed:
+			case used && allowed:
 				t.Errorf("testOnlyAllowed names %s, which has a non-test caller now", name)
-			case m.used[obj] || allowed || fn != nil && viaInterface(fn):
+			case used || allowed || fn != nil && viaInterface(fn):
 			default:
 				t.Errorf("%s: exported %s has no caller outside _test.go files", m.fset.Position(obj.Pos()), name)
 			}
@@ -271,25 +273,86 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// writeOnlyAllowed names the unexported fields and variables that non-test
+// code writes, that only tests read, and that stay anyway, each with its
+// reason. It may only shrink: TestNoWriteOnlyState fails on an entry that
+// gained a read or no longer exists.
+var writeOnlyAllowed = map[string]string{
+	"experiments.TestbedResult.frames":   "the testbed's captured frames, which TestTestbedCaptureGolden reads as its pinned capture",
+	"experiments.TestbedResult.messages": "the testbed's protocol messages, which TestTestbedCaptureGolden reads as its pinned capture",
+	"simtime.Ticker.id":                  "the pending tick's event, which the tests' (*Ticker).Stop cancels",
+	"tcpsim.Conn.retransmits":            "the loss tests' one direct observable of recovery; ROADMAP 18 counts RTOs with it",
+	"netem.Network.dropped":              "TestUnknownDestinationDropped's one observable; ROADMAP 18(c)'s loss suite reads it",
+}
+
+// TestNoWriteOnlyState keeps non-test code from keeping state that only
+// tests read: every unexported struct field and unexported package-level
+// variable of a non-test package outside benchmark/ that some non-test
+// file writes is also read by some non-test file, unless
+// writeOnlyAllowed names it. A use is a write when it is the target of
+// =, op=, ++ or --, also through an index (x.f[k] = v), or the key of a
+// struct literal; every other use is a read. The known blind spot: in
+// x.f = append(x.f, v) the append reads x.f, so a slice that only grows
+// passes.
+func TestNoWriteOnlyState(t *testing.T) {
+	m := checkModule(t)
+	found := map[string]bool{}
+	for _, pkg := range m.pkgs {
+		if strings.HasPrefix(pkg.Path()+"/", modulePath+"/benchmark/") {
+			continue
+		}
+		for name, obj := range stateObjects(pkg) {
+			_, allowed := writeOnlyAllowed[name]
+			found[name] = true
+			switch {
+			case allowed && m.reads[obj]:
+				t.Errorf("writeOnlyAllowed names %s, which a non-test file reads now", name)
+			case m.writes[obj] && !m.reads[obj] && !allowed:
+				t.Errorf("%s: %s is written but never read outside _test.go files", m.fset.Position(obj.Pos()), name)
+			}
+		}
+	}
+	for name := range writeOnlyAllowed {
+		if !found[name] {
+			t.Errorf("writeOnlyAllowed names %s, which no longer exists", name)
+		}
+	}
+}
+
 const modulePath = "insidedropbox"
 
 // typedModule is the module's non-test code, type-checked.
 type typedModule struct {
 	fset   *token.FileSet
 	pkgs   []*types.Package      // every package of the module, in path order
-	used   map[types.Object]bool // objects some non-test file uses outside their own declaration
+	writes map[types.Object]bool // objects some non-test file assigns (see writeTargets)
+	reads  map[types.Object]bool // objects some non-test file uses otherwise, outside their own declaration
 	ifaces []*types.Interface    // interfaces the module declares, names or imports
 	info   *types.Info
 	std    types.Importer
 	byPath map[string]*types.Package
 }
 
-// checkModule parses and type-checks every package of the module from its
-// non-test files, standard-library imports through go/importer.
+// moduleOnce type-checks the module once per test binary: the gates that
+// read it share one ≈4–5 s check.
+var moduleOnce = sync.OnceValues(loadModule)
+
+// checkModule is the module's non-test code, type-checked.
 func checkModule(t *testing.T) *typedModule {
+	m, err := moduleOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// loadModule parses and type-checks every package of the module from its
+// non-test files, standard-library imports through go/importer.
+func loadModule() (*typedModule, error) {
 	m := &typedModule{
 		fset:   token.NewFileSet(),
-		used:   map[types.Object]bool{},
+		writes: map[types.Object]bool{},
+		reads:  map[types.Object]bool{},
 		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
 		byPath: map[string]*types.Package{},
 	}
@@ -312,7 +375,7 @@ func checkModule(t *testing.T) *typedModule {
 		return err
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	for _, path := range slices.Sorted(maps.Keys(m.byPath)) {
 		m.pkgs = append(m.pkgs, m.byPath[path])
@@ -341,7 +404,7 @@ func checkModule(t *testing.T) *typedModule {
 			}
 		}
 	}
-	return m
+	return m, nil
 }
 
 // Import type-checks a module package from its non-test files, once, and
@@ -376,6 +439,7 @@ func (m *typedModule) Import(path string) (*types.Package, error) {
 	}
 	m.byPath[path] = pkg
 	for _, f := range files {
+		targets := writeTargets(f, m.info)
 		for _, decl := range f.Decls {
 			var self types.Object
 			if fd, ok := decl.(*ast.FuncDecl); ok {
@@ -384,7 +448,11 @@ func (m *typedModule) Import(path string) (*types.Package, error) {
 			ast.Inspect(decl, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
 					if obj := origin(m.info.Uses[id]); obj != nil && obj != self {
-						m.used[obj] = true
+						if targets[id] {
+							m.writes[obj] = true
+						} else {
+							m.reads[obj] = true
+						}
 					}
 				}
 				return true
@@ -435,4 +503,70 @@ func recvTypeName(fn *types.Func) string {
 		typ = ptr.Elem()
 	}
 	return typ.(*types.Named).Obj().Name()
+}
+
+// writeTargets returns the identifiers f assigns to: the target of an =,
+// op= or := assignment or of ++ or --, where x.f[k] = v assigns f, and the
+// keys of a struct literal.
+func writeTargets(f *ast.File, info *types.Info) map[*ast.Ident]bool {
+	targets := map[*ast.Ident]bool{}
+	var mark func(ast.Expr)
+	mark = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.Ident:
+			targets[e] = true
+		case *ast.SelectorExpr:
+			targets[e.Sel] = true
+		case *ast.IndexExpr:
+			mark(e.X)
+		case *ast.ParenExpr:
+			mark(e.X)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				mark(lhs)
+			}
+		case *ast.IncDecStmt:
+			mark(n.X)
+		case *ast.CompositeLit:
+			if _, ok := info.Types[n].Type.Underlying().(*types.Struct); ok {
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						mark(kv.Key)
+					}
+				}
+			}
+		}
+		return true
+	})
+	return targets
+}
+
+// stateObjects returns pkg's unexported package-level variables and the
+// unexported, named fields of its package-level struct types, by name:
+// pkg.var or pkg.Type.field.
+func stateObjects(pkg *types.Package) map[string]types.Object {
+	objs := map[string]types.Object{}
+	for _, name := range pkg.Scope().Names() {
+		switch obj := pkg.Scope().Lookup(name).(type) {
+		case *types.Var:
+			if !obj.Exported() && obj.Name() != "_" {
+				objs[pkg.Name()+"."+name] = obj
+			}
+		case *types.TypeName:
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok || obj.IsAlias() {
+				continue
+			}
+			for i := range st.NumFields() {
+				if f := st.Field(i); !f.Exported() && !f.Embedded() && f.Name() != "_" {
+					objs[pkg.Name()+"."+name+"."+f.Name()] = f
+				}
+			}
+		}
+	}
+	return objs
 }

@@ -81,7 +81,6 @@ import (
 var (
 	mCheckpoints   = telemetry.NewCounter("campaign.checkpoints_written")
 	mShardsResumed = telemetry.NewCounter("campaign.shards_resumed")
-	mShardRetries  = telemetry.NewCounter("campaign.shard_retries")
 	mMerges        = telemetry.NewCounter("campaign.merges")
 	mMergeWait     = telemetry.NewCounter("campaign.merge_wait_ns")
 	mMergeBacklog  = telemetry.NewGauge("campaign.merge_backlog")
@@ -168,19 +167,16 @@ func Fingerprint(canonical string) string {
 // Event reports campaign progress to a Config.Observer. Stages: "resume"
 // (a shard skipped because the checkpoint already records it), "shard"
 // (a shard generated and checkpointed, with Elapsed its wall time on the
-// worker, retries included), "retry" (a failed attempt about to be
-// retried, with Err and Attempt set), "merge" (the final export
-// committed). Events fire concurrently from the pool's workers, the
-// merger and Run's caller; observers must be safe for concurrent use.
-// Observation only — an observer never changes campaign output.
+// worker), "merge" (the final export committed). Events fire
+// concurrently from the pool's workers, the merger and Run's caller;
+// observers must be safe for concurrent use. Observation only — an
+// observer never changes campaign output.
 type Event struct {
 	Stage       string
 	Shard       int
-	Attempt     int
 	Records     int
 	Elapsed     time.Duration
 	Done, Total int
-	Err         error
 }
 
 // Config drives one campaign run.
@@ -199,31 +195,15 @@ type Config struct {
 	Resume bool
 	// Observer, when non-nil, receives progress Events (see Event).
 	Observer func(Event)
-	// AfterShard, when non-nil, runs after a shard's checkpoint entry is
-	// durably committed — the hook process-kill harnesses attach to. It
-	// runs on the pool's workers; observation only.
-	AfterShard func(shard int)
 
-	// crashAt injects a hard stop at a named stage for the
-	// crash-equivalence tests ("part", "checkpoint-mid-write",
-	// "checkpoint", "merge-mid-write"). Test-only.
-	crashAt func(stage string, shard int)
-	// failShard injects a transient per-attempt failure for the retry
-	// tests, and delay, when set, replaces retryDelay there. Test-only.
-	failShard func(shard, attempt int) error
-	delay     time.Duration
+	// crashAt is the tests' hook at a named stage of a shard ("part",
+	// "checkpoint-mid-write", "checkpoint", "merge-mid-write"): it may
+	// stop the process there, or fail the stage by returning an error.
+	crashAt func(stage string, shard int) error
 }
-
-// A failed shard is retried shardRetries times, the first retry after
-// retryDelay and each later one after twice the delay before it.
-const (
-	shardRetries = 2
-	retryDelay   = 100 * time.Millisecond
-)
 
 // Result describes a completed campaign.
 type Result struct {
-	Spec        Spec
 	Records     int
 	ExportPath  string
 	ExportBytes int64
@@ -245,7 +225,9 @@ type Result struct {
 // one commits. Cancelling ctx stops at shard granularity with all
 // completed progress checkpointed and no export, finished or partial,
 // left behind — rerunning with Resume picks up exactly where it stopped,
-// and the resumed export is byte-identical to an uninterrupted run.
+// and the resumed export is byte-identical to an uninterrupted run. A
+// shard that fails ends the run the same way, with that shard's error:
+// there is no retry in the process, since Resume is the one recovery.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	r, err := newRunner(cfg)
 	if err != nil {
@@ -262,8 +244,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		defer close(merged)
 		res, mergeErr = r.merge(mctx)
 	}()
-	// A shard that failed for good will never commit: the merger must not
-	// wait for it. A failed merge leaves generation running — every shard
+	// A shard that failed will never commit: the merger must not wait
+	// for it. A failed merge leaves generation running — every shard
 	// it checkpoints is one a resumed run only has to merge.
 	genErr := r.generate(ctx)
 	if genErr != nil {
@@ -360,17 +342,18 @@ func (r *runner) observe(ev Event) {
 	}
 }
 
-func (r *runner) crash(stage string, shard int) {
+func (r *runner) crash(stage string, shard int) error {
 	if r.cfg.crashAt != nil {
-		r.cfg.crashAt(stage, shard)
+		return r.cfg.crashAt(stage, shard)
 	}
+	return nil
 }
 
 // generate runs every not-yet-done shard on the fleet engine's worker
 // pool, Workers shards at a time: the pool schedules, cancels and reports
 // (shard timings, worker occupancy, the "shard" Event) exactly as for the
 // engine's own paths; what a shard's task does — generate, write, fsync,
-// checkpoint, retry — is the runner's.
+// checkpoint — is the runner's. The first shard error ends the run.
 func (r *runner) generate(ctx context.Context) error {
 	var pending []int
 	for sh := 0; sh < r.spec.Shards; sh++ {
@@ -388,9 +371,7 @@ func (r *runner) generate(ctx context.Context) error {
 	fc := fleet.Config{Shards: r.spec.Shards, Workers: r.cfg.Workers, Observer: func(ev fleet.ShardEvent) {
 		r.observe(Event{Stage: "shard", Shard: ev.Shard, Records: ev.Records, Elapsed: ev.Elapsed, Done: r.doneCount()})
 	}}
-	return fleet.ForEachShard(ctx, fc, r.vp.Name, pending, func(sh int) (workload.ShardStats, error) {
-		return r.runShardWithRetry(ctx, sh)
-	})
+	return fleet.ForEachShard(ctx, fc, r.vp.Name, pending, r.runShard)
 }
 
 func (r *runner) doneEntry(sh int) (ShardDone, bool) {
@@ -413,46 +394,11 @@ func (r *runner) doneCount() int {
 	return len(r.done)
 }
 
-// runShardWithRetry is the bounded-retry wrapper around one shard's
-// generation: transient failures (sink IO, injected faults) back off and
-// retry up to shardRetries times; a cancelled ctx never retries.
-func (r *runner) runShardWithRetry(ctx context.Context, sh int) (workload.ShardStats, error) {
-	delay := retryDelay
-	if r.cfg.delay > 0 {
-		delay = r.cfg.delay
-	}
-	for attempt := 0; ; attempt++ {
-		st, err := r.runShardOnce(sh, attempt)
-		if err == nil {
-			return st, nil
-		}
-		if ctx.Err() != nil {
-			return st, ctx.Err()
-		}
-		if attempt >= shardRetries {
-			return st, fmt.Errorf("campaign: shard %d failed after %d attempts: %w", sh, attempt+1, err)
-		}
-		mShardRetries.Inc()
-		r.observe(Event{Stage: "retry", Shard: sh, Attempt: attempt + 1, Err: err})
-		select {
-		case <-time.After(delay << attempt):
-		case <-ctx.Done():
-			return st, ctx.Err()
-		}
-	}
-}
-
-// runShardOnce generates one shard into its part file and commits a
+// runShard generates one shard into its part file and commits a
 // checkpoint entry carrying the shard's stats. Both land atomically (tmp
 // + fsync + rename), so a crash at any point leaves either the previous
 // state or the complete new one — never a torn file.
-func (r *runner) runShardOnce(sh, attempt int) (st workload.ShardStats, err error) {
-	if r.cfg.failShard != nil {
-		if ferr := r.cfg.failShard(sh, attempt); ferr != nil {
-			return st, ferr
-		}
-	}
-
+func (r *runner) runShard(sh int) (st workload.ShardStats, err error) {
 	part := partPath(r.dir, sh)
 	partHash := newPartHash()
 	var partBytes int64
@@ -466,10 +412,12 @@ func (r *runner) runShardOnce(sh, attempt int) (st workload.ShardStats, err erro
 		}
 		return bw.Flush()
 	})
+	if err == nil {
+		err = r.crash("part", sh)
+	}
 	if err != nil {
 		return st, fmt.Errorf("campaign: shard %d part: %w", sh, err)
 	}
-	r.crash("part", sh)
 
 	entry := ShardDone{
 		Shard:     sh,
@@ -481,11 +429,7 @@ func (r *runner) runShardOnce(sh, attempt int) (st workload.ShardStats, err erro
 	if err := r.commit(sh, entry); err != nil {
 		return st, err
 	}
-	r.crash("checkpoint", sh)
-	if r.cfg.AfterShard != nil {
-		r.cfg.AfterShard(sh)
-	}
-	return st, nil
+	return st, r.crash("checkpoint", sh)
 }
 
 // commit records a completed shard in the checkpoint, and only once that
@@ -502,9 +446,8 @@ func (r *runner) commit(sh int, e ShardDone) error {
 		Spec:        &r.spec,
 		Shards:      done,
 	}
-	if err := saveCheckpoint(r.ckPath, body, func(f *os.File) {
-		r.crash("checkpoint-mid-write", sh)
-		_ = f
+	if err := saveCheckpoint(r.ckPath, body, func() error {
+		return r.crash("checkpoint-mid-write", sh)
 	}); err != nil {
 		return fmt.Errorf("campaign: shard %d checkpoint: %w", sh, err)
 	}

@@ -1,9 +1,9 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -149,41 +149,50 @@ func TestCampaignPartsAreTheOnlyShardFiles(t *testing.T) {
 	}
 }
 
-// TestCampaignRetryConvergence covers the bounded-retry fix: a shard
-// that fails transiently must converge to the same golden hash, and a
-// shard that keeps failing must exhaust its attempts loudly.
-func TestCampaignRetryConvergence(t *testing.T) {
+// TestFailingShardEndsRunAtFirstAttempt: a shard whose first attempt
+// fails ends the run with that error, naming the shard, and is not tried
+// again in the process. The checkpoint holds only the shards committed
+// before it, and a resume without the fault exports the bytes of the
+// straight export.
+func TestFailingShardEndsRunAtFirstAttempt(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 4}
-
-	attempts := make(map[int]int)
-	res := mustRun(t, Config{
-		Spec: spec, Dir: t.TempDir(), Workers: 1, delay: 1,
-		failShard: func(sh, attempt int) error {
-			attempts[sh]++
-			if sh == 2 && attempt < 2 {
-				return fmt.Errorf("injected transient failure (attempt %d)", attempt)
-			}
-			return nil
-		},
-	})
-	if want := golden.Home1FourShard.Hex(); !golden.Home1FourShard.MatchHex(res.StreamHash) {
-		t.Fatalf("export hash after retries = %s, want %s", res.StreamHash, want)
-	}
-	if attempts[2] != 3 {
-		t.Fatalf("shard 2 ran %d attempts, want 3", attempts[2])
-	}
-
+	dir := t.TempDir()
+	injected := errors.New("injected failure")
+	attempts := 0
 	_, err := Run(context.Background(), Config{
-		Spec: spec, Dir: t.TempDir(), Workers: 1, delay: 1,
-		failShard: func(sh, attempt int) error {
-			if sh == 1 {
-				return errors.New("injected permanent failure")
+		Spec: spec, Dir: dir, Workers: 1,
+		crashAt: func(stage string, sh int) error {
+			if stage != "part" || sh != 2 {
+				return nil
+			}
+			if attempts++; attempts == 1 {
+				return injected
 			}
 			return nil
 		},
 	})
-	if err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Fatalf("permanently failing shard: err = %v, want attempt-exhaustion error", err)
+	if !errors.Is(err, injected) || !strings.Contains(err.Error(), "shard 2") {
+		t.Fatalf("Run = %v, want the injected failure of shard 2", err)
+	}
+	if attempts != 1 {
+		t.Fatalf("shard 2 ran %d times, want 1", attempts)
+	}
+	done, err := loadCheckpoint(filepath.Join(dir, checkpointName), spec.Fingerprint(), spec.Shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards []int
+	for _, e := range done {
+		shards = append(shards, e.Shard)
+	}
+	if !reflect.DeepEqual(shards, []int{0, 1}) {
+		t.Fatalf("checkpoint holds shards %v, want [0 1]", shards)
+	}
+
+	res := mustRun(t, Config{Spec: spec, Dir: dir, Workers: 1, Resume: true})
+	same := bytes.Equal(readExport(t, res), straightExport(t, spec))
+	if res.ResumedShards != 2 || !same {
+		t.Fatalf("resume reused %d shards, want 2; export equals the straight one: %v", res.ResumedShards, same)
 	}
 }
 
@@ -199,11 +208,13 @@ func TestCampaignResumeAfterCancel(t *testing.T) {
 	done := 0
 	_, err := Run(ctx, Config{
 		Spec: spec, Dir: dir, Workers: 1,
-		AfterShard: func(int) {
-			done++
-			if done == 2 {
-				cancel()
+		crashAt: func(stage string, _ int) error {
+			if stage == "checkpoint" {
+				if done++; done == 2 {
+					cancel()
+				}
 			}
+			return nil
 		},
 	})
 	if !errors.Is(err, context.Canceled) {

@@ -121,8 +121,9 @@ func decodeCheckpoint(data []byte, wantKind, wantFP string) (*checkpointBody, er
 // at any point leaves either the previous checkpoint or the new one —
 // stray .tmp files are ignored by loaders and overwritten by the next
 // save. midWrite, when non-nil, runs after half the bytes are flushed
-// (the crash-injection hook for the mid-fsync kill tests).
-func saveCheckpoint(path string, body checkpointBody, midWrite func(*os.File)) error {
+// (the crash-injection hook for the mid-fsync kill tests); its error ends
+// the save.
+func saveCheckpoint(path string, body checkpointBody, midWrite func() error) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return err
@@ -136,7 +137,9 @@ func saveCheckpoint(path string, body checkpointBody, midWrite func(*os.File)) e
 			if err := f.Sync(); err != nil {
 				return err
 			}
-			midWrite(f)
+			if err := midWrite(); err != nil {
+				return err
+			}
 			_, err := f.Write(data[len(data)/2:])
 			return err
 		}

@@ -41,10 +41,11 @@ func TestCampaignCrashHelper(t *testing.T) {
 		Dir:     os.Getenv("CAMPAIGN_DIR"),
 		Workers: workers,
 		Resume:  os.Getenv("CAMPAIGN_RESUME") == "1",
-		crashAt: func(st string, sh int) {
+		crashAt: func(st string, sh int) error {
 			if st == stage && sh == shard {
 				os.Exit(crashExit)
 			}
+			return nil
 		},
 	}
 	if _, err := Run(context.Background(), cfg); err != nil {

@@ -29,7 +29,7 @@ func (r *runner) merge(ctx context.Context) (*Result, error) {
 		out = filepath.Join(r.dir, "export"+ExportExt(r.spec.Format))
 	}
 
-	res := &Result{Spec: r.spec, ExportPath: out}
+	res := &Result{ExportPath: out}
 	streamHash := fnv.New64a()
 	err := writeFileAtomicFunc(out, func(f *os.File) error {
 		cw := &countWriter{w: io.MultiWriter(f, streamHash), n: &res.ExportBytes}
@@ -57,7 +57,9 @@ func (r *runner) merge(ctx context.Context) (*Result, error) {
 			res.Records += n
 			res.Stats.Merge(e.Stats)
 			if sh == 0 {
-				r.crash("merge-mid-write", sh)
+				if err := r.crash("merge-mid-write", sh); err != nil {
+					return err
+				}
 			}
 		}
 		if err := w.Flush(); err != nil {

@@ -102,23 +102,21 @@ func TestMergeOverlapsGeneration(t *testing.T) {
 				mu.Unlock()
 			}
 		},
-		AfterShard: func(sh int) {
-			if sh != 0 {
-				return
-			}
-			select {
-			case <-merging:
-			case <-time.After(20 * time.Second):
-				t.Error("shard 0 was committed 20 s ago and the merger has not streamed its part")
-			}
-		},
-		crashAt: func(stage string, sh int) {
-			if stage == "merge-mid-write" {
+		crashAt: func(stage string, sh int) error {
+			switch {
+			case stage == "checkpoint" && sh == 0:
+				select {
+				case <-merging:
+				case <-time.After(20 * time.Second):
+					t.Error("shard 0 was committed 20 s ago and the merger has not streamed its part")
+				}
+			case stage == "merge-mid-write":
 				mu.Lock()
 				eventsAtPart = shardEvents
 				mu.Unlock()
 				close(merging)
 			}
+			return nil
 		},
 	})
 	after := telemetry.Snapshot()
@@ -159,39 +157,41 @@ func TestMergeOverlapsGeneration(t *testing.T) {
 	}
 }
 
-// TestRunFailureLeavesNoExport: when generation fails for good or is
+// TestRunFailureLeavesNoExport: when a shard fails or generation is
 // cancelled mid-run, Run returns that error, the merger is gone with its
 // half-written export, the checkpoint still loads, and a resumed run
 // writes the bytes an undisturbed one does.
 func TestRunFailureLeavesNoExport(t *testing.T) {
 	spec := Spec{VP: "home1", Scale: 0.02, Seed: 7, Shards: 8}
 	want := straightExport(t, spec)
-	injected := errors.New("injected permanent failure")
+	injected := errors.New("injected failure")
 	cases := []struct {
 		name  string
 		arm   func(cfg *Config, cancel context.CancelFunc)
 		check func(error) bool
 	}{
-		{"shard fails past its retries", func(cfg *Config, _ context.CancelFunc) {
-			cfg.delay = 1
-			cfg.failShard = func(sh, _ int) error {
-				if sh == 5 {
+		{"a shard fails", func(cfg *Config, _ context.CancelFunc) {
+			cfg.crashAt = func(stage string, sh int) error {
+				if stage == "part" && sh == 5 {
 					return injected
 				}
 				return nil
 			}
 		}, func(err error) bool {
-			return errors.Is(err, injected) && strings.Contains(err.Error(), "shard 5 failed after 3 attempts")
+			return errors.Is(err, injected) && strings.Contains(err.Error(), "shard 5")
 		}},
 		{"cancelled mid-run", func(cfg *Config, cancel context.CancelFunc) {
 			var commits sync.Mutex
 			n := 0
-			cfg.AfterShard = func(int) {
+			cfg.crashAt = func(stage string, _ int) error {
 				commits.Lock()
 				defer commits.Unlock()
-				if n++; n == 3 {
-					cancel()
+				if stage == "checkpoint" {
+					if n++; n == 3 {
+						cancel()
+					}
 				}
+				return nil
 			}
 		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
 	}

@@ -11,7 +11,6 @@ import (
 // index. It is the substrate behind the meta-data servers of Sec. 2.3.2.
 type Metastore struct {
 	accounts   map[AccountID]*Account
-	hosts      map[HostID]*DeviceInfo
 	namespaces map[NamespaceID]*Namespace
 	chunks     map[chunker.Hash]int // chunk id -> size (content-addressed index)
 
@@ -22,9 +21,6 @@ type Metastore struct {
 	// OnJournalAdvance fires after a changeset commits; the notification
 	// subsystem subscribes to push changes to online devices.
 	OnJournalAdvance func(ns NamespaceID, seq uint64)
-
-	// dedupHits counts the uploads deduplication avoided.
-	dedupHits int
 }
 
 // AccountID identifies a user account.
@@ -38,12 +34,6 @@ type Account struct {
 	Shared []NamespaceID // shared-folder namespaces joined by this account
 }
 
-// DeviceInfo is the server view of a linked device.
-type DeviceInfo struct {
-	Host    HostID
-	Account AccountID
-}
-
 // Namespace is one synchronized folder with its journal.
 type Namespace struct {
 	ID      NamespaceID
@@ -55,7 +45,6 @@ type Namespace struct {
 func NewMetastore() *Metastore {
 	return &Metastore{
 		accounts:      make(map[AccountID]*Account),
-		hosts:         make(map[HostID]*DeviceInfo),
 		namespaces:    make(map[NamespaceID]*Namespace),
 		chunks:        make(map[chunker.Hash]int),
 		nextAccount:   1,
@@ -93,7 +82,6 @@ func (m *Metastore) LinkDevice(account AccountID) (HostID, error) {
 	}
 	h := m.nextHost
 	m.nextHost++
-	m.hosts[h] = &DeviceInfo{Host: h, Account: account}
 	a.Hosts = append(a.Hosts, h)
 	return h, nil
 }
@@ -113,11 +101,9 @@ func (m *Metastore) NamespacesOf(account AccountID) []NamespaceID {
 func (m *Metastore) NeedBlocks(refs []chunker.Ref) []chunker.Hash {
 	var missing []chunker.Hash
 	for _, r := range refs {
-		if _, ok := m.chunks[r.Hash]; ok {
-			m.dedupHits++
-			continue
+		if _, ok := m.chunks[r.Hash]; !ok {
+			missing = append(missing, r.Hash)
 		}
-		missing = append(missing, r.Hash)
 	}
 	return missing
 }

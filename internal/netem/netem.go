@@ -94,11 +94,9 @@ type Network struct {
 	coreLoss  float64
 	taps      map[SiteID][]Tap
 
-	ver  uint64    // bumped when a core delay or tap changes
-	free []*packet // recycled packets
-
-	delivered uint64 // packets handed to a destination host
-	dropped   uint64 // packets lost on the way
+	ver     uint64    // bumped when a core delay or tap changes
+	free    []*packet // recycled packets
+	dropped uint64    // packets lost on the way
 }
 
 // route is one (source, destination) host pair: the FIFO clamp against
@@ -315,7 +313,6 @@ func (p *packet) arrive() {
 
 func (p *packet) deliver() {
 	defer p.release()
-	p.dst.net.delivered++
 	if p.dst.Receive != nil {
 		p.dst.Receive(p.dst.net.Sched.Now(), &p.f)
 	}

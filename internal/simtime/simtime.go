@@ -75,7 +75,6 @@ type Scheduler struct {
 	queue []*event
 	free  []*event
 	seq   uint64
-	fired uint64 // events executed so far
 }
 
 // NewScheduler returns a scheduler with the clock at the epoch.
@@ -126,7 +125,6 @@ func (s *Scheduler) Step() bool {
 	fn := ev.fn
 	s.now = ev.at
 	s.release(ev)
-	s.fired++
 	fn()
 	return true
 }

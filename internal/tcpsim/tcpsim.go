@@ -101,7 +101,7 @@ func (s *Stack) Listen(port uint16, accept func(*Conn)) {
 // the SYN-SENT state; OnEstablished fires when the handshake completes.
 func (s *Stack) Dial(remote wire.IP, remotePort uint16) *Conn {
 	port := s.allocPort(remote, remotePort)
-	c := s.newConn(port, remote, remotePort, false)
+	c := s.newConn(port, remote, remotePort)
 	s.conns[connKey{port, remote, remotePort}] = c
 	c.state = stateSynSent
 	c.sendSyn(wire.FlagSYN, 0)
@@ -178,7 +178,6 @@ type Conn struct {
 	local  wire.Endpoint
 	remote wire.Endpoint
 	state  ConnState
-	server bool
 
 	// Application callbacks. All optional.
 	OnEstablished func()
@@ -207,13 +206,12 @@ type Conn struct {
 	inRecovery bool
 
 	// Receive state.
-	irs        uint32
-	rcvNxt     uint32
-	oob        map[uint32]wire.Frame // out-of-order segments by seq
-	ackPend    int                   // segments received since last ACK
-	delAckID   simtime.EventID
-	peerFin    bool
-	peerFinSeq uint32
+	irs      uint32
+	rcvNxt   uint32
+	oob      map[uint32]wire.Frame // out-of-order segments by seq
+	ackPend  int                   // segments received since last ACK
+	delAckID simtime.EventID
+	peerFin  bool
 
 	// RTT estimation (RFC 6298).
 	srtt, rttvar time.Duration
@@ -228,15 +226,13 @@ type Conn struct {
 
 	// Metrics.
 	retransmits int
-	established simtime.Time
 }
 
-func (s *Stack) newConn(localPort uint16, remote wire.IP, remotePort uint16, server bool) *Conn {
+func (s *Stack) newConn(localPort uint16, remote wire.IP, remotePort uint16) *Conn {
 	c := &Conn{
 		stack:    s,
 		local:    wire.Endpoint{Addr: s.Host.IP, Port: localPort},
 		remote:   wire.Endpoint{Addr: remote, Port: remotePort},
-		server:   server,
 		iss:      uint32(s.rng.Uint64()),
 		cwnd:     s.iw * wire.MSS,
 		ssthresh: 1 << 30,
@@ -565,7 +561,7 @@ func (s *Stack) receive(now simtime.Time, f *wire.Frame) {
 	// New connection?
 	if f.TCP.Flags.Has(wire.FlagSYN) && !f.TCP.Flags.Has(wire.FlagACK) {
 		if _, ok := s.listeners[f.TCP.DstPort]; ok {
-			c := s.newConn(f.TCP.DstPort, f.IP.Src, f.TCP.SrcPort, true)
+			c := s.newConn(f.TCP.DstPort, f.IP.Src, f.TCP.SrcPort)
 			c.irs = f.TCP.Seq
 			c.rcvNxt = 1
 			c.state = stateSynRcvd
@@ -610,7 +606,6 @@ func (c *Conn) handle(f *wire.Frame) {
 			c.rcvNxt = 1
 			c.processAck(f)
 			c.state = stateEstablished
-			c.established = c.stack.sched.Now()
 			c.sendAck()
 			if c.OnEstablished != nil {
 				c.OnEstablished()
@@ -622,7 +617,6 @@ func (c *Conn) handle(f *wire.Frame) {
 		if f.TCP.Flags.Has(wire.FlagACK) && f.TCP.Ack-c.iss >= 1 {
 			c.processAck(f)
 			c.state = stateEstablished
-			c.established = c.stack.sched.Now()
 			if accept := c.stack.listeners[c.local.Port]; accept != nil {
 				accept(c)
 			}
@@ -786,7 +780,6 @@ func (c *Conn) acceptSegment(f *wire.Frame) {
 	if f.TCP.Flags.Has(wire.FlagFIN) {
 		c.rcvNxt++
 		c.peerFin = true
-		c.peerFinSeq = c.rcvNxt
 		switch c.state {
 		case stateEstablished:
 			c.state = stateCloseWait

@@ -43,15 +43,16 @@ func defaultWorld(t testing.TB) *testWorld {
 func TestHandshake(t *testing.T) {
 	w := defaultWorld(t)
 	var clientUp, serverUp bool
+	var established simtime.Time
 	w.server.Listen(443, func(c *Conn) { serverUp = true })
 	conn := w.client.Dial(w.server.Host.IP, 443)
-	conn.OnEstablished = func() { clientUp = true }
+	conn.OnEstablished = func() { clientUp, established = true, w.sched.Now() }
 	w.sched.Run()
 	if !clientUp || !serverUp {
 		t.Fatalf("handshake incomplete: client=%v server=%v", clientUp, serverUp)
 	}
 	// Client established exactly one RTT after SYN (90 ms + jitter).
-	est := conn.established.Duration()
+	est := established.Duration()
 	if est < 90*time.Millisecond || est > 95*time.Millisecond {
 		t.Fatalf("client established at %v, want ≈ 90 ms", est)
 	}

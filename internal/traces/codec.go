@@ -47,11 +47,8 @@ type blockWriter struct {
 
 	w     io.Writer
 	magic [6]byte
-	// finish encodes one filled accum as a frame; the bytes are owned by
-	// the accum and stay valid until it is reset. It runs on the frame's
-	// goroutine. onFrame runs on the caller's after each successful frame
+	// onFrame runs on the caller's goroutine after each successful frame
 	// write, in stream order — telemetry and index builders hang off it.
-	finish  func(*encScratch, *blockAccum) []byte
 	onFrame func(*blockAccum, []byte)
 	ring    ring[frameSlot] // frames being finished, oldest first
 
@@ -71,12 +68,14 @@ type blockWriter struct {
 var errAnonymizedSource = errors.New("traces: WriteFrom needs a full-fidelity source: an anonymized stream's client tokens cannot be turned back into addresses")
 
 // init readies the core of a framing's writer over w. workers <= 1
-// encodes inline on the caller's goroutine.
+// encodes inline on the caller's goroutine. finish encodes one filled
+// accum as a frame, on the frame's goroutine; the bytes are owned by the
+// accum and stay valid until it is reset.
 func (w *blockWriter) init(dst io.Writer, magic [6]byte, workers int,
 	finish func(*encScratch, *blockAccum) []byte,
 	onFrame func(*blockAccum, []byte)) {
 
-	w.w, w.magic, w.finish, w.onFrame = dst, magic, finish, onFrame
+	w.w, w.magic, w.onFrame = dst, magic, onFrame
 	w.ring = ring[frameSlot]{size: ringSize(workers), work: func(s *frameSlot) { s.frame = finish(&s.enc, &s.cols) }}
 }
 

@@ -37,8 +37,7 @@ const (
 // events labels no FQDN, as Campus 2's could not see DNS traffic (Sec.
 // 3.2), which disables per-service FQDN breakdowns there.
 type Probe struct {
-	vp    string // names the vantage point in exported records
-	sched *simtime.Scheduler
+	vp string // names the vantage point in exported records
 
 	// OnRecord receives each finalized flow record.
 	OnRecord func(*traces.FlowRecord)
@@ -48,15 +47,12 @@ type Probe struct {
 	// tombstones swallow straggler packets of flows just finalized by a
 	// RST, so in-flight segments do not spawn ghost flows.
 	tombstones map[wire.FlowKey]simtime.Time
-
-	captured uint64
 }
 
 // New builds a probe and starts its idle sweeper.
 func New(sched *simtime.Scheduler, vp string) *Probe {
 	p := &Probe{
 		vp:         vp,
-		sched:      sched,
 		flows:      make(map[wire.FlowKey]*flowState),
 		fqdn:       make(map[wire.IP]string),
 		tombstones: make(map[wire.FlowKey]simtime.Time),
@@ -97,7 +93,6 @@ func seqAfter(a, b uint32) bool { return int32(a-b) > 0 }
 
 // Capture implements netem.Tap.
 func (p *Probe) Capture(now simtime.Time, f *wire.Frame, dir netem.TapDir) {
-	p.captured++
 	key, _ := wire.Canonical(f)
 	fs := p.flows[key]
 	if fs == nil {

@@ -307,17 +307,6 @@ func TestIdleSweepFinalizes(t *testing.T) {
 	}
 }
 
-func TestCapturedCounter(t *testing.T) {
-	w := newWorld(t)
-	acct := w.svc.Meta.CreateAccount()
-	dev := w.device(t, acct.ID, capability.DropboxV1252())
-	dev.Start()
-	w.sched.RunUntil(simtime.Time(30 * time.Second))
-	if w.probe.captured == 0 {
-		t.Fatal("probe saw no packets")
-	}
-}
-
 // TestSweepOrderDeterministic: flows that idle out in the same sweep, or
 // are flushed together, reach OnRecord ordered by first packet and then
 // by flow key, never in map order.

@@ -94,7 +94,6 @@ type device struct {
 // household is one subscriber line.
 type household struct {
 	ip      wire.IP
-	access  AccessKind
 	group   classify.UserGroup
 	devices []*device
 }
@@ -502,7 +501,7 @@ func (g *generator) subscriber(ip wire.IP) {
 // ---------- Dropbox population ----------
 
 func (g *generator) makeDropboxHousehold(ip wire.IP, access AccessKind) *household {
-	hh := &household{ip: ip, access: access, group: g.pickGroup()}
+	hh := &household{ip: ip, group: g.pickGroup()}
 	n := g.deviceCount(hh.group)
 	// Household namespace pool: the root plus shared folders; devices of
 	// the same account overlap in their namespace lists (Sec. 2.3.1).
