@@ -11,6 +11,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"runtime"
 	"slices"
@@ -273,43 +274,73 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// writeOnlyAllowed names the unexported fields and variables that non-test
-// code writes, that only tests read, and that stay anyway, each with its
-// reason. It may only shrink: TestNoWriteOnlyState fails on an entry that
-// gained a read or no longer exists.
+// writeOnlyAllowed names the fields and variables that TestNoWriteOnlyState
+// would flag and that stay anyway, each with the one test that needs it:
+// state that non-test code writes and only tests read, and exported knobs
+// that non-test code reads and only tests set. It may only shrink:
+// TestNoWriteOnlyState fails on an entry it would no longer flag, or that
+// no longer exists.
 var writeOnlyAllowed = map[string]string{
 	"experiments.TestbedResult.frames":   "the testbed's captured frames, which TestTestbedCaptureGolden reads as its pinned capture",
 	"experiments.TestbedResult.messages": "the testbed's protocol messages, which TestTestbedCaptureGolden reads as its pinned capture",
 	"simtime.Ticker.id":                  "the pending tick's event, which the tests' (*Ticker).Stop cancels",
 	"tcpsim.Conn.retransmits":            "the loss tests' one direct observable of recovery; ROADMAP 18 counts RTOs with it",
 	"netem.Network.dropped":              "TestUnknownDestinationDropped's one observable; ROADMAP 18(c)'s loss suite reads it",
+	"workload.GroupMix.Heavy":            "Table 5's published Heavy share, which TestGroupMixSumsToOne checks against the remainder the generator draws; ROADMAP 3(a)'s scorecard reads it",
 }
 
 // TestNoWriteOnlyState keeps non-test code from keeping state that only
-// tests read: every unexported struct field and unexported package-level
-// variable of a non-test package outside benchmark/ that some non-test
-// file writes is also read by some non-test file, unless
-// writeOnlyAllowed names it. A use is a write when it is the target of
-// =, op=, ++ or --, also through an index (x.f[k] = v), or the key of a
-// struct literal; every other use is a read. The known blind spot: in
-// x.f = append(x.f, v) the append reads x.f, so a slice that only grows
-// passes.
+// tests read, and knobs that only tests set:
+//   - every unexported struct field and unexported package-level variable
+//     of a package outside benchmark/, and every exported field of an
+//     internal/ struct type, is used by some non-test file;
+//   - if a non-test file writes it, one reads it too;
+//   - if it is an exported field and a non-test file reads it, one writes
+//     it too.
+//
+// writeOnlyAllowed names the exceptions to the last two. The exported scan
+// leaves out package golden's fixtures, the structs the facade re-exports
+// by alias (the public API) and structs with json tags, which
+// encoding/json reads and writes.
+//
+// A use is a write when it is the target of =, op=, ++ or --, the key of a
+// struct literal, or x.f in x.f = append(x.f, v). A positional struct
+// literal, &x.f, a pointer-method call on x.f and the selector or index
+// chain of an assignment's target (f in x.f.g = v or x.f[k].g++) both
+// write and read. Every other use is a read.
 func TestNoWriteOnlyState(t *testing.T) {
 	m := checkModule(t)
 	found := map[string]bool{}
+	check := func(name string, obj types.Object, exported bool) {
+		_, allowed := writeOnlyAllowed[name]
+		found[name] = true
+		read, written := m.reads[obj], m.writes[obj]
+		pos := m.fset.Position(obj.Pos())
+		switch {
+		case !read && !written:
+			t.Errorf("%s: %s is used only by _test.go files, if at all", pos, name)
+		case allowed && read && (written || !exported):
+			t.Errorf("writeOnlyAllowed names %s, which the gate no longer flags: non-test code reads it, and writes it if it is exported", name)
+		case allowed:
+		case !read:
+			t.Errorf("%s: %s is written but never read outside _test.go files", pos, name)
+		case exported && !written:
+			t.Errorf("%s: %s is read but only _test.go files set it", pos, name)
+		}
+	}
+	public := m.facadeTypes()
 	for _, pkg := range m.pkgs {
 		if strings.HasPrefix(pkg.Path()+"/", modulePath+"/benchmark/") {
 			continue
 		}
 		for name, obj := range stateObjects(pkg) {
-			_, allowed := writeOnlyAllowed[name]
-			found[name] = true
-			switch {
-			case allowed && m.reads[obj]:
-				t.Errorf("writeOnlyAllowed names %s, which a non-test file reads now", name)
-			case m.writes[obj] && !m.reads[obj] && !allowed:
-				t.Errorf("%s: %s is written but never read outside _test.go files", m.fset.Position(obj.Pos()), name)
-			}
+			check(name, obj, false)
+		}
+		if !strings.HasPrefix(pkg.Path(), modulePath+"/internal/") || pkg.Name() == "golden" {
+			continue
+		}
+		for name, obj := range exportedFields(pkg, public) {
+			check(name, obj, true)
 		}
 	}
 	for name := range writeOnlyAllowed {
@@ -325,7 +356,7 @@ const modulePath = "insidedropbox"
 type typedModule struct {
 	fset   *token.FileSet
 	pkgs   []*types.Package      // every package of the module, in path order
-	writes map[types.Object]bool // objects some non-test file assigns (see writeTargets)
+	writes map[types.Object]bool // objects some non-test file writes (see accesses, and record for positional literals)
 	reads  map[types.Object]bool // objects some non-test file uses otherwise, outside their own declaration
 	ifaces []*types.Interface    // interfaces the module declares, names or imports
 	info   *types.Info
@@ -353,7 +384,12 @@ func loadModule() (*typedModule, error) {
 		fset:   token.NewFileSet(),
 		writes: map[types.Object]bool{},
 		reads:  map[types.Object]bool{},
-		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 		byPath: map[string]*types.Package{},
 	}
 	// The source importer reads the standard library through
@@ -439,25 +475,7 @@ func (m *typedModule) Import(path string) (*types.Package, error) {
 	}
 	m.byPath[path] = pkg
 	for _, f := range files {
-		targets := writeTargets(f, m.info)
-		for _, decl := range f.Decls {
-			var self types.Object
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				self = m.info.Defs[fd.Name]
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if obj := origin(m.info.Uses[id]); obj != nil && obj != self {
-						if targets[id] {
-							m.writes[obj] = true
-						} else {
-							m.reads[obj] = true
-						}
-					}
-				}
-				return true
-			})
-		}
+		m.record(f)
 	}
 	return pkg, nil
 }
@@ -505,44 +523,125 @@ func recvTypeName(fn *types.Func) string {
 	return typ.(*types.Named).Obj().Name()
 }
 
-// writeTargets returns the identifiers f assigns to: the target of an =,
-// op= or := assignment or of ++ or --, where x.f[k] = v assigns f, and the
-// keys of a struct literal.
-func writeTargets(f *ast.File, info *types.Info) map[*ast.Ident]bool {
-	targets := map[*ast.Ident]bool{}
-	var mark func(ast.Expr)
-	mark = func(e ast.Expr) {
+// access is how a non-test file uses an identifier: read, write or both.
+type access uint8
+
+const (
+	read access = 1 << iota
+	write
+)
+
+// record notes which objects f reads and which it writes (see accesses),
+// outside their own declaration. A positional struct literal writes every
+// field of its struct.
+func (m *typedModule) record(f *ast.File) {
+	uses := accesses(f, m.info)
+	for _, decl := range f.Decls {
+		var self types.Object
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			self = m.info.Defs[fd.Name]
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if obj := origin(m.info.Uses[n]); obj != nil && obj != self {
+					use := uses[n]
+					if use == 0 {
+						use = read
+					}
+					m.writes[obj] = m.writes[obj] || use&write != 0
+					m.reads[obj] = m.reads[obj] || use&read != 0
+				}
+			case *ast.CompositeLit:
+				st, ok := m.info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok || len(n.Elts) == 0 {
+					break
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+					for i := range st.NumFields() {
+						field := origin(st.Field(i))
+						m.writes[field], m.reads[field] = true, true
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// accesses returns how f uses the identifiers it does not only read. The
+// target of an =, op= or := assignment or of ++ or -- is written, where
+// x.f[k] = v writes f, and so are the keys of a struct literal and x.f in
+// x.f = append(x.f, v). The fields of the target's selector or index chain
+// (f in x.f.g = v or x.f[k].g++), of &x.f and of x.f.M() for a
+// pointer-method M are written and read.
+func accesses(f *ast.File, info *types.Info) map[*ast.Ident]access {
+	uses := map[*ast.Ident]access{}
+	var mark func(ast.Expr, access)
+	mark = func(e ast.Expr, use access) {
 		switch e := e.(type) {
 		case *ast.Ident:
-			targets[e] = true
+			uses[e] |= use
 		case *ast.SelectorExpr:
-			targets[e.Sel] = true
+			uses[e.Sel] |= use
+			mark(e.X, read|write)
 		case *ast.IndexExpr:
-			mark(e.X)
+			mark(e.X, use)
 		case *ast.ParenExpr:
-			mark(e.X)
+			mark(e.X, use)
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				mark(lhs)
+			for i, lhs := range n.Lhs {
+				mark(lhs, write)
+				if len(n.Rhs) == len(n.Lhs) && n.Tok == token.ASSIGN && isAppendTo(n.Rhs[i], lhs, info) {
+					mark(n.Rhs[i].(*ast.CallExpr).Args[0], write)
+				}
 			}
 		case *ast.IncDecStmt:
-			mark(n.X)
+			mark(n.X, write)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				mark(n.X, read|write)
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil || sel.Kind() != types.MethodVal {
+				break
+			}
+			_, ptrRecv := sel.Obj().(*types.Func).Signature().Recv().Type().(*types.Pointer)
+			_, ptrX := sel.Recv().Underlying().(*types.Pointer)
+			if ptrRecv && !ptrX {
+				mark(n.X, read|write)
+			}
 		case *ast.CompositeLit:
 			if _, ok := info.Types[n].Type.Underlying().(*types.Struct); ok {
 				for _, elt := range n.Elts {
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						mark(kv.Key)
+						mark(kv.Key, write)
 					}
 				}
 			}
 		}
 		return true
 	})
-	return targets
+	return uses
+}
+
+// isAppendTo reports whether e is append(target, ...).
+func isAppendTo(e, target ast.Expr, info *types.Info) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	fn, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[fn].(*types.Builtin)
+	return ok && b.Name() == "append" && types.ExprString(call.Args[0]) == types.ExprString(target)
 }
 
 // stateObjects returns pkg's unexported package-level variables and the
@@ -569,4 +668,52 @@ func stateObjects(pkg *types.Package) map[string]types.Object {
 		}
 	}
 	return objs
+}
+
+// exportedFields returns the exported, named fields of pkg's package-level
+// struct types, by name (pkg.Type.Field), leaving out the types in public
+// and any struct with a json tag.
+func exportedFields(pkg *types.Package, public map[*types.TypeName]bool) map[string]types.Object {
+	objs := map[string]types.Object{}
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() || public[tn] {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok || jsonTagged(st) {
+			continue
+		}
+		for i := range st.NumFields() {
+			if f := st.Field(i); f.Exported() && !f.Embedded() {
+				objs[pkg.Name()+"."+name+"."+f.Name()] = f
+			}
+		}
+	}
+	return objs
+}
+
+// jsonTagged reports whether any field of st carries a json tag.
+func jsonTagged(st *types.Struct) bool {
+	for i := range st.NumFields() {
+		if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// facadeTypes returns the named types the root package re-exports by
+// alias.
+func (m *typedModule) facadeTypes() map[*types.TypeName]bool {
+	public := map[*types.TypeName]bool{}
+	root := m.byPath[modulePath]
+	for _, name := range root.Scope().Names() {
+		if tn, ok := root.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+			if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+				public[named.Obj()] = true
+			}
+		}
+	}
+	return public
 }

@@ -273,7 +273,6 @@ func Simulate(ctx context.Context, cfg Config, reqs []Request) (*Report, error) 
 			now = rq.Arrive
 			ni, routed := rt.route(*rq, load)
 			if !routed {
-				rep.Unroutable++
 				rep.Dropped++
 				winDrop(rq.Arrive)
 				continue
@@ -354,7 +353,6 @@ func finalize(rep *Report, nodes []nodeState, now time.Duration) {
 			Served:     n.served,
 			Dropped:    n.dropped,
 			Shed:       n.shed,
-			BusySec:    n.busy,
 			QueueMax:   n.queueMax,
 			Delay:      n.delay,
 		}
@@ -373,8 +371,6 @@ type NodeReport struct {
 	NodeConfig
 
 	Served, Dropped, Shed int64
-	// BusySec is the node's busy-server-seconds (∫ in-service dt).
-	BusySec float64
 	// AvgBusy is the time-averaged number of busy server slots.
 	AvgBusy float64
 	// Utilization is AvgBusy over Concurrency — the classic utilization
@@ -395,10 +391,9 @@ type Report struct {
 	Requests int
 	Events   int64
 
+	// Dropped includes arrivals whose class had no node pool (a config
+	// hole).
 	Served, Dropped, Shed int64
-	// Unroutable counts arrivals whose class had no node pool (a config
-	// hole, included in Dropped).
-	Unroutable int64
 
 	// Horizon is the timestamp of the last processed event.
 	Horizon time.Duration

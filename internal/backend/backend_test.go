@@ -84,8 +84,8 @@ func TestSingleServerQueueing(t *testing.T) {
 		t.Fatalf("max delay = %v, want 2s", got)
 	}
 	n := rep.Nodes[0]
-	if n.BusySec != 3.0 {
-		t.Fatalf("busy-server-seconds = %v, want 3", n.BusySec)
+	if busy := n.AvgBusy * rep.Horizon.Seconds(); busy != 3.0 {
+		t.Fatalf("busy-server-seconds = %v, want 3", busy)
 	}
 	if n.Utilization != 1.0 || n.AvgBusy != 1.0 {
 		t.Fatalf("utilization/avg-busy = %v/%v, want 1/1", n.Utilization, n.AvgBusy)
@@ -180,12 +180,12 @@ func TestRoutingPolicies(t *testing.T) {
 }
 
 // TestUnroutableClassDrops pins that a class with no node pool drops its
-// requests and counts them as unroutable.
+// requests.
 func TestUnroutableClassDrops(t *testing.T) {
 	reqs := []Request{req(0, ClassStorage, 100, 0), req(1, ClassControl, 1, 0)}
 	rep := mustSimulate(t, oneNode(0, 0, 0, AdmitQueue), reqs)
-	if rep.Unroutable != 1 || rep.Dropped != 1 || rep.Served != 1 {
-		t.Fatalf("unroutable/dropped/served = %d/%d/%d, want 1/1/1", rep.Unroutable, rep.Dropped, rep.Served)
+	if rep.Dropped != 1 || rep.Served != 1 {
+		t.Fatalf("dropped/served = %d/%d, want 1/1", rep.Dropped, rep.Served)
 	}
 }
 

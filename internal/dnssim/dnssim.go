@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"insidedropbox/internal/simrand"
-	"insidedropbox/internal/simtime"
 	"insidedropbox/internal/wire"
 )
 
@@ -218,8 +217,6 @@ func (d *Directory) DataCenter(ip wire.IP) string { return d.dcOf[ip] }
 
 // Event is one DNS resolution visible to the probe.
 type Event struct {
-	Time   simtime.Time
-	Client wire.IP
 	FQDN   string
 	Server wire.IP
 }
@@ -242,7 +239,7 @@ func NewResolver(dir *Directory, rng *simrand.Source) *Resolver {
 
 // Resolve returns the next address for fqdn, rotating through the pool, and
 // logs the resolution. It returns false for names outside the directory.
-func (r *Resolver) Resolve(now simtime.Time, client wire.IP, fqdn string) (wire.IP, bool) {
+func (r *Resolver) Resolve(fqdn string) (wire.IP, bool) {
 	pool := r.dir.Pool(fqdn)
 	if len(pool) == 0 {
 		return 0, false
@@ -256,7 +253,7 @@ func (r *Resolver) Resolve(now simtime.Time, client wire.IP, fqdn string) (wire.
 	r.rr[fqdn] = (idx + 1) % len(pool)
 	ip := pool[idx%len(pool)]
 	if r.Log != nil {
-		r.Log(Event{Time: now, Client: client, FQDN: fqdn, Server: ip})
+		r.Log(Event{FQDN: fqdn, Server: ip})
 	}
 	return ip, true
 }

@@ -106,10 +106,9 @@ func TestClassifyAllDirectoryNames(t *testing.T) {
 func TestResolverRotation(t *testing.T) {
 	d := Build(DefaultLayout())
 	r := NewResolver(d, simrand.New(1, "t"))
-	client := wire.MakeIP(10, 0, 0, 1)
 	seen := make(map[wire.IP]int)
 	for i := 0; i < 40; i++ {
-		ip, ok := r.Resolve(0, client, "client-lb.dropbox.com")
+		ip, ok := r.Resolve("client-lb.dropbox.com")
 		if !ok {
 			t.Fatal("resolution failed")
 		}
@@ -128,7 +127,7 @@ func TestResolverRotation(t *testing.T) {
 func TestResolverUnknownName(t *testing.T) {
 	d := Build(DefaultLayout())
 	r := NewResolver(d, simrand.New(1, "t"))
-	if _, ok := r.Resolve(0, 0, "nxdomain.example.com"); ok {
+	if _, ok := r.Resolve("nxdomain.example.com"); ok {
 		t.Fatal("unknown name resolved")
 	}
 }
@@ -138,13 +137,12 @@ func TestResolverLog(t *testing.T) {
 	r := NewResolver(d, simrand.New(1, "t"))
 	var events []Event
 	r.Log = func(e Event) { events = append(events, e) }
-	client := wire.MakeIP(10, 0, 0, 9)
-	ip, _ := r.Resolve(42, client, "dl-client7.dropbox.com")
+	ip, _ := r.Resolve("dl-client7.dropbox.com")
 	if len(events) != 1 {
 		t.Fatalf("log got %d events", len(events))
 	}
 	e := events[0]
-	if e.Client != client || e.Server != ip || e.FQDN != "dl-client7.dropbox.com" || e.Time != 42 {
+	if e.Server != ip || e.FQDN != "dl-client7.dropbox.com" {
 		t.Fatalf("event = %+v", e)
 	}
 }
@@ -161,10 +159,9 @@ func TestStorageNamePattern(t *testing.T) {
 func BenchmarkResolve(b *testing.B) {
 	d := Build(DefaultLayout())
 	r := NewResolver(d, simrand.New(1, "b"))
-	client := wire.MakeIP(10, 0, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Resolve(0, client, "dl-client99.dropbox.com")
+		r.Resolve("dl-client99.dropbox.com")
 	}
 }
 

@@ -47,22 +47,14 @@ func TestNoDedupUploadsDuplicateChunks(t *testing.T) {
 		return p
 	}())
 	refs := mkRefs(900, 3, 100_000) // same content on both accounts
+	ops := w.countOps()
 	d1.Start()
 	d2.Start()
-	w.sched.After(time.Second, func() { d1.Upload(a1.Root, refs, identityWire, nil) })
-	var d2stats TransferStats
-	d2.OnTransferDone = func(s TransferStats) {
-		if s.Kind == TransferStore {
-			d2stats = s
-		}
-	}
-	w.sched.After(30*time.Second, func() { d2.Upload(a2.Root, refs, identityWire, nil) })
+	w.sched.After(time.Second, func() { d1.Upload(refs, identityWire, nil) })
+	w.sched.After(30*time.Second, func() { d2.Upload(refs, identityWire, nil) })
 	w.sched.RunUntil(simtime.Time(120 * time.Second))
-	if w.svc.StoreOps != 6 {
-		t.Fatalf("store ops = %d: no-dedup should re-upload all 3 chunks", w.svc.StoreOps)
-	}
-	if d2stats.Skipped != 0 || d2stats.Chunks != 3 {
-		t.Fatalf("second upload stats = %+v", d2stats)
+	if ops.store != 6 {
+		t.Fatalf("store ops = %d: no-dedup should re-upload all 3 chunks", ops.store)
 	}
 }
 
@@ -82,20 +74,12 @@ func TestPipelinedStoreRemovesAckFloor(t *testing.T) {
 		w := newTW(t, 3)
 		acct := w.svc.Meta.CreateAccount()
 		dev := w.device(t, acct.ID, caps)
-		var st TransferStats
-		dev.OnTransferDone = func(s TransferStats) {
-			if s.Kind == TransferStore {
-				st = s
-			}
-		}
+		ops := w.countOps()
 		dev.Start()
-		refs := mkRefs(901, 30, 60_000)
-		w.sched.After(time.Second, func() { dev.Upload(acct.Root, refs, identityWire, nil) })
-		w.sched.RunUntil(simtime.Time(10 * time.Minute))
-		if st.Chunks != 30 || st.Ops != 30 {
-			t.Fatalf("%s: stats = %+v", name, st)
+		durations[name] = w.uploadTime(t, dev, mkRefs(901, 30, 60_000), 10*time.Minute)
+		if len(w.svc.Meta.chunks) != 30 || ops.store != 30 {
+			t.Fatalf("%s: %d chunks stored in %d ops, want 30 in 30", name, len(w.svc.Meta.chunks), ops.store)
 		}
-		durations[name] = st.End.Sub(st.Start)
 	}
 	if durations["pipelined"]*2 > durations["sequential"] {
 		t.Fatalf("pipelining should at least halve duration: sequential %v vs pipelined %v",
@@ -118,21 +102,14 @@ func TestPipelinedRetrieveCompletes(t *testing.T) {
 	d1.Start()
 	d2.Start()
 	refs := mkRefs(902, 5, 200_000)
-	var retr TransferStats
-	d2.OnTransferDone = func(s TransferStats) {
-		if s.Kind == TransferRetrieve {
-			retr = s
-		}
-	}
-	w.sched.After(5*time.Second, func() { d1.Upload(acct.Root, refs, identityWire, nil) })
+	ops := w.countOps()
+	w.sched.After(5*time.Second, func() { d1.Upload(refs, identityWire, nil) })
 	w.sched.RunUntil(simtime.Time(4 * time.Minute))
-	for _, r := range refs {
-		if !d2.Has(r.Hash) {
-			t.Fatalf("device 2 missing chunk %s", r.Hash.Short())
-		}
+	if !holds(d2, refs) {
+		t.Fatal("device 2 is missing chunks")
 	}
-	if retr.Chunks != 5 || retr.Ops != 5 {
-		t.Fatalf("retrieve stats = %+v", retr)
+	if ops.retrieve != 5 {
+		t.Fatalf("retrieve ops = %d, want 5", ops.retrieve)
 	}
 }
 
@@ -158,19 +135,20 @@ func TestTransferAnsweredInsideSend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st TransferStats
-		dev.OnTransferDone = func(s TransferStats) { st = s }
+		ops := w.countOps()
 		dones := 0
 		dev.Start()
 		w.sched.After(time.Second, func() {
-			dev.Upload(acct.Root, mkRefs(903, 6, 50_000), identityWire, func() { dones++ })
+			dev.Upload(mkRefs(903, 6, 50_000), identityWire, func() { dones++ })
 		})
 		w.sched.RunUntil(simtime.Time(2 * time.Minute))
-		if dones != 1 || st.Kind != TransferStore || st.Ops != 6 || st.Chunks != 6 {
-			t.Fatalf("pipelined %v: onDone ran %d times, stats %+v; want once, 6 ops", pipelined, dones, st)
+		// Every operation tries one storage name from the list response
+		// and finds no server behind it.
+		if dones != 1 || dev.nameIdx != 6 {
+			t.Fatalf("pipelined %v: onDone ran %d times after %d storage dials; want once after 6", pipelined, dones, dev.nameIdx)
 		}
-		if w.svc.StoreOps != 0 {
-			t.Fatalf("pipelined %v: %d store operations reached a server", pipelined, w.svc.StoreOps)
+		if ops.store != 0 {
+			t.Fatalf("pipelined %v: %d store operations reached a server", pipelined, ops.store)
 		}
 	}
 }

@@ -28,51 +28,14 @@ type ClientConfig struct {
 	Caps capability.Profile
 }
 
-// TransferKind labels a completed synchronization direction.
-type TransferKind int
-
-// Transfer kinds.
-const (
-	TransferStore TransferKind = iota
-	TransferRetrieve
-)
-
-func (k TransferKind) String() string {
-	if k == TransferStore {
-		return "store"
-	}
-	return "retrieve"
-}
-
-// TransferStats is ground truth reported after a sync transaction; the
-// experiments compare the probe's inferences against it.
-type TransferStats struct {
-	Kind      TransferKind
-	Chunks    int // chunks actually transferred (after dedup/LAN sync)
-	Skipped   int // chunks avoided by dedup or LAN sync
-	WireBytes int // compressed payload bytes moved
-	Ops       int // storage operations issued
-	Start     simtime.Time
-	End       simtime.Time
-}
-
 // Device is one Dropbox client instance (a host_int).
 type Device struct {
-	Cfg     ClientConfig
-	Host    HostID
-	Account AccountID
+	Cfg  ClientConfig
+	Host HostID
 
-	namespaces []NamespaceID
-	cursors    map[NamespaceID]uint64
-	have       map[chunker.Hash]struct{}
-
-	// LANPeers are devices on the same LAN: chunks present on a peer are
-	// fetched via the LAN Sync Protocol and never cross the probe
-	// (Sec. 5.2). Nil disables LAN sync.
-	LANPeers []*Device
-
-	// OnTransferDone observes completed transactions.
-	OnTransferDone func(TransferStats)
+	root   NamespaceID // the account's root namespace, the one it syncs
+	cursor uint64      // the root journal's last sequence this device holds
+	have   map[chunker.Hash]struct{}
 
 	online       bool
 	rng          *simrand.Source
@@ -102,21 +65,13 @@ func NewDevice(cfg ClientConfig, account AccountID) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		Cfg:        cfg,
-		Host:       host,
-		Account:    account,
-		namespaces: cfg.Service.Meta.NamespacesOf(account),
-		cursors:    make(map[NamespaceID]uint64),
-		have:       make(map[chunker.Hash]struct{}),
-		rng:        cfg.Rng.Fork("dev"),
+		Cfg:  cfg,
+		Host: host,
+		root: cfg.Service.Meta.Account(account).Root,
+		have: make(map[chunker.Hash]struct{}),
+		rng:  cfg.Rng.Fork("dev"),
 	}
 	return d, nil
-}
-
-// Has reports whether the device holds a chunk locally.
-func (d *Device) Has(h chunker.Hash) bool {
-	_, ok := d.have[h]
-	return ok
 }
 
 // Start opens a session: register with the control plane, start the
@@ -127,7 +82,7 @@ func (d *Device) Start() {
 		return
 	}
 	d.online = true
-	d.controlCall(MsgRegisterHost{Host: d.Host, Namespaces: d.namespaces}, func(any) {
+	d.controlCall(MsgRegisterHost{}, func(any) {
 		if !d.online {
 			return
 		}
@@ -164,7 +119,7 @@ func (d *Device) startNotify() {
 		return
 	}
 	name := names[d.rng.Intn(len(names))]
-	ip, ok := d.Cfg.Resolver.Resolve(d.Cfg.Sched.Now(), d.Cfg.Stack.Host.IP, name)
+	ip, ok := d.Cfg.Resolver.Resolve(name)
 	if !ok {
 		return
 	}
@@ -211,11 +166,7 @@ func (d *Device) sendNotifyRequest() {
 	if d.notifyConn == nil {
 		return
 	}
-	ns := make([]uint32, len(d.namespaces))
-	for i, id := range d.namespaces {
-		ns[i] = uint32(id)
-	}
-	req := wire.EncodeNotifyRequest(wire.NotifyRequest{Host: uint64(d.Host), Namespaces: ns})
+	req := wire.EncodeNotifyRequest(wire.NotifyRequest{Host: uint64(d.Host), Namespaces: []uint32{uint32(d.root)}})
 	d.notifyConn.Write(req, len(req), true)
 }
 
@@ -243,10 +194,11 @@ func (d *Device) taskDone() {
 
 // ---------- upload path ----------
 
-// Upload synchronizes new local content: refs are the file's chunks, wireOf
-// maps a chunk to its compressed transfer size. The transfer plan's
-// batches (PlanTransfer) run sequentially, each its own transaction.
-func (d *Device) Upload(ns NamespaceID, refs []chunker.Ref, wireOf func(chunker.Ref) int, onDone func()) {
+// Upload synchronizes new local content into the account's root namespace:
+// refs are the file's chunks, wireOf maps a chunk to its compressed
+// transfer size. The transfer plan's batches (PlanTransfer) run
+// sequentially, each its own transaction.
+func (d *Device) Upload(refs []chunker.Ref, wireOf func(chunker.Ref) int, onDone func()) {
 	if !d.online || len(refs) == 0 {
 		if onDone != nil {
 			onDone()
@@ -254,11 +206,11 @@ func (d *Device) Upload(ns NamespaceID, refs []chunker.Ref, wireOf func(chunker.
 		return
 	}
 	d.enqueueTask(func() {
-		d.uploadBatches(ns, refs, wireOf, onDone)
+		d.uploadBatches(refs, wireOf, onDone)
 	})
 }
 
-func (d *Device) uploadBatches(ns NamespaceID, refs []chunker.Ref, wireOf func(chunker.Ref) int, onDone func()) {
+func (d *Device) uploadBatches(refs []chunker.Ref, wireOf func(chunker.Ref) int, onDone func()) {
 	if len(refs) == 0 || !d.online {
 		d.taskDone()
 		if onDone != nil {
@@ -275,44 +227,33 @@ func (d *Device) uploadBatches(ns NamespaceID, refs []chunker.Ref, wireOf func(c
 	}
 	batch := refs[:n]
 	rest := refs[n:]
-	d.uploadOneBatch(ns, batch, wireOf, func() {
-		d.uploadBatches(ns, rest, wireOf, onDone)
+	d.uploadOneBatch(batch, wireOf, func() {
+		d.uploadBatches(rest, wireOf, onDone)
 	})
 }
 
-func (d *Device) uploadOneBatch(ns NamespaceID, batch []chunker.Ref, wireOf func(chunker.Ref) int, next func()) {
-	start := d.Cfg.Sched.Now()
-	d.controlCall(MsgCommitBatch{Host: d.Host, Namespace: ns, Refs: batch}, func(resp any) {
+func (d *Device) uploadOneBatch(batch []chunker.Ref, wireOf func(chunker.Ref) int, next func()) {
+	d.controlCall(MsgCommitBatch{Refs: batch}, func(resp any) {
 		nb, _ := resp.(MsgNeedBlocks)
 		missing := make(map[chunker.Hash]bool, len(nb.Missing))
 		for _, h := range nb.Missing {
 			missing[h] = true
 		}
 		var toSend []chunker.Ref
-		skipped := 0
 		for _, r := range batch {
 			// Without dedup the need_blocks answer is ignored: every chunk
 			// crosses the wire even when the server already has it.
 			if !d.Cfg.Caps.Dedup || missing[r.Hash] {
 				toSend = append(toSend, r)
-			} else {
-				skipped++
 			}
 		}
-		stats := TransferStats{Kind: TransferStore, Skipped: skipped, Start: start}
-		d.storeChunks(toSend, wireOf, &stats, func() {
-			d.controlCall(MsgCloseChangeset{Host: d.Host, Namespace: ns, Refs: batch}, func(resp any) {
-				if done, ok := resp.(MsgCommitDone); ok {
-					if done.Seq > d.cursors[ns] {
-						d.cursors[ns] = done.Seq
-					}
+		d.storeChunks(toSend, wireOf, func() {
+			d.controlCall(MsgCloseChangeset{Host: d.Host, Namespace: d.root, Refs: batch}, func(resp any) {
+				if done, ok := resp.(MsgCommitDone); ok && done.Seq > d.cursor {
+					d.cursor = done.Seq
 				}
 				for _, r := range batch {
 					d.have[r.Hash] = struct{}{}
-				}
-				stats.End = d.Cfg.Sched.Now()
-				if d.OnTransferDone != nil {
-					d.OnTransferDone(stats)
 				}
 				next()
 			})
@@ -332,7 +273,7 @@ func wiresOf(refs []chunker.Ref, wireOf func(chunker.Ref) int) []int {
 // storeChunks sends refs as the store operations of their plan: one chunk
 // per store for 1.2.52-style profiles, a store_batch for each bundle of
 // several chunks when the profile bundles.
-func (d *Device) storeChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int, stats *TransferStats, done func()) {
+func (d *Device) storeChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int, done func()) {
 	if len(refs) == 0 {
 		done()
 		return
@@ -347,9 +288,6 @@ func (d *Device) storeChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int, s
 		if op.Chunks > 1 {
 			msg = MsgStoreBatch{Refs: refs[op.First:end], Wires: wires[op.First:end]}
 		}
-		stats.Ops++
-		stats.Chunks += op.Chunks
-		stats.WireBytes += op.Wire
 		return msg, StoreClientOverhead + op.Wire, len(ops) > 0
 	}, nil, done)
 }
@@ -393,34 +331,24 @@ func (d *Device) transfer(isStore bool, next func() (op any, size int, more bool
 
 // ---------- download path ----------
 
-// syncNow lists all namespaces and retrieves missing chunks.
+// syncNow lists the root namespace's journal and retrieves missing chunks.
 func (d *Device) syncNow() {
 	if !d.online {
 		return
 	}
 	d.enqueueTask(func() {
-		cursors := make(map[NamespaceID]uint64, len(d.namespaces))
-		for _, ns := range d.namespaces {
-			cursors[ns] = d.cursors[ns]
-		}
-		d.controlCall(MsgList{Host: d.Host, Cursors: cursors}, func(resp any) {
+		d.controlCall(MsgList{Namespace: d.root, Cursor: d.cursor}, func(resp any) {
 			lr, _ := resp.(MsgListResp)
 			if len(lr.StorageNames) > 0 {
 				d.storageNames = lr.StorageNames
 			}
 			var want []chunker.Ref
-			for ns, entries := range lr.Updates {
-				for _, e := range entries {
-					if e.Seq > d.cursors[ns] {
-						d.cursors[ns] = e.Seq
-					}
-					for _, r := range e.Refs {
-						if _, ok := d.have[r.Hash]; ok {
-							continue
-						}
-						if d.lanFetch(r.Hash) {
-							continue
-						}
+			for _, e := range lr.Updates {
+				if e.Seq > d.cursor {
+					d.cursor = e.Seq
+				}
+				for _, r := range e.Refs {
+					if _, ok := d.have[r.Hash]; !ok {
 						want = append(want, r)
 					}
 				}
@@ -446,7 +374,7 @@ func (d *Device) Download(refs []chunker.Ref, wireOf func(chunker.Ref) int, onDo
 }
 
 // download runs one retrieve transaction inside the device's task slot:
-// it fetches refs, reports the transfer, frees the slot and runs onDone.
+// it fetches refs, frees the slot and runs onDone.
 func (d *Device) download(refs []chunker.Ref, wireOf func(chunker.Ref) int, onDone func()) {
 	finish := func() {
 		d.taskDone()
@@ -458,33 +386,14 @@ func (d *Device) download(refs []chunker.Ref, wireOf func(chunker.Ref) int, onDo
 		finish()
 		return
 	}
-	stats := TransferStats{Kind: TransferRetrieve, Start: d.Cfg.Sched.Now()}
-	d.retrieveChunks(refs, wireOf, &stats, func() {
-		stats.End = d.Cfg.Sched.Now()
-		if d.OnTransferDone != nil {
-			d.OnTransferDone(stats)
-		}
-		finish()
-	})
-}
-
-// lanFetch pulls a chunk from a same-LAN peer if one has it; that traffic
-// never crosses the probe.
-func (d *Device) lanFetch(h chunker.Hash) bool {
-	for _, p := range d.LANPeers {
-		if p != d && p.Has(h) {
-			d.have[h] = struct{}{}
-			return true
-		}
-	}
-	return false
+	d.retrieveChunks(refs, wireOf, finish)
 }
 
 // retrieveChunks fetches refs as the retrieve operations of their plan:
 // one chunk per retrieve for 1.2.52-style profiles, a retrieve_batch for
 // each bundle of several chunks when the profile bundles. Every request
 // goes out as two PSH-marked writes (Fig. 19b).
-func (d *Device) retrieveChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int, stats *TransferStats, done func()) {
+func (d *Device) retrieveChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int, done func()) {
 	ops := PlanTransfer(nil, d.Cfg.Caps, wiresOf(refs, wireOf))
 	d.transfer(false, func() (any, int, bool) {
 		size := RetrieveRequestSize(d.rng)
@@ -498,15 +407,12 @@ func (d *Device) retrieveChunks(refs []chunker.Ref, wireOf func(chunker.Ref) int
 			}
 			msg = MsgRetrieveBatch{Hashes: hashes}
 		}
-		stats.Ops++
 		return msg, size, len(ops) > 0
 	}, func(resp any) {
 		data, _ := resp.(MsgRetrieveData)
 		for _, r := range data.Refs {
 			d.have[r.Hash] = struct{}{}
 		}
-		stats.Chunks += len(data.Refs)
-		stats.WireBytes += data.WireSize
 	}, done)
 }
 
@@ -586,7 +492,7 @@ func (d *Device) dialRPC(kind string) *rpcConn {
 	default:
 		name = d.nextStorageName()
 	}
-	ip, ok := d.Cfg.Resolver.Resolve(d.Cfg.Sched.Now(), d.Cfg.Stack.Host.IP, name)
+	ip, ok := d.Cfg.Resolver.Resolve(name)
 	if !ok {
 		return nil
 	}

@@ -1,7 +1,6 @@
 package dropbox
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -80,6 +79,67 @@ func mkRefs(seed uint64, n, size int) []chunker.Ref {
 
 func identityWire(r chunker.Ref) int { return r.Size }
 
+// storageOps counts the storage operations the service receives, read
+// through its Trace hook.
+type storageOps struct {
+	store, retrieve, batch int
+	storeWire              int          // compressed bytes the stores carried
+	firstRetrieve          simtime.Time // when the first retrieve arrived
+}
+
+// countOps installs the Trace hook that fills a storageOps.
+func (w *tw) countOps() *storageOps {
+	ops := &storageOps{}
+	w.svc.Trace = func(_ string, meta any) {
+		switch m := meta.(type) {
+		case MsgStore:
+			ops.store++
+			ops.storeWire += m.WireSize
+		case MsgStoreBatch:
+			ops.store++
+			ops.batch++
+			for _, n := range m.Wires {
+				ops.storeWire += n
+			}
+		case MsgRetrieve, MsgRetrieveBatch:
+			if ops.retrieve == 0 {
+				ops.firstRetrieve = w.sched.Now()
+			}
+			ops.retrieve++
+			if _, ok := m.(MsgRetrieveBatch); ok {
+				ops.batch++
+			}
+		}
+	}
+	return ops
+}
+
+// holds reports whether dev holds every chunk of refs.
+func holds(dev *Device, refs []chunker.Ref) bool {
+	for _, r := range refs {
+		if _, ok := dev.have[r.Hash]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// uploadTime uploads refs from dev at 1 s and returns how long the upload
+// takes to finish, once the scheduler has run to limit. An upload that has
+// not finished by limit fails the test.
+func (w *tw) uploadTime(t *testing.T, dev *Device, refs []chunker.Ref, limit time.Duration) time.Duration {
+	t.Helper()
+	var end simtime.Time
+	w.sched.After(time.Second, func() {
+		dev.Upload(refs, identityWire, func() { end = w.sched.Now() })
+	})
+	w.sched.RunUntil(simtime.Time(limit))
+	if end == 0 {
+		t.Fatalf("upload of %d chunks did not finish by %v", len(refs), limit)
+	}
+	return end.Duration() - time.Second
+}
+
 func TestNotifyEncodingRoundTrip(t *testing.T) {
 	resp := NotifyResponse{Changed: []NamespaceID{9, 11}}
 	gotR, ok := ParseNotifyResponse(EncodeNotifyResponse(resp))
@@ -120,18 +180,6 @@ func TestMetastoreAccounts(t *testing.T) {
 	if _, err := m.LinkDevice(999); err == nil {
 		t.Fatal("linking to missing account should fail")
 	}
-	b := m.CreateAccount()
-	ns, err := shareFolder(m, a.ID, b.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nsA := m.NamespacesOf(a.ID)
-	if len(nsA) != 2 || nsA[1] != ns {
-		t.Fatalf("account A namespaces = %v", nsA)
-	}
-	if got := m.namespaces[ns].Members; len(got) != 2 {
-		t.Fatalf("share members = %v", got)
-	}
 }
 
 func TestMetastoreDedupAndJournal(t *testing.T) {
@@ -166,34 +214,21 @@ func TestUploadStoresChunks(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
 	dev := w.device(t, acct.ID, capability.DropboxV1252())
-	var stats []TransferStats
-	dev.OnTransferDone = func(s TransferStats) { stats = append(stats, s) }
+	ops := w.countOps()
 	dev.Start()
 	refs := mkRefs(100, 4, 200_000)
 	w.sched.After(2*time.Second, func() {
-		dev.Upload(acct.Root, refs, identityWire, nil)
+		dev.Upload(refs, identityWire, nil)
 	})
 	w.sched.RunUntil(simtime.Time(90 * time.Second))
 	if len(w.svc.Meta.chunks) != 4 {
 		t.Fatalf("stored chunks = %d, want 4", len(w.svc.Meta.chunks))
 	}
-	if w.svc.StoreOps != 4 {
-		t.Fatalf("store ops = %d, want 4 (one per chunk in v1.2.52)", w.svc.StoreOps)
+	if ops.store != 4 || ops.storeWire != 800_000 {
+		t.Fatalf("store ops = %d carrying %d bytes, want 4 (one per chunk in v1.2.52) carrying 800000", ops.store, ops.storeWire)
 	}
 	if journalSeq(w.svc.Meta, acct.Root) != 1 {
 		t.Fatalf("journal seq = %d", journalSeq(w.svc.Meta, acct.Root))
-	}
-	var st *TransferStats
-	for i := range stats {
-		if stats[i].Kind == TransferStore {
-			st = &stats[i]
-		}
-	}
-	if st == nil {
-		t.Fatal("no store transfer reported")
-	}
-	if st.Chunks != 4 || st.WireBytes != 800_000 || st.Ops != 4 {
-		t.Fatalf("store stats = %+v", *st)
 	}
 }
 
@@ -204,22 +239,14 @@ func TestDedupSkipsUpload(t *testing.T) {
 	d1 := w.device(t, a1.ID, capability.DropboxV1252())
 	d2 := w.device(t, a2.ID, capability.DropboxV1252())
 	refs := mkRefs(200, 3, 100_000) // same content on both accounts
+	ops := w.countOps()
 	d1.Start()
 	d2.Start()
-	w.sched.After(time.Second, func() { d1.Upload(a1.Root, refs, identityWire, nil) })
-	var d2stats TransferStats
-	d2.OnTransferDone = func(s TransferStats) {
-		if s.Kind == TransferStore {
-			d2stats = s
-		}
-	}
-	w.sched.After(30*time.Second, func() { d2.Upload(a2.Root, refs, identityWire, nil) })
+	w.sched.After(time.Second, func() { d1.Upload(refs, identityWire, nil) })
+	w.sched.After(30*time.Second, func() { d2.Upload(refs, identityWire, nil) })
 	w.sched.RunUntil(simtime.Time(120 * time.Second))
-	if w.svc.StoreOps != 3 {
-		t.Fatalf("store ops = %d: dedup should stop the second upload", w.svc.StoreOps)
-	}
-	if d2stats.Skipped != 3 || d2stats.Chunks != 0 {
-		t.Fatalf("second upload stats = %+v", d2stats)
+	if ops.store != 3 {
+		t.Fatalf("store ops = %d: dedup should stop the second upload", ops.store)
 	}
 	if journalSeq(w.svc.Meta, a2.Root) != 1 {
 		t.Fatal("dedup'd upload must still commit meta-data")
@@ -234,29 +261,19 @@ func TestNotificationTriggersDownload(t *testing.T) {
 	d1.Start()
 	d2.Start()
 	refs := mkRefs(300, 2, 500_000)
-	var retr TransferStats
-	d2.OnTransferDone = func(s TransferStats) {
-		if s.Kind == TransferRetrieve {
-			retr = s
-		}
-	}
-	w.sched.After(5*time.Second, func() { d1.Upload(acct.Root, refs, identityWire, nil) })
+	ops := w.countOps()
+	w.sched.After(5*time.Second, func() { d1.Upload(refs, identityWire, nil) })
 	w.sched.RunUntil(simtime.Time(3 * time.Minute))
-	for _, r := range refs {
-		if !d2.Has(r.Hash) {
-			t.Fatalf("device 2 missing chunk %s", r.Hash.Short())
-		}
+	if !holds(d2, refs) {
+		t.Fatal("device 2 is missing chunks")
 	}
-	if retr.Chunks != 2 || retr.WireBytes != 1_000_000 {
-		t.Fatalf("retrieve stats = %+v", retr)
-	}
-	if w.svc.RetrieveOps != 2 {
-		t.Fatalf("retrieve ops = %d", w.svc.RetrieveOps)
+	if ops.retrieve != 2 {
+		t.Fatalf("retrieve ops = %d", ops.retrieve)
 	}
 	// The retrieve must have started well before the 60 s poll period:
 	// notifications push immediately on journal advance.
-	if retr.Start.Duration() > 40*time.Second {
-		t.Fatalf("retrieve started at %v — notification not pushed", retr.Start)
+	if ops.firstRetrieve.Duration() > 40*time.Second {
+		t.Fatalf("retrieve started at %v — notification not pushed", ops.firstRetrieve)
 	}
 }
 
@@ -268,7 +285,7 @@ func TestBatchSplitOver100Chunks(t *testing.T) {
 	refs := mkRefs(400, 250, 2_000)
 	done := false
 	w.sched.After(time.Second, func() {
-		dev.Upload(acct.Root, refs, identityWire, func() { done = true })
+		dev.Upload(refs, identityWire, func() { done = true })
 	})
 	w.sched.RunUntil(simtime.Time(30 * time.Minute))
 	if !done {
@@ -286,17 +303,18 @@ func TestV140BundlesSmallChunks(t *testing.T) {
 	w := newTW(t, 3)
 	acct := w.svc.Meta.CreateAccount()
 	dev := w.device(t, acct.ID, capability.DropboxV140())
+	ops := w.countOps()
 	dev.Start()
 	refs := mkRefs(500, 40, 50_000) // 2 MB of small chunks
-	w.sched.After(time.Second, func() { dev.Upload(acct.Root, refs, identityWire, nil) })
+	w.sched.After(time.Second, func() { dev.Upload(refs, identityWire, nil) })
 	w.sched.RunUntil(simtime.Time(5 * time.Minute))
 	if len(w.svc.Meta.chunks) != 40 {
 		t.Fatalf("chunks = %d", len(w.svc.Meta.chunks))
 	}
-	if w.svc.StoreOps > 3 {
-		t.Fatalf("store ops = %d: bundling should collapse 40 small chunks", w.svc.StoreOps)
+	if ops.store > 3 {
+		t.Fatalf("store ops = %d: bundling should collapse 40 small chunks", ops.store)
 	}
-	if w.svc.BatchOps == 0 {
+	if ops.batch == 0 {
 		t.Fatal("no store_batch issued")
 	}
 }
@@ -308,6 +326,7 @@ func TestV140BundlesSmallChunks(t *testing.T) {
 // size plus the 309-byte response framing, not the bundle's average.
 func TestStoreBatchKeepsEachChunkWireSize(t *testing.T) {
 	w := newTW(t, 3)
+	ops := w.countOps()
 	probe := tstat.New(w.sched, "vp")
 	var recs []*traces.FlowRecord
 	probe.OnRecord = func(r *traces.FlowRecord) { recs = append(recs, r) }
@@ -319,26 +338,24 @@ func TestStoreBatchKeepsEachChunkWireSize(t *testing.T) {
 	up := w.device(t, a.ID, capability.DropboxV140())
 	up.Start()
 	w.sched.After(time.Second, func() {
-		up.Upload(a.Root, []chunker.Ref{small, big}, identityWire, nil)
+		up.Upload([]chunker.Ref{small, big}, identityWire, nil)
 	})
 	b := w.svc.Meta.CreateAccount()
 	dup := w.device(t, b.ID, capability.DropboxV140())
 	dup.Start()
 	w.sched.After(time.Minute, func() {
-		dup.Upload(b.Root, []chunker.Ref{small}, identityWire, nil)
+		dup.Upload([]chunker.Ref{small}, identityWire, nil)
 	})
 	down := w.device(t, b.ID, capability.DropboxV140())
-	var got []TransferStats
-	down.OnTransferDone = func(s TransferStats) { got = append(got, s) }
 	w.sched.After(2*time.Minute, down.Start)
 	w.sched.RunUntil(simtime.Time(5 * time.Minute))
 	probe.FlushAll()
 
-	if w.svc.BatchOps != 1 {
-		t.Fatalf("batch ops = %d, want the one store_batch", w.svc.BatchOps)
+	if ops.store != 1 || ops.batch != 1 {
+		t.Fatalf("%d store ops, %d batched; want the one store_batch", ops.store, ops.batch)
 	}
-	if len(got) != 1 || got[0].Kind != TransferRetrieve || got[0].Chunks != 1 || got[0].WireBytes != small.Size {
-		t.Fatalf("downloader transfers = %+v, want one retrieve of the %d-byte chunk", got, small.Size)
+	if ops.retrieve != 1 || !holds(down, []chunker.Ref{small}) {
+		t.Fatalf("downloader: %d retrieve ops; want one retrieve of the %d-byte chunk", ops.retrieve, small.Size)
 	}
 	downIP := down.Cfg.Stack.Host.IP
 	for _, r := range recs {
@@ -364,45 +381,14 @@ func TestSequentialAcksSlowerThanBundling(t *testing.T) {
 		acct := w.svc.Meta.CreateAccount()
 		dev := w.device(t, acct.ID, caps)
 		dev.Start()
-		refs := mkRefs(600, 30, 60_000)
-		var st TransferStats
-		dev.OnTransferDone = func(s TransferStats) {
-			if s.Kind == TransferStore {
-				st = s
-			}
+		durations[caps.Name] = w.uploadTime(t, dev, mkRefs(600, 30, 60_000), 10*time.Minute)
+		if len(w.svc.Meta.chunks) != 30 {
+			t.Fatalf("%v: chunks = %d", caps, len(w.svc.Meta.chunks))
 		}
-		w.sched.After(time.Second, func() { dev.Upload(acct.Root, refs, identityWire, nil) })
-		w.sched.RunUntil(simtime.Time(10 * time.Minute))
-		if st.Chunks != 30 {
-			t.Fatalf("%v: chunks = %d", caps, st.Chunks)
-		}
-		durations[caps.Name] = st.End.Sub(st.Start)
 	}
 	if durations["dropbox-1.4.0"]*2 > durations["dropbox-1.2.52"] {
 		t.Fatalf("bundling should at least halve duration: v1.2.52 %v vs v1.4.0 %v",
 			durations["dropbox-1.2.52"], durations["dropbox-1.4.0"])
-	}
-}
-
-func TestLANSyncAvoidsWAN(t *testing.T) {
-	w := newTW(t, 3)
-	acct := w.svc.Meta.CreateAccount()
-	d1 := w.device(t, acct.ID, capability.DropboxV1252())
-	d2 := w.device(t, acct.ID, capability.DropboxV1252())
-	d1.LANPeers = []*Device{d2}
-	d2.LANPeers = []*Device{d1}
-	d1.Start()
-	d2.Start()
-	refs := mkRefs(700, 2, 300_000)
-	w.sched.After(time.Second, func() { d1.Upload(acct.Root, refs, identityWire, nil) })
-	w.sched.RunUntil(simtime.Time(3 * time.Minute))
-	if w.svc.RetrieveOps != 0 {
-		t.Fatalf("retrieve ops = %d: LAN sync should bypass the cloud", w.svc.RetrieveOps)
-	}
-	for _, r := range refs {
-		if !d2.Has(r.Hash) {
-			t.Fatal("peer did not receive chunks over LAN")
-		}
 	}
 }
 
@@ -413,15 +399,13 @@ func TestOfflineDeviceSyncsOnStart(t *testing.T) {
 	d2 := w.device(t, acct.ID, capability.DropboxV1252())
 	d1.Start()
 	refs := mkRefs(800, 3, 80_000)
-	w.sched.After(time.Second, func() { d1.Upload(acct.Root, refs, identityWire, nil) })
+	w.sched.After(time.Second, func() { d1.Upload(refs, identityWire, nil) })
 	w.sched.RunUntil(simtime.Time(2 * time.Minute))
 	// d2 comes online later: the first list must pull everything.
 	d2.Start()
 	w.sched.RunUntil(simtime.Time(4 * time.Minute))
-	for _, r := range refs {
-		if !d2.Has(r.Hash) {
-			t.Fatal("late-starting device did not sync")
-		}
+	if !holds(d2, refs) {
+		t.Fatal("late-starting device did not sync")
 	}
 }
 
@@ -431,7 +415,7 @@ func TestStopTearsDownConnections(t *testing.T) {
 	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	w.sched.After(30*time.Second, func() {
-		dev.Upload(acct.Root, mkRefs(900, 10, 1_000_000), identityWire, nil)
+		dev.Upload(mkRefs(900, 10, 1_000_000), identityWire, nil)
 	})
 	w.sched.After(32*time.Second, dev.Stop)
 	w.sched.RunUntil(simtime.Time(5 * time.Minute))
@@ -443,28 +427,6 @@ func TestStopTearsDownConnections(t *testing.T) {
 	w.sched.RunUntil(simtime.Time(8 * time.Minute))
 	if !dev.online {
 		t.Fatal("restart failed")
-	}
-}
-
-func TestSharedFolderCrossAccount(t *testing.T) {
-	w := newTW(t, 3)
-	a1 := w.svc.Meta.CreateAccount()
-	a2 := w.svc.Meta.CreateAccount()
-	shared, err := shareFolder(w.svc.Meta, a1.ID, a2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := w.device(t, a1.ID, capability.DropboxV1252())
-	d2 := w.device(t, a2.ID, capability.DropboxV1252())
-	d1.Start()
-	d2.Start()
-	refs := mkRefs(1000, 2, 150_000)
-	w.sched.After(time.Second, func() { d1.Upload(shared, refs, identityWire, nil) })
-	w.sched.RunUntil(simtime.Time(3 * time.Minute))
-	for _, r := range refs {
-		if !d2.Has(r.Hash) {
-			t.Fatal("shared-folder content did not propagate across accounts")
-		}
 	}
 }
 
@@ -541,7 +503,7 @@ func TestStorageIdleClockWaitsForDrain(t *testing.T) {
 	w.sched.After(3*time.Second, func() { dev.Download(refs, identityWire, func() { done = w.sched.Now() }) })
 	w.sched.RunUntil(simtime.Time(8 * time.Minute))
 
-	if done == 0 || !dev.Has(refs[0].Hash) || !dev.Has(refs[1].Hash) {
+	if done == 0 || !holds(dev, refs) {
 		t.Fatalf("download did not finish: done at %v", done)
 	}
 	if done.Sub(simtime.Time(3*time.Second)) < 2*time.Minute {
@@ -564,29 +526,12 @@ func BenchmarkUpload10Chunks(b *testing.B) {
 		dev := w.device(b, acct.ID, capability.DropboxV1252())
 		dev.Start()
 		refs := mkRefs(uint64(i)*17+1, 10, 100_000)
-		w.sched.After(time.Second, func() { dev.Upload(acct.Root, refs, identityWire, nil) })
+		w.sched.After(time.Second, func() { dev.Upload(refs, identityWire, nil) })
 		w.sched.RunUntil(simtime.Time(2 * time.Minute))
 		if len(w.svc.Meta.chunks) != 10 {
 			b.Fatalf("chunks = %d", len(w.svc.Meta.chunks))
 		}
 	}
-}
-
-// shareFolder creates a shared namespace owned by the given accounts.
-func shareFolder(m *Metastore, members ...AccountID) (NamespaceID, error) {
-	if len(members) == 0 {
-		return 0, fmt.Errorf("dropbox: shared folder needs members")
-	}
-	ns := m.createNamespace()
-	for _, id := range members {
-		a := m.accounts[id]
-		if a == nil {
-			return 0, fmt.Errorf("dropbox: no account %d", id)
-		}
-		ns.Members = append(ns.Members, id)
-		a.Shared = append(a.Shared, ns.ID)
-	}
-	return ns.ID, nil
 }
 
 // journalSeq returns the latest sequence number of a namespace.

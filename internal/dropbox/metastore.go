@@ -6,9 +6,10 @@ import (
 	"insidedropbox/internal/chunker"
 )
 
-// Metastore is the server-side state of the service: accounts, devices,
-// namespaces, per-namespace journals and the global deduplicating chunk
-// index. It is the substrate behind the meta-data servers of Sec. 2.3.2.
+// Metastore is the server-side state of the service: accounts, their
+// root namespaces, per-namespace journals and the global deduplicating
+// chunk index; it also hands out device ids. It is the substrate behind
+// the meta-data servers of Sec. 2.3.2.
 type Metastore struct {
 	accounts   map[AccountID]*Account
 	namespaces map[NamespaceID]*Namespace
@@ -26,19 +27,16 @@ type Metastore struct {
 // AccountID identifies a user account.
 type AccountID uint64
 
-// Account groups the devices and namespaces of one user.
+// Account is one user, with the root namespace its devices sync.
 type Account struct {
-	ID     AccountID
-	Root   NamespaceID
-	Hosts  []HostID
-	Shared []NamespaceID // shared-folder namespaces joined by this account
+	ID   AccountID
+	Root NamespaceID
 }
 
 // Namespace is one synchronized folder with its journal.
 type Namespace struct {
 	ID      NamespaceID
 	Journal []JournalEntry
-	Members []AccountID // accounts with access (>1 for shared folders)
 }
 
 // NewMetastore returns an empty store.
@@ -58,7 +56,6 @@ func (m *Metastore) CreateAccount() *Account {
 	id := m.nextAccount
 	m.nextAccount++
 	ns := m.createNamespace()
-	ns.Members = []AccountID{id}
 	a := &Account{ID: id, Root: ns.ID}
 	m.accounts[id] = a
 	return a
@@ -76,24 +73,12 @@ func (m *Metastore) createNamespace() *Namespace {
 
 // LinkDevice registers a new device (host_int) under an account.
 func (m *Metastore) LinkDevice(account AccountID) (HostID, error) {
-	a := m.accounts[account]
-	if a == nil {
+	if m.accounts[account] == nil {
 		return 0, fmt.Errorf("dropbox: no account %d", account)
 	}
 	h := m.nextHost
 	m.nextHost++
-	a.Hosts = append(a.Hosts, h)
 	return h, nil
-}
-
-// NamespacesOf lists every namespace an account can sync: root + shares.
-func (m *Metastore) NamespacesOf(account AccountID) []NamespaceID {
-	a := m.accounts[account]
-	if a == nil {
-		return nil
-	}
-	out := append([]NamespaceID{a.Root}, a.Shared...)
-	return out
 }
 
 // NeedBlocks filters refs down to the hashes missing from the chunk index —

@@ -118,43 +118,40 @@ func PlanTransfer(dst []PlanOp, prof capability.Profile, wires []int) []PlanOp {
 // requests.
 type HostID uint64
 
-// NamespaceID identifies a synchronized folder; every account has a root
-// namespace and one extra namespace per shared folder (Sec. 2.3.1).
+// NamespaceID identifies a synchronized folder. Every account has a root
+// namespace; the service adds one per shared folder (Sec. 2.3.1), which
+// the generator's population models and the packet-level client does
+// not.
 type NamespaceID uint32
 
 // ---- control-plane messages (ride the TLS side channel; wire sizes are
 // what the probe observes) ----
 
-// MsgRegisterHost announces a device to the control plane.
-type MsgRegisterHost struct {
-	Host       HostID
-	Namespaces []NamespaceID
-}
+// MsgRegisterHost announces a device to the control plane; its wire size
+// counts the one root namespace the device syncs.
+type MsgRegisterHost struct{}
 
 // MsgRegisterOK acknowledges registration.
 type MsgRegisterOK struct{}
 
-// MsgList asks for journal updates past the client's cursor.
+// MsgList asks for a namespace's journal updates past the client's cursor.
 type MsgList struct {
-	Host    HostID
-	Cursors map[NamespaceID]uint64
+	Namespace NamespaceID
+	Cursor    uint64
 }
 
-// MsgListResp returns per-namespace journal deltas plus the rotating list
-// of storage server names handed to clients (Sec. 2.4). Wires gives the
-// wire size of every listed chunk, which the client's retrieve plan
-// groups on.
+// MsgListResp returns the journal delta plus the rotating list of storage
+// server names handed to clients (Sec. 2.4). Wires gives the wire size of
+// every listed chunk, which the client's retrieve plan groups on.
 type MsgListResp struct {
-	Updates      map[NamespaceID][]JournalEntry
+	Updates      []JournalEntry
 	StorageNames []string
 	Wires        map[chunker.Hash]int
 }
 
 // MsgCommitBatch submits meta-data for a batch of chunks about to be stored.
 type MsgCommitBatch struct {
-	Host      HostID
-	Namespace NamespaceID
-	Refs      []chunker.Ref
+	Refs []chunker.Ref
 }
 
 // MsgNeedBlocks lists the chunks the server does not already have
@@ -203,8 +200,7 @@ type MsgRetrieveBatch struct {
 
 // MsgRetrieveData carries chunk content back.
 type MsgRetrieveData struct {
-	Refs     []chunker.Ref
-	WireSize int
+	Refs []chunker.Ref
 }
 
 // ---- notification messages (cleartext HTTP long-poll) ----
@@ -229,17 +225,15 @@ func ControlMsgSize(m any) int {
 	const hashLen = 32
 	switch t := m.(type) {
 	case MsgRegisterHost:
-		return 180 + 8*len(t.Namespaces)
+		return 180 + 8 // one namespace id
 	case MsgRegisterOK:
 		return 120
 	case MsgList:
-		return 160 + 16*len(t.Cursors)
+		return 160 + 16 // one namespace cursor
 	case MsgListResp:
 		n := 200 + 24*len(t.StorageNames)
-		for _, entries := range t.Updates {
-			for _, e := range entries {
-				n += 90 + len(e.Path) + hashLen*len(e.Refs)
-			}
+		for _, e := range t.Updates {
+			n += 90 + len(e.Path) + hashLen*len(e.Refs)
 		}
 		return n
 	case MsgCommitBatch:

@@ -45,10 +45,6 @@ type Service struct {
 	// advertises.
 	nameCursor int
 
-	// Counters (ground truth for validating probe inferences).
-	StoreOps, RetrieveOps int
-	BatchOps              int
-
 	// Trace, when set, receives every protocol message the servers
 	// receive — the equivalent of the paper's decrypting-proxy testbed
 	// (Sec. 2.2); server names the subsystem ("control" or "storage").
@@ -183,15 +179,10 @@ func (s *Service) handleControl(sess *tlssim.Session, meta any) {
 	case MsgRegisterHost:
 		reply(sess, MsgRegisterOK{})
 	case MsgList:
-		resp := MsgListResp{Updates: make(map[NamespaceID][]JournalEntry), Wires: make(map[chunker.Hash]int)}
-		for ns, cursor := range m.Cursors {
-			if upd := s.Meta.UpdatesSince(ns, cursor); len(upd) > 0 {
-				resp.Updates[ns] = upd
-				for _, e := range upd {
-					for _, r := range e.Refs {
-						resp.Wires[r.Hash] = s.chunkWire(r.Hash)
-					}
-				}
+		resp := MsgListResp{Updates: s.Meta.UpdatesSince(m.Namespace, m.Cursor), Wires: make(map[chunker.Hash]int)}
+		for _, e := range resp.Updates {
+			for _, r := range e.Refs {
+				resp.Wires[r.Hash] = s.chunkWire(r.Hash)
 			}
 		}
 		resp.StorageNames = s.storageNameSlice()
@@ -294,34 +285,26 @@ func (s *Service) handleStorage(sess *tlssim.Session, meta any) {
 	s.trace("storage", meta)
 	switch m := meta.(type) {
 	case MsgStore:
-		s.StoreOps++
 		s.Meta.StoreChunk(m.Ref)
 		s.wireSize[m.Ref.Hash] = m.WireSize
 		sess.Send(MsgStoreOK{}, ServerOpOverhead)
 	case MsgStoreBatch:
-		s.StoreOps++
-		s.BatchOps++
 		for i, r := range m.Refs {
 			s.Meta.StoreChunk(r)
 			s.wireSize[r.Hash] = m.Wires[i]
 		}
 		sess.Send(MsgStoreOK{}, ServerOpOverhead)
 	case MsgRetrieve:
-		s.RetrieveOps++
-		w := s.chunkWire(m.Hash)
 		ref := chunker.Ref{Hash: m.Hash, Size: s.Meta.ChunkSize(m.Hash)}
-		sess.Send(MsgRetrieveData{Refs: []chunker.Ref{ref}, WireSize: w},
-			ServerOpOverhead+w)
+		sess.Send(MsgRetrieveData{Refs: []chunker.Ref{ref}}, ServerOpOverhead+s.chunkWire(m.Hash))
 	case MsgRetrieveBatch:
-		s.RetrieveOps++
-		s.BatchOps++
 		total := 0
 		refs := make([]chunker.Ref, 0, len(m.Hashes))
 		for _, h := range m.Hashes {
 			total += s.chunkWire(h)
 			refs = append(refs, chunker.Ref{Hash: h, Size: s.Meta.ChunkSize(h)})
 		}
-		sess.Send(MsgRetrieveData{Refs: refs, WireSize: total}, ServerOpOverhead+total)
+		sess.Send(MsgRetrieveData{Refs: refs}, ServerOpOverhead+total)
 	}
 }
 

@@ -139,7 +139,7 @@ func RunPacketLab(ctx context.Context, cfg PacketLabConfig) ([]*traces.FlowRecor
 		if cfg.Retrieve {
 			dev.Download(queue[0], wireOf, next)
 		} else {
-			dev.Upload(svc.Meta.Account(dev.Account).Root, queue[0], wireOf, next)
+			dev.Upload(queue[0], wireOf, next)
 		}
 	}
 	const devices = 6

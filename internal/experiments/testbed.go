@@ -142,7 +142,7 @@ func RunTestbed(ctx context.Context, seed int64) (*TestbedResult, error) {
 		refs = append(refs, f.Refs()...)
 	}
 	sched.After(3*time.Second, func() {
-		up.Upload(acct.Root, refs, func(r chunker.Ref) int { return r.Size }, nil)
+		up.Upload(refs, func(r chunker.Ref) int { return r.Size }, nil)
 	})
 	// Drive the session in bounded slices so a cancelled ctx stops the
 	// dissection between slices instead of running the full six minutes.

@@ -176,6 +176,13 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps ca
 	svc := dropbox.NewService(dropbox.ServiceConfig{
 		Sched: sched, Net: net, Rng: rng, Dir: dir2, ServerIW: caps.IW(),
 	})
+	ops := 0
+	svc.Trace = func(server string, meta any) {
+		switch meta.(type) {
+		case dropbox.MsgStore, dropbox.MsgStoreBatch, dropbox.MsgRetrieve, dropbox.MsgRetrieveBatch:
+			ops++
+		}
+	}
 	resolver := dnssim.NewResolver(dir2, rng)
 	probe := tstat.New(sched, "calib")
 	var recs []*traces.FlowRecord
@@ -207,13 +214,13 @@ func packetTruth(t *testing.T, dir classify.Direction, chunkSizes []int, caps ca
 		}
 		sched.After(2*time.Second, func() { dev.Download(refs, wireOf, nil) })
 	} else {
-		sched.After(2*time.Second, func() { dev.Upload(acct.Root, refs, wireOf, nil) })
+		sched.After(2*time.Second, func() { dev.Upload(refs, wireOf, nil) })
 	}
 	sched.RunUntil(simtime.Time(20 * time.Minute))
 	probe.FlushAll()
 	for _, r := range recs {
 		if strings.HasPrefix(r.FQDN, "dl-client") {
-			return r, svc.StoreOps + svc.RetrieveOps
+			return r, ops
 		}
 	}
 	t.Fatal("no storage flow captured")

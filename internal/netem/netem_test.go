@@ -12,7 +12,7 @@ import (
 
 func testFrame(src, dst wire.IP, payload int) *wire.Frame {
 	return &wire.Frame{
-		IP:         wire.IPv4Header{TTL: 64, Protocol: wire.ProtocolTCP, Src: src, Dst: dst},
+		IP:         wire.IPv4Header{Src: src, Dst: dst},
 		TCP:        wire.TCPHeader{SrcPort: 40000, DstPort: 443, Flags: wire.FlagACK},
 		PayloadLen: payload,
 	}

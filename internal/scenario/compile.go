@@ -190,7 +190,7 @@ func compileBackend(bs *BackendSpec) (*CompiledBackend, error) {
 				Factor:     te.Mult,
 			})
 			be.Windows = append(be.Windows, backend.Window{
-				Name: fmt.Sprintf("scale-%d", i), Start: start, End: day(vpDays),
+				Name: fmt.Sprintf("scale-%d", i), Start: start, End: day(workload.CampaignDays),
 			})
 		default:
 			return nil, fmt.Errorf("scenario: unknown timeline action %q", te.Action)

@@ -27,6 +27,7 @@ import (
 	"insidedropbox/internal/backend"
 	"insidedropbox/internal/capability"
 	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/workload"
 )
 
 // Schema is the spec version this package reads and writes. Version gating
@@ -131,10 +132,6 @@ const (
 	ActionRegionOutage  = "region-outage"
 	ActionCapacityScale = "capacity-scale"
 )
-
-// vpDays is the campaign length every vantage point uses (the paper's 42
-// capture days); timeline and flash windows must fit inside it.
-const vpDays = 42
 
 // Load reads and validates a spec file.
 func Load(path string) (*Spec, error) {
@@ -291,9 +288,9 @@ func (c CohortSpec) validate() error {
 		}
 	}
 	for _, f := range c.Flash {
-		if f.Day < 0 || f.UntilDay > vpDays || f.UntilDay <= f.Day {
+		if f.Day < 0 || f.UntilDay > workload.CampaignDays || f.UntilDay <= f.Day {
 			return fmt.Errorf("scenario: cohort %q: flash window [%v, %v) outside [0, %d) or empty",
-				c.Name, f.Day, f.UntilDay, vpDays)
+				c.Name, f.Day, f.UntilDay, workload.CampaignDays)
 		}
 		if f.Mult <= 0 {
 			return fmt.Errorf("scenario: cohort %q: flash mult %v must be positive", c.Name, f.Mult)
@@ -317,23 +314,23 @@ func (b *BackendSpec) validate() error {
 		}
 	}
 	for i, te := range b.Timeline {
-		if te.Day < 0 || te.Day > vpDays {
-			return fmt.Errorf("scenario: timeline event %d: day %v outside [0, %d]", i, te.Day, vpDays)
+		if te.Day < 0 || te.Day > workload.CampaignDays {
+			return fmt.Errorf("scenario: timeline event %d: day %v outside [0, %d]", i, te.Day, workload.CampaignDays)
 		}
 		if te.Region < 0 || te.Region > 255 {
 			return fmt.Errorf("scenario: timeline event %d: region %d outside [0, 255]", i, te.Region)
 		}
 		switch te.Action {
 		case ActionSurge:
-			if te.UntilDay <= te.Day || te.UntilDay > vpDays {
-				return fmt.Errorf("scenario: surge window [%v, %v) outside [0, %d] or empty", te.Day, te.UntilDay, vpDays)
+			if te.UntilDay <= te.Day || te.UntilDay > workload.CampaignDays {
+				return fmt.Errorf("scenario: surge window [%v, %v) outside [0, %d] or empty", te.Day, te.UntilDay, workload.CampaignDays)
 			}
 			if te.Mult <= 1 {
 				return fmt.Errorf("scenario: surge mult %v must exceed 1", te.Mult)
 			}
 		case ActionRegionOutage:
-			if te.UntilDay <= te.Day || te.UntilDay > vpDays {
-				return fmt.Errorf("scenario: region-outage window [%v, %v) outside [0, %d] or empty", te.Day, te.UntilDay, vpDays)
+			if te.UntilDay <= te.Day || te.UntilDay > workload.CampaignDays {
+				return fmt.Errorf("scenario: region-outage window [%v, %v) outside [0, %d] or empty", te.Day, te.UntilDay, workload.CampaignDays)
 			}
 		case ActionCapacityScale:
 			if te.Mult <= 0 {

@@ -60,7 +60,6 @@ type Stack struct {
 	conns     map[connKey]*Conn
 	listeners map[uint16]func(*Conn)
 	nextPort  uint16
-	ipID      uint16
 }
 
 type connKey struct {
@@ -321,16 +320,12 @@ func (c *Conn) teardown(notifyReset bool) {
 // send puts one segment on the wire. The frame lives on this stack frame:
 // netem's Send copies it.
 func (c *Conn) send(flags wire.TCPFlags, relSeq, relAck uint32, data []byte, size int) {
-	c.stack.ipID++
 	var ack uint32
 	if flags.Has(wire.FlagACK) {
 		ack = c.irs + relAck
 	}
 	f := wire.Frame{
-		IP: wire.IPv4Header{
-			ID: c.stack.ipID, TTL: 64, Protocol: wire.ProtocolTCP,
-			Src: c.local.Addr, Dst: c.remote.Addr,
-		},
+		IP: wire.IPv4Header{Src: c.local.Addr, Dst: c.remote.Addr},
 		TCP: wire.TCPHeader{
 			SrcPort: c.local.Port, DstPort: c.remote.Port,
 			Seq: c.iss + relSeq, Ack: ack,
@@ -577,10 +572,8 @@ func (s *Stack) receive(now simtime.Time, f *wire.Frame) {
 }
 
 func (s *Stack) sendRawRST(in *wire.Frame) {
-	s.ipID++
 	out := wire.Frame{
-		IP: wire.IPv4Header{ID: s.ipID, TTL: 64, Protocol: wire.ProtocolTCP,
-			Src: in.IP.Dst, Dst: in.IP.Src},
+		IP: wire.IPv4Header{Src: in.IP.Dst, Dst: in.IP.Src},
 		TCP: wire.TCPHeader{
 			SrcPort: in.TCP.DstPort, DstPort: in.TCP.SrcPort,
 			Seq: in.TCP.Ack, Ack: in.TCP.Seq + 1,

@@ -74,10 +74,10 @@ var binaryMagic = [6]byte{'I', 'D', 'B', 'T', '1', '\n'}
 
 // BinaryWriter streams flow records in the binary columnar format.
 // Methods must not be called concurrently. Records are buffered into
-// blocks of BlockRecords and hit the underlying writer on block
+// blocks of DefaultBlockRecords and hit the underlying writer on block
 // boundaries and Flush; the stream stays appendable after a Flush. The
-// settable Anonymize and BlockRecords fields, Write, WriteFrom and Flush
-// come from the shared core.
+// settable Anonymize field, Write, WriteFrom and Flush come from the
+// shared core.
 type BinaryWriter struct{ blockWriter }
 
 // NewBinaryWriter wraps w with a writer that encodes every block on the

@@ -6,7 +6,7 @@ package traces
 // turns a filled blockAccum into frame bytes, and on the read side a
 // slice step that reads one frame's bytes off the stream and a body step
 // that yields its block body. The stream header, record accumulation,
-// cutting blocks at BlockRecords, in-order frame delivery, the partial
+// cutting blocks at blockRecords, in-order frame delivery, the partial
 // block on Flush and the hand-out loop of Read exist once, here — as does
 // WriteFrom, the block-to-block copy out of a binary stream that
 // re-blocks columns instead of records.
@@ -41,9 +41,10 @@ type blockWriter struct {
 	// Anonymize replaces client addresses with the stable 48-bit tokens of
 	// the CSV format. It must be set before the first Write.
 	Anonymize bool
-	// BlockRecords overrides the records-per-block target (0 means
-	// DefaultBlockRecords). It must be set before the first Write.
-	BlockRecords int
+	// blockRecords overrides the records-per-block target (0 means
+	// DefaultBlockRecords); tests set it to cut multi-block streams from a
+	// few records. It must be set before the first Write.
+	blockRecords int
 
 	w     io.Writer
 	magic [6]byte
@@ -80,8 +81,8 @@ func (w *blockWriter) init(dst io.Writer, magic [6]byte, workers int,
 }
 
 func (w *blockWriter) blockTarget() int {
-	if w.BlockRecords > 0 {
-		return w.BlockRecords
+	if w.blockRecords > 0 {
+		return w.blockRecords
 	}
 	return DefaultBlockRecords
 }

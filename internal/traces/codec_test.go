@@ -37,7 +37,7 @@ var (
 		name: "binary", appendable: true, emptyLen: streamHeaderLen,
 		newWriter: func(w io.Writer, workers, blockRecords int, anon bool) RecordWriter {
 			bw := NewParallelBinaryWriter(w, workers)
-			bw.BlockRecords, bw.Anonymize = blockRecords, anon
+			bw.blockRecords, bw.Anonymize = blockRecords, anon
 			return bw
 		},
 		newReader: func(r io.Reader) recordReader { return NewBinaryReader(r) },
@@ -47,7 +47,7 @@ var (
 		name: "binary-flate", emptyLen: streamHeaderLen + 1 + 1 + flateFooterLen,
 		newWriter: func(w io.Writer, workers, blockRecords int, anon bool) RecordWriter {
 			fw := NewFlateWriter(w, workers)
-			fw.BlockRecords, fw.Anonymize = blockRecords, anon
+			fw.blockRecords, fw.Anonymize = blockRecords, anon
 			return fw
 		},
 		newReader: func(r io.Reader) recordReader { return NewFlateReader(r) },

@@ -94,14 +94,9 @@ type flateFrame struct {
 // Methods must not be called concurrently — any parallelism is internal,
 // and byte-identical output is guaranteed for every worker count. Flush
 // is terminal: it writes the seek index and footer. The settable
-// Anonymize and BlockRecords fields come from the shared core.
+// Anonymize field comes from the shared core.
 type FlateWriter struct {
 	blockWriter
-	// Level is the flate compression level (flate.HuffmanOnly ..
-	// flate.BestCompression; 0 means flate.DefaultCompression). It must
-	// be set before the first Write; out of range, Write and Flush fail
-	// before anything is written.
-	Level int
 
 	index    []flateFrame
 	finished bool
@@ -111,28 +106,15 @@ type FlateWriter struct {
 // once on goroutines of their own, anything less on the caller's.
 func NewFlateWriter(w io.Writer, workers int) *FlateWriter {
 	fw := &FlateWriter{}
-	fw.init(w, flateMagic, workers, fw.finishFrame, fw.noteFrame)
+	fw.init(w, flateMagic, workers, finishFlateFrame, fw.noteFrame)
 	return fw
 }
 
-// ready gates Write and Flush on what only this framing can get wrong: a
-// finalized stream, and a Level compress/flate would reject (where the
-// finisher could only panic, possibly on a frame's goroutine).
-func (w *FlateWriter) ready() error {
-	if w.finished {
-		return errFlateFinalized
-	}
-	if w.Level < flate.HuffmanOnly || w.Level > flate.BestCompression {
-		return fmt.Errorf("traces: invalid flate level %d (valid: %d..%d)", w.Level, flate.HuffmanOnly, flate.BestCompression)
-	}
-	return nil
-}
-
-// finishFrame encodes one accum's block body and compresses it into a
+// finishFlateFrame encodes one accum's block body and compresses it into a
 // framed payload, on the frame's goroutine when the ring has more than one
 // slot; all scratch is owned by the accum (frame bytes) or st (the flate
 // compressor).
-func (w *FlateWriter) finishFrame(st *encScratch, acc *blockAccum) []byte {
+func finishFlateFrame(st *encScratch, acc *blockAccum) []byte {
 	raw := acc.encodeBody(acc.buf[:0])
 	acc.buf = raw
 
@@ -143,11 +125,7 @@ func (w *FlateWriter) finishFrame(st *encScratch, acc *blockAccum) []byte {
 	acc.out = acc.out[:reserve]
 	sink := (*appendSlice)(&acc.out)
 	if st.fw == nil {
-		level := w.Level
-		if level == 0 {
-			level = flate.DefaultCompression
-		}
-		st.fw, _ = flate.NewWriter(sink, level) // errs only on a level ready rejects
+		st.fw, _ = flate.NewWriter(sink, flate.DefaultCompression) // errs only on an invalid level
 	} else {
 		st.fw.Reset(sink)
 	}
@@ -179,16 +157,16 @@ func (w *FlateWriter) noteFrame(acc *blockAccum, frame []byte) {
 // Write buffers one record; nothing in r is retained after return. After
 // the terminal Flush it fails with an error.
 func (w *FlateWriter) Write(r *FlowRecord) error {
-	if err := w.ready(); err != nil {
-		return err
+	if w.finished {
+		return errFlateFinalized
 	}
 	return w.blockWriter.Write(r)
 }
 
 // WriteFrom is the core's WriteFrom behind the same gate as Write.
 func (w *FlateWriter) WriteFrom(r *BinaryReader) (int, error) {
-	if err := w.ready(); err != nil {
-		return 0, err
+	if w.finished {
+		return 0, errFlateFinalized
 	}
 	return w.blockWriter.WriteFrom(r)
 }
@@ -201,9 +179,6 @@ func (w *FlateWriter) WriteFrom(r *BinaryReader) (int, error) {
 func (w *FlateWriter) Flush() error {
 	if w.finished {
 		return w.err
-	}
-	if err := w.ready(); err != nil {
-		return err
 	}
 	w.finished = true
 	if err := w.blockWriter.Flush(); err != nil {

@@ -205,40 +205,6 @@ func TestFlateWriteAfterFlushFails(t *testing.T) {
 	}
 }
 
-// TestFlateInvalidLevel: an out-of-range Level is an error from the first
-// Write or Flush — inline and pooled alike, never a panic on a worker
-// goroutine — and nothing is written past the header; every level
-// compress/flate accepts still works.
-func TestFlateInvalidLevel(t *testing.T) {
-	recs := randRecords(40, 300)
-	for _, workers := range []int{0, 2} {
-		for _, level := range []int{10, -3} {
-			var buf bytes.Buffer
-			w := NewFlateWriter(&buf, workers)
-			w.Level, w.BlockRecords = level, 100
-			if err := w.Write(recs[0]); err == nil {
-				t.Fatalf("workers=%d level %d: Write succeeded", workers, level)
-			}
-			if err := w.Flush(); err == nil {
-				t.Fatalf("workers=%d level %d: Flush succeeded", workers, level)
-			}
-			if buf.Len() > streamHeaderLen {
-				t.Fatalf("workers=%d level %d: %d bytes written past the header", workers, level, buf.Len()-streamHeaderLen)
-			}
-		}
-		for level := -2; level <= 9; level++ {
-			var buf bytes.Buffer
-			w := NewFlateWriter(&buf, workers)
-			w.Level, w.BlockRecords = level, 100
-			writeRecords(t, w, recs)
-			if err := w.Flush(); err != nil {
-				t.Fatalf("workers=%d level %d: %v", workers, level, err)
-			}
-			expectRecords(t, NewFlateReader(&buf), recs)
-		}
-	}
-}
-
 func TestFlateCompresses(t *testing.T) {
 	recs := randRecords(36, 4_096)
 	raw := encodeStream(t, binaryFraming, recs, 0, 1, false)

@@ -66,7 +66,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		var seq bytes.Buffer
 		bw := NewBinaryWriter(&seq)
 		bw.Anonymize = anon
-		bw.BlockRecords = blockRecords
+		bw.blockRecords = blockRecords
 		for _, r := range recs {
 			if err := bw.Write(r); err != nil {
 				t.Fatal(err)
@@ -79,7 +79,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		var par bytes.Buffer
 		pw := NewParallelBinaryWriter(&par, 4)
 		pw.Anonymize = anon
-		pw.BlockRecords = blockRecords
+		pw.blockRecords = blockRecords
 		for _, r := range recs {
 			if err := pw.Write(r); err != nil {
 				t.Fatal(err)
@@ -110,7 +110,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		var comp bytes.Buffer
 		fw := NewFlateWriter(&comp, 2)
 		fw.Anonymize = anon
-		fw.BlockRecords = blockRecords
+		fw.blockRecords = blockRecords
 		for _, r := range recs {
 			if err := fw.Write(r); err != nil {
 				t.Fatal(err)
@@ -173,7 +173,7 @@ func FuzzWriteFrom(f *testing.F) {
 		anon, blockRecords := knobs&1 != 0, 1+int(knobs>>1)
 		var want bytes.Buffer
 		ref := NewBinaryWriter(&want)
-		ref.Anonymize, ref.BlockRecords = anon, blockRecords
+		ref.Anonymize, ref.blockRecords = anon, blockRecords
 		rd := NewBinaryReader(bytes.NewReader(data))
 		var refErr error
 		for refErr == nil {
@@ -188,7 +188,7 @@ func FuzzWriteFrom(f *testing.F) {
 
 		var got bytes.Buffer
 		w := NewBinaryWriter(&got)
-		w.Anonymize, w.BlockRecords = anon, blockRecords
+		w.Anonymize, w.blockRecords = anon, blockRecords
 		_, err := w.WriteFrom(NewBinaryReader(bytes.NewReader(data)))
 		if rd.Anonymized() {
 			if err == nil {
@@ -231,7 +231,7 @@ func FuzzFlateFrameReader(f *testing.F) {
 	}
 	var comp bytes.Buffer
 	fw := NewFlateWriter(&comp, 1)
-	fw.BlockRecords = 64
+	fw.blockRecords = 64
 	for _, r := range recs {
 		if err := fw.Write(r); err != nil {
 			f.Fatal(err)
@@ -243,7 +243,7 @@ func FuzzFlateFrameReader(f *testing.F) {
 	f.Add(comp.Bytes())
 	var raw bytes.Buffer
 	bw := NewBinaryWriter(&raw)
-	bw.BlockRecords = 64
+	bw.blockRecords = 64
 	for _, r := range recs {
 		if err := bw.Write(r); err != nil {
 			f.Fatal(err)

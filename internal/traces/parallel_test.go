@@ -15,7 +15,7 @@ func TestParallelBinaryMatchesSequential(t *testing.T) {
 	recs := randRecords(21, 10_000)
 	var seq bytes.Buffer
 	sw := NewBinaryWriter(&seq)
-	sw.BlockRecords = 257
+	sw.blockRecords = 257
 	writeRecords(t, sw, recs)
 	if err := sw.Flush(); err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestParallelBinaryAppendAfterFlush(t *testing.T) {
 	recs := randRecords(23, 700)
 	var buf bytes.Buffer
 	pw := NewParallelBinaryWriter(&buf, 3)
-	pw.BlockRecords = 128
+	pw.blockRecords = 128
 	for _, part := range [][]*FlowRecord{recs[:300], recs[300:301], recs[301:]} {
 		writeRecords(t, pw, part)
 		if err := pw.Flush(); err != nil {

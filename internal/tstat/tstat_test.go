@@ -106,7 +106,7 @@ func TestProbeSeesUploadFlow(t *testing.T) {
 	const chunks = 5
 	const chunkSize = 200_000
 	refs := refsOf(42, chunks, chunkSize)
-	w.sched.After(2*time.Second, func() { dev.Upload(acct.Root, refs, wireID, nil) })
+	w.sched.After(2*time.Second, func() { dev.Upload(refs, wireID, nil) })
 	w.sched.RunUntil(simtime.Time(10 * time.Minute))
 	w.finish()
 
@@ -150,7 +150,7 @@ func TestProbeRTTMeasurement(t *testing.T) {
 	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	refs := refsOf(77, 20, 150_000)
-	w.sched.After(2*time.Second, func() { dev.Upload(acct.Root, refs, wireID, nil) })
+	w.sched.After(2*time.Second, func() { dev.Upload(refs, wireID, nil) })
 	w.sched.RunUntil(simtime.Time(15 * time.Minute))
 	w.finish()
 
@@ -212,7 +212,7 @@ func TestProbeRetransmissionCounting(t *testing.T) {
 	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	refs := refsOf(99, 3, 2_000_000)
-	w.sched.After(2*time.Second, func() { dev.Upload(acct.Root, refs, wireID, nil) })
+	w.sched.After(2*time.Second, func() { dev.Upload(refs, wireID, nil) })
 	w.sched.RunUntil(simtime.Time(20 * time.Minute))
 	w.finish()
 
@@ -268,7 +268,7 @@ func TestProbeWithoutDNS(t *testing.T) {
 	}
 	dev.Start()
 	sched.After(2*time.Second, func() {
-		dev.Upload(acct.Root, refsOf(5, 2, 50_000), wireID, nil)
+		dev.Upload(refsOf(5, 2, 50_000), wireID, nil)
 	})
 	sched.RunUntil(simtime.Time(5 * time.Minute))
 	probe.FlushAll()
@@ -293,7 +293,7 @@ func TestIdleSweepFinalizes(t *testing.T) {
 	dev := w.device(t, acct.ID, capability.DropboxV1252())
 	dev.Start()
 	w.sched.After(2*time.Second, func() {
-		dev.Upload(acct.Root, refsOf(123, 1, 10_000), wireID, nil)
+		dev.Upload(refsOf(123, 1, 10_000), wireID, nil)
 	})
 	w.sched.After(30*time.Second, dev.Stop)
 	// Run far past the idle timeout: all flows must be finalized by the

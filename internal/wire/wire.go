@@ -79,17 +79,11 @@ const (
 	MSS = 1460
 )
 
-// IPv4Header is the fixed portion of an IPv4 header.
+// IPv4Header holds the addresses of an IPv4 header: the only fields the
+// simulation routes or classifies on.
 type IPv4Header struct {
-	TOS      uint8
-	ID       uint16
-	TTL      uint8
-	Protocol uint8
 	Src, Dst IP
 }
-
-// ProtocolTCP is the IP protocol number for TCP.
-const ProtocolTCP = 6
 
 // TCPHeader is an option-less TCP header.
 type TCPHeader struct {
@@ -97,7 +91,6 @@ type TCPHeader struct {
 	Seq, Ack         uint32
 	Flags            TCPFlags
 	Window           uint16
-	Urgent           uint16
 }
 
 // Frame is one TCP/IPv4 packet in flight. PayloadLen is the true payload

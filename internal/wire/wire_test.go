@@ -8,10 +8,7 @@ import (
 
 func sampleFrame() *Frame {
 	return &Frame{
-		IP: IPv4Header{
-			TOS: 0, ID: 4242, TTL: 64, Protocol: ProtocolTCP,
-			Src: MakeIP(10, 0, 1, 2), Dst: MakeIP(184, 72, 1, 9),
-		},
+		IP: IPv4Header{Src: MakeIP(10, 0, 1, 2), Dst: MakeIP(184, 72, 1, 9)},
 		TCP: TCPHeader{
 			SrcPort: 51234, DstPort: 443,
 			Seq: 1000, Ack: 2000,

@@ -47,7 +47,13 @@ func (a AccessKind) rates() (up, down float64) {
 	}
 }
 
-// GroupMix is the household behaviour mixture (Table 5).
+// CampaignDays is the capture length of every calibrated vantage point:
+// the paper's 42 days from March 24, 2012.
+const CampaignDays = 42
+
+// GroupMix is the household behaviour mixture (Table 5). The generator
+// draws Heavy as the remainder of the other three shares, so a mix sums
+// to 1.
 type GroupMix struct {
 	Occasional, UploadOnly, DownloadOnly, Heavy float64
 }
@@ -55,7 +61,8 @@ type GroupMix struct {
 // VPConfig describes one vantage point population.
 type VPConfig struct {
 	Name string
-	// Days is the capture length (42 in the paper).
+	// Days is the capture length (CampaignDays for every calibrated
+	// vantage point).
 	Days int
 	// TotalIPs is the (scaled) number of client addresses in the network.
 	TotalIPs int
@@ -150,7 +157,7 @@ func holidays2012() *simrand.HolidayCalendar {
 // constructor: 1.0 is Table 2's address count, 0.08 is 8 % (at least 8).
 func Campus1(scale float64) VPConfig {
 	return VPConfig{
-		Name: "campus1", Days: 42,
+		Name: "campus1", Days: CampaignDays,
 		TotalIPs: scaled(400, scale), Scale: scale,
 		DropboxFrac: 0.45, ICloudFrac: 0.20, SkyDriveFrac: 0.02,
 		GDriveFrac: 0.02, OtherCloudFrac: 0.02,
@@ -207,7 +214,7 @@ func Campus1JunJul(scale float64) VPConfig {
 // 2528 IPs), with no DNS visibility.
 func Campus2(scale float64) VPConfig {
 	return VPConfig{
-		Name: "campus2", Days: 42,
+		Name: "campus2", Days: CampaignDays,
 		TotalIPs: scaled(2528, scale), Scale: scale,
 		DropboxFrac: 0.28, ICloudFrac: 0.18, SkyDriveFrac: 0.02,
 		GDriveFrac: 0.02, OtherCloudFrac: 0.02,
@@ -229,7 +236,7 @@ func Campus2(scale float64) VPConfig {
 // Home1 models the FTTH/ADSL POP (18785 IPs) with static addressing.
 func Home1(scale float64) VPConfig {
 	return VPConfig{
-		Name: "home1", Days: 42,
+		Name: "home1", Days: CampaignDays,
 		TotalIPs: scaled(18785, scale), Scale: scale,
 		DropboxFrac: 0.069, ICloudFrac: 0.111, SkyDriveFrac: 0.017,
 		GDriveFrac: 0.012, OtherCloudFrac: 0.01,
@@ -252,7 +259,7 @@ func Home1(scale float64) VPConfig {
 // Home2 models the ADSL POP (13723 IPs), including the abnormal uploader.
 func Home2(scale float64) VPConfig {
 	return VPConfig{
-		Name: "home2", Days: 42,
+		Name: "home2", Days: CampaignDays,
 		TotalIPs: scaled(13723, scale), Scale: scale,
 		DropboxFrac: 0.062, ICloudFrac: 0.10, SkyDriveFrac: 0.015,
 		GDriveFrac: 0.012, OtherCloudFrac: 0.01,

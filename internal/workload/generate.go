@@ -153,7 +153,6 @@ func (g *generator) newRecord() *traces.FlowRecord { return g.alloc() }
 // truth counters plus (on shard 0 only) the population-level background
 // volume arrays. Record streams flow through the emit callback instead.
 type ShardStats struct {
-	Shard   int
 	Records int // records emitted (after outage filtering)
 
 	// Ground truth for validating probe-side inference.
@@ -347,7 +346,6 @@ func GenerateShardSink(cfg VPConfig, seed int64, shard, nshards int, sink ShardS
 	if g.free == nil {
 		g.free = func(*traces.FlowRecord) {}
 	}
-	g.stats.Shard = shard
 	if len(cfg.OutageDays) > 0 {
 		days := cfg.Days
 		for _, d := range cfg.OutageDays {

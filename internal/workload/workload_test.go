@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -104,6 +105,19 @@ func TestStorageFlowCap(t *testing.T) {
 	}
 	if maxBytes < 10e6 {
 		t.Fatalf("no large storage flows at all (max %d)", maxBytes)
+	}
+}
+
+// TestGroupMixSumsToOne: the generator draws Heavy as the remainder of
+// the other three shares, so a calibrated mix that did not sum to 1 would
+// generate a Heavy share other than Table 5's.
+func TestGroupMixSumsToOne(t *testing.T) {
+	for _, name := range VantagePoints() {
+		cfg, _ := ByName(name, 1)
+		m := cfg.Groups
+		if sum := m.Occasional + m.UploadOnly + m.DownloadOnly + m.Heavy; math.Abs(sum-1) > 1e-9 {
+			t.Errorf("%s: Table 5 mix %+v sums to %v, want 1", name, m, sum)
+		}
 	}
 }
 
