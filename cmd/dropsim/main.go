@@ -68,9 +68,9 @@
 // it refuses -format (exit 2), and its manifest spec records no format.
 //
 // Records stream from the generator shards straight into the trace
-// writer over the facade's record iterator, so memory stays bounded
-// however large -scale grows the population. -shards
-// changes the population sample (each shard draws an independent seeded
+// writer through the facade's StreamRecords callback, so memory stays
+// bounded however large -scale grows the population. -shards changes the
+// population sample (each shard draws an independent seeded
 // stream); -workers only changes wall-clock time. The serialization
 // format never changes the record stream itself — a binary export decodes
 // to exactly the rows the CSV export carries (PERFORMANCE.md documents

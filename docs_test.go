@@ -290,15 +290,19 @@ var writeOnlyAllowed = map[string]string{
 }
 
 // TestNoWriteOnlyState keeps non-test code from keeping state that only
-// tests read, and knobs that only tests set:
+// tests read, knobs that only tests set, and fields that nothing sets:
 //   - every unexported struct field and unexported package-level variable
 //     of a package outside benchmark/, and every exported field of an
 //     internal/ struct type, is used by some non-test file;
 //   - if a non-test file writes it, one reads it too;
 //   - if it is an exported field and a non-test file reads it, one writes
-//     it too.
+//     it too;
+//   - if it is an unexported field and a non-test file reads it, some file
+//     writes it: a non-test file, or a _test.go file of its own package,
+//     where a seam a test sets (a hook, a block size) is legal. Test files
+//     are matched by field name alone (see testWrites).
 //
-// writeOnlyAllowed names the exceptions to the last two. The exported scan
+// writeOnlyAllowed names the exceptions to the middle two. The exported scan
 // leaves out package golden's fixtures, the structs the facade re-exports
 // by alias (the public API) and structs with json tags, which
 // encoding/json reads and writes.
@@ -311,21 +315,30 @@ var writeOnlyAllowed = map[string]string{
 func TestNoWriteOnlyState(t *testing.T) {
 	m := checkModule(t)
 	found := map[string]bool{}
-	check := func(name string, obj types.Object, exported bool) {
+	check := func(name string, obj types.Object, exported bool, testWritten map[string]bool) {
 		_, allowed := writeOnlyAllowed[name]
 		found[name] = true
 		read, written := m.reads[obj], m.writes[obj]
 		pos := m.fset.Position(obj.Pos())
-		switch {
-		case !read && !written:
+		if !read && !written {
 			t.Errorf("%s: %s is used only by _test.go files, if at all", pos, name)
-		case allowed && read && (written || !exported):
+			return
+		}
+		flag := ""
+		switch {
+		case !read:
+			flag = "is written but never read outside _test.go files"
+		case exported && !written:
+			flag = "is read but only _test.go files set it"
+		case !written && obj.(*types.Var).IsField() && !testWritten[obj.Name()]:
+			flag = "is read but no file writes it, so it always holds its zero value"
+		}
+		switch {
+		case allowed && flag == "":
 			t.Errorf("writeOnlyAllowed names %s, which the gate no longer flags: non-test code reads it, and writes it if it is exported", name)
 		case allowed:
-		case !read:
-			t.Errorf("%s: %s is written but never read outside _test.go files", pos, name)
-		case exported && !written:
-			t.Errorf("%s: %s is read but only _test.go files set it", pos, name)
+		case flag != "":
+			t.Errorf("%s: %s %s", pos, name, flag)
 		}
 	}
 	public := m.facadeTypes()
@@ -333,19 +346,230 @@ func TestNoWriteOnlyState(t *testing.T) {
 		if strings.HasPrefix(pkg.Path()+"/", modulePath+"/benchmark/") {
 			continue
 		}
+		testWritten := testWrites(t, pkg)
 		for name, obj := range stateObjects(pkg) {
-			check(name, obj, false)
+			check(name, obj, false, testWritten)
 		}
 		if !strings.HasPrefix(pkg.Path(), modulePath+"/internal/") || pkg.Name() == "golden" {
 			continue
 		}
 		for name, obj := range exportedFields(pkg, public) {
-			check(name, obj, true)
+			check(name, obj, true, nil)
 		}
 	}
 	for name := range writeOnlyAllowed {
 		if !found[name] {
 			t.Errorf("writeOnlyAllowed names %s, which no longer exists", name)
+		}
+	}
+}
+
+// facadeShownAllowed names the facade exports that TestFacadeExportsShown
+// would flag and that stay anyway, each with its reason. It may only
+// shrink: the test fails on an entry that is shown now or no longer exists.
+var facadeShownAllowed = map[string]string{}
+
+// facadeRef is a qualified facade name in a document's code.
+var facadeRef = regexp.MustCompile(`\binsidedropbox\.(\w+)(?:\.(\w+))?`)
+
+// TestFacadeExportsShown keeps the facade (the root package, the public
+// API) to what some reader of it uses. Every exported root-package name,
+// and every exported method of a type the root package declares (T.M), is
+//   - used by a non-test file outside the root package (cmd/, internal/cli,
+//     benchmark/),
+//   - used in the body of an Example function,
+//   - named in a code span of README.md or EXPERIMENTS.md, as
+//     insidedropbox.X or in a span that is X or starts with X(, or
+//   - a type alias that a name kept by these rules exposes: in a function's
+//     or variable's signature, or in a type's fields or method signatures.
+//
+// In reverse, every insidedropbox.X in a code span of README.md,
+// EXPERIMENTS.md or PERFORMANCE.md names an exported root-package object.
+func TestFacadeExportsShown(t *testing.T) {
+	m := checkModule(t)
+	root := m.byPath[modulePath]
+	names := map[types.Object]string{}
+	for _, obj := range exportedObjects(root) {
+		if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+			names[obj] = recvTypeName(fn) + "." + obj.Name()
+		} else {
+			names[obj] = obj.Name()
+		}
+	}
+	for _, name := range root.Scope().Names() {
+		tn, ok := root.Scope().Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() || !tn.Exported() {
+			continue
+		}
+		if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+			for i := range iface.NumExplicitMethods() {
+				if fn := iface.ExplicitMethod(i); fn.Exported() {
+					names[fn] = name + "." + fn.Name()
+				}
+			}
+		}
+	}
+	shown := map[string]bool{}
+	for id, obj := range m.info.Uses {
+		if name := names[origin(obj)]; name != "" && filepath.Dir(m.fset.Position(id.Pos()).Filename) != "." {
+			shown[name] = true
+		}
+	}
+	for obj := range exampleUses(t, m) {
+		if name := names[obj]; name != "" {
+			shown[name] = true
+		}
+	}
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "PERFORMANCE.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shows := doc != "PERFORMANCE.md"
+		for _, span := range codeSpans(string(b)) {
+			for _, ref := range facadeRef.FindAllStringSubmatch(span, -1) {
+				if obj := root.Scope().Lookup(ref[1]); obj == nil || !obj.Exported() {
+					t.Errorf("%s: `%s` names insidedropbox.%s, which the facade does not export", doc, span, ref[1])
+				}
+				if shows {
+					// X, and T.M (X. when the span names no second part).
+					shown[ref[1]], shown[ref[1]+"."+ref[2]] = true, true
+				}
+			}
+			for _, name := range names {
+				if shows && (span == name || strings.HasPrefix(span, name+"(")) {
+					shown[name] = true
+				}
+			}
+		}
+	}
+	// A type alias a kept name exposes is kept, to a fixed point.
+	for grew := true; grew; {
+		grew = false
+		exposed := map[*types.TypeName]bool{}
+		for obj, name := range names {
+			if shown[name] || facadeShownAllowed[name] != "" {
+				exposes(obj, exposed)
+			}
+		}
+		for obj, name := range names {
+			if tn, ok := obj.(*types.TypeName); ok && tn.IsAlias() && !shown[name] {
+				if named, ok := types.Unalias(tn.Type()).(*types.Named); ok && exposed[named.Obj()] {
+					shown[name], grew = true, true
+				}
+			}
+		}
+	}
+	found := map[string]bool{}
+	for obj, name := range names {
+		found[name] = true
+		_, allowed := facadeShownAllowed[name]
+		switch {
+		case shown[name] && allowed:
+			t.Errorf("facadeShownAllowed names %s, which is shown now", name)
+		case !shown[name] && !allowed:
+			t.Errorf("%s: facade export %s is used by no caller outside the root package, no Example and no README.md or EXPERIMENTS.md code span",
+				m.fset.Position(obj.Pos()), name)
+		}
+	}
+	for name := range facadeShownAllowed {
+		if !found[name] {
+			t.Errorf("facadeShownAllowed names %s, which no longer exists", name)
+		}
+	}
+}
+
+// exampleUses type-checks the root package's external test files (package
+// insidedropbox_test) against the module and returns the objects that the
+// bodies of their Example functions use.
+func exampleUses(t *testing.T, m *typedModule) map[types.Object]bool {
+	names, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(m.fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name.Name == modulePath+"_test" {
+			files = append(files, f)
+		}
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: m, Sizes: types.SizesFor("gc", runtime.GOARCH)}
+	if _, err := conf.Check(modulePath+"_test", m.fset, files, info); err != nil {
+		t.Fatal(err)
+	}
+	used := map[types.Object]bool{}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Example") {
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+						used[origin(info.Uses[id])] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	return used
+}
+
+// exposes adds to into the named types obj's type mentions: a function's
+// or variable's signature, or a type's fields and exported method
+// signatures.
+func exposes(obj types.Object, into map[*types.TypeName]bool) {
+	var walk func(types.Type)
+	walk = func(typ types.Type) {
+		switch typ := typ.(type) {
+		case *types.Alias:
+			walk(types.Unalias(typ))
+		case *types.Named:
+			into[typ.Obj()] = true
+			for arg := range typ.TypeArgs().Types() {
+				walk(arg)
+			}
+		case *types.Pointer:
+			walk(typ.Elem())
+		case *types.Slice:
+			walk(typ.Elem())
+		case *types.Array:
+			walk(typ.Elem())
+		case *types.Map:
+			walk(typ.Key())
+			walk(typ.Elem())
+		case *types.Chan:
+			walk(typ.Elem())
+		case *types.Signature:
+			for v := range typ.Params().Variables() {
+				walk(v.Type())
+			}
+			for v := range typ.Results().Variables() {
+				walk(v.Type())
+			}
+		case *types.Struct:
+			for f := range typ.Fields() {
+				if f.Exported() {
+					walk(f.Type())
+				}
+			}
+		}
+	}
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		walk(obj.Type())
+		return
+	}
+	typ := types.Unalias(tn.Type())
+	walk(typ.Underlying())
+	if named, ok := typ.(*types.Named); ok {
+		for fn := range named.Methods() {
+			if fn.Exported() {
+				walk(fn.Type())
+			}
 		}
 	}
 }
@@ -628,6 +852,64 @@ func accesses(f *ast.File, info *types.Info) map[*ast.Ident]access {
 		return true
 	})
 	return uses
+}
+
+// testWrites returns the names that pkg's own _test.go files (not its
+// external _test package's, which cannot reach an unexported field) write:
+// every name in the selector or index chain of the target of an
+// assignment, of ++ or -- or of &, and the keys of composite literals.
+// The files are parsed, not type-checked, so a name stands for every
+// field and variable of that name.
+func testWrites(t *testing.T, pkg *types.Package) map[string]bool {
+	names := map[string]bool{}
+	var mark func(ast.Expr)
+	mark = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.Ident:
+			names[e.Name] = true
+		case *ast.SelectorExpr:
+			names[e.Sel.Name] = true
+			mark(e.X)
+		case *ast.IndexExpr:
+			mark(e.X)
+		case *ast.ParenExpr:
+			mark(e.X)
+		case *ast.StarExpr:
+			mark(e.X)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("."+strings.TrimPrefix(pkg.Path(), modulePath), "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name.Name != pkg.Name() {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(lhs)
+				}
+			case *ast.IncDecStmt:
+				mark(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X)
+				}
+			case *ast.KeyValueExpr:
+				mark(n.Key)
+			}
+			return true
+		})
+	}
+	return names
 }
 
 // isAppendTo reports whether e is append(target, ...).

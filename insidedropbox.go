@@ -155,8 +155,6 @@ var (
 	Campus2 = workload.Campus2
 	Home1   = workload.Home1
 	Home2   = workload.Home2
-	// Campus1JunJul is the post-bundling second dataset of Table 4.
-	Campus1JunJul = workload.Campus1JunJul
 )
 
 // GenerateDataset runs the workload generator for one vantage point,
@@ -204,10 +202,6 @@ func CapabilityPresets() []CapabilityProfile { return capability.Presets() }
 // CapabilityNames returns the preset profile names in catalogue order.
 func CapabilityNames() []string { return capability.Names() }
 
-// CapabilityByName resolves a preset profile by name ("dropbox-1.4.0";
-// version aliases like "1.2.52" are accepted).
-func CapabilityByName(name string) (CapabilityProfile, bool) { return capability.ByName(name) }
-
 // ParseProfiles resolves a comma-separated preset list (the -profiles CLI
 // flag format), preserving order.
 func ParseProfiles(list string) ([]CapabilityProfile, error) { return capability.Parse(list) }
@@ -251,11 +245,11 @@ func SaveTraces(ds *Dataset, w io.Writer) error {
 	return tw.Flush()
 }
 
-// WriteResults renders results into dir, one text file per experiment,
+// writeResults renders results into dir, one text file per experiment,
 // plus an index. Each file carries the result's title and rendered text,
 // the ordered provenance metadata a registry Run attaches, and the named
 // metrics in sorted-key order.
-func WriteResults(dir string, results []*Result) error {
+func writeResults(dir string, results []*Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

@@ -19,7 +19,7 @@ func TestFacadeCampaignAndExperiments(t *testing.T) {
 	if len(ts) != 4 || ts.ByName("home1").Flows() == 0 {
 		t.Fatalf("tallies = %d", len(ts))
 	}
-	results, err := Run(ctx, Spec{Seed: 9, Scale: sc}, WithSkipPacket())
+	results, err := Run(ctx, Spec{Seed: 9, Scale: sc, SkipPacket: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFacadeWriteResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteResults(dir, results); err != nil {
+	if err := writeResults(dir, results); err != nil {
 		t.Fatal(err)
 	}
 	idx, err := os.ReadFile(filepath.Join(dir, "INDEX.txt"))

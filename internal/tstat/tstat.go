@@ -76,16 +76,15 @@ type pendingSample struct {
 type flowState struct {
 	rec traces.FlowRecord
 
-	upInit, downInit       bool
-	maxSeqEndUp            uint32
-	maxSeqEndDown          uint32
-	pending                []pendingSample // outbound segments awaiting acks
-	upDPI, downDPI         []byte
-	upDPIDone, downDPIDone bool
-	finUp, finDown         bool
-	lastActivity           simtime.Time
-	minRTT                 time.Duration
-	rttSamples             int
+	upInit, downInit bool
+	maxSeqEndUp      uint32
+	maxSeqEndDown    uint32
+	pending          []pendingSample // outbound segments awaiting acks
+	upDPI, downDPI   []byte
+	finUp, finDown   bool
+	lastActivity     simtime.Time
+	minRTT           time.Duration
+	rttSamples       int
 }
 
 // seqAfter reports whether a comes strictly after b in sequence space.
@@ -184,7 +183,7 @@ func (p *Probe) accountUp(now simtime.Time, fs *flowState, f *wire.Frame) {
 		if f.TCP.Flags.Has(wire.FlagPSH) {
 			fs.rec.PSHUp++
 		}
-		if !fs.upDPIDone && len(fs.upDPI) < dpiBudget {
+		if len(fs.upDPI) < dpiBudget {
 			fs.upDPI = append(fs.upDPI, f.Payload...)
 		}
 	} else if f.TCP.Flags.Has(wire.FlagSYN) && !fs.upInit {
@@ -234,7 +233,7 @@ func (p *Probe) accountDown(now simtime.Time, fs *flowState, f *wire.Frame) {
 		if f.TCP.Flags.Has(wire.FlagPSH) {
 			fs.rec.PSHDown++
 		}
-		if !fs.downDPIDone && len(fs.downDPI) < dpiBudget {
+		if len(fs.downDPI) < dpiBudget {
 			fs.downDPI = append(fs.downDPI, f.Payload...)
 		}
 	} else if f.TCP.Flags.Has(wire.FlagSYN) && !fs.downInit {

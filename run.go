@@ -27,8 +27,11 @@ import (
 // scale, fleet sizing, experiment selection and the opt-in lab
 // configuration. The zero value is runnable — it selects the default
 // catalogue (every table and figure) at DefaultScale with one shard per
-// vantage point. Functional options (WithShards, WithProfiles, ...) layer
-// adjustments on top of a Spec literal; both styles set the same fields.
+// vantage point. Some fields also have a functional option (WithScale,
+// WithShards, WithExperiments, WithQuick, WithProfiles, WithScenario,
+// WithProgress, WithResultsDir), applied after the literal; the others,
+// Seed, SkipPacket and the rest of Fleet among them, are set in the
+// literal alone.
 type Spec struct {
 	// Seed is the campaign seed every vantage point and lab derives from.
 	Seed int64
@@ -76,7 +79,7 @@ type Spec struct {
 	Scenario *ScenarioSpec
 
 	// ResultsDir, when non-empty, receives the rendered results via
-	// WriteResults after the run completes, plus a schema-versioned
+	// writeResults after the run completes, plus a schema-versioned
 	// manifest.json (telemetry.Manifest): the run's provenance record —
 	// environment, per-experiment and per-shard timings, and a full
 	// telemetry counter snapshot. The manifest is written even when the
@@ -127,12 +130,10 @@ type Progress struct {
 // ShardEvent reports whether p is a shard-granularity event.
 func (p Progress) ShardEvent() bool { return p.Shards > 0 }
 
-// Option adjusts a Spec. Options are applied in order after the Spec
-// literal, so later options win.
+// Option sets one Spec field, and only the fields that have a With*
+// function have an option (see Spec). Options are applied in order after
+// the Spec literal, so later options win.
 type Option func(*Spec)
-
-// WithSeed sets the campaign seed.
-func WithSeed(seed int64) Option { return func(s *Spec) { s.Seed = seed } }
 
 // WithScale sets the per-vantage-point population scaling.
 func WithScale(sc ScaleConfig) Option { return func(s *Spec) { s.Scale = sc } }
@@ -141,10 +142,6 @@ func WithScale(sc ScaleConfig) Option { return func(s *Spec) { s.Scale = sc } }
 // population shards per vantage point (1 reproduces the historical
 // datasets; the shard count is part of the experiment definition).
 func WithShards(n int) Option { return func(s *Spec) { s.Fleet.Shards = n } }
-
-// WithWorkers bounds the generation worker pool (0 = GOMAXPROCS; worker
-// counts never change results, only wall-clock time).
-func WithWorkers(n int) Option { return func(s *Spec) { s.Fleet.Workers = n } }
 
 // WithExperiments selects the experiments to run, as glob-style patterns
 // over catalogue IDs.
@@ -165,9 +162,6 @@ func WithScenario(sp *ScenarioSpec) Option { return func(s *Spec) { s.Scenario =
 
 // WithQuick selects small populations and quick packet labs.
 func WithQuick() Option { return func(s *Spec) { s.Quick = true } }
-
-// WithSkipPacket drops the packet-level experiments from the selection.
-func WithSkipPacket() Option { return func(s *Spec) { s.SkipPacket = true } }
 
 // WithProgress installs a run observer.
 func WithProgress(fn func(Progress)) Option { return func(s *Spec) { s.Progress = fn } }
@@ -295,7 +289,7 @@ func Run(ctx context.Context, spec Spec, opts ...Option) ([]*Result, error) {
 			return runErr
 		}
 		if len(results) > 0 {
-			if err := WriteResults(spec.ResultsDir, results); err != nil {
+			if err := writeResults(spec.ResultsDir, results); err != nil {
 				if runErr == nil {
 					runErr = err
 				}
@@ -491,7 +485,7 @@ func writeManifest(dir string, m *telemetry.Manifest) error {
 }
 
 // annotate attaches the run's provenance metadata to a result, in a fixed
-// key order WriteResults preserves. The environment and timing keys come
+// key order writeResults preserves. The environment and timing keys come
 // after the legacy ones, so consumers reading a meta prefix are
 // undisturbed. An experiment that ran its own population (the session's
 // scenario stream) has recorded its seed, shards, vantage point and scale
