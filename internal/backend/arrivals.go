@@ -135,52 +135,64 @@ func SortRequests(reqs []Request) {
 // into backend arrivals. It retains only Request values (never the pooled
 // records), so it is safe on the allocation-free Aggregate path.
 //
-// On Aggregate each shard's collector sorts its own requests on its worker
-// (FinishShard); Merge only gathers those sorted runs, and Arrivals
-// combines them in one k-way merge (fleet.MergeRuns). A plain tee
-// (Consume only) keeps its requests unsorted in Requests.
+// Each shard's collector gathers its requests in a fleet.Samples and sorts
+// them into one run on its worker (FinishShard); Merge only gathers those
+// sorted runs, and Arrivals combines them in one k-way merge. Its requests
+// are read only after FinishShard.
 type Collector struct {
-	// Requests are the requests this collector consumed itself.
-	Requests []Request
-	// runs are the sorted runs Merge gathered, in shard order.
-	runs [][]Request
+	reqs fleet.Samples[Request]
 }
 
 // Consume implements fleet.Sink.
 func (c *Collector) Consume(r *traces.FlowRecord) {
 	if rq, ok := RequestOf(r); ok {
-		c.Requests = append(c.Requests, rq)
+		c.reqs.Add(rq)
 	}
 }
 
 // FinishShard implements fleet.ShardFinisher: the shard's run is sorted on
 // the worker that generated it.
-func (c *Collector) FinishShard() { SortRequests(c.Requests) }
+func (c *Collector) FinishShard() { SortRequests(c.reqs.FinishShard()) }
 
 // Merge implements fleet.Aggregator: other's sorted runs join the
 // receiver's, in shard order.
-func (c *Collector) Merge(other fleet.Aggregator) {
-	o := other.(*Collector)
-	c.runs = append(append(c.runs, o.Requests), o.runs...)
-}
+func (c *Collector) Merge(other fleet.Aggregator) { c.reqs.Merge(&other.(*Collector).reqs) }
 
-// Arrivals returns every request of the merged collectors in canonical
-// order: the k-way merge of their finished runs.
-func (c *Collector) Arrivals() []Request {
-	return fleet.MergeRuns(append([][]Request{c.Requests}, c.runs...), compareRequests)
-}
+// Arrivals returns every request of the merged, finished collectors in
+// canonical order: the k-way merge of their runs (fleet.MergeRuns). It
+// lets go of the runs, so it is called once.
+func (c *Collector) Arrivals() []Request { return c.reqs.Merged(compareRequests) }
 
 // ScaleLoad returns a copy of reqs with arrival times compressed by
 // factor m (> 1 means m-times the offered load at the same total work):
 // the saturation analysis ramps offered load without changing what each
-// request demands.
+// request demands. The copy is in canonical order. Dividing every arrival
+// by one m > 0 reverses no two of them, so the scaled arrivals of a
+// canonically ordered input still ascend, and only each run of arrivals
+// that scaling made equal is sorted; a copy whose arrivals do not ascend
+// is sorted whole.
 func ScaleLoad(reqs []Request, m float64) []Request {
 	out := make([]Request, len(reqs))
+	ascending := true
 	for i, r := range reqs {
 		r.Arrive = time.Duration(float64(r.Arrive) / m)
 		out[i] = r
+		ascending = ascending && (i == 0 || out[i-1].Arrive <= r.Arrive)
 	}
-	SortRequests(out)
+	if !ascending {
+		SortRequests(out)
+		return out
+	}
+	for i := 0; i < len(out); {
+		j := i + 1
+		for j < len(out) && out[j].Arrive == out[i].Arrive {
+			j++
+		}
+		if j-i > 1 {
+			SortRequests(out[i:j])
+		}
+		i = j
+	}
 	return out
 }
 

@@ -21,7 +21,8 @@ import (
 // the records are serialized to CSV and hashed WHILE being teed into the
 // backend collector, so any backend-induced perturbation of the stream
 // (there is no mechanism for one — the collector copies what it keeps)
-// would show up as a hash mismatch at either shard count.
+// would show up as a hash mismatch at either shard count. The finished
+// collector's arrivals are the teed requests sorted once by SortRequests.
 func TestStreamGoldenWithBackend(t *testing.T) {
 	for _, g := range []golden.Stream{golden.Home1OneShard, golden.Home1FourShard, golden.Home2Abnormal} {
 		t.Run(g.Name, func(t *testing.T) {
@@ -29,12 +30,16 @@ func TestStreamGoldenWithBackend(t *testing.T) {
 			h := fnv.New64a()
 			w := traces.NewWriter(h)
 			col := &Collector{}
+			var reqs []Request
 			for sh := 0; sh < g.Shards; sh++ {
 				workload.GenerateShard(vp, g.Seed, sh, g.Shards, func(r *traces.FlowRecord) {
 					if err := w.Write(r); err != nil {
 						t.Fatal(err)
 					}
 					col.Consume(r)
+					if rq, ok := RequestOf(r); ok {
+						reqs = append(reqs, rq)
+					}
 				})
 			}
 			if err := w.Flush(); err != nil {
@@ -44,8 +49,11 @@ func TestStreamGoldenWithBackend(t *testing.T) {
 				t.Fatalf("record stream hash with backend tee = %#x, want %#x", got, g.Hash)
 			}
 
-			reqs := col.Requests
 			SortRequests(reqs)
+			col.FinishShard()
+			if got := col.Arrivals(); len(reqs) == 0 || !reflect.DeepEqual(got, reqs) {
+				t.Fatalf("collector tee: %d arrivals, not the %d teed requests in canonical order", len(got), len(reqs))
+			}
 			cfg, err := PresetConfig(PresetInfinite, reqs)
 			if err != nil {
 				t.Fatal(err)
@@ -102,23 +110,27 @@ func TestBackendMetricsWorkerInvariant(t *testing.T) {
 }
 
 // TestCollectorPoolingEquivalent pins that the pooled Aggregate path
-// (CollectArrivals) derives exactly the requests a plain unpooled tee
-// does: the Collector copies everything it keeps, so record recycling is
-// invisible.
+// (CollectArrivals) derives exactly the requests of a plain unpooled
+// generator, sorted once: the Collector copies everything it keeps, so
+// record recycling is invisible.
 func TestCollectorPoolingEquivalent(t *testing.T) {
 	vp, seed, shards := workload.Home1(0.02), int64(7), 2
 
-	var tee Collector
+	var tee []Request
 	for sh := 0; sh < shards; sh++ {
-		workload.GenerateShard(vp, seed, sh, shards, tee.Consume)
+		workload.GenerateShard(vp, seed, sh, shards, func(r *traces.FlowRecord) {
+			if rq, ok := RequestOf(r); ok {
+				tee = append(tee, rq)
+			}
+		})
 	}
-	SortRequests(tee.Requests)
+	SortRequests(tee)
 
 	pooled, _, err := CollectArrivals(context.Background(), vp, seed, fleet.Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tee.Requests, pooled) {
+	if len(tee) == 0 || !reflect.DeepEqual(tee, pooled) {
 		t.Fatal("pooled collection differs from the unpooled tee")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"insidedropbox/internal/fleet"
+	"insidedropbox/internal/traces"
 	"insidedropbox/internal/workload"
 )
 
@@ -52,17 +53,58 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 	}
 }
 
+// TestScaleLoadEqualsSort: ScaleLoad's copy is SortRequests of the scaled
+// arrivals, whether its input is in canonical order (only the runs that
+// scaling made equal are sorted) or not (the whole copy is), at loads
+// that spread arrivals apart and that squeeze many onto one instant.
+func TestScaleLoadEqualsSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := range 40 {
+		reqs := make([]Request, rng.Intn(300))
+		span := 1 + rng.Intn(5000)
+		for i := range reqs {
+			reqs[i] = Request{
+				Arrive: time.Duration(rng.Intn(span)),
+				Key:    uint64(rng.Intn(50)),
+				Class:  Class(rng.Intn(int(numClasses))),
+				Work:   float64(rng.Intn(2)),
+				Region: uint8(rng.Intn(2)),
+			}
+		}
+		if trial%2 == 0 {
+			SortRequests(reqs)
+		}
+		in := slices.Clone(reqs)
+		for _, m := range []float64{0.01, 0.5, 1, 2, 1000} {
+			want := slices.Clone(reqs)
+			for i := range want {
+				want[i].Arrive = time.Duration(float64(want[i].Arrive) / m)
+			}
+			SortRequests(want)
+			if got := ScaleLoad(reqs, m); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, m=%v: ScaleLoad of %d requests is not the sort of the scaled copy", trial, m, len(reqs))
+			}
+			if !slices.Equal(reqs, in) {
+				t.Fatalf("trial %d, m=%v: ScaleLoad changed its input", trial, m)
+			}
+		}
+	}
+}
+
 // TestCollectArrivalsEqualsConcatSort pins the per-shard runs against the
 // design they replaced: CollectArrivals returns exactly the shards'
-// requests concatenated and sorted once, at every shard and worker count.
+// requests (RequestOf over each shard's records) concatenated and sorted
+// once, at every shard and worker count.
 func TestCollectArrivalsEqualsConcatSort(t *testing.T) {
 	vp, seed := workload.Home1(0.02), int64(7)
 	for _, shards := range []int{1, 4, 16} {
 		var want []Request
 		for sh := 0; sh < shards; sh++ {
-			var c Collector
-			workload.GenerateShard(vp, seed, sh, shards, c.Consume)
-			want = append(want, c.Requests...)
+			workload.GenerateShard(vp, seed, sh, shards, func(r *traces.FlowRecord) {
+				if rq, ok := RequestOf(r); ok {
+					want = append(want, rq)
+				}
+			})
 		}
 		SortRequests(want)
 		for _, workers := range []int{1, 8} {

@@ -35,9 +35,10 @@ const webStorageHost = "dl-web.dropbox.com"
 // (cmd/tstat-analyze).
 //
 // Counts and volumes are exact integers. The samples the order statistics
-// need are kept: a compact sample of each client-storage flow, sorted per
-// shard and merged, and a few numbers per control, notification,
-// Web-storage and direct-link flow.
+// need are kept: a compact sample of each client-storage flow, collected
+// in a fleet.Samples, sorted per shard and merged (read only after
+// FinishShard), and a few numbers per control, notification, Web-storage
+// and direct-link flow.
 type Tally struct {
 	// VPStats is the generation ground truth a fold attaches: the
 	// effective config and the background volumes. It is zero on a tally
@@ -53,6 +54,7 @@ type Tally struct {
 	// (dl-clientX), sorted per shard and merged: a fold or FinishShard
 	// leaves them in first-packet order, the probe's export order.
 	Storage []StorageFlow
+	storage fleet.Samples[StorageFlow] // until FinishShard; then the runs to merge
 
 	// ControlRTT holds the minimum RTT in ms of client-control flows with
 	// enough RTT samples (Fig. 6). NotifySeconds holds the positive
@@ -78,10 +80,8 @@ type Tally struct {
 
 	// notify collects one shard's notification flows until FinishShard
 	// chains them into sessions (Figs. 14 and 15, Table 5).
-	notify, sessions []classify.Session
-
-	// runs are the sorted Storage runs Merge gathered, in shard order.
-	runs [][]StorageFlow
+	notify   fleet.Samples[classify.Session]
+	sessions []classify.Session
 }
 
 // StorageFlow is the sample a Tally keeps of a client-storage flow: the
@@ -159,7 +159,7 @@ func (t *Tally) Consume(r *traces.FlowRecord) {
 	}
 	switch svc {
 	case dnssim.SvcClientStorage:
-		t.Storage = append(t.Storage, StorageFlow{Client: r.Client, Server: r.Server, FirstPacket: r.FirstPacket,
+		t.storage.Add(StorageFlow{Client: r.Client, Server: r.Server, FirstPacket: r.FirstPacket,
 			LastPayloadUp: r.LastPayloadUp, LastPayloadDown: r.LastPayloadDown, BytesUp: r.BytesUp, BytesDown: r.BytesDown,
 			PSHUp: r.PSHUp, PSHDown: r.PSHDown, MinRTT: r.MinRTT, RTTSamples: r.RTTSamples, ServerClosed: r.ServerClosed})
 	case dnssim.SvcClientControl:
@@ -187,7 +187,7 @@ func (t *Tally) consumeNotify(r *traces.FlowRecord) {
 	} else if !seen {
 		t.hosts[r.NotifyHost] = ns
 	}
-	t.notify = append(t.notify, classify.Session{
+	t.notify.Add(classify.Session{
 		Host: r.NotifyHost, Client: r.Client, Start: r.FirstPacket, End: r.LastPacket})
 }
 
@@ -202,12 +202,12 @@ func minRTTms(r *traces.FlowRecord) (float64, bool) {
 
 // FinishShard implements fleet.ShardFinisher: it chains the notification
 // flows consumed so far into device sessions, and stable-sorts the storage
-// samples by first packet on the worker that generated them. Households
-// never span shards, so neither do sessions. A trace-file tally calls it
-// once, after its last record.
+// samples by first packet into Storage, the shard's run, on the worker
+// that generated them. Households never span shards, so neither do
+// sessions. A trace-file tally calls it once, after its last record.
 func (t *Tally) FinishShard() {
-	t.sessions = append(t.sessions, classify.Sessions(t.notify, sessionGap)...)
-	t.notify = nil
+	t.sessions = append(t.sessions, classify.Sessions(t.notify.Take(), sessionGap)...)
+	t.Storage = t.storage.FinishShard()
 	sortByFirstPacket(t.Storage)
 }
 
@@ -241,7 +241,7 @@ func sortByFirstPacket(s []StorageFlow) {
 	}
 }
 
-// Merge implements fleet.Aggregator. other's sorted Storage runs join the
+// Merge implements fleet.Aggregator. other's sorted storage runs join the
 // receiver's, in shard order, for the fold to merge once.
 func (t *Tally) Merge(other fleet.Aggregator) {
 	o := other.(*Tally)
@@ -258,7 +258,7 @@ func (t *Tally) Merge(other fleet.Aggregator) {
 			t.providerDays[d][p] += b
 		}
 	}
-	t.runs = append(append(t.runs, o.Storage), o.runs...)
+	t.storage.Merge(&o.storage)
 	t.ControlRTT = append(t.ControlRTT, o.ControlRTT...)
 	t.NotifySeconds = append(t.NotifySeconds, o.NotifySeconds...)
 	t.WebUp = append(t.WebUp, o.WebUp...)
@@ -345,17 +345,11 @@ func fold(ctx context.Context, pops []fleet.Population, fc fleet.Config) (Tallie
 	for p, agg := range aggs {
 		ts[p] = agg.(*Tally)
 		ts[p].VPStats = stats[p]
-		ts[p].mergeStorage()
+		// The probe's export order, which Table 4's means sum in: ties go
+		// to the lower shard, as in a stable sort of the shards' samples.
+		ts[p].Storage = ts[p].storage.Merged(byFirstPacket)
 	}
 	return ts, nil
-}
-
-// mergeStorage merges the sorted Storage runs into the probe's export
-// order, which Table 4's means sum in: ties go to the lower shard, as in
-// a stable sort of the shards' samples by first packet.
-func (t *Tally) mergeStorage() {
-	t.Storage = fleet.MergeRuns(append([][]StorageFlow{t.Storage}, t.runs...), byFirstPacket)
-	t.runs = nil
 }
 
 // Tallies are the study's four vantage points, in campus1, campus2, home1,

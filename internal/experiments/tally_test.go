@@ -285,18 +285,22 @@ func TestFoldOnePool(t *testing.T) {
 // stable-sorted by first packet — the order the fold had when it sorted
 // the merged samples itself — at every shard and worker count. Generated
 // first packets do not tie; fleet's TestMergeRuns pins the tie rule.
+// The oracle builds each storage flow's sample straight off the stream.
 func TestFoldStorageOrder(t *testing.T) {
 	vp := workload.Home1(0.02)
 	for _, shards := range []int{1, 3, 8} {
-		// A tally that is never finished keeps its samples in stream order.
-		stream := NewTally(0)
+		var want []StorageFlow
 		if _, err := fleet.StreamRecords(context.Background(), vp, 5, fleet.Config{Shards: shards}, func(r *traces.FlowRecord) bool {
-			stream.Consume(r)
+			if classify.ProviderOf(r) == classify.ProvDropbox && classify.DropboxService(r) == dnssim.SvcClientStorage {
+				want = append(want, StorageFlow{Client: r.Client, Server: r.Server, FirstPacket: r.FirstPacket,
+					LastPayloadUp: r.LastPayloadUp, LastPayloadDown: r.LastPayloadDown, BytesUp: r.BytesUp,
+					BytesDown: r.BytesDown, PSHUp: r.PSHUp, PSHDown: r.PSHDown, MinRTT: r.MinRTT,
+					RTTSamples: r.RTTSamples, ServerClosed: r.ServerClosed})
+			}
 			return true
 		}); err != nil {
 			t.Fatal(err)
 		}
-		want := stream.Storage
 		slices.SortStableFunc(want, byFirstPacket)
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
@@ -335,11 +339,14 @@ func TestSortByFirstPacket(t *testing.T) {
 // never a record copy. The sample is at most 88 bytes; a folded tally
 // holds at most two of them per storage flow, unused capacity included;
 // and folding a fixed population's storage flows shard by shard allocates
-// no more than appending that many samples to one slice per shard, one
-// 16-byte sort key per sample, and one exactly sized merge of the shards'
-// runs. The least of three folds is measured, so an allocation of the
-// runtime's own cannot fail it.
+// no more than one exactly sized run of samples per shard, one 16-byte
+// sort key per sample, and one exactly sized merge of the shards' runs:
+// the chunks the samples are collected in come back to their pool. The
+// least of three folds is measured, so an allocation of the runtime's own
+// (or a first fold's chunks) cannot fail it, on one P, whose slot of the
+// pool is the one every fold's chunks go back to.
 func TestTallyStorageMemory(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	size := unsafe.Sizeof(StorageFlow{})
 	if size > 88 {
 		t.Fatalf("StorageFlow is %d bytes, want at most 88", size)
@@ -366,13 +373,9 @@ func TestTallyStorageMemory(t *testing.T) {
 	}
 	var samples [][]StorageFlow
 	var keys [][][2]int64
-	appends := allocated(func() {
+	runs := allocated(func() {
 		for _, rs := range recs {
-			var s []StorageFlow
-			for range rs {
-				s = append(s, StorageFlow{})
-			}
-			samples = append(samples, s)
+			samples = append(samples, make([]StorageFlow, len(rs)))
 			keys = append(keys, make([][2]int64, len(rs)))
 		}
 	})
@@ -394,7 +397,7 @@ func TestTallyStorageMemory(t *testing.T) {
 			for _, o := range tallies[1:] {
 				tallies[0].Merge(o)
 			}
-			tallies[0].mergeStorage()
+			tallies[0].Storage = tallies[0].storage.Merged(byFirstPacket)
 		}))
 		st = tallies[0].Storage
 	}
@@ -404,8 +407,8 @@ func TestTallyStorageMemory(t *testing.T) {
 	if held := uintptr(cap(st)) * size; held > 2*size*uintptr(n) {
 		t.Errorf("the folded tally holds %d B per storage flow, want at most %d", held/uintptr(n), 2*size)
 	}
-	if budget := appends + merge + 1024; folded > budget {
-		t.Errorf("folding allocated %d B (%.0f per storage flow), want at most %d: the shards' appends and one merge",
+	if budget := runs + merge + 1024; folded > budget {
+		t.Errorf("folding allocated %d B (%.0f per storage flow), want at most %d: the shards' runs and keys and one merge",
 			folded, float64(folded)/float64(n), budget)
 	}
 }

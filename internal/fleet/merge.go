@@ -1,10 +1,80 @@
 package fleet
 
+import "sync"
+
+// chunkLen, a power of two, is the number of samples in a chunk of a Samples.
+const chunkLen = 4096
+
+// chunkPools holds a sync.Pool of *[chunkLen]T per T, keyed by a nil *T.
+var chunkPools sync.Map
+
+func chunkPool[T any]() *sync.Pool {
+	p, ok := chunkPools.Load((*T)(nil))
+	if !ok {
+		p, _ = chunkPools.LoadOrStore((*T)(nil), &sync.Pool{New: func() any { return new([chunkLen]T) }})
+	}
+	return p.(*sync.Pool)
+}
+
+// Samples collects an Aggregator's samples in pooled chunks, so a growing
+// shard never re-copies what it holds, as an appended slice does (about
+// five times its final size while it fills). They are read only after
+// FinishShard hands them over as one exactly sized run for the caller to
+// sort in place; Merge gathers runs in shard order, and Merged combines
+// them. A pooled chunk keeps what was written into it: T should be a
+// plain value.
+type Samples[T any] struct {
+	chunks []*[chunkLen]T // the samples since the last Take, in Add order
+	n      int            // how many
+	runs   [][]T          // the finished runs, in shard order
+}
+
+// Add appends one sample.
+func (s *Samples[T]) Add(v T) {
+	i := s.n & (chunkLen - 1)
+	if i == 0 {
+		s.chunks = append(s.chunks, chunkPool[T]().Get().(*[chunkLen]T))
+	}
+	s.chunks[len(s.chunks)-1][i] = v
+	s.n++
+}
+
+// Take returns the samples added since the last Take or FinishShard in an
+// exactly sized slice, never pooled storage, and pools their chunks again.
+func (s *Samples[T]) Take() []T {
+	out := make([]T, s.n)
+	pool := chunkPool[T]()
+	for i, c := range s.chunks {
+		copy(out[i*chunkLen:], c[:])
+		pool.Put(c)
+	}
+	s.chunks, s.n = nil, 0
+	return out
+}
+
+// FinishShard is Take, keeping the slice as a run to merge.
+func (s *Samples[T]) FinishShard() []T {
+	run := s.Take()
+	s.runs = append(s.runs, run)
+	return run
+}
+
+// Merge appends other's runs to the receiver's, in shard order.
+func (s *Samples[T]) Merge(other *Samples[T]) { s.runs = append(s.runs, other.runs...) }
+
+// Merged returns the runs, each sorted by cmp, combined by MergeRuns, and
+// lets go of them.
+func (s *Samples[T]) Merged(cmp func(a, b T) int) []T {
+	out := MergeRuns(s.runs, cmp)
+	s.runs = nil
+	return out
+}
+
 // MergeRuns k-way merges runs, each sorted by cmp, into one exactly sized
 // slice: a min-heap of run heads, O(n log k), with equal elements in run
 // order, so the result equals a stable sort of the runs' concatenation. A
-// lone non-empty run is returned as it is. Aggregators that sort their
-// shard's samples in FinishShard combine the shards' runs with it.
+// lone non-empty run is returned as it is. Samples.Merged combines the
+// shards' runs with it.
 func MergeRuns[T any](runs [][]T, cmp func(a, b T) int) []T {
 	// h is a min-heap of the indices of the runs with elements left; rest
 	// holds each run's unmerged rest, and the run index breaks ties.

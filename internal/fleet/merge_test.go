@@ -3,6 +3,7 @@ package fleet
 import (
 	"cmp"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -49,5 +50,103 @@ func TestMergeRuns(t *testing.T) {
 	}
 	if got := MergeRuns([][]item{nil, {}}, byKey); got != nil {
 		t.Fatalf("merge of empty runs = %v, want nil", got)
+	}
+}
+
+// collect adds 0…n-1, plus base, to s and finishes its shard.
+func collect(s *Samples[int], n, base int) []int {
+	for i := range n {
+		s.Add(base + i)
+	}
+	return s.FinishShard()
+}
+
+// TestSamplesOrder: a finished collector hands over exactly its samples,
+// in Add order, in a slice of their exact size, on either side of every
+// chunk boundary; Take empties the collector for the next shard.
+func TestSamplesOrder(t *testing.T) {
+	for _, n := range []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 7} {
+		var s Samples[int]
+		for round := range 2 {
+			base := round * n
+			got := collect(&s, n, base)
+			if len(got) != n || cap(got) != n {
+				t.Fatalf("n=%d round %d: finished slice has len %d, cap %d", n, round, len(got), cap(got))
+			}
+			for i, v := range got {
+				if v != base+i {
+					t.Fatalf("n=%d round %d: sample %d is %d, want %d", n, round, i, v, base+i)
+				}
+			}
+		}
+		if got := s.Take(); len(got) != 0 {
+			t.Fatalf("n=%d: %d samples left after FinishShard", n, len(got))
+		}
+	}
+}
+
+// TestSamplesNoAliasing: a finished slice is the caller's alone. Another
+// collector drawing the chunks it was collected in, and filling them,
+// leaves it as it was, and writing through it changes nothing the other
+// collector hands over.
+func TestSamplesNoAliasing(t *testing.T) {
+	for _, n := range []int{5, 2*chunkLen + 5} {
+		var a, b Samples[int]
+		got := collect(&a, n, 0)
+		for i := range n {
+			b.Add(-1 - i)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("n=%d: sample %d of the first collector became %d after the second one filled its chunks", n, i, v)
+			}
+			got[i] = 1 << 30
+		}
+		for i, v := range b.FinishShard() {
+			if v != -1-i {
+				t.Fatalf("n=%d: sample %d of the second collector is %d, want %d", n, i, v, -1-i)
+			}
+		}
+	}
+}
+
+// TestSamplesAfterGC: collection needs nothing from the pool, which a
+// garbage collection may empty at any time.
+func TestSamplesAfterGC(t *testing.T) {
+	var s Samples[int]
+	collect(&s, chunkLen+1, 0)
+	runtime.GC()
+	runtime.GC()
+	n := 3*chunkLen + 7
+	got := collect(&s, n, 5)
+	if len(got) != n || got[0] != 5 || got[n-1] != n+4 {
+		t.Fatalf("after a GC: %d samples, from %v to %v", len(got), got[0], got[n-1])
+	}
+}
+
+// TestSamplesMerged: the runs of merged collectors, each sorted after
+// FinishShard, combine in shard order as MergeRuns does, and Merged lets
+// go of them.
+func TestSamplesMerged(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	shards := make([]Samples[int], 5)
+	var all []int
+	for sh := range shards {
+		for range rng.Intn(2 * chunkLen) {
+			v := rng.Intn(1000)
+			shards[sh].Add(v)
+			all = append(all, v)
+		}
+		slices.Sort(shards[sh].FinishShard())
+	}
+	for sh := range shards[1:] {
+		shards[0].Merge(&shards[1+sh])
+	}
+	slices.Sort(all)
+	if got := shards[0].Merged(cmp.Compare[int]); !slices.Equal(got, all) {
+		t.Fatalf("merge of %d samples is not their sort", len(all))
+	}
+	if got := shards[0].Merged(cmp.Compare[int]); got != nil {
+		t.Fatalf("a second Merged returned %d samples", len(got))
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"insidedropbox/internal/backend"
 	"insidedropbox/internal/fleet"
 	"insidedropbox/internal/telemetry"
+	"insidedropbox/internal/traces"
 )
 
 // mixSpec is a small cohort-mix spec used by the invariance tests: three
@@ -94,9 +95,20 @@ func TestCollectStreamWritesNoCSV(t *testing.T) {
 	}
 }
 
+// requestTee keeps the backend request of every record it consumes, in
+// stream order.
+type requestTee []backend.Request
+
+func (t *requestTee) Consume(r *traces.FlowRecord) {
+	if rq, ok := backend.RequestOf(r); ok {
+		*t = append(*t, rq)
+	}
+}
+
 // TestCollectStreamEqualsConcatSort pins CollectStream's per-shard sorted
 // runs against concatenate-then-sort: at every shard and worker count the
-// arrival set is exactly the shards' requests sorted once.
+// arrival set is exactly the shards' requests (RequestOf over each shard's
+// records) sorted once.
 func TestCollectStreamEqualsConcatSort(t *testing.T) {
 	sp, err := Parse([]byte(mixSpec))
 	if err != nil {
@@ -109,11 +121,9 @@ func TestCollectStreamEqualsConcatSort(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		cs := *c
 		cs.Fleet.Shards = shards
-		var want []backend.Request
+		var want requestTee
 		for sh := 0; sh < shards; sh++ {
-			var col backend.Collector
-			fleet.RunShard(cs.VP, cs.Seed, sh, shards, &col)
-			want = append(want, col.Requests...)
+			fleet.RunShard(cs.VP, cs.Seed, sh, shards, &want)
 		}
 		backend.SortRequests(want)
 		for _, workers := range []int{1, 8} {
@@ -122,7 +132,7 @@ func TestCollectStreamEqualsConcatSort(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(want) == 0 || !reflect.DeepEqual(res.Requests, want) {
+				if len(want) == 0 || !reflect.DeepEqual(res.Requests, []backend.Request(want)) {
 					t.Fatalf("collected %d arrivals, not the %d of concatenate-then-sort", len(res.Requests), len(want))
 				}
 			})
