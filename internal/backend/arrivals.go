@@ -159,40 +159,20 @@ func (c *Collector) FinishShard() { SortRequests(c.reqs.FinishShard()) }
 func (c *Collector) Merge(other fleet.Aggregator) { c.reqs.Merge(&other.(*Collector).reqs) }
 
 // Arrivals returns every request of the merged, finished collectors in
-// canonical order: the k-way merge of their runs (fleet.MergeRuns). It
-// lets go of the runs, so it is called once.
+// canonical order, their runs' k-way merge; it is called once.
 func (c *Collector) Arrivals() []Request { return c.reqs.Merged(compareRequests) }
 
 // ScaleLoad returns a copy of reqs with arrival times compressed by
 // factor m (> 1 means m-times the offered load at the same total work):
 // the saturation analysis ramps offered load without changing what each
-// request demands. The copy is in canonical order. Dividing every arrival
-// by one m > 0 reverses no two of them, so the scaled arrivals of a
-// canonically ordered input still ascend, and only each run of arrivals
-// that scaling made equal is sorted; a copy whose arrivals do not ascend
-// is sorted whole.
+// request demands.
 func ScaleLoad(reqs []Request, m float64) []Request {
 	out := make([]Request, len(reqs))
-	ascending := true
 	for i, r := range reqs {
 		r.Arrive = time.Duration(float64(r.Arrive) / m)
 		out[i] = r
-		ascending = ascending && (i == 0 || out[i-1].Arrive <= r.Arrive)
 	}
-	if !ascending {
-		SortRequests(out)
-		return out
-	}
-	for i := 0; i < len(out); {
-		j := i + 1
-		for j < len(out) && out[j].Arrive == out[i].Arrive {
-			j++
-		}
-		if j-i > 1 {
-			SortRequests(out[i:j])
-		}
-		i = j
-	}
+	SortRequests(out)
 	return out
 }
 

@@ -54,9 +54,8 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 }
 
 // TestScaleLoadEqualsSort: ScaleLoad's copy is SortRequests of the scaled
-// arrivals, whether its input is in canonical order (only the runs that
-// scaling made equal are sorted) or not (the whole copy is), at loads
-// that spread arrivals apart and that squeeze many onto one instant.
+// arrivals, whether its input is in canonical order or not, at loads that
+// spread arrivals apart and that squeeze many onto one instant.
 func TestScaleLoadEqualsSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := range 40 {

@@ -35,10 +35,9 @@ const webStorageHost = "dl-web.dropbox.com"
 // (cmd/tstat-analyze).
 //
 // Counts and volumes are exact integers. The samples the order statistics
-// need are kept: a compact sample of each client-storage flow, collected
-// in a fleet.Samples, sorted per shard and merged (read only after
-// FinishShard), and a few numbers per control, notification, Web-storage
-// and direct-link flow.
+// need are kept: a compact sample of each client-storage flow, read only
+// after FinishShard sorts its shard's, then merged, and a few numbers per
+// control, notification, Web-storage and direct-link flow.
 type Tally struct {
 	// VPStats is the generation ground truth a fold attaches: the
 	// effective config and the background volumes. It is zero on a tally

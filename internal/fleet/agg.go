@@ -24,10 +24,9 @@ type Aggregator interface {
 // that belongs off the merge's critical path. Aggregate calls FinishShard
 // on the worker goroutine, right after the shard's last Consume, so it runs
 // in parallel with other shards still generating (the backend collectors
-// and the experiments tallies take their shard's samples out of a Samples
-// there and sort them, so only sorted runs are left to combine, with
-// MergeRuns; their samples are read only after FinishShard). A shard that
-// never ran (a cancelled Aggregate) is never finished.
+// and the experiments tallies sort their shard's Samples there, reading
+// them only then, so only sorted runs are left for MergeRuns). A shard
+// that never ran (a cancelled Aggregate) is never finished.
 type ShardFinisher interface {
 	FinishShard()
 }

@@ -18,11 +18,10 @@ func chunkPool[T any]() *sync.Pool {
 
 // Samples collects an Aggregator's samples in pooled chunks, so a growing
 // shard never re-copies what it holds, as an appended slice does (about
-// five times its final size while it fills). They are read only after
+// five times its final size while it fills). They are read only once
 // FinishShard hands them over as one exactly sized run for the caller to
-// sort in place; Merge gathers runs in shard order, and Merged combines
-// them. A pooled chunk keeps what was written into it: T should be a
-// plain value.
+// sort in place; Merge gathers runs in shard order, Merged combines them.
+// A pooled chunk keeps what was written into it: T should be a plain value.
 type Samples[T any] struct {
 	chunks []*[chunkLen]T // the samples since the last Take, in Add order
 	n      int            // how many
@@ -31,19 +30,17 @@ type Samples[T any] struct {
 
 // Add appends one sample.
 func (s *Samples[T]) Add(v T) {
-	i := s.n & (chunkLen - 1)
-	if i == 0 {
+	if s.n&(chunkLen-1) == 0 {
 		s.chunks = append(s.chunks, chunkPool[T]().Get().(*[chunkLen]T))
 	}
-	s.chunks[len(s.chunks)-1][i] = v
+	s.chunks[len(s.chunks)-1][s.n&(chunkLen-1)] = v
 	s.n++
 }
 
 // Take returns the samples added since the last Take or FinishShard in an
 // exactly sized slice, never pooled storage, and pools their chunks again.
 func (s *Samples[T]) Take() []T {
-	out := make([]T, s.n)
-	pool := chunkPool[T]()
+	out, pool := make([]T, s.n), chunkPool[T]()
 	for i, c := range s.chunks {
 		copy(out[i*chunkLen:], c[:])
 		pool.Put(c)
@@ -54,9 +51,8 @@ func (s *Samples[T]) Take() []T {
 
 // FinishShard is Take, keeping the slice as a run to merge.
 func (s *Samples[T]) FinishShard() []T {
-	run := s.Take()
-	s.runs = append(s.runs, run)
-	return run
+	s.runs = append(s.runs, s.Take())
+	return s.runs[len(s.runs)-1]
 }
 
 // Merge appends other's runs to the receiver's, in shard order.
@@ -65,9 +61,8 @@ func (s *Samples[T]) Merge(other *Samples[T]) { s.runs = append(s.runs, other.ru
 // Merged returns the runs, each sorted by cmp, combined by MergeRuns, and
 // lets go of them.
 func (s *Samples[T]) Merged(cmp func(a, b T) int) []T {
-	out := MergeRuns(s.runs, cmp)
-	s.runs = nil
-	return out
+	defer func() { s.runs = nil }()
+	return MergeRuns(s.runs, cmp)
 }
 
 // MergeRuns k-way merges runs, each sorted by cmp, into one exactly sized
