@@ -2,7 +2,6 @@ package backend
 
 import (
 	"cmp"
-	"slices"
 	"time"
 
 	"insidedropbox/internal/classify"
@@ -124,21 +123,21 @@ func compareRequests(a, b Request) int {
 }
 
 // SortRequests puts requests into the canonical arrival order
-// (compareRequests). The order is total, so simulating a sorted slice is
-// deterministic no matter how the slice was assembled (shard order, worker
-// count, a re-run).
+// (compareRequests), radix sorted by arrival time (fleet.SortRun). The
+// order is total, so simulating a sorted slice is deterministic no matter
+// how the slice was assembled (shard order, worker count, a re-run).
 func SortRequests(reqs []Request) {
-	slices.SortFunc(reqs, compareRequests)
+	fleet.SortRun(reqs, func(r Request) int64 { return int64(r.Arrive) }, compareRequests)
 }
 
 // Collector is the fleet.Aggregator that turns a campaign's record stream
 // into backend arrivals. It retains only Request values (never the pooled
 // records), so it is safe on the allocation-free Aggregate path.
 //
-// Each shard's collector gathers its requests in a fleet.Samples and sorts
-// them into one run on its worker (FinishShard); Merge only gathers those
-// sorted runs, and Arrivals combines them in one k-way merge. Its requests
-// are read only after FinishShard.
+// Each shard's collector gathers its requests in a fleet.Samples and radix
+// sorts them into one run on its worker (FinishShard, SortRequests); Merge
+// only gathers those sorted runs, and Arrivals combines them in one k-way
+// merge. Its requests are read only after FinishShard.
 type Collector struct {
 	reqs fleet.Samples[Request]
 }
@@ -167,10 +166,9 @@ func (c *Collector) Arrivals() []Request { return c.reqs.Merged(compareRequests)
 // the saturation analysis ramps offered load without changing what each
 // request demands.
 func ScaleLoad(reqs []Request, m float64) []Request {
-	out := make([]Request, len(reqs))
-	for i, r := range reqs {
-		r.Arrive = time.Duration(float64(r.Arrive) / m)
-		out[i] = r
+	out := append([]Request(nil), reqs...) // unlike make, not zeroed first
+	for i := range out {
+		out[i].Arrive = time.Duration(float64(out[i].Arrive) / m)
 	}
 	SortRequests(out)
 	return out

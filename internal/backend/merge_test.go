@@ -119,3 +119,66 @@ func TestCollectArrivalsEqualsConcatSort(t *testing.T) {
 		}
 	}
 }
+
+// randomRequests returns n requests arriving in [0, span), in no order;
+// keys in [0, keys) and narrow class, work and region ranges make ties at
+// every comparator level.
+func randomRequests(rng *rand.Rand, n int, span int64, keys uint64) []Request {
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = Request{
+			Arrive: time.Duration(rng.Int63n(span)),
+			Key:    rng.Uint64() % keys,
+			Class:  Class(rng.Intn(int(numClasses))),
+			Work:   float64(rng.Intn(2)),
+			Region: uint8(rng.Intn(2)),
+		}
+	}
+	return reqs
+}
+
+// TestSortRequestsEqualsSortFunc pins SortRequests to an independent
+// oracle, slices.SortFunc by compareRequests: on random arrivals over a
+// campaign, on tie-heavy ones, on input already in order and on a scaled
+// copy of it, whose ties are all that is left to sort.
+func TestSortRequestsEqualsSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	campaign := int64(42 * 24 * time.Hour)
+	for _, n := range []int{0, 1, 33, 1000, 50_000} {
+		for _, c := range []struct {
+			name string
+			reqs []Request
+		}{
+			{"campaign", randomRequests(rng, n, campaign, 1<<63)},
+			{"tie-heavy", randomRequests(rng, n, 20, 3)},
+			{"one instant", randomRequests(rng, n, 1, 3)},
+			{"ordered", func() []Request {
+				r := randomRequests(rng, n, campaign, 1<<63)
+				slices.SortFunc(r, compareRequests)
+				for i := range r {
+					r[i].Arrive /= 1 << 30
+				}
+				return r
+			}()},
+		} {
+			want := slices.Clone(c.reqs)
+			slices.SortFunc(want, compareRequests)
+			if SortRequests(c.reqs); !slices.Equal(c.reqs, want) {
+				t.Fatalf("n=%d, %s: SortRequests differs from slices.SortFunc", n, c.name)
+			}
+		}
+	}
+}
+
+// TestSortRequestsAllocs: sorting 50,000 arrivals allocates nothing; a
+// request that escaped to the heap in the sort would allocate per move.
+func TestSortRequestsAllocs(t *testing.T) {
+	in := randomRequests(rand.New(rand.NewSource(10)), 50_000, int64(42*24*time.Hour), 1<<63)
+	reqs := make([]Request, len(in))
+	if a := testing.AllocsPerRun(5, func() {
+		copy(reqs, in)
+		SortRequests(reqs)
+	}); a != 0 {
+		t.Fatalf("SortRequests of %d requests allocated %v times", len(in), a)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"maps"
-	"slices"
 	"time"
 
 	"insidedropbox/internal/classify"
@@ -210,10 +209,10 @@ func (t *Tally) FinishShard() {
 	sortByFirstPacket(t.Storage)
 }
 
-// sortByFirstPacket stable-sorts samples by first packet. It sorts
-// (first packet, position) keys, which are unique, and then moves each
-// sample once along the cycles of the sorted permutation: a stable sort
-// of the 88-byte samples themselves moves each many times over.
+// sortByFirstPacket stable-sorts samples by first packet. It radix sorts
+// (first packet, position) keys, which are unique, with fleet.SortRun, and
+// then moves each sample once along the cycles of the sorted permutation:
+// a stable sort of the 88-byte samples themselves moves each many times.
 func sortByFirstPacket(s []StorageFlow) {
 	type key struct {
 		at time.Duration
@@ -223,7 +222,8 @@ func sortByFirstPacket(s []StorageFlow) {
 	for i := range s {
 		keys[i] = key{s[i].FirstPacket, i}
 	}
-	slices.SortFunc(keys, func(a, b key) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.i, b.i)) })
+	fleet.SortRun(keys, func(k key) int64 { return int64(k.at) },
+		func(a, b key) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.i, b.i)) })
 	// The sample at keys[j].i belongs at j; a placed sample's key is -1.
 	for j := range keys {
 		if keys[j].i < 0 {

@@ -414,3 +414,20 @@ func TestTallyStorageMemory(t *testing.T) {
 			folded, float64(folded)/float64(n), budget)
 	}
 }
+
+// TestSortByFirstPacketAllocs: sortByFirstPacket allocates its keys and
+// nothing else; their sort (fleet.SortRun) allocates nothing.
+func TestSortByFirstPacketAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	in := make([]StorageFlow, 50_000)
+	for i := range in {
+		in[i] = StorageFlow{FirstPacket: time.Duration(rng.Int63n(int64(42 * 24 * time.Hour))), BytesUp: int64(i)}
+	}
+	s := make([]StorageFlow, len(in))
+	if a := testing.AllocsPerRun(5, func() {
+		copy(s, in)
+		sortByFirstPacket(s)
+	}); a != 1 {
+		t.Fatalf("sortByFirstPacket of %d samples allocated %v times, want 1 (its keys)", len(in), a)
+	}
+}

@@ -1,6 +1,10 @@
 package fleet
 
-import "sync"
+import (
+	"math/bits"
+	"slices"
+	"sync"
+)
 
 // chunkLen, a power of two, is the number of samples in a chunk of a Samples.
 const chunkLen = 4096
@@ -19,8 +23,8 @@ func chunkPool[T any]() *sync.Pool {
 // Samples collects an Aggregator's samples in pooled chunks, so a growing
 // shard never re-copies what it holds, as an appended slice does (about
 // five times its final size while it fills). They are read only once
-// FinishShard hands them over as one exactly sized run for the caller to
-// sort in place; Merge gathers runs in shard order, Merged combines them.
+// FinishShard hands them over as one exactly sized run to sort in place
+// (SortRun); Merge gathers runs in shard order, Merged combines them.
 // A pooled chunk keeps what was written into it: T should be a plain value.
 type Samples[T any] struct {
 	chunks []*[chunkLen]T // the samples since the last Take, in Add order
@@ -123,4 +127,65 @@ func MergeRuns[T any](runs [][]T, cmp func(a, b T) int) []T {
 		siftDown(0)
 	}
 	return append(out, rest[h[0]]...)
+}
+
+// SortRun sorts run in place by cmp, a total order that agrees with key:
+// key(a) < key(b) implies cmp(a, b) < 0. Past 32 elements, a run in key
+// order only has its runs of equal keys sorted by cmp; any other is split
+// into 256 buckets by the top eight bits its span of key − min uses, each
+// element moved once along the cycles of that permutation, and each bucket
+// sorted the same way. It allocates nothing: key takes T by value.
+func SortRun[T any](run []T, key func(T) int64, cmp func(a, b T) int) {
+	if len(run) <= 32 {
+		slices.SortFunc(run, cmp)
+		return
+	}
+	// While run is in key order, hi is the last key and tie starts its run
+	// of equal keys; tie is -1 once run is out of order.
+	lo, hi, tie := key(run[0]), key(run[0]), 0
+	for i := 1; i < len(run); i++ {
+		k := key(run[i])
+		switch {
+		case tie < 0:
+		case k < hi:
+			tie = -1
+		case k > hi:
+			if i-tie > 1 {
+				slices.SortFunc(run[tie:i], cmp)
+			}
+			tie = i
+		}
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if tie >= 0 {
+		slices.SortFunc(run[tie:], cmp)
+		return
+	}
+	shift := uint(max(bits.Len64(uint64(hi)-uint64(lo))-8, 0))
+	digit := func(v T) uint8 { return uint8((uint64(key(v)) - uint64(lo)) >> shift) }
+	var next, end [256]int
+	for _, v := range run {
+		end[digit(v)]++
+	}
+	for d := 1; d < len(end); d++ {
+		next[d], end[d] = end[d-1], end[d]+end[d-1]
+	}
+	// Take the element at bucket d's first unplaced slot and, while it
+	// belongs to another bucket b, put it in b's and take what was there.
+	start := 0
+	for d := range next {
+		for next[d] < end[d] {
+			v := run[next[d]]
+			for b := digit(v); int(b) != d; b = digit(v) {
+				run[next[b]], v = v, run[next[b]]
+				next[b]++
+			}
+			run[next[d]] = v
+			next[d]++
+		}
+		if end[d]-start > 1 {
+			SortRun(run[start:end[d]], key, cmp)
+		}
+		start = end[d]
+	}
 }

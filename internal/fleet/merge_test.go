@@ -1,11 +1,15 @@
 package fleet
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 )
 
 // TestMergeRuns: the merge of sorted runs equals a stable sort of their
@@ -148,5 +152,111 @@ func TestSamplesMerged(t *testing.T) {
 	}
 	if got := shards[0].Merged(cmp.Compare[int]); got != nil {
 		t.Fatalf("a second Merged returned %d samples", len(got))
+	}
+}
+
+// sortItem is a SortRun test element: k is its key, and cmp orders by k
+// and then v, so equal items are identical.
+type sortItem struct {
+	k int64
+	v uint32
+}
+
+func itemKey(it sortItem) int64 { return it.k }
+
+func compareItems(a, b sortItem) int { return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.v, b.v)) }
+
+// sortRunCases returns a named input of n items per shape SortRun must
+// handle.
+func sortRunCases(rng *rand.Rand, n int) map[string][]sortItem {
+	gen := func(key func(i int) int64) []sortItem {
+		s := make([]sortItem, n)
+		for i := range s {
+			s[i] = sortItem{key(i), rng.Uint32() % 4}
+		}
+		return s
+	}
+	orderedTies := gen(func(i int) int64 { return int64(i / 7) })
+	rng.Shuffle(n, func(i, j int) {
+		if orderedTies[i].k == orderedTies[j].k {
+			orderedTies[i], orderedTies[j] = orderedTies[j], orderedTies[i]
+		}
+	})
+	sorted := gen(func(int) int64 { return rng.Int63() })
+	slices.SortFunc(sorted, compareItems)
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	return map[string][]sortItem{
+		"distinct":   gen(func(i int) int64 { return int64(i)*1_000_003%int64(n+1) - 7 }),
+		"heavy ties": gen(func(int) int64 { return rng.Int63n(4) * 1e9 }),
+		"one key":    gen(func(int) int64 { return 42 }),
+		"negative":   gen(func(int) int64 { return -rng.Int63n(1 << 40) }),
+		"span < 256": gen(func(int) int64 { return 1000 + rng.Int63n(200) }),
+		"span > 2^62": gen(func(int) int64 {
+			return rng.Int63() - rng.Int63() + []int64{math.MinInt64, math.MaxInt64, 0}[rng.Intn(3)]/2
+		}),
+		"extremes":     gen(func(int) int64 { return []int64{math.MinInt64, math.MaxInt64, -1, 0}[rng.Intn(4)] }),
+		"arrivals":     gen(func(int) int64 { return rng.Int63n(int64(42 * 24 * time.Hour)) }),
+		"ordered ties": orderedTies,
+		"sorted":       sorted,
+		"reversed":     reversed,
+	}
+}
+
+// TestSortRunEqualsSort: SortRun puts every kind of run in the order
+// slices.SortFunc gives it, on either side of the small-run cut-off.
+func TestSortRunEqualsSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 2, 31, 32, 33, 257, 1000, 20000} {
+		for name, in := range sortRunCases(rng, n) {
+			want := slices.Clone(in)
+			slices.SortFunc(want, compareItems)
+			if SortRun(in, itemKey, compareItems); !slices.Equal(in, want) {
+				t.Fatalf("n=%d, %s: SortRun differs from slices.SortFunc", n, name)
+			}
+		}
+	}
+}
+
+// FuzzSortRun: SortRun equals slices.SortFunc on any run. Each 9 bytes of
+// data make an item, its key shifted right by shift%64 to narrow the span.
+func FuzzSortRun(f *testing.F) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{3, 40, 300} {
+		for _, in := range sortRunCases(rng, n) {
+			var data []byte
+			for _, it := range in {
+				data = binary.LittleEndian.AppendUint64(data, uint64(it.k))
+				data = append(data, byte(it.v))
+			}
+			f.Add(data, uint8(0))
+		}
+	}
+	f.Add(bytes.Repeat([]byte{0xa5, 1, 2, 3, 4, 5, 6, 7, 8}, 50), uint8(60))
+	f.Fuzz(func(t *testing.T, data []byte, shift uint8) {
+		var in []sortItem
+		for ; len(data) >= 9; data = data[9:] {
+			k := int64(binary.LittleEndian.Uint64(data)) >> (shift % 64)
+			in = append(in, sortItem{k, uint32(data[8])})
+		}
+		want := slices.Clone(in)
+		slices.SortFunc(want, compareItems)
+		if SortRun(in, itemKey, compareItems); !slices.Equal(in, want) {
+			t.Fatalf("SortRun of %d items differs from slices.SortFunc", len(in))
+		}
+	})
+}
+
+// TestSortRunAllocs: sorting a run allocates nothing, whatever its shape.
+func TestSortRunAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for name, in := range sortRunCases(rng, 50_000) {
+		run := make([]sortItem, len(in))
+		if a := testing.AllocsPerRun(5, func() {
+			copy(run, in)
+			SortRun(run, itemKey, compareItems)
+		}); a != 0 {
+			t.Errorf("%s: SortRun allocated %v times per run", name, a)
+		}
 	}
 }
