@@ -38,9 +38,9 @@ type ShardFinisher interface {
 // ShardEvents count each population's shards apart, so a population's
 // results are bit-identical to its own one-population run.
 //
-// This is the bounded-memory, allocation-free path: a record is recycled
-// the moment Consume returns, so aggregators MUST NOT retain one (or its
-// NotifyNamespaces slice) — copy what you keep. Record contents and
+// This is the bounded-memory, allocation-free path: a record is valid
+// until Consume returns (the ownership rule of the package comment), so
+// aggregators copy what they keep. Record contents and
 // aggregates are bit-identical to the unpooled generator (pinned by
 // TestPooledShardMatchesUnpooled).
 //

@@ -30,13 +30,18 @@
 //   - a 1-shard run reproduces the legacy sequential workload.Generate
 //     output exactly.
 //
-// Every path draws its FlowRecords from a per-shard RecordPool, which
-// imposes one ownership rule on every consumer: a record (and its
-// NotifyNamespaces slice) is valid until Consume or emit returns, or the
-// range loop advances; copy what you keep (see RecordPool). Memory stays
-// bounded regardless of population size. PERFORMANCE.md tracks what
-// pooling buys (2.2x records/sec and 12.5x fewer allocs/record on the
-// 8-shard aggregation scenario, 1.6x and 3.5x fewer on the two-core export).
+// The ownership rule, the same on every path: a record handed to a
+// callback (Sink.Consume, StreamRecords' emit, a Records range loop's
+// body) is valid until the callback returns, then recycled — a pointer
+// kept past that observes the record's next life. Copy the struct by value
+// and NotifyNamespaces element-wise to keep (its backing array belongs to
+// the generating device); string fields are immutable, so retaining them
+// is safe. Each generating shard keeps a free list of its own
+// (generatePooled), and the ordered stream holds records by value in its
+// slabs, so memory stays bounded regardless of population size.
+// PERFORMANCE.md tracks what recycling buys (2.2x records/sec and 12.5x
+// fewer allocs/record on the 8-shard aggregation scenario, 1.6x and 3.5x
+// fewer on the two-core export).
 package fleet
 
 import (
@@ -85,57 +90,10 @@ func (c Config) normalized() Config {
 
 // Sink consumes one shard's record stream. The engine builds one sink per
 // shard and never shares one across goroutines, so implementations need no
-// locking. A record is recycled the moment Consume returns — see RecordPool.
+// locking. A record is valid until Consume returns (the ownership rule of
+// the package comment).
 type Sink interface {
 	Consume(*traces.FlowRecord)
-}
-
-// RecordPool recycles FlowRecord storage within one generating shard. It
-// is not safe for concurrent use: the engine gives each shard its own
-// pool, and every Get and Put runs on that shard's worker goroutine.
-//
-// The one ownership rule: a record handed to a consumer is valid until
-// Consume or emit returns (or the range loop advances), then Put zeroes it
-// for the next Get — any pointer kept past that observes the record's next
-// life. Copy what you keep: the struct by value, NotifyNamespaces element-
-// wise (its backing array belongs to the generating device, never to the
-// pool); string fields are immutable, so retaining them is safe.
-type RecordPool struct {
-	free []*traces.FlowRecord
-	// hits/misses count Get outcomes as plain ints (the pool is
-	// single-goroutine by contract); flushTelemetry publishes them.
-	hits, misses int
-}
-
-// Get returns a zero-valued record.
-func (p *RecordPool) Get() *traces.FlowRecord {
-	if n := len(p.free); n > 0 {
-		p.hits++
-		r := p.free[n-1]
-		p.free = p.free[:n-1]
-		return r
-	}
-	p.misses++
-	return new(traces.FlowRecord)
-}
-
-// flushTelemetry publishes the pool's accumulated hit/miss counts to the
-// process counters and resets the local tallies. generatePooled calls it
-// once per shard.
-func (p *RecordPool) flushTelemetry() {
-	if p.hits > 0 {
-		mPoolHits.Add(uint64(p.hits))
-	}
-	if p.misses > 0 {
-		mPoolMisses.Add(uint64(p.misses))
-	}
-	p.hits, p.misses = 0, 0
-}
-
-// Put zeroes r and makes it available to the next Get.
-func (p *RecordPool) Put(r *traces.FlowRecord) {
-	*r = traces.FlowRecord{}
-	p.free = append(p.free, r)
 }
 
 // VPStats is the merged ground truth of one vantage point's fleet run.

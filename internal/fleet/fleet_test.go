@@ -343,7 +343,7 @@ func BenchmarkShardedGeneration(b *testing.B) {
 }
 
 // TestPooledAggregateMatchesUnpooled pins the pooled Aggregate path
-// (per-shard RecordPools, records recycled after Consume) against a
+// (per-shard free lists, records recycled after Consume) against a
 // reference built from the plain GenerateShard stream with no pooling:
 // every metric, including order-sensitive float accumulators, must match
 // exactly.

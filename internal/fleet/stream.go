@@ -10,8 +10,8 @@ import (
 	"insidedropbox/internal/workload"
 )
 
-// Hand-off on the ordered streaming path is by slab: a producing worker
-// queues slabRecords pooled records for the consumer at a time. Shards
+// Hand-off on the ordered streaming path is by slab: a producer copies
+// slabRecords records into a slab and queues it for the consumer. Shards
 // generate ahead of the consumer until the stream holds streamBudget
 // records, so the consumer usually finds the next shard generated.
 const (
@@ -19,12 +19,12 @@ const (
 	streamBudget = 1 << 16
 )
 
-// A slab's records stay attached once it is drained: whichever producer
-// refills it recycles them.
-type slab []*traces.FlowRecord
+// A slab holds its records by value: the consumer emits pointers to its
+// slots, and whichever producer refills it next overwrites them.
+type slab []traces.FlowRecord
 
 // spare carries one stream's drained slabs to the next, so a run of
-// streams allocates its records about once. The pool alone keeps them
+// streams allocates its slabs about once. The pool alone keeps them
 // alive, so a collection or two drops them and a process that has stopped
 // streaming does not keep some 16 MiB of records. The next stream finds
 // them through the weak pointer: a pool's Get, after a collection, does
@@ -108,21 +108,17 @@ func (q *queue) put(sh int, s slab) (waited, ok bool) {
 	return waited, !q.stop
 }
 
-// spare returns a drained slab for a producer to refill, or else a new
-// slab of zeroed records, allocated together.
+// spare returns an empty slab for a producer to fill: a drained one, or
+// else a new one.
 func (q *queue) spare() slab {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if n := len(q.free); n > 0 {
 		s := q.free[n-1]
 		q.free = q.free[:n-1]
-		return s
+		return s[:0]
 	}
-	s, backing := make(slab, slabRecords), make([]traces.FlowRecord, slabRecords)
-	for i := range s {
-		s[i] = &backing[i]
-	}
-	return s
+	return make(slab, 0, slabRecords)
 }
 
 // get returns shard sh's next slab: nil once the shard has ended or the
@@ -149,9 +145,8 @@ func (q *queue) get(sh int) slab {
 // worker pool. emit runs on the calling goroutine; returning false stops
 // the stream early (no error: a consumer break is a normal outcome).
 //
-// Record storage is pooled, as on the Aggregate path: a record passed to
-// emit is valid until emit returns, then recycled. Copy to keep — the
-// struct by value, NotifyNamespaces with slices.Clone (see RecordPool).
+// A record passed to emit is a slot of a slab, valid until emit returns
+// (the ownership rule of the package comment).
 //
 // Memory stays bounded regardless of population size. Shards start in
 // index order and generate ahead of the consumer, each a whole shard if
@@ -218,8 +213,8 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 			if s == nil {
 				break
 			}
-			for _, r := range s {
-				if !emit(r) {
+			for i := range s {
+				if !emit(&s[i]) {
 					return finish(nil)
 				}
 			}
@@ -237,7 +232,6 @@ func StreamRecords(ctx context.Context, vp workload.VPConfig, seed int64, fc Con
 // worker goroutine. Once the stream stops it generates on with the output
 // discarded, so the shard's stats stay whole.
 func produceShard(vp workload.VPConfig, seed int64, shard, nshards int, q *queue) workload.ShardStats {
-	pool := new(RecordPool)
 	var cur slab
 	dropping, stalls := false, 0
 	send := func() {
@@ -247,22 +241,17 @@ func produceShard(vp workload.VPConfig, seed int64, shard, nshards int, q *queue
 		}
 		dropping, cur = !ok, nil
 	}
-	st := generatePooled(vp, seed, shard, nshards, pool, func(r *traces.FlowRecord) bool {
+	st := generatePooled(vp, seed, shard, nshards, func(r *traces.FlowRecord) {
 		if dropping {
-			return false
+			return
 		}
 		if cur == nil {
 			cur = q.spare()
-			for _, old := range cur {
-				pool.Put(old)
-			}
-			cur = cur[:0]
 		}
-		cur = append(cur, r)
+		cur = append(cur, *r)
 		if len(cur) == slabRecords {
 			send()
 		}
-		return true
 	})
 	if cur != nil {
 		send()
@@ -281,8 +270,8 @@ func produceShard(vp workload.VPConfig, seed int64, shard, nshards int, q *queue
 // ctx.Err() if the context was cancelled mid-stream; otherwise err is
 // always nil.
 //
-// A yielded record is valid until the loop advances; copy to keep (the
-// ownership rule on StreamRecords).
+// A yielded record is valid until the loop advances (the ownership rule of
+// the package comment).
 func Records(ctx context.Context, vp workload.VPConfig, seed int64, fc Config) iter.Seq2[*traces.FlowRecord, error] {
 	return func(yield func(*traces.FlowRecord, error) bool) {
 		_, err := StreamRecords(ctx, vp, seed, fc, func(r *traces.FlowRecord) bool {

@@ -83,11 +83,12 @@ func TestStreamSlabBoundaries(t *testing.T) {
 }
 
 // TestStreamRecordsRecycles pins the ownership rule of the ordered stream:
-// a record is valid until emit returns and is recycled after, so the
-// stream hands the same struct out again — a silent revert to one
+// a record is valid until emit returns, and the struct emit sees is a slot
+// of a slab that a producer refills once the consumer has drained it, so
+// the stream hands the same struct out again — a silent revert to one
 // allocation per record would deliver every record in a struct of its
 // own. The one shard is several times the stream's budget long, so its
-// records must travel in far fewer structs than it has. Which struct comes
+// records must travel in far fewer structs than it has. Which slab comes
 // back first depends on scheduling and on the slabs earlier streams left
 // pooled, so the test counts structs and follows none.
 func TestStreamRecordsRecycles(t *testing.T) {
@@ -104,9 +105,8 @@ func TestStreamRecordsRecycles(t *testing.T) {
 		t.Fatalf("%d records travelled in %d distinct structs: the stream is not recycling", stats.Records, len(seen))
 	}
 	// At most streamBudget records plus a slab are queued, and one slab is
-	// filling. Recycled slabs feed the shard's pool, which can hold a few
-	// slabs' worth at once, and the generator holds a few records open
-	// (two merging flows per device).
+	// filling. Drained slabs are refilled last in, first out, so no more
+	// slabs than were ever in flight at once hand out their slots.
 	limit := streamBudget + 8*slabRecords
 	if stats.Records < 4*limit {
 		t.Fatalf("shard of %d records is too small to show recycling", stats.Records)
@@ -183,7 +183,7 @@ func TestStreamStopsMidSlab(t *testing.T) {
 // TestStreamAllocationBudget extends the writer's allocation pin
 // (traces.TestBinaryWriteAllocationFree) over the whole export path: Home 1
 // through StreamRecords into an inline BinaryWriter stays under a tenth of
-// an allocation per record (0.026 measured; 0.31 when the generator
+// an allocation per record (0.022 measured; 0.31 when the generator
 // allocated a merge state per storage connection and event buffers per
 // household). Unpooled hand-off costs more than one.
 func TestStreamAllocationBudget(t *testing.T) {

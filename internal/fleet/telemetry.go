@@ -11,8 +11,8 @@ import (
 // The engine's telemetry. Everything here is flushed at shard granularity
 // — one histogram observation and a handful of atomic adds per completed
 // shard — so the per-record hot path carries no instrumentation beyond
-// the plain-int counters that already ride inside RecordPool and the
-// streaming producers. On the ordered path, whose unit of hand-off is a
+// the plain-int counters that already ride inside generatePooled's free
+// list and the streaming producers. On the ordered path, whose unit of hand-off is a
 // slab of records: fleet.stream_depth is the records queued for the
 // consumer, every shard together, the slab it just took included (set once
 // per slab; at most streamBudget plus a slab), and fleet.stream_stalls the

@@ -282,10 +282,10 @@ func SortRecords(rs []*traces.FlowRecord) {
 // (which must return zero-valued records), and records that die without
 // being emitted — probe-outage drops and flow-fold scratch — go back
 // through Free. A sink that recycles emitted records after Emit returns
-// (fleet.Aggregate does) makes shard generation allocation-free per
-// record; sinks that retain emitted records must leave Alloc nil or never
-// recycle them. Emit, Alloc and Free are always called from the same
-// goroutine, in generation order.
+// (every fleet path does: the ownership rule of the fleet package comment)
+// makes shard generation allocation-free per record; sinks that retain
+// emitted records must leave Alloc nil or never recycle them. Emit, Alloc
+// and Free are always called from the same goroutine, in generation order.
 type ShardSink struct {
 	Emit  func(*traces.FlowRecord)
 	Alloc func() *traces.FlowRecord

@@ -10,9 +10,9 @@ import (
 	"insidedropbox/internal/traces"
 )
 
-// poolOf is a minimal test double of fleet.RecordPool (fleet cannot be
-// imported here without a cycle): Get returns zeroed records, Put zeroes
-// and recycles.
+// poolOf is a minimal test double of the free list fleet's generate loop
+// keeps per shard (fleet cannot be imported here without a cycle): Get
+// returns zeroed records, Put zeroes and recycles.
 type poolOf struct {
 	free []*traces.FlowRecord
 	gets int
